@@ -20,6 +20,7 @@ from .construct import (
     gram_D,
     jacobi_to_gmp,
     multiplication_matrix,
+    one_sided_coupling,
     tau_basis,
 )
 from .finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta
@@ -29,7 +30,13 @@ from .flow import (
     flow_run,
     jacobi_flow_step,
 )
-from .gmp import GmpBlock, GmpWindow, transfer_matrix, transfer_via_resolvent
+from .gmp import (
+    GmpBlock,
+    GmpWindow,
+    pattern_defect,
+    transfer_matrix,
+    transfer_via_resolvent,
+)
 from .isospectral import IsPoint, magic_check
 from .jacobi import DiscreteMeasure, JacobiWindow, kappa, kappa_pairing
 from .ks import (
@@ -44,6 +51,8 @@ from .ks import (
 )
 
 SQRT2 = np.sqrt(2.0)
+# Random draws criterion 2 may spend on its 100 block sets.
+TRANSFER_MAX_DRAWS = 1000
 
 
 def _estar_delta() -> DeltaData:
@@ -130,7 +139,10 @@ def criterion_transfer_algebra(seed: int = 211) -> dict:
     worst_det = 0.0
     worst_dev = 0.0
     count = 0
-    while count < 100:
+    draws = 0
+    raised = 0
+    while count < 100 and draws < TRANSFER_MAX_DRAWS:
+        draws += 1
         g = int(rng.integers(1, 4))
         p = rng.uniform(-1.2, 1.2, g + 1)
         p[-1] = rng.uniform(0.3, 1.5)
@@ -143,6 +155,7 @@ def criterion_transfer_algebra(seed: int = 211) -> dict:
             direct = transfer_matrix(blk, c, z)
             via = transfer_via_resolvent(blk, c, z)
         except Exception:
+            raised += 1
             continue
         det = float(np.linalg.det(direct.value))
         worst_det = max(worst_det, abs(det - 1.0))
@@ -155,7 +168,10 @@ def criterion_transfer_algebra(seed: int = 211) -> dict:
         ("determinant deviation", worst_det, 1e-10),
         ("route disagreement", worst_dev, 1e-9),
     ]
-    return _report(2, "transfer matrix algebra", 5.0, t0, checks, "100 block sets")
+    note = f"{count} block sets in {draws} draws, {raised} raised"
+    rep = _report(2, "transfer matrix algebra", 5.0, t0, checks, note)
+    rep["passed"] = rep["passed"] and count == 100 and raised == 0
+    return rep
 
 
 def criterion_magic_pattern() -> dict:
@@ -313,16 +329,7 @@ def criterion_one_sided_build() -> dict:
     )
     rb = tau_basis(m, d, depth=2)
     mm = multiplication_matrix(rb, m)
-    per = rb.g + 1
-    off = 0.0
-    n = mm.shape[0]
-    for i in range(n):
-        bi, si = divmod(i, per)
-        for j in range(i + 1, n):
-            bj, sj = divmod(j, per)
-            if bi == bj or (bj == bi + 1 and sj == 0) or (bj == bi - 1 and si == 0):
-                continue
-            off = max(off, abs(mm[i, j]))
+    off = pattern_defect(mm, one_sided_coupling(rb.g))
     # the diagonal of the first block carries the pole of the map
     d_shift = delta_from_gaps(GapSet(-1.0, 3.0, ((0.0, 2.0),)))
     m2 = DiscreteMeasure(

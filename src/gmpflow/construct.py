@@ -26,7 +26,7 @@ from .errors import (
     WindowError,
 )
 from .finitegap import DeltaData, eval_delta
-from .gmp import GmpBlock, GmpWindow, assemble_dense, build_block_B
+from .gmp import GmpBlock, GmpWindow, assemble_dense, build_block_B, pattern_defect
 from .jacobi import DiscreteMeasure, JacobiWindow, kappa, lanczos_from_measure
 
 FACTOR_TOL = 1e-10
@@ -258,27 +258,10 @@ def tau_basis(
     return RationalBasis(measure, table, L, D, m_vec)
 
 
-def _one_sided_off_pattern(M: np.ndarray, g: int) -> float:
-    """Largest entry outside the one-sided GMP pattern.
-
-    Blocks of size g + 1 along the diagonal are free; adjacent blocks
-    may couple only through row 0 of the farther block; anything beyond
-    adjacent blocks must vanish.
-    """
-
-    per = g + 1
-    n = M.shape[0]
-    worst = 0.0
-    for i in range(n):
-        bi, si = divmod(i, per)
-        for j in range(i + 1, n):
-            bj, sj = divmod(j, per)
-            if bj == bi:
-                continue
-            if bj == bi + 1 and sj == 0:
-                continue
-            worst = max(worst, abs(M[i, j]))
-    return worst
+def one_sided_coupling(g: int) -> np.ndarray:
+    """``pattern_defect`` mask of the one-sided build: adjacent blocks
+    couple only through slot 0 of the farther block."""
+    return np.broadcast_to(np.arange(g + 1) == 0, (g + 1, g + 1))
 
 
 def multiplication_matrix(
@@ -306,7 +289,7 @@ def multiplication_matrix(
     wx = rb.measure.weights * rb.measure.points
     M = T.T @ (wx[:, None] * T)
     M = 0.5 * (M + M.T)
-    worst = _one_sided_off_pattern(M, rb.g)
+    worst = pattern_defect(M, one_sided_coupling(rb.g))
     if worst > ONE_SIDED_PATTERN_TOL * max(1.0, float(np.max(np.abs(M)))):
         raise NumericalError(
             f"multiplication matrix lost the block pattern: "
@@ -449,18 +432,11 @@ def jacobi_to_gmp(
     def idx(j: int, m: int) -> int:
         return (j - k_lo) * per + m
 
-    n_flag = amat.shape[0]
     scale = max(1.0, float(np.max(np.abs(amat))))
-    worst = 0.0
-    for i in range(n_flag):
-        bi, si = divmod(i, per)
-        for jcol in range(i + 1, n_flag):
-            bj, sj = divmod(jcol, per)
-            if bj == bi:
-                continue
-            if bj == bi + 1 and si == g:
-                continue
-            worst = max(worst, abs(amat[i, jcol]))
+    # Adjacent blocks couple only through slot g of the nearer block.
+    coupling = np.zeros((per, per), dtype=bool)
+    coupling[g, :] = True
+    worst = pattern_defect(amat, coupling)
     if worst > TWO_SIDED_PATTERN_TOL * scale:
         raise NumericalError(
             f"operator lost the GMP pattern in the flag basis: off-pattern "

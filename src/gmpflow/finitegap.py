@@ -22,11 +22,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import DegenerateGapError, PoleEvaluationError, ValidationError
+from .errors import (
+    DegenerateGapError,
+    PoleEvaluationError,
+    SpectrumProximityError,
+    ValidationError,
+)
 
 GAP_REL_TOL = 1e-12
 POLE_REL_TOL = 1e-12
 ZERO_RESIDUAL_REL_TOL = 1e-11
+# Relative eigenvalue gap below which a pole counts as part of a spectrum.
+SHIFT_PROXIMITY_REL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,14 @@ class DeltaData:
 
     def lams(self) -> np.ndarray:
         return np.array([l for _, l in self.poles])
+
+    def aligned_to(self, c) -> "DeltaData":
+        """The same map with its poles listed in the order of the poles ``c``."""
+        c, cs = np.asarray(c, dtype=float), self.cs()
+        if c.size != cs.size or not np.allclose(np.sort(c), np.sort(cs), atol=1e-12):
+            raise ValidationError("window poles differ from the map poles")
+        by_rank = np.argsort(cs)[np.argsort(np.argsort(c))]  # same rank as c[i]
+        return DeltaData(self.lambda0, self.c0, [self.poles[i] for i in by_rank])
 
     def to_json(self) -> dict:
         return {
@@ -279,6 +294,32 @@ def eval_delta(delta: DeltaData, z):
         tail = np.zeros_like(z_arr, dtype=float)
     result = delta.lambda0 * z_arr + delta.c0 + tail
     return result if result.ndim else result[()]
+
+
+def apply_comb_map(
+    mat: np.ndarray, delta: DeltaData
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The comb map applied to a symmetric matrix, and its eigenpairs.
+
+    One eigendecomposition ``mat = V diag(x) V^T`` gives
+    ``lambda0 * mat + c0 + V diag(sum_k lambda_k / (c_k - x)) V^T``.
+    Raises SpectrumProximityError when a pole lies within 1e-10 (relative
+    to the spectral radius, at least 1) of an eigenvalue.  Returns the
+    symmetrised image, the eigenvalues and the eigenvector columns.
+    """
+    vals, vecs = numkit.sym_eigen(mat)
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    weights = np.zeros(vals.size)
+    for ck, lk in delta.poles:
+        gap = float(np.min(np.abs(ck - vals)))
+        if gap <= SHIFT_PROXIMITY_REL * scale:
+            raise SpectrumProximityError(
+                f"shift {ck} lies within {gap:.3e} of the spectrum"
+            )
+        weights += lk / (ck - vals)
+    mapped = delta.lambda0 * mat + delta.c0 * np.eye(vals.size)
+    mapped += (vecs * weights) @ vecs.T
+    return 0.5 * (mapped + mapped.T), vals, vecs
 
 
 def delta_inverse_points(

@@ -199,8 +199,34 @@ def assemble_dense(window: GmpWindow) -> np.ndarray:
     return mat
 
 
-def _pm_outer(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    return np.outer(left, right)
+def assemble_wrapped(window: GmpWindow) -> np.ndarray:
+    """Dense window operator with the two ends coupled to each other.
+
+    The extra coupling uses the first block's interaction vector, the
+    same convention as between consecutive blocks.  Plain truncation can
+    be singular at a pole of the comb map; the wrapped operator of a
+    near-periodic window keeps its spectrum inside the bands.
+    """
+    if len(window.blocks) < 3:
+        raise ValidationError("periodic wrap needs at least three blocks")
+    mat = assemble_dense(window)
+    per = window.g + 1
+    mat[-1, :per] = mat[:per, -1] = window.blocks[0].p
+    return mat
+
+
+def pattern_defect(mat: np.ndarray, coupling: np.ndarray) -> float:
+    """Largest entry of a symmetric block matrix outside its block pattern.
+
+    Diagonal blocks of size ``coupling.shape[0]`` are free; the block
+    right of each diagonal block may hold only the entries marked in the
+    boolean mask ``coupling``; every block farther out must vanish.  Only
+    the upper triangle is read.
+    """
+    blk, slot = np.divmod(np.arange(mat.shape[0]), coupling.shape[0])
+    step = blk[None, :] - blk[:, None]
+    allowed = (step <= 0) | ((step == 1) & coupling[slot[:, None], slot[None, :]])
+    return float(np.max(np.abs(mat), where=~allowed, initial=0.0))
 
 
 def bp_factor(z: float, c: float, pm: np.ndarray) -> np.ndarray:
@@ -208,7 +234,7 @@ def bp_factor(z: float, c: float, pm: np.ndarray) -> np.ndarray:
     denom = c - z
     if abs(denom) <= POLE_REL_TOL * max(1.0, abs(c)):
         raise PoleEvaluationError(f"factor evaluated at its pole c = {c}")
-    return np.eye(2) - (_pm_outer(pm, pm) @ JMAT) / denom
+    return np.eye(2) - (np.outer(pm, pm) @ JMAT) / denom
 
 
 def bp_factor_inf(z: float, pm: np.ndarray) -> np.ndarray:
@@ -219,14 +245,20 @@ def bp_factor_inf(z: float, pm: np.ndarray) -> np.ndarray:
     return np.array([[0.0, -p], [1.0 / p, (z - p * q) / p]])
 
 
+def factor_chain(
+    mat: np.ndarray, z: float, c: np.ndarray, blk: GmpBlock, lo: int, hi: int
+) -> np.ndarray:
+    """``mat`` times the elementary factors lo..hi-1 of ``blk`` at z, in order."""
+    for m in range(lo, hi):
+        mat = mat @ bp_factor(z, c[m], blk.pm(m))
+    return mat
+
+
 def transfer_matrix(blk: GmpBlock, c: np.ndarray, z: float) -> TransferEval:
     """Product of one elementary factor per pole and the infinity factor."""
     c = np.asarray(c, dtype=float)
-    mat = np.eye(2)
-    for m in range(blk.g):
-        mat = mat @ bp_factor(z, c[m], blk.pm(m))
-    mat = mat @ bp_factor_inf(z, blk.pm(blk.g))
-    return TransferEval(mat)
+    mat = factor_chain(np.eye(2), z, c, blk, 0, blk.g)
+    return TransferEval(mat @ bp_factor_inf(z, blk.pm(blk.g)))
 
 
 def transfer_via_resolvent(blk: GmpBlock, c: np.ndarray, z: float) -> TransferEval:
@@ -254,16 +286,14 @@ def transfer_via_resolvent(blk: GmpBlock, c: np.ndarray, z: float) -> TransferEv
     return TransferEval(mat)
 
 
-def lambda_sharp(
+def residue_product(
     nextblk: GmpBlock, thisblk: GmpBlock, c: np.ndarray, k: int
-) -> float:
-    """Two-block functional: minus the trace of the mixed factor product.
+) -> np.ndarray:
+    """Mixed factor product at the pole c_k, before the infinity factor.
 
-    The product runs the first k-1 elementary factors with the vectors of
-    ``nextblk``, inserts the mixed rank-one middle term, then the factors
-    k+1..g and the infinity factor with the vectors of ``thisblk``, all
-    evaluated at the pole c_k.  With equal blocks it is the residue
-    functional Lambda_k.
+    The first k-1 elementary factors use the vectors of ``nextblk``, the
+    rank-one middle term pairs the k-th vectors of both blocks, and the
+    factors k+1..g use the vectors of ``thisblk``.
     """
     g = thisblk.g
     c = np.asarray(c, dtype=float)
@@ -272,13 +302,22 @@ def lambda_sharp(
     if not 1 <= k <= g:
         raise ValidationError(f"pole index {k} outside 1..{g}")
     ck = c[k - 1]
-    mat = np.eye(2)
-    for m in range(k - 1):
-        mat = mat @ bp_factor(ck, c[m], nextblk.pm(m))
-    mat = mat @ (_pm_outer(nextblk.pm(k - 1), thisblk.pm(k - 1)) @ JMAT)
-    for m in range(k, g):
-        mat = mat @ bp_factor(ck, c[m], thisblk.pm(m))
-    mat = mat @ bp_factor_inf(ck, thisblk.pm(g))
+    mat = factor_chain(np.eye(2), ck, c, nextblk, 0, k - 1)
+    mat = mat @ (np.outer(nextblk.pm(k - 1), thisblk.pm(k - 1)) @ JMAT)
+    return factor_chain(mat, ck, c, thisblk, k, g)
+
+
+def lambda_sharp(
+    nextblk: GmpBlock, thisblk: GmpBlock, c: np.ndarray, k: int
+) -> float:
+    """Two-block functional: minus the trace of the mixed factor product.
+
+    The residue product of the two blocks, closed by the infinity factor
+    of ``thisblk``, all evaluated at the pole c_k.  With equal blocks it
+    is the residue functional Lambda_k.
+    """
+    mat = residue_product(nextblk, thisblk, c, k)
+    mat = mat @ bp_factor_inf(c[k - 1], thisblk.pm(thisblk.g))
     return -float(np.trace(mat))
 
 
@@ -379,9 +418,7 @@ def resolvent_column(window: GmpWindow, k: int) -> np.ndarray:
     f_1 = np.zeros(g + 1)
     f_1[k - 1] = 1.0 / lam_0
     for m in range(k - 1):
-        mat = np.eye(2)
-        for j in range(m + 1, k - 1):
-            mat = mat @ bp_factor(ck, c[j], blk_1.pm(j))
+        mat = factor_chain(np.eye(2), ck, c, blk_1, m + 1, k - 1)
         val = float(blk_1.pm(m) @ JMAT @ mat @ blk_1.pm(k - 1))
         f_1[m] = val / (ck - c[m]) / lam_0
 

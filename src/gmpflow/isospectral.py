@@ -16,14 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NumericalError,
-    SpectrumProximityError,
-    ValidationError,
-)
-from .finitegap import DeltaData
-from .gmp import JMAT, GmpBlock, bp_factor, build_block_B, lambda_k
-from .numkit import sym_eigen
+from .errors import NumericalError, ValidationError
+from .finitegap import DeltaData, apply_comb_map
+from .gmp import GmpBlock, GmpWindow, assemble_wrapped, lambda_k, residue_product
 
 SURFACE_TOL = 1e-9
 SOLVE_TARGET = 1e-12
@@ -31,7 +26,6 @@ DISTANCE_TARGET = 1e-11
 MAX_ITERATIONS = 100
 FD_STEP_REL = 1e-6
 FD_CHECK_REL = 1e-5
-PROXIMITY_REL_TOL = 1e-10
 
 
 def is_residual(blk: GmpBlock, d: DeltaData) -> np.ndarray:
@@ -71,20 +65,10 @@ def alternative_qg(blk: GmpBlock, c) -> float:
     final factor replaced by the corner matrix diag(0, 1/p_g).  The
     value equals q_g + intrinsic_offset(blk) identically.
     """
-    g = blk.g
-    c = np.asarray(c, dtype=float)
-    final = np.array([[0.0, 0.0], [0.0, 1.0 / blk.p[g]]])
+    final = np.array([[0.0, 0.0], [0.0, 1.0 / blk.p[blk.g]]])
     total = 0.0
-    for k in range(1, g + 1):
-        ck = c[k - 1]
-        mat = np.eye(2)
-        for m in range(k - 1):
-            mat = mat @ bp_factor(ck, c[m], blk.pm(m))
-        pm = blk.pm(k - 1)
-        mat = mat @ (np.outer(pm, pm) @ JMAT)
-        for m in range(k, g):
-            mat = mat @ bp_factor(ck, c[m], blk.pm(m))
-        total += float(np.trace(mat @ final))
+    for k in range(1, blk.g + 1):
+        total += float(np.trace(residue_product(blk, blk, c, k) @ final))
     return total
 
 
@@ -279,29 +263,6 @@ def is_distance(blk: GmpBlock, d: DeltaData) -> tuple[float, IsPoint]:
     return float(np.linalg.norm(x - x0)), IsPoint(nearest, d)
 
 
-def assemble_periodic_dense(blk: GmpBlock, c, n_blocks: int) -> np.ndarray:
-    """Dense matrix of the periodic operator wrapped on n_blocks blocks.
-
-    The wrap-around coupling keeps the spectrum inside the bands, so
-    resolvents at the poles stay well defined (a plainly truncated
-    window can be exactly singular there).
-    """
-    g = blk.g
-    if n_blocks < 3:
-        raise ValidationError("periodic wrap needs at least three blocks")
-    c = np.asarray(c, dtype=float)
-    n = n_blocks * (g + 1)
-    mat = np.zeros((n, n))
-    bmat = build_block_B(blk, c)
-    for j in range(n_blocks):
-        lo = j * (g + 1)
-        mat[lo : lo + g + 1, lo : lo + g + 1] = bmat
-        nxt = ((j + 1) % n_blocks) * (g + 1)
-        mat[lo + g, nxt : nxt + g + 1] = blk.p
-        mat[nxt : nxt + g + 1, lo + g] = blk.p
-    return mat
-
-
 def magic_check(pt, window_blocks: int = 40, margin: int = 10, *, delta=None) -> dict:
     """Verify the two-shift identity for a periodically repeated block.
 
@@ -324,27 +285,14 @@ def magic_check(pt, window_blocks: int = 40, margin: int = 10, *, delta=None) ->
         raise ValidationError(
             f"need at least {2 * margin + 10} blocks, got {window_blocks}"
         )
-    amat = assemble_periodic_dense(blk, d.cs(), window_blocks)
+    amat = assemble_wrapped(GmpWindow((blk,) * window_blocks, d.cs()))
+    result = apply_comb_map(amat, d)[0]
     n = amat.shape[0]
-    eigvals, eigvecs = sym_eigen(amat)
-    scale = max(1.0, float(np.max(np.abs(eigvals))))
-    result = d.lambda0 * amat + d.c0 * np.eye(n)
-    for ck, lk in zip(d.cs(), d.lams()):
-        gap = float(np.min(np.abs(ck - eigvals)))
-        if gap <= PROXIMITY_REL_TOL * scale:
-            raise SpectrumProximityError(
-                f"pole {ck} within {gap:.3e} of the wrapped spectrum"
-            )
-        result += lk * (eigvecs * (1.0 / (ck - eigvals))) @ eigvecs.T
     period = g + 1
     lo = margin * period
     hi = n - margin * period
-    deviation = 0.0
-    for i in range(lo, hi):
-        row = result[i].copy()
-        row[i - period] -= 1.0
-        row[i + period] -= 1.0
-        deviation = max(deviation, float(np.max(np.abs(row))))
+    two_shift = np.eye(n, k=period) + np.eye(n, k=-period)
+    deviation = float(np.max(np.abs(result - two_shift)[lo:hi]))
     return {
         "deviation": deviation,
         "n_blocks": window_blocks,

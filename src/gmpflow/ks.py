@@ -20,19 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import (
-    NumericalError,
-    SpectrumProximityError,
-    ValidationError,
-    WindowError,
-)
-from .finitegap import DeltaData
+from .errors import NumericalError, ValidationError, WindowError
+from .finitegap import DeltaData, apply_comb_map
 from .flow import FlowTrajectory, jacobi_flow_step
-from .gmp import GmpWindow, assemble_dense, resolvent_column
+from .gmp import GmpWindow, assemble_wrapped, resolvent_column
 from .isospectral import is_residual
 
-# Relative eigenvalue gap below which a shift counts as singular.
-SHIFT_PROXIMITY_REL = 1e-10
 # Entries of the mapped operator outside the band, relative to its scale.
 BAND_DEFECT_REL = 1e-8
 # Absolute tolerance for the closed-form resolvent column cross-check.
@@ -43,26 +36,6 @@ DIAGONAL_FLOOR_REL = 1e-12
 DIVERGENCE_SLOPE = 1e-3
 # Lower bound every entropy term must respect up to roundoff.
 ENTROPY_FLOOR = -1e-10
-
-
-def assemble_wrapped(window: GmpWindow) -> np.ndarray:
-    """Dense window operator with the two ends coupled to each other.
-
-    The extra coupling uses the first block's interaction vector, the
-    same convention as between consecutive blocks.  Plain truncation can
-    be singular at a pole of the comb map; the wrapped operator of a
-    near-periodic window keeps its spectrum inside the bands.
-    """
-    if len(window.blocks) < 3:
-        raise ValidationError("periodic wrap needs at least three blocks")
-    mat = assemble_dense(window)
-    per = window.g + 1
-    first = window.blocks[0]
-    n = mat.shape[0]
-    mat = mat.copy()
-    mat[n - 1, 0:per] = first.p
-    mat[0:per, n - 1] = first.p
-    return mat
 
 
 @dataclass(frozen=True)
@@ -132,27 +105,9 @@ def delta_of_gmp(window: GmpWindow, d: DeltaData, margin: int) -> DeltaBlocks:
             f"margin {margin} leaves no trusted blocks in "
             f"[{window.j_min}, {window.j_max}]"
         )
-    if window.g and not np.allclose(
-        np.sort(np.asarray(window.c)), np.sort(np.asarray(d.cs())), atol=1e-12
-    ):
-        raise ValidationError("window poles differ from the map poles")
+    d = d.aligned_to(window.c)
 
-    dense = assemble_wrapped(window)
-    vals, vecs = numkit.sym_eigen(dense)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    mapped = d.lambda0 * dense + d.c0 * np.eye(dense.shape[0])
-    first_resolvent = None
-    for ck, lk in d.poles:
-        gap = float(np.min(np.abs(ck - vals)))
-        if gap <= SHIFT_PROXIMITY_REL * scale:
-            raise SpectrumProximityError(
-                f"shift {ck} lies within {gap:.3e} of the wrapped spectrum"
-            )
-        resolvent = (vecs / (ck - vals)) @ vecs.T
-        if first_resolvent is None:
-            first_resolvent = resolvent
-        mapped += lk * resolvent
-    mapped = 0.5 * (mapped + mapped.T)
+    mapped, vals, vecs = apply_comb_map(assemble_wrapped(window), d)
 
     per = window.g + 1
 
@@ -176,13 +131,14 @@ def delta_of_gmp(window: GmpWindow, d: DeltaData, margin: int) -> DeltaBlocks:
             f"mapped operator lost its band structure: defect {defect:.3e}"
         )
 
-    if window.g and j_lo <= -1 and j_hi >= 1 and first_resolvent is not None:
+    if window.g and j_lo <= -1 and j_hi >= 1:
         try:
             closed = resolvent_column(window, 1)
-        except ValidationError:
-            closed = None
-        if closed is not None:
-            col = first_resolvent[:, window.scalar_index(0, 0)]
+        except ValidationError:  # the closed form is undefined here
+            pass
+        else:
+            # column of (c_1 - A)^{-1} at slot 0 of block 0
+            col = (vecs / (window.c[0] - vals)) @ vecs[window.scalar_index(0, 0)]
             rows = slice(base(j_lo), base(j_hi) + per)
             err = float(np.max(np.abs(col[rows] - closed[rows])))
             if err > RESOLVENT_CHECK_TOL:
@@ -299,6 +255,22 @@ def _step_chain(window: GmpWindow, n: int) -> list[GmpWindow]:
     return states
 
 
+def _origin_blocks(
+    states: list[GmpWindow], d: DeltaData, margin: int
+) -> list[DeltaBlocks]:
+    """Mapped blocks of each state, whose trusted rows must reach -1..0."""
+    out = []
+    for m, st in enumerate(states):
+        db = delta_of_gmp(st, d, margin)
+        if not (db.j_lo <= -1 and db.j_hi >= 0):
+            raise WindowError(
+                f"state {m} trusted range [{db.j_lo}, {db.j_hi}] misses "
+                "blocks -1..0"
+            )
+        out.append(db)
+    return out
+
+
 def telescoping_check(
     window: GmpWindow, d: DeltaData, n: int, margin: int = 3
 ) -> dict:
@@ -317,20 +289,8 @@ def telescoping_check(
     shifted = GmpWindow(window.blocks, window.c, window.j_min - 1)
     states_shifted = _step_chain(shifted, n)
 
-    def decompose(chain: list[GmpWindow]) -> list[DeltaBlocks]:
-        out = []
-        for m, st in enumerate(chain):
-            db = delta_of_gmp(st, d, margin)
-            if not (db.j_lo <= -1 and db.j_hi >= 0):
-                raise WindowError(
-                    f"state {m} trusted range [{db.j_lo}, {db.j_hi}] misses "
-                    "blocks -1..0"
-                )
-            out.append(db)
-        return out
-
-    dbs = decompose(states)
-    dbs_shifted = decompose(states_shifted)
+    dbs = _origin_blocks(states, d, margin)
+    dbs_shifted = _origin_blocks(states_shifted, d, margin)
 
     g = window.g
     left_terms = [column_term(dbs[m], -1) for m in range(1, n + 1)]
@@ -405,13 +365,7 @@ def functional_report(
     if n_steps < 0:
         raise ValidationError("step count must be nonnegative")
     states = _step_chain(window, n_steps)
-    dbs = [delta_of_gmp(st, d, margin) for st in states]
-    for m, db in enumerate(dbs):
-        if not (db.j_lo <= -1 and db.j_hi >= 0):
-            raise WindowError(
-                f"state {m} trusted range [{db.j_lo}, {db.j_hi}] misses "
-                "blocks -1..0"
-            )
+    dbs = _origin_blocks(states, d, margin)
     db0 = dbs[0]
     h_spatial = np.array(
         [h_term(db0.v(j), db0.w(j), db0.v(j + 1)) for j in range(db0.j_lo, db0.j_hi + 1)]
@@ -478,6 +432,8 @@ def ks_diagnostics(
         raise ValidationError(
             f"map has {d.g} poles but trajectory blocks have genus {g}"
         )
+    # is_residual compares Lambda_k and lambda_k slot by slot
+    d = d.aligned_to(states[0].c)
     n_states = len(states)
     p_next = np.zeros((n_states, g))
     p_prev = np.zeros((n_states, g))

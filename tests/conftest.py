@@ -40,6 +40,26 @@ def random_gapset(rng: np.random.Generator, g_max: int = 4) -> GapSet:
     return GapSet(pts[0], pts[-1], gaps)
 
 
+def make_perturbed_window(
+    center: GmpBlock, c, half: int = 20, seed: int = 3
+) -> GmpWindow:
+    """Window of 2*half+1 blocks around ``center`` with perturbations
+    decaying geometrically away from block 0; the trailing p stays put."""
+    rng = np.random.default_rng(seed)
+    keep_trailing = np.ones(center.g + 1)
+    keep_trailing[-1] = 0.0
+    blocks = []
+    for j in range(-half, half + 1):
+        eps = 0.05 * 0.6 ** abs(j)
+        blocks.append(
+            GmpBlock(
+                center.p + eps * rng.uniform(-1.0, 1.0, center.g + 1) * keep_trailing,
+                center.q + eps * rng.uniform(-1.0, 1.0, center.g + 1),
+            )
+        )
+    return GmpWindow(blocks, c, j_min=-half)
+
+
 @pytest.fixture
 def estar_gapset() -> GapSet:
     return make_estar_gapset()

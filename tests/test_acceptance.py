@@ -68,6 +68,16 @@ def test_run_all_accepts_seed():
     assert all(rep["passed"] for rep in reports)
 
 
+def test_transfer_criterion_fails_when_draws_raise(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(acceptance, "transfer_via_resolvent", broken)
+    rep = acceptance.criterion_transfer_algebra()
+    assert not rep["passed"]
+    assert f"0 block sets in {acceptance.TRANSFER_MAX_DRAWS} draws" in rep["details"]
+
+
 def test_run_criterion_captures_errors():
     def boom():
         raise RuntimeError("synthetic failure")

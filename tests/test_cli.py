@@ -12,10 +12,13 @@ import time
 import numpy as np
 import pytest
 
+from conftest import make_perturbed_window
+
 from gmpflow import cli
 from gmpflow.errors import NumericalError
-from gmpflow.finitegap import DeltaData
-from gmpflow.gmp import GmpWindow
+from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
+from gmpflow.gmp import GmpBlock, GmpWindow
+from gmpflow.isospectral import solve_is_point
 from gmpflow.jacobi import JacobiWindow
 
 
@@ -194,6 +197,24 @@ class TestKs:
         footer = capsys.readouterr().out.rstrip().splitlines()[-1]
         assert footer.startswith("# diverging: ")
         assert footer != "# diverging: none"
+
+    def test_pole_order_of_map_is_irrelevant(self, tmp_path):
+        # the map is put into the window's pole order before any per-pole
+        # column is computed, so a reversed map writes the same table
+        d = delta_from_gaps(GapSet(-2.0, 2.0, ((-1.2, -0.4), (0.5, 1.1))))
+        seed = GmpBlock([0.4, 0.4, 1.0 / d.lambda0], [0.0, 0.0, 0.0])
+        w = make_perturbed_window(solve_is_point(d, seed).block, d.cs())
+        win = write_json(tmp_path / "twogap.json", w.to_json())
+        maps = {
+            "map": d.to_json(),
+            "reversed": DeltaData(d.lambda0, d.c0, d.poles[::-1]).to_json(),
+        }
+        for name, data in maps.items():
+            args = ["ks", win, write_json(tmp_path / f"{name}.json", data)]
+            args += ["--steps", "4", "--out", str(tmp_path / f"{name}.csv")]
+            assert cli.main(args) == 0
+        got = (tmp_path / "reversed.csv").read_bytes()
+        assert got == (tmp_path / "map.csv").read_bytes()
 
     def test_reruns_are_byte_identical(self, tmp_path):
         win = p1_window_file(tmp_path)

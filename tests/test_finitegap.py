@@ -5,12 +5,14 @@ from numpy.testing import assert_allclose
 from gmpflow.errors import (
     DegenerateGapError,
     PoleEvaluationError,
+    SpectrumProximityError,
     ValidationError,
 )
 from gmpflow.finitegap import (
     DeltaData,
     GapSet,
     Ordering,
+    apply_comb_map,
     delta_from_gaps,
     delta_inverse_points,
     eval_delta,
@@ -18,6 +20,8 @@ from gmpflow.finitegap import (
     eval_psi,
     gap_zeros,
 )
+
+from gmpflow.gmp import GmpBlock, GmpWindow, assemble_wrapped
 
 from conftest import random_gapset
 
@@ -147,6 +151,21 @@ class TestDeltaFromGaps:
         assert_allclose(back.cs(), delta.cs())
 
 
+class TestAlignedTo:
+    def test_reorders_poles_to_the_given_order(self):
+        d = DeltaData(1.5, 0.2, ((-0.8, 0.3), (0.4, 0.7), (1.6, 0.2)))
+        scrambled = DeltaData(1.5, 0.2, (d.poles[2], d.poles[0], d.poles[1]))
+        assert scrambled.aligned_to(d.cs()) == d
+        assert d.aligned_to(scrambled.cs()) == scrambled
+
+    def test_other_poles_rejected(self):
+        d = DeltaData(1.5, 0.2, ((-0.8, 0.3), (0.4, 0.7)))
+        with pytest.raises(ValidationError, match="poles differ"):
+            d.aligned_to([-0.8, 0.5])
+        with pytest.raises(ValidationError, match="poles differ"):
+            d.aligned_to([-0.8])
+
+
 class TestEvalDelta:
     def test_two_symmetric_bands_values(self, estar_gapset):
         delta = delta_from_gaps(estar_gapset)
@@ -172,6 +191,40 @@ class TestEvalDelta:
         delta = delta_from_gaps(estar_gapset)
         with pytest.raises(PoleEvaluationError):
             eval_delta(delta, 0.0)
+
+
+class TestApplyCombMap:
+    @pytest.mark.parametrize(
+        "gaps", [((-1.0, 1.0),), ((-1.2, -0.4), (0.5, 1.1))], ids=["g1", "g2"]
+    )
+    def test_matches_independent_solve(self, gaps):
+        # wrapped window perturbed around the closed-form surface block
+        d = delta_from_gaps(GapSet(-2.0, 2.0, gaps))
+        g = d.g
+        p_surf = np.append(np.sqrt(d.lams() / d.lambda0), 1.0 / d.lambda0)
+        q_surf = np.append(np.zeros(g), -d.c0)
+        rng = np.random.default_rng(11)
+        blocks = []
+        for _ in range(15):
+            dp = 0.05 * rng.uniform(-1.0, 1.0, g + 1)
+            dp[g] = 0.0
+            blocks.append(
+                GmpBlock(p_surf + dp, q_surf + 0.05 * rng.uniform(-1.0, 1.0, g + 1))
+            )
+        mat = assemble_wrapped(GmpWindow(blocks, d.cs()))
+        n = mat.shape[0]
+        want = d.lambda0 * mat + d.c0 * np.eye(n)
+        for ck, lk in d.poles:
+            want += lk * np.linalg.solve(ck * np.eye(n) - mat, np.eye(n))
+        got, vals, vecs = apply_comb_map(mat, d)
+        assert np.array_equal(got, got.T)
+        assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert_allclose(mat @ vecs, vecs * vals, rtol=0, atol=1e-12)
+
+    def test_pole_on_spectrum_rejected(self):
+        d = DeltaData(1.0, 0.0, ((0.3, 1.0),))
+        with pytest.raises(SpectrumProximityError, match="shift"):
+            apply_comb_map(np.diag([-1.0, 0.3, 2.0]), d)
 
 
 class TestDeltaInversePoints:

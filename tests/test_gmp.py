@@ -19,8 +19,11 @@ from gmpflow.gmp import (
     bp_factor,
     bp_factor_inf,
     build_block_B,
+    factor_chain,
     lambda_k,
     lambda_sharp,
+    pattern_defect,
+    residue_product,
     resolvent_column,
     transfer_matrix,
     transfer_via_resolvent,
@@ -162,6 +165,58 @@ class TestAssembleDense:
                 for j in range(n):
                     if abs(i - j) > g + 1:
                         assert mat[i, j] == 0.0
+
+
+class TestPatternDefect:
+    @staticmethod
+    def allowed(n, per, coupling):
+        mask = np.zeros((n, n), dtype=bool)
+        for i in range(n):
+            for j in range(n):
+                bi, si = divmod(i, per)
+                bj, sj = divmod(j, per)
+                if bi == bj:
+                    mask[i, j] = True
+                elif bj == bi + 1:
+                    mask[i, j] = mask[j, i] = coupling[si, sj]
+        return mask
+
+    @pytest.mark.parametrize("side", ["one", "two"])
+    def test_planted_entry_found(self, side):
+        g, per, n = 2, 3, 12
+        coupling = np.zeros((per, per), dtype=bool)
+        if side == "one":
+            coupling[:, 0] = True
+        else:
+            coupling[g, :] = True
+        mask = self.allowed(n, per, coupling)
+        rng = np.random.default_rng(2)
+        base = rng.uniform(-1.0, 1.0, (n, n))
+        base = (base + base.T) * mask
+        assert pattern_defect(base, coupling) == 0.0
+        outside = [(i, j) for i in range(n) for j in range(i + 1, n) if not mask[i, j]]
+        assert outside
+        for i, j in outside:
+            planted = base.copy()
+            planted[i, j] = planted[j, i] = -0.7
+            assert pattern_defect(planted, coupling) == 0.7
+
+
+class TestFactorChain:
+    def test_chain_and_residue_product_assemble_the_functionals(self):
+        rng = np.random.default_rng(8)
+        g = 3
+        blk, nxt = random_block(rng, g), random_block(rng, g)
+        c = np.sort(rng.uniform(-2, 2, size=g))
+        z = 3.1
+        assert np.array_equal(factor_chain(JMAT, z, c, blk, 2, 2), JMAT)
+        chain = factor_chain(np.eye(2), z, c, blk, 0, g)
+        assert_allclose(
+            chain @ bp_factor_inf(z, blk.pm(g)), transfer_matrix(blk, c, z).value
+        )
+        for k in range(1, g + 1):
+            mat = residue_product(nxt, blk, c, k) @ bp_factor_inf(c[k - 1], blk.pm(g))
+            assert -np.trace(mat) == lambda_sharp(nxt, blk, c, k)
 
 
 class TestBpFactor:

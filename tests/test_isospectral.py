@@ -8,11 +8,10 @@ from gmpflow.errors import (
 )
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta
 from gmpflow.flow import jacobi_flow_step
-from gmpflow.gmp import GmpBlock, GmpWindow, transfer_matrix
+from gmpflow.gmp import GmpBlock, GmpWindow, assemble_wrapped, transfer_matrix
 from gmpflow.isospectral import (
     IsPoint,
     alternative_qg,
-    assemble_periodic_dense,
     intrinsic_offset,
     is_distance,
     is_jacobian,
@@ -36,6 +35,11 @@ def off_surface_block() -> GmpBlock:
 
 def quartic_seed(p0: float, q0: float) -> GmpBlock:
     return GmpBlock([p0, 0.5], [q0, -2.0 * p0 * q0])
+
+
+def periodic_dense(blk: GmpBlock, c, n_blocks: int) -> np.ndarray:
+    """Wrapped dense operator of a window of n_blocks copies of blk."""
+    return assemble_wrapped(GmpWindow((blk,) * n_blocks, c))
 
 
 class TestIsResidual:
@@ -157,9 +161,11 @@ class TestSolveIsPoint:
 
 
 class TestAssemblePeriodicDense:
+    """The wrapped assembly of a constant window is the periodic operator."""
+
     def test_canonical_entries(self):
         blk = make_p1_block()
-        mat = assemble_periodic_dense(blk, [0.0], 3)
+        mat = periodic_dense(blk, [0.0], 3)
         expected = np.zeros((6, 6))
         for lo, nxt in ((0, 2), (2, 4), (4, 0)):
             expected[lo + 1, nxt : nxt + 2] = blk.p
@@ -171,19 +177,19 @@ class TestAssemblePeriodicDense:
         p = rng.uniform(0.2, 1.0, 3)
         q = rng.uniform(-1.0, 1.0, 3)
         blk = GmpBlock(p, q)
-        mat = assemble_periodic_dense(blk, [-0.5, 0.8], 4)
+        mat = periodic_dense(blk, [-0.5, 0.8], 4)
         npt.assert_allclose(mat, mat.T)
         npt.assert_allclose(mat[11, 0:3], blk.p)
 
     def test_spectrum_stays_in_bands(self):
-        mat = assemble_periodic_dense(make_p1_block(), [0.0], 8)
+        mat = periodic_dense(make_p1_block(), [0.0], 8)
         vals = np.abs(np.linalg.eigvalsh(mat))
         assert np.all(vals >= 1.0 - 1e-9)
         assert np.all(vals <= 2.0 + 1e-9)
 
     def test_needs_three_blocks(self):
         with pytest.raises(ValidationError, match="three"):
-            assemble_periodic_dense(make_p1_block(), [0.0], 2)
+            periodic_dense(make_p1_block(), [0.0], 2)
 
 
 class TestMagicCheck:
@@ -328,7 +334,7 @@ class TestSurfaceInvariants:
 
     def test_gap_free_dense_operator_is_two_shift(self):
         blk = GmpBlock([1.0], [0.0])
-        mat = assemble_periodic_dense(blk, [], 12)
+        mat = periodic_dense(blk, [], 12)
         expected = np.zeros((12, 12))
         for i in range(12):
             expected[i, (i + 1) % 12] = 1.0

@@ -4,7 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import make_estar_gapset, make_p1_window
+from conftest import make_estar_gapset, make_p1_window, make_perturbed_window
 
 from gmpflow.errors import (
     SpectrumProximityError,
@@ -13,13 +13,12 @@ from gmpflow.errors import (
 )
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
 from gmpflow.flow import FlowTrajectory, flow_run, jacobi_flow_step
-from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense
+from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense, assemble_wrapped
 from gmpflow.isospectral import solve_is_point
 from gmpflow.ks import (
     DeltaBlocks,
     H_plus_partial,
     KsFunctionalReport,
-    assemble_wrapped,
     column_term,
     delta_J_H,
     delta_of_gmp,
@@ -191,6 +190,19 @@ class TestDeltaOfGmp:
         w = GmpWindow([bad] * 15, (0.3,), j_min=-7)
         with pytest.raises(SpectrumProximityError, match="shift"):
             delta_of_gmp(w, d, margin=3)
+
+    def test_pole_order_of_map_is_irrelevant(self):
+        # the closed-form column check must use the window's first pole,
+        # not the map's, when the map lists its poles in another order
+        d = twogap_delta()
+        w = make_perturbed_window(twogap_surface_block(d), d.cs())
+        reversed_map = DeltaData(d.lambda0, d.c0, d.poles[::-1])
+        db = delta_of_gmp(w, d, margin=3)
+        db_rev = delta_of_gmp(w, reversed_map, margin=3)
+        assert (db_rev.j_lo, db_rev.j_hi) == (db.j_lo, db.j_hi)
+        pairs = zip(db_rev.v_blocks + db_rev.w_blocks, db.v_blocks + db.w_blocks)
+        for got, want in pairs:
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 class TestDeltaBlocksType:
@@ -508,6 +520,24 @@ class TestKsDiagnostics:
         t = flow_run(make_p1_window(13, j_min=-6), 2)
         with pytest.raises(ValidationError, match="genus"):
             ks_diagnostics(t, twogap_delta())
+
+    def test_pole_order_of_map_is_irrelevant(self):
+        # Lambda_k of the central block is taken at the window's poles and
+        # must be compared with the weight of the same pole of the map
+        d = twogap_delta()
+        t = flow_run(make_perturbed_window(twogap_surface_block(d), d.cs()), 3)
+        reversed_map = DeltaData(d.lambda0, d.c0, d.poles[::-1])
+        diag = ks_diagnostics(t, d)
+        diag_rev = ks_diagnostics(t, reversed_map)
+        for name, arr in diag.values.items():
+            npt.assert_array_equal(diag_rev.values[name], arr)
+
+    def test_other_poles_rejected(self):
+        t = flow_run(make_p1_window(13, j_min=-6), 2)
+        d = estar_delta()
+        shifted = DeltaData(d.lambda0, d.c0, ((0.1, d.poles[0][1]),))
+        with pytest.raises(ValidationError, match="poles differ"):
+            ks_diagnostics(t, shifted)
 
 
 class TestDensityIdentity:
