@@ -4,10 +4,10 @@ One step conjugates the assembled window by a block-diagonal orthogonal
 matrix built from the leading vectors and then shifts by one scalar
 slot.  Each step consumes one block at either edge; the surviving
 central blocks reproduce the infinite evolution exactly, because a new
-block depends only on its two old neighbours.  Reading off the block
-norms along the run yields the coefficients of a half-axis three-term
-recurrence, which is how the dynamics is compared against its Jacobi
-counterpart.
+block depends only on its two old neighbours, so a step acts on the row
+arrays of all blocks at once.  Reading off the block norms along the run
+yields the coefficients of a half-axis three-term recurrence, which is
+how the dynamics is compared against its Jacobi counterpart.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .gmp import (
     GmpBlock,
     GmpWindow,
     assemble_dense,
+    block_diagonal,
     build_block_B,
     lambda_sharp,
     validate_gmp,
@@ -30,23 +31,26 @@ from .gmp import (
 ORTHO_TOL = 1e-12
 STRUCTURE_REL_TOL = 1e-8
 READOUT_REL_TOL = 1e-10
+# Squares as a Python float's ``x ** 2`` takes them, by the C library's pow:
+# np.square rounds about one argument in a thousand the other way.
+_PY_POW = np.frompyfunc(pow, 2, 1)
 
 
-def rotation_o(phi: float) -> np.ndarray:
+def rotation_o(phi) -> np.ndarray:
     """Symmetric plane rotation-reflection [[sin, cos], [cos, -sin]].
 
     The block is orthogonal, involutive and has determinant -1; it is
     the elementary factor from which the block orthogonals are built.
+    An array of angles gives one block per angle, stacked in front.
     """
-    s = float(np.sin(phi))
-    co = float(np.cos(phi))
-    return np.array([[s, co], [co, -s]])
+    s, co = np.sin(phi), np.cos(phi)
+    return np.stack([np.stack([s, co], -1), np.stack([co, -s], -1)], -2)
 
 
 def tail_norms(p: np.ndarray) -> np.ndarray:
     """Norms of the trailing sections (p_k, ..., p_g) for k = 0..g."""
     p = np.asarray(p, dtype=float)
-    return np.sqrt(np.cumsum(p[::-1] ** 2)[::-1])
+    return np.sqrt(np.cumsum(p[..., ::-1] ** 2, axis=-1)[..., ::-1])
 
 
 def u_block(p) -> np.ndarray:
@@ -57,35 +61,35 @@ def u_block(p) -> np.ndarray:
     sine and cosine proportional to (p_{k-1}, ||(p_k..p_g)||).  Column
     0 of the result is p/||p||; column k vanishes on the first k-1
     slots, carries the squared tail norm on slot k-1 and -p_{k-1} times
-    the tail below.
+    the tail below.  A stack of vectors, one per row, gives the stack of
+    their blocks.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim != 1 or p.size < 2:
+    if p.ndim not in (1, 2) or p.shape[-1] < 2:
         raise ValidationError("p must be a vector with at least two entries")
     if not np.all(np.isfinite(p)):
         raise ValidationError("p must be finite")
-    if p[-1] <= 0.0:
+    if np.any(p[..., -1] <= 0.0):
         raise ValidationError("trailing p entry must be positive")
     tails = tail_norms(p)
-    g = p.size - 1
-    u = np.eye(g + 1)
+    g = p.shape[-1] - 1
+    u = eye = np.broadcast_to(np.eye(g + 1), p.shape[:-1] + (g + 1, g + 1))
     for k in range(1, g + 1):
-        phi = np.arctan2(p[k - 1], tails[k])
-        factor = np.eye(g + 1)
-        factor[k - 1 : k + 1, k - 1 : k + 1] = rotation_o(phi)
+        factor = eye.copy()
+        factor[..., k - 1 : k + 1, k - 1 : k + 1] = rotation_o(
+            np.arctan2(p[..., k - 1], tails[..., k])
+        )
         u = factor @ u
-    defect = float(np.max(np.abs(u.T @ u - np.eye(g + 1))))
+    defect = float(np.max(np.abs(np.swapaxes(u, -1, -2) @ u - eye)))
     if defect > ORTHO_TOL:
         raise NumericalError(f"orthogonality defect {defect:.3e} in u_block")
     return u
 
 
-def _block_angle(blk: GmpBlock) -> tuple[float, float]:
-    """Sine and cosine built from the last two p entries of a block."""
-    x = float(np.hypot(blk.p[-2], blk.p[-1]))
-    if x <= 0.0:
-        raise ValidationError("last two p entries must not both vanish")
-    return float(blk.p[-2] / x), float(blk.p[-1] / x)
+def _block_angles(P: np.ndarray):
+    """Sine and cosine from the last two p entries (the last is positive)."""
+    x = np.hypot(P[:, -2], P[:, -1])
+    return P[:, -2] / x, P[:, -1] / x
 
 
 def omega_step(window: GmpWindow) -> GmpWindow:
@@ -100,32 +104,26 @@ def omega_step(window: GmpWindow) -> GmpWindow:
     g = window.g
     if window.n_blocks < 2:
         raise WindowError("need at least two blocks for a substep")
-    cg = float(window.c[g - 1])
-    new_c = np.roll(window.c, 1)
-    new_blocks = []
-    for j in range(window.j_min + 1, window.j_max + 1):
-        prev = window.block(j - 1)
-        cur = window.block(j)
-        sp, cp = _block_angle(prev)
-        sc, cc = _block_angle(cur)
-        x_cur = float(np.hypot(cur.p[-2], cur.p[-1]))
-        # rotated trailing corner of the previous block
-        m00 = prev.q[g - 1] * prev.p[g - 1] + cg
-        m01 = prev.q[g - 1] * prev.p[g]
-        m11 = prev.q[g] * prev.p[g]
-        p_new = np.empty(g + 1)
-        p_new[0] = sp * cp * (m00 - m11) + (cp * cp - sp * sp) * m01
-        p_new[1:g] = cp * cur.p[: g - 1]
-        p_new[g] = cp * x_cur
-        n00 = cur.q[g - 1] * cur.p[g - 1] + cg
-        n01 = cur.q[g - 1] * cur.p[g]
-        n11 = cur.q[g] * cur.p[g]
-        q_new = np.empty(g + 1)
-        q_new[0] = -sp / cp
-        q_new[1:g] = cur.q[: g - 1] / cp
-        q_new[g] = (sc * sc * n00 + 2.0 * sc * cc * n01 + cc * cc * n11) / p_new[g]
-        new_blocks.append(GmpBlock(p_new, q_new))
-    return GmpWindow(tuple(new_blocks), new_c, window.j_min + 1)
+    cg = window.c[g - 1]
+    s, co = _block_angles(window.P)
+    sp, cp, sc, cc = s[:-1], co[:-1], s[1:], co[1:]
+    prev_p, prev_q, cur_p, cur_q = window.P[:-1], window.Q[:-1], window.P[1:], window.Q[1:]
+    # rotated trailing corner of the previous block
+    m00 = prev_q[:, g - 1] * prev_p[:, g - 1] + cg
+    m01 = prev_q[:, g - 1] * prev_p[:, g]
+    m11 = prev_q[:, g] * prev_p[:, g]
+    p_new = np.empty_like(cur_p)
+    p_new[:, 0] = sp * cp * (m00 - m11) + (cp * cp - sp * sp) * m01
+    p_new[:, 1:g] = cp[:, None] * cur_p[:, : g - 1]
+    p_new[:, g] = cp * np.hypot(cur_p[:, -2], cur_p[:, -1])
+    n00 = cur_q[:, g - 1] * cur_p[:, g - 1] + cg
+    n01 = cur_q[:, g - 1] * cur_p[:, g]
+    n11 = cur_q[:, g] * cur_p[:, g]
+    q_new = np.empty_like(cur_p)
+    q_new[:, 0] = -sp / cp
+    q_new[:, 1:g] = cur_q[:, : g - 1] / cp[:, None]
+    q_new[:, g] = (sc * sc * n00 + 2.0 * sc * cc * n01 + cc * cc * n11) / p_new[:, g]
+    return GmpWindow.from_arrays(p_new, q_new, np.roll(window.c, 1), window.j_min + 1)
 
 
 def jacobi_flow_step(window: GmpWindow) -> GmpWindow:
@@ -141,26 +139,24 @@ def jacobi_flow_step(window: GmpWindow) -> GmpWindow:
         raise WindowError(
             f"need at least three blocks for a step, have {window.n_blocks}"
         )
-    new_blocks = []
-    for j in range(window.j_min + 1, window.j_max):
-        blk = window.block(j)
-        nxt = window.block(j + 1)
-        tails = tail_norms(blk.p)
-        norm_this = float(tails[0])
-        norm_next = float(np.linalg.norm(nxt.p))
-        bmat = build_block_B(blk, window.c)
-        u = u_block(blk.p)
-        v = u.T @ (bmat @ (blk.p / norm_this))
-        p_new = np.empty(g + 1)
-        p_new[:g] = v[1:]
-        p_new[g] = norm_next * blk.p[g] / norm_this
-        q_new = np.empty(g + 1)
-        q_new[:g] = -norm_this * blk.p[:g] / (tails[:g] * tails[1:])
-        bnext = build_block_B(nxt, window.c)
-        b_in = float(nxt.p @ bnext @ nxt.p) / norm_next**2
-        q_new[g] = norm_this / (blk.p[g] * norm_next) * b_in
-        new_blocks.append(GmpBlock(p_new, q_new))
-    return GmpWindow(tuple(new_blocks), window.c, window.j_min + 1)
+    # Row i of the result comes from rows i+1 ("this") and i+2 ("next").
+    this, nxt = window.P[1:-1], window.P[2:]
+    tails = tail_norms(this)
+    norm_this = tails[:, 0]
+    norm_next = np.sqrt(nxt[:, None, :] @ nxt[:, :, None])[:, 0, 0]
+    bmats = build_block_B(window.rows(1), window.c)
+    u = u_block(this)
+    x = this / norm_this[:, None]
+    v = (np.swapaxes(u, 1, 2) @ (bmats[:-1] @ x[:, :, None]))[:, :, 0]
+    p_new = np.empty_like(this)
+    p_new[:, :g] = v[:, 1:]
+    p_new[:, g] = norm_next * this[:, g] / norm_this
+    q_new = np.empty_like(this)
+    q_new[:, :g] = -norm_this[:, None] * this[:, :g] / (tails[:, :g] * tails[:, 1:])
+    b_in = (nxt[:, None, :] @ bmats[1:] @ nxt[:, :, None])[:, 0, 0]
+    b_in /= _PY_POW(norm_next, 2).astype(float)
+    q_new[:, g] = norm_this / (this[:, g] * norm_next) * b_in
+    return GmpWindow.from_arrays(p_new, q_new, window.c, window.j_min + 1)
 
 
 def ods_step(
@@ -211,19 +207,9 @@ def omega_identity_residual(window: GmpWindow, stepped: GmpWindow) -> float:
     assembled new window, returning the largest absolute mismatch.
     """
     g = window.g
-    n = window.n_blocks * (g + 1)
-    o_full = np.eye(n)
-    for i, blk in enumerate(window.blocks):
-        s, co = _block_angle(blk)
-        lo = i * (g + 1) + g - 1
-        o_full[lo : lo + 2, lo : lo + 2] = rotation_o(np.arctan2(s, co))
-    conj = o_full.T @ assemble_dense(window) @ o_full
-    dense_new = assemble_dense(stepped)
-    off = (stepped.j_min - window.j_min) * (g + 1) - 1
-    m = dense_new.shape[0]
-    if off < 0 or off + m > n:
-        raise WindowError("stepped window does not sit inside the old one")
-    return float(np.max(np.abs(dense_new - conj[off : off + m, off : off + m])))
+    rots = np.broadcast_to(np.eye(g + 1), (window.n_blocks, g + 1, g + 1)).copy()
+    rots[:, g - 1 :, g - 1 :] = rotation_o(np.arctan2(*_block_angles(window.P)))
+    return _conjugation_residual(window, stepped, block_diagonal(rots), -1)
 
 
 def flow_identity_residual(window: GmpWindow, stepped: GmpWindow) -> float:
@@ -234,17 +220,17 @@ def flow_identity_residual(window: GmpWindow, stepped: GmpWindow) -> float:
     against the assembled new window, returning the largest absolute
     mismatch.
     """
-    g = window.g
-    n = window.n_blocks * (g + 1)
-    u_full = np.zeros((n, n))
-    for i, blk in enumerate(window.blocks):
-        lo = i * (g + 1)
-        u_full[lo : lo + g + 1, lo : lo + g + 1] = u_block(blk.p)
-    conj = u_full.T @ assemble_dense(window) @ u_full
+    return _conjugation_residual(window, stepped, block_diagonal(u_block(window.P)), 1)
+
+
+def _conjugation_residual(window, stepped, o_full, shift: int) -> float:
+    """Largest mismatch between the assembled stepped window and the old
+    one conjugated by ``o_full`` and shifted by ``shift`` scalar slots."""
+    conj = o_full.T @ assemble_dense(window) @ o_full
     dense_new = assemble_dense(stepped)
-    off = (stepped.j_min - window.j_min) * (g + 1) + 1
+    off = (stepped.j_min - window.j_min) * (window.g + 1) + shift
     m = dense_new.shape[0]
-    if off < 0 or off + m > n:
+    if off < 0 or off + m > conj.shape[0]:
         raise WindowError("stepped window does not sit inside the old one")
     return float(np.max(np.abs(dense_new - conj[off : off + m, off : off + m])))
 

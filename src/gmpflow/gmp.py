@@ -20,6 +20,7 @@ whose reciprocals enter the closed-form resolvent columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from .errors import (
 # The symplectic unit [[0, -1], [1, 0]].
 JMAT = np.array([[0.0, -1.0], [1.0, 0.0]])
 JMAT.setflags(write=False)
+EYE2 = np.eye(2)
+EYE2.setflags(write=False)
 
 DET_TOL = 1e-9
 VALIDITY_FLOOR = 1e-8
@@ -42,7 +45,12 @@ POLE_REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GmpBlock:
-    """One block of forming vectors: p = (p_0..p_g), q = (q_0..q_g)."""
+    """One block of forming vectors: p = (p_0..p_g), q = (q_0..q_g).
+
+    A block of a window is a view of its rows.  ``GmpWindow.rows`` gives a
+    stack of blocks, whose p and q keep the row axis in front; every block
+    routine of this module broadcasts over it.
+    """
 
     p: np.ndarray
     q: np.ndarray
@@ -61,51 +69,87 @@ class GmpBlock:
         if p[-1] <= 0.0:
             raise ValidationError(f"last p entry must be positive, got {p[-1]}")
 
+    @classmethod
+    def _view(cls, p: np.ndarray, q: np.ndarray) -> "GmpBlock":
+        """Block over read-only rows already checked, without a copy."""
+        blk = object.__new__(cls)
+        vars(blk).update(p=p, q=q)  # frozen: bypass __setattr__
+        return blk
+
     @property
     def g(self) -> int:
-        return self.p.size - 1
+        return self.p.shape[-1] - 1
+
+    @cached_property
+    def _pairs(self) -> np.ndarray:
+        return np.stack([self.p, self.q], axis=-1)
 
     def pm(self, m: int) -> np.ndarray:
         """The 2-vector (p_m, q_m)."""
-        return np.array([self.p[m], self.q[m]])
+        return self._pairs[..., m, :]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GmpWindow:
-    """A finite run of blocks j = j_min..j_max sharing one pole list c."""
+    """A finite run of blocks j = j_min..j_max sharing one pole list c.
 
-    blocks: tuple[GmpBlock, ...]
+    Row i of the read-only ``(n_blocks, g+1)`` arrays ``P`` and ``Q``
+    holds the forming vectors of block j_min + i.
+    """
+
+    P: np.ndarray
+    Q: np.ndarray
     c: np.ndarray
     j_min: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", tuple(self.blocks))
-        c = np.array(self.c, dtype=float)
-        c.setflags(write=False)
-        object.__setattr__(self, "c", c)
-        if not self.blocks:
-            raise ValidationError("window must contain at least one block")
-        g = self.blocks[0].g
-        if any(blk.g != g for blk in self.blocks):
+    def __init__(self, blocks, c, j_min: int = 0):
+        blocks = tuple(blocks)
+        if len({blk.g for blk in blocks}) > 1:
             raise ValidationError("all blocks must share one gap count")
-        if c.ndim != 1 or c.size != g:
-            raise ValidationError(
-                f"pole list has length {c.size}, expected {g}"
-            )
+        self._set_rows([blk.p for blk in blocks], [blk.q for blk in blocks], c, j_min)
+
+    @classmethod
+    def from_arrays(cls, P, Q, c, j_min: int = 0) -> "GmpWindow":
+        """Window over the rows of P and Q, each checked as a ``GmpBlock``."""
+        return cls.__new__(cls)._set_rows(P, Q, c, j_min)
+
+    def _set_rows(self, P, Q, c, j_min: int) -> "GmpWindow":
+        P, Q, c = (np.array(arr, dtype=float) for arr in (P, Q, c))
+        if P.shape[:1] == (0,):
+            raise ValidationError("window must contain at least one block")
+        if P.ndim != 2 or P.shape != Q.shape or P.shape[1] < 1:
+            raise ValidationError("P and Q must be 2-d arrays of equal shape")
+        bad = ~np.isfinite(P).all(1) | ~np.isfinite(Q).all(1) | (P[:, -1] <= 0.0)
+        if bad.any():
+            GmpBlock(P[np.argmax(bad)], Q[np.argmax(bad)])  # raises its message
+        if c.ndim != 1 or c.size != P.shape[1] - 1:
+            raise ValidationError(f"pole list has length {c.size}, expected {P.shape[1] - 1}")
         if not np.all(np.isfinite(c)):
             raise ValidationError("poles must be finite")
+        for arr in (P, Q, c):
+            arr.setflags(write=False)
+        vars(self).update(P=P, Q=Q, c=c, j_min=j_min)  # frozen: bypass __setattr__
+        return self
 
     @property
     def g(self) -> int:
-        return self.blocks[0].g
+        return self.P.shape[1] - 1
 
     @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return self.P.shape[0]
 
     @property
     def j_max(self) -> int:
-        return self.j_min + len(self.blocks) - 1
+        return self.j_min + self.n_blocks - 1
+
+    @cached_property
+    def blocks(self) -> tuple[GmpBlock, ...]:
+        return tuple(GmpBlock._view(p, q) for p, q in zip(self.P, self.Q))
+
+    def rows(self, lo: int = 0, hi: int | None = None) -> GmpBlock:
+        """Window positions lo..hi-1 as one stack of blocks."""
+        return GmpBlock._view(self.P[lo:hi], self.Q[lo:hi])
 
     def block(self, j: int) -> GmpBlock:
         """Block at absolute index j."""
@@ -113,7 +157,7 @@ class GmpWindow:
             raise WindowError(
                 f"block {j} outside window [{self.j_min}, {self.j_max}]"
             )
-        return self.blocks[j - self.j_min]
+        return GmpBlock._view(self.P[j - self.j_min], self.Q[j - self.j_min])
 
     def interior_js(self) -> range:
         """Absolute indices of blocks with both neighbours present."""
@@ -131,8 +175,7 @@ class GmpWindow:
             "C": self.c.tolist(),
             "j_min": self.j_min,
             "blocks": [
-                {"p": blk.p.tolist(), "q": blk.q.tolist()}
-                for blk in self.blocks
+                {"p": p, "q": q} for p, q in zip(self.P.tolist(), self.Q.tolist())
             ],
         }
 
@@ -171,31 +214,40 @@ class TransferEval:
         return self.value[0, 0] + self.value[1, 1]
 
 
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Outer products of the last axes of two (stacks of) vectors."""
+    return a[..., :, None] * b[..., None, :]
+
+
 def build_block_B(blk: GmpBlock, c: np.ndarray) -> np.ndarray:
     """Diagonal block: mixed outer products of p and q plus diag(c, 0)."""
     c = np.asarray(c, dtype=float)
     if c.size != blk.g:
         raise ValidationError(f"pole list length {c.size}, expected {blk.g}")
-    pq = np.outer(blk.p, blk.q)
-    mat = np.tril(pq) + np.triu(pq.T, 1)
-    mat[np.diag_indices_from(mat)] += np.append(c, 0.0)
+    pq = _outer(blk.p, blk.q)
+    mat = np.tril(pq) + np.triu(np.swapaxes(pq, -1, -2), 1)
+    diag = np.arange(blk.g + 1)
+    mat[..., diag, diag] += np.append(c, 0.0)
+    return mat
+
+
+def block_diagonal(stack: np.ndarray) -> np.ndarray:
+    """Dense matrix carrying the (n, m, m) ``stack`` on its block diagonal."""
+    idx = np.arange(stack.shape[0] * stack.shape[1]).reshape(stack.shape[:2])
+    mat = np.zeros((idx.size, idx.size))
+    mat[idx[:, :, None], idx[:, None, :]] = stack
     return mat
 
 
 def assemble_dense(window: GmpWindow) -> np.ndarray:
     """Dense symmetric matrix of the window; banded with halfwidth g+1."""
-    g = window.g
-    size = (g + 1) * window.n_blocks
-    mat = np.zeros((size, size))
-    for i, blk in enumerate(window.blocks):
-        lo = i * (g + 1)
-        mat[lo : lo + g + 1, lo : lo + g + 1] = build_block_B(blk, window.c)
-        if i + 1 < window.n_blocks:
-            nxt = window.blocks[i + 1]
-            # Coupling block A(p) = delta_g p^T: last row of block i
-            # against all slots of block i+1.
-            mat[lo + g, lo + g + 1 : lo + 2 * (g + 1)] = nxt.p
-            mat[lo + g + 1 : lo + 2 * (g + 1), lo + g] = nxt.p
+    mat = block_diagonal(build_block_B(window.rows(), window.c))
+    per = window.g + 1
+    # Coupling block A(p) = delta_g p^T: last row of block i against all
+    # slots of block i+1.
+    last = np.arange(per - 1, mat.shape[0] - per, per)[:, None]
+    nxt = last + 1 + np.arange(per)
+    mat[last, nxt] = mat[nxt, last] = window.P[1:]
     return mat
 
 
@@ -207,11 +259,11 @@ def assemble_wrapped(window: GmpWindow) -> np.ndarray:
     be singular at a pole of the comb map; the wrapped operator of a
     near-periodic window keeps its spectrum inside the bands.
     """
-    if len(window.blocks) < 3:
+    if window.n_blocks < 3:
         raise ValidationError("periodic wrap needs at least three blocks")
     mat = assemble_dense(window)
     per = window.g + 1
-    mat[-1, :per] = mat[:per, -1] = window.blocks[0].p
+    mat[-1, :per] = mat[:per, -1] = window.P[0]
     return mat
 
 
@@ -234,15 +286,17 @@ def bp_factor(z: float, c: float, pm: np.ndarray) -> np.ndarray:
     denom = c - z
     if abs(denom) <= POLE_REL_TOL * max(1.0, abs(c)):
         raise PoleEvaluationError(f"factor evaluated at its pole c = {c}")
-    return np.eye(2) - (np.outer(pm, pm) @ JMAT) / denom
+    return EYE2 - (_outer(pm, pm) @ JMAT) / denom
 
 
 def bp_factor_inf(z: float, pm: np.ndarray) -> np.ndarray:
     """The factor carrying the pole at infinity: [[0, -p], [1/p, (z-pq)/p]]."""
-    p, q = float(pm[0]), float(pm[1])
-    if p == 0.0:
+    p, q = pm[..., 0], pm[..., 1]
+    if (p == 0.0).any():
         raise ValidationError("infinity factor requires p != 0")
-    return np.array([[0.0, -p], [1.0 / p, (z - p * q) / p]])
+    mat = np.zeros(p.shape + (2, 2))
+    mat[..., 0, 1], mat[..., 1, 0], mat[..., 1, 1] = -p, 1.0 / p, (z - p * q) / p
+    return mat
 
 
 def factor_chain(
@@ -257,7 +311,7 @@ def factor_chain(
 def transfer_matrix(blk: GmpBlock, c: np.ndarray, z: float) -> TransferEval:
     """Product of one elementary factor per pole and the infinity factor."""
     c = np.asarray(c, dtype=float)
-    mat = factor_chain(np.eye(2), z, c, blk, 0, blk.g)
+    mat = factor_chain(EYE2, z, c, blk, 0, blk.g)
     return TransferEval(mat @ bp_factor_inf(z, blk.pm(blk.g)))
 
 
@@ -302,8 +356,8 @@ def residue_product(
     if not 1 <= k <= g:
         raise ValidationError(f"pole index {k} outside 1..{g}")
     ck = c[k - 1]
-    mat = factor_chain(np.eye(2), ck, c, nextblk, 0, k - 1)
-    mat = mat @ (np.outer(nextblk.pm(k - 1), thisblk.pm(k - 1)) @ JMAT)
+    mat = factor_chain(EYE2, ck, c, nextblk, 0, k - 1)
+    mat = mat @ (_outer(nextblk.pm(k - 1), thisblk.pm(k - 1)) @ JMAT)
     return factor_chain(mat, ck, c, thisblk, k, g)
 
 
@@ -314,11 +368,13 @@ def lambda_sharp(
 
     The residue product of the two blocks, closed by the infinity factor
     of ``thisblk``, all evaluated at the pole c_k.  With equal blocks it
-    is the residue functional Lambda_k.
+    is the residue functional Lambda_k.  Stacks of blocks give one value
+    per pair of rows.
     """
     mat = residue_product(nextblk, thisblk, c, k)
     mat = mat @ bp_factor_inf(c[k - 1], thisblk.pm(thisblk.g))
-    return -float(np.trace(mat))
+    vals = -(mat[..., 0, 0] + mat[..., 1, 1])
+    return vals if vals.ndim else float(vals)
 
 
 def lambda_k(blk: GmpBlock, c: np.ndarray, k: int) -> float:
@@ -331,7 +387,8 @@ def validate_gmp(window: GmpWindow, floor: float = VALIDITY_FLOOR) -> dict:
 
     Returns a report with the minimum over adjacent block pairs of the
     two-block functional for each pole index, the absolute block index
-    attaining it, and the overall verdict.
+    attaining it, and the overall verdict.  A functional that is not
+    finite fails the criterion and is reported in place of the minimum.
     """
     report = {
         "valid": False,
@@ -347,27 +404,22 @@ def validate_gmp(window: GmpWindow, floor: float = VALIDITY_FLOOR) -> dict:
         return report
     worst_k = None
     for k in range(1, window.g + 1):
-        vals = [
-            lambda_sharp(
-                window.blocks[i + 1], window.blocks[i], window.c, k
-            )
-            for i in range(window.n_blocks - 1)
-        ]
-        i_min = int(np.argmin(vals))
-        report["min_per_k"][k] = vals[i_min]
+        vals = lambda_sharp(window.rows(1), window.rows(0, -1), window.c, k)
+        finite = np.isfinite(vals)
+        i_min = int(np.argmin(vals if finite.all() else finite))
+        report["min_per_k"][k] = float(vals[i_min])
         report["argmin_j"][k] = window.j_min + i_min
-        if vals[i_min] <= floor and worst_k is None:
+        if not vals[i_min] > floor and worst_k is None:
             worst_k = k
     report["valid"] = worst_k is None
-    report["message"] = (
-        "ok"
-        if worst_k is None
-        else (
-            f"pair functional at k={worst_k} is "
-            f"{report['min_per_k'][worst_k]:.3e} <= floor {floor:.1e} "
+    report["message"] = "ok"
+    if worst_k is not None:
+        worst = report["min_per_k"][worst_k]
+        verdict = f"{worst:.3e} <= floor {floor:.1e}" if np.isfinite(worst) else "not finite"
+        report["message"] = (
+            f"pair functional at k={worst_k} is {verdict} "
             f"(block {report['argmin_j'][worst_k]})"
         )
-    )
     return report
 
 

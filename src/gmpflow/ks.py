@@ -286,7 +286,7 @@ def telescoping_check(
     if n < 1:
         raise ValidationError("telescoping needs at least one step")
     states = _step_chain(window, n)
-    shifted = GmpWindow(window.blocks, window.c, window.j_min - 1)
+    shifted = GmpWindow.from_arrays(window.P, window.Q, window.c, window.j_min - 1)
     states_shifted = _step_chain(shifted, n)
 
     dbs = _origin_blocks(states, d, margin)

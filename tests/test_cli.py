@@ -140,6 +140,33 @@ class TestFlow:
             assert cli.main(args) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_reruns_are_byte_identical_at_size(self, tmp_path):
+        d = delta_from_gaps(GapSet(-2.0, 2.0, ((-1.2, -0.4), (0.5, 1.1))))
+        surface = GmpBlock(
+            np.append(np.sqrt(d.lams() / d.lambda0), 1.0 / d.lambda0),
+            [0.0, 0.0, -d.c0],
+        )
+        w = make_perturbed_window(surface, d.cs(), half=120)
+        assert (w.n_blocks, w.g) == (241, 2)
+        win = write_json(tmp_path / "wide.json", w.to_json())
+        out1, out2 = tmp_path / "f1.csv", tmp_path / "f2.csv"
+        for out in (out1, out2):
+            args = ["flow", win, "--steps", "6", "--out", str(out)]
+            assert cli.main(args) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_non_finite_pair_functional_leaves_the_class(self, tmp_path, capsys):
+        huge = {"p": [1e160, 1.0], "q": [1e160, -0.5]}
+        win = write_json(
+            tmp_path / "huge.json",
+            {"g": 1, "C": [0.0], "j_min": -4, "blocks": [huge] * 9},
+        )
+        assert cli.main(["flow", win, "--steps", "2"]) == 1
+        err = capsys.readouterr().err
+        assert "state 0 left the class" in err
+        assert "k=1 is not finite (block -4)" in err
+
     def test_header_records_options(self, tmp_path, capsys):
         args = ["flow", p1_window_file(tmp_path), "--steps", "3", "--eta", "0.5"]
         assert cli.main(args) == 0

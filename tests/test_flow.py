@@ -1,6 +1,9 @@
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gmpflow.errors import NumericalError, ValidationError, WindowError
 from gmpflow.flow import (
@@ -41,6 +44,95 @@ def random_window(rng, g, n_blocks, j_min, c=None):
 def perturbed_p1_window(n_blocks=23, j_min=-11, eps=0.01):
     blk = GmpBlock([SQRT2 + eps, 0.5], [0.0, 0.0])
     return GmpWindow(tuple([blk] * n_blocks), (0.0,), j_min)
+
+
+def reference_u_block(p):
+    """Product of embedded plane rotations, built one (g+1)-square factor
+    at a time for a single block."""
+    g = p.size - 1
+    tails = np.sqrt(np.cumsum(p[::-1] ** 2)[::-1])
+    u = np.eye(g + 1)
+    for k in range(1, g + 1):
+        phi = np.arctan2(p[k - 1], tails[k])
+        s, co = float(np.sin(phi)), float(np.cos(phi))
+        factor = np.eye(g + 1)
+        factor[k - 1 : k + 1, k - 1 : k + 1] = [[s, co], [co, -s]]
+        u = factor @ u
+    return u
+
+
+def reference_block_B(p, q, c):
+    pq = np.outer(p, q)
+    mat = np.tril(pq) + np.triu(pq.T, 1)
+    mat[np.diag_indices_from(mat)] += np.append(c, 0.0)
+    return mat
+
+
+def reference_flow_step(window):
+    """The flow step as a loop over blocks; returns the new (P, Q)."""
+    g = window.g
+    rows_p, rows_q = [], []
+    for j in range(window.j_min + 1, window.j_max):
+        blk, nxt = window.block(j), window.block(j + 1)
+        tails = np.sqrt(np.cumsum(blk.p[::-1] ** 2)[::-1])
+        norm_this = float(tails[0])
+        norm_next = float(np.linalg.norm(nxt.p))
+        bmat = reference_block_B(blk.p, blk.q, window.c)
+        v = reference_u_block(blk.p).T @ (bmat @ (blk.p / norm_this))
+        p_new = np.empty(g + 1)
+        p_new[:g] = v[1:]
+        p_new[g] = norm_next * blk.p[g] / norm_this
+        q_new = np.empty(g + 1)
+        q_new[:g] = -norm_this * blk.p[:g] / (tails[:g] * tails[1:])
+        bnext = reference_block_B(nxt.p, nxt.q, window.c)
+        b_in = float(nxt.p @ bnext @ nxt.p) / norm_next**2
+        q_new[g] = norm_this / (blk.p[g] * norm_next) * b_in
+        rows_p.append(p_new)
+        rows_q.append(q_new)
+    return np.array(rows_p), np.array(rows_q)
+
+
+def reference_omega_step(window):
+    """The substep as a loop over blocks; returns the new (P, Q)."""
+    g = window.g
+    cg = float(window.c[g - 1])
+    rows_p, rows_q = [], []
+    for j in range(window.j_min + 1, window.j_max + 1):
+        prev, cur = window.block(j - 1), window.block(j)
+        x_prev = float(np.hypot(prev.p[-2], prev.p[-1]))
+        x_cur = float(np.hypot(cur.p[-2], cur.p[-1]))
+        sp, cp = float(prev.p[-2] / x_prev), float(prev.p[-1] / x_prev)
+        sc, cc = float(cur.p[-2] / x_cur), float(cur.p[-1] / x_cur)
+        m00 = prev.q[g - 1] * prev.p[g - 1] + cg
+        m01 = prev.q[g - 1] * prev.p[g]
+        m11 = prev.q[g] * prev.p[g]
+        p_new = np.empty(g + 1)
+        p_new[0] = sp * cp * (m00 - m11) + (cp * cp - sp * sp) * m01
+        p_new[1:g] = cp * cur.p[: g - 1]
+        p_new[g] = cp * x_cur
+        n00 = cur.q[g - 1] * cur.p[g - 1] + cg
+        n01 = cur.q[g - 1] * cur.p[g]
+        n11 = cur.q[g] * cur.p[g]
+        q_new = np.empty(g + 1)
+        q_new[0] = -sp / cp
+        q_new[1:g] = cur.q[: g - 1] / cp
+        q_new[g] = (sc * sc * n00 + 2.0 * sc * cc * n01 + cc * cc * n11) / p_new[g]
+        rows_p.append(p_new)
+        rows_q.append(q_new)
+    return np.array(rows_p), np.array(rows_q)
+
+
+@st.composite
+def small_windows(draw):
+    """Windows of 3..9 blocks, g = 1..4, with entries of order one and the
+    trailing p entry kept away from zero."""
+    g = draw(st.integers(1, 4))
+    n_blocks = draw(st.integers(3, 9))
+    p = draw(arrays(float, (n_blocks, g + 1), elements=st.floats(-1.2, 1.2)))
+    p[:, -1] = draw(arrays(float, n_blocks, elements=st.floats(0.3, 1.5)))
+    q = draw(arrays(float, (n_blocks, g + 1), elements=st.floats(-1.0, 1.0)))
+    c = draw(arrays(float, g, elements=st.floats(-2.0, 2.0)))
+    return GmpWindow.from_arrays(p, q, c, -(n_blocks // 2))
 
 
 def assert_blocks_equal_mod_sign(blk, other, atol=1e-10):
@@ -195,6 +287,39 @@ class TestJacobiFlowStep:
         window = make_p1_window(2, 0)
         with pytest.raises(WindowError):
             jacobi_flow_step(window)
+
+
+class TestStackedStep:
+    """The stacked step, substep and rotation products against loops over
+    blocks with the same arithmetic: results must agree bit for bit."""
+
+    @pytest.mark.parametrize("n_blocks", [5, 33, 120])
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_flow_step_matches_block_loop(self, g, n_blocks):
+        rng = np.random.default_rng(1000 * g + n_blocks)
+        window = random_window(rng, g, n_blocks, -(n_blocks // 2))
+        expected_u = np.array([reference_u_block(p) for p in window.P])
+        assert np.array_equal(u_block(window.P), expected_u)
+        for _ in range(min(3, (n_blocks - 1) // 2)):
+            stepped = jacobi_flow_step(window)
+            p_ref, q_ref = reference_flow_step(window)
+            assert np.array_equal(stepped.P, p_ref)
+            assert np.array_equal(stepped.Q, q_ref)
+            window = stepped
+
+    @pytest.mark.parametrize("g", range(1, 5))
+    def test_omega_step_matches_block_loop(self, g):
+        rng = np.random.default_rng(77 + g)
+        window = random_window(rng, g, 33, -16)
+        stepped = omega_step(window)
+        p_ref, q_ref = reference_omega_step(window)
+        assert np.array_equal(stepped.P, p_ref)
+        assert np.array_equal(stepped.Q, q_ref)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(small_windows())
+    def test_flow_identity_on_random_windows(self, window):
+        assert flow_identity_residual(window, jacobi_flow_step(window)) <= 1e-12
 
 
 class TestOdsStep:

@@ -86,6 +86,24 @@ class TestGmpWindow:
         with pytest.raises(ValidationError):
             GmpWindow((p1_block, p1_block), np.array([0.0, 1.0]))
 
+    def test_from_arrays_checks_every_row(self):
+        p = np.tile([np.sqrt(2.0), 0.5], (4, 1))
+        q = np.zeros((4, 2))
+        window = GmpWindow.from_arrays(p, q, (0.0,), j_min=-1)
+        assert window.n_blocks == 4 and window.j_max == 2
+        assert p.flags.writeable and not window.P.flags.writeable
+        assert np.shares_memory(window.block(1).p, window.P)
+        bad = p.copy()
+        bad[2, 0] = np.inf
+        with pytest.raises(ValidationError, match="block entries must be finite"):
+            GmpWindow.from_arrays(bad, q, (0.0,))
+        bad = p.copy()
+        bad[3, -1] = -0.5
+        with pytest.raises(ValidationError, match="last p entry must be positive"):
+            GmpWindow.from_arrays(bad, q, (0.0,))
+        with pytest.raises(ValidationError, match="at least one block"):
+            GmpWindow.from_arrays(np.zeros((0, 2)), np.zeros((0, 2)), (0.0,))
+
     def test_json_round_trip(self, p1_window):
         data = p1_window.to_json()
         assert set(data) == {"g", "C", "j_min", "blocks"}
@@ -402,6 +420,32 @@ class TestValidateGmp:
         report = validate_gmp(win)
         assert not report["valid"]
         assert "k=1" in report["message"]
+
+    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
+    def test_non_finite_functional_is_invalid(self):
+        huge = GmpBlock([1e160, 1.0], [1e160, -0.5])
+        report = validate_gmp(GmpWindow([huge] * 9, (0.0,), j_min=-4))
+        assert not report["valid"]
+        assert np.isnan(report["min_per_k"][1])
+        assert report["message"] == "pair functional at k=1 is not finite (block -4)"
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_stacked_minima_match_pair_loop(self, g):
+        rng = np.random.default_rng(40 + g)
+        window = GmpWindow(
+            [random_block(rng, g) for _ in range(33)],
+            np.sort(rng.uniform(-2.0, 2.0, g)),
+            j_min=-16,
+        )
+        report = validate_gmp(window)
+        for k in range(1, g + 1):
+            vals = [
+                lambda_sharp(window.blocks[i + 1], window.blocks[i], window.c, k)
+                for i in range(window.n_blocks - 1)
+            ]
+            i_min = int(np.argmin(vals))
+            assert report["min_per_k"][k] == vals[i_min]
+            assert report["argmin_j"][k] == window.j_min + i_min
 
     def test_insufficient_window(self, p1_block):
         win = GmpWindow((p1_block,), np.array([0.0]))
