@@ -47,6 +47,8 @@ from .ks import (
     density_identity,
     functional_report,
     ks_diagnostics,
+    map_chain,
+    shifted_run,
     telescoping_check,
 )
 
@@ -263,7 +265,8 @@ def criterion_telescoping() -> dict:
         + H_plus_partial(db_next, 0, j_top)
         - column_term(db_next, s_last)
     )
-    report = telescoping_check(w, d, 5)
+    run = map_chain(flow_run(w, 5).states, d, 3)
+    report = telescoping_check(run, map_chain(shifted_run(w, 5), d, 3))
     checks = [
         ("one-step drop residual", abs(lhs - rhs), 1e-8),
         ("shift comparison residual", report["residual"], 1e-8),
@@ -408,13 +411,14 @@ def criterion_functional() -> dict:
     t0 = time.perf_counter()
     d = _estar_delta()
     w = _p1_window(27, j_min=-13)
-    rep = functional_report(w, d, 4)
+    traj = flow_run(w, 4)
+    rep = functional_report(map_chain(traj.states, d, 3))
     surface_dev = max(
         float(np.max(np.abs(rep.h_spatial))),
         float(np.max(np.abs(rep.h_origin))),
         float(np.max(np.abs(rep.step_drops))),
     )
-    diag0 = ks_diagnostics(flow_run(w, 4), d)
+    diag0 = ks_diagnostics(traj, d)
     surface_diag = max(
         float(np.max(np.abs(arr))) for arr in diag0.values.values()
     )

@@ -8,8 +8,8 @@ readout, ``ks`` tabulates the entropy and summability diagnostics,
 runs the acceptance suite.
 
 All commands are deterministic given their inputs and options; numbers
-are written with 17 significant digits and identical reruns produce
-byte-identical output.  The environment variable ``GMPFLOW_LOG`` sets
+are written with 17 significant digits, and with BLAS on one thread
+identical reruns produce byte-identical output.  ``GMPFLOW_LOG`` sets
 the stderr log level (``debug``, ``info``, ``warning``, ``quiet``).
 Exit codes: 0 success, 1 input validation failure, 2 numerical failure.
 """
@@ -36,9 +36,10 @@ from .jacobi import JacobiWindow, dist_eta
 from .ks import (
     DIVERGENCE_SLOPE,
     H_plus_partial,
-    delta_of_gmp,
     functional_report,
     ks_diagnostics,
+    map_chain,
+    shifted_run,
     telescoping_check,
 )
 
@@ -102,11 +103,10 @@ def _csv_text(command, options, header, rows, footer=()) -> str:
 def _load_block(path: str) -> GmpBlock:
     data = _load_json(path)
     try:
-        return GmpBlock(
-            np.array(data["p"], dtype=float), np.array(data["q"], dtype=float)
-        )
-    except (KeyError, TypeError) as exc:
+        p, q = np.array(data["p"], dtype=float), np.array(data["q"], dtype=float)
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed block data in {path}: {exc}") from exc
+    return GmpBlock(p, q)
 
 
 def cmd_delta(args: argparse.Namespace) -> int:
@@ -188,11 +188,15 @@ def cmd_ks(args: argparse.Namespace) -> int:
     w = GmpWindow.from_json(_load_json(args.window))
     d = DeltaData.from_json(_load_json(args.delta))
     traj = flow_run(w, args.steps)
-    rep = functional_report(w, d, args.steps, margin=args.margin)
+    run = map_chain(traj.states, d, args.margin)
+    rep = functional_report(run)
     slope_tol = DIVERGENCE_SLOPE if args.tol is None else args.tol
     diag = ks_diagnostics(traj, d, slope_tol)
-    dbs = [delta_of_gmp(st, d, args.margin) for st in traj.states]
-    j_top = min(db.j_hi for db in dbs)
+    tele = np.zeros(args.steps)
+    if args.steps > 1:
+        shifted = map_chain(shifted_run(w, args.steps - 1), d, args.margin)
+        tele[1:] = telescoping_check(run, shifted)["residuals"]
+    j_top = min(db.j_hi for db in run)
     log.info(
         "ks: %d blocks, %d steps, trusted rows 0..%d", w.n_blocks, args.steps, j_top
     )
@@ -216,16 +220,11 @@ def cmd_ks(args: argparse.Namespace) -> int:
         row = [
             str(n),
             _fmt(rep.h_origin[n]),
-            _fmt(H_plus_partial(dbs[n], 0, j_top)),
+            _fmt(H_plus_partial(run[n], 0, j_top)),
             _fmt(rep.step_drops[n]),
             _fmt(rep.drop_partials[n]),
+            _fmt(tele[n]),
         ]
-        tele = (
-            telescoping_check(w, d, n, margin=args.margin)["residual"]
-            if n >= 1
-            else 0.0
-        )
-        row.append(_fmt(tele))
         for name in KS_FAMILIES:
             arr = diag.values[name]
             sq = diag.sq_partials[name]

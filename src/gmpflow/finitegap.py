@@ -106,9 +106,10 @@ class GapSet:
     def from_json(cls, data: dict) -> "GapSet":
         try:
             gaps = tuple((float(a), float(b)) for a, b in data["gaps"])
-            return cls(float(data["b0"]), float(data["a0"]), gaps)
-        except (KeyError, TypeError) as exc:
+            b0, a0 = float(data["b0"]), float(data["a0"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed gap set data: {exc}") from exc
+        return cls(b0, a0, gaps)
 
 
 @dataclass(frozen=True)
@@ -160,9 +161,10 @@ class DeltaData:
             poles = tuple(
                 (float(p["c"]), float(p["lambda"])) for p in data["poles"]
             )
-            return cls(float(data["lambda0"]), float(data["c0"]), poles)
-        except (KeyError, TypeError) as exc:
+            lambda0, c0 = float(data["lambda0"]), float(data["c0"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed comb map data: {exc}") from exc
+        return cls(lambda0, c0, poles)
 
 
 @dataclass(frozen=True)

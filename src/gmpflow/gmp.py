@@ -182,13 +182,16 @@ class GmpWindow:
     @classmethod
     def from_json(cls, data: dict) -> "GmpWindow":
         try:
-            blocks = tuple(
-                GmpBlock(np.array(b["p"]), np.array(b["q"]))
-                for b in data["blocks"]
-            )
-            return cls(blocks, np.array(data["C"]), int(data["j_min"]))
-        except (KeyError, TypeError) as exc:
+            P = [np.array(b["p"], dtype=float) for b in data["blocks"]]
+            Q = [np.array(b["q"], dtype=float) for b in data["blocks"]]
+            c, j_min = np.array(data["C"], dtype=float), int(data["j_min"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed window data: {exc}") from exc
+        shapes = {row.shape for row in P + Q}
+        if len(shapes) == 1 and all(len(s) == 1 and s[0] for s in shapes):
+            return cls.from_arrays(P, Q, c, j_min)
+        # a block or the gap-count check names the fault
+        return cls([GmpBlock(p, q) for p, q in zip(P, Q)], c, j_min)
 
 
 @dataclass(frozen=True)
@@ -404,7 +407,8 @@ def validate_gmp(window: GmpWindow, floor: float = VALIDITY_FLOOR) -> dict:
         return report
     worst_k = None
     for k in range(1, window.g + 1):
-        vals = lambda_sharp(window.rows(1), window.rows(0, -1), window.c, k)
+        with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
+            vals = lambda_sharp(window.rows(1), window.rows(0, -1), window.c, k)
         finite = np.isfinite(vals)
         i_min = int(np.argmin(vals if finite.all() else finite))
         report["min_per_k"][k] = float(vals[i_min])

@@ -131,11 +131,11 @@ class JacobiWindow:
     @classmethod
     def from_json(cls, data: dict) -> "JacobiWindow":
         try:
-            return cls(
-                np.array(data["a"]), np.array(data["b"]), int(data["n_min"])
-            )
-        except (KeyError, TypeError) as exc:
+            a, b = np.array(data["a"], dtype=float), np.array(data["b"], dtype=float)
+            n_min = int(data["n_min"])
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed window data: {exc}") from exc
+        return cls(a, b, n_min)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ the density of the mapped spectral measure.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,19 +249,19 @@ def delta_J_H(window: GmpWindow, d: DeltaData, margin: int = 3) -> float:
     return column_term(db, -1)
 
 
-def _step_chain(window: GmpWindow, n: int) -> list[GmpWindow]:
-    states = [window]
+def shifted_run(window: GmpWindow, n: int) -> list[GmpWindow]:
+    """The window moved one block left (block j becomes block j - 1) and
+    its first n flow images, the run ``telescoping_check`` compares with."""
+    states = [GmpWindow.from_arrays(window.P, window.Q, window.c, window.j_min - 1)]
     for _ in range(n):
         states.append(jacobi_flow_step(states[-1]))
     return states
 
 
-def _origin_blocks(
-    states: list[GmpWindow], d: DeltaData, margin: int
-) -> list[DeltaBlocks]:
+def map_chain(run: Sequence[GmpWindow], d: DeltaData, margin: int) -> list[DeltaBlocks]:
     """Mapped blocks of each state, whose trusted rows must reach -1..0."""
     out = []
-    for m, st in enumerate(states):
+    for m, st in enumerate(run):
         db = delta_of_gmp(st, d, margin)
         if not (db.j_lo <= -1 and db.j_hi >= 0):
             raise WindowError(
@@ -272,48 +273,46 @@ def _origin_blocks(
 
 
 def telescoping_check(
-    window: GmpWindow, d: DeltaData, n: int, margin: int = 3
+    run: Sequence[DeltaBlocks], shifted: Sequence[DeltaBlocks]
 ) -> dict:
-    """Compare an n-step flow run against a single index shift.
+    """Compare flow runs of every length against a single index shift.
 
-    The sum of per-step drop terms plus the final origin entropy must
-    equal the initial origin entropy plus the same sum evaluated along
-    the run started from the shifted window.  Both sides are computed
-    from independent flow runs.  The report also carries the matching
-    determinant chain identity for the outer corner entries of the
-    coupling blocks.
+    ``run`` holds the mapped states of a flow run and ``shifted`` those
+    of ``shifted_run`` of the same window (see ``map_chain``); N + 1 is
+    the length of the shorter one.  For every n = 1..N the sum of the
+    first n drop terms plus the origin entropy of state n must equal
+    the initial origin entropy plus the same sum along the shifted run;
+    the residuals of all n come from running sums.  The terms, both
+    sides and the matching determinant chain identity for the outer
+    corner entries of the coupling blocks are reported for n = N.
     """
+    n = min(len(run), len(shifted)) - 1
     if n < 1:
         raise ValidationError("telescoping needs at least one step")
-    states = _step_chain(window, n)
-    shifted = GmpWindow.from_arrays(window.P, window.Q, window.c, window.j_min - 1)
-    states_shifted = _step_chain(shifted, n)
+    g = run[0].g
+    left_terms = [column_term(db, -1) for db in run[1 : n + 1]]
+    right_terms = [column_term(db, -1) for db in shifted[1 : n + 1]]
+    h_origin = np.array([h_term(db.v(0), db.w(0), db.v(1)) for db in run[: n + 1]])
+    # cumsum adds in order, as the sum of each n's terms alone would
+    lhs = np.cumsum(left_terms) + h_origin[1:]
+    rhs = h_origin[0] + np.cumsum(right_terms)
 
-    dbs = _origin_blocks(states, d, margin)
-    dbs_shifted = _origin_blocks(states_shifted, d, margin)
-
-    g = window.g
-    left_terms = [column_term(dbs[m], -1) for m in range(1, n + 1)]
-    right_terms = [column_term(dbs_shifted[m], -1) for m in range(1, n + 1)]
-    h_first = h_term(dbs[0].v(0), dbs[0].w(0), dbs[0].v(1))
-    h_last = h_term(dbs[n].v(0), dbs[n].w(0), dbs[n].v(1))
-    lhs = sum(left_terms) + h_last
-    rhs = h_first + sum(right_terms)
-
-    det_lhs = float(np.linalg.det(dbs[0].v(0)))
-    det_rhs = float(np.linalg.det(dbs[n].v(0)))
+    det_lhs = float(np.linalg.det(run[0].v(0)))
+    det_rhs = float(np.linalg.det(run[n].v(0)))
     for m in range(1, n + 1):
-        det_lhs *= float(dbs[m].v(0)[g, g])
-        det_rhs *= float(dbs[m].v(-1)[g, g])
+        det_lhs *= float(run[m].v(0)[g, g])
+        det_rhs *= float(run[m].v(-1)[g, g])
     det_scale = max(1.0, abs(det_lhs), abs(det_rhs))
 
+    residuals = np.abs(lhs - rhs)
     return {
         "n": n,
-        "lhs": lhs,
-        "rhs": rhs,
-        "residual": abs(lhs - rhs),
-        "h_first": h_first,
-        "h_last": h_last,
+        "lhs": float(lhs[-1]),
+        "rhs": float(rhs[-1]),
+        "residual": float(residuals[-1]),
+        "residuals": residuals,
+        "h_first": float(h_origin[0]),
+        "h_last": float(h_origin[n]),
         "left_terms": left_terms,
         "right_terms": right_terms,
         "det_lhs": det_lhs,
@@ -358,24 +357,16 @@ class KsFunctionalReport:
                 )
 
 
-def functional_report(
-    window: GmpWindow, d: DeltaData, n_steps: int, margin: int = 3
-) -> KsFunctionalReport:
-    """Entropy terms, running sums and per-step drops along a flow run."""
-    if n_steps < 0:
-        raise ValidationError("step count must be nonnegative")
-    states = _step_chain(window, n_steps)
-    dbs = _origin_blocks(states, d, margin)
-    db0 = dbs[0]
+def functional_report(run: Sequence[DeltaBlocks]) -> KsFunctionalReport:
+    """Entropy terms, running sums and drops along a mapped flow run."""
+    if not run:
+        raise ValidationError("a flow run has at least one state")
+    db0 = run[0]
     h_spatial = np.array(
         [h_term(db0.v(j), db0.w(j), db0.v(j + 1)) for j in range(db0.j_lo, db0.j_hi + 1)]
     )
-    h_origin = np.array(
-        [h_term(db.v(0), db.w(0), db.v(1)) for db in dbs]
-    )
-    step_drops = np.array(
-        [column_term(dbs[m + 1], -1) for m in range(n_steps)]
-    )
+    h_origin = np.array([h_term(db.v(0), db.w(0), db.v(1)) for db in run])
+    step_drops = np.array([column_term(db, -1) for db in run[1:]])
     return KsFunctionalReport(
         j_lo=db0.j_lo,
         j_hi=db0.j_hi,
@@ -383,7 +374,7 @@ def functional_report(
         spatial_partials=np.cumsum(h_spatial),
         h_origin=h_origin,
         step_drops=step_drops,
-        drop_partials=np.cumsum(step_drops) if n_steps else np.zeros(0),
+        drop_partials=np.cumsum(step_drops),
     )
 
 

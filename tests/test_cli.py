@@ -8,13 +8,14 @@ observable.
 import json
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import make_perturbed_window
 
-from gmpflow import cli
+from gmpflow import cli, numkit
 from gmpflow.errors import NumericalError
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
 from gmpflow.gmp import GmpBlock, GmpWindow
@@ -46,6 +47,14 @@ def p1_window_file(tmp_path, n_blocks: int = 15, j_min: int = -7) -> str:
         tmp_path / "p1window.json",
         {"g": 1, "C": [0.0], "j_min": j_min, "blocks": [blk] * n_blocks},
     )
+
+
+def twogap_window(half: int = 20) -> tuple[DeltaData, GmpWindow]:
+    """Comb map of a two-gap set and a window of 2*half+1 blocks around
+    its surface block, perturbed away from block 0."""
+    d = delta_from_gaps(GapSet(-2.0, 2.0, ((-1.2, -0.4), (0.5, 1.1))))
+    seed = GmpBlock([0.4, 0.4, 1.0 / d.lambda0], [0.0, 0.0, 0.0])
+    return d, make_perturbed_window(solve_is_point(d, seed).block, d.cs(), half=half)
 
 
 def period2_jacobi_file(tmp_path) -> str:
@@ -155,17 +164,23 @@ class TestFlow:
             assert cli.main(args) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_non_finite_pair_functional_leaves_the_class(self, tmp_path, capsys):
         huge = {"p": [1e160, 1.0], "q": [1e160, -0.5]}
         win = write_json(
             tmp_path / "huge.json",
             {"g": 1, "C": [0.0], "j_min": -4, "blocks": [huge] * 9},
         )
-        assert cli.main(["flow", win, "--steps", "2"]) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["flow", win, "--steps", "2"]) == 1
+        assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert "state 0 left the class" in err
         assert "k=1 is not finite (block -4)" in err
+        assert err == (
+            "validation error: state 0 left the class: "
+            "pair functional at k=1 is not finite (block -4)\n"
+        )
 
     def test_header_records_options(self, tmp_path, capsys):
         args = ["flow", p1_window_file(tmp_path), "--steps", "3", "--eta", "0.5"]
@@ -228,9 +243,7 @@ class TestKs:
     def test_pole_order_of_map_is_irrelevant(self, tmp_path):
         # the map is put into the window's pole order before any per-pole
         # column is computed, so a reversed map writes the same table
-        d = delta_from_gaps(GapSet(-2.0, 2.0, ((-1.2, -0.4), (0.5, 1.1))))
-        seed = GmpBlock([0.4, 0.4, 1.0 / d.lambda0], [0.0, 0.0, 0.0])
-        w = make_perturbed_window(solve_is_point(d, seed).block, d.cs())
+        d, w = twogap_window()
         win = write_json(tmp_path / "twogap.json", w.to_json())
         maps = {
             "map": d.to_json(),
@@ -242,6 +255,51 @@ class TestKs:
             assert cli.main(args) == 0
         got = (tmp_path / "reversed.csv").read_bytes()
         assert got == (tmp_path / "map.csv").read_bytes()
+
+    def test_each_state_is_mapped_once(self, tmp_path, monkeypatch):
+        # 9 states of the run and 8 of the shifted run, one eigensolve each
+        calls = []
+        orig = numkit.sym_eigen
+
+        def counting(mat):
+            calls.append(mat.shape)
+            return orig(mat)
+
+        monkeypatch.setattr(numkit, "sym_eigen", counting)
+        d, w = twogap_window()
+        assert w.n_blocks == 41
+        args = ["ks", write_json(tmp_path / "w.json", w.to_json())]
+        args += [write_json(tmp_path / "d.json", d.to_json()), "--steps", "8"]
+        assert cli.main(args + ["--out", str(tmp_path / "ks.csv")]) == 0
+        assert len(calls) == 2 * 8 + 1
+
+    def test_narrowest_window_for_eight_steps(self, tmp_path, capsys):
+        # state 8 of blocks -12..11 spans -4..3, whose trusted rows with
+        # margin 3 are exactly -1..0
+        d, w = twogap_window(half=12)
+        dpath = write_json(tmp_path / "d.json", d.to_json())
+        cases = {
+            (-12, 11): None,
+            (-11, 11): "state 8 trusted range [0, 0] misses blocks -1..0",
+            (-12, 10): "state 8 trusted range [-1, -1] misses blocks -1..0",
+        }
+        for (lo, hi), message in cases.items():
+            rows = slice(lo + 12, hi + 13)
+            sub = GmpWindow.from_arrays(w.P[rows], w.Q[rows], w.c, lo)
+            win = write_json(tmp_path / "w.json", sub.to_json())
+            code = cli.main(["ks", win, dpath, "--steps", "8"])
+            err = capsys.readouterr().err
+            if message is None:
+                assert (code, err) == (0, "")
+            else:
+                assert (code, err) == (1, f"validation error: {message}\n")
+
+    def test_single_step_has_no_telescoping(self, tmp_path, capsys):
+        win = p1_window_file(tmp_path)
+        d = estar_delta_file(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["ks", win, d, "--steps", "1"]) == 0
+        assert csv_columns(capsys.readouterr().out)["telescope_resid"] == ["0"]
 
     def test_reruns_are_byte_identical(self, tmp_path):
         win = p1_window_file(tmp_path)
@@ -356,6 +414,37 @@ class TestSelftest:
         line = next(ln for ln in out.splitlines() if "flow orbit" in ln)
         assert "FAIL" in line
         assert "flow identity residual" in line
+
+
+class TestMalformedNumbers:
+    """A string where a number belongs is a validation error, not a crash."""
+
+    @pytest.mark.parametrize(
+        "command, data",
+        [
+            ("flow", {"g": 1, "C": [0.0], "j_min": 0, "blocks": [
+                {"p": [1.0, "x"], "q": [0.0, 0.0]}]}),
+            ("jacobi2gmp", {"n_min": -2, "a": [1.0, "x", 1.0], "b": [0.0] * 3}),
+            ("delta", {"b0": -2.0, "a0": 2.0, "gaps": [[-1.0, "x"]]}),
+            ("ks", {"lambda0": "x", "c0": 0.0, "poles": []}),
+            ("iso-solve", {"p": [1.4, "x"], "q": [0.0, 0.0]}),
+        ],
+        ids=["window", "jacobi-window", "gap-set", "comb-map", "seed-block"],
+    )
+    def test_string_entry_rejected(self, tmp_path, capsys, command, data):
+        bad = write_json(tmp_path / "bad.json", data)
+        argv = {
+            "flow": ["flow", bad],
+            "jacobi2gmp": ["jacobi2gmp", bad, "unread.json"],
+            "delta": ["delta", bad],
+            "ks": ["ks", p1_window_file(tmp_path), bad],
+            "iso-solve": ["iso-solve", estar_delta_file(tmp_path), bad],
+        }[command]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: malformed ")
+        assert err.endswith("could not convert string to float: 'x'\n")
 
 
 class TestHarness:

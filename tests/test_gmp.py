@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -421,10 +423,12 @@ class TestValidateGmp:
         assert not report["valid"]
         assert "k=1" in report["message"]
 
-    @pytest.mark.filterwarnings("ignore:.*encountered:RuntimeWarning")
     def test_non_finite_functional_is_invalid(self):
         huge = GmpBlock([1e160, 1.0], [1e160, -0.5])
-        report = validate_gmp(GmpWindow([huge] * 9, (0.0,), j_min=-4))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = validate_gmp(GmpWindow([huge] * 9, (0.0,), j_min=-4))
+        assert [str(w.message) for w in caught] == []
         assert not report["valid"]
         assert np.isnan(report["min_per_k"][1])
         assert report["message"] == "pair functional at k=1 is not finite (block -4)"

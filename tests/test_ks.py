@@ -26,6 +26,8 @@ from gmpflow.ks import (
     functional_report,
     h_term,
     ks_diagnostics,
+    map_chain,
+    shifted_run,
     telescoping_check,
 )
 
@@ -54,6 +56,43 @@ def bumped_window(n_blocks: int = 27):
     blocks = [p1] * n_blocks
     blocks[half] = GmpBlock([np.sqrt(2.0) + 0.08, 0.5], [0.05, 0.0])
     return GmpWindow(blocks, (0.0,), j_min=-half)
+
+
+def mapped_run(w: GmpWindow, d: DeltaData, n: int, margin: int = 3):
+    """Mapped states of the n-step flow run of ``w``."""
+    states = [w]
+    for _ in range(n):
+        states.append(jacobi_flow_step(states[-1]))
+    return map_chain(states, d, margin)
+
+
+def telescope(w: GmpWindow, d: DeltaData, n: int, margin: int = 3) -> dict:
+    """Telescoping report of the n-step runs of ``w`` and of its shift."""
+    shifted = map_chain(shifted_run(w, n), d, margin)
+    return telescoping_check(mapped_run(w, d, n, margin), shifted)
+
+
+def reference_telescoping(w: GmpWindow, d: DeltaData, n: int) -> dict:
+    """The n-step comparison computed on its own: two fresh flow runs of
+    n steps and a fresh comb map of each of their states."""
+    dbs = mapped_run(w, d, n)
+    dbs_shifted = mapped_run(GmpWindow.from_arrays(w.P, w.Q, w.c, w.j_min - 1), d, n)
+    left = sum(column_term(dbs[m], -1) for m in range(1, n + 1))
+    right = sum(column_term(dbs_shifted[m], -1) for m in range(1, n + 1))
+    lhs = left + h_term(dbs[n].v(0), dbs[n].w(0), dbs[n].v(1))
+    rhs = h_term(dbs[0].v(0), dbs[0].w(0), dbs[0].v(1)) + right
+    det_lhs = float(np.linalg.det(dbs[0].v(0)))
+    det_rhs = float(np.linalg.det(dbs[n].v(0)))
+    for m in range(1, n + 1):
+        det_lhs *= float(dbs[m].v(0)[w.g, w.g])
+        det_rhs *= float(dbs[m].v(-1)[w.g, w.g])
+    return {
+        "lhs": lhs,
+        "rhs": rhs,
+        "residual": abs(lhs - rhs),
+        "det_lhs": det_lhs,
+        "det_rhs": det_rhs,
+    }
 
 
 def twogap_delta() -> DeltaData:
@@ -389,7 +428,7 @@ class TestDeltaJH:
 
 class TestTelescoping:
     def test_flow_run_matches_single_shift(self):
-        report = telescoping_check(decaying_window(0.05, 27), estar_delta(), 5)
+        report = telescope(decaying_window(0.05, 27), estar_delta(), 5)
         assert report["residual"] < 1e-9
         assert report["det_residual"] < 1e-10
         assert len(report["left_terms"]) == 5
@@ -399,11 +438,11 @@ class TestTelescoping:
     def test_constant_window_is_shift_invariant(self):
         pert = GmpBlock([np.sqrt(2.0) + 0.05, 0.5], [0.02, 0.0])
         w = GmpWindow([pert] * 23, (0.0,), j_min=-11)
-        report = telescoping_check(w, estar_delta(), 4)
+        report = telescope(w, estar_delta(), 4)
         npt.assert_allclose(report["left_terms"], report["right_terms"], atol=1e-12)
 
     def test_periodic_window_all_terms_vanish(self):
-        report = telescoping_check(make_p1_window(23, j_min=-11), estar_delta(), 3)
+        report = telescope(make_p1_window(23, j_min=-11), estar_delta(), 3)
         assert report["residual"] < 1e-12
         assert abs(report["h_first"]) < 1e-10
         assert max(abs(t) for t in report["left_terms"]) < 1e-10
@@ -425,12 +464,29 @@ class TestTelescoping:
 
     def test_step_floor(self):
         with pytest.raises(ValidationError, match="one step"):
-            telescoping_check(decaying_window(), estar_delta(), 0)
+            telescope(decaying_window(), estar_delta(), 0)
+
+    def test_running_sums_match_runs_of_each_length(self):
+        # one run of 8 steps and a shifted run of 7, as ``gmpflow ks
+        # --steps 8`` builds them, give every n exactly the residual of
+        # two fresh n-step runs
+        d = twogap_delta()
+        w = make_perturbed_window(twogap_surface_block(d), d.cs())
+        assert (w.n_blocks, w.g) == (41, 2)
+        shifted = map_chain(shifted_run(w, 7), d, 3)
+        report = telescoping_check(mapped_run(w, d, 8), shifted)
+        per_n = [reference_telescoping(w, d, n) for n in range(1, 8)]
+        assert report["n"] == 7
+        assert np.array_equal(report["residuals"], [r["residual"] for r in per_n])
+        for key in ("lhs", "rhs", "residual", "det_lhs", "det_rhs"):
+            assert report[key] == per_n[-1][key], key
 
 
 class TestFunctionalReport:
     def test_shapes_and_partial_sums(self):
-        report = functional_report(decaying_window(0.05, 27), estar_delta(), 3)
+        report = functional_report(
+            mapped_run(decaying_window(0.05, 27), estar_delta(), 3)
+        )
         span = report.j_hi - report.j_lo + 1
         assert report.h_spatial.shape == (span,)
         npt.assert_allclose(report.spatial_partials, np.cumsum(report.h_spatial))
@@ -441,7 +497,7 @@ class TestFunctionalReport:
     def test_drops_match_pointwise_evaluation(self):
         w = decaying_window(0.05, 27)
         d = estar_delta()
-        report = functional_report(w, d, 3)
+        report = functional_report(mapped_run(w, d, 3))
         state = w
         for m in range(3):
             npt.assert_allclose(
@@ -462,7 +518,7 @@ class TestFunctionalReport:
             )
 
     def test_zero_steps(self):
-        report = functional_report(decaying_window(), estar_delta(), 0)
+        report = functional_report(mapped_run(decaying_window(), estar_delta(), 0))
         assert report.step_drops.shape == (0,)
         assert report.h_origin.shape == (1,)
 

@@ -107,7 +107,55 @@ class TestSymEigen:
             assert np.all(np.diff(vals) >= -1e-14)
 
 
+def reference_cholesky(mat: np.ndarray) -> np.ndarray:
+    """Column-by-column Cholesky in Python, with the same pivot guard."""
+    n = mat.shape[0]
+    g = np.zeros((n, n))
+    guard = 1e-14 * max(1.0, float(np.max(np.abs(mat))))
+    for j in range(n):
+        d = mat[j, j] - g[j, :j] @ g[j, :j]
+        if d <= guard:
+            raise NotPositiveDefiniteError(j, float(d))
+        g[j, j] = np.sqrt(d)
+        for i in range(j + 1, n):
+            g[i, j] = (mat[i, j] - g[i, :j] @ g[j, :j]) / g[j, j]
+    return g
+
+
+def random_spd(rng, n: int) -> np.ndarray:
+    """Symmetric positive definite, with eigenvalues in [1, 1 + ~4]."""
+    r = rng.normal(size=(n, n))
+    return r @ r.T / n + np.eye(n)
+
+
 class TestLowerCholeskyLike:
+    def test_matches_column_loop(self):
+        rng = np.random.default_rng(23)
+        for n in range(1, 18):
+            for _ in range(5):
+                mat = random_spd(rng, n)
+                ref = reference_cholesky(mat)
+                g = numkit.lower_cholesky_like(mat)
+                assert np.max(np.abs(g - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("pivot", [-1.0, 0.0])
+    def test_failing_minor_matches_column_loop(self, pivot):
+        # shift one diagonal entry so that the pivot of minor k becomes
+        # ``pivot`` while every smaller leading minor stays positive
+        rng = np.random.default_rng(29)
+        for n in range(1, 18):
+            spd = random_spd(rng, n)
+            low = reference_cholesky(spd)
+            for k in range(n):
+                mat = spd.copy()
+                mat[k, k] -= low[k, k] ** 2 - pivot
+                with pytest.raises(NotPositiveDefiniteError) as ref:
+                    reference_cholesky(mat)
+                with pytest.raises(NotPositiveDefiniteError) as got:
+                    numkit.lower_cholesky_like(mat)
+                assert got.value.minor_index == ref.value.minor_index == k
+                assert abs(got.value.pivot_value - ref.value.pivot_value) < 1e-13
+
     def test_diagonal(self):
         g = numkit.lower_cholesky_like(np.diag([4.0, 9.0]))
         np.testing.assert_allclose(g, np.diag([2.0, 3.0]), atol=1e-14)
