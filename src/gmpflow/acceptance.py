@@ -38,7 +38,7 @@ from .gmp import (
     transfer_via_resolvent,
 )
 from .isospectral import IsPoint, magic_check
-from .jacobi import DiscreteMeasure, JacobiWindow, kappa, kappa_pairing
+from .jacobi import DiscreteMeasure, JacobiWindow, _spectrum, kappa, kappa_pairing
 from .ks import (
     H_plus_partial,
     column_term,
@@ -288,8 +288,7 @@ def criterion_kappa() -> dict:
     kap = kappa(win, c)
     h = 1e-5
     phi_prime = (kappa(win, c + h).phi - kappa(win, c - h).phi) / (2.0 * h)
-    eigs = numkit.sym_eigen(win.dense())[0]
-    dist = float(np.min(np.abs(eigs - c)))
+    dist = float(np.min(np.abs(_spectrum(win) - c)))
     a0 = win.a_at(0)
     lower = min(a0**2, 1.0) / (abs(c) + win.norm_bound()) ** 2
     upper = max(a0**2, 1.0) / dist**2

@@ -27,7 +27,13 @@ from .errors import (
 )
 from .finitegap import DeltaData, eval_delta
 from .gmp import GmpBlock, GmpWindow, assemble_dense, build_block_B, pattern_defect
-from .jacobi import DiscreteMeasure, JacobiWindow, kappa, lanczos_from_measure
+from .jacobi import (
+    DiscreteMeasure,
+    JacobiWindow,
+    _spectrum,
+    kappa,
+    lanczos_from_measure,
+)
 
 FACTOR_TOL = 1e-10
 ORTHO_TOL = 1e-10
@@ -235,25 +241,22 @@ def tau_basis(
         )
     D = gram_D(measure, cs)
     L = factor_L(D)
-    pts = measure.points
-    wts = measure.weights
-    cols = list((_raw_columns(pts, cs) @ L).T)
+    pts, wts = measure.points, measure.weights
+    rows = np.empty((depth * per, pts.size))
+    rows[:per] = (_raw_columns(pts, cs) @ L).T
     dvals = np.asarray(eval_delta(d, pts), dtype=float)
     for idx in range(per, depth * per):
-        cand = dvals * cols[idx - per]
+        cand = dvals * rows[idx - per]
         cand_norm = float(np.sqrt(np.sum(wts * cand * cand)))
-        vec = cand.copy()
-        for _ in range(2):
-            for col in cols:
-                vec = vec - float(np.sum(wts * col * vec)) * col
+        vec = numkit.project_out(rows[:idx], cand, wts)
         rem = float(np.sqrt(np.sum(wts * vec * vec)))
         if rem <= FLAG_RANK_REL * max(cand_norm, 1e-300):
             raise NumericalError(
                 f"measure rank exhausted at basis function {idx}; "
                 "the support is too small for the requested depth"
             )
-        cols.append(vec / rem)
-    table = np.column_stack(cols)
+        rows[idx] = vec / rem
+    table = np.ascontiguousarray(rows.T)
     m_vec = table[:, :per].T @ (wts * pts)
     return RationalBasis(measure, table, L, D, m_vec)
 
@@ -301,15 +304,8 @@ def multiplication_matrix(
 def reflected_window(window: JacobiWindow) -> JacobiWindow:
     """Jacobi window of the same operator with site n sent to -1 - n."""
 
-    size = window.size
-    a_ref = np.empty(size)
-    b_ref = np.empty(size)
-    a_ref[0] = 1.0
-    for k in range(1, size):
-        a_ref[k] = window.a_at(1 + window.n_max - k)
-    for k in range(size):
-        b_ref[k] = window.b_at(window.n_max - k)
-    return JacobiWindow(a_ref, b_ref, n_min=-1 - window.n_max)
+    a_ref = np.concatenate(([1.0], window.a[:0:-1]))
+    return JacobiWindow(a_ref, window.b[::-1], n_min=-1 - window.n_max)
 
 
 def kappa_minus(window: JacobiWindow, c: float):
@@ -324,23 +320,21 @@ def kappa_minus(window: JacobiWindow, c: float):
     return k_ref.vec[::-1]
 
 
-def _gs_append(basis: list, cand: np.ndarray, where: str) -> np.ndarray:
-    """Two-pass orthogonalization of cand against the running basis."""
+def _gs_append(basis: np.ndarray, slot: dict, key: tuple, cand: np.ndarray) -> None:
+    """Orthonormalize cand against the filled rows of basis into the next
+    row, and record that row in slot under key = (block, slot)."""
 
+    k = len(slot)
     cand_norm = float(np.linalg.norm(cand))
-    vec = cand.copy()
-    for _ in range(2):
-        for col in basis:
-            vec = vec - float(col @ vec) * col
+    vec = numkit.project_out(basis[:k], cand)
     rem = float(np.linalg.norm(vec))
     if rem <= FLAG_RANK_REL * max(cand_norm, 1e-300):
         raise NumericalError(
-            f"flag vectors became linearly dependent at {where}; "
-            "the Gram matrix of the flag is numerically singular"
+            f"flag vectors became linearly dependent at block {key[0]} slot "
+            f"{key[1]}; the Gram matrix of the flag is numerically singular"
         )
-    vec = vec / rem
-    basis.append(vec)
-    return vec
+    basis[k] = vec / rem
+    slot[key] = k
 
 
 def jacobi_to_gmp(
@@ -381,8 +375,7 @@ def jacobi_to_gmp(
             f"of size {per} plus boundary"
         )
 
-    dense = window.dense()
-    eigs = numkit.sym_eigen(dense)[0]
+    eigs = _spectrum(window)
     diam = float(eigs[-1] - eigs[0])
     for c in cs:
         gap = float(np.min(np.abs(eigs - c)))
@@ -391,42 +384,34 @@ def jacobi_to_gmp(
                 f"pole {c} lies within {gap:.3e} of the window spectrum"
             )
 
-    mapped = d.lambda0 * dense + d.c0 * np.eye(n_sites)
-    for ck, lk in zip(d.cs(), d.lams()):
-        mapped = mapped + lk * numkit.solve(
-            ck * np.eye(n_sites) - dense, np.eye(n_sites)
-        )
-    mapped = 0.5 * (mapped + mapped.T)
+    b, off = window.b, window.a[1:]
 
-    e_m1 = np.zeros(n_sites)
-    e_m1[window.pos(-1)] = 1.0
-    e_0 = np.zeros(n_sites)
-    e_0[window.pos(0)] = 1.0
+    def mapped(v: np.ndarray) -> np.ndarray:
+        # lambda0 J + c0 + sum_k lambda_k (c_k - J)^{-1}, applied to v
+        out = d.lambda0 * numkit.tridiagonal_matvec(b, off, v) + d.c0 * v
+        for ck, lk in zip(d.cs(), d.lams()):
+            out -= lk * numkit.solve_tridiagonal(b, off, v, ck)
+        return out
 
-    basis: list = [e_m1]
-    slot: dict = {(-1, g): e_m1}
+    basis = np.zeros(((n_blocks + 1) * per, n_sites))
+    basis[0, window.pos(-1)] = 1.0
+    slot: dict = {(-1, g): 0}
     # the mirror flag nests from the far end: orthogonalize last pole first
     for m in range(g - 1, -1, -1):
-        slot[(-1, m)] = _gs_append(
-            basis, kappa_minus(window, cs[m]), f"block -1 slot {m}"
-        )
+        _gs_append(basis, slot, (-1, m), kappa_minus(window, cs[m]))
     for m, c in enumerate(cs):
-        slot[(0, m)] = _gs_append(basis, kappa(window, c).vec, f"block 0 slot {m}")
-    slot[(0, g)] = _gs_append(basis, e_0, f"block 0 slot {g}")
+        _gs_append(basis, slot, (0, m), kappa(window, c).vec)
+    _gs_append(basis, slot, (0, g), np.eye(1, n_sites, window.pos(0))[0])
     for j in range(1, k_hi + 1):
         for m in range(per):
-            slot[(j, m)] = _gs_append(
-                basis, mapped @ slot[(j - 1, m)], f"block {j} slot {m}"
-            )
+            _gs_append(basis, slot, (j, m), mapped(basis[slot[(j - 1, m)]]))
     for j in range(-2, k_lo - 1, -1):
         for m in range(g, -1, -1):
-            slot[(j, m)] = _gs_append(
-                basis, mapped @ slot[(j + 1, m)], f"block {j} slot {m}"
-            )
+            _gs_append(basis, slot, (j, m), mapped(basis[slot[(j + 1, m)]]))
 
     order = [(j, m) for j in range(k_lo, k_hi + 1) for m in range(per)]
-    Q = np.column_stack([slot[key] for key in order])
-    amat = Q.T @ (dense @ Q)
+    Q = basis[[slot[key] for key in order]].T
+    amat = Q.T @ numkit.tridiagonal_matvec(b, off, Q)
     amat = 0.5 * (amat + amat.T)
 
     def idx(j: int, m: int) -> int:
@@ -542,10 +527,5 @@ def gmp_to_jacobi_measure(w: GmpWindow) -> JacobiWindow:
 
     n_min = -depth_minus - 1
     b_arr = np.concatenate([jm.b[::-1], jp.b])
-    a_arr = np.ones(b_arr.size)
-    for n in range(n_min + 1, 0):
-        a_arr[n - n_min] = jm.a[-n]
-    a_arr[-n_min] = a0
-    for n in range(1, depth_plus + 1):
-        a_arr[n - n_min] = jp.a[n]
+    a_arr = np.concatenate(([1.0], jm.a[:0:-1], [a0], jp.a[1:]))
     return JacobiWindow(a_arr, b_arr, n_min=n_min)

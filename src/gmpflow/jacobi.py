@@ -14,6 +14,9 @@ angle function phi(c) = arctan r_+(c) and its kappa vector
     kappa_c = (J - c)^{-1} (a(0) sin(phi) e_{-1} + cos(phi) e_0),
 
 which is supported on the right half and has squared norm phi'(c).
+Real-z resolvents are O(n) tridiagonal solves and spectra come from the
+tridiagonal eigenvalue routine; the dense matrix is formed only for
+complex z, the spectral measure and the pairing identity.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal
 
 from . import numkit
 from .errors import (
@@ -175,16 +179,6 @@ class DiscreteMeasure:
     def cauchy_transform(self, z) -> complex:
         return np.sum(self.weights / (self.points - z))
 
-    def to_json(self) -> dict:
-        return {"points": self.points.tolist(), "weights": self.weights.tolist()}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DiscreteMeasure":
-        try:
-            return cls(np.array(data["points"]), np.array(data["weights"]))
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"malformed measure data: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class KappaVector:
@@ -226,16 +220,12 @@ def spectral_measure_plus(window: JacobiWindow) -> DiscreteMeasure:
 def resolvent_r(window: JacobiWindow, z):
     """<(J - z)^{-1} e_0, e_0> of a one-sided window; complex z allowed."""
     _require_one_sided(window, "resolvent_r")
-    if np.iscomplexobj(np.asarray(z)) and np.imag(z) != 0.0:
-        shifted = window.dense().astype(complex) - z * np.eye(window.size)
-        e0 = np.zeros(window.size)
-        e0[0] = 1.0
-        return complex(np.linalg.solve(shifted, e0)[0])
-    z = float(np.real(z))
-    shifted = window.dense() - z * np.eye(window.size)
     e0 = np.zeros(window.size)
     e0[0] = 1.0
-    return float(numkit.solve(shifted, e0)[0])
+    if np.iscomplexobj(np.asarray(z)) and np.imag(z) != 0.0:
+        shifted = window.dense().astype(complex) - z * np.eye(window.size)
+        return complex(np.linalg.solve(shifted, e0)[0])
+    return float(numkit.solve_tridiagonal(window.b, window.a[1:], e0, np.real(z))[0])
 
 
 def lanczos_from_measure(measure: DiscreteMeasure, depth: int) -> JacobiWindow:
@@ -253,34 +243,31 @@ def lanczos_from_measure(measure: DiscreteMeasure, depth: int) -> JacobiWindow:
             f"< {measure.n_points}, got {depth}"
         )
     x = measure.points
-    basis = [np.sqrt(measure.weights)]
-    bs = []
-    a_out = [1.0]
+    tiny = 1e-13 * max(1.0, float(np.max(np.abs(x))))
+    basis = np.empty((depth + 1, x.size))
+    basis[0] = np.sqrt(measure.weights)
+    bs = np.empty(depth + 1)
+    a_out = np.ones(depth + 1)
     for step in range(depth + 1):
-        v = basis[step]
-        xv = x * v
-        bs.append(float(v @ xv))
+        xv = x * basis[step]
+        bs[step] = basis[step] @ xv
         if step == depth:
             break
-        w = xv.copy()
-        for u in basis:
-            w -= (u @ w) * u
-        for u in basis:
-            w -= (u @ w) * u
+        w = numkit.project_out(basis[: step + 1], xv)
         norm = float(np.linalg.norm(w))
-        if norm <= 1e-13 * max(1.0, float(np.max(np.abs(x)))):
+        if norm <= tiny:
             raise NumericalError(
                 f"recurrence broke down at step {step + 1}; "
                 "measure support is numerically too small"
             )
-        a_out.append(norm)
-        basis.append(w / norm)
-    return JacobiWindow(np.array(a_out), np.array(bs), 0)
+        a_out[step + 1] = norm
+        basis[step + 1] = w / norm
+    return JacobiWindow(a_out, bs, 0)
 
 
 def _spectrum(window: JacobiWindow) -> np.ndarray:
-    eigvals, _ = numkit.sym_eigen(window.dense())
-    return eigvals
+    """Eigenvalues (ascending) of the window's tridiagonal matrix."""
+    return eigvalsh_tridiagonal(window.b, window.a[1:])
 
 
 def decay_margin(window: JacobiWindow, dist: float) -> int:
@@ -322,7 +309,7 @@ def kappa(window: JacobiWindow, c: float) -> KappaVector:
     rhs = np.zeros(window.size)
     rhs[window.pos(-1)] = a0 * math.sin(phi)
     rhs[window.pos(0)] = math.cos(phi)
-    vec = numkit.solve(window.dense() - c * np.eye(window.size), rhs)
+    vec = numkit.solve_tridiagonal(window.b, window.a[1:], rhs, c)
 
     h = FD_STEP_REL * max(1.0, abs(c))
     dphi = angle_plus(window, c + h) - angle_plus(window, c - h)
@@ -366,19 +353,10 @@ def two_by_two_resolvent(window: JacobiWindow, z: float) -> np.ndarray:
         raise SpectrumProximityError(
             f"z = {z} is too close to the window spectrum"
         )
-    shifted = window.dense() - z * np.eye(window.size)
+    corner = [window.pos(-1), window.pos(0)]
     rhs = np.zeros((window.size, 2))
-    rhs[window.pos(-1), 0] = 1.0
-    rhs[window.pos(0), 1] = 1.0
-    sol = np.column_stack(
-        [numkit.solve(shifted, rhs[:, 0]), numkit.solve(shifted, rhs[:, 1])]
-    )
-    rmat = np.array(
-        [
-            [sol[window.pos(-1), 0], sol[window.pos(-1), 1]],
-            [sol[window.pos(0), 0], sol[window.pos(0), 1]],
-        ]
-    )
+    rhs[corner, [0, 1]] = 1.0
+    rmat = numkit.solve_tridiagonal(window.b, window.a[1:], rhs, z)[corner]
     r_plus = resolvent_r(window.right_half(), z)
     r_minus = resolvent_r(window.left_half(), z)
     a0 = window.a_at(0)

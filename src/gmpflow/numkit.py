@@ -1,20 +1,23 @@
-"""Dense linear-algebra helpers with explicit failure contracts.
+"""Linear-algebra helpers with explicit failure contracts.
 
 Thin wrappers around LAPACK-backed numpy/scipy routines that add the
 pivot, symmetry and residual checks the rest of the package relies on.
-Matrices are plain float ndarrays.  Norms appearing in the contracts are
-Frobenius norms; the fixed tolerances are tuned for the moderate scales
-used throughout (operator norms up to a few units).
+Matrices are plain float ndarrays; a symmetric tridiagonal matrix is
+passed as its diagonal and off-diagonal and solved in O(n) under the
+dense solve's contract.  Norms appearing in the contracts are Frobenius
+norms; the fixed tolerances are tuned for the moderate scales used
+throughout (operator norms up to a few units).
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import partial
 from typing import Callable
 
 import numpy as np
 from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import dpotrf
+from scipy.linalg.lapack import dgttrf, dgttrs, dpotrf
 
 from .errors import (
     NoSignChangeError,
@@ -56,23 +59,87 @@ def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         # Exactly singular input is reported through the pivot check below.
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(mat, check_finite=False)
-    pivots = np.abs(np.diag(lu))
+    back = partial(lu_solve, (lu, piv), check_finite=False)
+    return _checked_solve(np.abs(np.diag(lu)), scale, lambda x: mat @ x, back, rhs_arr)
+
+
+def _checked_solve(pivots, scale: float, matvec, back, rhs: np.ndarray) -> np.ndarray:
+    """The contract of ``solve`` around a factorization with U pivots
+    ``pivots``: the pivot check, then ``back(rhs)``, refined once if it
+    misses the residual bound."""
     worst = int(np.argmin(pivots))
     if pivots[worst] <= PIVOT_REL_TOL * scale:
         raise SingularMatrixError(worst, float(pivots[worst]))
-
-    x = lu_solve((lu, piv), rhs_arr, check_finite=False)
-    residual = np.linalg.norm(mat @ x - rhs_arr)
-    bound = SOLVE_RESIDUAL_REL_TOL * scale * np.linalg.norm(x)
-    if residual > bound:
-        x = x + lu_solve((lu, piv), rhs_arr - mat @ x, check_finite=False)
-        residual = np.linalg.norm(mat @ x - rhs_arr)
+    x = back(rhs)
+    for attempt in range(2):
+        residual = np.linalg.norm(matvec(x) - rhs)
         bound = SOLVE_RESIDUAL_REL_TOL * scale * np.linalg.norm(x)
-        if residual > bound:
-            raise NumericalError(
-                f"solve residual {residual:.3e} exceeds bound {bound:.3e}"
-            )
-    return x
+        if not residual > bound:
+            return x
+        if attempt == 0:
+            x = x + back(rhs - matvec(x))
+    raise NumericalError(f"solve residual {residual:.3e} exceeds bound {bound:.3e}")
+
+
+def tridiagonal_matvec(diag, off, x: np.ndarray) -> np.ndarray:
+    """``T @ x`` for the symmetric tridiagonal T with diagonal ``diag`` and
+    off-diagonal ``off``; x is a vector or a stack of columns."""
+    col = (slice(None),) + (None,) * (x.ndim - 1)
+    out = diag[col] * x
+    out[:-1] += off[col] * x[1:]
+    out[1:] += off[col] * x[:-1]
+    return out
+
+
+def solve_tridiagonal(diag, off, rhs, z: float) -> np.ndarray:
+    """Solve ``(T - z I) x = rhs`` for the symmetric tridiagonal T with
+    diagonal ``diag`` and off-diagonal ``off``, in O(n) per right-hand side.
+
+    LAPACK ``gttrf``/``gttrs`` under the contract of ``solve``, with
+    ``||T - z I||`` as the scale of the U pivot check and residual bound;
+    orders below 3 go through ``solve`` itself.
+    """
+    diag = np.asarray(diag, dtype=float) - float(z)
+    off, rhs = np.asarray(off, dtype=float), np.asarray(rhs, dtype=float)
+    n = diag.size
+    if diag.shape != (n,) or off.shape != (n - 1,) or rhs.shape[:1] != (n,):
+        raise ValueError(f"shapes {diag.shape}, {off.shape}, {rhs.shape} do not match")
+    if not all(np.all(np.isfinite(v)) for v in (diag, off, rhs)):
+        raise ValueError("matrix and right-hand side must be finite")
+    if n < 3:  # scipy's gttrf wrapper needs n >= 3
+        return solve(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), rhs)
+    scale = float(np.sqrt(diag @ diag + 2.0 * (off @ off)))
+    lu = dgttrf(off, diag, off)[:5]
+
+    def back(r):
+        return dgttrs(*lu, r.reshape(n, -1))[0].reshape(r.shape)
+
+    matvec = partial(tridiagonal_matvec, diag, off)
+    return _checked_solve(np.abs(lu[1]), scale, matvec, back, rhs)
+
+
+def project_out(basis: np.ndarray, vec: np.ndarray, weights=None) -> np.ndarray:
+    """``vec`` minus its components along the rows of ``basis``, which are
+    orthonormal under ``sum(weights * x * y)`` (or the dot product).
+    Classical Gram-Schmidt applied twice (CGS2), one BLAS product a pass.
+    """
+    wbasis = basis if weights is None else basis * weights
+    for _ in range(2):
+        vec = vec - (wbasis @ vec) @ basis
+    return vec
+
+
+def _symmetric(mat) -> tuple[np.ndarray, float]:
+    """The input as a float array, checked square and symmetric within
+    ``1e-12 * max(1, max |M|)``, with its largest entry magnitude."""
+    mat = np.asarray(mat, dtype=float)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
+    scale = float(np.max(np.abs(mat))) if mat.size else 1.0
+    if asym > SYMMETRY_TOL * max(1.0, scale):
+        raise NotSymmetricError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
+    return mat, scale
 
 
 def sym_eigen(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -84,15 +151,7 @@ def sym_eigen(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``||mat @ V - V @ diag(vals)|| <= 1e-9 * ||mat||`` and
     ``||V.T @ V - I|| <= 1e-10``.
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-    scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-    if asym > SYMMETRY_TOL * max(1.0, scale):
-        raise NotSymmetricError(
-            f"matrix is not symmetric: max |M - M^T| = {asym:.3e}"
-        )
+    mat, _ = _symmetric(mat)
     vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)
     return vals, vecs
 
@@ -105,16 +164,7 @@ def lower_cholesky_like(mat: np.ndarray) -> np.ndarray:
     minor (0-based pivot index) when the input is not positive definite.
     The factor satisfies ``||G @ G.T - mat|| <= 1e-10 * ||mat||``.
     """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
-    scale = float(np.max(np.abs(mat))) if mat.size else 1.0
-    if asym > SYMMETRY_TOL * max(1.0, scale):
-        raise NotSymmetricError(
-            f"matrix is not symmetric: max |M - M^T| = {asym:.3e}"
-        )
-
+    mat, scale = _symmetric(mat)
     g, info = dpotrf(mat, lower=1, clean=1)
     done = info - 1 if info > 0 else mat.shape[0]
     # potrf accepts any positive pivot; the guard is stricter

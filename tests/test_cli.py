@@ -7,8 +7,12 @@ observable.
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -383,6 +387,31 @@ class TestConversions:
         src = GmpWindow.from_json(json.loads((tmp_path / "p1window.json").read_text()))
         for j in range(w.j_min, w.j_max + 1):
             assert w.block(j).p == pytest.approx(src.block(0).p, abs=1e-10)
+
+    def test_reruns_are_byte_identical_at_size(self, tmp_path):
+        # BLAS on one thread, as reruns are specified; each run is a fresh
+        # process so that the thread count is set before numpy loads
+        blk = GmpBlock([math.sqrt(2.0), 0.5], [0.0, 0.0])
+        w = make_perturbed_window(blk, [0.0], half=111)
+        w = GmpWindow.from_arrays(w.P[:-1], w.Q[:-1], w.c, w.j_min)
+        assert (w.n_blocks, w.j_min) == (222, -111)
+        win = write_json(tmp_path / "wide.json", w.to_json())
+        d = estar_delta_file(tmp_path)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        outputs = []
+        for run in (1, 2):
+            jpath, bpath = tmp_path / f"j{run}.json", tmp_path / f"b{run}.json"
+            for args in (
+                ["gmp2jacobi", win, "--out", str(jpath)],
+                ["jacobi2gmp", str(jpath), d, "--width", "5", "--out", str(bpath)],
+            ):
+                cmd = [sys.executable, "-m", "gmpflow.cli", *args]
+                assert subprocess.run(cmd, env=env, timeout=120).returncode == 0
+            outputs.append((jpath.read_bytes(), bpath.read_bytes()))
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0][1])["blocks"]) == 5
 
 
 class TestSelftest:

@@ -1,9 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import make_p1_block, make_perturbed_window
+from gmpflow import construct
 from gmpflow.errors import (
     NumericalError,
     SingularMatrixError,
@@ -11,6 +14,7 @@ from gmpflow.errors import (
     ValidationError,
     WindowError,
 )
+from gmpflow.gmp import GmpWindow
 from gmpflow.jacobi import (
     DiscreteMeasure,
     JacobiWindow,
@@ -44,6 +48,53 @@ def random_window(
 
 
 FREE_R3 = (-3.0 + np.sqrt(5.0)) / 2.0
+
+
+def reference_lanczos(measure: DiscreteMeasure, depth: int) -> JacobiWindow:
+    """Lanczos with the basis re-orthogonalized twice in a per-vector loop,
+    the form ``lanczos_from_measure`` had before its projections became
+    one BLAS product a pass."""
+    x = measure.points
+    basis = [np.sqrt(measure.weights)]
+    bs = []
+    a_out = [1.0]
+    for step in range(depth + 1):
+        v = basis[step]
+        xv = x * v
+        bs.append(float(v @ xv))
+        if step == depth:
+            break
+        w = xv.copy()
+        for u in basis:
+            w -= (u @ w) * u
+        for u in basis:
+            w -= (u @ w) * u
+        norm = float(np.linalg.norm(w))
+        a_out.append(norm)
+        basis.append(w / norm)
+    return JacobiWindow(np.array(a_out), np.array(bs), 0)
+
+
+def stieltjes(points, weights, depth: int, dps: int = 50):
+    """b(0..depth) and a(1..depth) by the Stieltjes procedure on the monic
+    orthogonal polynomials, in ``dps``-digit arithmetic."""
+    with mpmath.workdps(dps):
+        x = [mpmath.mpf(float(p)) for p in points]
+        w = [mpmath.mpf(float(q)) for q in weights]
+        prev = [mpmath.mpf(0)] * len(x)
+        cur = [mpmath.mpf(1)] * len(x)
+        norm_prev = mpmath.mpf(1)
+        b, a = [], []
+        for k in range(depth + 1):
+            norm = mpmath.fsum(wi * ci * ci for wi, ci in zip(w, cur))
+            a_sq = norm / norm_prev if k else mpmath.mpf(0)
+            if k:
+                a.append(mpmath.sqrt(a_sq))
+            moment = mpmath.fsum(wi * xi * ci * ci for wi, xi, ci in zip(w, x, cur))
+            b.append(moment / norm)
+            nxt = [(xi - b[-1]) * ci - a_sq * pi for xi, ci, pi in zip(x, cur, prev)]
+            prev, cur, norm_prev = cur, nxt, norm
+        return np.array([float(v) for v in b]), np.array([float(v) for v in a])
 
 
 class TestJacobiWindow:
@@ -197,6 +248,43 @@ class TestLanczosFromMeasure:
             assert_allclose(
                 back.moment(order), m.moment(order), atol=1e-9, rtol=1e-9
             )
+
+    def test_matches_reference_on_half_line_measures(self, monkeypatch):
+        # the two measures gmp_to_jacobi_measure builds from a 222-block window
+        w = make_perturbed_window(make_p1_block(), [0.0], half=111)
+        w = GmpWindow.from_arrays(w.P[:-1], w.Q[:-1], w.c, w.j_min)
+        seen = []
+
+        def recording(measure, depth):
+            seen.append((measure, depth))
+            return lanczos_from_measure(measure, depth)
+
+        monkeypatch.setattr(construct, "lanczos_from_measure", recording)
+        construct.gmp_to_jacobi_measure(w)
+        assert w.n_blocks == 222
+        assert [depth for _, depth in seen] == [110, 110]
+        for measure, depth in seen:
+            got = lanczos_from_measure(measure, depth)
+            ref = reference_lanczos(measure, depth)
+            assert np.max(np.abs(got.b - ref.b)) <= 1e-12
+            assert np.max(np.abs(got.a - ref.a)) <= 1e-12
+
+    def test_matches_stieltjes_at_fifty_digits(self):
+        rng = np.random.default_rng(47)
+        pts = np.sort(rng.uniform(-2.0, 2.0, size=40))
+        while np.min(np.diff(pts)) < 1e-3:
+            pts = np.sort(rng.uniform(-2.0, 2.0, size=40))
+        w = rng.uniform(0.1, 1.0, size=40)
+        m = DiscreteMeasure(pts, w / np.sum(w))
+        b_ref, a_ref = stieltjes(m.points, m.weights, 15)
+        win = lanczos_from_measure(m, 15)
+        assert np.max(np.abs(win.b - b_ref)) <= 1e-14
+        assert np.max(np.abs(win.a[1:] - a_ref)) <= 1e-14
+
+    def test_breakdown_is_reported(self):
+        m = DiscreteMeasure(np.array([0.0, 1e-15]), np.array([0.5, 0.5]))
+        with pytest.raises(NumericalError, match="recurrence broke down at step 1"):
+            lanczos_from_measure(m, 1)
 
 
 class TestKappa:

@@ -71,6 +71,128 @@ class TestSolve:
             assert res <= 1e-10 * np.linalg.norm(mat) * max(np.linalg.norm(x), 1.0)
 
 
+def random_tridiagonal(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of a random Jacobi matrix."""
+    return rng.uniform(-0.5, 0.5, n), rng.uniform(0.5, 1.5, n - 1)
+
+
+def dense_tridiagonal(diag, off) -> np.ndarray:
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def singular_at(n: int, z: float) -> tuple[np.ndarray, np.ndarray]:
+    """T with the exact eigenvalue z: T - z I has diagonal (1, 2, ..., 2, 1)
+    and unit off-diagonal, so its LU pivots are 1, ..., 1, 0 exactly."""
+    if n == 1:
+        return np.array([z]), np.zeros(0)
+    shifted = np.full(n, 2.0)
+    shifted[[0, -1]] = 1.0
+    return shifted + z, np.ones(n - 1)
+
+
+class TestSolveTridiagonal:
+    @pytest.mark.parametrize("n", [1, 2, 15, 400])
+    @pytest.mark.parametrize("n_rhs", [1, 2])
+    def test_matches_dense_solve(self, n, n_rhs):
+        rng = np.random.default_rng(1000 * n + n_rhs)
+        diag, off = random_tridiagonal(rng, n)
+        eigs = np.linalg.eigvalsh(dense_tridiagonal(diag, off))
+        rhs = rng.normal(size=(n, n_rhs)) if n_rhs > 1 else rng.normal(size=n)
+        # one shift outside the spectrum, one between two eigenvalues
+        inside = 0.5 * (eigs[n // 2 - 1] + eigs[n // 2]) if n > 1 else 0.3
+        for z in (eigs[-1] + 0.7, inside):
+            ref = numkit.solve(dense_tridiagonal(diag, off) - z * np.eye(n), rhs)
+            x = numkit.solve_tridiagonal(diag, off, rhs, z)
+            assert x.shape == rhs.shape
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 400])
+    def test_exact_eigenvalue_reports_dense_pivot(self, n):
+        z = 0.5
+        diag, off = singular_at(n, z)
+        with pytest.raises(SingularMatrixError) as ref:
+            numkit.solve(dense_tridiagonal(diag, off) - z * np.eye(n), np.ones(n))
+        with pytest.raises(SingularMatrixError) as got:
+            numkit.solve_tridiagonal(diag, off, np.ones(n), z)
+        assert got.value.pivot_index == ref.value.pivot_index == n - 1
+        assert got.value.pivot_value == ref.value.pivot_value == 0.0
+
+    def test_residual_bound_random(self):
+        rng = np.random.default_rng(321)
+        for _ in range(300):
+            n = int(rng.integers(1, 40))
+            diag, off = random_tridiagonal(rng, n)
+            z = float(rng.uniform(-2.0, 2.0))
+            rhs = rng.normal(size=n)
+            try:
+                x = numkit.solve_tridiagonal(diag, off, rhs, z)
+            except SingularMatrixError:
+                continue
+            mat = dense_tridiagonal(diag, off) - z * np.eye(n)
+            res = np.linalg.norm(mat @ x - rhs)
+            assert res <= 1e-10 * np.linalg.norm(mat) * max(np.linalg.norm(x), 1.0)
+
+    @pytest.mark.parametrize(
+        "diag, off, rhs",
+        [
+            (np.ones(3), np.ones(3), np.ones(3)),
+            (np.ones(3), np.ones(2), np.ones(4)),
+            (np.ones(3), np.ones(2), np.ones((2, 3))),
+            (np.ones((3, 1)), np.ones(2), np.ones(3)),
+            (np.ones(0), np.ones(0), np.ones(0)),
+            (np.ones(3), np.array([1.0, np.nan]), np.ones(3)),
+            (np.ones(3), np.ones(2), np.array([1.0, np.inf, 0.0])),
+        ],
+    )
+    def test_rejects_bad_input(self, diag, off, rhs):
+        with pytest.raises(ValueError):
+            numkit.solve_tridiagonal(diag, off, rhs, 0.0)
+
+    def test_matvec_matches_dense(self):
+        rng = np.random.default_rng(5)
+        diag, off = random_tridiagonal(rng, 9)
+        x = rng.normal(size=(9, 3))
+        dense = dense_tridiagonal(diag, off)
+        np.testing.assert_allclose(
+            numkit.tridiagonal_matvec(diag, off, x), dense @ x, rtol=0, atol=1e-15
+        )
+        np.testing.assert_allclose(
+            numkit.tridiagonal_matvec(diag, off, x[:, 0]),
+            dense @ x[:, 0],
+            rtol=0,
+            atol=1e-15,
+        )
+
+
+def reference_gram_schmidt(rows, vec, weights):
+    """Twice-applied per-row (modified) Gram-Schmidt loop, the form the
+    projection had before it became one BLAS product a pass."""
+    for _ in range(2):
+        for row in rows:
+            vec = vec - float(np.sum(weights * row * vec)) * row
+    return vec
+
+
+class TestProjectOut:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_per_row_loop(self, weighted):
+        rng = np.random.default_rng(17)
+        n, k = 60, 25
+        weights = rng.uniform(0.1, 1.0, n) if weighted else np.ones(n)
+        # rows orthonormal under the weighted inner product
+        q, _ = np.linalg.qr(rng.normal(size=(n, k)))
+        rows = (q / np.sqrt(weights)[:, None]).T
+        vec = rng.normal(size=n)
+        got = numkit.project_out(rows, vec, weights if weighted else None)
+        ref = reference_gram_schmidt(rows, vec, weights)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(vec))
+        assert np.max(np.abs(rows @ (weights * got))) <= 1e-14 * np.linalg.norm(vec)
+
+    def test_empty_basis_keeps_vector(self):
+        vec = np.array([1.0, -2.0, 3.0])
+        np.testing.assert_array_equal(numkit.project_out(np.zeros((0, 3)), vec), vec)
+
+
 class TestSymEigen:
     def test_diagonal(self):
         vals, vecs = numkit.sym_eigen(np.diag([3.0, 1.0, 2.0]))
