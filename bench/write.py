@@ -1,0 +1,233 @@
+"""Write a ``BENCH_*.json`` record of this checkout.
+
+    python3 bench/write.py --out BENCH_6.json
+
+The record holds:
+
+- the final JSON line of ``python3 perfbench/run.py --workload W --seed 5
+  --seconds 15`` at ``--trace 0`` and ``--trace 1`` for every workload
+  named in ``BENCHMARK.json``;
+- a scale sweep of ``ks.delta_of_gmp`` and of ``gmpflow ks --steps 8``
+  over n_blocks in {41, 121, 241} and g in {1, 2}, on windows built as
+  ``tests/conftest.make_perturbed_window`` builds them around the
+  closed-form surface block ``p = (sqrt(lambda_k / lambda0)..., 1 /
+  lambda0)``, ``q = (0..., -c0)``; each record is ``{layer, case,
+  n_blocks, g, best_s, median_s, counters}``, the counters taken from
+  one extra run;
+- the ``src/`` line count, and the wall time of the Tier-1 suite and of
+  ``gmpflow selftest``.
+
+BLAS runs on one thread.  Temporary files go to ``.bench_run/`` in the
+checkout; nothing is written under ``perfbench/``.  The sweep takes
+about 15 s on a 2-core machine, the whole record about 2 minutes.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import shutil  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.dont_write_bytecode = True
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+from conftest import make_perturbed_window  # noqa: E402
+
+from gmpflow import cli, ks, numkit  # noqa: E402
+from gmpflow.finitegap import GapSet, delta_from_gaps  # noqa: E402
+from gmpflow.gmp import GmpBlock  # noqa: E402
+
+PERFBENCH_SEED = 5
+PERFBENCH_SECONDS = 15
+SIZES = (41, 121, 241)
+GAP_SETS = {
+    1: GapSet(-2.0, 2.0, ((-1.0, 1.0),)),
+    2: GapSet(-3.0, 3.0, ((-1.5, -0.7), (0.4, 1.1))),
+}
+KS_STEPS = 8
+# Timed repeats per sweep case: at least MIN_REPEATS, more while the case
+# has used less than CASE_BUDGET_S, at most MAX_REPEATS.
+MIN_REPEATS, MAX_REPEATS, CASE_BUDGET_S = 3, 15, 1.5
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def _env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    return env
+
+
+def perfbench_runs() -> list[dict]:
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    runs = []
+    for workload in (w["name"] for w in spec["workloads"]):
+        for trace in (0, 1):
+            argv = [sys.executable, "perfbench/run.py", "--workload", workload,
+                    "--seed", str(PERFBENCH_SEED), "--seconds", str(PERFBENCH_SECONDS),
+                    "--trace", str(trace)]
+            t0 = time.perf_counter()
+            proc = subprocess.run(argv, cwd=ROOT, env=_env(), capture_output=True,
+                                  text=True, check=True)
+            lines = proc.stdout.strip().splitlines()
+            runs.append({
+                "workload": workload,
+                "trace": trace,
+                "argv": argv[1:],
+                "wall_s": round(time.perf_counter() - t0, 2),
+                "result": json.loads(lines[-1]),
+            })
+            print(f"perfbench {workload} trace={trace}: {runs[-1]['wall_s']} s",
+                  file=sys.stderr)
+    return runs
+
+
+def sweep_inputs(g: int, n_blocks: int):
+    d = delta_from_gaps(GAP_SETS[g])
+    surface = GmpBlock(
+        np.append(np.sqrt(d.lams() / d.lambda0), 1.0 / d.lambda0),
+        np.append(np.zeros(g), -d.c0),
+    )
+    return d, make_perturbed_window(surface, d.cs(), half=n_blocks // 2)
+
+
+class Counting:
+    """Counts eigensolves and ``delta_of_gmp`` calls while installed."""
+
+    def __init__(self):
+        self.eig_rows: list[int] = []
+        self.delta_calls = 0
+
+    def __enter__(self):
+        self._eig, self._delta = numkit.sym_eigen, ks.delta_of_gmp
+
+        def eig(mat):
+            self.eig_rows.append(int(np.shape(mat)[0]))
+            return self._eig(mat)
+
+        def delta(*args, **kwargs):
+            self.delta_calls += 1
+            return self._delta(*args, **kwargs)
+
+        numkit.sym_eigen = eig
+        ks.delta_of_gmp = delta  # map_chain looks the name up in ks
+        return self
+
+    def __exit__(self, *exc):
+        numkit.sym_eigen = self._eig
+        ks.delta_of_gmp = self._delta
+
+    def counters(self) -> dict:
+        return {
+            "sym_eigen_calls": len(self.eig_rows),
+            "sym_eigen_rows_max": max(self.eig_rows, default=0),
+            "delta_of_gmp_calls": self.delta_calls,
+        }
+
+
+def timed(fn) -> dict:
+    with Counting() as count:
+        fn()
+    times = []
+    while len(times) < MAX_REPEATS and (
+        len(times) < MIN_REPEATS or sum(times) < CASE_BUDGET_S
+    ):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return {
+        "best_s": min(times),
+        "median_s": statistics.median(times),
+        "repeats": len(times),
+        "counters": count.counters(),
+    }
+
+
+def sweep(work: Path) -> list[dict]:
+    records = []
+    for g in GAP_SETS:
+        for n_blocks in SIZES:
+            d, w = sweep_inputs(g, n_blocks)
+            window = work / f"ks-g{g}-n{n_blocks}.json"
+            cmap = work / f"map-g{g}.json"
+            window.write_text(json.dumps(w.to_json()) + "\n")
+            cmap.write_text(json.dumps(d.to_json()) + "\n")
+            argv = ["ks", str(window), str(cmap), "--steps", str(KS_STEPS),
+                    "--margin", "3", "--out", str(work / "ks.csv")]
+            cases = {
+                ("operator", "delta_of_gmp margin=3"): lambda: ks.delta_of_gmp(w, d, 3),
+                ("end_to_end", f"gmpflow ks --steps {KS_STEPS}"): lambda: cli.main(argv),
+            }
+            for (layer, case), fn in cases.items():
+                rec = {"layer": layer, "case": case, "n_blocks": n_blocks, "g": g}
+                rec.update(timed(fn))
+                records.append(rec)
+                print(f"{case} g={g} n={n_blocks}: best {rec['best_s']:.4f} s",
+                      file=sys.stderr)
+    return records
+
+
+def timed_command(argv: list[str]) -> dict:
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, cwd=ROOT, env=_env(), capture_output=True, text=True)
+    tail = (proc.stdout.strip().splitlines() or [""])[-1]
+    return {"argv": argv[1:], "wall_s": round(time.perf_counter() - t0, 2),
+            "exit": proc.returncode, "summary": tail}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", required=True, help="path of the JSON record")
+    args = parser.parse_args()
+    work = ROOT / ".bench_run" / f"write-{os.getpid()}"
+    work.mkdir(parents=True, exist_ok=True)
+
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+                          text=True).stdout.strip()
+    dirty = subprocess.run(["git", "status", "--porcelain", "--", "src", "tests"],
+                           cwd=ROOT, capture_output=True, text=True).stdout.strip()
+    record = {
+        "base_commit": head,
+        "uncommitted_changes": bool(dirty),
+        "machine": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "blas_threads": 1,
+        },
+        "src_lines": sum(
+            len(p.read_text().splitlines()) for p in sorted((ROOT / "src").rglob("*.py"))
+        ),
+    }
+    t0 = time.perf_counter()
+    try:
+        record["sweep"] = sweep(work)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    record["sweep_wall_s"] = round(time.perf_counter() - t0, 2)
+    record["selftest"] = timed_command([sys.executable, "-m", "gmpflow.cli", "selftest"])
+    record["tier1"] = timed_command(TIER1)
+    record["perfbench"] = perfbench_runs()
+    Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -48,7 +48,6 @@ from .ks import (
     functional_report,
     ks_diagnostics,
     map_chain,
-    shifted_run,
     telescoping_check,
 )
 
@@ -265,8 +264,7 @@ def criterion_telescoping() -> dict:
         + H_plus_partial(db_next, 0, j_top)
         - column_term(db_next, s_last)
     )
-    run = map_chain(flow_run(w, 5).states, d, 3)
-    report = telescoping_check(run, map_chain(shifted_run(w, 5), d, 3))
+    report = telescoping_check(map_chain(flow_run(w, 5).states, d, 3))
     checks = [
         ("one-step drop residual", abs(lhs - rhs), 1e-8),
         ("shift comparison residual", report["residual"], 1e-8),

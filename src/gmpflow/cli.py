@@ -39,7 +39,6 @@ from .ks import (
     functional_report,
     ks_diagnostics,
     map_chain,
-    shifted_run,
     telescoping_check,
 )
 
@@ -65,6 +64,17 @@ KS_FAMILIES = (
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
+
+
+def _tolerance(text: str) -> float:
+    """A ``--tol`` value; nan would disable its check, a negative one skew it."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return value
 
 
 def _load_json(path: str) -> dict:
@@ -194,8 +204,7 @@ def cmd_ks(args: argparse.Namespace) -> int:
     diag = ks_diagnostics(traj, d, slope_tol)
     tele = np.zeros(args.steps)
     if args.steps > 1:
-        shifted = map_chain(shifted_run(w, args.steps - 1), d, args.margin)
-        tele[1:] = telescoping_check(run, shifted)["residuals"]
+        tele[1:] = telescoping_check(run[: args.steps])["residuals"]
     j_top = min(db.j_hi for db in run)
     log.info(
         "ks: %d blocks, %d steps, trusted rows 0..%d", w.n_blocks, args.steps, j_top
@@ -320,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--eta", type=float, default=0.9, help="weight base of the tail distance"
     )
     q.add_argument(
-        "--tol", type=float, default=None, help="validity floor override"
+        "--tol", type=_tolerance, default=None, help="validity floor override"
     )
     q.add_argument("--out", default=None, help="output path (default stdout)")
     q.set_defaults(func=cmd_flow)
@@ -333,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--margin", type=int, default=3, help="rows dropped at the window edges"
     )
     q.add_argument(
-        "--tol", type=float, default=None, help="divergence slope override"
+        "--tol", type=_tolerance, default=None, help="divergence slope override"
     )
     q.add_argument("--out", default=None, help="output path (default stdout)")
     q.set_defaults(func=cmd_ks)

@@ -46,7 +46,9 @@ class DeltaBlocks:
     ``v_blocks[i]`` is the lower triangular coupling block between block
     rows ``j_lo + i - 1`` and ``j_lo + i`` (one more than the diagonal
     blocks, so every stored diagonal block has both neighbours), and
-    ``w_blocks[i]`` the symmetric diagonal block at ``j_lo + i``.  Signs
+    ``w_blocks[i]`` the symmetric diagonal block at ``j_lo + i``.  Both
+    are read-only stacks, ``(span + 1, g + 1, g + 1)`` and
+    ``(span, g + 1, g + 1)`` for a range of ``span`` block rows.  Signs
     are normalised so every coupling block has positive diagonal, which
     keeps the log-determinant terms real.
     """
@@ -54,20 +56,22 @@ class DeltaBlocks:
     g: int
     j_lo: int
     j_hi: int
-    v_blocks: tuple[np.ndarray, ...]
-    w_blocks: tuple[np.ndarray, ...]
+    v_blocks: np.ndarray
+    w_blocks: np.ndarray
 
     def __post_init__(self) -> None:
         if self.j_hi < self.j_lo:
             raise WindowError("trusted range is empty")
+        V, W = (np.asarray(arr, dtype=float) for arr in (self.v_blocks, self.w_blocks))
         span = self.j_hi - self.j_lo + 1
-        if len(self.v_blocks) != span + 1 or len(self.w_blocks) != span:
+        if V.shape[:1] != (span + 1,) or W.shape[:1] != (span,):
             raise ValidationError("block count does not match the range")
         per = self.g + 1
-        for arr in (*self.v_blocks, *self.w_blocks):
-            if arr.shape != (per, per):
-                raise ValidationError("block shape does not match the genus")
+        if V.shape[1:] != (per, per) or W.shape[1:] != (per, per):
+            raise ValidationError("block shape does not match the genus")
+        for arr in (V, W):
             arr.flags.writeable = False
+        vars(self).update(v_blocks=V, w_blocks=W)  # frozen: bypass __setattr__
 
     def v(self, j: int) -> np.ndarray:
         """Coupling block between block rows ``j - 1`` and ``j``."""
@@ -90,8 +94,11 @@ def delta_of_gmp(window: GmpWindow, d: DeltaData, margin: int) -> DeltaBlocks:
     within ``margin`` blocks of either end are discarded: away from the
     wrap seam the resolvent columns at the poles have exact three-block
     support, so the trusted interior reproduces the doubly infinite
-    operator.  One interior resolvent column is cross-checked against
-    its closed form whenever the window reaches around the origin.
+    operator.  From the same eigendecomposition, the resolvent column at
+    the first pole and slot 0 of block 0 is cross-checked against its
+    closed form whenever the trusted rows reach blocks -1..1, and that
+    of block 1 against the closed form of the window relabelled by one
+    (block j becomes block j - 1) whenever they reach blocks 0..2.
     """
     if d.g != window.g:
         raise ValidationError(
@@ -110,104 +117,96 @@ def delta_of_gmp(window: GmpWindow, d: DeltaData, margin: int) -> DeltaBlocks:
 
     mapped, vals, vecs = apply_comb_map(assemble_wrapped(window), d)
 
-    per = window.g + 1
-
-    def base(j: int) -> int:
-        return (j - window.j_min) * per
-
+    n, per = window.n_blocks, window.g + 1
     m_scale = max(1.0, float(np.max(np.abs(mapped))))
-    defect = 0.0
-    raw_v = []
-    raw_w = []
-    for j in range(j_lo, j_hi + 2):
-        block = mapped[base(j - 1) : base(j - 1) + per, base(j) : base(j) + per]
-        raw_v.append(block)
-        defect = max(defect, float(np.max(np.abs(np.triu(block, 1)))))
-    for j in range(j_lo, j_hi + 1):
-        raw_w.append(mapped[base(j) : base(j) + per, base(j) : base(j) + per])
-        far = mapped[base(j - 2) : base(j - 1), base(j) : base(j) + per]
-        defect = max(defect, float(np.max(np.abs(far))))
+    # block (j + r, j) for r = -2, -1, 0 and every j in j_lo..j_hi + 1
+    cols = np.arange(j_lo, j_hi + 2) - window.j_min
+    rows = cols + np.arange(-2, 1)[:, None]
+    gathered = mapped.reshape(n, per, n, per)[rows, :, cols, :]
+    far, raw_v, raw_w = gathered[0, :-1], gathered[1], gathered[2, :-1]
+    defect = max(float(np.max(np.abs(np.triu(raw_v, 1)))), float(np.max(np.abs(far))))
     if defect > BAND_DEFECT_REL * m_scale:
         raise NumericalError(
             f"mapped operator lost its band structure: defect {defect:.3e}"
         )
 
-    if window.g and j_lo <= -1 and j_hi >= 1:
+    trusted = slice((j_lo - window.j_min) * per, (j_hi + 1 - window.j_min) * per)
+    for j in (0, 1):
+        if not (window.g and j_lo <= j - 1 and j_hi >= j + 1):
+            continue
+        labels = window
+        if j:  # the closed form is that of block 0: relabel block 1 as it
+            labels = GmpWindow.from_arrays(window.P, window.Q, window.c, window.j_min - 1)
         try:
-            closed = resolvent_column(window, 1)
+            closed = resolvent_column(labels, 1)
         except ValidationError:  # the closed form is undefined here
-            pass
-        else:
-            # column of (c_1 - A)^{-1} at slot 0 of block 0
-            col = (vecs / (window.c[0] - vals)) @ vecs[window.scalar_index(0, 0)]
-            rows = slice(base(j_lo), base(j_hi) + per)
-            err = float(np.max(np.abs(col[rows] - closed[rows])))
-            if err > RESOLVENT_CHECK_TOL:
-                raise NumericalError(
-                    f"resolvent column deviates from its closed form by {err:.3e}"
-                )
+            continue
+        # column of (c_1 - A)^{-1} at slot 0 of block j
+        col = (vecs / (window.c[0] - vals)) @ vecs[window.scalar_index(j, 0)]
+        err = float(np.max(np.abs(col[trusted] - closed[trusted])))
+        if err > RESOLVENT_CHECK_TOL:
+            raise NumericalError(
+                f"resolvent column deviates from its closed form by {err:.3e}"
+            )
 
-    eps_prev = np.ones(per)
-    eps_chain = []
-    v_blocks = []
-    for block in raw_v:
-        diag = np.diag(block)
-        if np.min(np.abs(diag)) < DIAGONAL_FLOOR_REL * m_scale:
-            raise NumericalError("coupling block has a vanishing diagonal entry")
-        eps_here = eps_prev * np.sign(diag)
-        v_blocks.append(np.outer(eps_prev, eps_here) * block)
-        eps_chain.append(eps_here)
-        eps_prev = eps_here
-    w_blocks = [
-        np.outer(eps_chain[i], eps_chain[i]) * raw_w[i] for i in range(len(raw_w))
-    ]
+    diag = np.diagonal(raw_v, axis1=1, axis2=2)
+    if np.min(np.abs(diag)) < DIAGONAL_FLOOR_REL * m_scale:
+        raise NumericalError("coupling block has a vanishing diagonal entry")
+    eps = np.cumprod(np.sign(diag), axis=0)
+    eps_prev = np.vstack([np.ones(per), eps[:-1]])
     return DeltaBlocks(
         g=window.g,
         j_lo=j_lo,
         j_hi=j_hi,
-        v_blocks=tuple(v_blocks),
-        w_blocks=tuple(w_blocks),
+        v_blocks=(eps_prev[:, :, None] * eps[:, None, :]) * raw_v,
+        w_blocks=(eps[:-1, :, None] * eps[:-1, None, :]) * raw_w,
     )
 
 
-def h_term(v0: np.ndarray, w0: np.ndarray, v1: np.ndarray) -> float:
+def h_term(v0: np.ndarray, w0: np.ndarray, v1: np.ndarray) -> float | np.ndarray:
     """Entropy of one block triple; zero exactly at the two-shift pattern.
 
     Half the squared Frobenius norms of the incoming coupling, diagonal
     and outgoing coupling blocks, minus the block size, minus the log
     determinant of the two couplings.  Nonnegative whenever both
-    determinants are positive.
+    determinants are positive.  Broadcasts over stacks of triples
+    (leading axes), returning one term per triple; a single triple
+    gives a float.
     """
-    v0 = np.asarray(v0, dtype=float)
-    w0 = np.asarray(w0, dtype=float)
-    v1 = np.asarray(v1, dtype=float)
-    if not (v0.shape == w0.shape == v1.shape) or v0.ndim != 2:
+    v0, w0, v1 = (np.asarray(arr, dtype=float) for arr in (v0, w0, v1))
+    square = v0.ndim >= 2 and v0.shape[-2] == v0.shape[-1]
+    if not (square and v0.shape == w0.shape == v1.shape):
         raise ValidationError("blocks must be square matrices of equal shape")
-    if v0.shape[0] != v0.shape[1]:
-        raise ValidationError("blocks must be square matrices of equal shape")
-    w_scale = max(1.0, float(np.max(np.abs(w0))))
-    if float(np.max(np.abs(w0 - w0.T))) > 1e-8 * w_scale:
+    w0_t = np.swapaxes(w0, -1, -2)
+    w_scale = np.maximum(1.0, np.max(np.abs(w0), axis=(-2, -1)))
+    if np.any(np.max(np.abs(w0 - w0_t), axis=(-2, -1)) > 1e-8 * w_scale):
         raise ValidationError("diagonal block must be symmetric")
-    w_sym = 0.5 * (w0 + w0.T)
+    w_sym = 0.5 * (w0 + w0_t)
     sign0, logdet0 = np.linalg.slogdet(v0)
     sign1, logdet1 = np.linalg.slogdet(v1)
-    if sign0 <= 0 or sign1 <= 0:
+    if np.any(sign0 <= 0) or np.any(sign1 <= 0):
         raise ValidationError("coupling blocks must have positive determinant")
-    dim = v0.shape[0]
-    norms = float(np.sum(v0 * v0) + np.sum(w_sym * w_sym) + np.sum(v1 * v1))
-    return 0.5 * norms - dim - float(logdet0 + logdet1)
+    norms = sum(np.sum(blk * blk, axis=(-2, -1)) for blk in (v0, w_sym, v1))
+    terms = 0.5 * norms - v0.shape[-1] - (logdet0 + logdet1)
+    return float(terms) if terms.ndim == 0 else terms
+
+
+def _rows(db: DeltaBlocks, first: int, last: int):
+    """Block triples of rows ``first`` through ``last`` as three stacks."""
+    if first < db.j_lo or last > db.j_hi:
+        raise WindowError(
+            f"requested range [{first}, {last}] exceeds trusted "
+            f"[{db.j_lo}, {db.j_hi}]"
+        )
+    a, b = first - db.j_lo, last + 1 - db.j_lo
+    return db.v_blocks[a:b], db.w_blocks[a:b], db.v_blocks[a + 1 : b + 1]
 
 
 def H_plus_partial(db: DeltaBlocks, first: int, last: int) -> float:
     """Sum of entropy terms over block rows ``first`` through ``last``."""
     if last < first:
         return 0.0
-    if first < db.j_lo or last > db.j_hi:
-        raise WindowError(
-            f"requested range [{first}, {last}] exceeds trusted "
-            f"[{db.j_lo}, {db.j_hi}]"
-        )
-    return sum(h_term(db.v(j), db.w(j), db.v(j + 1)) for j in range(first, last + 1))
+    return sum(h_term(*_rows(db, first, last)).tolist())
 
 
 def column_term(db: DeltaBlocks, s: int) -> float:
@@ -249,15 +248,6 @@ def delta_J_H(window: GmpWindow, d: DeltaData, margin: int = 3) -> float:
     return column_term(db, -1)
 
 
-def shifted_run(window: GmpWindow, n: int) -> list[GmpWindow]:
-    """The window moved one block left (block j becomes block j - 1) and
-    its first n flow images, the run ``telescoping_check`` compares with."""
-    states = [GmpWindow.from_arrays(window.P, window.Q, window.c, window.j_min - 1)]
-    for _ in range(n):
-        states.append(jacobi_flow_step(states[-1]))
-    return states
-
-
 def map_chain(run: Sequence[GmpWindow], d: DeltaData, margin: int) -> list[DeltaBlocks]:
     """Mapped blocks of each state, whose trusted rows must reach -1..0."""
     out = []
@@ -272,27 +262,32 @@ def map_chain(run: Sequence[GmpWindow], d: DeltaData, margin: int) -> list[Delta
     return out
 
 
-def telescoping_check(
-    run: Sequence[DeltaBlocks], shifted: Sequence[DeltaBlocks]
-) -> dict:
+def _h_origin(run: Sequence[DeltaBlocks]) -> np.ndarray:
+    """Entropy term of block row 0 of each state, from one stacked call."""
+    return h_term(*(np.concatenate(t) for t in zip(*(_rows(db, 0, 0) for db in run))))
+
+
+def telescoping_check(run: Sequence[DeltaBlocks]) -> dict:
     """Compare flow runs of every length against a single index shift.
 
-    ``run`` holds the mapped states of a flow run and ``shifted`` those
-    of ``shifted_run`` of the same window (see ``map_chain``); N + 1 is
-    the length of the shorter one.  For every n = 1..N the sum of the
+    ``run`` holds the mapped states 0..N of a flow run (see
+    ``map_chain``).  The run of the window relabelled by one (block j
+    becomes block j - 1) steps the same blocks, so its drop term at
+    state m is the entropy share of scalar column g of state m, read
+    from the same mapped blocks.  For every n = 1..N the sum of the
     first n drop terms plus the origin entropy of state n must equal
-    the initial origin entropy plus the same sum along the shifted run;
-    the residuals of all n come from running sums.  The terms, both
-    sides and the matching determinant chain identity for the outer
-    corner entries of the coupling blocks are reported for n = N.
+    the initial origin entropy plus the same sum along the relabelled
+    run; the residuals of all n come from running sums.  The terms,
+    both sides and the matching determinant chain identity for the
+    outer corner entries of the coupling blocks are reported for n = N.
     """
-    n = min(len(run), len(shifted)) - 1
+    n = len(run) - 1
     if n < 1:
         raise ValidationError("telescoping needs at least one step")
     g = run[0].g
-    left_terms = [column_term(db, -1) for db in run[1 : n + 1]]
-    right_terms = [column_term(db, -1) for db in shifted[1 : n + 1]]
-    h_origin = np.array([h_term(db.v(0), db.w(0), db.v(1)) for db in run[: n + 1]])
+    left_terms = [column_term(db, -1) for db in run[1:]]
+    right_terms = [column_term(db, g) for db in run[1:]]
+    h_origin = _h_origin(run)
     # cumsum adds in order, as the sum of each n's terms alone would
     lhs = np.cumsum(left_terms) + h_origin[1:]
     rhs = h_origin[0] + np.cumsum(right_terms)
@@ -362,10 +357,8 @@ def functional_report(run: Sequence[DeltaBlocks]) -> KsFunctionalReport:
     if not run:
         raise ValidationError("a flow run has at least one state")
     db0 = run[0]
-    h_spatial = np.array(
-        [h_term(db0.v(j), db0.w(j), db0.v(j + 1)) for j in range(db0.j_lo, db0.j_hi + 1)]
-    )
-    h_origin = np.array([h_term(db.v(0), db.w(0), db.v(1)) for db in run])
+    h_spatial = h_term(*_rows(db0, db0.j_lo, db0.j_hi))
+    h_origin = _h_origin(run)
     step_drops = np.array([column_term(db, -1) for db in run[1:]])
     return KsFunctionalReport(
         j_lo=db0.j_lo,

@@ -261,7 +261,8 @@ class TestKs:
         assert got == (tmp_path / "map.csv").read_bytes()
 
     def test_each_state_is_mapped_once(self, tmp_path, monkeypatch):
-        # 9 states of the run and 8 of the shifted run, one eigensolve each
+        # 9 states of the run, one eigensolve each; the shift comparison
+        # reads the same mapped blocks
         calls = []
         orig = numkit.sym_eigen
 
@@ -275,7 +276,7 @@ class TestKs:
         args = ["ks", write_json(tmp_path / "w.json", w.to_json())]
         args += [write_json(tmp_path / "d.json", d.to_json()), "--steps", "8"]
         assert cli.main(args + ["--out", str(tmp_path / "ks.csv")]) == 0
-        assert len(calls) == 2 * 8 + 1
+        assert len(calls) == 8 + 1
 
     def test_narrowest_window_for_eight_steps(self, tmp_path, capsys):
         # state 8 of blocks -12..11 spans -4..3, whose trusted rows with
@@ -313,6 +314,36 @@ class TestKs:
             args = ["ks", win, d, "--steps", "3", "--out", str(out)]
             assert cli.main(args) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+class TestTolerance:
+    """``--tol`` must be finite and nonnegative: nan turned the divergence
+    check off and let a nan floor fail with a misleading comparison, and a
+    negative value flagged every family or let nonpositive pair
+    functionals through the validity floor."""
+
+    @pytest.mark.parametrize(
+        "command, value",
+        [("ks", "nan"), ("ks", "-1"), ("flow", "-1"), ("flow", "nan")],
+        ids=["ks-nan", "ks-negative", "flow-negative", "flow-nan"],
+    )
+    def test_rejected_with_its_name(self, tmp_path, capsys, command, value):
+        argv = [command, p1_window_file(tmp_path)]
+        if command == "ks":
+            argv.append(estar_delta_file(tmp_path))
+        capsys.readouterr()
+        out = tmp_path / "unwritten.csv"
+        assert cli.main(argv + ["--steps", "2", "--tol", value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: argument --tol: must be finite and >= 0, "
+            f"got '{value}'\n"
+        )
+        assert not out.exists()
+
+    def test_zero_is_accepted(self, tmp_path, capsys):
+        win = p1_window_file(tmp_path)
+        assert cli.main(["flow", win, "--steps", "2", "--tol", "0"]) == 0
+        assert "tol=0 " in capsys.readouterr().out
 
 
 class TestIsoSolve:

@@ -6,12 +6,14 @@ import pytest
 
 from conftest import make_estar_gapset, make_p1_window, make_perturbed_window
 
+from gmpflow import ks
 from gmpflow.errors import (
+    NumericalError,
     SpectrumProximityError,
     ValidationError,
     WindowError,
 )
-from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
+from gmpflow.finitegap import DeltaData, GapSet, apply_comb_map, delta_from_gaps
 from gmpflow.flow import FlowTrajectory, flow_run, jacobi_flow_step
 from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense, assemble_wrapped
 from gmpflow.isospectral import solve_is_point
@@ -27,7 +29,6 @@ from gmpflow.ks import (
     h_term,
     ks_diagnostics,
     map_chain,
-    shifted_run,
     telescoping_check,
 )
 
@@ -67,16 +68,15 @@ def mapped_run(w: GmpWindow, d: DeltaData, n: int, margin: int = 3):
 
 
 def telescope(w: GmpWindow, d: DeltaData, n: int, margin: int = 3) -> dict:
-    """Telescoping report of the n-step runs of ``w`` and of its shift."""
-    shifted = map_chain(shifted_run(w, n), d, margin)
-    return telescoping_check(mapped_run(w, d, n, margin), shifted)
+    """Telescoping report of the n-step run of ``w`` against its shift."""
+    return telescoping_check(mapped_run(w, d, n, margin))
 
 
 def reference_telescoping(w: GmpWindow, d: DeltaData, n: int) -> dict:
     """The n-step comparison computed on its own: two fresh flow runs of
     n steps and a fresh comb map of each of their states."""
     dbs = mapped_run(w, d, n)
-    dbs_shifted = mapped_run(GmpWindow.from_arrays(w.P, w.Q, w.c, w.j_min - 1), d, n)
+    dbs_shifted = mapped_run(relabelled(w), d, n)
     left = sum(column_term(dbs[m], -1) for m in range(1, n + 1))
     right = sum(column_term(dbs_shifted[m], -1) for m in range(1, n + 1))
     lhs = left + h_term(dbs[n].v(0), dbs[n].w(0), dbs[n].v(1))
@@ -95,6 +95,37 @@ def reference_telescoping(w: GmpWindow, d: DeltaData, n: int) -> dict:
     }
 
 
+def reference_blocks(w: GmpWindow, d: DeltaData, margin: int):
+    """Coupling and diagonal blocks of the mapped window over its trusted
+    range, sliced one block at a time and sign-normalised block by block."""
+    mapped = apply_comb_map(assemble_wrapped(w), d)[0]
+    per = w.g + 1
+    j_lo, j_hi = w.j_min + margin, w.j_max - margin
+
+    def block(row, col):
+        r, c = (row - w.j_min) * per, (col - w.j_min) * per
+        return mapped[r : r + per, c : c + per]
+
+    eps_prev = np.ones(per)
+    eps_chain, v_blocks = [], []
+    for j in range(j_lo, j_hi + 2):
+        raw = block(j - 1, j)
+        eps_here = eps_prev * np.sign(np.diag(raw))
+        v_blocks.append(np.outer(eps_prev, eps_here) * raw)
+        eps_chain.append(eps_here)
+        eps_prev = eps_here
+    w_blocks = [
+        np.outer(eps_chain[i], eps_chain[i]) * block(j, j)
+        for i, j in enumerate(range(j_lo, j_hi + 1))
+    ]
+    return v_blocks, w_blocks
+
+
+def relabelled(w: GmpWindow) -> GmpWindow:
+    """The same blocks one label lower: block j becomes block j - 1."""
+    return GmpWindow.from_arrays(w.P, w.Q, w.c, w.j_min - 1)
+
+
 def twogap_delta() -> DeltaData:
     return delta_from_gaps(GapSet(-2.0, 2.0, ((-1.2, -0.4), (0.5, 1.1))))
 
@@ -102,6 +133,15 @@ def twogap_delta() -> DeltaData:
 def twogap_surface_block(d: DeltaData) -> GmpBlock:
     seed = GmpBlock([0.4, 0.4, 1.0 / d.lambda0], [0.0, 0.0, 0.0])
     return solve_is_point(d, seed).block
+
+
+def perturbed_case(genus: int) -> tuple[DeltaData, GmpWindow]:
+    """A comb map and a perturbed window of that genus (27 blocks for
+    g=1, 41 for g=2)."""
+    if genus == 1:
+        return estar_delta(), decaying_window(0.05, 27)
+    d = twogap_delta()
+    return d, make_perturbed_window(twogap_surface_block(d), d.cs())
 
 
 class TestAssembleWrapped:
@@ -230,6 +270,54 @@ class TestDeltaOfGmp:
         with pytest.raises(SpectrumProximityError, match="shift"):
             delta_of_gmp(w, d, margin=3)
 
+    @pytest.mark.parametrize("genus", [1, 2])
+    def test_stacked_blocks_match_blockwise_slices_bitwise(self, genus):
+        d, w = perturbed_case(genus)
+        db = delta_of_gmp(w, d, margin=3)
+        v_blocks, w_blocks = reference_blocks(w, d, 3)
+        assert db.v_blocks.shape == (len(v_blocks), genus + 1, genus + 1)
+        assert db.w_blocks.shape == (len(w_blocks), genus + 1, genus + 1)
+        assert np.array_equal(db.v_blocks, v_blocks)
+        assert np.array_equal(db.w_blocks, w_blocks)
+
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_closed_form_column_is_checked_at_blocks_0_and_1(self, monkeypatch, block):
+        # block 1's column is checked against the closed form of the window
+        # relabelled by one, whose block 0 it is
+        d, w = perturbed_case(2)
+        honest = ks.resolvent_column
+        seen = []
+
+        def perturbed(window, k):
+            col = honest(window, k)
+            seen.append(window.j_min)
+            if window.j_min == w.j_min - block:
+                col = col.copy()
+                col[window.scalar_index(0, 0)] += 1e-6
+            return col
+
+        monkeypatch.setattr(ks, "resolvent_column", perturbed)
+        with pytest.raises(NumericalError, match="closed form"):
+            delta_of_gmp(w, d, margin=3)
+        assert seen == [w.j_min, w.j_min - 1][: block + 1]
+
+    def test_closed_form_checks_need_their_blocks_trusted(self, monkeypatch):
+        # blocks -1..1 (for block 0) and 0..2 (for block 1) must be trusted
+        honest = ks.resolvent_column
+        seen = []
+
+        def spy(window, k):
+            seen.append(window.j_min)
+            return honest(window, k)
+
+        d = estar_delta()
+        monkeypatch.setattr(ks, "resolvent_column", spy)
+        cases = {(9, -4): [-4], (9, -3): [-4], (9, -5): [], (10, -4): [-4, -5]}
+        for (n_blocks, j_min), expected in cases.items():
+            seen.clear()
+            delta_of_gmp(make_p1_window(n_blocks, j_min), d, margin=3)
+            assert seen == expected, (n_blocks, j_min)
+
     def test_pole_order_of_map_is_irrelevant(self):
         # the closed-form column check must use the window's first pole,
         # not the map's, when the map lists its poles in another order
@@ -239,7 +327,9 @@ class TestDeltaOfGmp:
         db = delta_of_gmp(w, d, margin=3)
         db_rev = delta_of_gmp(w, reversed_map, margin=3)
         assert (db_rev.j_lo, db_rev.j_hi) == (db.j_lo, db.j_hi)
-        pairs = zip(db_rev.v_blocks + db_rev.w_blocks, db.v_blocks + db.w_blocks)
+        pairs = zip(
+            (*db_rev.v_blocks, *db_rev.w_blocks), (*db.v_blocks, *db.w_blocks)
+        )
         for got, want in pairs:
             npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -306,6 +396,32 @@ class TestHTerm:
         with pytest.raises(ValidationError, match="shape"):
             h_term(np.eye(2), np.zeros((3, 3)), np.eye(2))
 
+    @pytest.mark.parametrize("genus", [1, 2])
+    def test_stack_matches_scalar_calls_bitwise(self, genus):
+        d, w = perturbed_case(genus)
+        db = delta_of_gmp(w, d, margin=3)
+        stacked = h_term(db.v_blocks[:-1], db.w_blocks, db.v_blocks[1:])
+        scalar = [h_term(db.v(j), db.w(j), db.v(j + 1)) for j in range(db.j_lo, db.j_hi + 1)]
+        assert stacked.shape == (db.j_hi - db.j_lo + 1,)
+        assert np.array_equal(stacked, scalar)
+
+    def test_random_stacks_match_scalar_calls_bitwise(self):
+        rng = np.random.default_rng(405)
+        for dim in (2, 3, 5):
+            v = np.tril(rng.standard_normal((30, dim, dim)), -1) + np.exp(
+                rng.standard_normal((30, 1, dim))
+            ) * np.eye(dim)
+            raw = rng.standard_normal((29, dim, dim))
+            w = raw + np.swapaxes(raw, 1, 2)
+            stacked = h_term(v[:-1], w, v[1:])
+            assert np.array_equal(stacked, [h_term(*t) for t in zip(v[:-1], w, v[1:])])
+
+    def test_stack_rejects_any_bad_triple(self):
+        v = np.stack([np.eye(2)] * 3)
+        v[1, 1, 1] = -1.0
+        with pytest.raises(ValidationError, match="determinant"):
+            h_term(v[:-1], np.zeros((2, 2, 2)), v[1:])
+
 
 class TestHPlusPartial:
     def test_periodic_window_sums_to_zero(self):
@@ -334,6 +450,15 @@ class TestHPlusPartial:
     def test_empty_range_is_zero(self):
         db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
         assert H_plus_partial(db, 2, 1) == 0.0
+
+    def test_sums_scalar_terms_left_to_right_bitwise(self):
+        d, w = perturbed_case(2)
+        db = delta_of_gmp(w, d, margin=3)
+        for first, last in ((0, 13), (db.j_lo, db.j_hi)):
+            total = 0.0
+            for j in range(first, last + 1):
+                total += h_term(db.v(j), db.w(j), db.v(j + 1))
+            assert H_plus_partial(db, first, last) == total, (first, last)
 
 
 class TestColumnTerm:
@@ -462,19 +587,31 @@ class TestTelescoping:
         )
         assert abs(drop - accumulated) < 1e-7
 
+    def test_relabelled_drop_is_column_g_of_the_run(self):
+        # the run of the window relabelled by one steps the same blocks, so
+        # its drop term is scalar column g of the run's own mapped state
+        d, w = perturbed_case(2)
+        run = mapped_run(w, d, 8)
+        state, shifted = w, relabelled(w)
+        for m, db in enumerate(run):
+            assert np.array_equal(shifted.P, state.P)
+            assert np.array_equal(shifted.Q, state.Q)
+            fresh = delta_of_gmp(shifted, d, margin=3)
+            assert column_term(db, w.g) == column_term(fresh, -1), m
+            state, shifted = jacobi_flow_step(state), jacobi_flow_step(shifted)
+
     def test_step_floor(self):
         with pytest.raises(ValidationError, match="one step"):
             telescope(decaying_window(), estar_delta(), 0)
 
     def test_running_sums_match_runs_of_each_length(self):
-        # one run of 8 steps and a shifted run of 7, as ``gmpflow ks
-        # --steps 8`` builds them, give every n exactly the residual of
+        # the first 8 states of one run of 8 steps, as ``gmpflow ks
+        # --steps 8`` passes them, give every n exactly the residual of
         # two fresh n-step runs
         d = twogap_delta()
         w = make_perturbed_window(twogap_surface_block(d), d.cs())
         assert (w.n_blocks, w.g) == (41, 2)
-        shifted = map_chain(shifted_run(w, 7), d, 3)
-        report = telescoping_check(mapped_run(w, d, 8), shifted)
+        report = telescoping_check(mapped_run(w, d, 8)[:8])
         per_n = [reference_telescoping(w, d, n) for n in range(1, 8)]
         assert report["n"] == 7
         assert np.array_equal(report["residuals"], [r["residual"] for r in per_n])
@@ -516,6 +653,14 @@ class TestFunctionalReport:
                 step_drops=np.zeros(0),
                 drop_partials=np.zeros(0),
             )
+
+    def test_origin_outside_trusted_range_rejected(self):
+        db = delta_of_gmp(make_p1_window(n_blocks=9, j_min=-12), estar_delta(), 3)
+        assert db.j_hi < 0
+        with pytest.raises(WindowError, match="trusted"):
+            functional_report([db])
+        with pytest.raises(WindowError, match="trusted"):
+            telescoping_check([db, db])
 
     def test_zero_steps(self):
         report = functional_report(mapped_run(decaying_window(), estar_delta(), 0))
