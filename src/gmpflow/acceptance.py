@@ -15,7 +15,6 @@ import numpy as np
 
 from . import numkit
 from .construct import (
-    factor_L,
     gmp_to_jacobi_measure,
     gram_D,
     jacobi_to_gmp,
@@ -467,12 +466,13 @@ SEED_OFFSETS = {
 
 
 def run_criterion(fn, seed: int | None = None) -> dict:
-    """Run one criterion, turning any exception into a failed report."""
+    """Run one criterion, turning any exception into a failed report that
+    carries the criterion's number (0 for a function outside ``CRITERIA``)."""
     try:
         return fn() if seed is None else fn(seed)
     except Exception as exc:  # noqa: BLE001 - a failed check must not abort the suite
         return {
-            "index": 0,
+            "index": CRITERIA.index(fn) + 1 if fn in CRITERIA else 0,
             "name": fn.__name__.replace("criterion_", "").replace("_", " "),
             "passed": False,
             "elapsed_s": 0.0,

@@ -77,6 +77,17 @@ def _tolerance(text: str) -> float:
     return value
 
 
+def _seed(text: str) -> int:
+    """A ``selftest --seed`` value: the random draws need an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 0, got {text!r}")
+    return value
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -373,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("selftest", help="run the acceptance suite")
     q.add_argument(
-        "--seed", type=int, default=None, help="rebase the random-instance draws"
+        "--seed", type=_seed, default=None, help="rebase the random-instance draws"
     )
     q.add_argument("--out", default=None, help="output path (default stdout)")
     q.set_defaults(func=cmd_selftest)

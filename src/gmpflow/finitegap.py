@@ -10,9 +10,7 @@ where ``P_a(z) = prod_j (z - a_j)`` over the gap left endpoints together
 with ``a0``, and ``P_b`` likewise over ``b0`` and the gap right endpoints.
 Each gap contains exactly one pole ``c_k`` (a root of ``P_b - P_a``), all
 ``lambda_k`` are positive, and ``Delta`` sweeps ``[-2, 2]`` exactly once
-on every band.  The module also evaluates the associated function
-``Psi = (1 - R) / (1 + R)`` with ``R = +sqrt(P_a / P_b)``, which satisfies
-``Psi + 1/Psi = Delta`` off the set.
+on every band.
 """
 
 from __future__ import annotations
@@ -167,35 +165,6 @@ class DeltaData:
         return cls(lambda0, c0, poles)
 
 
-@dataclass(frozen=True)
-class Ordering:
-    """Permutation of the gap labels 1..g used to order pole sequences."""
-
-    perm: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "perm", tuple(int(k) for k in self.perm))
-        if sorted(self.perm) != list(range(1, len(self.perm) + 1)):
-            raise ValidationError(f"{self.perm} is not a permutation of 1..g")
-
-    @classmethod
-    def identity(cls, g: int) -> "Ordering":
-        return cls(tuple(range(1, g + 1)))
-
-    @classmethod
-    def rolled(cls, g: int) -> "Ordering":
-        """The ordering (g, 1, 2, ..., g-1) produced by one re-blocking pass."""
-        return cls((g,) + tuple(range(1, g))) if g > 0 else cls(())
-
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        values = np.asarray(values, dtype=float)
-        return values[[k - 1 for k in self.perm]]
-
-    def compose(self, other: "Ordering") -> "Ordering":
-        """self applied after other."""
-        return Ordering(tuple(other.perm[k - 1] for k in self.perm))
-
-
 def _poly_eval(z, roots: np.ndarray):
     """prod (z - r) for scalar or array z."""
     z = np.asarray(z)
@@ -322,56 +291,3 @@ def apply_comb_map(
     mapped = delta.lambda0 * mat + delta.c0 * np.eye(vals.size)
     mapped += (vecs * weights) @ vecs.T
     return 0.5 * (mapped + mapped.T), vals, vecs
-
-
-def delta_inverse_points(
-    gapset: GapSet, y: float, delta: DeltaData | None = None
-) -> np.ndarray:
-    """All solutions of Delta(x) = y inside the bands, for y in [-2, 2].
-
-    Delta increases from -2 to 2 across every band, so there is exactly
-    one solution per band; they are returned in increasing order.
-    """
-    if abs(y) > 2.0 + 1e-12:
-        raise ValidationError(f"level {y} lies outside [-2, 2]")
-    if delta is None:
-        delta = delta_from_gaps(gapset)
-    points = []
-    for lo, hi in gapset.bands():
-        flo = eval_delta(delta, lo) - y
-        fhi = eval_delta(delta, hi) - y
-        if abs(flo) <= 1e-9 * max(1.0, abs(y)):
-            points.append(lo)
-        elif abs(fhi) <= 1e-9 * max(1.0, abs(y)):
-            points.append(hi)
-        else:
-            points.append(
-                numkit.bisect_root(lambda x: eval_delta(delta, x) - y, lo, hi)
-            )
-    return np.array(points)
-
-
-def eval_psi(gapset: GapSet, x: float) -> float:
-    """Psi(x) = (1 - R) / (1 + R), R = +sqrt(P_a / P_b), for real x off E.
-
-    Defined (real) outside the bands, gaps included; at band endpoints the
-    limit values +-1 are returned.
-    """
-    x = float(x)
-    for lo, hi in gapset.bands():
-        if lo < x < hi:
-            raise ValidationError(
-                f"{x} lies inside the band [{lo}, {hi}]; the square root "
-                "branch is not real there"
-            )
-    pa = float(eval_pa(gapset, x))
-    pb = float(eval_pb(gapset, x))
-    if pa == 0.0:
-        return 1.0
-    if pb == 0.0:
-        return -1.0
-    ratio = pa / pb
-    if ratio < 0.0:
-        raise ValidationError(f"P_a/P_b is negative at {x}")
-    r = np.sqrt(ratio)
-    return (1.0 - r) / (1.0 + r)

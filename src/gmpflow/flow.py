@@ -19,7 +19,6 @@ import numpy as np
 from .errors import NumericalError, ValidationError, WindowError
 from .gmp import (
     VALIDITY_FLOOR,
-    GmpBlock,
     GmpWindow,
     assemble_dense,
     block_diagonal,
@@ -29,7 +28,6 @@ from .gmp import (
 )
 
 ORTHO_TOL = 1e-12
-STRUCTURE_REL_TOL = 1e-8
 READOUT_REL_TOL = 1e-10
 # Squares as a Python float's ``x ** 2`` takes them, by the C library's pow:
 # np.square rounds about one argument in a thousand the other way.
@@ -86,46 +84,6 @@ def u_block(p) -> np.ndarray:
     return u
 
 
-def _block_angles(P: np.ndarray):
-    """Sine and cosine from the last two p entries (the last is positive)."""
-    x = np.hypot(P[:, -2], P[:, -1])
-    return P[:, -2] / x, P[:, -1] / x
-
-
-def omega_step(window: GmpWindow) -> GmpWindow:
-    """One conjugate-and-shift substep; rolls the pole order by one.
-
-    The pole list (c_1..c_g) becomes (c_g, c_1, .., c_{g-1}).  New
-    block j is assembled from old blocks j-1 and j, so the result keeps
-    blocks j_min+1..j_max.  Entry by entry it coincides with
-    conjugating the dense window by the embedded plane rotations and
-    shifting by one scalar slot (see ``omega_identity_residual``).
-    """
-    g = window.g
-    if window.n_blocks < 2:
-        raise WindowError("need at least two blocks for a substep")
-    cg = window.c[g - 1]
-    s, co = _block_angles(window.P)
-    sp, cp, sc, cc = s[:-1], co[:-1], s[1:], co[1:]
-    prev_p, prev_q, cur_p, cur_q = window.P[:-1], window.Q[:-1], window.P[1:], window.Q[1:]
-    # rotated trailing corner of the previous block
-    m00 = prev_q[:, g - 1] * prev_p[:, g - 1] + cg
-    m01 = prev_q[:, g - 1] * prev_p[:, g]
-    m11 = prev_q[:, g] * prev_p[:, g]
-    p_new = np.empty_like(cur_p)
-    p_new[:, 0] = sp * cp * (m00 - m11) + (cp * cp - sp * sp) * m01
-    p_new[:, 1:g] = cp[:, None] * cur_p[:, : g - 1]
-    p_new[:, g] = cp * np.hypot(cur_p[:, -2], cur_p[:, -1])
-    n00 = cur_q[:, g - 1] * cur_p[:, g - 1] + cg
-    n01 = cur_q[:, g - 1] * cur_p[:, g]
-    n11 = cur_q[:, g] * cur_p[:, g]
-    q_new = np.empty_like(cur_p)
-    q_new[:, 0] = -sp / cp
-    q_new[:, 1:g] = cur_q[:, : g - 1] / cp[:, None]
-    q_new[:, g] = (sc * sc * n00 + 2.0 * sc * cc * n01 + cc * cc * n11) / p_new[:, g]
-    return GmpWindow.from_arrays(p_new, q_new, np.roll(window.c, 1), window.j_min + 1)
-
-
 def jacobi_flow_step(window: GmpWindow) -> GmpWindow:
     """One full step of the flow; drops one block at each edge.
 
@@ -159,59 +117,6 @@ def jacobi_flow_step(window: GmpWindow) -> GmpWindow:
     return GmpWindow.from_arrays(p_new, q_new, window.c, window.j_min + 1)
 
 
-def ods_step(
-    block: GmpBlock, c, a_in: float, b_in: float
-) -> tuple[GmpBlock, float]:
-    """Input-output form of the step at a single block position.
-
-    Borders the block matrix with the scalar input pair (a_in on the
-    trailing slot, b_in in the corner), conjugates by the block
-    orthogonal, and reads off the scalar output b_out in the leading
-    corner together with the next state down the first column.
-    """
-    c = np.asarray(c, dtype=float)
-    g = block.g
-    if not (np.isfinite(a_in) and np.isfinite(b_in)):
-        raise ValidationError("scalar inputs must be finite")
-    if a_in <= 0.0:
-        raise ValidationError(f"a_in must be positive, got {a_in}")
-    bordered = np.zeros((g + 2, g + 2))
-    bordered[: g + 1, : g + 1] = build_block_B(block, c)
-    bordered[g, g + 1] = a_in
-    bordered[g + 1, g] = a_in
-    bordered[g + 1, g + 1] = b_in
-    gmat = np.eye(g + 2)
-    gmat[: g + 1, : g + 1] = u_block(block.p)
-    m = gmat.T @ bordered @ gmat
-    b_out = float(m[0, 0])
-    p_new = m[1:, 0].copy()
-    if p_new[-1] <= 0.0:
-        raise NumericalError("trailing entry of the next state lost positivity")
-    q_new = m[g + 1, 1:] / p_new[-1]
-    new_block = GmpBlock(p_new, q_new)
-    rebuilt = build_block_B(new_block, c)
-    scale = max(1.0, float(np.max(np.abs(m))))
-    defect = float(np.max(np.abs(m[1:, 1:] - rebuilt)))
-    if defect > STRUCTURE_REL_TOL * scale:
-        raise NumericalError(
-            f"conjugated border lost the block pattern (defect {defect:.3e})"
-        )
-    return new_block, b_out
-
-
-def omega_identity_residual(window: GmpWindow, stepped: GmpWindow) -> float:
-    """Deviation of a substep result from the dense conjugation route.
-
-    Conjugates the assembled old window by the embedded plane rotations
-    of every block and compares the one-slot-shifted result against the
-    assembled new window, returning the largest absolute mismatch.
-    """
-    g = window.g
-    rots = np.broadcast_to(np.eye(g + 1), (window.n_blocks, g + 1, g + 1)).copy()
-    rots[:, g - 1 :, g - 1 :] = rotation_o(np.arctan2(*_block_angles(window.P)))
-    return _conjugation_residual(window, stepped, block_diagonal(rots), -1)
-
-
 def flow_identity_residual(window: GmpWindow, stepped: GmpWindow) -> float:
     """Deviation of a flow step from the dense conjugation route.
 
@@ -220,15 +125,10 @@ def flow_identity_residual(window: GmpWindow, stepped: GmpWindow) -> float:
     against the assembled new window, returning the largest absolute
     mismatch.
     """
-    return _conjugation_residual(window, stepped, block_diagonal(u_block(window.P)), 1)
-
-
-def _conjugation_residual(window, stepped, o_full, shift: int) -> float:
-    """Largest mismatch between the assembled stepped window and the old
-    one conjugated by ``o_full`` and shifted by ``shift`` scalar slots."""
+    o_full = block_diagonal(u_block(window.P))
     conj = o_full.T @ assemble_dense(window) @ o_full
     dense_new = assemble_dense(stepped)
-    off = (stepped.j_min - window.j_min) * (window.g + 1) + shift
+    off = (stepped.j_min - window.j_min) * (window.g + 1) + 1
     m = dense_new.shape[0]
     if off < 0 or off + m > conj.shape[0]:
         raise WindowError("stepped window does not sit inside the old one")

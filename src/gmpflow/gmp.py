@@ -159,10 +159,6 @@ class GmpWindow:
             )
         return GmpBlock._view(self.P[j - self.j_min], self.Q[j - self.j_min])
 
-    def interior_js(self) -> range:
-        """Absolute indices of blocks with both neighbours present."""
-        return range(self.j_min + 1, self.j_max)
-
     def scalar_index(self, j: int, slot: int) -> int:
         """Position of slot ``slot`` of block j in the assembled matrix."""
         if not 0 <= slot <= self.g:

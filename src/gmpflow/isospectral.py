@@ -4,10 +4,9 @@ A single block repeated periodically determines a band operator; the
 block lies on the surface when the trace of its transfer matrix equals
 the comb map of the target gap set.  That reduces to g+2 scalar
 residual equations.  This module evaluates the residuals, projects
-nearby blocks onto the surface by Gauss-Newton iteration, measures the
-distance to it, and verifies the operator identity that characterises
-surface points: the comb map applied to the periodic operator is the
-sum of the two block shifts.
+nearby blocks onto the surface by Gauss-Newton iteration, and verifies
+the operator identity that characterises surface points: the comb map
+applied to the periodic operator is the sum of the two block shifts.
 """
 
 from __future__ import annotations
@@ -18,14 +17,12 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .finitegap import DeltaData, apply_comb_map
-from .gmp import GmpBlock, GmpWindow, assemble_wrapped, lambda_k, residue_product
+from .gmp import GmpBlock, GmpWindow, assemble_wrapped, lambda_k
 
 SURFACE_TOL = 1e-9
 SOLVE_TARGET = 1e-12
-DISTANCE_TARGET = 1e-11
 MAX_ITERATIONS = 100
 FD_STEP_REL = 1e-6
-FD_CHECK_REL = 1e-5
 
 
 def is_residual(blk: GmpBlock, d: DeltaData) -> np.ndarray:
@@ -58,20 +55,6 @@ def intrinsic_offset(blk: GmpBlock) -> float:
     return -float(np.dot(blk.p, blk.q)) / float(blk.p[-1])
 
 
-def alternative_qg(blk: GmpBlock, c) -> float:
-    """Residue-sum representation of q_g plus the intrinsic offset.
-
-    Sums, over the poles, the trace of the residue product with the
-    final factor replaced by the corner matrix diag(0, 1/p_g).  The
-    value equals q_g + intrinsic_offset(blk) identically.
-    """
-    final = np.array([[0.0, 0.0], [0.0, 1.0 / blk.p[blk.g]]])
-    total = 0.0
-    for k in range(1, blk.g + 1):
-        total += float(np.trace(residue_product(blk, blk, c, k) @ final))
-    return total
-
-
 @dataclass(frozen=True)
 class IsPoint:
     """A block on the surface, together with its comb map context."""
@@ -90,31 +73,11 @@ class IsPoint:
         return is_residual(self.block, self.delta)
 
 
-@dataclass(frozen=True)
-class IsJacobian:
-    """Partial derivatives of the residue functionals on the surface.
-
-    Rows follow the interleaved free coordinates (p_0, q_0, ..,
-    p_{g-1}, q_{g-1}); columns follow the pole index.  sigma_min is the
-    smallest singular value, positive everywhere on the surface.
-    """
-
-    matrix: np.ndarray
-    sigma_min: float
-
-    def __post_init__(self):
-        mat = np.array(self.matrix, dtype=float)
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-        if not np.all(np.isfinite(mat)):
-            raise ValidationError("jacobian entries must be finite")
-
-
-def _fd_jacobian(fun, x: np.ndarray, h_rel: float) -> np.ndarray:
+def _fd_jacobian(fun, x: np.ndarray) -> np.ndarray:
     """Central finite-difference Jacobian, one column per coordinate."""
     cols = []
     for i in range(x.size):
-        h = h_rel * max(1.0, abs(x[i]))
+        h = FD_STEP_REL * max(1.0, abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
@@ -123,19 +86,19 @@ def _fd_jacobian(fun, x: np.ndarray, h_rel: float) -> np.ndarray:
     return np.array(cols).T
 
 
-def _gauss_newton(fun, x0: np.ndarray, target: float, guard=None) -> np.ndarray:
+def _gauss_newton(fun, x0: np.ndarray) -> np.ndarray:
     """Minimum-norm Gauss-Newton iteration with step halving.
 
-    ``fun`` maps coordinates to the residual vector; ``guard`` may
-    reject a trial point (returning False) before evaluation.
+    ``fun`` maps coordinates to the residual vector, which is driven
+    below ``SOLVE_TARGET``.
     """
     x = x0.copy()
     r = fun(x)
     best = float(np.max(np.abs(r)))
     for _ in range(MAX_ITERATIONS):
-        if best <= target:
+        if best <= SOLVE_TARGET:
             return x
-        jac = _fd_jacobian(fun, x, FD_STEP_REL)
+        jac = _fd_jacobian(fun, x)
         gram = jac @ jac.T
         try:
             step = -jac.T @ np.linalg.solve(gram, r)
@@ -144,18 +107,17 @@ def _gauss_newton(fun, x0: np.ndarray, target: float, guard=None) -> np.ndarray:
         alpha = 1.0
         for _ in range(40):
             trial = x + alpha * step
-            if guard is None or guard(trial):
-                r_trial = fun(trial)
-                trial_norm = float(np.max(np.abs(r_trial)))
-                if trial_norm < best:
-                    x, r, best = trial, r_trial, trial_norm
-                    break
+            r_trial = fun(trial)
+            trial_norm = float(np.max(np.abs(r_trial)))
+            if trial_norm < best:
+                x, r, best = trial, r_trial, trial_norm
+                break
             alpha *= 0.5
         else:
             raise NumericalError(
                 f"projection stalled at residual {best:.3e}"
             )
-    if best <= target:
+    if best <= SOLVE_TARGET:
         return x
     raise NumericalError(
         f"no convergence after {MAX_ITERATIONS} iterations "
@@ -195,72 +157,9 @@ def solve_is_point(d: DeltaData, seed: GmpBlock) -> IsPoint:
         return out
 
     x0 = np.concatenate([start.p[:g], start.q])
-    x = _gauss_newton(fun, x0, SOLVE_TARGET)
+    x = _gauss_newton(fun, x0)
     block = GmpBlock(np.concatenate([x[:g], [p_fixed]]), x[g:])
     return IsPoint(block, d)
-
-
-def is_jacobian(blk: GmpBlock, d: DeltaData) -> IsJacobian:
-    """Derivatives of the residue functionals in the free coordinates.
-
-    The trailing pair (p_g, q_g) is eliminated through the two linear
-    surface relations, so the columns are taken with respect to the
-    2g interleaved coordinates.  Computed by central differences with
-    step 1e-6 and cross-validated against step 1e-5.
-    """
-    g = blk.g
-    if len(d.poles) != g:
-        raise ValidationError(
-            f"block has {g} trailing slots but the map has {len(d.poles)} poles"
-        )
-    c = d.cs()
-    p_fixed = 1.0 / d.lambda0
-
-    def lam_vec(x):
-        p = np.concatenate([x[0::2], [p_fixed]])
-        q_head = x[1::2]
-        q_tail = -d.c0 - d.lambda0 * float(np.dot(x[0::2], q_head))
-        q = np.concatenate([q_head, [q_tail]])
-        b = GmpBlock(p, q)
-        return np.array([lambda_k(b, c, k) for k in range(1, g + 1)])
-
-    x0 = np.empty(2 * g)
-    x0[0::2] = blk.p[:g]
-    x0[1::2] = blk.q[:g]
-    mat = _fd_jacobian(lam_vec, x0, FD_STEP_REL).T
-    check = _fd_jacobian(lam_vec, x0, FD_CHECK_REL).T
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if float(np.max(np.abs(mat - check))) > FD_CHECK_REL * scale:
-        raise NumericalError("finite-difference cross-validation failed")
-    sigma_min = float(np.linalg.svd(mat, compute_uv=False)[-1])
-    return IsJacobian(mat, sigma_min)
-
-
-def is_distance(blk: GmpBlock, d: DeltaData) -> tuple[float, IsPoint]:
-    """Distance from a block to the surface and the projected point.
-
-    Gauss-Newton with minimum-norm steps starting at ``blk``; the
-    returned distance is the Euclidean shift of all 2g+2 coordinates
-    and vanishes exactly when the block already lies on the surface.
-    """
-    g = blk.g
-    initial = is_residual(blk, d)
-    if float(np.max(np.abs(initial))) >= 1.0:
-        raise ValidationError(
-            f"residual {np.max(np.abs(initial)):.3e} too large; "
-            "distance estimate needs a nearby block"
-        )
-
-    def guard(x):
-        return x[g] > 0.0
-
-    def fun(x):
-        return is_residual(GmpBlock(x[: g + 1], x[g + 1 :]), d)
-
-    x0 = np.concatenate([blk.p, blk.q])
-    x = _gauss_newton(fun, x0, DISTANCE_TARGET, guard=guard)
-    nearest = GmpBlock(x[: g + 1], x[g + 1 :])
-    return float(np.linalg.norm(x - x0)), IsPoint(nearest, d)
 
 
 def magic_check(pt, window_blocks: int = 40, margin: int = 10, *, delta=None) -> dict:

@@ -119,12 +119,6 @@ class JacobiWindow:
         b_rev = self.b[: cut + 1][::-1]
         return JacobiWindow(a_rev, b_rev, 0)
 
-    def shifted(self, n: int) -> "JacobiWindow":
-        """Drop the first n sites; the result starts at index 0 again."""
-        if not 0 <= n < self.size:
-            raise WindowError(f"shift {n} outside the window")
-        return JacobiWindow(self.a[n:], self.b[n:], 0)
-
     def to_json(self) -> dict:
         return {
             "n_min": self.n_min,
@@ -197,9 +191,6 @@ class KappaVector:
     @property
     def norm_sq(self) -> float:
         return float(self.vec @ self.vec)
-
-    def at(self, n: int) -> float:
-        return float(self.vec[n - self.n_min])
 
 
 def _require_one_sided(window: JacobiWindow, what: str) -> None:
@@ -375,31 +366,6 @@ def two_by_two_resolvent(window: JacobiWindow, z: float) -> np.ndarray:
     return rmat
 
 
-def _classify_extended(value: float) -> str:
-    if np.isnan(value):
-        raise ValidationError("extended-real value must not be NaN")
-    if np.isinf(value):
-        return "pole"
-    if value == 0.0:
-        return "zero"
-    return "regular"
-
-
-_ADMISSIBLE_PAIRS = {
-    ("pole", "regular"),
-    ("regular", "pole"),
-    ("zero", "regular"),
-    ("regular", "zero"),
-    ("zero", "zero"),
-}
-
-
-def extension_predicate(r_plus_at_c: float, r_minus_at_c: float) -> bool:
-    """Whether the half-line limit pair keeps the gap pole resolvable."""
-    pair = (_classify_extended(r_plus_at_c), _classify_extended(r_minus_at_c))
-    return pair in _ADMISSIBLE_PAIRS
-
-
 def dist_eta(b: np.ndarray, b_tilde: np.ndarray, eta: float) -> float:
     """Geometrically weighted distance sqrt(sum |b-b~|^2 eta^{2n})."""
     if not 0.0 < eta < 1.0:
@@ -411,32 +377,3 @@ def dist_eta(b: np.ndarray, b_tilde: np.ndarray, eta: float) -> float:
     diff[: b.size] = b
     diff[: b_tilde.size] -= b_tilde
     return float(np.sqrt(np.sum(diff**2 * eta ** (2.0 * np.arange(n)))))
-
-
-def dist_eta_windows(
-    window: JacobiWindow, other: JacobiWindow, eta: float
-) -> float:
-    """Combined distance over the a and b sequences of one-sided windows."""
-    _require_one_sided(window, "dist_eta_windows")
-    _require_one_sided(other, "dist_eta_windows")
-    da = dist_eta(window.a, other.a, eta)
-    db = dist_eta(window.b, other.b, eta)
-    return float(np.hypot(da, db))
-
-
-def shifted_dist_eta(
-    window: JacobiWindow,
-    reference: JacobiWindow,
-    eta: float,
-    n_shifts: int,
-) -> np.ndarray:
-    """Distances of successively shifted copies to a reference window."""
-    _require_one_sided(window, "shifted_dist_eta")
-    if n_shifts >= window.size:
-        raise WindowError("more shifts than available sites")
-    return np.array(
-        [
-            dist_eta_windows(window.shifted(n), reference, eta)
-            for n in range(n_shifts + 1)
-        ]
-    )

@@ -86,3 +86,14 @@ def test_run_criterion_captures_errors():
     rep = acceptance.run_criterion(boom)
     assert not rep["passed"]
     assert "synthetic failure" in rep["details"]
+
+
+def test_raising_criterion_reports_its_own_number(monkeypatch):
+    def broken(*args):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(acceptance, "GmpBlock", broken)
+    reports = acceptance.run_all()
+    assert [rep["index"] for rep in reports] == list(range(1, 12))
+    line = acceptance.format_report(reports).splitlines()[1]
+    assert line == "criterion  2 transfer algebra: FAIL (0.00 s) error: synthetic failure"

@@ -463,6 +463,21 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "gmpflow selftest (seed: 5)"
 
+    def test_negative_seed_rejected_before_any_criterion(self, capsys, monkeypatch):
+        from gmpflow import acceptance
+
+        def never(*args):
+            raise AssertionError("a criterion ran")
+
+        monkeypatch.setattr(acceptance, "run_criterion", never)
+        capsys.readouterr()
+        assert cli.main(["selftest", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "validation error: argument --seed: must be an integer >= 0, got '-1'\n"
+        )
+
     def test_rotation_sign_bug_fails_flow_identity(self, capsys, monkeypatch):
         import gmpflow.flow as flow
 

@@ -24,7 +24,7 @@ from gmpflow.errors import (
 )
 from gmpflow.finitegap import GapSet, delta_from_gaps
 from gmpflow.flow import flow_run
-from gmpflow.gmp import GmpBlock, GmpWindow, build_block_B
+from gmpflow.gmp import GmpBlock, GmpWindow
 from gmpflow.jacobi import DiscreteMeasure, JacobiWindow, kappa, two_by_two_resolvent
 
 from conftest import make_estar_gapset, make_p1_block

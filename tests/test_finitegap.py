@@ -11,13 +11,10 @@ from gmpflow.errors import (
 from gmpflow.finitegap import (
     DeltaData,
     GapSet,
-    Ordering,
     apply_comb_map,
     delta_from_gaps,
-    delta_inverse_points,
     eval_delta,
     eval_delta_ratio,
-    eval_psi,
     gap_zeros,
 )
 
@@ -225,98 +222,3 @@ class TestApplyCombMap:
         d = DeltaData(1.0, 0.0, ((0.3, 1.0),))
         with pytest.raises(SpectrumProximityError, match="shift"):
             apply_comb_map(np.diag([-1.0, 0.3, 2.0]), d)
-
-
-class TestDeltaInversePoints:
-    def test_level_two(self, estar_gapset):
-        assert_allclose(
-            delta_inverse_points(estar_gapset, 2.0), [-1.0, 2.0], atol=1e-12
-        )
-
-    def test_level_minus_two(self, estar_gapset):
-        assert_allclose(
-            delta_inverse_points(estar_gapset, -2.0), [-2.0, 1.0], atol=1e-12
-        )
-
-    def test_single_band_midlevel(self):
-        gs = GapSet(-2.0, 2.0)
-        assert_allclose(delta_inverse_points(gs, 0.5), [0.5], atol=1e-12)
-
-    def test_out_of_range_level(self, estar_gapset):
-        with pytest.raises(ValidationError):
-            delta_inverse_points(estar_gapset, 2.5)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(23)
-        for _ in range(50):
-            gs = random_gapset(rng)
-            delta = delta_from_gaps(gs)
-            y = float(rng.uniform(-1.99, 1.99))
-            xs = delta_inverse_points(gs, y, delta)
-            assert xs.size == gs.g + 1
-            assert np.all(np.diff(xs) > 0.0)
-            assert_allclose(eval_delta(delta, xs), y, atol=1e-9)
-
-
-class TestEvalPsi:
-    def test_value_right_of_single_band(self):
-        assert_allclose(
-            eval_psi(GapSet(-2.0, 2.0), 3.0),
-            (3.0 - np.sqrt(5.0)) / 2.0,
-            rtol=1e-13,
-        )
-
-    def test_value_right_of_two_bands(self, estar_gapset):
-        assert_allclose(
-            eval_psi(estar_gapset, 3.0),
-            (7.0 - 2.0 * np.sqrt(10.0)) / 3.0,
-            rtol=1e-13,
-        )
-
-    def test_zero_at_gap_pole(self, estar_gapset):
-        assert_allclose(eval_psi(estar_gapset, 0.0), 0.0, atol=1e-12)
-
-    def test_endpoint_limits(self, estar_gapset):
-        assert eval_psi(estar_gapset, -1.0) == 1.0
-        assert eval_psi(estar_gapset, 1.0) == -1.0
-
-    def test_decay_at_infinity(self, estar_gapset):
-        assert abs(eval_psi(estar_gapset, 1e8)) < 1e-6
-        assert abs(eval_psi(estar_gapset, -1e8)) < 1e-6
-
-    def test_inside_band_rejected(self, estar_gapset):
-        with pytest.raises(ValidationError):
-            eval_psi(estar_gapset, 1.5)
-
-    def test_functional_equation(self):
-        rng = np.random.default_rng(29)
-        for _ in range(30):
-            gs = random_gapset(rng)
-            delta = delta_from_gaps(gs)
-            x = gs.a0 + float(rng.uniform(0.05, 3.0))
-            psi = eval_psi(gs, x)
-            assert 0.0 < abs(psi) < 1.0
-            assert_allclose(psi + 1.0 / psi, eval_delta(delta, x), rtol=1e-9)
-            cs = delta.cs()
-            for k in range(gs.g):
-                psi_gap = eval_psi(gs, cs[k])
-                assert abs(psi_gap) < 1e-9
-
-
-class TestOrdering:
-    def test_identity_and_roll(self):
-        assert Ordering.identity(3).perm == (1, 2, 3)
-        assert Ordering.rolled(3).perm == (3, 1, 2)
-        assert Ordering.rolled(0).perm == ()
-
-    def test_apply_and_compose(self):
-        rolled = Ordering.rolled(3)
-        assert_allclose(rolled.apply(np.array([10.0, 20.0, 30.0])), [30, 10, 20])
-        twice = rolled.compose(rolled)
-        assert twice.perm == (2, 3, 1)
-        thrice = rolled.compose(twice)
-        assert thrice.perm == (1, 2, 3)
-
-    def test_rejects_non_permutation(self):
-        with pytest.raises(ValidationError):
-            Ordering((1, 1, 2))

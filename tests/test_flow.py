@@ -12,9 +12,6 @@ from gmpflow.flow import (
     flow_identity_residual,
     flow_run,
     jacobi_flow_step,
-    ods_step,
-    omega_identity_residual,
-    omega_step,
     rotation_o,
     tail_norms,
     u_block,
@@ -87,36 +84,6 @@ def reference_flow_step(window):
         bnext = reference_block_B(nxt.p, nxt.q, window.c)
         b_in = float(nxt.p @ bnext @ nxt.p) / norm_next**2
         q_new[g] = norm_this / (blk.p[g] * norm_next) * b_in
-        rows_p.append(p_new)
-        rows_q.append(q_new)
-    return np.array(rows_p), np.array(rows_q)
-
-
-def reference_omega_step(window):
-    """The substep as a loop over blocks; returns the new (P, Q)."""
-    g = window.g
-    cg = float(window.c[g - 1])
-    rows_p, rows_q = [], []
-    for j in range(window.j_min + 1, window.j_max + 1):
-        prev, cur = window.block(j - 1), window.block(j)
-        x_prev = float(np.hypot(prev.p[-2], prev.p[-1]))
-        x_cur = float(np.hypot(cur.p[-2], cur.p[-1]))
-        sp, cp = float(prev.p[-2] / x_prev), float(prev.p[-1] / x_prev)
-        sc, cc = float(cur.p[-2] / x_cur), float(cur.p[-1] / x_cur)
-        m00 = prev.q[g - 1] * prev.p[g - 1] + cg
-        m01 = prev.q[g - 1] * prev.p[g]
-        m11 = prev.q[g] * prev.p[g]
-        p_new = np.empty(g + 1)
-        p_new[0] = sp * cp * (m00 - m11) + (cp * cp - sp * sp) * m01
-        p_new[1:g] = cp * cur.p[: g - 1]
-        p_new[g] = cp * x_cur
-        n00 = cur.q[g - 1] * cur.p[g - 1] + cg
-        n01 = cur.q[g - 1] * cur.p[g]
-        n11 = cur.q[g] * cur.p[g]
-        q_new = np.empty(g + 1)
-        q_new[0] = -sp / cp
-        q_new[1:g] = cur.q[: g - 1] / cp
-        q_new[g] = (sc * sc * n00 + 2.0 * sc * cc * n01 + cc * cc * n11) / p_new[g]
         rows_p.append(p_new)
         rows_q.append(q_new)
     return np.array(rows_p), np.array(rows_q)
@@ -216,36 +183,6 @@ class TestUBlock:
             u_block(np.array([1.0, 2.0, 0.0]))
 
 
-class TestOmegaStep:
-    def test_canonical_substep(self):
-        stepped = omega_step(make_p1_window(7, -3))
-        for blk in stepped.blocks:
-            npt.assert_allclose(blk.p, [0.0, 0.5], atol=1e-14)
-            npt.assert_allclose(blk.q, [-2.0 * SQRT2, 0.0], atol=1e-14)
-        assert stepped.j_min == -2
-        assert stepped.j_max == 3
-        npt.assert_allclose(stepped.c, [0.0])
-
-    def test_pole_order_rolls(self):
-        rng = np.random.default_rng(11)
-        window = random_window(rng, 3, 6, 0, c=np.array([-1.5, 0.2, 2.0]))
-        stepped = omega_step(window)
-        npt.assert_allclose(stepped.c, [2.0, -1.5, 0.2])
-
-    def test_matches_dense_conjugation(self):
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            g = int(rng.integers(1, 4))
-            window = random_window(rng, g, 7, int(rng.integers(-4, 1)))
-            stepped = omega_step(window)
-            assert omega_identity_residual(window, stepped) < 1e-10
-
-    def test_single_block_rejected(self):
-        window = GmpWindow((make_p1_block(),), (0.0,), 0)
-        with pytest.raises(WindowError):
-            omega_step(window)
-
-
 class TestJacobiFlowStep:
     def test_first_step_values(self):
         stepped = jacobi_flow_step(make_p1_window(9, -4))
@@ -290,7 +227,7 @@ class TestJacobiFlowStep:
 
 
 class TestStackedStep:
-    """The stacked step, substep and rotation products against loops over
+    """The stacked step and rotation products against loops over
     blocks with the same arithmetic: results must agree bit for bit."""
 
     @pytest.mark.parametrize("n_blocks", [5, 33, 120])
@@ -307,71 +244,10 @@ class TestStackedStep:
             assert np.array_equal(stepped.Q, q_ref)
             window = stepped
 
-    @pytest.mark.parametrize("g", range(1, 5))
-    def test_omega_step_matches_block_loop(self, g):
-        rng = np.random.default_rng(77 + g)
-        window = random_window(rng, g, 33, -16)
-        stepped = omega_step(window)
-        p_ref, q_ref = reference_omega_step(window)
-        assert np.array_equal(stepped.P, p_ref)
-        assert np.array_equal(stepped.Q, q_ref)
-
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(small_windows())
     def test_flow_identity_on_random_windows(self, window):
         assert flow_identity_residual(window, jacobi_flow_step(window)) <= 1e-12
-
-
-class TestOdsStep:
-    def test_canonical_bordered_matrix(self):
-        block = make_p1_block()
-        bordered = np.zeros((3, 3))
-        bordered[1, 2] = bordered[2, 1] = 1.5
-        gmat = np.eye(3)
-        gmat[:2, :2] = u_block(block.p)
-        conjugated = gmat.T @ bordered @ gmat
-        npt.assert_allclose(
-            conjugated,
-            [[0.0, 0.0, 0.5], [0.0, 0.0, -SQRT2], [0.5, -SQRT2, 0.0]],
-            atol=1e-14,
-        )
-        new_block, b_out = ods_step(block, (0.0,), 1.5, 0.0)
-        assert b_out == pytest.approx(0.0, abs=1e-14)
-        npt.assert_allclose(new_block.p, [0.0, 0.5], atol=1e-14)
-        npt.assert_allclose(new_block.q, [-2.0 * SQRT2, 0.0], atol=1e-14)
-
-    def test_diagonal_free_state_keeps_zero_output(self):
-        rng = np.random.default_rng(17)
-        for _ in range(10):
-            g = int(rng.integers(1, 4))
-            p = rng.uniform(-1.0, 1.0, g + 1)
-            p[-1] = rng.uniform(0.3, 1.0)
-            block = GmpBlock(p, np.zeros(g + 1))
-            _, b_out = ods_step(block, np.zeros(g), float(rng.uniform(0.5, 2.0)), 0.0)
-            assert b_out == pytest.approx(0.0, abs=1e-14)
-
-    def test_agrees_with_flow_step_block(self):
-        rng = np.random.default_rng(19)
-        for _ in range(100):
-            g = int(rng.integers(1, 4))
-            window = random_window(rng, g, 5, -2)
-            nxt = window.block(1)
-            a_in = float(np.linalg.norm(nxt.p))
-            b_in = float(
-                nxt.p @ build_block_B(nxt, window.c) @ nxt.p
-            ) / a_in**2
-            new_block, b_out = ods_step(window.block(0), window.c, a_in, b_in)
-            stepped = jacobi_flow_step(window)
-            npt.assert_allclose(new_block.p, stepped.block(0).p, atol=1e-12)
-            npt.assert_allclose(new_block.q, stepped.block(0).q, atol=1e-12)
-            trail = stepped.block(-1)
-            npt.assert_allclose(
-                b_out, trail.q[-1] * trail.p[-1], atol=1e-12
-            )
-
-    def test_nonpositive_input_rejected(self):
-        with pytest.raises(ValidationError):
-            ods_step(make_p1_block(), (0.0,), 0.0, 0.0)
 
 
 class TestExtractJacobi:
@@ -448,26 +324,6 @@ class TestFlowRun:
         window = GmpWindow(tuple(blocks), (0.0,), -5)
         with pytest.raises(ValidationError, match="left the class"):
             flow_run(window, 1)
-
-    def test_substep_commutes_with_flow(self):
-        cases = []
-        cases.append(perturbed_p1_window(15, -7))
-        rng = np.random.default_rng(23)
-        cases.append(random_window(rng, 2, 13, -6))
-        for window in cases:
-            path_a = omega_step(window)
-            path_b = window
-            for _ in range(3):
-                path_a = jacobi_flow_step(path_a)
-                path_b = jacobi_flow_step(path_b)
-            path_b = omega_step(path_b)
-            assert path_a.j_min == path_b.j_min
-            assert path_a.j_max == path_b.j_max
-            npt.assert_allclose(path_a.c, path_b.c)
-            for x, y in zip(path_a.blocks, path_b.blocks):
-                npt.assert_allclose(x.p, y.p, atol=1e-9)
-                npt.assert_allclose(x.q, y.q, atol=1e-9)
-
 
 def _measure_from_dense(mat, index):
     eigvals, eigvecs = np.linalg.eigh(mat)

@@ -75,7 +75,6 @@ class TestGmpWindow:
     def test_indexing(self, p1_window):
         assert p1_window.g == 1
         assert p1_window.j_min == -2 and p1_window.j_max == 2
-        assert list(p1_window.interior_js()) == [-1, 0, 1]
         assert p1_window.scalar_index(0, 0) == 4
         assert p1_window.scalar_index(-2, 1) == 1
         with pytest.raises(WindowError):

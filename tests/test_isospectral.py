@@ -11,10 +11,7 @@ from gmpflow.flow import jacobi_flow_step
 from gmpflow.gmp import GmpBlock, GmpWindow, assemble_wrapped, transfer_matrix
 from gmpflow.isospectral import (
     IsPoint,
-    alternative_qg,
     intrinsic_offset,
-    is_distance,
-    is_jacobian,
     is_residual,
     magic_check,
     solve_is_point,
@@ -72,20 +69,6 @@ class TestIsResidual:
 
 
 class TestAlternativeQg:
-    def test_matches_intrinsic_form_off_surface(self):
-        rng = np.random.default_rng(52)
-        for g in (1, 2, 3):
-            for _ in range(20):
-                p = rng.uniform(-1.2, 1.2, g + 1)
-                p[-1] = rng.uniform(0.3, 1.5)
-                q = rng.uniform(-1.0, 1.0, g + 1)
-                blk = GmpBlock(p, q)
-                c = np.arange(g) * rng.uniform(0.8, 1.6) + rng.uniform(-1, 1)
-                expected = blk.q[-1] + intrinsic_offset(blk)
-                npt.assert_allclose(
-                    alternative_qg(blk, c), expected, atol=1e-10
-                )
-
     def test_intrinsic_offset_formula(self):
         blk = GmpBlock([0.7, -0.3, 0.5], [0.2, 0.9, -0.4])
         expected = -(0.7 * 0.2 - 0.3 * 0.9 - 0.5 * 0.4) / 0.5
@@ -95,19 +78,11 @@ class TestAlternativeQg:
         d = estar_delta()
         blk = make_p1_block()
         npt.assert_allclose(intrinsic_offset(blk), d.c0, atol=1e-14)
-        npt.assert_allclose(
-            alternative_qg(blk, d.cs()), blk.q[-1] + d.c0, atol=1e-14
-        )
 
     def test_on_surface_solved_point(self):
         d = estar_delta()
         pt = solve_is_point(d, quartic_seed(1.2, 0.4))
         npt.assert_allclose(intrinsic_offset(pt.block), d.c0, atol=1e-9)
-        npt.assert_allclose(
-            alternative_qg(pt.block, d.cs()),
-            pt.block.q[-1] + d.c0,
-            atol=1e-9,
-        )
 
 
 class TestIsPoint:
@@ -234,66 +209,6 @@ class TestMagicCheck:
         bad = DeltaData(2.0, 0.0, ((0.3, 4.0),))
         with pytest.raises(SpectrumProximityError):
             magic_check(blk, window_blocks=12, margin=1, delta=bad)
-
-
-class TestIsJacobian:
-    def test_canonical_partials(self):
-        jac = is_jacobian(make_p1_block(), estar_delta())
-        assert jac.matrix.shape == (2, 1)
-        npt.assert_allclose(jac.matrix[0, 0], 4.0 * SQRT2, atol=1e-6)
-        npt.assert_allclose(jac.matrix[1, 0], 0.0, atol=1e-6)
-        npt.assert_allclose(jac.sigma_min, 4.0 * SQRT2, atol=1e-6)
-
-    def test_generic_point_partials(self):
-        p0, q0 = 1.1, 0.3
-        jac = is_jacobian(quartic_seed(p0, q0), estar_delta())
-        npt.assert_allclose(
-            jac.matrix[0, 0], 4 * p0 * (1 + q0**2), atol=1e-6
-        )
-        npt.assert_allclose(
-            jac.matrix[1, 0], q0 * (1 + 4 * p0**2), atol=1e-6
-        )
-
-    def test_smallest_singular_value_bounded_below(self):
-        d = estar_delta()
-        for p0, q0 in ((1.2, 0.4), (1.1, -0.5), (1.25, 0.55),
-                       (1.35, -0.2), (1.3, 0.0)):
-            pt = solve_is_point(d, quartic_seed(p0, q0))
-            assert is_jacobian(pt.block, d).sigma_min > 1.0
-
-    def test_pole_count_mismatch(self):
-        two_pole = DeltaData(2.0, 0.0, ((0.0, 4.0), (5.0, 1.0)))
-        with pytest.raises(ValidationError, match="poles"):
-            is_jacobian(make_p1_block(), two_pole)
-
-
-class TestIsDistance:
-    def test_zero_on_the_surface(self):
-        dist, pt = is_distance(make_p1_block(), estar_delta())
-        assert dist < 1e-12
-        npt.assert_allclose(pt.block.p, make_p1_block().p)
-
-    def test_normal_perturbation_recovers_size(self):
-        eps = 1e-3
-        blk = GmpBlock([SQRT2 + eps, 0.5], [0.0, 0.0])
-        dist, pt = is_distance(blk, estar_delta())
-        npt.assert_allclose(dist, eps, rtol=1e-2)
-        npt.assert_allclose(pt.block.p[0], SQRT2, atol=1e-4)
-        npt.assert_allclose(pt.block.p[1], 0.5, atol=1e-10)
-        npt.assert_allclose(pt.block.q, 0.0, atol=1e-5)
-
-    def test_mirrored_blocks_project_symmetrically(self):
-        eps = 1e-3
-        plus = GmpBlock([SQRT2 + eps, 0.5], [0.0, 0.0])
-        minus = GmpBlock([-SQRT2 - eps, 0.5], [0.0, 0.0])
-        dist_p, pt_p = is_distance(plus, estar_delta())
-        dist_m, pt_m = is_distance(minus, estar_delta())
-        npt.assert_allclose(dist_m, dist_p, rtol=1e-12)
-        npt.assert_allclose(pt_m.block.p[0], -pt_p.block.p[0], rtol=1e-12)
-
-    def test_far_block_rejected(self):
-        with pytest.raises(ValidationError, match="nearby"):
-            is_distance(off_surface_block(), estar_delta())
 
 
 class TestSurfaceInvariants:

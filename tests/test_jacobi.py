@@ -18,16 +18,12 @@ from gmpflow.gmp import GmpWindow
 from gmpflow.jacobi import (
     DiscreteMeasure,
     JacobiWindow,
-    KappaVector,
     decay_margin,
     dist_eta,
-    dist_eta_windows,
-    extension_predicate,
     kappa,
     kappa_pairing,
     lanczos_from_measure,
     resolvent_r,
-    shifted_dist_eta,
     spectral_measure_plus,
     two_by_two_resolvent,
 )
@@ -400,25 +396,6 @@ class TestTwoByTwoResolvent:
             two_by_two_resolvent(win, 0.0)
 
 
-class TestExtensionPredicate:
-    def test_truth_table(self):
-        inf = float("inf")
-        fin = 0.7
-        assert extension_predicate(inf, fin)
-        assert extension_predicate(fin, inf)
-        assert extension_predicate(0.0, fin)
-        assert extension_predicate(fin, 0.0)
-        assert extension_predicate(0.0, 0.0)
-        assert not extension_predicate(inf, inf)
-        assert not extension_predicate(inf, 0.0)
-        assert not extension_predicate(0.0, inf)
-        assert not extension_predicate(fin, 0.3)
-
-    def test_nan_rejected(self):
-        with pytest.raises(ValidationError):
-            extension_predicate(float("nan"), 0.0)
-
-
 class TestDistEta:
     def test_identical(self):
         b = np.array([0.1, 0.2, 0.3])
@@ -445,23 +422,6 @@ class TestDistEta:
     def test_eta_range_enforced(self):
         with pytest.raises(ValidationError):
             dist_eta(np.zeros(2), np.zeros(2), 1.0)
-
-    def test_window_combination(self):
-        j1 = JacobiWindow(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
-        j2 = JacobiWindow(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-        assert_allclose(dist_eta_windows(j1, j2, 0.5), 1.0)
-
-    def test_shifted_profile(self):
-        size = 30
-        b = np.zeros(size)
-        b[0] = 1.0
-        win = JacobiWindow(np.ones(size), b)
-        ref = JacobiWindow(np.ones(size), np.zeros(size))
-        profile = shifted_dist_eta(win, ref, 0.5, 3)
-        assert profile.shape == (4,)
-        assert_allclose(profile[0], 1.0, rtol=1e-12)
-        assert np.max(profile[1:]) < 1e-8
-
 
 class TestDecayMargin:
     def test_monotone_in_distance(self):
