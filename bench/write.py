@@ -8,18 +8,21 @@ The record holds:
   --seconds 15`` at ``--trace 0`` and ``--trace 1`` for every workload
   named in ``BENCHMARK.json``;
 - a scale sweep of ``ks.delta_of_gmp`` and of ``gmpflow ks --steps 8``
-  over n_blocks in {41, 121, 241} and g in {1, 2}, on windows built as
+  over n_blocks in {41, 121, 241}, and of
+  ``construct.gmp_to_jacobi_measure`` over n_blocks in {221, 425, 853},
+  each at g in {1, 2}, on windows built as
   ``tests/conftest.make_perturbed_window`` builds them around the
   closed-form surface block ``p = (sqrt(lambda_k / lambda0)..., 1 /
   lambda0)``, ``q = (0..., -c0)``; each record is ``{layer, case,
-  n_blocks, g, best_s, median_s, counters}``, the counters taken from
-  one extra run;
+  n_blocks, g, best_s, median_s, counters}``, the counters (eigensolves,
+  ``delta_of_gmp`` calls, Lanczos runs and steps) taken from one extra
+  run;
 - the ``src/`` line count, and the wall time of the Tier-1 suite and of
   ``gmpflow selftest``.
 
 BLAS runs on one thread.  Temporary files go to ``.bench_run/`` in the
 checkout; nothing is written under ``perfbench/``.  The sweep takes
-about 15 s on a 2-core machine, the whole record about 2 minutes.
+about 20 s on a 2-core machine, the whole record about 2 minutes.
 """
 
 from __future__ import annotations
@@ -48,13 +51,14 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 from conftest import make_perturbed_window  # noqa: E402
 
-from gmpflow import cli, ks, numkit  # noqa: E402
+from gmpflow import cli, construct, ks, numkit  # noqa: E402
 from gmpflow.finitegap import GapSet, delta_from_gaps  # noqa: E402
 from gmpflow.gmp import GmpBlock  # noqa: E402
 
 PERFBENCH_SEED = 5
 PERFBENCH_SECONDS = 15
 SIZES = (41, 121, 241)
+CONVERT_SIZES = (221, 425, 853)
 GAP_SETS = {
     1: GapSet(-2.0, 2.0, ((-1.0, 1.0),)),
     2: GapSet(-3.0, 3.0, ((-1.5, -0.7), (0.4, 1.1))),
@@ -108,14 +112,17 @@ def sweep_inputs(g: int, n_blocks: int):
 
 
 class Counting:
-    """Counts eigensolves and ``delta_of_gmp`` calls while installed."""
+    """Counts eigensolves, ``delta_of_gmp`` calls and the Lanczos runs of
+    ``gmp_to_jacobi_measure`` with their steps while installed."""
 
     def __init__(self):
         self.eig_rows: list[int] = []
         self.delta_calls = 0
+        self.lanczos_sizes: list[int] = []
 
     def __enter__(self):
         self._eig, self._delta = numkit.sym_eigen, ks.delta_of_gmp
+        self._lanczos = construct.lanczos
 
         def eig(mat):
             self.eig_rows.append(int(np.shape(mat)[0]))
@@ -125,19 +132,29 @@ class Counting:
             self.delta_calls += 1
             return self._delta(*args, **kwargs)
 
+        def lanczos(*args, **kwargs):
+            win = self._lanczos(*args, **kwargs)
+            self.lanczos_sizes.append(win.size)
+            return win
+
         numkit.sym_eigen = eig
         ks.delta_of_gmp = delta  # map_chain looks the name up in ks
+        construct.lanczos = lanczos
         return self
 
     def __exit__(self, *exc):
         numkit.sym_eigen = self._eig
         ks.delta_of_gmp = self._delta
+        construct.lanczos = self._lanczos
 
     def counters(self) -> dict:
         return {
             "sym_eigen_calls": len(self.eig_rows),
             "sym_eigen_rows_max": max(self.eig_rows, default=0),
             "delta_of_gmp_calls": self.delta_calls,
+            "lanczos_calls": len(self.lanczos_sizes),
+            # one operator product per coefficient b(k)
+            "lanczos_steps": sum(self.lanczos_sizes),
         }
 
 
@@ -180,6 +197,13 @@ def sweep(work: Path) -> list[dict]:
                 records.append(rec)
                 print(f"{case} g={g} n={n_blocks}: best {rec['best_s']:.4f} s",
                       file=sys.stderr)
+        for n_blocks in CONVERT_SIZES:
+            _, w = sweep_inputs(g, n_blocks)
+            case = "gmp_to_jacobi_measure"
+            rec = {"layer": "operator", "case": case, "n_blocks": n_blocks, "g": g}
+            rec.update(timed(lambda: construct.gmp_to_jacobi_measure(w)))
+            records.append(rec)
+            print(f"{case} g={g} n={n_blocks}: best {rec['best_s']:.4f} s", file=sys.stderr)
     return records
 
 

@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 input validation failure, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -321,6 +322,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache  # once per process; each cmd_* looks up what it calls
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gmpflow",

@@ -8,12 +8,14 @@ of multiplication by ``x`` in that basis, which is a one-sided GMP
 matrix.  The two-sided route converts between Jacobi windows and GMP
 windows: ``jacobi_to_gmp`` orthogonalizes a flag of resolvent vectors
 pinned at the map poles, ``gmp_to_jacobi_measure`` tridiagonalizes the
-two half-line truncations through their spectral measures.
+two block-banded half-line truncations by Lanczos on their band storage,
+with no eigensolve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -26,14 +28,8 @@ from .errors import (
     WindowError,
 )
 from .finitegap import DeltaData, eval_delta
-from .gmp import GmpBlock, GmpWindow, assemble_dense, build_block_B, pattern_defect
-from .jacobi import (
-    DiscreteMeasure,
-    JacobiWindow,
-    _spectrum,
-    kappa,
-    lanczos_from_measure,
-)
+from .gmp import GmpBlock, GmpWindow, build_block_B, pattern_defect
+from .jacobi import DiscreteMeasure, JacobiWindow, _spectrum, kappa, lanczos
 
 FACTOR_TOL = 1e-10
 ORTHO_TOL = 1e-10
@@ -43,8 +39,6 @@ SPECTRAL_MARGIN_REL = 1e-3
 FLAG_RANK_REL = 1e-8
 POLE_SUPPORT_REL = 1e-12
 READOUT_TOL = 1e-8
-MERGE_REL = 1e-12
-WEIGHT_FLOOR_REL = 1e-15
 
 
 def _checked_poles(c_list) -> np.ndarray:
@@ -308,15 +302,16 @@ def reflected_window(window: JacobiWindow) -> JacobiWindow:
     return JacobiWindow(a_ref, window.b[::-1], n_min=-1 - window.n_max)
 
 
-def kappa_minus(window: JacobiWindow, c: float):
+def kappa_minus(window: JacobiWindow, c: float, spectrum=None):
     """Mirror resolvent vector pinned at c, supported on sites <= -1.
 
     Reflects the window through the -1 | 0 split, takes the kappa vector
     there, and maps it back, so the angle is built from the left
-    resolvent and all margin and norm validations are inherited.
+    resolvent and all margin and norm validations are inherited; the
+    reflection shares the window's ``spectrum``.
     """
 
-    k_ref = kappa(reflected_window(window), c)
+    k_ref = kappa(reflected_window(window), c, spectrum)
     return k_ref.vec[::-1]
 
 
@@ -388,7 +383,7 @@ def jacobi_to_gmp(
 
     def mapped(v: np.ndarray) -> np.ndarray:
         # lambda0 J + c0 + sum_k lambda_k (c_k - J)^{-1}, applied to v
-        out = d.lambda0 * numkit.tridiagonal_matvec(b, off, v) + d.c0 * v
+        out = d.lambda0 * numkit.banded_matvec((b, off), v) + d.c0 * v
         for ck, lk in zip(d.cs(), d.lams()):
             out -= lk * numkit.solve_tridiagonal(b, off, v, ck)
         return out
@@ -398,9 +393,9 @@ def jacobi_to_gmp(
     slot: dict = {(-1, g): 0}
     # the mirror flag nests from the far end: orthogonalize last pole first
     for m in range(g - 1, -1, -1):
-        _gs_append(basis, slot, (-1, m), kappa_minus(window, cs[m]))
+        _gs_append(basis, slot, (-1, m), kappa_minus(window, cs[m], eigs))
     for m, c in enumerate(cs):
-        _gs_append(basis, slot, (0, m), kappa(window, c).vec)
+        _gs_append(basis, slot, (0, m), kappa(window, c, eigs).vec)
     _gs_append(basis, slot, (0, g), np.eye(1, n_sites, window.pos(0))[0])
     for j in range(1, k_hi + 1):
         for m in range(per):
@@ -411,7 +406,7 @@ def jacobi_to_gmp(
 
     order = [(j, m) for j in range(k_lo, k_hi + 1) for m in range(per)]
     Q = basis[[slot[key] for key in order]].T
-    amat = Q.T @ numkit.tridiagonal_matvec(b, off, Q)
+    amat = Q.T @ numkit.banded_matvec((b, off), Q)
     amat = 0.5 * (amat + amat.T)
 
     def idx(j: int, m: int) -> int:
@@ -454,78 +449,58 @@ def jacobi_to_gmp(
     return GmpWindow(tuple(blocks), tuple(c_arr), j_min=k_lo + 1)
 
 
-def _spectral_measure(mat: np.ndarray, vec: np.ndarray) -> DiscreteMeasure:
-    """Spectral measure of a symmetric matrix at a unit vector."""
-
-    vals, vecs = numkit.sym_eigen(mat)
-    wts = (vecs.T @ vec) ** 2
-    span = max(1.0, float(vals[-1] - vals[0]))
-    pts_out = []
-    wts_out = []
-    i = 0
-    n = vals.size
-    while i < n:
-        j = i + 1
-        while j < n and vals[j] - vals[j - 1] <= MERGE_REL * span:
-            j += 1
-        w = float(np.sum(wts[i:j]))
-        if w > 0.0:
-            pts_out.append(float(np.sum(vals[i:j] * wts[i:j])) / w)
-            wts_out.append(w)
-        i = j
-    pts_arr = np.asarray(pts_out)
-    wts_arr = np.asarray(wts_out)
-    keep = wts_arr > WEIGHT_FLOOR_REL * float(np.max(wts_arr))
-    pts_arr = pts_arr[keep]
-    wts_arr = wts_arr[keep]
-    total = float(np.sum(wts_arr))
-    if total <= 0.0:
-        raise NumericalError("spectral measure has no mass")
-    return DiscreteMeasure(pts_arr, wts_arr / total)
+def _half_bands(w: GmpWindow, lo: int, hi: int, reverse: bool) -> np.ndarray:
+    """Upper diagonals 0..g+1 of ``assemble_dense(w)`` on the blocks at
+    window positions lo..hi-1, index order reversed if asked: row d holds
+    the entries (i, i + d), padded with zeros."""
+    per = w.g + 1
+    # block row: the diagonal block, then the coupling to the next block
+    rows = np.zeros((hi - lo, per, 2 * per))
+    rows[:, :, :per] = build_block_B(w.rows(lo, hi), w.c)
+    rows[:-1, -1, per:] = w.P[lo + 1 : hi]
+    slots = np.arange(per)
+    bands = np.stack([rows[:, slots, slots + d].ravel() for d in range(per + 1)])
+    for d, band in enumerate(bands if reverse else ()):
+        band[: band.size - d] = band[: band.size - d][::-1].copy()
+    return bands
 
 
 def gmp_to_jacobi_measure(w: GmpWindow) -> JacobiWindow:
     """Jacobi window matching the two half-line resolvents of a GMP window.
 
-    The plus half is tridiagonalized from the spectral measure of the
-    nonnegative-block truncation at the normalized image of the site
-    left of the split; the minus half from the spectral measure of the
-    complementary truncation at that site itself.  The crossing bond
-    a(0) equals the norm of the first coupling vector exactly.
+    Lanczos runs on the band storage of the two halves of the window's
+    matrix: the blocks >= 0 from the normalized coupling vector of the
+    site left of the split, which lies on block 0, and the blocks <= -1,
+    index order reversed, from that site.  Block j couples to block j + 1
+    only through its slot g, so Lanczos vector k of a half lies on its
+    first k + 1 blocks: b(k) reads only those blocks, a(k + 1) one more.
+    The depth rule, blocks of the half - 1, keeps exactly the b(k) and a(k)
+    that do not depend on where the window is cut; a half whose Krylov
+    space is exhausted earlier stops there.  The crossing bond a(0) is the
+    norm of the first coupling vector.
     """
 
     if w.j_min > -1 or w.j_max < 0:
         raise WindowError("window must contain blocks -1 and 0")
-    g = w.g
-    per = g + 1
-    A = assemble_dense(w)
-    i_split = w.scalar_index(0, 0)
-    i_em1 = w.scalar_index(-1, g)
+    per = w.g + 1
+    k0 = -w.j_min  # window position of block 0
     a0 = float(np.linalg.norm(w.block(0).p))
-
-    v_plus = A[i_split:, i_em1] / a0
+    plus, minus = _half_bands(w, k0, w.n_blocks, False), _half_bands(w, 0, k0, True)
+    v_plus = np.pad(w.block(0).p / a0, (0, plus.shape[1] - per))
     dev = abs(float(np.linalg.norm(v_plus)) - 1.0)
     if dev > 1e-12:
-        raise NumericalError(
-            f"starting vector norm deviates from 1 by {dev:.3e}"
-        )
-    meas_plus = _spectral_measure(A[i_split:, i_split:], v_plus)
-    n_plus = A.shape[0] - i_split
-    depth_plus = min(n_plus // per - 1, meas_plus.n_points - 1)
+        raise NumericalError(f"starting vector norm deviates from 1 by {dev:.3e}")
 
-    e_minus = np.zeros(i_split)
-    e_minus[i_em1] = 1.0
-    meas_minus = _spectral_measure(A[:i_split, :i_split], e_minus)
-    depth_minus = min(i_split // per - 1, meas_minus.n_points - 1)
-    if depth_plus < 1 or depth_minus < 1:
+    def half(bands: np.ndarray, start: np.ndarray) -> JacobiWindow:
+        matvec = partial(numkit.banded_matvec, bands)
+        depth = bands.shape[1] // per - 1
+        return lanczos(matvec, start, depth, float(np.max(np.abs(bands))), per)
+
+    jp, jm = half(plus, v_plus), half(minus, np.eye(1, minus.shape[1])[0])
+    if jp.size < 2 or jm.size < 2:
         raise WindowError(
             "window too narrow to recover a bond on each side of the split"
         )
-
-    jp = lanczos_from_measure(meas_plus, depth_plus)
-    jm = lanczos_from_measure(meas_minus, depth_minus)
-
-    n_min = -depth_minus - 1
     b_arr = np.concatenate([jm.b[::-1], jp.b])
     a_arr = np.concatenate(([1.0], jm.a[:0:-1], [a0], jp.a[1:]))
-    return JacobiWindow(a_arr, b_arr, n_min=n_min)
+    return JacobiWindow(a_arr, b_arr, n_min=-jm.size)

@@ -219,12 +219,42 @@ def resolvent_r(window: JacobiWindow, z):
     return float(numkit.solve_tridiagonal(window.b, window.a[1:], e0, np.real(z))[0])
 
 
+def lanczos(matvec, start, depth: int, scale: float, grow: int) -> JacobiWindow:
+    """Recurrence coefficients b(0..k) and a(1..k), k <= depth, of a
+    symmetric operator at a unit start vector, by Lanczos with each new
+    vector orthogonalized against all earlier ones (``project_out``).
+
+    Vector k must lie on the leading (k + 1) * grow rows, as for a banded
+    operator of halfwidth <= grow started on its first grow rows; step k
+    applies ``matvec`` to the leading (k + 2) * grow rows only.  The run
+    stops at k < depth if the next norm is <= 1e-13 * max(1, scale), where
+    the Krylov space is exhausted.  a(0) is the placeholder 1.0.
+    """
+    n = start.size
+    tiny = 1e-13 * max(1.0, scale)
+    basis = np.zeros((depth + 1, n))
+    basis[0] = start
+    bs, a_out = np.empty(depth + 1), np.ones(depth + 1)
+    for step in range(depth + 1):
+        rows = min(n, (step + 2) * grow)
+        vec = basis[step, :rows]
+        image = matvec(vec)
+        bs[step] = vec @ image
+        if step == depth:
+            break
+        w = numkit.project_out(basis[: step + 1, :rows], image)
+        norm = float(np.linalg.norm(w))
+        if norm <= tiny:
+            return JacobiWindow(a_out[: step + 1], bs[: step + 1], 0)
+        a_out[step + 1] = norm
+        basis[step + 1, :rows] = w / norm
+    return JacobiWindow(a_out, bs, 0)
+
+
 def lanczos_from_measure(measure: DiscreteMeasure, depth: int) -> JacobiWindow:
     """Three-term recurrence coefficients of the measure's orthonormal
-    polynomials: b(0..depth) and a(1..depth).
-
-    The a(0) slot of the result is the placeholder 1.0 (the bond leaving
-    the half-line is not determined by the measure).
+    polynomials, b(0..depth) and a(1..depth): ``lanczos`` on multiplication
+    by the points, from the root weights.  a(0) is the placeholder 1.0.
     """
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
@@ -234,26 +264,14 @@ def lanczos_from_measure(measure: DiscreteMeasure, depth: int) -> JacobiWindow:
             f"< {measure.n_points}, got {depth}"
         )
     x = measure.points
-    tiny = 1e-13 * max(1.0, float(np.max(np.abs(x))))
-    basis = np.empty((depth + 1, x.size))
-    basis[0] = np.sqrt(measure.weights)
-    bs = np.empty(depth + 1)
-    a_out = np.ones(depth + 1)
-    for step in range(depth + 1):
-        xv = x * basis[step]
-        bs[step] = basis[step] @ xv
-        if step == depth:
-            break
-        w = numkit.project_out(basis[: step + 1], xv)
-        norm = float(np.linalg.norm(w))
-        if norm <= tiny:
-            raise NumericalError(
-                f"recurrence broke down at step {step + 1}; "
-                "measure support is numerically too small"
-            )
-        a_out[step + 1] = norm
-        basis[step + 1] = w / norm
-    return JacobiWindow(a_out, bs, 0)
+    scale = float(np.max(np.abs(x)))
+    win = lanczos(lambda v: x * v, np.sqrt(measure.weights), depth, scale, x.size)
+    if win.size <= depth:
+        raise NumericalError(
+            f"recurrence broke down at step {win.size}; "
+            "measure support is numerically too small"
+        )
+    return win
 
 
 def _spectrum(window: JacobiWindow) -> np.ndarray:
@@ -277,11 +295,13 @@ def angle_plus(window: JacobiWindow, c: float) -> float:
     return math.atan(r_plus)
 
 
-def kappa(window: JacobiWindow, c: float) -> KappaVector:
-    """Kappa vector at c; requires decay margin on both sides of 0."""
+def kappa(window: JacobiWindow, c: float, spectrum=None) -> KappaVector:
+    """Kappa vector at c; requires decay margin on both sides of 0.
+    The checks use ``spectrum``, the window's eigenvalues, if given."""
     if window.n_min > -1 or window.n_max < 0:
         raise WindowError("kappa needs a two-sided window around -1 | 0")
-    spectrum = _spectrum(window)
+    if spectrum is None:
+        spectrum = _spectrum(window)
     dist = float(np.min(np.abs(spectrum - c)))
     if dist < SPECTRUM_MIN_DIST:
         raise SpectrumProximityError(

@@ -2,9 +2,9 @@
 
 Thin wrappers around LAPACK-backed numpy/scipy routines that add the
 pivot, symmetry and residual checks the rest of the package relies on.
-Matrices are plain float ndarrays; a symmetric tridiagonal matrix is
-passed as its diagonal and off-diagonal and solved in O(n) under the
-dense solve's contract.  Norms appearing in the contracts are Frobenius
+Matrices are plain float ndarrays; a symmetric banded matrix is passed
+as its upper diagonals, and a tridiagonal one is solved in O(n) under
+the dense solve's contract.  Norms appearing in the contracts are Frobenius
 norms; the fixed tolerances are tuned for the moderate scales used
 throughout (operator norms up to a few units).
 """
@@ -81,13 +81,16 @@ def _checked_solve(pivots, scale: float, matvec, back, rhs: np.ndarray) -> np.nd
     raise NumericalError(f"solve residual {residual:.3e} exceeds bound {bound:.3e}")
 
 
-def tridiagonal_matvec(diag, off, x: np.ndarray) -> np.ndarray:
-    """``T @ x`` for the symmetric tridiagonal T with diagonal ``diag`` and
-    off-diagonal ``off``; x is a vector or a stack of columns."""
+def banded_matvec(bands, x: np.ndarray) -> np.ndarray:
+    """``M[:n, :n] @ x``, n = len(x), for the symmetric banded M whose d-th
+    upper diagonal is ``bands[d]``; x is a vector or a stack of columns."""
+    n = x.shape[0]
     col = (slice(None),) + (None,) * (x.ndim - 1)
-    out = diag[col] * x
-    out[:-1] += off[col] * x[1:]
-    out[1:] += off[col] * x[:-1]
+    out = bands[0][:n][col] * x
+    for d in range(1, min(len(bands), n)):
+        band = bands[d][: n - d][col]
+        out[:-d] += band * x[d:]
+        out[d:] += band * x[:-d]
     return out
 
 
@@ -114,7 +117,7 @@ def solve_tridiagonal(diag, off, rhs, z: float) -> np.ndarray:
     def back(r):
         return dgttrs(*lu, r.reshape(n, -1))[0].reshape(r.shape)
 
-    matvec = partial(tridiagonal_matvec, diag, off)
+    matvec = partial(banded_matvec, (diag, off))
     return _checked_solve(np.abs(lu[1]), scale, matvec, back, rhs)
 
 

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from gmpflow import numkit
 from gmpflow.finitegap import GapSet
-from gmpflow.gmp import GmpBlock, GmpWindow
+from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense
+from gmpflow.jacobi import DiscreteMeasure
 
 
 def make_estar_gapset() -> GapSet:
@@ -58,6 +60,24 @@ def make_perturbed_window(
             )
         )
     return GmpWindow(blocks, c, j_min=-half)
+
+
+def half_line_measures(w: GmpWindow) -> list[tuple[DiscreteMeasure, int]]:
+    """Spectral measures of the two halves of the window's dense matrix at
+    the start vectors of ``gmp_to_jacobi_measure``, each with the depth
+    that function uses, plus half first: the dense eigensolve route to the
+    same coefficients."""
+    A = assemble_dense(w)
+    i0 = w.scalar_index(0, 0)
+    v_plus = A[i0:, i0 - 1] / np.linalg.norm(w.block(0).p)
+    measures = []
+    for mat, start in ((A[i0:, i0:], v_plus), (A[:i0, :i0], np.eye(1, i0, i0 - 1)[0])):
+        vals, vecs = numkit.sym_eigen(mat)
+        wts = (vecs.T @ start) ** 2
+        keep = wts > 0.0
+        measure = DiscreteMeasure(vals[keep], wts[keep] / np.sum(wts[keep]))
+        measures.append((measure, mat.shape[0] // (w.g + 1) - 1))
+    return measures
 
 
 @pytest.fixture

@@ -445,6 +445,25 @@ class TestConversions:
         assert len(json.loads(outputs[0][1])["blocks"]) == 5
 
 
+    def test_gmp2jacobi_is_independent_of_blas_threads(self, tmp_path):
+        blk = GmpBlock([math.sqrt(2.0), 0.5], [0.0, 0.0])
+        w = make_perturbed_window(blk, [0.0], half=213)
+        w = GmpWindow.from_arrays(w.P[:-1], w.Q[:-1], w.c, w.j_min)
+        assert w.n_blocks == 426
+        win = write_json(tmp_path / "wide.json", w.to_json())
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+            out = tmp_path / f"j{threads}.json"
+            cmd = [sys.executable, "-m", "gmpflow.cli", "gmp2jacobi", win, "--out", str(out)]
+            assert subprocess.run(cmd, env=env, timeout=120).returncode == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(json.loads(outputs[0])["b"]) == 426
+
+
 class TestSelftest:
     def test_fresh_build_passes(self, tmp_path, capsys):
         t0 = time.perf_counter()
@@ -534,6 +553,13 @@ class TestHarness:
     def test_usage_errors_exit_one(self, capsys):
         assert cli.main(["flow"]) == 1
         assert "validation error" in capsys.readouterr().err
+
+    def test_parser_is_built_once(self, tmp_path, capsys):
+        cli.main(["gmp2jacobi", p1_window_file(tmp_path)])
+        built = cli.build_parser.cache_info().misses
+        assert cli.main(["flow"]) == 1
+        assert cli.main(["gmp2jacobi", p1_window_file(tmp_path)]) == 0
+        assert cli.build_parser.cache_info().misses == built == 1
 
     def test_env_var_raises_verbosity(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GMPFLOW_LOG", "info")

@@ -1,7 +1,9 @@
+import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gmpflow import jacobi
 from gmpflow.construct import (
     RationalBasis,
     factor_L,
@@ -24,10 +26,21 @@ from gmpflow.errors import (
 )
 from gmpflow.finitegap import GapSet, delta_from_gaps
 from gmpflow.flow import flow_run
-from gmpflow.gmp import GmpBlock, GmpWindow
-from gmpflow.jacobi import DiscreteMeasure, JacobiWindow, kappa, two_by_two_resolvent
+from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense
+from gmpflow.jacobi import (
+    DiscreteMeasure,
+    JacobiWindow,
+    kappa,
+    lanczos_from_measure,
+    two_by_two_resolvent,
+)
 
-from conftest import make_estar_gapset, make_p1_block
+from conftest import (
+    half_line_measures,
+    make_estar_gapset,
+    make_p1_block,
+    make_perturbed_window,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -82,6 +95,54 @@ def decaying_perturbed_window(rng=None, n_blocks=222, j_min=-111, base=0.05):
             )
         )
     return GmpWindow(tuple(blocks), (0.0,), j_min=j_min)
+
+
+def surface_window(g: int, half: int) -> GmpWindow:
+    """Perturbed window around the closed-form surface block of a g=1 or
+    g=2 gap set, ``p = (sqrt(lambda_k / lambda0)..., 1 / lambda0)``."""
+    if g == 1:
+        return make_perturbed_window(make_p1_block(), [0.0], half=half)
+    d = delta_from_gaps(GapSet(-3.0, 3.0, ((-1.5, -0.7), (0.4, 1.1))))
+    center = GmpBlock(
+        np.append(np.sqrt(d.lams() / d.lambda0), 1.0 / d.lambda0),
+        np.append(np.zeros(g), -d.c0),
+    )
+    return make_perturbed_window(center, d.cs(), half=half)
+
+
+def mp_lanczos(mat: np.ndarray, start: np.ndarray, depth: int, dps: int = 50):
+    """b(0..depth) and a(1..depth) of the float matrix ``mat`` at
+    ``start``, taken as exact, by Lanczos with every vector
+    re-orthogonalized twice in ``dps``-digit arithmetic."""
+    with mpmath.workdps(dps):
+        A = [[mpmath.mpf(float(x)) for x in row] for row in mat]
+        vec = [mpmath.mpf(float(x)) for x in start]
+        norm = mpmath.sqrt(mpmath.fdot(vec, vec))
+        basis = [[x / norm for x in vec]]
+        b, a = [], []
+        for k in range(depth + 1):
+            image = [mpmath.fdot(row, basis[-1]) for row in A]
+            b.append(mpmath.fdot(basis[-1], image))
+            if k == depth:
+                break
+            for _ in range(2):
+                for u in basis:
+                    coef = mpmath.fdot(u, image)
+                    image = [x - coef * y for x, y in zip(image, u)]
+            norm = mpmath.sqrt(mpmath.fdot(image, image))
+            a.append(norm)
+            basis.append([x / norm for x in image])
+        return np.array([float(x) for x in b]), np.array([float(x) for x in a])
+
+
+def half_coefficients(J: JacobiWindow, side: int):
+    """b(0..), a(1..) of one half of a two-sided window in the half's own
+    order: side +1 reads sites 0, 1, ..., side -1 sites -1, -2, ..."""
+    n = J.n_max + 1 if side > 0 else -J.n_min
+    site = (lambda k: k) if side > 0 else (lambda k: -1 - k)
+    b = np.array([J.b_at(site(k)) for k in range(n)])
+    a = np.array([J.a_at(site(k) + (side < 0)) for k in range(1, n)])
+    return b, a
 
 
 class TestGramD:
@@ -339,6 +400,25 @@ class TestJacobiToGmp:
         with pytest.raises(SpectrumProximityError):
             jacobi_to_gmp(free, make_estar_delta(), n_blocks=3)
 
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_one_spectrum_per_call(self, g, monkeypatch):
+        # the kappa vectors and their mirrors check against the spectrum
+        # jacobi_to_gmp computed, which the reflected window shares
+        calls = []
+        spectrum = jacobi.eigvalsh_tridiagonal
+
+        def counting(diag, off):
+            calls.append(diag.size)
+            return spectrum(diag, off)
+
+        monkeypatch.setattr(jacobi, "eigvalsh_tridiagonal", counting)
+        if g == 1:
+            w = jacobi_to_gmp(period2_window(), make_estar_delta(), n_blocks=5)
+        else:
+            w = jacobi_to_gmp(periodic_g2_window(), make_widegap_delta(), n_blocks=9)
+        assert w.g == g
+        assert len(calls) == 1
+
     def test_too_few_blocks_raises(self):
         with pytest.raises(ValidationError):
             jacobi_to_gmp(period2_window(), make_estar_delta(), n_blocks=2)
@@ -398,6 +478,56 @@ class TestGmpToJacobiMeasure:
         w = GmpWindow(tuple(blk for _ in range(8)), (0.0,), j_min=0)
         with pytest.raises(WindowError):
             gmp_to_jacobi_measure(w)
+
+    @pytest.mark.parametrize("g, half", [(1, 20), (2, 15)])
+    def test_matches_fifty_digit_lanczos_of_each_half(self, g, half):
+        w = surface_window(g, half)
+        J = gmp_to_jacobi_measure(w)
+        A = assemble_dense(w)
+        i0 = w.scalar_index(0, 0)
+        per = g + 1
+        halves = {
+            1: (A[i0:, i0:], A[i0:, i0 - 1]),
+            # index order reversed so that the start e_(-1,g) comes first
+            -1: (A[i0 - 1 :: -1, i0 - 1 :: -1], np.eye(1, i0)[0]),
+        }
+        for side, (mat, start) in halves.items():
+            b_ref, a_ref = mp_lanczos(mat, start, mat.shape[0] // per - 1)
+            b, a = half_coefficients(J, side)
+            assert b.size == b_ref.size == half + (side > 0)
+            assert np.max(np.abs(b - b_ref)) <= 1e-14
+            assert np.max(np.abs(a - a_ref)) <= 1e-14
+
+    def test_matches_dense_spectral_measure_route(self):
+        w = make_perturbed_window(make_p1_block(), [0.0], half=111)
+        w = GmpWindow.from_arrays(w.P[:-1], w.Q[:-1], w.c, w.j_min)
+        assert w.n_blocks == 222
+        J = gmp_to_jacobi_measure(w)
+        for side, (measure, depth) in zip((1, -1), half_line_measures(w)):
+            ref = lanczos_from_measure(measure, depth)
+            b, a = half_coefficients(J, side)
+            assert b.size == ref.size == 111
+            assert np.max(np.abs(b - ref.b)) <= 1e-12
+            assert np.max(np.abs(a - ref.a[1:])) <= 1e-12
+
+    def test_exhausted_half_stops_at_breakdown(self):
+        # block 3 hangs on by p = (0, 1e-300): the plus half splits after
+        # blocks 0..2, whose 6 rows the Krylov space of v_plus exhausts
+        w = make_perturbed_window(make_p1_block(), [0.0], half=20)
+        P = w.P.copy()
+        P[3 - w.j_min] = [0.0, 1e-300]
+        cut = GmpWindow.from_arrays(P, w.Q, w.c, w.j_min)
+        J = gmp_to_jacobi_measure(cut)
+        assert (J.n_min, J.n_max) == (-20, 5)
+        A = assemble_dense(cut)
+        i0 = cut.scalar_index(0, 0)
+        b_ref, a_ref = mp_lanczos(A[i0 : i0 + 6, i0 : i0 + 6], A[i0 : i0 + 6, i0 - 1], 5)
+        b, a = half_coefficients(J, 1)
+        assert np.max(np.abs(b - b_ref)) <= 1e-14
+        assert np.max(np.abs(a - a_ref)) <= 1e-14
+        full = gmp_to_jacobi_measure(w)
+        assert np.array_equal(J.b[:20], full.b[:20])
+        assert np.array_equal(J.a[:21], full.a[:21])
 
     def test_agrees_with_flow_route(self):
         rng = np.random.default_rng(37)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import make_p1_block, make_perturbed_window
-from gmpflow import construct
+from conftest import half_line_measures, make_p1_block, make_perturbed_window
 from gmpflow.errors import (
     NumericalError,
     SingularMatrixError,
@@ -245,18 +244,11 @@ class TestLanczosFromMeasure:
                 back.moment(order), m.moment(order), atol=1e-9, rtol=1e-9
             )
 
-    def test_matches_reference_on_half_line_measures(self, monkeypatch):
-        # the two measures gmp_to_jacobi_measure builds from a 222-block window
+    def test_matches_reference_on_half_line_measures(self):
+        # the spectral measures of the two halves of a 222-block window
         w = make_perturbed_window(make_p1_block(), [0.0], half=111)
         w = GmpWindow.from_arrays(w.P[:-1], w.Q[:-1], w.c, w.j_min)
-        seen = []
-
-        def recording(measure, depth):
-            seen.append((measure, depth))
-            return lanczos_from_measure(measure, depth)
-
-        monkeypatch.setattr(construct, "lanczos_from_measure", recording)
-        construct.gmp_to_jacobi_measure(w)
+        seen = half_line_measures(w)
         assert w.n_blocks == 222
         assert [depth for _, depth in seen] == [110, 110]
         for measure, depth in seen:

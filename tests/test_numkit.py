@@ -154,14 +154,33 @@ class TestSolveTridiagonal:
         x = rng.normal(size=(9, 3))
         dense = dense_tridiagonal(diag, off)
         np.testing.assert_allclose(
-            numkit.tridiagonal_matvec(diag, off, x), dense @ x, rtol=0, atol=1e-15
+            numkit.banded_matvec((diag, off), x), dense @ x, rtol=0, atol=1e-15
         )
         np.testing.assert_allclose(
-            numkit.tridiagonal_matvec(diag, off, x[:, 0]),
+            numkit.banded_matvec((diag, off), x[:, 0]),
             dense @ x[:, 0],
             rtol=0,
             atol=1e-15,
         )
+
+    def test_banded_matvec_reads_leading_rows(self):
+        rng = np.random.default_rng(7)
+        dense = np.zeros((12, 12))
+        bands = rng.normal(size=(4, 12))
+        for d in range(4):
+            dense[np.arange(12 - d), np.arange(d, 12)] = bands[d, : 12 - d]
+        dense = np.triu(dense) + np.triu(dense, 1).T
+        x = rng.normal(size=12)
+        np.testing.assert_allclose(
+            numkit.banded_matvec(bands, x), dense @ x, rtol=0, atol=1e-14
+        )
+        for m in (1, 2, 5):
+            np.testing.assert_allclose(
+                numkit.banded_matvec(bands, x[:m]),
+                dense[:m, :m] @ x[:m],
+                rtol=0,
+                atol=1e-14,
+            )
 
 
 def reference_gram_schmidt(rows, vec, weights):

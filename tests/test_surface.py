@@ -32,6 +32,12 @@ ORACLES = {
     "jacobi.DiscreteMeasure.moment": (
         "test_jacobi.py::TestLanczosFromMeasure::test_moment_reconstruction"
     ),
+    "jacobi.lanczos_from_measure": (
+        "test_construct.py::TestGmpToJacobiMeasure::"
+        "test_matches_dense_spectral_measure_route and test_jacobi.py::"
+        "TestLanczosFromMeasure, the dense measure route to the coefficients "
+        "of gmp_to_jacobi_measure; perfbench traces it by name"
+    ),
     "jacobi.spectral_measure_plus": (
         "test_jacobi.py::TestLanczosFromMeasure, the measure side of the "
         "Lanczos round trips"
