@@ -13,16 +13,23 @@ The record holds:
   each at g in {1, 2}, on windows built as
   ``tests/conftest.make_perturbed_window`` builds them around the
   closed-form surface block ``p = (sqrt(lambda_k / lambda0)..., 1 /
-  lambda0)``, ``q = (0..., -c0)``; each record is ``{layer, case,
-  n_blocks, g, best_s, median_s, counters}``, the counters (eigensolves,
-  ``delta_of_gmp`` calls, Lanczos runs and steps) taken from one extra
-  run;
+  lambda0)``, ``q = (0..., -c0)``;
+- a sweep of ``isospectral.solve_is_point`` over g in {2, 4, 8, 12}, on
+  seeds drawn as the ``iso_comb`` workload draws them (a gap set of
+  genus g in [-3, 3], its reference comb map, and the surface block with
+  every entry perturbed until the seed residual is below 1), four seeds
+  per genus in one timed call;
+- each sweep record is ``{layer, case, n_blocks, g, best_s, median_s,
+  counters}``, the counters (eigensolves, ``delta_of_gmp`` calls,
+  Lanczos runs and steps, ``lambda_k`` calls of ``isospectral`` and
+  Gauss-Newton iterations) taken from one extra run;
 - the ``src/`` line count, and the wall time of the Tier-1 suite and of
   ``gmpflow selftest``.
 
 BLAS runs on one thread.  Temporary files go to ``.bench_run/`` in the
-checkout; nothing is written under ``perfbench/``.  The sweep takes
-about 20 s on a 2-core machine, the whole record about 2 minutes.
+checkout; nothing is written under ``perfbench/``, whose input draws
+are imported.  The sweep takes about 30 s on a 2-core machine, the
+whole record about 3 minutes.
 """
 
 from __future__ import annotations
@@ -45,14 +52,15 @@ from pathlib import Path  # noqa: E402
 
 sys.dont_write_bytecode = True
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 from conftest import make_perturbed_window  # noqa: E402
+from workloads import comb_map, random_gapset, surface_seed  # noqa: E402
 
-from gmpflow import cli, construct, ks, numkit  # noqa: E402
-from gmpflow.finitegap import GapSet, delta_from_gaps  # noqa: E402
+from gmpflow import cli, construct, isospectral, ks, numkit  # noqa: E402
+from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps  # noqa: E402
 from gmpflow.gmp import GmpBlock  # noqa: E402
 
 PERFBENCH_SEED = 5
@@ -64,6 +72,8 @@ GAP_SETS = {
     2: GapSet(-3.0, 3.0, ((-1.5, -0.7), (0.4, 1.1))),
 }
 KS_STEPS = 8
+ISO_GENERA = (2, 4, 8, 12)
+ISO_SEEDS = 4
 # Timed repeats per sweep case: at least MIN_REPEATS, more while the case
 # has used less than CASE_BUDGET_S, at most MAX_REPEATS.
 MIN_REPEATS, MAX_REPEATS, CASE_BUDGET_S = 3, 15, 1.5
@@ -111,18 +121,37 @@ def sweep_inputs(g: int, n_blocks: int):
     return d, make_perturbed_window(surface, d.cs(), half=n_blocks // 2)
 
 
+def iso_inputs(g: int) -> tuple[DeltaData, list[GmpBlock]]:
+    """Reference comb map of a genus-g gap set and ``ISO_SEEDS`` seeds
+    near its surface, drawn as the ``iso_comb`` workload draws them."""
+    rng = np.random.default_rng([PERFBENCH_SEED, g])
+    cmap = comb_map(random_gapset(rng, g, None))
+    d = DeltaData.from_json(cmap)
+
+    def residual(p, q):
+        return float(np.max(np.abs(isospectral.is_residual(GmpBlock(p, q), d))))
+
+    seeds = [surface_seed(rng, cmap, residual) for _ in range(ISO_SEEDS)]
+    return d, [GmpBlock(s["p"], s["q"]) for s in seeds]
+
+
 class Counting:
-    """Counts eigensolves, ``delta_of_gmp`` calls and the Lanczos runs of
-    ``gmp_to_jacobi_measure`` with their steps while installed."""
+    """Counts eigensolves, ``delta_of_gmp`` calls, the Lanczos runs of
+    ``gmp_to_jacobi_measure`` with their steps, and the ``lambda_k`` calls
+    and Jacobians (one per Gauss-Newton iteration) of ``isospectral``
+    while installed."""
 
     def __init__(self):
         self.eig_rows: list[int] = []
         self.delta_calls = 0
         self.lanczos_sizes: list[int] = []
+        self.lambda_k_calls = 0
+        self.jacobians = 0
 
     def __enter__(self):
         self._eig, self._delta = numkit.sym_eigen, ks.delta_of_gmp
         self._lanczos = construct.lanczos
+        self._lambda_k, self._jacobian = isospectral.lambda_k, isospectral._fd_jacobian
 
         def eig(mat):
             self.eig_rows.append(int(np.shape(mat)[0]))
@@ -137,15 +166,25 @@ class Counting:
             self.lanczos_sizes.append(win.size)
             return win
 
+        def lambda_k(*args):
+            self.lambda_k_calls += 1
+            return self._lambda_k(*args)
+
+        def jacobian(*args):
+            self.jacobians += 1
+            return self._jacobian(*args)
+
         numkit.sym_eigen = eig
         ks.delta_of_gmp = delta  # map_chain looks the name up in ks
         construct.lanczos = lanczos
+        isospectral.lambda_k, isospectral._fd_jacobian = lambda_k, jacobian
         return self
 
     def __exit__(self, *exc):
         numkit.sym_eigen = self._eig
         ks.delta_of_gmp = self._delta
         construct.lanczos = self._lanczos
+        isospectral.lambda_k, isospectral._fd_jacobian = self._lambda_k, self._jacobian
 
     def counters(self) -> dict:
         return {
@@ -155,6 +194,8 @@ class Counting:
             "lanczos_calls": len(self.lanczos_sizes),
             # one operator product per coefficient b(k)
             "lanczos_steps": sum(self.lanczos_sizes),
+            "lambda_k_calls": self.lambda_k_calls,
+            "gauss_newton_iterations": self.jacobians,
         }
 
 
@@ -204,6 +245,13 @@ def sweep(work: Path) -> list[dict]:
             rec.update(timed(lambda: construct.gmp_to_jacobi_measure(w)))
             records.append(rec)
             print(f"{case} g={g} n={n_blocks}: best {rec['best_s']:.4f} s", file=sys.stderr)
+    for g in ISO_GENERA:
+        d, seeds = iso_inputs(g)
+        case = f"solve_is_point, {ISO_SEEDS} seeds"
+        rec = {"layer": "operator", "case": case, "n_blocks": 1, "g": g}
+        rec.update(timed(lambda: [isospectral.solve_is_point(d, s) for s in seeds]))
+        records.append(rec)
+        print(f"{case} g={g}: best {rec['best_s']:.4f} s", file=sys.stderr)
     return records
 
 

@@ -179,10 +179,6 @@ class FlowTrajectory:
     b_out: np.ndarray
     diagnostics: tuple[dict, ...]
 
-    @property
-    def n_steps(self) -> int:
-        return len(self.states) - 1
-
 
 def flow_run(
     window: GmpWindow, n_steps: int, floor: float = VALIDITY_FLOOR

@@ -143,10 +143,6 @@ class GmpWindow:
     def j_max(self) -> int:
         return self.j_min + self.n_blocks - 1
 
-    @cached_property
-    def blocks(self) -> tuple[GmpBlock, ...]:
-        return tuple(GmpBlock._view(p, q) for p, q in zip(self.P, self.Q))
-
     def rows(self, lo: int = 0, hi: int | None = None) -> GmpBlock:
         """Window positions lo..hi-1 as one stack of blocks."""
         return GmpBlock._view(self.P[lo:hi], self.Q[lo:hi])
@@ -207,10 +203,6 @@ class TransferEval:
             raise NumericalError(
                 f"transfer determinant {det} deviates from 1 beyond {DET_TOL}"
             )
-
-    @property
-    def trace(self) -> float:
-        return self.value[0, 0] + self.value[1, 1]
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -33,7 +33,8 @@ def is_residual(blk: GmpBlock, d: DeltaData) -> np.ndarray:
      lambda0 * sum_j p_j q_j + c0,
      Lambda_k - lambda_k for k = 1..g);
     it vanishes exactly when the periodic operator's transfer trace
-    reproduces the comb map of ``d``.
+    reproduces the comb map of ``d``.  A stack of blocks gives one such
+    vector per row, on the last axis.
     """
     g = blk.g
     if len(d.poles) != g:
@@ -42,11 +43,11 @@ def is_residual(blk: GmpBlock, d: DeltaData) -> np.ndarray:
         )
     c = d.cs()
     lams = d.lams()
-    out = np.empty(g + 2)
-    out[0] = d.lambda0 * blk.p[g] - 1.0
-    out[1] = d.lambda0 * float(np.dot(blk.p, blk.q)) + d.c0
+    out = np.empty(blk.p.shape[:-1] + (g + 2,))
+    out[..., 0] = d.lambda0 * blk.p[..., g] - 1.0
+    out[..., 1] = d.lambda0 * np.vecdot(blk.p, blk.q) + d.c0
     for k in range(1, g + 1):
-        out[k + 1] = lambda_k(blk, c, k) - lams[k - 1]
+        out[..., k + 1] = lambda_k(blk, c, k) - lams[k - 1]
     return out
 
 
@@ -74,16 +75,18 @@ class IsPoint:
 
 
 def _fd_jacobian(fun, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference Jacobian, one column per coordinate."""
-    cols = []
-    for i in range(x.size):
-        h = FD_STEP_REL * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        cols.append((fun(xp) - fun(xm)) / (2.0 * h))
-    return np.array(cols).T
+    """Central finite-difference Jacobian, one column per coordinate.
+
+    ``fun`` evaluates the 2n points x + h_i e_i, x - h_i e_i as one stack.
+    """
+    n = x.size
+    h = FD_STEP_REL * np.maximum(1.0, np.abs(x))
+    idx = np.arange(n)
+    pts = np.tile(x, (2 * n, 1))
+    pts[idx, idx] += h
+    pts[n + idx, idx] -= h
+    vals = fun(pts)
+    return ((vals[:n] - vals[n:]) / (2.0 * h[:, None])).T
 
 
 def _gauss_newton(fun, x0: np.ndarray) -> np.ndarray:
@@ -137,24 +140,20 @@ def solve_is_point(d: DeltaData, seed: GmpBlock) -> IsPoint:
     start = GmpBlock(
         np.concatenate([seed.p[:g], [p_fixed]]), seed.q
     )
-    initial = is_residual(start, d)
-    if float(np.max(np.abs(initial))) >= 1.0:
+    with np.errstate(all="ignore"):  # a non-finite residual is refused below
+        worst = np.max(np.abs(is_residual(start, d)))
+    if not worst < 1.0:
         raise ValidationError(
-            f"seed residual {np.max(np.abs(initial)):.3e} too large; "
-            "start closer to the surface"
+            f"seed residual {worst:.3e} too large; start closer to the surface"
         )
     c = d.cs()
-    lams = d.lams()
 
     def fun(x):
-        p = np.concatenate([x[:g], [p_fixed]])
-        q = x[g:]
-        blk = GmpBlock(p, q)
-        out = np.empty(g + 1)
-        out[0] = d.lambda0 * float(np.dot(p, q)) + d.c0
-        for k in range(1, g + 1):
-            out[k] = lambda_k(blk, c, k) - lams[k - 1]
-        return out
+        """Residual entries 1..g+1 at the point x, or at each row of x."""
+        pts = np.atleast_2d(x)
+        P = np.column_stack([pts[:, :g], np.full(len(pts), p_fixed)])
+        rows = GmpWindow.from_arrays(P, pts[:, g:], c).rows()
+        return is_residual(rows, d)[:, 1:].reshape(x.shape[:-1] + (g + 1,))
 
     x0 = np.concatenate([start.p[:g], start.q])
     x = _gauss_newton(fun, x0)

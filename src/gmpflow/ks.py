@@ -423,9 +423,8 @@ def ks_diagnostics(
     p_prev = np.zeros((n_states, g))
     q_next = np.zeros((n_states, g))
     q_prev = np.zeros((n_states, g))
-    trailing_p = np.zeros(n_states)
-    pairing = np.zeros(n_states)
-    lambda_gap = np.zeros((n_states, g))
+    center_p = np.zeros((n_states, g + 1))
+    center_q = np.zeros((n_states, g + 1))
     for i, st in enumerate(states):
         if st.j_min > -1 or st.j_max < 1:
             raise WindowError(f"state {i} lacks blocks -1..1")
@@ -436,18 +435,16 @@ def ks_diagnostics(
         p_prev[i] = left.p[:g] - center.p[:g]
         q_next[i] = right.q[:g] - center.q[:g]
         q_prev[i] = left.q[:g] - center.q[:g]
-        res = is_residual(center, d)
-        trailing_p[i] = res[0]
-        pairing[i] = res[1]
-        lambda_gap[i] = res[2:]
+        center_p[i], center_q[i] = center.p, center.q
+    res = is_residual(GmpWindow.from_arrays(center_p, center_q, d.cs()).rows(), d)
     values = {
         "p_next": p_next,
         "p_prev": p_prev,
         "q_next": q_next,
         "q_prev": q_prev,
-        "trailing_p": trailing_p,
-        "pairing": pairing,
-        "lambda_gap": lambda_gap,
+        "trailing_p": res[:, 0],
+        "pairing": res[:, 1],
+        "lambda_gap": res[:, 2:],
     }
     sq_partials = {k: np.cumsum(v**2, axis=0) for k, v in values.items()}
     cesaro_slopes: dict[str, float] = {}

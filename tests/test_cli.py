@@ -368,6 +368,23 @@ class TestIsoSolve:
         assert cli.main(["iso-solve", d, seed]) == 1
         assert "residual" in capsys.readouterr().err
 
+    def test_non_finite_seed_residual_rejected(self, tmp_path, capsys):
+        cmap = write_json(
+            tmp_path / "map.json",
+            {"lambda0": 1, "c0": 0, "poles": [{"c": 0, "lambda": 1}]},
+        )
+        seed = write_json(
+            tmp_path / "seed.json", {"p": [1e200, 1.0], "q": [1e200, -1e200]}
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["iso-solve", cmap, seed]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == (
+            "validation error: seed residual nan too large; "
+            "start closer to the surface\n"
+        )
+
     def test_malformed_block_rejected(self, tmp_path, capsys):
         d = estar_delta_file(tmp_path)
         seed = write_json(tmp_path / "seed.json", {"p": [1.4, 0.5]})

@@ -188,7 +188,8 @@ class TestJacobiFlowStep:
         stepped = jacobi_flow_step(make_p1_window(9, -4))
         assert stepped.j_min == -3
         assert stepped.j_max == 3
-        for blk in stepped.blocks:
+        for j in range(stepped.j_min, stepped.j_max + 1):
+            blk = stepped.block(j)
             npt.assert_allclose(blk.p, [0.0, 0.5], atol=1e-14)
             npt.assert_allclose(blk.q, [-2.0 * SQRT2, 0.0], atol=1e-14)
         bmat = build_block_B(stepped.block(0), stepped.c)
@@ -198,8 +199,8 @@ class TestJacobiFlowStep:
 
     def test_second_step_returns_mod_sign(self):
         stepped = jacobi_flow_step(jacobi_flow_step(make_p1_window(9, -4)))
-        for blk in stepped.blocks:
-            assert_blocks_equal_mod_sign(blk, make_p1_block(), atol=1e-12)
+        for j in range(stepped.j_min, stepped.j_max + 1):
+            assert_blocks_equal_mod_sign(stepped.block(j), make_p1_block(), atol=1e-12)
 
     def test_residue_functional_conserved(self):
         window = make_p1_window(11, -5)
@@ -285,8 +286,7 @@ class TestFlowRun:
     def test_trajectory_shape_and_width(self):
         traj = flow_run(make_p1_window(23, -11), 10)
         assert isinstance(traj, FlowTrajectory)
-        assert traj.n_steps == 10
-        assert len(traj.states) == 11
+        assert len(traj.states) - 1 == 10
         assert traj.a_out.shape == (11,)
         assert traj.b_out.shape == (10,)
         for n, state in enumerate(traj.states):

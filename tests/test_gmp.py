@@ -111,9 +111,8 @@ class TestGmpWindow:
         back = GmpWindow.from_json(data)
         assert back.j_min == p1_window.j_min
         assert_allclose(back.c, p1_window.c)
-        for a, b in zip(back.blocks, p1_window.blocks):
-            assert_allclose(a.p, b.p)
-            assert_allclose(a.q, b.q)
+        assert_allclose(back.rows().p, p1_window.rows().p)
+        assert_allclose(back.rows().q, p1_window.rows().q)
 
 
 class TestBuildBlockB:
@@ -288,12 +287,12 @@ class TestTransferMatrix:
     def test_worked_product(self, p1_block):
         ev = transfer_matrix(p1_block, np.array([0.0]), 1.0)
         assert_allclose(ev.value, [[-4.0, -4.5], [2.0, 2.0]], atol=1e-14)
-        assert_allclose(ev.trace, -2.0, atol=1e-14)
+        assert_allclose(np.trace(ev.value), -2.0, atol=1e-14)
 
     def test_trace_matches_comb_map(self, p1_block):
         for z in (1.5, 3.0, -3.0):
             ev = transfer_matrix(p1_block, np.array([0.0]), z)
-            assert_allclose(ev.trace, 2.0 * z - 4.0 / z, rtol=1e-13)
+            assert_allclose(np.trace(ev.value), 2.0 * z - 4.0 / z, rtol=1e-13)
 
     def test_zero_interior_vectors(self):
         blk = GmpBlock(
@@ -443,8 +442,8 @@ class TestValidateGmp:
         report = validate_gmp(window)
         for k in range(1, g + 1):
             vals = [
-                lambda_sharp(window.blocks[i + 1], window.blocks[i], window.c, k)
-                for i in range(window.n_blocks - 1)
+                lambda_sharp(window.block(j + 1), window.block(j), window.c, k)
+                for j in range(window.j_min, window.j_max)
             ]
             i_min = int(np.argmin(vals))
             assert report["min_per_k"][k] == vals[i_min]

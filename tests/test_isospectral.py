@@ -2,6 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from gmpflow import isospectral
 from gmpflow.errors import (
     SpectrumProximityError,
     ValidationError,
@@ -10,7 +11,9 @@ from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta
 from gmpflow.flow import jacobi_flow_step
 from gmpflow.gmp import GmpBlock, GmpWindow, assemble_wrapped, transfer_matrix
 from gmpflow.isospectral import (
+    FD_STEP_REL,
     IsPoint,
+    _fd_jacobian,
     intrinsic_offset,
     is_residual,
     magic_check,
@@ -32,6 +35,50 @@ def off_surface_block() -> GmpBlock:
 
 def quartic_seed(p0: float, q0: float) -> GmpBlock:
     return GmpBlock([p0, 0.5], [q0, -2.0 * p0 * q0])
+
+
+def genus_delta(g: int) -> DeltaData:
+    """Comb map of g equal gaps spread over [-3, 3]."""
+    edges = np.linspace(-3.0, 3.0, 2 * g + 2).tolist()
+    return delta_from_gaps(GapSet(-3.0, 3.0, tuple(zip(edges[1:-1:2], edges[2:-1:2]))))
+
+
+def near_surface_rows(d: DeltaData, n_rows: int, sigma: float = 0.01):
+    """P, Q rows of the closed-form surface block, each entry perturbed."""
+    g = d.g
+    p0 = np.append(np.sqrt(d.lams() / d.lambda0), 1.0 / d.lambda0)
+    q0 = np.append(np.zeros(g), -d.c0)
+    u = np.random.default_rng(g).uniform(-1.0, 1.0, (2, n_rows, g + 1))
+    return p0 * (1.0 + sigma * u[0]), q0 + sigma * u[1]
+
+
+def live_fun(monkeypatch, d: DeltaData):
+    """The residual function and start point that ``solve_is_point`` hands
+    to Gauss-Newton for a seed near the surface of ``d``."""
+    seen = {}
+    gauss_newton = isospectral._gauss_newton
+
+    def capture(fun, x0):
+        seen.update(fun=fun, x0=x0)
+        return gauss_newton(fun, x0)
+
+    monkeypatch.setattr(isospectral, "_gauss_newton", capture)
+    P, Q = near_surface_rows(d, 1)
+    solve_is_point(d, GmpBlock(P[0], Q[0]))
+    return seen["fun"], seen["x0"]
+
+
+def column_jacobian(fun, x: np.ndarray) -> np.ndarray:
+    """Central differences one column at a time, one point per call."""
+    cols = []
+    for i in range(x.size):
+        h = FD_STEP_REL * max(1.0, abs(x[i]))
+        xp = x.copy()
+        xm = x.copy()
+        xp[i] += h
+        xm[i] -= h
+        cols.append((fun(xp) - fun(xm)) / (2.0 * h))
+    return np.array(cols).T
 
 
 def periodic_dense(blk: GmpBlock, c, n_blocks: int) -> np.ndarray:
@@ -66,6 +113,15 @@ class TestIsResidual:
         free = GmpBlock([1.0], [0.0])
         d = delta_from_gaps(GapSet(-2.0, 2.0, ()))
         npt.assert_allclose(is_residual(free, d), 0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("g", [1, 2, 4, 8, 12])
+    def test_stack_matches_single_blocks_bitwise(self, g):
+        d = genus_delta(g)
+        P, Q = near_surface_rows(d, 7, sigma=0.05)
+        stacked = is_residual(GmpWindow.from_arrays(P, Q, d.cs()).rows(), d)
+        single = np.array([is_residual(GmpBlock(p, q), d) for p, q in zip(P, Q)])
+        assert stacked.shape == (7, g + 2)
+        assert np.array_equal(stacked, single)
 
 
 class TestAlternativeQg:
@@ -133,6 +189,40 @@ class TestSolveIsPoint:
     def test_trailing_p_overridden(self):
         pt = solve_is_point(estar_delta(), GmpBlock([1.3, 0.7], [0.1, 0.0]))
         assert pt.block.p[1] == 0.5
+
+
+class TestStackedJacobian:
+    """The Gauss-Newton Jacobian evaluates its 2n points as one stack."""
+
+    @pytest.mark.parametrize("g", [1, 2, 4, 8])
+    def test_matches_column_by_column_bitwise(self, monkeypatch, g):
+        fun, x0 = live_fun(monkeypatch, genus_delta(g))
+        jac = _fd_jacobian(fun, x0)
+        assert jac.shape == (g + 1, 2 * g + 1)
+        assert np.array_equal(jac, column_jacobian(fun, x0))
+
+    @pytest.mark.parametrize("g", [2, 8])
+    def test_one_lambda_k_call_per_pole(self, monkeypatch, g):
+        fun, x0 = live_fun(monkeypatch, genus_delta(g))
+        calls = []
+        lambda_k = isospectral.lambda_k
+
+        def counting(blk, c, k):
+            calls.append(k)
+            return lambda_k(blk, c, k)
+
+        monkeypatch.setattr(isospectral, "lambda_k", counting)
+        _fd_jacobian(fun, x0)
+        assert calls == list(range(1, g + 1))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("col", [0, 2, 4])
+    def test_non_finite_point_in_stack_rejected(self, monkeypatch, bad, col):
+        fun, x0 = live_fun(monkeypatch, genus_delta(2))
+        pts = np.tile(x0, (3, 1))
+        pts[1, col] = bad
+        with pytest.raises(ValidationError, match="^block entries must be finite$"):
+            fun(pts)
 
 
 class TestAssemblePeriodicDense:
@@ -221,7 +311,7 @@ class TestSurfaceInvariants:
     def trace_deviation(self, blk, d):
         worst = 0.0
         for z in self.sample_points:
-            trace = transfer_matrix(blk, d.cs(), z).trace
+            trace = np.trace(transfer_matrix(blk, d.cs(), z).value)
             worst = max(worst, abs(trace - float(eval_delta(d, z))))
         return worst
 

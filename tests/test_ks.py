@@ -149,7 +149,7 @@ class TestAssembleWrapped:
         mat = assemble_wrapped(p1_window)
         open_mat = assemble_dense(p1_window)
         n = mat.shape[0]
-        first = p1_window.blocks[0]
+        first = p1_window.block(p1_window.j_min)
         npt.assert_array_equal(mat[n - 1, 0:2], first.p)
         npt.assert_array_equal(mat[0:2, n - 1], first.p)
         interior = mat.copy()
@@ -230,7 +230,7 @@ class TestDeltaOfGmp:
         # diagonal sign matrix; the normalised blocks must not move
         w = decaying_window()
         db = delta_of_gmp(w, estar_delta(), margin=3)
-        blocks = list(w.blocks)
+        blocks = [w.block(j) for j in range(w.j_min, w.j_max + 1)]
         k = 12
         blk = blocks[k]
         blocks[k] = GmpBlock([-blk.p[0], blk.p[1]], [-blk.q[0], blk.q[1]])

@@ -1,14 +1,13 @@
 """Guard against test-only public code in ``src/gmpflow``.
 
-Every public top-level function, class, constant and method must be
-reachable from ``gmpflow.cli`` or ``gmpflow.acceptance``, or be a test
-oracle listed in ``ORACLES``.  Reachability is read from the source by
-name: a reached body, or module-level code, reaches every top-level
-definition whose name it mentions and every method whose name it uses
-as an attribute.  That over-approximates the call graph, so the check
-never flags code that runs, while a definition that only tests use
-shows up.  Properties are read-only views of a value's data, such as
-``GmpWindow.blocks``, and are not checked.
+Every public top-level function, class, constant, method and property
+must be reachable from ``gmpflow.cli`` or ``gmpflow.acceptance``, or be
+a test oracle listed in ``ORACLES``.  Reachability is read from the
+source by name: a reached body, or module-level code, reaches every
+top-level definition whose name it mentions and every method or
+property whose name it uses as an attribute.  That over-approximates
+the call graph, so the check never flags code that runs, while a
+definition that only tests use shows up.
 """
 
 import ast
@@ -67,7 +66,7 @@ def _definitions(sources):
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[f"{mod}.{node.name}"] = node
                 for item in node.body if isinstance(node, ast.ClassDef) else []:
-                    if isinstance(item, ast.FunctionDef) and not _is_property(item):
+                    if isinstance(item, ast.FunctionDef):
                         defs[f"{mod}.{node.name}.{item.name}"] = item
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -77,13 +76,6 @@ def _definitions(sources):
             else:
                 module_code.append(node)
     return defs, module_code
-
-
-def _is_property(node: ast.FunctionDef) -> bool:
-    return any(
-        isinstance(dec, ast.Name) and dec.id in ("property", "cached_property")
-        for dec in node.decorator_list
-    )
 
 
 def _mentions(nodes) -> tuple[set[str], set[str]]:
@@ -102,8 +94,8 @@ def _mentions(nodes) -> tuple[set[str], set[str]]:
 
 def _body(node) -> list:
     """What a reached definition runs: a class brings its bases,
-    decorators, class-level statements, special methods and properties;
-    its other methods are reached on their own."""
+    decorators, class-level statements and special methods; its other
+    methods and its properties are reached on their own."""
     if not isinstance(node, ast.ClassDef):
         return [node]
     return node.bases + node.keywords + node.decorator_list + [
@@ -111,7 +103,6 @@ def _body(node) -> list:
         for item in node.body
         if not isinstance(item, ast.FunctionDef)
         or item.name.startswith("__")
-        or _is_property(item)
     ]
 
 
@@ -155,6 +146,11 @@ def test_a_test_only_function_or_method_is_flagged():
     sources["gmp"] = sources["gmp"].replace(
         "    def scalar_index(",
         "    def interior_js(self):\n        return range(self.j_min + 1, self.j_max)\n\n"
+        "    @property\n    def n_interior(self):\n        return self.n_blocks - 2\n\n"
         "    def scalar_index(",
     )
-    assert unreached(sources) == ["finitegap.eval_psi", "gmp.GmpWindow.interior_js"]
+    assert unreached(sources) == [
+        "finitegap.eval_psi",
+        "gmp.GmpWindow.interior_js",
+        "gmp.GmpWindow.n_interior",
+    ]
