@@ -14,14 +14,20 @@ The record holds:
   ``tests/conftest.make_perturbed_window`` builds them around the
   closed-form surface block ``p = (sqrt(lambda_k / lambda0)..., 1 /
   lambda0)``, ``q = (0..., -c0)``;
+- a sweep of ``construct.jacobi_to_gmp`` at width 5 (``gmpflow jacobi2gmp
+  --width 5``) over n_blocks in {222, 426, 854} at g = 1, on coefficient
+  windows built as the ``convert`` workload builds them: perfbench's
+  ``perturbed_window`` around its one-gap comb map, then
+  ``gmp_to_jacobi_measure``;
 - a sweep of ``isospectral.solve_is_point`` over g in {2, 4, 8, 12}, on
   seeds drawn as the ``iso_comb`` workload draws them (a gap set of
   genus g in [-3, 3], its reference comb map, and the surface block with
   every entry perturbed until the seed residual is below 1), four seeds
   per genus in one timed call;
 - each sweep record is ``{layer, case, n_blocks, g, best_s, median_s,
-  counters}``, the counters (eigensolves, ``delta_of_gmp`` calls,
-  Lanczos runs and steps, ``lambda_k`` calls of ``isospectral`` and
+  counters}`` (``sites`` too for the Jacobi windows), the counters
+  (eigensolves, ``delta_of_gmp`` calls, Lanczos runs and steps, ``kappa``
+  calls of ``construct``, ``lambda_k`` calls of ``isospectral`` and
   Gauss-Newton iterations) taken from one extra run;
 - the ``src/`` line count, and the wall time of the Tier-1 suite and of
   ``gmpflow selftest``.
@@ -57,16 +63,21 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 from conftest import make_perturbed_window  # noqa: E402
-from workloads import comb_map, random_gapset, surface_seed  # noqa: E402
+from workloads import ONE_GAP, comb_map, perturbed_window, random_gapset  # noqa: E402
+from workloads import surface_seed  # noqa: E402
 
 from gmpflow import cli, construct, isospectral, ks, numkit  # noqa: E402
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps  # noqa: E402
-from gmpflow.gmp import GmpBlock  # noqa: E402
+from gmpflow.gmp import GmpBlock, GmpWindow  # noqa: E402
 
 PERFBENCH_SEED = 5
 PERFBENCH_SECONDS = 15
 SIZES = (41, 121, 241)
 CONVERT_SIZES = (221, 425, 853)
+# As in the convert workload: n_blocks / 2 is odd, which keeps the pole at 0
+# off the spectrum of the coefficient window.
+JACOBI_SIZES = (222, 426, 854)
+JACOBI_WIDTH = 5
 GAP_SETS = {
     1: GapSet(-2.0, 2.0, ((-1.0, 1.0),)),
     2: GapSet(-3.0, 3.0, ((-1.5, -0.7), (0.4, 1.1))),
@@ -121,6 +132,15 @@ def sweep_inputs(g: int, n_blocks: int):
     return d, make_perturbed_window(surface, d.cs(), half=n_blocks // 2)
 
 
+def jacobi_inputs(n_blocks: int):
+    """One-gap comb map and a coefficient window drawn as the ``convert``
+    workload draws its ``jacobi2gmp`` inputs."""
+    rng = np.random.default_rng([PERFBENCH_SEED, n_blocks])
+    cmap = comb_map(ONE_GAP)
+    window = GmpWindow.from_json(perturbed_window(rng, cmap, n_blocks))
+    return DeltaData.from_json(cmap), construct.gmp_to_jacobi_measure(window)
+
+
 def iso_inputs(g: int) -> tuple[DeltaData, list[GmpBlock]]:
     """Reference comb map of a genus-g gap set and ``ISO_SEEDS`` seeds
     near its surface, drawn as the ``iso_comb`` workload draws them."""
@@ -137,20 +157,21 @@ def iso_inputs(g: int) -> tuple[DeltaData, list[GmpBlock]]:
 
 class Counting:
     """Counts eigensolves, ``delta_of_gmp`` calls, the Lanczos runs of
-    ``gmp_to_jacobi_measure`` with their steps, and the ``lambda_k`` calls
-    and Jacobians (one per Gauss-Newton iteration) of ``isospectral``
-    while installed."""
+    ``gmp_to_jacobi_measure`` with their steps, the ``kappa`` calls of
+    ``construct``, and the ``lambda_k`` calls and Jacobians (one per
+    Gauss-Newton iteration) of ``isospectral`` while installed."""
 
     def __init__(self):
         self.eig_rows: list[int] = []
         self.delta_calls = 0
         self.lanczos_sizes: list[int] = []
+        self.kappa_calls = 0
         self.lambda_k_calls = 0
         self.jacobians = 0
 
     def __enter__(self):
         self._eig, self._delta = numkit.sym_eigen, ks.delta_of_gmp
-        self._lanczos = construct.lanczos
+        self._lanczos, self._kappa = construct.lanczos, construct.kappa
         self._lambda_k, self._jacobian = isospectral.lambda_k, isospectral._fd_jacobian
 
         def eig(mat):
@@ -166,6 +187,10 @@ class Counting:
             self.lanczos_sizes.append(win.size)
             return win
 
+        def kappa(*args, **kwargs):
+            self.kappa_calls += 1
+            return self._kappa(*args, **kwargs)
+
         def lambda_k(*args):
             self.lambda_k_calls += 1
             return self._lambda_k(*args)
@@ -176,14 +201,14 @@ class Counting:
 
         numkit.sym_eigen = eig
         ks.delta_of_gmp = delta  # map_chain looks the name up in ks
-        construct.lanczos = lanczos
+        construct.lanczos, construct.kappa = lanczos, kappa
         isospectral.lambda_k, isospectral._fd_jacobian = lambda_k, jacobian
         return self
 
     def __exit__(self, *exc):
         numkit.sym_eigen = self._eig
         ks.delta_of_gmp = self._delta
-        construct.lanczos = self._lanczos
+        construct.lanczos, construct.kappa = self._lanczos, self._kappa
         isospectral.lambda_k, isospectral._fd_jacobian = self._lambda_k, self._jacobian
 
     def counters(self) -> dict:
@@ -194,6 +219,7 @@ class Counting:
             "lanczos_calls": len(self.lanczos_sizes),
             # one operator product per coefficient b(k)
             "lanczos_steps": sum(self.lanczos_sizes),
+            "kappa_calls": self.kappa_calls,
             "lambda_k_calls": self.lambda_k_calls,
             "gauss_newton_iterations": self.jacobians,
         }
@@ -245,6 +271,14 @@ def sweep(work: Path) -> list[dict]:
             rec.update(timed(lambda: construct.gmp_to_jacobi_measure(w)))
             records.append(rec)
             print(f"{case} g={g} n={n_blocks}: best {rec['best_s']:.4f} s", file=sys.stderr)
+    for n_blocks in JACOBI_SIZES:
+        d, J = jacobi_inputs(n_blocks)
+        case = f"jacobi_to_gmp width={JACOBI_WIDTH}"
+        rec = {"layer": "operator", "case": case, "n_blocks": n_blocks, "g": 1,
+               "sites": J.size}
+        rec.update(timed(lambda: construct.jacobi_to_gmp(J, d, n_blocks=JACOBI_WIDTH)))
+        records.append(rec)
+        print(f"{case} n={n_blocks}: best {rec['best_s']:.4f} s", file=sys.stderr)
     for g in ISO_GENERA:
         d, seeds = iso_inputs(g)
         case = f"solve_is_point, {ISO_SEEDS} seeds"

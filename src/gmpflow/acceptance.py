@@ -327,7 +327,7 @@ def criterion_one_sided_build() -> dict:
         np.max(np.abs(D - np.array([[1.0, 0.0], [0.0, 25.0 / 72.0]])))
     )
     rb = tau_basis(m, d, depth=2)
-    mm = multiplication_matrix(rb, m)
+    mm = multiplication_matrix(rb)
     off = pattern_defect(mm, one_sided_coupling(rb.g))
     # the diagonal of the first block carries the pole of the map
     d_shift = delta_from_gaps(GapSet(-1.0, 3.0, ((0.0, 2.0),)))
@@ -335,7 +335,7 @@ def criterion_one_sided_build() -> dict:
         np.array([-0.9, -0.5, 2.3, 2.9]), np.full(4, 0.25)
     )
     rb2 = tau_basis(m2, d_shift, depth=2)
-    mm2 = multiplication_matrix(rb2, m2)
+    mm2 = multiplication_matrix(rb2)
     pole_dev = abs(
         mm2[1, 1] - rb2.m_vec[1] * rb2.L[0, 1] - d_shift.cs()[0]
     )

@@ -28,7 +28,7 @@ from .errors import (
     WindowError,
 )
 from .finitegap import DeltaData, eval_delta
-from .gmp import GmpBlock, GmpWindow, build_block_B, pattern_defect
+from .gmp import GmpWindow, build_block_B, pattern_defect
 from .jacobi import DiscreteMeasure, JacobiWindow, _spectrum, kappa, lanczos
 
 FACTOR_TOL = 1e-10
@@ -63,10 +63,8 @@ def _raw_columns(points: np.ndarray, cs: np.ndarray) -> np.ndarray:
     convention where the last pole enters first.
     """
 
-    cols = [np.ones_like(points)]
-    for c in cs[::-1]:
-        cols.append(1.0 / (c - points))
-    return np.column_stack(cols)
+    inverse = [1.0 / (c - points) for c in cs[::-1]]
+    return np.column_stack([np.ones_like(points)] + inverse)
 
 
 def gram_D(measure: DiscreteMeasure, c_list) -> np.ndarray:
@@ -202,31 +200,21 @@ class RationalBasis:
         return self.table.shape[1] // self.L.shape[0]
 
 
-def tau_basis(
-    measure: DiscreteMeasure,
-    d: DeltaData,
-    c_list=None,
-    depth: int = 2,
-) -> RationalBasis:
+def tau_basis(measure: DiscreteMeasure, d: DeltaData, depth: int = 2) -> RationalBasis:
     """Orthonormal rational basis of the measure, depth blocks deep.
 
-    The first block orthogonalizes the raw rational system through
-    factor_L; block m multiplies block m - 1 pointwise by the comb map
-    values and re-orthogonalizes, so block m spans the map-power
-    multiples of the raw system.  Leading coefficients stay positive.
-    Raises NumericalError when the measure cannot support the requested
-    depth.
+    The first block orthogonalizes the raw rational system of the map's
+    poles through factor_L; block m multiplies block m - 1 pointwise by
+    the comb map values and re-orthogonalizes, so block m spans the
+    map-power multiples of the raw system.  Leading coefficients stay
+    positive.  Raises NumericalError when the measure cannot support the
+    requested depth.
     """
 
     if int(depth) != depth or depth < 1:
         raise ValidationError("depth must be a positive integer")
     depth = int(depth)
-    cs = d.cs() if c_list is None else _checked_poles(c_list)
-    if c_list is not None and (
-        len(cs) != d.g
-        or float(np.max(np.abs(np.sort(cs) - np.sort(d.cs())))) > 1e-12
-    ):
-        raise ValidationError("poles must match the poles of the map")
+    cs = d.cs()
     per = d.g + 1
     if depth * per > measure.n_points:
         raise ValidationError(
@@ -240,16 +228,11 @@ def tau_basis(
     rows[:per] = (_raw_columns(pts, cs) @ L).T
     dvals = np.asarray(eval_delta(d, pts), dtype=float)
     for idx in range(per, depth * per):
-        cand = dvals * rows[idx - per]
-        cand_norm = float(np.sqrt(np.sum(wts * cand * cand)))
-        vec = numkit.project_out(rows[:idx], cand, wts)
-        rem = float(np.sqrt(np.sum(wts * vec * vec)))
-        if rem <= FLAG_RANK_REL * max(cand_norm, 1e-300):
+        if not _append_orthonormal(rows, idx, dvals * rows[idx - per], wts):
             raise NumericalError(
                 f"measure rank exhausted at basis function {idx}; "
                 "the support is too small for the requested depth"
             )
-        rows[idx] = vec / rem
     table = np.ascontiguousarray(rows.T)
     m_vec = table[:, :per].T @ (wts * pts)
     return RationalBasis(measure, table, L, D, m_vec)
@@ -261,23 +244,15 @@ def one_sided_coupling(g: int) -> np.ndarray:
     return np.broadcast_to(np.arange(g + 1) == 0, (g + 1, g + 1))
 
 
-def multiplication_matrix(
-    rb: RationalBasis, measure: DiscreteMeasure
-) -> np.ndarray:
+def multiplication_matrix(rb: RationalBasis) -> np.ndarray:
     """Matrix of multiplication by x in the rational basis.
 
-    Entries are integrals of x tau_j tau_k against the measure.  The
-    result carries the one-sided GMP pattern: dense blocks on the
-    diagonal, adjacent blocks coupled through row 0 of the farther
-    block only.  Raises NumericalError when the pattern degrades.
+    Entries are integrals of x tau_j tau_k against the basis measure.
+    The result carries the one-sided GMP pattern: dense blocks on the
+    diagonal, adjacent blocks coupled through row 0 of the farther block
+    only.  Raises NumericalError when the pattern degrades.
     """
 
-    if (
-        measure.n_points != rb.measure.n_points
-        or float(np.max(np.abs(measure.points - rb.measure.points))) > 1e-12
-        or float(np.max(np.abs(measure.weights - rb.measure.weights))) > 1e-12
-    ):
-        raise ValidationError("measure does not match the basis measure")
     if rb.depth < 2:
         raise ValidationError(
             "multiplication needs a basis at least two blocks deep"
@@ -295,13 +270,6 @@ def multiplication_matrix(
     return M
 
 
-def reflected_window(window: JacobiWindow) -> JacobiWindow:
-    """Jacobi window of the same operator with site n sent to -1 - n."""
-
-    a_ref = np.concatenate(([1.0], window.a[:0:-1]))
-    return JacobiWindow(a_ref, window.b[::-1], n_min=-1 - window.n_max)
-
-
 def kappa_minus(window: JacobiWindow, c: float, spectrum=None):
     """Mirror resolvent vector pinned at c, supported on sites <= -1.
 
@@ -311,34 +279,25 @@ def kappa_minus(window: JacobiWindow, c: float, spectrum=None):
     reflection shares the window's ``spectrum``.
     """
 
-    k_ref = kappa(reflected_window(window), c, spectrum)
-    return k_ref.vec[::-1]
+    return kappa(window.reflected(), c, spectrum).vec[::-1]
 
 
-def _gs_append(basis: np.ndarray, slot: dict, key: tuple, cand: np.ndarray) -> None:
-    """Orthonormalize cand against the filled rows of basis into the next
-    row, and record that row in slot under key = (block, slot)."""
+def _append_orthonormal(rows: np.ndarray, k: int, cand: np.ndarray, w=None) -> bool:
+    """Orthonormalize cand against rows[:k] into rows[k], under the inner
+    product sum(w * x * y) if weights w are given; False, with rows[k]
+    untouched, when cand lies numerically in the span of rows[:k]."""
 
-    k = len(slot)
-    cand_norm = float(np.linalg.norm(cand))
-    vec = numkit.project_out(basis[:k], cand)
-    rem = float(np.linalg.norm(vec))
-    if rem <= FLAG_RANK_REL * max(cand_norm, 1e-300):
-        raise NumericalError(
-            f"flag vectors became linearly dependent at block {key[0]} slot "
-            f"{key[1]}; the Gram matrix of the flag is numerically singular"
-        )
-    basis[k] = vec / rem
-    slot[key] = k
+    norm = np.linalg.norm if w is None else lambda v: np.sqrt(np.sum(w * v * v))
+    vec = numkit.project_out(rows[:k], cand, w)
+    rem = float(norm(vec))
+    if rem <= FLAG_RANK_REL * max(float(norm(cand)), 1e-300):
+        return False
+    rows[k] = vec / rem
+    return True
 
 
-def jacobi_to_gmp(
-    window: JacobiWindow,
-    d: DeltaData,
-    c_list=None,
-    n_blocks: int = 5,
-) -> GmpWindow:
-    """GMP window of the Jacobi operator in the pole-pinned basis.
+def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpWindow:
+    """GMP window of the Jacobi operator in the basis pinned at the map poles.
 
     Orthogonalizes the flag seeded by the basis vector at site -1, the
     mirror resolvent vectors pinned at the map poles on the left of the
@@ -354,11 +313,7 @@ def jacobi_to_gmp(
     if int(n_blocks) != n_blocks or n_blocks < 3:
         raise ValidationError("at least three blocks are required")
     n_blocks = int(n_blocks)
-    cs = d.cs() if c_list is None else _checked_poles(c_list)
-    if len(cs) != d.g or (
-        float(np.max(np.abs(np.sort(cs) - np.sort(d.cs())))) > 1e-12
-    ):
-        raise ValidationError("poles must match the poles of the map")
+    cs = d.cs()
     g = d.g
     per = g + 1
     k_lo = -(n_blocks // 2) - 1
@@ -384,38 +339,42 @@ def jacobi_to_gmp(
     def mapped(v: np.ndarray) -> np.ndarray:
         # lambda0 J + c0 + sum_k lambda_k (c_k - J)^{-1}, applied to v
         out = d.lambda0 * numkit.banded_matvec((b, off), v) + d.c0 * v
-        for ck, lk in zip(d.cs(), d.lams()):
+        for ck, lk in zip(cs, d.lams()):
             out -= lk * numkit.solve_tridiagonal(b, off, v, ck)
         return out
 
     basis = np.zeros(((n_blocks + 1) * per, n_sites))
     basis[0, window.pos(-1)] = 1.0
-    slot: dict = {(-1, g): 0}
+    slot: dict = {(-1, g): 0}  # (block, slot) -> row of basis
+
+    def append(key: tuple, cand: np.ndarray) -> None:
+        if not _append_orthonormal(basis, len(slot), cand):
+            raise NumericalError(
+                f"flag vectors became linearly dependent at block {key[0]} slot "
+                f"{key[1]}; the Gram matrix of the flag is numerically singular"
+            )
+        slot[key] = len(slot)
+
     # the mirror flag nests from the far end: orthogonalize last pole first
     for m in range(g - 1, -1, -1):
-        _gs_append(basis, slot, (-1, m), kappa_minus(window, cs[m], eigs))
+        append((-1, m), kappa_minus(window, cs[m], eigs))
     for m, c in enumerate(cs):
-        _gs_append(basis, slot, (0, m), kappa(window, c, eigs).vec)
-    _gs_append(basis, slot, (0, g), np.eye(1, n_sites, window.pos(0))[0])
+        append((0, m), kappa(window, c, eigs).vec)
+    append((0, g), np.eye(1, n_sites, window.pos(0))[0])
     for j in range(1, k_hi + 1):
         for m in range(per):
-            _gs_append(basis, slot, (j, m), mapped(basis[slot[(j - 1, m)]]))
+            append((j, m), mapped(basis[slot[(j - 1, m)]]))
     for j in range(-2, k_lo - 1, -1):
         for m in range(g, -1, -1):
-            _gs_append(basis, slot, (j, m), mapped(basis[slot[(j + 1, m)]]))
+            append((j, m), mapped(basis[slot[(j + 1, m)]]))
 
-    order = [(j, m) for j in range(k_lo, k_hi + 1) for m in range(per)]
-    Q = basis[[slot[key] for key in order]].T
-    amat = Q.T @ numkit.banded_matvec((b, off), Q)
+    V = basis[[slot[j, m] for j in range(k_lo, k_hi + 1) for m in range(per)]].T
+    amat = V.T @ numkit.banded_matvec((b, off), V)
     amat = 0.5 * (amat + amat.T)
-
-    def idx(j: int, m: int) -> int:
-        return (j - k_lo) * per + m
 
     scale = max(1.0, float(np.max(np.abs(amat))))
     # Adjacent blocks couple only through slot g of the nearer block.
-    coupling = np.zeros((per, per), dtype=bool)
-    coupling[g, :] = True
+    coupling = np.broadcast_to((np.arange(per) == g)[:, None], (per, per))
     worst = pattern_defect(amat, coupling)
     if worst > TWO_SIDED_PATTERN_TOL * scale:
         raise NumericalError(
@@ -423,30 +382,29 @@ def jacobi_to_gmp(
             f"entry {worst:.3e}; the Jacobi window is likely too narrow"
         )
 
-    for j in range(k_lo + 1, k_hi + 1):
-        row = idx(j - 1, g)
-        for m in range(per):
-            col = idx(j, m)
-            if amat[row, col] < 0.0:
-                amat[col, :] = -amat[col, :]
-                amat[:, col] = -amat[:, col]
+    # Row i: slot g of block k_lo + i, and the slots of block k_lo + i + 1.
+    last = np.arange(n_blocks)[:, None] * per + g
+    nxt = last + 1 + np.arange(per)
+    # Gauge: flip slot m of block i + 1 where its coupling to slot g of block
+    # i, flipped or not, is negative.  Flips of slot g multiply up (a zero
+    # coupling there, which would reset them, leaves no finite readout).
+    C = amat[last, nxt]
+    flips_g = np.cumprod(np.where(C[:, g] < 0.0, -1.0, 1.0))
+    s = np.ones(amat.shape[0])
+    s[per:] = np.where(np.r_[1.0, flips_g[:-1]][:, None] * C < 0.0, -1.0, 1.0).ravel()
+    amat = amat * s[:, None] * s[None, :]
 
-    blocks = []
-    c_arr = np.asarray(cs, dtype=float)
-    for j in range(k_lo + 1, k_hi + 1):
-        sl = slice(idx(j, 0), idx(j, g) + 1)
-        p = amat[idx(j - 1, g), sl].copy()
-        B = amat[sl, sl]
-        q = B[g, :] / p[g]
-        blk = GmpBlock(p, q)
-        dev = float(np.max(np.abs(build_block_B(blk, c_arr) - B)))
-        if dev > READOUT_TOL * scale:
-            raise NumericalError(
-                f"block {j} readout deviates from the diagonal part by "
-                f"{dev:.3e}"
-            )
-        blocks.append(blk)
-    return GmpWindow(tuple(blocks), tuple(c_arr), j_min=k_lo + 1)
+    P = amat[last, nxt]
+    B = amat[nxt[:, :, None], nxt[:, None, :]]
+    w = GmpWindow.from_arrays(P, B[:, g, :] / P[:, g:], cs, j_min=k_lo + 1)
+    dev = np.max(np.abs(build_block_B(w.rows(), w.c) - B), axis=(1, 2))
+    bad = np.flatnonzero(dev > READOUT_TOL * scale)
+    if bad.size:
+        raise NumericalError(
+            f"block {w.j_min + bad[0]} readout deviates from the diagonal part "
+            f"by {dev[bad[0]]:.3e}"
+        )
+    return w
 
 
 def _half_bands(w: GmpWindow, lo: int, hi: int, reverse: bool) -> np.ndarray:

@@ -8,6 +8,8 @@ within tolerance).
 
 from __future__ import annotations
 
+import numbers
+
 
 class GmpflowError(Exception):
     """Base class for all package-specific errors."""
@@ -76,3 +78,12 @@ class WindowError(ValidationError):
 
 class SpectrumProximityError(ValidationError):
     """A requested shift sits too close to the spectrum of an operator."""
+
+
+def integral(value, field: str) -> int:
+    """A number with no fractional part (3 or 3.0, not 1.5 or true) as an
+    int; otherwise a ValidationError naming ``field``."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if float(value).is_integer():
+            return int(value)
+    raise ValidationError(f"{field} must be an integer, got {value!r}")

@@ -15,6 +15,7 @@ on every band.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,13 @@ class DeltaData:
         for c, lam in self.poles:
             if lam <= 0:
                 raise ValidationError(f"pole weight at {c} must be positive")
+        if not (math.isfinite(self.lambda0) and math.isfinite(self.c0)):
+            raise ValidationError(
+                f"slope and offset must be finite, got {self.lambda0} and {self.c0}"
+            )
+        for c, lam in self.poles:
+            if not (math.isfinite(c) and math.isfinite(lam)):
+                raise ValidationError(f"pole at {c} with weight {lam} must be finite")
 
     @property
     def g(self) -> int:
@@ -139,9 +147,10 @@ class DeltaData:
         return np.array([l for _, l in self.poles])
 
     def aligned_to(self, c) -> "DeltaData":
-        """The same map with its poles listed in the order of the poles ``c``."""
+        """The same map with its poles listed in the order of the poles ``c``,
+        which must match them within 1e-12 absolute."""
         c, cs = np.asarray(c, dtype=float), self.cs()
-        if c.size != cs.size or not np.allclose(np.sort(c), np.sort(cs), atol=1e-12):
+        if c.size != cs.size or not np.all(np.abs(np.sort(c) - np.sort(cs)) <= 1e-12):
             raise ValidationError("window poles differ from the map poles")
         by_rank = np.argsort(cs)[np.argsort(np.argsort(c))]  # same rank as c[i]
         return DeltaData(self.lambda0, self.c0, [self.poles[i] for i in by_rank])

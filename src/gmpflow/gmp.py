@@ -30,6 +30,7 @@ from .errors import (
     PoleEvaluationError,
     ValidationError,
     WindowError,
+    integral,
 )
 
 # The symplectic unit [[0, -1], [1, 0]].
@@ -176,7 +177,8 @@ class GmpWindow:
         try:
             P = [np.array(b["p"], dtype=float) for b in data["blocks"]]
             Q = [np.array(b["q"], dtype=float) for b in data["blocks"]]
-            c, j_min = np.array(data["C"], dtype=float), int(data["j_min"])
+            c = np.array(data["C"], dtype=float)
+            j_min = integral(data["j_min"], "j_min")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed window data: {exc}") from exc
         shapes = {row.shape for row in P + Q}

@@ -34,6 +34,7 @@ from .errors import (
     SpectrumProximityError,
     ValidationError,
     WindowError,
+    integral,
 )
 
 ANGLE_POLE_THRESHOLD = 1e10
@@ -105,19 +106,11 @@ class JacobiWindow:
         cut = self.pos(0)
         return JacobiWindow(self.a[cut:], self.b[cut:], 0)
 
-    def left_half(self) -> "JacobiWindow":
-        """Sites -1..n_min reversed into a one-sided window.
-
-        In the reversed order the diagonal reads b(-1), b(-2), ... and the
-        internal bonds a(-1), a(-2), ...; the stored a(0) slot again holds
-        the bond toward the other half.
-        """
-        if self.n_max < -1 or self.n_min > -1:
-            raise WindowError("window does not contain the site -1")
-        cut = self.pos(-1)
-        a_rev = np.concatenate(([self.a[cut + 1]], self.a[1 : cut + 1][::-1]))
-        b_rev = self.b[: cut + 1][::-1]
-        return JacobiWindow(a_rev, b_rev, 0)
+    def reflected(self) -> "JacobiWindow":
+        """The same operator with site n sent to -1 - n; a(0) stays the bond
+        across the split, so ``right_half`` of it is the left half."""
+        a_ref = np.concatenate(([1.0], self.a[:0:-1]))
+        return JacobiWindow(a_ref, self.b[::-1], n_min=-1 - self.n_max)
 
     def to_json(self) -> dict:
         return {
@@ -130,7 +123,7 @@ class JacobiWindow:
     def from_json(cls, data: dict) -> "JacobiWindow":
         try:
             a, b = np.array(data["a"], dtype=float), np.array(data["b"], dtype=float)
-            n_min = int(data["n_min"])
+            n_min = integral(data["n_min"], "n_min")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed window data: {exc}") from exc
         return cls(a, b, n_min)
@@ -369,7 +362,7 @@ def two_by_two_resolvent(window: JacobiWindow, z: float) -> np.ndarray:
     rhs[corner, [0, 1]] = 1.0
     rmat = numkit.solve_tridiagonal(window.b, window.a[1:], rhs, z)[corner]
     r_plus = resolvent_r(window.right_half(), z)
-    r_minus = resolvent_r(window.left_half(), z)
+    r_minus = resolvent_r(window.reflected().right_half(), z)
     a0 = window.a_at(0)
     checks = (
         (-1.0 / rmat[1, 1], -1.0 / r_plus + a0**2 * r_minus),

@@ -260,6 +260,21 @@ class TestKs:
         got = (tmp_path / "reversed.csv").read_bytes()
         assert got == (tmp_path / "map.csv").read_bytes()
 
+    @pytest.mark.parametrize("rel", [3e-6, 1e-9])
+    def test_map_with_nearby_poles_rejected(self, tmp_path, capsys, rel):
+        # within np.allclose's default rtol these poles used to pass: at
+        # 3e-6 the mapped operator lost its band structure (exit 2), at
+        # 1e-9 the table was written for the wrong map (exit 0)
+        d, w = twogap_window()
+        moved = DeltaData(d.lambda0, d.c0, [(c * (1 + rel), lam) for c, lam in d.poles])
+        win = write_json(tmp_path / "twogap.json", w.to_json())
+        cmap = write_json(tmp_path / "moved.json", moved.to_json())
+        capsys.readouterr()
+        assert cli.main(["ks", win, cmap, "--steps", "2"]) == 1
+        assert capsys.readouterr() == (
+            "", "validation error: window poles differ from the map poles\n"
+        )
+
     def test_each_state_is_mapped_once(self, tmp_path, monkeypatch):
         # 9 states of the run, one eigensolve each; the shift comparison
         # reads the same mapped blocks
@@ -405,6 +420,31 @@ class TestConversions:
             blk = w.block(j)
             assert blk.p == pytest.approx([math.sqrt(2.0), 0.5], abs=1e-10)
             assert blk.q == pytest.approx([0.0, 0.0], abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "field, literal, message",
+        [
+            ("c0", "NaN", "slope and offset must be finite, got 1.0 and nan"),
+            ("lambda0", "NaN", "slope and offset must be finite, got nan and 0.0"),
+            ("lambda", "Infinity", "pole at 0.0 with weight inf must be finite"),
+            ("c", "Infinity", "pole at inf with weight 1.0 must be finite"),
+        ],
+        ids=["c0-nan", "lambda0-nan", "lambda-inf", "c-inf"],
+    )
+    def test_non_finite_map_rejected(self, tmp_path, capsys, field, literal, message):
+        entries = {"lambda0": "1.0", "c0": "0.0", "c": "0.0", "lambda": "1.0"}
+        entries[field] = literal
+        cmap = tmp_path / "map.json"
+        cmap.write_text(
+            '{"lambda0": %(lambda0)s, "c0": %(c0)s, '
+            '"poles": [{"c": %(c)s, "lambda": %(lambda)s}]}\n' % entries
+        )
+        win = period2_jacobi_file(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["jacobi2gmp", win, str(cmap), "--width", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == f"validation error: {message}\n"
 
     def test_gmp2jacobi_reads_off_coefficients(self, tmp_path, capsys):
         win = p1_window_file(tmp_path)

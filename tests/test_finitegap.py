@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -161,6 +163,44 @@ class TestAlignedTo:
             d.aligned_to([-0.8, 0.5])
         with pytest.raises(ValidationError, match="poles differ"):
             d.aligned_to([-0.8])
+
+    @pytest.mark.parametrize("rel", [3e-6, 1e-9])
+    def test_relative_difference_rejected(self, rel):
+        # the bound is 1e-12 absolute; np.allclose's default rtol of 1e-5
+        # used to let both through
+        d = DeltaData(1.5, 0.2, ((-0.8, 0.3), (0.4, 0.7)))
+        with pytest.raises(ValidationError, match="poles differ"):
+            d.aligned_to([-0.8, 0.4 * (1.0 + rel)])
+        assert d.aligned_to([-0.8, 0.4 + 5e-13]) == d
+
+
+class TestDeltaDataFinite:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('{"lambda0": NaN, "c0": 0.0, "poles": []}',
+             "slope and offset must be finite, got nan and 0.0"),
+            ('{"lambda0": Infinity, "c0": 0.0, "poles": []}',
+             "slope and offset must be finite, got inf and 0.0"),
+            ('{"lambda0": 1.0, "c0": NaN, "poles": []}',
+             "slope and offset must be finite, got 1.0 and nan"),
+            ('{"lambda0": 1.0, "c0": -Infinity, "poles": []}',
+             "slope and offset must be finite, got 1.0 and -inf"),
+            ('{"lambda0": 1.0, "c0": 0.0, "poles": [{"c": Infinity, "lambda": 1.0}]}',
+             "pole at inf with weight 1.0 must be finite"),
+            ('{"lambda0": 1.0, "c0": 0.0, "poles": [{"c": NaN, "lambda": 1.0}]}',
+             "pole at nan with weight 1.0 must be finite"),
+            ('{"lambda0": 1.0, "c0": 0.0, "poles": [{"c": 0.0, "lambda": Infinity}]}',
+             "pole at 0.0 with weight inf must be finite"),
+        ],
+        ids=["lambda0-nan", "lambda0-inf", "c0-nan", "c0-minus-inf", "c-inf", "c-nan",
+             "lambda-inf"],
+    )
+    def test_non_finite_json_literal_rejected(self, text, message):
+        # json.load parses NaN and Infinity
+        with pytest.raises(ValidationError) as info:
+            DeltaData.from_json(json.loads(text))
+        assert str(info.value) == message
 
 
 class TestEvalDelta:

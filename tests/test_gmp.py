@@ -115,6 +115,20 @@ class TestGmpWindow:
         assert_allclose(back.rows().q, p1_window.rows().q)
 
 
+    @pytest.mark.parametrize("j_min", [-1.5, 2.7, True, float("inf"), "1"])
+    def test_json_offset_must_be_integral(self, p1_window, j_min):
+        data = dict(p1_window.to_json(), j_min=j_min)
+        with pytest.raises(ValidationError) as info:
+            GmpWindow.from_json(data)
+        assert str(info.value) == (
+            f"malformed window data: j_min must be an integer, got {j_min!r}"
+        )
+
+    def test_json_offset_may_be_an_integral_float(self, p1_window):
+        back = GmpWindow.from_json(dict(p1_window.to_json(), j_min=3.0))
+        assert back.j_min == 3 and type(back.j_min) is int
+
+
 class TestBuildBlockB:
     def test_p1_block_is_zero(self, p1_block):
         assert_allclose(

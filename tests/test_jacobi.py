@@ -115,7 +115,7 @@ class TestJacobiWindow:
         assert right.n_min == 0
         assert_allclose(right.b, [30.0, 40.0])
         assert_allclose(right.a, [1.1, 1.3])
-        left = win.left_half()
+        left = win.reflected().right_half()
         assert left.n_min == 0
         assert_allclose(left.b, [20.0, 10.0])
         assert_allclose(left.a, [1.1, 0.9])
@@ -132,6 +132,20 @@ class TestJacobiWindow:
         assert back.n_min == -1
         assert_allclose(back.a, win.a)
         assert_allclose(back.b, win.b)
+
+    @pytest.mark.parametrize("n_min", [-1.5, 2.7, False, float("nan"), "-1"])
+    def test_json_offset_must_be_integral(self, n_min):
+        data = {"n_min": n_min, "a": [1.5, 0.5], "b": [0.1, -0.2]}
+        with pytest.raises(ValidationError) as info:
+            JacobiWindow.from_json(data)
+        assert str(info.value) == (
+            f"malformed window data: n_min must be an integer, got {n_min!r}"
+        )
+
+    def test_json_offset_may_be_an_integral_float(self):
+        data = {"n_min": -1.0, "a": [1.5, 0.5], "b": [0.1, -0.2]}
+        back = JacobiWindow.from_json(data)
+        assert back.n_min == -1 and type(back.n_min) is int
 
 
 class TestDiscreteMeasure:
@@ -371,7 +385,7 @@ class TestTwoByTwoResolvent:
             z = float(np.max(np.abs(np.linalg.eigvalsh(win.dense())))) + 1.0
             rmat = two_by_two_resolvent(win, z)
             r_plus = resolvent_r(win.right_half(), z)
-            r_minus = resolvent_r(win.left_half(), z)
+            r_minus = resolvent_r(win.reflected().right_half(), z)
             a0 = win.a_at(0)
             assert (
                 abs(-1.0 / rmat[1, 1] - (-1.0 / r_plus + a0**2 * r_minus))
