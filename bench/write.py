@@ -24,11 +24,17 @@ The record holds:
   genus g in [-3, 3], its reference comb map, and the surface block with
   every entry perturbed until the seed residual is below 1), four seeds
   per genus in one timed call;
+- a kernel sweep of ``gmp.lambda_sharp`` (all g pair functionals of one
+  pair of blocks, or of a stack of pairs) over g in {1, 2, 4, 8, 12, 16},
+  at 1 and 481 pairs, on the poles of the same comb maps and a window of
+  surface blocks with every entry perturbed by up to 5%;
 - each sweep record is ``{layer, case, n_blocks, g, best_s, median_s,
-  counters}`` (``sites`` too for the Jacobi windows), the counters
-  (eigensolves, ``delta_of_gmp`` calls, Lanczos runs and steps, ``kappa``
-  calls of ``construct``, ``lambda_k`` calls of ``isospectral`` and
-  Gauss-Newton iterations) taken from one extra run;
+  counters}`` (``sites`` too for the Jacobi windows; ``n_blocks`` counts
+  the pairs for ``lambda_sharp``), the counters (eigensolves,
+  ``delta_of_gmp`` calls, Lanczos runs and steps, ``kappa`` calls of
+  ``construct``, ``lambda_k`` calls of ``isospectral`` with the pole
+  evaluations they make, calls x g x rows, and Gauss-Newton iterations)
+  taken from one extra run;
 - the ``src/`` line count, and the wall time of the Tier-1 suite and of
   ``gmpflow selftest``.
 
@@ -66,7 +72,7 @@ from conftest import make_perturbed_window  # noqa: E402
 from workloads import ONE_GAP, comb_map, perturbed_window, random_gapset  # noqa: E402
 from workloads import surface_seed  # noqa: E402
 
-from gmpflow import cli, construct, isospectral, ks, numkit  # noqa: E402
+from gmpflow import cli, construct, gmp, isospectral, ks, numkit  # noqa: E402
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps  # noqa: E402
 from gmpflow.gmp import GmpBlock, GmpWindow  # noqa: E402
 
@@ -85,6 +91,8 @@ GAP_SETS = {
 KS_STEPS = 8
 ISO_GENERA = (2, 4, 8, 12)
 ISO_SEEDS = 4
+KERNEL_GENERA = (1, 2, 4, 8, 12, 16)
+KERNEL_PAIRS = (1, 481)
 # Timed repeats per sweep case: at least MIN_REPEATS, more while the case
 # has used less than CASE_BUDGET_S, at most MAX_REPEATS.
 MIN_REPEATS, MAX_REPEATS, CASE_BUDGET_S = 3, 15, 1.5
@@ -155,11 +163,23 @@ def iso_inputs(g: int) -> tuple[DeltaData, list[GmpBlock]]:
     return d, [GmpBlock(s["p"], s["q"]) for s in seeds]
 
 
+def kernel_inputs(g: int, n_pairs: int) -> GmpWindow:
+    """Window of n_pairs + 1 perturbed surface blocks on the poles of the
+    reference comb map of a genus-g gap set drawn as ``iso_comb`` draws it."""
+    rng = np.random.default_rng([PERFBENCH_SEED, g, n_pairs])
+    d = DeltaData.from_json(comb_map(random_gapset(rng, g, None)))
+    p0 = np.append(np.sqrt(d.lams() / d.lambda0), 1.0 / d.lambda0)
+    q0 = np.append(np.zeros(g), -d.c0)
+    u = rng.uniform(-1.0, 1.0, (2, n_pairs + 1, g + 1))
+    return GmpWindow.from_arrays(p0 * (1.0 + 0.05 * u[0]), q0 + 0.05 * u[1], d.cs())
+
+
 class Counting:
     """Counts eigensolves, ``delta_of_gmp`` calls, the Lanczos runs of
     ``gmp_to_jacobi_measure`` with their steps, the ``kappa`` calls of
-    ``construct``, and the ``lambda_k`` calls and Jacobians (one per
-    Gauss-Newton iteration) of ``isospectral`` while installed."""
+    ``construct``, and the ``lambda_k`` calls with their pole evaluations
+    and the Jacobians (one per Gauss-Newton iteration) of ``isospectral``
+    while installed."""
 
     def __init__(self):
         self.eig_rows: list[int] = []
@@ -167,6 +187,7 @@ class Counting:
         self.lanczos_sizes: list[int] = []
         self.kappa_calls = 0
         self.lambda_k_calls = 0
+        self.lambda_k_poles = 0
         self.jacobians = 0
 
     def __enter__(self):
@@ -192,8 +213,10 @@ class Counting:
             return self._kappa(*args, **kwargs)
 
         def lambda_k(*args):
+            vals = self._lambda_k(*args)
             self.lambda_k_calls += 1
-            return self._lambda_k(*args)
+            self.lambda_k_poles += np.size(vals)  # one per pole and row
+            return vals
 
         def jacobian(*args):
             self.jacobians += 1
@@ -221,6 +244,7 @@ class Counting:
             "lanczos_steps": sum(self.lanczos_sizes),
             "kappa_calls": self.kappa_calls,
             "lambda_k_calls": self.lambda_k_calls,
+            "lambda_k_poles": self.lambda_k_poles,
             "gauss_newton_iterations": self.jacobians,
         }
 
@@ -286,6 +310,15 @@ def sweep(work: Path) -> list[dict]:
         rec.update(timed(lambda: [isospectral.solve_is_point(d, s) for s in seeds]))
         records.append(rec)
         print(f"{case} g={g}: best {rec['best_s']:.4f} s", file=sys.stderr)
+    for g in KERNEL_GENERA:
+        for n_pairs in KERNEL_PAIRS:
+            w = kernel_inputs(g, n_pairs)
+            nxt, this = (w.block(1), w.block(0)) if n_pairs == 1 else (w.rows(1), w.rows(0, -1))
+            rec = {"layer": "kernel", "case": "lambda_sharp", "n_blocks": n_pairs, "g": g}
+            rec.update(timed(lambda: gmp.lambda_sharp(nxt, this, w.c)))
+            records.append(rec)
+            print(f"lambda_sharp g={g} pairs={n_pairs}: best {rec['best_s'] * 1e6:.0f} us",
+                  file=sys.stderr)
     return records
 
 

@@ -23,7 +23,6 @@ from .gmp import (
     assemble_dense,
     block_diagonal,
     build_block_B,
-    lambda_sharp,
     validate_gmp,
 )
 
@@ -207,10 +206,8 @@ def flow_run(
             raise ValidationError(
                 f"state {n} left the class: {report['message']}"
             )
-        lams = {
-            k: lambda_sharp(st.block(0), st.block(-1), st.c, k)
-            for k in range(1, st.g + 1)
-        }
+        # the pair functionals of blocks 0 and -1, keyed by pole index
+        lams = dict(enumerate(report["values"][-1 - st.j_min].tolist(), start=1))
         diagnostics.append(
             {
                 "step": n,

@@ -20,7 +20,7 @@ whose reciprocals enter the closed-form resolvent columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,13 +81,9 @@ class GmpBlock:
     def g(self) -> int:
         return self.p.shape[-1] - 1
 
-    @cached_property
-    def _pairs(self) -> np.ndarray:
-        return np.stack([self.p, self.q], axis=-1)
-
     def pm(self, m: int) -> np.ndarray:
         """The 2-vector (p_m, q_m)."""
-        return self._pairs[..., m, :]
+        return np.stack([self.p[..., m], self.q[..., m]], axis=-1)
 
 
 @dataclass(frozen=True, init=False)
@@ -292,19 +288,12 @@ def bp_factor_inf(z: float, pm: np.ndarray) -> np.ndarray:
     return mat
 
 
-def factor_chain(
-    mat: np.ndarray, z: float, c: np.ndarray, blk: GmpBlock, lo: int, hi: int
-) -> np.ndarray:
-    """``mat`` times the elementary factors lo..hi-1 of ``blk`` at z, in order."""
-    for m in range(lo, hi):
-        mat = mat @ bp_factor(z, c[m], blk.pm(m))
-    return mat
-
-
 def transfer_matrix(blk: GmpBlock, c: np.ndarray, z: float) -> TransferEval:
     """Product of one elementary factor per pole and the infinity factor."""
     c = np.asarray(c, dtype=float)
-    mat = factor_chain(EYE2, z, c, blk, 0, blk.g)
+    mat = EYE2
+    for m in range(blk.g):
+        mat = mat @ bp_factor(z, c[m], blk.pm(m))
     return TransferEval(mat @ bp_factor_inf(z, blk.pm(blk.g)))
 
 
@@ -333,61 +322,98 @@ def transfer_via_resolvent(blk: GmpBlock, c: np.ndarray, z: float) -> TransferEv
     return TransferEval(mat)
 
 
-def residue_product(
-    nextblk: GmpBlock, thisblk: GmpBlock, c: np.ndarray, k: int
-) -> np.ndarray:
-    """Mixed factor product at the pole c_k, before the infinity factor.
+@lru_cache(maxsize=8)
+def _chain_plan(c_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Slot positions and denominators of the g-1 steps of ``lambda_sharp``
+    at the poles ``np.frombuffer(c_bytes)``, on axes (step, side, k-1).
 
-    The first k-1 elementary factors use the vectors of ``nextblk``, the
-    rank-one middle term pairs the k-th vectors of both blocks, and the
-    factors k+1..g use the vectors of ``thisblk``.
+    Step i applies slot g-2-i of the next block on side 0 to the poles
+    k > slot+1 and slot i+1 of this block on side 1 to k < slot+1, as
+    I + w w^T J / e with e = c_k - c_m on side 0 and c_m - c_k on side 1;
+    e = inf makes the other factors the identity.
     """
-    g = thisblk.g
-    c = np.asarray(c, dtype=float)
-    if nextblk.g != g:
-        raise ValidationError("blocks must share one gap count")
-    if not 1 <= k <= g:
-        raise ValidationError(f"pole index {k} outside 1..{g}")
-    ck = c[k - 1]
-    mat = factor_chain(EYE2, ck, c, nextblk, 0, k - 1)
-    mat = mat @ (_outer(nextblk.pm(k - 1), thisblk.pm(k - 1)) @ JMAT)
-    return factor_chain(mat, ck, c, thisblk, k, g)
+    c = np.frombuffer(c_bytes)
+    g, k0, side, step = c.size, np.arange(c.size), np.arange(2)[:, None], np.arange(c.size - 1)
+    slot = np.where(side == 0, g - 2 - step[:, None, None], step[:, None, None] + 1)
+    active = np.where(side == 0, slot < k0, slot > k0)
+    cm = np.broadcast_to(c[slot], active.shape)
+    near = active & (np.abs(cm - c) <= POLE_REL_TOL * np.maximum(1.0, np.abs(cm)))
+    if near.any():
+        raise PoleEvaluationError(f"factor evaluated at its pole c = {cm[near][0]}")
+    denom = np.where(active, (cm - c) * (2 * side - 1), np.inf)[..., None]
+    denom.setflags(write=False)
+    return slot + side * (g + 1), denom
 
 
 def lambda_sharp(
-    nextblk: GmpBlock, thisblk: GmpBlock, c: np.ndarray, k: int
-) -> float:
-    """Two-block functional: minus the trace of the mixed factor product.
+    nextblk: GmpBlock, thisblk: GmpBlock, c: np.ndarray, k: int | None = None, *, states=None
+) -> np.ndarray | float:
+    """Two-block functionals of all poles c_k, shape (..., g) (pole k alone
+    with ``k``); the residue functionals Lambda_k for equal blocks.
 
-    The residue product of the two blocks, closed by the infinity factor
-    of ``thisblk``, all evaluated at the pole c_k.  With equal blocks it
-    is the residue functional Lambda_k.  Stacks of blocks give one value
-    per pair of rows.
+    At c_k the mixed product N_0..N_{k-2} (u v^T J) T_k..T_{g-1} of the
+    elementary factors of ``nextblk`` (N) and ``thisblk`` (T) has a
+    rank-one middle, so it is a_k b_k^T with a_k = N_0..N_{k-2} u and
+    b_k^T = v^T J T_k..T_{g-1}, built for every pole and row at once;
+    the functional is minus the trace of a_k b_k^T times the infinity
+    factor of ``thisblk``.  A list ``states`` receives the states i < g:
+    a_k through slots >= g-1-i, b_k through slots <= i, on axes
+    (component, side, k-1, row).
     """
-    mat = residue_product(nextblk, thisblk, c, k)
-    mat = mat @ bp_factor_inf(c[k - 1], thisblk.pm(thisblk.g))
-    vals = -(mat[..., 0, 0] + mat[..., 1, 1])
-    return vals if vals.ndim else float(vals)
+    g, c = thisblk.g, np.asarray(c, dtype=float)
+    if nextblk.p.shape != thisblk.p.shape:
+        raise ValidationError("blocks must share one gap count")
+    # Component, block and slot of [next (p, q); this (q, -p)], rows last.
+    # With w = (q, -p) = v^T J the row side takes the column form: for
+    # T = I - v v^T J / (c_m - c_k), T^T = I - w w^T J / (c_k - c_m).
+    slots = np.concatenate([nextblk.p, thisblk.q, nextblk.q, -thisblk.p], axis=-1)
+    slots = slots.T.reshape(2, 2, g + 1, -1)
+    state = slots[:, :, :g]
+    if states is not None:
+        states.append(state)
+    if g > 1:
+        idx, denom = _chain_plan(c.tobytes())
+        w = slots.reshape(2, 2 * g + 2, -1)[:, idx]
+        rank_one = w[None, :] * np.stack([w[1], -w[0]])[:, None]  # [l, j]: w_j (w^T J)_l
+        for (col0, col1), den in zip(rank_one.transpose(2, 0, 1, 3, 4, 5), denom):
+            state = state + (col0 * state[0] + col1 * state[1]) / den
+            if states is not None:
+                states.append(state)
+    # terms of minus the trace of a_k b_k^T times the infinity factor at
+    # c_k, whose transpose is [[0, 1/p], [-p, (c_k - pq)/p]]
+    p, q = thisblk.p[..., g], thisblk.q[..., g]
+    closing = np.zeros((2, 2, g, state.shape[-1]))
+    closing[0, 1], closing[1, 0], closing[1, 1] = -1.0 / p, p, (p * q - c[:, None]) / p
+    terms = state[:, None, 0] * state[None, :, 1] * closing
+    vals = ((terms[0, 0] + terms[0, 1]) + (terms[1, 0] + terms[1, 1])).T
+    vals = vals.reshape(thisblk.p.shape[:-1] + (g,))
+    if k is None:
+        return vals
+    if not 1 <= k <= g:
+        raise ValidationError(f"pole index {k} outside 1..{g}")
+    return vals[..., k - 1] if vals.ndim > 1 else float(vals[k - 1])
 
 
-def lambda_k(blk: GmpBlock, c: np.ndarray, k: int) -> float:
-    """Residue functional at the k-th pole (equal-blocks case)."""
+def lambda_k(blk: GmpBlock, c: np.ndarray, k: int | None = None) -> np.ndarray | float:
+    """Residue functionals of the poles (equal-blocks case), shape (..., g)."""
     return lambda_sharp(blk, blk, c, k)
 
 
 def validate_gmp(window: GmpWindow, floor: float = VALIDITY_FLOOR) -> dict:
     """Check the class criterion: adjacent-pair functionals stay above floor.
 
-    Returns a report with the minimum over adjacent block pairs of the
-    two-block functional for each pole index, the absolute block index
-    attaining it, and the overall verdict.  A functional that is not
-    finite fails the criterion and is reported in place of the minimum.
+    Returns a report with the pair functionals (``values``, row i pairing
+    the window's blocks i+1 and i), their minimum over adjacent block
+    pairs for each pole index, the absolute block index attaining it,
+    and the overall verdict.  A functional that is not finite fails the
+    criterion and is reported in place of the minimum.
     """
     report = {
         "valid": False,
         "floor": float(floor),
         "g": window.g,
         "n_pairs": max(window.n_blocks - 1, 0),
+        "values": np.zeros((0, window.g)),
         "min_per_k": {},
         "argmin_j": {},
         "message": "",
@@ -395,15 +421,17 @@ def validate_gmp(window: GmpWindow, floor: float = VALIDITY_FLOOR) -> dict:
     if window.n_blocks < 2:
         report["message"] = "insufficient window: need at least two blocks"
         return report
+    with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
+        vals = lambda_sharp(window.rows(1), window.rows(0, -1), window.c)
+    finite = np.isfinite(vals)
+    # per pole: the first value that is not finite, else the minimum
+    i_min = np.argmin(np.where(finite.all(axis=0), vals, finite), axis=0)
+    report["values"] = vals
     worst_k = None
-    for k in range(1, window.g + 1):
-        with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
-            vals = lambda_sharp(window.rows(1), window.rows(0, -1), window.c, k)
-        finite = np.isfinite(vals)
-        i_min = int(np.argmin(vals if finite.all() else finite))
-        report["min_per_k"][k] = float(vals[i_min])
-        report["argmin_j"][k] = window.j_min + i_min
-        if not vals[i_min] > floor and worst_k is None:
+    for k, i in enumerate(i_min.tolist(), start=1):
+        report["min_per_k"][k] = float(vals[i, k - 1])
+        report["argmin_j"][k] = window.j_min + i
+        if not vals[i, k - 1] > floor and worst_k is None:
             worst_k = k
     report["valid"] = worst_k is None
     report["message"] = "ok"
@@ -422,83 +450,58 @@ def resolvent_column(window: GmpWindow, k: int) -> np.ndarray:
 
     The window must contain the absolute blocks -1, 0, 1.  The result is
     a window-aligned vector supported on those three blocks: the outer
-    blocks come from explicit factor products divided by the adjacent
-    pair functionals, the middle block from a small stacked least-squares
-    solve (its system matrix may be singular at the pole).
+    blocks come from the partial factor chains of the adjacent pair
+    functionals, divided by them, the middle block from a small stacked
+    least-squares solve (its system matrix may be singular at the pole).
     """
     g = window.g
     if not 1 <= k <= g:
         raise ValidationError(f"pole index {k} outside 1..{g}")
     if window.j_min > -1 or window.j_max < 1:
-        raise WindowError(
-            "window must contain blocks -1, 0, 1 for a resolvent column"
-        )
-    c = window.c
-    ck = c[k - 1]
-    blk_m1 = window.block(-1)
-    blk_0 = window.block(0)
-    blk_1 = window.block(1)
-
-    lam_m1 = lambda_sharp(blk_0, blk_m1, c, k)
-    lam_0 = lambda_sharp(blk_1, blk_0, c, k)
-    scale = max(abs(lam_m1), abs(lam_0), 1.0)
-    if min(abs(lam_m1), abs(lam_0)) <= 1e-12 * scale:
-        raise ValidationError(
-            "pair functional vanishes; the closed-form column is undefined"
-        )
-
-    # Block -1: slot k-1 is 1/Lambda, later slots from factor products,
-    # slot g from orthogonality to this block's p.
-    f_m1 = np.zeros(g + 1)
-    f_m1[k - 1] = 1.0 / lam_m1
-    row = blk_m1.pm(k - 1) @ JMAT
-    mat = np.eye(2)
-    for l in range(k, g):
-        if l > k:
-            mat = mat @ bp_factor(ck, c[l - 1], blk_m1.pm(l - 1))
-        f_m1[l] = float(row @ mat @ blk_m1.pm(l)) / (ck - c[l]) / lam_m1
-    f_m1[g] = -float(blk_m1.p[:g] @ f_m1[:g]) / blk_m1.p[g]
-
-    # Block +1: slot k-1 is 1/Lambda, earlier slots from factor products,
-    # slots k..g vanish.
-    f_1 = np.zeros(g + 1)
-    f_1[k - 1] = 1.0 / lam_0
-    for m in range(k - 1):
-        mat = factor_chain(np.eye(2), ck, c, blk_1, m + 1, k - 1)
-        val = float(blk_1.pm(m) @ JMAT @ mat @ blk_1.pm(k - 1))
-        f_1[m] = val / (ck - c[m]) / lam_0
-
-    # Block 0: stack the three block-row equations that involve it.
-    b_m1 = build_block_B(blk_m1, c)
-    b_0 = build_block_B(blk_0, c)
-    b_1 = build_block_B(blk_1, c)
+        raise WindowError("window must contain blocks -1, 0, 1 for a resolvent column")
+    c, ck, i0 = window.c, window.c[k - 1], -window.j_min  # i0: position of block 0
+    states = []  # chains of the pairs (block 0, block -1) and (block 1, block 0)
+    lams = lambda_sharp(window.rows(i0, i0 + 2), window.rows(i0 - 1, i0 + 1), c, states=states)
+    lam_m1, lam_0 = lams[:, k - 1]
+    if min(abs(lam_m1), abs(lam_0)) <= 1e-12 * max(abs(lam_m1), abs(lam_0), 1.0):
+        raise ValidationError("pair functional vanishes; the closed-form column is undefined")
+    chains = np.stack(states)[..., k - 1, :]  # (state, component, side, pair)
+    P, Q = window.P[i0 - 1 : i0 + 2], window.Q[i0 - 1 : i0 + 2]  # blocks -1, 0, 1
+    xs = np.zeros((5, g + 1))  # the column on blocks -2..2
+    xs[1, k - 1], xs[3, k - 1] = 1.0 / lam_m1, 1.0 / lam_0
+    # Block -1: slot l in k..g-1 pairs (p_l, q_l) with the row chain
+    # through slots k..l-1; slot g from orthogonality to its p.
+    row = chains[k - 1 : g - 1, :, 1, 0]
+    xs[1, k:g] = (row[:, 0] * P[0, k:g] + row[:, 1] * Q[0, k:g]) / (ck - c[k:g]) / lam_m1
+    xs[1, g] = -float(P[0, :g] @ xs[1, :g]) / P[0, g]
+    # Block 1: slot m < k-1 pairs (p_m, q_m) J with the column chain
+    # through slots m+1..k-2; slots k..g vanish.
+    col = chains[g - 2 - np.arange(k - 1), :, 0, 1]
+    fwd = (Q[2, : k - 1] * col[:, 0] - P[2, : k - 1] * col[:, 1]) / (ck - c[: k - 1])
+    xs[3, : k - 1] = fwd / lam_0
+    # Block 0: least squares on the three block-row equations involving it.
     eye = np.eye(g + 1)
-    e_rhs = np.zeros(g + 1)
-    e_rhs[k - 1] = 1.0
-    delta = np.zeros(g + 1)
-    delta[g] = 1.0
+    shifted = ck * eye - build_block_B(window.rows(i0 - 1, i0 + 2), c)  # j = -1, 0, 1
+    system = np.vstack([shifted[1], P[1][None, :], np.outer(P[2], eye[g])])
+    rhs = np.concatenate([
+        eye[k - 1] + P[1] * xs[1, g] + eye[g] * float(P[2] @ xs[3]),
+        [(shifted[0] @ xs[1])[g]],
+        shifted[2] @ xs[3],
+    ])
+    xs[2] = np.linalg.lstsq(system, rhs, rcond=None)[0]
 
-    rows = [ck * eye - b_0]
-    rhs = [e_rhs + blk_0.p * f_m1[g] + delta * float(blk_1.p @ f_1)]
-    rows.append(blk_0.p[None, :])
-    rhs.append(np.array([float(((ck * eye - b_m1) @ f_m1)[g])]))
-    rows.append(np.outer(blk_1.p, delta))
-    rhs.append((ck * eye - b_1) @ f_1)
-    f_0, *_ = np.linalg.lstsq(
-        np.vstack(rows), np.concatenate(rhs), rcond=None
-    )
-
+    # (c_k - A) column on block rows -2..2; it lives on blocks -1..1
+    hi = min(window.j_max, 2) + 3
+    ps = np.zeros((5, g + 1))
+    ps[1:hi] = window.P[i0 - 1 : i0 + hi - 2]
+    res = np.zeros((5, g + 1))
+    res[1:4] = (shifted @ xs[1:4, :, None])[..., 0]
+    res[:4, g] -= np.vecdot(ps[1:], xs[1:])  # coupling to the block above
+    res[1:] -= ps[1:] * xs[:4, g:]  # coupling to the block below
+    res[2, k - 1] -= 1.0
+    residual = np.max(np.abs(res[max(window.j_min, -2) + 2 : hi]))
+    if residual > 1e-8 * max(1.0, np.max(np.abs(xs))):
+        raise NumericalError(f"closed-form column residual {residual:.3e} too large")
     column = np.zeros((g + 1) * window.n_blocks)
-    for j, f_blk in ((-1, f_m1), (0, f_0), (1, f_1)):
-        lo = window.scalar_index(j, 0)
-        column[lo : lo + g + 1] = f_blk
-
-    dense = assemble_dense(window)
-    target = np.zeros(column.size)
-    target[window.scalar_index(0, k - 1)] = 1.0
-    residual = np.max(np.abs((ck * np.eye(column.size) - dense) @ column - target))
-    if residual > 1e-8 * max(1.0, np.max(np.abs(column))):
-        raise NumericalError(
-            f"closed-form column residual {residual:.3e} too large"
-        )
+    column[(i0 - 1) * (g + 1) : (i0 + 2) * (g + 1)] = xs[1:4].ravel()
     return column

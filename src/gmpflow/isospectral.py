@@ -41,13 +41,10 @@ def is_residual(blk: GmpBlock, d: DeltaData) -> np.ndarray:
         raise ValidationError(
             f"block has {g} trailing slots but the map has {len(d.poles)} poles"
         )
-    c = d.cs()
-    lams = d.lams()
     out = np.empty(blk.p.shape[:-1] + (g + 2,))
     out[..., 0] = d.lambda0 * blk.p[..., g] - 1.0
     out[..., 1] = d.lambda0 * np.vecdot(blk.p, blk.q) + d.c0
-    for k in range(1, g + 1):
-        out[..., k + 1] = lambda_k(blk, c, k) - lams[k - 1]
+    out[..., 2:] = lambda_k(blk, d.cs()) - d.lams()
     return out
 
 

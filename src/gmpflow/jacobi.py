@@ -147,6 +147,8 @@ class DiscreteMeasure:
             raise ValidationError("points and weights must match in length")
         if points.size < 1:
             raise ValidationError("measure needs at least one point")
+        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
+            raise ValidationError("points and weights must be finite")
         if np.any(np.diff(points) <= 0.0):
             raise ValidationError("points must be strictly increasing")
         if np.any(weights <= 0.0):

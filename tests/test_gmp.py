@@ -1,5 +1,6 @@
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -12,6 +13,7 @@ from gmpflow.errors import (
     ValidationError,
     WindowError,
 )
+from gmpflow.finitegap import GapSet, delta_from_gaps
 from gmpflow.gmp import (
     JMAT,
     GmpBlock,
@@ -21,11 +23,9 @@ from gmpflow.gmp import (
     bp_factor,
     bp_factor_inf,
     build_block_B,
-    factor_chain,
     lambda_k,
     lambda_sharp,
     pattern_defect,
-    residue_product,
     resolvent_column,
     transfer_matrix,
     transfer_via_resolvent,
@@ -40,6 +40,59 @@ def random_block(rng: np.random.Generator, g: int) -> GmpBlock:
     p[g] = rng.uniform(0.3, 1.5)
     q = rng.uniform(-1.0, 1.0, size=g + 1)
     return GmpBlock(p, q)
+
+
+def comb_pair(g: int, seed: int):
+    """Poles of the comb map of a random genus-g gap set in [-3, 3], drawn
+    as perfbench's ``random_gapset`` draws them, and two blocks near its
+    surface block ``p = (sqrt(lambda_k / lambda0)..., 1 / lambda0)``,
+    ``q = (0..., -c0)``."""
+    rng = np.random.default_rng([seed, g])
+    seg = rng.uniform(0.5, 1.5, 2 * g + 1)
+    edges = -3.0 + np.concatenate([[0.0], np.cumsum(6.0 * seg / seg.sum())])
+    d = delta_from_gaps(GapSet(-3.0, 3.0, tuple(zip(edges[1:-1:2], edges[2:-1:2]))))
+    p0 = np.append(np.sqrt(d.lams() / d.lambda0), 1.0 / d.lambda0)
+    q0 = np.append(np.zeros(g), -d.c0)
+    u = rng.uniform(-1.0, 1.0, (2, 2, g + 1))
+    nxt, this = (GmpBlock(p0 * (1.0 + 0.05 * du), q0 + 0.05 * dv) for du, dv in u)
+    return d.cs(), nxt, this
+
+
+def per_pole_loop(nextblk: GmpBlock, thisblk: GmpBlock, c: np.ndarray, k: int) -> float:
+    """The pair functional at pole k as one chain of 2x2 products, the
+    form the stacked kernel replaced: the reference for it."""
+    g, ck = thisblk.g, c[k - 1]
+    mat = np.eye(2)
+    for m in range(k - 1):
+        mat = mat @ bp_factor(ck, c[m], nextblk.pm(m))
+    mat = mat @ (np.outer(nextblk.pm(k - 1), thisblk.pm(k - 1)) @ JMAT)
+    for m in range(k, g):
+        mat = mat @ bp_factor(ck, c[m], thisblk.pm(m))
+    return float(-np.trace(mat @ bp_factor_inf(ck, thisblk.pm(g))))
+
+
+def mp_lambda_sharp(nextblk: GmpBlock, thisblk: GmpBlock, c: np.ndarray, k: int):
+    """The same chain in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        g, ck = thisblk.g, mpmath.mpf(c[k - 1])
+        jmat = mpmath.matrix([[0, -1], [1, 0]])
+
+        def vec(blk, m):
+            return mpmath.matrix([mpmath.mpf(x) for x in blk.pm(m)])
+
+        def factor(blk, m):
+            v = vec(blk, m)
+            return mpmath.eye(2) - v * v.T * jmat / (mpmath.mpf(c[m]) - ck)
+
+        mat = mpmath.eye(2)
+        for m in range(k - 1):
+            mat = mat * factor(nextblk, m)
+        mat = mat * vec(nextblk, k - 1) * vec(thisblk, k - 1).T * jmat
+        for m in range(k, g):
+            mat = mat * factor(thisblk, m)
+        p, q = mpmath.mpf(thisblk.p[g]), mpmath.mpf(thisblk.q[g])
+        mat = mat * mpmath.matrix([[0, -p], [1 / p, (ck - p * q) / p]])
+        return -(mat[0, 0] + mat[1, 1])
 
 
 def near_p1_block(rng: np.random.Generator, eps: float = 0.1) -> GmpBlock:
@@ -234,21 +287,36 @@ class TestPatternDefect:
             assert pattern_defect(planted, coupling) == 0.7
 
 
-class TestFactorChain:
-    def test_chain_and_residue_product_assemble_the_functionals(self):
-        rng = np.random.default_rng(8)
-        g = 3
+class TestStackedChain:
+    @pytest.mark.parametrize("g", [1, 2, 3, 5])
+    def test_states_are_the_partial_factor_products(self, g):
+        rng = np.random.default_rng(8 + g)
         blk, nxt = random_block(rng, g), random_block(rng, g)
         c = np.sort(rng.uniform(-2, 2, size=g))
-        z = 3.1
-        assert np.array_equal(factor_chain(JMAT, z, c, blk, 2, 2), JMAT)
-        chain = factor_chain(np.eye(2), z, c, blk, 0, g)
-        assert_allclose(
-            chain @ bp_factor_inf(z, blk.pm(g)), transfer_matrix(blk, c, z).value
-        )
+        states = []
+        vals = lambda_sharp(nxt, blk, c, states=states)
+        assert len(states) == g
         for k in range(1, g + 1):
-            mat = residue_product(nxt, blk, c, k) @ bp_factor_inf(c[k - 1], blk.pm(g))
-            assert -np.trace(mat) == lambda_sharp(nxt, blk, c, k)
+            ck = c[k - 1]
+            for i, state in enumerate(states):
+                # the column with slots g-1-i..k-2 of nxt, the row with
+                # slots k..i of blk
+                col = nxt.pm(k - 1)
+                for m in range(k - 2, g - 2 - i, -1):
+                    col = bp_factor(ck, c[m], nxt.pm(m)) @ col
+                row = blk.pm(k - 1) @ JMAT
+                for m in range(k, i + 1):
+                    row = row @ bp_factor(ck, c[m], blk.pm(m))
+                assert_allclose(state[:, 0, k - 1, 0], col, rtol=1e-14, atol=1e-14)
+                assert_allclose(state[:, 1, k - 1, 0], row, rtol=1e-14, atol=1e-14)
+            chain = np.outer(col, row) @ bp_factor_inf(ck, blk.pm(g))
+            assert_allclose(-np.trace(chain), vals[k - 1], rtol=1e-14, atol=1e-14)
+
+    def test_coincident_poles_rejected(self):
+        rng = np.random.default_rng(3)
+        blk = random_block(rng, 3)
+        with pytest.raises(PoleEvaluationError, match="at its pole c = 0.5"):
+            lambda_k(blk, np.array([-1.0, 0.5, 0.5]))
 
 
 class TestBpFactor:
@@ -396,6 +464,38 @@ class TestLambdaK:
 
 
 class TestLambdaSharp:
+    @pytest.mark.parametrize("g", [1, 2, 4, 8, 12])
+    def test_matches_per_pole_loop(self, g):
+        for seed in range(3):
+            c, nxt, this = comb_pair(g, seed)
+            got = lambda_sharp(nxt, this, c)
+            assert got.shape == (g,)
+            for k in range(1, g + 1):
+                ref = per_pole_loop(nxt, this, c, k)
+                assert abs(got[k - 1] - ref) <= 1e-14 * max(1.0, abs(ref))
+
+    @pytest.mark.parametrize("g", [1, 2, 4, 8, 12, 16])
+    def test_matches_mpmath_chain(self, g):
+        c, nxt, this = comb_pair(g, 11)
+        got = lambda_sharp(nxt, this, c)
+        for k in range(1, g + 1):
+            ref = mp_lambda_sharp(nxt, this, c, k)
+            assert abs(got[k - 1] - ref) <= 1e-13 * max(1.0, abs(ref))
+
+    def test_stack_matches_single_pairs_bitwise(self):
+        rng = np.random.default_rng(5)
+        g = 4
+        window = GmpWindow(
+            [random_block(rng, g) for _ in range(9)], np.sort(rng.uniform(-2, 2, g))
+        )
+        stacked = lambda_sharp(window.rows(1), window.rows(0, -1), window.c)
+        single = [
+            lambda_sharp(window.block(j + 1), window.block(j), window.c)
+            for j in range(window.n_blocks - 1)
+        ]
+        assert stacked.shape == (8, g)
+        assert np.array_equal(stacked, single)
+
     def test_equal_blocks_reduce(self, p1_block):
         c = np.array([0.0])
         assert_allclose(
@@ -533,6 +633,40 @@ class TestResolventColumn:
             target[win.scalar_index(0, k - 1)] = 1.0
             residual = (win.c[k - 1] * np.eye(n) - dense) @ col - target
             assert np.max(np.abs(residual)) < 1e-10
+
+    @pytest.mark.parametrize("j_min, n_blocks", [(-1, 3), (-2, 5), (-4, 9)])
+    def test_two_gap_column_matches_dense_solve(self, j_min, n_blocks):
+        rng = np.random.default_rng(31)
+        c = np.array([-0.9, 1.1])
+        blocks = [
+            GmpBlock(
+                np.array([0.9, 0.4, 0.8]) + rng.uniform(-0.03, 0.03, 3),
+                np.array([0.1, -0.3, 0.2]) + rng.uniform(-0.03, 0.03, 3),
+            )
+            for _ in range(n_blocks)
+        ]
+        win = GmpWindow(blocks, c, j_min=j_min)
+        dense = assemble_dense(win)
+        for k in (1, 2):
+            target = np.zeros(dense.shape[0])
+            target[win.scalar_index(0, k - 1)] = 1.0
+            direct = numkit.solve(c[k - 1] * np.eye(dense.shape[0]) - dense, target)
+            assert np.max(np.abs(resolvent_column(win, k) - direct)) < 1e-9
+
+    def test_wrong_middle_block_fails_the_residual_check(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        blocks = tuple(near_p1_block(rng, eps=0.05) for _ in range(6))
+        win = GmpWindow(blocks, np.array([0.0]), j_min=-3)
+        lstsq = np.linalg.lstsq
+
+        def skewed(*args, **kwargs):
+            sol, *rest = lstsq(*args, **kwargs)
+            return (sol + 1e-6, *rest)
+
+        monkeypatch.setattr(np.linalg, "lstsq", skewed)
+        message = r"^closed-form column residual 1\.9\d\de-06 too large$"
+        with pytest.raises(NumericalError, match=message):
+            resolvent_column(win, 1)
 
     def test_window_must_cover_center(self):
         win = make_p1_window(n_blocks=3, j_min=0)

@@ -157,6 +157,20 @@ class TestDiscreteMeasure:
         with pytest.raises(ValidationError):
             DiscreteMeasure(np.array([0.0, 1.0]), np.array([-0.1, 1.1]))
 
+    @pytest.mark.parametrize(
+        "points, weights",
+        [
+            ([0.0, 1.0], [np.nan, np.nan]),
+            ([0.0, np.nan], [0.5, 0.5]),
+            ([np.nan, 1.0], [0.5, 0.5]),
+            ([0.0, np.inf], [0.5, 0.5]),
+            ([0.0, 1.0], [0.5, np.inf]),
+        ],
+    )
+    def test_non_finite_rejected(self, points, weights):
+        with pytest.raises(ValidationError, match="^points and weights must be finite$"):
+            DiscreteMeasure(np.array(points), np.array(weights))
+
     def test_moments(self):
         m = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         assert m.moment(0) == 1.0
