@@ -24,13 +24,18 @@ The record holds:
   genus g in [-3, 3], its reference comb map, and the surface block with
   every entry perturbed until the seed residual is below 1), four seeds
   per genus in one timed call;
+- a kernel sweep of ``finitegap.delta_from_gaps`` over g in {2, 4, 8,
+  12, 16}, on gap sets drawn as the ``iso_comb`` workload draws its wide
+  ones, eight sets per genus in one timed call, with the worst band-edge
+  error ``|Delta(edge) -/+ 2|`` over the eight maps;
 - a kernel sweep of ``gmp.lambda_sharp`` (all g pair functionals of one
   pair of blocks, or of a stack of pairs) over g in {1, 2, 4, 8, 12, 16},
   at 1 and 481 pairs, on the poles of the same comb maps and a window of
   surface blocks with every entry perturbed by up to 5%;
 - each sweep record is ``{layer, case, n_blocks, g, best_s, median_s,
-  counters}`` (``sites`` too for the Jacobi windows; ``n_blocks`` counts
-  the pairs for ``lambda_sharp``), the counters (eigensolves,
+  counters}`` (``sites`` too for the Jacobi windows, ``band_edge_err``
+  for the comb maps; ``n_blocks`` counts the pairs for
+  ``lambda_sharp``), the counters (eigensolves,
   ``delta_of_gmp`` calls, Lanczos runs and steps, ``kappa`` calls of
   ``construct``, ``lambda_k`` calls of ``isospectral`` with the pole
   evaluations they make, calls x g x rows, and Gauss-Newton iterations)
@@ -73,7 +78,7 @@ from workloads import ONE_GAP, comb_map, perturbed_window, random_gapset  # noqa
 from workloads import surface_seed  # noqa: E402
 
 from gmpflow import cli, construct, gmp, isospectral, ks, numkit  # noqa: E402
-from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps  # noqa: E402
+from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta  # noqa: E402
 from gmpflow.gmp import GmpBlock, GmpWindow  # noqa: E402
 
 PERFBENCH_SEED = 5
@@ -91,6 +96,8 @@ GAP_SETS = {
 KS_STEPS = 8
 ISO_GENERA = (2, 4, 8, 12)
 ISO_SEEDS = 4
+DELTA_GENERA = (2, 4, 8, 12, 16)
+DELTA_SETS = 8
 KERNEL_GENERA = (1, 2, 4, 8, 12, 16)
 KERNEL_PAIRS = (1, 481)
 # Timed repeats per sweep case: at least MIN_REPEATS, more while the case
@@ -161,6 +168,21 @@ def iso_inputs(g: int) -> tuple[DeltaData, list[GmpBlock]]:
 
     seeds = [surface_seed(rng, cmap, residual) for _ in range(ISO_SEEDS)]
     return d, [GmpBlock(s["p"], s["q"]) for s in seeds]
+
+
+def delta_inputs(g: int) -> list[GapSet]:
+    """``DELTA_SETS`` gap sets of genus g in [-3, 3] without a narrow gap,
+    drawn as the ``iso_comb`` workload draws them."""
+    rng = np.random.default_rng([PERFBENCH_SEED, g])
+    return [GapSet(*random_gapset(rng, g, None)) for _ in range(DELTA_SETS)]
+
+
+def band_edge_error(gapset: GapSet) -> float:
+    """Largest distance of the comb map from -2 at the band left ends and
+    from 2 at the band right ends."""
+    edges = np.ravel(gapset.bands())
+    levels = np.tile([-2.0, 2.0], gapset.g + 1)
+    return float(np.max(np.abs(eval_delta(delta_from_gaps(gapset), edges) - levels)))
 
 
 def kernel_inputs(g: int, n_pairs: int) -> GmpWindow:
@@ -310,6 +332,15 @@ def sweep(work: Path) -> list[dict]:
         rec.update(timed(lambda: [isospectral.solve_is_point(d, s) for s in seeds]))
         records.append(rec)
         print(f"{case} g={g}: best {rec['best_s']:.4f} s", file=sys.stderr)
+    for g in DELTA_GENERA:
+        sets = delta_inputs(g)
+        case = f"delta_from_gaps, {DELTA_SETS} sets"
+        rec = {"layer": "kernel", "case": case, "n_blocks": 1, "g": g}
+        rec.update(timed(lambda: [delta_from_gaps(gs) for gs in sets]))
+        rec["band_edge_err"] = max(band_edge_error(gs) for gs in sets)
+        records.append(rec)
+        print(f"{case} g={g}: best {rec['best_s'] * 1e3:.2f} ms, "
+              f"band edge {rec['band_edge_err']:.1e}", file=sys.stderr)
     for g in KERNEL_GENERA:
         for n_pairs in KERNEL_PAIRS:
             w = kernel_inputs(g, n_pairs)

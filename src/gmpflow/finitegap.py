@@ -29,6 +29,7 @@ from .errors import (
 )
 
 GAP_REL_TOL = 1e-12
+# Relative distance within which two poles, or a point and a pole, coincide.
 POLE_REL_TOL = 1e-12
 ZERO_RESIDUAL_REL_TOL = 1e-11
 # Relative eigenvalue gap below which a pole counts as part of a spectrum.
@@ -135,6 +136,11 @@ class DeltaData:
         for c, lam in self.poles:
             if not (math.isfinite(c) and math.isfinite(lam)):
                 raise ValidationError(f"pole at {c} with weight {lam} must be finite")
+        cs = np.sort(self.cs())
+        close = np.diff(cs) <= POLE_REL_TOL * np.maximum(1.0, np.abs(cs[1:]))
+        if close.any():
+            k = int(np.argmax(close))
+            raise ValidationError(f"poles at {cs[k]} and {cs[k + 1]} coincide")
 
     @property
     def g(self) -> int:
@@ -174,32 +180,6 @@ class DeltaData:
         return cls(lambda0, c0, poles)
 
 
-def _poly_eval(z, roots: np.ndarray):
-    """prod (z - r) for scalar or array z."""
-    z = np.asarray(z)
-    if z.ndim == 0:
-        return np.prod(z - roots)
-    return np.prod(z[..., None] - roots, axis=-1)
-
-
-def eval_pa(gapset: GapSet, z):
-    return _poly_eval(z, gapset.a_points())
-
-
-def eval_pb(gapset: GapSet, z):
-    return _poly_eval(z, gapset.b_points())
-
-
-def eval_delta_ratio(gapset: GapSet, z):
-    """Delta as the ratio 2 (P_a + P_b) / (P_b - P_a)."""
-    pa = eval_pa(gapset, z)
-    pb = eval_pb(gapset, z)
-    denom = pb - pa
-    if np.any(np.abs(denom) == 0.0):
-        raise PoleEvaluationError(f"ratio form of the comb map has a pole at {z}")
-    return 2.0 * (pa + pb) / denom
-
-
 def gap_zeros(gapset: GapSet) -> np.ndarray:
     """The pole locations: one root of P_b - P_a inside each gap.
 
@@ -207,7 +187,8 @@ def gap_zeros(gapset: GapSet) -> np.ndarray:
     residual |(P_b - P_a)(c_k)| is checked against 1e-11 times the local
     polynomial scale.
     """
-    diff = lambda x: eval_pb(gapset, x) - eval_pa(gapset, x)
+    a_pts, b_pts = gapset.a_points(), gapset.b_points()
+    diff = lambda x: np.prod(x - b_pts) - np.prod(x - a_pts)
     zeros = []
     for k, (a, b) in enumerate(gapset.gaps):
         if b - a <= GAP_REL_TOL * max(1.0, gapset.diameter):
@@ -215,9 +196,9 @@ def gap_zeros(gapset: GapSet) -> np.ndarray:
                 f"gap {k} = ({a}, {b}) has numerically zero length"
             )
         c = numkit.bisect_root(diff, a, b)
-        scale = abs(eval_pa(gapset, c)) + abs(eval_pb(gapset, c)) + 1.0
-        residual = abs(diff(c))
-        if residual > ZERO_RESIDUAL_REL_TOL * scale:
+        pa, pb = np.prod(c - a_pts), np.prod(c - b_pts)
+        residual = abs(pb - pa)
+        if residual > ZERO_RESIDUAL_REL_TOL * (abs(pa) + abs(pb) + 1.0):
             raise DegenerateGapError(
                 f"gap {k}: pole residual {residual:.3e} exceeds tolerance"
             )
@@ -228,30 +209,18 @@ def gap_zeros(gapset: GapSet) -> np.ndarray:
 def delta_from_gaps(gapset: GapSet) -> DeltaData:
     """Partial-fraction data of the comb map of a gap set.
 
-    The slope is 4 / (sum a_j - sum b_j); the pole weights come from the
-    residues of the ratio form; the constant term is fixed by matching the
-    ratio form at a reference point well to the right of the set.
+    The slope is 4 / (sum a_j - sum b_j).  At a pole P_a = P_b, so the
+    residue of the ratio form there is
+    lambda_k = 4 / (sum_j 1/(c_k - a_j) - sum_j 1/(c_k - b_j)).  The
+    offset makes the map equal 2 at the right outer endpoint:
+    c0 = 2 - lambda0 * a0 - sum_k lambda_k / (c_k - a0).
     """
-    a_pts = gapset.a_points()
-    b_pts = gapset.b_points()
+    a_pts, b_pts = gapset.a_points(), gapset.b_points()
     lambda0 = 4.0 / float(np.sum(a_pts) - np.sum(b_pts))
     cs = gap_zeros(gapset)
-
-    # Coefficients of P_b - P_a (degree g, leading coefficient positive).
-    diff_coeffs = np.poly(b_pts) - np.poly(a_pts)
-    ddiff = np.polyder(diff_coeffs)
-    lams = []
-    for c in cs:
-        num = eval_pa(gapset, c) + eval_pb(gapset, c)
-        lams.append(-2.0 * num / np.polyval(ddiff, c))
-    lams = np.array(lams)
-
-    z_ref = gapset.a0 + 10.0 * gapset.diameter
-    c0 = float(
-        eval_delta_ratio(gapset, z_ref)
-        - lambda0 * z_ref
-        - np.sum(lams / (cs - z_ref))
-    )
+    inv_a, inv_b = 1.0 / (cs[:, None] - a_pts), 1.0 / (cs[:, None] - b_pts)
+    lams = 4.0 / (np.sum(inv_a, axis=1) - np.sum(inv_b, axis=1))
+    c0 = float(2.0 - lambda0 * gapset.a0 - np.sum(lams / (cs - gapset.a0)))
     return DeltaData(lambda0, c0, tuple(zip(cs.tolist(), lams.tolist())))
 
 

@@ -32,6 +32,7 @@ from .errors import (
     WindowError,
     integral,
 )
+from .finitegap import POLE_REL_TOL
 
 # The symplectic unit [[0, -1], [1, 0]].
 JMAT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -41,7 +42,6 @@ EYE2.setflags(write=False)
 
 DET_TOL = 1e-9
 VALIDITY_FLOOR = 1e-8
-POLE_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -346,10 +346,10 @@ def _chain_plan(c_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
 
 
 def lambda_sharp(
-    nextblk: GmpBlock, thisblk: GmpBlock, c: np.ndarray, k: int | None = None, *, states=None
-) -> np.ndarray | float:
-    """Two-block functionals of all poles c_k, shape (..., g) (pole k alone
-    with ``k``); the residue functionals Lambda_k for equal blocks.
+    nextblk: GmpBlock, thisblk: GmpBlock, c: np.ndarray, *, states=None
+) -> np.ndarray:
+    """Two-block functionals of all poles c_k, shape (..., g); the residue
+    functionals Lambda_k for equal blocks.
 
     At c_k the mixed product N_0..N_{k-2} (u v^T J) T_k..T_{g-1} of the
     elementary factors of ``nextblk`` (N) and ``thisblk`` (T) has a
@@ -386,17 +386,12 @@ def lambda_sharp(
     closing[0, 1], closing[1, 0], closing[1, 1] = -1.0 / p, p, (p * q - c[:, None]) / p
     terms = state[:, None, 0] * state[None, :, 1] * closing
     vals = ((terms[0, 0] + terms[0, 1]) + (terms[1, 0] + terms[1, 1])).T
-    vals = vals.reshape(thisblk.p.shape[:-1] + (g,))
-    if k is None:
-        return vals
-    if not 1 <= k <= g:
-        raise ValidationError(f"pole index {k} outside 1..{g}")
-    return vals[..., k - 1] if vals.ndim > 1 else float(vals[k - 1])
+    return vals.reshape(thisblk.p.shape[:-1] + (g,))
 
 
-def lambda_k(blk: GmpBlock, c: np.ndarray, k: int | None = None) -> np.ndarray | float:
+def lambda_k(blk: GmpBlock, c: np.ndarray) -> np.ndarray:
     """Residue functionals of the poles (equal-blocks case), shape (..., g)."""
-    return lambda_sharp(blk, blk, c, k)
+    return lambda_sharp(blk, blk, c)
 
 
 def validate_gmp(window: GmpWindow, floor: float = VALIDITY_FLOOR) -> dict:

@@ -446,6 +446,27 @@ class TestConversions:
         assert out == "" and "Traceback" not in err
         assert err == f"validation error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "second, message",
+        [(0.0, "poles at 0.0 and 0.0 coincide"),
+         (1e-13, "poles at 0.0 and 1e-13 coincide")],
+        ids=["equal", "1e-13-apart"],
+    )
+    @pytest.mark.parametrize("command", ["jacobi2gmp", "iso-solve"])
+    def test_coincident_poles_rejected(self, tmp_path, capsys, command, second, message):
+        poles = [{"c": 0.0, "lambda": 1.0}, {"c": second, "lambda": 1.0}]
+        cmap = write_json(tmp_path / "map.json", {"lambda0": 1.0, "c0": 0.0, "poles": poles})
+        if command == "jacobi2gmp":
+            argv = ["jacobi2gmp", period2_jacobi_file(tmp_path), cmap, "--width", "3"]
+        else:
+            seed = {"p": [0.5, 0.5, 1.0], "q": [0.0, 0.0, 0.0]}
+            argv = ["iso-solve", cmap, write_json(tmp_path / "seed.json", seed)]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == f"validation error: {message}\n"
+
     def test_gmp2jacobi_reads_off_coefficients(self, tmp_path, capsys):
         win = p1_window_file(tmp_path)
         assert cli.main(["gmp2jacobi", win]) == 0

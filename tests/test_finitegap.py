@@ -16,13 +16,19 @@ from gmpflow.finitegap import (
     apply_comb_map,
     delta_from_gaps,
     eval_delta,
-    eval_delta_ratio,
     gap_zeros,
 )
 
 from gmpflow.gmp import GmpBlock, GmpWindow, assemble_wrapped
 
 from conftest import random_gapset
+
+
+def eval_delta_ratio(gapset: GapSet, z):
+    """The comb map as the ratio 2 (P_a + P_b) / (P_b - P_a)."""
+    pa = np.prod(np.asarray(z)[..., None] - gapset.a_points(), axis=-1)
+    pb = np.prod(np.asarray(z)[..., None] - gapset.b_points(), axis=-1)
+    return 2.0 * (pa + pb) / (pb - pa)
 
 
 class TestGapSet:
@@ -140,6 +146,20 @@ class TestDeltaFromGaps:
                 atol=1e-10,
             )
 
+    @pytest.mark.parametrize("g", [1, 2, 4, 8, 12, 16])
+    def test_band_edges_across_genus(self, g):
+        # wide gap sets in [-3, 3]: 2g+1 segments of random relative length
+        # in [0.5, 1.5], alternately band and gap
+        rng = np.random.default_rng(g)
+        levels = np.array([-2.0] + [2.0, -2.0] * g + [2.0])
+        for _ in range(10):
+            seg = rng.uniform(0.5, 1.5, 2 * g + 1)
+            edges = -3.0 + np.concatenate([[0.0], np.cumsum(6.0 * seg / seg.sum())])
+            edges[-1] = 3.0
+            gs = GapSet(edges[0], edges[-1], tuple(zip(edges[1:-1:2], edges[2:-1:2])))
+            delta = delta_from_gaps(gs)
+            assert_allclose(eval_delta(delta, edges), levels, rtol=0, atol=3e-11)
+
     def test_json_round_trip(self, estar_gapset):
         delta = delta_from_gaps(estar_gapset)
         data = delta.to_json()
@@ -201,6 +221,20 @@ class TestDeltaDataFinite:
         with pytest.raises(ValidationError) as info:
             DeltaData.from_json(json.loads(text))
         assert str(info.value) == message
+
+
+class TestDeltaDataPoles:
+    @pytest.mark.parametrize(
+        "cs", [(0.3, -0.8, 0.3), (0.0, 1e-12), (1e3, 1e3 + 5e-10)],
+        ids=["equal", "absolute", "relative"],
+    )
+    def test_coincident_poles_rejected(self, cs):
+        with pytest.raises(ValidationError, match="coincide"):
+            DeltaData(1.0, 0.0, tuple((c, 1.0) for c in cs))
+
+    def test_poles_just_apart_accepted(self):
+        d = DeltaData(1.0, 0.0, ((0.0, 1.0), (2e-12, 1.0), (1e3, 1.0), (1e3 + 2e-9, 1.0)))
+        assert d.g == 4
 
 
 class TestEvalDelta:

@@ -417,7 +417,7 @@ class TestTransferViaResolvent:
 
 class TestLambdaK:
     def test_canonical_value(self, p1_block):
-        assert_allclose(lambda_k(p1_block, np.array([0.0]), 1), 4.0, atol=1e-14)
+        assert_allclose(lambda_k(p1_block, np.array([0.0]))[..., 0], 4.0, atol=1e-14)
 
     def test_symbolic_family(self):
         c = np.array([0.0])
@@ -429,14 +429,14 @@ class TestLambdaK:
                 expected = (
                     2.0 * p0**2 + q0**2 / 2.0 + 2.0 * p0**2 * q0**2
                 )
-                assert_allclose(lambda_k(blk, c, 1), expected, atol=1e-13)
+                assert_allclose(lambda_k(blk, c)[..., 0], expected, atol=1e-13)
 
     def test_zero_interior_vector_reduction(self):
         blk = GmpBlock(np.array([0.9, 0.0, 0.7]), np.array([0.4, 0.0, -0.2]))
         c = np.array([-0.5, 1.0])
         middle = np.outer(blk.pm(0), blk.pm(0)) @ JMAT
         expected = -np.trace(middle @ bp_factor_inf(c[0], blk.pm(2)))
-        assert_allclose(lambda_k(blk, c, 1), expected, atol=1e-14)
+        assert_allclose(lambda_k(blk, c)[..., 0], expected, atol=1e-14)
 
     def test_residue_extrapolation(self):
         rng = np.random.default_rng(13)
@@ -459,7 +459,7 @@ class TestLambdaK:
             first = [2.0 * vals[1] - vals[0], 2.0 * vals[2] - vals[1]]
             extrapolated = (4.0 * first[1] - first[0]) / 3.0
             assert_allclose(
-                extrapolated, lambda_k(blk, c, k), rtol=1e-7, atol=1e-7
+                extrapolated, lambda_k(blk, c)[..., k - 1], rtol=1e-7, atol=1e-7
             )
 
 
@@ -499,15 +499,15 @@ class TestLambdaSharp:
     def test_equal_blocks_reduce(self, p1_block):
         c = np.array([0.0])
         assert_allclose(
-            lambda_sharp(p1_block, p1_block, c, 1),
-            lambda_k(p1_block, c, 1),
+            lambda_sharp(p1_block, p1_block, c)[..., 0],
+            lambda_k(p1_block, c)[..., 0],
             atol=1e-15,
         )
 
     def test_continuity_under_perturbation(self, p1_block):
         c = np.array([0.0])
         bumped = GmpBlock(p1_block.p + np.array([1e-3, 0.0]), p1_block.q)
-        val = lambda_sharp(bumped, p1_block, c, 1)
+        val = lambda_sharp(bumped, p1_block, c)[..., 0]
         assert abs(val - 4.0) < 5e-3
 
     def test_positive_near_canonical_torus(self):
@@ -516,7 +516,7 @@ class TestLambdaSharp:
         for _ in range(200):
             this = near_p1_block(rng)
             nxt = near_p1_block(rng)
-            assert lambda_sharp(nxt, this, c, 1) > 0.0
+            assert lambda_sharp(nxt, this, c)[..., 0] > 0.0
 
 
 class TestValidateGmp:
@@ -556,7 +556,7 @@ class TestValidateGmp:
         report = validate_gmp(window)
         for k in range(1, g + 1):
             vals = [
-                lambda_sharp(window.block(j + 1), window.block(j), window.c, k)
+                lambda_sharp(window.block(j + 1), window.block(j), window.c)[..., k - 1]
                 for j in range(window.j_min, window.j_max)
             ]
             i_min = int(np.argmin(vals))
