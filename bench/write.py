@@ -38,8 +38,9 @@ The record holds:
   ``lambda_sharp``), the counters (eigensolves,
   ``delta_of_gmp`` calls, Lanczos runs and steps, ``kappa`` calls of
   ``construct``, ``lambda_k`` calls of ``isospectral`` with the pole
-  evaluations they make, calls x g x rows, and Gauss-Newton iterations)
-  taken from one extra run;
+  evaluations they make, calls x g x rows, Gauss-Newton iterations, and
+  ``numkit.bisect_root`` calls with their evaluations of the bracketed
+  function) taken from one extra run;
 - the ``src/`` line count, and the wall time of the Tier-1 suite and of
   ``gmpflow selftest``.
 
@@ -199,9 +200,10 @@ def kernel_inputs(g: int, n_pairs: int) -> GmpWindow:
 class Counting:
     """Counts eigensolves, ``delta_of_gmp`` calls, the Lanczos runs of
     ``gmp_to_jacobi_measure`` with their steps, the ``kappa`` calls of
-    ``construct``, and the ``lambda_k`` calls with their pole evaluations
-    and the Jacobians (one per Gauss-Newton iteration) of ``isospectral``
-    while installed."""
+    ``construct``, the ``lambda_k`` calls with their pole evaluations
+    and the Jacobians (one per Gauss-Newton iteration) of ``isospectral``,
+    and the ``numkit.bisect_root`` calls with their evaluations of the
+    bracketed function while installed."""
 
     def __init__(self):
         self.eig_rows: list[int] = []
@@ -211,9 +213,12 @@ class Counting:
         self.lambda_k_calls = 0
         self.lambda_k_poles = 0
         self.jacobians = 0
+        self.bisect_calls = 0
+        self.bisect_evals = 0
 
     def __enter__(self):
         self._eig, self._delta = numkit.sym_eigen, ks.delta_of_gmp
+        self._bisect = numkit.bisect_root
         self._lanczos, self._kappa = construct.lanczos, construct.kappa
         self._lambda_k, self._jacobian = isospectral.lambda_k, isospectral._fd_jacobian
 
@@ -244,14 +249,22 @@ class Counting:
             self.jacobians += 1
             return self._jacobian(*args)
 
-        numkit.sym_eigen = eig
+        def bisect(f, lo, hi):
+            def counted(x):
+                self.bisect_evals += 1
+                return f(x)
+
+            self.bisect_calls += 1
+            return self._bisect(counted, lo, hi)
+
+        numkit.sym_eigen, numkit.bisect_root = eig, bisect
         ks.delta_of_gmp = delta  # map_chain looks the name up in ks
         construct.lanczos, construct.kappa = lanczos, kappa
         isospectral.lambda_k, isospectral._fd_jacobian = lambda_k, jacobian
         return self
 
     def __exit__(self, *exc):
-        numkit.sym_eigen = self._eig
+        numkit.sym_eigen, numkit.bisect_root = self._eig, self._bisect
         ks.delta_of_gmp = self._delta
         construct.lanczos, construct.kappa = self._lanczos, self._kappa
         isospectral.lambda_k, isospectral._fd_jacobian = self._lambda_k, self._jacobian
@@ -268,6 +281,8 @@ class Counting:
             "lambda_k_calls": self.lambda_k_calls,
             "lambda_k_poles": self.lambda_k_poles,
             "gauss_newton_iterations": self.jacobians,
+            "bisect_calls": self.bisect_calls,
+            "bisect_evals": self.bisect_evals,
         }
 
 

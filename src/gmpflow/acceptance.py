@@ -188,19 +188,10 @@ def criterion_magic_pattern() -> dict:
 def _period2_band_edges() -> np.ndarray:
     """Band edges of the alternating-bond chain from the transfer trace."""
 
-    def trace(x: float) -> float:
-        m0 = np.array([[x / 0.5, -1.5 / 0.5], [1.0, 0.0]])
-        m1 = np.array([[x / 1.5, -0.5 / 1.5], [1.0, 0.0]])
-        mono = m1 @ m0
-        return float(mono[0, 0] + mono[1, 1])
+    def excess(x):  # trace of [[x/1.5, -0.5/1.5], [1, 0]] @ [[x/0.5, -1.5/0.5], [1, 0]]
+        return (x / 1.5) * (x / 0.5) - 0.5 / 1.5 - 1.5 / 0.5 - np.array([-2.0, -2.0, 2.0, 2.0])
 
-    edges = [
-        numkit.bisect_root(lambda x: trace(x) + 2.0, -1.5, -0.5),
-        numkit.bisect_root(lambda x: trace(x) + 2.0, 0.5, 1.5),
-        numkit.bisect_root(lambda x: trace(x) - 2.0, -2.5, -1.5),
-        numkit.bisect_root(lambda x: trace(x) - 2.0, 1.5, 2.5),
-    ]
-    return np.sort(np.array(edges))
+    return np.sort(numkit.bisect_root(excess, [-1.5, 0.5, -2.5, 1.5], [-0.5, 1.5, -1.5, 2.5]))
 
 
 def criterion_flow_orbit() -> dict:

@@ -137,10 +137,7 @@ def cmd_delta(args: argparse.Namespace) -> int:
     d = delta_from_gaps(gs)
     log.info("delta: %d gap(s), slope %s", d.g, _fmt(d.lambda0))
     _dump_json(d.to_json(), args.out)
-    edges = [gs.b0]
-    for a, b in gs.gaps:
-        edges.extend([a, b])
-    edges.append(gs.a0)
+    edges = np.ravel(gs.bands())  # b0, a1, b1, ..., a0
     summary = [
         f"comb map with {d.g} pole(s): "
         f"slope {_fmt(d.lambda0)}, offset {_fmt(d.c0)}"
@@ -148,8 +145,8 @@ def cmd_delta(args: argparse.Namespace) -> int:
     for k, (c, lam) in enumerate(d.poles):
         summary.append(f"  pole {k + 1}: c = {_fmt(c)}, weight = {_fmt(lam)}")
     summary.append("band edge values:")
-    for e in edges:
-        summary.append(f"  Delta({_fmt(e)}) = {_fmt(eval_delta(d, e))}")
+    for e, v in zip(edges, eval_delta(d, edges)):
+        summary.append(f"  Delta({_fmt(e)}) = {_fmt(v)}")
     stream = sys.stdout if args.out else sys.stderr
     stream.write("\n".join(summary) + "\n")
     return 0

@@ -32,7 +32,7 @@ from .errors import (
     WindowError,
     integral,
 )
-from .finitegap import POLE_REL_TOL
+from .finitegap import POLE_REL_TOL, check_distinct_poles
 
 # The symplectic unit [[0, -1], [1, 0]].
 JMAT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -179,9 +179,11 @@ class GmpWindow:
             raise ValidationError(f"malformed window data: {exc}") from exc
         shapes = {row.shape for row in P + Q}
         if len(shapes) == 1 and all(len(s) == 1 and s[0] for s in shapes):
-            return cls.from_arrays(P, Q, c, j_min)
-        # a block or the gap-count check names the fault
-        return cls([GmpBlock(p, q) for p, q in zip(P, Q)], c, j_min)
+            window = cls.from_arrays(P, Q, c, j_min)
+        else:  # a block or the gap-count check names the fault
+            window = cls([GmpBlock(p, q) for p, q in zip(P, Q)], c, j_min)
+        check_distinct_poles(window.c)
+        return window
 
 
 @dataclass(frozen=True)

@@ -492,37 +492,30 @@ def density_identity(c, lam, y: float) -> dict:
             "level zero has no simple preimage system for a pure pole map"
         )
 
-    def f(x: float) -> float:
-        return float(np.sum(lam_arr / (c_arr - x))) - y
+    def f(x: np.ndarray) -> np.ndarray:
+        return np.sum(lam_arr / (c_arr - x[:, None]), axis=1) - y
 
     weight_sum = float(np.sum(lam_arr))
     offset = 1e-9 * max(1.0, float(np.max(np.abs(sorted_c))))
     reach = 2.0 * weight_sum / abs(y) + 1.0
-    brackets = []
+    lo, hi = sorted_c[:-1] + offset, sorted_c[1:] - offset
     if y > 0:
-        brackets.append((sorted_c[0] - reach, sorted_c[0] - offset))
-    for k in range(g - 1):
-        brackets.append((sorted_c[k] + offset, sorted_c[k + 1] - offset))
+        lo, hi = np.append(sorted_c[0] - reach, lo), np.append(sorted_c[0] - offset, hi)
     if y < 0:
-        brackets.append((sorted_c[-1] + offset, sorted_c[-1] + reach))
-    roots = np.array([numkit.bisect_root(f, lo, hi) for lo, hi in brackets])
+        lo, hi = np.append(lo, sorted_c[-1] + offset), np.append(hi, sorted_c[-1] + reach)
+    roots = numkit.bisect_root(f, lo, hi)
 
     w_mat = 1.0 / (c_arr[np.newaxis, :] - roots[:, np.newaxis])
     det_w = float(np.linalg.det(w_mat))
 
     sign = (-1.0) ** (g * (g - 1) // 2)
-    root_diffs = 1.0
-    pole_diffs = 1.0
-    for k in range(g):
-        for j in range(k + 1, g):
-            root_diffs *= roots[k] - roots[j]
-            pole_diffs *= c_arr[k] - c_arr[j]
+    k, j = np.triu_indices(g, 1)  # every pair k < j, row by row
+    root_diffs = float(np.prod(roots[k] - roots[j]))
+    pole_diffs = float(np.prod(c_arr[k] - c_arr[j]))
     cross = float(np.prod(c_arr[np.newaxis, :] - roots[:, np.newaxis]))
     det_w_closed = sign * root_diffs * pole_diffs / cross
 
-    deriv = np.array(
-        [float(np.sum(lam_arr / (c_arr - x) ** 2)) for x in roots]
-    )
+    deriv = np.sum(lam_arr / (c_arr - roots[:, None]) ** 2, axis=1)
     deriv_product = float(np.prod(deriv))
     deriv_closed = (
         (root_diffs * pole_diffs) ** 2 / cross**2 * float(np.prod(lam_arr))

@@ -184,33 +184,38 @@ def lower_cholesky_like(mat: np.ndarray) -> np.ndarray:
     return g
 
 
-def bisect_root(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """Root of a continuous scalar function on a bracketing interval.
+def bisect_root(f: Callable[[np.ndarray], np.ndarray], lo, hi):
+    """Roots of a continuous function on brackets (arrays or scalars), all at once.
 
-    Requires ``f(lo) * f(hi) <= 0`` (NoSignChangeError otherwise) and
-    contracts the bracket to width ``1e-13 * max(1, |root|)``.
+    ``f`` maps one point per bracket, flattened, to its values.  Each bracket
+    needs ``f(lo) * f(hi) <= 0`` (NoSignChangeError names the first without)
+    and stops on its own, at width ``1e-13 * max(1, |midpoint|)``, where ``f``
+    vanishes or after 200 halvings; it then holds its midpoint.
     """
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo >= hi:
-        raise ValueError(f"invalid bracket [{lo}, {hi}]")
-    flo = f(lo)
-    fhi = f(hi)
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if np.sign(flo) == np.sign(fhi):
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
+    bad = ~(np.isfinite(lo) & np.isfinite(hi)) | (lo >= hi)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValueError(f"invalid bracket [{lo[k]}, {hi[k]}]")
+    flo, fhi = f(lo), f(hi)
+    hit = (flo == 0.0) | (fhi == 0.0)
+    same = ~hit & (np.sign(flo) == np.sign(fhi))
+    if same.any():
+        k = int(np.argmax(same))
         raise NoSignChangeError(
-            f"f({lo}) = {flo:.3e} and f({hi}) = {fhi:.3e} have the same sign"
+            f"f({lo[k]}) = {flo[k]:.3e} and f({hi[k]}) = {fhi[k]:.3e} have the same sign"
         )
+    end = np.where(flo == 0.0, lo, hi)
+    lo, hi, side = np.where(hit, end, lo), np.where(hit, end, hi), np.sign(flo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= BISECT_REL_WIDTH * max(1.0, abs(mid)):
-            return mid
+        stop = hi - lo <= BISECT_REL_WIDTH * np.maximum(1.0, np.abs(mid))
+        if stop.all():
+            break
         fmid = f(mid)
-        if fmid == 0.0:
-            return mid
-        if np.sign(fmid) == np.sign(flo):
-            lo, flo = mid, fmid
-        else:
-            hi, fhi = mid, fmid
-    return 0.5 * (lo + hi)
+        stop |= fmid == 0.0
+        left = np.sign(fmid) == side
+        lo, hi = np.where(left | stop, mid, lo), np.where(left & ~stop, hi, mid)
+    root = (0.5 * (lo + hi)).reshape(shape)
+    return float(root) if root.ndim == 0 else root

@@ -467,6 +467,18 @@ class TestConversions:
         assert out == "" and "Traceback" not in err
         assert err == f"validation error: {message}\n"
 
+    @pytest.mark.parametrize("command", ["flow", "gmp2jacobi"])
+    def test_window_with_coincident_poles_rejected(self, tmp_path, capsys, command):
+        blk = {"p": [0.5, 0.5, 1.0], "q": [0.0, 0.0, 0.0]}
+        win = write_json(
+            tmp_path / "w.json", {"g": 2, "C": [0.0, 0.0], "j_min": -7, "blocks": [blk] * 15}
+        )
+        capsys.readouterr()
+        assert cli.main([command, win]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == "validation error: poles at 0.0 and 0.0 coincide\n"
+
     def test_gmp2jacobi_reads_off_coefficients(self, tmp_path, capsys):
         win = p1_window_file(tmp_path)
         assert cli.main(["gmp2jacobi", win]) == 0

@@ -1,4 +1,6 @@
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,11 +8,14 @@ from numpy.testing import assert_allclose
 
 from gmpflow.errors import (
     DegenerateGapError,
+    NoSignChangeError,
     PoleEvaluationError,
     SpectrumProximityError,
     ValidationError,
 )
 from gmpflow.finitegap import (
+    GAP_REL_TOL,
+    ZERO_RESIDUAL_REL_TOL,
     DeltaData,
     GapSet,
     apply_comb_map,
@@ -29,6 +34,72 @@ def eval_delta_ratio(gapset: GapSet, z):
     pa = np.prod(np.asarray(z)[..., None] - gapset.a_points(), axis=-1)
     pb = np.prod(np.asarray(z)[..., None] - gapset.b_points(), axis=-1)
     return 2.0 * (pa + pb) / (pb - pa)
+
+
+def scalar_bisect(f, lo: float, hi: float) -> float:
+    """One bracket at a time: ``numkit.bisect_root`` before it took arrays."""
+    flo, fhi = f(lo), f(hi)
+    if flo == 0.0:
+        return lo
+    if fhi == 0.0:
+        return hi
+    if np.sign(flo) == np.sign(fhi):
+        raise NoSignChangeError(
+            f"f({lo}) = {flo:.3e} and f({hi}) = {fhi:.3e} have the same sign"
+        )
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if hi - lo <= 1e-13 * max(1.0, abs(mid)):
+            return mid
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if np.sign(fmid) == np.sign(flo):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    return 0.5 * (lo + hi)
+
+
+def gap_zeros_per_gap(gapset: GapSet) -> np.ndarray:
+    """``gap_zeros`` as one scalar bisection per gap, checked gap by gap."""
+    a_pts, b_pts = gapset.a_points(), gapset.b_points()
+    diff = lambda x: np.prod(x - b_pts) - np.prod(x - a_pts)
+    zeros = []
+    for k, (a, b) in enumerate(gapset.gaps):
+        if b - a <= GAP_REL_TOL * max(1.0, gapset.diameter):
+            raise DegenerateGapError(f"gap {k} = ({a}, {b}) has numerically zero length")
+        c = scalar_bisect(diff, a, b)
+        pa, pb = np.prod(c - a_pts), np.prod(c - b_pts)
+        residual = abs(pb - pa)
+        if residual > ZERO_RESIDUAL_REL_TOL * (abs(pa) + abs(pb) + 1.0):
+            raise DegenerateGapError(
+                f"gap {k}: pole residual {residual:.3e} exceeds tolerance"
+            )
+        zeros.append(c)
+    return np.array(zeros)
+
+
+def perfbench_workloads():
+    """The benchmark's input draws, which tests use only to read gap sets."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    return workloads
+
+
+@pytest.fixture(scope="module")
+def narrow_gap_sets(tmp_path_factory) -> dict[str, GapSet]:
+    """The eight narrow-gap sets of perfbench's seed-1 self-test pool."""
+    workloads = perfbench_workloads()
+    work = tmp_path_factory.mktemp("narrow")
+    pool = workloads.narrow_gap_pool(1, work)
+    return {
+        job.label: GapSet.from_json(json.loads((work / f"gaps{i}.json").read_text()))
+        for i, job in enumerate(pool.jobs)
+    }
 
 
 class TestGapSet:
@@ -76,6 +147,29 @@ class TestGapZeros:
         gs = GapSet(-2.0, 2.0, ((0.0, 1e-15),))
         with pytest.raises(DegenerateGapError):
             gap_zeros(gs)
+
+    @pytest.mark.parametrize("g", [1, 2, 4, 8, 12, 16])
+    def test_wide_sets_match_per_gap_bisection_bitwise(self, g):
+        random_gapset = perfbench_workloads().random_gapset
+        rng = np.random.default_rng([13, g])
+        for _ in range(10):
+            gs = GapSet(*random_gapset(rng, g, None))
+            assert np.array_equal(gap_zeros(gs), gap_zeros_per_gap(gs))
+
+    def test_narrow_sets_match_per_gap_bisection_bitwise(self, narrow_gap_sets):
+        assert len(narrow_gap_sets) == 8
+        failed = []
+        for label, gs in narrow_gap_sets.items():
+            try:
+                expected = gap_zeros_per_gap(gs)
+            except DegenerateGapError as exc:
+                with pytest.raises(type(exc)) as got:
+                    gap_zeros(gs)
+                assert str(got.value) == str(exc)
+                failed.append(label)
+            else:
+                assert np.array_equal(gap_zeros(gs), expected), label
+        assert failed == ["g8-narrow7"]
 
 
 class TestDeltaFromGaps:

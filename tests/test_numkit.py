@@ -343,3 +343,34 @@ class TestBisectRoot:
             slope = rng.uniform(0.2, 3.0) * rng.choice([-1.0, 1.0])
             x = numkit.bisect_root(lambda t: slope * (t - root), root - 1.0, root + 2.0)
             assert abs(x - root) <= 1e-12 * max(1.0, abs(root))
+
+    def test_array_brackets_with_exact_roots(self):
+        # roots of t^3 - t at -1, 0 and 1: an interior root, a root at lo, a
+        # root at hi, and one the first midpoint hits exactly
+        f = lambda t: t**3 - t
+        lo = np.array([[-1.5, 0.0], [0.7, -0.5]])
+        hi = np.array([[-0.5, 0.5], [1.0, 0.5]])
+        x = numkit.bisect_root(f, lo, hi)
+        assert x.shape == (2, 2)
+        assert abs(x[0, 0] + 1.0) <= 1e-13
+        assert x[0, 1] == 0.0 and x[1, 0] == 1.0 and x[1, 1] == 0.0
+        assert isinstance(numkit.bisect_root(f, -1.5, -0.5), float)
+
+    def test_array_bracket_without_sign_change_is_named(self):
+        with pytest.raises(NoSignChangeError, match=r"^f\(2\.0\) = 3\.000e\+00 and f\(3\.0\)"):
+            numkit.bisect_root(lambda t: t * t - 1.0, [0.5, 2.0, -3.0], [1.5, 3.0, 0.0])
+
+    def test_each_bracket_stops_at_its_own_width(self):
+        # widths from 1e-6 to 1e6 at roots from 1e-3 to 1e5: every bracket
+        # ends where it ends alone, within 1e-13 * max(1, |root|)
+        roots = np.array([1e-3, 0.7, -40.0, 1e5])
+        slopes = np.array([2.0, -0.5, 3.0, -1.0])
+        lo = roots - np.array([1e-6, 0.3, 20.0, 4e5])
+        hi = roots + np.array([2e-6, 0.9, 70.0, 6e5])
+        x = numkit.bisect_root(lambda t: slopes * (t - roots), lo, hi)
+        alone = [
+            numkit.bisect_root(lambda t, k=k: slopes[k] * (t - roots[k]), lo[k], hi[k])
+            for k in range(roots.size)
+        ]
+        assert np.array_equal(x, alone)
+        assert np.all(np.abs(x - roots) <= 1e-13 * np.maximum(1.0, np.abs(roots)))

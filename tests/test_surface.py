@@ -22,9 +22,6 @@ ROOTS = ("cli", "acceptance")
 # that uses it as the reference for code that stays.
 ORACLES = {
     "__init__.__version__": "the package version string",
-    "finitegap.GapSet.bands": (
-        "test_finitegap.py::TestDeltaFromGaps checks the map on every band"
-    ),
     "jacobi.DiscreteMeasure.cauchy_transform": (
         "test_jacobi.py::TestResolventR::test_matches_measure_form"
     ),
