@@ -1,0 +1,108 @@
+"""Print one sha256 per ``gmpflow`` command line call, to check that two
+checkouts give byte-identical output.
+
+    python3 bench/identity.py > digests.txt
+
+The calls are every job of perfbench's pools of every workload at seeds
+3, 5 and 13, every job of ``narrow_gap_pool(1)``, and ``gmpflow
+selftest``.  Each runs in process through ``gmpflow.cli.main`` with BLAS
+on one thread.  A job's digest lines hash, for each of its calls, the
+exit code (or the uncaught exception), stdout and stderr, together with
+the bytes of the job's output files, read after its last call.  The
+selftest report is hashed with its elapsed times stripped.  Output lines
+are ``<pool>/<job index>/<label> <call index> <sha256>``.
+
+Running this at two commits and comparing the outputs with ``diff`` is
+the byte-identity check.  Inputs are written to a fresh work directory
+under ``.bench_run/`` and named by relative paths, so the command line
+arguments do not depend on where the checkout lives; nothing is written
+under ``perfbench/``, whose input draws are imported.  It takes a few
+seconds on a 2-core machine.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+os.environ.pop("GMPFLOW_LOG", None)
+
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import re  # noqa: E402
+import shutil  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.dont_write_bytecode = True
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+from workloads import WORKLOADS, build_pool, narrow_gap_pool  # noqa: E402
+
+from gmpflow import cli  # noqa: E402
+
+SEEDS = (3, 5, 13)
+NARROW_SEED = 1
+ELAPSED = re.compile(r" \(\d+\.\d\d s\) ")
+
+
+def run_call(argv: list[str]) -> tuple[str, str, str]:
+    """Exit code (or uncaught exception), stdout and stderr of one call."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = str(cli.main(argv))
+    except Exception as exc:  # noqa: BLE001 - an uncaught error is an outcome too
+        code = f"raised {type(exc).__name__}: {exc}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(*parts: str | bytes) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        raw = part.encode() if isinstance(part, str) else part
+        h.update(len(raw).to_bytes(8, "little") + raw)
+    return h.hexdigest()
+
+
+def pool_lines(name: str, pool) -> list[str]:
+    lines = []
+    for i, job in enumerate(pool.jobs):
+        results = [run_call(argv) for argv in job.calls]
+        files = [p.read_bytes() if p.is_file() else b"<missing>" for p in job.outputs]
+        for k, result in enumerate(results):
+            lines.append(f"{name}/{i}/{job.label} {k} {digest(*result, *files)}")
+    return lines
+
+
+def main() -> int:
+    (ROOT / ".bench_run").mkdir(exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix="identity-", dir=ROOT / ".bench_run"))
+    home = Path.cwd()
+    os.chdir(work)
+    try:
+        pools = []
+        for seed in SEEDS:
+            for workload in WORKLOADS:
+                name = f"seed{seed}-{workload}"
+                Path(name).mkdir()
+                pools.append((name, build_pool(workload, seed, Path(name))))
+        Path("narrow").mkdir()
+        pools.append((f"narrow{NARROW_SEED}", narrow_gap_pool(NARROW_SEED, Path("narrow"))))
+        for name, pool in pools:
+            for line in pool_lines(name, pool):
+                print(line, flush=True)
+        code, out, err = run_call(["selftest"])
+        print(f"selftest 0 {digest(code, ELAPSED.sub(' ', out), err)}")
+    finally:
+        os.chdir(home)
+        shutil.rmtree(work)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import acceptance
 from .construct import gmp_to_jacobi_measure, jacobi_to_gmp
-from .errors import NumericalError, ValidationError, WindowError
+from .errors import NumericalError, ValidationError
 from .finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta
 from .flow import flow_run
 from .gmp import VALIDITY_FLOOR, GmpBlock, GmpWindow
@@ -162,12 +162,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
     """
     w = GmpWindow.from_json(_load_json(args.window))
     g = w.g
-    max_steps = min(-1 - w.j_min, w.j_max - 1)
-    if args.steps > max_steps:
-        raise WindowError(
-            f"window [{w.j_min}, {w.j_max}] is exhausted by {args.steps} "
-            f"step(s); the maximal feasible step count is {max_steps}"
-        )
     floor = VALIDITY_FLOOR if args.tol is None else args.tol
     traj = flow_run(w, args.steps, floor=floor)
     log.info("flow: %d blocks, %d steps", w.n_blocks, args.steps)

@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
     WindowError,
 )
-from .finitegap import DeltaData, eval_delta
+from .finitegap import DeltaData, check_distinct_poles, eval_delta
 from .gmp import GmpWindow, build_block_B, pattern_defect
 from .jacobi import DiscreteMeasure, JacobiWindow, _spectrum, kappa, lanczos
 
@@ -47,11 +47,7 @@ def _checked_poles(c_list) -> np.ndarray:
         raise ValidationError("at least one pole is required")
     if not np.all(np.isfinite(cs)):
         raise ValidationError("poles must be finite")
-    if cs.size > 1:
-        gaps = np.abs(cs[:, None] - cs[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        if gaps.min() <= 1e-12 * max(1.0, float(np.max(np.abs(cs)))):
-            raise ValidationError("poles must be distinct")
+    check_distinct_poles(cs)
     return cs
 
 
@@ -127,29 +123,25 @@ class RationalBasis:
     table holds one column per basis function, grouped in blocks of
     g + 1 columns; the first block spans the raw rational system and
     block m spans the map-multiplied continuation.  L carries the
-    first-block coefficients, D the raw Gram matrix, and m_vec the
-    first moments integral of x * tau against the measure for the first
-    block.
+    first-block coefficients, D the raw Gram matrix, and ``m_vec`` the
+    first moments, the integrals of x * tau against the measure, of the
+    first block.
     """
 
     measure: DiscreteMeasure
     table: np.ndarray
     L: np.ndarray
     D: np.ndarray
-    m_vec: np.ndarray
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=float)
         L = np.asarray(self.L, dtype=float)
         D = np.asarray(self.D, dtype=float)
-        m_vec = np.asarray(self.m_vec, dtype=float).ravel()
         if L.ndim != 2 or L.shape[0] != L.shape[1]:
             raise ValidationError("coefficient matrix must be square")
         per = L.shape[0]
         if D.shape != (per, per):
             raise ValidationError("Gram matrix shape does not match L")
-        if m_vec.shape != (per,):
-            raise ValidationError("moment vector length does not match L")
         if table.ndim != 2 or table.shape[0] != self.measure.n_points:
             raise ValidationError(
                 "table rows must match the measure support size"
@@ -159,7 +151,6 @@ class RationalBasis:
                 "table width must be a nonzero multiple of the block size"
             )
         w = self.measure.weights
-        x = self.measure.points
         gram = table.T @ (w[:, None] * table)
         dev = float(np.max(np.abs(gram - np.eye(table.shape[1]))))
         if dev > ORTHO_TOL:
@@ -178,18 +169,11 @@ class RationalBasis:
             raise ValidationError(
                 f"factorization residual {resid:.3e} exceeds the tolerance"
             )
-        m_check = table[:, :per].T @ (w * x)
-        m_dev = float(np.max(np.abs(m_check - m_vec)))
-        if m_dev > 1e-10 * max(1.0, float(np.max(np.abs(m_check)))):
-            raise ValidationError(
-                "moment vector is inconsistent with the table"
-            )
-        for arr in (table, L, D, m_vec):
+        for arr in (table, L, D):
             arr.flags.writeable = False
         object.__setattr__(self, "table", table)
         object.__setattr__(self, "L", L)
         object.__setattr__(self, "D", D)
-        object.__setattr__(self, "m_vec", m_vec)
 
     @property
     def g(self) -> int:
@@ -198,6 +182,10 @@ class RationalBasis:
     @property
     def depth(self) -> int:
         return self.table.shape[1] // self.L.shape[0]
+
+    @property
+    def m_vec(self) -> np.ndarray:
+        return self.table[:, : self.L.shape[0]].T @ (self.measure.weights * self.measure.points)
 
 
 def tau_basis(measure: DiscreteMeasure, d: DeltaData, depth: int = 2) -> RationalBasis:
@@ -233,9 +221,7 @@ def tau_basis(measure: DiscreteMeasure, d: DeltaData, depth: int = 2) -> Rationa
                 f"measure rank exhausted at basis function {idx}; "
                 "the support is too small for the requested depth"
             )
-    table = np.ascontiguousarray(rows.T)
-    m_vec = table[:, :per].T @ (wts * pts)
-    return RationalBasis(measure, table, L, D, m_vec)
+    return RationalBasis(measure, np.ascontiguousarray(rows.T), L, D)
 
 
 def one_sided_coupling(g: int) -> np.ndarray:

@@ -191,11 +191,11 @@ def flow_run(
     """
     if n_steps < 1:
         raise ValidationError("n_steps must be at least 1")
-    if window.j_min > -1 - n_steps or window.j_max < 1 + n_steps:
+    max_steps = min(-1 - window.j_min, window.j_max - 1)
+    if n_steps > max_steps:
         raise WindowError(
-            f"window [{window.j_min}, {window.j_max}] exhausted by "
-            f"{n_steps} steps: need j_min <= {-1 - n_steps} and "
-            f"j_max >= {1 + n_steps}"
+            f"window [{window.j_min}, {window.j_max}] is exhausted by {n_steps} "
+            f"step(s); the maximal feasible step count is {max_steps}"
         )
     states = [window]
     diagnostics = []

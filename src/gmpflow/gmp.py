@@ -50,7 +50,8 @@ class GmpBlock:
 
     A block of a window is a view of its rows.  ``GmpWindow.rows`` gives a
     stack of blocks, whose p and q keep the row axis in front; every block
-    routine of this module broadcasts over it.
+    routine of this module broadcasts over it.  A stack is checked row by
+    row, and the first bad row raises its own message.
     """
 
     p: np.ndarray
@@ -63,12 +64,16 @@ class GmpBlock:
         q.setflags(write=False)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
-        if p.ndim != 1 or q.ndim != 1 or p.size != q.size or p.size < 1:
+        if p.ndim < 1 or p.shape != q.shape or p.shape[-1] < 1:
             raise ValidationError("p and q must be 1-d vectors of equal length")
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(q))):
-            raise ValidationError("block entries must be finite")
-        if p[-1] <= 0.0:
-            raise ValidationError(f"last p entry must be positive, got {p[-1]}")
+        rows_p, rows_q = p.reshape(-1, p.shape[-1]), q.reshape(-1, p.shape[-1])
+        finite = np.isfinite(rows_p).all(1) & np.isfinite(rows_q).all(1)
+        bad = ~finite | (rows_p[:, -1] <= 0.0)
+        if bad.any():
+            i = np.argmax(bad)
+            if not finite[i]:
+                raise ValidationError("block entries must be finite")
+            raise ValidationError(f"last p entry must be positive, got {rows_p[i, -1]}")
 
     @classmethod
     def _view(cls, p: np.ndarray, q: np.ndarray) -> "GmpBlock":
@@ -107,25 +112,23 @@ class GmpWindow:
 
     @classmethod
     def from_arrays(cls, P, Q, c, j_min: int = 0) -> "GmpWindow":
-        """Window over the rows of P and Q, each checked as a ``GmpBlock``."""
+        """Window over the rows of P and Q, checked as one ``GmpBlock`` stack."""
         return cls.__new__(cls)._set_rows(P, Q, c, j_min)
 
     def _set_rows(self, P, Q, c, j_min: int) -> "GmpWindow":
-        P, Q, c = (np.array(arr, dtype=float) for arr in (P, Q, c))
+        P, Q = (np.asarray(arr, dtype=float) for arr in (P, Q))
+        c = np.array(c, dtype=float)
         if P.shape[:1] == (0,):
             raise ValidationError("window must contain at least one block")
         if P.ndim != 2 or P.shape != Q.shape or P.shape[1] < 1:
             raise ValidationError("P and Q must be 2-d arrays of equal shape")
-        bad = ~np.isfinite(P).all(1) | ~np.isfinite(Q).all(1) | (P[:, -1] <= 0.0)
-        if bad.any():
-            GmpBlock(P[np.argmax(bad)], Q[np.argmax(bad)])  # raises its message
-        if c.ndim != 1 or c.size != P.shape[1] - 1:
-            raise ValidationError(f"pole list has length {c.size}, expected {P.shape[1] - 1}")
+        rows = GmpBlock(P, Q)
+        if c.ndim != 1 or c.size != rows.g:
+            raise ValidationError(f"pole list has length {c.size}, expected {rows.g}")
         if not np.all(np.isfinite(c)):
             raise ValidationError("poles must be finite")
-        for arr in (P, Q, c):
-            arr.setflags(write=False)
-        vars(self).update(P=P, Q=Q, c=c, j_min=j_min)  # frozen: bypass __setattr__
+        c.setflags(write=False)
+        vars(self).update(P=rows.p, Q=rows.q, c=c, j_min=j_min)  # frozen: bypass __setattr__
         return self
 
     @property
@@ -177,11 +180,10 @@ class GmpWindow:
             j_min = integral(data["j_min"], "j_min")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed window data: {exc}") from exc
-        shapes = {row.shape for row in P + Q}
-        if len(shapes) == 1 and all(len(s) == 1 and s[0] for s in shapes):
-            window = cls.from_arrays(P, Q, c, j_min)
-        else:  # a block or the gap-count check names the fault
-            window = cls([GmpBlock(p, q) for p, q in zip(P, Q)], c, j_min)
+        shapes = sorted({row.shape for row in P + Q})
+        if len(shapes) > 1:
+            raise ValidationError(f"p and q of every block must share one shape, got {shapes}")
+        window = cls.from_arrays(P, Q, c, j_min)
         check_distinct_poles(window.c)
         return window
 
@@ -407,9 +409,6 @@ def validate_gmp(window: GmpWindow, floor: float = VALIDITY_FLOOR) -> dict:
     """
     report = {
         "valid": False,
-        "floor": float(floor),
-        "g": window.g,
-        "n_pairs": max(window.n_blocks - 1, 0),
         "values": np.zeros((0, window.g)),
         "min_per_k": {},
         "argmin_j": {},

@@ -143,14 +143,12 @@ def solve_is_point(d: DeltaData, seed: GmpBlock) -> IsPoint:
         raise ValidationError(
             f"seed residual {worst:.3e} too large; start closer to the surface"
         )
-    c = d.cs()
 
     def fun(x):
         """Residual entries 1..g+1 at the point x, or at each row of x."""
         pts = np.atleast_2d(x)
         P = np.column_stack([pts[:, :g], np.full(len(pts), p_fixed)])
-        rows = GmpWindow.from_arrays(P, pts[:, g:], c).rows()
-        return is_residual(rows, d)[:, 1:].reshape(x.shape[:-1] + (g + 1,))
+        return is_residual(GmpBlock(P, pts[:, g:]), d)[:, 1:].reshape(x.shape[:-1] + (g + 1,))
 
     x0 = np.concatenate([start.p[:g], start.q])
     x = _gauss_newton(fun, x0)

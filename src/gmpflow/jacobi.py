@@ -14,9 +14,9 @@ angle function phi(c) = arctan r_+(c) and its kappa vector
     kappa_c = (J - c)^{-1} (a(0) sin(phi) e_{-1} + cos(phi) e_0),
 
 which is supported on the right half and has squared norm phi'(c).
-Real-z resolvents are O(n) tridiagonal solves and spectra come from the
-tridiagonal eigenvalue routine; the dense matrix is formed only for
-complex z, the spectral measure and the pairing identity.
+Resolvents, at real z only, are O(n) tridiagonal solves and spectra come
+from the tridiagonal eigenvalue routine; the dense matrix is formed only
+for the spectral measure and the pairing identity.
 """
 
 from __future__ import annotations
@@ -203,15 +203,12 @@ def spectral_measure_plus(window: JacobiWindow) -> DiscreteMeasure:
     return DiscreteMeasure(eigvals[keep], weights)
 
 
-def resolvent_r(window: JacobiWindow, z):
-    """<(J - z)^{-1} e_0, e_0> of a one-sided window; complex z allowed."""
+def resolvent_r(window: JacobiWindow, z: float) -> float:
+    """<(J - z)^{-1} e_0, e_0> of a one-sided window at a real z."""
     _require_one_sided(window, "resolvent_r")
     e0 = np.zeros(window.size)
     e0[0] = 1.0
-    if np.iscomplexobj(np.asarray(z)) and np.imag(z) != 0.0:
-        shifted = window.dense().astype(complex) - z * np.eye(window.size)
-        return complex(np.linalg.solve(shifted, e0)[0])
-    return float(numkit.solve_tridiagonal(window.b, window.a[1:], e0, np.real(z))[0])
+    return float(numkit.solve_tridiagonal(window.b, window.a[1:], e0, z)[0])
 
 
 def lanczos(matvec, start, depth: int, scale: float, grow: int) -> JacobiWindow:

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import numkit
 from .errors import NumericalError, ValidationError, WindowError
-from .finitegap import DeltaData, apply_comb_map
+from .finitegap import DeltaData, apply_comb_map, check_distinct_poles
 from .flow import FlowTrajectory, jacobi_flow_step
-from .gmp import GmpWindow, assemble_wrapped, resolvent_column
+from .gmp import GmpBlock, GmpWindow, assemble_wrapped, resolvent_column
 from .isospectral import is_residual
 
 # Entries of the mapped operator outside the band, relative to its scale.
@@ -48,30 +48,30 @@ class DeltaBlocks:
     blocks, so every stored diagonal block has both neighbours), and
     ``w_blocks[i]`` the symmetric diagonal block at ``j_lo + i``.  Both
     are read-only stacks, ``(span + 1, g + 1, g + 1)`` and
-    ``(span, g + 1, g + 1)`` for a range of ``span`` block rows.  Signs
-    are normalised so every coupling block has positive diagonal, which
-    keeps the log-determinant terms real.
+    ``(span, g + 1, g + 1)`` for the ``span`` block rows j_lo..j_hi.
+    Signs are normalised so every coupling block has positive diagonal,
+    which keeps the log-determinant terms real.
     """
 
-    g: int
     j_lo: int
-    j_hi: int
     v_blocks: np.ndarray
     w_blocks: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.j_hi < self.j_lo:
-            raise WindowError("trusted range is empty")
         V, W = (np.asarray(arr, dtype=float) for arr in (self.v_blocks, self.w_blocks))
-        span = self.j_hi - self.j_lo + 1
-        if V.shape[:1] != (span + 1,) or W.shape[:1] != (span,):
-            raise ValidationError("block count does not match the range")
-        per = self.g + 1
-        if V.shape[1:] != (per, per) or W.shape[1:] != (per, per):
-            raise ValidationError("block shape does not match the genus")
+        if len(V) != len(W) + 1:
+            raise ValidationError("coupling block count must be the diagonal block count plus one")
         for arr in (V, W):
             arr.flags.writeable = False
         vars(self).update(v_blocks=V, w_blocks=W)  # frozen: bypass __setattr__
+
+    @property
+    def g(self) -> int:
+        return self.w_blocks.shape[-1] - 1
+
+    @property
+    def j_hi(self) -> int:
+        return self.j_lo + len(self.w_blocks) - 1
 
     def v(self, j: int) -> np.ndarray:
         """Coupling block between block rows ``j - 1`` and ``j``."""
@@ -155,9 +155,7 @@ def delta_of_gmp(window: GmpWindow, d: DeltaData, margin: int) -> DeltaBlocks:
     eps = np.cumprod(np.sign(diag), axis=0)
     eps_prev = np.vstack([np.ones(per), eps[:-1]])
     return DeltaBlocks(
-        g=window.g,
         j_lo=j_lo,
-        j_hi=j_hi,
         v_blocks=(eps_prev[:, :, None] * eps[:, None, :]) * raw_v,
         w_blocks=(eps[:-1, :, None] * eps[:-1, None, :]) * raw_w,
     )
@@ -419,29 +417,19 @@ def ks_diagnostics(
     # is_residual compares Lambda_k and lambda_k slot by slot
     d = d.aligned_to(states[0].c)
     n_states = len(states)
-    p_next = np.zeros((n_states, g))
-    p_prev = np.zeros((n_states, g))
-    q_next = np.zeros((n_states, g))
-    q_prev = np.zeros((n_states, g))
-    center_p = np.zeros((n_states, g + 1))
-    center_q = np.zeros((n_states, g + 1))
     for i, st in enumerate(states):
         if st.j_min > -1 or st.j_max < 1:
             raise WindowError(f"state {i} lacks blocks -1..1")
-        center = st.block(0)
-        right = st.block(1)
-        left = st.block(-1)
-        p_next[i] = right.p[:g] - center.p[:g]
-        p_prev[i] = left.p[:g] - center.p[:g]
-        q_next[i] = right.q[:g] - center.q[:g]
-        q_prev[i] = left.q[:g] - center.q[:g]
-        center_p[i], center_q[i] = center.p, center.q
-    res = is_residual(GmpWindow.from_arrays(center_p, center_q, d.cs()).rows(), d)
+    # blocks -1, 0, 1 of every state, on axes (state, block, slot)
+    lo = [-1 - st.j_min for st in states]
+    P = np.stack([st.P[i : i + 3] for st, i in zip(states, lo)])
+    Q = np.stack([st.Q[i : i + 3] for st, i in zip(states, lo)])
+    res = is_residual(GmpBlock(P[:, 1], Q[:, 1]), d)
     values = {
-        "p_next": p_next,
-        "p_prev": p_prev,
-        "q_next": q_next,
-        "q_prev": q_prev,
+        "p_next": P[:, 2, :g] - P[:, 1, :g],
+        "p_prev": P[:, 0, :g] - P[:, 1, :g],
+        "q_next": Q[:, 2, :g] - Q[:, 1, :g],
+        "q_prev": Q[:, 0, :g] - Q[:, 1, :g],
         "trailing_p": res[:, 0],
         "pairing": res[:, 1],
         "lambda_gap": res[:, 2:],
@@ -483,10 +471,8 @@ def density_identity(c, lam, y: float) -> dict:
     if np.any(lam_arr <= 0):
         raise ValidationError("pole weights must be positive")
     g = c_arr.size
-    order = np.argsort(c_arr)
-    sorted_c = c_arr[order]
-    if g > 1 and np.min(np.diff(sorted_c)) <= 0:
-        raise ValidationError("poles must be distinct")
+    check_distinct_poles(c_arr)
+    sorted_c = np.sort(c_arr)
     if y == 0:
         raise ValidationError(
             "level zero has no simple preimage system for a pure pole map"

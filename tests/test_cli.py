@@ -195,8 +195,10 @@ class TestFlow:
 
     def test_width_exhaustion_reports_max_steps(self, tmp_path, capsys):
         assert cli.main(["flow", p1_window_file(tmp_path), "--steps", "50"]) == 1
-        err = capsys.readouterr().err
-        assert "maximal feasible step count is 6" in err
+        assert capsys.readouterr().err == (
+            "validation error: window [-7, 7] is exhausted by 50 step(s); "
+            "the maximal feasible step count is 6\n"
+        )
 
     def test_bad_eta_rejected(self, tmp_path, capsys):
         args = ["flow", p1_window_file(tmp_path), "--steps", "2", "--eta", "1.5"]
@@ -302,6 +304,8 @@ class TestKs:
             (-12, 11): None,
             (-11, 11): "state 8 trusted range [0, 0] misses blocks -1..0",
             (-12, 10): "state 8 trusted range [-1, -1] misses blocks -1..0",
+            (-8, 11): "window [-8, 11] is exhausted by 8 step(s); "
+            "the maximal feasible step count is 7",
         }
         for (lo, hi), message in cases.items():
             rows = slice(lo + 12, hi + 13)
@@ -478,6 +482,27 @@ class TestConversions:
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
         assert err == "validation error: poles at 0.0 and 0.0 coincide\n"
+
+    @pytest.mark.parametrize(
+        "blocks, message",
+        [
+            ([{"p": [1.0, 1.0], "q": [0.0, 0.0]}, {"p": [1.0, 1.0, 1.0], "q": [0.0, 0.0, 0.0]}],
+             "p and q of every block must share one shape, got [(2,), (3,)]"),
+            ([{"p": [1.0, 1.0], "q": [0.0]}],
+             "p and q of every block must share one shape, got [(1,), (2,)]"),
+            ([{"p": [[1.0, 1.0]], "q": [[0.0, 0.0]]}], "P and Q must be 2-d arrays of equal shape"),
+            ([{"p": [], "q": []}], "P and Q must be 2-d arrays of equal shape"),
+        ],
+        ids=["ragged-gap-counts", "p-q-length-mismatch", "nested-rows", "empty-rows"],
+    )
+    @pytest.mark.parametrize("command", ["flow", "gmp2jacobi"])
+    def test_malformed_window_shape_rejected(self, tmp_path, capsys, command, blocks, message):
+        data = {"g": 1, "C": [0.0], "j_min": -7, "blocks": blocks * 15}
+        capsys.readouterr()
+        assert cli.main([command, write_json(tmp_path / "w.json", data)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert err == f"validation error: {message}\n"
 
     def test_gmp2jacobi_reads_off_coefficients(self, tmp_path, capsys):
         win = p1_window_file(tmp_path)

@@ -267,7 +267,7 @@ class TestTauBasis:
     def test_tampered_table_rejected(self):
         rb = tau_basis(four_point_measure(), make_estar_delta(), depth=2)
         with pytest.raises(ValidationError):
-            RationalBasis(rb.measure, rb.table * 1.01, rb.L, rb.D, rb.m_vec)
+            RationalBasis(rb.measure, rb.table * 1.01, rb.L, rb.D)
 
 
 class TestMultiplicationMatrix:

@@ -157,6 +157,19 @@ class TestGmpWindow:
             GmpWindow.from_arrays(bad, q, (0.0,))
         with pytest.raises(ValidationError, match="at least one block"):
             GmpWindow.from_arrays(np.zeros((0, 2)), np.zeros((0, 2)), (0.0,))
+        # a stack of blocks raises the message of its first bad row
+        nan_row, low_row = p.copy(), p.copy()
+        nan_row[1, 0] = low_row[3, -1] = np.nan
+        low_row[1, -1] = nan_row[3, -1] = -0.5
+        for P, message in ((nan_row, "^block entries must be finite$"),
+                           (low_row, r"^last p entry must be positive, got -0\.5$")):
+            for build in (GmpBlock, lambda P, Q: GmpWindow.from_arrays(P, Q, (0.0,))):
+                with pytest.raises(ValidationError, match=message):
+                    build(P, q)
+            with pytest.raises(ValidationError, match=message):
+                GmpBlock(P.reshape(2, 2, 2), q.reshape(2, 2, 2))
+        stack = GmpBlock(p, q)
+        assert stack.g == 1 and stack.p.shape == (4, 2) and not stack.p.flags.writeable
 
     def test_json_round_trip(self, p1_window):
         data = p1_window.to_json()

@@ -223,13 +223,6 @@ class TestResolventR:
                 resolvent_r(win, z), m.cauchy_transform(z).real, atol=1e-10
             )
 
-    def test_herglotz(self):
-        rng = np.random.default_rng(41)
-        win = random_window(rng, 0, 20)
-        for _ in range(10):
-            z = complex(rng.uniform(-2, 2), rng.uniform(0.2, 2.0))
-            assert resolvent_r(win, z).imag > 0.0
-
     def test_eigenvalue_rejected(self):
         win = JacobiWindow(np.array([1.0]), np.array([0.7]))
         with pytest.raises(SingularMatrixError):

@@ -1,5 +1,7 @@
 """Mapped-operator entropy: blocks, identities, diagnostics, densities."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -344,15 +346,12 @@ class TestDeltaBlocksType:
         assert db.v(db.j_hi + 1).shape == (2, 2)
 
     def test_block_count_must_match_range(self):
-        eye = np.eye(2)
-        with pytest.raises(ValidationError, match="count"):
-            DeltaBlocks(
-                g=1,
-                j_lo=0,
-                j_hi=1,
-                v_blocks=(eye.copy(), eye.copy()),
-                w_blocks=(np.zeros((2, 2)), np.zeros((2, 2))),
-            )
+        eye, zero = np.eye(2), np.zeros((2, 2))
+        for n_couplings in (2, 4):
+            with pytest.raises(ValidationError, match="count"):
+                DeltaBlocks(j_lo=0, v_blocks=(eye,) * n_couplings, w_blocks=(zero, zero))
+        db = DeltaBlocks(j_lo=-1, v_blocks=(eye,) * 3, w_blocks=(zero, zero))
+        assert (db.g, db.j_lo, db.j_hi) == (1, -1, 0)
 
     def test_blocks_are_frozen(self):
         db = delta_of_gmp(make_p1_window(n_blocks=15, j_min=-7), estar_delta(), 3)
@@ -784,5 +783,8 @@ class TestDensityIdentity:
             density_identity([0.0, 3.0], [1.0, -1.0], 1.0)
 
     def test_distinct_poles_required(self):
-        with pytest.raises(ValidationError, match="distinct"):
-            density_identity([1.0, 1.0], [1.0, 1.0], 1.0)
+        # the rule of check_distinct_poles: within 1e-12 relative is one pole
+        for second in (1.0, 1.0 + 1e-13):
+            message = re.escape(f"poles at 1.0 and {second} coincide")
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                density_identity([second, 1.0], [1.0, 1.0], 1.0)
