@@ -36,7 +36,7 @@ The record holds:
   counters}`` (``sites`` too for the Jacobi windows, ``band_edge_err``
   for the comb maps; ``n_blocks`` counts the pairs for
   ``lambda_sharp``), the counters (eigensolves,
-  ``delta_of_gmp`` calls, Lanczos runs and steps, ``kappa`` calls of
+  ``delta_of_gmp`` and ``ks.h_term`` calls, Lanczos runs and steps, ``kappa`` calls of
   ``construct``, ``lambda_k`` calls of ``isospectral`` with the pole
   evaluations they make, calls x g x rows, Gauss-Newton iterations, and
   ``numkit.bisect_root`` calls with their evaluations of the bracketed
@@ -198,16 +198,17 @@ def kernel_inputs(g: int, n_pairs: int) -> GmpWindow:
 
 
 class Counting:
-    """Counts eigensolves, ``delta_of_gmp`` calls, the Lanczos runs of
-    ``gmp_to_jacobi_measure`` with their steps, the ``kappa`` calls of
-    ``construct``, the ``lambda_k`` calls with their pole evaluations
-    and the Jacobians (one per Gauss-Newton iteration) of ``isospectral``,
-    and the ``numkit.bisect_root`` calls with their evaluations of the
-    bracketed function while installed."""
+    """Counts eigensolves, ``delta_of_gmp`` and ``h_term`` calls, the
+    Lanczos runs of ``gmp_to_jacobi_measure`` with their steps, the
+    ``kappa`` calls of ``construct``, the ``lambda_k`` calls with their
+    pole evaluations and the Jacobians (one per Gauss-Newton iteration)
+    of ``isospectral``, and the ``numkit.bisect_root`` calls with their
+    evaluations of the bracketed function while installed."""
 
     def __init__(self):
         self.eig_rows: list[int] = []
         self.delta_calls = 0
+        self.h_term_calls = 0
         self.lanczos_sizes: list[int] = []
         self.kappa_calls = 0
         self.lambda_k_calls = 0
@@ -217,7 +218,7 @@ class Counting:
         self.bisect_evals = 0
 
     def __enter__(self):
-        self._eig, self._delta = numkit.sym_eigen, ks.delta_of_gmp
+        self._eig, self._delta, self._h_term = numkit.sym_eigen, ks.delta_of_gmp, ks.h_term
         self._bisect = numkit.bisect_root
         self._lanczos, self._kappa = construct.lanczos, construct.kappa
         self._lambda_k, self._jacobian = isospectral.lambda_k, isospectral._fd_jacobian
@@ -229,6 +230,10 @@ class Counting:
         def delta(*args, **kwargs):
             self.delta_calls += 1
             return self._delta(*args, **kwargs)
+
+        def h_term(*args):
+            self.h_term_calls += 1
+            return self._h_term(*args)
 
         def lanczos(*args, **kwargs):
             win = self._lanczos(*args, **kwargs)
@@ -258,14 +263,15 @@ class Counting:
             return self._bisect(counted, lo, hi)
 
         numkit.sym_eigen, numkit.bisect_root = eig, bisect
-        ks.delta_of_gmp = delta  # map_chain looks the name up in ks
+        # map_chain and functional_report look the names up in ks
+        ks.delta_of_gmp, ks.h_term = delta, h_term
         construct.lanczos, construct.kappa = lanczos, kappa
         isospectral.lambda_k, isospectral._fd_jacobian = lambda_k, jacobian
         return self
 
     def __exit__(self, *exc):
         numkit.sym_eigen, numkit.bisect_root = self._eig, self._bisect
-        ks.delta_of_gmp = self._delta
+        ks.delta_of_gmp, ks.h_term = self._delta, self._h_term
         construct.lanczos, construct.kappa = self._lanczos, self._kappa
         isospectral.lambda_k, isospectral._fd_jacobian = self._lambda_k, self._jacobian
 
@@ -274,6 +280,7 @@ class Counting:
             "sym_eigen_calls": len(self.eig_rows),
             "sym_eigen_rows_max": max(self.eig_rows, default=0),
             "delta_of_gmp_calls": self.delta_calls,
+            "h_term_calls": self.h_term_calls,
             "lanczos_calls": len(self.lanczos_sizes),
             # one operator product per coefficient b(k)
             "lanczos_steps": sum(self.lanczos_sizes),

@@ -39,10 +39,7 @@ from .gmp import (
 from .isospectral import IsPoint, magic_check
 from .jacobi import DiscreteMeasure, JacobiWindow, _spectrum, kappa, kappa_pairing
 from .ks import (
-    H_plus_partial,
-    column_term,
     delta_J_H,
-    delta_of_gmp,
     density_identity,
     functional_report,
     ks_diagnostics,
@@ -245,16 +242,17 @@ def criterion_telescoping() -> dict:
     d = _estar_delta()
     w = _decaying_window(0.05, 27)
     j_top = 4
-    db_now = delta_of_gmp(w, d, margin=3)
-    db_next = delta_of_gmp(jacobi_flow_step(w), d, margin=3)
-    s_last = (j_top + 1) * 2 - 1
-    lhs = H_plus_partial(db_now, 0, j_top)
+    run = map_chain(flow_run(w, 5).states, d, 3)
+    report = telescoping_check(run)
+    ledger = report["report"]
+    # rows 0..j_top before the step, against the drop plus the same rows
+    # after it less the share of the last column they cover
+    lhs = np.cumsum(ledger.terms(0, 0, j_top))[-1]
     rhs = (
         delta_J_H(w, d)
-        + H_plus_partial(db_next, 0, j_top)
-        - column_term(db_next, s_last)
+        + np.cumsum(ledger.terms(1, 0, j_top))[-1]
+        - run[1].column_shares(j_top, j_top)[0, -1]
     )
-    report = telescoping_check(map_chain(flow_run(w, 5).states, d, 3))
     checks = [
         ("one-step drop residual", abs(lhs - rhs), 1e-8),
         ("shift comparison residual", report["residual"], 1e-8),
@@ -401,7 +399,7 @@ def criterion_functional() -> dict:
     traj = flow_run(w, 4)
     rep = functional_report(map_chain(traj.states, d, 3))
     surface_dev = max(
-        float(np.max(np.abs(rep.h_spatial))),
+        float(np.max(np.abs(rep.row_terms[0]))),
         float(np.max(np.abs(rep.h_origin))),
         float(np.max(np.abs(rep.step_drops))),
     )

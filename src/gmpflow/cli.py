@@ -34,14 +34,7 @@ from .flow import flow_run
 from .gmp import VALIDITY_FLOOR, GmpBlock, GmpWindow
 from .isospectral import solve_is_point
 from .jacobi import JacobiWindow, dist_eta
-from .ks import (
-    DIVERGENCE_SLOPE,
-    H_plus_partial,
-    functional_report,
-    ks_diagnostics,
-    map_chain,
-    telescoping_check,
-)
+from .ks import DIVERGENCE_SLOPE, ks_diagnostics, map_chain, telescoping_check
 
 log = logging.getLogger("gmpflow.cli")
 
@@ -202,12 +195,10 @@ def cmd_ks(args: argparse.Namespace) -> int:
     d = DeltaData.from_json(_load_json(args.delta))
     traj = flow_run(w, args.steps)
     run = map_chain(traj.states, d, args.margin)
-    rep = functional_report(run)
+    rep = telescoping_check(run)["report"]  # the run's entropy ledger
     slope_tol = DIVERGENCE_SLOPE if args.tol is None else args.tol
     diag = ks_diagnostics(traj, d, slope_tol)
-    tele = np.zeros(args.steps)
-    if args.steps > 1:
-        tele[1:] = telescoping_check(run[: args.steps])["residuals"]
+    drop_partials = np.cumsum(rep.step_drops)
     j_top = min(db.j_hi for db in run)
     log.info(
         "ks: %d blocks, %d steps, trusted rows 0..%d", w.n_blocks, args.steps, j_top
@@ -232,10 +223,10 @@ def cmd_ks(args: argparse.Namespace) -> int:
         row = [
             str(n),
             _fmt(rep.h_origin[n]),
-            _fmt(H_plus_partial(run[n], 0, j_top)),
+            _fmt(np.cumsum(rep.terms(n, 0, j_top))[-1]),
             _fmt(rep.step_drops[n]),
-            _fmt(rep.drop_partials[n]),
-            _fmt(tele[n]),
+            _fmt(drop_partials[n]),
+            _fmt(rep.residuals[n]),
         ]
         for name in KS_FAMILIES:
             arr = diag.values[name]

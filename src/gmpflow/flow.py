@@ -59,15 +59,12 @@ def u_block(p) -> np.ndarray:
     0 of the result is p/||p||; column k vanishes on the first k-1
     slots, carries the squared tail norm on slot k-1 and -p_{k-1} times
     the tail below.  A stack of vectors, one per row, gives the stack of
-    their blocks.
+    their blocks.  The vectors are rows of a checked window, so they are
+    finite with p_g > 0; only their shape is checked on entry.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1] < 2:
         raise ValidationError("p must be a vector with at least two entries")
-    if not np.all(np.isfinite(p)):
-        raise ValidationError("p must be finite")
-    if np.any(p[..., -1] <= 0.0):
-        raise ValidationError("trailing p entry must be positive")
     tails = tail_norms(p)
     g = p.shape[-1] - 1
     u = eye = np.broadcast_to(np.eye(g + 1), p.shape[:-1] + (g + 1, g + 1))

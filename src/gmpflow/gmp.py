@@ -65,7 +65,7 @@ class GmpBlock:
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
         if p.ndim < 1 or p.shape != q.shape or p.shape[-1] < 1:
-            raise ValidationError("p and q must be 1-d vectors of equal length")
+            raise ValidationError("p and q must be nonempty vectors of equal length")
         rows_p, rows_q = p.reshape(-1, p.shape[-1]), q.reshape(-1, p.shape[-1])
         finite = np.isfinite(rows_p).all(1) & np.isfinite(rows_q).all(1)
         bad = ~finite | (rows_p[:, -1] <= 0.0)
@@ -120,7 +120,7 @@ class GmpWindow:
         c = np.array(c, dtype=float)
         if P.shape[:1] == (0,):
             raise ValidationError("window must contain at least one block")
-        if P.ndim != 2 or P.shape != Q.shape or P.shape[1] < 1:
+        if P.ndim != 2 or P.shape != Q.shape:
             raise ValidationError("P and Q must be 2-d arrays of equal shape")
         rows = GmpBlock(P, Q)
         if c.ndim != 1 or c.size != rows.g:
@@ -441,11 +441,11 @@ def validate_gmp(window: GmpWindow, floor: float = VALIDITY_FLOOR) -> dict:
     return report
 
 
-def resolvent_column(window: GmpWindow, k: int) -> np.ndarray:
-    """Column of (c_k - A)^{-1} at the unit vector e_{k-1}, in closed form.
+def resolvent_column(window: GmpWindow, k: int, j: int) -> np.ndarray:
+    """Column of (c_k - A)^{-1} at slot k-1 of block j, in closed form.
 
-    The window must contain the absolute blocks -1, 0, 1.  The result is
-    a window-aligned vector supported on those three blocks: the outer
+    The window must contain the blocks j-1, j, j+1.  The result is a
+    window-aligned vector supported on those three blocks: the outer
     blocks come from the partial factor chains of the adjacent pair
     functionals, divided by them, the middle block from a small stacked
     least-squares solve (its system matrix may be singular at the pole).
@@ -453,31 +453,31 @@ def resolvent_column(window: GmpWindow, k: int) -> np.ndarray:
     g = window.g
     if not 1 <= k <= g:
         raise ValidationError(f"pole index {k} outside 1..{g}")
-    if window.j_min > -1 or window.j_max < 1:
-        raise WindowError("window must contain blocks -1, 0, 1 for a resolvent column")
-    c, ck, i0 = window.c, window.c[k - 1], -window.j_min  # i0: position of block 0
-    states = []  # chains of the pairs (block 0, block -1) and (block 1, block 0)
+    if window.j_min > j - 1 or window.j_max < j + 1:
+        raise WindowError(f"window must contain blocks {j - 1}..{j + 1} for a resolvent column")
+    c, ck, i0 = window.c, window.c[k - 1], j - window.j_min  # i0: position of block j
+    states = []  # chains of the pairs (block j, block j-1) and (block j+1, block j)
     lams = lambda_sharp(window.rows(i0, i0 + 2), window.rows(i0 - 1, i0 + 1), c, states=states)
     lam_m1, lam_0 = lams[:, k - 1]
     if min(abs(lam_m1), abs(lam_0)) <= 1e-12 * max(abs(lam_m1), abs(lam_0), 1.0):
         raise ValidationError("pair functional vanishes; the closed-form column is undefined")
     chains = np.stack(states)[..., k - 1, :]  # (state, component, side, pair)
-    P, Q = window.P[i0 - 1 : i0 + 2], window.Q[i0 - 1 : i0 + 2]  # blocks -1, 0, 1
-    xs = np.zeros((5, g + 1))  # the column on blocks -2..2
+    P, Q = window.P[i0 - 1 : i0 + 2], window.Q[i0 - 1 : i0 + 2]  # blocks j-1, j, j+1
+    xs = np.zeros((5, g + 1))  # the column on blocks j-2..j+2
     xs[1, k - 1], xs[3, k - 1] = 1.0 / lam_m1, 1.0 / lam_0
-    # Block -1: slot l in k..g-1 pairs (p_l, q_l) with the row chain
+    # Block j-1: slot l in k..g-1 pairs (p_l, q_l) with the row chain
     # through slots k..l-1; slot g from orthogonality to its p.
     row = chains[k - 1 : g - 1, :, 1, 0]
     xs[1, k:g] = (row[:, 0] * P[0, k:g] + row[:, 1] * Q[0, k:g]) / (ck - c[k:g]) / lam_m1
     xs[1, g] = -float(P[0, :g] @ xs[1, :g]) / P[0, g]
-    # Block 1: slot m < k-1 pairs (p_m, q_m) J with the column chain
+    # Block j+1: slot m < k-1 pairs (p_m, q_m) J with the column chain
     # through slots m+1..k-2; slots k..g vanish.
     col = chains[g - 2 - np.arange(k - 1), :, 0, 1]
     fwd = (Q[2, : k - 1] * col[:, 0] - P[2, : k - 1] * col[:, 1]) / (ck - c[: k - 1])
     xs[3, : k - 1] = fwd / lam_0
-    # Block 0: least squares on the three block-row equations involving it.
+    # Block j: least squares on the three block-row equations involving it.
     eye = np.eye(g + 1)
-    shifted = ck * eye - build_block_B(window.rows(i0 - 1, i0 + 2), c)  # j = -1, 0, 1
+    shifted = ck * eye - build_block_B(window.rows(i0 - 1, i0 + 2), c)  # blocks j-1, j, j+1
     system = np.vstack([shifted[1], P[1][None, :], np.outer(P[2], eye[g])])
     rhs = np.concatenate([
         eye[k - 1] + P[1] * xs[1, g] + eye[g] * float(P[2] @ xs[3]),
@@ -486,8 +486,8 @@ def resolvent_column(window: GmpWindow, k: int) -> np.ndarray:
     ])
     xs[2] = np.linalg.lstsq(system, rhs, rcond=None)[0]
 
-    # (c_k - A) column on block rows -2..2; it lives on blocks -1..1
-    hi = min(window.j_max, 2) + 3
+    # (c_k - A) column on block rows j-2..j+2; it lives on blocks j-1..j+1
+    hi = min(window.j_max - j, 2) + 3
     ps = np.zeros((5, g + 1))
     ps[1:hi] = window.P[i0 - 1 : i0 + hi - 2]
     res = np.zeros((5, g + 1))
@@ -495,7 +495,7 @@ def resolvent_column(window: GmpWindow, k: int) -> np.ndarray:
     res[:4, g] -= np.vecdot(ps[1:], xs[1:])  # coupling to the block above
     res[1:] -= ps[1:] * xs[:4, g:]  # coupling to the block below
     res[2, k - 1] -= 1.0
-    residual = np.max(np.abs(res[max(window.j_min, -2) + 2 : hi]))
+    residual = np.max(np.abs(res[max(window.j_min - j, -2) + 2 : hi]))
     if residual > 1e-8 * max(1.0, np.max(np.abs(xs))):
         raise NumericalError(f"closed-form column residual {residual:.3e} too large")
     column = np.zeros((g + 1) * window.n_blocks)

@@ -79,11 +79,26 @@ class DeltaBlocks:
             raise WindowError(f"coupling block {j} outside trusted range")
         return self.v_blocks[j - self.j_lo]
 
-    def w(self, j: int) -> np.ndarray:
-        """Symmetric diagonal block at block row ``j``."""
-        if not self.j_lo <= j <= self.j_hi:
-            raise WindowError(f"diagonal block {j} outside trusted range")
-        return self.w_blocks[j - self.j_lo]
+    def column_shares(self, first: int, last: int) -> np.ndarray:
+        """Entropy share of each scalar column of block rows first..last.
+
+        Half the squared norm of the column, minus one, minus the log of
+        its two outer band entries.  Row i holds the g + 1 columns of
+        block row ``first + i``, which sum to that row's ``h_term``; the
+        column one slot left of the origin is the exact one-step drop of
+        the functional under the flow.
+        """
+        if first < self.j_lo or last > self.j_hi:
+            raise WindowError(
+                f"block rows [{first}, {last}] exceed trusted [{self.j_lo}, {self.j_hi}]"
+            )
+        a, b = first - self.j_lo, last + 1 - self.j_lo
+        v_in, v_out = self.v_blocks[a:b], self.v_blocks[a + 1 : b + 1]
+        # columns laid out as contiguous rows sum in the order of a 1-d vector
+        cols = (np.ascontiguousarray(np.swapaxes(m, -1, -2)) for m in (v_in, self.w_blocks[a:b]))
+        norm_sq = sum(np.sum(m**2, axis=-1) for m in (*cols, v_out))
+        outer = np.diagonal(v_in, axis1=-2, axis2=-1) * np.diagonal(v_out, axis1=-2, axis2=-1)
+        return 0.5 * norm_sq - 1.0 - np.log(outer)
 
 
 def delta_of_gmp(window: GmpWindow, d: DeltaData, margin: int) -> DeltaBlocks:
@@ -97,8 +112,7 @@ def delta_of_gmp(window: GmpWindow, d: DeltaData, margin: int) -> DeltaBlocks:
     operator.  From the same eigendecomposition, the resolvent column at
     the first pole and slot 0 of block 0 is cross-checked against its
     closed form whenever the trusted rows reach blocks -1..1, and that
-    of block 1 against the closed form of the window relabelled by one
-    (block j becomes block j - 1) whenever they reach blocks 0..2.
+    of block 1 whenever they reach blocks 0..2.
     """
     if d.g != window.g:
         raise ValidationError(
@@ -134,11 +148,8 @@ def delta_of_gmp(window: GmpWindow, d: DeltaData, margin: int) -> DeltaBlocks:
     for j in (0, 1):
         if not (window.g and j_lo <= j - 1 and j_hi >= j + 1):
             continue
-        labels = window
-        if j:  # the closed form is that of block 0: relabel block 1 as it
-            labels = GmpWindow.from_arrays(window.P, window.Q, window.c, window.j_min - 1)
         try:
-            closed = resolvent_column(labels, 1)
+            closed = resolvent_column(window, 1, j)
         except ValidationError:  # the closed form is undefined here
             continue
         # column of (c_1 - A)^{-1} at slot 0 of block j
@@ -189,61 +200,15 @@ def h_term(v0: np.ndarray, w0: np.ndarray, v1: np.ndarray) -> float | np.ndarray
     return float(terms) if terms.ndim == 0 else terms
 
 
-def _rows(db: DeltaBlocks, first: int, last: int):
-    """Block triples of rows ``first`` through ``last`` as three stacks."""
-    if first < db.j_lo or last > db.j_hi:
-        raise WindowError(
-            f"requested range [{first}, {last}] exceeds trusted "
-            f"[{db.j_lo}, {db.j_hi}]"
-        )
-    a, b = first - db.j_lo, last + 1 - db.j_lo
-    return db.v_blocks[a:b], db.w_blocks[a:b], db.v_blocks[a + 1 : b + 1]
-
-
-def H_plus_partial(db: DeltaBlocks, first: int, last: int) -> float:
-    """Sum of entropy terms over block rows ``first`` through ``last``."""
-    if last < first:
-        return 0.0
-    return sum(h_term(*_rows(db, first, last)).tolist())
-
-
-def column_term(db: DeltaBlocks, s: int) -> float:
-    """Entropy share of one scalar column of the mapped operator.
-
-    Half the squared norm of the column, minus one, minus the log of
-    its two outer band entries.  Summing over the columns of a block row
-    gives that row's entropy term; the column one slot left of the
-    origin is the exact one-step drop of the functional under the flow.
-    """
-    per = db.g + 1
-    j = s // per
-    m = s - j * per
-    if not db.j_lo <= j <= db.j_hi:
-        raise WindowError(f"scalar column {s} outside the trusted range")
-    v_in = db.v(j)
-    w_here = db.w(j)
-    v_out = db.v(j + 1)
-    norm_sq = float(
-        np.sum(v_in[:, m] ** 2) + np.sum(w_here[:, m] ** 2) + np.sum(v_out[m, :] ** 2)
-    )
-    return 0.5 * norm_sq - 1.0 - float(np.log(v_in[m, m] * v_out[m, m]))
-
-
 def delta_J_H(window: GmpWindow, d: DeltaData, margin: int = 3) -> float:
     """One-step drop of the entropy functional under the flow.
 
     Equals the entropy share of the column one slot left of the origin
     in the mapped operator of the stepped window, a finite sum of
-    squares and hence nonnegative.
+    squares and hence nonnegative.  Block -1 must stay trusted.
     """
-    stepped = jacobi_flow_step(window)
-    db = delta_of_gmp(stepped, d, margin)
-    if not (db.j_lo <= -1 <= db.j_hi):
-        raise WindowError(
-            "stepped window too narrow: block -1 must stay inside the "
-            "trusted range"
-        )
-    return column_term(db, -1)
+    db = delta_of_gmp(jacobi_flow_step(window), d, margin)
+    return float(db.column_shares(-1, -1)[0, -1])
 
 
 def map_chain(run: Sequence[GmpWindow], d: DeltaData, margin: int) -> list[DeltaBlocks]:
@@ -260,113 +225,106 @@ def map_chain(run: Sequence[GmpWindow], d: DeltaData, margin: int) -> list[Delta
     return out
 
 
-def _h_origin(run: Sequence[DeltaBlocks]) -> np.ndarray:
-    """Entropy term of block row 0 of each state, from one stacked call."""
-    return h_term(*(np.concatenate(t) for t in zip(*(_rows(db, 0, 0) for db in run))))
+@dataclass(frozen=True)
+class KsFunctionalReport:
+    """The entropy ledger of a mapped flow run: every term computed once.
+
+    ``row_terms[m]`` holds the entropy terms of the trusted block rows of
+    state m, from row ``j_lo[m]`` on, and ``h_origin[m]`` the term of its
+    row 0.  ``step_drops[m]`` is the drop from state m to m + 1: the
+    entropy share of the column one slot left of the origin in state
+    m + 1.  The run of the window relabelled by one (block j becomes
+    block j - 1) steps the same blocks, so its drop ``shifted_drops[m]``
+    is the share of scalar column g of state m + 1.  ``residuals[n]``
+    compares the first n drops plus the origin term of state n with the
+    origin term of state 0 plus the first n relabelled drops; it is zero
+    for n = 0.  Every term must clear the roundoff floor below zero.
+    """
+
+    j_lo: tuple[int, ...]
+    row_terms: tuple[np.ndarray, ...]
+    h_origin: np.ndarray
+    step_drops: np.ndarray
+    shifted_drops: np.ndarray
+    residuals: np.ndarray
+
+    def __post_init__(self) -> None:
+        entropies = (*self.row_terms, self.h_origin, self.step_drops, self.shifted_drops)
+        for arr in (*entropies, self.residuals):
+            if not np.all(np.isfinite(arr)):
+                raise ValidationError("entropy report contains non-finite terms")
+            arr.flags.writeable = False
+        low = float(np.min(np.concatenate(entropies), initial=0.0))
+        if low < ENTROPY_FLOOR:
+            raise ValidationError(f"entropy term {low:.3e} below the floor")
+
+    def terms(self, m: int, first: int, last: int) -> np.ndarray:
+        """Entropy terms of block rows ``first`` through ``last`` of state m."""
+        lo, hi = self.j_lo[m], self.j_lo[m] + len(self.row_terms[m]) - 1
+        if first < lo or last > hi:
+            raise WindowError(
+                f"requested range [{first}, {last}] exceeds trusted [{lo}, {hi}]"
+            )
+        return self.row_terms[m][first - lo : last + 1 - lo]
+
+
+def functional_report(run: Sequence[DeltaBlocks]) -> KsFunctionalReport:
+    """The entropy ledger of the mapped states 0..N of a flow run.
+
+    The row terms of every state come from one stacked ``h_term`` call,
+    and both drops of each step from the column shares of block rows
+    -1..0 of the state it reaches.
+    """
+    if not run:
+        raise ValidationError("a flow run has at least one state")
+    for m, db in enumerate(run):
+        if not db.j_lo <= 0 <= db.j_hi:
+            raise WindowError(f"state {m} trusted range [{db.j_lo}, {db.j_hi}] misses block 0")
+    triples = zip(*((db.v_blocks[:-1], db.w_blocks, db.v_blocks[1:]) for db in run))
+    flat = h_term(*(np.concatenate(t) for t in triples))
+    row_terms = np.split(flat, np.cumsum([len(db.w_blocks) for db in run])[:-1])
+    h_origin = np.array([terms[-db.j_lo] for terms, db in zip(row_terms, run)])
+    drops = np.array([db.column_shares(-1, 0)[:, -1] for db in run[1:]]).reshape(-1, 2)
+    # cumsum adds in order, as the sum of each n's terms alone would
+    lhs = np.cumsum(np.append(0.0, drops[:, 0])) + h_origin
+    rhs = h_origin[0] + np.cumsum(np.append(0.0, drops[:, 1]))
+    return KsFunctionalReport(
+        j_lo=tuple(db.j_lo for db in run),
+        row_terms=tuple(row_terms),
+        h_origin=h_origin,
+        step_drops=drops[:, 0],
+        shifted_drops=drops[:, 1],
+        residuals=np.abs(lhs - rhs),
+    )
 
 
 def telescoping_check(run: Sequence[DeltaBlocks]) -> dict:
     """Compare flow runs of every length against a single index shift.
 
     ``run`` holds the mapped states 0..N of a flow run (see
-    ``map_chain``).  The run of the window relabelled by one (block j
-    becomes block j - 1) steps the same blocks, so its drop term at
-    state m is the entropy share of scalar column g of state m, read
-    from the same mapped blocks.  For every n = 1..N the sum of the
-    first n drop terms plus the origin entropy of state n must equal
-    the initial origin entropy plus the same sum along the relabelled
-    run; the residuals of all n come from running sums.  The terms,
-    both sides and the matching determinant chain identity for the
-    outer corner entries of the coupling blocks are reported for n = N.
+    ``map_chain``).  Its entropy ledger compares, for every n = 1..N,
+    the run against the run of the window relabelled by one block; to
+    it this adds the matching determinant chain identity for the outer
+    corner entries of the coupling blocks at n = N.
     """
     n = len(run) - 1
     if n < 1:
         raise ValidationError("telescoping needs at least one step")
+    report = functional_report(run)
     g = run[0].g
-    left_terms = [column_term(db, -1) for db in run[1:]]
-    right_terms = [column_term(db, g) for db in run[1:]]
-    h_origin = _h_origin(run)
-    # cumsum adds in order, as the sum of each n's terms alone would
-    lhs = np.cumsum(left_terms) + h_origin[1:]
-    rhs = h_origin[0] + np.cumsum(right_terms)
-
     det_lhs = float(np.linalg.det(run[0].v(0)))
     det_rhs = float(np.linalg.det(run[n].v(0)))
     for m in range(1, n + 1):
         det_lhs *= float(run[m].v(0)[g, g])
         det_rhs *= float(run[m].v(-1)[g, g])
-    det_scale = max(1.0, abs(det_lhs), abs(det_rhs))
-
-    residuals = np.abs(lhs - rhs)
     return {
         "n": n,
-        "lhs": float(lhs[-1]),
-        "rhs": float(rhs[-1]),
-        "residual": float(residuals[-1]),
-        "residuals": residuals,
-        "h_first": float(h_origin[0]),
-        "h_last": float(h_origin[n]),
-        "left_terms": left_terms,
-        "right_terms": right_terms,
+        "report": report,
+        "residual": float(report.residuals[n]),
         "det_lhs": det_lhs,
         "det_rhs": det_rhs,
-        "det_residual": abs(det_lhs - det_rhs) / det_scale,
+        "det_residual": abs(det_lhs - det_rhs) / max(1.0, abs(det_lhs), abs(det_rhs)),
     }
-
-
-@dataclass(frozen=True)
-class KsFunctionalReport:
-    """Entropy bookkeeping of a flow run.
-
-    Spatial view: per-block entropy terms of the initial state over its
-    trusted range with their running sums.  Flow view: per-step drop
-    terms with their running sums, and the origin entropy of each state.
-    Every term must clear the roundoff floor below zero.
-    """
-
-    j_lo: int
-    j_hi: int
-    h_spatial: np.ndarray
-    spatial_partials: np.ndarray
-    h_origin: np.ndarray
-    step_drops: np.ndarray
-    drop_partials: np.ndarray
-
-    def __post_init__(self) -> None:
-        for arr in (
-            self.h_spatial,
-            self.spatial_partials,
-            self.h_origin,
-            self.step_drops,
-            self.drop_partials,
-        ):
-            if not np.all(np.isfinite(arr)):
-                raise ValidationError("entropy report contains non-finite terms")
-            arr.flags.writeable = False
-        for arr in (self.h_spatial, self.h_origin, self.step_drops):
-            if arr.size and float(np.min(arr)) < ENTROPY_FLOOR:
-                raise ValidationError(
-                    f"entropy term {float(np.min(arr)):.3e} below the floor"
-                )
-
-
-def functional_report(run: Sequence[DeltaBlocks]) -> KsFunctionalReport:
-    """Entropy terms, running sums and drops along a mapped flow run."""
-    if not run:
-        raise ValidationError("a flow run has at least one state")
-    db0 = run[0]
-    h_spatial = h_term(*_rows(db0, db0.j_lo, db0.j_hi))
-    h_origin = _h_origin(run)
-    step_drops = np.array([column_term(db, -1) for db in run[1:]])
-    return KsFunctionalReport(
-        j_lo=db0.j_lo,
-        j_hi=db0.j_hi,
-        h_spatial=h_spatial,
-        spatial_partials=np.cumsum(h_spatial),
-        h_origin=h_origin,
-        step_drops=step_drops,
-        drop_partials=np.cumsum(step_drops),
-    )
 
 
 @dataclass(frozen=True)

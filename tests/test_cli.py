@@ -19,7 +19,7 @@ import pytest
 
 from conftest import make_perturbed_window
 
-from gmpflow import cli, numkit
+from gmpflow import cli, ks, numkit
 from gmpflow.errors import NumericalError
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
 from gmpflow.gmp import GmpBlock, GmpWindow
@@ -295,6 +295,23 @@ class TestKs:
         assert cli.main(args + ["--out", str(tmp_path / "ks.csv")]) == 0
         assert len(calls) == 8 + 1
 
+    def test_entropy_terms_come_from_one_call(self, tmp_path, monkeypatch):
+        # every row term of every state, for the table and the telescoping
+        # residuals alike, comes from one stacked h_term call
+        calls = []
+        orig = ks.h_term
+
+        def counting(*blocks):
+            calls.append(np.shape(blocks[0]))
+            return orig(*blocks)
+
+        monkeypatch.setattr(ks, "h_term", counting)
+        d, w = twogap_window()
+        args = ["ks", write_json(tmp_path / "w.json", w.to_json())]
+        args += [write_json(tmp_path / "d.json", d.to_json()), "--steps", "8"]
+        assert cli.main(args + ["--out", str(tmp_path / "ks.csv")]) == 0
+        assert len(calls) == 1
+
     def test_narrowest_window_for_eight_steps(self, tmp_path, capsys):
         # state 8 of blocks -12..11 spans -4..3, whose trusted rows with
         # margin 3 are exactly -1..0
@@ -491,7 +508,7 @@ class TestConversions:
             ([{"p": [1.0, 1.0], "q": [0.0]}],
              "p and q of every block must share one shape, got [(1,), (2,)]"),
             ([{"p": [[1.0, 1.0]], "q": [[0.0, 0.0]]}], "P and Q must be 2-d arrays of equal shape"),
-            ([{"p": [], "q": []}], "P and Q must be 2-d arrays of equal shape"),
+            ([{"p": [], "q": []}], "p and q must be nonempty vectors of equal length"),
         ],
         ids=["ragged-gap-counts", "p-q-length-mismatch", "nested-rows", "empty-rows"],
     )

@@ -178,10 +178,6 @@ class TestUBlock:
                 col /= tails[k - 1] * tails[k]
                 npt.assert_allclose(u[:, k], col, atol=1e-12)
 
-    def test_vanishing_tail_rejected(self):
-        with pytest.raises(ValidationError):
-            u_block(np.array([1.0, 2.0, 0.0]))
-
 
 class TestJacobiFlowStep:
     def test_first_step_values(self):

@@ -585,7 +585,7 @@ class TestValidateGmp:
 
 class TestResolventColumn:
     def test_canonical_column(self, p1_window):
-        col = resolvent_column(p1_window, 1)
+        col = resolvent_column(p1_window, 1, 0)
         g1 = 2
         lo = p1_window.scalar_index(-1, 0)
         assert_allclose(col[lo], 0.25, atol=1e-12)
@@ -595,7 +595,7 @@ class TestResolventColumn:
         assert_allclose(col[lo + 2 * g1 + 1], 0.0, atol=1e-12)
 
     def test_support_pattern(self, p1_window):
-        col = resolvent_column(p1_window, 1)
+        col = resolvent_column(p1_window, 1, 0)
         lo = p1_window.scalar_index(-1, 0)
         hi = p1_window.scalar_index(1, 1)
         assert_allclose(col[:lo], 0.0, atol=1e-15)
@@ -605,19 +605,19 @@ class TestResolventColumn:
         rng = np.random.default_rng(29)
         blocks = tuple(near_p1_block(rng, eps=0.05) for _ in range(40))
         win = GmpWindow(blocks, np.array([0.0]), j_min=-20)
-        col = resolvent_column(win, 1)
         dense = assemble_dense(win)
         n = dense.shape[0]
-        target = np.zeros(n)
-        target[win.scalar_index(0, 0)] = 1.0
-        direct = numkit.solve(-dense, target)
-        assert np.max(np.abs(col - direct)) < 1e-9
+        for j in (0, 1, -19, 18):
+            target = np.zeros(n)
+            target[win.scalar_index(j, 0)] = 1.0
+            direct = numkit.solve(-dense, target)
+            assert np.max(np.abs(resolvent_column(win, 1, j) - direct)) < 1e-9, j
 
     def test_residual_on_perturbed_window(self):
         rng = np.random.default_rng(19)
         blocks = tuple(near_p1_block(rng, eps=0.05) for _ in range(6))
         win = GmpWindow(blocks, np.array([0.0]), j_min=-3)
-        col = resolvent_column(win, 1)
+        col = resolvent_column(win, 1, 0)
         dense = assemble_dense(win)
         n = dense.shape[0]
         target = np.zeros(n)
@@ -641,7 +641,7 @@ class TestResolventColumn:
         dense = assemble_dense(win)
         n = dense.shape[0]
         for k in (1, 2):
-            col = resolvent_column(win, k)
+            col = resolvent_column(win, k, 0)
             target = np.zeros(n)
             target[win.scalar_index(0, k - 1)] = 1.0
             residual = (win.c[k - 1] * np.eye(n) - dense) @ col - target
@@ -660,11 +660,12 @@ class TestResolventColumn:
         ]
         win = GmpWindow(blocks, c, j_min=j_min)
         dense = assemble_dense(win)
-        for k in (1, 2):
-            target = np.zeros(dense.shape[0])
-            target[win.scalar_index(0, k - 1)] = 1.0
-            direct = numkit.solve(c[k - 1] * np.eye(dense.shape[0]) - dense, target)
-            assert np.max(np.abs(resolvent_column(win, k) - direct)) < 1e-9
+        for j in range(win.j_min + 1, win.j_max):
+            for k in (1, 2):
+                target = np.zeros(dense.shape[0])
+                target[win.scalar_index(j, k - 1)] = 1.0
+                direct = numkit.solve(c[k - 1] * np.eye(dense.shape[0]) - dense, target)
+                assert np.max(np.abs(resolvent_column(win, k, j) - direct)) < 1e-9, (j, k)
 
     def test_wrong_middle_block_fails_the_residual_check(self, monkeypatch):
         rng = np.random.default_rng(19)
@@ -679,9 +680,11 @@ class TestResolventColumn:
         monkeypatch.setattr(np.linalg, "lstsq", skewed)
         message = r"^closed-form column residual 1\.9\d\de-06 too large$"
         with pytest.raises(NumericalError, match=message):
-            resolvent_column(win, 1)
+            resolvent_column(win, 1, 0)
 
     def test_window_must_cover_center(self):
         win = make_p1_window(n_blocks=3, j_min=0)
-        with pytest.raises(WindowError):
-            resolvent_column(win, 1)
+        for j in (0, 2):
+            with pytest.raises(WindowError, match=f"blocks {j - 1}..{j + 1}"):
+                resolvent_column(win, 1, j)
+        assert resolvent_column(win, 1, 1).shape == (6,)

@@ -21,9 +21,7 @@ from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense, assemble_wrapped
 from gmpflow.isospectral import solve_is_point
 from gmpflow.ks import (
     DeltaBlocks,
-    H_plus_partial,
     KsFunctionalReport,
-    column_term,
     delta_J_H,
     delta_of_gmp,
     density_identity,
@@ -74,26 +72,41 @@ def telescope(w: GmpWindow, d: DeltaData, n: int, margin: int = 3) -> dict:
     return telescoping_check(mapped_run(w, d, n, margin))
 
 
+def reference_column_share(db: DeltaBlocks, j: int, m: int) -> float:
+    """Entropy share of slot m of block row j, one scalar column at a time."""
+    v_in, w_here = db.v_blocks[j - db.j_lo], db.w_blocks[j - db.j_lo]
+    v_out = db.v_blocks[j + 1 - db.j_lo]
+    norm_sq = float(
+        np.sum(v_in[:, m] ** 2) + np.sum(w_here[:, m] ** 2) + np.sum(v_out[m, :] ** 2)
+    )
+    return 0.5 * norm_sq - 1.0 - float(np.log(v_in[m, m] * v_out[m, m]))
+
+
+def origin_term(db: DeltaBlocks) -> float:
+    """Entropy term of block row 0, from a single block triple."""
+    return h_term(db.v(0), db.w_blocks[-db.j_lo], db.v(1))
+
+
 def reference_telescoping(w: GmpWindow, d: DeltaData, n: int) -> dict:
     """The n-step comparison computed on its own: two fresh flow runs of
-    n steps and a fresh comb map of each of their states."""
+    n steps, a fresh comb map of each of their states, and one scalar
+    column and one block triple at a time."""
     dbs = mapped_run(w, d, n)
     dbs_shifted = mapped_run(relabelled(w), d, n)
-    left = sum(column_term(dbs[m], -1) for m in range(1, n + 1))
-    right = sum(column_term(dbs_shifted[m], -1) for m in range(1, n + 1))
-    lhs = left + h_term(dbs[n].v(0), dbs[n].w(0), dbs[n].v(1))
-    rhs = h_term(dbs[0].v(0), dbs[0].w(0), dbs[0].v(1)) + right
+    left = sum(reference_column_share(dbs[m], -1, w.g) for m in range(1, n + 1))
+    right = sum(reference_column_share(dbs_shifted[m], -1, w.g) for m in range(1, n + 1))
+    lhs = left + origin_term(dbs[n])
+    rhs = origin_term(dbs[0]) + right
     det_lhs = float(np.linalg.det(dbs[0].v(0)))
     det_rhs = float(np.linalg.det(dbs[n].v(0)))
     for m in range(1, n + 1):
         det_lhs *= float(dbs[m].v(0)[w.g, w.g])
         det_rhs *= float(dbs[m].v(-1)[w.g, w.g])
     return {
-        "lhs": lhs,
-        "rhs": rhs,
         "residual": abs(lhs - rhs),
         "det_lhs": det_lhs,
         "det_rhs": det_rhs,
+        "det_residual": abs(det_lhs - det_rhs) / max(1.0, abs(det_lhs), abs(det_rhs)),
     }
 
 
@@ -171,8 +184,7 @@ class TestDeltaOfGmp:
         db = delta_of_gmp(w, estar_delta(), margin=3)
         for j in range(db.j_lo, db.j_hi + 2):
             npt.assert_allclose(db.v(j), np.eye(2), atol=1e-8)
-        for j in range(db.j_lo, db.j_hi + 1):
-            npt.assert_allclose(db.w(j), np.zeros((2, 2)), atol=1e-8)
+        npt.assert_allclose(db.w_blocks, 0.0, atol=1e-8)
 
     def test_two_gap_periodic_window_maps_to_two_shift(self):
         d = twogap_delta()
@@ -181,8 +193,7 @@ class TestDeltaOfGmp:
         db = delta_of_gmp(w, d, margin=3)
         for j in range(db.j_lo, db.j_hi + 2):
             npt.assert_allclose(db.v(j), np.eye(3), atol=1e-8)
-        for j in range(db.j_lo, db.j_hi + 1):
-            npt.assert_allclose(db.w(j), np.zeros((3, 3)), atol=1e-8)
+        npt.assert_allclose(db.w_blocks, 0.0, atol=1e-8)
 
     def test_trusted_range_bookkeeping(self):
         w = decaying_window()
@@ -212,7 +223,7 @@ class TestDeltaOfGmp:
                 atol=1e-8,
             )
             npt.assert_allclose(
-                db.w(j),
+                db.w_blocks[j - db.j_lo],
                 mapped[base(j) : base(j + 1), base(j) : base(j + 1)],
                 atol=1e-8,
             )
@@ -241,8 +252,7 @@ class TestDeltaOfGmp:
         dbf = delta_of_gmp(flipped, estar_delta(), margin=3)
         for j in range(db.j_lo, db.j_hi + 2):
             npt.assert_allclose(dbf.v(j), db.v(j), atol=1e-10)
-        for j in range(db.j_lo, db.j_hi + 1):
-            npt.assert_allclose(dbf.w(j), db.w(j), atol=1e-10)
+        npt.assert_allclose(dbf.w_blocks, db.w_blocks, atol=1e-10)
 
     def test_pole_mismatch_rejected(self):
         w = decaying_window()
@@ -284,37 +294,35 @@ class TestDeltaOfGmp:
 
     @pytest.mark.parametrize("block", [0, 1])
     def test_closed_form_column_is_checked_at_blocks_0_and_1(self, monkeypatch, block):
-        # block 1's column is checked against the closed form of the window
-        # relabelled by one, whose block 0 it is
         d, w = perturbed_case(2)
         honest = ks.resolvent_column
         seen = []
 
-        def perturbed(window, k):
-            col = honest(window, k)
-            seen.append(window.j_min)
-            if window.j_min == w.j_min - block:
+        def perturbed(window, k, j):
+            col = honest(window, k, j)
+            seen.append(j)
+            if j == block:
                 col = col.copy()
-                col[window.scalar_index(0, 0)] += 1e-6
+                col[window.scalar_index(j, 0)] += 1e-6
             return col
 
         monkeypatch.setattr(ks, "resolvent_column", perturbed)
         with pytest.raises(NumericalError, match="closed form"):
             delta_of_gmp(w, d, margin=3)
-        assert seen == [w.j_min, w.j_min - 1][: block + 1]
+        assert seen == [0, 1][: block + 1]
 
     def test_closed_form_checks_need_their_blocks_trusted(self, monkeypatch):
         # blocks -1..1 (for block 0) and 0..2 (for block 1) must be trusted
         honest = ks.resolvent_column
         seen = []
 
-        def spy(window, k):
-            seen.append(window.j_min)
-            return honest(window, k)
+        def spy(window, k, j):
+            seen.append(j)
+            return honest(window, k, j)
 
         d = estar_delta()
         monkeypatch.setattr(ks, "resolvent_column", spy)
-        cases = {(9, -4): [-4], (9, -3): [-4], (9, -5): [], (10, -4): [-4, -5]}
+        cases = {(9, -4): [0], (9, -3): [1], (9, -5): [], (10, -4): [0, 1]}
         for (n_blocks, j_min), expected in cases.items():
             seen.clear()
             delta_of_gmp(make_p1_window(n_blocks, j_min), d, margin=3)
@@ -342,7 +350,7 @@ class TestDeltaBlocksType:
         with pytest.raises(WindowError):
             db.v(db.j_lo - 1)
         with pytest.raises(WindowError):
-            db.w(db.j_hi + 1)
+            db.column_shares(db.j_lo, db.j_hi + 1)
         assert db.v(db.j_hi + 1).shape == (2, 2)
 
     def test_block_count_must_match_range(self):
@@ -397,12 +405,15 @@ class TestHTerm:
 
     @pytest.mark.parametrize("genus", [1, 2])
     def test_stack_matches_scalar_calls_bitwise(self, genus):
+        # the ledger's one stacked call over every state gives each row the
+        # bits of its own call
         d, w = perturbed_case(genus)
-        db = delta_of_gmp(w, d, margin=3)
-        stacked = h_term(db.v_blocks[:-1], db.w_blocks, db.v_blocks[1:])
-        scalar = [h_term(db.v(j), db.w(j), db.v(j + 1)) for j in range(db.j_lo, db.j_hi + 1)]
-        assert stacked.shape == (db.j_hi - db.j_lo + 1,)
-        assert np.array_equal(stacked, scalar)
+        run = mapped_run(w, d, 2)
+        report = functional_report(run)
+        for db, stacked in zip(run, report.row_terms, strict=True):
+            scalar = [h_term(*t) for t in zip(db.v_blocks[:-1], db.w_blocks, db.v_blocks[1:])]
+            assert stacked.shape == (db.j_hi - db.j_lo + 1,)
+            assert np.array_equal(stacked, scalar)
 
     def test_random_stacks_match_scalar_calls_bitwise(self):
         rng = np.random.default_rng(405)
@@ -422,64 +433,100 @@ class TestHTerm:
             h_term(v[:-1], np.zeros((2, 2, 2)), v[1:])
 
 
+def ledger(db: DeltaBlocks) -> KsFunctionalReport:
+    """Entropy ledger of a single mapped state."""
+    return functional_report([db])
+
+
 class TestHPlusPartial:
+    """Partial sums of the ledger's row terms, in row order."""
+
     def test_periodic_window_sums_to_zero(self):
         db = delta_of_gmp(make_p1_window(n_blocks=21, j_min=-10), estar_delta(), 3)
-        assert abs(H_plus_partial(db, 0, 3)) < 1e-8
+        assert abs(np.sum(ledger(db).terms(0, 0, 3))) < 1e-8
 
     def test_single_block_matches_term(self):
         db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
-        npt.assert_allclose(
-            H_plus_partial(db, 0, 0),
-            h_term(db.v(0), db.w(0), db.v(1)),
-            rtol=1e-13,
-        )
+        npt.assert_allclose(ledger(db).terms(0, 0, 0), [origin_term(db)], rtol=1e-13)
 
     def test_monotone_under_extension(self):
         db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
-        shorter = H_plus_partial(db, 0, 3)
-        longer = H_plus_partial(db, 0, 4)
+        shorter, longer = np.cumsum(ledger(db).terms(0, 0, 4))[3:]
         assert longer >= shorter - 1e-10
 
     def test_range_outside_trusted_rejected(self):
         db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
         with pytest.raises(WindowError, match="trusted"):
-            H_plus_partial(db, db.j_lo - 1, 0)
+            ledger(db).terms(0, db.j_lo - 1, 0)
 
     def test_empty_range_is_zero(self):
         db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
-        assert H_plus_partial(db, 2, 1) == 0.0
+        assert np.sum(ledger(db).terms(0, 2, 1)) == 0.0
 
     def test_sums_scalar_terms_left_to_right_bitwise(self):
         d, w = perturbed_case(2)
         db = delta_of_gmp(w, d, margin=3)
+        report = ledger(db)
         for first, last in ((0, 13), (db.j_lo, db.j_hi)):
             total = 0.0
             for j in range(first, last + 1):
-                total += h_term(db.v(j), db.w(j), db.v(j + 1))
-            assert H_plus_partial(db, first, last) == total, (first, last)
+                i = j - db.j_lo
+                total += h_term(db.v_blocks[i], db.w_blocks[i], db.v_blocks[i + 1])
+            assert np.cumsum(report.terms(0, first, last))[-1] == total, (first, last)
 
 
 class TestColumnTerm:
+    """The per-column entropy shares of ``DeltaBlocks.column_shares``."""
+
     def test_block_row_decomposes_into_columns(self):
         db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
-        total = column_term(db, 0) + column_term(db, 1)
-        npt.assert_allclose(total, H_plus_partial(db, 0, 0), rtol=1e-12)
+        total = np.sum(db.column_shares(0, 0))
+        npt.assert_allclose(total, ledger(db).terms(0, 0, 0)[0], rtol=1e-12)
 
     def test_periodic_column_vanishes(self):
         db = delta_of_gmp(make_p1_window(n_blocks=21, j_min=-10), estar_delta(), 3)
-        assert abs(column_term(db, -1)) < 1e-10
+        assert abs(db.column_shares(-1, -1)[0, -1]) < 1e-10
 
     def test_columns_nonnegative(self):
         db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
-        lo = db.j_lo * 2
-        hi = db.j_hi * 2 + 1
-        assert min(column_term(db, s) for s in range(lo, hi + 1)) >= -1e-10
+        assert np.min(db.column_shares(db.j_lo, db.j_hi)) >= -1e-10
 
     def test_outside_trusted_range_rejected(self):
         db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
-        with pytest.raises(WindowError, match="column"):
-            column_term(db, (db.j_hi + 1) * 2)
+        with pytest.raises(WindowError, match="trusted"):
+            db.column_shares(db.j_hi + 1, db.j_hi + 1)
+
+    @pytest.mark.parametrize("genus", [1, 2])
+    def test_matches_scalar_columns_bitwise(self, genus):
+        d, w = perturbed_case(genus)
+        db = delta_of_gmp(w, d, margin=3)
+        shares = db.column_shares(db.j_lo, db.j_hi)
+        for j in range(db.j_lo, db.j_hi + 1):
+            for m in range(genus + 1):
+                assert shares[j - db.j_lo, m] == reference_column_share(db, j, m), (j, m)
+
+    def test_random_stacks_match_scalar_columns_bitwise(self):
+        # from 8 slots on, numpy sums a 1-d vector pairwise, not in order
+        rng = np.random.default_rng(406)
+        for dim in (3, 8, 9, 13):
+            v = np.tril(rng.standard_normal((12, dim, dim)), -1) + np.exp(
+                rng.standard_normal((12, 1, dim))
+            ) * np.eye(dim)
+            db = DeltaBlocks(j_lo=-5, v_blocks=v, w_blocks=rng.standard_normal((11, dim, dim)))
+            shares = db.column_shares(-5, 5)
+            for j in range(-5, 6):
+                scalar = [reference_column_share(db, j, m) for m in range(dim)]
+                assert np.array_equal(shares[j + 5], scalar), (dim, j)
+
+
+def one_step_sides(w: GmpWindow, d: DeltaData, j_top: int) -> tuple[float, float]:
+    """Rows 0..j_top of the mapped window, against the drop plus the same
+    rows after one step less the share of the last column they cover."""
+    run = mapped_run(w, d, 1)
+    report = functional_report(run)
+    last_column = run[1].column_shares(j_top, j_top)[0, -1]
+    rhs = delta_J_H(w, d) + np.sum(report.terms(1, 0, j_top)) - last_column
+    return np.sum(report.terms(0, 0, j_top)), rhs
 
 
 class TestDeltaJH:
@@ -511,15 +558,7 @@ class TestDeltaJH:
         w = bumped_window()
         d = estar_delta()
         j_top = 4
-        db_now = delta_of_gmp(w, d, margin=3)
-        db_next = delta_of_gmp(jacobi_flow_step(w), d, margin=3)
-        s_last = (j_top + 1) * 2 - 1
-        lhs = H_plus_partial(db_now, 0, j_top)
-        rhs = (
-            delta_J_H(w, d)
-            + H_plus_partial(db_next, 0, j_top)
-            - column_term(db_next, s_last)
-        )
+        lhs, rhs = one_step_sides(w, d, j_top)
         assert abs(lhs - rhs) < 1e-8
         assert lhs > 1e-3
 
@@ -534,15 +573,7 @@ class TestDeltaJH:
             blocks.append(GmpBlock(blk.p + dp, blk.q + dq))
         w = GmpWindow(blocks, d.cs(), j_min=-10)
         j_top = 2
-        db_now = delta_of_gmp(w, d, margin=3)
-        db_next = delta_of_gmp(jacobi_flow_step(w), d, margin=3)
-        s_last = (j_top + 1) * 3 - 1
-        lhs = H_plus_partial(db_now, 0, j_top)
-        rhs = (
-            delta_J_H(w, d)
-            + H_plus_partial(db_next, 0, j_top)
-            - column_term(db_next, s_last)
-        )
+        lhs, rhs = one_step_sides(w, d, j_top)
         assert abs(lhs - rhs) < 1e-8
 
     def test_window_too_narrow(self):
@@ -553,36 +584,34 @@ class TestDeltaJH:
 class TestTelescoping:
     def test_flow_run_matches_single_shift(self):
         report = telescope(decaying_window(0.05, 27), estar_delta(), 5)
+        ledger = report["report"]
         assert report["residual"] < 1e-9
         assert report["det_residual"] < 1e-10
-        assert len(report["left_terms"]) == 5
-        assert len(report["right_terms"]) == 5
-        assert report["h_first"] > 0
+        assert len(ledger.step_drops) == 5
+        assert len(ledger.shifted_drops) == 5
+        assert ledger.h_origin[0] > 0
 
     def test_constant_window_is_shift_invariant(self):
         pert = GmpBlock([np.sqrt(2.0) + 0.05, 0.5], [0.02, 0.0])
         w = GmpWindow([pert] * 23, (0.0,), j_min=-11)
-        report = telescope(w, estar_delta(), 4)
-        npt.assert_allclose(report["left_terms"], report["right_terms"], atol=1e-12)
+        ledger = telescope(w, estar_delta(), 4)["report"]
+        npt.assert_allclose(ledger.step_drops, ledger.shifted_drops, atol=1e-12)
 
     def test_periodic_window_all_terms_vanish(self):
         report = telescope(make_p1_window(23, j_min=-11), estar_delta(), 3)
         assert report["residual"] < 1e-12
-        assert abs(report["h_first"]) < 1e-10
-        assert max(abs(t) for t in report["left_terms"]) < 1e-10
+        assert abs(report["report"].h_origin[0]) < 1e-10
+        assert np.max(np.abs(report["report"].step_drops)) < 1e-10
 
     def test_accumulated_drops_match_partial_sum_decrease(self):
         w = bumped_window()
         d = estar_delta()
         n, j_top = 4, 2
-        s_last = (j_top + 1) * 2 - 1
-        states = [w]
-        for _ in range(n):
-            states.append(jacobi_flow_step(states[-1]))
-        dbs = [delta_of_gmp(st, d, margin=3) for st in states]
-        drop = H_plus_partial(dbs[0], 0, j_top) - H_plus_partial(dbs[n], 0, j_top)
-        accumulated = sum(column_term(dbs[m + 1], -1) for m in range(n)) - sum(
-            column_term(dbs[m], s_last) for m in range(1, n + 1)
+        run = mapped_run(w, d, n)
+        report = functional_report(run)
+        drop = np.sum(report.terms(0, 0, j_top)) - np.sum(report.terms(n, 0, j_top))
+        accumulated = np.sum(report.step_drops) - sum(
+            run[m].column_shares(j_top, j_top)[0, -1] for m in range(1, n + 1)
         )
         assert abs(drop - accumulated) < 1e-7
 
@@ -591,12 +620,15 @@ class TestTelescoping:
         # its drop term is scalar column g of the run's own mapped state
         d, w = perturbed_case(2)
         run = mapped_run(w, d, 8)
+        shifted_drops = functional_report(run).shifted_drops
         state, shifted = w, relabelled(w)
         for m, db in enumerate(run):
             assert np.array_equal(shifted.P, state.P)
             assert np.array_equal(shifted.Q, state.Q)
             fresh = delta_of_gmp(shifted, d, margin=3)
-            assert column_term(db, w.g) == column_term(fresh, -1), m
+            share = fresh.column_shares(-1, -1)[0, -1]
+            assert db.column_shares(0, 0)[0, -1] == share, m
+            assert m == 0 or shifted_drops[m - 1] == share, m
             state, shifted = jacobi_flow_step(state), jacobi_flow_step(shifted)
 
     def test_step_floor(self):
@@ -604,31 +636,31 @@ class TestTelescoping:
             telescope(decaying_window(), estar_delta(), 0)
 
     def test_running_sums_match_runs_of_each_length(self):
-        # the first 8 states of one run of 8 steps, as ``gmpflow ks
-        # --steps 8`` passes them, give every n exactly the residual of
-        # two fresh n-step runs
+        # one run of 8 steps, as ``gmpflow ks --steps 8`` maps it, gives
+        # every n exactly the residual of two fresh n-step runs
         d = twogap_delta()
         w = make_perturbed_window(twogap_surface_block(d), d.cs())
         assert (w.n_blocks, w.g) == (41, 2)
-        report = telescoping_check(mapped_run(w, d, 8)[:8])
-        per_n = [reference_telescoping(w, d, n) for n in range(1, 8)]
-        assert report["n"] == 7
-        assert np.array_equal(report["residuals"], [r["residual"] for r in per_n])
-        for key in ("lhs", "rhs", "residual", "det_lhs", "det_rhs"):
+        report = telescoping_check(mapped_run(w, d, 8))
+        per_n = [reference_telescoping(w, d, n) for n in range(1, 9)]
+        assert report["n"] == 8
+        residuals = [0.0] + [r["residual"] for r in per_n]
+        assert np.array_equal(report["report"].residuals, residuals)
+        for key in ("residual", "det_lhs", "det_rhs", "det_residual"):
             assert report[key] == per_n[-1][key], key
 
 
 class TestFunctionalReport:
     def test_shapes_and_partial_sums(self):
-        report = functional_report(
-            mapped_run(decaying_window(0.05, 27), estar_delta(), 3)
-        )
-        span = report.j_hi - report.j_lo + 1
-        assert report.h_spatial.shape == (span,)
-        npt.assert_allclose(report.spatial_partials, np.cumsum(report.h_spatial))
+        run = mapped_run(decaying_window(0.05, 27), estar_delta(), 3)
+        report = functional_report(run)
+        for m, db in enumerate(run):
+            assert report.j_lo[m] == db.j_lo
+            assert report.row_terms[m].shape == (db.j_hi - db.j_lo + 1,)
+            assert report.h_origin[m] == report.terms(m, 0, 0)[0]
         assert report.h_origin.shape == (4,)
-        assert report.step_drops.shape == (3,)
-        npt.assert_allclose(report.drop_partials, np.cumsum(report.step_drops))
+        assert report.step_drops.shape == report.shifted_drops.shape == (3,)
+        assert report.residuals.shape == (4,) and report.residuals[0] == 0.0
 
     def test_drops_match_pointwise_evaluation(self):
         w = decaying_window(0.05, 27)
@@ -642,16 +674,29 @@ class TestFunctionalReport:
             state = jacobi_flow_step(state)
 
     def test_entropy_floor_enforced(self):
-        with pytest.raises(ValidationError, match="floor"):
-            KsFunctionalReport(
-                j_lo=0,
-                j_hi=0,
-                h_spatial=np.array([-1.0]),
-                spatial_partials=np.array([-1.0]),
-                h_origin=np.array([0.0]),
-                step_drops=np.zeros(0),
-                drop_partials=np.zeros(0),
-            )
+        # every row of every state and both drops of every step
+        def report(**changed):
+            fields = {
+                "j_lo": (0, 0),
+                "row_terms": (np.zeros(2), np.zeros(1)),
+                "h_origin": np.zeros(2),
+                "step_drops": np.zeros(1),
+                "shifted_drops": np.zeros(1),
+                "residuals": np.zeros(2),
+            }
+            return KsFunctionalReport(**{**fields, **changed})
+
+        report()
+        below = [
+            {"row_terms": (np.array([0.0, -1.0]), np.zeros(1))},
+            {"row_terms": (np.zeros(2), np.array([-1.0]))},
+            {"h_origin": np.array([0.0, -1.0])},
+            {"step_drops": np.array([-1.0])},
+            {"shifted_drops": np.array([-1.0])},
+        ]
+        for changed in below:
+            with pytest.raises(ValidationError, match="floor"):
+                report(**changed)
 
     def test_origin_outside_trusted_range_rejected(self):
         db = delta_of_gmp(make_p1_window(n_blocks=9, j_min=-12), estar_delta(), 3)
@@ -663,8 +708,9 @@ class TestFunctionalReport:
 
     def test_zero_steps(self):
         report = functional_report(mapped_run(decaying_window(), estar_delta(), 0))
-        assert report.step_drops.shape == (0,)
+        assert report.step_drops.shape == report.shifted_drops.shape == (0,)
         assert report.h_origin.shape == (1,)
+        assert np.array_equal(report.residuals, [0.0])
 
 
 class TestKsDiagnostics:
