@@ -41,13 +41,26 @@ The record holds:
   evaluations they make, calls x g x rows, Gauss-Newton iterations, and
   ``numkit.bisect_root`` calls with their evaluations of the bracketed
   function) taken from one extra run;
+- a process layer: every subcommand on fixed inputs, and a bare
+  ``import gmpflow.cli``, each run as ``PROCESS_RUNS`` fresh Python
+  processes after one untimed warm-up.  Each record is ``{layer, case,
+  argv, exit, wall_s, import_s, max_rss_mb, scipy_loaded}``: the median
+  wall time of the processes as seen from outside, the median time of
+  the ``gmpflow.cli`` import and the median max RSS (Linux ``VmHWM``)
+  as each process sees them, and whether ``scipy`` was in
+  ``sys.modules`` at exit.  The inputs are the g = 1 sweep window and
+  map at 41 blocks (``flow --steps 4``, ``ks --steps 8``,
+  ``gmp2jacobi``), the g = 1 gap set (``delta``), the first genus-2
+  ``iso_comb`` seed (``iso-solve``) and the 222-site ``jacobi2gmp``
+  window (``--width 5``); ``selftest`` runs as well.  Bytecode is
+  cached under ``.bench_run/``, as an installed package would have it;
 - the ``src/`` line count, and the wall time of the Tier-1 suite and of
   ``gmpflow selftest``.
 
 BLAS runs on one thread.  Temporary files go to ``.bench_run/`` in the
 checkout; nothing is written under ``perfbench/``, whose input draws
 are imported.  The sweep takes about 30 s on a 2-core machine, the
-whole record about 3 minutes.
+process layer about 40 s, the whole record about 4 minutes.
 """
 
 from __future__ import annotations
@@ -105,6 +118,21 @@ KERNEL_PAIRS = (1, 481)
 # has used less than CASE_BUDGET_S, at most MAX_REPEATS.
 MIN_REPEATS, MAX_REPEATS, CASE_BUDGET_S = 3, 15, 1.5
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+PROCESS_RUNS = 5
+# One fresh process: import the CLI, run one command line (none for the
+# bare import) and print what the process itself sees as its last line.
+# Its max RSS is VmHWM, the peak of its own address space: ru_maxrss of a
+# child also counts the parent's pages it ran in before exec.
+PROCESS_SCRIPT = """\
+import json, re, sys, time
+t0 = time.perf_counter()
+from gmpflow import cli
+import_s = time.perf_counter() - t0
+code = cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+hwm_kb = re.search(r"VmHWM:\\s*(\\d+)", open("/proc/self/status").read()).group(1)
+print(json.dumps({"exit": code, "import_s": import_s, "scipy_loaded": "scipy" in sys.modules,
+                  "max_rss_mb": int(hwm_kb) / 1024}))
+"""
 
 
 def _env() -> dict:
@@ -375,6 +403,71 @@ def sweep(work: Path) -> list[dict]:
     return records
 
 
+def process_inputs(work: Path) -> dict[str, list[str]]:
+    """Command lines of every subcommand on the fixed inputs named in the
+    module docstring, keyed by case; outputs go to one file in ``work``."""
+    d, w = sweep_inputs(1, SIZES[0])
+    d_iso, seeds = iso_inputs(ISO_GENERA[0])
+    d_jac, J = jacobi_inputs(JACOBI_SIZES[0])
+    files = {
+        "gapset": GAP_SETS[1].to_json(),
+        "map": d.to_json(),
+        "window": w.to_json(),
+        "iso-map": d_iso.to_json(),
+        "seed": {"p": seeds[0].p.tolist(), "q": seeds[0].q.tolist()},
+        "jacobi": J.to_json(),
+        "jacobi-map": d_jac.to_json(),
+    }
+    path = {}
+    for name, data in files.items():
+        path[name] = str(work / f"process-{name}.json")
+        Path(path[name]).write_text(json.dumps(data) + "\n")
+    out = ["--out", str(work / "process-out")]
+    return {
+        "import gmpflow.cli": [],
+        "delta": ["delta", path["gapset"], *out],
+        "flow --steps 4": ["flow", path["window"], "--steps", "4", *out],
+        f"ks --steps {KS_STEPS}":
+            ["ks", path["window"], path["map"], "--steps", str(KS_STEPS), *out],
+        "iso-solve": ["iso-solve", path["iso-map"], path["seed"], *out],
+        "gmp2jacobi": ["gmp2jacobi", path["window"], *out],
+        f"jacobi2gmp --width {JACOBI_WIDTH}":
+            ["jacobi2gmp", path["jacobi"], path["jacobi-map"], "--width", str(JACOBI_WIDTH), *out],
+        "selftest": ["selftest", *out],
+    }
+
+
+def process_layer(work: Path) -> list[dict]:
+    env = _env()
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    env["PYTHONPYCACHEPREFIX"] = str(work / "pycache")
+    records = []
+    for case, argv in process_inputs(work).items():
+        cmd = [sys.executable, "-c", PROCESS_SCRIPT, *argv]
+        walls, seen = [], []
+        for run in range(PROCESS_RUNS + 1):  # run 0 warms the caches
+            t0 = time.perf_counter()
+            proc = subprocess.run(cmd, cwd=ROOT, env=env, capture_output=True, text=True,
+                                  check=True, timeout=300)
+            if run:
+                walls.append(time.perf_counter() - t0)
+                seen.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        rec = {
+            "layer": "process",
+            "case": case,
+            "argv": argv,
+            "exit": seen[0]["exit"],
+            "wall_s": statistics.median(walls),
+            "import_s": statistics.median(s["import_s"] for s in seen),
+            "max_rss_mb": statistics.median(s["max_rss_mb"] for s in seen),
+            "scipy_loaded": seen[0]["scipy_loaded"],
+        }
+        records.append(rec)
+        print(f"process {case}: {rec['wall_s']:.3f} s, {rec['max_rss_mb']:.1f} MB, "
+              f"scipy {rec['scipy_loaded']}", file=sys.stderr)
+    return records
+
+
 def timed_command(argv: list[str]) -> dict:
     t0 = time.perf_counter()
     proc = subprocess.run(argv, cwd=ROOT, env=_env(), capture_output=True, text=True)
@@ -411,9 +504,10 @@ def main() -> int:
     t0 = time.perf_counter()
     try:
         record["sweep"] = sweep(work)
+        record["sweep_wall_s"] = round(time.perf_counter() - t0, 2)
+        record["process"] = process_layer(work)
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    record["sweep_wall_s"] = round(time.perf_counter() - t0, 2)
     record["selftest"] = timed_command([sys.executable, "-m", "gmpflow.cli", "selftest"])
     record["tier1"] = timed_command(TIER1)
     record["perfbench"] = perfbench_runs()

@@ -245,15 +245,18 @@ def criterion_telescoping() -> dict:
     run = map_chain(flow_run(w, 5).states, d, 3)
     report = telescoping_check(run)
     ledger = report["report"]
-    # rows 0..j_top before the step, against the drop plus the same rows
-    # after it less the share of the last column they cover
+    # the drop of the stepped window mapped on its own, against the
+    # ledger's; then rows 0..j_top before the step, against the drop plus
+    # the same rows after it less the share of the last column they cover
+    drop = delta_J_H(w, d)
     lhs = np.cumsum(ledger.terms(0, 0, j_top))[-1]
     rhs = (
-        delta_J_H(w, d)
+        drop
         + np.cumsum(ledger.terms(1, 0, j_top))[-1]
         - run[1].column_shares(j_top, j_top)[0, -1]
     )
     checks = [
+        ("independent drop vs ledger", abs(drop - ledger.step_drops[0]), 1e-8),
         ("one-step drop residual", abs(lhs - rhs), 1e-8),
         ("shift comparison residual", report["residual"], 1e-8),
         ("determinant chain residual", report["det_residual"], 1e-8),

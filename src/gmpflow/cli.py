@@ -26,7 +26,6 @@ import sys
 
 import numpy as np
 
-from . import acceptance
 from .construct import gmp_to_jacobi_measure, jacobi_to_gmp
 from .errors import NumericalError, ValidationError
 from .finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta
@@ -286,6 +285,8 @@ def cmd_gmp2jacobi(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     """Run the acceptance suite; nonzero exit if any criterion fails."""
+    from . import acceptance
+
     reports = acceptance.run_all(args.seed)
     seed_note = "default" if args.seed is None else str(args.seed)
     text = (

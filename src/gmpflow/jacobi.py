@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from . import numkit
 from .errors import (
@@ -69,6 +68,10 @@ class JacobiWindow:
             raise ValidationError("coefficients must be finite")
         if np.any(a <= 0.0):
             raise ValidationError("all a(n) must be positive")
+        if not math.isfinite(self.norm_bound()):
+            raise ValidationError(
+                "coefficients too large: the norm bound max|b| + 2 max a overflows"
+            )
 
     @property
     def size(self) -> int:
@@ -97,7 +100,7 @@ class JacobiWindow:
         return mat
 
     def norm_bound(self) -> float:
-        return float(np.max(np.abs(self.b)) + 2.0 * np.max(self.a))
+        return float(np.max(np.abs(self.b))) + 2.0 * float(np.max(self.a))
 
     def right_half(self) -> "JacobiWindow":
         """Sites 0..n_max as a one-sided window; keeps a(0) as the bond."""
@@ -268,6 +271,8 @@ def lanczos_from_measure(measure: DiscreteMeasure, depth: int) -> JacobiWindow:
 
 def _spectrum(window: JacobiWindow) -> np.ndarray:
     """Eigenvalues (ascending) of the window's tridiagonal matrix."""
+    from scipy.linalg import eigvalsh_tridiagonal
+
     return eigvalsh_tridiagonal(window.b, window.a[1:])
 
 

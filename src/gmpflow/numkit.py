@@ -6,7 +6,9 @@ Matrices are plain float ndarrays; a symmetric banded matrix is passed
 as its upper diagonals, and a tridiagonal one is solved in O(n) under
 the dense solve's contract.  Norms appearing in the contracts are Frobenius
 norms; the fixed tolerances are tuned for the moderate scales used
-throughout (operator norms up to a few units).
+throughout (operator norms up to a few units).  scipy is imported inside
+the functions that call it, here and in ``jacobi``, so that a command
+which calls none of them starts without it.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-from scipy.linalg.lapack import dgttrf, dgttrs, dpotrf
 
 from .errors import (
     NoSignChangeError,
@@ -42,6 +42,8 @@ def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     satisfies ``||mat @ x - rhs|| <= 1e-10 * ||mat|| * ||x||`` (one step of
     iterative refinement is applied if the first solve misses the bound).
     """
+    from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
     mat = np.asarray(mat, dtype=float)
     rhs_arr = np.asarray(rhs, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
@@ -102,6 +104,8 @@ def solve_tridiagonal(diag, off, rhs, z: float) -> np.ndarray:
     ``||T - z I||`` as the scale of the U pivot check and residual bound;
     orders below 3 go through ``solve`` itself.
     """
+    from scipy.linalg.lapack import dgttrf, dgttrs
+
     diag = np.asarray(diag, dtype=float) - float(z)
     off, rhs = np.asarray(off, dtype=float), np.asarray(rhs, dtype=float)
     n = diag.size
@@ -167,6 +171,8 @@ def lower_cholesky_like(mat: np.ndarray) -> np.ndarray:
     minor (0-based pivot index) when the input is not positive definite.
     The factor satisfies ``||G @ G.T - mat|| <= 1e-10 * ||mat||``.
     """
+    from scipy.linalg.lapack import dpotrf
+
     mat, scale = _symmetric(mat)
     g, info = dpotrf(mat, lower=1, clean=1)
     done = info - 1 if info > 0 else mat.shape[0]

@@ -4,6 +4,8 @@ Each criterion runs as one parametrized test and prints its one-line
 report, so a verbose run shows one pass/fail line per criterion.
 """
 
+import dataclasses
+
 import pytest
 
 from gmpflow import acceptance
@@ -76,6 +78,25 @@ def test_transfer_criterion_fails_when_draws_raise(monkeypatch):
     rep = acceptance.criterion_transfer_algebra()
     assert not rep["passed"]
     assert f"0 block sets in {acceptance.TRANSFER_MAX_DRAWS} draws" in rep["details"]
+
+
+def test_telescoping_criterion_checks_the_ledger_drop(monkeypatch):
+    # only the ledger's first drop is off; the criterion's own drop and
+    # the other residuals are untouched
+    check = acceptance.telescoping_check
+
+    def off_by_1e6(run):
+        report = check(run)
+        ledger = report["report"]
+        drops = ledger.step_drops.copy()
+        drops[0] += 1e-6
+        return {**report, "report": dataclasses.replace(ledger, step_drops=drops)}
+
+    monkeypatch.setattr(acceptance, "telescoping_check", off_by_1e6)
+    rep = acceptance.criterion_telescoping()
+    assert not rep["passed"]
+    assert "independent drop vs ledger 1.00e-06 (<= 1e-08)" in rep["details"]
+    assert "one-step drop residual" in rep["details"]
 
 
 def test_run_criterion_captures_errors():

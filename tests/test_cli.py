@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_perturbed_window
+from conftest import make_estar_gapset, make_p1_block, make_perturbed_window
 
 from gmpflow import cli, ks, numkit
 from gmpflow.errors import NumericalError
@@ -442,6 +442,23 @@ class TestConversions:
             assert blk.p == pytest.approx([math.sqrt(2.0), 0.5], abs=1e-10)
             assert blk.q == pytest.approx([0.0, 0.0], abs=1e-10)
 
+    @pytest.mark.parametrize("site", [0, 1], ids=["stored-bond", "inner-bond"])
+    def test_overflowing_coefficients_rejected(self, tmp_path, capsys, site):
+        data = json.loads(Path(period2_jacobi_file(tmp_path)).read_text())
+        data["a"][site] = 1e308
+        win = write_json(tmp_path / "huge.json", data)
+        d = estar_delta_file(tmp_path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["jacobi2gmp", win, d, "--width", "3"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "validation error: coefficients too large: "
+            "the norm bound max|b| + 2 max a overflows\n"
+        )
+
     @pytest.mark.parametrize(
         "field, literal, message",
         [
@@ -594,6 +611,44 @@ class TestConversions:
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
         assert len(json.loads(outputs[0])["b"]) == 426
+
+
+class TestColdStart:
+    def test_commands_without_a_scipy_call_do_not_import_it(self, tmp_path):
+        d = delta_from_gaps(make_estar_gapset())
+        files = {
+            "gapset": make_estar_gapset().to_json(),
+            "map": d.to_json(),
+            "window": make_perturbed_window(make_p1_block(), d.cs(), half=10).to_json(),
+            "seed": {"p": [1.43, 0.5], "q": [0.02, -0.01]},
+        }
+        path = {name: write_json(tmp_path / f"{name}.json", data)
+                for name, data in files.items()}
+        out = str(tmp_path / "out")
+        argvs = [
+            ["delta", path["gapset"], "--out", out],
+            ["flow", path["window"], "--steps", "2", "--out", out],
+            ["ks", path["window"], path["map"], "--steps", "2", "--out", out],
+            ["iso-solve", path["map"], path["seed"], "--out", out],
+            ["gmp2jacobi", path["window"], "--out", out],
+        ]
+        script = (
+            "import json, sys\n"
+            "from gmpflow import cli\n"
+            "codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps([codes, 'scipy' in sys.modules]))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(argvs)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        codes, scipy_loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert codes == [0] * len(argvs), proc.stderr
+        assert not scipy_loaded
 
 
 class TestSelftest:
