@@ -6,7 +6,8 @@ The record holds:
 
 - the final JSON line of ``python3 perfbench/run.py --workload W --seed 5
   --seconds 15`` at ``--trace 0`` and ``--trace 1`` for every workload
-  named in ``BENCHMARK.json``;
+  named in ``BENCHMARK.json``, each started through ``/bin/sh`` so that
+  its ``peak_rss_mb`` is its own (see ``LAUNCHER``);
 - a scale sweep of ``ks.delta_of_gmp`` and of ``gmpflow ks --steps 8``
   over n_blocks in {41, 121, 241}, and of
   ``construct.gmp_to_jacobi_measure`` over n_blocks in {221, 425, 853},
@@ -54,8 +55,10 @@ The record holds:
   ``iso_comb`` seed (``iso-solve``) and the 222-site ``jacobi2gmp``
   window (``--width 5``); ``selftest`` runs as well.  Bytecode is
   cached under ``.bench_run/``, as an installed package would have it;
-- the ``src/`` line count, and the wall time of the Tier-1 suite and of
-  ``gmpflow selftest``.
+- the ``src/`` line count, the wall time of the Tier-1 suite and of
+  ``gmpflow selftest``, and each criterion's ``index``, ``name``,
+  ``elapsed_s``, ``limit_s`` and ``passed`` from one in-process
+  ``acceptance.run_all()``.
 
 BLAS runs on one thread.  Temporary files go to ``.bench_run/`` in the
 checkout; nothing is written under ``perfbench/``, whose input draws
@@ -91,7 +94,7 @@ from conftest import make_perturbed_window  # noqa: E402
 from workloads import ONE_GAP, comb_map, perturbed_window, random_gapset  # noqa: E402
 from workloads import surface_seed  # noqa: E402
 
-from gmpflow import cli, construct, gmp, isospectral, ks, numkit  # noqa: E402
+from gmpflow import acceptance, cli, construct, gmp, isospectral, ks, numkit  # noqa: E402
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta  # noqa: E402
 from gmpflow.gmp import GmpBlock, GmpWindow  # noqa: E402
 
@@ -135,6 +138,13 @@ print(json.dumps({"exit": code, "import_s": import_s, "scipy_loaded": "scipy" in
 """
 
 
+# A child's ru_maxrss starts from the RSS of the process it was forked
+# from, which perfbench reports as its peak_rss_mb: started from this
+# writer, every run would read the writer's size.  The shell forks each run
+# from its own small image, and returns its exit code.
+LAUNCHER = ["/bin/sh", "-c", '"$@"; exit $?', "sh"]
+
+
 def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -152,8 +162,8 @@ def perfbench_runs() -> list[dict]:
                     "--seed", str(PERFBENCH_SEED), "--seconds", str(PERFBENCH_SECONDS),
                     "--trace", str(trace)]
             t0 = time.perf_counter()
-            proc = subprocess.run(argv, cwd=ROOT, env=_env(), capture_output=True,
-                                  text=True, check=True)
+            proc = subprocess.run(LAUNCHER + argv, cwd=ROOT, env=_env(),
+                                  capture_output=True, text=True, check=True)
             lines = proc.stdout.strip().splitlines()
             runs.append({
                 "workload": workload,
@@ -509,6 +519,10 @@ def main() -> int:
     finally:
         shutil.rmtree(work, ignore_errors=True)
     record["selftest"] = timed_command([sys.executable, "-m", "gmpflow.cli", "selftest"])
+    record["selftest"]["criteria"] = [
+        {key: rep[key] for key in ("index", "name", "elapsed_s", "limit_s", "passed")}
+        for rep in acceptance.run_all()
+    ]
     record["tier1"] = timed_command(TIER1)
     record["perfbench"] = perfbench_runs()
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")

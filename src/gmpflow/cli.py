@@ -44,17 +44,6 @@ LOG_LEVELS = {
     "quiet": logging.ERROR,
 }
 
-KS_FAMILIES = (
-    "p_next",
-    "p_prev",
-    "q_next",
-    "q_prev",
-    "trailing_p",
-    "pairing",
-    "lambda_gap",
-)
-
-
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -166,10 +155,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
     n_b = traj.b_out.size
     rows = []
     for n in range(args.steps):
-        diag = traj.diagnostics[n]
         row = [str(n), _fmt(traj.a_out[n]), _fmt(traj.b_out[n])]
-        row.extend(_fmt(diag["lambda"][k]) for k in range(1, g + 1))
-        row.extend(_fmt(diag["validity_min"][k]) for k in range(1, g + 1))
+        row.extend(_fmt(v) for v in traj.lambdas[n])
+        row.extend(_fmt(v) for v in traj.validity_min[n])
         da = dist_eta(traj.a_out[n : n_a - per], traj.a_out[n + per :], args.eta)
         db = dist_eta(traj.b_out[n : n_b - per], traj.b_out[n + per :], args.eta)
         row.append(_fmt(math.hypot(da, db)))
@@ -196,7 +184,7 @@ def cmd_ks(args: argparse.Namespace) -> int:
     run = map_chain(traj.states, d, args.margin)
     rep = telescoping_check(run)["report"]  # the run's entropy ledger
     slope_tol = DIVERGENCE_SLOPE if args.tol is None else args.tol
-    diag = ks_diagnostics(traj, d, slope_tol)
+    diag = ks_diagnostics(traj.states, d, slope_tol)
     drop_partials = np.cumsum(rep.step_drops)
     j_top = min(db.j_hi for db in run)
     log.info(
@@ -210,8 +198,7 @@ def cmd_ks(args: argparse.Namespace) -> int:
         "drop_partial",
         "telescope_resid",
     ]
-    for name in KS_FAMILIES:
-        arr = diag.values[name]
+    for name, arr in diag.values.items():
         if arr.ndim == 2:
             header.extend(f"{name}_{k}" for k in range(1, arr.shape[1] + 1))
         else:
@@ -227,8 +214,7 @@ def cmd_ks(args: argparse.Namespace) -> int:
             _fmt(drop_partials[n]),
             _fmt(rep.residuals[n]),
         ]
-        for name in KS_FAMILIES:
-            arr = diag.values[name]
+        for name, arr in diag.values.items():
             sq = diag.sq_partials[name]
             if arr.ndim == 2:
                 row.extend(_fmt(v) for v in arr[n])

@@ -312,7 +312,11 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
         )
 
     eigs = _spectrum(window)
-    diam = float(eigs[-1] - eigs[0])
+    diam = float(eigs[-1]) - float(eigs[0])  # Python floats overflow to inf quietly
+    if not np.isfinite(diam):
+        raise ValidationError(
+            "coefficients too large: the spectral diameter of the window overflows"
+        )
     for c in cs:
         gap = float(np.min(np.abs(eigs - c)))
         if gap <= SPECTRAL_MARGIN_REL * diam:

@@ -166,14 +166,16 @@ class FlowTrajectory:
     """States of a flow run together with readout and diagnostics.
 
     a_out[n] = a(n) for n = 0..n_steps and b_out[n] = b(n) for
-    n = 0..n_steps-1; diagnostics hold one dict per state with the
-    validity minima and the central pair functionals.
+    n = 0..n_steps-1.  Row n of ``lambdas`` holds the pair functionals
+    of blocks 0 and -1 of state n, and row n of ``validity_min`` the
+    validity minima of state n, both indexed by pole slot 0..g-1.
     """
 
     states: tuple[GmpWindow, ...]
     a_out: np.ndarray
     b_out: np.ndarray
-    diagnostics: tuple[dict, ...]
+    lambdas: np.ndarray
+    validity_min: np.ndarray
 
 
 def flow_run(
@@ -195,7 +197,7 @@ def flow_run(
             f"step(s); the maximal feasible step count is {max_steps}"
         )
     states = [window]
-    diagnostics = []
+    lambdas, minima = [], []
     for n in range(n_steps + 1):
         st = states[-1]
         report = validate_gmp(st, floor)
@@ -203,17 +205,9 @@ def flow_run(
             raise ValidationError(
                 f"state {n} left the class: {report['message']}"
             )
-        # the pair functionals of blocks 0 and -1, keyed by pole index
-        lams = dict(enumerate(report["values"][-1 - st.j_min].tolist(), start=1))
-        diagnostics.append(
-            {
-                "step": n,
-                "n_blocks": st.n_blocks,
-                "validity_min": dict(report["min_per_k"]),
-                "lambda": lams,
-            }
-        )
+        lambdas.append(report["values"][-1 - st.j_min])
+        minima.append(report["min_per_k"])
         if n < n_steps:
             states.append(jacobi_flow_step(st))
     a_vals, b_vals = extract_jacobi(states)
-    return FlowTrajectory(tuple(states), a_vals, b_vals, tuple(diagnostics))
+    return FlowTrajectory(tuple(states), a_vals, b_vals, np.stack(lambdas), np.stack(minima))

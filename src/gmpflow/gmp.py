@@ -403,40 +403,37 @@ def validate_gmp(window: GmpWindow, floor: float = VALIDITY_FLOOR) -> dict:
 
     Returns a report with the pair functionals (``values``, row i pairing
     the window's blocks i+1 and i), their minimum over adjacent block
-    pairs for each pole index, the absolute block index attaining it,
-    and the overall verdict.  A functional that is not finite fails the
-    criterion and is reported in place of the minimum.
+    pairs for each pole slot (``min_per_k``), the absolute block index
+    attaining it (``argmin_j``), and the overall verdict.  A functional
+    that is not finite fails the criterion and is reported in place of
+    the minimum.  The message names poles k = 1..g.
     """
-    report = {
-        "valid": False,
-        "values": np.zeros((0, window.g)),
-        "min_per_k": {},
-        "argmin_j": {},
-        "message": "",
-    }
     if window.n_blocks < 2:
-        report["message"] = "insufficient window: need at least two blocks"
-        return report
+        return {
+            "valid": False,
+            "values": np.zeros((0, window.g)),
+            "min_per_k": np.zeros(0),
+            "argmin_j": np.zeros(0, dtype=int),
+            "message": "insufficient window: need at least two blocks",
+        }
     with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
         vals = lambda_sharp(window.rows(1), window.rows(0, -1), window.c)
-    finite = np.isfinite(vals)
     # per pole: the first value that is not finite, else the minimum
-    i_min = np.argmin(np.where(finite.all(axis=0), vals, finite), axis=0)
-    report["values"] = vals
-    worst_k = None
-    for k, i in enumerate(i_min.tolist(), start=1):
-        report["min_per_k"][k] = float(vals[i, k - 1])
-        report["argmin_j"][k] = window.j_min + i
-        if not vals[i, k - 1] > floor and worst_k is None:
-            worst_k = k
-    report["valid"] = worst_k is None
-    report["message"] = "ok"
-    if worst_k is not None:
-        worst = report["min_per_k"][worst_k]
-        verdict = f"{worst:.3e} <= floor {floor:.1e}" if np.isfinite(worst) else "not finite"
+    i_min = np.where(np.isfinite(vals), vals, -np.inf).argmin(0)
+    mins = vals[i_min, np.arange(window.g)]
+    above = (mins > floor).tolist()
+    report = {
+        "valid": all(above),
+        "values": vals,
+        "min_per_k": mins,
+        "argmin_j": i_min + window.j_min,
+        "message": "ok",
+    }
+    if not report["valid"]:
+        k = above.index(False)
+        verdict = f"{mins[k]:.3e} <= floor {floor:.1e}" if np.isfinite(mins[k]) else "not finite"
         report["message"] = (
-            f"pair functional at k={worst_k} is {verdict} "
-            f"(block {report['argmin_j'][worst_k]})"
+            f"pair functional at k={k + 1} is {verdict} (block {report['argmin_j'][k]})"
         )
     return report
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import numkit
 from .errors import NumericalError, ValidationError, WindowError
 from .finitegap import DeltaData, apply_comb_map, check_distinct_poles
-from .flow import FlowTrajectory, jacobi_flow_step
+from .flow import jacobi_flow_step
 from .gmp import GmpBlock, GmpWindow, assemble_wrapped, resolvent_column
 from .isospectral import is_residual
 
@@ -329,12 +329,12 @@ def telescoping_check(run: Sequence[DeltaBlocks]) -> dict:
 
 @dataclass(frozen=True)
 class KsDiagnostics:
-    """Coefficient differences and residual components along a trajectory.
+    """Coefficient differences and residual components along a run of states.
 
     ``values`` holds one array per tracked family, first axis the state
-    index: coupling and pairing vector differences between neighbouring
-    blocks and the central block, the two surface scalars, and the pole
-    weight gaps.  ``sq_partials`` holds the running sums of their
+    index, in the column order of ``gmpflow ks``: coupling and pairing
+    vector differences between neighbouring blocks and the central block,
+    the two surface scalars, and the pole weight gaps.  ``sq_partials`` holds the running sums of their
     squares, ``cesaro_slopes`` the late-time slope of each total, and
     ``diverging`` the families whose slope exceeds the threshold.
     """
@@ -354,9 +354,9 @@ class KsDiagnostics:
 
 
 def ks_diagnostics(
-    t: FlowTrajectory, d: DeltaData, slope_tol: float = DIVERGENCE_SLOPE
+    states: Sequence[GmpWindow], d: DeltaData, slope_tol: float = DIVERGENCE_SLOPE
 ) -> KsDiagnostics:
-    """Track the summable coefficient families along a flow trajectory.
+    """Track the summable coefficient families along a sequence of states.
 
     For each state: the leading coupling and pairing entries of the
     blocks one step right and left of the origin minus those of the
@@ -364,7 +364,6 @@ def ks_diagnostics(
     against the map.  A Cesaro slope of the squared running sums over
     the late half of the run flags families that fail to stay bounded.
     """
-    states = t.states
     if not states:
         raise ValidationError("trajectory has no states")
     g = states[0].g
@@ -374,7 +373,6 @@ def ks_diagnostics(
         )
     # is_residual compares Lambda_k and lambda_k slot by slot
     d = d.aligned_to(states[0].c)
-    n_states = len(states)
     for i, st in enumerate(states):
         if st.j_min > -1 or st.j_max < 1:
             raise WindowError(f"state {i} lacks blocks -1..1")
@@ -393,23 +391,18 @@ def ks_diagnostics(
         "lambda_gap": res[:, 2:],
     }
     sq_partials = {k: np.cumsum(v**2, axis=0) for k, v in values.items()}
-    cesaro_slopes: dict[str, float] = {}
-    diverging: dict[str, bool] = {}
-    for name, arr in values.items():
-        sq = arr**2
-        totals = np.cumsum(sq.sum(axis=1) if sq.ndim == 2 else sq)
-        if n_states >= 4:
-            half = n_states // 2
-            slope = float(totals[-1] - totals[half - 1]) / (n_states - half)
-        else:
-            slope = 0.0
-        cesaro_slopes[name] = slope
-        diverging[name] = slope > slope_tol
+    # growth of each family's total over the late half of the run
+    n_states, half = len(states), len(states) // 2
+    cesaro_slopes = {
+        name: float(np.sum(sq[-1]) - np.sum(sq[half - 1])) / (n_states - half)
+        if n_states >= 4 else 0.0
+        for name, sq in sq_partials.items()
+    }
     return KsDiagnostics(
         values=values,
         sq_partials=sq_partials,
         cesaro_slopes=cesaro_slopes,
-        diverging=diverging,
+        diverging={name: s > slope_tol for name, s in cesaro_slopes.items()},
     )
 
 

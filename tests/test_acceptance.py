@@ -13,13 +13,13 @@ from gmpflow import acceptance
 
 CASES = list(enumerate(acceptance.CRITERIA, start=1))
 IDS = [
-    f"{i:02d}_{fn.__name__.removeprefix('criterion_')}" for i, fn in CASES
+    f"{i:02d}_{row[0].__name__.removeprefix('criterion_')}" for i, row in CASES
 ]
 
 
-@pytest.mark.parametrize("index,fn", CASES, ids=IDS)
-def test_criterion(index, fn):
-    rep = acceptance.run_criterion(fn)
+@pytest.mark.parametrize("index,row", CASES, ids=IDS)
+def test_criterion(index, row):
+    rep = acceptance.run_criterion(index)
     status = "PASS" if rep["passed"] else "FAIL"
     line = (
         f"criterion {rep['index']:2d} {rep['name']}: {status} "
@@ -75,7 +75,7 @@ def test_transfer_criterion_fails_when_draws_raise(monkeypatch):
         raise RuntimeError("synthetic failure")
 
     monkeypatch.setattr(acceptance, "transfer_via_resolvent", broken)
-    rep = acceptance.criterion_transfer_algebra()
+    rep = acceptance.run_criterion(2)
     assert not rep["passed"]
     assert f"0 block sets in {acceptance.TRANSFER_MAX_DRAWS} draws" in rep["details"]
 
@@ -93,18 +93,19 @@ def test_telescoping_criterion_checks_the_ledger_drop(monkeypatch):
         return {**report, "report": dataclasses.replace(ledger, step_drops=drops)}
 
     monkeypatch.setattr(acceptance, "telescoping_check", off_by_1e6)
-    rep = acceptance.criterion_telescoping()
+    rep = acceptance.run_criterion(6)
     assert not rep["passed"]
     assert "independent drop vs ledger 1.00e-06 (<= 1e-08)" in rep["details"]
     assert "one-step drop residual" in rep["details"]
 
 
-def test_run_criterion_captures_errors():
+def test_run_criterion_captures_errors(monkeypatch):
     def boom():
         raise RuntimeError("synthetic failure")
 
-    boom.__name__ = "criterion_boom"
-    rep = acceptance.run_criterion(boom)
+    rows = ((boom, "boom", 1.0, None),) + acceptance.CRITERIA[1:]
+    monkeypatch.setattr(acceptance, "CRITERIA", rows)
+    rep = acceptance.run_criterion(1)
     assert not rep["passed"]
     assert "synthetic failure" in rep["details"]
 
@@ -116,5 +117,8 @@ def test_raising_criterion_reports_its_own_number(monkeypatch):
     monkeypatch.setattr(acceptance, "GmpBlock", broken)
     reports = acceptance.run_all()
     assert [rep["index"] for rep in reports] == list(range(1, 12))
+    assert reports[1]["limit_s"] == 5.0
     line = acceptance.format_report(reports).splitlines()[1]
-    assert line == "criterion  2 transfer algebra: FAIL (0.00 s) error: synthetic failure"
+    assert line == (
+        "criterion  2 transfer matrix algebra: FAIL (0.00 s) error: synthetic failure"
+    )

@@ -22,6 +22,7 @@ from conftest import make_estar_gapset, make_p1_block, make_perturbed_window
 from gmpflow import cli, ks, numkit
 from gmpflow.errors import NumericalError
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
+from gmpflow.flow import flow_run
 from gmpflow.gmp import GmpBlock, GmpWindow
 from gmpflow.isospectral import solve_is_point
 from gmpflow.jacobi import JacobiWindow
@@ -186,6 +187,18 @@ class TestFlow:
             "pair functional at k=1 is not finite (block -4)\n"
         )
 
+    def test_per_pole_columns_print_the_trajectory_arrays(self, tmp_path, capsys):
+        d, w = twogap_window()
+        win = write_json(tmp_path / "twogap.json", w.to_json())
+        assert cli.main(["flow", win, "--steps", "4"]) == 0
+        cols = csv_columns(capsys.readouterr().out)
+        traj = flow_run(w, 4)
+        for k in (1, 2):
+            assert cols[f"lambda_{k}"] == [cli._fmt(v) for v in traj.lambdas[:4, k - 1]]
+            assert cols[f"validity_min_{k}"] == [
+                cli._fmt(v) for v in traj.validity_min[:4, k - 1]
+            ]
+
     def test_header_records_options(self, tmp_path, capsys):
         args = ["flow", p1_window_file(tmp_path), "--steps", "3", "--eta", "0.5"]
         assert cli.main(args) == 0
@@ -219,6 +232,37 @@ class TestKs:
                 continue
             assert max(abs(float(v)) for v in vals) < 1e-8, name
         assert text.rstrip().endswith("# diverging: none")
+
+    KS_HEADERS = {
+        1: [
+            "n", "h_origin", "hplus_rows_0_to_1", "delta_jh", "drop_partial",
+            "telescope_resid", "p_next_1", "p_next_sqsum", "p_prev_1",
+            "p_prev_sqsum", "q_next_1", "q_next_sqsum", "q_prev_1", "q_prev_sqsum",
+            "trailing_p", "trailing_p_sqsum", "pairing", "pairing_sqsum",
+            "lambda_gap_1", "lambda_gap_sqsum",
+        ],
+        2: [
+            "n", "h_origin", "hplus_rows_0_to_13", "delta_jh", "drop_partial",
+            "telescope_resid", "p_next_1", "p_next_2", "p_next_sqsum", "p_prev_1",
+            "p_prev_2", "p_prev_sqsum", "q_next_1", "q_next_2", "q_next_sqsum",
+            "q_prev_1", "q_prev_2", "q_prev_sqsum", "trailing_p", "trailing_p_sqsum",
+            "pairing", "pairing_sqsum", "lambda_gap_1", "lambda_gap_2",
+            "lambda_gap_sqsum",
+        ],
+    }
+
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_header_names_every_family_in_order(self, tmp_path, capsys, g):
+        if g == 1:
+            win, cmap, steps = p1_window_file(tmp_path), estar_delta_file(tmp_path), "3"
+        else:
+            d, w = twogap_window()
+            win = write_json(tmp_path / "twogap.json", w.to_json())
+            cmap, steps = write_json(tmp_path / "map.json", d.to_json()), "4"
+        capsys.readouterr()
+        assert cli.main(["ks", win, cmap, "--steps", steps]) == 0
+        header = capsys.readouterr().out.splitlines()[2]
+        assert header.split(",") == self.KS_HEADERS[g]
 
     def test_telescoping_residual_column(self, tmp_path, capsys):
         win = p1_window_file(tmp_path, n_blocks=31, j_min=-15)
@@ -457,6 +501,23 @@ class TestConversions:
         assert err == (
             "validation error: coefficients too large: "
             "the norm bound max|b| + 2 max a overflows\n"
+        )
+
+    def test_overflowing_spectral_diameter_rejected(self, tmp_path, capsys):
+        # the norm bound max|b| + 2 max a stays finite; the spectrum's
+        # diameter, about 2e308, does not
+        data = json.loads(Path(period2_jacobi_file(tmp_path)).read_text())
+        data["b"][0], data["b"][-1] = -1e308, 1e308
+        win = write_json(tmp_path / "huge.json", data)
+        d = estar_delta_file(tmp_path)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["jacobi2gmp", win, d, "--width", "3"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "validation error: coefficients too large: "
+            "the spectral diameter of the window overflows\n",
         )
 
     @pytest.mark.parametrize(

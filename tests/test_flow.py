@@ -299,16 +299,14 @@ class TestFlowRun:
         npt.assert_allclose(traj.a_out[0::2], 1.5, atol=1e-10)
         npt.assert_allclose(traj.a_out[1::2], 0.5, atol=1e-10)
         npt.assert_allclose(traj.b_out, 0.0, atol=1e-10)
-        for diag in traj.diagnostics:
-            npt.assert_allclose(diag["lambda"][1], 4.0, atol=1e-10)
+        npt.assert_allclose(traj.lambdas[:, 0], 4.0, atol=1e-10)
 
     def test_perturbed_run_stays_finite(self):
         traj = flow_run(perturbed_p1_window(), 5)
         assert np.all(np.isfinite(traj.a_out))
         assert np.all(np.isfinite(traj.b_out))
-        for diag in traj.diagnostics:
-            assert np.isfinite(diag["lambda"][1])
-            assert diag["validity_min"][1] > 0.0
+        assert np.all(np.isfinite(traj.lambdas[:, 0]))
+        assert np.all(traj.validity_min[:, 0] > 0.0)
 
     def test_narrow_window_rejected(self):
         with pytest.raises(WindowError):

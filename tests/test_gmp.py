@@ -537,7 +537,7 @@ class TestValidateGmp:
         report = validate_gmp(p1_window)
         assert report["valid"]
         assert report["message"] == "ok"
-        assert_allclose(report["min_per_k"][1], 4.0, atol=1e-14)
+        assert_allclose(report["min_per_k"][0], 4.0, atol=1e-14)
 
     def test_degenerate_pair_flagged(self, p1_block):
         startled = GmpBlock(
@@ -555,7 +555,7 @@ class TestValidateGmp:
             report = validate_gmp(GmpWindow([huge] * 9, (0.0,), j_min=-4))
         assert [str(w.message) for w in caught] == []
         assert not report["valid"]
-        assert np.isnan(report["min_per_k"][1])
+        assert np.isnan(report["min_per_k"][0])
         assert report["message"] == "pair functional at k=1 is not finite (block -4)"
 
     @pytest.mark.parametrize("g", range(1, 9))
@@ -573,8 +573,8 @@ class TestValidateGmp:
                 for j in range(window.j_min, window.j_max)
             ]
             i_min = int(np.argmin(vals))
-            assert report["min_per_k"][k] == vals[i_min]
-            assert report["argmin_j"][k] == window.j_min + i_min
+            assert report["min_per_k"][k - 1] == vals[i_min]
+            assert report["argmin_j"][k - 1] == window.j_min + i_min
 
     def test_insufficient_window(self, p1_block):
         win = GmpWindow((p1_block,), np.array([0.0]))

@@ -16,7 +16,7 @@ from gmpflow.errors import (
     WindowError,
 )
 from gmpflow.finitegap import DeltaData, GapSet, apply_comb_map, delta_from_gaps
-from gmpflow.flow import FlowTrajectory, flow_run, jacobi_flow_step
+from gmpflow.flow import flow_run, jacobi_flow_step
 from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense, assemble_wrapped
 from gmpflow.isospectral import solve_is_point
 from gmpflow.ks import (
@@ -716,14 +716,14 @@ class TestFunctionalReport:
 class TestKsDiagnostics:
     def test_periodic_surface_stays_silent(self):
         t = flow_run(make_p1_window(13, j_min=-6), 4)
-        diag = ks_diagnostics(t, estar_delta())
+        diag = ks_diagnostics(t.states, estar_delta())
         for arr in diag.values.values():
             assert np.max(np.abs(arr)) < 1e-9
         assert not any(diag.diverging.values())
 
     def test_decaying_perturbation_stays_bounded(self):
         t = flow_run(decaying_window(0.01, 19), 6)
-        diag = ks_diagnostics(t, estar_delta())
+        diag = ks_diagnostics(t.states, estar_delta())
         assert not any(diag.diverging.values())
         for arr in diag.sq_partials.values():
             assert np.all(np.isfinite(arr))
@@ -737,16 +737,13 @@ class TestKsDiagnostics:
             )
             for m in range(9)
         )
-        t = FlowTrajectory(
-            states=states, a_out=np.zeros(9), b_out=np.zeros(9), diagnostics=()
-        )
-        diag = ks_diagnostics(t, estar_delta())
+        diag = ks_diagnostics(states, estar_delta())
         assert diag.diverging["lambda_gap"]
         assert not diag.diverging["p_next"]
 
     def test_partial_sums_are_squared_cumsums(self):
         t = flow_run(decaying_window(0.02, 19), 5)
-        diag = ks_diagnostics(t, estar_delta())
+        diag = ks_diagnostics(t.states, estar_delta())
         for name, arr in diag.values.items():
             npt.assert_allclose(
                 diag.sq_partials[name], np.cumsum(arr**2, axis=0)
@@ -756,16 +753,13 @@ class TestKsDiagnostics:
         lone = GmpWindow(
             [GmpBlock([np.sqrt(2.0), 0.5], [0.0, 0.0])] * 3, (0.0,), j_min=0
         )
-        t = FlowTrajectory(
-            states=(lone,), a_out=np.zeros(1), b_out=np.zeros(1), diagnostics=()
-        )
         with pytest.raises(WindowError, match="blocks"):
-            ks_diagnostics(t, estar_delta())
+            ks_diagnostics((lone,), estar_delta())
 
     def test_genus_mismatch_rejected(self):
         t = flow_run(make_p1_window(13, j_min=-6), 2)
         with pytest.raises(ValidationError, match="genus"):
-            ks_diagnostics(t, twogap_delta())
+            ks_diagnostics(t.states, twogap_delta())
 
     def test_pole_order_of_map_is_irrelevant(self):
         # Lambda_k of the central block is taken at the window's poles and
@@ -773,8 +767,8 @@ class TestKsDiagnostics:
         d = twogap_delta()
         t = flow_run(make_perturbed_window(twogap_surface_block(d), d.cs()), 3)
         reversed_map = DeltaData(d.lambda0, d.c0, d.poles[::-1])
-        diag = ks_diagnostics(t, d)
-        diag_rev = ks_diagnostics(t, reversed_map)
+        diag = ks_diagnostics(t.states, d)
+        diag_rev = ks_diagnostics(t.states, reversed_map)
         for name, arr in diag.values.items():
             npt.assert_array_equal(diag_rev.values[name], arr)
 
@@ -783,7 +777,7 @@ class TestKsDiagnostics:
         d = estar_delta()
         shifted = DeltaData(d.lambda0, d.c0, ((0.1, d.poles[0][1]),))
         with pytest.raises(ValidationError, match="poles differ"):
-            ks_diagnostics(t, shifted)
+            ks_diagnostics(t.states, shifted)
 
 
 class TestDensityIdentity:
