@@ -55,6 +55,11 @@ The record holds:
   ``iso_comb`` seed (``iso-solve``) and the 222-site ``jacobi2gmp``
   window (``--width 5``); ``selftest`` runs as well.  Bytecode is
   cached under ``.bench_run/``, as an installed package would have it;
+- the counts of the typed-failure grid of ``tests/test_failure_grid.py``
+  (every subcommand on perfbench's tiny seed-0 inputs with one JSON leaf
+  replaced at a time): cases per exit code, cases that raised a numpy
+  warning per subcommand, exit-0 cases that printed nan or inf, and
+  cases that break the contract;
 - the ``src/`` line count, the wall time of the Tier-1 suite and of
   ``gmpflow selftest``, and each criterion's ``index``, ``name``,
   ``elapsed_s``, ``limit_s`` and ``passed`` from one in-process
@@ -91,6 +96,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 from conftest import make_perturbed_window  # noqa: E402
+from test_failure_grid import grid_counts, run_grid  # noqa: E402
 from workloads import ONE_GAP, comb_map, perturbed_window, random_gapset  # noqa: E402
 from workloads import surface_seed  # noqa: E402
 
@@ -232,7 +238,7 @@ def kernel_inputs(g: int, n_pairs: int) -> GmpWindow:
     p0 = np.append(np.sqrt(d.lams() / d.lambda0), 1.0 / d.lambda0)
     q0 = np.append(np.zeros(g), -d.c0)
     u = rng.uniform(-1.0, 1.0, (2, n_pairs + 1, g + 1))
-    return GmpWindow.from_arrays(p0 * (1.0 + 0.05 * u[0]), q0 + 0.05 * u[1], d.cs())
+    return GmpWindow(p0 * (1.0 + 0.05 * u[0]), q0 + 0.05 * u[1], d.cs())
 
 
 class Counting:
@@ -516,6 +522,8 @@ def main() -> int:
         record["sweep"] = sweep(work)
         record["sweep_wall_s"] = round(time.perf_counter() - t0, 2)
         record["process"] = process_layer(work)
+        (work / "grid").mkdir()
+        record["failure_grid"] = grid_counts(run_grid(work / "grid"))
     finally:
         shutil.rmtree(work, ignore_errors=True)
     record["selftest"] = timed_command([sys.executable, "-m", "gmpflow.cli", "selftest"])

@@ -57,33 +57,23 @@ def _p1_block() -> GmpBlock:
 
 
 def _p1_window(n_blocks: int, j_min: int) -> GmpWindow:
-    return GmpWindow(tuple(_p1_block() for _ in range(n_blocks)), (0.0,), j_min)
+    return GmpWindow(np.tile((SQRT2, 0.5), (n_blocks, 1)), np.zeros((n_blocks, 2)), (0.0,), j_min)
 
 
 def _decaying_window(eps: float = 0.03, n_blocks: int = 21, rate: float = 0.5):
     half = n_blocks // 2
-    blocks = [
-        GmpBlock(
-            [SQRT2 + eps * rate ** abs(j), 0.5],
-            [eps / 3.0 * 0.7 ** abs(j), 0.0],
-        )
-        for j in range(-half, n_blocks - half)
-    ]
-    return GmpWindow(tuple(blocks), (0.0,), j_min=-half)
+    js = range(-half, n_blocks - half)
+    P = [(SQRT2 + eps * rate ** abs(j), 0.5) for j in js]
+    Q = [(eps / 3.0 * 0.7 ** abs(j), 0.0) for j in js]
+    return GmpWindow(P, Q, (0.0,), j_min=-half)
 
 
 def _random_perturbed_window(rng, n_blocks: int, j_min: int, base: float = 0.05):
-    blocks = []
-    for j in range(j_min, j_min + n_blocks):
-        eps = base * 0.6 ** abs(j)
-        u = rng.uniform(-1.0, 1.0, 4)
-        blocks.append(
-            GmpBlock(
-                (SQRT2 + eps * u[0], 0.5 - 0.4 * eps * u[1]),
-                (eps * u[2] / 3.0, -eps * u[3] / 5.0),
-            )
-        )
-    return GmpWindow(tuple(blocks), (0.0,), j_min=j_min)
+    eps = np.array([base * 0.6 ** abs(j) for j in range(j_min, j_min + n_blocks)])
+    u = rng.uniform(-1.0, 1.0, (n_blocks, 4)).T
+    P = np.column_stack([SQRT2 + eps * u[0], 0.5 - 0.4 * eps * u[1]])
+    Q = np.column_stack([eps * u[2] / 3.0, -eps * u[3] / 5.0])
+    return GmpWindow(P, Q, (0.0,), j_min=j_min)
 
 
 def _period2_jacobi(n_min: int = -107, n_max: int = 106) -> JacobiWindow:
@@ -151,7 +141,7 @@ def criterion_transfer_algebra(seed: int = 211) -> tuple[list, str]:
 def criterion_magic_pattern() -> tuple[list, str]:
     """Mapped periodic operator equals the two-shift pattern."""
     pt = IsPoint(_p1_block(), _estar_delta())
-    result = magic_check(pt, window_blocks=40, margin=10)
+    result = magic_check(pt)
     checks = [("central row deviation", result["deviation"], 1e-8)]
     return checks, f"{result['rows_checked']} rows"
 
@@ -377,11 +367,7 @@ def criterion_functional() -> tuple[list, str]:
     diag1 = ks_diagnostics(flow_run(_decaying_window(0.01, 19), 6).states, d)
     bounded_ok = 0.0 if not any(diag1.diverging.values()) else 1.0
     states = tuple(
-        GmpWindow(
-            tuple(GmpBlock([SQRT2 + 0.2 * m, 0.5], [0.0, 0.0]) for _ in range(5)),
-            (0.0,),
-            j_min=-2,
-        )
+        GmpWindow(np.tile((SQRT2 + 0.2 * m, 0.5), (5, 1)), np.zeros((5, 2)), (0.0,), j_min=-2)
         for m in range(9)
     )
     diag2 = ks_diagnostics(states, d)

@@ -386,7 +386,7 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
 
     P = amat[last, nxt]
     B = amat[nxt[:, :, None], nxt[:, None, :]]
-    w = GmpWindow.from_arrays(P, B[:, g, :] / P[:, g:], cs, j_min=k_lo + 1)
+    w = GmpWindow(P, B[:, g, :] / P[:, g:], cs, j_min=k_lo + 1)
     dev = np.max(np.abs(build_block_B(w.rows(), w.c) - B), axis=(1, 2))
     bad = np.flatnonzero(dev > READOUT_TOL * scale)
     if bad.size:

@@ -38,11 +38,12 @@ SHIFT_PROXIMITY_REL = 1e-10
 
 def check_distinct_poles(c) -> None:
     """Refuse two poles within ``POLE_REL_TOL * max(1, |c|)`` of each other."""
-    cs = np.array(sorted(c))  # np.sort's first call pages in 0.1-0.3 MB of SIMD kernels
-    close = np.diff(cs) <= POLE_REL_TOL * np.maximum(1.0, np.abs(cs[1:]))
-    if close.any():
-        k = int(np.argmax(close))
-        raise ValidationError(f"poles at {cs[k]} and {cs[k + 1]} coincide")
+    # Python floats: every window passes here, and for a few poles a loop
+    # beats numpy (whose np.sort pages in 0.1-0.3 MB of SIMD kernels).
+    cs = sorted(np.asarray(c, dtype=float).tolist())
+    for a, b in zip(cs, cs[1:]):
+        if b - a <= POLE_REL_TOL * max(1.0, abs(b)):
+            raise ValidationError(f"poles at {a} and {b} coincide")
 
 
 @dataclass(frozen=True)

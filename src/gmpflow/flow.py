@@ -110,7 +110,7 @@ def jacobi_flow_step(window: GmpWindow) -> GmpWindow:
     b_in = (nxt[:, None, :] @ bmats[1:] @ nxt[:, :, None])[:, 0, 0]
     b_in /= _PY_POW(norm_next, 2).astype(float)
     q_new[:, g] = norm_this / (this[:, g] * norm_next) * b_in
-    return GmpWindow.from_arrays(p_new, q_new, window.c, window.j_min + 1)
+    return GmpWindow(p_new, q_new, window.c, window.j_min + 1)
 
 
 def flow_identity_residual(window: GmpWindow, stepped: GmpWindow) -> float:

@@ -96,7 +96,9 @@ class GmpWindow:
     """A finite run of blocks j = j_min..j_max sharing one pole list c.
 
     Row i of the read-only ``(n_blocks, g+1)`` arrays ``P`` and ``Q``
-    holds the forming vectors of block j_min + i.
+    holds the forming vectors of block j_min + i.  The constructor is the
+    one place the window rules are applied: every row obeys the block
+    rules of ``GmpBlock``, and the g poles are finite and distinct.
     """
 
     P: np.ndarray
@@ -104,19 +106,8 @@ class GmpWindow:
     c: np.ndarray
     j_min: int = 0
 
-    def __init__(self, blocks, c, j_min: int = 0):
-        blocks = tuple(blocks)
-        if len({blk.g for blk in blocks}) > 1:
-            raise ValidationError("all blocks must share one gap count")
-        self._set_rows([blk.p for blk in blocks], [blk.q for blk in blocks], c, j_min)
-
-    @classmethod
-    def from_arrays(cls, P, Q, c, j_min: int = 0) -> "GmpWindow":
-        """Window over the rows of P and Q, checked as one ``GmpBlock`` stack."""
-        return cls.__new__(cls)._set_rows(P, Q, c, j_min)
-
-    def _set_rows(self, P, Q, c, j_min: int) -> "GmpWindow":
-        P, Q = (np.asarray(arr, dtype=float) for arr in (P, Q))
+    def __init__(self, P, Q, c, j_min: int = 0):
+        P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
         c = np.array(c, dtype=float)
         if P.shape[:1] == (0,):
             raise ValidationError("window must contain at least one block")
@@ -125,11 +116,11 @@ class GmpWindow:
         rows = GmpBlock(P, Q)
         if c.ndim != 1 or c.size != rows.g:
             raise ValidationError(f"pole list has length {c.size}, expected {rows.g}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValidationError("poles must be finite")
+        check_distinct_poles(c)
         c.setflags(write=False)
         vars(self).update(P=rows.p, Q=rows.q, c=c, j_min=j_min)  # frozen: bypass __setattr__
-        return self
 
     @property
     def g(self) -> int:
@@ -183,9 +174,7 @@ class GmpWindow:
         shapes = sorted({row.shape for row in P + Q})
         if len(shapes) > 1:
             raise ValidationError(f"p and q of every block must share one shape, got {shapes}")
-        window = cls.from_arrays(P, Q, c, j_min)
-        check_distinct_poles(window.c)
-        return window
+        return cls(P, Q, c, j_min)
 
 
 @dataclass(frozen=True)
@@ -421,7 +410,7 @@ def validate_gmp(window: GmpWindow, floor: float = VALIDITY_FLOOR) -> dict:
     # per pole: the first value that is not finite, else the minimum
     i_min = np.where(np.isfinite(vals), vals, -np.inf).argmin(0)
     mins = vals[i_min, np.arange(window.g)]
-    above = (mins > floor).tolist()
+    above = ((mins > floor) & np.isfinite(mins)).tolist()
     report = {
         "valid": all(above),
         "values": vals,

@@ -23,6 +23,9 @@ SURFACE_TOL = 1e-9
 SOLVE_TARGET = 1e-12
 MAX_ITERATIONS = 100
 FD_STEP_REL = 1e-6
+# magic_check: blocks of the wrapped window, and blocks left out at each end.
+MAGIC_WINDOW_BLOCKS = 40
+MAGIC_MARGIN = 10
 
 
 def is_residual(blk: GmpBlock, d: DeltaData) -> np.ndarray:
@@ -156,14 +159,15 @@ def solve_is_point(d: DeltaData, seed: GmpBlock) -> IsPoint:
     return IsPoint(block, d)
 
 
-def magic_check(pt, window_blocks: int = 40, margin: int = 10, *, delta=None) -> dict:
+def magic_check(pt, *, delta=None) -> dict:
     """Verify the two-shift identity for a periodically repeated block.
 
-    Applies the comb map to the wrapped dense operator (slope and
-    offset terms plus one resolvent per pole) and reports the largest
-    deviation of the central rows from the pattern with ones at offsets
-    +-(g+1) and zeros elsewhere.  Accepts an IsPoint, or a raw GmpBlock
-    together with ``delta=`` for off-surface experiments.
+    Applies the comb map to the wrapped dense operator of
+    ``MAGIC_WINDOW_BLOCKS`` copies of the block (slope and offset terms
+    plus one resolvent per pole) and reports the largest deviation of the
+    rows outside ``MAGIC_MARGIN`` blocks at each end from the pattern with
+    ones at offsets +-(g+1) and zeros elsewhere.  Accepts an IsPoint, or a
+    raw GmpBlock together with ``delta=`` for off-surface experiments.
     """
     if isinstance(pt, IsPoint):
         blk, d = pt.block, pt.delta
@@ -172,23 +176,18 @@ def magic_check(pt, window_blocks: int = 40, margin: int = 10, *, delta=None) ->
         if d is None:
             raise ValidationError("raw blocks need delta= context")
     g = blk.g
-    if margin < 1:
-        raise ValidationError("margin must be at least one block")
-    if window_blocks < 2 * margin + 10:
-        raise ValidationError(
-            f"need at least {2 * margin + 10} blocks, got {window_blocks}"
-        )
-    amat = assemble_wrapped(GmpWindow((blk,) * window_blocks, d.cs()))
+    rows = (MAGIC_WINDOW_BLOCKS, 1)
+    amat = assemble_wrapped(GmpWindow(np.tile(blk.p, rows), np.tile(blk.q, rows), d.cs()))
     result = apply_comb_map(amat, d)[0]
     n = amat.shape[0]
     period = g + 1
-    lo = margin * period
-    hi = n - margin * period
+    lo = MAGIC_MARGIN * period
+    hi = n - MAGIC_MARGIN * period
     two_shift = np.eye(n, k=period) + np.eye(n, k=-period)
     deviation = float(np.max(np.abs(result - two_shift)[lo:hi]))
     return {
         "deviation": deviation,
-        "n_blocks": window_blocks,
-        "margin": margin,
+        "n_blocks": MAGIC_WINDOW_BLOCKS,
+        "margin": MAGIC_MARGIN,
         "rows_checked": hi - lo,
     }

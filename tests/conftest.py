@@ -22,13 +22,15 @@ def make_p1_block() -> GmpBlock:
     )
 
 
+def stack_window(blocks, c, j_min: int = 0) -> GmpWindow:
+    """Window over a sequence of blocks, their p and q stacked as rows."""
+    blocks = tuple(blocks)
+    return GmpWindow([b.p for b in blocks], [b.q for b in blocks], c, j_min)
+
+
 def make_p1_window(n_blocks: int = 5, j_min: int = -2) -> GmpWindow:
     """Constant-block window built from copies of the canonical block."""
-    return GmpWindow(
-        blocks=tuple(make_p1_block() for _ in range(n_blocks)),
-        c=np.array([0.0]),
-        j_min=j_min,
-    )
+    return stack_window([make_p1_block()] * n_blocks, np.array([0.0]), j_min)
 
 
 def random_gapset(rng: np.random.Generator, g_max: int = 4) -> GapSet:
@@ -59,7 +61,7 @@ def make_perturbed_window(
                 center.q + eps * rng.uniform(-1.0, 1.0, center.g + 1),
             )
         )
-    return GmpWindow(blocks, c, j_min=-half)
+    return stack_window(blocks, c, j_min=-half)
 
 
 def half_line_measures(w: GmpWindow) -> list[tuple[DiscreteMeasure, int]]:

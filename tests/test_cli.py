@@ -370,7 +370,7 @@ class TestKs:
         }
         for (lo, hi), message in cases.items():
             rows = slice(lo + 12, hi + 13)
-            sub = GmpWindow.from_arrays(w.P[rows], w.Q[rows], w.c, lo)
+            sub = GmpWindow(w.P[rows], w.Q[rows], w.c, lo)
             win = write_json(tmp_path / "w.json", sub.to_json())
             code = cli.main(["ks", win, dpath, "--steps", "8"])
             err = capsys.readouterr().err
@@ -634,7 +634,7 @@ class TestConversions:
         # process so that the thread count is set before numpy loads
         blk = GmpBlock([math.sqrt(2.0), 0.5], [0.0, 0.0])
         w = make_perturbed_window(blk, [0.0], half=111)
-        w = GmpWindow.from_arrays(w.P[:-1], w.Q[:-1], w.c, w.j_min)
+        w = GmpWindow(w.P[:-1], w.Q[:-1], w.c, w.j_min)
         assert (w.n_blocks, w.j_min) == (222, -111)
         win = write_json(tmp_path / "wide.json", w.to_json())
         d = estar_delta_file(tmp_path)
@@ -658,7 +658,7 @@ class TestConversions:
     def test_gmp2jacobi_is_independent_of_blas_threads(self, tmp_path):
         blk = GmpBlock([math.sqrt(2.0), 0.5], [0.0, 0.0])
         w = make_perturbed_window(blk, [0.0], half=213)
-        w = GmpWindow.from_arrays(w.P[:-1], w.Q[:-1], w.c, w.j_min)
+        w = GmpWindow(w.P[:-1], w.Q[:-1], w.c, w.j_min)
         assert w.n_blocks == 426
         win = write_json(tmp_path / "wide.json", w.to_json())
         src = str(Path(cli.__file__).resolve().parents[1])

@@ -40,6 +40,7 @@ from conftest import (
     make_estar_gapset,
     make_p1_block,
     make_perturbed_window,
+    stack_window,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -94,7 +95,7 @@ def decaying_perturbed_window(rng=None, n_blocks=222, j_min=-111, base=0.05):
                 (eps * u[2] / 3.0, -eps * u[3] / 5.0),
             )
         )
-    return GmpWindow(tuple(blocks), (0.0,), j_min=j_min)
+    return stack_window(tuple(blocks), (0.0,), j_min=j_min)
 
 
 def surface_window(g: int, half: int) -> GmpWindow:
@@ -550,7 +551,7 @@ class TestGmpToJacobiMeasure:
 
     def test_window_must_cover_split(self):
         blk = make_p1_block()
-        w = GmpWindow(tuple(blk for _ in range(8)), (0.0,), j_min=0)
+        w = stack_window(tuple(blk for _ in range(8)), (0.0,), j_min=0)
         with pytest.raises(WindowError):
             gmp_to_jacobi_measure(w)
 
@@ -575,7 +576,7 @@ class TestGmpToJacobiMeasure:
 
     def test_matches_dense_spectral_measure_route(self):
         w = make_perturbed_window(make_p1_block(), [0.0], half=111)
-        w = GmpWindow.from_arrays(w.P[:-1], w.Q[:-1], w.c, w.j_min)
+        w = GmpWindow(w.P[:-1], w.Q[:-1], w.c, w.j_min)
         assert w.n_blocks == 222
         J = gmp_to_jacobi_measure(w)
         for side, (measure, depth) in zip((1, -1), half_line_measures(w)):
@@ -591,7 +592,7 @@ class TestGmpToJacobiMeasure:
         w = make_perturbed_window(make_p1_block(), [0.0], half=20)
         P = w.P.copy()
         P[3 - w.j_min] = [0.0, 1e-300]
-        cut = GmpWindow.from_arrays(P, w.Q, w.c, w.j_min)
+        cut = GmpWindow(P, w.Q, w.c, w.j_min)
         J = gmp_to_jacobi_measure(cut)
         assert (J.n_min, J.n_max) == (-20, 5)
         A = assemble_dense(cut)

@@ -24,9 +24,9 @@ from gmpflow.finitegap import (
     gap_zeros,
 )
 
-from gmpflow.gmp import GmpBlock, GmpWindow, assemble_wrapped
+from gmpflow.gmp import GmpBlock, assemble_wrapped
 
-from conftest import random_gapset
+from conftest import random_gapset, stack_window
 
 
 def eval_delta_ratio(gapset: GapSet, z):
@@ -376,7 +376,7 @@ class TestApplyCombMap:
             blocks.append(
                 GmpBlock(p_surf + dp, q_surf + 0.05 * rng.uniform(-1.0, 1.0, g + 1))
             )
-        mat = assemble_wrapped(GmpWindow(blocks, d.cs()))
+        mat = assemble_wrapped(stack_window(blocks, d.cs()))
         n = mat.shape[0]
         want = d.lambda0 * mat + d.c0 * np.eye(n)
         for ck, lk in d.poles:

@@ -19,7 +19,7 @@ from gmpflow.flow import (
 from gmpflow.gmp import GmpBlock, GmpWindow, build_block_B, lambda_k
 from gmpflow.jacobi import DiscreteMeasure, lanczos_from_measure
 
-from conftest import make_p1_block, make_p1_window
+from conftest import make_p1_block, make_p1_window, stack_window
 
 SQRT2 = np.sqrt(2.0)
 
@@ -35,12 +35,12 @@ def random_window(rng, g, n_blocks, j_min, c=None):
     if c is None:
         c = np.sort(rng.uniform(-2.0, 2.0, g))
     blocks = tuple(random_block(rng, g) for _ in range(n_blocks))
-    return GmpWindow(blocks, c, j_min)
+    return stack_window(blocks, c, j_min)
 
 
 def perturbed_p1_window(n_blocks=23, j_min=-11, eps=0.01):
     blk = GmpBlock([SQRT2 + eps, 0.5], [0.0, 0.0])
-    return GmpWindow(tuple([blk] * n_blocks), (0.0,), j_min)
+    return stack_window(tuple([blk] * n_blocks), (0.0,), j_min)
 
 
 def reference_u_block(p):
@@ -98,8 +98,13 @@ def small_windows(draw):
     p = draw(arrays(float, (n_blocks, g + 1), elements=st.floats(-1.2, 1.2)))
     p[:, -1] = draw(arrays(float, n_blocks, elements=st.floats(0.3, 1.5)))
     q = draw(arrays(float, (n_blocks, g + 1), elements=st.floats(-1.0, 1.0)))
-    c = draw(arrays(float, g, elements=st.floats(-2.0, 2.0)))
-    return GmpWindow.from_arrays(p, q, c, -(n_blocks // 2))
+    # distinct poles, as every window requires
+    c = draw(
+        arrays(float, g, elements=st.floats(-2.0, 2.0), unique=True).filter(
+            lambda c: np.min(np.diff(np.sort(c)), initial=np.inf) > 1e-3
+        )
+    )
+    return GmpWindow(p, q, c, -(n_blocks // 2))
 
 
 def assert_blocks_equal_mod_sign(blk, other, atol=1e-10):
@@ -273,7 +278,7 @@ class TestExtractJacobi:
     def test_mismatched_states_rejected(self):
         clean = make_p1_window(7, -3)
         fake_block = GmpBlock([SQRT2, 0.5], [0.0, 1.0])
-        tainted = GmpWindow(tuple([fake_block] * 7), (0.0,), -3)
+        tainted = stack_window(tuple([fake_block] * 7), (0.0,), -3)
         with pytest.raises(NumericalError):
             extract_jacobi([clean, tainted])
 
@@ -315,9 +320,18 @@ class TestFlowRun:
     def test_invalid_state_aborts(self):
         degenerate = GmpBlock([0.0, 0.5], [1.0, 0.0])
         blocks = [make_p1_block()] * 5 + [degenerate] + [make_p1_block()] * 5
-        window = GmpWindow(tuple(blocks), (0.0,), -5)
+        window = stack_window(tuple(blocks), (0.0,), -5)
         with pytest.raises(ValidationError, match="left the class"):
             flow_run(window, 1)
+
+    @pytest.mark.parametrize("slot, value", [(0, 1e308), (1, 1e-308)])
+    def test_infinite_pair_functional_aborts(self, slot, value):
+        w = make_p1_window(21, -10)
+        P = w.P.copy()
+        P[0, slot] = value
+        message = r"^state 0 left the class: pair functional at k=1 is not finite \(block -10\)$"
+        with pytest.raises(ValidationError, match=message):
+            flow_run(GmpWindow(P, w.Q, w.c, w.j_min), 2)
 
 def _measure_from_dense(mat, index):
     eigvals, eigvecs = np.linalg.eigh(mat)

@@ -32,7 +32,7 @@ from gmpflow.gmp import (
     validate_gmp,
 )
 
-from conftest import make_p1_block, make_p1_window
+from conftest import make_p1_block, make_p1_window, stack_window
 
 
 def random_block(rng: np.random.Generator, g: int) -> GmpBlock:
@@ -134,36 +134,46 @@ class TestGmpWindow:
             p1_window.block(3)
 
     def test_rejects_mismatched_blocks(self, p1_block):
-        other = GmpBlock(np.array([0.1, 0.2, 1.0]), np.zeros(3))
-        with pytest.raises(ValidationError):
-            GmpWindow((p1_block, other), np.array([0.0]))
-        with pytest.raises(ValidationError):
-            GmpWindow((p1_block, p1_block), np.array([0.0, 1.0]))
+        # ragged blocks can only come from JSON: see test_cli's malformed shapes
+        with pytest.raises(ValidationError, match="pole list has length 2, expected 1"):
+            stack_window((p1_block, p1_block), np.array([0.0, 1.0]))
+        P = np.tile([0.5, 0.5, 1.0], (15, 1))
+        with pytest.raises(ValidationError, match="^poles at 0.0 and 1e-13 coincide$"):
+            GmpWindow(P, np.zeros((15, 3)), [0.0, 1e-13], -7)
+
+    def test_every_window_refuses_coincident_poles(self):
+        with pytest.raises(ValidationError, match="^poles at 0.0 and 0.0 coincide$"):
+            GmpWindow(np.tile([0.5, 0.5, 1.0], (15, 1)), np.zeros((15, 3)), [0.0, 0.0], -7)
+        P = np.tile([0.5, 0.5, 0.5, 1.0], (15, 1))
+        with pytest.raises(ValidationError, match="^poles at 3.0 and 3.000000000001 coincide$"):
+            GmpWindow(P, np.zeros((15, 4)), [3.0, 1.0, 3.0 + 1e-12])
+        window = GmpWindow(P, np.zeros((15, 4)), [3.0, 1.0, 3.0 + 1e-11])
+        assert window.c.tolist() == [3.0, 1.0, 3.0 + 1e-11]
 
     def test_from_arrays_checks_every_row(self):
         p = np.tile([np.sqrt(2.0), 0.5], (4, 1))
         q = np.zeros((4, 2))
-        window = GmpWindow.from_arrays(p, q, (0.0,), j_min=-1)
+        window = GmpWindow(p, q, (0.0,), j_min=-1)
         assert window.n_blocks == 4 and window.j_max == 2
         assert p.flags.writeable and not window.P.flags.writeable
         assert np.shares_memory(window.block(1).p, window.P)
         bad = p.copy()
         bad[2, 0] = np.inf
         with pytest.raises(ValidationError, match="block entries must be finite"):
-            GmpWindow.from_arrays(bad, q, (0.0,))
+            GmpWindow(bad, q, (0.0,))
         bad = p.copy()
         bad[3, -1] = -0.5
         with pytest.raises(ValidationError, match="last p entry must be positive"):
-            GmpWindow.from_arrays(bad, q, (0.0,))
+            GmpWindow(bad, q, (0.0,))
         with pytest.raises(ValidationError, match="at least one block"):
-            GmpWindow.from_arrays(np.zeros((0, 2)), np.zeros((0, 2)), (0.0,))
+            GmpWindow(np.zeros((0, 2)), np.zeros((0, 2)), (0.0,))
         # a stack of blocks raises the message of its first bad row
         nan_row, low_row = p.copy(), p.copy()
         nan_row[1, 0] = low_row[3, -1] = np.nan
         low_row[1, -1] = nan_row[3, -1] = -0.5
         for P, message in ((nan_row, "^block entries must be finite$"),
                            (low_row, r"^last p entry must be positive, got -0\.5$")):
-            for build in (GmpBlock, lambda P, Q: GmpWindow.from_arrays(P, Q, (0.0,))):
+            for build in (GmpBlock, lambda P, Q: GmpWindow(P, Q, (0.0,))):
                 with pytest.raises(ValidationError, match=message):
                     build(P, q)
             with pytest.raises(ValidationError, match=message):
@@ -256,7 +266,7 @@ class TestAssembleDense:
             g = int(rng.integers(1, 4))
             blocks = tuple(random_block(rng, g) for _ in range(4))
             c = np.sort(rng.uniform(-2, 2, size=g))
-            mat = assemble_dense(GmpWindow(blocks, c))
+            mat = assemble_dense(stack_window(blocks, c))
             assert np.array_equal(mat, mat.T)
             n = mat.shape[0]
             for i in range(n):
@@ -498,7 +508,7 @@ class TestLambdaSharp:
     def test_stack_matches_single_pairs_bitwise(self):
         rng = np.random.default_rng(5)
         g = 4
-        window = GmpWindow(
+        window = stack_window(
             [random_block(rng, g) for _ in range(9)], np.sort(rng.uniform(-2, 2, g))
         )
         stacked = lambda_sharp(window.rows(1), window.rows(0, -1), window.c)
@@ -543,7 +553,7 @@ class TestValidateGmp:
         startled = GmpBlock(
             np.array([0.0, 0.5]), np.array([1.0, 0.0])
         )
-        win = GmpWindow((p1_block, startled), np.array([0.0]), j_min=0)
+        win = stack_window((p1_block, startled), np.array([0.0]), j_min=0)
         report = validate_gmp(win)
         assert not report["valid"]
         assert "k=1" in report["message"]
@@ -552,16 +562,26 @@ class TestValidateGmp:
         huge = GmpBlock([1e160, 1.0], [1e160, -0.5])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = validate_gmp(GmpWindow([huge] * 9, (0.0,), j_min=-4))
+            report = validate_gmp(stack_window([huge] * 9, (0.0,), j_min=-4))
         assert [str(w.message) for w in caught] == []
         assert not report["valid"]
         assert np.isnan(report["min_per_k"][0])
         assert report["message"] == "pair functional at k=1 is not finite (block -4)"
 
+    @pytest.mark.parametrize("slot, value", [(0, 1e308), (1, 1e-308)])
+    def test_infinite_functional_is_invalid(self, slot, value):
+        w = make_p1_window(21, -10)
+        P = w.P.copy()
+        P[0, slot] = value
+        report = validate_gmp(GmpWindow(P, w.Q, w.c, w.j_min))
+        assert report["min_per_k"].tolist() == [np.inf]
+        assert not report["valid"]
+        assert report["message"] == "pair functional at k=1 is not finite (block -10)"
+
     @pytest.mark.parametrize("g", range(1, 9))
     def test_stacked_minima_match_pair_loop(self, g):
         rng = np.random.default_rng(40 + g)
-        window = GmpWindow(
+        window = stack_window(
             [random_block(rng, g) for _ in range(33)],
             np.sort(rng.uniform(-2.0, 2.0, g)),
             j_min=-16,
@@ -577,7 +597,7 @@ class TestValidateGmp:
             assert report["argmin_j"][k - 1] == window.j_min + i_min
 
     def test_insufficient_window(self, p1_block):
-        win = GmpWindow((p1_block,), np.array([0.0]))
+        win = stack_window((p1_block,), np.array([0.0]))
         report = validate_gmp(win)
         assert not report["valid"]
         assert "insufficient" in report["message"]
@@ -604,7 +624,7 @@ class TestResolventColumn:
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(29)
         blocks = tuple(near_p1_block(rng, eps=0.05) for _ in range(40))
-        win = GmpWindow(blocks, np.array([0.0]), j_min=-20)
+        win = stack_window(blocks, np.array([0.0]), j_min=-20)
         dense = assemble_dense(win)
         n = dense.shape[0]
         for j in (0, 1, -19, 18):
@@ -616,7 +636,7 @@ class TestResolventColumn:
     def test_residual_on_perturbed_window(self):
         rng = np.random.default_rng(19)
         blocks = tuple(near_p1_block(rng, eps=0.05) for _ in range(6))
-        win = GmpWindow(blocks, np.array([0.0]), j_min=-3)
+        win = stack_window(blocks, np.array([0.0]), j_min=-3)
         col = resolvent_column(win, 1, 0)
         dense = assemble_dense(win)
         n = dense.shape[0]
@@ -637,7 +657,7 @@ class TestResolventColumn:
             )
             for _ in range(6)
         )
-        win = GmpWindow(blocks, c, j_min=-3)
+        win = stack_window(blocks, c, j_min=-3)
         dense = assemble_dense(win)
         n = dense.shape[0]
         for k in (1, 2):
@@ -658,7 +678,7 @@ class TestResolventColumn:
             )
             for _ in range(n_blocks)
         ]
-        win = GmpWindow(blocks, c, j_min=j_min)
+        win = stack_window(blocks, c, j_min=j_min)
         dense = assemble_dense(win)
         for j in range(win.j_min + 1, win.j_max):
             for k in (1, 2):
@@ -670,7 +690,7 @@ class TestResolventColumn:
     def test_wrong_middle_block_fails_the_residual_check(self, monkeypatch):
         rng = np.random.default_rng(19)
         blocks = tuple(near_p1_block(rng, eps=0.05) for _ in range(6))
-        win = GmpWindow(blocks, np.array([0.0]), j_min=-3)
+        win = stack_window(blocks, np.array([0.0]), j_min=-3)
         lstsq = np.linalg.lstsq
 
         def skewed(*args, **kwargs):

@@ -20,7 +20,7 @@ from gmpflow.isospectral import (
     solve_is_point,
 )
 
-from conftest import make_estar_gapset, make_p1_block
+from conftest import make_estar_gapset, make_p1_block, stack_window
 
 SQRT2 = np.sqrt(2.0)
 
@@ -83,7 +83,7 @@ def column_jacobian(fun, x: np.ndarray) -> np.ndarray:
 
 def periodic_dense(blk: GmpBlock, c, n_blocks: int) -> np.ndarray:
     """Wrapped dense operator of a window of n_blocks copies of blk."""
-    return assemble_wrapped(GmpWindow((blk,) * n_blocks, c))
+    return assemble_wrapped(stack_window((blk,) * n_blocks, c))
 
 
 class TestIsResidual:
@@ -118,7 +118,7 @@ class TestIsResidual:
     def test_stack_matches_single_blocks_bitwise(self, g):
         d = genus_delta(g)
         P, Q = near_surface_rows(d, 7, sigma=0.05)
-        stacked = is_residual(GmpWindow.from_arrays(P, Q, d.cs()).rows(), d)
+        stacked = is_residual(GmpWindow(P, Q, d.cs()).rows(), d)
         single = np.array([is_residual(GmpBlock(p, q), d) for p, q in zip(P, Q)])
         assert stacked.shape == (7, g + 2)
         assert np.array_equal(stacked, single)
@@ -261,7 +261,7 @@ class TestAssemblePeriodicDense:
 class TestMagicCheck:
     def test_canonical_two_shift_identity(self):
         pt = IsPoint(make_p1_block(), estar_delta())
-        report = magic_check(pt, window_blocks=40, margin=10)
+        report = magic_check(pt)
         assert report["deviation"] < 1e-8
         assert report["n_blocks"] == 40
         assert report["margin"] == 10
@@ -269,29 +269,16 @@ class TestMagicCheck:
 
     def test_solved_point_two_shift_identity(self):
         pt = solve_is_point(estar_delta(), quartic_seed(1.25, 0.55))
-        report = magic_check(pt, window_blocks=40, margin=10)
+        report = magic_check(pt)
         assert report["deviation"] < 1e-8
 
     def test_off_surface_deviation_order_one(self):
-        report = magic_check(
-            off_surface_block(), window_blocks=40, margin=10,
-            delta=estar_delta(),
-        )
+        report = magic_check(off_surface_block(), delta=estar_delta())
         assert report["deviation"] > 0.1
 
     def test_raw_block_needs_delta(self):
         with pytest.raises(ValidationError, match="delta"):
-            magic_check(off_surface_block(), window_blocks=40, margin=10)
-
-    def test_window_too_small(self):
-        pt = IsPoint(make_p1_block(), estar_delta())
-        with pytest.raises(ValidationError, match="at least 30"):
-            magic_check(pt, window_blocks=25, margin=10)
-
-    def test_margin_positive(self):
-        pt = IsPoint(make_p1_block(), estar_delta())
-        with pytest.raises(ValidationError, match="margin"):
-            magic_check(pt, window_blocks=40, margin=0)
+            magic_check(off_surface_block())
 
     def test_pole_on_spectrum_raises(self):
         # Zero leading p isolates the gap slots, so the wrapped operator
@@ -299,7 +286,7 @@ class TestMagicCheck:
         blk = GmpBlock([0.0, 0.5], [0.0, 0.0])
         bad = DeltaData(2.0, 0.0, ((0.3, 4.0),))
         with pytest.raises(SpectrumProximityError):
-            magic_check(blk, window_blocks=12, margin=1, delta=bad)
+            magic_check(blk, delta=bad)
 
 
 class TestSurfaceInvariants:
@@ -332,7 +319,7 @@ class TestSurfaceInvariants:
             blk = make_p1_block()
         else:
             blk = solve_is_point(d, quartic_seed(*seed)).block
-        window = GmpWindow(tuple([blk] * 9), d.cs(), j_min=-4)
+        window = stack_window(tuple([blk] * 9), d.cs(), j_min=-4)
         stepped = jacobi_flow_step(window)
         for j in range(stepped.j_min, stepped.j_max + 1):
             r = is_residual(stepped.block(j), d)

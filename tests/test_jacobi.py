@@ -268,7 +268,7 @@ class TestLanczosFromMeasure:
     def test_matches_reference_on_half_line_measures(self):
         # the spectral measures of the two halves of a 222-block window
         w = make_perturbed_window(make_p1_block(), [0.0], half=111)
-        w = GmpWindow.from_arrays(w.P[:-1], w.Q[:-1], w.c, w.j_min)
+        w = GmpWindow(w.P[:-1], w.Q[:-1], w.c, w.j_min)
         seen = half_line_measures(w)
         assert w.n_blocks == 222
         assert [depth for _, depth in seen] == [110, 110]

@@ -6,7 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import make_estar_gapset, make_p1_window, make_perturbed_window
+from conftest import make_estar_gapset, make_p1_window, make_perturbed_window, stack_window
 
 from gmpflow import ks
 from gmpflow.errors import (
@@ -47,7 +47,7 @@ def decaying_window(eps: float = 0.03, n_blocks: int = 21, rate: float = 0.5):
         )
         for j in range(-half, n_blocks - half)
     ]
-    return GmpWindow(blocks, (0.0,), j_min=-half)
+    return stack_window(blocks, (0.0,), j_min=-half)
 
 
 def bumped_window(n_blocks: int = 27):
@@ -56,7 +56,7 @@ def bumped_window(n_blocks: int = 27):
     p1 = GmpBlock([np.sqrt(2.0), 0.5], [0.0, 0.0])
     blocks = [p1] * n_blocks
     blocks[half] = GmpBlock([np.sqrt(2.0) + 0.08, 0.5], [0.05, 0.0])
-    return GmpWindow(blocks, (0.0,), j_min=-half)
+    return stack_window(blocks, (0.0,), j_min=-half)
 
 
 def mapped_run(w: GmpWindow, d: DeltaData, n: int, margin: int = 3):
@@ -138,7 +138,7 @@ def reference_blocks(w: GmpWindow, d: DeltaData, margin: int):
 
 def relabelled(w: GmpWindow) -> GmpWindow:
     """The same blocks one label lower: block j becomes block j - 1."""
-    return GmpWindow.from_arrays(w.P, w.Q, w.c, w.j_min - 1)
+    return GmpWindow(w.P, w.Q, w.c, w.j_min - 1)
 
 
 def twogap_delta() -> DeltaData:
@@ -173,7 +173,7 @@ class TestAssembleWrapped:
         npt.assert_array_equal(interior, open_mat)
 
     def test_needs_three_blocks(self, p1_block):
-        short = GmpWindow([p1_block, p1_block], (0.0,), j_min=0)
+        short = stack_window([p1_block, p1_block], (0.0,), j_min=0)
         with pytest.raises(ValidationError, match="three"):
             assemble_wrapped(short)
 
@@ -189,7 +189,7 @@ class TestDeltaOfGmp:
     def test_two_gap_periodic_window_maps_to_two_shift(self):
         d = twogap_delta()
         blk = twogap_surface_block(d)
-        w = GmpWindow([blk] * 15, d.cs(), j_min=-7)
+        w = stack_window([blk] * 15, d.cs(), j_min=-7)
         db = delta_of_gmp(w, d, margin=3)
         for j in range(db.j_lo, db.j_hi + 2):
             npt.assert_allclose(db.v(j), np.eye(3), atol=1e-8)
@@ -247,7 +247,7 @@ class TestDeltaOfGmp:
         k = 12
         blk = blocks[k]
         blocks[k] = GmpBlock([-blk.p[0], blk.p[1]], [-blk.q[0], blk.q[1]])
-        flipped = GmpWindow(blocks, w.c, w.j_min)
+        flipped = stack_window(blocks, w.c, w.j_min)
         assert np.max(np.abs(assemble_wrapped(flipped) - assemble_wrapped(w))) > 0.1
         dbf = delta_of_gmp(flipped, estar_delta(), margin=3)
         for j in range(db.j_lo, db.j_hi + 2):
@@ -278,7 +278,7 @@ class TestDeltaOfGmp:
         # becomes an exact eigenvalue of the wrapped operator
         d = DeltaData(2.0, 0.0, ((0.3, 4.0),))
         bad = GmpBlock([0.0, 0.5], [0.0, 0.0])
-        w = GmpWindow([bad] * 15, (0.3,), j_min=-7)
+        w = stack_window([bad] * 15, (0.3,), j_min=-7)
         with pytest.raises(SpectrumProximityError, match="shift"):
             delta_of_gmp(w, d, margin=3)
 
@@ -548,7 +548,7 @@ class TestDeltaJH:
                 )
                 for j in range(-half, half + 1)
             ]
-            w = GmpWindow(blocks, (0.0,), j_min=-half)
+            w = stack_window(blocks, (0.0,), j_min=-half)
             assert delta_J_H(w, estar_delta()) >= -1e-10
 
     def test_one_step_drop_identity(self):
@@ -571,7 +571,7 @@ class TestDeltaJH:
             dp = 0.02 * rng.standard_normal(3) * 0.6 ** abs(j)
             dq = 0.02 * rng.standard_normal(3) * 0.6 ** abs(j)
             blocks.append(GmpBlock(blk.p + dp, blk.q + dq))
-        w = GmpWindow(blocks, d.cs(), j_min=-10)
+        w = stack_window(blocks, d.cs(), j_min=-10)
         j_top = 2
         lhs, rhs = one_step_sides(w, d, j_top)
         assert abs(lhs - rhs) < 1e-8
@@ -593,7 +593,7 @@ class TestTelescoping:
 
     def test_constant_window_is_shift_invariant(self):
         pert = GmpBlock([np.sqrt(2.0) + 0.05, 0.5], [0.02, 0.0])
-        w = GmpWindow([pert] * 23, (0.0,), j_min=-11)
+        w = stack_window([pert] * 23, (0.0,), j_min=-11)
         ledger = telescope(w, estar_delta(), 4)["report"]
         npt.assert_allclose(ledger.step_drops, ledger.shifted_drops, atol=1e-12)
 
@@ -730,7 +730,7 @@ class TestKsDiagnostics:
 
     def test_growing_coefficients_flagged(self):
         states = tuple(
-            GmpWindow(
+            stack_window(
                 [GmpBlock([np.sqrt(2.0) + 0.2 * m, 0.5], [0.0, 0.0])] * 5,
                 (0.0,),
                 j_min=-2,
@@ -750,7 +750,7 @@ class TestKsDiagnostics:
             )
 
     def test_states_need_central_blocks(self):
-        lone = GmpWindow(
+        lone = stack_window(
             [GmpBlock([np.sqrt(2.0), 0.5], [0.0, 0.0])] * 3, (0.0,), j_min=0
         )
         with pytest.raises(WindowError, match="blocks"):
