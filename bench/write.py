@@ -10,8 +10,8 @@ The record holds:
   its ``peak_rss_mb`` is its own (see ``LAUNCHER``);
 - a scale sweep of ``ks.delta_of_gmp`` and of ``gmpflow ks --steps 8``
   over n_blocks in {41, 121, 241}, and of
-  ``construct.gmp_to_jacobi_measure`` over n_blocks in {221, 425, 853},
-  each at g in {1, 2}, on windows built as
+  ``construct.gmp_to_jacobi_measure`` over n_blocks in {221, 425, 853,
+  1281}, each at g in {1, 2}, on windows built as
   ``tests/conftest.make_perturbed_window`` builds them around the
   closed-form surface block ``p = (sqrt(lambda_k / lambda0)..., 1 /
   lambda0)``, ``q = (0..., -c0)``;
@@ -37,7 +37,9 @@ The record holds:
   counters}`` (``sites`` too for the Jacobi windows, ``band_edge_err``
   for the comb maps; ``n_blocks`` counts the pairs for
   ``lambda_sharp``), the counters (eigensolves,
-  ``delta_of_gmp`` and ``ks.h_term`` calls, Lanczos runs and steps, ``kappa`` calls of
+  ``delta_of_gmp`` and ``ks.h_term`` calls, Lanczos runs and steps, the
+  ``numkit.project_out`` calls with the basis entries they are handed
+  (each read by two products in each of its two passes), ``kappa`` calls of
   ``construct``, ``lambda_k`` calls of ``isospectral`` with the pole
   evaluations they make, calls x g x rows, Gauss-Newton iterations, and
   ``numkit.bisect_root`` calls with their evaluations of the bracketed
@@ -107,7 +109,7 @@ from gmpflow.gmp import GmpBlock, GmpWindow  # noqa: E402
 PERFBENCH_SEED = 5
 PERFBENCH_SECONDS = 15
 SIZES = (41, 121, 241)
-CONVERT_SIZES = (221, 425, 853)
+CONVERT_SIZES = (221, 425, 853, 1281)
 # As in the convert workload: n_blocks / 2 is odd, which keeps the pole at 0
 # off the spectrum of the coefficient window.
 JACOBI_SIZES = (222, 426, 854)
@@ -244,6 +246,7 @@ def kernel_inputs(g: int, n_pairs: int) -> GmpWindow:
 class Counting:
     """Counts eigensolves, ``delta_of_gmp`` and ``h_term`` calls, the
     Lanczos runs of ``gmp_to_jacobi_measure`` with their steps, the
+    ``numkit.project_out`` calls with the basis entries handed to them, the
     ``kappa`` calls of ``construct``, the ``lambda_k`` calls with their
     pole evaluations and the Jacobians (one per Gauss-Newton iteration)
     of ``isospectral``, and the ``numkit.bisect_root`` calls with their
@@ -254,6 +257,8 @@ class Counting:
         self.delta_calls = 0
         self.h_term_calls = 0
         self.lanczos_sizes: list[int] = []
+        self.project_calls = 0
+        self.project_entries = 0
         self.kappa_calls = 0
         self.lambda_k_calls = 0
         self.lambda_k_poles = 0
@@ -263,7 +268,7 @@ class Counting:
 
     def __enter__(self):
         self._eig, self._delta, self._h_term = numkit.sym_eigen, ks.delta_of_gmp, ks.h_term
-        self._bisect = numkit.bisect_root
+        self._bisect, self._project = numkit.bisect_root, numkit.project_out
         self._lanczos, self._kappa = construct.lanczos, construct.kappa
         self._lambda_k, self._jacobian = isospectral.lambda_k, isospectral._fd_jacobian
 
@@ -283,6 +288,12 @@ class Counting:
             win = self._lanczos(*args, **kwargs)
             self.lanczos_sizes.append(win.size)
             return win
+
+        def project(basis, vec, weights=None):
+            blocks = [basis] if isinstance(basis, np.ndarray) else basis
+            self.project_calls += 1
+            self.project_entries += sum(np.size(b) for b in blocks)
+            return self._project(basis, vec, weights)
 
         def kappa(*args, **kwargs):
             self.kappa_calls += 1
@@ -306,7 +317,7 @@ class Counting:
             self.bisect_calls += 1
             return self._bisect(counted, lo, hi)
 
-        numkit.sym_eigen, numkit.bisect_root = eig, bisect
+        numkit.sym_eigen, numkit.bisect_root, numkit.project_out = eig, bisect, project
         # map_chain and functional_report look the names up in ks
         ks.delta_of_gmp, ks.h_term = delta, h_term
         construct.lanczos, construct.kappa = lanczos, kappa
@@ -315,6 +326,7 @@ class Counting:
 
     def __exit__(self, *exc):
         numkit.sym_eigen, numkit.bisect_root = self._eig, self._bisect
+        numkit.project_out = self._project
         ks.delta_of_gmp, ks.h_term = self._delta, self._h_term
         construct.lanczos, construct.kappa = self._lanczos, self._kappa
         isospectral.lambda_k, isospectral._fd_jacobian = self._lambda_k, self._jacobian
@@ -328,6 +340,8 @@ class Counting:
             "lanczos_calls": len(self.lanczos_sizes),
             # one operator product per coefficient b(k)
             "lanczos_steps": sum(self.lanczos_sizes),
+            "project_out_calls": self.project_calls,
+            "project_out_entries": self.project_entries,
             "kappa_calls": self.kappa_calls,
             "lambda_k_calls": self.lambda_k_calls,
             "lambda_k_poles": self.lambda_k_poles,

@@ -33,7 +33,7 @@ from .gmp import (
     transfer_via_resolvent,
 )
 from .isospectral import IsPoint, magic_check
-from .jacobi import DiscreteMeasure, JacobiWindow, _spectrum, kappa, kappa_pairing
+from .jacobi import DiscreteMeasure, JacobiWindow, kappa, kappa_pairing, spectral_extent
 from .ks import (
     delta_J_H,
     density_identity,
@@ -235,7 +235,7 @@ def criterion_kappa() -> tuple[list, str]:
     kap = kappa(win, c)
     h = 1e-5
     phi_prime = (kappa(win, c + h).phi - kappa(win, c - h).phi) / (2.0 * h)
-    dist = float(np.min(np.abs(_spectrum(win) - c)))
+    dist = float(spectral_extent(win, c)[2][0])
     a0 = win.a_at(0)
     lower = min(a0**2, 1.0) / (abs(c) + win.norm_bound()) ** 2
     upper = max(a0**2, 1.0) / dist**2

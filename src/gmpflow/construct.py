@@ -7,9 +7,11 @@ basis obtained by multiplying through with the comb map, and the matrix
 of multiplication by ``x`` in that basis, which is a one-sided GMP
 matrix.  The two-sided route converts between Jacobi windows and GMP
 windows: ``jacobi_to_gmp`` orthogonalizes a flag of resolvent vectors
-pinned at the map poles, ``gmp_to_jacobi_measure`` tridiagonalizes the
-two block-banded half-line truncations by Lanczos on their band storage,
-with no eigensolve.
+pinned at the map poles, after one ``spectral_extent`` call for the
+spectral checks, and ``gmp_to_jacobi_measure`` tridiagonalizes the two
+block-banded half-line truncations by Lanczos on their band storage,
+with no eigensolve; each projection reads only the staircase of rows
+the earlier Lanczos vectors occupy.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .errors import (
 )
 from .finitegap import DeltaData, check_distinct_poles, eval_delta
 from .gmp import GmpWindow, build_block_B, pattern_defect
-from .jacobi import DiscreteMeasure, JacobiWindow, _spectrum, kappa, lanczos
+from .jacobi import DiscreteMeasure, JacobiWindow, kappa, lanczos, spectral_extent
 
 FACTOR_TOL = 1e-10
 ORTHO_TOL = 1e-10
@@ -256,16 +258,17 @@ def multiplication_matrix(rb: RationalBasis) -> np.ndarray:
     return M
 
 
-def kappa_minus(window: JacobiWindow, c: float, spectrum=None):
+def kappa_minus(window: JacobiWindow, c: float, dist=None):
     """Mirror resolvent vector pinned at c, supported on sites <= -1.
 
     Reflects the window through the -1 | 0 split, takes the kappa vector
     there, and maps it back, so the angle is built from the left
     resolvent and all margin and norm validations are inherited; the
-    reflection shares the window's ``spectrum``.
+    reflection shares the window's spectrum, so ``dist``, the distance
+    from c to it, if given.
     """
 
-    return kappa(window.reflected(), c, spectrum).vec[::-1]
+    return kappa(window.reflected(), c, dist).vec[::-1]
 
 
 def _append_orthonormal(rows: np.ndarray, k: int, cand: np.ndarray, w=None) -> bool:
@@ -293,7 +296,10 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
     makes each continuation step produce exactly one new direction.
     The matrix of the operator in the resulting orthonormal system is
     read off as GMP blocks, with signs gauged so every coupling entry
-    is nonnegative.
+    is nonnegative.  The spectral checks (the diameter overflow, each
+    pole's distance from the spectrum, and every kappa vector's margin)
+    share one ``spectral_extent`` call, which computes only the two ends
+    of the spectrum and the eigenvalues around each pole.
     """
 
     if int(n_blocks) != n_blocks or n_blocks < 3:
@@ -311,14 +317,13 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
             f"of size {per} plus boundary"
         )
 
-    eigs = _spectrum(window)
-    diam = float(eigs[-1]) - float(eigs[0])  # Python floats overflow to inf quietly
+    lowest, highest, gaps = spectral_extent(window, cs)
+    diam = highest - lowest  # Python floats overflow to inf quietly
     if not np.isfinite(diam):
         raise ValidationError(
             "coefficients too large: the spectral diameter of the window overflows"
         )
-    for c in cs:
-        gap = float(np.min(np.abs(eigs - c)))
+    for c, gap in zip(cs, gaps):
         if gap <= SPECTRAL_MARGIN_REL * diam:
             raise SpectrumProximityError(
                 f"pole {c} lies within {gap:.3e} of the window spectrum"
@@ -347,9 +352,9 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
 
     # the mirror flag nests from the far end: orthogonalize last pole first
     for m in range(g - 1, -1, -1):
-        append((-1, m), kappa_minus(window, cs[m], eigs))
+        append((-1, m), kappa_minus(window, cs[m], gaps[m]))
     for m, c in enumerate(cs):
-        append((0, m), kappa(window, c, eigs).vec)
+        append((0, m), kappa(window, c, gaps[m]).vec)
     append((0, g), np.eye(1, n_sites, window.pos(0))[0])
     for j in range(1, k_hi + 1):
         for m in range(per):
@@ -421,10 +426,12 @@ def gmp_to_jacobi_measure(w: GmpWindow) -> JacobiWindow:
     site left of the split, which lies on block 0, and the blocks <= -1,
     index order reversed, from that site.  Block j couples to block j + 1
     only through its slot g, so Lanczos vector k of a half lies on its
-    first k + 1 blocks: b(k) reads only those blocks, a(k + 1) one more.
-    The depth rule, blocks of the half - 1, keeps exactly the b(k) and a(k)
-    that do not depend on where the window is cut; a half whose Krylov
-    space is exhausted earlier stops there.  The crossing bond a(0) is the
+    first k + 1 blocks: b(k) reads only those blocks, a(k + 1) one more,
+    and ``lanczos`` projects against earlier vectors over that staircase
+    only, in blocks of ``LANCZOS_BLOCK`` vectors.  The depth rule, blocks
+    of the half - 1, keeps exactly the b(k) and a(k) that do not depend on
+    where the window is cut; a half whose Krylov space is exhausted
+    earlier stops there.  The crossing bond a(0) is the
     norm of the first coupling vector.
     """
 

@@ -14,9 +14,11 @@ angle function phi(c) = arctan r_+(c) and its kappa vector
     kappa_c = (J - c)^{-1} (a(0) sin(phi) e_{-1} + cos(phi) e_0),
 
 which is supported on the right half and has squared norm phi'(c).
-Resolvents, at real z only, are O(n) tridiagonal solves and spectra come
-from the tridiagonal eigenvalue routine; the dense matrix is formed only
-for the spectral measure and the pairing identity.
+Resolvents, at real z only, are O(n) tridiagonal solves; the spectrum
+enters only through its two ends and its distance from given points,
+from Sturm counts and bisection for the few eigenvalues those need.  The
+dense matrix is formed only for the spectral measure and the pairing
+identity.
 """
 
 from __future__ import annotations
@@ -41,6 +43,12 @@ SPECTRUM_MIN_DIST = 1e-6
 KAPPA_NORM_TOL = 1e-6
 CORNER_IDENTITY_TOL = 1e-8
 FD_STEP_REL = 1e-5
+# Vectors per trimmed basis block in ``lanczos``.  Smaller blocks skip more
+# of the basis's known zeros but cost more BLAS calls a step.  On 853-block
+# windows (one BLAS thread) 128 took 27% (g = 1) and 34% (g = 2) off the
+# untrimmed Lanczos, 256 only 21% and 25%, and 64 or 96 no more than 128;
+# halves of at most 128 blocks stay one block, bit for bit untrimmed.
+LANCZOS_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -221,15 +229,20 @@ def lanczos(matvec, start, depth: int, scale: float, grow: int) -> JacobiWindow:
 
     Vector k must lie on the leading (k + 1) * grow rows, as for a banded
     operator of halfwidth <= grow started on its first grow rows; step k
-    applies ``matvec`` to the leading (k + 2) * grow rows only.  The run
-    stops at k < depth if the next norm is <= 1e-13 * max(1, scale), where
-    the Krylov space is exhausted.  a(0) is the placeholder 1.0.
+    applies ``matvec`` to the leading (k + 2) * grow rows only.  The
+    projection reads that staircase too: each full block of
+    ``LANCZOS_BLOCK`` vectors that ends short of the last row is handed
+    to ``project_out`` over the rows it occupies, so the known zeros of
+    the basis are never read.  The run stops at k < depth if the next
+    norm is <= 1e-13 * max(1, scale), where the Krylov space is
+    exhausted.  a(0) is the placeholder 1.0.
     """
     n = start.size
     tiny = 1e-13 * max(1.0, scale)
     basis = np.zeros((depth + 1, n))
     basis[0] = start
     bs, a_out = np.empty(depth + 1), np.ones(depth + 1)
+    done, first = [], 0  # trimmed full blocks; first vector of the last block
     for step in range(depth + 1):
         rows = min(n, (step + 2) * grow)
         vec = basis[step, :rows]
@@ -237,12 +250,16 @@ def lanczos(matvec, start, depth: int, scale: float, grow: int) -> JacobiWindow:
         bs[step] = vec @ image
         if step == depth:
             break
-        w = numkit.project_out(basis[: step + 1, :rows], image)
-        norm = float(np.linalg.norm(w))
+        w = numkit.project_out(done + [basis[first : step + 1, :rows]], image)
+        norm = math.sqrt(w @ w)
         if norm <= tiny:
             return JacobiWindow(a_out[: step + 1], bs[: step + 1], 0)
         a_out[step + 1] = norm
         basis[step + 1, :rows] = w / norm
+        end = first + LANCZOS_BLOCK  # vector end - 1 lies on end * grow rows
+        if step + 2 == end and end * grow < n:
+            done.append(basis[first:end, : end * grow])
+            first = end
     return JacobiWindow(a_out, bs, 0)
 
 
@@ -269,11 +286,47 @@ def lanczos_from_measure(measure: DiscreteMeasure, depth: int) -> JacobiWindow:
     return win
 
 
-def _spectrum(window: JacobiWindow) -> np.ndarray:
-    """Eigenvalues (ascending) of the window's tridiagonal matrix."""
+def _sturm_count(diag: list, off_sq: list, x: float, pivmin: float) -> int:
+    """Eigenvalues at or below x of the tridiagonal matrix with diagonal
+    ``diag`` and squared couplings ``off_sq`` (row i to row i - 1; the
+    first is 0): the pivots of the LDL^T factorization of T - x that are
+    <= 0, each held at least ``pivmin`` from zero as LAPACK's ``dlaebz``
+    holds them."""
+    count, d = 0, 1.0
+    for b, e_sq in zip(diag, off_sq):
+        d = (b - x) - e_sq / d
+        if abs(d) < pivmin:
+            d = -pivmin
+        count += d <= 0.0
+    return count
+
+
+def spectral_extent(window: JacobiWindow, points) -> tuple[float, float, np.ndarray]:
+    """Least and greatest eigenvalue of the window's tridiagonal matrix,
+    and the distance from each of ``points`` to its spectrum.
+
+    Only the eigenvalues these need are computed: a Sturm count at each
+    point names the two eigenvalues around it, and LAPACK bisection
+    (``stebz``) finds those and the two ends.  The matrix is first scaled
+    by a power of two near its norm bound, so that no pivot or bisection
+    step overflows; scaling back is exact.
+    """
     from scipy.linalg import eigvalsh_tridiagonal
 
-    return eigvalsh_tridiagonal(window.b, window.a[1:])
+    scale = math.ldexp(1.0, math.frexp(window.norm_bound())[1] - 1)
+    diag, off = window.b / scale, window.a[1:] / scale
+    off_sq = [0.0] + (off * off).tolist()
+    pivmin = np.finfo(float).tiny * max(1.0, max(off_sq))
+    shifts = [float(c) / scale for c in np.atleast_1d(points)]
+    last, rows = diag.size - 1, diag.tolist()
+    counts = [_sturm_count(rows, off_sq, x, pivmin) for x in shifts]
+    near = [(max(k - 1, 0), min(k, last)) for k in counts]
+    eig = {}
+    for lo, hi in {(0, 0), (last, last), *near}:
+        vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(lo, hi))
+        eig.update(zip(range(lo, hi + 1), vals.tolist()))
+    dist = [min(abs(eig[i] - x) for i in pair) * scale for pair, x in zip(near, shifts)]
+    return eig[0] * scale, eig[last] * scale, np.array(dist)
 
 
 def decay_margin(window: JacobiWindow, dist: float) -> int:
@@ -292,14 +345,14 @@ def angle_plus(window: JacobiWindow, c: float) -> float:
     return math.atan(r_plus)
 
 
-def kappa(window: JacobiWindow, c: float, spectrum=None) -> KappaVector:
+def kappa(window: JacobiWindow, c: float, dist=None) -> KappaVector:
     """Kappa vector at c; requires decay margin on both sides of 0.
-    The checks use ``spectrum``, the window's eigenvalues, if given."""
+    The checks use ``dist``, the distance from c to the window's
+    spectrum, if given."""
     if window.n_min > -1 or window.n_max < 0:
         raise WindowError("kappa needs a two-sided window around -1 | 0")
-    if spectrum is None:
-        spectrum = _spectrum(window)
-    dist = float(np.min(np.abs(spectrum - c)))
+    if dist is None:
+        dist = float(spectral_extent(window, c)[2][0])
     if dist < SPECTRUM_MIN_DIST:
         raise SpectrumProximityError(
             f"c = {c} is within {dist:.2e} of the window spectrum"
@@ -355,9 +408,8 @@ def two_by_two_resolvent(window: JacobiWindow, z: float) -> np.ndarray:
     """
     if window.n_min > -1 or window.n_max < 0:
         raise WindowError("corner resolvent needs sites -1 and 0")
-    spectrum = _spectrum(window)
     scale = max(1.0, window.norm_bound())
-    if float(np.min(np.abs(spectrum - z))) < 1e-8 * scale:
+    if spectral_extent(window, z)[2][0] < 1e-8 * scale:
         raise SpectrumProximityError(
             f"z = {z} is too close to the window spectrum"
         )

@@ -125,14 +125,28 @@ def solve_tridiagonal(diag, off, rhs, z: float) -> np.ndarray:
     return _checked_solve(np.abs(lu[1]), scale, matvec, back, rhs)
 
 
-def project_out(basis: np.ndarray, vec: np.ndarray, weights=None) -> np.ndarray:
+def project_out(basis, vec: np.ndarray, weights=None) -> np.ndarray:
     """``vec`` minus its components along the rows of ``basis``, which are
     orthonormal under ``sum(weights * x * y)`` (or the dot product).
-    Classical Gram-Schmidt applied twice (CGS2), one BLAS product a pass.
+    Classical Gram-Schmidt applied twice (CGS2).
+
+    ``basis`` is one array or a sequence of row blocks.  A block of r
+    columns holds rows that vanish beyond their first r entries, and is
+    read over those only; the last block spans all of ``vec``.  In each
+    pass every block's coefficients come from the pass's input vector:
+    the last block is subtracted as ``vec - (b @ vec) @ b``, each earlier
+    one in place on its leading entries.  A single array is the one-block
+    case, one BLAS product pair a pass.
     """
-    wbasis = basis if weights is None else basis * weights
+    blocks = [basis] if isinstance(basis, np.ndarray) else basis
+    pairs = [(b, b if weights is None else b * weights[: b.shape[1]]) for b in blocks]
+    *older, (last, wlast) = pairs
     for _ in range(2):
-        vec = vec - (wbasis @ vec) @ basis
+        out = vec - (wlast @ vec) @ last
+        for b, wb in older:
+            r = b.shape[1]
+            out[:r] -= (wb @ vec[:r]) @ b
+        vec = out
     return vec
 
 

@@ -2,9 +2,8 @@ import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
-import scipy.linalg
 
-from gmpflow import construct
+from gmpflow import construct, jacobi
 from gmpflow.construct import (
     RationalBasis,
     factor_L,
@@ -28,6 +27,7 @@ from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
 from gmpflow.flow import flow_run
 from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense
 from gmpflow.jacobi import (
+    LANCZOS_BLOCK,
     DiscreteMeasure,
     JacobiWindow,
     kappa,
@@ -482,22 +482,23 @@ class TestJacobiToGmp:
 
     @pytest.mark.parametrize("g", [1, 2])
     def test_one_spectrum_per_call(self, g, monkeypatch):
-        # the kappa vectors and their mirrors check against the spectrum
-        # jacobi_to_gmp computed, which the reflected window shares
+        # the kappa vectors and their mirrors check against the distances
+        # jacobi_to_gmp selected, which the reflected window shares
         calls = []
-        spectrum = scipy.linalg.eigvalsh_tridiagonal
+        extent = jacobi.spectral_extent
 
-        def counting(diag, off):
-            calls.append(diag.size)
-            return spectrum(diag, off)
+        def counting(window, points):
+            calls.append(np.size(points))
+            return extent(window, points)
 
-        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", counting)
+        monkeypatch.setattr(jacobi, "spectral_extent", counting)
+        monkeypatch.setattr(construct, "spectral_extent", counting)
         if g == 1:
             w = jacobi_to_gmp(period2_window(), make_estar_delta(), n_blocks=5)
         else:
             w = jacobi_to_gmp(periodic_g2_window(), make_widegap_delta(), n_blocks=9)
         assert w.g == g
-        assert len(calls) == 1
+        assert calls == [g]
 
     def test_too_few_blocks_raises(self):
         with pytest.raises(ValidationError):
@@ -583,6 +584,21 @@ class TestGmpToJacobiMeasure:
             ref = lanczos_from_measure(measure, depth)
             b, a = half_coefficients(J, side)
             assert b.size == ref.size == 111
+            assert np.max(np.abs(b - ref.b)) <= 1e-12
+            assert np.max(np.abs(a - ref.a[1:])) <= 1e-12
+
+    @pytest.mark.parametrize("g, n_blocks", [(1, 600), (2, 400)])
+    def test_matches_dense_route_beyond_one_basis_block(self, g, n_blocks):
+        # halves deeper than LANCZOS_BLOCK: the projections read trimmed blocks
+        w = surface_window(g, n_blocks // 2)
+        w = GmpWindow(w.P[:-1], w.Q[:-1], w.c, w.j_min)
+        half = n_blocks // 2
+        assert half > LANCZOS_BLOCK
+        J = gmp_to_jacobi_measure(w)
+        for side, (measure, depth) in zip((1, -1), half_line_measures(w)):
+            ref = lanczos_from_measure(measure, depth)
+            b, a = half_coefficients(J, side)
+            assert b.size == ref.size == half
             assert np.max(np.abs(b - ref.b)) <= 1e-12
             assert np.max(np.abs(a - ref.a[1:])) <= 1e-12
 

@@ -1,4 +1,6 @@
 import math
+import warnings
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import half_line_measures, make_p1_block, make_perturbed_window
+from gmpflow import construct, numkit
 from gmpflow.errors import (
     NumericalError,
     SingularMatrixError,
@@ -15,14 +18,17 @@ from gmpflow.errors import (
 )
 from gmpflow.gmp import GmpWindow
 from gmpflow.jacobi import (
+    LANCZOS_BLOCK,
     DiscreteMeasure,
     JacobiWindow,
     decay_margin,
     dist_eta,
     kappa,
     kappa_pairing,
+    lanczos,
     lanczos_from_measure,
     resolvent_r,
+    spectral_extent,
     spectral_measure_plus,
     two_by_two_resolvent,
 )
@@ -294,6 +300,77 @@ class TestLanczosFromMeasure:
         m = DiscreteMeasure(np.array([0.0, 1e-15]), np.array([0.5, 0.5]))
         with pytest.raises(NumericalError, match="recurrence broke down at step 1"):
             lanczos_from_measure(m, 1)
+
+
+class TestLanczos:
+    def test_banded_basis_vanishes_beyond_its_staircase(self, monkeypatch):
+        # the plus half of a 601-block window, halfwidth 2 and 301 steps:
+        # the trimmed run reads two full blocks over their staircase only
+        w = make_perturbed_window(make_p1_block(), [0.0], half=300)
+        bands = construct._half_bands(w, 300, w.n_blocks, False)
+        grow, n = 2, bands.shape[1]
+        depth = n // grow - 1
+        assert depth > 2 * LANCZOS_BLOCK
+        dense = np.diag(bands[0])
+        for d in range(1, grow + 1):
+            dense += np.diag(bands[d][: n - d], d) + np.diag(bands[d][: n - d], -d)
+        start = np.eye(1, n)[0]
+        seen = []
+
+        def full(v):
+            seen.append(v.copy())
+            return dense @ v
+
+        # grow = n: every step reads every row, nothing is trimmed
+        ref = lanczos(full, start, depth, 1.0, n)
+        assert ref.size == depth + 1
+        for k, vec in enumerate(seen):
+            assert not np.any(vec[(k + 1) * grow :])
+        shapes = []
+        project = numkit.project_out
+
+        def spy(basis, vec):
+            shapes.append([np.shape(blk) for blk in basis])
+            return project(basis, vec)
+
+        monkeypatch.setattr(numkit, "project_out", spy)
+        got = lanczos(partial(numkit.banded_matvec, bands), start, depth, 1.0, grow)
+        # the last step reads vectors 0..299: two trimmed blocks, then the rest
+        assert shapes[-1] == [(128, 256), (128, 512), (depth - 256, n)]
+        assert np.max(np.abs(got.b - ref.b)) <= 1e-13
+        assert np.max(np.abs(got.a - ref.a)) <= 1e-13
+
+
+class TestSpectralExtent:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_whole_spectrum(self, seed):
+        from scipy.linalg import eigvalsh_tridiagonal
+
+        rng = np.random.default_rng(seed)
+        J = random_window(rng, -150, 149)
+        eigs = eigvalsh_tridiagonal(J.b, J.a[1:])
+        # inside, on an eigenvalue, between two, and outside on both sides
+        points = [0.0, eigs[17], 0.5 * (eigs[40] + eigs[41]), eigs[0] - 1.0, eigs[-1] + 2.5]
+        lo, hi, dist = spectral_extent(J, points)
+        assert abs(lo - eigs[0]) <= 1e-14 and abs(hi - eigs[-1]) <= 1e-14
+        ref = np.min(np.abs(eigs[None, :] - np.array(points)[:, None]), axis=1)
+        assert np.max(np.abs(dist - ref)) <= 1e-14
+
+    def test_single_site(self):
+        lo, hi, dist = spectral_extent(JacobiWindow([1.0], [0.25]), [1.0, -1.0])
+        assert lo == hi == 0.25
+        assert np.array_equal(dist, [0.75, 1.25])
+
+    def test_huge_entries_raise_no_warning(self):
+        # the norm bound is finite, the spectral diameter is not
+        b = np.zeros(40)
+        b[0], b[-1] = -1e308, 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi, dist = spectral_extent(JacobiWindow(np.ones(40), b), [0.0, 1e308])
+        assert lo == pytest.approx(-1e308) and hi == pytest.approx(1e308)
+        assert hi - lo == math.inf
+        assert dist[1] <= 1e-8 * 1e308
 
 
 class TestKappa:
