@@ -11,7 +11,9 @@ All commands are deterministic given their inputs and options; numbers
 are written with 17 significant digits, and with BLAS on one thread
 identical reruns produce byte-identical output.  ``GMPFLOW_LOG`` sets
 the stderr log level (``debug``, ``info``, ``warning``, ``quiet``).
-Exit codes: 0 success, 1 input validation failure, 2 numerical failure.
+Exit codes: 0 success, 1 input validation failure, 2 numerical failure;
+a floating-point overflow, invalid operation or division by zero that
+no check anticipates is a numerical failure too.
 """
 
 from __future__ import annotations
@@ -374,8 +376,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
-    except NumericalError as exc:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
+    except (NumericalError, FloatingPointError) as exc:
         sys.stderr.write(f"numerical error: {exc}\n")
         return 2
     except ValidationError as exc:

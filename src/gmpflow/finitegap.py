@@ -24,7 +24,6 @@ from . import numkit
 from .errors import (
     DegenerateGapError,
     PoleEvaluationError,
-    SpectrumProximityError,
     ValidationError,
 )
 
@@ -32,8 +31,6 @@ GAP_REL_TOL = 1e-12
 # Relative distance within which two poles, or a point and a pole, coincide.
 POLE_REL_TOL = 1e-12
 ZERO_RESIDUAL_REL_TOL = 1e-11
-# Relative eigenvalue gap below which a pole counts as part of a spectrum.
-SHIFT_PROXIMITY_REL = 1e-10
 
 
 def check_distinct_poles(c) -> None:
@@ -253,29 +250,3 @@ def eval_delta(delta: DeltaData, z):
         tail = np.zeros_like(z_arr, dtype=float)
     result = delta.lambda0 * z_arr + delta.c0 + tail
     return result if result.ndim else result[()]
-
-
-def apply_comb_map(
-    mat: np.ndarray, delta: DeltaData
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The comb map applied to a symmetric matrix, and its eigenpairs.
-
-    One eigendecomposition ``mat = V diag(x) V^T`` gives
-    ``lambda0 * mat + c0 + V diag(sum_k lambda_k / (c_k - x)) V^T``.
-    Raises SpectrumProximityError when a pole lies within 1e-10 (relative
-    to the spectral radius, at least 1) of an eigenvalue.  Returns the
-    symmetrised image, the eigenvalues and the eigenvector columns.
-    """
-    vals, vecs = numkit.sym_eigen(mat)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    weights = np.zeros(vals.size)
-    for ck, lk in delta.poles:
-        gap = float(np.min(np.abs(ck - vals)))
-        if gap <= SHIFT_PROXIMITY_REL * scale:
-            raise SpectrumProximityError(
-                f"shift {ck} lies within {gap:.3e} of the spectrum"
-            )
-        weights += lk / (ck - vals)
-    mapped = delta.lambda0 * mat + delta.c0 * np.eye(vals.size)
-    mapped += (vecs * weights) @ vecs.T
-    return 0.5 * (mapped + mapped.T), vals, vecs

@@ -233,34 +233,26 @@ def assemble_dense(window: GmpWindow) -> np.ndarray:
     return mat
 
 
-def assemble_wrapped(window: GmpWindow) -> np.ndarray:
-    """Dense window operator with the two ends coupled to each other.
+def pattern_defect(rows: np.ndarray, coupling: np.ndarray, first: int = 0) -> float:
+    """Largest entry of whole block rows outside their block pattern.
 
-    The extra coupling uses the first block's interaction vector, the
-    same convention as between consecutive blocks.  Plain truncation can
-    be singular at a pole of the comb map; the wrapped operator of a
-    near-periodic window keeps its spectrum inside the bands.
+    ``rows`` holds block rows ``first``, ``first + 1``, ... of a symmetric
+    block matrix over all of its columns, with diagonal blocks of size
+    ``coupling.shape[0]``.  Diagonal blocks are free; the block right of
+    each diagonal block may hold only the entries marked in the boolean
+    mask ``coupling``, and the block left of it only those of its
+    transpose; every block farther out must vanish.
     """
-    if window.n_blocks < 3:
-        raise ValidationError("periodic wrap needs at least three blocks")
-    mat = assemble_dense(window)
-    per = window.g + 1
-    mat[-1, :per] = mat[:per, -1] = window.P[0]
-    return mat
-
-
-def pattern_defect(mat: np.ndarray, coupling: np.ndarray) -> float:
-    """Largest entry of a symmetric block matrix outside its block pattern.
-
-    Diagonal blocks of size ``coupling.shape[0]`` are free; the block
-    right of each diagonal block may hold only the entries marked in the
-    boolean mask ``coupling``; every block farther out must vanish.  Only
-    the upper triangle is read.
-    """
-    blk, slot = np.divmod(np.arange(mat.shape[0]), coupling.shape[0])
-    step = blk[None, :] - blk[:, None]
-    allowed = (step <= 0) | ((step == 1) & coupling[slot[:, None], slot[None, :]])
-    return float(np.max(np.abs(mat), where=~allowed, initial=0.0))
+    per = coupling.shape[0]
+    k, nb = rows.shape[0] // per, rows.shape[1] // per
+    # block column minus block row, entry by entry
+    step = (np.arange(nb) - np.arange(first, first + k)[:, None]).repeat(per, 0).repeat(per, 1)
+    allowed = (
+        (step == 0)
+        | ((step == 1) & np.tile(coupling, (k, nb)))
+        | ((step == -1) & np.tile(coupling.T, (k, nb)))
+    )
+    return float(np.max(np.abs(rows), where=~allowed, initial=0.0))
 
 
 def bp_factor(z: float, c: float, pm: np.ndarray) -> np.ndarray:

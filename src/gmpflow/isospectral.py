@@ -3,10 +3,11 @@
 A single block repeated periodically determines a band operator; the
 block lies on the surface when the trace of its transfer matrix equals
 the comb map of the target gap set.  That reduces to g+2 scalar
-residual equations.  This module evaluates the residuals, projects
-nearby blocks onto the surface by Gauss-Newton iteration, and verifies
-the operator identity that characterises surface points: the comb map
-applied to the periodic operator is the sum of the two block shifts.
+residual equations.  This module evaluates the residuals and projects
+nearby blocks onto the surface by Gauss-Newton iteration.  The operator
+identity that characterises surface points, that the comb map applied
+to the periodic operator is the sum of the two block shifts, is checked
+through ``ks.delta_of_gmp`` (acceptance criterion 3).
 """
 
 from __future__ import annotations
@@ -16,16 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .finitegap import DeltaData, apply_comb_map
-from .gmp import GmpBlock, GmpWindow, assemble_wrapped, lambda_k
+from .finitegap import DeltaData
+from .gmp import GmpBlock, lambda_k
 
 SURFACE_TOL = 1e-9
 SOLVE_TARGET = 1e-12
 MAX_ITERATIONS = 100
 FD_STEP_REL = 1e-6
-# magic_check: blocks of the wrapped window, and blocks left out at each end.
-MAGIC_WINDOW_BLOCKS = 40
-MAGIC_MARGIN = 10
 
 
 def is_residual(blk: GmpBlock, d: DeltaData) -> np.ndarray:
@@ -157,37 +155,3 @@ def solve_is_point(d: DeltaData, seed: GmpBlock) -> IsPoint:
     x = _gauss_newton(fun, x0)
     block = GmpBlock(np.concatenate([x[:g], [p_fixed]]), x[g:])
     return IsPoint(block, d)
-
-
-def magic_check(pt, *, delta=None) -> dict:
-    """Verify the two-shift identity for a periodically repeated block.
-
-    Applies the comb map to the wrapped dense operator of
-    ``MAGIC_WINDOW_BLOCKS`` copies of the block (slope and offset terms
-    plus one resolvent per pole) and reports the largest deviation of the
-    rows outside ``MAGIC_MARGIN`` blocks at each end from the pattern with
-    ones at offsets +-(g+1) and zeros elsewhere.  Accepts an IsPoint, or a
-    raw GmpBlock together with ``delta=`` for off-surface experiments.
-    """
-    if isinstance(pt, IsPoint):
-        blk, d = pt.block, pt.delta
-    else:
-        blk, d = pt, delta
-        if d is None:
-            raise ValidationError("raw blocks need delta= context")
-    g = blk.g
-    rows = (MAGIC_WINDOW_BLOCKS, 1)
-    amat = assemble_wrapped(GmpWindow(np.tile(blk.p, rows), np.tile(blk.q, rows), d.cs()))
-    result = apply_comb_map(amat, d)[0]
-    n = amat.shape[0]
-    period = g + 1
-    lo = MAGIC_MARGIN * period
-    hi = n - MAGIC_MARGIN * period
-    two_shift = np.eye(n, k=period) + np.eye(n, k=-period)
-    deviation = float(np.max(np.abs(result - two_shift)[lo:hi]))
-    return {
-        "deviation": deviation,
-        "n_blocks": MAGIC_WINDOW_BLOCKS,
-        "margin": MAGIC_MARGIN,
-        "rows_checked": hi - lo,
-    }

@@ -2,15 +2,18 @@
 
 Applying the comb map to a window operator produces a block tridiagonal
 matrix: symmetric blocks on the diagonal, lower triangular blocks one
-step below it.  A periodic window solving the magic identity maps
-exactly to the two-shift pattern (identity off-diagonal blocks, zero
-diagonal blocks), and the entropy term of a block triple measures the
-deviation from that pattern.  This module extracts the blocks, sums the
-per-block entropy terms, evaluates the exact one-step drop of the
-functional under the flow, checks the telescoping identity relating a
-flow run to a single shift, accumulates coefficient diagnostics along
-trajectories, and verifies the closed-form determinant identities for
-the density of the mapped spectral measure.
+step right of it and their transposes one step left.  A periodic window
+solving the magic identity maps exactly to the two-shift pattern
+(identity off-diagonal blocks, zero diagonal blocks), and the entropy
+term of a block triple measures the deviation from that pattern.
+``delta_of_gmp`` is the one route that applies the map to a window: it
+checks every column of the trusted block rows against the band and
+extracts the blocks.  This module sums the per-block entropy terms,
+evaluates the exact one-step drop of the functional under the flow,
+checks the telescoping identity relating a flow run to a single shift,
+accumulates coefficient diagnostics along trajectories, and verifies
+the closed-form determinant identities for the density of the mapped
+spectral measure.
 """
 
 from __future__ import annotations
@@ -21,12 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import NumericalError, ValidationError, WindowError
-from .finitegap import DeltaData, apply_comb_map, check_distinct_poles
+from .errors import NumericalError, SpectrumProximityError, ValidationError, WindowError
+from .finitegap import DeltaData, check_distinct_poles
 from .flow import jacobi_flow_step
-from .gmp import GmpBlock, GmpWindow, assemble_wrapped, resolvent_column
+from .gmp import GmpBlock, GmpWindow, assemble_dense, pattern_defect, resolvent_column
 from .isospectral import is_residual
 
+# Relative eigenvalue gap below which a pole counts as part of a spectrum.
+SPECTRUM_GAP_REL = 1e-10
 # Entries of the mapped operator outside the band, relative to its scale.
 BAND_DEFECT_REL = 1e-8
 # Absolute tolerance for the closed-form resolvent column cross-check.
@@ -104,12 +109,18 @@ class DeltaBlocks:
 def delta_of_gmp(window: GmpWindow, d: DeltaData, margin: int) -> DeltaBlocks:
     """Blocks of the comb map applied to the wrapped window operator.
 
-    The map is evaluated through one symmetric eigendecomposition; each
-    pole contributes its weight times the resolvent at that shift.  Rows
-    within ``margin`` blocks of either end are discarded: away from the
-    wrap seam the resolvent columns at the poles have exact three-block
-    support, so the trusted interior reproduces the doubly infinite
-    operator.  From the same eigendecomposition, the resolvent column at
+    The window's dense matrix is wrapped by coupling its last block row
+    to the first block's interaction vector, the same convention as
+    between consecutive blocks, and the map is evaluated through one
+    symmetric eigendecomposition: each pole contributes its weight times
+    the resolvent at that shift.  A pole within 1e-10 of the spectrum
+    (relative to the spectral radius, at least 1) raises
+    SpectrumProximityError.  Rows within ``margin`` blocks of either end
+    are discarded: away from the wrap seam the resolvent columns at the
+    poles have exact three-block support, so the trusted interior
+    reproduces the doubly infinite operator.  Every column of the trusted
+    rows is checked against that band, lower triangular couplings
+    included.  From the same eigendecomposition, the resolvent column at
     the first pole and slot 0 of block 0 is cross-checked against its
     closed form whenever the trusted rows reach blocks -1..1, and that
     of block 1 whenever they reach blocks 0..2.
@@ -129,22 +140,37 @@ def delta_of_gmp(window: GmpWindow, d: DeltaData, margin: int) -> DeltaBlocks:
         )
     d = d.aligned_to(window.c)
 
-    mapped, vals, vecs = apply_comb_map(assemble_wrapped(window), d)
-
     n, per = window.n_blocks, window.g + 1
+    mat = assemble_dense(window)
+    mat[-1, :per] = mat[:per, -1] = window.P[0]  # the wrap seam
+    vals, vecs = numkit.sym_eigen(mat)
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    weights = np.zeros(vals.size)
+    for ck, lk in d.poles:
+        gap = float(np.min(np.abs(ck - vals)))
+        if gap <= SPECTRUM_GAP_REL * scale:
+            raise SpectrumProximityError(
+                f"shift {ck} lies within {gap:.3e} of the spectrum"
+            )
+        weights += lk / (ck - vals)
+    mapped = d.lambda0 * mat + d.c0 * np.eye(vals.size)
+    mapped += (vecs * weights) @ vecs.T
+    mapped = 0.5 * (mapped + mapped.T)
+
     m_scale = max(1.0, float(np.max(np.abs(mapped))))
-    # block (j + r, j) for r = -2, -1, 0 and every j in j_lo..j_hi + 1
-    cols = np.arange(j_lo, j_hi + 2) - window.j_min
-    rows = cols + np.arange(-2, 1)[:, None]
-    gathered = mapped.reshape(n, per, n, per)[rows, :, cols, :]
-    far, raw_v, raw_w = gathered[0, :-1], gathered[1], gathered[2, :-1]
-    defect = max(float(np.max(np.abs(np.triu(raw_v, 1)))), float(np.max(np.abs(far))))
+    trusted = slice((j_lo - window.j_min) * per, (j_hi + 1 - window.j_min) * per)
+    # the coupling right of each diagonal block is lower triangular
+    defect = pattern_defect(mapped[trusted], np.tri(per, dtype=bool), j_lo - window.j_min)
     if defect > BAND_DEFECT_REL * m_scale:
         raise NumericalError(
             f"mapped operator lost its band structure: defect {defect:.3e}"
         )
+    # block (j - 1, j) and block (j, j) for every j in j_lo..j_hi + 1
+    cols = np.arange(j_lo, j_hi + 2) - window.j_min
+    rows = cols + np.arange(-1, 1)[:, None]
+    raw_v, raw_w = mapped.reshape(n, per, n, per)[rows, :, cols, :]
+    raw_w = raw_w[:-1]
 
-    trusted = slice((j_lo - window.j_min) * per, (j_hi + 1 - window.j_min) * per)
     for j in (0, 1):
         if not (window.g and j_lo <= j - 1 and j_hi >= j + 1):
             continue

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gmpflow import numkit
-from gmpflow.finitegap import GapSet
+from gmpflow.finitegap import DeltaData, GapSet
 from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense
 from gmpflow.jacobi import DiscreteMeasure
 
@@ -26,6 +26,49 @@ def stack_window(blocks, c, j_min: int = 0) -> GmpWindow:
     """Window over a sequence of blocks, their p and q stacked as rows."""
     blocks = tuple(blocks)
     return GmpWindow([b.p for b in blocks], [b.q for b in blocks], c, j_min)
+
+
+def wrapped_dense(w: GmpWindow) -> np.ndarray:
+    """Dense window matrix with its last slot coupled to the first block
+    through that block's interaction vector: the operator whose comb map
+    ``ks.delta_of_gmp`` takes."""
+    mat = assemble_dense(w)
+    mat[-1, : w.g + 1] = mat[: w.g + 1, -1] = w.P[0]
+    return mat
+
+
+def solved_comb_map(mat: np.ndarray, d: DeltaData) -> np.ndarray:
+    """The comb map of a matrix from one dense solve per pole."""
+    n = mat.shape[0]
+    mapped = d.lambda0 * mat + d.c0 * np.eye(n)
+    for ck, lk in d.poles:
+        mapped += lk * np.linalg.solve(ck * np.eye(n) - mat, np.eye(n))
+    return mapped
+
+
+def reference_blocks(mapped: np.ndarray, w: GmpWindow, margin: int):
+    """Coupling and diagonal blocks of the mapped window over its trusted
+    range, sliced one block at a time and sign-normalised block by block."""
+    per = w.g + 1
+    j_lo, j_hi = w.j_min + margin, w.j_max - margin
+
+    def block(row, col):
+        r, c = (row - w.j_min) * per, (col - w.j_min) * per
+        return mapped[r : r + per, c : c + per]
+
+    eps_prev = np.ones(per)
+    eps_chain, v_blocks = [], []
+    for j in range(j_lo, j_hi + 2):
+        raw = block(j - 1, j)
+        eps_here = eps_prev * np.sign(np.diag(raw))
+        v_blocks.append(np.outer(eps_prev, eps_here) * raw)
+        eps_chain.append(eps_here)
+        eps_prev = eps_here
+    w_blocks = [
+        np.outer(eps_chain[i], eps_chain[i]) * block(j, j)
+        for i, j in enumerate(range(j_lo, j_hi + 1))
+    ]
+    return v_blocks, w_blocks
 
 
 def make_p1_window(n_blocks: int = 5, j_min: int = -2) -> GmpWindow:

@@ -6,9 +6,10 @@ directory).  Every input file of every call is varied one JSON leaf at a
 time: the leaf is replaced by each of ``VALUES``.  Lists longer than
 ``LONG_LIST`` are varied only at their first and middle entries.  For
 every case ``cli.main`` must return 0, 1 or 2 and raise nothing, a
-failing exit must write exactly one line to stderr, and a successful
-exit must write no nan or inf.  Numpy warnings are counted, not
-asserted.
+failing exit must write exactly one line to stderr, a successful exit
+must write no nan or inf, and no case may raise a warning: ``cli.main``
+turns a floating-point overflow, invalid operation or division by zero
+into exit 2.
 
 ``run_grid`` is also what ``bench/write.py`` runs to record the counts.
 """
@@ -153,6 +154,11 @@ def grid(tmp_path_factory) -> list[dict]:
 def test_every_case_keeps_the_typed_failure_contract(grid):
     broken = [c for c in grid if c["breaches"]]
     assert not broken, f"{len(broken)} of {len(grid)} cases break the contract: {broken[:5]}"
+
+
+def test_no_case_warns(grid):
+    warned = [c for c in grid if c["warned"]]
+    assert not warned, f"{len(warned)} of {len(grid)} cases warn: {warned[:5]}"
 
 
 def test_grid_covers_every_subcommand_and_input(grid):

@@ -18,15 +18,20 @@ from gmpflow.finitegap import (
     ZERO_RESIDUAL_REL_TOL,
     DeltaData,
     GapSet,
-    apply_comb_map,
     delta_from_gaps,
     eval_delta,
     gap_zeros,
 )
+from gmpflow.gmp import GmpBlock
+from gmpflow.ks import delta_of_gmp
 
-from gmpflow.gmp import GmpBlock, assemble_wrapped
-
-from conftest import random_gapset, stack_window
+from conftest import (
+    random_gapset,
+    reference_blocks,
+    solved_comb_map,
+    stack_window,
+    wrapped_dense,
+)
 
 
 def eval_delta_ratio(gapset: GapSet, z):
@@ -359,6 +364,8 @@ class TestEvalDelta:
 
 
 class TestApplyCombMap:
+    """The comb map as ``ks.delta_of_gmp`` applies it to a wrapped window."""
+
     @pytest.mark.parametrize(
         "gaps", [((-1.0, 1.0),), ((-1.2, -0.4), (0.5, 1.1))], ids=["g1", "g2"]
     )
@@ -376,17 +383,18 @@ class TestApplyCombMap:
             blocks.append(
                 GmpBlock(p_surf + dp, q_surf + 0.05 * rng.uniform(-1.0, 1.0, g + 1))
             )
-        mat = assemble_wrapped(stack_window(blocks, d.cs()))
-        n = mat.shape[0]
-        want = d.lambda0 * mat + d.c0 * np.eye(n)
-        for ck, lk in d.poles:
-            want += lk * np.linalg.solve(ck * np.eye(n) - mat, np.eye(n))
-        got, vals, vecs = apply_comb_map(mat, d)
-        assert np.array_equal(got, got.T)
-        assert_allclose(got, want, rtol=0, atol=1e-12)
-        assert_allclose(mat @ vecs, vecs * vals, rtol=0, atol=1e-12)
+        w = stack_window(blocks, d.cs(), j_min=-7)
+        db = delta_of_gmp(w, d, margin=3)
+        v_blocks, w_blocks = reference_blocks(solved_comb_map(wrapped_dense(w), d), w, 3)
+        for blk in db.w_blocks:
+            assert np.array_equal(blk, blk.T)
+        assert_allclose(db.v_blocks, v_blocks, rtol=0, atol=1e-12)
+        assert_allclose(db.w_blocks, w_blocks, rtol=0, atol=1e-12)
 
     def test_pole_on_spectrum_rejected(self):
+        # zero leading p decouples the gap slots, each an eigenvector with
+        # eigenvalue c_1 = 0.3, exactly where the map has its pole
         d = DeltaData(1.0, 0.0, ((0.3, 1.0),))
+        w = stack_window([GmpBlock([0.0, 0.5], [0.0, 0.2])] * 9, d.cs(), j_min=-4)
         with pytest.raises(SpectrumProximityError, match="shift"):
-            apply_comb_map(np.diag([-1.0, 0.3, 2.0]), d)
+            delta_of_gmp(w, d, margin=3)

@@ -309,6 +309,25 @@ class TestPatternDefect:
             planted[i, j] = planted[j, i] = -0.7
             assert pattern_defect(planted, coupling) == 0.7
 
+    @pytest.mark.parametrize("first", [0, 3])
+    def test_slab_reads_both_sides_of_the_diagonal(self, first):
+        # block rows first, first + 1 of a 6-block matrix with lower
+        # triangular couplings; each entry is planted alone, unmirrored
+        per, n = 3, 18
+        coupling = np.tri(per, dtype=bool)
+        mask = self.allowed(n, per, coupling)[first * per : (first + 2) * per]
+        rng = np.random.default_rng(5)
+        base = rng.uniform(-1.0, 1.0, (n, n))
+        slab = ((base + base.T) * self.allowed(n, per, coupling))[first * per : (first + 2) * per]
+        assert pattern_defect(slab, coupling, first) == 0.0
+        sides = set()
+        for i, j in zip(*np.nonzero(~mask)):
+            planted = slab.copy()
+            planted[i, j] = -0.7
+            assert pattern_defect(planted, coupling, first) == 0.7
+            sides.add(np.sign(j // per - (first + i // per)))
+        assert sides == {-1, 1}
+
 
 class TestStackedChain:
     @pytest.mark.parametrize("g", [1, 2, 3, 5])

@@ -9,18 +9,18 @@ from gmpflow.errors import (
 )
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta
 from gmpflow.flow import jacobi_flow_step
-from gmpflow.gmp import GmpBlock, GmpWindow, assemble_wrapped, transfer_matrix
+from gmpflow.gmp import GmpBlock, GmpWindow, transfer_matrix
 from gmpflow.isospectral import (
     FD_STEP_REL,
     IsPoint,
     _fd_jacobian,
     intrinsic_offset,
     is_residual,
-    magic_check,
     solve_is_point,
 )
+from gmpflow.ks import delta_of_gmp
 
-from conftest import make_estar_gapset, make_p1_block, stack_window
+from conftest import make_estar_gapset, make_p1_block, stack_window, wrapped_dense
 
 SQRT2 = np.sqrt(2.0)
 
@@ -83,7 +83,16 @@ def column_jacobian(fun, x: np.ndarray) -> np.ndarray:
 
 def periodic_dense(blk: GmpBlock, c, n_blocks: int) -> np.ndarray:
     """Wrapped dense operator of a window of n_blocks copies of blk."""
-    return assemble_wrapped(stack_window((blk,) * n_blocks, c))
+    return wrapped_dense(stack_window((blk,) * n_blocks, c))
+
+
+def two_shift_deviation(blk: GmpBlock, d: DeltaData) -> tuple[float, int]:
+    """Largest deviation of the mapped operator of 40 copies of ``blk``,
+    centred on block 0, from identity couplings and zero diagonal blocks
+    over its 20 central block rows, and the number of rows checked."""
+    db = delta_of_gmp(stack_window((blk,) * 40, d.cs(), j_min=-20), d, 10)
+    deviation = max(np.max(np.abs(db.v_blocks - np.eye(blk.g + 1))), np.max(np.abs(db.w_blocks)))
+    return float(deviation), db.w_blocks.shape[0] * (blk.g + 1)
 
 
 class TestIsResidual:
@@ -253,32 +262,24 @@ class TestAssemblePeriodicDense:
         assert np.all(vals >= 1.0 - 1e-9)
         assert np.all(vals <= 2.0 + 1e-9)
 
-    def test_needs_three_blocks(self):
-        with pytest.raises(ValidationError, match="three"):
-            periodic_dense(make_p1_block(), [0.0], 2)
-
 
 class TestMagicCheck:
+    """The magic identity of surface points (acceptance criterion 3): the
+    comb map of the periodic operator is the two-shift, checked through
+    ``ks.delta_of_gmp``."""
+
     def test_canonical_two_shift_identity(self):
         pt = IsPoint(make_p1_block(), estar_delta())
-        report = magic_check(pt)
-        assert report["deviation"] < 1e-8
-        assert report["n_blocks"] == 40
-        assert report["margin"] == 10
-        assert report["rows_checked"] == 40
+        deviation, rows = two_shift_deviation(pt.block, pt.delta)
+        assert deviation < 1e-8
+        assert rows == 40
 
     def test_solved_point_two_shift_identity(self):
         pt = solve_is_point(estar_delta(), quartic_seed(1.25, 0.55))
-        report = magic_check(pt)
-        assert report["deviation"] < 1e-8
+        assert two_shift_deviation(pt.block, pt.delta)[0] < 1e-8
 
     def test_off_surface_deviation_order_one(self):
-        report = magic_check(off_surface_block(), delta=estar_delta())
-        assert report["deviation"] > 0.1
-
-    def test_raw_block_needs_delta(self):
-        with pytest.raises(ValidationError, match="delta"):
-            magic_check(off_surface_block())
+        assert two_shift_deviation(off_surface_block(), estar_delta())[0] > 0.1
 
     def test_pole_on_spectrum_raises(self):
         # Zero leading p isolates the gap slots, so the wrapped operator
@@ -286,7 +287,7 @@ class TestMagicCheck:
         blk = GmpBlock([0.0, 0.5], [0.0, 0.0])
         bad = DeltaData(2.0, 0.0, ((0.3, 4.0),))
         with pytest.raises(SpectrumProximityError):
-            magic_check(blk, delta=bad)
+            two_shift_deviation(blk, bad)
 
 
 class TestSurfaceInvariants:

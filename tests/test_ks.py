@@ -6,18 +6,27 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from conftest import make_estar_gapset, make_p1_window, make_perturbed_window, stack_window
+from conftest import (
+    make_estar_gapset,
+    make_p1_window,
+    make_perturbed_window,
+    reference_blocks,
+    solved_comb_map,
+    stack_window,
+    wrapped_dense,
+)
+from oracles_mp import local_delta_column
 
-from gmpflow import ks
+from gmpflow import ks, numkit
 from gmpflow.errors import (
     NumericalError,
     SpectrumProximityError,
     ValidationError,
     WindowError,
 )
-from gmpflow.finitegap import DeltaData, GapSet, apply_comb_map, delta_from_gaps
+from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
 from gmpflow.flow import flow_run, jacobi_flow_step
-from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense, assemble_wrapped
+from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense
 from gmpflow.isospectral import solve_is_point
 from gmpflow.ks import (
     DeltaBlocks,
@@ -110,30 +119,16 @@ def reference_telescoping(w: GmpWindow, d: DeltaData, n: int) -> dict:
     }
 
 
-def reference_blocks(w: GmpWindow, d: DeltaData, margin: int):
-    """Coupling and diagonal blocks of the mapped window over its trusted
-    range, sliced one block at a time and sign-normalised block by block."""
-    mapped = apply_comb_map(assemble_wrapped(w), d)[0]
-    per = w.g + 1
-    j_lo, j_hi = w.j_min + margin, w.j_max - margin
-
-    def block(row, col):
-        r, c = (row - w.j_min) * per, (col - w.j_min) * per
-        return mapped[r : r + per, c : c + per]
-
-    eps_prev = np.ones(per)
-    eps_chain, v_blocks = [], []
-    for j in range(j_lo, j_hi + 2):
-        raw = block(j - 1, j)
-        eps_here = eps_prev * np.sign(np.diag(raw))
-        v_blocks.append(np.outer(eps_prev, eps_here) * raw)
-        eps_chain.append(eps_here)
-        eps_prev = eps_here
-    w_blocks = [
-        np.outer(eps_chain[i], eps_chain[i]) * block(j, j)
-        for i, j in enumerate(range(j_lo, j_hi + 1))
-    ]
-    return v_blocks, w_blocks
+def eigen_comb_map(mat: np.ndarray, d: DeltaData) -> np.ndarray:
+    """The comb map of a symmetric matrix through one eigendecomposition,
+    in the operation order of ``delta_of_gmp``."""
+    vals, vecs = numkit.sym_eigen(mat)
+    weights = np.zeros(vals.size)
+    for ck, lk in d.poles:
+        weights += lk / (ck - vals)
+    mapped = d.lambda0 * mat + d.c0 * np.eye(vals.size)
+    mapped += (vecs * weights) @ vecs.T
+    return 0.5 * (mapped + mapped.T)
 
 
 def relabelled(w: GmpWindow) -> GmpWindow:
@@ -157,25 +152,6 @@ def perturbed_case(genus: int) -> tuple[DeltaData, GmpWindow]:
         return estar_delta(), decaying_window(0.05, 27)
     d = twogap_delta()
     return d, make_perturbed_window(twogap_surface_block(d), d.cs())
-
-
-class TestAssembleWrapped:
-    def test_interior_matches_open_assembly(self, p1_window):
-        mat = assemble_wrapped(p1_window)
-        open_mat = assemble_dense(p1_window)
-        n = mat.shape[0]
-        first = p1_window.block(p1_window.j_min)
-        npt.assert_array_equal(mat[n - 1, 0:2], first.p)
-        npt.assert_array_equal(mat[0:2, n - 1], first.p)
-        interior = mat.copy()
-        interior[n - 1, 0:2] = 0.0
-        interior[0:2, n - 1] = 0.0
-        npt.assert_array_equal(interior, open_mat)
-
-    def test_needs_three_blocks(self, p1_block):
-        short = stack_window([p1_block, p1_block], (0.0,), j_min=0)
-        with pytest.raises(ValidationError, match="three"):
-            assemble_wrapped(short)
 
 
 class TestDeltaOfGmp:
@@ -204,29 +180,55 @@ class TestDeltaOfGmp:
         assert len(db.w_blocks) == db.j_hi - db.j_lo + 1
 
     def test_matches_independent_dense_evaluation(self):
-        w = decaying_window()
-        d = estar_delta()
+        # one dense solve per pole on the wrapped matrix, at g = 1 and 2
+        for d, w in ((estar_delta(), decaying_window()), perturbed_case(2)):
+            db = delta_of_gmp(w, d, margin=3)
+            v_blocks, w_blocks = reference_blocks(solved_comb_map(wrapped_dense(w), d), w, 3)
+            npt.assert_allclose(db.v_blocks, v_blocks, rtol=0, atol=1e-12)
+            npt.assert_allclose(db.w_blocks, w_blocks, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("genus", [1, 2])
+    def test_matches_50_digit_local_columns(self, genus):
+        # block columns j_lo..j_lo + 2 from the local stacked systems at 50
+        # digits, normalised by the sign chain that starts at j_lo; the
+        # bound is ten times the worst error measured, 5.2e-15
+        if genus == 1:
+            d, w = estar_delta(), decaying_window(0.05, 9)
+        else:
+            d = twogap_delta()
+            w = make_perturbed_window(twogap_surface_block(d), d.cs(), half=4)
         db = delta_of_gmp(w, d, margin=3)
-        dense = assemble_wrapped(w)
-        n = dense.shape[0]
-        mapped = d.lambda0 * dense + d.c0 * np.eye(n)
-        for ck, lk in d.poles:
-            mapped += lk * np.linalg.solve(ck * np.eye(n) - dense, np.eye(n))
-
-        def base(j):
-            return (j - w.j_min) * 2
-
-        for j in range(db.j_lo, db.j_hi + 1):
+        eps = np.ones(genus + 1)
+        for j in range(db.j_lo, db.j_lo + 3):
+            upper, diag, lower = local_delta_column(w, d, j)
+            eps_next = eps * np.sign(np.diag(upper))
+            npt.assert_allclose(np.outer(eps, eps_next) * upper, db.v(j), rtol=0, atol=6e-14)
+            eps = eps_next
             npt.assert_allclose(
-                db.v(j),
-                mapped[base(j - 1) : base(j), base(j) : base(j + 1)],
-                atol=1e-8,
+                np.outer(eps, eps) * diag, db.w_blocks[j - db.j_lo], rtol=0, atol=6e-14
             )
+            eps_lower = eps * np.sign(np.diag(lower))
             npt.assert_allclose(
-                db.w_blocks[j - db.j_lo],
-                mapped[base(j) : base(j + 1), base(j) : base(j + 1)],
-                atol=1e-8,
+                np.outer(eps, eps_lower) * lower.T, db.v(j + 1), rtol=0, atol=6e-14
             )
+
+    @pytest.mark.parametrize("where", ["row 0, distance 3", "row j_hi, distance 2"])
+    def test_planted_off_band_entry_raises(self, monkeypatch, where):
+        # the entry is added to the window matrix and taken out again
+        # before the eigendecomposition, so the mapped operator gains
+        # lambda0 = 2 times it and nothing else
+        w, d = decaying_window(), estar_delta()
+        j_hi = w.j_max - 3
+        row, col = (0, 3) if where.startswith("row 0") else (j_hi, j_hi + 2)
+        plant = np.zeros((w.n_blocks * 2,) * 2)
+        i, k = w.scalar_index(row, 1), w.scalar_index(col, 0)
+        plant[i, k] = plant[k, i] = 0.5
+        honest_dense, honest_eigen = ks.assemble_dense, numkit.sym_eigen
+        delta_of_gmp(w, d, margin=3)  # the window itself passes
+        monkeypatch.setattr(ks, "assemble_dense", lambda win: honest_dense(win) + plant)
+        monkeypatch.setattr(numkit, "sym_eigen", lambda mat: honest_eigen(mat - plant))
+        with pytest.raises(NumericalError, match=r"band structure: defect 1\.000e\+00"):
+            delta_of_gmp(w, d, margin=3)
 
     def test_coupling_blocks_lower_triangular(self):
         db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
@@ -248,7 +250,7 @@ class TestDeltaOfGmp:
         blk = blocks[k]
         blocks[k] = GmpBlock([-blk.p[0], blk.p[1]], [-blk.q[0], blk.q[1]])
         flipped = stack_window(blocks, w.c, w.j_min)
-        assert np.max(np.abs(assemble_wrapped(flipped) - assemble_wrapped(w))) > 0.1
+        assert np.max(np.abs(assemble_dense(flipped) - assemble_dense(w))) > 0.1
         dbf = delta_of_gmp(flipped, estar_delta(), margin=3)
         for j in range(db.j_lo, db.j_hi + 2):
             npt.assert_allclose(dbf.v(j), db.v(j), atol=1e-10)
@@ -286,7 +288,7 @@ class TestDeltaOfGmp:
     def test_stacked_blocks_match_blockwise_slices_bitwise(self, genus):
         d, w = perturbed_case(genus)
         db = delta_of_gmp(w, d, margin=3)
-        v_blocks, w_blocks = reference_blocks(w, d, 3)
+        v_blocks, w_blocks = reference_blocks(eigen_comb_map(wrapped_dense(w), d), w, 3)
         assert db.v_blocks.shape == (len(v_blocks), genus + 1, genus + 1)
         assert db.w_blocks.shape == (len(w_blocks), genus + 1, genus + 1)
         assert np.array_equal(db.v_blocks, v_blocks)
