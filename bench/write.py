@@ -37,7 +37,9 @@ The record holds:
   counters}`` (``sites`` too for the Jacobi windows, ``band_edge_err``
   for the comb maps; ``n_blocks`` counts the pairs for
   ``lambda_sharp``), the counters (eigensolves,
-  ``delta_of_gmp`` and ``ks.h_term`` calls, Lanczos runs and steps, the
+  ``delta_of_gmp`` calls with the states they map, ``resolvent_column``
+  calls with the closed-form (state, block) pairs they hold, ``ks.h_term``
+  calls, Lanczos runs and steps, the
   ``numkit.project_out`` calls with the basis entries they are handed
   (each read by two products in each of its two passes), ``kappa`` calls of
   ``construct``, ``lambda_k`` calls of ``isospectral`` with the pole
@@ -244,7 +246,8 @@ def kernel_inputs(g: int, n_pairs: int) -> GmpWindow:
 
 
 class Counting:
-    """Counts eigensolves, ``delta_of_gmp`` and ``h_term`` calls, the
+    """Counts eigensolves, ``delta_of_gmp`` calls with their mapped states,
+    ``resolvent_column`` calls with their closed-form pairs, ``h_term`` calls, the
     Lanczos runs of ``gmp_to_jacobi_measure`` with their steps, the
     ``numkit.project_out`` calls with the basis entries handed to them, the
     ``kappa`` calls of ``construct``, the ``lambda_k`` calls with their
@@ -255,6 +258,9 @@ class Counting:
     def __init__(self):
         self.eig_rows: list[int] = []
         self.delta_calls = 0
+        self.delta_states = 0
+        self.closed_calls = 0
+        self.closed_pairs = 0
         self.h_term_calls = 0
         self.lanczos_sizes: list[int] = []
         self.project_calls = 0
@@ -268,6 +274,7 @@ class Counting:
 
     def __enter__(self):
         self._eig, self._delta, self._h_term = numkit.sym_eigen, ks.delta_of_gmp, ks.h_term
+        self._closed = ks.resolvent_column
         self._bisect, self._project = numkit.bisect_root, numkit.project_out
         self._lanczos, self._kappa = construct.lanczos, construct.kappa
         self._lambda_k, self._jacobian = isospectral.lambda_k, isospectral._fd_jacobian
@@ -276,9 +283,15 @@ class Counting:
             self.eig_rows.append(int(np.shape(mat)[0]))
             return self._eig(mat)
 
-        def delta(*args, **kwargs):
+        def delta(states, *args, **kwargs):
             self.delta_calls += 1
-            return self._delta(*args, **kwargs)
+            self.delta_states += len(states)
+            return self._delta(states, *args, **kwargs)
+
+        def closed(pairs, k):
+            self.closed_calls += 1
+            self.closed_pairs += len(pairs)
+            return self._closed(pairs, k)
 
         def h_term(*args):
             self.h_term_calls += 1
@@ -318,8 +331,10 @@ class Counting:
             return self._bisect(counted, lo, hi)
 
         numkit.sym_eigen, numkit.bisect_root, numkit.project_out = eig, bisect, project
-        # map_chain and functional_report look the names up in ks
-        ks.delta_of_gmp, ks.h_term = delta, h_term
+        # delta_of_gmp and functional_report look the names up in ks; cli
+        # holds its own delta_of_gmp
+        ks.delta_of_gmp, ks.h_term, ks.resolvent_column = delta, h_term, closed
+        cli.delta_of_gmp = delta
         construct.lanczos, construct.kappa = lanczos, kappa
         isospectral.lambda_k, isospectral._fd_jacobian = lambda_k, jacobian
         return self
@@ -327,7 +342,8 @@ class Counting:
     def __exit__(self, *exc):
         numkit.sym_eigen, numkit.bisect_root = self._eig, self._bisect
         numkit.project_out = self._project
-        ks.delta_of_gmp, ks.h_term = self._delta, self._h_term
+        ks.delta_of_gmp, ks.h_term, ks.resolvent_column = self._delta, self._h_term, self._closed
+        cli.delta_of_gmp = self._delta
         construct.lanczos, construct.kappa = self._lanczos, self._kappa
         isospectral.lambda_k, isospectral._fd_jacobian = self._lambda_k, self._jacobian
 
@@ -336,6 +352,9 @@ class Counting:
             "sym_eigen_calls": len(self.eig_rows),
             "sym_eigen_rows_max": max(self.eig_rows, default=0),
             "delta_of_gmp_calls": self.delta_calls,
+            "delta_of_gmp_states": self.delta_states,
+            "resolvent_column_calls": self.closed_calls,
+            "resolvent_column_pairs": self.closed_pairs,
             "h_term_calls": self.h_term_calls,
             "lanczos_calls": len(self.lanczos_sizes),
             # one operator product per coefficient b(k)
@@ -381,7 +400,7 @@ def sweep(work: Path) -> list[dict]:
             argv = ["ks", str(window), str(cmap), "--steps", str(KS_STEPS),
                     "--margin", "3", "--out", str(work / "ks.csv")]
             cases = {
-                ("operator", "delta_of_gmp margin=3"): lambda: ks.delta_of_gmp(w, d, 3),
+                ("operator", "delta_of_gmp margin=3"): lambda: ks.delta_of_gmp([w], d, 3),
                 ("end_to_end", f"gmpflow ks --steps {KS_STEPS}"): lambda: cli.main(argv),
             }
             for (layer, case), fn in cases.items():

@@ -40,7 +40,6 @@ from .ks import (
     density_identity,
     functional_report,
     ks_diagnostics,
-    map_chain,
     telescoping_check,
 )
 
@@ -148,7 +147,7 @@ def criterion_magic_pattern() -> tuple[list, str]:
     """
     d = _estar_delta()
     IsPoint(_p1_block(), d)  # refuses a block off the surface
-    db = delta_of_gmp(_p1_window(40, j_min=-20), d, 10)
+    (db,) = delta_of_gmp([_p1_window(40, j_min=-20)], d, 10)
     deviation = max(np.max(np.abs(db.v_blocks - np.eye(2))), np.max(np.abs(db.w_blocks)))
     checks = [("central row deviation", float(deviation), 1e-8)]
     return checks, f"{db.w_blocks.shape[0] * 2} rows"
@@ -209,7 +208,7 @@ def criterion_telescoping() -> tuple[list, str]:
     d = _estar_delta()
     w = _decaying_window(0.05, 27)
     j_top = 4
-    run = map_chain(flow_run(w, 5).states, d, 3)
+    run = delta_of_gmp(flow_run(w, 5).states, d, 3)
     report = telescoping_check(run)
     ledger = report["report"]
     # the drop of the stepped window mapped on its own, against the
@@ -362,7 +361,7 @@ def criterion_functional() -> tuple[list, str]:
     d = _estar_delta()
     w = _p1_window(27, j_min=-13)
     traj = flow_run(w, 4)
-    rep = functional_report(map_chain(traj.states, d, 3))
+    rep = functional_report(delta_of_gmp(traj.states, d, 3))
     surface_dev = max(
         float(np.max(np.abs(rep.row_terms[0]))),
         float(np.max(np.abs(rep.h_origin))),

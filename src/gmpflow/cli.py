@@ -35,7 +35,7 @@ from .flow import flow_run
 from .gmp import VALIDITY_FLOOR, GmpBlock, GmpWindow
 from .isospectral import solve_is_point
 from .jacobi import JacobiWindow, dist_eta
-from .ks import DIVERGENCE_SLOPE, ks_diagnostics, map_chain, telescoping_check
+from .ks import DIVERGENCE_SLOPE, delta_of_gmp, ks_diagnostics, telescoping_check
 
 log = logging.getLogger("gmpflow.cli")
 
@@ -183,7 +183,7 @@ def cmd_ks(args: argparse.Namespace) -> int:
     w = GmpWindow.from_json(_load_json(args.window))
     d = DeltaData.from_json(_load_json(args.delta))
     traj = flow_run(w, args.steps)
-    run = map_chain(traj.states, d, args.margin)
+    run = delta_of_gmp(traj.states, d, args.margin)
     rep = telescoping_check(run)["report"]  # the run's entropy ledger
     slope_tol = DIVERGENCE_SLOPE if args.tol is None else args.tol
     diag = ks_diagnostics(traj.states, d, slope_tol)

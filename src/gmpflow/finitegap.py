@@ -31,6 +31,15 @@ GAP_REL_TOL = 1e-12
 # Relative distance within which two poles, or a point and a pole, coincide.
 POLE_REL_TOL = 1e-12
 ZERO_RESIDUAL_REL_TOL = 1e-11
+# Largest magnitude whose square is still a finite double.
+SQUARE_MAX = math.sqrt(np.finfo(float).max)
+
+
+def check_squares(entries: dict[str, float]) -> None:
+    """Refuse the first named entry whose square overflows."""
+    for name, x in entries.items():
+        if abs(x) > SQUARE_MAX:
+            raise ValidationError(f"{name} = {x:.6g} is too large: its square overflows")
 
 
 def check_distinct_poles(c) -> None:
@@ -121,7 +130,8 @@ class GapSet:
 
 @dataclass(frozen=True)
 class DeltaData:
-    """Partial-fraction data of a comb map: slope, offset and gap poles."""
+    """Partial-fraction data of a comb map: slope, offset and gap poles,
+    all finite and small enough to square; positive slope and weights."""
 
     lambda0: float
     c0: float
@@ -143,6 +153,9 @@ class DeltaData:
         for c, lam in self.poles:
             if not (math.isfinite(c) and math.isfinite(lam)):
                 raise ValidationError(f"pole at {c} with weight {lam} must be finite")
+        poles = {f"poles[{i}].{key}": x for i, pole in enumerate(self.poles)
+                 for key, x in zip(("c", "lambda"), pole)}
+        check_squares({"lambda0": self.lambda0, "c0": self.c0, **poles})
         check_distinct_poles(self.cs())
 
     @property

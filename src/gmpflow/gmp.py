@@ -19,6 +19,7 @@ whose reciprocals enter the closed-form resolvent columns.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,7 +33,7 @@ from .errors import (
     WindowError,
     integral,
 )
-from .finitegap import POLE_REL_TOL, check_distinct_poles
+from .finitegap import POLE_REL_TOL, check_distinct_poles, check_squares
 
 # The symplectic unit [[0, -1], [1, 0]].
 JMAT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -98,7 +99,8 @@ class GmpWindow:
     Row i of the read-only ``(n_blocks, g+1)`` arrays ``P`` and ``Q``
     holds the forming vectors of block j_min + i.  The constructor is the
     one place the window rules are applied: every row obeys the block
-    rules of ``GmpBlock``, and the g poles are finite and distinct.
+    rules of ``GmpBlock``, and the g poles are finite, small enough to
+    square, and distinct.
     """
 
     P: np.ndarray
@@ -118,6 +120,7 @@ class GmpWindow:
             raise ValidationError(f"pole list has length {c.size}, expected {rows.g}")
         if not np.isfinite(c).all():
             raise ValidationError("poles must be finite")
+        check_squares({f"C[{i}]": x for i, x in enumerate(c.tolist())})
         check_distinct_poles(c)
         c.setflags(write=False)
         vars(self).update(P=rows.p, Q=rows.q, c=c, j_min=j_min)  # frozen: bypass __setattr__
@@ -245,14 +248,15 @@ def pattern_defect(rows: np.ndarray, coupling: np.ndarray, first: int = 0) -> fl
     """
     per = coupling.shape[0]
     k, nb = rows.shape[0] // per, rows.shape[1] // per
-    # block column minus block row, entry by entry
-    step = (np.arange(nb) - np.arange(first, first + k)[:, None]).repeat(per, 0).repeat(per, 1)
-    allowed = (
-        (step == 0)
-        | ((step == 1) & np.tile(coupling, (k, nb)))
-        | ((step == -1) & np.tile(coupling.T, (k, nb)))
-    )
-    return float(np.max(np.abs(rows), where=~allowed, initial=0.0))
+    # entry (r, s, b, t): slot s of block row r against slot t of block column b
+    blocks = np.abs(rows).reshape(k, per, nb, per)
+    r = np.arange(k)
+    for step, free in ((0, True), (1, coupling), (-1, coupling.T)):
+        b = first + r + step
+        inside = (b >= 0) & (b < nb)
+        ri, bi = r[inside], b[inside]
+        blocks[ri, :, bi, :] = np.where(free, 0.0, blocks[ri, :, bi, :])
+    return float(np.max(blocks, initial=0.0))
 
 
 def bp_factor(z: float, c: float, pm: np.ndarray) -> np.ndarray:
@@ -419,63 +423,81 @@ def validate_gmp(window: GmpWindow, floor: float = VALIDITY_FLOOR) -> dict:
     return report
 
 
-def resolvent_column(window: GmpWindow, k: int, j: int) -> np.ndarray:
-    """Column of (c_k - A)^{-1} at slot k-1 of block j, in closed form.
+def resolvent_column(pairs: Sequence[tuple[GmpWindow, int]], k: int) -> list[np.ndarray | None]:
+    """Columns of (c_k - A)^{-1} at slot k-1 of block j, in closed form, for
+    a stack of (window, j) pairs whose windows share one pole list.
 
-    The window must contain the blocks j-1, j, j+1.  The result is a
-    window-aligned vector supported on those three blocks: the outer
-    blocks come from the partial factor chains of the adjacent pair
-    functionals, divided by them, the middle block from a small stacked
-    least-squares solve (its system matrix may be singular at the pole).
+    Each window must contain the blocks j-1, j, j+1, which support its
+    window-aligned column: the outer blocks come from the partial factor
+    chains of the adjacent pair functionals (one ``lambda_sharp`` call),
+    divided by them, the middle blocks from one stacked least-squares
+    pseudo-inverse with the cutoff of ``np.linalg.lstsq`` (the system may
+    be singular at the pole).  Each column is checked on the block rows
+    j-2..j+2 its window holds.  A pair whose functional vanishes has no
+    closed form: None.
     """
-    g = window.g
+    if not pairs:
+        return []
+    c, g = pairs[0][0].c, pairs[0][0].g
     if not 1 <= k <= g:
         raise ValidationError(f"pole index {k} outside 1..{g}")
-    if window.j_min > j - 1 or window.j_max < j + 1:
-        raise WindowError(f"window must contain blocks {j - 1}..{j + 1} for a resolvent column")
-    c, ck, i0 = window.c, window.c[k - 1], j - window.j_min  # i0: position of block j
-    states = []  # chains of the pairs (block j, block j-1) and (block j+1, block j)
-    lams = lambda_sharp(window.rows(i0, i0 + 2), window.rows(i0 - 1, i0 + 1), c, states=states)
-    lam_m1, lam_0 = lams[:, k - 1]
-    if min(abs(lam_m1), abs(lam_0)) <= 1e-12 * max(abs(lam_m1), abs(lam_0), 1.0):
-        raise ValidationError("pair functional vanishes; the closed-form column is undefined")
-    chains = np.stack(states)[..., k - 1, :]  # (state, component, side, pair)
-    P, Q = window.P[i0 - 1 : i0 + 2], window.Q[i0 - 1 : i0 + 2]  # blocks j-1, j, j+1
-    xs = np.zeros((5, g + 1))  # the column on blocks j-2..j+2
-    xs[1, k - 1], xs[3, k - 1] = 1.0 / lam_m1, 1.0 / lam_0
+    ps, qs = np.zeros((2, len(pairs), 5, g + 1))  # blocks j-2..j+2, zero beyond the window
+    held = np.zeros((len(pairs), 5), dtype=bool)
+    for m, (window, j) in enumerate(pairs):
+        if not np.array_equal(window.c, c):
+            raise ValidationError("stacked resolvent columns need one pole list")
+        if window.j_min > j - 1 or window.j_max < j + 1:
+            raise WindowError(f"window must contain blocks {j - 1}..{j + 1} for a resolvent column")
+        lo, hi = max(window.j_min - j, -2) + 2, min(window.j_max - j, 2) + 3
+        rows = slice(j - window.j_min - 2 + lo, j - window.j_min - 2 + hi)
+        ps[m, lo:hi], qs[m, lo:hi], held[m, lo:hi] = window.P[rows], window.Q[rows], True
+    # the pairs (block j, block j-1) and (block j+1, block j), as rows 2m and 2m+1
+    this, nxt = (
+        GmpBlock._view(ps[:, s : s + 2].reshape(-1, g + 1), qs[:, s : s + 2].reshape(-1, g + 1))
+        for s in (1, 2)
+    )
+    states = []
+    lams = lambda_sharp(nxt, this, c, states=states)[:, k - 1].reshape(-1, 2)
+    ok = np.flatnonzero(np.min(abs(lams), 1) > 1e-12 * np.max(abs(lams), 1, initial=1.0))
+    chains = np.stack(states)[..., k - 1, :].reshape(len(states), 2, 2, -1, 2)[..., ok, :]
+    P, Q, held, (lam_m1, lam_0), ck = ps[ok], qs[ok], held[ok], lams[ok].T, c[k - 1]
+    xs = np.zeros_like(P)  # the columns on blocks j-2..j+2
+    xs[:, 1, k - 1], xs[:, 3, k - 1] = 1.0 / lam_m1, 1.0 / lam_0
     # Block j-1: slot l in k..g-1 pairs (p_l, q_l) with the row chain
     # through slots k..l-1; slot g from orthogonality to its p.
-    row = chains[k - 1 : g - 1, :, 1, 0]
-    xs[1, k:g] = (row[:, 0] * P[0, k:g] + row[:, 1] * Q[0, k:g]) / (ck - c[k:g]) / lam_m1
-    xs[1, g] = -float(P[0, :g] @ xs[1, :g]) / P[0, g]
+    row = chains[k - 1 : g - 1, :, 1, :, 0].T  # (pair, component, slot)
+    xs[:, 1, k:g] = (row[:, 0] * P[:, 1, k:g] + row[:, 1] * Q[:, 1, k:g]) / (ck - c[k:g])
+    xs[:, 1, k:g] /= lam_m1[:, None]
+    xs[:, 1, g] = -np.vecdot(P[:, 1, :g], xs[:, 1, :g]) / P[:, 1, g]
     # Block j+1: slot m < k-1 pairs (p_m, q_m) J with the column chain
     # through slots m+1..k-2; slots k..g vanish.
-    col = chains[g - 2 - np.arange(k - 1), :, 0, 1]
-    fwd = (Q[2, : k - 1] * col[:, 0] - P[2, : k - 1] * col[:, 1]) / (ck - c[: k - 1])
-    xs[3, : k - 1] = fwd / lam_0
+    col = chains[g - 2 - np.arange(k - 1), :, 0, :, 1].T
+    fwd = (Q[:, 3, : k - 1] * col[:, 0] - P[:, 3, : k - 1] * col[:, 1]) / (ck - c[: k - 1])
+    xs[:, 3, : k - 1] = fwd / lam_0[:, None]
     # Block j: least squares on the three block-row equations involving it.
     eye = np.eye(g + 1)
-    shifted = ck * eye - build_block_B(window.rows(i0 - 1, i0 + 2), c)  # blocks j-1, j, j+1
-    system = np.vstack([shifted[1], P[1][None, :], np.outer(P[2], eye[g])])
+    shifted = ck * eye - build_block_B(GmpBlock._view(P[:, 1:4], Q[:, 1:4]), c)  # blocks j-1..j+1
+    system = np.concatenate([shifted[:, 1], P[:, 2, None], P[:, 3, :, None] * eye[g]], axis=1)
     rhs = np.concatenate([
-        eye[k - 1] + P[1] * xs[1, g] + eye[g] * float(P[2] @ xs[3]),
-        [(shifted[0] @ xs[1])[g]],
-        shifted[2] @ xs[3],
-    ])
-    xs[2] = np.linalg.lstsq(system, rhs, rcond=None)[0]
+        eye[k - 1] + P[:, 2] * xs[:, 1, g:] + eye[g] * np.vecdot(P[:, 3], xs[:, 3])[:, None],
+        np.vecdot(shifted[:, 0, g], xs[:, 1])[:, None],
+        (shifted[:, 2] @ xs[:, 3, :, None])[..., 0],
+    ], axis=1)
+    xs[:, 2] = (np.linalg.pinv(system, rtol=None) @ rhs[..., None])[..., 0]
 
-    # (c_k - A) column on block rows j-2..j+2; it lives on blocks j-1..j+1
-    hi = min(window.j_max - j, 2) + 3
-    ps = np.zeros((5, g + 1))
-    ps[1:hi] = window.P[i0 - 1 : i0 + hi - 2]
-    res = np.zeros((5, g + 1))
-    res[1:4] = (shifted @ xs[1:4, :, None])[..., 0]
-    res[:4, g] -= np.vecdot(ps[1:], xs[1:])  # coupling to the block above
-    res[1:] -= ps[1:] * xs[:4, g:]  # coupling to the block below
-    res[2, k - 1] -= 1.0
-    residual = np.max(np.abs(res[max(window.j_min - j, -2) + 2 : hi]))
-    if residual > 1e-8 * max(1.0, np.max(np.abs(xs))):
-        raise NumericalError(f"closed-form column residual {residual:.3e} too large")
-    column = np.zeros((g + 1) * window.n_blocks)
-    column[(i0 - 1) * (g + 1) : (i0 + 2) * (g + 1)] = xs[1:4].ravel()
-    return column
+    # (c_k - A) columns on block rows j-2..j+2; they live on blocks j-1..j+1
+    res = np.zeros_like(xs)
+    res[:, 1:4] = (shifted @ xs[:, 1:4, :, None])[..., 0]
+    res[:, :4, g] -= np.vecdot(P[:, 1:], xs[:, 1:])  # coupling to the block above
+    res[:, 1:] -= P[:, 1:] * xs[:, :4, g:]  # coupling to the block below
+    res[:, 2, k - 1] -= 1.0
+    residual = np.max(np.abs(res), axis=(1, 2), where=held[..., None], initial=0.0)
+    bad = residual > 1e-8 * np.max(np.abs(xs), axis=(1, 2), initial=1.0)
+    if bad.any():
+        raise NumericalError(f"closed-form column residual {residual[bad][0]:.3e} too large")
+    out: list[np.ndarray | None] = [None] * len(pairs)
+    for x, m in zip(xs, ok):
+        window, j = pairs[m]
+        out[m] = np.zeros((g + 1) * window.n_blocks)
+        out[m][(j - window.j_min - 1) * (g + 1) : (j - window.j_min + 2) * (g + 1)] = x[1:4].ravel()
+    return out

@@ -6,9 +6,11 @@ step right of it and their transposes one step left.  A periodic window
 solving the magic identity maps exactly to the two-shift pattern
 (identity off-diagonal blocks, zero diagonal blocks), and the entropy
 term of a block triple measures the deviation from that pattern.
-``delta_of_gmp`` is the one route that applies the map to a window: it
-checks every column of the trusted block rows against the band and
-extracts the blocks.  This module sums the per-block entropy terms,
+``delta_of_gmp`` is the one route that applies the map: it maps every
+window of a flow run, checks every column of the trusted block rows
+against the band, extracts the blocks, and checks the eigen route of the
+whole run against the closed-form resolvent columns in one stacked call.
+This module sums the per-block entropy terms,
 evaluates the exact one-step drop of the functional under the flow,
 checks the telescoping identity relating a flow run to a single shift,
 accumulates coefficient diagnostics along trajectories, and verifies
@@ -106,15 +108,17 @@ class DeltaBlocks:
         return 0.5 * norm_sq - 1.0 - np.log(outer)
 
 
-def delta_of_gmp(window: GmpWindow, d: DeltaData, margin: int) -> DeltaBlocks:
-    """Blocks of the comb map applied to the wrapped window operator.
+def delta_of_gmp(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list[DeltaBlocks]:
+    """Blocks of the comb map applied to each wrapped window of a run.
 
-    The window's dense matrix is wrapped by coupling its last block row
-    to the first block's interaction vector, the same convention as
-    between consecutive blocks, and the map is evaluated through one
-    symmetric eigendecomposition: each pole contributes its weight times
-    the resolvent at that shift.  A pole within 1e-10 of the spectrum
-    (relative to the spectral radius, at least 1) raises
+    ``states`` is a flow run, or any sequence of windows sharing one pole
+    list (one window included); the result holds one ``DeltaBlocks`` per
+    window.  Each window's dense matrix is wrapped by coupling its last
+    block row to the first block's interaction vector, the same
+    convention as between consecutive blocks, and the map is evaluated
+    through one symmetric eigendecomposition: each pole contributes its
+    weight times the resolvent at that shift.  A pole within 1e-10 of the
+    spectrum (relative to the spectral radius, at least 1) raises
     SpectrumProximityError.  Rows within ``margin`` blocks of either end
     are discarded: away from the wrap seam the resolvent columns at the
     poles have exact three-block support, so the trusted interior
@@ -123,79 +127,76 @@ def delta_of_gmp(window: GmpWindow, d: DeltaData, margin: int) -> DeltaBlocks:
     included.  From the same eigendecomposition, the resolvent column at
     the first pole and slot 0 of block 0 is cross-checked against its
     closed form whenever the trusted rows reach blocks -1..1, and that
-    of block 1 whenever they reach blocks 0..2.
+    of block 1 whenever they reach blocks 0..2; the closed forms of every
+    window come from one stacked ``resolvent_column`` call.
     """
-    if d.g != window.g:
-        raise ValidationError(
-            f"map has {d.g} poles but window blocks have genus {window.g}"
-        )
+    if not states:
+        raise ValidationError("a run has at least one window")
+    c = states[0].c
+    if d.g != states[0].g:
+        raise ValidationError(f"map has {d.g} poles but window blocks have genus {states[0].g}")
     if margin < 3:
         raise ValidationError("margin below 3 cannot clear the wrap seam")
-    j_lo = window.j_min + margin
-    j_hi = window.j_max - margin
-    if j_hi < j_lo:
-        raise WindowError(
-            f"margin {margin} leaves no trusted blocks in "
-            f"[{window.j_min}, {window.j_max}]"
-        )
-    d = d.aligned_to(window.c)
+    for window in states:
+        if not np.array_equal(window.c, c):
+            raise ValidationError("windows of a run must share one pole list")
+        if window.j_max - margin < window.j_min + margin:
+            raise WindowError(f"margin {margin} leaves no trusted blocks in "
+                              f"[{window.j_min}, {window.j_max}]")
+    d = d.aligned_to(c)
 
-    n, per = window.n_blocks, window.g + 1
-    mat = assemble_dense(window)
-    mat[-1, :per] = mat[:per, -1] = window.P[0]  # the wrap seam
-    vals, vecs = numkit.sym_eigen(mat)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    weights = np.zeros(vals.size)
-    for ck, lk in d.poles:
-        gap = float(np.min(np.abs(ck - vals)))
-        if gap <= SPECTRUM_GAP_REL * scale:
-            raise SpectrumProximityError(
-                f"shift {ck} lies within {gap:.3e} of the spectrum"
-            )
-        weights += lk / (ck - vals)
-    mapped = d.lambda0 * mat + d.c0 * np.eye(vals.size)
-    mapped += (vecs * weights) @ vecs.T
-    mapped = 0.5 * (mapped + mapped.T)
+    per = d.g + 1
+    tri = np.tri(per, dtype=bool)  # the coupling right of each diagonal block
+    out, pairs, checks = [], [], []
+    for window in states:
+        j_lo, j_hi, n = window.j_min + margin, window.j_max - margin, window.n_blocks
+        mat = assemble_dense(window)
+        mat[-1, :per] = mat[:per, -1] = window.P[0]  # the wrap seam
+        vals, vecs = numkit.sym_eigen(mat)
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        weights = np.zeros(vals.size)
+        for ck, lk in d.poles:
+            gap = float(np.min(np.abs(ck - vals)))
+            if gap <= SPECTRUM_GAP_REL * scale:
+                raise SpectrumProximityError(f"shift {ck} lies within {gap:.3e} of the spectrum")
+            weights += lk / (ck - vals)
+        mapped = d.lambda0 * mat + d.c0 * np.eye(vals.size)
+        mapped += (vecs * weights) @ vecs.T
+        mapped = 0.5 * (mapped + mapped.T)
 
-    m_scale = max(1.0, float(np.max(np.abs(mapped))))
-    trusted = slice((j_lo - window.j_min) * per, (j_hi + 1 - window.j_min) * per)
-    # the coupling right of each diagonal block is lower triangular
-    defect = pattern_defect(mapped[trusted], np.tri(per, dtype=bool), j_lo - window.j_min)
-    if defect > BAND_DEFECT_REL * m_scale:
-        raise NumericalError(
-            f"mapped operator lost its band structure: defect {defect:.3e}"
-        )
-    # block (j - 1, j) and block (j, j) for every j in j_lo..j_hi + 1
-    cols = np.arange(j_lo, j_hi + 2) - window.j_min
-    rows = cols + np.arange(-1, 1)[:, None]
-    raw_v, raw_w = mapped.reshape(n, per, n, per)[rows, :, cols, :]
-    raw_w = raw_w[:-1]
+        m_scale = max(1.0, float(np.max(np.abs(mapped))))
+        trusted = slice((j_lo - window.j_min) * per, (j_hi + 1 - window.j_min) * per)
+        defect = pattern_defect(mapped[trusted], tri, j_lo - window.j_min)
+        if defect > BAND_DEFECT_REL * m_scale:
+            raise NumericalError(f"mapped operator lost its band structure: defect {defect:.3e}")
+        # block (j - 1, j) and block (j, j) for every j in j_lo..j_hi + 1
+        cols = np.arange(j_lo, j_hi + 2) - window.j_min
+        rows = cols + np.arange(-1, 1)[:, None]
+        raw_v, raw_w = mapped.reshape(n, per, n, per)[rows, :, cols, :]
+        raw_w = raw_w[:-1]
 
-    for j in (0, 1):
-        if not (window.g and j_lo <= j - 1 and j_hi >= j + 1):
+        for j in (0, 1):
+            if d.g and j_lo <= j - 1 and j_hi >= j + 1:
+                # trusted rows of the column of (c_1 - A)^{-1} at slot 0 of block j
+                col = (vecs[trusted] / (c[0] - vals)) @ vecs[window.scalar_index(j, 0)]
+                pairs.append((window, j))
+                checks.append((trusted, col))
+
+        diag = np.diagonal(raw_v, axis1=1, axis2=2)
+        if np.min(np.abs(diag)) < DIAGONAL_FLOOR_REL * m_scale:
+            raise NumericalError("coupling block has a vanishing diagonal entry")
+        eps = np.cumprod(np.sign(diag), axis=0)
+        eps_prev = np.vstack([np.ones(per), eps[:-1]])
+        v_blocks = (eps_prev[:, :, None] * eps[:, None, :]) * raw_v
+        out.append(DeltaBlocks(j_lo, v_blocks, (eps[:-1, :, None] * eps[:-1, None, :]) * raw_w))
+
+    for (trusted, col), closed in zip(checks, resolvent_column(pairs, 1)):
+        if closed is None:  # the closed form is undefined here
             continue
-        try:
-            closed = resolvent_column(window, 1, j)
-        except ValidationError:  # the closed form is undefined here
-            continue
-        # column of (c_1 - A)^{-1} at slot 0 of block j
-        col = (vecs / (window.c[0] - vals)) @ vecs[window.scalar_index(j, 0)]
-        err = float(np.max(np.abs(col[trusted] - closed[trusted])))
+        err = float(np.max(np.abs(col - closed[trusted])))
         if err > RESOLVENT_CHECK_TOL:
-            raise NumericalError(
-                f"resolvent column deviates from its closed form by {err:.3e}"
-            )
-
-    diag = np.diagonal(raw_v, axis1=1, axis2=2)
-    if np.min(np.abs(diag)) < DIAGONAL_FLOOR_REL * m_scale:
-        raise NumericalError("coupling block has a vanishing diagonal entry")
-    eps = np.cumprod(np.sign(diag), axis=0)
-    eps_prev = np.vstack([np.ones(per), eps[:-1]])
-    return DeltaBlocks(
-        j_lo=j_lo,
-        v_blocks=(eps_prev[:, :, None] * eps[:, None, :]) * raw_v,
-        w_blocks=(eps[:-1, :, None] * eps[:-1, None, :]) * raw_w,
-    )
+            raise NumericalError(f"resolvent column deviates from its closed form by {err:.3e}")
+    return out
 
 
 def h_term(v0: np.ndarray, w0: np.ndarray, v1: np.ndarray) -> float | np.ndarray:
@@ -233,22 +234,8 @@ def delta_J_H(window: GmpWindow, d: DeltaData, margin: int = 3) -> float:
     in the mapped operator of the stepped window, a finite sum of
     squares and hence nonnegative.  Block -1 must stay trusted.
     """
-    db = delta_of_gmp(jacobi_flow_step(window), d, margin)
+    db = delta_of_gmp([jacobi_flow_step(window)], d, margin)[0]
     return float(db.column_shares(-1, -1)[0, -1])
-
-
-def map_chain(run: Sequence[GmpWindow], d: DeltaData, margin: int) -> list[DeltaBlocks]:
-    """Mapped blocks of each state, whose trusted rows must reach -1..0."""
-    out = []
-    for m, st in enumerate(run):
-        db = delta_of_gmp(st, d, margin)
-        if not (db.j_lo <= -1 and db.j_hi >= 0):
-            raise WindowError(
-                f"state {m} trusted range [{db.j_lo}, {db.j_hi}] misses "
-                "blocks -1..0"
-            )
-        out.append(db)
-    return out
 
 
 @dataclass(frozen=True)
@@ -297,15 +284,16 @@ class KsFunctionalReport:
 def functional_report(run: Sequence[DeltaBlocks]) -> KsFunctionalReport:
     """The entropy ledger of the mapped states 0..N of a flow run.
 
-    The row terms of every state come from one stacked ``h_term`` call,
-    and both drops of each step from the column shares of block rows
-    -1..0 of the state it reaches.
+    The trusted rows of every state must reach blocks -1..0.  The row
+    terms of every state come from one stacked ``h_term`` call, and both
+    drops of each step from the column shares of block rows -1..0 of the
+    state it reaches.
     """
     if not run:
         raise ValidationError("a flow run has at least one state")
     for m, db in enumerate(run):
-        if not db.j_lo <= 0 <= db.j_hi:
-            raise WindowError(f"state {m} trusted range [{db.j_lo}, {db.j_hi}] misses block 0")
+        if not (db.j_lo <= -1 and db.j_hi >= 0):
+            raise WindowError(f"state {m} trusted range [{db.j_lo}, {db.j_hi}] misses blocks -1..0")
     triples = zip(*((db.v_blocks[:-1], db.w_blocks, db.v_blocks[1:]) for db in run))
     flat = h_term(*(np.concatenate(t) for t in triples))
     row_terms = np.split(flat, np.cumsum([len(db.w_blocks) for db in run])[:-1])
@@ -328,15 +316,15 @@ def telescoping_check(run: Sequence[DeltaBlocks]) -> dict:
     """Compare flow runs of every length against a single index shift.
 
     ``run`` holds the mapped states 0..N of a flow run (see
-    ``map_chain``).  Its entropy ledger compares, for every n = 1..N,
+    ``delta_of_gmp``).  Its entropy ledger compares, for every n = 1..N,
     the run against the run of the window relabelled by one block; to
     it this adds the matching determinant chain identity for the outer
     corner entries of the coupling blocks at n = N.
     """
+    report = functional_report(run)
     n = len(run) - 1
     if n < 1:
         raise ValidationError("telescoping needs at least one step")
-    report = functional_report(run)
     g = run[0].g
     det_lhs = float(np.linalg.det(run[0].v(0)))
     det_rhs = float(np.linalg.det(run[n].v(0)))

@@ -789,6 +789,45 @@ class TestMalformedNumbers:
         assert err.endswith("could not convert string to float: 'x'\n")
 
 
+class TestOverflowingEntries:
+    """A map entry or window pole whose square overflows is a validation
+    error that names the entry, raised when the file is read."""
+
+    @pytest.mark.parametrize(
+        "command, entry, value",
+        [
+            ("ks", "lambda0", 1e308),
+            ("ks", "c0", -1e308),
+            ("ks", "poles[0].lambda", 1e308),
+            ("jacobi2gmp", "poles[0].c", -1e308),
+            ("jacobi2gmp", "c0", 1e308),
+            ("gmp2jacobi", "C[0]", 1e308),
+            ("gmp2jacobi", "C[0]", -1e308),
+        ],
+    )
+    def test_entry_is_named(self, tmp_path, capsys, command, entry, value):
+        window = json.loads(Path(p1_window_file(tmp_path)).read_text())
+        cmap = json.loads(Path(estar_delta_file(tmp_path)).read_text())
+        if entry == "C[0]":
+            window["C"][0] = value
+        elif entry.startswith("poles[0]."):
+            cmap["poles"][0][entry.split(".")[1]] = value
+        else:
+            cmap[entry] = value
+        win = write_json(tmp_path / "big-window.json", window)
+        dmap = write_json(tmp_path / "big-map.json", cmap)
+        argv = {
+            "ks": ["ks", win, dmap, "--steps", "1"],
+            "jacobi2gmp": ["jacobi2gmp", period2_jacobi_file(tmp_path), dmap, "--width", "3"],
+            "gmp2jacobi": ["gmp2jacobi", win],
+        }[command]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"validation error: {entry} = {value:.6g} is too large: its square overflows\n"
+        )
+
+
 class TestHarness:
     def test_numerical_errors_exit_two(self, tmp_path, capsys, monkeypatch):
         def boom(w):

@@ -15,6 +15,7 @@ from gmpflow.errors import (
 )
 from gmpflow.finitegap import (
     GAP_REL_TOL,
+    SQUARE_MAX,
     ZERO_RESIDUAL_REL_TOL,
     DeltaData,
     GapSet,
@@ -322,6 +323,23 @@ class TestDeltaDataFinite:
         assert str(info.value) == message
 
 
+class TestDeltaDataSquares:
+    @pytest.mark.parametrize(
+        "field, name",
+        [("lambda0", "lambda0"), ("c0", "c0"), ("c", "poles[1].c"), ("lambda", "poles[1].lambda")],
+    )
+    def test_entry_whose_square_overflows_is_named(self, field, name):
+        big = float(np.nextafter(SQUARE_MAX, np.inf))
+        entries = {"lambda0": 1.0, "c0": 0.0, "c": 2.0, "lambda": 1.0, field: big}
+        poles = ((0.0, 1.0), (entries["c"], entries["lambda"]))
+        with pytest.raises(ValidationError) as info:
+            DeltaData(entries["lambda0"], entries["c0"], poles)
+        assert str(info.value) == f"{name} = {big:.6g} is too large: its square overflows"
+        assert big * big == np.inf and SQUARE_MAX * SQUARE_MAX < np.inf
+        entries[field] = SQUARE_MAX if field != "c" else -SQUARE_MAX
+        DeltaData(entries["lambda0"], entries["c0"], ((0.0, 1.0), (entries["c"], entries["lambda"])))
+
+
 class TestDeltaDataPoles:
     @pytest.mark.parametrize(
         "cs", [(0.3, -0.8, 0.3), (0.0, 1e-12), (1e3, 1e3 + 5e-10)],
@@ -384,7 +402,7 @@ class TestApplyCombMap:
                 GmpBlock(p_surf + dp, q_surf + 0.05 * rng.uniform(-1.0, 1.0, g + 1))
             )
         w = stack_window(blocks, d.cs(), j_min=-7)
-        db = delta_of_gmp(w, d, margin=3)
+        db = delta_of_gmp([w], d, margin=3)[0]
         v_blocks, w_blocks = reference_blocks(solved_comb_map(wrapped_dense(w), d), w, 3)
         for blk in db.w_blocks:
             assert np.array_equal(blk, blk.T)
@@ -397,4 +415,4 @@ class TestApplyCombMap:
         d = DeltaData(1.0, 0.0, ((0.3, 1.0),))
         w = stack_window([GmpBlock([0.0, 0.5], [0.0, 0.2])] * 9, d.cs(), j_min=-4)
         with pytest.raises(SpectrumProximityError, match="shift"):
-            delta_of_gmp(w, d, margin=3)
+            delta_of_gmp([w], d, margin=3)

@@ -13,7 +13,7 @@ from gmpflow.errors import (
     ValidationError,
     WindowError,
 )
-from gmpflow.finitegap import GapSet, delta_from_gaps
+from gmpflow.finitegap import SQUARE_MAX, GapSet, delta_from_gaps
 from gmpflow.gmp import (
     JMAT,
     GmpBlock,
@@ -56,6 +56,14 @@ def comb_pair(g: int, seed: int):
     u = rng.uniform(-1.0, 1.0, (2, 2, g + 1))
     nxt, this = (GmpBlock(p0 * (1.0 + 0.05 * du), q0 + 0.05 * dv) for du, dv in u)
     return d.cs(), nxt, this
+
+
+def comb_window(g: int, seed: int, n_blocks: int, j_min: int) -> GmpWindow:
+    """Window of ``n_blocks`` blocks, each within 5% of the second block
+    ``comb_pair(g, seed)`` draws, on the poles of its comb map."""
+    c, _, this = comb_pair(g, seed)
+    u = np.random.default_rng([seed, g, n_blocks]).uniform(-1.0, 1.0, (2, n_blocks, g + 1))
+    return GmpWindow(this.p * (1.0 + 0.05 * u[0]), this.q + 0.05 * u[1], c, j_min)
 
 
 def per_pole_loop(nextblk: GmpBlock, thisblk: GmpBlock, c: np.ndarray, k: int) -> float:
@@ -149,6 +157,14 @@ class TestGmpWindow:
             GmpWindow(P, np.zeros((15, 4)), [3.0, 1.0, 3.0 + 1e-12])
         window = GmpWindow(P, np.zeros((15, 4)), [3.0, 1.0, 3.0 + 1e-11])
         assert window.c.tolist() == [3.0, 1.0, 3.0 + 1e-11]
+
+    def test_pole_whose_square_overflows_is_named(self):
+        P = np.tile([0.5, 0.5, 1.0], (5, 1))
+        big = float(np.nextafter(SQUARE_MAX, np.inf))
+        with pytest.raises(ValidationError) as info:
+            GmpWindow(P, np.zeros((5, 3)), [0.0, -big])
+        assert str(info.value) == f"C[1] = {-big:.6g} is too large: its square overflows"
+        assert GmpWindow(P, np.zeros((5, 3)), [0.0, -SQUARE_MAX]).c[1] == -SQUARE_MAX
 
     def test_from_arrays_checks_every_row(self):
         p = np.tile([np.sqrt(2.0), 0.5], (4, 1))
@@ -288,6 +304,38 @@ class TestPatternDefect:
                 elif bj == bi + 1:
                     mask[i, j] = mask[j, i] = coupling[si, sj]
         return mask
+
+    @staticmethod
+    def slab_mask(k, nb, coupling, first):
+        """Allowed entries of block rows first..first+k-1 over nb block
+        columns, entry by entry, built with ``repeat`` and ``tile``."""
+        per = coupling.shape[0]
+        step = (np.arange(nb) - np.arange(first, first + k)[:, None]).repeat(per, 0).repeat(per, 1)
+        return (
+            (step == 0)
+            | ((step == 1) & np.tile(coupling, (k, nb)))
+            | ((step == -1) & np.tile(coupling.T, (k, nb)))
+        )
+
+    @pytest.mark.parametrize("per", [1, 2, 3, 5])
+    def test_block_view_matches_the_mask_form_bitwise(self, per):
+        # the mask form is the oracle; entries span six decades, so the
+        # largest falls inside the pattern as often as outside it, and the
+        # slab may start anywhere and run past the last block column
+        rng = np.random.default_rng(70 + per)
+        for trial in range(60):
+            nb = int(rng.integers(1, 10))
+            k, first = int(rng.integers(1, nb + 2)), int(rng.integers(0, nb + 1))
+            coupling = rng.random((per, per)) < 0.5
+            shape = (k * per, nb * per)
+            slab = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3, shape)
+            mask = self.slab_mask(k, nb, coupling, first)
+            if trial % 4 == 0:  # a slab that holds its pattern exactly
+                slab = np.where(mask, slab, 0.0)
+            before = slab.copy()
+            oracle = float(np.max(np.abs(slab), where=~mask, initial=0.0))
+            assert pattern_defect(slab, coupling, first) == oracle
+            assert np.array_equal(slab, before)
 
     @pytest.mark.parametrize("side", ["one", "two"])
     def test_planted_entry_found(self, side):
@@ -624,7 +672,7 @@ class TestValidateGmp:
 
 class TestResolventColumn:
     def test_canonical_column(self, p1_window):
-        col = resolvent_column(p1_window, 1, 0)
+        col = resolvent_column([(p1_window, 0)], 1)[0]
         g1 = 2
         lo = p1_window.scalar_index(-1, 0)
         assert_allclose(col[lo], 0.25, atol=1e-12)
@@ -634,7 +682,7 @@ class TestResolventColumn:
         assert_allclose(col[lo + 2 * g1 + 1], 0.0, atol=1e-12)
 
     def test_support_pattern(self, p1_window):
-        col = resolvent_column(p1_window, 1, 0)
+        col = resolvent_column([(p1_window, 0)], 1)[0]
         lo = p1_window.scalar_index(-1, 0)
         hi = p1_window.scalar_index(1, 1)
         assert_allclose(col[:lo], 0.0, atol=1e-15)
@@ -650,13 +698,13 @@ class TestResolventColumn:
             target = np.zeros(n)
             target[win.scalar_index(j, 0)] = 1.0
             direct = numkit.solve(-dense, target)
-            assert np.max(np.abs(resolvent_column(win, 1, j) - direct)) < 1e-9, j
+            assert np.max(np.abs(resolvent_column([(win, j)], 1)[0] - direct)) < 1e-9, j
 
     def test_residual_on_perturbed_window(self):
         rng = np.random.default_rng(19)
         blocks = tuple(near_p1_block(rng, eps=0.05) for _ in range(6))
         win = stack_window(blocks, np.array([0.0]), j_min=-3)
-        col = resolvent_column(win, 1, 0)
+        col = resolvent_column([(win, 0)], 1)[0]
         dense = assemble_dense(win)
         n = dense.shape[0]
         target = np.zeros(n)
@@ -680,7 +728,7 @@ class TestResolventColumn:
         dense = assemble_dense(win)
         n = dense.shape[0]
         for k in (1, 2):
-            col = resolvent_column(win, k, 0)
+            col = resolvent_column([(win, 0)], k)[0]
             target = np.zeros(n)
             target[win.scalar_index(0, k - 1)] = 1.0
             residual = (win.c[k - 1] * np.eye(n) - dense) @ col - target
@@ -704,26 +752,99 @@ class TestResolventColumn:
                 target = np.zeros(dense.shape[0])
                 target[win.scalar_index(j, k - 1)] = 1.0
                 direct = numkit.solve(c[k - 1] * np.eye(dense.shape[0]) - dense, target)
-                assert np.max(np.abs(resolvent_column(win, k, j) - direct)) < 1e-9, (j, k)
+                assert np.max(np.abs(resolvent_column([(win, j)], k)[0] - direct)) < 1e-9, (j, k)
 
     def test_wrong_middle_block_fails_the_residual_check(self, monkeypatch):
         rng = np.random.default_rng(19)
         blocks = tuple(near_p1_block(rng, eps=0.05) for _ in range(6))
         win = stack_window(blocks, np.array([0.0]), j_min=-3)
-        lstsq = np.linalg.lstsq
+        pinv = np.linalg.pinv
 
-        def skewed(*args, **kwargs):
-            sol, *rest = lstsq(*args, **kwargs)
-            return (sol + 1e-6, *rest)
+        class Skewed:
+            """A pseudo-inverse whose solutions are off by 1e-6 in every entry."""
 
-        monkeypatch.setattr(np.linalg, "lstsq", skewed)
+            def __init__(self, *args, **kwargs):
+                self.inverse = pinv(*args, **kwargs)
+
+            def __matmul__(self, rhs):
+                return self.inverse @ rhs + 1e-6
+
+        monkeypatch.setattr(np.linalg, "pinv", Skewed)
         message = r"^closed-form column residual 1\.9\d\de-06 too large$"
         with pytest.raises(NumericalError, match=message):
-            resolvent_column(win, 1, 0)
+            resolvent_column([(win, 0)], 1)
+
+    @pytest.mark.parametrize("g", [1, 2, 4])
+    def test_mixed_stack_matches_dense_solves(self, g):
+        # windows of three sizes and offsets, their edge pairs included,
+        # stacked in an order that interleaves the windows
+        windows = [comb_window(g, 11, n, j_min) for n, j_min in ((3, -1), (7, -4), (12, 2))]
+        pairs = sorted(
+            ((w, j) for w in windows for j in {w.j_min + 1, (w.j_min + w.j_max) // 2, w.j_max - 1}),
+            key=lambda pair: pair[1],
+        )
+        assert len({id(w) for w, _ in pairs[:4]}) > 1
+        for k in range(1, min(g, 2) + 1):
+            cols = resolvent_column(pairs, k)
+            assert len(cols) == len(pairs) == 7
+            for (w, j), col in zip(pairs, cols):
+                dense = assemble_dense(w)
+                target = np.zeros(dense.shape[0])
+                target[w.scalar_index(j, k - 1)] = 1.0
+                direct = numkit.solve(w.c[k - 1] * np.eye(dense.shape[0]) - dense, target)
+                assert col.shape == direct.shape
+                assert np.max(np.abs(col - direct)) < 1e-9, (w.n_blocks, j, k)
+
+    @pytest.mark.parametrize("skewed_at", [0, 2, 3])
+    def test_residual_check_runs_per_pair(self, monkeypatch, skewed_at):
+        # one skewed middle block in a stack of four pairs raises with the
+        # residual of its own pair, the one the single-pair test above pins
+        rng = np.random.default_rng(19)
+        blocks = tuple(near_p1_block(rng, eps=0.05) for _ in range(6))
+        win = stack_window(blocks, np.array([0.0]), j_min=-3)
+        other = make_p1_window(n_blocks=9, j_min=-4)
+        pairs = [(other, -3), (other, 0), (other, 3), (other, 1)]
+        pairs[skewed_at] = (win, 0)
+        resolvent_column(pairs, 1)  # the honest stack passes
+        pinv = np.linalg.pinv
+
+        class Skewed:
+            """A stacked pseudo-inverse whose solution for one pair is off by
+            1e-6 in every entry."""
+
+            def __init__(self, *args, **kwargs):
+                self.inverse = pinv(*args, **kwargs)
+
+            def __matmul__(self, rhs):
+                out = self.inverse @ rhs
+                out[skewed_at] += 1e-6
+                return out
+
+        monkeypatch.setattr(np.linalg, "pinv", Skewed)
+        with pytest.raises(NumericalError, match=r"^closed-form column residual 1\.9\d\de-06 too large$"):
+            resolvent_column(pairs, 1)
+
+    def test_undefined_pair_skips_only_itself(self):
+        # block 1 with p_0 = q_0 = 0 makes the pair functionals of
+        # (block 1, block 0) and (block 2, block 1) vanish, so the columns
+        # at blocks 0, 1 and 2 have no closed form; the rest of the stack
+        # gets the columns it gets without them
+        rng = np.random.default_rng(19)
+        blocks = [near_p1_block(rng, eps=0.05) for _ in range(11)]
+        blocks[6] = GmpBlock([0.0, 0.5], [0.0, 0.0])
+        win = stack_window(blocks, np.array([0.0]), j_min=-5)
+        other = make_p1_window(n_blocks=9, j_min=-4)
+        pairs = [(win, -3), (win, 0), (other, 0), (win, 1), (win, 2), (win, 4)]
+        cols = resolvent_column(pairs, 1)
+        assert [col is None for col in cols] == [False, True, False, True, True, False]
+        defined = [pair for pair, col in zip(pairs, cols) if col is not None]
+        for got, want in zip((col for col in cols if col is not None), resolvent_column(defined, 1)):
+            assert np.array_equal(got, want)
+        assert resolvent_column([(win, 0)], 1) == [None]
 
     def test_window_must_cover_center(self):
         win = make_p1_window(n_blocks=3, j_min=0)
         for j in (0, 2):
             with pytest.raises(WindowError, match=f"blocks {j - 1}..{j + 1}"):
-                resolvent_column(win, 1, j)
-        assert resolvent_column(win, 1, 1).shape == (6,)
+                resolvent_column([(win, j)], 1)
+        assert resolvent_column([(win, 1)], 1)[0].shape == (6,)

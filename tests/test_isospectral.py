@@ -90,7 +90,7 @@ def two_shift_deviation(blk: GmpBlock, d: DeltaData) -> tuple[float, int]:
     """Largest deviation of the mapped operator of 40 copies of ``blk``,
     centred on block 0, from identity couplings and zero diagonal blocks
     over its 20 central block rows, and the number of rows checked."""
-    db = delta_of_gmp(stack_window((blk,) * 40, d.cs(), j_min=-20), d, 10)
+    db = delta_of_gmp([stack_window((blk,) * 40, d.cs(), j_min=-20)], d, 10)[0]
     deviation = max(np.max(np.abs(db.v_blocks - np.eye(blk.g + 1))), np.max(np.abs(db.w_blocks)))
     return float(deviation), db.w_blocks.shape[0] * (blk.g + 1)
 

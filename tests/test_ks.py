@@ -37,7 +37,6 @@ from gmpflow.ks import (
     functional_report,
     h_term,
     ks_diagnostics,
-    map_chain,
     telescoping_check,
 )
 
@@ -73,7 +72,7 @@ def mapped_run(w: GmpWindow, d: DeltaData, n: int, margin: int = 3):
     states = [w]
     for _ in range(n):
         states.append(jacobi_flow_step(states[-1]))
-    return map_chain(states, d, margin)
+    return delta_of_gmp(states, d, margin)
 
 
 def telescope(w: GmpWindow, d: DeltaData, n: int, margin: int = 3) -> dict:
@@ -157,7 +156,7 @@ def perturbed_case(genus: int) -> tuple[DeltaData, GmpWindow]:
 class TestDeltaOfGmp:
     def test_periodic_window_maps_to_two_shift(self):
         w = make_p1_window(n_blocks=21, j_min=-10)
-        db = delta_of_gmp(w, estar_delta(), margin=3)
+        db = delta_of_gmp([w], estar_delta(), margin=3)[0]
         for j in range(db.j_lo, db.j_hi + 2):
             npt.assert_allclose(db.v(j), np.eye(2), atol=1e-8)
         npt.assert_allclose(db.w_blocks, 0.0, atol=1e-8)
@@ -166,14 +165,14 @@ class TestDeltaOfGmp:
         d = twogap_delta()
         blk = twogap_surface_block(d)
         w = stack_window([blk] * 15, d.cs(), j_min=-7)
-        db = delta_of_gmp(w, d, margin=3)
+        db = delta_of_gmp([w], d, margin=3)[0]
         for j in range(db.j_lo, db.j_hi + 2):
             npt.assert_allclose(db.v(j), np.eye(3), atol=1e-8)
         npt.assert_allclose(db.w_blocks, 0.0, atol=1e-8)
 
     def test_trusted_range_bookkeeping(self):
         w = decaying_window()
-        db = delta_of_gmp(w, estar_delta(), margin=4)
+        db = delta_of_gmp([w], estar_delta(), margin=4)[0]
         assert db.j_lo == w.j_min + 4
         assert db.j_hi == w.j_max - 4
         assert len(db.v_blocks) == db.j_hi - db.j_lo + 2
@@ -182,7 +181,7 @@ class TestDeltaOfGmp:
     def test_matches_independent_dense_evaluation(self):
         # one dense solve per pole on the wrapped matrix, at g = 1 and 2
         for d, w in ((estar_delta(), decaying_window()), perturbed_case(2)):
-            db = delta_of_gmp(w, d, margin=3)
+            db = delta_of_gmp([w], d, margin=3)[0]
             v_blocks, w_blocks = reference_blocks(solved_comb_map(wrapped_dense(w), d), w, 3)
             npt.assert_allclose(db.v_blocks, v_blocks, rtol=0, atol=1e-12)
             npt.assert_allclose(db.w_blocks, w_blocks, rtol=0, atol=1e-12)
@@ -197,7 +196,7 @@ class TestDeltaOfGmp:
         else:
             d = twogap_delta()
             w = make_perturbed_window(twogap_surface_block(d), d.cs(), half=4)
-        db = delta_of_gmp(w, d, margin=3)
+        db = delta_of_gmp([w], d, margin=3)[0]
         eps = np.ones(genus + 1)
         for j in range(db.j_lo, db.j_lo + 3):
             upper, diag, lower = local_delta_column(w, d, j)
@@ -224,19 +223,19 @@ class TestDeltaOfGmp:
         i, k = w.scalar_index(row, 1), w.scalar_index(col, 0)
         plant[i, k] = plant[k, i] = 0.5
         honest_dense, honest_eigen = ks.assemble_dense, numkit.sym_eigen
-        delta_of_gmp(w, d, margin=3)  # the window itself passes
+        delta_of_gmp([w], d, margin=3)  # the window itself passes
         monkeypatch.setattr(ks, "assemble_dense", lambda win: honest_dense(win) + plant)
         monkeypatch.setattr(numkit, "sym_eigen", lambda mat: honest_eigen(mat - plant))
         with pytest.raises(NumericalError, match=r"band structure: defect 1\.000e\+00"):
-            delta_of_gmp(w, d, margin=3)
+            delta_of_gmp([w], d, margin=3)
 
     def test_coupling_blocks_lower_triangular(self):
-        db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
+        db = delta_of_gmp([decaying_window()], estar_delta(), margin=3)[0]
         for j in range(db.j_lo, db.j_hi + 2):
             assert np.max(np.abs(np.triu(db.v(j), 1))) < 1e-9
 
     def test_coupling_diagonals_positive(self):
-        db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
+        db = delta_of_gmp([decaying_window()], estar_delta(), margin=3)[0]
         for j in range(db.j_lo, db.j_hi + 2):
             assert np.all(np.diag(db.v(j)) > 0)
 
@@ -244,14 +243,14 @@ class TestDeltaOfGmp:
         # flipping (p_0, q_0) of one block conjugates the operator by a
         # diagonal sign matrix; the normalised blocks must not move
         w = decaying_window()
-        db = delta_of_gmp(w, estar_delta(), margin=3)
+        db = delta_of_gmp([w], estar_delta(), margin=3)[0]
         blocks = [w.block(j) for j in range(w.j_min, w.j_max + 1)]
         k = 12
         blk = blocks[k]
         blocks[k] = GmpBlock([-blk.p[0], blk.p[1]], [-blk.q[0], blk.q[1]])
         flipped = stack_window(blocks, w.c, w.j_min)
         assert np.max(np.abs(assemble_dense(flipped) - assemble_dense(w))) > 0.1
-        dbf = delta_of_gmp(flipped, estar_delta(), margin=3)
+        dbf = delta_of_gmp([flipped], estar_delta(), margin=3)[0]
         for j in range(db.j_lo, db.j_hi + 2):
             npt.assert_allclose(dbf.v(j), db.v(j), atol=1e-10)
         npt.assert_allclose(dbf.w_blocks, db.w_blocks, atol=1e-10)
@@ -260,20 +259,20 @@ class TestDeltaOfGmp:
         w = decaying_window()
         off = DeltaData(2.0, 0.0, ((0.4, 4.0),))
         with pytest.raises(ValidationError, match="poles differ"):
-            delta_of_gmp(w, off, margin=3)
+            delta_of_gmp([w], off, margin=3)
 
     def test_genus_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="genus"):
-            delta_of_gmp(decaying_window(), twogap_delta(), margin=3)
+            delta_of_gmp([decaying_window()], twogap_delta(), margin=3)
 
     def test_margin_floor(self):
         with pytest.raises(ValidationError, match="margin"):
-            delta_of_gmp(decaying_window(), estar_delta(), margin=2)
+            delta_of_gmp([decaying_window()], estar_delta(), margin=2)
 
     def test_margin_can_exhaust_window(self):
         w = make_p1_window(n_blocks=9, j_min=-4)
         with pytest.raises(WindowError, match="trusted"):
-            delta_of_gmp(w, estar_delta(), margin=5)
+            delta_of_gmp([w], estar_delta(), margin=5)
 
     def test_shift_on_spectrum_rejected(self):
         # zero leading p decouples the gap slots, so the pole position
@@ -282,12 +281,12 @@ class TestDeltaOfGmp:
         bad = GmpBlock([0.0, 0.5], [0.0, 0.0])
         w = stack_window([bad] * 15, (0.3,), j_min=-7)
         with pytest.raises(SpectrumProximityError, match="shift"):
-            delta_of_gmp(w, d, margin=3)
+            delta_of_gmp([w], d, margin=3)
 
     @pytest.mark.parametrize("genus", [1, 2])
     def test_stacked_blocks_match_blockwise_slices_bitwise(self, genus):
         d, w = perturbed_case(genus)
-        db = delta_of_gmp(w, d, margin=3)
+        db = delta_of_gmp([w], d, margin=3)[0]
         v_blocks, w_blocks = reference_blocks(eigen_comb_map(wrapped_dense(w), d), w, 3)
         assert db.v_blocks.shape == (len(v_blocks), genus + 1, genus + 1)
         assert db.w_blocks.shape == (len(w_blocks), genus + 1, genus + 1)
@@ -300,35 +299,77 @@ class TestDeltaOfGmp:
         honest = ks.resolvent_column
         seen = []
 
-        def perturbed(window, k, j):
-            col = honest(window, k, j)
-            seen.append(j)
-            if j == block:
-                col = col.copy()
-                col[window.scalar_index(j, 0)] += 1e-6
-            return col
+        def perturbed(pairs, k):
+            cols = honest(pairs, k)
+            seen.extend(j for _, j in pairs)
+            for (window, j), col in zip(pairs, cols):
+                if j == block:
+                    col[window.scalar_index(j, 0)] += 1e-6
+            return cols
 
         monkeypatch.setattr(ks, "resolvent_column", perturbed)
-        with pytest.raises(NumericalError, match="closed form"):
-            delta_of_gmp(w, d, margin=3)
-        assert seen == [0, 1][: block + 1]
+        with pytest.raises(NumericalError, match=r"closed form by 1\.000e-06"):
+            delta_of_gmp([w], d, margin=3)
+        assert seen == [0, 1]
 
     def test_closed_form_checks_need_their_blocks_trusted(self, monkeypatch):
-        # blocks -1..1 (for block 0) and 0..2 (for block 1) must be trusted
+        # blocks -1..1 (for block 0) and 0..2 (for block 1) must be trusted;
+        # one call maps a run and checks all its (state, j) pairs at once
         honest = ks.resolvent_column
-        seen = []
+        calls = []
 
-        def spy(window, k, j):
-            seen.append(j)
-            return honest(window, k, j)
+        def spy(pairs, k):
+            calls.append((pairs, k))
+            return honest(pairs, k)
 
         d = estar_delta()
         monkeypatch.setattr(ks, "resolvent_column", spy)
         cases = {(9, -4): [0], (9, -3): [1], (9, -5): [], (10, -4): [0, 1]}
         for (n_blocks, j_min), expected in cases.items():
-            seen.clear()
-            delta_of_gmp(make_p1_window(n_blocks, j_min), d, margin=3)
-            assert seen == expected, (n_blocks, j_min)
+            calls.clear()
+            w = make_p1_window(n_blocks, j_min)
+            delta_of_gmp([w], d, margin=3)
+            assert len(calls) == 1 and calls[0][1] == 1, (n_blocks, j_min)
+            assert all(win is w for win, _ in calls[0][0]), (n_blocks, j_min)
+            assert [j for _, j in calls[0][0]] == expected, (n_blocks, j_min)
+        # state m of this run has trusted rows -3+m..3-m
+        states = flow_run(make_p1_window(13, -6), 3).states
+        calls.clear()
+        delta_of_gmp(states, d, margin=3)
+        assert len(calls) == 1
+        pairs, k = calls[0]
+        held = [(next(m for m, st in enumerate(states) if st is w), j) for w, j in pairs]
+        assert (held, k) == ([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)], 1)
+
+    def test_undefined_closed_form_skips_only_its_own_check(self, monkeypatch):
+        # a pair without a closed form (None) is skipped, and the pair after
+        # it is still checked
+        d, w = perturbed_case(2)
+        honest = ks.resolvent_column
+
+        def first_undefined(pairs, k, skew=0.0):
+            cols = honest(pairs, k)
+            (window, j), col = pairs[1], cols[1]
+            col[window.scalar_index(j, 0)] += skew
+            return [None, *cols[1:]]
+
+        monkeypatch.setattr(ks, "resolvent_column", first_undefined)
+        delta_of_gmp([w], d, margin=3)
+        monkeypatch.setattr(ks, "resolvent_column", lambda pairs, k: first_undefined(pairs, k, 1e-6))
+        with pytest.raises(NumericalError, match=r"closed form by 1\.000e-06"):
+            delta_of_gmp([w], d, margin=3)
+
+    @pytest.mark.parametrize("genus", [1, 2])
+    def test_run_matches_one_state_at_a_time_bitwise(self, genus):
+        d, w = perturbed_case(genus)
+        states = flow_run(w, 8).states
+        run = delta_of_gmp(states, d, margin=3)
+        assert len(run) == len(states) == 9
+        for st, db in zip(states, run):
+            alone = delta_of_gmp([st], d, margin=3)[0]
+            assert db.j_lo == alone.j_lo
+            assert np.array_equal(db.v_blocks, alone.v_blocks)
+            assert np.array_equal(db.w_blocks, alone.w_blocks)
 
     def test_pole_order_of_map_is_irrelevant(self):
         # the closed-form column check must use the window's first pole,
@@ -336,8 +377,8 @@ class TestDeltaOfGmp:
         d = twogap_delta()
         w = make_perturbed_window(twogap_surface_block(d), d.cs())
         reversed_map = DeltaData(d.lambda0, d.c0, d.poles[::-1])
-        db = delta_of_gmp(w, d, margin=3)
-        db_rev = delta_of_gmp(w, reversed_map, margin=3)
+        db = delta_of_gmp([w], d, margin=3)[0]
+        db_rev = delta_of_gmp([w], reversed_map, margin=3)[0]
         assert (db_rev.j_lo, db_rev.j_hi) == (db.j_lo, db.j_hi)
         pairs = zip(
             (*db_rev.v_blocks, *db_rev.w_blocks), (*db.v_blocks, *db.w_blocks)
@@ -348,7 +389,7 @@ class TestDeltaOfGmp:
 
 class TestDeltaBlocksType:
     def test_accessors_reject_outside_range(self):
-        db = delta_of_gmp(make_p1_window(n_blocks=15, j_min=-7), estar_delta(), 3)
+        db = delta_of_gmp([make_p1_window(n_blocks=15, j_min=-7)], estar_delta(), 3)[0]
         with pytest.raises(WindowError):
             db.v(db.j_lo - 1)
         with pytest.raises(WindowError):
@@ -364,7 +405,7 @@ class TestDeltaBlocksType:
         assert (db.g, db.j_lo, db.j_hi) == (1, -1, 0)
 
     def test_blocks_are_frozen(self):
-        db = delta_of_gmp(make_p1_window(n_blocks=15, j_min=-7), estar_delta(), 3)
+        db = delta_of_gmp([make_p1_window(n_blocks=15, j_min=-7)], estar_delta(), 3)[0]
         with pytest.raises(ValueError):
             db.v(0)[0, 0] = 5.0
 
@@ -444,30 +485,30 @@ class TestHPlusPartial:
     """Partial sums of the ledger's row terms, in row order."""
 
     def test_periodic_window_sums_to_zero(self):
-        db = delta_of_gmp(make_p1_window(n_blocks=21, j_min=-10), estar_delta(), 3)
+        db = delta_of_gmp([make_p1_window(n_blocks=21, j_min=-10)], estar_delta(), 3)[0]
         assert abs(np.sum(ledger(db).terms(0, 0, 3))) < 1e-8
 
     def test_single_block_matches_term(self):
-        db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
+        db = delta_of_gmp([decaying_window()], estar_delta(), margin=3)[0]
         npt.assert_allclose(ledger(db).terms(0, 0, 0), [origin_term(db)], rtol=1e-13)
 
     def test_monotone_under_extension(self):
-        db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
+        db = delta_of_gmp([decaying_window()], estar_delta(), margin=3)[0]
         shorter, longer = np.cumsum(ledger(db).terms(0, 0, 4))[3:]
         assert longer >= shorter - 1e-10
 
     def test_range_outside_trusted_rejected(self):
-        db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
+        db = delta_of_gmp([decaying_window()], estar_delta(), margin=3)[0]
         with pytest.raises(WindowError, match="trusted"):
             ledger(db).terms(0, db.j_lo - 1, 0)
 
     def test_empty_range_is_zero(self):
-        db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
+        db = delta_of_gmp([decaying_window()], estar_delta(), margin=3)[0]
         assert np.sum(ledger(db).terms(0, 2, 1)) == 0.0
 
     def test_sums_scalar_terms_left_to_right_bitwise(self):
         d, w = perturbed_case(2)
-        db = delta_of_gmp(w, d, margin=3)
+        db = delta_of_gmp([w], d, margin=3)[0]
         report = ledger(db)
         for first, last in ((0, 13), (db.j_lo, db.j_hi)):
             total = 0.0
@@ -481,27 +522,27 @@ class TestColumnTerm:
     """The per-column entropy shares of ``DeltaBlocks.column_shares``."""
 
     def test_block_row_decomposes_into_columns(self):
-        db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
+        db = delta_of_gmp([decaying_window()], estar_delta(), margin=3)[0]
         total = np.sum(db.column_shares(0, 0))
         npt.assert_allclose(total, ledger(db).terms(0, 0, 0)[0], rtol=1e-12)
 
     def test_periodic_column_vanishes(self):
-        db = delta_of_gmp(make_p1_window(n_blocks=21, j_min=-10), estar_delta(), 3)
+        db = delta_of_gmp([make_p1_window(n_blocks=21, j_min=-10)], estar_delta(), 3)[0]
         assert abs(db.column_shares(-1, -1)[0, -1]) < 1e-10
 
     def test_columns_nonnegative(self):
-        db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
+        db = delta_of_gmp([decaying_window()], estar_delta(), margin=3)[0]
         assert np.min(db.column_shares(db.j_lo, db.j_hi)) >= -1e-10
 
     def test_outside_trusted_range_rejected(self):
-        db = delta_of_gmp(decaying_window(), estar_delta(), margin=3)
+        db = delta_of_gmp([decaying_window()], estar_delta(), margin=3)[0]
         with pytest.raises(WindowError, match="trusted"):
             db.column_shares(db.j_hi + 1, db.j_hi + 1)
 
     @pytest.mark.parametrize("genus", [1, 2])
     def test_matches_scalar_columns_bitwise(self, genus):
         d, w = perturbed_case(genus)
-        db = delta_of_gmp(w, d, margin=3)
+        db = delta_of_gmp([w], d, margin=3)[0]
         shares = db.column_shares(db.j_lo, db.j_hi)
         for j in range(db.j_lo, db.j_hi + 1):
             for m in range(genus + 1):
@@ -627,7 +668,7 @@ class TestTelescoping:
         for m, db in enumerate(run):
             assert np.array_equal(shifted.P, state.P)
             assert np.array_equal(shifted.Q, state.Q)
-            fresh = delta_of_gmp(shifted, d, margin=3)
+            fresh = delta_of_gmp([shifted], d, margin=3)[0]
             share = fresh.column_shares(-1, -1)[0, -1]
             assert db.column_shares(0, 0)[0, -1] == share, m
             assert m == 0 or shifted_drops[m - 1] == share, m
@@ -701,7 +742,7 @@ class TestFunctionalReport:
                 report(**changed)
 
     def test_origin_outside_trusted_range_rejected(self):
-        db = delta_of_gmp(make_p1_window(n_blocks=9, j_min=-12), estar_delta(), 3)
+        db = delta_of_gmp([make_p1_window(n_blocks=9, j_min=-12)], estar_delta(), 3)[0]
         assert db.j_hi < 0
         with pytest.raises(WindowError, match="trusted"):
             functional_report([db])
