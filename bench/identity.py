@@ -4,13 +4,16 @@ checkouts give byte-identical output.
     python3 bench/identity.py > digests.txt
 
 The calls are every job of perfbench's pools of every workload at seeds
-3, 5 and 13, every job of ``narrow_gap_pool(1)``, and ``gmpflow
-selftest``.  Each runs in process through ``gmpflow.cli.main`` with BLAS
-on one thread.  A job's digest lines hash, for each of its calls, the
-exit code (or the uncaught exception), stdout and stderr, together with
-the bytes of the job's output files, read after its last call.  The
-selftest report is hashed with its elapsed times stripped.  Output lines
-are ``<pool>/<job index>/<label> <call index> <sha256>``.
+3, 5 and 13, every job of ``narrow_gap_pool(1)``, ``gmp2jacobi`` then
+``jacobi2gmp --width 5`` on the genus-2 and genus-4 round trips of the
+Tier-1 tests (``tests/conftest.roundtrip_inputs`` at 961 blocks, which
+no perfbench pool reaches), and ``gmpflow selftest``.  Each runs in
+process through ``gmpflow.cli.main`` with BLAS on one thread.  A job's
+digest lines hash, for each of its calls, the exit code (or the uncaught
+exception), stdout and stderr, together with the bytes of the job's
+output files, read after its last call.  The selftest report is hashed
+with its elapsed times stripped.  Output lines are ``<pool>/<job
+index>/<label> <call index> <sha256>``.
 
 Running this at two commits and comparing the outputs with ``diff`` is
 the byte-identity check.  Inputs are written to a fresh work directory
@@ -31,6 +34,7 @@ os.environ.pop("GMPFLOW_LOG", None)
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import json  # noqa: E402
 import re  # noqa: E402
 import shutil  # noqa: E402
 import sys  # noqa: E402
@@ -39,14 +43,16 @@ from pathlib import Path  # noqa: E402
 
 sys.dont_write_bytecode = True
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
-from workloads import WORKLOADS, build_pool, narrow_gap_pool  # noqa: E402
+from conftest import roundtrip_inputs  # noqa: E402
+from workloads import WORKLOADS, Job, Pool, build_pool, narrow_gap_pool  # noqa: E402
 
 from gmpflow import cli  # noqa: E402
 
 SEEDS = (3, 5, 13)
 NARROW_SEED = 1
+ROUNDTRIPS = ((2, 961), (4, 961))
 ELAPSED = re.compile(r" \(\d+\.\d\d s\) ")
 
 
@@ -79,6 +85,23 @@ def pool_lines(name: str, pool) -> list[str]:
     return lines
 
 
+def roundtrip_pool(work: Path) -> Pool:
+    """One job per ``ROUNDTRIPS`` (g, n_blocks): the window to coefficients
+    and back to five blocks, inputs written to ``work``."""
+    jobs = []
+    for g, n_blocks in ROUNDTRIPS:
+        d, w = roundtrip_inputs(g, n_blocks)
+        window, cmap, mid, back = (
+            work / f"g{g}-n{n_blocks}{part}.json" for part in ("", ".map", ".jacobi", ".back")
+        )
+        window.write_text(json.dumps(w.to_json()))
+        cmap.write_text(json.dumps(d.to_json()))
+        calls = [["gmp2jacobi", str(window), "--out", str(mid)],
+                 ["jacobi2gmp", str(mid), str(cmap), "--width", "5", "--out", str(back)]]
+        jobs.append(Job(f"g{g}-n{n_blocks}", calls, [mid, back], check=None))
+    return Pool("roundtrip", jobs, {}, 0.0)
+
+
 def main() -> int:
     (ROOT / ".bench_run").mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="identity-", dir=ROOT / ".bench_run"))
@@ -93,6 +116,8 @@ def main() -> int:
                 pools.append((name, build_pool(workload, seed, Path(name))))
         Path("narrow").mkdir()
         pools.append((f"narrow{NARROW_SEED}", narrow_gap_pool(NARROW_SEED, Path("narrow"))))
+        Path("roundtrip").mkdir()
+        pools.append(("roundtrip", roundtrip_pool(Path("roundtrip"))))
         for name, pool in pools:
             for line in pool_lines(name, pool):
                 print(line, flush=True)

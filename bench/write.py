@@ -20,6 +20,16 @@ The record holds:
   windows built as the ``convert`` workload builds them: perfbench's
   ``perturbed_window`` around its one-gap comb map, then
   ``gmp_to_jacobi_measure``;
+- an acceptance sweep of ``construct.jacobi_to_gmp`` at width 5 over g
+  in {1, 2, 4, 8, 16} and n_blocks in {241, 481, 961}, on the round trips
+  of ``tests/conftest.roundtrip_inputs`` (perfbench's random gap set and
+  ``perturbed_window``, then ``gmp_to_jacobi_measure``): each record holds
+  the verdict (``accepted``, or the refusal's error class and message),
+  the largest ``jacobi.boundary_weight`` of the 2g kappa vectors, refused
+  ones included, the round trip's largest block deviation and the time
+  of the call, accepted or refused; next to it, on the same coefficient
+  windows, ``jacobi.spectral_extent`` at the g poles against the whole
+  spectrum by ``scipy.linalg.eigvalsh_tridiagonal``;
 - a sweep of ``isospectral.solve_is_point`` over g in {2, 4, 8, 12}, on
   seeds drawn as the ``iso_comb`` workload draws them (a gap set of
   genus g in [-3, 3], its reference comb map, and the surface block with
@@ -84,6 +94,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import shutil  # noqa: E402
@@ -99,12 +110,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
-from conftest import make_perturbed_window  # noqa: E402
+from scipy.linalg import eigvalsh_tridiagonal  # noqa: E402
+from conftest import make_perturbed_window, roundtrip_inputs  # noqa: E402
 from test_failure_grid import grid_counts, run_grid  # noqa: E402
 from workloads import ONE_GAP, comb_map, perturbed_window, random_gapset  # noqa: E402
 from workloads import surface_seed  # noqa: E402
 
-from gmpflow import acceptance, cli, construct, gmp, isospectral, ks, numkit  # noqa: E402
+from gmpflow import acceptance, cli, construct, gmp, isospectral, jacobi, ks, numkit  # noqa: E402
+from gmpflow.errors import GmpflowError  # noqa: E402
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta  # noqa: E402
 from gmpflow.gmp import GmpBlock, GmpWindow  # noqa: E402
 
@@ -116,6 +129,8 @@ CONVERT_SIZES = (221, 425, 853, 1281)
 # off the spectrum of the coefficient window.
 JACOBI_SIZES = (222, 426, 854)
 JACOBI_WIDTH = 5
+ACCEPT_GENERA = (1, 2, 4, 8, 16)
+ACCEPT_SIZES = (241, 481, 961)
 GAP_SETS = {
     1: GapSet(-2.0, 2.0, ((-1.0, 1.0),)),
     2: GapSet(-3.0, 3.0, ((-1.5, -0.7), (0.4, 1.1))),
@@ -203,6 +218,67 @@ def jacobi_inputs(n_blocks: int):
     cmap = comb_map(ONE_GAP)
     window = GmpWindow.from_json(perturbed_window(rng, cmap, n_blocks))
     return DeltaData.from_json(cmap), construct.gmp_to_jacobi_measure(window)
+
+
+def worst_boundary_weight(J, d: DeltaData) -> float | None:
+    """Largest ``jacobi.boundary_weight`` of the kappa vectors and their
+    mirrors at every pole of d, the refused ones included."""
+    weights, measure = [], jacobi.boundary_weight
+
+    def record(*args):
+        weights.append(measure(*args))
+        return weights[-1]
+
+    jacobi.boundary_weight = record
+    try:
+        for c, dist in zip(d.cs(), jacobi.spectral_extent(J, d.cs())[2]):
+            for side in (J, J.reflected()):
+                with contextlib.suppress(GmpflowError):
+                    jacobi.kappa(side, c, dist)
+    finally:
+        jacobi.boundary_weight = measure
+    return max(weights, default=None)
+
+
+def acceptance_sweep() -> list[dict]:
+    records = []
+    for g in ACCEPT_GENERA:
+        for n_blocks in ACCEPT_SIZES:
+            d, w = roundtrip_inputs(g, n_blocks)
+            J = construct.gmp_to_jacobi_measure(w)
+            base = {"n_blocks": n_blocks, "g": g, "sites": J.size}
+            try:
+                back = construct.jacobi_to_gmp(J, d, n_blocks=JACOBI_WIDTH)
+            except GmpflowError as exc:
+                verdict, dev = f"{type(exc).__name__}: {exc}", None
+            else:
+                rows = slice(back.j_min - w.j_min, back.j_max - w.j_min + 1)
+                verdict = "accepted"
+                dev = float(max(np.max(np.abs(back.P - w.P[rows])),
+                                np.max(np.abs(back.Q - w.Q[rows]))))
+
+            def convert():
+                with contextlib.suppress(GmpflowError):
+                    construct.jacobi_to_gmp(J, d, n_blocks=JACOBI_WIDTH)
+
+            rec = {"layer": "operator", "case": f"jacobi_to_gmp acceptance width={JACOBI_WIDTH}",
+                   **base, "verdict": verdict,
+                   "boundary_weight_max": worst_boundary_weight(J, d), "roundtrip_dev": dev}
+            rec.update(timed(convert))
+            records.append(rec)
+            print(f"jacobi_to_gmp g={g} n={n_blocks}: {verdict}", file=sys.stderr)
+            off = J.a[1:]
+            spectra = {
+                f"spectral_extent, {g} points": lambda: jacobi.spectral_extent(J, d.cs()),
+                "eigvalsh_tridiagonal, whole spectrum": lambda: eigvalsh_tridiagonal(J.b, off),
+            }
+            for case, fn in spectra.items():
+                rec = {"layer": "kernel", "case": case, **base}
+                rec.update(timed(fn))
+                records.append(rec)
+                print(f"{case} g={g} n={n_blocks}: best {rec['best_s'] * 1e3:.1f} ms",
+                      file=sys.stderr)
+    return records
 
 
 def iso_inputs(g: int) -> tuple[DeltaData, list[GmpBlock]]:
@@ -424,6 +500,7 @@ def sweep(work: Path) -> list[dict]:
         rec.update(timed(lambda: construct.jacobi_to_gmp(J, d, n_blocks=JACOBI_WIDTH)))
         records.append(rec)
         print(f"{case} n={n_blocks}: best {rec['best_s']:.4f} s", file=sys.stderr)
+    records += acceptance_sweep()
     for g in ISO_GENERA:
         d, seeds = iso_inputs(g)
         case = f"solve_is_point, {ISO_SEEDS} seeds"

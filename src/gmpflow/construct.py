@@ -25,7 +25,6 @@ from . import numkit
 from .errors import (
     NumericalError,
     PoleEvaluationError,
-    SpectrumProximityError,
     ValidationError,
     WindowError,
 )
@@ -37,7 +36,6 @@ FACTOR_TOL = 1e-10
 ORTHO_TOL = 1e-10
 ONE_SIDED_PATTERN_TOL = 1e-9
 TWO_SIDED_PATTERN_TOL = 1e-8
-SPECTRAL_MARGIN_REL = 1e-3
 FLAG_RANK_REL = 1e-8
 POLE_SUPPORT_REL = 1e-12
 READOUT_TOL = 1e-8
@@ -263,9 +261,9 @@ def kappa_minus(window: JacobiWindow, c: float, dist=None):
 
     Reflects the window through the -1 | 0 split, takes the kappa vector
     there, and maps it back, so the angle is built from the left
-    resolvent and all margin and norm validations are inherited; the
-    reflection shares the window's spectrum, so ``dist``, the distance
-    from c to it, if given.
+    resolvent and the boundary-weight and norm checks are inherited; the
+    reflection shares the window's spectrum, so it takes ``dist``, the
+    distance from c to it, if given.
     """
 
     return kappa(window.reflected(), c, dist).vec[::-1]
@@ -296,10 +294,11 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
     makes each continuation step produce exactly one new direction.
     The matrix of the operator in the resulting orthonormal system is
     read off as GMP blocks, with signs gauged so every coupling entry
-    is nonnegative.  The spectral checks (the diameter overflow, each
-    pole's distance from the spectrum, and every kappa vector's margin)
-    share one ``spectral_extent`` call, which computes only the two ends
-    of the spectrum and the eigenvalues around each pole.
+    is nonnegative.  The spectral checks (the diameter overflow, and each
+    kappa vector's distance from the spectrum and its boundary weight,
+    which refuses a window too short for it) share one
+    ``spectral_extent`` call, which computes only the two ends of the
+    spectrum and the eigenvalues around each pole.
     """
 
     if int(n_blocks) != n_blocks or n_blocks < 3:
@@ -323,11 +322,6 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
         raise ValidationError(
             "coefficients too large: the spectral diameter of the window overflows"
         )
-    for c, gap in zip(cs, gaps):
-        if gap <= SPECTRAL_MARGIN_REL * diam:
-            raise SpectrumProximityError(
-                f"pole {c} lies within {gap:.3e} of the window spectrum"
-            )
 
     b, off = window.b, window.a[1:]
 

@@ -347,7 +347,7 @@ def lambda_sharp(
     the functional is minus the trace of a_k b_k^T times the infinity
     factor of ``thisblk``.  A list ``states`` receives the states i < g:
     a_k through slots >= g-1-i, b_k through slots <= i, on axes
-    (component, side, k-1, row).
+    (component, side, k-1, row), the rows the leading axes in C order.
     """
     g, c = thisblk.g, np.asarray(c, dtype=float)
     if nextblk.p.shape != thisblk.p.shape:
@@ -356,7 +356,7 @@ def lambda_sharp(
     # With w = (q, -p) = v^T J the row side takes the column form: for
     # T = I - v v^T J / (c_m - c_k), T^T = I - w w^T J / (c_k - c_m).
     slots = np.concatenate([nextblk.p, thisblk.q, nextblk.q, -thisblk.p], axis=-1)
-    slots = slots.T.reshape(2, 2, g + 1, -1)
+    slots = slots.reshape(-1, 4 * g + 4).T.reshape(2, 2, g + 1, -1)
     state = slots[:, :, :g]
     if states is not None:
         states.append(state)
@@ -370,7 +370,7 @@ def lambda_sharp(
                 states.append(state)
     # terms of minus the trace of a_k b_k^T times the infinity factor at
     # c_k, whose transpose is [[0, 1/p], [-p, (c_k - pq)/p]]
-    p, q = thisblk.p[..., g], thisblk.q[..., g]
+    p, q = thisblk.p[..., g].ravel(), thisblk.q[..., g].ravel()
     closing = np.zeros((2, 2, g, state.shape[-1]))
     closing[0, 1], closing[1, 0], closing[1, 1] = -1.0 / p, p, (p * q - c[:, None]) / p
     terms = state[:, None, 0] * state[None, :, 1] * closing
@@ -451,13 +451,10 @@ def resolvent_column(pairs: Sequence[tuple[GmpWindow, int]], k: int) -> list[np.
         lo, hi = max(window.j_min - j, -2) + 2, min(window.j_max - j, 2) + 3
         rows = slice(j - window.j_min - 2 + lo, j - window.j_min - 2 + hi)
         ps[m, lo:hi], qs[m, lo:hi], held[m, lo:hi] = window.P[rows], window.Q[rows], True
-    # the pairs (block j, block j-1) and (block j+1, block j), as rows 2m and 2m+1
-    this, nxt = (
-        GmpBlock._view(ps[:, s : s + 2].reshape(-1, g + 1), qs[:, s : s + 2].reshape(-1, g + 1))
-        for s in (1, 2)
-    )
+    # the pairs (block j, block j-1) and (block j+1, block j), rows 2m and 2m+1 of the chain
+    this, nxt = GmpBlock._view(ps[:, 1:3], qs[:, 1:3]), GmpBlock._view(ps[:, 2:4], qs[:, 2:4])
     states = []
-    lams = lambda_sharp(nxt, this, c, states=states)[:, k - 1].reshape(-1, 2)
+    lams = lambda_sharp(nxt, this, c, states=states)[..., k - 1]
     ok = np.flatnonzero(np.min(abs(lams), 1) > 1e-12 * np.max(abs(lams), 1, initial=1.0))
     chains = np.stack(states)[..., k - 1, :].reshape(len(states), 2, 2, -1, 2)[..., ok, :]
     P, Q, held, (lam_m1, lam_0), ck = ps[ok], qs[ok], held[ok], lams[ok].T, c[k - 1]

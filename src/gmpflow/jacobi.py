@@ -41,6 +41,7 @@ from .errors import (
 ANGLE_POLE_THRESHOLD = 1e10
 SPECTRUM_MIN_DIST = 1e-6
 KAPPA_NORM_TOL = 1e-6
+BOUNDARY_WEIGHT_TOL = 1e-9
 CORNER_IDENTITY_TOL = 1e-8
 FD_STEP_REL = 1e-5
 # Vectors per trimmed basis block in ``lanczos``.  Smaller blocks skip more
@@ -329,11 +330,6 @@ def spectral_extent(window: JacobiWindow, points) -> tuple[float, float, np.ndar
     return eig[0] * scale, eig[last] * scale, np.array(dist)
 
 
-def decay_margin(window: JacobiWindow, dist: float) -> int:
-    """Sites of padding after which boundary influence drops below ~1e-9."""
-    return int(math.ceil(30.0 / math.log1p(dist / window.norm_bound())))
-
-
 def angle_plus(window: JacobiWindow, c: float) -> float:
     """phi(c) = arctan r_+(c) in (-pi/2, pi/2]; pi/2 when r_+ blows up."""
     try:
@@ -345,10 +341,18 @@ def angle_plus(window: JacobiWindow, c: float) -> float:
     return math.atan(r_plus)
 
 
+def boundary_weight(window: JacobiWindow, vec: np.ndarray, dist: float) -> float:
+    """First-order change of ``vec`` = (J - c)^{-1} rhs from cutting the
+    window, relative to max|vec|: the cut drops a coupling of at most
+    ``norm_bound()`` times an end entry, which the resolvent amplifies by
+    at most 1 / ``dist``, the distance from c to the window's spectrum."""
+    return window.norm_bound() * max(abs(vec[0]), abs(vec[-1])) / (dist * np.max(np.abs(vec)))
+
+
 def kappa(window: JacobiWindow, c: float, dist=None) -> KappaVector:
-    """Kappa vector at c; requires decay margin on both sides of 0.
-    The checks use ``dist``, the distance from c to the window's
-    spectrum, if given."""
+    """Kappa vector at c, refused when its ``boundary_weight`` exceeds
+    1e-9, where the window is too short for it.  The checks use ``dist``,
+    the distance from c to the window's spectrum, if given."""
     if window.n_min > -1 or window.n_max < 0:
         raise WindowError("kappa needs a two-sided window around -1 | 0")
     if dist is None:
@@ -357,20 +361,18 @@ def kappa(window: JacobiWindow, c: float, dist=None) -> KappaVector:
         raise SpectrumProximityError(
             f"c = {c} is within {dist:.2e} of the window spectrum"
         )
-    margin = decay_margin(window, dist)
-    left_pad = -1 - window.n_min
-    right_pad = window.n_max
-    if left_pad < margin or right_pad < margin:
-        raise WindowError(
-            f"window pads ({left_pad}, {right_pad}) below the decay margin "
-            f"{margin} for c = {c}"
-        )
     phi = angle_plus(window, c)
     a0 = window.a_at(0)
     rhs = np.zeros(window.size)
     rhs[window.pos(-1)] = a0 * math.sin(phi)
     rhs[window.pos(0)] = math.cos(phi)
     vec = numkit.solve_tridiagonal(window.b, window.a[1:], rhs, c)
+    weight = boundary_weight(window, vec, dist)
+    if weight > BOUNDARY_WEIGHT_TOL:
+        raise WindowError(
+            f"kappa vector at c = {c} has boundary weight {weight:.2e} "
+            f"above {BOUNDARY_WEIGHT_TOL:.0e}; the window is too short for it"
+        )
 
     h = FD_STEP_REL * max(1.0, abs(c))
     dphi = angle_plus(window, c + h) - angle_plus(window, c - h)

@@ -1,5 +1,8 @@
 """Shared fixtures: canonical small inputs used across the test modules."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -105,6 +108,22 @@ def make_perturbed_window(
             )
         )
     return stack_window(blocks, c, j_min=-half)
+
+
+def roundtrip_inputs(g: int, n_blocks: int) -> tuple[DeltaData, GmpWindow]:
+    """Comb map and block window of a ``jacobi2gmp`` round trip at genus g:
+    perfbench's ``random_gapset`` (no narrow gap) with its reference comb
+    map, and its ``perturbed_window`` of ``n_blocks`` blocks, drawn from
+    ``np.random.default_rng([11, g, n_blocks])``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    rng = np.random.default_rng([11, g, n_blocks])
+    cmap = workloads.comb_map(workloads.random_gapset(rng, g, None))
+    window = workloads.perturbed_window(rng, cmap, n_blocks)
+    return DeltaData.from_json(cmap), GmpWindow.from_json(window)
 
 
 def half_line_measures(w: GmpWindow) -> list[tuple[DiscreteMeasure, int]]:

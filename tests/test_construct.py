@@ -1,3 +1,5 @@
+import re
+
 import mpmath
 import numpy as np
 import numpy.testing as npt
@@ -40,6 +42,7 @@ from conftest import (
     make_estar_gapset,
     make_p1_block,
     make_perturbed_window,
+    roundtrip_inputs,
     stack_window,
 )
 
@@ -365,6 +368,12 @@ class TestKappaMinus:
                 got = float(ki.vec @ kj.vec)
                 npt.assert_allclose(got, expect, atol=1e-8)
 
+    def test_window_short_on_the_left_refused(self):
+        w = period2_window(-15, 106)
+        assert kappa(w, 0.0).vec.size == w.size
+        with pytest.raises(WindowError, match="boundary weight"):
+            kappa_minus(w, 0.0)
+
     def test_kappa_gram_positive_definite(self):
         ns = np.arange(-170, 170)
         w = JacobiWindow(np.ones(ns.size), np.full(ns.size, 3.0), n_min=-170)
@@ -473,6 +482,21 @@ class TestJacobiToGmp:
             blk = w.block(j)
             npt.assert_allclose(blk.p, ref.p, atol=1e-12)
             npt.assert_allclose(blk.q, ref.q, atol=1e-12)
+
+    @pytest.mark.parametrize("g, n_blocks", [(1, 241), (2, 961), (4, 961)])
+    def test_roundtrip_where_the_kappa_vectors_decay(self, g, n_blocks):
+        d, w = roundtrip_inputs(g, n_blocks)
+        back = jacobi_to_gmp(gmp_to_jacobi_measure(w), d, n_blocks=5)
+        rows = slice(back.j_min - w.j_min, back.j_max - w.j_min + 1)
+        npt.assert_allclose(back.P, w.P[rows], rtol=0.0, atol=1e-12)
+        npt.assert_allclose(back.Q, w.Q[rows], rtol=0.0, atol=1e-12)
+
+    def test_window_short_of_a_kappa_vector_refused_by_its_weight(self):
+        d, w = roundtrip_inputs(8, 241)
+        with pytest.raises(WindowError) as info:
+            jacobi_to_gmp(gmp_to_jacobi_measure(w), d, n_blocks=5)
+        weight = re.search(r"boundary weight (\S+) above 1e-09", str(info.value))
+        assert weight and 1e-9 < float(weight.group(1)) < 1.0
 
     def test_spectrum_near_pole_raises(self):
         ns = np.arange(-40, 41)

@@ -42,6 +42,15 @@ def random_block(rng: np.random.Generator, g: int) -> GmpBlock:
     return GmpBlock(p, q)
 
 
+def stack_rows(blocks, shape=(-1,)) -> GmpBlock:
+    """One GmpBlock stack of the blocks' rows, its leading axes ``shape``."""
+    g = blocks[0].g
+    return GmpBlock(
+        np.reshape([b.p for b in blocks], shape + (g + 1,)),
+        np.reshape([b.q for b in blocks], shape + (g + 1,)),
+    )
+
+
 def comb_pair(g: int, seed: int):
     """Poles of the comb map of a random genus-g gap set in [-3, 3], drawn
     as perfbench's ``random_gapset`` draws them, and two blocks near its
@@ -585,6 +594,16 @@ class TestLambdaSharp:
         ]
         assert stacked.shape == (8, g)
         assert np.array_equal(stacked, single)
+
+    @pytest.mark.parametrize("g", [1, 2, 4])
+    def test_two_leading_axes_match_the_flat_stack_bitwise(self, g):
+        rng = np.random.default_rng([7, g])
+        c = np.sort(rng.uniform(-2, 2, g))
+        nxt, this = ([random_block(rng, g) for _ in range(6)] for _ in range(2))
+        flat = lambda_sharp(stack_rows(nxt), stack_rows(this), c)
+        stacked = lambda_sharp(stack_rows(nxt, (3, 2)), stack_rows(this, (3, 2)), c)
+        assert stacked.shape == (3, 2, g)
+        assert np.array_equal(stacked.reshape(6, g), flat)
 
     def test_equal_blocks_reduce(self, p1_block):
         c = np.array([0.0])

@@ -21,7 +21,6 @@ from gmpflow.jacobi import (
     LANCZOS_BLOCK,
     DiscreteMeasure,
     JacobiWindow,
-    decay_margin,
     dist_eta,
     kappa,
     kappa_pairing,
@@ -512,10 +511,3 @@ class TestDistEta:
     def test_eta_range_enforced(self):
         with pytest.raises(ValidationError):
             dist_eta(np.zeros(2), np.zeros(2), 1.0)
-
-class TestDecayMargin:
-    def test_monotone_in_distance(self):
-        win = free_window(-10, 10)
-        m_near = decay_margin(win, 0.1)
-        m_far = decay_margin(win, 2.0)
-        assert m_near > m_far > 0
