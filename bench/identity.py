@@ -7,13 +7,16 @@ The calls are every job of perfbench's pools of every workload at seeds
 3, 5 and 13, every job of ``narrow_gap_pool(1)``, ``gmp2jacobi`` then
 ``jacobi2gmp --width 5`` on the genus-2 and genus-4 round trips of the
 Tier-1 tests (``tests/conftest.roundtrip_inputs`` at 961 blocks, which
-no perfbench pool reaches), and ``gmpflow selftest``.  Each runs in
+no perfbench pool reaches), ``gmpflow selftest``, and every case of the
+typed-failure grid of ``tests/test_failure_grid.py``.  Each runs in
 process through ``gmpflow.cli.main`` with BLAS on one thread.  A job's
 digest lines hash, for each of its calls, the exit code (or the uncaught
 exception), stdout and stderr, together with the bytes of the job's
 output files, read after its last call.  The selftest report is hashed
-with its elapsed times stripped.  Output lines are ``<pool>/<job
-index>/<label> <call index> <sha256>``.
+with its elapsed times stripped.  A grid case's digest hashes its exit
+code and stderr, with its work directory written as ``<work>``.  Output
+lines are ``<pool>/<job index>/<label> <call index> <sha256>``; for a
+grid case the label is ``<command>:<file>:<leaf>=<value>``.
 
 Running this at two commits and comparing the outputs with ``diff`` is
 the byte-identity check.  Inputs are written to a fresh work directory
@@ -46,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 from conftest import roundtrip_inputs  # noqa: E402
+from test_failure_grid import run_grid  # noqa: E402
 from workloads import WORKLOADS, Job, Pool, build_pool, narrow_gap_pool  # noqa: E402
 
 from gmpflow import cli  # noqa: E402
@@ -123,6 +127,11 @@ def main() -> int:
                 print(line, flush=True)
         code, out, err = run_call(["selftest"])
         print(f"selftest 0 {digest(code, ELAPSED.sub(' ', out), err)}")
+        Path("grid").mkdir()
+        for i, case in enumerate(run_grid(Path("grid").resolve())):
+            leaf = ".".join(map(str, case["leaf"]))
+            label = f"{case['command']}:{case['file']}:{leaf}={case['value']}"
+            print(f"grid/{i}/{label} 0 {digest(str(case['exit']), case['stderr'])}", flush=True)
     finally:
         os.chdir(home)
         shutil.rmtree(work)

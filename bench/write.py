@@ -19,7 +19,9 @@ The record holds:
   --width 5``) over n_blocks in {222, 426, 854} at g = 1, on coefficient
   windows built as the ``convert`` workload builds them: perfbench's
   ``perturbed_window`` around its one-gap comb map, then
-  ``gmp_to_jacobi_measure``;
+  ``gmp_to_jacobi_measure``; next to it, on the same windows,
+  ``jacobi.spectral_distance`` at the pole against the whole spectrum by
+  ``scipy.linalg.eigvalsh_tridiagonal``;
 - an acceptance sweep of ``construct.jacobi_to_gmp`` at width 5 over g
   in {1, 2, 4, 8, 16} and n_blocks in {241, 481, 961}, on the round trips
   of ``tests/conftest.roundtrip_inputs`` (perfbench's random gap set and
@@ -28,8 +30,8 @@ The record holds:
   the largest ``jacobi.boundary_weight`` of the 2g kappa vectors, refused
   ones included, the round trip's largest block deviation and the time
   of the call, accepted or refused; next to it, on the same coefficient
-  windows, ``jacobi.spectral_extent`` at the g poles against the whole
-  spectrum by ``scipy.linalg.eigvalsh_tridiagonal``;
+  windows, ``jacobi.spectral_distance`` at the g poles against the whole
+  spectrum, as above;
 - a sweep of ``isospectral.solve_is_point`` over g in {2, 4, 8, 12}, on
   seeds drawn as the ``iso_comb`` workload draws them (a gap set of
   genus g in [-3, 3], its reference comb map, and the surface block with
@@ -231,7 +233,7 @@ def worst_boundary_weight(J, d: DeltaData) -> float | None:
 
     jacobi.boundary_weight = record
     try:
-        for c, dist in zip(d.cs(), jacobi.spectral_extent(J, d.cs())[2]):
+        for c, dist in zip(d.cs(), jacobi.spectral_distance(J, d.cs())):
             for side in (J, J.reflected()):
                 with contextlib.suppress(GmpflowError):
                     jacobi.kappa(side, c, dist)
@@ -267,17 +269,24 @@ def acceptance_sweep() -> list[dict]:
             rec.update(timed(convert))
             records.append(rec)
             print(f"jacobi_to_gmp g={g} n={n_blocks}: {verdict}", file=sys.stderr)
-            off = J.a[1:]
-            spectra = {
-                f"spectral_extent, {g} points": lambda: jacobi.spectral_extent(J, d.cs()),
-                "eigvalsh_tridiagonal, whole spectrum": lambda: eigvalsh_tridiagonal(J.b, off),
-            }
-            for case, fn in spectra.items():
-                rec = {"layer": "kernel", "case": case, **base}
-                rec.update(timed(fn))
-                records.append(rec)
-                print(f"{case} g={g} n={n_blocks}: best {rec['best_s'] * 1e3:.1f} ms",
-                      file=sys.stderr)
+            records += spectrum_records(J, d, base)
+    return records
+
+
+def spectrum_records(J, d: DeltaData, base: dict) -> list[dict]:
+    """``jacobi.spectral_distance`` at the poles of d, timed next to the
+    whole spectrum of J."""
+    records, off = [], J.a[1:]
+    spectra = {
+        f"spectral_distance, {d.g} points": lambda: jacobi.spectral_distance(J, d.cs()),
+        "eigvalsh_tridiagonal, whole spectrum": lambda: eigvalsh_tridiagonal(J.b, off),
+    }
+    for case, fn in spectra.items():
+        rec = {"layer": "kernel", "case": case, **base}
+        rec.update(timed(fn))
+        records.append(rec)
+        print(f"{case} g={d.g} n={base['n_blocks']}: best {rec['best_s'] * 1e3:.2f} ms",
+              file=sys.stderr)
     return records
 
 
@@ -495,11 +504,12 @@ def sweep(work: Path) -> list[dict]:
     for n_blocks in JACOBI_SIZES:
         d, J = jacobi_inputs(n_blocks)
         case = f"jacobi_to_gmp width={JACOBI_WIDTH}"
-        rec = {"layer": "operator", "case": case, "n_blocks": n_blocks, "g": 1,
-               "sites": J.size}
+        base = {"n_blocks": n_blocks, "g": 1, "sites": J.size}
+        rec = {"layer": "operator", "case": case, **base}
         rec.update(timed(lambda: construct.jacobi_to_gmp(J, d, n_blocks=JACOBI_WIDTH)))
         records.append(rec)
         print(f"{case} n={n_blocks}: best {rec['best_s']:.4f} s", file=sys.stderr)
+        records += spectrum_records(J, d, base)
     records += acceptance_sweep()
     for g in ISO_GENERA:
         d, seeds = iso_inputs(g)

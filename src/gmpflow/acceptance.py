@@ -33,7 +33,7 @@ from .gmp import (
     transfer_via_resolvent,
 )
 from .isospectral import IsPoint
-from .jacobi import DiscreteMeasure, JacobiWindow, kappa, kappa_pairing, spectral_extent
+from .jacobi import DiscreteMeasure, JacobiWindow, kappa, kappa_pairing, spectral_distance
 from .ks import (
     delta_J_H,
     delta_of_gmp,
@@ -242,7 +242,7 @@ def criterion_kappa() -> tuple[list, str]:
     kap = kappa(win, c)
     h = 1e-5
     phi_prime = (kappa(win, c + h).phi - kappa(win, c - h).phi) / (2.0 * h)
-    dist = float(spectral_extent(win, c)[2][0])
+    dist = float(spectral_distance(win, c)[0])
     a0 = win.a_at(0)
     lower = min(a0**2, 1.0) / (abs(c) + win.norm_bound()) ** 2
     upper = max(a0**2, 1.0) / dist**2

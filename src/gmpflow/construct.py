@@ -7,7 +7,7 @@ basis obtained by multiplying through with the comb map, and the matrix
 of multiplication by ``x`` in that basis, which is a one-sided GMP
 matrix.  The two-sided route converts between Jacobi windows and GMP
 windows: ``jacobi_to_gmp`` orthogonalizes a flag of resolvent vectors
-pinned at the map poles, after one ``spectral_extent`` call for the
+pinned at the map poles, after one ``spectral_distance`` call for the
 spectral checks, and ``gmp_to_jacobi_measure`` tridiagonalizes the two
 block-banded half-line truncations by Lanczos on their band storage,
 with no eigensolve; each projection reads only the staircase of rows
@@ -30,7 +30,7 @@ from .errors import (
 )
 from .finitegap import DeltaData, check_distinct_poles, eval_delta
 from .gmp import GmpWindow, build_block_B, pattern_defect
-from .jacobi import DiscreteMeasure, JacobiWindow, kappa, lanczos, spectral_extent
+from .jacobi import DiscreteMeasure, JacobiWindow, kappa, lanczos, spectral_distance
 
 FACTOR_TOL = 1e-10
 ORTHO_TOL = 1e-10
@@ -294,11 +294,11 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
     makes each continuation step produce exactly one new direction.
     The matrix of the operator in the resulting orthonormal system is
     read off as GMP blocks, with signs gauged so every coupling entry
-    is nonnegative.  The spectral checks (the diameter overflow, and each
-    kappa vector's distance from the spectrum and its boundary weight,
-    which refuses a window too short for it) share one
-    ``spectral_extent`` call, which computes only the two ends of the
-    spectrum and the eigenvalues around each pole.
+    is nonnegative.  The spectral checks (each kappa vector's distance
+    from the spectrum and its boundary weight, which refuses a window too
+    short for it) share one ``spectral_distance`` call, which computes
+    only the eigenvalues around each pole.  A window whose blocks come out
+    too large to square is refused by ``GmpWindow``, naming the entry.
     """
 
     if int(n_blocks) != n_blocks or n_blocks < 3:
@@ -316,13 +316,7 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
             f"of size {per} plus boundary"
         )
 
-    lowest, highest, gaps = spectral_extent(window, cs)
-    diam = highest - lowest  # Python floats overflow to inf quietly
-    if not np.isfinite(diam):
-        raise ValidationError(
-            "coefficients too large: the spectral diameter of the window overflows"
-        )
-
+    gaps = spectral_distance(window, cs)
     b, off = window.b, window.a[1:]
 
     def mapped(v: np.ndarray) -> np.ndarray:

@@ -35,11 +35,19 @@ ZERO_RESIDUAL_REL_TOL = 1e-11
 SQUARE_MAX = math.sqrt(np.finfo(float).max)
 
 
-def check_squares(entries: dict[str, float]) -> None:
-    """Refuse the first named entry whose square overflows."""
-    for name, x in entries.items():
-        if abs(x) > SQUARE_MAX:
-            raise ValidationError(f"{name} = {x:.6g} is too large: its square overflows")
+def check_squares(arrays: dict, name: str = "{key}", axis: int = 0) -> None:
+    """Refuse the first entry whose square overflows, at one reduction per
+    array when none does (NaN is left to the finiteness rules).  ``arrays``
+    maps keys to arrays of one shape, whose entries are taken in the C
+    order of ``np.stack(arrays.values(), axis)``, the order of the JSON
+    file for its layout; the first is named ``name.format(*index,
+    key=key)`` by its index in its own array."""
+    if not any(np.abs(x).max(initial=0.0) > SQUARE_MAX for x in arrays.values()):
+        return
+    stacked = np.stack(list(arrays.values()), axis)
+    at = np.unravel_index(np.argmax(np.abs(stacked) > SQUARE_MAX), stacked.shape)
+    entry = name.format(*at[:axis], *at[axis + 1:], key=list(arrays)[at[axis]])
+    raise ValidationError(f"{entry} = {stacked[at]:.6g} is too large: its square overflows")
 
 
 def check_distinct_poles(c) -> None:
@@ -153,9 +161,8 @@ class DeltaData:
         for c, lam in self.poles:
             if not (math.isfinite(c) and math.isfinite(lam)):
                 raise ValidationError(f"pole at {c} with weight {lam} must be finite")
-        poles = {f"poles[{i}].{key}": x for i, pole in enumerate(self.poles)
-                 for key, x in zip(("c", "lambda"), pole)}
-        check_squares({"lambda0": self.lambda0, "c0": self.c0, **poles})
+        check_squares({"lambda0": self.lambda0, "c0": self.c0})
+        check_squares({"c": self.cs(), "lambda": self.lams()}, "poles[{0}].{key}", axis=1)
         check_distinct_poles(self.cs())
 
     @property

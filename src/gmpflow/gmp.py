@@ -67,11 +67,10 @@ class GmpBlock:
         object.__setattr__(self, "q", q)
         if p.ndim < 1 or p.shape != q.shape or p.shape[-1] < 1:
             raise ValidationError("p and q must be nonempty vectors of equal length")
-        rows_p, rows_q = p.reshape(-1, p.shape[-1]), q.reshape(-1, p.shape[-1])
-        finite = np.isfinite(rows_p).all(1) & np.isfinite(rows_q).all(1)
-        bad = ~finite | (rows_p[:, -1] <= 0.0)
-        if bad.any():
-            i = np.argmax(bad)
+        if not (np.isfinite(p).all() and np.isfinite(q).all() and (p[..., -1] > 0.0).all()):
+            rows_p, rows_q = p.reshape(-1, p.shape[-1]), q.reshape(-1, p.shape[-1])
+            finite = np.isfinite(rows_p).all(1) & np.isfinite(rows_q).all(1)
+            i = np.argmax(~finite | (rows_p[:, -1] <= 0.0))
             if not finite[i]:
                 raise ValidationError("block entries must be finite")
             raise ValidationError(f"last p entry must be positive, got {rows_p[i, -1]}")
@@ -99,8 +98,8 @@ class GmpWindow:
     Row i of the read-only ``(n_blocks, g+1)`` arrays ``P`` and ``Q``
     holds the forming vectors of block j_min + i.  The constructor is the
     one place the window rules are applied: every row obeys the block
-    rules of ``GmpBlock``, and the g poles are finite, small enough to
-    square, and distinct.
+    rules of ``GmpBlock``, every entry is small enough to square, and the
+    g poles are finite, small enough to square, and distinct.
     """
 
     P: np.ndarray
@@ -116,11 +115,12 @@ class GmpWindow:
         if P.ndim != 2 or P.shape != Q.shape:
             raise ValidationError("P and Q must be 2-d arrays of equal shape")
         rows = GmpBlock(P, Q)
+        check_squares({"p": rows.p, "q": rows.q}, "blocks[{0}].{key}[{1}]", axis=1)
         if c.ndim != 1 or c.size != rows.g:
             raise ValidationError(f"pole list has length {c.size}, expected {rows.g}")
         if not np.isfinite(c).all():
             raise ValidationError("poles must be finite")
-        check_squares({f"C[{i}]": x for i, x in enumerate(c.tolist())})
+        check_squares({"C": c}, "{key}[{0}]")
         check_distinct_poles(c)
         c.setflags(write=False)
         vars(self).update(P=rows.p, Q=rows.q, c=c, j_min=j_min)  # frozen: bypass __setattr__

@@ -15,10 +15,11 @@ angle function phi(c) = arctan r_+(c) and its kappa vector
 
 which is supported on the right half and has squared norm phi'(c).
 Resolvents, at real z only, are O(n) tridiagonal solves; the spectrum
-enters only through its two ends and its distance from given points,
-from Sturm counts and bisection for the few eigenvalues those need.  The
-dense matrix is formed only for the spectral measure and the pairing
-identity.
+enters only through its distance from given points, from Sturm counts
+and bisection for the few eigenvalues around them.  Every coefficient
+is small enough to square, which keeps the norm bound and the spectral
+diameter finite.  The dense matrix is formed only for the spectral
+measure and the pairing identity.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     WindowError,
     integral,
 )
+from .finitegap import check_squares
 
 ANGLE_POLE_THRESHOLD = 1e10
 SPECTRUM_MIN_DIST = 1e-6
@@ -54,7 +56,8 @@ LANCZOS_BLOCK = 128
 
 @dataclass(frozen=True)
 class JacobiWindow:
-    """Coefficients a(n) > 0 and b(n) for n = n_min..n_max.
+    """Coefficients a(n) > 0 and b(n) for n = n_min..n_max, finite and
+    small enough to square.
 
     a(n) couples the sites n-1 and n, so a(n_min) refers to a bond that
     leaves the window; it is stored to keep halves attachable.
@@ -77,10 +80,7 @@ class JacobiWindow:
             raise ValidationError("coefficients must be finite")
         if np.any(a <= 0.0):
             raise ValidationError("all a(n) must be positive")
-        if not math.isfinite(self.norm_bound()):
-            raise ValidationError(
-                "coefficients too large: the norm bound max|b| + 2 max a overflows"
-            )
+        check_squares({"a": a, "b": b}, "{key}[{0}]")
 
     @property
     def size(self) -> int:
@@ -302,15 +302,15 @@ def _sturm_count(diag: list, off_sq: list, x: float, pivmin: float) -> int:
     return count
 
 
-def spectral_extent(window: JacobiWindow, points) -> tuple[float, float, np.ndarray]:
-    """Least and greatest eigenvalue of the window's tridiagonal matrix,
-    and the distance from each of ``points`` to its spectrum.
+def spectral_distance(window: JacobiWindow, points) -> np.ndarray:
+    """Distance from each of ``points`` to the spectrum of the window's
+    tridiagonal matrix.
 
     Only the eigenvalues these need are computed: a Sturm count at each
-    point names the two eigenvalues around it, and LAPACK bisection
-    (``stebz``) finds those and the two ends.  The matrix is first scaled
-    by a power of two near its norm bound, so that no pivot or bisection
-    step overflows; scaling back is exact.
+    point names the two eigenvalues around it, and one LAPACK bisection
+    (``stebz``) call per distinct pair finds them.  The matrix is first
+    scaled by a power of two near its norm bound, so that no pivot or
+    bisection step overflows; scaling back is exact.
     """
     from scipy.linalg import eigvalsh_tridiagonal
 
@@ -322,12 +322,9 @@ def spectral_extent(window: JacobiWindow, points) -> tuple[float, float, np.ndar
     last, rows = diag.size - 1, diag.tolist()
     counts = [_sturm_count(rows, off_sq, x, pivmin) for x in shifts]
     near = [(max(k - 1, 0), min(k, last)) for k in counts]
-    eig = {}
-    for lo, hi in {(0, 0), (last, last), *near}:
-        vals = eigvalsh_tridiagonal(diag, off, select="i", select_range=(lo, hi))
-        eig.update(zip(range(lo, hi + 1), vals.tolist()))
-    dist = [min(abs(eig[i] - x) for i in pair) * scale for pair, x in zip(near, shifts)]
-    return eig[0] * scale, eig[last] * scale, np.array(dist)
+    eig = {pair: eigvalsh_tridiagonal(diag, off, select="i", select_range=pair).tolist()
+           for pair in set(near)}
+    return np.array([min(abs(e - x) for e in eig[pair]) * scale for pair, x in zip(near, shifts)])
 
 
 def angle_plus(window: JacobiWindow, c: float) -> float:
@@ -356,7 +353,7 @@ def kappa(window: JacobiWindow, c: float, dist=None) -> KappaVector:
     if window.n_min > -1 or window.n_max < 0:
         raise WindowError("kappa needs a two-sided window around -1 | 0")
     if dist is None:
-        dist = float(spectral_extent(window, c)[2][0])
+        dist = float(spectral_distance(window, c)[0])
     if dist < SPECTRUM_MIN_DIST:
         raise SpectrumProximityError(
             f"c = {c} is within {dist:.2e} of the window spectrum"
@@ -411,7 +408,7 @@ def two_by_two_resolvent(window: JacobiWindow, z: float) -> np.ndarray:
     if window.n_min > -1 or window.n_max < 0:
         raise WindowError("corner resolvent needs sites -1 and 0")
     scale = max(1.0, window.norm_bound())
-    if spectral_extent(window, z)[2][0] < 1e-8 * scale:
+    if spectral_distance(window, z)[0] < 1e-8 * scale:
         raise SpectrumProximityError(
             f"z = {z} is too close to the window spectrum"
         )

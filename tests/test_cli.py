@@ -170,7 +170,7 @@ class TestFlow:
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_non_finite_pair_functional_leaves_the_class(self, tmp_path, capsys):
-        huge = {"p": [1e160, 1.0], "q": [1e160, -0.5]}
+        huge = {"p": [1e154, 1.0], "q": [1e154, -0.5]}
         win = write_json(
             tmp_path / "huge.json",
             {"g": 1, "C": [0.0], "j_min": -4, "blocks": [huge] * 9},
@@ -496,16 +496,13 @@ class TestConversions:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(["jacobi2gmp", win, d, "--width", "3"]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == (
-            "validation error: coefficients too large: "
-            "the norm bound max|b| + 2 max a overflows\n"
+        assert capsys.readouterr() == (
+            "", f"validation error: a[{site}] = 1e+308 is too large: its square overflows\n"
         )
 
     def test_overflowing_spectral_diameter_rejected(self, tmp_path, capsys):
-        # the norm bound max|b| + 2 max a stays finite; the spectrum's
-        # diameter, about 2e308, does not
+        # a spectral diameter of about 2e308 is out of reach: every
+        # coefficient must be small enough to square
         data = json.loads(Path(period2_jacobi_file(tmp_path)).read_text())
         data["b"][0], data["b"][-1] = -1e308, 1e308
         win = write_json(tmp_path / "huge.json", data)
@@ -515,9 +512,7 @@ class TestConversions:
             warnings.simplefilter("error")
             assert cli.main(["jacobi2gmp", win, d, "--width", "3"]) == 1
         assert capsys.readouterr() == (
-            "",
-            "validation error: coefficients too large: "
-            "the spectral diameter of the window overflows\n",
+            "", "validation error: b[0] = -1e+308 is too large: its square overflows\n"
         )
 
     @pytest.mark.parametrize(
@@ -790,8 +785,9 @@ class TestMalformedNumbers:
 
 
 class TestOverflowingEntries:
-    """A map entry or window pole whose square overflows is a validation
-    error that names the entry, raised when the file is read."""
+    """A map entry, window pole, block entry or Jacobi coefficient whose
+    square overflows is a validation error that names the entry, raised
+    when the file is read."""
 
     @pytest.mark.parametrize(
         "command, entry, value",
@@ -825,6 +821,46 @@ class TestOverflowingEntries:
         assert cli.main(argv) == 1
         assert capsys.readouterr() == (
             "", f"validation error: {entry} = {value:.6g} is too large: its square overflows\n"
+        )
+
+
+    @pytest.mark.parametrize(
+        "command, i, key, k, value",
+        [
+            ("flow", 3, "q", 1, 1e308),
+            ("ks", 0, "p", 0, -1e308),
+            ("gmp2jacobi", 7, "p", 1, 1e308),
+            ("gmp2jacobi", 14, "q", 0, -1e200),
+        ],
+    )
+    def test_block_entry_is_named(self, tmp_path, capsys, command, i, key, k, value):
+        window = json.loads(Path(p1_window_file(tmp_path)).read_text())
+        window["blocks"][i][key][k] = value
+        win = write_json(tmp_path / "big-window.json", window)
+        argv = {
+            "flow": ["flow", win, "--steps", "2"],
+            "ks": ["ks", win, estar_delta_file(tmp_path), "--steps", "1"],
+            "gmp2jacobi": ["gmp2jacobi", win],
+        }[command]
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == (
+            "", f"validation error: blocks[{i}].{key}[{k}] = {value:.6g} is too large: "
+            "its square overflows\n"
+        )
+
+    def test_window_of_huge_blocks_is_refused_at_its_first_entry(self, tmp_path, capsys):
+        huge = {"p": [1e160, 1.0], "q": [1e160, -0.5]}
+        win = write_json(
+            tmp_path / "huge.json",
+            {"g": 1, "C": [0.0], "j_min": -4, "blocks": [huge] * 9},
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["flow", win, "--steps", "2"]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr() == (
+            "", "validation error: blocks[0].p[0] = 1e+160 is too large: its square overflows\n"
         )
 
 

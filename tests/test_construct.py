@@ -4,6 +4,7 @@ import mpmath
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy.linalg
 
 from gmpflow import construct, jacobi
 from gmpflow.construct import (
@@ -509,20 +510,30 @@ class TestJacobiToGmp:
         # the kappa vectors and their mirrors check against the distances
         # jacobi_to_gmp selected, which the reflected window shares
         calls = []
-        extent = jacobi.spectral_extent
+        distance = jacobi.spectral_distance
 
         def counting(window, points):
             calls.append(np.size(points))
-            return extent(window, points)
+            return distance(window, points)
 
-        monkeypatch.setattr(jacobi, "spectral_extent", counting)
-        monkeypatch.setattr(construct, "spectral_extent", counting)
+        monkeypatch.setattr(jacobi, "spectral_distance", counting)
+        monkeypatch.setattr(construct, "spectral_distance", counting)
+        bisections = []
+        bisect = scipy.linalg.eigvalsh_tridiagonal
+
+        def counting_bisection(*args, **kwargs):
+            bisections.append(kwargs["select_range"])
+            return bisect(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", counting_bisection)
         if g == 1:
             w = jacobi_to_gmp(period2_window(), make_estar_delta(), n_blocks=5)
         else:
             w = jacobi_to_gmp(periodic_g2_window(), make_widegap_delta(), n_blocks=9)
         assert w.g == g
         assert calls == [g]
+        # one bisection per distinct pair of eigenvalues around the poles
+        assert 1 <= len(bisections) == len(set(bisections)) <= g
 
     def test_too_few_blocks_raises(self):
         with pytest.raises(ValidationError):
@@ -573,6 +584,20 @@ class TestGmpToJacobiMeasure:
             npt.assert_allclose(J.a_at(n), 1.5 if n % 2 == 0 else 0.5, atol=1e-12)
         for n in range(J.n_min, J.n_max + 1):
             assert abs(J.b_at(n)) < 1e-12
+
+    @pytest.mark.parametrize("g", [1, 2, 4, 8, 16])
+    def test_flow_readout_is_the_deep_oracle(self, g):
+        # the paper's route to the plus half: a(n), b(n) read off state n
+        # of the flow, as deep as the window lets it run (109 steps)
+        _, w = roundtrip_inputs(g, 221)
+        J = gmp_to_jacobi_measure(w)
+        steps = min(-1 - w.j_min, w.j_max - 1)
+        traj = flow_run(w, steps)
+        assert (steps, J.n_max) == (109, 110)
+        a_gap = max(abs(J.a_at(n) - traj.a_out[n]) for n in range(steps + 1))
+        b_gap = max(abs(J.b_at(n) - traj.b_out[n]) for n in range(steps))
+        # ten times the worst measured, 3.6e-14 in b at g = 4
+        assert max(a_gap, b_gap) <= 3.6e-13
 
     def test_window_must_cover_split(self):
         blk = make_p1_block()

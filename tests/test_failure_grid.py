@@ -9,9 +9,11 @@ every case ``cli.main`` must return 0, 1 or 2 and raise nothing, a
 failing exit must write exactly one line to stderr, a successful exit
 must write no nan or inf, and no case may raise a warning: ``cli.main``
 turns a floating-point overflow, invalid operation or division by zero
-into exit 2.
+into exit 2.  A window block entry or Jacobi coefficient whose square
+overflows exits 1, naming its JSON path.
 
-``run_grid`` is also what ``bench/write.py`` runs to record the counts.
+``run_grid`` is also what ``bench/write.py`` runs to record the counts,
+and what ``bench/identity.py`` digests case by case.
 """
 
 from __future__ import annotations
@@ -92,7 +94,8 @@ def run_call(argv: list[str]):
 
 def run_grid(work: Path):
     """Yield one record per case: the subcommand, the file and leaf
-    varied, the value, the outcome and the contract breaches it shows."""
+    varied, the value, the outcome with its stderr (``work`` written as
+    ``<work>``) and the contract breaches it shows."""
     for argv in first_jobs(work):
         out_path = work / "grid.out"
         for pos in input_positions(argv):
@@ -128,6 +131,7 @@ def run_grid(work: Path):
                         "leaf": list(leaf),
                         "value": json.dumps(value),
                         "exit": code if isinstance(code, int) else type(code).__name__,
+                        "stderr": stderr.replace(str(work), "<work>"),
                         "warned": n_warnings > 0,
                         "breaches": breaches,
                     }
@@ -168,3 +172,32 @@ def test_grid_covers_every_subcommand_and_input(grid):
     }
     assert len(inputs) == 9
     assert all(n % len(VALUES) == 0 for n in Counter(c["command"] for c in grid).values())
+
+
+def test_entries_whose_squares_overflow_are_named(grid):
+    # window block entries and Jacobi coefficients; a positivity rule may
+    # refuse the entry first (every grid window has g = 1)
+    cases = [c for c in grid if c["leaf"][0] in ("blocks", "a", "b")
+             and c["value"] in ("1e+308", "-1e+308")]
+    assert len(cases) == 56
+    for c in cases:
+        leaf = c["leaf"]
+        if leaf[0] == "blocks":
+            path, positive = f"blocks[{leaf[1]}].{leaf[2]}[{leaf[3]}]", leaf[2:] == ["p", 1]
+        else:
+            path, positive = f"{leaf[0]}[{leaf[1]}]", leaf[0] == "a"
+        message = f"{path} = {c['value']} is too large: its square overflows"
+        if positive and c["value"] == "-1e+308":
+            message = ("last p entry must be positive, got -1e+308" if leaf[0] == "blocks"
+                       else "all a(n) must be positive")
+        assert (c["exit"], c["stderr"]) == (1, f"validation error: {message}\n"), c
+
+
+def test_vanishing_crossing_bond_is_refused(grid):
+    # a[111] is the crossing bond a(0).  At 1e-308 it once gave blocks too
+    # large to square, written with exit 0 and unreadable by gmp2jacobi
+    (case,) = [c for c in grid if c["command"] == "jacobi2gmp" and c["leaf"] == ["a", 111]
+               and c["value"] == "1e-308"]
+    assert case["exit"] == 1
+    assert re.fullmatch(r"validation error: blocks\[\d+\]\.[pq]\[\d+\] = -?\d\.\d+e\+30\d "
+                        r"is too large: its square overflows\n", case["stderr"]), case

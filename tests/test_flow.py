@@ -324,7 +324,7 @@ class TestFlowRun:
         with pytest.raises(ValidationError, match="left the class"):
             flow_run(window, 1)
 
-    @pytest.mark.parametrize("slot, value", [(0, 1e308), (1, 1e-308)])
+    @pytest.mark.parametrize("slot, value", [(1, 1e-308)])
     def test_infinite_pair_functional_aborts(self, slot, value):
         w = make_p1_window(21, -10)
         P = w.P.copy()

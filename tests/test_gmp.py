@@ -175,6 +175,26 @@ class TestGmpWindow:
         assert str(info.value) == f"C[1] = {-big:.6g} is too large: its square overflows"
         assert GmpWindow(P, np.zeros((5, 3)), [0.0, -SQUARE_MAX]).c[1] == -SQUARE_MAX
 
+    def test_block_entry_whose_square_overflows_is_named(self):
+        # the first in file order: block by block, p before q
+        big = float(np.nextafter(SQUARE_MAX, np.inf))
+        P, Q = np.tile([0.5, 0.5, 1.0], (5, 1)), np.zeros((5, 3))
+        P[3, 0], Q[2, 1] = big, -big
+        with pytest.raises(ValidationError) as info:
+            GmpWindow(P, Q, [0.0, 1.0], -2)
+        assert str(info.value) == f"blocks[2].q[1] = {-big:.6g} is too large: its square overflows"
+        Q[2, 1] = -SQUARE_MAX
+        with pytest.raises(ValidationError) as info:
+            GmpWindow(P, Q, [0.0, 1.0], -2)
+        assert str(info.value) == f"blocks[3].p[0] = {big:.6g} is too large: its square overflows"
+        P[3, 0] = SQUARE_MAX
+        assert GmpWindow(P, Q, [0.0, 1.0], -2).Q[2, 1] == -SQUARE_MAX
+        # the block rules come first
+        P[1, 2] = 0.0
+        Q[2, 1] = -big
+        with pytest.raises(ValidationError, match="^last p entry must be positive, got 0.0$"):
+            GmpWindow(P, Q, [0.0, 1.0], -2)
+
     def test_from_arrays_checks_every_row(self):
         p = np.tile([np.sqrt(2.0), 0.5], (4, 1))
         q = np.zeros((4, 2))
@@ -645,7 +665,7 @@ class TestValidateGmp:
         assert "k=1" in report["message"]
 
     def test_non_finite_functional_is_invalid(self):
-        huge = GmpBlock([1e160, 1.0], [1e160, -0.5])
+        huge = GmpBlock([1.3e154, 1.3e154], [1.3e154, 1.3e154])
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             report = validate_gmp(stack_window([huge] * 9, (0.0,), j_min=-4))
@@ -654,7 +674,7 @@ class TestValidateGmp:
         assert np.isnan(report["min_per_k"][0])
         assert report["message"] == "pair functional at k=1 is not finite (block -4)"
 
-    @pytest.mark.parametrize("slot, value", [(0, 1e308), (1, 1e-308)])
+    @pytest.mark.parametrize("slot, value", [(1, 1e-308)])
     def test_infinite_functional_is_invalid(self, slot, value):
         w = make_p1_window(21, -10)
         P = w.P.copy()

@@ -16,6 +16,7 @@ from gmpflow.errors import (
     ValidationError,
     WindowError,
 )
+from gmpflow.finitegap import SQUARE_MAX
 from gmpflow.gmp import GmpWindow
 from gmpflow.jacobi import (
     LANCZOS_BLOCK,
@@ -27,7 +28,7 @@ from gmpflow.jacobi import (
     lanczos,
     lanczos_from_measure,
     resolvent_r,
-    spectral_extent,
+    spectral_distance,
     spectral_measure_plus,
     two_by_two_resolvent,
 )
@@ -130,6 +131,24 @@ class TestJacobiWindow:
             JacobiWindow(np.array([0.0, 1.0]), np.zeros(2))
         with pytest.raises(ValidationError):
             JacobiWindow(np.ones(3), np.zeros(2))
+
+    def test_coefficient_whose_square_overflows_is_named(self):
+        # every a(n) comes before every b(n), as in the JSON file
+        big = float(np.nextafter(SQUARE_MAX, np.inf))
+        a, b = np.ones(6), np.zeros(6)
+        b[1], a[4] = -big, big
+        with pytest.raises(ValidationError) as info:
+            JacobiWindow(a, b, -3)
+        assert str(info.value) == f"a[4] = {big:.6g} is too large: its square overflows"
+        a[4] = SQUARE_MAX
+        with pytest.raises(ValidationError) as info:
+            JacobiWindow(a, b, -3)
+        assert str(info.value) == f"b[1] = {-big:.6g} is too large: its square overflows"
+        b[1] = -SQUARE_MAX
+        assert math.isfinite(JacobiWindow(a, b, -3).norm_bound())
+        a[2] = 0.0
+        with pytest.raises(ValidationError, match="^all a\\(n\\) must be positive$"):
+            JacobiWindow(a, b, -3)
 
     def test_json_round_trip(self):
         win = JacobiWindow(np.array([1.5, 0.5]), np.array([0.1, -0.2]), -1)
@@ -350,26 +369,25 @@ class TestSpectralExtent:
         eigs = eigvalsh_tridiagonal(J.b, J.a[1:])
         # inside, on an eigenvalue, between two, and outside on both sides
         points = [0.0, eigs[17], 0.5 * (eigs[40] + eigs[41]), eigs[0] - 1.0, eigs[-1] + 2.5]
-        lo, hi, dist = spectral_extent(J, points)
-        assert abs(lo - eigs[0]) <= 1e-14 and abs(hi - eigs[-1]) <= 1e-14
+        dist = spectral_distance(J, points)
         ref = np.min(np.abs(eigs[None, :] - np.array(points)[:, None]), axis=1)
         assert np.max(np.abs(dist - ref)) <= 1e-14
 
     def test_single_site(self):
-        lo, hi, dist = spectral_extent(JacobiWindow([1.0], [0.25]), [1.0, -1.0])
-        assert lo == hi == 0.25
+        dist = spectral_distance(JacobiWindow([1.0], [0.25]), [1.0, -1.0])
         assert np.array_equal(dist, [0.75, 1.25])
 
     def test_huge_entries_raise_no_warning(self):
-        # the norm bound is finite, the spectral diameter is not
+        # entries near the square root of the largest double: the pivots
+        # and squared couplings of the unscaled matrix would overflow
         b = np.zeros(40)
-        b[0], b[-1] = -1e308, 1e308
+        b[0], b[-1] = -1.3e154, 1.3e154
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lo, hi, dist = spectral_extent(JacobiWindow(np.ones(40), b), [0.0, 1e308])
-        assert lo == pytest.approx(-1e308) and hi == pytest.approx(1e308)
-        assert hi - lo == math.inf
-        assert dist[1] <= 1e-8 * 1e308
+            dist = spectral_distance(JacobiWindow(np.ones(40), b), [0.0, 1.3e154])
+        # bisection is accurate to a few ulps of the norm
+        assert abs(dist[0] - 2.0 * math.sin(math.pi / 78)) <= 1e-14 * 1.3e154
+        assert dist[1] <= 1e-8 * 1.3e154
 
 
 class TestKappa:
