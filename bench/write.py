@@ -20,7 +20,8 @@ The record holds:
   windows built as the ``convert`` workload builds them: perfbench's
   ``perturbed_window`` around its one-gap comb map, then
   ``gmp_to_jacobi_measure``; next to it, on the same windows,
-  ``jacobi.spectral_distance`` at the pole against the whole spectrum by
+  ``jacobi.spectrum_near`` at the pole with kappa's radius
+  ``SPECTRUM_MIN_DIST`` against the whole spectrum by
   ``scipy.linalg.eigvalsh_tridiagonal``;
 - an acceptance sweep of ``construct.jacobi_to_gmp`` at width 5 over g
   in {1, 2, 4, 8, 16} and n_blocks in {241, 481, 961}, on the round trips
@@ -30,8 +31,8 @@ The record holds:
   the largest ``jacobi.boundary_weight`` of the 2g kappa vectors, refused
   ones included, the round trip's largest block deviation and the time
   of the call, accepted or refused; next to it, on the same coefficient
-  windows, ``jacobi.spectral_distance`` at the g poles against the whole
-  spectrum, as above;
+  windows, ``jacobi.spectrum_near`` at each of the g poles against the
+  whole spectrum, as above;
 - a sweep of ``isospectral.solve_is_point`` over g in {2, 4, 8, 12}, on
   seeds drawn as the ``iso_comb`` workload draws them (a gap set of
   genus g in [-3, 3], its reference comb map, and the surface block with
@@ -233,10 +234,10 @@ def worst_boundary_weight(J, d: DeltaData) -> float | None:
 
     jacobi.boundary_weight = record
     try:
-        for c, dist in zip(d.cs(), jacobi.spectral_distance(J, d.cs())):
+        for c in d.cs():
             for side in (J, J.reflected()):
                 with contextlib.suppress(GmpflowError):
-                    jacobi.kappa(side, c, dist)
+                    jacobi.kappa(side, c)
     finally:
         jacobi.boundary_weight = measure
     return max(weights, default=None)
@@ -274,11 +275,12 @@ def acceptance_sweep() -> list[dict]:
 
 
 def spectrum_records(J, d: DeltaData, base: dict) -> list[dict]:
-    """``jacobi.spectral_distance`` at the poles of d, timed next to the
-    whole spectrum of J."""
+    """``jacobi.spectrum_near`` at each pole of d with kappa's radius,
+    timed next to the whole spectrum of J."""
     records, off = [], J.a[1:]
     spectra = {
-        f"spectral_distance, {d.g} points": lambda: jacobi.spectral_distance(J, d.cs()),
+        f"spectrum_near, {d.g} points": lambda: [
+            jacobi.spectrum_near(J, c, jacobi.SPECTRUM_MIN_DIST) for c in d.cs()],
         "eigvalsh_tridiagonal, whole spectrum": lambda: eigvalsh_tridiagonal(J.b, off),
     }
     for case, fn in spectra.items():

@@ -33,7 +33,7 @@ from .gmp import (
     transfer_via_resolvent,
 )
 from .isospectral import IsPoint
-from .jacobi import DiscreteMeasure, JacobiWindow, kappa, kappa_pairing, spectral_distance
+from .jacobi import DiscreteMeasure, JacobiWindow, kappa, kappa_pairing
 from .ks import (
     delta_J_H,
     delta_of_gmp,
@@ -242,7 +242,8 @@ def criterion_kappa() -> tuple[list, str]:
     kap = kappa(win, c)
     h = 1e-5
     phi_prime = (kappa(win, c + h).phi - kappa(win, c - h).phi) / (2.0 * h)
-    dist = float(spectral_distance(win, c)[0])
+    # distance from c to the free window's spectrum, whose top is 2 cos(pi / (n + 1))
+    dist = c - 2.0 * np.cos(np.pi / (ns.size + 1))
     a0 = win.a_at(0)
     lower = min(a0**2, 1.0) / (abs(c) + win.norm_bound()) ** 2
     upper = max(a0**2, 1.0) / dist**2

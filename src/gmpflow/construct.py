@@ -7,8 +7,8 @@ basis obtained by multiplying through with the comb map, and the matrix
 of multiplication by ``x`` in that basis, which is a one-sided GMP
 matrix.  The two-sided route converts between Jacobi windows and GMP
 windows: ``jacobi_to_gmp`` orthogonalizes a flag of resolvent vectors
-pinned at the map poles, after one ``spectral_distance`` call for the
-spectral checks, and ``gmp_to_jacobi_measure`` tridiagonalizes the two
+pinned at the map poles, each checked by ``kappa`` against the spectrum
+and the truncation, and ``gmp_to_jacobi_measure`` tridiagonalizes the two
 block-banded half-line truncations by Lanczos on their band storage,
 with no eigensolve; each projection reads only the staircase of rows
 the earlier Lanczos vectors occupy.
@@ -28,9 +28,9 @@ from .errors import (
     ValidationError,
     WindowError,
 )
-from .finitegap import DeltaData, check_distinct_poles, eval_delta
+from .finitegap import SQUARE_MAX, DeltaData, check_distinct_poles, eval_delta
 from .gmp import GmpWindow, build_block_B, pattern_defect
-from .jacobi import DiscreteMeasure, JacobiWindow, kappa, lanczos, spectral_distance
+from .jacobi import DiscreteMeasure, JacobiWindow, kappa, lanczos
 
 FACTOR_TOL = 1e-10
 ORTHO_TOL = 1e-10
@@ -256,17 +256,16 @@ def multiplication_matrix(rb: RationalBasis) -> np.ndarray:
     return M
 
 
-def kappa_minus(window: JacobiWindow, c: float, dist=None):
+def kappa_minus(window: JacobiWindow, c: float):
     """Mirror resolvent vector pinned at c, supported on sites <= -1.
 
     Reflects the window through the -1 | 0 split, takes the kappa vector
     there, and maps it back, so the angle is built from the left
-    resolvent and the boundary-weight and norm checks are inherited; the
-    reflection shares the window's spectrum, so it takes ``dist``, the
-    distance from c to it, if given.
+    resolvent and the spectrum, boundary-weight and norm checks are
+    inherited.
     """
 
-    return kappa(window.reflected(), c, dist).vec[::-1]
+    return kappa(window.reflected(), c).vec[::-1]
 
 
 def _append_orthonormal(rows: np.ndarray, k: int, cand: np.ndarray, w=None) -> bool:
@@ -294,11 +293,11 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
     makes each continuation step produce exactly one new direction.
     The matrix of the operator in the resulting orthonormal system is
     read off as GMP blocks, with signs gauged so every coupling entry
-    is nonnegative.  The spectral checks (each kappa vector's distance
-    from the spectrum and its boundary weight, which refuses a window too
-    short for it) share one ``spectral_distance`` call, which computes
-    only the eigenvalues around each pole.  A window whose blocks come out
-    too large to square is refused by ``GmpWindow``, naming the entry.
+    is nonnegative.  Each of the 2g kappa vectors counts the eigenvalues
+    within 1e-6 of its pole and measures its boundary weight, which refuses
+    a window too short for it.  A converted window that ``GmpWindow``
+    refuses is refused as such, naming the crossing bond a(0) when its
+    blocks, which grow like 1 / a(0), are too large to square.
     """
 
     if int(n_blocks) != n_blocks or n_blocks < 3:
@@ -316,7 +315,6 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
             f"of size {per} plus boundary"
         )
 
-    gaps = spectral_distance(window, cs)
     b, off = window.b, window.a[1:]
 
     def mapped(v: np.ndarray) -> np.ndarray:
@@ -340,9 +338,9 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
 
     # the mirror flag nests from the far end: orthogonalize last pole first
     for m in range(g - 1, -1, -1):
-        append((-1, m), kappa_minus(window, cs[m], gaps[m]))
+        append((-1, m), kappa_minus(window, cs[m]))
     for m, c in enumerate(cs):
-        append((0, m), kappa(window, c, gaps[m]).vec)
+        append((0, m), kappa(window, c).vec)
     append((0, g), np.eye(1, n_sites, window.pos(0))[0])
     for j in range(1, k_hi + 1):
         for m in range(per):
@@ -379,7 +377,14 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
 
     P = amat[last, nxt]
     B = amat[nxt[:, :, None], nxt[:, None, :]]
-    w = GmpWindow(P, B[:, g, :] / P[:, g:], cs, j_min=k_lo + 1)
+    Q = B[:, g, :] / P[:, g:]
+    try:
+        w = GmpWindow(P, Q, cs, j_min=k_lo + 1)
+    except ValidationError as exc:
+        # block 0 grows like 1 / a(0): name the bond when blocks overflow
+        grown = np.abs(np.stack([P, Q])).max() > SQUARE_MAX
+        note = f" (crossing bond a(0) = {window.a_at(0):.6g})" if grown else ""
+        raise ValidationError(f"converted window: {exc}{note}") from exc
     dev = np.max(np.abs(build_block_B(w.rows(), w.c) - B), axis=(1, 2))
     bad = np.flatnonzero(dev > READOUT_TOL * scale)
     if bad.size:

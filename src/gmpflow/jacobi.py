@@ -15,8 +15,8 @@ angle function phi(c) = arctan r_+(c) and its kappa vector
 
 which is supported on the right half and has squared norm phi'(c).
 Resolvents, at real z only, are O(n) tridiagonal solves; the spectrum
-enters only through its distance from given points, from Sturm counts
-and bisection for the few eigenvalues around them.  Every coefficient
+enters only through ``spectrum_near``, the eigenvalues within a radius
+of a point, which one LAPACK call counts and bisects.  Every coefficient
 is small enough to square, which keeps the norm bound and the spectral
 diameter finite.  The dense matrix is formed only for the spectral
 measure and the pairing identity.
@@ -287,44 +287,24 @@ def lanczos_from_measure(measure: DiscreteMeasure, depth: int) -> JacobiWindow:
     return win
 
 
-def _sturm_count(diag: list, off_sq: list, x: float, pivmin: float) -> int:
-    """Eigenvalues at or below x of the tridiagonal matrix with diagonal
-    ``diag`` and squared couplings ``off_sq`` (row i to row i - 1; the
-    first is 0): the pivots of the LDL^T factorization of T - x that are
-    <= 0, each held at least ``pivmin`` from zero as LAPACK's ``dlaebz``
-    holds them."""
-    count, d = 0, 1.0
-    for b, e_sq in zip(diag, off_sq):
-        d = (b - x) - e_sq / d
-        if abs(d) < pivmin:
-            d = -pivmin
-        count += d <= 0.0
-    return count
+def spectrum_near(window: JacobiWindow, x: float, radius: float) -> np.ndarray:
+    """Eigenvalues of the window's tridiagonal matrix in (x - radius,
+    x + radius], a range that always holds the doubles next to x.
 
-
-def spectral_distance(window: JacobiWindow, points) -> np.ndarray:
-    """Distance from each of ``points`` to the spectrum of the window's
-    tridiagonal matrix.
-
-    Only the eigenvalues these need are computed: a Sturm count at each
-    point names the two eigenvalues around it, and one LAPACK bisection
-    (``stebz``) call per distinct pair finds them.  The matrix is first
-    scaled by a power of two near its norm bound, so that no pivot or
-    bisection step overflows; scaling back is exact.
+    One LAPACK ``stebz`` call with RANGE='V' counts them by Sturm sequences
+    and bisects only those it finds, on the matrix scaled by a power of two
+    near its largest coupling (if above 1): the pivot floor stays below the
+    pivots, and O(1) couplings next to entries near 1e154 stay above the
+    splitting threshold.  Scaling back is exact.
     """
     from scipy.linalg import eigvalsh_tridiagonal
 
-    scale = math.ldexp(1.0, math.frexp(window.norm_bound())[1] - 1)
-    diag, off = window.b / scale, window.a[1:] / scale
-    off_sq = [0.0] + (off * off).tolist()
-    pivmin = np.finfo(float).tiny * max(1.0, max(off_sq))
-    shifts = [float(c) / scale for c in np.atleast_1d(points)]
-    last, rows = diag.size - 1, diag.tolist()
-    counts = [_sturm_count(rows, off_sq, x, pivmin) for x in shifts]
-    near = [(max(k - 1, 0), min(k, last)) for k in counts]
-    eig = {pair: eigvalsh_tridiagonal(diag, off, select="i", select_range=pair).tolist()
-           for pair in set(near)}
-    return np.array([min(abs(e - x) for e in eig[pair]) * scale for pair, x in zip(near, shifts)])
+    off = window.a[1:]
+    scale = math.ldexp(1.0, math.frexp(np.max(off, initial=1.0))[1] - 1)
+    x, r = float(x) / scale, radius / scale
+    span = (min(x - r, math.nextafter(x, -math.inf)), max(x + r, math.nextafter(x, math.inf)))
+    return eigvalsh_tridiagonal(window.b / scale, off / scale,
+                                select="v", select_range=span) * scale
 
 
 def angle_plus(window: JacobiWindow, c: float) -> float:
@@ -338,39 +318,43 @@ def angle_plus(window: JacobiWindow, c: float) -> float:
     return math.atan(r_plus)
 
 
-def boundary_weight(window: JacobiWindow, vec: np.ndarray, dist: float) -> float:
-    """First-order change of ``vec`` = (J - c)^{-1} rhs from cutting the
-    window, relative to max|vec|: the cut drops a coupling of at most
-    ``norm_bound()`` times an end entry, which the resolvent amplifies by
-    at most 1 / ``dist``, the distance from c to the window's spectrum."""
-    return window.norm_bound() * max(abs(vec[0]), abs(vec[-1])) / (dist * np.max(np.abs(vec)))
+def boundary_weight(window: JacobiWindow, sol: np.ndarray) -> float:
+    """First-order change of x = ``sol[:, 0]`` = (J - c)^{-1} rhs from
+    cutting the window, relative to max|x|: the cut coupling (at most
+    ``norm_bound()``) times x's end entry times the resolvent column there
+    (a Schur complement), ``sol[:, 1]`` = (J - c)^{-1} e_first or
+    ``sol[:, 2]`` = (J - c)^{-1} e_last, at most 1 / dist(c, spectrum)."""
+    vec, first, last = np.abs(sol.T)
+    reach = max(vec[0] * np.max(first), vec[-1] * np.max(last))
+    return window.norm_bound() * reach / np.max(vec)
 
 
-def kappa(window: JacobiWindow, c: float, dist=None) -> KappaVector:
-    """Kappa vector at c, refused when its ``boundary_weight`` exceeds
-    1e-9, where the window is too short for it.  The checks use ``dist``,
-    the distance from c to the window's spectrum, if given."""
+def kappa(window: JacobiWindow, c: float) -> KappaVector:
+    """Kappa vector at c, refused when an eigenvalue lies within 1e-6 of c
+    (``spectrum_near``) or its ``boundary_weight`` exceeds 1e-9, where the
+    window is too short for it; one solve gives the vector and the two
+    resolvent columns the weight reads."""
     if window.n_min > -1 or window.n_max < 0:
         raise WindowError("kappa needs a two-sided window around -1 | 0")
-    if dist is None:
-        dist = float(spectral_distance(window, c)[0])
-    if dist < SPECTRUM_MIN_DIST:
-        raise SpectrumProximityError(
-            f"c = {c} is within {dist:.2e} of the window spectrum"
-        )
+    near = spectrum_near(window, c, SPECTRUM_MIN_DIST)
+    if near.size:
+        dist = float(np.min(np.abs(near - c)))
+        raise SpectrumProximityError(f"c = {c} is within {dist:.2e} of the window spectrum")
     phi = angle_plus(window, c)
     a0 = window.a_at(0)
-    rhs = np.zeros(window.size)
-    rhs[window.pos(-1)] = a0 * math.sin(phi)
-    rhs[window.pos(0)] = math.cos(phi)
-    vec = numkit.solve_tridiagonal(window.b, window.a[1:], rhs, c)
-    weight = boundary_weight(window, vec, dist)
+    rhs = np.zeros((window.size, 3))
+    rhs[window.pos(-1), 0] = a0 * math.sin(phi)
+    rhs[window.pos(0), 0] = math.cos(phi)
+    rhs[0, 1] = rhs[-1, 2] = 1.0
+    sol = numkit.solve_tridiagonal(window.b, window.a[1:], rhs, c)
+    weight = boundary_weight(window, sol)
     if weight > BOUNDARY_WEIGHT_TOL:
         raise WindowError(
             f"kappa vector at c = {c} has boundary weight {weight:.2e} "
             f"above {BOUNDARY_WEIGHT_TOL:.0e}; the window is too short for it"
         )
 
+    vec = sol[:, 0]
     h = FD_STEP_REL * max(1.0, abs(c))
     dphi = angle_plus(window, c + h) - angle_plus(window, c - h)
     if dphi < -math.pi / 2.0:
@@ -400,7 +384,9 @@ def kappa_pairing(
 
 
 def two_by_two_resolvent(window: JacobiWindow, z: float) -> np.ndarray:
-    """Corner resolvent [[R(-1,-1), R(-1,0)], [R(0,-1), R(0,0)]].
+    """Corner resolvent [[R(-1,-1), R(-1,0)], [R(0,-1), R(0,0)]], refused
+    when ``spectrum_near`` finds an eigenvalue within
+    1e-8 * max(1, ``norm_bound()``) of z.
 
     Verifies the half-line identities -1/R(0,0) = -1/r_+ + a(0)^2 r_- and
     -1/R(-1,-1) = -1/r_- + a(0)^2 r_+ before returning.
@@ -408,7 +394,7 @@ def two_by_two_resolvent(window: JacobiWindow, z: float) -> np.ndarray:
     if window.n_min > -1 or window.n_max < 0:
         raise WindowError("corner resolvent needs sites -1 and 0")
     scale = max(1.0, window.norm_bound())
-    if spectral_distance(window, z)[0] < 1e-8 * scale:
+    if spectrum_near(window, z, 1e-8 * scale).size:
         raise SpectrumProximityError(
             f"z = {z} is too close to the window spectrum"
         )

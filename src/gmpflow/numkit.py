@@ -38,9 +38,10 @@ def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``mat @ x = rhs`` by partially pivoted LU.
 
     Raises SingularMatrixError, carrying the 0-based failing pivot index,
-    when any pivot magnitude falls below ``1e-13 * ||mat||``.  The result
-    satisfies ``||mat @ x - rhs|| <= 1e-10 * ||mat|| * ||x||`` (one step of
-    iterative refinement is applied if the first solve misses the bound).
+    when any pivot magnitude falls below ``1e-13 * ||mat||``.  Each column
+    of the result satisfies ``||mat @ x - rhs|| <= 1e-10 * ||mat|| * ||x||``
+    (one step of iterative refinement is applied to a column that misses
+    the bound at first).
     """
     from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
 
@@ -67,20 +68,24 @@ def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _checked_solve(pivots, scale: float, matvec, back, rhs: np.ndarray) -> np.ndarray:
     """The contract of ``solve`` around a factorization with U pivots
-    ``pivots``: the pivot check, then ``back(rhs)``, refined once if it
-    misses the residual bound."""
+    ``pivots``: the pivot check, then ``back(rhs)``.  Each column is held
+    to its own residual bound and refined once, alone, if it misses, so a
+    column comes out as its own one-column solve would."""
     worst = int(np.argmin(pivots))
     if pivots[worst] <= PIVOT_REL_TOL * scale:
         raise SingularMatrixError(worst, float(pivots[worst]))
     x = back(rhs)
     for attempt in range(2):
-        residual = np.linalg.norm(matvec(x) - rhs)
-        bound = SOLVE_RESIDUAL_REL_TOL * scale * np.linalg.norm(x)
-        if not residual > bound:
+        residual = np.linalg.norm(matvec(x) - rhs, axis=0)
+        bound = SOLVE_RESIDUAL_REL_TOL * scale * np.linalg.norm(x, axis=0)
+        miss = residual > bound
+        if not miss.any():
             return x
         if attempt == 0:
-            x = x + back(rhs - matvec(x))
-    raise NumericalError(f"solve residual {residual:.3e} exceeds bound {bound:.3e}")
+            x = np.where(miss, x + back(rhs - matvec(x)), x)
+    col = int(np.argmax(np.ravel(miss)))
+    raise NumericalError(f"solve residual {np.ravel(residual)[col]:.3e} exceeds "
+                         f"bound {np.ravel(bound)[col]:.3e}")
 
 
 def banded_matvec(bands, x: np.ndarray) -> np.ndarray:
@@ -168,9 +173,10 @@ def sym_eigen(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     symmetric matrix.
 
     The input must be symmetric within 1e-12 (relative to its size for
-    matrices with large entries); the returned pair satisfies
-    ``||mat @ V - V @ diag(vals)|| <= 1e-9 * ||mat||`` and
-    ``||V.T @ V - I|| <= 1e-10``.
+    matrices with large entries), which is checked.  The residual
+    ``||mat @ V - V @ diag(vals)||`` and ``||V.T @ V - I||`` are LAPACK's
+    (``syevd`` via ``numpy.linalg.eigh``), a small multiple of machine
+    epsilon times ``||mat||`` and the order, and are not checked.
     """
     mat, _ = _symmetric(mat)
     vals, vecs = np.linalg.eigh((mat + mat.T) / 2.0)

@@ -8,6 +8,7 @@ observable.
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -604,6 +605,27 @@ class TestConversions:
             [1.5 if n % 2 == 0 else 0.5 for n in range(J.n_min + 1, J.n_max + 1)],
             abs=1e-12,
         )
+
+    def test_vanishing_crossing_bond_names_the_converted_window(self, tmp_path, capsys):
+        # block 0's q grows like 1 / a(0): at a(0) = 1e-200 the converted
+        # blocks overflow when squared, and the refusal says whose they are
+        blk = GmpBlock([math.sqrt(2.0), 0.5], [0.0, 0.0])
+        w = make_perturbed_window(blk, [0.0], half=111)
+        w = GmpWindow(w.P[:-1], w.Q[:-1], w.c, w.j_min)
+        jpath = tmp_path / "j.json"
+        assert cli.main(["gmp2jacobi", write_json(tmp_path / "w.json", w.to_json()),
+                         "--out", str(jpath)]) == 0
+        data = json.loads(jpath.read_text())
+        data["a"][-data["n_min"]] = 1e-200
+        win = write_json(tmp_path / "tiny-bond.json", data)
+        d = estar_delta_file(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["jacobi2gmp", win, d, "--width", "5"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"validation error: converted window: blocks\[\d+\]\.[pq]\[\d+\] = "
+                            r"-?\d\.\d+e\+19\d is too large: its square overflows "
+                            r"\(crossing bond a\(0\) = 1e-200\)\n", err), err
 
     def test_roundtrip_through_files(self, tmp_path, capsys):
         win = p1_window_file(tmp_path)

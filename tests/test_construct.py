@@ -6,7 +6,7 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
-from gmpflow import construct, jacobi
+from gmpflow import construct
 from gmpflow.construct import (
     RationalBasis,
     factor_L,
@@ -507,33 +507,24 @@ class TestJacobiToGmp:
 
     @pytest.mark.parametrize("g", [1, 2])
     def test_one_spectrum_per_call(self, g, monkeypatch):
-        # the kappa vectors and their mirrors check against the distances
-        # jacobi_to_gmp selected, which the reflected window shares
-        calls = []
-        distance = jacobi.spectral_distance
+        # the spectrum enters only as one value-range count at each pole for
+        # each kappa vector and its mirror: no eigenvalue is selected by
+        # index and no whole spectrum is computed
+        selects = []
+        eigvalsh = scipy.linalg.eigvalsh_tridiagonal
 
-        def counting(window, points):
-            calls.append(np.size(points))
-            return distance(window, points)
+        def counting(*args, **kwargs):
+            selects.append(kwargs.get("select", "a"))
+            return eigvalsh(*args, **kwargs)
 
-        monkeypatch.setattr(jacobi, "spectral_distance", counting)
-        monkeypatch.setattr(construct, "spectral_distance", counting)
-        bisections = []
-        bisect = scipy.linalg.eigvalsh_tridiagonal
-
-        def counting_bisection(*args, **kwargs):
-            bisections.append(kwargs["select_range"])
-            return bisect(*args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", counting_bisection)
+        monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", counting)
         if g == 1:
             w = jacobi_to_gmp(period2_window(), make_estar_delta(), n_blocks=5)
         else:
             w = jacobi_to_gmp(periodic_g2_window(), make_widegap_delta(), n_blocks=9)
         assert w.g == g
-        assert calls == [g]
-        # one bisection per distinct pair of eigenvalues around the poles
-        assert 1 <= len(bisections) == len(set(bisections)) <= g
+        assert 1 <= len(selects) <= 2 * g
+        assert set(selects) == {"v"}
 
     def test_too_few_blocks_raises(self):
         with pytest.raises(ValidationError):

@@ -195,9 +195,11 @@ def test_entries_whose_squares_overflow_are_named(grid):
 
 def test_vanishing_crossing_bond_is_refused(grid):
     # a[111] is the crossing bond a(0).  At 1e-308 it once gave blocks too
-    # large to square, written with exit 0 and unreadable by gmp2jacobi
+    # large to square, written with exit 0 and unreadable by gmp2jacobi; the
+    # refusal names the converted window's entry and the input's bond
     (case,) = [c for c in grid if c["command"] == "jacobi2gmp" and c["leaf"] == ["a", 111]
                and c["value"] == "1e-308"]
     assert case["exit"] == 1
-    assert re.fullmatch(r"validation error: blocks\[\d+\]\.[pq]\[\d+\] = -?\d\.\d+e\+30\d "
-                        r"is too large: its square overflows\n", case["stderr"]), case
+    assert re.fullmatch(r"validation error: converted window: blocks\[\d+\]\.[pq]\[\d+\] = "
+                        r"-?\d\.\d+e\+30\d is too large: its square overflows "
+                        r"\(crossing bond a\(0\) = 1e-308\)\n", case["stderr"]), case

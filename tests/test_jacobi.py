@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 from functools import partial
@@ -8,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import half_line_measures, make_p1_block, make_perturbed_window
-from gmpflow import construct, numkit
+from gmpflow import construct, jacobi, numkit
 from gmpflow.errors import (
     NumericalError,
     SingularMatrixError,
@@ -22,14 +23,15 @@ from gmpflow.jacobi import (
     LANCZOS_BLOCK,
     DiscreteMeasure,
     JacobiWindow,
+    boundary_weight,
     dist_eta,
     kappa,
     kappa_pairing,
     lanczos,
     lanczos_from_measure,
     resolvent_r,
-    spectral_distance,
     spectral_measure_plus,
+    spectrum_near,
     two_by_two_resolvent,
 )
 
@@ -359,35 +361,61 @@ class TestLanczos:
         assert np.max(np.abs(got.a - ref.a)) <= 1e-13
 
 
-class TestSpectralExtent:
+class TestSpectrumNear:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_the_whole_spectrum(self, seed):
+    def test_answers_as_the_whole_spectrum(self, seed):
         from scipy.linalg import eigvalsh_tridiagonal
 
         rng = np.random.default_rng(seed)
         J = random_window(rng, -150, 149)
         eigs = eigvalsh_tridiagonal(J.b, J.a[1:])
-        # inside, on an eigenvalue, between two, and outside on both sides
-        points = [0.0, eigs[17], 0.5 * (eigs[40] + eigs[41]), eigs[0] - 1.0, eigs[-1] + 2.5]
-        dist = spectral_distance(J, points)
-        ref = np.min(np.abs(eigs[None, :] - np.array(points)[:, None]), axis=1)
-        assert np.max(np.abs(dist - ref)) <= 1e-14
+        # inside, next to an eigenvalue, between two, and outside on both sides
+        points = [0.0, eigs[17] + 1e-3, 0.5 * (eigs[40] + eigs[41]), eigs[0] - 1.0,
+                  eigs[-1] + 2.5]
+        for x in points:
+            dist = float(np.min(np.abs(eigs - x)))
+            assert spectrum_near(J, x, (1.0 - 1e-9) * dist).size == 0
+            near = spectrum_near(J, x, (1.0 + 1e-9) * dist)
+            assert near.size >= 1
+            assert np.min(np.abs(near - x)) == pytest.approx(dist, rel=1e-6)
 
     def test_single_site(self):
-        dist = spectral_distance(JacobiWindow([1.0], [0.25]), [1.0, -1.0])
-        assert np.array_equal(dist, [0.75, 1.25])
+        win = JacobiWindow([1.0], [0.25])
+        assert spectrum_near(win, 1.0, 0.75 * (1.0 - 1e-9)).size == 0
+        assert np.array_equal(spectrum_near(win, 1.0, 0.75 * (1.0 + 1e-9)), [0.25])
+        assert spectrum_near(win, -1.0, 1.25 * (1.0 - 1e-9)).size == 0
+        assert spectrum_near(win, -1.0, 1.25 * (1.0 + 1e-9)).size == 1
 
-    def test_huge_entries_raise_no_warning(self):
+    def test_span_never_collapses(self):
+        # at |x| near 1e12, x -/+ 1e-6 round to x itself; the range still
+        # holds the doubles next to x, and the answer is "no" or "yes"
+        far = free_window(-10, 9)
+        assert spectrum_near(far, 1e12, 1e-6).size == 0
+        assert np.array_equal(spectrum_near(JacobiWindow([1.0], [1e12]), 1e12, 1e-6), [1e12])
+
+    @pytest.mark.parametrize("bond", ["none", "outer", "inner"])
+    def test_huge_entries_raise_no_warning(self, bond):
         # entries near the square root of the largest double: the pivots
-        # and squared couplings of the unscaled matrix would overflow
-        b = np.zeros(40)
+        # and squared couplings of the unscaled matrix would overflow.  The
+        # count stays exact next to the small eigenvalues of the free chain
+        # of 38 sites between the ends, 2 cos(k pi / 39) up to about 1e-151,
+        # whose nearest to 0 lies 2 sin(pi / 78) away.  A bond of 1e153
+        # outside the matrix, or between the first two sites (which moves
+        # the second site to about 7.7e151 and out of the chain), puts the
+        # norm bound above 2^512
+        n = 41 if bond == "inner" else 40
+        a, b = np.ones(n), np.zeros(n)
         b[0], b[-1] = -1.3e154, 1.3e154
+        if bond != "none":
+            a[1 if bond == "inner" else 0] = 1e153
+        win = JacobiWindow(a, b)
+        assert (win.norm_bound() > 2.0**512) == (bond != "none")
+        dist = 2.0 * math.sin(math.pi / 78)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            dist = spectral_distance(JacobiWindow(np.ones(40), b), [0.0, 1.3e154])
-        # bisection is accurate to a few ulps of the norm
-        assert abs(dist[0] - 2.0 * math.sin(math.pi / 78)) <= 1e-14 * 1.3e154
-        assert dist[1] <= 1e-8 * 1.3e154
+            assert spectrum_near(win, 0.0, (1.0 - 1e-12) * dist).size == 0
+            assert spectrum_near(win, 0.0, (1.0 + 1e-12) * dist).size == 2
+            assert spectrum_near(win, 1.3e154, 1e-8 * 1.3e154).size == 1
 
 
 class TestKappa:
@@ -437,6 +465,79 @@ class TestKappa:
         win = free_window(-5, 5)
         with pytest.raises(WindowError):
             kappa(win, 3.0)
+
+    @pytest.mark.parametrize("outer", [1.0, 1e153])
+    def test_pole_next_to_a_small_eigenvalue_of_a_huge_window(self, outer):
+        # the ends hold entries near the square root of the largest double;
+        # the inner sites are a free chain of 78, with eigenvalues
+        # 2 cos(k pi / 79) up to about 1e-154.  A pole 1e-8 from one is
+        # refused by the count, before any solve can overflow, also when the
+        # bond outside the window puts the norm bound above 2^512
+        b = np.zeros(80)
+        b[0], b[-1] = -1.3e154, 1.3e154
+        a = np.ones(80)
+        a[0] = outer
+        win = JacobiWindow(a, b, n_min=-40)
+        for k in (1, 20, 40):
+            c = 2.0 * math.cos(k * math.pi / 79) + 1e-8
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                with pytest.raises(SpectrumProximityError, match=r"within \S+ of the window"):
+                    kappa(win, c)
+
+    def test_pole_far_out(self):
+        # a pole near 1e12, where c -/+ 1e-6 round to c: r_+(c) is about -1/c
+        kap = kappa(free_window(-10, 9), 1e12)
+        assert kap.phi == pytest.approx(-1e-12, rel=1e-9)
+
+    def test_vector_is_its_own_solve_next_to_a_large_column(self, monkeypatch):
+        # the last site's bump puts an eigenvalue near 5.2 whose vector lives
+        # at the far end; 2e-6 above it the last resolvent column is about
+        # 5e5 in size, against 0.2 for the kappa vector, which must come out
+        # bitwise as the one-column solve of its own right-hand side
+        b = np.zeros(80)
+        b[-1] = 5.0
+        win = JacobiWindow(np.ones(80), b, n_min=-40)
+        c = float(np.linalg.eigvalsh(win.dense())[-1]) + 2e-6
+        sols = []
+        weight = jacobi.boundary_weight
+
+        def record(window, sol):
+            sols.append(sol)
+            return weight(window, sol)
+
+        monkeypatch.setattr(jacobi, "boundary_weight", record)
+        kap = kappa(win, c)
+        (sol,) = sols
+        assert np.max(np.abs(sol[:, 2])) >= 1e6 * np.max(np.abs(kap.vec))
+        rhs = np.zeros(win.size)
+        rhs[win.pos(-1)] = win.a_at(0) * math.sin(kap.phi)
+        rhs[win.pos(0)] = math.cos(kap.phi)
+        assert np.array_equal(kap.vec, numkit.solve_tridiagonal(win.b, win.a[1:], rhs, c))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_weight_is_below_the_inverse_distance_bound(self, seed, monkeypatch):
+        # each resolvent column at an end is at most 1 / dist in size, so the
+        # measured weight is at most norm_bound * max|x_end| / (dist * max|x|)
+        rng = np.random.default_rng(seed)
+        lo = -int(rng.integers(2, 60))
+        win = random_window(rng, lo, int(rng.integers(0, 60)))
+        eigs = np.linalg.eigvalsh(win.dense())
+        c = float(rng.uniform(eigs[0] - 1.0, eigs[-1] + 1.0))
+        while np.min(np.abs(eigs - c)) < 1e-3:
+            c = float(rng.uniform(eigs[0] - 1.0, eigs[-1] + 1.0))
+        dist = float(np.min(np.abs(eigs - c)))
+        seen = []
+
+        def record(window, sol):
+            seen.append((boundary_weight(window, sol), sol[:, 0].copy()))
+            return seen[-1][0]
+
+        monkeypatch.setattr(jacobi, "boundary_weight", record)
+        with contextlib.suppress(WindowError, NumericalError):
+            kappa(win, c)
+        ((weight, vec),) = seen
+        bound = win.norm_bound() * max(abs(vec[0]), abs(vec[-1])) / (dist * np.max(np.abs(vec)))
+        assert weight <= bound * (1.0 + 1e-12)
 
 
 class TestKappaPairing:

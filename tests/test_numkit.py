@@ -56,6 +56,28 @@ class TestSolve:
         with pytest.raises(ValueError):
             numkit.solve(mat, np.ones(2))
 
+    def test_each_column_meets_its_own_bound(self, monkeypatch):
+        # the first back substitution misses column 0 by 1e-8 of its size,
+        # which the 1e6 times larger column 1 would hide in one norm over
+        # both; column 0 alone is refined, and column 1 keeps its bytes
+        import scipy.linalg
+
+        lu_solve = scipy.linalg.lu_solve
+        calls = []
+
+        def off_once(*args, **kwargs):
+            x = lu_solve(*args, **kwargs)
+            calls.append(x)
+            if len(calls) == 1:
+                x[:, 0] += 1e-8
+            return x
+
+        monkeypatch.setattr(scipy.linalg, "lu_solve", off_once)
+        x = numkit.solve(2.0 * np.eye(2), np.array([[1.0, 1e6], [1.0, 1e6]]))
+        assert len(calls) == 2
+        np.testing.assert_allclose(x[:, 0], [0.5, 0.5], rtol=1e-15)
+        assert np.array_equal(x[:, 1], [5e5, 5e5])
+
     def test_residual_bound_random(self):
         # 1000 random systems: the documented residual bound holds each time.
         rng = np.random.default_rng(123)
