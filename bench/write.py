@@ -14,7 +14,13 @@ The record holds:
   1281}, each at g in {1, 2}, on windows built as
   ``tests/conftest.make_perturbed_window`` builds them around the
   closed-form surface block ``p = (sqrt(lambda_k / lambda0)..., 1 /
-  lambda0)``, ``q = (0..., -c0)``;
+  lambda0)``, ``q = (0..., -c0)``; each ``gmp_to_jacobi_measure`` record
+  also holds ``flow_digits``, the correct digits of its a(n) and of its
+  b(n) against the flow readout of ``flow.flow_run(w, depth)`` at the
+  largest depth the window allows, over the n both routes keep:
+  -log10(max |difference| / max |flow value|), capped at -log10 of the
+  double epsilon, with the depth and the number of a(n) and b(n)
+  compared;
 - a sweep of ``construct.jacobi_to_gmp`` at width 5 (``gmpflow jacobi2gmp
   --width 5``) over n_blocks in {222, 426, 854} at g = 1, on coefficient
   windows built as the ``convert`` workload builds them: perfbench's
@@ -122,6 +128,7 @@ from workloads import surface_seed  # noqa: E402
 from gmpflow import acceptance, cli, construct, gmp, isospectral, jacobi, ks, numkit  # noqa: E402
 from gmpflow.errors import GmpflowError  # noqa: E402
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta  # noqa: E402
+from gmpflow.flow import flow_run  # noqa: E402
 from gmpflow.gmp import GmpBlock, GmpWindow  # noqa: E402
 
 PERFBENCH_SEED = 5
@@ -241,6 +248,23 @@ def worst_boundary_weight(J, d: DeltaData) -> float | None:
     finally:
         jacobi.boundary_weight = measure
     return max(weights, default=None)
+
+
+def flow_digits(w: GmpWindow) -> dict:
+    """Correct digits of ``gmp_to_jacobi_measure(w)`` against the flow
+    readout, a(n) for n = 0..depth and b(n) for n = 0..depth - 1 as far as
+    the Lanczos half reaches."""
+    J = construct.gmp_to_jacobi_measure(w)
+    depth = min(-1 - w.j_min, w.j_max - 1)
+    traj = flow_run(w, depth)
+    plus = slice(J.pos(0), None)
+    out = {"depth": depth}
+    for name, lanczos, flow in (("a", J.a[plus], traj.a_out), ("b", J.b[plus], traj.b_out)):
+        n = min(lanczos.size, flow.size)
+        rel = np.max(np.abs(lanczos[:n] - flow[:n])) / np.max(np.abs(flow[:n]))
+        out[name] = round(float(-np.log10(max(rel, np.finfo(float).eps))), 2)
+        out[f"n_{name}"] = n
+    return out
 
 
 def acceptance_sweep() -> list[dict]:
@@ -501,8 +525,11 @@ def sweep(work: Path) -> list[dict]:
             case = "gmp_to_jacobi_measure"
             rec = {"layer": "operator", "case": case, "n_blocks": n_blocks, "g": g}
             rec.update(timed(lambda: construct.gmp_to_jacobi_measure(w)))
+            rec["flow_digits"] = flow_digits(w)
             records.append(rec)
-            print(f"{case} g={g} n={n_blocks}: best {rec['best_s']:.4f} s", file=sys.stderr)
+            print(f"{case} g={g} n={n_blocks}: best {rec['best_s']:.4f} s, "
+                  f"flow digits a {rec['flow_digits']['a']}, b {rec['flow_digits']['b']}",
+                  file=sys.stderr)
     for n_blocks in JACOBI_SIZES:
         d, J = jacobi_inputs(n_blocks)
         case = f"jacobi_to_gmp width={JACOBI_WIDTH}"

@@ -1,14 +1,16 @@
 """Building GMP windows from spectral data.
 
-Two constructions live here.  The one-sided route starts from a discrete
-measure: the Gram matrix of the rational system ``{1, 1/(c_g - x), ...,
-1/(c_1 - x)}``, its triangular factorization, the orthonormal rational
-basis obtained by multiplying through with the comb map, and the matrix
-of multiplication by ``x`` in that basis, which is a one-sided GMP
-matrix.  The two-sided route converts between Jacobi windows and GMP
-windows: ``jacobi_to_gmp`` orthogonalizes a flag of resolvent vectors
-pinned at the map poles, each checked by ``kappa`` against the spectrum
-and the truncation, and ``gmp_to_jacobi_measure`` tridiagonalizes the two
+Two constructions live here, and each step of either is made and
+checked once, where its value is made.  The one-sided route starts from
+a discrete measure: the Gram matrix of the rational system ``{1,
+1/(c_g - x), ..., 1/(c_1 - x)}``, its triangular factorization, the
+orthonormal rational basis obtained by multiplying through with the
+comb map, and the matrix of multiplication by ``x`` in that basis, which
+is a one-sided GMP matrix.  The two-sided route converts between Jacobi
+windows and GMP windows: ``jacobi_to_gmp`` orthogonalizes a flag of
+resolvent vectors pinned at the map poles, the ``kappa`` vectors of the
+window and of its one reflection, each checked against the spectrum and
+the truncation, and ``gmp_to_jacobi_measure`` tridiagonalizes the two
 block-banded half-line truncations by Lanczos on their band storage,
 with no eigensolve; each projection reads only the staircase of rows
 the earlier Lanczos vectors occupy.
@@ -92,7 +94,9 @@ def factor_L(D: np.ndarray) -> np.ndarray:
     Equivalently D^{-1} = L L^T.  The factor is obtained from the
     lower-triangular factorization of the index-reversed inverse.
     Raises NotPositiveDefiniteError when D is not positive definite and
-    NumericalError when the residual check fails.
+    NumericalError when the residual max|L^T D L - I| exceeds
+    ``FACTOR_TOL * max(1, max|D|)``, when L has an entry below the
+    diagonal above 1e-12 * max(1, max|L|), or a diagonal entry <= 0.
     """
 
     D = np.asarray(D, dtype=float)
@@ -113,67 +117,31 @@ def factor_L(D: np.ndarray) -> np.ndarray:
         raise NumericalError(
             f"triangular factor residual {resid:.3e} exceeds the tolerance"
         )
+    l_scale = max(1.0, float(np.max(np.abs(L))))
+    if float(np.max(np.abs(np.tril(L, -1)))) > 1e-12 * l_scale:
+        raise NumericalError("coefficient matrix must be upper triangular")
+    if np.any(np.diag(L) <= 0.0):
+        raise NumericalError("coefficient matrix must have a positive diagonal")
     return L
 
 
 @dataclass(frozen=True)
 class RationalBasis:
-    """Orthonormal rational functions evaluated on a measure's support.
+    """Orthonormal rational functions evaluated on a measure's support,
+    as ``tau_basis`` makes and checks them.
 
     table holds one column per basis function, grouped in blocks of
     g + 1 columns; the first block spans the raw rational system and
     block m spans the map-multiplied continuation.  L carries the
-    first-block coefficients, D the raw Gram matrix, and ``m_vec`` the
-    first moments, the integrals of x * tau against the measure, of the
-    first block.
+    first-block coefficients (``factor_L`` of D), D the raw Gram matrix,
+    and ``m_vec`` the first moments, the integrals of x * tau against the
+    measure, of the first block.
     """
 
     measure: DiscreteMeasure
     table: np.ndarray
     L: np.ndarray
     D: np.ndarray
-
-    def __post_init__(self):
-        table = np.asarray(self.table, dtype=float)
-        L = np.asarray(self.L, dtype=float)
-        D = np.asarray(self.D, dtype=float)
-        if L.ndim != 2 or L.shape[0] != L.shape[1]:
-            raise ValidationError("coefficient matrix must be square")
-        per = L.shape[0]
-        if D.shape != (per, per):
-            raise ValidationError("Gram matrix shape does not match L")
-        if table.ndim != 2 or table.shape[0] != self.measure.n_points:
-            raise ValidationError(
-                "table rows must match the measure support size"
-            )
-        if table.shape[1] == 0 or table.shape[1] % per != 0:
-            raise ValidationError(
-                "table width must be a nonzero multiple of the block size"
-            )
-        w = self.measure.weights
-        gram = table.T @ (w[:, None] * table)
-        dev = float(np.max(np.abs(gram - np.eye(table.shape[1]))))
-        if dev > ORTHO_TOL:
-            raise ValidationError(
-                f"basis table is not orthonormal, deviation {dev:.3e}"
-            )
-        l_scale = max(1.0, float(np.max(np.abs(L))))
-        if per > 1 and float(np.max(np.abs(np.tril(L, -1)))) > 1e-12 * l_scale:
-            raise ValidationError("coefficient matrix must be upper triangular")
-        if np.any(np.diag(L) <= 0.0):
-            raise ValidationError(
-                "coefficient matrix must have a positive diagonal"
-            )
-        resid = float(np.max(np.abs(L.T @ D @ L - np.eye(per))))
-        if resid > FACTOR_TOL * max(1.0, float(np.max(np.abs(D)))):
-            raise ValidationError(
-                f"factorization residual {resid:.3e} exceeds the tolerance"
-            )
-        for arr in (table, L, D):
-            arr.flags.writeable = False
-        object.__setattr__(self, "table", table)
-        object.__setattr__(self, "L", L)
-        object.__setattr__(self, "D", D)
 
     @property
     def g(self) -> int:
@@ -196,7 +164,8 @@ def tau_basis(measure: DiscreteMeasure, d: DeltaData, depth: int = 2) -> Rationa
     the comb map values and re-orthogonalizes, so block m spans the
     map-power multiples of the raw system.  Leading coefficients stay
     positive.  Raises NumericalError when the measure cannot support the
-    requested depth.
+    requested depth, or when the table's Gram matrix under the measure
+    deviates from the identity by more than ``ORTHO_TOL``.
     """
 
     if int(depth) != depth or depth < 1:
@@ -221,6 +190,9 @@ def tau_basis(measure: DiscreteMeasure, d: DeltaData, depth: int = 2) -> Rationa
                 f"measure rank exhausted at basis function {idx}; "
                 "the support is too small for the requested depth"
             )
+    dev = float(np.max(np.abs((rows * wts) @ rows.T - np.eye(depth * per))))
+    if dev > ORTHO_TOL:
+        raise NumericalError(f"basis table is not orthonormal, deviation {dev:.3e}")
     return RationalBasis(measure, np.ascontiguousarray(rows.T), L, D)
 
 
@@ -256,18 +228,6 @@ def multiplication_matrix(rb: RationalBasis) -> np.ndarray:
     return M
 
 
-def kappa_minus(window: JacobiWindow, c: float):
-    """Mirror resolvent vector pinned at c, supported on sites <= -1.
-
-    Reflects the window through the -1 | 0 split, takes the kappa vector
-    there, and maps it back, so the angle is built from the left
-    resolvent and the spectrum, boundary-weight and norm checks are
-    inherited.
-    """
-
-    return kappa(window.reflected(), c).vec[::-1]
-
-
 def _append_orthonormal(rows: np.ndarray, k: int, cand: np.ndarray, w=None) -> bool:
     """Orthonormalize cand against rows[:k] into rows[k], under the inner
     product sum(w * x * y) if weights w are given; False, with rows[k]
@@ -293,11 +253,13 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
     makes each continuation step produce exactly one new direction.
     The matrix of the operator in the resulting orthonormal system is
     read off as GMP blocks, with signs gauged so every coupling entry
-    is nonnegative.  Each of the 2g kappa vectors counts the eigenvalues
-    within 1e-6 of its pole and measures its boundary weight, which refuses
-    a window too short for it.  A converted window that ``GmpWindow``
-    refuses is refused as such, naming the crossing bond a(0) when its
-    blocks, which grow like 1 / a(0), are too large to square.
+    is nonnegative.  The mirror vectors are the kappa vectors of the
+    window reflected once through the split, mapped back.  Each of the 2g
+    kappa vectors counts the eigenvalues within 1e-6 of its pole and
+    measures its boundary weight, which refuses a window too short for
+    it.  A converted window that ``GmpWindow`` refuses is refused as
+    such, naming the crossing bond a(0) when its blocks, which grow like
+    1 / a(0), are too large to square.
     """
 
     if int(n_blocks) != n_blocks or n_blocks < 3:
@@ -337,8 +299,9 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
         slot[key] = len(slot)
 
     # the mirror flag nests from the far end: orthogonalize last pole first
+    mirror = window.reflected()
     for m in range(g - 1, -1, -1):
-        append((-1, m), kappa_minus(window, cs[m]))
+        append((-1, m), kappa(mirror, cs[m]).vec[::-1])
     for m, c in enumerate(cs):
         append((0, m), kappa(window, c).vec)
     append((0, g), np.eye(1, n_sites, window.pos(0))[0])

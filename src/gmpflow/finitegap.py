@@ -256,17 +256,13 @@ def eval_delta(delta: DeltaData, z):
     Raises PoleEvaluationError when a real argument sits on a pole.
     """
     z_arr = np.asarray(z)
-    if delta.g:
-        cs = delta.cs()
-        lams = delta.lams()
-        dist = np.abs(z_arr[..., None] - cs)
-        near = np.any(dist <= POLE_REL_TOL * np.maximum(1.0, np.abs(cs)), axis=-1)
-        if near.any():
-            raise PoleEvaluationError(
-                f"argument {z_arr[near].flat[0]} coincides with a pole of the comb map"
-            )
-        tail = np.sum(lams / (cs - z_arr[..., None]), axis=-1)
-    else:
-        tail = np.zeros_like(z_arr, dtype=float)
+    cs = delta.cs()
+    dist = np.abs(z_arr[..., None] - cs)
+    near = np.any(dist <= POLE_REL_TOL * np.maximum(1.0, np.abs(cs)), axis=-1)
+    if near.any():
+        raise PoleEvaluationError(
+            f"argument {z_arr[near].flat[0]} coincides with a pole of the comb map"
+        )
+    tail = np.sum(delta.lams() / (cs - z_arr[..., None]), axis=-1)
     result = delta.lambda0 * z_arr + delta.c0 + tail
     return result if result.ndim else result[()]

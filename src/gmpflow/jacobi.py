@@ -183,12 +183,11 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class KappaVector:
-    """Defect-direction vector at c with its angle, in window coordinates."""
+    """Defect-direction vector with its angle phi(c), in the coordinates of
+    the window it was taken on; ``vec`` is read-only."""
 
-    c: float
     phi: float
     vec: np.ndarray
-    n_min: int
 
     def __post_init__(self):
         vec = np.array(self.vec, dtype=float)
@@ -295,7 +294,10 @@ def spectrum_near(window: JacobiWindow, x: float, radius: float) -> np.ndarray:
     and bisects only those it finds, on the matrix scaled by a power of two
     near its largest coupling (if above 1): the pivot floor stays below the
     pivots, and O(1) couplings next to entries near 1e154 stay above the
-    splitting threshold.  Scaling back is exact.
+    splitting threshold.  Scaling back is exact.  Each eigenvalue found is
+    bisected to the last bit of the scaled x, where LAPACK's default is eps
+    times the matrix norm, so its distance from x is right also next to
+    entries near 1e154; the count does not depend on the tolerance.
     """
     from scipy.linalg import eigvalsh_tridiagonal
 
@@ -303,8 +305,8 @@ def spectrum_near(window: JacobiWindow, x: float, radius: float) -> np.ndarray:
     scale = math.ldexp(1.0, math.frexp(np.max(off, initial=1.0))[1] - 1)
     x, r = float(x) / scale, radius / scale
     span = (min(x - r, math.nextafter(x, -math.inf)), max(x + r, math.nextafter(x, math.inf)))
-    return eigvalsh_tridiagonal(window.b / scale, off / scale,
-                                select="v", select_range=span) * scale
+    return eigvalsh_tridiagonal(window.b / scale, off / scale, select="v",
+                                select_range=span, tol=math.ulp(x)) * scale
 
 
 def angle_plus(window: JacobiWindow, c: float) -> float:
@@ -330,10 +332,10 @@ def boundary_weight(window: JacobiWindow, sol: np.ndarray) -> float:
 
 
 def kappa(window: JacobiWindow, c: float) -> KappaVector:
-    """Kappa vector at c, refused when an eigenvalue lies within 1e-6 of c
-    (``spectrum_near``) or its ``boundary_weight`` exceeds 1e-9, where the
-    window is too short for it; one solve gives the vector and the two
-    resolvent columns the weight reads."""
+    """Kappa vector at c and phi(c), refused, with the distance, when an
+    eigenvalue lies within 1e-6 of c (``spectrum_near``) or its
+    ``boundary_weight`` exceeds 1e-9 (the window is too short for it); one
+    solve gives the vector and the two resolvent columns the weight reads."""
     if window.n_min > -1 or window.n_max < 0:
         raise WindowError("kappa needs a two-sided window around -1 | 0")
     near = spectrum_near(window, c, SPECTRUM_MIN_DIST)
@@ -366,7 +368,7 @@ def kappa(window: JacobiWindow, c: float) -> KappaVector:
             f"kappa norm {norm_sq:.9f} does not match the angle derivative "
             f"{phi_prime:.9f}"
         )
-    return KappaVector(c=c, phi=phi, vec=vec, n_min=window.n_min)
+    return KappaVector(phi=phi, vec=vec)
 
 
 def kappa_pairing(

@@ -6,14 +6,12 @@ import numpy.testing as npt
 import pytest
 import scipy.linalg
 
-from gmpflow import construct
+from gmpflow import construct, numkit
 from gmpflow.construct import (
-    RationalBasis,
     factor_L,
     gmp_to_jacobi_measure,
     gram_D,
     jacobi_to_gmp,
-    kappa_minus,
     multiplication_matrix,
     tau_basis,
 )
@@ -230,6 +228,24 @@ class TestFactorL:
         with pytest.raises(ValidationError):
             factor_L(np.ones((2, 3)))
 
+    @pytest.mark.parametrize("turn, message", [
+        (np.array([[0.8, -0.6], [0.6, 0.8]]), "upper triangular"),
+        (np.diag([-1.0, 1.0]), "positive diagonal"),
+    ])
+    def test_factor_shape_checked(self, turn, message, monkeypatch):
+        # the refinement's factor (the third call) turned by an orthogonal
+        # matrix is still a square root of the residual Gram: the residual
+        # passes and only the shape of L can refuse it
+        chol, calls = numkit.lower_cholesky_like, []
+
+        def turned(mat):
+            calls.append(None)
+            return chol(mat) @ turn if len(calls) == 3 else chol(mat)
+
+        monkeypatch.setattr(numkit, "lower_cholesky_like", turned)
+        with pytest.raises(NumericalError, match=message):
+            factor_L(np.array([[2.0, 0.5], [0.5, 1.0]]))
+
 
 class TestTauBasis:
     def test_four_point_depth_two_values(self):
@@ -270,10 +286,19 @@ class TestTauBasis:
         with pytest.raises(NumericalError):
             tau_basis(m, make_estar_delta(), depth=2)
 
-    def test_tampered_table_rejected(self):
-        rb = tau_basis(four_point_measure(), make_estar_delta(), depth=2)
-        with pytest.raises(ValidationError):
-            RationalBasis(rb.measure, rb.table * 1.01, rb.L, rb.D)
+    def test_orthonormality_checked(self, monkeypatch):
+        # the first continuation function skips its projection, so it keeps
+        # its components along the first block
+        project = numkit.project_out
+        calls = []
+
+        def skip_first(basis, vec, weights=None):
+            calls.append(None)
+            return vec.copy() if len(calls) == 1 else project(basis, vec, weights)
+
+        monkeypatch.setattr(numkit, "project_out", skip_first)
+        with pytest.raises(NumericalError, match="not orthonormal"):
+            tau_basis(four_point_measure(), make_estar_delta(), depth=2)
 
 
 class TestMultiplicationMatrix:
@@ -334,6 +359,13 @@ class TestReflectedWindow:
         assert rr.n_min == w.n_min
         for s in range(w.n_min + 1, w.n_max + 1):
             npt.assert_allclose(rr.a_at(s), w.a_at(s), atol=1e-15)
+
+
+def kappa_minus(window: JacobiWindow, c: float) -> np.ndarray:
+    """Mirror kappa vector at c, supported on sites <= -1, as
+    ``jacobi_to_gmp`` takes it: the kappa vector of the reflected window,
+    mapped back."""
+    return kappa(window.reflected(), c).vec[::-1]
 
 
 class TestKappaMinus:
@@ -421,6 +453,18 @@ def jittered(J: JacobiWindow, rng, size: float) -> JacobiWindow:
 
 
 class TestJacobiToGmp:
+    def test_window_reflected_once(self, monkeypatch):
+        reflect, calls = JacobiWindow.reflected, []
+
+        def counted(window):
+            calls.append(window)
+            return reflect(window)
+
+        monkeypatch.setattr(JacobiWindow, "reflected", counted)
+        w = periodic_g2_window()
+        assert jacobi_to_gmp(w, make_widegap_delta(), n_blocks=5).g == 2
+        assert calls == [w]
+
     @pytest.mark.parametrize("g", [1, 2])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_readout_matches_blockwise_gauge_bitwise(self, g, seed, monkeypatch):

@@ -366,6 +366,19 @@ class TestEvalDelta:
         delta = delta_from_gaps(GapSet(-2.0, 2.0))
         xs = np.linspace(-5.0, 5.0, 11)
         assert_allclose(eval_delta(delta, xs), xs, atol=1e-12)
+        # no poles: the general expression keeps the argument's shape and type
+        d = DeltaData(2.0, 0.5, ())
+        cases = [
+            (0.3, np.float64(1.1)),
+            ([0.1, -2.0], np.array([0.7, -3.5])),
+            (1 + 2j, np.complex128(2.5 + 4j)),
+            ([[1.0, 2.0]], np.array([[2.5, 4.5]])),
+        ]
+        for z, want in cases:
+            got = eval_delta(d, z)
+            assert type(got) is type(want) and got.dtype == want.dtype
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(got, want)
 
     def test_herglotz_in_upper_half_plane(self):
         rng = np.random.default_rng(19)

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 import warnings
 from functools import partial
 
@@ -472,7 +473,8 @@ class TestKappa:
         # the inner sites are a free chain of 78, with eigenvalues
         # 2 cos(k pi / 79) up to about 1e-154.  A pole 1e-8 from one is
         # refused by the count, before any solve can overflow, also when the
-        # bond outside the window puts the norm bound above 2^512
+        # bond outside the window puts the norm bound above 2^512, and the
+        # refusal prints the true distance, bisected to the pole's last bit
         b = np.zeros(80)
         b[0], b[-1] = -1.3e154, 1.3e154
         a = np.ones(80)
@@ -481,8 +483,10 @@ class TestKappa:
         for k in (1, 20, 40):
             c = 2.0 * math.cos(k * math.pi / 79) + 1e-8
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                with pytest.raises(SpectrumProximityError, match=r"within \S+ of the window"):
+                with pytest.raises(SpectrumProximityError) as err:
                     kappa(win, c)
+            dist = float(re.search(r"within (\S+) of the window", str(err.value)).group(1))
+            assert dist == pytest.approx(1e-8, rel=1e-2)
 
     def test_pole_far_out(self):
         # a pole near 1e12, where c -/+ 1e-6 round to c: r_+(c) is about -1/c
