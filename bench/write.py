@@ -413,11 +413,11 @@ class Counting:
             self.lanczos_sizes.append(win.size)
             return win
 
-        def project(basis, vec, weights=None):
+        def project(basis, vec):
             blocks = [basis] if isinstance(basis, np.ndarray) else basis
             self.project_calls += 1
             self.project_entries += sum(np.size(b) for b in blocks)
-            return self._project(basis, vec, weights)
+            return self._project(basis, vec)
 
         def kappa(*args, **kwargs):
             self.kappa_calls += 1

@@ -163,8 +163,10 @@ def tau_basis(measure: DiscreteMeasure, d: DeltaData, depth: int = 2) -> Rationa
     poles through factor_L; block m multiplies block m - 1 pointwise by
     the comb map values and re-orthogonalizes, so block m spans the
     map-power multiples of the raw system.  Leading coefficients stay
-    positive.  Raises NumericalError when the measure cannot support the
-    requested depth, or when the table's Gram matrix under the measure
+    positive.  The functions are carried as sqrt(w) * tau, w the measure's
+    weights, which are orthonormal under the plain dot product, and divided
+    by sqrt(w) at the end.  Raises NumericalError when the measure cannot
+    support the requested depth, or when the Gram matrix of those rows
     deviates from the identity by more than ``ORTHO_TOL``.
     """
 
@@ -180,20 +182,20 @@ def tau_basis(measure: DiscreteMeasure, d: DeltaData, depth: int = 2) -> Rationa
         )
     D = gram_D(measure, cs)
     L = factor_L(D)
-    pts, wts = measure.points, measure.weights
+    pts, root_w = measure.points, np.sqrt(measure.weights)
     rows = np.empty((depth * per, pts.size))
-    rows[:per] = (_raw_columns(pts, cs) @ L).T
+    rows[:per] = (_raw_columns(pts, cs) @ L).T * root_w
     dvals = np.asarray(eval_delta(d, pts), dtype=float)
     for idx in range(per, depth * per):
-        if not _append_orthonormal(rows, idx, dvals * rows[idx - per], wts):
+        if not _append_orthonormal(rows, idx, dvals * rows[idx - per]):
             raise NumericalError(
                 f"measure rank exhausted at basis function {idx}; "
                 "the support is too small for the requested depth"
             )
-    dev = float(np.max(np.abs((rows * wts) @ rows.T - np.eye(depth * per))))
+    dev = float(np.max(np.abs(rows @ rows.T - np.eye(depth * per))))
     if dev > ORTHO_TOL:
         raise NumericalError(f"basis table is not orthonormal, deviation {dev:.3e}")
-    return RationalBasis(measure, np.ascontiguousarray(rows.T), L, D)
+    return RationalBasis(measure, np.ascontiguousarray((rows / root_w).T), L, D)
 
 
 def one_sided_coupling(g: int) -> np.ndarray:
@@ -228,15 +230,13 @@ def multiplication_matrix(rb: RationalBasis) -> np.ndarray:
     return M
 
 
-def _append_orthonormal(rows: np.ndarray, k: int, cand: np.ndarray, w=None) -> bool:
-    """Orthonormalize cand against rows[:k] into rows[k], under the inner
-    product sum(w * x * y) if weights w are given; False, with rows[k]
-    untouched, when cand lies numerically in the span of rows[:k]."""
+def _append_orthonormal(rows: np.ndarray, k: int, cand: np.ndarray) -> bool:
+    """Orthonormalize cand against rows[:k] into rows[k]; False, with
+    rows[k] untouched, when cand lies numerically in the span of rows[:k]."""
 
-    norm = np.linalg.norm if w is None else lambda v: np.sqrt(np.sum(w * v * v))
-    vec = numkit.project_out(rows[:k], cand, w)
-    rem = float(norm(vec))
-    if rem <= FLAG_RANK_REL * max(float(norm(cand)), 1e-300):
+    vec = numkit.project_out(rows[:k], cand)
+    rem = float(np.linalg.norm(vec))
+    if rem <= FLAG_RANK_REL * max(float(np.linalg.norm(cand)), 1e-300):
         return False
     rows[k] = vec / rem
     return True

@@ -49,11 +49,6 @@ def is_residual(blk: GmpBlock, d: DeltaData) -> np.ndarray:
     return out
 
 
-def intrinsic_offset(blk: GmpBlock) -> float:
-    """Constant term of the block's own transfer trace expansion."""
-    return -float(np.dot(blk.p, blk.q)) / float(blk.p[-1])
-
-
 @dataclass(frozen=True)
 class IsPoint:
     """A block on the surface, together with its comb map context."""

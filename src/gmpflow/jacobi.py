@@ -1,4 +1,4 @@
-"""Jacobi matrices: windows, resolvents, spectral measures, kappa vectors.
+"""Jacobi matrices: windows, measures, resolvents, kappa vectors.
 
 Windows are finite runs of three-term recurrence coefficients b(n)
 (diagonal) and a(n) > 0, where a(n) couples the sites n-1 and n.  A
@@ -8,18 +8,18 @@ J_+ joined by a(0); the half-line resolvent functions
     r_+(z) = <(J_+ - z)^{-1} e_0, e_0>,
     r_-(z) = <(J_- - z)^{-1} e_{-1}, e_{-1}>
 
-drive everything else: the 2x2 corner resolvent of the full matrix, the
-angle function phi(c) = arctan r_+(c) and its kappa vector
+drive the angle function phi(c) = arctan r_+(c) and its kappa vector
 
     kappa_c = (J - c)^{-1} (a(0) sin(phi) e_{-1} + cos(phi) e_0),
 
-which is supported on the right half and has squared norm phi'(c).
+which is supported on the right half and has squared norm phi'(c); r_-
+and the left half's vectors are those of the ``reflected`` window.
 Resolvents, at real z only, are O(n) tridiagonal solves; the spectrum
 enters only through ``spectrum_near``, the eigenvalues within a radius
 of a point, which one LAPACK call counts and bisects.  Every coefficient
 is small enough to square, which keeps the norm bound and the spectral
-diameter finite.  The dense matrix is formed only for the spectral
-measure and the pairing identity.
+diameter finite.  The dense matrix is never formed: the pairing identity
+applies J - J' as a band.
 """
 
 from __future__ import annotations
@@ -40,11 +40,9 @@ from .errors import (
 )
 from .finitegap import check_squares
 
-ANGLE_POLE_THRESHOLD = 1e10
 SPECTRUM_MIN_DIST = 1e-6
 KAPPA_NORM_TOL = 1e-6
 BOUNDARY_WEIGHT_TOL = 1e-9
-CORNER_IDENTITY_TOL = 1e-8
 FD_STEP_REL = 1e-5
 # Vectors per trimmed basis block in ``lanczos``.  Smaller blocks skip more
 # of the basis's known zeros but cost more BLAS calls a step.  On 853-block
@@ -100,13 +98,6 @@ class JacobiWindow:
 
     def b_at(self, n: int) -> float:
         return float(self.b[self.pos(n)])
-
-    def dense(self) -> np.ndarray:
-        mat = np.diag(self.b)
-        off = self.a[1:]
-        mat[np.arange(self.size - 1), np.arange(1, self.size)] = off
-        mat[np.arange(1, self.size), np.arange(self.size - 1)] = off
-        return mat
 
     def norm_bound(self) -> float:
         return float(np.max(np.abs(self.b))) + 2.0 * float(np.max(self.a))
@@ -174,12 +165,6 @@ class DiscreteMeasure:
     def n_points(self) -> int:
         return self.points.size
 
-    def moment(self, order: int) -> float:
-        return float(np.sum(self.weights * self.points**order))
-
-    def cauchy_transform(self, z) -> complex:
-        return np.sum(self.weights / (self.points - z))
-
 
 @dataclass(frozen=True)
 class KappaVector:
@@ -199,24 +184,10 @@ class KappaVector:
         return float(self.vec @ self.vec)
 
 
-def _require_one_sided(window: JacobiWindow, what: str) -> None:
-    if window.n_min != 0:
-        raise WindowError(f"{what} expects a one-sided window starting at 0")
-
-
-def spectral_measure_plus(window: JacobiWindow) -> DiscreteMeasure:
-    """Eigenvalues and squared first components of the dense truncation."""
-    _require_one_sided(window, "spectral_measure_plus")
-    eigvals, eigvecs = numkit.sym_eigen(window.dense())
-    weights = eigvecs[0, :] ** 2
-    keep = weights > 0.0
-    weights = weights[keep] / np.sum(weights[keep])
-    return DiscreteMeasure(eigvals[keep], weights)
-
-
 def resolvent_r(window: JacobiWindow, z: float) -> float:
     """<(J - z)^{-1} e_0, e_0> of a one-sided window at a real z."""
-    _require_one_sided(window, "resolvent_r")
+    if window.n_min != 0:
+        raise WindowError("resolvent_r expects a one-sided window starting at 0")
     e0 = np.zeros(window.size)
     e0[0] = 1.0
     return float(numkit.solve_tridiagonal(window.b, window.a[1:], e0, z)[0])
@@ -310,14 +281,15 @@ def spectrum_near(window: JacobiWindow, x: float, radius: float) -> np.ndarray:
 
 
 def angle_plus(window: JacobiWindow, c: float) -> float:
-    """phi(c) = arctan r_+(c) in (-pi/2, pi/2]; pi/2 when r_+ blows up."""
+    """phi(c) = arctan r_+(c) in (-pi/2, pi/2]; pi/2 only when the solve
+    for r_+ finds c on the right half's spectrum.  A large finite r_+ keeps
+    its arctan: the cos(phi) ~ 1/r_+ term is what cancels kappa's left
+    part, and dropping it leaves a part of relative size O(1/|r_+|) on the
+    sites < 0."""
     try:
-        r_plus = resolvent_r(window.right_half(), c)
+        return math.atan(resolvent_r(window.right_half(), c))
     except SingularMatrixError:
         return math.pi / 2.0
-    if abs(r_plus) > ANGLE_POLE_THRESHOLD:
-        return math.pi / 2.0
-    return math.atan(r_plus)
 
 
 def boundary_weight(window: JacobiWindow, sol: np.ndarray) -> float:
@@ -374,52 +346,16 @@ def kappa(window: JacobiWindow, c: float) -> KappaVector:
 def kappa_pairing(
     window: JacobiWindow, other: JacobiWindow, c: float
 ) -> tuple[float, float]:
-    """Both sides of <(J - J') kappa_c, kappa'_c> = sin(phi' - phi)."""
+    """Both sides of <(J - J') kappa_c, kappa'_c> = sin(phi' - phi), with
+    J - J' applied as its tridiagonal band in O(n)."""
     if window.n_min != other.n_min or window.size != other.size:
         raise WindowError("windows must be aligned for the pairing")
     kap = kappa(window, c)
     kap_other = kappa(other, c)
-    diff = window.dense() - other.dense()
-    lhs = float(kap_other.vec @ (diff @ kap.vec))
+    diff = (window.b - other.b, window.a[1:] - other.a[1:])
+    lhs = float(kap_other.vec @ numkit.banded_matvec(diff, kap.vec))
     rhs = math.sin(kap_other.phi - kap.phi)
     return lhs, rhs
-
-
-def two_by_two_resolvent(window: JacobiWindow, z: float) -> np.ndarray:
-    """Corner resolvent [[R(-1,-1), R(-1,0)], [R(0,-1), R(0,0)]], refused
-    when ``spectrum_near`` finds an eigenvalue within
-    1e-8 * max(1, ``norm_bound()``) of z.
-
-    Verifies the half-line identities -1/R(0,0) = -1/r_+ + a(0)^2 r_- and
-    -1/R(-1,-1) = -1/r_- + a(0)^2 r_+ before returning.
-    """
-    if window.n_min > -1 or window.n_max < 0:
-        raise WindowError("corner resolvent needs sites -1 and 0")
-    scale = max(1.0, window.norm_bound())
-    if spectrum_near(window, z, 1e-8 * scale).size:
-        raise SpectrumProximityError(
-            f"z = {z} is too close to the window spectrum"
-        )
-    corner = [window.pos(-1), window.pos(0)]
-    rhs = np.zeros((window.size, 2))
-    rhs[corner, [0, 1]] = 1.0
-    rmat = numkit.solve_tridiagonal(window.b, window.a[1:], rhs, z)[corner]
-    r_plus = resolvent_r(window.right_half(), z)
-    r_minus = resolvent_r(window.reflected().right_half(), z)
-    a0 = window.a_at(0)
-    checks = (
-        (-1.0 / rmat[1, 1], -1.0 / r_plus + a0**2 * r_minus),
-        (-1.0 / rmat[0, 0], -1.0 / r_minus + a0**2 * r_plus),
-    )
-    for lhs, rhs_val in checks:
-        if abs(lhs - rhs_val) > CORNER_IDENTITY_TOL * max(
-            1.0, abs(lhs), abs(rhs_val)
-        ):
-            raise NumericalError(
-                f"corner identity residual {abs(lhs - rhs_val):.3e} "
-                "exceeds tolerance"
-            )
-    return rmat
 
 
 def dist_eta(b: np.ndarray, b_tilde: np.ndarray, eta: float) -> float:

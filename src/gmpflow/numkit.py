@@ -130,10 +130,10 @@ def solve_tridiagonal(diag, off, rhs, z: float) -> np.ndarray:
     return _checked_solve(np.abs(lu[1]), scale, matvec, back, rhs)
 
 
-def project_out(basis, vec: np.ndarray, weights=None) -> np.ndarray:
+def project_out(basis, vec: np.ndarray) -> np.ndarray:
     """``vec`` minus its components along the rows of ``basis``, which are
-    orthonormal under ``sum(weights * x * y)`` (or the dot product).
-    Classical Gram-Schmidt applied twice (CGS2).
+    orthonormal under the dot product.  Classical Gram-Schmidt applied
+    twice (CGS2).
 
     ``basis`` is one array or a sequence of row blocks.  A block of r
     columns holds rows that vanish beyond their first r entries, and is
@@ -143,14 +143,12 @@ def project_out(basis, vec: np.ndarray, weights=None) -> np.ndarray:
     one in place on its leading entries.  A single array is the one-block
     case, one BLAS product pair a pass.
     """
-    blocks = [basis] if isinstance(basis, np.ndarray) else basis
-    pairs = [(b, b if weights is None else b * weights[: b.shape[1]]) for b in blocks]
-    *older, (last, wlast) = pairs
+    *older, last = [basis] if isinstance(basis, np.ndarray) else basis
     for _ in range(2):
-        out = vec - (wlast @ vec) @ last
-        for b, wb in older:
+        out = vec - (last @ vec) @ last
+        for b in older:
             r = b.shape[1]
-            out[:r] -= (wb @ vec[:r]) @ b
+            out[:r] -= (b @ vec[:r]) @ b
         vec = out
     return vec
 

@@ -33,9 +33,9 @@ from gmpflow.jacobi import (
     JacobiWindow,
     kappa,
     lanczos_from_measure,
-    two_by_two_resolvent,
 )
 
+from oracles import dense, two_by_two_resolvent
 from conftest import (
     half_line_measures,
     make_estar_gapset,
@@ -292,9 +292,9 @@ class TestTauBasis:
         project = numkit.project_out
         calls = []
 
-        def skip_first(basis, vec, weights=None):
+        def skip_first(basis, vec):
             calls.append(None)
-            return vec.copy() if len(calls) == 1 else project(basis, vec, weights)
+            return vec.copy() if len(calls) == 1 else project(basis, vec)
 
         monkeypatch.setattr(numkit, "project_out", skip_first)
         with pytest.raises(NumericalError, match="not orthonormal"):
@@ -378,7 +378,7 @@ class TestKappaMinus:
     def test_shifted_image_supported_on_seed_pair(self):
         w = period2_window()
         km = kappa_minus(w, 0.0)
-        resid = w.dense() @ km
+        resid = dense(w) @ km
         resid[w.pos(-1)] = 0.0
         resid[w.pos(0)] = 0.0
         assert np.max(np.abs(resid)) < 1e-10 * np.max(np.abs(km))

@@ -14,12 +14,12 @@ from gmpflow.isospectral import (
     FD_STEP_REL,
     IsPoint,
     _fd_jacobian,
-    intrinsic_offset,
     is_residual,
     solve_is_point,
 )
 from gmpflow.ks import delta_of_gmp
 
+from oracles import intrinsic_offset
 from conftest import make_estar_gapset, make_p1_block, stack_window, wrapped_dense
 
 SQRT2 = np.sqrt(2.0)

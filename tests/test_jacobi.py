@@ -31,8 +31,13 @@ from gmpflow.jacobi import (
     lanczos,
     lanczos_from_measure,
     resolvent_r,
-    spectral_measure_plus,
     spectrum_near,
+)
+from oracles import (
+    cauchy_transform,
+    dense,
+    moment,
+    spectral_measure_plus,
     two_by_two_resolvent,
 )
 
@@ -109,9 +114,8 @@ class TestJacobiWindow:
         assert win.n_max == 1
         assert win.a_at(0) == 2.0
         assert win.b_at(-1) == 1.0
-        dense = win.dense()
         assert_allclose(
-            dense, [[1.0, 2.0, 0.0], [2.0, -1.0, 3.0], [0.0, 3.0, 0.5]]
+            dense(win), [[1.0, 2.0, 0.0], [2.0, -1.0, 3.0], [0.0, 3.0, 0.5]]
         )
 
     def test_halves(self):
@@ -200,9 +204,9 @@ class TestDiscreteMeasure:
 
     def test_moments(self):
         m = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
-        assert m.moment(0) == 1.0
-        assert m.moment(1) == 0.0
-        assert m.moment(2) == 1.0
+        assert moment(m, 0) == 1.0
+        assert moment(m, 1) == 0.0
+        assert moment(m, 2) == 1.0
 
 
 class TestSpectralMeasurePlus:
@@ -224,7 +228,7 @@ class TestSpectralMeasurePlus:
         for _ in range(10)            :
             win = random_window(rng, 0, 12)
             m = spectral_measure_plus(win)
-            assert_allclose(m.moment(1), win.b_at(0), atol=1e-12)
+            assert_allclose(moment(m, 1), win.b_at(0), atol=1e-12)
 
     def test_rejects_two_sided(self):
         with pytest.raises(WindowError):
@@ -247,7 +251,7 @@ class TestResolventR:
             m = spectral_measure_plus(win)
             z = float(np.max(m.points)) + rng.uniform(0.5, 2.0)
             assert_allclose(
-                resolvent_r(win, z), m.cauchy_transform(z).real, atol=1e-10
+                resolvent_r(win, z), cauchy_transform(m, z).real, atol=1e-10
             )
 
     def test_eigenvalue_rejected(self):
@@ -289,7 +293,7 @@ class TestLanczosFromMeasure:
         back = spectral_measure_plus(win)
         for order in range(2 * depth + 1):
             assert_allclose(
-                back.moment(order), m.moment(order), atol=1e-9, rtol=1e-9
+                moment(back, order), moment(m, order), atol=1e-9, rtol=1e-9
             )
 
     def test_matches_reference_on_half_line_measures(self):
@@ -437,7 +441,7 @@ class TestKappa:
     def test_zero_angle_branch(self):
         rng = np.random.default_rng(47)
         win = random_window(rng, -75, 75)
-        c = float(np.max(np.abs(win.dense()).sum(axis=1))) + 1.0
+        c = float(np.max(np.abs(dense(win)).sum(axis=1))) + 1.0
         kap = kappa(win, c)
         r_plus = resolvent_r(win.right_half(), c)
         assert_allclose(kap.phi, math.atan(r_plus), atol=1e-12)
@@ -501,7 +505,7 @@ class TestKappa:
         b = np.zeros(80)
         b[-1] = 5.0
         win = JacobiWindow(np.ones(80), b, n_min=-40)
-        c = float(np.linalg.eigvalsh(win.dense())[-1]) + 2e-6
+        c = float(np.linalg.eigvalsh(dense(win))[-1]) + 2e-6
         sols = []
         weight = jacobi.boundary_weight
 
@@ -518,6 +522,19 @@ class TestKappa:
         rhs[win.pos(0)] = math.cos(kap.phi)
         assert np.array_equal(kap.vec, numkit.solve_tridiagonal(win.b, win.a[1:], rhs, c))
 
+    @pytest.mark.parametrize("eps", [1e-11, 1e-12])
+    def test_large_r_plus_keeps_its_angle(self, eps):
+        # the period-2 window of criterion 10 with b(0) = eps: r_+(0) is
+        # about 1/eps, and phi must stay arctan r_+, not pi/2, or the
+        # vector keeps a part of relative size about 0.67 eps on sites < 0
+        ns = np.arange(-107, 107)
+        b = np.zeros(ns.size)
+        b[107] = eps
+        win = JacobiWindow(np.where(ns % 2 == 0, 1.5, 0.5), b, n_min=-107)
+        assert abs(resolvent_r(win.right_half(), 0.0)) >= 0.5 / eps
+        vec = kappa(win, 0.0).vec
+        assert np.max(np.abs(vec[: win.pos(0)])) <= 1e-15 * np.max(np.abs(vec))
+
     @pytest.mark.parametrize("seed", range(8))
     def test_weight_is_below_the_inverse_distance_bound(self, seed, monkeypatch):
         # each resolvent column at an end is at most 1 / dist in size, so the
@@ -525,7 +542,7 @@ class TestKappa:
         rng = np.random.default_rng(seed)
         lo = -int(rng.integers(2, 60))
         win = random_window(rng, lo, int(rng.integers(0, 60)))
-        eigs = np.linalg.eigvalsh(win.dense())
+        eigs = np.linalg.eigvalsh(dense(win))
         c = float(rng.uniform(eigs[0] - 1.0, eigs[-1] + 1.0))
         while np.min(np.abs(eigs - c)) < 1e-3:
             c = float(rng.uniform(eigs[0] - 1.0, eigs[-1] + 1.0))
@@ -545,6 +562,33 @@ class TestKappa:
 
 
 class TestKappaPairing:
+    @staticmethod
+    def dense_lhs(win, other, c):
+        return float(kappa(other, c).vec @ ((dense(win) - dense(other)) @ kappa(win, c).vec))
+
+    def test_criterion_window_matches_dense_route(self):
+        # criterion 7: the free window with b(7) bumped to 0.3, at c = 3
+        win = free_window(-90, 90)
+        b = win.b.copy()
+        b[win.pos(7)] = 0.3
+        other = JacobiWindow(win.a, b, win.n_min)
+        lhs, _ = kappa_pairing(win, other, 3.0)
+        ref = self.dense_lhs(win, other, 3.0)
+        assert abs(lhs - ref) <= 1e-14 * abs(ref)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_windows_match_dense_route(self, seed):
+        # every a(n) and b(n) differs, so the whole band enters
+        rng = np.random.default_rng(seed)
+        win = random_window(rng, -60, 60)
+        a = win.a * (1.0 + rng.uniform(-0.05, 0.05, win.size))
+        other = JacobiWindow(a, win.b + rng.uniform(-0.1, 0.1, win.size), win.n_min)
+        c = max(win.norm_bound(), other.norm_bound()) + 1.0
+        lhs, rhs = kappa_pairing(win, other, c)
+        ref = self.dense_lhs(win, other, c)
+        assert abs(lhs - ref) <= 1e-14 * abs(ref)
+        assert abs(lhs - rhs) < 1e-8
+
     def test_identical_windows(self):
         win = free_window(-80, 80)
         lhs, rhs = kappa_pairing(win, win, 3.0)
@@ -588,7 +632,7 @@ class TestTwoByTwoResolvent:
         rng = np.random.default_rng(59)
         for _ in range(50):
             win = random_window(rng, -25, 24)
-            z = float(np.max(np.abs(np.linalg.eigvalsh(win.dense())))) + 1.0
+            z = float(np.max(np.abs(np.linalg.eigvalsh(dense(win))))) + 1.0
             rmat = two_by_two_resolvent(win, z)
             r_plus = resolvent_r(win.right_half(), z)
             r_minus = resolvent_r(win.reflected().right_half(), z)

@@ -22,27 +22,11 @@ ROOTS = ("cli", "acceptance")
 # that uses it as the reference for code that stays.
 ORACLES = {
     "__init__.__version__": "the package version string",
-    "jacobi.DiscreteMeasure.cauchy_transform": (
-        "test_jacobi.py::TestResolventR::test_matches_measure_form"
-    ),
-    "jacobi.DiscreteMeasure.moment": (
-        "test_jacobi.py::TestLanczosFromMeasure::test_moment_reconstruction"
-    ),
     "jacobi.lanczos_from_measure": (
         "test_construct.py::TestGmpToJacobiMeasure::"
         "test_matches_dense_spectral_measure_route and test_jacobi.py::"
         "TestLanczosFromMeasure, the dense measure route to the coefficients "
         "of gmp_to_jacobi_measure; perfbench traces it by name"
-    ),
-    "jacobi.spectral_measure_plus": (
-        "test_jacobi.py::TestLanczosFromMeasure, the measure side of the "
-        "Lanczos round trips"
-    ),
-    "jacobi.two_by_two_resolvent": (
-        "test_construct.py::TestKappaMinus::test_cross_gram_matches_corner_resolvents"
-    ),
-    "isospectral.intrinsic_offset": (
-        "test_isospectral.py::TestAlternativeQg::test_on_surface_solved_point"
     ),
 }
 
