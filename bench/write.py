@@ -52,6 +52,9 @@ The record holds:
   pair of blocks, or of a stack of pairs) over g in {1, 2, 4, 8, 12, 16},
   at 1 and 481 pairs, on the poles of the same comb maps and a window of
   surface blocks with every entry perturbed by up to 5%;
+- a kernel sweep of ``flow.u_block`` (the rotation blocks of every row
+  of a window) and of ``flow.jacobi_flow_step`` over the same genera, on
+  the 482-block window of those 481 pairs;
 - each sweep record is ``{layer, case, n_blocks, g, best_s, median_s,
   counters}`` (``sites`` too for the Jacobi windows, ``band_edge_err``
   for the comb maps; ``n_blocks`` counts the pairs for
@@ -128,7 +131,7 @@ from workloads import surface_seed  # noqa: E402
 from gmpflow import acceptance, cli, construct, gmp, isospectral, jacobi, ks, numkit  # noqa: E402
 from gmpflow.errors import GmpflowError  # noqa: E402
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta  # noqa: E402
-from gmpflow.flow import flow_run  # noqa: E402
+from gmpflow.flow import flow_run, jacobi_flow_step, u_block  # noqa: E402
 from gmpflow.gmp import GmpBlock, GmpWindow  # noqa: E402
 
 PERFBENCH_SEED = 5
@@ -152,6 +155,7 @@ DELTA_GENERA = (2, 4, 8, 12, 16)
 DELTA_SETS = 8
 KERNEL_GENERA = (1, 2, 4, 8, 12, 16)
 KERNEL_PAIRS = (1, 481)
+FLOW_PAIRS = 481
 # Timed repeats per sweep case: at least MIN_REPEATS, more while the case
 # has used less than CASE_BUDGET_S, at most MAX_REPEATS.
 MIN_REPEATS, MAX_REPEATS, CASE_BUDGET_S = 3, 15, 1.5
@@ -399,10 +403,10 @@ class Counting:
             self.delta_states += len(states)
             return self._delta(states, *args, **kwargs)
 
-        def closed(pairs, k):
+        def closed(pairs):
             self.closed_calls += 1
             self.closed_pairs += len(pairs)
-            return self._closed(pairs, k)
+            return self._closed(pairs)
 
         def h_term(*args):
             self.h_term_calls += 1
@@ -564,6 +568,14 @@ def sweep(work: Path) -> list[dict]:
             rec.update(timed(lambda: gmp.lambda_sharp(nxt, this, w.c)))
             records.append(rec)
             print(f"lambda_sharp g={g} pairs={n_pairs}: best {rec['best_s'] * 1e6:.0f} us",
+                  file=sys.stderr)
+        w = kernel_inputs(g, FLOW_PAIRS)
+        for case, fn in (("u_block", lambda: u_block(w.P)),
+                         ("jacobi_flow_step", lambda: jacobi_flow_step(w))):
+            rec = {"layer": "kernel", "case": case, "n_blocks": w.n_blocks, "g": g}
+            rec.update(timed(fn))
+            records.append(rec)
+            print(f"{case} g={g} n={w.n_blocks}: best {rec['best_s'] * 1e3:.2f} ms",
                   file=sys.stderr)
     return records
 

@@ -122,12 +122,10 @@ def criterion_transfer_algebra(seed: int = 211) -> tuple[list, str]:
         except Exception:
             raised += 1
             continue
-        det = float(np.linalg.det(direct.value))
+        det = float(np.linalg.det(direct))
         worst_det = max(worst_det, abs(det - 1.0))
-        scale = max(1.0, float(np.max(np.abs(direct.value))))
-        worst_dev = max(
-            worst_dev, float(np.max(np.abs(direct.value - via.value))) / scale
-        )
+        scale = max(1.0, float(np.max(np.abs(direct))))
+        worst_dev = max(worst_dev, float(np.max(np.abs(direct - via))) / scale)
         count += 1
     checks = [
         ("determinant deviation", worst_det, 1e-10),

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import NumericalError, ValidationError, WindowError
 from .gmp import (
     VALIDITY_FLOOR,
+    GmpBlock,
     GmpWindow,
     assemble_dense,
     block_diagonal,
@@ -26,7 +27,6 @@ from .gmp import (
     validate_gmp,
 )
 
-ORTHO_TOL = 1e-12
 READOUT_REL_TOL = 1e-10
 # Squares as a Python float's ``x ** 2`` takes them, by the C library's pow:
 # np.square rounds about one argument in a thousand the other way.
@@ -53,30 +53,24 @@ def tail_norms(p: np.ndarray) -> np.ndarray:
 def u_block(p) -> np.ndarray:
     """Orthogonal block sending delta_0 to p/||p||.
 
-    Built as the product of embedded plane rotations acting on
-    coordinate pairs (k-1, k) for k = 1..g, where the k-th angle has
-    sine and cosine proportional to (p_{k-1}, ||(p_k..p_g)||).  Column
-    0 of the result is p/||p||; column k vanishes on the first k-1
-    slots, carries the squared tail norm on slot k-1 and -p_{k-1} times
-    the tail below.  A stack of vectors, one per row, gives the stack of
-    their blocks.  The vectors are rows of a checked window, so they are
-    finite with p_g > 0; only their shape is checked on entry.
+    The product of plane rotations of the slot pairs (k-1, k), k = 1..g,
+    each applied to the two rows it mixes; the k-th angle has sine and
+    cosine proportional to (p_{k-1}, ||(p_k..p_g)||).  Column 0 of the
+    result is p/||p||; column k vanishes on the first k-1 slots, carries
+    the squared tail norm on slot k-1 and -p_{k-1} times the tail below.
+    A stack of vectors, one per row, gives the stack of their blocks.
+    The vectors are rows of a checked window, so they are finite with
+    p_g > 0; only their shape is checked on entry.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim not in (1, 2) or p.shape[-1] < 2:
         raise ValidationError("p must be a vector with at least two entries")
     tails = tail_norms(p)
     g = p.shape[-1] - 1
-    u = eye = np.broadcast_to(np.eye(g + 1), p.shape[:-1] + (g + 1, g + 1))
+    u = np.broadcast_to(np.eye(g + 1), p.shape[:-1] + (g + 1, g + 1)).copy()
     for k in range(1, g + 1):
-        factor = eye.copy()
-        factor[..., k - 1 : k + 1, k - 1 : k + 1] = rotation_o(
-            np.arctan2(p[..., k - 1], tails[..., k])
-        )
-        u = factor @ u
-    defect = float(np.max(np.abs(np.swapaxes(u, -1, -2) @ u - eye)))
-    if defect > ORTHO_TOL:
-        raise NumericalError(f"orthogonality defect {defect:.3e} in u_block")
+        rot = rotation_o(np.arctan2(p[..., k - 1], tails[..., k]))
+        u[..., k - 1 : k + 1, :] = rot @ u[..., k - 1 : k + 1, :]
     return u
 
 
@@ -132,33 +126,34 @@ def flow_identity_residual(window: GmpWindow, stepped: GmpWindow) -> float:
 
 
 def extract_jacobi(states) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar readout along a state sequence.
+    """Scalar readout along a state sequence, read in one pass.
 
     a(n) is the leading-vector norm of block 0 at state n; b(n) is the
     trailing product q_g * p_g of block -1 at state n+1, cross-checked
-    against the quadratic mean of the block matrix at state n.  Returns
-    (a, b) with len(b) = len(a) - 1.
+    against the quadratic mean of the block matrix at state n.  The
+    states share one pole list, and the first mismatching step raises.
+    Returns (a, b) with len(b) = len(a) - 1.
     """
     states = list(states)
     if not states:
         raise ValidationError("need at least one state")
-    a_vals = [float(np.linalg.norm(st.block(0).p)) for st in states]
-    b_vals = []
-    for n in range(len(states) - 1):
-        cur = states[n]
-        blk0 = cur.block(0)
-        bmat = build_block_B(blk0, cur.c)
-        b_mean = float(blk0.p @ bmat @ blk0.p) / a_vals[n] ** 2
-        trail = states[n + 1].block(-1)
-        b_trail = float(trail.q[-1] * trail.p[-1])
-        scale = max(1.0, abs(b_mean), abs(b_trail))
-        if abs(b_mean - b_trail) > READOUT_REL_TOL * scale:
-            raise NumericalError(
-                f"readout mismatch at step {n}: trailing {b_trail:.6e} "
-                f"vs quadratic mean {b_mean:.6e}"
-            )
-        b_vals.append(b_trail)
-    return np.array(a_vals), np.array(b_vals)
+    c = states[0].c
+    if any(not np.array_equal(st.c, c) for st in states):
+        raise ValidationError("windows of a run must share one pole list")
+    rows = [st.block(0) for st in states]
+    P0, Q0 = np.stack([b.p for b in rows]), np.stack([b.q for b in rows])
+    a_vals = np.sqrt(np.vecdot(P0, P0))
+    bmats = build_block_B(GmpBlock._view(P0[:-1], Q0[:-1]), c)
+    quad = np.vecdot((P0[:-1, None, :] @ bmats)[:, 0], P0[:-1])
+    b_mean = quad / _PY_POW(a_vals[:-1], 2).astype(float)
+    trail = np.array([st.block(-1).q[-1] * st.block(-1).p[-1] for st in states[1:]])
+    scale = np.maximum(1.0, np.maximum(abs(b_mean), abs(trail)))
+    bad = np.flatnonzero(abs(b_mean - trail) > READOUT_REL_TOL * scale)
+    if bad.size:
+        n = bad[0]
+        raise NumericalError(f"readout mismatch at step {n}: trailing {trail[n]:.6e} "
+                             f"vs quadratic mean {b_mean[n]:.6e}")
+    return a_vals, trail
 
 
 @dataclass(frozen=True)
@@ -190,6 +185,8 @@ def flow_run(
     """
     if n_steps < 1:
         raise ValidationError("n_steps must be at least 1")
+    if window.j_min > -1 or window.j_max < 1:
+        raise WindowError(f"window [{window.j_min}, {window.j_max}] lacks the readout's blocks -1..1")
     max_steps = min(-1 - window.j_min, window.j_max - 1)
     if n_steps > max_steps:
         raise WindowError(

@@ -41,7 +41,6 @@ JMAT.setflags(write=False)
 EYE2 = np.eye(2)
 EYE2.setflags(write=False)
 
-DET_TOL = 1e-9
 VALIDITY_FLOOR = 1e-8
 
 
@@ -180,25 +179,6 @@ class GmpWindow:
         return cls(P, Q, c, j_min)
 
 
-@dataclass(frozen=True)
-class TransferEval:
-    """A fully assembled 2x2 transfer matrix; unit determinant enforced."""
-
-    value: np.ndarray
-
-    def __post_init__(self):
-        value = np.array(self.value)
-        value.setflags(write=False)
-        object.__setattr__(self, "value", value)
-        if value.shape != (2, 2):
-            raise ValidationError("transfer matrix must be 2x2")
-        det = value[0, 0] * value[1, 1] - value[0, 1] * value[1, 0]
-        if abs(det - 1.0) > DET_TOL:
-            raise NumericalError(
-                f"transfer determinant {det} deviates from 1 beyond {DET_TOL}"
-            )
-
-
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Outer products of the last axes of two (stacks of) vectors."""
     return a[..., :, None] * b[..., None, :]
@@ -277,17 +257,19 @@ def bp_factor_inf(z: float, pm: np.ndarray) -> np.ndarray:
     return mat
 
 
-def transfer_matrix(blk: GmpBlock, c: np.ndarray, z: float) -> TransferEval:
-    """Product of one elementary factor per pole and the infinity factor."""
+def transfer_matrix(blk: GmpBlock, c: np.ndarray, z: float) -> np.ndarray:
+    """The 2x2 product of one elementary factor per pole and the infinity
+    factor.  Its determinant is 1 up to rounding; acceptance criterion 2
+    measures the deviation."""
     c = np.asarray(c, dtype=float)
     mat = EYE2
     for m in range(blk.g):
         mat = mat @ bp_factor(z, c[m], blk.pm(m))
-    return TransferEval(mat @ bp_factor_inf(z, blk.pm(blk.g)))
+    return mat @ bp_factor_inf(z, blk.pm(blk.g))
 
 
-def transfer_via_resolvent(blk: GmpBlock, c: np.ndarray, z: float) -> TransferEval:
-    """Transfer matrix from resolvent entries of the diagonal block.
+def transfer_via_resolvent(blk: GmpBlock, c: np.ndarray, z: float) -> np.ndarray:
+    """The 2x2 transfer matrix from resolvent entries of the diagonal block.
 
     With ``r_pp = <(B - z)^{-1} p, p>``, ``r_pd = <(B - z)^{-1} delta_g, p>``
     and ``r_dd = <(B - z)^{-1} delta_g, delta_g>``, the transfer matrix is
@@ -305,10 +287,7 @@ def transfer_via_resolvent(blk: GmpBlock, c: np.ndarray, z: float) -> TransferEv
     r_dd = float(x_d[blk.g])
     if abs(r_pd) < 1e-14 * max(1.0, abs(r_pp), abs(r_dd)):
         raise NumericalError("degenerate corner resolvent entry")
-    mat = (
-        np.array([[r_pp * r_dd - r_pd**2, -r_pp], [r_dd, -1.0]]) / r_pd
-    )
-    return TransferEval(mat)
+    return np.array([[r_pp * r_dd - r_pd**2, -r_pp], [r_dd, -1.0]]) / r_pd
 
 
 @lru_cache(maxsize=8)
@@ -423,24 +402,24 @@ def validate_gmp(window: GmpWindow, floor: float = VALIDITY_FLOOR) -> dict:
     return report
 
 
-def resolvent_column(pairs: Sequence[tuple[GmpWindow, int]], k: int) -> list[np.ndarray | None]:
-    """Columns of (c_k - A)^{-1} at slot k-1 of block j, in closed form, for
-    a stack of (window, j) pairs whose windows share one pole list.
+def resolvent_column(pairs: Sequence[tuple[GmpWindow, int]]) -> list[np.ndarray | None]:
+    """Columns of (c_1 - A)^{-1} at slot 0 of block j, in closed form, for
+    a stack of (window, j) pairs whose windows share one nonempty pole list.
 
     Each window must contain the blocks j-1, j, j+1, which support its
-    window-aligned column: the outer blocks come from the partial factor
-    chains of the adjacent pair functionals (one ``lambda_sharp`` call),
-    divided by them, the middle blocks from one stacked least-squares
-    pseudo-inverse with the cutoff of ``np.linalg.lstsq`` (the system may
-    be singular at the pole).  Each column is checked on the block rows
-    j-2..j+2 its window holds.  A pair whose functional vanishes has no
-    closed form: None.
+    window-aligned column.  The pair functionals at c_1 of the blocks
+    (j+1, j) and (j, j-1) and their partial chains come from one
+    ``lambda_sharp`` call.  Block j+1 is the reciprocal of the first on
+    slot 0 and zero elsewhere; block j-1 is the partial row chain of the
+    second divided by it, with slot g from orthogonality to its p; the
+    middle block comes from one stacked least-squares pseudo-inverse with
+    the cutoff of ``np.linalg.lstsq`` (the system may be singular at the
+    pole).  Each column is checked on the block rows j-2..j+2 its window
+    holds.  A pair whose functional vanishes has no closed form: None.
     """
     if not pairs:
         return []
     c, g = pairs[0][0].c, pairs[0][0].g
-    if not 1 <= k <= g:
-        raise ValidationError(f"pole index {k} outside 1..{g}")
     ps, qs = np.zeros((2, len(pairs), 5, g + 1))  # blocks j-2..j+2, zero beyond the window
     held = np.zeros((len(pairs), 5), dtype=bool)
     for m, (window, j) in enumerate(pairs):
@@ -454,40 +433,35 @@ def resolvent_column(pairs: Sequence[tuple[GmpWindow, int]], k: int) -> list[np.
     # the pairs (block j, block j-1) and (block j+1, block j), rows 2m and 2m+1 of the chain
     this, nxt = GmpBlock._view(ps[:, 1:3], qs[:, 1:3]), GmpBlock._view(ps[:, 2:4], qs[:, 2:4])
     states = []
-    lams = lambda_sharp(nxt, this, c, states=states)[..., k - 1]
+    lams = lambda_sharp(nxt, this, c, states=states)[..., 0]
     ok = np.flatnonzero(np.min(abs(lams), 1) > 1e-12 * np.max(abs(lams), 1, initial=1.0))
-    chains = np.stack(states)[..., k - 1, :].reshape(len(states), 2, 2, -1, 2)[..., ok, :]
-    P, Q, held, (lam_m1, lam_0), ck = ps[ok], qs[ok], held[ok], lams[ok].T, c[k - 1]
+    chains = np.stack(states)[..., 0, :].reshape(len(states), 2, 2, -1, 2)[..., ok, :]
+    P, Q, held, (lam_m1, lam_0), c1 = ps[ok], qs[ok], held[ok], lams[ok].T, c[0]
     xs = np.zeros_like(P)  # the columns on blocks j-2..j+2
-    xs[:, 1, k - 1], xs[:, 3, k - 1] = 1.0 / lam_m1, 1.0 / lam_0
-    # Block j-1: slot l in k..g-1 pairs (p_l, q_l) with the row chain
-    # through slots k..l-1; slot g from orthogonality to its p.
-    row = chains[k - 1 : g - 1, :, 1, :, 0].T  # (pair, component, slot)
-    xs[:, 1, k:g] = (row[:, 0] * P[:, 1, k:g] + row[:, 1] * Q[:, 1, k:g]) / (ck - c[k:g])
-    xs[:, 1, k:g] /= lam_m1[:, None]
+    xs[:, 1, 0], xs[:, 3, 0] = 1.0 / lam_m1, 1.0 / lam_0
+    # Block j-1: slot l in 1..g-1 pairs (p_l, q_l) with the row chain
+    # through slots 1..l-1; slot g from orthogonality to its p.
+    row = chains[: g - 1, :, 1, :, 0].T  # (pair, component, slot)
+    xs[:, 1, 1:g] = (row[:, 0] * P[:, 1, 1:g] + row[:, 1] * Q[:, 1, 1:g]) / (c1 - c[1:g])
+    xs[:, 1, 1:g] /= lam_m1[:, None]
     xs[:, 1, g] = -np.vecdot(P[:, 1, :g], xs[:, 1, :g]) / P[:, 1, g]
-    # Block j+1: slot m < k-1 pairs (p_m, q_m) J with the column chain
-    # through slots m+1..k-2; slots k..g vanish.
-    col = chains[g - 2 - np.arange(k - 1), :, 0, :, 1].T
-    fwd = (Q[:, 3, : k - 1] * col[:, 0] - P[:, 3, : k - 1] * col[:, 1]) / (ck - c[: k - 1])
-    xs[:, 3, : k - 1] = fwd / lam_0[:, None]
     # Block j: least squares on the three block-row equations involving it.
     eye = np.eye(g + 1)
-    shifted = ck * eye - build_block_B(GmpBlock._view(P[:, 1:4], Q[:, 1:4]), c)  # blocks j-1..j+1
+    shifted = c1 * eye - build_block_B(GmpBlock._view(P[:, 1:4], Q[:, 1:4]), c)  # blocks j-1..j+1
     system = np.concatenate([shifted[:, 1], P[:, 2, None], P[:, 3, :, None] * eye[g]], axis=1)
     rhs = np.concatenate([
-        eye[k - 1] + P[:, 2] * xs[:, 1, g:] + eye[g] * np.vecdot(P[:, 3], xs[:, 3])[:, None],
+        eye[0] + P[:, 2] * xs[:, 1, g:] + eye[g] * np.vecdot(P[:, 3], xs[:, 3])[:, None],
         np.vecdot(shifted[:, 0, g], xs[:, 1])[:, None],
         (shifted[:, 2] @ xs[:, 3, :, None])[..., 0],
     ], axis=1)
     xs[:, 2] = (np.linalg.pinv(system, rtol=None) @ rhs[..., None])[..., 0]
 
-    # (c_k - A) columns on block rows j-2..j+2; they live on blocks j-1..j+1
+    # (c_1 - A) columns on block rows j-2..j+2; they live on blocks j-1..j+1
     res = np.zeros_like(xs)
     res[:, 1:4] = (shifted @ xs[:, 1:4, :, None])[..., 0]
     res[:, :4, g] -= np.vecdot(P[:, 1:], xs[:, 1:])  # coupling to the block above
     res[:, 1:] -= P[:, 1:] * xs[:, :4, g:]  # coupling to the block below
-    res[:, 2, k - 1] -= 1.0
+    res[:, 2, 0] -= 1.0
     residual = np.max(np.abs(res), axis=(1, 2), where=held[..., None], initial=0.0)
     bad = residual > 1e-8 * np.max(np.abs(xs), axis=(1, 2), initial=1.0)
     if bad.any():

@@ -190,7 +190,7 @@ def delta_of_gmp(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list
         v_blocks = (eps_prev[:, :, None] * eps[:, None, :]) * raw_v
         out.append(DeltaBlocks(j_lo, v_blocks, (eps[:-1, :, None] * eps[:-1, None, :]) * raw_w))
 
-    for (trusted, col), closed in zip(checks, resolvent_column(pairs, 1)):
+    for (trusted, col), closed in zip(checks, resolvent_column(pairs)):
         if closed is None:  # the closed form is undefined here
             continue
         err = float(np.max(np.abs(col - closed[trusted])))

@@ -5,6 +5,7 @@ report, so a verbose run shows one pass/fail line per criterion.
 """
 
 import dataclasses
+import re
 
 import pytest
 
@@ -78,6 +79,17 @@ def test_transfer_criterion_fails_when_draws_raise(monkeypatch):
     rep = acceptance.run_criterion(2)
     assert not rep["passed"]
     assert f"0 block sets in {acceptance.TRANSFER_MAX_DRAWS} draws" in rep["details"]
+
+
+def test_transfer_criterion_fails_when_determinant_drifts(monkeypatch):
+    # a product scaled by 1 + 1e-9 has its determinant off by about 2e-9
+    exact = acceptance.transfer_matrix
+    monkeypatch.setattr(acceptance, "transfer_matrix", lambda *args: exact(*args) * (1.0 + 1e-9))
+    rep = acceptance.run_criterion(2)
+    assert not rep["passed"]
+    dev = re.search(r"determinant deviation (\S+) \(<= 1e-10\)", rep["details"])
+    assert dev and 1.9e-9 < float(dev.group(1)) < 2.1e-9
+    assert "100 block sets in" in rep["details"] and ", 0 raised" in rep["details"]
 
 
 def test_telescoping_criterion_checks_the_ledger_drop(monkeypatch):

@@ -214,6 +214,14 @@ class TestFlow:
             "the maximal feasible step count is 6\n"
         )
 
+    @pytest.mark.parametrize("j_min", [2, -20])
+    def test_window_without_core_blocks_is_refused(self, tmp_path, capsys, j_min):
+        # the readout needs blocks -1..1 at every step; no negative step count
+        assert cli.main(["flow", p1_window_file(tmp_path, 3, j_min), "--steps", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: window [{j_min}, {j_min + 2}] lacks the readout's blocks -1..1\n"
+        )
+
     def test_bad_eta_rejected(self, tmp_path, capsys):
         args = ["flow", p1_window_file(tmp_path), "--steps", "2", "--eta", "1.5"]
         assert cli.main(args) == 1

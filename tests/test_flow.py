@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from gmpflow.errors import NumericalError, ValidationError, WindowError
 from gmpflow.flow import (
+    READOUT_REL_TOL,
     FlowTrajectory,
     extract_jacobi,
     flow_identity_residual,
@@ -87,6 +88,34 @@ def reference_flow_step(window):
         rows_p.append(p_new)
         rows_q.append(q_new)
     return np.array(rows_p), np.array(rows_q)
+
+
+def reference_extract_jacobi(states):
+    """The readout as a loop over states, each read and checked alone."""
+    a_vals = [float(np.linalg.norm(st.block(0).p)) for st in states]
+    b_vals = []
+    for n in range(len(states) - 1):
+        cur = states[n]
+        blk0 = cur.block(0)
+        bmat = build_block_B(blk0, cur.c)
+        b_mean = float(blk0.p @ bmat @ blk0.p) / a_vals[n] ** 2
+        trail = states[n + 1].block(-1)
+        b_trail = float(trail.q[-1] * trail.p[-1])
+        scale = max(1.0, abs(b_mean), abs(b_trail))
+        if abs(b_mean - b_trail) > READOUT_REL_TOL * scale:
+            raise NumericalError(
+                f"readout mismatch at step {n}: trailing {b_trail:.6e} "
+                f"vs quadratic mean {b_mean:.6e}"
+            )
+        b_vals.append(b_trail)
+    return np.array(a_vals), np.array(b_vals)
+
+
+def random_run(rng, g, n_blocks, n_steps):
+    states = [random_window(rng, g, n_blocks, -(n_blocks // 2))]
+    for _ in range(n_steps):
+        states.append(jacobi_flow_step(states[-1]))
+    return states
 
 
 @st.composite
@@ -246,6 +275,13 @@ class TestStackedStep:
             assert np.array_equal(stepped.Q, q_ref)
             window = stepped
 
+    @pytest.mark.parametrize("g", [12, 16])
+    def test_u_block_matches_rotation_product_at_high_genus(self, g):
+        rng = np.random.default_rng(1000 * g)
+        window = random_window(rng, g, 120, -60)
+        expected_u = np.array([reference_u_block(p) for p in window.P])
+        assert np.array_equal(u_block(window.P), expected_u)
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(small_windows())
     def test_flow_identity_on_random_windows(self, window):
@@ -282,6 +318,35 @@ class TestExtractJacobi:
         with pytest.raises(NumericalError):
             extract_jacobi([clean, tainted])
 
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_matches_state_loop_bitwise(self, g):
+        rng = np.random.default_rng(500 + g)
+        for n_blocks, n_steps in ((3, 0), (9, 3), (41, 12)):
+            states = random_run(rng, g, n_blocks, n_steps)
+            a_vals, b_vals = extract_jacobi(states)
+            a_ref, b_ref = reference_extract_jacobi(states)
+            assert a_vals.shape == a_ref.shape and b_vals.shape == b_ref.shape
+            assert np.array_equal(a_vals, a_ref) and np.array_equal(b_vals, b_ref)
+
+    def test_first_mismatching_step_is_reported(self):
+        states = random_run(np.random.default_rng(7), 2, 21, 6)
+        for n in (3, 5):  # blocks -1 of states 3 and 5 break steps 2 and 4
+            st = states[n]
+            Q = st.Q.copy()
+            Q[-1 - st.j_min, -1] += 0.1
+            states[n] = GmpWindow(st.P, Q, st.c, st.j_min)
+        with pytest.raises(NumericalError) as want:
+            reference_extract_jacobi(states)
+        with pytest.raises(NumericalError, match="^readout mismatch at step 2: ") as got:
+            extract_jacobi(states)
+        assert str(got.value) == str(want.value)
+
+    def test_mixed_pole_lists_rejected(self):
+        states = flow_run(make_p1_window(23, -11), 4).states
+        moved = GmpWindow(states[2].P, states[2].Q, (0.5,), states[2].j_min)
+        with pytest.raises(ValidationError, match="^windows of a run must share one pole list$"):
+            extract_jacobi([*states[:2], moved, *states[3:]])
+
 
 class TestFlowRun:
     def test_trajectory_shape_and_width(self):
@@ -316,6 +381,13 @@ class TestFlowRun:
     def test_narrow_window_rejected(self):
         with pytest.raises(WindowError):
             flow_run(make_p1_window(9, -4), 5)
+
+    @pytest.mark.parametrize("j_min, n_blocks", [(2, 9), (-20, 3), (0, 21), (-5, 5)])
+    def test_window_without_core_blocks_rejected(self, j_min, n_blocks):
+        window = make_p1_window(n_blocks, j_min)
+        message = rf"^window \[{j_min}, {window.j_max}\] lacks the readout's blocks -1\.\.1$"
+        with pytest.raises(WindowError, match=message):
+            flow_run(window, 1)
 
     def test_invalid_state_aborts(self):
         degenerate = GmpBlock([0.0, 0.5], [1.0, 0.0])

@@ -18,7 +18,6 @@ from gmpflow.gmp import (
     JMAT,
     GmpBlock,
     GmpWindow,
-    TransferEval,
     assemble_dense,
     bp_factor,
     bp_factor_inf,
@@ -487,13 +486,13 @@ class TestBpFactorInf:
 class TestTransferMatrix:
     def test_worked_product(self, p1_block):
         ev = transfer_matrix(p1_block, np.array([0.0]), 1.0)
-        assert_allclose(ev.value, [[-4.0, -4.5], [2.0, 2.0]], atol=1e-14)
-        assert_allclose(np.trace(ev.value), -2.0, atol=1e-14)
+        assert_allclose(ev, [[-4.0, -4.5], [2.0, 2.0]], atol=1e-14)
+        assert_allclose(np.trace(ev), -2.0, atol=1e-14)
 
     def test_trace_matches_comb_map(self, p1_block):
         for z in (1.5, 3.0, -3.0):
             ev = transfer_matrix(p1_block, np.array([0.0]), z)
-            assert_allclose(np.trace(ev.value), 2.0 * z - 4.0 / z, rtol=1e-13)
+            assert_allclose(np.trace(ev), 2.0 * z - 4.0 / z, rtol=1e-13)
 
     def test_zero_interior_vectors(self):
         blk = GmpBlock(
@@ -501,17 +500,13 @@ class TestTransferMatrix:
         )
         c = np.array([-1.0, 1.0])
         ev = transfer_matrix(blk, c, 0.4)
-        assert_allclose(ev.value, bp_factor_inf(0.4, blk.pm(2)))
-
-    def test_unit_determinant_enforced(self):
-        with pytest.raises(NumericalError):
-            TransferEval(np.array([[2.0, 0.0], [0.0, 1.0]]))
+        assert_allclose(ev, bp_factor_inf(0.4, blk.pm(2)))
 
 
 class TestTransferViaResolvent:
     def test_worked_value(self, p1_block):
         ev = transfer_via_resolvent(p1_block, np.array([0.0]), 1.0)
-        assert_allclose(ev.value, [[-4.0, -4.5], [2.0, 2.0]], atol=1e-12)
+        assert_allclose(ev, [[-4.0, -4.5], [2.0, 2.0]], atol=1e-12)
 
     def test_agreement_with_product(self):
         rng = np.random.default_rng(11)
@@ -526,7 +521,7 @@ class TestTransferViaResolvent:
             except (SingularMatrixError, NumericalError):
                 continue
             direct = transfer_matrix(blk, c, z)
-            assert_allclose(via.value, direct.value, rtol=1e-9, atol=1e-9)
+            assert_allclose(via, direct, rtol=1e-9, atol=1e-9)
             count += 1
 
     def test_singular_shift_rejected(self, p1_block):
@@ -711,7 +706,7 @@ class TestValidateGmp:
 
 class TestResolventColumn:
     def test_canonical_column(self, p1_window):
-        col = resolvent_column([(p1_window, 0)], 1)[0]
+        col = resolvent_column([(p1_window, 0)])[0]
         g1 = 2
         lo = p1_window.scalar_index(-1, 0)
         assert_allclose(col[lo], 0.25, atol=1e-12)
@@ -721,7 +716,7 @@ class TestResolventColumn:
         assert_allclose(col[lo + 2 * g1 + 1], 0.0, atol=1e-12)
 
     def test_support_pattern(self, p1_window):
-        col = resolvent_column([(p1_window, 0)], 1)[0]
+        col = resolvent_column([(p1_window, 0)])[0]
         lo = p1_window.scalar_index(-1, 0)
         hi = p1_window.scalar_index(1, 1)
         assert_allclose(col[:lo], 0.0, atol=1e-15)
@@ -737,13 +732,13 @@ class TestResolventColumn:
             target = np.zeros(n)
             target[win.scalar_index(j, 0)] = 1.0
             direct = numkit.solve(-dense, target)
-            assert np.max(np.abs(resolvent_column([(win, j)], 1)[0] - direct)) < 1e-9, j
+            assert np.max(np.abs(resolvent_column([(win, j)])[0] - direct)) < 1e-9, j
 
     def test_residual_on_perturbed_window(self):
         rng = np.random.default_rng(19)
         blocks = tuple(near_p1_block(rng, eps=0.05) for _ in range(6))
         win = stack_window(blocks, np.array([0.0]), j_min=-3)
-        col = resolvent_column([(win, 0)], 1)[0]
+        col = resolvent_column([(win, 0)])[0]
         dense = assemble_dense(win)
         n = dense.shape[0]
         target = np.zeros(n)
@@ -766,12 +761,11 @@ class TestResolventColumn:
         win = stack_window(blocks, c, j_min=-3)
         dense = assemble_dense(win)
         n = dense.shape[0]
-        for k in (1, 2):
-            col = resolvent_column([(win, 0)], k)[0]
-            target = np.zeros(n)
-            target[win.scalar_index(0, k - 1)] = 1.0
-            residual = (win.c[k - 1] * np.eye(n) - dense) @ col - target
-            assert np.max(np.abs(residual)) < 1e-10
+        col = resolvent_column([(win, 0)])[0]
+        target = np.zeros(n)
+        target[win.scalar_index(0, 0)] = 1.0
+        residual = (win.c[0] * np.eye(n) - dense) @ col - target
+        assert np.max(np.abs(residual)) < 1e-10
 
     @pytest.mark.parametrize("j_min, n_blocks", [(-1, 3), (-2, 5), (-4, 9)])
     def test_two_gap_column_matches_dense_solve(self, j_min, n_blocks):
@@ -787,11 +781,10 @@ class TestResolventColumn:
         win = stack_window(blocks, c, j_min=j_min)
         dense = assemble_dense(win)
         for j in range(win.j_min + 1, win.j_max):
-            for k in (1, 2):
-                target = np.zeros(dense.shape[0])
-                target[win.scalar_index(j, k - 1)] = 1.0
-                direct = numkit.solve(c[k - 1] * np.eye(dense.shape[0]) - dense, target)
-                assert np.max(np.abs(resolvent_column([(win, j)], k)[0] - direct)) < 1e-9, (j, k)
+            target = np.zeros(dense.shape[0])
+            target[win.scalar_index(j, 0)] = 1.0
+            direct = numkit.solve(c[0] * np.eye(dense.shape[0]) - dense, target)
+            assert np.max(np.abs(resolvent_column([(win, j)])[0] - direct)) < 1e-9, j
 
     def test_wrong_middle_block_fails_the_residual_check(self, monkeypatch):
         rng = np.random.default_rng(19)
@@ -811,7 +804,7 @@ class TestResolventColumn:
         monkeypatch.setattr(np.linalg, "pinv", Skewed)
         message = r"^closed-form column residual 1\.9\d\de-06 too large$"
         with pytest.raises(NumericalError, match=message):
-            resolvent_column([(win, 0)], 1)
+            resolvent_column([(win, 0)])
 
     @pytest.mark.parametrize("g", [1, 2, 4])
     def test_mixed_stack_matches_dense_solves(self, g):
@@ -823,16 +816,15 @@ class TestResolventColumn:
             key=lambda pair: pair[1],
         )
         assert len({id(w) for w, _ in pairs[:4]}) > 1
-        for k in range(1, min(g, 2) + 1):
-            cols = resolvent_column(pairs, k)
-            assert len(cols) == len(pairs) == 7
-            for (w, j), col in zip(pairs, cols):
-                dense = assemble_dense(w)
-                target = np.zeros(dense.shape[0])
-                target[w.scalar_index(j, k - 1)] = 1.0
-                direct = numkit.solve(w.c[k - 1] * np.eye(dense.shape[0]) - dense, target)
-                assert col.shape == direct.shape
-                assert np.max(np.abs(col - direct)) < 1e-9, (w.n_blocks, j, k)
+        cols = resolvent_column(pairs)
+        assert len(cols) == len(pairs) == 7
+        for (w, j), col in zip(pairs, cols):
+            dense = assemble_dense(w)
+            target = np.zeros(dense.shape[0])
+            target[w.scalar_index(j, 0)] = 1.0
+            direct = numkit.solve(w.c[0] * np.eye(dense.shape[0]) - dense, target)
+            assert col.shape == direct.shape
+            assert np.max(np.abs(col - direct)) < 1e-9, (w.n_blocks, j)
 
     @pytest.mark.parametrize("skewed_at", [0, 2, 3])
     def test_residual_check_runs_per_pair(self, monkeypatch, skewed_at):
@@ -844,7 +836,7 @@ class TestResolventColumn:
         other = make_p1_window(n_blocks=9, j_min=-4)
         pairs = [(other, -3), (other, 0), (other, 3), (other, 1)]
         pairs[skewed_at] = (win, 0)
-        resolvent_column(pairs, 1)  # the honest stack passes
+        resolvent_column(pairs)  # the honest stack passes
         pinv = np.linalg.pinv
 
         class Skewed:
@@ -861,7 +853,7 @@ class TestResolventColumn:
 
         monkeypatch.setattr(np.linalg, "pinv", Skewed)
         with pytest.raises(NumericalError, match=r"^closed-form column residual 1\.9\d\de-06 too large$"):
-            resolvent_column(pairs, 1)
+            resolvent_column(pairs)
 
     def test_undefined_pair_skips_only_itself(self):
         # block 1 with p_0 = q_0 = 0 makes the pair functionals of
@@ -874,16 +866,16 @@ class TestResolventColumn:
         win = stack_window(blocks, np.array([0.0]), j_min=-5)
         other = make_p1_window(n_blocks=9, j_min=-4)
         pairs = [(win, -3), (win, 0), (other, 0), (win, 1), (win, 2), (win, 4)]
-        cols = resolvent_column(pairs, 1)
+        cols = resolvent_column(pairs)
         assert [col is None for col in cols] == [False, True, False, True, True, False]
         defined = [pair for pair, col in zip(pairs, cols) if col is not None]
-        for got, want in zip((col for col in cols if col is not None), resolvent_column(defined, 1)):
+        for got, want in zip((col for col in cols if col is not None), resolvent_column(defined)):
             assert np.array_equal(got, want)
-        assert resolvent_column([(win, 0)], 1) == [None]
+        assert resolvent_column([(win, 0)]) == [None]
 
     def test_window_must_cover_center(self):
         win = make_p1_window(n_blocks=3, j_min=0)
         for j in (0, 2):
             with pytest.raises(WindowError, match=f"blocks {j - 1}..{j + 1}"):
-                resolvent_column([(win, j)], 1)
-        assert resolvent_column([(win, 1)], 1)[0].shape == (6,)
+                resolvent_column([(win, j)])
+        assert resolvent_column([(win, 1)])[0].shape == (6,)

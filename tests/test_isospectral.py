@@ -300,7 +300,7 @@ class TestSurfaceInvariants:
     def trace_deviation(self, blk, d):
         worst = 0.0
         for z in self.sample_points:
-            trace = np.trace(transfer_matrix(blk, d.cs(), z).value)
+            trace = np.trace(transfer_matrix(blk, d.cs(), z))
             worst = max(worst, abs(trace - float(eval_delta(d, z))))
         return worst
 

@@ -299,8 +299,8 @@ class TestDeltaOfGmp:
         honest = ks.resolvent_column
         seen = []
 
-        def perturbed(pairs, k):
-            cols = honest(pairs, k)
+        def perturbed(pairs):
+            cols = honest(pairs)
             seen.extend(j for _, j in pairs)
             for (window, j), col in zip(pairs, cols):
                 if j == block:
@@ -318,9 +318,9 @@ class TestDeltaOfGmp:
         honest = ks.resolvent_column
         calls = []
 
-        def spy(pairs, k):
-            calls.append((pairs, k))
-            return honest(pairs, k)
+        def spy(pairs):
+            calls.append(pairs)
+            return honest(pairs)
 
         d = estar_delta()
         monkeypatch.setattr(ks, "resolvent_column", spy)
@@ -329,17 +329,16 @@ class TestDeltaOfGmp:
             calls.clear()
             w = make_p1_window(n_blocks, j_min)
             delta_of_gmp([w], d, margin=3)
-            assert len(calls) == 1 and calls[0][1] == 1, (n_blocks, j_min)
-            assert all(win is w for win, _ in calls[0][0]), (n_blocks, j_min)
-            assert [j for _, j in calls[0][0]] == expected, (n_blocks, j_min)
+            assert len(calls) == 1, (n_blocks, j_min)
+            assert all(win is w for win, _ in calls[0]), (n_blocks, j_min)
+            assert [j for _, j in calls[0]] == expected, (n_blocks, j_min)
         # state m of this run has trusted rows -3+m..3-m
         states = flow_run(make_p1_window(13, -6), 3).states
         calls.clear()
         delta_of_gmp(states, d, margin=3)
-        assert len(calls) == 1
-        pairs, k = calls[0]
+        (pairs,) = calls
         held = [(next(m for m, st in enumerate(states) if st is w), j) for w, j in pairs]
-        assert (held, k) == ([(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)], 1)
+        assert held == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
 
     def test_undefined_closed_form_skips_only_its_own_check(self, monkeypatch):
         # a pair without a closed form (None) is skipped, and the pair after
@@ -347,15 +346,15 @@ class TestDeltaOfGmp:
         d, w = perturbed_case(2)
         honest = ks.resolvent_column
 
-        def first_undefined(pairs, k, skew=0.0):
-            cols = honest(pairs, k)
+        def first_undefined(pairs, skew=0.0):
+            cols = honest(pairs)
             (window, j), col = pairs[1], cols[1]
             col[window.scalar_index(j, 0)] += skew
             return [None, *cols[1:]]
 
         monkeypatch.setattr(ks, "resolvent_column", first_undefined)
         delta_of_gmp([w], d, margin=3)
-        monkeypatch.setattr(ks, "resolvent_column", lambda pairs, k: first_undefined(pairs, k, 1e-6))
+        monkeypatch.setattr(ks, "resolvent_column", lambda pairs: first_undefined(pairs, 1e-6))
         with pytest.raises(NumericalError, match=r"closed form by 1\.000e-06"):
             delta_of_gmp([w], d, margin=3)
 
