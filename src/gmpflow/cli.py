@@ -5,7 +5,9 @@ and ``gmp2jacobi`` convert between coefficient windows and block
 windows, ``flow`` runs the renormalization step and tabulates the
 readout, ``ks`` tabulates the entropy and summability diagnostics,
 ``iso-solve`` projects a seed block onto the surface, and ``selftest``
-runs the acceptance suite.
+runs the acceptance suite.  Every subcommand takes ``--out``, from one
+shared parent parser; ``flow`` and ``ks`` write CSV tables, each given
+as one list of ``(name, values)`` columns.
 
 All commands are deterministic given their inputs and options; numbers
 are written with 17 significant digits, and with BLAS on one thread
@@ -97,10 +99,15 @@ def _dump_json(data: dict, out: str | None) -> None:
     _write_text(json.dumps(data, indent=2) + "\n", out)
 
 
-def _csv_text(command, options, header, rows, footer=()) -> str:
-    lines = [f"# gmpflow {command}", f"# options: {options}"]
-    lines.append(",".join(header))
-    lines.extend(",".join(row) for row in rows)
+def _csv_text(command, options, columns, footer=()) -> str:
+    """A CSV table of ``(name, values)`` columns: the names as header, then
+    one row per value of the first column, row i holding each column's
+    i-th value."""
+    names, values = zip(*columns)
+    lines = [f"# gmpflow {command}", f"# options: {options}", ",".join(names)]
+    lines.extend(
+        ",".join(_fmt(col[i]) for col in values) for i in range(len(values[0]))
+    )
     lines.extend(footer)
     return "\n".join(lines) + "\n"
 
@@ -144,30 +151,20 @@ def cmd_flow(args: argparse.Namespace) -> int:
     own (g+1)-shift (zero along a periodic orbit).
     """
     w = GmpWindow.from_json(_load_json(args.window))
-    g = w.g
     floor = VALIDITY_FLOOR if args.tol is None else args.tol
     traj = flow_run(w, args.steps, floor=floor)
     log.info("flow: %d blocks, %d steps", w.n_blocks, args.steps)
-    header = ["n", "a", "b"]
-    header.extend(f"lambda_{k}" for k in range(1, g + 1))
-    header.extend(f"validity_min_{k}" for k in range(1, g + 1))
-    header.append("shift_dist_eta")
-    per = g + 1
-    n_a = traj.a_out.size
-    n_b = traj.b_out.size
-    rows = []
-    for n in range(args.steps):
-        row = [str(n), _fmt(traj.a_out[n]), _fmt(traj.b_out[n])]
-        row.extend(_fmt(v) for v in traj.lambdas[n])
-        row.extend(_fmt(v) for v in traj.validity_min[n])
-        da = dist_eta(traj.a_out[n : n_a - per], traj.a_out[n + per :], args.eta)
-        db = dist_eta(traj.b_out[n : n_b - per], traj.b_out[n + per :], args.eta)
-        row.append(_fmt(math.hypot(da, db)))
-        rows.append(row)
-    options = (
-        f"steps={args.steps} eta={_fmt(args.eta)} tol={_fmt(floor)} seed=none"
-    )
-    _write_text(_csv_text("flow", options, header, rows), args.out)
+    steps, per, a, b = range(args.steps), w.g + 1, traj.a_out, traj.b_out
+    columns = [("n", steps), ("a", a), ("b", b)]
+    for name, arr in (("lambda", traj.lambdas), ("validity_min", traj.validity_min)):
+        columns += [(f"{name}_{k}", col) for k, col in enumerate(arr.T, 1)]
+    tail = [  # the distance of the readout tails after step n from their shifts
+        math.hypot(*(dist_eta(x[n : x.size - per], x[n + per :], args.eta) for x in (a, b)))
+        for n in steps
+    ]
+    columns.append(("shift_dist_eta", tail))
+    options = f"steps={args.steps} eta={_fmt(args.eta)} tol={_fmt(floor)} seed=none"
+    _write_text(_csv_text("flow", options, columns), args.out)
     return 0
 
 
@@ -187,50 +184,30 @@ def cmd_ks(args: argparse.Namespace) -> int:
     rep = telescoping_check(run)["report"]  # the run's entropy ledger
     slope_tol = DIVERGENCE_SLOPE if args.tol is None else args.tol
     diag = ks_diagnostics(traj.states, d, slope_tol)
-    drop_partials = np.cumsum(rep.step_drops)
     j_top = min(db.j_hi for db in run)
     log.info(
         "ks: %d blocks, %d steps, trusted rows 0..%d", w.n_blocks, args.steps, j_top
     )
-    header = [
-        "n",
-        "h_origin",
-        f"hplus_rows_0_to_{j_top}",
-        "delta_jh",
-        "drop_partial",
-        "telescope_resid",
+    steps = range(args.steps)
+    columns = [
+        ("n", steps),
+        ("h_origin", rep.h_origin),
+        (f"hplus_rows_0_to_{j_top}", [np.cumsum(rep.terms(n, 0, j_top))[-1] for n in steps]),
+        ("delta_jh", rep.step_drops),
+        ("drop_partial", np.cumsum(rep.step_drops)),
+        ("telescope_resid", rep.residuals),
     ]
     for name, arr in diag.values.items():
+        sq = diag.sq_partials[name]
         if arr.ndim == 2:
-            header.extend(f"{name}_{k}" for k in range(1, arr.shape[1] + 1))
+            columns += [(f"{name}_{k}", col) for k, col in enumerate(arr.T, 1)]
+            columns.append((f"{name}_sqsum", [float(np.sum(sq[n])) for n in steps]))
         else:
-            header.append(name)
-        header.append(f"{name}_sqsum")
-    rows = []
-    for n in range(args.steps):
-        row = [
-            str(n),
-            _fmt(rep.h_origin[n]),
-            _fmt(np.cumsum(rep.terms(n, 0, j_top))[-1]),
-            _fmt(rep.step_drops[n]),
-            _fmt(drop_partials[n]),
-            _fmt(rep.residuals[n]),
-        ]
-        for name, arr in diag.values.items():
-            sq = diag.sq_partials[name]
-            if arr.ndim == 2:
-                row.extend(_fmt(v) for v in arr[n])
-                row.append(_fmt(float(np.sum(sq[n]))))
-            else:
-                row.append(_fmt(arr[n]))
-                row.append(_fmt(sq[n]))
-        rows.append(row)
+            columns += [(name, arr), (f"{name}_sqsum", sq)]
     flagged = sorted(name for name, bad in diag.diverging.items() if bad)
     footer = ["# diverging: " + (",".join(flagged) if flagged else "none")]
-    options = (
-        f"steps={args.steps} margin={args.margin} tol={_fmt(slope_tol)} seed=none"
-    )
-    _write_text(_csv_text("ks", options, header, rows, footer), args.out)
+    options = f"steps={args.steps} margin={args.margin} tol={_fmt(slope_tol)} seed=none"
+    _write_text(_csv_text("ks", options, columns, footer), args.out)
     return 0
 
 
@@ -300,13 +277,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-gap block operators: construction, flow, diagnostics.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output path (default stdout)")
+    add_command = functools.partial(sub.add_parser, parents=[out])
 
-    q = sub.add_parser("delta", help="build a comb map from a gap set")
+    q = add_command("delta", help="build a comb map from a gap set")
     q.add_argument("gapset", help="gap set JSON file")
-    q.add_argument("--out", default=None, help="output path (default stdout)")
     q.set_defaults(func=cmd_delta)
 
-    q = sub.add_parser("flow", help="run the flow and tabulate the readout")
+    q = add_command("flow", help="run the flow and tabulate the readout")
     q.add_argument("window", help="block window JSON file")
     q.add_argument("--steps", type=int, default=4, help="number of flow steps")
     q.add_argument(
@@ -315,10 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--tol", type=_tolerance, default=None, help="validity floor override"
     )
-    q.add_argument("--out", default=None, help="output path (default stdout)")
     q.set_defaults(func=cmd_flow)
 
-    q = sub.add_parser("ks", help="tabulate entropy and summability diagnostics")
+    q = add_command("ks", help="tabulate entropy and summability diagnostics")
     q.add_argument("window", help="block window JSON file")
     q.add_argument("delta", help="comb map JSON file")
     q.add_argument("--steps", type=int, default=4, help="number of flow steps")
@@ -328,38 +306,29 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument(
         "--tol", type=_tolerance, default=None, help="divergence slope override"
     )
-    q.add_argument("--out", default=None, help="output path (default stdout)")
     q.set_defaults(func=cmd_ks)
 
-    q = sub.add_parser("iso-solve", help="project a seed block onto the surface")
+    q = add_command("iso-solve", help="project a seed block onto the surface")
     q.add_argument("delta", help="comb map JSON file")
     q.add_argument("seed_block", help="seed block JSON file with p and q")
-    q.add_argument("--out", default=None, help="output path (default stdout)")
     q.set_defaults(func=cmd_iso_solve)
 
-    q = sub.add_parser(
-        "jacobi2gmp", help="convert a coefficient window to a block window"
-    )
+    q = add_command("jacobi2gmp", help="convert a coefficient window to a block window")
     q.add_argument("window", help="coefficient window JSON file")
     q.add_argument("delta", help="comb map JSON file")
     q.add_argument(
         "--width", type=int, default=5, help="number of blocks to build"
     )
-    q.add_argument("--out", default=None, help="output path (default stdout)")
     q.set_defaults(func=cmd_jacobi2gmp)
 
-    q = sub.add_parser(
-        "gmp2jacobi", help="read a block window off as coefficients"
-    )
+    q = add_command("gmp2jacobi", help="read a block window off as coefficients")
     q.add_argument("window", help="block window JSON file")
-    q.add_argument("--out", default=None, help="output path (default stdout)")
     q.set_defaults(func=cmd_gmp2jacobi)
 
-    q = sub.add_parser("selftest", help="run the acceptance suite")
+    q = add_command("selftest", help="run the acceptance suite")
     q.add_argument(
         "--seed", type=_seed, default=None, help="rebase the random-instance draws"
     )
-    q.add_argument("--out", default=None, help="output path (default stdout)")
     q.set_defaults(func=cmd_selftest)
 
     return parser

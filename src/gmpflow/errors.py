@@ -81,9 +81,12 @@ class SpectrumProximityError(ValidationError):
 
 
 def integral(value, field: str) -> int:
-    """A number with no fractional part (3 or 3.0, not 1.5 or true) as an
-    int; otherwise a ValidationError naming ``field``."""
+    """A number with no fractional part (3 or 3.0, not 1.5 or true) and of
+    magnitude at most 2**53, past which a JSON number no longer names one
+    integer, as an int; otherwise a ValidationError naming ``field``."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if float(value).is_integer():
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            if abs(value) > 2**53:
+                raise ValidationError(f"{field} must be an integer of magnitude at most 2**53")
             return int(value)
     raise ValidationError(f"{field} must be an integer, got {value!r}")

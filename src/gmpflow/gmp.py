@@ -278,10 +278,8 @@ def transfer_via_resolvent(blk: GmpBlock, c: np.ndarray, z: float) -> np.ndarray
     c = np.asarray(c, dtype=float)
     bmat = build_block_B(blk, c)
     shifted = bmat - z * np.eye(blk.g + 1)
-    delta = np.zeros(blk.g + 1)
-    delta[blk.g] = 1.0
-    x_p = numkit.solve(shifted, blk.p)
-    x_d = numkit.solve(shifted, delta)
+    delta = np.eye(blk.g + 1)[blk.g]
+    x_p, x_d = numkit.solve(shifted, np.column_stack((blk.p, delta))).T
     r_pp = float(blk.p @ x_p)
     r_pd = float(blk.p @ x_d)
     r_dd = float(x_d[blk.g])

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_estar_gapset, make_p1_block, make_perturbed_window
+from conftest import make_estar_gapset, make_p1_block, make_perturbed_window, roundtrip_inputs
 
 from gmpflow import cli, ks, numkit
 from gmpflow.errors import NumericalError
@@ -26,7 +26,7 @@ from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
 from gmpflow.flow import flow_run
 from gmpflow.gmp import GmpBlock, GmpWindow
 from gmpflow.isospectral import solve_is_point
-from gmpflow.jacobi import JacobiWindow
+from gmpflow.jacobi import JacobiWindow, dist_eta
 
 
 def write_json(path, data) -> str:
@@ -79,6 +79,61 @@ def csv_columns(text: str) -> dict:
     return {
         name: [row[i] for row in rows] for i, name in enumerate(header)
     }
+
+
+def reference_flow_table(w: GmpWindow, steps: int, eta: float) -> list[str]:
+    """Header and rows of ``flow``'s table spelled as one header list and
+    one row loop over the steps, independent of ``cmd_flow``'s columns."""
+    g = w.g
+    traj = flow_run(w, steps)
+    header = ["n", "a", "b"]
+    header.extend(f"lambda_{k}" for k in range(1, g + 1))
+    header.extend(f"validity_min_{k}" for k in range(1, g + 1))
+    header.append("shift_dist_eta")
+    per, n_a, n_b = g + 1, traj.a_out.size, traj.b_out.size
+    rows = []
+    for n in range(steps):
+        row = [str(n), cli._fmt(traj.a_out[n]), cli._fmt(traj.b_out[n])]
+        row.extend(cli._fmt(v) for v in traj.lambdas[n])
+        row.extend(cli._fmt(v) for v in traj.validity_min[n])
+        da = dist_eta(traj.a_out[n : n_a - per], traj.a_out[n + per :], eta)
+        db = dist_eta(traj.b_out[n : n_b - per], traj.b_out[n + per :], eta)
+        row.append(cli._fmt(math.hypot(da, db)))
+        rows.append(row)
+    return [",".join(line) for line in [header, *rows]]
+
+
+def reference_ks_table(w: GmpWindow, d: DeltaData, steps: int, margin: int) -> list[str]:
+    """Header and rows of ``ks``'s table spelled as one header list and one
+    row loop over the steps, independent of ``cmd_ks``'s columns."""
+    traj = flow_run(w, steps)
+    run = ks.delta_of_gmp(traj.states, d, margin)
+    rep = ks.telescoping_check(run)["report"]
+    diag = ks.ks_diagnostics(traj.states, d, ks.DIVERGENCE_SLOPE)
+    drop_partials = np.cumsum(rep.step_drops)
+    j_top = min(db.j_hi for db in run)
+    header = ["n", "h_origin", f"hplus_rows_0_to_{j_top}", "delta_jh", "drop_partial",
+              "telescope_resid"]
+    for name, arr in diag.values.items():
+        if arr.ndim == 2:
+            header.extend(f"{name}_{k}" for k in range(1, arr.shape[1] + 1))
+        else:
+            header.append(name)
+        header.append(f"{name}_sqsum")
+    rows = []
+    for n in range(steps):
+        row = [str(n)] + [cli._fmt(v) for v in (
+            rep.h_origin[n], np.cumsum(rep.terms(n, 0, j_top))[-1], rep.step_drops[n],
+            drop_partials[n], rep.residuals[n])]
+        for name, arr in diag.values.items():
+            sq = diag.sq_partials[name]
+            if arr.ndim == 2:
+                row.extend(cli._fmt(v) for v in arr[n])
+                row.append(cli._fmt(float(np.sum(sq[n]))))
+            else:
+                row.extend([cli._fmt(arr[n]), cli._fmt(sq[n])])
+        rows.append(row)
+    return [",".join(line) for line in [header, *rows]]
 
 
 class TestDelta:
@@ -405,6 +460,25 @@ class TestKs:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestTables:
+    """Each table's columns against its header list and row loop, byte for
+    byte, on 41-block windows of the round-trip inputs."""
+
+    @pytest.mark.parametrize("g", [1, 2, 4])
+    def test_columns_match_header_and_row_loop(self, tmp_path, g):
+        d, w = roundtrip_inputs(g, 41)
+        win = write_json(tmp_path / "window.json", w.to_json())
+        cmap = write_json(tmp_path / "map.json", d.to_json())
+        flow_csv, ks_csv = tmp_path / "flow.csv", tmp_path / "ks.csv"
+        assert cli.main(["flow", win, "--steps", "6", "--out", str(flow_csv)]) == 0
+        assert cli.main(["ks", win, cmap, "--steps", "8", "--out", str(ks_csv)]) == 0
+        flow_lines = flow_csv.read_text().splitlines()
+        assert flow_lines[2:] == reference_flow_table(w, 6, 0.9)
+        ks_lines = ks_csv.read_text().splitlines()
+        assert ks_lines[2:-1] == reference_ks_table(w, d, 8, 3)
+        assert ks_lines[-1].startswith("# diverging: ")
+
+
 class TestTolerance:
     """``--tol`` must be finite and nonnegative: nan turned the divergence
     check off and let a nan floor fail with a misleading comparison, and a
@@ -699,6 +773,30 @@ class TestConversions:
         assert len(json.loads(outputs[0])["b"]) == 426
 
 
+class TestWindowIndex:
+    """Past 2**53 a JSON number names no one integer: such a window index
+    is refused by its name in one short line, whatever its size."""
+
+    @pytest.mark.parametrize(
+        "value", [1e308, -1e308, 2**53 + 2, pytest.param(-(10**400), id="-10**400")]
+    )
+    @pytest.mark.parametrize("command", ["flow", "ks", "gmp2jacobi", "jacobi2gmp"])
+    def test_refused_by_name(self, tmp_path, capsys, command, value):
+        if command == "jacobi2gmp":
+            data = json.loads(Path(period2_jacobi_file(tmp_path)).read_text())
+            field, argv = "n_min", [estar_delta_file(tmp_path)]
+        else:
+            data = json.loads(Path(p1_window_file(tmp_path)).read_text())
+            field, argv = "j_min", [estar_delta_file(tmp_path)] if command == "ks" else []
+        capsys.readouterr()
+        win = write_json(tmp_path / "far.json", dict(data, **{field: value}))
+        assert cli.main([command, win, *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: malformed window data: "
+            f"{field} must be an integer of magnitude at most 2**53\n"
+        )
+
+
 class TestColdStart:
     def test_commands_without_a_scipy_call_do_not_import_it(self, tmp_path):
         d = delta_from_gaps(make_estar_gapset())
@@ -906,6 +1004,14 @@ class TestHarness:
     def test_usage_errors_exit_one(self, capsys):
         assert cli.main(["flow"]) == 1
         assert "validation error" in capsys.readouterr().err
+
+    def test_every_subcommand_takes_out(self):
+        sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+        assert len(sub.choices) == 7
+        for name, parser in sub.choices.items():
+            assert isinstance(parser, cli._Parser), name  # usage errors exit 1
+            out = parser._option_string_actions["--out"]
+            assert (out.default, out.help) == (None, "output path (default stdout)"), name
 
     def test_parser_is_built_once(self, tmp_path, capsys):
         cli.main(["gmp2jacobi", p1_window_file(tmp_path)])

@@ -248,6 +248,23 @@ class TestGmpWindow:
         back = GmpWindow.from_json(dict(p1_window.to_json(), j_min=3.0))
         assert back.j_min == 3 and type(back.j_min) is int
 
+    @pytest.mark.parametrize("j_min", [2**53, -(2**53), float(2**53), -float(2**53)])
+    def test_json_offset_may_reach_two_to_the_53(self, p1_window, j_min):
+        back = GmpWindow.from_json(dict(p1_window.to_json(), j_min=j_min))
+        assert back.j_min == j_min and type(back.j_min) is int
+
+    @pytest.mark.parametrize(
+        "j_min",
+        [2**53 + 2, -(2**53) - 2, 2**53 + 1, float(2**53 + 2), 1e308, pytest.param(10**400, id="10**400")],
+    )
+    def test_json_offset_beyond_two_to_the_53_rejected(self, p1_window, j_min):
+        # past 2**53 a JSON number no longer names one integer
+        with pytest.raises(ValidationError) as info:
+            GmpWindow.from_json(dict(p1_window.to_json(), j_min=j_min))
+        assert str(info.value) == (
+            "malformed window data: j_min must be an integer of magnitude at most 2**53"
+        )
+
 
 class TestBuildBlockB:
     def test_p1_block_is_zero(self, p1_block):

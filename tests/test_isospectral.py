@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
 from gmpflow import isospectral
 from gmpflow.errors import (
+    NumericalError,
     SpectrumProximityError,
     ValidationError,
 )
@@ -334,3 +337,61 @@ class TestSurfaceInvariants:
             expected[i, (i + 1) % 12] = 1.0
             expected[(i + 1) % 12, i] = 1.0
         npt.assert_allclose(mat, expected)
+
+
+def arctan_residual(calls):
+    """Residual arctan(x) of one coordinate, recording each unstacked point
+    it is evaluated at.  Newton's full step from x = 2 overshoots to where
+    |arctan| is larger, so that step must be halved."""
+
+    def fun(x):
+        if x.ndim == 1:
+            calls.append(float(x[0]))
+        return np.arctan(x)
+
+    return fun
+
+
+class TestGaussNewton:
+    def test_singular_normal_equations_raise(self):
+        def flat(x):  # a constant residual has a zero Jacobian
+            return np.ones(x.shape[:-1] + (2,))
+
+        with pytest.raises(NumericalError, match="^normal equations broke down: "):
+            isospectral._gauss_newton(flat, np.zeros(3))
+
+    def test_overshooting_step_is_halved(self):
+        calls = []
+        x = isospectral._gauss_newton(arctan_residual(calls), np.array([2.0]))
+        assert abs(x[0]) <= isospectral.SOLVE_TARGET
+        full, half = calls[1], calls[2]
+        assert abs(np.arctan(full)) > np.arctan(2.0) > abs(np.arctan(half))
+        assert half == pytest.approx(2.0 + 0.5 * (full - 2.0), rel=1e-12)
+
+    def test_no_decreasing_step_stalls(self):
+        def kinked(x):  # 1 + |x| + x/2 exceeds 1 on every step the slope 1/2 gives
+            return 1.0 + np.abs(x) + 0.5 * x
+
+        with pytest.raises(NumericalError) as info:
+            isospectral._gauss_newton(kinked, np.zeros(1))
+        assert str(info.value) == "projection stalled at residual 1.000e+00"
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(isospectral, "MAX_ITERATIONS", 2)
+        with pytest.raises(NumericalError) as info:
+            isospectral._gauss_newton(arctan_residual([]), np.array([2.0]))
+        assert re.fullmatch(
+            r"no convergence after 2 iterations \(residual \d\.\d{3}e-\d\d\)",
+            str(info.value),
+        )
+
+    def test_last_iteration_may_converge(self, monkeypatch):
+        jacobians = []  # one per iteration
+        monkeypatch.setattr(
+            isospectral, "_fd_jacobian", lambda f, x: jacobians.append(x) or _fd_jacobian(f, x)
+        )
+        free = isospectral._gauss_newton(arctan_residual([]), np.array([2.0]))
+        # a cap that ends the loop on the step reaching the target returns it
+        monkeypatch.setattr(isospectral, "MAX_ITERATIONS", len(jacobians))
+        capped = isospectral._gauss_newton(arctan_residual([]), np.array([2.0]))
+        assert np.array_equal(capped, free)

@@ -178,6 +178,22 @@ class TestJacobiWindow:
         back = JacobiWindow.from_json(data)
         assert back.n_min == -1 and type(back.n_min) is int
 
+    @pytest.mark.parametrize("n_min", [2**53, -float(2**53)])
+    def test_json_offset_may_reach_two_to_the_53(self, n_min):
+        data = {"n_min": n_min, "a": [1.5, 0.5], "b": [0.1, -0.2]}
+        assert JacobiWindow.from_json(data).n_min == n_min
+
+    @pytest.mark.parametrize(
+        "n_min", [2**53 + 2, -float(2**53 + 2), -1e308, pytest.param(-(10**400), id="-10**400")]
+    )
+    def test_json_offset_beyond_two_to_the_53_rejected(self, n_min):
+        data = {"n_min": n_min, "a": [1.5, 0.5], "b": [0.1, -0.2]}
+        with pytest.raises(ValidationError) as info:
+            JacobiWindow.from_json(data)
+        assert str(info.value) == (
+            "malformed window data: n_min must be an integer of magnitude at most 2**53"
+        )
+
 
 class TestDiscreteMeasure:
     def test_validation(self):
