@@ -13,9 +13,10 @@ All commands are deterministic given their inputs and options; numbers
 are written with 17 significant digits, and with BLAS on one thread
 identical reruns produce byte-identical output.  ``GMPFLOW_LOG`` sets
 the stderr log level (``debug``, ``info``, ``warning``, ``quiet``).
-Exit codes: 0 success, 1 input validation failure, 2 numerical failure;
-a floating-point overflow, invalid operation or division by zero that
-no check anticipates is a numerical failure too.
+Exit codes: 0 success, 1 input validation failure (an unreadable input
+or unwritable ``--out`` file too), 2 numerical failure; a floating-point
+overflow, invalid operation or division by zero that no check
+anticipates is a numerical failure too.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(
@@ -90,8 +91,11 @@ def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write {out}: {exc}") from exc
         log.info("wrote %s", out)
 
 

@@ -91,37 +91,25 @@ def gram_D(measure: DiscreteMeasure, c_list) -> np.ndarray:
 def factor_L(D: np.ndarray) -> np.ndarray:
     """Upper-triangular L with positive diagonal and L^T D L = I.
 
-    Equivalently D^{-1} = L L^T.  The factor is obtained from the
-    lower-triangular factorization of the index-reversed inverse.
-    Raises NotPositiveDefiniteError when D is not positive definite and
-    NumericalError when the residual max|L^T D L - I| exceeds
-    ``FACTOR_TOL * max(1, max|D|)``, when L has an entry below the
-    diagonal above 1e-12 * max(1, max|L|), or a diagonal entry <= 0.
+    Equivalently D^{-1} = L L^T, which fixes L: (G^{-1})^T, G the lower
+    Cholesky factor of D, from one triangular solve, times the upper
+    triangular I - triu(E) + diag(E) / 2, E = L^T D L - I, one first-order
+    step toward L^T D L = I; L stays exactly triangular.  Raises
+    NotPositiveDefiniteError when D is not positive definite and
+    NumericalError when max|L^T D L - I| > ``FACTOR_TOL * max(1, max|D|)``.
     """
+    from scipy.linalg import solve_triangular
 
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise ValidationError(f"Gram matrix must be square, got {D.shape}")
-    numkit.lower_cholesky_like(D)
-    n = D.shape[0]
-    d_inv = numkit.solve(D, np.eye(n))
-    flipped = d_inv[::-1, ::-1]
-    G = numkit.lower_cholesky_like(0.5 * (flipped + flipped.T))
-    L = G[::-1, ::-1]
-    # one refinement pass: divide out the residual Gram, staying triangular
-    R = L.T @ D @ L
-    H = numkit.lower_cholesky_like(0.5 * (R + R.T))
-    L = numkit.solve(H, L.T).T
-    resid = float(np.max(np.abs(L.T @ D @ L - np.eye(n))))
+    eye = np.eye(D.shape[0])
+    L = solve_triangular(numkit.lower_cholesky_like(D), eye, lower=True).T
+    E = L.T @ D @ L - eye
+    L -= L @ (np.triu(E) - np.diag(np.diag(E)) / 2)
+    resid = float(np.max(np.abs(L.T @ D @ L - eye)))
     if resid > FACTOR_TOL * max(1.0, float(np.max(np.abs(D)))):
-        raise NumericalError(
-            f"triangular factor residual {resid:.3e} exceeds the tolerance"
-        )
-    l_scale = max(1.0, float(np.max(np.abs(L))))
-    if float(np.max(np.abs(np.tril(L, -1)))) > 1e-12 * l_scale:
-        raise NumericalError("coefficient matrix must be upper triangular")
-    if np.any(np.diag(L) <= 0.0):
-        raise NumericalError("coefficient matrix must have a positive diagonal")
+        raise NumericalError(f"triangular factor residual {resid:.3e} exceeds the tolerance")
     return L
 
 
@@ -133,15 +121,14 @@ class RationalBasis:
     table holds one column per basis function, grouped in blocks of
     g + 1 columns; the first block spans the raw rational system and
     block m spans the map-multiplied continuation.  L carries the
-    first-block coefficients (``factor_L`` of D), D the raw Gram matrix,
-    and ``m_vec`` the first moments, the integrals of x * tau against the
-    measure, of the first block.
+    first-block coefficients (``factor_L`` of the raw system's Gram
+    matrix), and ``m_vec`` the first moments, the integrals of x * tau
+    against the measure, of the first block.
     """
 
     measure: DiscreteMeasure
     table: np.ndarray
     L: np.ndarray
-    D: np.ndarray
 
     @property
     def g(self) -> int:
@@ -180,8 +167,7 @@ def tau_basis(measure: DiscreteMeasure, d: DeltaData, depth: int = 2) -> Rationa
             f"depth {depth} needs {depth * per} support points, "
             f"the measure has {measure.n_points}"
         )
-    D = gram_D(measure, cs)
-    L = factor_L(D)
+    L = factor_L(gram_D(measure, cs))
     pts, root_w = measure.points, np.sqrt(measure.weights)
     rows = np.empty((depth * per, pts.size))
     rows[:per] = (_raw_columns(pts, cs) @ L).T * root_w
@@ -195,7 +181,7 @@ def tau_basis(measure: DiscreteMeasure, d: DeltaData, depth: int = 2) -> Rationa
     dev = float(np.max(np.abs(rows @ rows.T - np.eye(depth * per))))
     if dev > ORTHO_TOL:
         raise NumericalError(f"basis table is not orthonormal, deviation {dev:.3e}")
-    return RationalBasis(measure, np.ascontiguousarray((rows / root_w).T), L, D)
+    return RationalBasis(measure, np.ascontiguousarray((rows / root_w).T), L)
 
 
 def one_sided_coupling(g: int) -> np.ndarray:
@@ -387,17 +373,19 @@ def gmp_to_jacobi_measure(w: GmpWindow) -> JacobiWindow:
     only, in blocks of ``LANCZOS_BLOCK`` vectors.  The depth rule, blocks
     of the half - 1, keeps exactly the b(k) and a(k) that do not depend on
     where the window is cut; a half whose Krylov space is exhausted
-    earlier stops there.  The crossing bond a(0) is the
-    norm of the first coupling vector.
+    earlier stops there.  The crossing bond a(0) is the norm of the first
+    coupling vector, taken exactly at a power-of-two scale near its maximum.
     """
 
     if w.j_min > -1 or w.j_max < 0:
         raise WindowError("window must contain blocks -1 and 0")
     per = w.g + 1
     k0 = -w.j_min  # window position of block 0
-    a0 = float(np.linalg.norm(w.block(0).p))
+    p0 = w.block(0).p
+    e = np.frexp(np.max(np.abs(p0)))[1]  # entries near 1e-160 square to subnormals
+    a0 = float(np.ldexp(np.linalg.norm(np.ldexp(p0, -e)), e))
     plus, minus = _half_bands(w, k0, w.n_blocks, False), _half_bands(w, 0, k0, True)
-    v_plus = np.pad(w.block(0).p / a0, (0, plus.shape[1] - per))
+    v_plus = np.pad(p0 / a0, (0, plus.shape[1] - per))
     dev = abs(float(np.linalg.norm(v_plus)) - 1.0)
     if dev > 1e-12:
         raise NumericalError(f"starting vector norm deviates from 1 by {dev:.3e}")

@@ -60,11 +60,10 @@ def u_block(p) -> np.ndarray:
     the squared tail norm on slot k-1 and -p_{k-1} times the tail below.
     A stack of vectors, one per row, gives the stack of their blocks.
     The vectors are rows of a checked window, so they are finite with
-    p_g > 0; only their shape is checked on entry.
+    p_g > 0 and are not checked again; at genus 0 there is no rotation,
+    and the block is the 1 x 1 identity.
     """
     p = np.asarray(p, dtype=float)
-    if p.ndim not in (1, 2) or p.shape[-1] < 2:
-        raise ValidationError("p must be a vector with at least two entries")
     tails = tail_norms(p)
     g = p.shape[-1] - 1
     u = np.broadcast_to(np.eye(g + 1), p.shape[:-1] + (g + 1, g + 1)).copy()

@@ -102,16 +102,9 @@ class JacobiWindow:
     def norm_bound(self) -> float:
         return float(np.max(np.abs(self.b))) + 2.0 * float(np.max(self.a))
 
-    def right_half(self) -> "JacobiWindow":
-        """Sites 0..n_max as a one-sided window; keeps a(0) as the bond."""
-        if self.n_min > 0 or self.n_max < 0:
-            raise WindowError("window does not contain the site 0")
-        cut = self.pos(0)
-        return JacobiWindow(self.a[cut:], self.b[cut:], 0)
-
     def reflected(self) -> "JacobiWindow":
         """The same operator with site n sent to -1 - n; a(0) stays the bond
-        across the split, so ``right_half`` of it is the left half."""
+        across the split, so the right half of it is the left half."""
         a_ref = np.concatenate(([1.0], self.a[:0:-1]))
         return JacobiWindow(a_ref, self.b[::-1], n_min=-1 - self.n_max)
 
@@ -185,12 +178,11 @@ class KappaVector:
 
 
 def resolvent_r(window: JacobiWindow, z: float) -> float:
-    """<(J - z)^{-1} e_0, e_0> of a one-sided window at a real z."""
-    if window.n_min != 0:
-        raise WindowError("resolvent_r expects a one-sided window starting at 0")
-    e0 = np.zeros(window.size)
-    e0[0] = 1.0
-    return float(numkit.solve_tridiagonal(window.b, window.a[1:], e0, z)[0])
+    """r_+(z) = <(J_+ - z)^{-1} e_0, e_0> at a real z, J_+ the window's
+    sites 0..n_max, solved in place; a window without site 0 is refused."""
+    i = window.pos(0)
+    e0 = np.eye(1, window.size - i)[0]
+    return float(numkit.solve_tridiagonal(window.b[i:], window.a[i + 1 :], e0, z)[0])
 
 
 def lanczos(matvec, start, depth: int, scale: float, grow: int) -> JacobiWindow:
@@ -281,13 +273,13 @@ def spectrum_near(window: JacobiWindow, x: float, radius: float) -> np.ndarray:
 
 
 def angle_plus(window: JacobiWindow, c: float) -> float:
-    """phi(c) = arctan r_+(c) in (-pi/2, pi/2]; pi/2 only when the solve
-    for r_+ finds c on the right half's spectrum.  A large finite r_+ keeps
-    its arctan: the cos(phi) ~ 1/r_+ term is what cancels kappa's left
-    part, and dropping it leaves a part of relative size O(1/|r_+|) on the
-    sites < 0."""
+    """phi(c) = arctan r_+(c) in (-pi/2, pi/2], r_+ from ``resolvent_r`` on
+    the window; pi/2 only when that solve finds c on the right half's
+    spectrum.  A large finite r_+ keeps its arctan: the cos(phi) ~ 1/r_+
+    term is what cancels kappa's left part, and dropping it leaves a part
+    of relative size O(1/|r_+|) on the sites < 0."""
     try:
-        return math.atan(resolvent_r(window.right_half(), c))
+        return math.atan(resolvent_r(window, c))
     except SingularMatrixError:
         return math.pi / 2.0
 

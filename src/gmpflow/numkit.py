@@ -7,8 +7,8 @@ as its upper diagonals, and a tridiagonal one is solved in O(n) under
 the dense solve's contract.  Norms appearing in the contracts are Frobenius
 norms; the fixed tolerances are tuned for the moderate scales used
 throughout (operator norms up to a few units).  scipy is imported inside
-the functions that call it, here and in ``jacobi``, so that a command
-which calls none of them starts without it.
+the functions that call it, here, in ``jacobi`` and in ``construct``, so
+that a command which calls none of them starts without it.
 """
 
 from __future__ import annotations

@@ -71,8 +71,8 @@ def two_by_two_resolvent(window: JacobiWindow, z: float) -> np.ndarray:
     rhs = np.zeros((window.size, 2))
     rhs[corner, [0, 1]] = 1.0
     rmat = numkit.solve_tridiagonal(window.b, window.a[1:], rhs, z)[corner]
-    r_plus = resolvent_r(window.right_half(), z)
-    r_minus = resolvent_r(window.reflected().right_half(), z)
+    r_plus = resolvent_r(window, z)
+    r_minus = resolvent_r(window.reflected(), z)
     a0 = window.a_at(0)
     checks = (
         (-1.0 / rmat[1, 1], -1.0 / r_plus + a0**2 * r_minus),

@@ -277,6 +277,20 @@ class TestFlow:
             f"validation error: window [{j_min}, {j_min + 2}] lacks the readout's blocks -1..1\n"
         )
 
+    def test_zero_steps_rejected(self, tmp_path, capsys):
+        win = p1_window_file(tmp_path)
+        assert cli.main(["flow", win, "--steps", "0"]) == 1
+        assert capsys.readouterr() == ("", "validation error: n_steps must be at least 1\n")
+
+    def test_genus_zero_window(self, tmp_path, capsys):
+        # p = (1), q = (0): the free Jacobi matrix, a = 1 and b = 0 at every step
+        blocks = [{"p": [1.0], "q": [0.0]}] * 41
+        win = write_json(tmp_path / "g0.json", {"C": [], "j_min": -20, "blocks": blocks})
+        assert cli.main(["flow", win, "--steps", "8"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2] == "n,a,b,shift_dist_eta"
+        assert lines[3:] == [f"{n},1,0,0" for n in range(8)]
+
     def test_bad_eta_rejected(self, tmp_path, capsys):
         args = ["flow", p1_window_file(tmp_path), "--steps", "2", "--eta", "1.5"]
         assert cli.main(args) == 1
@@ -443,6 +457,18 @@ class TestKs:
             else:
                 assert (code, err) == (1, f"validation error: {message}\n")
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_genus_zero_window(self, tmp_path, capsys, seed):
+        # the Killip-Simon case: a gap-free map and a random 41-block window
+        rng = np.random.default_rng(seed)
+        w = GmpWindow(rng.uniform(0.5, 1.5, (41, 1)), rng.uniform(-0.5, 0.5, (41, 1)), (), -20)
+        win = write_json(tmp_path / "g0.json", w.to_json())
+        d = write_json(tmp_path / "g0map.json", {"lambda0": 1.0, "c0": 0.0, "poles": []})
+        assert cli.main(["ks", win, d, "--steps", "8"]) == 0
+        cols = csv_columns(capsys.readouterr().out)
+        assert cols["n"] == [str(n) for n in range(8)]
+        assert max(abs(float(v)) for v in cols["telescope_resid"]) <= 1e-15
+
     def test_single_step_has_no_telescoping(self, tmp_path, capsys):
         win = p1_window_file(tmp_path)
         d = estar_delta_file(tmp_path)
@@ -487,8 +513,9 @@ class TestTolerance:
 
     @pytest.mark.parametrize(
         "command, value",
-        [("ks", "nan"), ("ks", "-1"), ("flow", "-1"), ("flow", "nan")],
-        ids=["ks-nan", "ks-negative", "flow-negative", "flow-nan"],
+        [("ks", "nan"), ("ks", "-1"), ("flow", "-1"), ("flow", "nan"), ("flow", "abc"),
+         ("ks", "abc")],
+        ids=["ks-nan", "ks-negative", "flow-negative", "flow-nan", "flow-text", "ks-text"],
     )
     def test_rejected_with_its_name(self, tmp_path, capsys, command, value):
         argv = [command, p1_window_file(tmp_path)]
@@ -868,6 +895,12 @@ class TestSelftest:
             "validation error: argument --seed: must be an integer >= 0, got '-1'\n"
         )
 
+    @pytest.mark.parametrize("seed", ["x", "1.5"])
+    def test_non_integer_seed_rejected(self, capsys, seed):
+        assert cli.main(["selftest", "--seed", seed]) == 1
+        assert capsys.readouterr() == ("", (
+            f"validation error: argument --seed: must be an integer >= 0, got '{seed}'\n"))
+
     def test_rotation_sign_bug_fails_flow_identity(self, capsys, monkeypatch):
         import gmpflow.flow as flow
 
@@ -990,6 +1023,65 @@ class TestOverflowingEntries:
         assert capsys.readouterr() == (
             "", "validation error: blocks[0].p[0] = 1e+160 is too large: its square overflows\n"
         )
+
+
+class TestFileFaults:
+    """An input file that is not UTF-8, and an ``--out`` path inside a
+    missing directory or naming a directory, end in one stderr line and
+    exit 1, for every subcommand."""
+
+    @staticmethod
+    def argv(command, tmp_path, monkeypatch) -> list[str]:
+        if command == "selftest":
+            from gmpflow import acceptance
+
+            monkeypatch.setattr(acceptance, "run_all", lambda seed: [])
+            return ["selftest"]
+        files = {
+            "delta": lambda: [estar_gapset_file(tmp_path)],
+            "flow": lambda: [p1_window_file(tmp_path)],
+            "ks": lambda: [p1_window_file(tmp_path), estar_delta_file(tmp_path)],
+            "iso-solve": lambda: [estar_delta_file(tmp_path), write_json(
+                tmp_path / "seed.json", {"p": [1.43, 0.5], "q": [0.0, 0.0]})],
+            "jacobi2gmp": lambda: [period2_jacobi_file(tmp_path), estar_delta_file(tmp_path)],
+            "gmp2jacobi": lambda: [p1_window_file(tmp_path)],
+        }[command]()
+        steps = ["--steps", "2"] if command in ("flow", "ks") else []
+        return [command, *files, *steps]
+
+    COMMANDS = ["delta", "flow", "ks", "iso-solve", "jacobi2gmp", "gmp2jacobi", "selftest"]
+    INPUTS = [(c, i) for c, n in zip(COMMANDS, [1, 1, 2, 2, 2, 1, 0]) for i in range(n)]
+
+    @pytest.mark.parametrize("command, index", INPUTS)
+    def test_input_not_utf8(self, tmp_path, capsys, monkeypatch, command, index):
+        argv = self.argv(command, tmp_path, monkeypatch)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe")
+        argv[1 + index] = str(bad)
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", (
+            f"validation error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff "
+            "in position 0: invalid start byte\n"))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_in_missing_directory(self, tmp_path, capsys, monkeypatch, command):
+        argv = self.argv(command, tmp_path, monkeypatch)
+        out = tmp_path / "missing" / "out.txt"
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"validation error: cannot write {out}: [Errno 2] No such file or directory: "
+            f"'{out}'\n"))
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_names_a_directory(self, tmp_path, capsys, monkeypatch, command):
+        argv = self.argv(command, tmp_path, monkeypatch)
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 1
+        assert capsys.readouterr() == ("", (
+            f"validation error: cannot write {tmp_path}: [Errno 21] Is a directory: "
+            f"'{tmp_path}'\n"))
 
 
 class TestHarness:

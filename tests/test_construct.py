@@ -191,6 +191,15 @@ class TestGramD:
         with pytest.raises(PoleEvaluationError):
             gram_D(four_point_measure(), (1.5,))
 
+    @pytest.mark.parametrize("poles, message", [
+        ((), "at least one pole is required"),
+        ((0.1, np.nan), "poles must be finite"),
+        ((np.inf,), "poles must be finite"),
+    ])
+    def test_poles_checked(self, poles, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            gram_D(four_point_measure(), poles)
+
     def test_duplicate_poles_raise(self):
         with pytest.raises(ValidationError):
             gram_D(four_point_measure(), (0.1, 0.1))
@@ -228,22 +237,49 @@ class TestFactorL:
         with pytest.raises(ValidationError):
             factor_L(np.ones((2, 3)))
 
-    @pytest.mark.parametrize("turn, message", [
-        (np.array([[0.8, -0.6], [0.6, 0.8]]), "upper triangular"),
-        (np.diag([-1.0, 1.0]), "positive diagonal"),
-    ])
-    def test_factor_shape_checked(self, turn, message, monkeypatch):
-        # the refinement's factor (the third call) turned by an orthogonal
-        # matrix is still a square root of the residual Gram: the residual
-        # passes and only the shape of L can refuse it
+    def test_gram_factor_is_exactly_triangular(self):
+        # a triangular solve of the Cholesky factor and a product with an
+        # upper-triangular step: zeros below the diagonal are exact, not
+        # small, and the diagonal is 1 / G_ii to first order
+        rng = np.random.default_rng(1)
+        for _ in range(40):
+            g, n = int(rng.integers(1, 5)), int(rng.integers(8, 40))
+            pts = np.sort(rng.uniform(-3.0, 3.0, n))
+            cs = rng.uniform(-3.5, 3.5, g)
+            if np.min(np.abs(pts[:, None] - cs)) < 1e-3 or np.min(np.diff(pts)) < 1e-3:
+                continue
+            wts = rng.uniform(0.1, 1.0, n)
+            D = gram_D(DiscreteMeasure(pts, wts / np.sum(wts)), cs)
+            L = factor_L(D)
+            assert np.array_equal(L, np.triu(L))
+            assert np.all(np.diag(L) > 0.0)
+            G = np.linalg.cholesky(D)
+            npt.assert_allclose(np.diag(L) * np.diag(G), 1.0, rtol=1e-12)
+
+    def test_one_cholesky_and_no_dense_solve(self, monkeypatch):
         chol, calls = numkit.lower_cholesky_like, []
+        monkeypatch.setattr(numkit, "lower_cholesky_like",
+                            lambda mat: calls.append(None) or chol(mat))
+        monkeypatch.setattr(numkit, "solve", None)
+        factor_L(np.array([[2.0, 0.5], [0.5, 1.0]]))
+        assert len(calls) == 1
 
-        def turned(mat):
-            calls.append(None)
-            return chol(mat) @ turn if len(calls) == 3 else chol(mat)
+    def test_first_order_step(self, monkeypatch):
+        # a factor off by 1e-6 in scale: L^T D L - I near -2e-6 I, which
+        # the step takes to the order of its square
+        chol = numkit.lower_cholesky_like
+        D = np.array([[2.0, 0.5], [0.5, 1.0]])
+        exact = factor_L(D)
+        monkeypatch.setattr(numkit, "lower_cholesky_like", lambda mat: chol(mat) * (1.0 + 1e-6))
+        npt.assert_allclose(factor_L(D), exact, rtol=1e-11, atol=0)
 
-        monkeypatch.setattr(numkit, "lower_cholesky_like", turned)
-        with pytest.raises(NumericalError, match=message):
+    def test_residual_refused(self, monkeypatch):
+        # twice the Cholesky factor: E = -3/4 I, the step scales L by 11/8,
+        # and L^T D L = (11/16)^2 I, a residual of 0.527
+        chol = numkit.lower_cholesky_like
+        monkeypatch.setattr(numkit, "lower_cholesky_like", lambda mat: chol(mat) * 2.0)
+        with pytest.raises(NumericalError,
+                           match=r"^triangular factor residual 5\.273e-01 exceeds the tolerance$"):
             factor_L(np.array([[2.0, 0.5], [0.5, 1.0]]))
 
 
@@ -279,6 +315,11 @@ class TestTauBasis:
     def test_depth_exceeding_support_raises(self):
         with pytest.raises(ValidationError):
             tau_basis(four_point_measure(), make_estar_delta(), depth=3)
+
+    @pytest.mark.parametrize("depth", [0, -1, 1.5])
+    def test_depth_must_be_a_positive_integer(self, depth):
+        with pytest.raises(ValidationError, match="^depth must be a positive integer$"):
+            tau_basis(four_point_measure(), make_estar_delta(), depth=depth)
 
     def test_rank_exhaustion_raises(self):
         pts = np.array([2.0, 2.0 + 1e-13, 3.0, 4.0])
@@ -336,6 +377,13 @@ class TestMultiplicationMatrix:
         m = four_point_measure()
         rb = tau_basis(m, make_estar_delta(), depth=1)
         with pytest.raises(ValidationError):
+            multiplication_matrix(rb)
+
+    def test_lost_pattern_raises(self, monkeypatch):
+        rb = tau_basis(four_point_measure(), make_estar_delta(), depth=2)
+        monkeypatch.setattr(construct, "pattern_defect", lambda mat, mask: 0.5)
+        with pytest.raises(NumericalError, match="^multiplication matrix lost the block "
+                           "pattern: off-pattern entry 5.000e-01$"):
             multiplication_matrix(rb)
 
 
@@ -574,6 +622,13 @@ class TestJacobiToGmp:
         with pytest.raises(ValidationError):
             jacobi_to_gmp(period2_window(), make_estar_delta(), n_blocks=2)
 
+    def test_lost_pattern_raises(self, monkeypatch):
+        monkeypatch.setattr(construct, "pattern_defect", lambda mat, mask: 0.5)
+        with pytest.raises(NumericalError, match="^operator lost the GMP pattern in the flag "
+                           "basis: off-pattern entry 5.000e-01; the Jacobi window is likely "
+                           "too narrow$"):
+            jacobi_to_gmp(period2_window(), make_estar_delta(), n_blocks=5)
+
     def test_narrow_window_raises(self):
         with pytest.raises(WindowError):
             jacobi_to_gmp(period2_window(-5, 4), make_estar_delta(), n_blocks=9)
@@ -633,6 +688,18 @@ class TestGmpToJacobiMeasure:
         b_gap = max(abs(J.b_at(n) - traj.b_out[n]) for n in range(steps))
         # ten times the worst measured, 3.6e-14 in b at g = 4
         assert max(a_gap, b_gap) <= 3.6e-13
+
+    @pytest.mark.parametrize("scale, bond", [
+        (1e-160, 5e-160), (3e-200, 1.5e-199), (1e-300, 5.0000000000000006e-300),
+    ])
+    def test_tiny_crossing_bond(self, scale, bond):
+        # p = scale * (3, 4) squares into subnormals; the bond is its norm
+        w = make_perturbed_window(make_p1_block(), [0.0], half=20)
+        P = w.P.copy()
+        P[-w.j_min] = scale * np.array([3.0, 4.0])
+        J = gmp_to_jacobi_measure(GmpWindow(P, w.Q, w.c, w.j_min))
+        assert J.a_at(0) == bond
+        assert (J.n_min, J.n_max) == (-20, 20)
 
     def test_window_must_cover_split(self):
         blk = make_p1_block()

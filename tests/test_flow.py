@@ -256,6 +256,14 @@ class TestJacobiFlowStep:
         with pytest.raises(WindowError):
             jacobi_flow_step(window)
 
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_identity_needs_the_stepped_window_inside(self, shift):
+        window = perturbed_p1_window()
+        stepped = jacobi_flow_step(window)
+        moved = GmpWindow(stepped.P, stepped.Q, stepped.c, stepped.j_min + 2 * shift)
+        with pytest.raises(WindowError, match="^stepped window does not sit inside the old one$"):
+            flow_identity_residual(window, moved)
+
 
 class TestStackedStep:
     """The stacked step and rotation products against loops over
@@ -341,6 +349,10 @@ class TestExtractJacobi:
             extract_jacobi(states)
         assert str(got.value) == str(want.value)
 
+    def test_empty_run_rejected(self):
+        with pytest.raises(ValidationError, match="^need at least one state$"):
+            extract_jacobi([])
+
     def test_mixed_pole_lists_rejected(self):
         states = flow_run(make_p1_window(23, -11), 4).states
         moved = GmpWindow(states[2].P, states[2].Q, (0.5,), states[2].j_min)
@@ -382,6 +394,11 @@ class TestFlowRun:
         with pytest.raises(WindowError):
             flow_run(make_p1_window(9, -4), 5)
 
+    @pytest.mark.parametrize("n_steps", [0, -3])
+    def test_at_least_one_step(self, n_steps):
+        with pytest.raises(ValidationError, match="^n_steps must be at least 1$"):
+            flow_run(make_p1_window(9, -4), n_steps)
+
     @pytest.mark.parametrize("j_min, n_blocks", [(2, 9), (-20, 3), (0, 21), (-5, 5)])
     def test_window_without_core_blocks_rejected(self, j_min, n_blocks):
         window = make_p1_window(n_blocks, j_min)
@@ -404,6 +421,37 @@ class TestFlowRun:
         message = r"^state 0 left the class: pair functional at k=1 is not finite \(block -10\)$"
         with pytest.raises(ValidationError, match=message):
             flow_run(GmpWindow(P, w.Q, w.c, w.j_min), 2)
+
+class TestGenusZero:
+    """Genus 0, the Killip-Simon case: one-entry blocks, no poles, and a
+    flow that is the plain shift of a Jacobi matrix."""
+
+    @staticmethod
+    def window(seed):
+        rng = np.random.default_rng(seed)
+        P, Q = rng.uniform(0.5, 1.5, (41, 1)), rng.uniform(-0.5, 0.5, (41, 1))
+        return GmpWindow(P, Q, (), -20)
+
+    def test_u_block_is_the_identity(self):
+        assert np.array_equal(u_block(np.array([[0.7], [2.0]])), np.ones((2, 1, 1)))
+        assert np.array_equal(u_block(np.array([3.0])), np.ones((1, 1)))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_readout_is_the_coefficient_window(self, seed):
+        from gmpflow.construct import gmp_to_jacobi_measure
+
+        w = self.window(seed)
+        traj = flow_run(w, 8)
+        J = gmp_to_jacobi_measure(w)
+        npt.assert_allclose(traj.a_out, [J.a_at(n) for n in range(9)], rtol=0, atol=1e-15)
+        npt.assert_allclose(traj.b_out, [J.b_at(n) for n in range(8)], rtol=0, atol=1e-15)
+        assert traj.lambdas.shape == traj.validity_min.shape == (9, 0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_flow_identity(self, seed):
+        w = self.window(seed)
+        assert flow_identity_residual(w, jacobi_flow_step(w)) <= 1e-15
+
 
 def _measure_from_dense(mat, index):
     eigvals, eigvecs = np.linalg.eigh(mat)

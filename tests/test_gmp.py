@@ -148,6 +148,9 @@ class TestGmpWindow:
         assert p1_window.scalar_index(-2, 1) == 1
         with pytest.raises(WindowError):
             p1_window.block(3)
+        for slot in (-1, 2):
+            with pytest.raises(WindowError, match=f"^slot {slot} outside 0..1$"):
+                p1_window.scalar_index(0, slot)
 
     def test_rejects_mismatched_blocks(self, p1_block):
         # ragged blocks can only come from JSON: see test_cli's malformed shapes
@@ -271,6 +274,11 @@ class TestBuildBlockB:
         assert_allclose(
             build_block_B(p1_block, np.array([0.0])), np.zeros((2, 2))
         )
+
+    @pytest.mark.parametrize("c", [[], [0.0, 1.0]])
+    def test_pole_count_must_match(self, p1_block, c):
+        with pytest.raises(ValidationError, match=f"^pole list length {len(c)}, expected 1$"):
+            build_block_B(p1_block, np.array(c))
 
     def test_flowed_block(self):
         blk = GmpBlock(
@@ -545,6 +553,12 @@ class TestTransferViaResolvent:
         with pytest.raises(SingularMatrixError):
             transfer_via_resolvent(p1_block, np.array([0.0]), 0.0)
 
+    def test_degenerate_corner_rejected(self, p1_block, monkeypatch):
+        # a solve whose delta_g column is orthogonal to p leaves r_pd = 0
+        monkeypatch.setattr(numkit, "solve", lambda mat, rhs: np.array([[1.0, 0.0], [1.0, 0.0]]))
+        with pytest.raises(NumericalError, match="^degenerate corner resolvent entry$"):
+            transfer_via_resolvent(p1_block, np.array([0.0]), 1.0)
+
 
 class TestLambdaK:
     def test_canonical_value(self, p1_block):
@@ -595,6 +609,13 @@ class TestLambdaK:
 
 
 class TestLambdaSharp:
+    def test_blocks_of_two_genera_rejected(self):
+        c, nxt, this = comb_pair(2, 0)
+        one = GmpBlock(this.p[1:], this.q[1:])
+        for pair in ((nxt, one), (one, nxt)):
+            with pytest.raises(ValidationError, match="^blocks must share one gap count$"):
+                lambda_sharp(*pair, c)
+
     @pytest.mark.parametrize("g", [1, 2, 4, 8, 12])
     def test_matches_per_pole_loop(self, g):
         for seed in range(3):
@@ -889,6 +910,11 @@ class TestResolventColumn:
         for got, want in zip((col for col in cols if col is not None), resolvent_column(defined)):
             assert np.array_equal(got, want)
         assert resolvent_column([(win, 0)]) == [None]
+
+    def test_stack_needs_one_pole_list(self, p1_window):
+        moved = GmpWindow(p1_window.P, p1_window.Q, (0.5,), p1_window.j_min)
+        with pytest.raises(ValidationError, match="^stacked resolvent columns need one pole list$"):
+            resolvent_column([(p1_window, 0), (moved, 0)])
 
     def test_window_must_cover_center(self):
         win = make_p1_window(n_blocks=3, j_min=0)

@@ -124,14 +124,17 @@ class TestJacobiWindow:
             np.array([10.0, 20.0, 30.0, 40.0]),
             -2,
         )
-        right = win.right_half()
-        assert right.n_min == 0
-        assert_allclose(right.b, [30.0, 40.0])
-        assert_allclose(right.a, [1.1, 1.3])
-        left = win.reflected().right_half()
-        assert left.n_min == 0
-        assert_allclose(left.b, [20.0, 10.0])
-        assert_allclose(left.a, [1.1, 0.9])
+        ref = win.reflected()
+        assert (ref.n_min, ref.n_max) == (-2, 1)
+        assert_allclose(ref.b, [40.0, 30.0, 20.0, 10.0])
+        assert_allclose(ref.a, [1.0, 1.3, 1.1, 0.9])
+        assert ref.a_at(0) == win.a_at(0)
+        # r_+ of each half, solved in place, is that of the one-sided window
+        right = JacobiWindow(np.array([1.1, 1.3]), np.array([30.0, 40.0]))
+        left = JacobiWindow(np.array([1.1, 0.9]), np.array([20.0, 10.0]))
+        for z in (0.0, 25.0, 50.0):
+            assert resolvent_r(win, z) == resolvent_r(right, z)
+            assert resolvent_r(ref, z) == resolvent_r(left, z)
 
     def test_validation(self):
         with pytest.raises(ValidationError):
@@ -203,6 +206,11 @@ class TestDiscreteMeasure:
             DiscreteMeasure(np.array([0.0, 1.0]), np.array([0.5, 0.6]))
         with pytest.raises(ValidationError):
             DiscreteMeasure(np.array([0.0, 1.0]), np.array([-0.1, 1.1]))
+        for points, weights in (([0.0, 1.0], [1.0]), ([0.0], [[1.0]])):
+            with pytest.raises(ValidationError, match="^points and weights must match in length$"):
+                DiscreteMeasure(np.array(points), np.array(weights))
+        with pytest.raises(ValidationError, match="^measure needs at least one point$"):
+            DiscreteMeasure(np.array([]), np.array([]))
 
     @pytest.mark.parametrize(
         "points, weights",
@@ -275,6 +283,14 @@ class TestResolventR:
         with pytest.raises(SingularMatrixError):
             resolvent_r(win, 0.7)
 
+    @pytest.mark.parametrize("n_min, message", [
+        (1, "site 0 outside [1, 4]"), (-4, "site 0 outside [-4, -1]"),
+    ])
+    def test_window_without_site_zero_refused(self, n_min, message):
+        win = free_window(n_min, n_min + 3)
+        with pytest.raises(WindowError, match=re.escape(message)):
+            resolvent_r(win, 3.0)
+
 
 class TestLanczosFromMeasure:
     def test_two_symmetric_points(self):
@@ -336,6 +352,11 @@ class TestLanczosFromMeasure:
         win = lanczos_from_measure(m, 15)
         assert np.max(np.abs(win.b - b_ref)) <= 1e-14
         assert np.max(np.abs(win.a[1:] - a_ref)) <= 1e-14
+
+    def test_negative_depth_rejected(self):
+        m = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        with pytest.raises(ValidationError, match="^depth must be nonnegative$"):
+            lanczos_from_measure(m, -1)
 
     def test_breakdown_is_reported(self):
         m = DiscreteMeasure(np.array([0.0, 1e-15]), np.array([0.5, 0.5]))
@@ -459,7 +480,7 @@ class TestKappa:
         win = random_window(rng, -75, 75)
         c = float(np.max(np.abs(dense(win)).sum(axis=1))) + 1.0
         kap = kappa(win, c)
-        r_plus = resolvent_r(win.right_half(), c)
+        r_plus = resolvent_r(win, c)
         assert_allclose(kap.phi, math.atan(r_plus), atol=1e-12)
 
     def test_norm_bound_estimate(self):
@@ -486,6 +507,19 @@ class TestKappa:
         win = free_window(-5, 5)
         with pytest.raises(WindowError):
             kappa(win, 3.0)
+
+    @pytest.mark.parametrize("n_min, n_max", [(0, 80), (-80, -1)])
+    def test_one_sided_window_rejected(self, n_min, n_max):
+        with pytest.raises(WindowError, match=r"^kappa needs a two-sided window around -1 \| 0$"):
+            kappa(free_window(n_min, n_max), 3.0)
+
+    def test_norm_must_match_the_angle_derivative(self, monkeypatch):
+        # an angle that does not move with c: its difference quotient is 0
+        angle = jacobi.angle_plus
+        monkeypatch.setattr(jacobi, "angle_plus", lambda window, c: angle(window, 3.0))
+        with pytest.raises(NumericalError, match=r"^kappa norm 0\.\d{9} does not match "
+                           r"the angle derivative 0\.000000000$"):
+            kappa(free_window(-80, 80), 3.0)
 
     @pytest.mark.parametrize("outer", [1.0, 1e153])
     def test_pole_next_to_a_small_eigenvalue_of_a_huge_window(self, outer):
@@ -547,7 +581,7 @@ class TestKappa:
         b = np.zeros(ns.size)
         b[107] = eps
         win = JacobiWindow(np.where(ns % 2 == 0, 1.5, 0.5), b, n_min=-107)
-        assert abs(resolvent_r(win.right_half(), 0.0)) >= 0.5 / eps
+        assert abs(resolvent_r(win, 0.0)) >= 0.5 / eps
         vec = kappa(win, 0.0).vec
         assert np.max(np.abs(vec[: win.pos(0)])) <= 1e-15 * np.max(np.abs(vec))
 
@@ -605,6 +639,11 @@ class TestKappaPairing:
         assert abs(lhs - ref) <= 1e-14 * abs(ref)
         assert abs(lhs - rhs) < 1e-8
 
+    @pytest.mark.parametrize("n_min, n_max", [(-81, 79), (-80, 81)])
+    def test_misaligned_windows_rejected(self, n_min, n_max):
+        with pytest.raises(WindowError, match="^windows must be aligned for the pairing$"):
+            kappa_pairing(free_window(-80, 80), free_window(n_min, n_max), 3.0)
+
     def test_identical_windows(self):
         win = free_window(-80, 80)
         lhs, rhs = kappa_pairing(win, win, 3.0)
@@ -650,8 +689,8 @@ class TestTwoByTwoResolvent:
             win = random_window(rng, -25, 24)
             z = float(np.max(np.abs(np.linalg.eigvalsh(dense(win))))) + 1.0
             rmat = two_by_two_resolvent(win, z)
-            r_plus = resolvent_r(win.right_half(), z)
-            r_minus = resolvent_r(win.reflected().right_half(), z)
+            r_plus = resolvent_r(win, z)
+            r_minus = resolvent_r(win.reflected(), z)
             a0 = win.a_at(0)
             assert (
                 abs(-1.0 / rmat[1, 1] - (-1.0 / r_plus + a0**2 * r_minus))

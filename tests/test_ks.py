@@ -30,6 +30,7 @@ from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense
 from gmpflow.isospectral import solve_is_point
 from gmpflow.ks import (
     DeltaBlocks,
+    KsDiagnostics,
     KsFunctionalReport,
     delta_J_H,
     delta_of_gmp,
@@ -264,6 +265,16 @@ class TestDeltaOfGmp:
     def test_genus_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="genus"):
             delta_of_gmp([decaying_window()], twogap_delta(), margin=3)
+
+    def test_empty_run_rejected(self):
+        with pytest.raises(ValidationError, match="^a run has at least one window$"):
+            delta_of_gmp([], estar_delta(), margin=3)
+
+    def test_mixed_pole_lists_rejected(self):
+        w = decaying_window()
+        moved = GmpWindow(w.P, w.Q, (0.5,), w.j_min)
+        with pytest.raises(ValidationError, match="^windows of a run must share one pole list$"):
+            delta_of_gmp([w, moved], estar_delta(), margin=3)
 
     def test_margin_floor(self):
         with pytest.raises(ValidationError, match="margin"):
@@ -739,6 +750,20 @@ class TestFunctionalReport:
         for changed in below:
             with pytest.raises(ValidationError, match="floor"):
                 report(**changed)
+        not_finite = [
+            {"row_terms": (np.zeros(2), np.array([np.nan]))},
+            {"h_origin": np.array([0.0, np.inf])},
+            {"step_drops": np.array([np.nan])},
+            {"shifted_drops": np.array([np.inf])},
+            {"residuals": np.array([0.0, np.nan])},
+        ]
+        for changed in not_finite:
+            with pytest.raises(ValidationError, match="^entropy report contains non-finite terms$"):
+                report(**changed)
+
+    def test_empty_run_rejected(self):
+        with pytest.raises(ValidationError, match="^a flow run has at least one state$"):
+            functional_report([])
 
     def test_origin_outside_trusted_range_rejected(self):
         db = delta_of_gmp([make_p1_window(n_blocks=9, j_min=-12)], estar_delta(), 3)[0]
@@ -803,6 +828,16 @@ class TestKsDiagnostics:
         with pytest.raises(ValidationError, match="genus"):
             ks_diagnostics(t.states, twogap_delta())
 
+    def test_empty_trajectory_rejected(self):
+        with pytest.raises(ValidationError, match="^trajectory has no states$"):
+            ks_diagnostics((), estar_delta())
+
+    def test_non_finite_family_rejected(self):
+        values = {"p_next": np.zeros((2, 1)), "pairing": np.array([0.0, np.nan])}
+        sq = {name: np.cumsum(v**2, axis=0) for name, v in values.items()}
+        with pytest.raises(ValidationError, match="^diagnostic family pairing is not finite$"):
+            KsDiagnostics(values, sq, dict.fromkeys(values, 0.0), dict.fromkeys(values, False))
+
     def test_pole_order_of_map_is_irrelevant(self):
         # Lambda_k of the central block is taken at the window's poles and
         # must be compared with the weight of the same pole of the map
@@ -859,6 +894,21 @@ class TestDensityIdentity:
     def test_zero_level_rejected(self):
         with pytest.raises(ValidationError, match="level zero"):
             density_identity([0.0, 3.0], [1.0, 1.0], 0.0)
+
+    @pytest.mark.parametrize("c, lam", [
+        ([0.0, 3.0], [1.0]), ([[0.0, 3.0]], [[1.0, 1.0]]), ([], []),
+    ])
+    def test_matching_arrays_required(self, c, lam):
+        with pytest.raises(ValidationError, match="^poles and weights must be matching 1-d arrays$"):
+            density_identity(c, lam, 1.0)
+
+    def test_failing_identity_raises(self, monkeypatch):
+        # preimages moved off the level: the Cauchy determinant still holds
+        # for any points, the derivative product only at true preimages
+        bisect = numkit.bisect_root
+        monkeypatch.setattr(numkit, "bisect_root", lambda f, lo, hi: bisect(f, lo, hi) + 1e-3)
+        with pytest.raises(NumericalError, match=r"^determinant identities failed: \S+, \S+$"):
+            density_identity([0.0, 3.0], [1.0, 1.0], 1.0)
 
     def test_positive_weights_required(self):
         with pytest.raises(ValidationError, match="positive"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from gmpflow.errors import (
     NoSignChangeError,
     NotPositiveDefiniteError,
     NotSymmetricError,
+    NumericalError,
     SingularMatrixError,
 )
 
@@ -50,11 +53,25 @@ class TestSolve:
         with pytest.raises(ValueError):
             numkit.solve(np.ones((2, 3)), np.ones(2))
 
+    def test_rejects_wrong_rhs_length(self):
+        with pytest.raises(ValueError, match="^right-hand side length 2 does not match matrix order 3$"):
+            numkit.solve(np.eye(3), np.ones(2))
+
     def test_rejects_nonfinite(self):
         mat = np.eye(2)
         mat[0, 1] = np.nan
         with pytest.raises(ValueError):
             numkit.solve(mat, np.ones(2))
+
+    def test_column_missing_its_bound_after_refinement_refused(self, monkeypatch):
+        # every back substitution is off by 1e-6: the one refinement pass
+        # cannot meet the 1e-10 bound, and the column is refused
+        import scipy.linalg
+
+        lu_solve = scipy.linalg.lu_solve
+        monkeypatch.setattr(scipy.linalg, "lu_solve", lambda *a, **k: lu_solve(*a, **k) + 1e-6)
+        with pytest.raises(NumericalError, match=r"^solve residual \S+ exceeds bound \S+$"):
+            numkit.solve(2.0 * np.eye(2), np.array([1.0, 1.0]))
 
     def test_each_column_meets_its_own_bound(self, monkeypatch):
         # the first back substitution misses column 0 by 1e-8 of its size,
@@ -286,6 +303,10 @@ class TestSymEigen:
         with pytest.raises(NotSymmetricError):
             numkit.sym_eigen(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            numkit.sym_eigen(np.ones((2, 3)))
+
     def test_contracts_random(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
@@ -363,6 +384,20 @@ class TestLowerCholeskyLike:
             numkit.lower_cholesky_like(np.diag([-1.0, 1.0]))
         assert exc.value.minor_index == 0
 
+    def test_residual_refused(self, monkeypatch):
+        # a factor off by 1e-6 in scale misses the 1e-10 residual bound
+        import scipy.linalg.lapack
+
+        dpotrf = scipy.linalg.lapack.dpotrf
+
+        def scaled(mat, **kwargs):
+            g, info = dpotrf(mat, **kwargs)
+            return g * (1.0 + 1e-6), info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", scaled)
+        with pytest.raises(NumericalError, match=r"^cholesky residual \S+ exceeds tolerance$"):
+            numkit.lower_cholesky_like(np.diag([4.0, 9.0]))
+
     def test_random_spd(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -383,6 +418,14 @@ class TestBisectRoot:
     def test_no_sign_change(self):
         with pytest.raises(NoSignChangeError):
             numkit.bisect_root(lambda t: t * t + 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("lo, hi, shown", [
+        (1.0, 0.5, "[1.0, 0.5]"), (1.0, 1.0, "[1.0, 1.0]"),
+        (np.nan, 1.0, "[nan, 1.0]"), (0.0, np.inf, "[0.0, inf]"),
+    ])
+    def test_invalid_bracket_is_named(self, lo, hi, shown):
+        with pytest.raises(ValueError, match=f"^invalid bracket {re.escape(shown)}$"):
+            numkit.bisect_root(lambda t: t, [-1.0, lo], [1.0, hi])
 
     def test_root_at_endpoint(self):
         assert numkit.bisect_root(lambda t: t, 0.0, 1.0) == 0.0
