@@ -14,13 +14,18 @@ The record holds:
   1281}, each at g in {1, 2}, on windows built as
   ``tests/conftest.make_perturbed_window`` builds them around the
   closed-form surface block ``p = (sqrt(lambda_k / lambda0)..., 1 /
-  lambda0)``, ``q = (0..., -c0)``; each ``gmp_to_jacobi_measure`` record
-  also holds ``flow_digits``, the correct digits of its a(n) and of its
-  b(n) against the flow readout of ``flow.flow_run(w, depth)`` at the
-  largest depth the window allows, over the n both routes keep:
+  lambda0)``, ``q = (0..., -c0)``, and of ``gmp_to_jacobi_measure`` at
+  961 blocks for g in {8, 16} on the round trips of
+  ``tests/conftest.roundtrip_inputs``; each ``gmp_to_jacobi_measure``
+  record also holds ``flow_digits``, the correct digits of its a(n) and
+  of its b(n) against the flow readout of ``flow.flow_run(w, depth)`` at
+  the largest depth the window allows, over the n both routes keep:
   -log10(max |difference| / max |flow value|), capped at -log10 of the
   double epsilon, with the depth and the number of a(n) and b(n)
-  compared;
+  compared, and ``oracle_err``, the largest difference of its a(n) and
+  of its b(n) from ``tests/oracles.longdouble_jacobi``, a long-double
+  Lanczos that projects every vector against all earlier ones (about
+  40 s of the sweep);
 - a sweep of ``construct.jacobi_to_gmp`` at width 5 (``gmpflow jacobi2gmp
   --width 5``) over n_blocks in {222, 426, 854} at g = 1, on coefficient
   windows built as the ``convert`` workload builds them: perfbench's
@@ -61,9 +66,11 @@ The record holds:
   ``lambda_sharp``), the counters (eigensolves,
   ``delta_of_gmp`` calls with the states they map, ``resolvent_column``
   calls with the closed-form (state, block) pairs they hold, ``ks.h_term``
-  calls, Lanczos runs and steps, the
-  ``numkit.project_out`` calls with the basis entries they are handed
-  (each read by two products in each of its two passes), ``kappa`` calls of
+  calls, Lanczos runs and steps with the steps of each run that Simon's
+  estimate reorthogonalized past the ``jacobi.LANCZOS_FULL_STEPS`` that
+  always are, the ``numkit.project_out`` calls with the basis entries they
+  are handed (each read by two products in each of its two passes),
+  ``kappa`` calls of
   ``construct``, ``lambda_k`` calls of ``isospectral`` with the pole
   evaluations they make, calls x g x rows, Gauss-Newton iterations, and
   ``numkit.bisect_root`` calls with their evaluations of the bracketed
@@ -93,7 +100,7 @@ The record holds:
 
 BLAS runs on one thread.  Temporary files go to ``.bench_run/`` in the
 checkout; nothing is written under ``perfbench/``, whose input draws
-are imported.  The sweep takes about 30 s on a 2-core machine, the
+are imported.  The sweep takes about 75 s on a 2-core machine, the
 process layer about 40 s, the whole record about 4 minutes.
 """
 
@@ -124,6 +131,7 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 from scipy.linalg import eigvalsh_tridiagonal  # noqa: E402
 from conftest import make_perturbed_window, roundtrip_inputs  # noqa: E402
+from oracles import longdouble_jacobi  # noqa: E402
 from test_failure_grid import grid_counts, run_grid  # noqa: E402
 from workloads import ONE_GAP, comb_map, perturbed_window, random_gapset  # noqa: E402
 from workloads import surface_seed  # noqa: E402
@@ -138,6 +146,8 @@ PERFBENCH_SEED = 5
 PERFBENCH_SECONDS = 15
 SIZES = (41, 121, 241)
 CONVERT_SIZES = (221, 425, 853, 1281)
+# gmp_to_jacobi_measure at high genus, on the round-trip windows
+CONVERT_WIDE = ((8, 961), (16, 961))
 # As in the convert workload: n_blocks / 2 is odd, which keeps the pole at 0
 # off the spectrum of the coefficient window.
 JACOBI_SIZES = (222, 426, 854)
@@ -271,6 +281,27 @@ def flow_digits(w: GmpWindow) -> dict:
     return out
 
 
+def oracle_err(w: GmpWindow) -> dict:
+    """Largest differences of the a(n) and of the b(n) of
+    ``gmp_to_jacobi_measure(w)`` from the long-double Lanczos."""
+    J = construct.gmp_to_jacobi_measure(w)
+    b, a = longdouble_jacobi(w)
+    return {"a": float(np.max(np.abs(J.a - a))), "b": float(np.max(np.abs(J.b - b)))}
+
+
+def convert_record(g: int, n_blocks: int, w: GmpWindow) -> dict:
+    case = "gmp_to_jacobi_measure"
+    rec = {"layer": "operator", "case": case, "n_blocks": n_blocks, "g": g}
+    rec.update(timed(lambda: construct.gmp_to_jacobi_measure(w)))
+    rec["flow_digits"] = flow_digits(w)
+    rec["oracle_err"] = oracle_err(w)
+    print(f"{case} g={g} n={n_blocks}: best {rec['best_s']:.4f} s, "
+          f"flow digits a {rec['flow_digits']['a']}, b {rec['flow_digits']['b']}, "
+          f"oracle error a {rec['oracle_err']['a']:.1e}, b {rec['oracle_err']['b']:.1e}",
+          file=sys.stderr)
+    return rec
+
+
 def acceptance_sweep() -> list[dict]:
     records = []
     for g in ACCEPT_GENERA:
@@ -363,7 +394,8 @@ def kernel_inputs(g: int, n_pairs: int) -> GmpWindow:
 class Counting:
     """Counts eigensolves, ``delta_of_gmp`` calls with their mapped states,
     ``resolvent_column`` calls with their closed-form pairs, ``h_term`` calls, the
-    Lanczos runs of ``gmp_to_jacobi_measure`` with their steps, the
+    Lanczos runs of ``gmp_to_jacobi_measure`` with their steps and the
+    steps of each that Simon's estimate reorthogonalized, the
     ``numkit.project_out`` calls with the basis entries handed to them, the
     ``kappa`` calls of ``construct``, the ``lambda_k`` calls with their
     pole evaluations and the Jacobians (one per Gauss-Newton iteration)
@@ -378,6 +410,7 @@ class Counting:
         self.closed_pairs = 0
         self.h_term_calls = 0
         self.lanczos_sizes: list[int] = []
+        self.lanczos_reorthogonalized: list[int] = []
         self.project_calls = 0
         self.project_entries = 0
         self.kappa_calls = 0
@@ -413,14 +446,16 @@ class Counting:
             return self._h_term(*args)
 
         def lanczos(*args, **kwargs):
+            before = self.project_calls
             win = self._lanczos(*args, **kwargs)
             self.lanczos_sizes.append(win.size)
+            full = min(jacobi.LANCZOS_FULL_STEPS, win.size - 1)
+            self.lanczos_reorthogonalized.append(self.project_calls - before - full)
             return win
 
         def project(basis, vec):
-            blocks = [basis] if isinstance(basis, np.ndarray) else basis
             self.project_calls += 1
-            self.project_entries += sum(np.size(b) for b in blocks)
+            self.project_entries += np.size(basis)
             return self._project(basis, vec)
 
         def kappa(*args, **kwargs):
@@ -474,6 +509,8 @@ class Counting:
             "lanczos_calls": len(self.lanczos_sizes),
             # one operator product per coefficient b(k)
             "lanczos_steps": sum(self.lanczos_sizes),
+            # per run: the plus half, then the minus half of each conversion
+            "lanczos_reorthogonalized_steps": self.lanczos_reorthogonalized,
             "project_out_calls": self.project_calls,
             "project_out_entries": self.project_entries,
             "kappa_calls": self.kappa_calls,
@@ -524,16 +561,8 @@ def sweep(work: Path) -> list[dict]:
                 records.append(rec)
                 print(f"{case} g={g} n={n_blocks}: best {rec['best_s']:.4f} s",
                       file=sys.stderr)
-        for n_blocks in CONVERT_SIZES:
-            _, w = sweep_inputs(g, n_blocks)
-            case = "gmp_to_jacobi_measure"
-            rec = {"layer": "operator", "case": case, "n_blocks": n_blocks, "g": g}
-            rec.update(timed(lambda: construct.gmp_to_jacobi_measure(w)))
-            rec["flow_digits"] = flow_digits(w)
-            records.append(rec)
-            print(f"{case} g={g} n={n_blocks}: best {rec['best_s']:.4f} s, "
-                  f"flow digits a {rec['flow_digits']['a']}, b {rec['flow_digits']['b']}",
-                  file=sys.stderr)
+        records += [convert_record(g, n, sweep_inputs(g, n)[1]) for n in CONVERT_SIZES]
+    records += [convert_record(g, n, roundtrip_inputs(g, n)[1]) for g, n in CONVERT_WIDE]
     for n_blocks in JACOBI_SIZES:
         d, J = jacobi_inputs(n_blocks)
         case = f"jacobi_to_gmp width={JACOBI_WIDTH}"

@@ -85,6 +85,8 @@ def _load_json(path: str) -> dict:
         raise ValidationError(
             f"{path} is not valid JSON (line {exc.lineno}: {exc.msg})"
         ) from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path} is nested too deeply") from exc
 
 
 def _write_text(text: str, out: str | None) -> None:

@@ -11,9 +11,9 @@ windows and GMP windows: ``jacobi_to_gmp`` orthogonalizes a flag of
 resolvent vectors pinned at the map poles, the ``kappa`` vectors of the
 window and of its one reflection, each checked against the spectrum and
 the truncation, and ``gmp_to_jacobi_measure`` tridiagonalizes the two
-block-banded half-line truncations by Lanczos on their band storage,
-with no eigensolve; each projection reads only the staircase of rows
-the earlier Lanczos vectors occupy.
+block-banded half-line truncations by Lanczos with partial
+reorthogonalization on their band storage, with no eigensolve; each step
+reads only the staircase of rows the earlier Lanczos vectors occupy.
 """
 
 from __future__ import annotations
@@ -369,8 +369,9 @@ def gmp_to_jacobi_measure(w: GmpWindow) -> JacobiWindow:
     index order reversed, from that site.  Block j couples to block j + 1
     only through its slot g, so Lanczos vector k of a half lies on its
     first k + 1 blocks: b(k) reads only those blocks, a(k + 1) one more,
-    and ``lanczos`` projects against earlier vectors over that staircase
-    only, in blocks of ``LANCZOS_BLOCK`` vectors.  The depth rule, blocks
+    and ``lanczos`` reads only that staircase, also where it projects
+    against the earlier vectors: at its first steps, and later where
+    Simon's estimate of their dot products asks.  The depth rule, blocks
     of the half - 1, keeps exactly the b(k) and a(k) that do not depend on
     where the window is cut; a half whose Krylov space is exhausted
     earlier stops there.  The crossing bond a(0) is the norm of the first

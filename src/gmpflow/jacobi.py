@@ -44,12 +44,8 @@ SPECTRUM_MIN_DIST = 1e-6
 KAPPA_NORM_TOL = 1e-6
 BOUNDARY_WEIGHT_TOL = 1e-9
 FD_STEP_REL = 1e-5
-# Vectors per trimmed basis block in ``lanczos``.  Smaller blocks skip more
-# of the basis's known zeros but cost more BLAS calls a step.  On 853-block
-# windows (one BLAS thread) 128 took 27% (g = 1) and 34% (g = 2) off the
-# untrimmed Lanczos, 256 only 21% and 25%, and 64 or 96 no more than 128;
-# halves of at most 128 blocks stay one block, bit for bit untrimmed.
-LANCZOS_BLOCK = 128
+# ``lanczos`` steps that always project (estimates from step 1 cost digits)
+LANCZOS_FULL_STEPS = 32
 
 
 @dataclass(frozen=True)
@@ -187,42 +183,59 @@ def resolvent_r(window: JacobiWindow, z: float) -> float:
 
 def lanczos(matvec, start, depth: int, scale: float, grow: int) -> JacobiWindow:
     """Recurrence coefficients b(0..k) and a(1..k), k <= depth, of a
-    symmetric operator at a unit start vector, by Lanczos with each new
-    vector orthogonalized against all earlier ones (``project_out``).
+    symmetric operator of entries at most ``scale`` at a unit start
+    vector, by Lanczos with partial reorthogonalization (H. D. Simon,
+    Math. Comp. 42, 1984), which keeps the basis semi-orthogonal.
 
     Vector k must lie on the leading (k + 1) * grow rows, as for a banded
     operator of halfwidth <= grow started on its first grow rows; step k
-    applies ``matvec`` to the leading (k + 2) * grow rows only.  The
-    projection reads that staircase too: each full block of
-    ``LANCZOS_BLOCK`` vectors that ends short of the last row is handed
-    to ``project_out`` over the rows it occupies, so the known zeros of
-    the basis are never read.  The run stops at k < depth if the next
-    norm is <= 1e-13 * max(1, scale), where the Krylov space is
-    exhausted.  a(0) is the placeholder 1.0.
+    applies ``matvec`` to the leading (k + 2) * grow rows only, and the
+    first ``LANCZOS_FULL_STEPS`` project its image against every earlier
+    vector over them (``project_out``).  Later steps take the three-term
+    residual and update Simon's signed estimates of the new vector's dot
+    products with vectors j <= k, om'(k) = 0.6 eps n scale / a(k+1) and
+
+        a(k+1) om'(j) = a(j+1) om(j+1) + (b(j) - b(k)) om(j) + a(j) om(j-1)
+                        - a(k) om_prev(j) +- 0.3 eps (a(k) + a(j+1));
+
+    where max |om'| > eps**0.6, that step and the next project instead,
+    which resets om' to eps.  The run stops at k < depth if the next norm
+    is <= 1e-13 * max(1, scale), where the Krylov space is exhausted.
+    a(0) is the placeholder 1.0.
     """
     n = start.size
-    tiny = 1e-13 * max(1.0, scale)
+    tiny, eps = 1e-13 * max(1.0, scale), np.finfo(float).eps
     basis = np.zeros((depth + 1, n))
     basis[0] = start
     bs, a_out = np.empty(depth + 1), np.ones(depth + 1)
-    done, first = [], 0  # trimmed full blocks; first vector of the last block
-    for step in range(depth + 1):
-        rows = min(n, (step + 2) * grow)
-        vec = basis[step, :rows]
+    om = np.full((3, depth + 1), eps)  # the estimates of steps k - 1, k, k + 1 at k % 3
+    again = False  # the last step projected on its estimate
+    for k in range(depth + 1):
+        rows = min(n, (k + 2) * grow)
+        vec = basis[k, :rows]
         image = matvec(vec)
-        bs[step] = vec @ image
-        if step == depth:
+        bs[k] = vec @ image
+        if k == depth:
             break
-        w = numkit.project_out(done + [basis[first : step + 1, :rows]], image)
-        norm = math.sqrt(w @ w)
+        prev, cur, nxt = om[(k - 1) % 3], om[k % 3], om[(k + 1) % 3]
+        cur[k] = 1.0
+        project, again = k < LANCZOS_FULL_STEPS or again, False
+        if not project:
+            w = image - bs[k] * vec - a_out[k] * basis[k - 1, :rows]
+            norm = math.sqrt(w @ w)
+            s = a_out[1 : k + 1] * cur[1 : k + 1] + (bs[:k] - bs[k]) * cur[:k] - a_out[k] * prev[:k]
+            s[1:] += a_out[1:k] * cur[: k - 1]
+            s += np.copysign(0.3 * eps * (a_out[k] + a_out[1 : k + 1]), s)
+            nxt[:k], nxt[k] = s / max(norm, tiny), 0.6 * eps * n * scale / max(norm, tiny)
+            project = again = norm <= tiny or abs(nxt[: k + 1]).max() > eps**0.6
+        if project:
+            w = numkit.project_out(basis[: k + 1, :rows], image)
+            norm = math.sqrt(w @ w)
+            nxt[: k + 1] = eps
         if norm <= tiny:
-            return JacobiWindow(a_out[: step + 1], bs[: step + 1], 0)
-        a_out[step + 1] = norm
-        basis[step + 1, :rows] = w / norm
-        end = first + LANCZOS_BLOCK  # vector end - 1 lies on end * grow rows
-        if step + 2 == end and end * grow < n:
-            done.append(basis[first:end, : end * grow])
-            first = end
+            return JacobiWindow(a_out[: k + 1], bs[: k + 1], 0)
+        a_out[k + 1] = norm
+        basis[k + 1, :rows] = w / norm
     return JacobiWindow(a_out, bs, 0)
 
 
@@ -239,8 +252,7 @@ def lanczos_from_measure(measure: DiscreteMeasure, depth: int) -> JacobiWindow:
             f"< {measure.n_points}, got {depth}"
         )
     x = measure.points
-    scale = float(np.max(np.abs(x)))
-    win = lanczos(lambda v: x * v, np.sqrt(measure.weights), depth, scale, x.size)
+    win = lanczos(lambda v: x * v, np.sqrt(measure.weights), depth, float(np.max(np.abs(x))), x.size)
     if win.size <= depth:
         raise NumericalError(
             f"recurrence broke down at step {win.size}; "

@@ -130,26 +130,11 @@ def solve_tridiagonal(diag, off, rhs, z: float) -> np.ndarray:
     return _checked_solve(np.abs(lu[1]), scale, matvec, back, rhs)
 
 
-def project_out(basis, vec: np.ndarray) -> np.ndarray:
-    """``vec`` minus its components along the rows of ``basis``, which are
-    orthonormal under the dot product.  Classical Gram-Schmidt applied
-    twice (CGS2).
-
-    ``basis`` is one array or a sequence of row blocks.  A block of r
-    columns holds rows that vanish beyond their first r entries, and is
-    read over those only; the last block spans all of ``vec``.  In each
-    pass every block's coefficients come from the pass's input vector:
-    the last block is subtracted as ``vec - (b @ vec) @ b``, each earlier
-    one in place on its leading entries.  A single array is the one-block
-    case, one BLAS product pair a pass.
-    """
-    *older, last = [basis] if isinstance(basis, np.ndarray) else basis
+def project_out(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``vec`` minus its components along the dot-orthonormal rows of
+    ``basis``: classical Gram-Schmidt applied twice (CGS2)."""
     for _ in range(2):
-        out = vec - (last @ vec) @ last
-        for b in older:
-            r = b.shape[1]
-            out[:r] -= (b @ vec[:r]) @ b
-        vec = out
+        vec = vec - (basis @ vec) @ basis
     return vec
 
 

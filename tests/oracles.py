@@ -1,7 +1,8 @@
-"""Double-precision references that the package itself never runs.
+"""References that the package itself never runs.
 
-Each is the dense or closed-form route to a quantity that ``gmpflow``
-computes another way, kept as the oracle its tests compare against:
+Each is the dense, closed-form or fully reorthogonalized route to a
+quantity that ``gmpflow`` computes another way, kept as the oracle its
+tests compare against:
 
 - ``dense(window)``: the n x n tridiagonal matrix of a Jacobi window;
 - ``spectral_measure_plus``: the spectral measure of a one-sided window
@@ -10,16 +11,21 @@ computes another way, kept as the oracle its tests compare against:
 - ``two_by_two_resolvent``: the corner resolvent of a two-sided window,
   checked against the half-line resolvents r_+ and r_-;
 - ``intrinsic_offset``: the constant term of a GMP block's own transfer
-  trace expansion.
+  trace expansion;
+- ``cgs2_lanczos``: Lanczos on a banded matrix with every vector projected
+  against all earlier ones, the loop ``jacobi.lanczos`` ran before it
+  reorthogonalized only where Simon's estimate asks, and its
+  ``np.longdouble`` form ``longdouble_lanczos``, with
+  ``longdouble_jacobi``, that form on the two halves of a GMP window.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from gmpflow import numkit
+from gmpflow import construct, numkit
 from gmpflow.errors import NumericalError, SpectrumProximityError, WindowError
-from gmpflow.gmp import GmpBlock
+from gmpflow.gmp import GmpBlock, GmpWindow
 from gmpflow.jacobi import DiscreteMeasure, JacobiWindow, resolvent_r, spectrum_near
 
 CORNER_IDENTITY_TOL = 1e-8
@@ -92,3 +98,55 @@ def two_by_two_resolvent(window: JacobiWindow, z: float) -> np.ndarray:
 def intrinsic_offset(blk: GmpBlock) -> float:
     """Constant term of the block's own transfer trace expansion."""
     return -float(np.dot(blk.p, blk.q)) / float(blk.p[-1])
+
+
+def cgs2_lanczos(bands, start: np.ndarray, depth: int, grow: int):
+    """b(0..depth) and a(0..depth), a(0) the placeholder 1, of the symmetric
+    banded matrix with upper diagonals ``bands`` at the unit vector
+    ``start``, by Lanczos in the dtype of ``start`` with every new vector
+    projected twice against all earlier ones (CGS2).  Step k reads the
+    leading (k + 2) * grow rows, the staircase of ``jacobi.lanczos``; in
+    double precision its steps before ``LANCZOS_FULL_STEPS`` are that
+    function's, bit for bit."""
+    n = start.size
+    basis = np.zeros((depth + 1, n), dtype=start.dtype)
+    basis[0] = start
+    b, a = np.empty(depth + 1, dtype=start.dtype), np.ones(depth + 1, dtype=start.dtype)
+    for k in range(depth + 1):
+        rows = min(n, (k + 2) * grow)
+        vec = basis[k, :rows]
+        image = numkit.banded_matvec(bands, vec)
+        b[k] = vec @ image
+        if k == depth:
+            break
+        w, earlier = image, basis[: k + 1, :rows]
+        for _ in range(2):
+            if w.dtype == np.float64:  # the products of numkit.project_out
+                w = w - (earlier @ w) @ earlier
+            else:  # einsum runs about twice as fast as matmul on np.longdouble
+                w = w - np.einsum("i,ij->j", np.einsum("ij,j->i", earlier, w), earlier)
+        a[k + 1] = np.sqrt(w @ w)
+        basis[k + 1, :rows] = w / a[k + 1]
+    return b, a
+
+
+def longdouble_lanczos(bands, start, depth: int, grow: int):
+    """``cgs2_lanczos`` in ``np.longdouble``, its double input taken as exact."""
+    return cgs2_lanczos(np.asarray(bands, np.longdouble),
+                        np.asarray(start, np.longdouble), depth, grow)
+
+
+def longdouble_jacobi(w: GmpWindow) -> tuple[np.ndarray, np.ndarray]:
+    """b and a of ``construct.gmp_to_jacobi_measure(w)`` in its site order,
+    from ``longdouble_lanczos`` on the band storage of the same two halves
+    at the same start vectors and depths, and a(0) = |p| of block 0."""
+    per, k0 = w.g + 1, -w.j_min
+    p0 = np.asarray(w.block(0).p, np.longdouble)
+    a0 = np.sqrt(p0 @ p0)
+    plus = construct._half_bands(w, k0, w.n_blocks, False)
+    minus = construct._half_bands(w, 0, k0, True)
+    bp, ap = longdouble_lanczos(plus, np.pad(p0 / a0, (0, plus.shape[1] - per)),
+                                plus.shape[1] // per - 1, per)
+    bm, am = longdouble_lanczos(minus, np.eye(1, minus.shape[1])[0],
+                                minus.shape[1] // per - 1, per)
+    return np.concatenate([bm[::-1], bp]), np.concatenate(([1.0], am[:0:-1], [a0], ap[1:]))

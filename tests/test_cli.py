@@ -1026,9 +1026,10 @@ class TestOverflowingEntries:
 
 
 class TestFileFaults:
-    """An input file that is not UTF-8, and an ``--out`` path inside a
-    missing directory or naming a directory, end in one stderr line and
-    exit 1, for every subcommand."""
+    """An input file that is not UTF-8 or nests its arrays too deeply for
+    the JSON decoder, and an ``--out`` path inside a missing directory or
+    naming a directory, end in one stderr line and exit 1, for every
+    subcommand."""
 
     @staticmethod
     def argv(command, tmp_path, monkeypatch) -> list[str]:
@@ -1063,6 +1064,16 @@ class TestFileFaults:
         assert capsys.readouterr() == ("", (
             f"validation error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff "
             "in position 0: invalid start byte\n"))
+
+    @pytest.mark.parametrize("command, index", INPUTS)
+    def test_input_nested_too_deeply(self, tmp_path, capsys, monkeypatch, command, index):
+        argv = self.argv(command, tmp_path, monkeypatch)
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 3000, encoding="utf-8")
+        argv[1 + index] = str(deep)
+        capsys.readouterr()
+        assert cli.main(argv) == 1
+        assert capsys.readouterr() == ("", f"validation error: {deep} is nested too deeply\n")
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_out_in_missing_directory(self, tmp_path, capsys, monkeypatch, command):

@@ -28,14 +28,15 @@ from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
 from gmpflow.flow import flow_run
 from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense
 from gmpflow.jacobi import (
-    LANCZOS_BLOCK,
+    LANCZOS_FULL_STEPS,
     DiscreteMeasure,
     JacobiWindow,
     kappa,
+    lanczos,
     lanczos_from_measure,
 )
 
-from oracles import dense, two_by_two_resolvent
+from oracles import dense, longdouble_jacobi, two_by_two_resolvent
 from conftest import (
     half_line_measures,
     make_estar_gapset,
@@ -740,11 +741,11 @@ class TestGmpToJacobiMeasure:
 
     @pytest.mark.parametrize("g, n_blocks", [(1, 600), (2, 400)])
     def test_matches_dense_route_beyond_one_basis_block(self, g, n_blocks):
-        # halves deeper than LANCZOS_BLOCK: the projections read trimmed blocks
+        # halves deeper than the full steps: Simon's estimate decides
         w = surface_window(g, n_blocks // 2)
         w = GmpWindow(w.P[:-1], w.Q[:-1], w.c, w.j_min)
         half = n_blocks // 2
-        assert half > LANCZOS_BLOCK
+        assert half > 4 * LANCZOS_FULL_STEPS
         J = gmp_to_jacobi_measure(w)
         for side, (measure, depth) in zip((1, -1), half_line_measures(w)):
             ref = lanczos_from_measure(measure, depth)
@@ -752,6 +753,51 @@ class TestGmpToJacobiMeasure:
             assert b.size == ref.size == half
             assert np.max(np.abs(b - ref.b)) <= 1e-12
             assert np.max(np.abs(a - ref.a[1:])) <= 1e-12
+
+    @pytest.mark.parametrize("g, n_blocks", [(1, 600), (2, 400)])
+    def test_basis_stays_semi_orthogonal(self, g, n_blocks, monkeypatch):
+        # each half's Lanczos vectors, read off the operator products, and
+        # the steps that project: all of the first 32, then a few that
+        # Simon's estimate asks for
+        w = surface_window(g, n_blocks // 2)
+        w = GmpWindow(w.P[:-1], w.Q[:-1], w.c, w.j_min)
+        runs, project = [], numkit.project_out
+
+        def recording(matvec, start, *args):
+            runs.append(([], []))
+
+            def spy(v):
+                runs[-1][0].append(np.pad(v, (0, start.size - v.size)))
+                return matvec(v)
+
+            return lanczos(spy, start, *args)
+
+        def counting(basis, vec):
+            runs[-1][1].append(basis.shape[0] - 1)
+            return project(basis, vec)
+
+        monkeypatch.setattr(construct, "lanczos", recording)
+        monkeypatch.setattr(numkit, "project_out", counting)
+        gmp_to_jacobi_measure(w)
+        assert len(runs) == 2
+        later = []
+        for vecs, steps in runs:
+            Q = np.array(vecs)
+            assert Q.shape[0] == n_blocks // 2
+            assert np.max(np.abs(Q @ Q.T - np.eye(Q.shape[0]))) <= np.sqrt(np.finfo(float).eps)
+            assert steps[:LANCZOS_FULL_STEPS] == list(range(LANCZOS_FULL_STEPS))
+            later.append(len(steps) - LANCZOS_FULL_STEPS)
+        # measured: 20 + 20 at g = 1, 2 + 0 at g = 2
+        assert 0 < sum(later) and max(later) < n_blocks // 8
+
+    @pytest.mark.parametrize("g, n_blocks", [(1, 221), (2, 221), (4, 221), (8, 221),
+                                             (16, 221), (1, 853)])
+    def test_within_1e13_of_the_longdouble_lanczos(self, g, n_blocks):
+        _, w = roundtrip_inputs(g, n_blocks)
+        J = gmp_to_jacobi_measure(w)
+        b, a = longdouble_jacobi(w)
+        assert np.max(np.abs(J.b - b)) <= 1e-13
+        assert np.max(np.abs(J.a - a)) <= 1e-13
 
     def test_exhausted_half_stops_at_breakdown(self):
         # block 3 hangs on by p = (0, 1e-300): the plus half splits after

@@ -21,7 +21,7 @@ from gmpflow.errors import (
 from gmpflow.finitegap import SQUARE_MAX
 from gmpflow.gmp import GmpWindow
 from gmpflow.jacobi import (
-    LANCZOS_BLOCK,
+    LANCZOS_FULL_STEPS,
     DiscreteMeasure,
     JacobiWindow,
     boundary_weight,
@@ -35,6 +35,7 @@ from gmpflow.jacobi import (
 )
 from oracles import (
     cauchy_transform,
+    cgs2_lanczos,
     dense,
     moment,
     spectral_measure_plus,
@@ -365,42 +366,46 @@ class TestLanczosFromMeasure:
 
 
 class TestLanczos:
-    def test_banded_basis_vanishes_beyond_its_staircase(self, monkeypatch):
-        # the plus half of a 601-block window, halfwidth 2 and 301 steps:
-        # the trimmed run reads two full blocks over their staircase only
-        w = make_perturbed_window(make_p1_block(), [0.0], half=300)
-        bands = construct._half_bands(w, 300, w.n_blocks, False)
+    @staticmethod
+    def plus_half(half: int = 300):
+        """Band storage, start and depth of the plus half of a 2 * half + 1
+        block window at g = 1: halfwidth 2, half + 1 steps."""
+        w = make_perturbed_window(make_p1_block(), [0.0], half=half)
+        bands = construct._half_bands(w, half, w.n_blocks, False)
+        return bands, np.eye(1, bands.shape[1])[0], bands.shape[1] // 2 - 1
+
+    def test_banded_basis_vanishes_beyond_its_staircase(self):
+        bands, start, depth = self.plus_half()
         grow, n = 2, bands.shape[1]
-        depth = n // grow - 1
-        assert depth > 2 * LANCZOS_BLOCK
         dense = np.diag(bands[0])
         for d in range(1, grow + 1):
             dense += np.diag(bands[d][: n - d], d) + np.diag(bands[d][: n - d], -d)
-        start = np.eye(1, n)[0]
         seen = []
 
         def full(v):
             seen.append(v.copy())
             return dense @ v
 
-        # grow = n: every step reads every row, nothing is trimmed
+        # grow = n: every step reads every row
         ref = lanczos(full, start, depth, 1.0, n)
         assert ref.size == depth + 1
         for k, vec in enumerate(seen):
             assert not np.any(vec[(k + 1) * grow :])
-        shapes = []
-        project = numkit.project_out
-
-        def spy(basis, vec):
-            shapes.append([np.shape(blk) for blk in basis])
-            return project(basis, vec)
-
-        monkeypatch.setattr(numkit, "project_out", spy)
         got = lanczos(partial(numkit.banded_matvec, bands), start, depth, 1.0, grow)
-        # the last step reads vectors 0..299: two trimmed blocks, then the rest
-        assert shapes[-1] == [(128, 256), (128, 512), (depth - 256, n)]
         assert np.max(np.abs(got.b - ref.b)) <= 1e-13
         assert np.max(np.abs(got.a - ref.a)) <= 1e-13
+
+    def test_full_steps_are_the_cgs2_loop_bitwise(self):
+        # b(0..31) and a(1..32) come from the full projections alone
+        bands, start, depth = self.plus_half()
+        got = lanczos(partial(numkit.banded_matvec, bands), start, depth, 1.0, 2)
+        b_ref, a_ref = cgs2_lanczos(bands, start, depth, 2)
+        k = LANCZOS_FULL_STEPS
+        assert np.array_equal(got.b[:k], b_ref[:k])
+        assert np.array_equal(got.a[: k + 1], a_ref[: k + 1])
+        assert not np.array_equal(got.b, b_ref)
+        assert np.max(np.abs(got.b - b_ref)) <= 1e-13
+        assert np.max(np.abs(got.a - a_ref)) <= 1e-13
 
 
 class TestSpectrumNear:

@@ -246,39 +246,6 @@ class TestProjectOut:
         vec = np.array([1.0, -2.0, 3.0])
         np.testing.assert_array_equal(numkit.project_out(np.zeros((0, 3)), vec), vec)
 
-    @staticmethod
-    def staircase(rng, n_rows, n, grow):
-        """Orthonormal rows, row k vanishing beyond its first (k + 1) * grow
-        entries, as the Lanczos basis of a banded operator does."""
-        q, _ = np.linalg.qr(rng.normal(size=(n, n_rows)))
-        rows = q[:, :n_rows].T.copy()
-        for k in range(n_rows):
-            rows[k, (k + 1) * grow :] = 0.0
-        # re-orthonormalize row by row: row k keeps the staircase
-        for k in range(n_rows):
-            for j in range(k):
-                rows[k] -= (rows[j] @ rows[k]) * rows[j]
-            rows[k] /= np.linalg.norm(rows[k])
-        return rows
-
-    def test_row_blocks_match_one_array(self):
-        # blocks of 8 rows, each read over the columns its last row reaches
-        rng = np.random.default_rng(23)
-        grow, n_rows = 3, 30
-        n = (n_rows + 1) * grow
-        rows = self.staircase(rng, n_rows, n, grow)
-        vec = rng.normal(size=n)
-        blocks = [rows[i : i + 8, : (i + 8) * grow] for i in (0, 8, 16)] + [rows[24:]]
-        whole = numkit.project_out(rows, vec)
-        got = numkit.project_out(blocks, vec)
-        assert np.max(np.abs(got - whole)) <= 1e-15 * np.max(np.abs(vec))
-
-    def test_single_block_is_the_one_array_form_bitwise(self):
-        rng = np.random.default_rng(29)
-        rows = self.staircase(rng, 12, 40, 3)
-        vec = rng.normal(size=40)
-        assert np.array_equal(numkit.project_out([rows], vec), numkit.project_out(rows, vec))
-
 
 class TestSymEigen:
     def test_diagonal(self):
