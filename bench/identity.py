@@ -11,8 +11,9 @@ no perfbench pool reaches), ``gmpflow selftest``, and every case of the
 typed-failure grid of ``tests/test_failure_grid.py``.  Each runs in
 process through ``gmpflow.cli.main`` with BLAS on one thread.  A job's
 digest lines hash, for each of its calls, the exit code (or the uncaught
-exception), stdout and stderr, together with the bytes of the job's
-output files, read after its last call.  The selftest report is hashed
+exception), stdout and stderr, together with the bytes of the files that
+call wrote (its ``--out`` paths), read right after it; so a moved line
+names the call whose bytes changed.  The selftest report is hashed
 with its elapsed times stripped.  A grid case's digest hashes its exit
 code and stderr, with its work directory written as ``<work>``.  Output
 lines are ``<pool>/<job index>/<label> <call index> <sha256>``; for a
@@ -79,13 +80,19 @@ def digest(*parts: str | bytes) -> str:
     return h.hexdigest()
 
 
+def call_digest(argv: list[str]) -> str:
+    """Digest of one call's outcome and of the files it wrote."""
+    result = run_call(argv)
+    written = [Path(path) for flag, path in zip(argv, argv[1:]) if flag == "--out"]
+    files = [p.read_bytes() if p.is_file() else b"<missing>" for p in written]
+    return digest(*result, *files)
+
+
 def pool_lines(name: str, pool) -> list[str]:
     lines = []
     for i, job in enumerate(pool.jobs):
-        results = [run_call(argv) for argv in job.calls]
-        files = [p.read_bytes() if p.is_file() else b"<missing>" for p in job.outputs]
-        for k, result in enumerate(results):
-            lines.append(f"{name}/{i}/{job.label} {k} {digest(*result, *files)}")
+        for k, argv in enumerate(job.calls):
+            lines.append(f"{name}/{i}/{job.label} {k} {call_digest(argv)}")
     return lines
 
 

@@ -9,7 +9,7 @@ The record holds:
   named in ``BENCHMARK.json``, each started through ``/bin/sh`` so that
   its ``peak_rss_mb`` is its own (see ``LAUNCHER``);
 - a scale sweep of ``ks.delta_of_gmp`` and of ``gmpflow ks --steps 8``
-  over n_blocks in {41, 121, 241}, and of
+  over n_blocks in {41, 121, 241}, and 481 at g = 2, and of
   ``construct.gmp_to_jacobi_measure`` over n_blocks in {221, 425, 853,
   1281}, each at g in {1, 2}, on windows built as
   ``tests/conftest.make_perturbed_window`` builds them around the
@@ -63,7 +63,7 @@ The record holds:
 - each sweep record is ``{layer, case, n_blocks, g, best_s, median_s,
   counters}`` (``sites`` too for the Jacobi windows, ``band_edge_err``
   for the comb maps; ``n_blocks`` counts the pairs for
-  ``lambda_sharp``), the counters (eigensolves,
+  ``lambda_sharp``), the counters (eigensolves with the order of each,
   ``delta_of_gmp`` calls with the states they map, ``resolvent_column``
   calls with the closed-form (state, block) pairs they hold, ``ks.h_term``
   calls, Lanczos runs and steps with the steps of each run that Simon's
@@ -145,6 +145,8 @@ from gmpflow.gmp import GmpBlock, GmpWindow  # noqa: E402
 PERFBENCH_SEED = 5
 PERFBENCH_SECONDS = 15
 SIZES = (41, 121, 241)
+# the ks sweep's longer windows, by genus
+KS_WIDE = {2: (481,)}
 CONVERT_SIZES = (221, 425, 853, 1281)
 # gmp_to_jacobi_measure at high genus, on the round-trip windows
 CONVERT_WIDE = ((8, 961), (16, 961))
@@ -481,10 +483,8 @@ class Counting:
             return self._bisect(counted, lo, hi)
 
         numkit.sym_eigen, numkit.bisect_root, numkit.project_out = eig, bisect, project
-        # delta_of_gmp and functional_report look the names up in ks; cli
-        # holds its own delta_of_gmp
+        # map_run, delta_of_gmp and functional_report look the names up in ks
         ks.delta_of_gmp, ks.h_term, ks.resolvent_column = delta, h_term, closed
-        cli.delta_of_gmp = delta
         construct.lanczos, construct.kappa = lanczos, kappa
         isospectral.lambda_k, isospectral._fd_jacobian = lambda_k, jacobian
         return self
@@ -493,7 +493,6 @@ class Counting:
         numkit.sym_eigen, numkit.bisect_root = self._eig, self._bisect
         numkit.project_out = self._project
         ks.delta_of_gmp, ks.h_term, ks.resolvent_column = self._delta, self._h_term, self._closed
-        cli.delta_of_gmp = self._delta
         construct.lanczos, construct.kappa = self._lanczos, self._kappa
         isospectral.lambda_k, isospectral._fd_jacobian = self._lambda_k, self._jacobian
 
@@ -501,6 +500,8 @@ class Counting:
         return {
             "sym_eigen_calls": len(self.eig_rows),
             "sym_eigen_rows_max": max(self.eig_rows, default=0),
+            # the order of each eigensolve, in call order
+            "sym_eigen_rows": self.eig_rows,
             "delta_of_gmp_calls": self.delta_calls,
             "delta_of_gmp_states": self.delta_states,
             "resolvent_column_calls": self.closed_calls,
@@ -543,7 +544,7 @@ def timed(fn) -> dict:
 def sweep(work: Path) -> list[dict]:
     records = []
     for g in GAP_SETS:
-        for n_blocks in SIZES:
+        for n_blocks in SIZES + KS_WIDE.get(g, ()):
             d, w = sweep_inputs(g, n_blocks)
             window = work / f"ks-g{g}-n{n_blocks}.json"
             cmap = work / f"map-g{g}.json"

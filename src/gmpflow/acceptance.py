@@ -40,6 +40,7 @@ from .ks import (
     density_identity,
     functional_report,
     ks_diagnostics,
+    map_run,
     telescoping_check,
 )
 
@@ -360,7 +361,7 @@ def criterion_functional() -> tuple[list, str]:
     d = _estar_delta()
     w = _p1_window(27, j_min=-13)
     traj = flow_run(w, 4)
-    rep = functional_report(delta_of_gmp(traj.states, d, 3))
+    rep = functional_report(map_run(traj.states, d, 3))
     surface_dev = max(
         float(np.max(np.abs(rep.row_terms[0]))),
         float(np.max(np.abs(rep.h_origin))),

@@ -38,7 +38,7 @@ from .flow import flow_run
 from .gmp import VALIDITY_FLOOR, GmpBlock, GmpWindow
 from .isospectral import solve_is_point
 from .jacobi import JacobiWindow, dist_eta
-from .ks import DIVERGENCE_SLOPE, delta_of_gmp, ks_diagnostics, telescoping_check
+from .ks import DIVERGENCE_SLOPE, ks_diagnostics, map_run, telescoping_check
 
 log = logging.getLogger("gmpflow.cli")
 
@@ -177,7 +177,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
 def cmd_ks(args: argparse.Namespace) -> int:
     """Tabulate the entropy functional and summability families as CSV.
 
-    One row per step n = 0..N-1: the origin entropy of state n, its
+    ``map_run`` maps the flow run's states 0..N: two eigensolves, at
+    the ends, and the states between carried along the flow.  One row
+    per step n = 0..N-1: the origin entropy of state n, its
     spatial partial sum over the shared trusted rows, the one-step drop
     and its running sum, the n-step telescoping residual, and each
     coefficient family with its running sum of squares.  A footer line
@@ -186,7 +188,7 @@ def cmd_ks(args: argparse.Namespace) -> int:
     w = GmpWindow.from_json(_load_json(args.window))
     d = DeltaData.from_json(_load_json(args.delta))
     traj = flow_run(w, args.steps)
-    run = delta_of_gmp(traj.states, d, args.margin)
+    run = map_run(traj.states, d, args.margin)
     rep = telescoping_check(run)["report"]  # the run's entropy ledger
     slope_tol = DIVERGENCE_SLOPE if args.tol is None else args.tol
     diag = ks_diagnostics(traj.states, d, slope_tol)

@@ -166,17 +166,27 @@ class GmpWindow:
 
     @classmethod
     def from_json(cls, data: dict) -> "GmpWindow":
+        """The window of ``to_json``'s form.  ``"g"`` may be left out; if
+        present it must be the genus of the blocks."""
         try:
-            P = [np.array(b["p"], dtype=float) for b in data["blocks"]]
-            Q = [np.array(b["q"], dtype=float) for b in data["blocks"]]
+            blocks = data["blocks"]
+            try:  # one array per key
+                P, Q = (np.array([b[key] for b in blocks], dtype=float) for key in "pq")
+                shapes = sorted({P.shape[1:], Q.shape[1:]})
+            except (KeyError, TypeError, ValueError):  # ragged or bad: one block at a time
+                P, Q = ([np.array(b[key], dtype=float) for b in blocks] for key in "pq")
+                shapes = sorted({row.shape for row in P + Q})
             c = np.array(data["C"], dtype=float)
             j_min = integral(data["j_min"], "j_min")
+            g = integral(data["g"], "g") if "g" in data else None
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed window data: {exc}") from exc
-        shapes = sorted({row.shape for row in P + Q})
         if len(shapes) > 1:
             raise ValidationError(f"p and q of every block must share one shape, got {shapes}")
-        return cls(P, Q, c, j_min)
+        window = cls(P, Q, c, j_min)
+        if g not in (None, window.g):
+            raise ValidationError(f"window key g is {g} but its blocks have genus {window.g}")
+        return window
 
 
 def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,10 +6,15 @@ step right of it and their transposes one step left.  A periodic window
 solving the magic identity maps exactly to the two-shift pattern
 (identity off-diagonal blocks, zero diagonal blocks), and the entropy
 term of a block triple measures the deviation from that pattern.
-``delta_of_gmp`` is the one route that applies the map: it maps every
-window of a flow run, checks every column of the trusted block rows
-against the band, extracts the blocks, and checks the eigen route of the
-whole run against the closed-form resolvent columns in one stacked call.
+``delta_of_gmp`` is the eigen route, which applies the map to any
+sequence of windows: it checks every column of the trusted block rows
+against the band, extracts the blocks, and checks them against the
+closed-form resolvent columns in one stacked call.  A flow step is an
+orthogonal block conjugation followed by a one-slot shift, and the map
+commutes with both, so ``map_run`` maps a flow run with two eigensolves:
+the eigen route at its ends, and every state between carried from the
+one before (``carry_blocks``).  Both routes share one sign normalisation
+(``normalized_blocks``).
 This module sums the per-block entropy terms,
 evaluates the exact one-step drop of the functional under the flow,
 checks the telescoping identity relating a flow run to a single shift,
@@ -28,7 +33,7 @@ import numpy as np
 from . import numkit
 from .errors import NumericalError, SpectrumProximityError, ValidationError, WindowError
 from .finitegap import DeltaData, check_distinct_poles
-from .flow import jacobi_flow_step
+from .flow import jacobi_flow_step, u_block
 from .gmp import GmpBlock, GmpWindow, assemble_dense, pattern_defect, resolvent_column
 from .isospectral import is_residual
 
@@ -38,6 +43,9 @@ SPECTRUM_GAP_REL = 1e-10
 BAND_DEFECT_REL = 1e-8
 # Absolute tolerance for the closed-form resolvent column cross-check.
 RESOLVENT_CHECK_TOL = 1e-8
+# Largest deviation of a carried state from its own eigen route, relative
+# to the scale of its blocks.
+CARRY_DRIFT_REL = 1e-11
 # Outer band diagonal entries below this scale make the log term meaningless.
 DIAGONAL_FLOOR_REL = 1e-12
 # Cesaro slope of squared partial sums above which a sequence is flagged.
@@ -57,19 +65,24 @@ class DeltaBlocks:
     are read-only stacks, ``(span + 1, g + 1, g + 1)`` and
     ``(span, g + 1, g + 1)`` for the ``span`` block rows j_lo..j_hi.
     Signs are normalised so every coupling block has positive diagonal,
-    which keeps the log-determinant terms real.
+    which keeps the log-determinant terms real.  ``signs``, when the
+    blocks come from a window (see ``normalized_blocks``), holds in row i
+    the signs applied to the slots of block j_lo + i, those of block
+    j_lo - 1 being kept; ``raw`` undoes them.
     """
 
     j_lo: int
     v_blocks: np.ndarray
     w_blocks: np.ndarray
+    signs: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         V, W = (np.asarray(arr, dtype=float) for arr in (self.v_blocks, self.w_blocks))
         if len(V) != len(W) + 1:
             raise ValidationError("coupling block count must be the diagonal block count plus one")
-        for arr in (V, W):
-            arr.flags.writeable = False
+        for arr in (V, W, self.signs):
+            if arr is not None:
+                arr.flags.writeable = False
         vars(self).update(v_blocks=V, w_blocks=W)  # frozen: bypass __setattr__
 
     @property
@@ -85,6 +98,15 @@ class DeltaBlocks:
         if not self.j_lo <= j <= self.j_hi + 1:
             raise WindowError(f"coupling block {j} outside trusted range")
         return self.v_blocks[j - self.j_lo]
+
+    def raw(self) -> tuple[np.ndarray, np.ndarray]:
+        """Coupling and diagonal blocks in the sign gauge of the window they
+        were mapped from: ``signs`` undone, which is exact."""
+        if self.signs is None:
+            raise ValidationError("blocks without their signs have no raw form")
+        prev = np.vstack([np.ones_like(self.signs[:1]), self.signs[:-1]])
+        return (_flip(self.v_blocks, prev, self.signs),
+                _flip(self.w_blocks, self.signs[:-1], self.signs[:-1]))
 
     def column_shares(self, first: int, last: int) -> np.ndarray:
         """Entropy share of each scalar column of block rows first..last.
@@ -108,12 +130,36 @@ class DeltaBlocks:
         return 0.5 * norm_sq - 1.0 - np.log(outer)
 
 
-def delta_of_gmp(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list[DeltaBlocks]:
-    """Blocks of the comb map applied to each wrapped window of a run.
+def _flip(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each block times the signs of its rows and of its columns."""
+    return (rows[:, :, None] * cols[:, None, :]) * blocks
 
-    ``states`` is a flow run, or any sequence of windows sharing one pole
-    list (one window included); the result holds one ``DeltaBlocks`` per
-    window.  Each window's dense matrix is wrapped by coupling its last
+
+def normalized_blocks(
+    j_lo: int, raw_v: np.ndarray, raw_w: np.ndarray, scale: float, state: str = ""
+) -> DeltaBlocks:
+    """``DeltaBlocks`` from the raw couplings j_lo..j_hi + 1 and diagonal
+    blocks j_lo..j_hi of a mapped operator, for both routes: the slots of
+    each block row get the signs that make every coupling diagonal
+    positive.  An entry of those diagonals below ``DIAGONAL_FLOOR_REL``
+    times ``scale`` raises NumericalError, its message led by ``state``.
+    """
+    diag = np.diagonal(raw_v, axis1=1, axis2=2)
+    if np.min(np.abs(diag)) < DIAGONAL_FLOOR_REL * scale:
+        raise NumericalError(f"{state}coupling block has a vanishing diagonal entry")
+    eps = np.cumprod(np.sign(diag), axis=0)
+    eps_prev = np.vstack([np.ones_like(eps[:1]), eps[:-1]])
+    return DeltaBlocks(j_lo, _flip(raw_v, eps_prev, eps), _flip(raw_w, eps[:-1], eps[:-1]), eps)
+
+
+def delta_of_gmp(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list[DeltaBlocks]:
+    """Blocks of the comb map applied to each wrapped window of a run: the
+    eigen route.
+
+    ``states`` is any sequence of windows sharing one pole list (one
+    window included); the result holds one ``DeltaBlocks`` per window,
+    each at the cost of one eigensolve (``map_run`` maps a flow run with
+    two).  Each window's dense matrix is wrapped by coupling its last
     block row to the first block's interaction vector, the same
     convention as between consecutive blocks, and the map is evaluated
     through one symmetric eigendecomposition: each pole contributes its
@@ -173,7 +219,6 @@ def delta_of_gmp(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list
         cols = np.arange(j_lo, j_hi + 2) - window.j_min
         rows = cols + np.arange(-1, 1)[:, None]
         raw_v, raw_w = mapped.reshape(n, per, n, per)[rows, :, cols, :]
-        raw_w = raw_w[:-1]
 
         for j in (0, 1):
             if d.g and j_lo <= j - 1 and j_hi >= j + 1:
@@ -182,13 +227,7 @@ def delta_of_gmp(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list
                 pairs.append((window, j))
                 checks.append((trusted, col))
 
-        diag = np.diagonal(raw_v, axis1=1, axis2=2)
-        if np.min(np.abs(diag)) < DIAGONAL_FLOOR_REL * m_scale:
-            raise NumericalError("coupling block has a vanishing diagonal entry")
-        eps = np.cumprod(np.sign(diag), axis=0)
-        eps_prev = np.vstack([np.ones(per), eps[:-1]])
-        v_blocks = (eps_prev[:, :, None] * eps[:, None, :]) * raw_v
-        out.append(DeltaBlocks(j_lo, v_blocks, (eps[:-1, :, None] * eps[:-1, None, :]) * raw_w))
+        out.append(normalized_blocks(j_lo, raw_v, raw_w[:-1], m_scale))
 
     for (trusted, col), closed in zip(checks, resolvent_column(pairs)):
         if closed is None:  # the closed form is undefined here
@@ -197,6 +236,77 @@ def delta_of_gmp(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list
         if err > RESOLVENT_CHECK_TOL:
             raise NumericalError(f"resolvent column deviates from its closed form by {err:.3e}")
     return out
+
+
+def carry_blocks(
+    window: GmpWindow, j_lo: int, raw_v: np.ndarray, raw_w: np.ndarray, state: str = ""
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Raw mapped blocks of the flow step of ``window`` from its own.
+
+    The step conjugates by the ``u_block`` rotations and shifts by one
+    slot, and the comb map commutes with both.  So the raw couplings
+    j_lo..j_hi + 1 and diagonal blocks j_lo..j_hi are conjugated by the
+    rotations of blocks j_lo - 1..j_hi + 1 and re-blocked: new block j is
+    old block j's slots 1..g and old block j + 1's slot 0.  Returns the
+    couplings j_lo + 1..j_hi and diagonal blocks j_lo + 1..j_hi - 1 of the
+    stepped window (its eigen route's trusted range) and the scale of
+    the conjugated blocks.  Entries the shift leaves outside the band
+    (slot 0 of a conjugated coupling against its slots 1..g, the upper
+    triangle of a new coupling) above ``BAND_DEFECT_REL`` times that
+    scale raise NumericalError, its message led by ``state``.
+    """
+    g, lo = window.g, j_lo - 1 - window.j_min
+    u = u_block(window.P[lo : lo + len(raw_v) + 1])
+    u_t = np.swapaxes(u, 1, 2)
+    cv = u_t[:-1] @ raw_v @ u[1:]
+    cw = u_t[1:-1] @ raw_w @ u[1:-1]
+    cw = 0.5 * (cw + np.swapaxes(cw, 1, 2))
+    scale = max(1.0, float(np.max(np.abs(cv))), float(np.max(np.abs(cw))))
+    new_v = np.zeros_like(cv[2:])
+    new_v[:, :g, :g] = cv[1:-1, 1:, 1:]
+    new_v[:, g, :g] = cw[1:, 0, 1:]
+    new_v[:, g, g] = cv[2:, 0, 0]
+    new_w = np.empty_like(cw[2:])
+    new_w[:, :g, :g] = cw[1:-1, 1:, 1:]
+    new_w[:, :g, g] = new_w[:, g, :g] = cv[2:-1, 1:, 0]
+    new_w[:, g, g] = cw[2:, 0, 0]
+    defect = max(float(np.max(np.abs(cv[:, 0, 1:]), initial=0.0)),
+                 float(np.max(np.abs(np.triu(new_v, 1)), initial=0.0)))
+    if defect > BAND_DEFECT_REL * scale:
+        raise NumericalError(f"{state}carried operator lost its band structure: "
+                             f"defect {defect:.3e}")
+    return new_v, new_w, scale
+
+
+def map_run(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list[DeltaBlocks]:
+    """Blocks of the comb map applied to the states 0..N of a flow run.
+
+    One ``delta_of_gmp`` call maps states 0 and N, with every check of
+    the eigen route; every later state is carried from the one before
+    (``carry_blocks``), each check naming its state.  So a run costs two
+    eigensolves, and every trusted range is the eigen route's.  The
+    carried state N must agree with the eigen route's within
+    ``CARRY_DRIFT_REL`` times its scale; the eigen route's is returned.
+    """
+    for n, (st, nxt) in enumerate(zip(states, states[1:]), 1):
+        if (nxt.j_min, nxt.n_blocks) != (st.j_min + 1, st.n_blocks - 2):
+            raise ValidationError(f"state {n} is not a flow step of state {n - 1}")
+    ends = delta_of_gmp([*states[:1], *states[1:][-1:]], d, margin)
+    run = ends[:1]
+    raw_v, raw_w = run[0].raw()
+    for n, st in enumerate(states[:-1], 1):
+        j_lo = run[-1].j_lo
+        raw_v, raw_w, scale = carry_blocks(st, j_lo, raw_v, raw_w, f"state {n}: ")
+        run.append(normalized_blocks(j_lo + 1, raw_v, raw_w, scale, f"state {n}: "))
+    if len(states) > 1:
+        carried, mapped = run[-1], ends[-1]
+        drift = max(float(np.max(np.abs(carried.v_blocks - mapped.v_blocks))),
+                    float(np.max(np.abs(carried.w_blocks - mapped.w_blocks))))
+        if drift > CARRY_DRIFT_REL * scale:
+            raise NumericalError(f"state {len(states) - 1}: carried blocks deviate from "
+                                 f"the eigen route by {drift:.3e}")
+        run[-1] = mapped
+    return run
 
 
 def h_term(v0: np.ndarray, w0: np.ndarray, v1: np.ndarray) -> float | np.ndarray:
@@ -316,7 +426,7 @@ def telescoping_check(run: Sequence[DeltaBlocks]) -> dict:
     """Compare flow runs of every length against a single index shift.
 
     ``run`` holds the mapped states 0..N of a flow run (see
-    ``delta_of_gmp``).  Its entropy ledger compares, for every n = 1..N,
+    ``map_run``).  Its entropy ledger compares, for every n = 1..N,
     the run against the run of the window relabelled by one block; to
     it this adds the matching determinant chain identity for the outer
     corner entries of the coupling blocks at n = N.

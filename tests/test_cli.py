@@ -107,7 +107,7 @@ def reference_ks_table(w: GmpWindow, d: DeltaData, steps: int, margin: int) -> l
     """Header and rows of ``ks``'s table spelled as one header list and one
     row loop over the steps, independent of ``cmd_ks``'s columns."""
     traj = flow_run(w, steps)
-    run = ks.delta_of_gmp(traj.states, d, margin)
+    run = ks.map_run(traj.states, d, margin)
     rep = ks.telescoping_check(run)["report"]
     diag = ks.ks_diagnostics(traj.states, d, ks.DIVERGENCE_SLOPE)
     drop_partials = np.cumsum(rep.step_drops)
@@ -400,8 +400,32 @@ class TestKs:
         )
 
     def test_each_state_is_mapped_once(self, tmp_path, monkeypatch):
-        # 9 states of the run, one eigensolve each; the shift comparison
-        # reads the same mapped blocks
+        # 9 states of the run: one delta_of_gmp call maps states 0 and 8,
+        # and states 1..8 are each carried once from the state before; the
+        # shift comparison reads the same mapped blocks
+        mapped, carried = [], []
+        honest_delta, honest_carry = ks.delta_of_gmp, ks.carry_blocks
+
+        def delta(states, *args):
+            mapped.append([st.j_min for st in states])
+            return honest_delta(states, *args)
+
+        def carry(window, *args):
+            carried.append(window.j_min)
+            return honest_carry(window, *args)
+
+        monkeypatch.setattr(ks, "delta_of_gmp", delta)
+        monkeypatch.setattr(ks, "carry_blocks", carry)
+        d, w = twogap_window()
+        assert w.n_blocks == 41
+        args = ["ks", write_json(tmp_path / "w.json", w.to_json())]
+        args += [write_json(tmp_path / "d.json", d.to_json()), "--steps", "8"]
+        assert cli.main(args + ["--out", str(tmp_path / "ks.csv")]) == 0
+        assert mapped == [[-20, -12]]
+        assert carried == list(range(-20, -12))
+
+    def test_eight_steps_make_two_eigensolves(self, tmp_path, monkeypatch):
+        # the ends of the run, states 0 and 8, and no other
         calls = []
         orig = numkit.sym_eigen
 
@@ -411,11 +435,10 @@ class TestKs:
 
         monkeypatch.setattr(numkit, "sym_eigen", counting)
         d, w = twogap_window()
-        assert w.n_blocks == 41
         args = ["ks", write_json(tmp_path / "w.json", w.to_json())]
         args += [write_json(tmp_path / "d.json", d.to_json()), "--steps", "8"]
         assert cli.main(args + ["--out", str(tmp_path / "ks.csv")]) == 0
-        assert len(calls) == 8 + 1
+        assert calls == [(123, 123), (75, 75)]
 
     def test_entropy_terms_come_from_one_call(self, tmp_path, monkeypatch):
         # every row term of every state, for the table and the telescoping

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import mpmath
@@ -237,6 +238,36 @@ class TestGmpWindow:
         assert_allclose(back.rows().p, p1_window.rows().p)
         assert_allclose(back.rows().q, p1_window.rows().q)
 
+
+    def test_json_genus_key_is_optional(self, p1_window):
+        data = p1_window.to_json()
+        del data["g"]
+        assert GmpWindow.from_json(data).g == 1
+        assert GmpWindow.from_json(dict(data, g=1.0)).g == 1
+
+    @pytest.mark.parametrize("g", [0, 2, -1, 3.0])
+    def test_json_genus_key_must_be_the_blocks_genus(self, p1_window, g):
+        with pytest.raises(ValidationError) as info:
+            GmpWindow.from_json(dict(p1_window.to_json(), g=g))
+        assert str(info.value) == f"window key g is {int(g)} but its blocks have genus 1"
+
+    @pytest.mark.parametrize("g", [True, 1.5, None, "1", [1]])
+    def test_json_genus_key_must_be_integral(self, p1_window, g):
+        with pytest.raises(ValidationError) as info:
+            GmpWindow.from_json(dict(p1_window.to_json(), g=g))
+        assert str(info.value) == f"malformed window data: g must be an integer, got {g!r}"
+
+    @pytest.mark.parametrize("g", [0, 1, 2, 4])
+    def test_json_rows_are_read_as_one_array_bitwise(self, g):
+        # the one-array route reads the same bits as one block at a time
+        rng = np.random.default_rng(g)
+        P, Q = rng.standard_normal((2, 9, g + 1))
+        P[:, -1] = np.abs(P[:, -1]) + 0.1
+        data = json.loads(json.dumps(GmpWindow(P, Q, np.arange(g) * 0.5, -4).to_json()))
+        back = GmpWindow.from_json(data)
+        assert np.array_equal(back.P, P) and np.array_equal(back.Q, Q)
+        for key, arr in (("p", back.P), ("q", back.Q)):
+            assert np.array_equal(arr, [np.array(b[key], dtype=float) for b in data["blocks"]])
 
     @pytest.mark.parametrize("j_min", [-1.5, 2.7, True, float("inf"), "1"])
     def test_json_offset_must_be_integral(self, p1_window, j_min):

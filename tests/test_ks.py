@@ -11,6 +11,7 @@ from conftest import (
     make_p1_window,
     make_perturbed_window,
     reference_blocks,
+    roundtrip_inputs,
     solved_comb_map,
     stack_window,
     wrapped_dense,
@@ -25,8 +26,8 @@ from gmpflow.errors import (
     WindowError,
 )
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
-from gmpflow.flow import flow_run, jacobi_flow_step
-from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense
+from gmpflow.flow import flow_run, jacobi_flow_step, u_block
+from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense, block_diagonal
 from gmpflow.isospectral import solve_is_point
 from gmpflow.ks import (
     DeltaBlocks,
@@ -397,7 +398,163 @@ class TestDeltaOfGmp:
             npt.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def run_case(genus: int, n_blocks: int = 41) -> tuple[DeltaData, GmpWindow]:
+    """A comb map and a window of that genus: the round-trip inputs, or a
+    random window under the gap-free map at genus 0."""
+    if genus == 0:
+        rng = np.random.default_rng(0)
+        P, Q = rng.uniform(0.5, 1.5, (n_blocks, 1)), rng.uniform(-0.5, 0.5, (n_blocks, 1))
+        return DeltaData(1.0, 0.0, ()), GmpWindow(P, Q, (), -(n_blocks // 2))
+    return roundtrip_inputs(genus, n_blocks)
+
+
+class TestMapRun:
+    @pytest.mark.parametrize(
+        "genus, n_blocks, steps",
+        [(g, 41, steps) for g in (0, 1, 2, 4) for steps in (1, 8)] + [(2, 241, 8)],
+    )
+    def test_matches_each_state_alone(self, genus, n_blocks, steps):
+        d, w = run_case(genus, n_blocks)
+        states = flow_run(w, steps).states
+        run = ks.map_run(states, d, 3)
+        assert len(run) == steps + 1
+        for st, db in zip(states, run):
+            alone = delta_of_gmp([st], d, 3)[0]
+            assert (db.j_lo, db.j_hi) == (alone.j_lo, alone.j_hi)
+            npt.assert_allclose(db.v_blocks, alone.v_blocks, rtol=0, atol=1e-13)
+            npt.assert_allclose(db.w_blocks, alone.w_blocks, rtol=0, atol=1e-13)
+
+    def test_ends_are_the_eigen_route_bitwise(self):
+        d, w = run_case(2)
+        states = flow_run(w, 8).states
+        run = ks.map_run(states, d, 3)
+        for db, alone in zip((run[0], run[-1]), delta_of_gmp([states[0], states[-1]], d, 3)):
+            assert np.array_equal(db.v_blocks, alone.v_blocks)
+            assert np.array_equal(db.w_blocks, alone.w_blocks)
+
+    @pytest.mark.parametrize("genus", [1, 2])
+    def test_carry_matches_dense_conjugation(self, genus):
+        # the flow step's dense route (flow_identity_residual): conjugate the
+        # mapped matrix by the block diagonal of u_block rotations, shift by
+        # one slot, and slice the blocks over the stepped trusted range
+        d, w = run_case(genus)
+        db = delta_of_gmp([w], d, 3)[0]
+        new_v, new_w, _ = ks.carry_blocks(w, db.j_lo, *db.raw())
+        o_full = block_diagonal(u_block(w.P))
+        conj = o_full.T @ eigen_comb_map(wrapped_dense(w), d) @ o_full
+        per = genus + 1
+        shifted = conj[per + 1 :, per + 1 :]  # its first block is block w.j_min + 1
+
+        def block(row, col):
+            r, c = (row - w.j_min - 1) * per, (col - w.j_min - 1) * per
+            return shifted[r : r + per, c : c + per]
+
+        for i, j in enumerate(range(db.j_lo + 1, db.j_hi + 1)):
+            npt.assert_allclose(new_v[i], block(j - 1, j), rtol=0, atol=1e-14)
+            if j < db.j_hi:
+                npt.assert_allclose(new_w[i], block(j, j), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("where, entry", [("slot 0 of a coupling", (0, 2)),
+                                              ("upper triangle", (1, 2))])
+    def test_planted_out_of_pattern_entry_raises(self, monkeypatch, where, entry):
+        # the entry is planted where the conjugation lands it: at row slot r
+        # and column slot s of the fifth conjugated coupling; slot 0 leaves
+        # the band under the shift, and slots (1, 2) become the upper
+        # triangle entry (0, 1) of a new coupling
+        d, w = run_case(2)
+        states = flow_run(w, 8).states
+        honest = ks.carry_blocks
+
+        def carry(window, j_lo, raw_v, raw_w, state=""):
+            if state == "state 5: ":
+                u = u_block(window.P[j_lo - 1 - window.j_min :][:6])
+                unit = np.zeros((3, 3))
+                unit[entry] = 0.5
+                raw_v = raw_v.copy()
+                raw_v[4] += u[4] @ unit @ u[5].T  # blocks j_lo + 3 and j_lo + 4
+            return honest(window, j_lo, raw_v, raw_w, state)
+
+        ks.map_run(states, d, 3)  # the run itself passes
+        monkeypatch.setattr(ks, "carry_blocks", carry)
+        with pytest.raises(NumericalError, match=r"^state 5: carried operator lost its band "
+                                                 r"structure: defect 5\.000e-01$"):
+            ks.map_run(states, d, 3)
+
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    def test_planted_drift_raises(self, monkeypatch, factor):
+        # a diagonal entry keeps its sign under normalisation, so the drift
+        # is the planted one; half the bound passes and twice it raises
+        d, w = run_case(2)
+        states = flow_run(w, 8).states
+        honest = ks.carry_blocks
+        drift = []
+
+        def carry(window, j_lo, raw_v, raw_w, state=""):
+            new_v, new_w, scale = honest(window, j_lo, raw_v, raw_w, state)
+            if state == "state 8: ":
+                drift.append(factor * ks.CARRY_DRIFT_REL * scale)
+                new_w[1, 0, 0] += drift[0]
+            return new_v, new_w, scale
+
+        monkeypatch.setattr(ks, "carry_blocks", carry)
+        if factor < 1:
+            ks.map_run(states, d, 3)
+            return
+        with pytest.raises(NumericalError, match=r"^state 8: carried blocks deviate from the "
+                                                 r"eigen route by \d\.\d{3}e-\d\d$") as err:
+            ks.map_run(states, d, 3)
+        assert float(str(err.value).rsplit(" ", 1)[1]) == pytest.approx(drift[0], rel=1e-2)
+
+    def test_vanishing_carried_diagonal_names_its_state(self, monkeypatch):
+        d, w = run_case(1)
+        states = flow_run(w, 8).states
+        honest = ks.normalized_blocks
+
+        def zeroed(j_lo, raw_v, raw_w, scale, state=""):
+            if state == "state 3: ":
+                raw_v = raw_v.copy()
+                raw_v[2, 1, 1] = 0.0
+            return honest(j_lo, raw_v, raw_w, scale, state)
+
+        monkeypatch.setattr(ks, "normalized_blocks", zeroed)
+        with pytest.raises(NumericalError, match="^state 3: coupling block has a vanishing"):
+            ks.map_run(states, d, 3)
+
+    def test_states_must_be_one_flow_run(self):
+        d, w = run_case(1)
+        states = list(flow_run(w, 3).states)
+        states[2] = states[1]
+        with pytest.raises(ValidationError, match="^state 2 is not a flow step of state 1$"):
+            ks.map_run(states, d, 3)
+
+    def test_empty_run_rejected(self):
+        with pytest.raises(ValidationError, match="^a run has at least one window$"):
+            ks.map_run([], estar_delta(), 3)
+
+    def test_one_state_is_its_eigen_route(self):
+        d, w = run_case(1)
+        (db,) = ks.map_run([w], d, 3)
+        (alone,) = delta_of_gmp([w], d, 3)
+        assert np.array_equal(db.v_blocks, alone.v_blocks)
+
+
 class TestDeltaBlocksType:
+    def test_raw_blocks_are_the_mapped_matrix_bitwise(self):
+        d, w = perturbed_case(2)
+        db = delta_of_gmp([w], d, margin=3)[0]
+        mapped = eigen_comb_map(wrapped_dense(w), d)
+        per, (raw_v, raw_w) = 3, db.raw()
+        for i, j in enumerate(range(db.j_lo, db.j_hi + 2)):
+            r = w.scalar_index(j, 0)
+            assert np.array_equal(raw_v[i], mapped[r - per : r, r : r + per])
+            if j <= db.j_hi:
+                assert np.array_equal(raw_w[i], mapped[r : r + per, r : r + per])
+
+    def test_blocks_without_signs_have_no_raw_form(self):
+        eye = np.eye(2)
+        with pytest.raises(ValidationError, match="signs"):
+            DeltaBlocks(j_lo=0, v_blocks=(eye,) * 2, w_blocks=(eye,)).raw()
+
     def test_accessors_reject_outside_range(self):
         db = delta_of_gmp([make_p1_window(n_blocks=15, j_min=-7)], estar_delta(), 3)[0]
         with pytest.raises(WindowError):
