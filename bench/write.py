@@ -22,10 +22,11 @@ The record holds:
   the largest depth the window allows, over the n both routes keep:
   -log10(max |difference| / max |flow value|), capped at -log10 of the
   double epsilon, with the depth and the number of a(n) and b(n)
-  compared, and ``oracle_err``, the largest difference of its a(n) and
+  compared; ``oracle_err``, the largest difference of its a(n) and
   of its b(n) from ``tests/oracles.longdouble_jacobi``, a long-double
   Lanczos that projects every vector against all earlier ones (about
-  40 s of the sweep);
+  40 s of the sweep); and ``step_us``, its best time over the Lanczos
+  steps of both halves, in microseconds;
 - a sweep of ``construct.jacobi_to_gmp`` at width 5 (``gmpflow jacobi2gmp
   --width 5``) over n_blocks in {222, 426, 854} at g = 1, on coefficient
   windows built as the ``convert`` workload builds them: perfbench's
@@ -297,7 +298,9 @@ def convert_record(g: int, n_blocks: int, w: GmpWindow) -> dict:
     rec.update(timed(lambda: construct.gmp_to_jacobi_measure(w)))
     rec["flow_digits"] = flow_digits(w)
     rec["oracle_err"] = oracle_err(w)
+    rec["step_us"] = 1e6 * rec["best_s"] / rec["counters"]["lanczos_steps"]
     print(f"{case} g={g} n={n_blocks}: best {rec['best_s']:.4f} s, "
+          f"{rec['step_us']:.1f} us per Lanczos step, "
           f"flow digits a {rec['flow_digits']['a']}, b {rec['flow_digits']['b']}, "
           f"oracle error a {rec['oracle_err']['a']:.1e}, b {rec['oracle_err']['b']:.1e}",
           file=sys.stderr)

@@ -19,7 +19,6 @@ reads only the staircase of rows the earlier Lanczos vectors occupy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -392,7 +391,7 @@ def gmp_to_jacobi_measure(w: GmpWindow) -> JacobiWindow:
         raise NumericalError(f"starting vector norm deviates from 1 by {dev:.3e}")
 
     def half(bands: np.ndarray, start: np.ndarray) -> JacobiWindow:
-        matvec = partial(numkit.banded_matvec, bands)
+        matvec = numkit.band_operator(bands)
         depth = bands.shape[1] // per - 1
         return lanczos(matvec, start, depth, float(np.max(np.abs(bands))), per)
 

@@ -195,20 +195,26 @@ def lanczos(matvec, start, depth: int, scale: float, grow: int) -> JacobiWindow:
     residual and update Simon's signed estimates of the new vector's dot
     products with vectors j <= k, om'(k) = 0.6 eps n scale / a(k+1) and
 
-        a(k+1) om'(j) = a(j+1) om(j+1) + (b(j) - b(k)) om(j) + a(j) om(j-1)
-                        - a(k) om_prev(j) +- 0.3 eps (a(k) + a(j+1));
+        a(k+1) om'(j) = a(j) om(j-1) + (b(j) - b(k)) om(j) + a(j+1) om(j+1)
+                        - a(k) om_prev(j) +- (0.3 eps a(j+1) + 0.3 eps a(k)),
 
-    where max |om'| > eps**0.6, that step and the next project instead,
-    which resets om' to eps.  The run stops at k < depth if the next norm
-    is <= 1e-13 * max(1, scale), where the Krylov space is exhausted.
-    a(0) is the placeholder 1.0.
+    whose first three terms are one product of the rows (a(j), b(j) - b(k),
+    a(j+1)), kept as the a(j) are made, with the windows om(j-1..j+1) of a
+    padded om.  Where max |om'| > eps**0.6, that step and the next project
+    instead, which resets om' to eps.  The run stops at k < depth if the
+    next norm is <= 1e-13 * max(1, scale), where the Krylov space is
+    exhausted.  a(0) is the placeholder 1.0.
     """
     n = start.size
     tiny, eps = 1e-13 * max(1.0, scale), np.finfo(float).eps
     basis = np.zeros((depth + 1, n))
     basis[0] = start
     bs, a_out = np.empty(depth + 1), np.ones(depth + 1)
-    om = np.full((3, depth + 1), eps)  # the estimates of steps k - 1, k, k + 1 at k % 3
+    # the estimates of steps k - 1, k, k + 1 at k % 3, om(j) in slot j + 1
+    om = np.full((3, depth + 3), eps)
+    windows = np.lib.stride_tricks.sliding_window_view(om, 3, axis=1)
+    # row j: a(j) (0 at j = 0, so slot 0 is never read), b(j) - b(k), a(j+1)
+    coef, rounding = np.zeros((depth + 1, 3)), np.empty(depth + 1)
     again = False  # the last step projected on its estimate
     for k in range(depth + 1):
         rows = min(n, (k + 2) * grow)
@@ -218,23 +224,25 @@ def lanczos(matvec, start, depth: int, scale: float, grow: int) -> JacobiWindow:
         if k == depth:
             break
         prev, cur, nxt = om[(k - 1) % 3], om[k % 3], om[(k + 1) % 3]
-        cur[k] = 1.0
+        cur[k + 1] = 1.0
         project, again = k < LANCZOS_FULL_STEPS or again, False
         if not project:
             w = image - bs[k] * vec - a_out[k] * basis[k - 1, :rows]
             norm = math.sqrt(w @ w)
-            s = a_out[1 : k + 1] * cur[1 : k + 1] + (bs[:k] - bs[k]) * cur[:k] - a_out[k] * prev[:k]
-            s[1:] += a_out[1:k] * cur[: k - 1]
-            s += np.copysign(0.3 * eps * (a_out[k] + a_out[1 : k + 1]), s)
-            nxt[:k], nxt[k] = s / max(norm, tiny), 0.6 * eps * n * scale / max(norm, tiny)
-            project = again = norm <= tiny or abs(nxt[: k + 1]).max() > eps**0.6
+            np.subtract(bs[:k], bs[k], out=coef[:k, 1])
+            s = np.vecdot(coef[:k], windows[k % 3, :k]) - a_out[k] * prev[1 : k + 1]
+            s += np.copysign(rounding[:k] + 0.3 * eps * a_out[k], s)
+            np.divide(s, max(norm, tiny), out=nxt[1 : k + 1])
+            nxt[k + 1] = 0.6 * eps * n * scale / max(norm, tiny)
+            project = again = norm <= tiny or abs(nxt[1 : k + 2]).max() > eps**0.6
         if project:
             w = numkit.project_out(basis[: k + 1, :rows], image)
             norm = math.sqrt(w @ w)
-            nxt[: k + 1] = eps
+            nxt[1 : k + 2] = eps
         if norm <= tiny:
             return JacobiWindow(a_out[: k + 1], bs[: k + 1], 0)
-        a_out[k + 1] = norm
+        a_out[k + 1] = coef[k, 2] = coef[k + 1, 0] = norm
+        rounding[k] = 0.3 * eps * norm
         basis[k + 1, :rows] = w / norm
     return JacobiWindow(a_out, bs, 0)
 

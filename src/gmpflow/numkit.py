@@ -90,7 +90,10 @@ def _checked_solve(pivots, scale: float, matvec, back, rhs: np.ndarray) -> np.nd
 
 def banded_matvec(bands, x: np.ndarray) -> np.ndarray:
     """``M[:n, :n] @ x``, n = len(x), for the symmetric banded M whose d-th
-    upper diagonal is ``bands[d]``; x is a vector or a stack of columns."""
+    upper diagonal is ``bands[d]``; x is a vector or a stack of columns.
+    Four slice products per diagonal: for one-shot products, as in the
+    residual of ``solve_tridiagonal``, ``jacobi_to_gmp`` and
+    ``kappa_pairing``; a loop of products uses ``band_operator``."""
     n = x.shape[0]
     col = (slice(None),) + (None,) * (x.ndim - 1)
     out = bands[0][:n][col] * x
@@ -99,6 +102,28 @@ def banded_matvec(bands, x: np.ndarray) -> np.ndarray:
         out[:-d] += band * x[d:]
         out[d:] += band * x[:-d]
     return out
+
+
+def band_operator(bands) -> Callable[[np.ndarray], np.ndarray]:
+    """``banded_matvec`` made once for a loop of products: x -> M[:n, :n] @ x
+    as the stored rows of M, entries i - h..i + h (zero outside M), against
+    the row windows of a zero-padded copy of x; three numpy calls a product
+    at any halfwidth h (copy x in, zero the h slots after it, one vecdot)."""
+    bands = np.asarray(bands, dtype=float)
+    h, size = bands.shape[0] - 1, bands.shape[1]
+    rows = np.zeros((size, 2 * h + 1))
+    for d in range(h + 1):
+        rows[: size - d, h + d] = rows[d:, h - d] = bands[d, : size - d]
+    buf = np.zeros(size + 2 * h)
+    windows = np.lib.stride_tricks.sliding_window_view(buf, 2 * h + 1)  # read-only
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        n = x.size
+        buf[h : h + n] = x
+        buf[h + n : 2 * h + n] = 0.0
+        return np.vecdot(rows[:n], windows[:n])
+
+    return matvec
 
 
 def solve_tridiagonal(diag, off, rhs, z: float) -> np.ndarray:

@@ -12,14 +12,16 @@ tests compare against:
   checked against the half-line resolvents r_+ and r_-;
 - ``intrinsic_offset``: the constant term of a GMP block's own transfer
   trace expansion;
-- ``cgs2_lanczos``: Lanczos on a banded matrix with every vector projected
-  against all earlier ones, the loop ``jacobi.lanczos`` ran before it
+- ``cgs2_lanczos``: Lanczos with every vector projected against all
+  earlier ones, the loop ``jacobi.lanczos`` ran before it
   reorthogonalized only where Simon's estimate asks, and its
   ``np.longdouble`` form ``longdouble_lanczos``, with
   ``longdouble_jacobi``, that form on the two halves of a GMP window.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -100,14 +102,14 @@ def intrinsic_offset(blk: GmpBlock) -> float:
     return -float(np.dot(blk.p, blk.q)) / float(blk.p[-1])
 
 
-def cgs2_lanczos(bands, start: np.ndarray, depth: int, grow: int):
+def cgs2_lanczos(matvec, start: np.ndarray, depth: int, grow: int):
     """b(0..depth) and a(0..depth), a(0) the placeholder 1, of the symmetric
-    banded matrix with upper diagonals ``bands`` at the unit vector
-    ``start``, by Lanczos in the dtype of ``start`` with every new vector
-    projected twice against all earlier ones (CGS2).  Step k reads the
-    leading (k + 2) * grow rows, the staircase of ``jacobi.lanczos``; in
-    double precision its steps before ``LANCZOS_FULL_STEPS`` are that
-    function's, bit for bit."""
+    operator ``matvec`` at the unit vector ``start``, by Lanczos in the
+    dtype of ``start`` with every new vector projected twice against all
+    earlier ones (CGS2).  Step k applies ``matvec`` to the leading
+    (k + 2) * grow rows, the staircase of ``jacobi.lanczos``; in double
+    precision, with the same ``matvec``, its steps before
+    ``LANCZOS_FULL_STEPS`` are that function's, bit for bit."""
     n = start.size
     basis = np.zeros((depth + 1, n), dtype=start.dtype)
     basis[0] = start
@@ -115,7 +117,7 @@ def cgs2_lanczos(bands, start: np.ndarray, depth: int, grow: int):
     for k in range(depth + 1):
         rows = min(n, (k + 2) * grow)
         vec = basis[k, :rows]
-        image = numkit.banded_matvec(bands, vec)
+        image = matvec(vec)
         b[k] = vec @ image
         if k == depth:
             break
@@ -131,9 +133,10 @@ def cgs2_lanczos(bands, start: np.ndarray, depth: int, grow: int):
 
 
 def longdouble_lanczos(bands, start, depth: int, grow: int):
-    """``cgs2_lanczos`` in ``np.longdouble``, its double input taken as exact."""
-    return cgs2_lanczos(np.asarray(bands, np.longdouble),
-                        np.asarray(start, np.longdouble), depth, grow)
+    """``cgs2_lanczos`` on the symmetric banded matrix with upper diagonals
+    ``bands``, in ``np.longdouble``, its double input taken as exact."""
+    matvec = partial(numkit.banded_matvec, np.asarray(bands, np.longdouble))
+    return cgs2_lanczos(matvec, np.asarray(start, np.longdouble), depth, grow)
 
 
 def longdouble_jacobi(w: GmpWindow) -> tuple[np.ndarray, np.ndarray]:

@@ -36,7 +36,7 @@ from gmpflow.jacobi import (
     lanczos_from_measure,
 )
 
-from oracles import dense, longdouble_jacobi, two_by_two_resolvent
+from oracles import dense, longdouble_jacobi, longdouble_lanczos, two_by_two_resolvent
 from conftest import (
     half_line_measures,
     make_estar_gapset,
@@ -818,6 +818,30 @@ class TestGmpToJacobiMeasure:
         assert np.array_equal(J.b[:20], full.b[:20])
         assert np.array_equal(J.a[:21], full.a[:21])
 
+    def test_half_exhausted_past_the_full_steps(self):
+        # block 20 hangs on by p = (0, 1e-300): the plus half splits after
+        # blocks 0..19, whose 40 rows hold a 39-dimensional Krylov space of
+        # v_plus (a(39) is 2e-58 at 60 digits); the estimate branch projects
+        # at steps 38 and 39, and the run stops at step 39 with 40 sites
+        w = make_perturbed_window(make_p1_block(), [0.0], half=60)
+        P = w.P.copy()
+        P[20 - w.j_min] = [0.0, 1e-300]
+        cut = GmpWindow(P, w.Q, w.c, w.j_min)
+        J = gmp_to_jacobi_measure(cut)
+        assert (J.n_min, J.n_max) == (-60, 39)
+        k0, p0 = -cut.j_min, cut.block(0).p
+        bands = construct._half_bands(cut, k0, k0 + 20, False)
+        start = np.pad(p0 / np.linalg.norm(p0), (0, 38))
+        b_ref, a_ref = longdouble_lanczos(bands, start, 39, 2)
+        b, a = half_coefficients(J, 1)
+        assert np.max(np.abs(b - b_ref)) <= 1e-13
+        assert np.max(np.abs(a[:-1] - a_ref[1:-1])) <= 1e-13
+        # a(39) reads the rounding left of a zero: 3.4e-13 measured
+        assert a[-1] <= 1e-12
+        full = gmp_to_jacobi_measure(w)
+        assert np.array_equal(J.b[:60], full.b[:60])
+        assert np.array_equal(J.a[:61], full.a[:61])
+
     def test_agrees_with_flow_route(self):
         rng = np.random.default_rng(37)
         for _ in range(20):
@@ -828,3 +852,27 @@ class TestGmpToJacobiMeasure:
                 npt.assert_allclose(J.a_at(n), traj.a_out[n], atol=1e-6)
             for n in range(6):
                 npt.assert_allclose(J.b_at(n), traj.b_out[n], atol=1e-6)
+
+
+class TestBandOperator:
+    @pytest.mark.parametrize("g", [0, 1, 2, 8, 16])
+    @pytest.mark.parametrize("plus", [True, False])
+    def test_every_leading_size_is_the_dense_product(self, g, plus):
+        # sizes 1..N growing, then shrinking: no row of an earlier, longer
+        # vector may leak into a product
+        _, w = roundtrip_inputs(g, 41)
+        k0, A = -w.j_min, assemble_dense(w)
+        i0 = w.scalar_index(0, 0)
+        if plus:
+            bands, mat = construct._half_bands(w, k0, w.n_blocks, False), A[i0:, i0:]
+        else:
+            bands, mat = construct._half_bands(w, 0, k0, True), A[i0 - 1 :: -1, i0 - 1 :: -1]
+        matvec = numkit.band_operator(bands)
+        size = mat.shape[0]
+        rng = np.random.default_rng([g, size])
+        for n in [*range(1, size + 1), *range(size, 0, -1)]:
+            x = rng.uniform(-1.0, 1.0, n)
+            got = matvec(x)
+            assert got.shape == (n,)
+            scale = np.abs(mat[:n, :n]) @ np.abs(x)
+            assert np.all(np.abs(got - mat[:n, :n] @ x) <= 1e-14 * scale)

@@ -396,14 +396,36 @@ class TestLanczos:
         assert np.max(np.abs(got.a - ref.a)) <= 1e-13
 
     def test_full_steps_are_the_cgs2_loop_bitwise(self):
-        # b(0..31) and a(1..32) come from the full projections alone
+        # b(0..31) and a(1..32) come from the full projections alone, with
+        # either product; band_operator is the one gmp_to_jacobi_measure runs
         bands, start, depth = self.plus_half()
-        got = lanczos(partial(numkit.banded_matvec, bands), start, depth, 1.0, 2)
-        b_ref, a_ref = cgs2_lanczos(bands, start, depth, 2)
         k = LANCZOS_FULL_STEPS
-        assert np.array_equal(got.b[:k], b_ref[:k])
-        assert np.array_equal(got.a[: k + 1], a_ref[: k + 1])
-        assert not np.array_equal(got.b, b_ref)
+        for operator in (lambda bands: partial(numkit.banded_matvec, bands), numkit.band_operator):
+            got = lanczos(operator(bands), start, depth, 1.0, 2)
+            b_ref, a_ref = cgs2_lanczos(operator(bands), start, depth, 2)
+            assert np.array_equal(got.b[:k], b_ref[:k])
+            assert np.array_equal(got.a[: k + 1], a_ref[: k + 1])
+            assert not np.array_equal(got.b, b_ref)
+            assert np.max(np.abs(got.b - b_ref)) <= 1e-13
+            assert np.max(np.abs(got.a - a_ref)) <= 1e-13
+
+    def test_krylov_space_exhausted_past_the_full_steps(self, monkeypatch):
+        # a 100-row diagonal operator whose start spans 45 eigenvectors: the
+        # estimate branch projects at step 44 and the norm left stops the run
+        x = np.cos(np.pi * (np.arange(100) + 0.5) / 100)
+        start = np.zeros(100)
+        start[0:90:2] = 1 / np.sqrt(45)
+        projected, project = [], numkit.project_out
+
+        def recording(basis, vec):
+            projected.append(basis.shape[0] - 1)
+            return project(basis, vec)
+
+        monkeypatch.setattr(numkit, "project_out", recording)
+        got = lanczos(lambda v: x[: v.size] * v, start, 99, 1.0, 100)
+        assert got.size == 45
+        assert projected[-1] == 44 and 43 not in projected
+        b_ref, a_ref = cgs2_lanczos(lambda v: x[: v.size] * v, start, 44, 100)
         assert np.max(np.abs(got.b - b_ref)) <= 1e-13
         assert np.max(np.abs(got.a - a_ref)) <= 1e-13
 
