@@ -28,6 +28,7 @@ from .errors import (
     PoleEvaluationError,
     ValidationError,
     WindowError,
+    check,
 )
 from .finitegap import SQUARE_MAX, DeltaData, check_distinct_poles, eval_delta
 from .gmp import GmpWindow, build_block_B, pattern_defect
@@ -107,8 +108,7 @@ def factor_L(D: np.ndarray) -> np.ndarray:
     E = L.T @ D @ L - eye
     L -= L @ (np.triu(E) - np.diag(np.diag(E)) / 2)
     resid = float(np.max(np.abs(L.T @ D @ L - eye)))
-    if resid > FACTOR_TOL * max(1.0, float(np.max(np.abs(D)))):
-        raise NumericalError(f"triangular factor residual {resid:.3e} exceeds the tolerance")
+    check("triangular factor residual", resid, FACTOR_TOL * max(1.0, float(np.max(np.abs(D)))))
     return L
 
 
@@ -178,8 +178,7 @@ def tau_basis(measure: DiscreteMeasure, d: DeltaData, depth: int = 2) -> Rationa
                 "the support is too small for the requested depth"
             )
     dev = float(np.max(np.abs(rows @ rows.T - np.eye(depth * per))))
-    if dev > ORTHO_TOL:
-        raise NumericalError(f"basis table is not orthonormal, deviation {dev:.3e}")
+    check("basis table is not orthonormal: deviation", dev, ORTHO_TOL)
     return RationalBasis(measure, np.ascontiguousarray((rows / root_w).T), L)
 
 
@@ -206,12 +205,9 @@ def multiplication_matrix(rb: RationalBasis) -> np.ndarray:
     wx = rb.measure.weights * rb.measure.points
     M = T.T @ (wx[:, None] * T)
     M = 0.5 * (M + M.T)
-    worst = pattern_defect(M, one_sided_coupling(rb.g))
-    if worst > ONE_SIDED_PATTERN_TOL * max(1.0, float(np.max(np.abs(M)))):
-        raise NumericalError(
-            f"multiplication matrix lost the block pattern: "
-            f"off-pattern entry {worst:.3e}"
-        )
+    check("multiplication matrix lost the block pattern: off-pattern entry",
+          pattern_defect(M, one_sided_coupling(rb.g)),
+          ONE_SIDED_PATTERN_TOL * max(1.0, float(np.max(np.abs(M)))))
     return M
 
 
@@ -304,12 +300,9 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
     scale = max(1.0, float(np.max(np.abs(amat))))
     # Adjacent blocks couple only through slot g of the nearer block.
     coupling = np.broadcast_to((np.arange(per) == g)[:, None], (per, per))
-    worst = pattern_defect(amat, coupling)
-    if worst > TWO_SIDED_PATTERN_TOL * scale:
-        raise NumericalError(
-            f"operator lost the GMP pattern in the flag basis: off-pattern "
-            f"entry {worst:.3e}; the Jacobi window is likely too narrow"
-        )
+    check("operator lost the GMP pattern in the flag basis (the Jacobi window is likely "
+          "too narrow): off-pattern entry", pattern_defect(amat, coupling),
+          TWO_SIDED_PATTERN_TOL * scale)
 
     # Row i: slot g of block k_lo + i, and the slots of block k_lo + i + 1.
     last = np.arange(n_blocks)[:, None] * per + g
@@ -334,12 +327,8 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
         note = f" (crossing bond a(0) = {window.a_at(0):.6g})" if grown else ""
         raise ValidationError(f"converted window: {exc}{note}") from exc
     dev = np.max(np.abs(build_block_B(w.rows(), w.c) - B), axis=(1, 2))
-    bad = np.flatnonzero(dev > READOUT_TOL * scale)
-    if bad.size:
-        raise NumericalError(
-            f"block {w.j_min + bad[0]} readout deviates from the diagonal part "
-            f"by {dev[bad[0]]:.3e}"
-        )
+    check(lambda i: f"block {w.j_min + i} readout deviates from the diagonal part by",
+          dev, READOUT_TOL * scale)
     return w
 
 
@@ -386,9 +375,7 @@ def gmp_to_jacobi_measure(w: GmpWindow) -> JacobiWindow:
     a0 = float(np.ldexp(np.linalg.norm(np.ldexp(p0, -e)), e))
     plus, minus = _half_bands(w, k0, w.n_blocks, False), _half_bands(w, 0, k0, True)
     v_plus = np.pad(p0 / a0, (0, plus.shape[1] - per))
-    dev = abs(float(np.linalg.norm(v_plus)) - 1.0)
-    if dev > 1e-12:
-        raise NumericalError(f"starting vector norm deviates from 1 by {dev:.3e}")
+    check("starting vector norm deviates from 1 by", abs(np.linalg.norm(v_plus) - 1.0), 1e-12)
 
     def half(bands: np.ndarray, start: np.ndarray) -> JacobiWindow:
         matvec = numkit.band_operator(bands)

@@ -21,11 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import (
-    DegenerateGapError,
-    PoleEvaluationError,
-    ValidationError,
-)
+from .errors import DegenerateGapError, PoleEvaluationError, ValidationError, check
 
 GAP_REL_TOL = 1e-12
 # Relative distance within which two poles, or a point and a pole, coincide.
@@ -179,8 +175,10 @@ class DeltaData:
         """The same map with its poles listed in the order of the poles ``c``,
         which must match them within 1e-12 absolute."""
         c, cs = np.asarray(c, dtype=float), self.cs()
-        if c.size != cs.size or not np.all(np.abs(np.sort(c) - np.sort(cs)) <= 1e-12):
+        if c.size != cs.size:
             raise ValidationError("window poles differ from the map poles")
+        check("window poles differ from the map poles by", np.abs(np.sort(c) - np.sort(cs)),
+              1e-12, ValidationError)
         by_rank = np.argsort(cs)[np.argsort(np.argsort(c))]  # same rank as c[i]
         return DeltaData(self.lambda0, self.c0, [self.poles[i] for i in by_rank])
 
@@ -222,13 +220,8 @@ def gap_zeros(gapset: GapSet) -> np.ndarray:
     products = lambda x: np.prod(x[:, None, None] - ends, axis=2).T
     cs = numkit.bisect_root(lambda x: np.subtract(*products(x)), lo, hi)
     pb, pa = products(cs)
-    residual = np.abs(pb - pa)
-    bad = residual > ZERO_RESIDUAL_REL_TOL * (np.abs(pa) + np.abs(pb) + 1.0)
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise DegenerateGapError(
-            f"gap {k}: pole residual {residual[k]:.3e} exceeds tolerance"
-        )
+    check(lambda k: f"gap {k}: pole residual", np.abs(pb - pa),
+          ZERO_RESIDUAL_REL_TOL * (np.abs(pa) + np.abs(pb) + 1.0), DegenerateGapError)
     return cs
 
 

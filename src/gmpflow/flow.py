@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, WindowError
+from .errors import ValidationError, WindowError, check
 from .gmp import (
     VALIDITY_FLOOR,
     GmpBlock,
@@ -147,11 +147,8 @@ def extract_jacobi(states) -> tuple[np.ndarray, np.ndarray]:
     b_mean = quad / _PY_POW(a_vals[:-1], 2).astype(float)
     trail = np.array([st.block(-1).q[-1] * st.block(-1).p[-1] for st in states[1:]])
     scale = np.maximum(1.0, np.maximum(abs(b_mean), abs(trail)))
-    bad = np.flatnonzero(abs(b_mean - trail) > READOUT_REL_TOL * scale)
-    if bad.size:
-        n = bad[0]
-        raise NumericalError(f"readout mismatch at step {n}: trailing {trail[n]:.6e} "
-                             f"vs quadratic mean {b_mean[n]:.6e}")
+    check(lambda n: f"readout mismatch at step {n}: trailing {trail[n]:.6e} vs quadratic "
+          f"mean {b_mean[n]:.6e}, difference", abs(b_mean - trail), READOUT_REL_TOL * scale)
     return a_vals, trail
 
 

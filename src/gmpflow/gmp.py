@@ -26,13 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numkit
-from .errors import (
-    NumericalError,
-    PoleEvaluationError,
-    ValidationError,
-    WindowError,
-    integral,
-)
+from .errors import PoleEvaluationError, ValidationError, WindowError, check, integral
 from .finitegap import POLE_REL_TOL, check_distinct_poles, check_squares
 
 # The symplectic unit [[0, -1], [1, 0]].
@@ -293,8 +287,8 @@ def transfer_via_resolvent(blk: GmpBlock, c: np.ndarray, z: float) -> np.ndarray
     r_pp = float(blk.p @ x_p)
     r_pd = float(blk.p @ x_d)
     r_dd = float(x_d[blk.g])
-    if abs(r_pd) < 1e-14 * max(1.0, abs(r_pp), abs(r_dd)):
-        raise NumericalError("degenerate corner resolvent entry")
+    check("degenerate corner resolvent entry: |r_pd|", abs(r_pd),
+          1e-14 * max(1.0, abs(r_pp), abs(r_dd)), floor=True)
     return np.array([[r_pp * r_dd - r_pd**2, -r_pp], [r_dd, -1.0]]) / r_pd
 
 
@@ -471,9 +465,8 @@ def resolvent_column(pairs: Sequence[tuple[GmpWindow, int]]) -> list[np.ndarray 
     res[:, 1:] -= P[:, 1:] * xs[:, :4, g:]  # coupling to the block below
     res[:, 2, 0] -= 1.0
     residual = np.max(np.abs(res), axis=(1, 2), where=held[..., None], initial=0.0)
-    bad = residual > 1e-8 * np.max(np.abs(xs), axis=(1, 2), initial=1.0)
-    if bad.any():
-        raise NumericalError(f"closed-form column residual {residual[bad][0]:.3e} too large")
+    check("closed-form column residual", residual,
+          1e-8 * np.max(np.abs(xs), axis=(1, 2), initial=1.0))
     out: list[np.ndarray | None] = [None] * len(pairs)
     for x, m in zip(xs, ok):
         window, j = pairs[m]

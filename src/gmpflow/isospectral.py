@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, check
 from .finitegap import DeltaData
 from .gmp import GmpBlock, lambda_k
 
@@ -57,11 +57,7 @@ class IsPoint:
     delta: DeltaData
 
     def __post_init__(self):
-        worst = float(np.max(np.abs(self.residual())))
-        if worst > SURFACE_TOL:
-            raise ValidationError(
-                f"residual {worst:.3e} exceeds surface tolerance {SURFACE_TOL:.1e}"
-            )
+        check("surface residual", np.max(np.abs(self.residual())), SURFACE_TOL, ValidationError)
 
     def residual(self) -> np.ndarray:
         return is_residual(self.block, self.delta)

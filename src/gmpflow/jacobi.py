@@ -36,6 +36,7 @@ from .errors import (
     SpectrumProximityError,
     ValidationError,
     WindowError,
+    check,
     integral,
 )
 from .finitegap import check_squares
@@ -145,10 +146,8 @@ class DiscreteMeasure:
             raise ValidationError("points must be strictly increasing")
         if np.any(weights <= 0.0):
             raise ValidationError("weights must be positive")
-        if abs(float(np.sum(weights)) - 1.0) > 1e-12:
-            raise ValidationError(
-                f"total mass {np.sum(weights)} differs from 1 beyond 1e-12"
-            )
+        check(lambda _: f"total mass {np.sum(weights)} differs from 1 by",
+              abs(np.sum(weights) - 1.0), 1e-12, ValidationError)
 
     @property
     def n_points(self) -> int:
@@ -333,12 +332,8 @@ def kappa(window: JacobiWindow, c: float) -> KappaVector:
     rhs[window.pos(0), 0] = math.cos(phi)
     rhs[0, 1] = rhs[-1, 2] = 1.0
     sol = numkit.solve_tridiagonal(window.b, window.a[1:], rhs, c)
-    weight = boundary_weight(window, sol)
-    if weight > BOUNDARY_WEIGHT_TOL:
-        raise WindowError(
-            f"kappa vector at c = {c} has boundary weight {weight:.2e} "
-            f"above {BOUNDARY_WEIGHT_TOL:.0e}; the window is too short for it"
-        )
+    check(lambda _: f"window too short for the kappa vector at c = {c}: boundary weight",
+          boundary_weight(window, sol), BOUNDARY_WEIGHT_TOL, WindowError)
 
     vec = sol[:, 0]
     h = FD_STEP_REL * max(1.0, abs(c))
@@ -347,11 +342,9 @@ def kappa(window: JacobiWindow, c: float) -> KappaVector:
         dphi += math.pi
     phi_prime = dphi / (2.0 * h)
     norm_sq = float(vec @ vec)
-    if abs(norm_sq - phi_prime) > KAPPA_NORM_TOL * max(1.0, abs(phi_prime)):
-        raise NumericalError(
-            f"kappa norm {norm_sq:.9f} does not match the angle derivative "
-            f"{phi_prime:.9f}"
-        )
+    check(lambda _: f"kappa norm {norm_sq:.9f} does not match the angle derivative "
+          f"{phi_prime:.9f}: difference", abs(norm_sq - phi_prime),
+          KAPPA_NORM_TOL * max(1.0, abs(phi_prime)))
     return KappaVector(phi=phi, vec=vec)
 
 

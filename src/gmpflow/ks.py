@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import NumericalError, SpectrumProximityError, ValidationError, WindowError
+from .errors import SpectrumProximityError, ValidationError, WindowError, check
 from .finitegap import DeltaData, check_distinct_poles
 from .flow import jacobi_flow_step, u_block
 from .gmp import GmpBlock, GmpWindow, assemble_dense, pattern_defect, resolvent_column
@@ -145,8 +145,8 @@ def normalized_blocks(
     times ``scale`` raises NumericalError, its message led by ``state``.
     """
     diag = np.diagonal(raw_v, axis1=1, axis2=2)
-    if np.min(np.abs(diag)) < DIAGONAL_FLOOR_REL * scale:
-        raise NumericalError(f"{state}coupling block has a vanishing diagonal entry")
+    check(lambda _: f"{state}vanishing coupling block diagonal entry", np.min(np.abs(diag)),
+          DIAGONAL_FLOOR_REL * scale, floor=True)
     eps = np.cumprod(np.sign(diag), axis=0)
     eps_prev = np.vstack([np.ones_like(eps[:1]), eps[:-1]])
     return DeltaBlocks(j_lo, _flip(raw_v, eps_prev, eps), _flip(raw_w, eps[:-1], eps[:-1]), eps)
@@ -212,9 +212,8 @@ def delta_of_gmp(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list
 
         m_scale = max(1.0, float(np.max(np.abs(mapped))))
         trusted = slice((j_lo - window.j_min) * per, (j_hi + 1 - window.j_min) * per)
-        defect = pattern_defect(mapped[trusted], tri, j_lo - window.j_min)
-        if defect > BAND_DEFECT_REL * m_scale:
-            raise NumericalError(f"mapped operator lost its band structure: defect {defect:.3e}")
+        check("mapped operator lost its band structure: defect",
+              pattern_defect(mapped[trusted], tri, j_lo - window.j_min), BAND_DEFECT_REL * m_scale)
         # block (j - 1, j) and block (j, j) for every j in j_lo..j_hi + 1
         cols = np.arange(j_lo, j_hi + 2) - window.j_min
         rows = cols + np.arange(-1, 1)[:, None]
@@ -232,9 +231,8 @@ def delta_of_gmp(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list
     for (trusted, col), closed in zip(checks, resolvent_column(pairs)):
         if closed is None:  # the closed form is undefined here
             continue
-        err = float(np.max(np.abs(col - closed[trusted])))
-        if err > RESOLVENT_CHECK_TOL:
-            raise NumericalError(f"resolvent column deviates from its closed form by {err:.3e}")
+        check("resolvent column deviates from its closed form by",
+              np.max(np.abs(col - closed[trusted])), RESOLVENT_CHECK_TOL)
     return out
 
 
@@ -272,9 +270,8 @@ def carry_blocks(
     new_w[:, g, g] = cw[2:, 0, 0]
     defect = max(float(np.max(np.abs(cv[:, 0, 1:]), initial=0.0)),
                  float(np.max(np.abs(np.triu(new_v, 1)), initial=0.0)))
-    if defect > BAND_DEFECT_REL * scale:
-        raise NumericalError(f"{state}carried operator lost its band structure: "
-                             f"defect {defect:.3e}")
+    check(lambda _: f"{state}carried operator lost its band structure: defect", defect,
+          BAND_DEFECT_REL * scale)
     return new_v, new_w, scale
 
 
@@ -302,9 +299,8 @@ def map_run(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list[Delt
         carried, mapped = run[-1], ends[-1]
         drift = max(float(np.max(np.abs(carried.v_blocks - mapped.v_blocks))),
                     float(np.max(np.abs(carried.w_blocks - mapped.w_blocks))))
-        if drift > CARRY_DRIFT_REL * scale:
-            raise NumericalError(f"state {len(states) - 1}: carried blocks deviate from "
-                                 f"the eigen route by {drift:.3e}")
+        check(lambda _: f"state {len(states) - 1}: carried blocks deviate from the eigen "
+              "route by", drift, CARRY_DRIFT_REL * scale)
         run[-1] = mapped
     return run
 
@@ -325,8 +321,8 @@ def h_term(v0: np.ndarray, w0: np.ndarray, v1: np.ndarray) -> float | np.ndarray
         raise ValidationError("blocks must be square matrices of equal shape")
     w0_t = np.swapaxes(w0, -1, -2)
     w_scale = np.maximum(1.0, np.max(np.abs(w0), axis=(-2, -1)))
-    if np.any(np.max(np.abs(w0 - w0_t), axis=(-2, -1)) > 1e-8 * w_scale):
-        raise ValidationError("diagonal block must be symmetric")
+    check("diagonal block must be symmetric: max |W - W^T|",
+          np.max(np.abs(w0 - w0_t), axis=(-2, -1)), 1e-8 * w_scale, ValidationError)
     w_sym = 0.5 * (w0 + w0_t)
     sign0, logdet0 = np.linalg.slogdet(v0)
     sign1, logdet1 = np.linalg.slogdet(v1)
@@ -377,9 +373,8 @@ class KsFunctionalReport:
             if not np.all(np.isfinite(arr)):
                 raise ValidationError("entropy report contains non-finite terms")
             arr.flags.writeable = False
-        low = float(np.min(np.concatenate(entropies), initial=0.0))
-        if low < ENTROPY_FLOOR:
-            raise ValidationError(f"entropy term {low:.3e} below the floor")
+        check("entropy term", np.min(np.concatenate(entropies), initial=0.0), ENTROPY_FLOOR,
+              ValidationError, floor=True)
 
     def terms(self, m: int, first: int, last: int) -> np.ndarray:
         """Entropy terms of block rows ``first`` through ``last`` of state m."""
@@ -584,10 +579,8 @@ def density_identity(c, lam, y: float) -> dict:
 
     det_rel = abs(det_w - det_w_closed) / max(1.0, abs(det_w))
     deriv_rel = abs(deriv_product - deriv_closed) / max(1.0, abs(deriv_product))
-    if det_rel > 1e-9 or deriv_rel > 1e-9:
-        raise NumericalError(
-            f"determinant identities failed: {det_rel:.3e}, {deriv_rel:.3e}"
-        )
+    check(lambda i: f"determinant identity of {('det W', 'the derivative product')[i]}: "
+          "relative residual", np.array([det_rel, deriv_rel]), 1e-9)
     return {
         "y": float(y),
         "roots": roots,

@@ -23,8 +23,8 @@ from .errors import (
     NoSignChangeError,
     NotPositiveDefiniteError,
     NotSymmetricError,
-    NumericalError,
     SingularMatrixError,
+    check,
 )
 
 PIVOT_REL_TOL = 1e-13
@@ -79,13 +79,11 @@ def _checked_solve(pivots, scale: float, matvec, back, rhs: np.ndarray) -> np.nd
         residual = np.linalg.norm(matvec(x) - rhs, axis=0)
         bound = SOLVE_RESIDUAL_REL_TOL * scale * np.linalg.norm(x, axis=0)
         miss = residual > bound
-        if not miss.any():
-            return x
-        if attempt == 0:
-            x = np.where(miss, x + back(rhs - matvec(x)), x)
-    col = int(np.argmax(np.ravel(miss)))
-    raise NumericalError(f"solve residual {np.ravel(residual)[col]:.3e} exceeds "
-                         f"bound {np.ravel(bound)[col]:.3e}")
+        if attempt or not miss.any():
+            break
+        x = np.where(miss, x + back(rhs - matvec(x)), x)
+    check("solve residual", residual, bound)
+    return x
 
 
 def banded_matvec(bands, x: np.ndarray) -> np.ndarray:
@@ -165,14 +163,15 @@ def project_out(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 def _symmetric(mat) -> tuple[np.ndarray, float]:
     """The input as a float array, checked square and symmetric within
-    ``1e-12 * max(1, max |M|)``, with its largest entry magnitude."""
+    ``1e-12 * max(1, max |M|)`` (a NaN entry fails), with its largest
+    entry magnitude."""
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {mat.shape}")
     asym = float(np.max(np.abs(mat - mat.T))) if mat.size else 0.0
     scale = float(np.max(np.abs(mat))) if mat.size else 1.0
-    if asym > SYMMETRY_TOL * max(1.0, scale):
-        raise NotSymmetricError(f"matrix is not symmetric: max |M - M^T| = {asym:.3e}")
+    check("matrix is not symmetric: max |M - M^T|", asym, SYMMETRY_TOL * max(1.0, scale),
+          NotSymmetricError)
     return mat, scale
 
 
@@ -211,10 +210,7 @@ def lower_cholesky_like(mat: np.ndarray) -> np.ndarray:
         raise NotPositiveDefiniteError(j, float(mat[j, j] - g[j, :j] @ g[j, :j]))
 
     residual = np.linalg.norm(g @ g.T - mat)
-    if residual > CHOLESKY_RESIDUAL_REL_TOL * np.linalg.norm(mat):
-        raise NumericalError(
-            f"cholesky residual {residual:.3e} exceeds tolerance"
-        )
+    check("cholesky residual", residual, CHOLESKY_RESIDUAL_REL_TOL * np.linalg.norm(mat))
     return g
 
 

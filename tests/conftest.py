@@ -126,6 +126,15 @@ def roundtrip_inputs(g: int, n_blocks: int) -> tuple[DeltaData, GmpWindow]:
     return DeltaData.from_json(cmap), GmpWindow.from_json(window)
 
 
+def sum_rule_window(rng: np.random.Generator) -> GmpWindow:
+    """A genus-0 window of 30 free blocks (p = 1, q = 0) on each side of 6
+    random sites, blocks 1..6: a in [0.6, 1.5] and b in [-0.8, 0.8], where
+    the coupling into block j is p_j and its diagonal p_j q_j."""
+    p, b = np.ones(66), np.zeros(66)
+    p[30:36], b[30:36] = rng.uniform(0.6, 1.5, 6), rng.uniform(-0.8, 0.8, 6)
+    return GmpWindow(p[:, None], (b / p)[:, None], (), j_min=-29)
+
+
 def half_line_measures(w: GmpWindow) -> list[tuple[DiscreteMeasure, int]]:
     """Spectral measures of the two halves of the window's dense matrix at
     the start vectors of ``gmp_to_jacobi_measure``, each with the depth

@@ -16,11 +16,14 @@ tests compare against:
   earlier ones, the loop ``jacobi.lanczos`` ran before it
   reorthogonalized only where Simon's estimate asks, and its
   ``np.longdouble`` form ``longdouble_lanczos``, with
-  ``longdouble_jacobi``, that form on the two halves of a GMP window.
+  ``longdouble_jacobi``, that form on the two halves of a GMP window;
+- ``sum_rule_spectral_side``: the spectral side of the Killip-Simon sum
+  rule, which the entropy ledger of ``ks`` equals at genus 0.
 """
 
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -153,3 +156,42 @@ def longdouble_jacobi(w: GmpWindow) -> tuple[np.ndarray, np.ndarray]:
     bm, am = longdouble_lanczos(minus, np.eye(1, minus.shape[1])[0],
                                 minus.shape[1] // per - 1, per)
     return np.concatenate([bm[::-1], bp]), np.concatenate(([1.0], am[:0:-1], [a0], ap[1:]))
+
+
+def sum_rule_spectral_side(a, b, pad: int = 300) -> float:
+    """Q + sum F(E) of the Killip-Simon P2 sum rule (Ann. Math. 158, 2003)
+    for the half-line Jacobi matrix with diagonal ``b`` and off-diagonal
+    ``a`` (a[k] couples sites k and k + 1), free beyond (a = 1, b = 0).
+
+    It equals the coefficient side, sum b^2 / 4 + sum (a^2 - 1 - log a^2) / 2.
+    Q = (1/4 pi) int_{-2}^{2} log(sqrt(4 - x^2) / (2 pi w(x))) sqrt(4 - x^2) dx,
+    w = Im m(x + i0) / pi the density of the spectral measure at site 0:
+    the continued fraction m_k = 1 / (b_k - x - a_k^2 m_{k+1}) on the free
+    tail m = (-x + i sqrt(4 - x^2)) / 2, integrated in theta, x = 2 cos theta.
+    F(E) = (beta^2 - beta^-2 - log beta^4) / 4, E = beta + 1/beta, |beta| > 1,
+    over the eigenvalues outside [-2, 2] of the matrix followed by ``pad``
+    free sites.  Leading free sites change neither side and are dropped:
+    each would add an oscillation of m in theta."""
+    from scipy.integrate import quad
+
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    lead = 0
+    while lead < a.size and b[lead] == 0.0 and a[lead] == 1.0:
+        lead += 1
+    a, b = a[lead:], b[lead:]
+    levels = list(zip(b[::-1].tolist(), (np.append(a, 1.0)[::-1] ** 2).tolist()))
+
+    def q_density(theta: float) -> float:
+        x, s = 2.0 * math.cos(theta), math.sin(theta)
+        m = complex(-0.5 * x, s)
+        for b_k, a_sq in levels:
+            m = 1.0 / (b_k - x - a_sq * m)
+        return math.log(s / m.imag) * s * s / math.pi
+
+    q = quad(q_density, 0.0, math.pi, epsabs=1e-14, epsrel=1e-14, limit=200)[0]
+    off = np.ones(b.size + pad - 1)
+    off[: a.size] = a
+    vals = np.linalg.eigvalsh(np.diag(np.pad(b, (0, pad))) + np.diag(off, 1) + np.diag(off, -1))
+    out = vals[np.abs(vals) > 2.0]
+    beta = (out + np.sign(out) * np.sqrt(out * out - 4.0)) / 2.0
+    return q + float(np.sum(beta**2 - beta**-2 - np.log(beta**4)) / 4.0)

@@ -18,13 +18,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import make_estar_gapset, make_p1_block, make_perturbed_window, roundtrip_inputs
+from conftest import (
+    make_estar_gapset,
+    make_p1_block,
+    make_perturbed_window,
+    roundtrip_inputs,
+    sum_rule_window,
+)
+from oracles import sum_rule_spectral_side
 
 from gmpflow import cli, ks, numkit
 from gmpflow.errors import NumericalError
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
 from gmpflow.flow import flow_run
-from gmpflow.gmp import GmpBlock, GmpWindow
+from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense
 from gmpflow.isospectral import solve_is_point
 from gmpflow.jacobi import JacobiWindow, dist_eta
 
@@ -395,9 +402,10 @@ class TestKs:
         cmap = write_json(tmp_path / "moved.json", moved.to_json())
         capsys.readouterr()
         assert cli.main(["ks", win, cmap, "--steps", "2"]) == 1
-        assert capsys.readouterr() == (
-            "", "validation error: window poles differ from the map poles\n"
-        )
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"validation error: window poles differ from the map poles by "
+                            r"\d\.\d{3}e-\d\d exceeds 1\.000e-12\n", err)
 
     def test_each_state_is_mapped_once(self, tmp_path, monkeypatch):
         # 9 states of the run: one delta_of_gmp call maps states 0 and 8,
@@ -491,6 +499,18 @@ class TestKs:
         cols = csv_columns(capsys.readouterr().out)
         assert cols["n"] == [str(n) for n in range(8)]
         assert max(abs(float(v)) for v in cols["telescope_resid"]) <= 1e-15
+
+    def test_genus_zero_entropy_is_the_sum_rule(self, tmp_path, capsys):
+        # rows 0..j_top hold every row off the free pattern, so half the
+        # printed entropy is the Killip-Simon sum rule's spectral side
+        w = sum_rule_window(np.random.default_rng(3))
+        win = write_json(tmp_path / "g0.json", w.to_json())
+        d = write_json(tmp_path / "g0map.json", {"lambda0": 1.0, "c0": 0.0, "poles": []})
+        assert cli.main(["ks", win, d, "--steps", "1"]) == 0
+        (entropy,) = csv_columns(capsys.readouterr().out)["hplus_rows_0_to_32"]
+        mat = assemble_dense(w)
+        spectral = sum_rule_spectral_side(np.diag(mat, 1), np.diag(mat))
+        assert abs(float(entropy) / 2 - spectral) <= 1e-12
 
     def test_single_step_has_no_telescoping(self, tmp_path, capsys):
         win = p1_window_file(tmp_path)
@@ -586,16 +606,33 @@ class TestIsoSolve:
             tmp_path / "map.json",
             {"lambda0": 1, "c0": 0, "poles": [{"c": 0, "lambda": 1}]},
         )
+        # entries below the square limit whose residual overflows
         seed = write_json(
-            tmp_path / "seed.json", {"p": [1e200, 1.0], "q": [1e200, -1e200]}
+            tmp_path / "seed.json", {"p": [1e150, 1.0], "q": [1e150, -1e150]}
         )
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert cli.main(["iso-solve", cmap, seed]) == 1
         assert [str(w.message) for w in caught] == []
         assert capsys.readouterr().err == (
-            "validation error: seed residual nan too large; "
+            "validation error: seed residual inf too large; "
             "start closer to the surface\n"
+        )
+
+    @pytest.mark.parametrize("p, q, entry", [
+        ([1e200, 1.0], [1e200, -1e200], "p[0] = 1e+200"),
+        ([1.0, 1.0], [1.0, -1e200], "q[1] = -1e+200"),
+    ])
+    def test_seed_entry_too_large_to_square_rejected(self, tmp_path, capsys, p, q, entry):
+        # as in every other input; the last p entry is pinned, not read
+        cmap = write_json(
+            tmp_path / "map.json",
+            {"lambda0": 1, "c0": 0, "poles": [{"c": 0, "lambda": 1}]},
+        )
+        seed = write_json(tmp_path / "seed.json", {"p": p, "q": q})
+        assert cli.main(["iso-solve", cmap, seed]) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: {entry} is too large: its square overflows\n"
         )
 
     def test_malformed_block_rejected(self, tmp_path, capsys):

@@ -280,7 +280,7 @@ class TestFactorL:
         chol = numkit.lower_cholesky_like
         monkeypatch.setattr(numkit, "lower_cholesky_like", lambda mat: chol(mat) * 2.0)
         with pytest.raises(NumericalError,
-                           match=r"^triangular factor residual 5\.273e-01 exceeds the tolerance$"):
+                           match=r"^triangular factor residual 5\.273e-01 exceeds 2\.000e-10$"):
             factor_L(np.array([[2.0, 0.5], [0.5, 1.0]]))
 
 
@@ -383,8 +383,8 @@ class TestMultiplicationMatrix:
     def test_lost_pattern_raises(self, monkeypatch):
         rb = tau_basis(four_point_measure(), make_estar_delta(), depth=2)
         monkeypatch.setattr(construct, "pattern_defect", lambda mat, mask: 0.5)
-        with pytest.raises(NumericalError, match="^multiplication matrix lost the block "
-                           "pattern: off-pattern entry 5.000e-01$"):
+        with pytest.raises(NumericalError, match=r"^multiplication matrix lost the block "
+                           r"pattern: off-pattern entry 5\.000e-01 exceeds 1\.768e-09$"):
             multiplication_matrix(rb)
 
 
@@ -564,7 +564,7 @@ class TestJacobiToGmp:
         with pytest.raises(NumericalError) as info:
             jacobi_to_gmp(period2_window(), make_estar_delta(), n_blocks=5)
         assert str(info.value) == (
-            "block 0 readout deviates from the diagonal part by 1.000e-03"
+            "block 0 readout deviates from the diagonal part by 1.000e-03 exceeds 1.414e-08"
         )
 
     def test_period_two_recovers_constant_block(self):
@@ -589,7 +589,8 @@ class TestJacobiToGmp:
         d, w = roundtrip_inputs(8, 241)
         with pytest.raises(WindowError) as info:
             jacobi_to_gmp(gmp_to_jacobi_measure(w), d, n_blocks=5)
-        weight = re.search(r"boundary weight (\S+) above 1e-09", str(info.value))
+        weight = re.fullmatch(r"window too short for the kappa vector at c = \S+: boundary "
+                              r"weight (\S+) exceeds 1\.000e-09", str(info.value))
         assert weight and 1e-9 < float(weight.group(1)) < 1.0
 
     def test_spectrum_near_pole_raises(self):
@@ -625,9 +626,9 @@ class TestJacobiToGmp:
 
     def test_lost_pattern_raises(self, monkeypatch):
         monkeypatch.setattr(construct, "pattern_defect", lambda mat, mask: 0.5)
-        with pytest.raises(NumericalError, match="^operator lost the GMP pattern in the flag "
-                           "basis: off-pattern entry 5.000e-01; the Jacobi window is likely "
-                           "too narrow$"):
+        with pytest.raises(NumericalError, match=r"^operator lost the GMP pattern in the flag "
+                           r"basis \(the Jacobi window is likely too narrow\): off-pattern "
+                           r"entry 5\.000e-01 exceeds 1\.414e-08$"):
             jacobi_to_gmp(period2_window(), make_estar_delta(), n_blocks=5)
 
     def test_narrow_window_raises(self):

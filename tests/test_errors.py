@@ -1,0 +1,129 @@
+"""``errors.check``, the one rule that holds a value against its bound,
+and a scan that keeps every tolerance comparison in ``src/gmpflow``
+going through it."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from gmpflow.errors import NumericalError, ValidationError, WindowError, check
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "gmpflow"
+BOUND_SUFFIXES = ("_TOL", "_REL", "_FLOOR")
+# Comparisons that stay outside ``check``: the pivot rules, whose
+# exceptions carry the pivot (PIVOT_REL_TOL, and lower_cholesky_like's
+# 1e-14), and the distance-to-singularity rules, whose messages name the
+# input that sits too close.
+KEPT_BOUNDS = {"PIVOT_REL_TOL", "POLE_REL_TOL", "POLE_SUPPORT_REL", "SPECTRUM_GAP_REL",
+               "GAP_REL_TOL"}
+KEPT_LITERALS = {("lower_cholesky_like", 1e-14)}
+
+
+class TestCheck:
+    def test_value_at_its_bound_passes(self):
+        check("x", 1.0, 1.0)
+        check("x", 1.0, 1.0, floor=True)
+
+    def test_scalar_above_a_ceiling(self):
+        with pytest.raises(NumericalError, match=r"^residual 2\.500e-06 exceeds 1\.000e-08$"):
+            check("residual", 2.5e-6, 1e-8)
+
+    def test_scalar_below_a_floor(self):
+        with pytest.raises(NumericalError, match=r"^pivot -1\.000e-20 is below 1\.000e-14$"):
+            check("pivot", -1e-20, 1e-14, floor=True)
+        check("pivot", 1e-20, -1e-14, floor=True)
+
+    @pytest.mark.parametrize("floor", [False, True])
+    @pytest.mark.parametrize("value, limit", [(np.nan, 1.0), (0.0, np.nan)])
+    def test_nan_is_refused(self, value, limit, floor):
+        with pytest.raises(NumericalError, match=r"^x \S+ (exceeds|is below) \S+$") as got:
+            check("x", value, limit, floor=floor)
+        assert "nan" in str(got.value)
+
+    def test_array_names_its_first_failing_entry(self):
+        # the limit broadcasts along rows; flat entries 1, 2 and 3 fail
+        value = np.array([[0.0, 3.0], [5.0, 4.0]])
+        with pytest.raises(NumericalError, match=r"^entry 1 3\.000e\+00 exceeds 2\.000e\+00$"):
+            check(lambda i: f"entry {i}", value, np.array([1.0, 2.0]))
+
+    def test_nothing_is_named_on_success(self):
+        named = []
+        check(lambda i: named.append(i), np.zeros(3), 1.0)
+        check(lambda i: named.append(i), np.ones(3), np.zeros(3), floor=True)
+        assert named == []
+
+    @pytest.mark.parametrize("exc", [ValidationError, WindowError])
+    def test_exception_class(self, exc):
+        with pytest.raises(exc, match=r"^weight 1\.000e\+00 exceeds 5\.000e-01$") as got:
+            check("weight", 1.0, 0.5, exc)
+        assert type(got.value) is exc
+
+
+def _bounds(node: ast.AST) -> set:
+    """The bound-like terms of every comparison under ``node``: names
+    ending in a tolerance suffix and float literals strictly between -1
+    and 1 but not 0 (a comparison with 0.0 is a sign rule, one with 1.0
+    a range), outside the arguments of calls such as ``max(1.0, scale)``."""
+    found = set()
+    for cmp in (n for n in ast.walk(node) if isinstance(n, ast.Compare)):
+        todo = [cmp.left, *cmp.comparators]
+        while todo:
+            n = todo.pop()
+            name = n.id if isinstance(n, ast.Name) else getattr(n, "attr", None)
+            if isinstance(name, str) and name.endswith(BOUND_SUFFIXES):
+                found.add(name)
+            if isinstance(n, ast.Constant) and isinstance(n.value, float) and 0 < abs(n.value) < 1:
+                found.add(n.value)
+            todo += [] if isinstance(n, ast.Call) else ast.iter_child_nodes(n)
+    return found
+
+
+def tolerance_raises(path: Path) -> list[str]:
+    """Each ``if`` of ``path`` whose body raises and whose test compares
+    with a bound, directly or through a name assigned from such a
+    comparison in the same function, unless every bound is a kept one."""
+    found = []
+    funcs = [n for n in ast.walk(ast.parse(path.read_text()))
+             if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    for fn in funcs:
+        tainted: dict[str, set] = {}
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Assign) and _bounds(node.value):
+                for target in (t for t in node.targets if isinstance(t, ast.Name)):
+                    tainted[target.id] = _bounds(node.value)
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body)):
+                continue
+            bounds = _bounds(node.test).union(*(tainted.get(n.id, set()) for n in ast.walk(
+                node.test) if isinstance(n, ast.Name)))
+            kept = KEPT_BOUNDS | {v for f, v in KEPT_LITERALS if f == fn.name}
+            if bounds - kept:
+                found.append(f"{path.name}:{node.lineno} {fn.name} {sorted(map(str, bounds))}")
+    return found
+
+
+def test_every_tolerance_comparison_refuses_through_check():
+    found = [hit for path in sorted(SRC.glob("*.py")) for hit in tolerance_raises(path)]
+    assert found == []
+
+
+def test_scan_sees_direct_and_assigned_comparisons(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "def direct(x):\n"
+        "    if x > READOUT_TOL:\n"
+        "        raise ValueError\n"
+        "def assigned(x):\n"
+        "    bad = np.flatnonzero(x > 1e-8)\n"
+        "    if bad.size:\n"
+        "        raise ValueError\n"
+        "def sign(x):\n"
+        "    if not 0.0 < x < 1.0:\n"
+        "        raise ValueError\n"
+        "def kept(x):\n"
+        "    if x <= POLE_REL_TOL * max(1.0, abs(x)):\n"
+        "        raise ValueError\n"
+    )
+    assert [hit.split()[1] for hit in tolerance_raises(path)] == ["direct", "assigned"]

@@ -12,6 +12,7 @@ from gmpflow.errors import (
     PoleEvaluationError,
     SpectrumProximityError,
     ValidationError,
+    check,
 )
 from gmpflow.finitegap import (
     GAP_REL_TOL,
@@ -77,11 +78,8 @@ def gap_zeros_per_gap(gapset: GapSet) -> np.ndarray:
             raise DegenerateGapError(f"gap {k} = ({a}, {b}) has numerically zero length")
         c = scalar_bisect(diff, a, b)
         pa, pb = np.prod(c - a_pts), np.prod(c - b_pts)
-        residual = abs(pb - pa)
-        if residual > ZERO_RESIDUAL_REL_TOL * (abs(pa) + abs(pb) + 1.0):
-            raise DegenerateGapError(
-                f"gap {k}: pole residual {residual:.3e} exceeds tolerance"
-            )
+        check(f"gap {k}: pole residual", abs(pb - pa),
+              ZERO_RESIDUAL_REL_TOL * (abs(pa) + abs(pb) + 1.0), DegenerateGapError)
         zeros.append(c)
     return np.array(zeros)
 

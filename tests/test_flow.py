@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from gmpflow.errors import NumericalError, ValidationError, WindowError
+from gmpflow.errors import NumericalError, ValidationError, WindowError, check
 from gmpflow.flow import (
     READOUT_REL_TOL,
     FlowTrajectory,
@@ -102,11 +102,8 @@ def reference_extract_jacobi(states):
         trail = states[n + 1].block(-1)
         b_trail = float(trail.q[-1] * trail.p[-1])
         scale = max(1.0, abs(b_mean), abs(b_trail))
-        if abs(b_mean - b_trail) > READOUT_REL_TOL * scale:
-            raise NumericalError(
-                f"readout mismatch at step {n}: trailing {b_trail:.6e} "
-                f"vs quadratic mean {b_mean:.6e}"
-            )
+        check(f"readout mismatch at step {n}: trailing {b_trail:.6e} vs quadratic mean "
+              f"{b_mean:.6e}, difference", abs(b_mean - b_trail), READOUT_REL_TOL * scale)
         b_vals.append(b_trail)
     return np.array(a_vals), np.array(b_vals)
 

@@ -587,7 +587,8 @@ class TestTransferViaResolvent:
     def test_degenerate_corner_rejected(self, p1_block, monkeypatch):
         # a solve whose delta_g column is orthogonal to p leaves r_pd = 0
         monkeypatch.setattr(numkit, "solve", lambda mat, rhs: np.array([[1.0, 0.0], [1.0, 0.0]]))
-        with pytest.raises(NumericalError, match="^degenerate corner resolvent entry$"):
+        with pytest.raises(NumericalError, match=r"^degenerate corner resolvent entry: "
+                           r"\|r_pd\| 0\.000e\+00 is below 1\.914e-14$"):
             transfer_via_resolvent(p1_block, np.array([0.0]), 1.0)
 
 
@@ -871,7 +872,7 @@ class TestResolventColumn:
                 return self.inverse @ rhs + 1e-6
 
         monkeypatch.setattr(np.linalg, "pinv", Skewed)
-        message = r"^closed-form column residual 1\.9\d\de-06 too large$"
+        message = r"^closed-form column residual 1\.9\d\de-06 exceeds 1\.000e-08$"
         with pytest.raises(NumericalError, match=message):
             resolvent_column([(win, 0)])
 
@@ -921,7 +922,8 @@ class TestResolventColumn:
                 return out
 
         monkeypatch.setattr(np.linalg, "pinv", Skewed)
-        with pytest.raises(NumericalError, match=r"^closed-form column residual 1\.9\d\de-06 too large$"):
+        message = r"^closed-form column residual 1\.9\d\de-06 exceeds 1\.000e-08$"
+        with pytest.raises(NumericalError, match=message):
             resolvent_column(pairs)
 
     def test_undefined_pair_skips_only_itself(self):

@@ -159,7 +159,8 @@ class TestIsPoint:
         npt.assert_allclose(pt.residual(), 0.0, atol=1e-12)
 
     def test_off_surface_rejected(self):
-        with pytest.raises(ValidationError, match="surface tolerance"):
+        message = r"^surface residual 4\.000e\+00 exceeds 1\.000e-09$"
+        with pytest.raises(ValidationError, match=message):
             IsPoint(off_surface_block(), estar_delta())
 
     def test_residual_matches_free_function(self):

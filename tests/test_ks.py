@@ -1,6 +1,7 @@
 """Mapped-operator entropy: blocks, identities, diagnostics, densities."""
 
 import re
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -14,8 +15,10 @@ from conftest import (
     roundtrip_inputs,
     solved_comb_map,
     stack_window,
+    sum_rule_window,
     wrapped_dense,
 )
+from oracles import sum_rule_spectral_side
 from oracles_mp import local_delta_column
 
 from gmpflow import ks, numkit
@@ -408,6 +411,21 @@ def run_case(genus: int, n_blocks: int = 41) -> tuple[DeltaData, GmpWindow]:
     return roundtrip_inputs(genus, n_blocks)
 
 
+class TestSumRule:
+    def test_ledger_is_the_spectral_side_at_genus_0(self):
+        # Killip-Simon: half the entropy summed over every row is the
+        # spectral side of the P2 sum rule of the window's Jacobi matrix
+        rng = np.random.default_rng(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # quad's IntegrationWarning included
+            for _ in range(4):
+                w = sum_rule_window(rng)
+                rep = functional_report([delta_of_gmp([w], DeltaData(1.0, 0.0, ()), 3)[0]])
+                mat = assemble_dense(w)
+                spectral = sum_rule_spectral_side(np.diag(mat, 1), np.diag(mat))
+                assert abs(rep.row_terms[0].sum() / 2 - spectral) <= 1e-12
+
+
 class TestMapRun:
     @pytest.mark.parametrize(
         "genus, n_blocks, steps",
@@ -477,7 +495,8 @@ class TestMapRun:
         ks.map_run(states, d, 3)  # the run itself passes
         monkeypatch.setattr(ks, "carry_blocks", carry)
         with pytest.raises(NumericalError, match=r"^state 5: carried operator lost its band "
-                                                 r"structure: defect 5\.000e-01$"):
+                                                 r"structure: defect 5\.000e-01 exceeds "
+                                                 r"\d\.\d{3}e-0\d$"):
             ks.map_run(states, d, 3)
 
     @pytest.mark.parametrize("factor", [0.5, 2.0])
@@ -501,9 +520,12 @@ class TestMapRun:
             ks.map_run(states, d, 3)
             return
         with pytest.raises(NumericalError, match=r"^state 8: carried blocks deviate from the "
-                                                 r"eigen route by \d\.\d{3}e-\d\d$") as err:
+                                                 r"eigen route by \d\.\d{3}e-\d\d exceeds "
+                                                 r"\d\.\d{3}e-\d\d$") as err:
             ks.map_run(states, d, 3)
-        assert float(str(err.value).rsplit(" ", 1)[1]) == pytest.approx(drift[0], rel=1e-2)
+        value, bound = str(err.value).split()[-3::2]
+        assert float(value) == pytest.approx(drift[0], rel=1e-2)
+        assert float(bound) == pytest.approx(drift[0] / factor, rel=1e-3)
 
     def test_vanishing_carried_diagonal_names_its_state(self, monkeypatch):
         d, w = run_case(1)
@@ -517,7 +539,8 @@ class TestMapRun:
             return honest(j_lo, raw_v, raw_w, scale, state)
 
         monkeypatch.setattr(ks, "normalized_blocks", zeroed)
-        with pytest.raises(NumericalError, match="^state 3: coupling block has a vanishing"):
+        with pytest.raises(NumericalError, match=r"^state 3: vanishing coupling block "
+                           r"diagonal entry 0\.000e\+00 is below \d\.\d{3}e-12$"):
             ks.map_run(states, d, 3)
 
     def test_states_must_be_one_flow_run(self):
@@ -905,7 +928,8 @@ class TestFunctionalReport:
             {"shifted_drops": np.array([-1.0])},
         ]
         for changed in below:
-            with pytest.raises(ValidationError, match="floor"):
+            with pytest.raises(ValidationError,
+                               match=r"^entropy term -1\.000e\+00 is below -1\.000e-10$"):
                 report(**changed)
         not_finite = [
             {"row_terms": (np.zeros(2), np.array([np.nan]))},
@@ -1064,7 +1088,8 @@ class TestDensityIdentity:
         # for any points, the derivative product only at true preimages
         bisect = numkit.bisect_root
         monkeypatch.setattr(numkit, "bisect_root", lambda f, lo, hi: bisect(f, lo, hi) + 1e-3)
-        with pytest.raises(NumericalError, match=r"^determinant identities failed: \S+, \S+$"):
+        with pytest.raises(NumericalError, match=r"^determinant identity of the derivative "
+                           r"product: relative residual \S+ exceeds 1\.000e-09$"):
             density_identity([0.0, 3.0], [1.0, 1.0], 1.0)
 
     def test_positive_weights_required(self):
