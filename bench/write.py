@@ -56,11 +56,13 @@ The record holds:
   error ``|Delta(edge) -/+ 2|`` over the eight maps;
 - a kernel sweep of ``gmp.lambda_sharp`` (all g pair functionals of one
   pair of blocks, or of a stack of pairs) over g in {1, 2, 4, 8, 12, 16},
-  at 1 and 481 pairs, on the poles of the same comb maps and a window of
-  surface blocks with every entry perturbed by up to 5%;
+  at 1, 50 and 481 pairs, on the poles of the same comb maps and a window
+  of surface blocks with every entry perturbed by up to 5%, each record
+  with ``tracemalloc_peak_kb``, the traced peak of one call;
 - a kernel sweep of ``flow.u_block`` (the rotation blocks of every row
-  of a window) and of ``flow.jacobi_flow_step`` over the same genera, on
-  the 482-block window of those 481 pairs;
+  of a window), ``flow.jacobi_flow_step`` and ``gmp.validate_gmp`` (the
+  class check of a flow state) over the same genera, on the 482-block
+  window of those 481 pairs;
 - each sweep record is ``{layer, case, n_blocks, g, best_s, median_s,
   counters}`` (``sites`` too for the Jacobi windows, ``band_edge_err``
   for the comb maps; ``n_blocks`` counts the pairs for
@@ -122,6 +124,7 @@ import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 sys.dont_write_bytecode = True
@@ -167,7 +170,7 @@ ISO_SEEDS = 4
 DELTA_GENERA = (2, 4, 8, 12, 16)
 DELTA_SETS = 8
 KERNEL_GENERA = (1, 2, 4, 8, 12, 16)
-KERNEL_PAIRS = (1, 481)
+KERNEL_PAIRS = (1, 50, 481)
 FLOW_PAIRS = 481
 # Timed repeats per sweep case: at least MIN_REPEATS, more while the case
 # has used less than CASE_BUDGET_S, at most MAX_REPEATS.
@@ -599,12 +602,17 @@ def sweep(work: Path) -> list[dict]:
             nxt, this = (w.block(1), w.block(0)) if n_pairs == 1 else (w.rows(1), w.rows(0, -1))
             rec = {"layer": "kernel", "case": "lambda_sharp", "n_blocks": n_pairs, "g": g}
             rec.update(timed(lambda: gmp.lambda_sharp(nxt, this, w.c)))
+            tracemalloc.start()
+            gmp.lambda_sharp(nxt, this, w.c)
+            rec["tracemalloc_peak_kb"] = round(tracemalloc.get_traced_memory()[1] / 1e3, 1)
+            tracemalloc.stop()
             records.append(rec)
             print(f"lambda_sharp g={g} pairs={n_pairs}: best {rec['best_s'] * 1e6:.0f} us",
                   file=sys.stderr)
         w = kernel_inputs(g, FLOW_PAIRS)
         for case, fn in (("u_block", lambda: u_block(w.P)),
-                         ("jacobi_flow_step", lambda: jacobi_flow_step(w))):
+                         ("jacobi_flow_step", lambda: jacobi_flow_step(w)),
+                         ("validate_gmp", lambda: gmp.validate_gmp(w))):
             rec = {"layer": "kernel", "case": case, "n_blocks": w.n_blocks, "g": g}
             rec.update(timed(fn))
             records.append(rec)

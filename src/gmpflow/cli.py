@@ -37,8 +37,8 @@ from .finitegap import DeltaData, GapSet, check_squares, delta_from_gaps, eval_d
 from .flow import flow_run
 from .gmp import VALIDITY_FLOOR, GmpBlock, GmpWindow
 from .isospectral import solve_is_point
-from .jacobi import JacobiWindow, dist_eta
-from .ks import DIVERGENCE_SLOPE, ks_diagnostics, map_run, telescoping_check
+from .jacobi import JacobiWindow, check_eta, dist_eta
+from .ks import DIVERGENCE_SLOPE, check_margin, ks_diagnostics, map_run, telescoping_check
 
 log = logging.getLogger("gmpflow.cli")
 
@@ -162,6 +162,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
     """
     w = GmpWindow.from_json(_load_json(args.window))
     floor = VALIDITY_FLOOR if args.tol is None else args.tol
+    check_eta(args.eta)
     traj = flow_run(w, args.steps, floor=floor)
     log.info("flow: %d blocks, %d steps", w.n_blocks, args.steps)
     steps, per, a, b = range(args.steps), w.g + 1, traj.a_out, traj.b_out
@@ -191,6 +192,7 @@ def cmd_ks(args: argparse.Namespace) -> int:
     """
     w = GmpWindow.from_json(_load_json(args.window))
     d = DeltaData.from_json(_load_json(args.delta))
+    check_margin(args.margin)
     traj = flow_run(w, args.steps)
     run = map_run(traj.states, d, args.margin)
     rep = telescoping_check(run)["report"]  # the run's entropy ledger

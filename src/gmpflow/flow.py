@@ -28,9 +28,9 @@ from .gmp import (
 )
 
 READOUT_REL_TOL = 1e-10
-# Squares as a Python float's ``x ** 2`` takes them, by the C library's pow:
-# np.square rounds about one argument in a thousand the other way.
-_PY_POW = np.frompyfunc(pow, 2, 1)
+# Squares are np.float_power(x, 2.0), which calls the C library's pow per
+# entry as a Python float's ``x ** 2`` does: np.square and np.power, which
+# multiply or vectorize, round about one argument in a thousand the other way.
 
 
 def rotation_o(phi) -> np.ndarray:
@@ -41,7 +41,10 @@ def rotation_o(phi) -> np.ndarray:
     An array of angles gives one block per angle, stacked in front.
     """
     s, co = np.sin(phi), np.cos(phi)
-    return np.stack([np.stack([s, co], -1), np.stack([co, -s], -1)], -2)
+    rot = np.empty(np.shape(s) + (2, 2))
+    rot[..., 0, 0], rot[..., 1, 1] = s, -s
+    rot[..., 0, 1] = rot[..., 1, 0] = co
+    return rot
 
 
 def tail_norms(p: np.ndarray) -> np.ndarray:
@@ -50,7 +53,7 @@ def tail_norms(p: np.ndarray) -> np.ndarray:
     return np.sqrt(np.cumsum(p[..., ::-1] ** 2, axis=-1)[..., ::-1])
 
 
-def u_block(p) -> np.ndarray:
+def u_block(p, tails=None) -> np.ndarray:
     """Orthogonal block sending delta_0 to p/||p||.
 
     The product of plane rotations of the slot pairs (k-1, k), k = 1..g,
@@ -59,17 +62,20 @@ def u_block(p) -> np.ndarray:
     result is p/||p||; column k vanishes on the first k-1 slots, carries
     the squared tail norm on slot k-1 and -p_{k-1} times the tail below.
     A stack of vectors, one per row, gives the stack of their blocks.
-    The vectors are rows of a checked window, so they are finite with
-    p_g > 0 and are not checked again; at genus 0 there is no rotation,
-    and the block is the 1 x 1 identity.
+    All g angles of every row come from one ``arctan2`` and their
+    rotations from one ``rotation_o`` call; ``tails`` takes the
+    ``tail_norms`` of p when the caller has them.  The vectors are rows
+    of a checked window, so they are finite with p_g > 0 and are not
+    checked again; at genus 0 there is no rotation, and the block is the
+    1 x 1 identity.
     """
     p = np.asarray(p, dtype=float)
-    tails = tail_norms(p)
+    tails = tail_norms(p) if tails is None else tails
     g = p.shape[-1] - 1
     u = np.broadcast_to(np.eye(g + 1), p.shape[:-1] + (g + 1, g + 1)).copy()
+    rots = rotation_o(np.arctan2(p[..., :g], tails[..., 1:]))
     for k in range(1, g + 1):
-        rot = rotation_o(np.arctan2(p[..., k - 1], tails[..., k]))
-        u[..., k - 1 : k + 1, :] = rot @ u[..., k - 1 : k + 1, :]
+        u[..., k - 1 : k + 1, :] = rots[..., k - 1, :, :] @ u[..., k - 1 : k + 1, :]
     return u
 
 
@@ -92,7 +98,7 @@ def jacobi_flow_step(window: GmpWindow) -> GmpWindow:
     norm_this = tails[:, 0]
     norm_next = np.sqrt(nxt[:, None, :] @ nxt[:, :, None])[:, 0, 0]
     bmats = build_block_B(window.rows(1), window.c)
-    u = u_block(this)
+    u = u_block(this, tails)
     x = this / norm_this[:, None]
     v = (np.swapaxes(u, 1, 2) @ (bmats[:-1] @ x[:, :, None]))[:, :, 0]
     p_new = np.empty_like(this)
@@ -101,7 +107,7 @@ def jacobi_flow_step(window: GmpWindow) -> GmpWindow:
     q_new = np.empty_like(this)
     q_new[:, :g] = -norm_this[:, None] * this[:, :g] / (tails[:, :g] * tails[:, 1:])
     b_in = (nxt[:, None, :] @ bmats[1:] @ nxt[:, :, None])[:, 0, 0]
-    b_in /= _PY_POW(norm_next, 2).astype(float)
+    b_in /= np.float_power(norm_next, 2.0)
     q_new[:, g] = norm_this / (this[:, g] * norm_next) * b_in
     return GmpWindow(p_new, q_new, window.c, window.j_min + 1)
 
@@ -144,7 +150,7 @@ def extract_jacobi(states) -> tuple[np.ndarray, np.ndarray]:
     a_vals = np.sqrt(np.vecdot(P0, P0))
     bmats = build_block_B(GmpBlock._view(P0[:-1], Q0[:-1]), c)
     quad = np.vecdot((P0[:-1, None, :] @ bmats)[:, 0], P0[:-1])
-    b_mean = quad / _PY_POW(a_vals[:-1], 2).astype(float)
+    b_mean = quad / np.float_power(a_vals[:-1], 2.0)
     trail = np.array([st.block(-1).q[-1] * st.block(-1).p[-1] for st in states[1:]])
     scale = np.maximum(1.0, np.maximum(abs(b_mean), abs(trail)))
     check(lambda n: f"readout mismatch at step {n}: trailing {trail[n]:.6e} vs quadratic "

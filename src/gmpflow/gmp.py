@@ -194,9 +194,10 @@ def build_block_B(blk: GmpBlock, c: np.ndarray) -> np.ndarray:
     if c.size != blk.g:
         raise ValidationError(f"pole list length {c.size}, expected {blk.g}")
     pq = _outer(blk.p, blk.q)
-    mat = np.tril(pq) + np.triu(np.swapaxes(pq, -1, -2), 1)
-    diag = np.arange(blk.g + 1)
-    mat[..., diag, diag] += np.append(c, 0.0)
+    mat = np.where(np.tri(blk.g + 1, dtype=bool), pq, np.swapaxes(pq, -1, -2))
+    # Adding diag(c, 0) + 0.0 to every entry turns -0.0 to +0.0 wherever a
+    # sum of the two triangles and then of the poles would have.
+    mat += np.diag(np.append(c, 0.0) + 0.0)
     return mat
 
 
@@ -326,8 +327,11 @@ def lambda_sharp(
     rank-one middle, so it is a_k b_k^T with a_k = N_0..N_{k-2} u and
     b_k^T = v^T J T_k..T_{g-1}, built for every pole and row at once;
     the functional is minus the trace of a_k b_k^T times the infinity
-    factor of ``thisblk``.  A list ``states`` receives the states i < g:
-    a_k through slots >= g-1-i, b_k through slots <= i, on axes
+    factor of ``thisblk``.  The chain runs on C-order buffers with the
+    rows last: one state, updated in place, and the two factor vectors
+    of each step, gathered once; each step forms its rank-one factors
+    as it is applied.  A list ``states`` receives copies of the states
+    i < g: a_k through slots >= g-1-i, b_k through slots <= i, on axes
     (component, side, k-1, row), the rows the leading axes in C order.
     """
     g, c = thisblk.g, np.asarray(c, dtype=float)
@@ -339,16 +343,22 @@ def lambda_sharp(
     slots = np.concatenate([nextblk.p, thisblk.q, nextblk.q, -thisblk.p], axis=-1)
     slots = slots.reshape(-1, 4 * g + 4).T.reshape(2, 2, g + 1, -1)
     state = slots[:, :, :g]
+    if g > 1:
+        # C-order copies of the strided slots: the state, and the factor
+        # vectors w of each step on axes (step, component, side, 1, row)
+        idx, denom = _chain_plan(c.tobytes())
+        factors = slots.reshape(2, 2 * g + 2, -1)[:, idx].transpose(1, 0, 2, 3, 4).copy()
+        state = state.copy()
+        del slots  # frees the concatenation it views
+        for w, den in zip(factors, denom):
+            if states is not None:
+                states.append(state.copy())
+            inc = w * w[1] * state[0]  # [j]: w_j (w^T J)_l state_l, summed over l
+            inc += w * -w[0] * state[1]
+            inc /= den
+            state += inc
     if states is not None:
         states.append(state)
-    if g > 1:
-        idx, denom = _chain_plan(c.tobytes())
-        w = slots.reshape(2, 2 * g + 2, -1)[:, idx]
-        rank_one = w[None, :] * np.stack([w[1], -w[0]])[:, None]  # [l, j]: w_j (w^T J)_l
-        for (col0, col1), den in zip(rank_one.transpose(2, 0, 1, 3, 4, 5), denom):
-            state = state + (col0 * state[0] + col1 * state[1]) / den
-            if states is not None:
-                states.append(state)
     # terms of minus the trace of a_k b_k^T times the infinity factor at
     # c_k, whose transpose is [[0, 1/p], [-p, (c_k - pq)/p]]
     p, q = thisblk.p[..., g].ravel(), thisblk.q[..., g].ravel()

@@ -363,10 +363,15 @@ def kappa_pairing(
     return lhs, rhs
 
 
-def dist_eta(b: np.ndarray, b_tilde: np.ndarray, eta: float) -> float:
-    """Geometrically weighted distance sqrt(sum |b-b~|^2 eta^{2n})."""
+def check_eta(eta: float) -> None:
+    """The weight base of ``dist_eta`` lies in (0, 1)."""
     if not 0.0 < eta < 1.0:
         raise ValidationError(f"eta must lie in (0, 1), got {eta}")
+
+
+def dist_eta(b: np.ndarray, b_tilde: np.ndarray, eta: float) -> float:
+    """Geometrically weighted distance sqrt(sum |b-b~|^2 eta^{2n})."""
+    check_eta(eta)
     b = np.asarray(b, dtype=float)
     b_tilde = np.asarray(b_tilde, dtype=float)
     n = max(b.size, b_tilde.size)

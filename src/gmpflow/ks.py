@@ -152,6 +152,13 @@ def normalized_blocks(
     return DeltaBlocks(j_lo, _flip(raw_v, eps_prev, eps), _flip(raw_w, eps[:-1], eps[:-1]), eps)
 
 
+def check_margin(margin: int) -> None:
+    """``delta_of_gmp`` drops at least the 3 blocks at each end that the
+    wrap seam reaches."""
+    if margin < 3:
+        raise ValidationError("margin below 3 cannot clear the wrap seam")
+
+
 def delta_of_gmp(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list[DeltaBlocks]:
     """Blocks of the comb map applied to each wrapped window of a run: the
     eigen route.
@@ -181,8 +188,7 @@ def delta_of_gmp(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list
     c = states[0].c
     if d.g != states[0].g:
         raise ValidationError(f"map has {d.g} poles but window blocks have genus {states[0].g}")
-    if margin < 3:
-        raise ValidationError("margin below 3 cannot clear the wrap seam")
+    check_margin(margin)
     for window in states:
         if not np.array_equal(window.c, c):
             raise ValidationError("windows of a run must share one pole list")

@@ -18,7 +18,12 @@ tests compare against:
   ``np.longdouble`` form ``longdouble_lanczos``, with
   ``longdouble_jacobi``, that form on the two halves of a GMP window;
 - ``sum_rule_spectral_side``: the spectral side of the Killip-Simon sum
-  rule, which the entropy ledger of ``ks`` equals at genus 0.
+  rule, which the entropy ledger of ``ks`` equals at genus 0;
+- ``whole_plan_lambda_sharp`` and ``tril_triu_block_B``: frozen copies of
+  ``gmp.lambda_sharp``, with the rank-one factors of every step built at
+  once and each step applied out of place on strided views, and of
+  ``gmp.build_block_B`` as a sum of ``np.tril`` and ``np.triu``; the
+  package's kernels must give their bits, signs of zero and NaN included.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 
 from gmpflow import construct, numkit
 from gmpflow.errors import NumericalError, SpectrumProximityError, WindowError
-from gmpflow.gmp import GmpBlock, GmpWindow
+from gmpflow.gmp import GmpBlock, GmpWindow, _chain_plan
 from gmpflow.jacobi import DiscreteMeasure, JacobiWindow, resolvent_r, spectrum_near
 
 CORNER_IDENTITY_TOL = 1e-8
@@ -195,3 +200,39 @@ def sum_rule_spectral_side(a, b, pad: int = 300) -> float:
     out = vals[np.abs(vals) > 2.0]
     beta = (out + np.sign(out) * np.sqrt(out * out - 4.0)) / 2.0
     return q + float(np.sum(beta**2 - beta**-2 - np.log(beta**4)) / 4.0)
+
+
+def whole_plan_lambda_sharp(nextblk: GmpBlock, thisblk: GmpBlock, c, *, states=None):
+    """``gmp.lambda_sharp`` with the chain's whole rank-one plan built up
+    front and every step a new array; the same arguments, values and
+    states."""
+    g, c = thisblk.g, np.asarray(c, dtype=float)
+    slots = np.concatenate([nextblk.p, thisblk.q, nextblk.q, -thisblk.p], axis=-1)
+    slots = slots.reshape(-1, 4 * g + 4).T.reshape(2, 2, g + 1, -1)
+    state = slots[:, :, :g]
+    if states is not None:
+        states.append(state)
+    if g > 1:
+        idx, denom = _chain_plan(c.tobytes())
+        w = slots.reshape(2, 2 * g + 2, -1)[:, idx]
+        rank_one = w[None, :] * np.stack([w[1], -w[0]])[:, None]
+        for (col0, col1), den in zip(rank_one.transpose(2, 0, 1, 3, 4, 5), denom):
+            state = state + (col0 * state[0] + col1 * state[1]) / den
+            if states is not None:
+                states.append(state)
+    p, q = thisblk.p[..., g].ravel(), thisblk.q[..., g].ravel()
+    closing = np.zeros((2, 2, g, state.shape[-1]))
+    closing[0, 1], closing[1, 0], closing[1, 1] = -1.0 / p, p, (p * q - c[:, None]) / p
+    terms = state[:, None, 0] * state[None, :, 1] * closing
+    vals = ((terms[0, 0] + terms[0, 1]) + (terms[1, 0] + terms[1, 1])).T
+    return vals.reshape(thisblk.p.shape[:-1] + (g,))
+
+
+def tril_triu_block_B(blk: GmpBlock, c) -> np.ndarray:
+    """``gmp.build_block_B`` as the sum of the lower part of p q^T and the
+    strict upper part of its transpose, then the poles on the diagonal."""
+    pq = blk.p[..., :, None] * blk.q[..., None, :]
+    mat = np.tril(pq) + np.triu(np.swapaxes(pq, -1, -2), 1)
+    diag = np.arange(blk.g + 1)
+    mat[..., diag, diag] += np.append(np.asarray(c, dtype=float), 0.0)
+    return mat

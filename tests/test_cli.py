@@ -62,6 +62,11 @@ def p1_window_file(tmp_path, n_blocks: int = 15, j_min: int = -7) -> str:
     )
 
 
+def flow_never_runs(*args, **kwargs):
+    """Stands in for ``flow_run`` where an option must be refused first."""
+    raise AssertionError("the flow ran before its options were checked")
+
+
 def twogap_window(half: int = 20) -> tuple[DeltaData, GmpWindow]:
     """Comb map of a two-gap set and a window of 2*half+1 blocks around
     its surface block, perturbed away from block 0."""
@@ -303,8 +308,27 @@ class TestFlow:
         assert cli.main(args) == 1
         assert "eta" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eta", ["1.5", "0", "1", "nan", "-0.1"])
+    def test_bad_eta_refused_before_the_flow(self, tmp_path, capsys, monkeypatch, eta):
+        monkeypatch.setattr(cli, "flow_run", flow_never_runs)
+        args = ["flow", p1_window_file(tmp_path), "--steps", "2", "--eta", eta]
+        assert cli.main(args) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: eta must lie in (0, 1), got {float(eta)}\n"
+        )
+
 
 class TestKs:
+    @pytest.mark.parametrize("margin", ["2", "0", "-1"])
+    def test_bad_margin_refused_before_the_flow(self, tmp_path, capsys, monkeypatch, margin):
+        monkeypatch.setattr(cli, "flow_run", flow_never_runs)
+        win, d = p1_window_file(tmp_path), estar_delta_file(tmp_path)
+        capsys.readouterr()
+        assert cli.main(["ks", win, d, "--steps", "2", "--margin", margin]) == 1
+        assert capsys.readouterr().err == (
+            "validation error: margin below 3 cannot clear the wrap seam\n"
+        )
+
     def test_magic_columns_vanish(self, tmp_path, capsys):
         win = p1_window_file(tmp_path)
         d = estar_delta_file(tmp_path)

@@ -21,6 +21,7 @@ from gmpflow.gmp import GmpBlock, GmpWindow, build_block_B, lambda_k
 from gmpflow.jacobi import DiscreteMeasure, lanczos_from_measure
 
 from conftest import make_p1_block, make_p1_window, stack_window
+from oracles import tril_triu_block_B
 
 SQRT2 = np.sqrt(2.0)
 
@@ -59,13 +60,6 @@ def reference_u_block(p):
     return u
 
 
-def reference_block_B(p, q, c):
-    pq = np.outer(p, q)
-    mat = np.tril(pq) + np.triu(pq.T, 1)
-    mat[np.diag_indices_from(mat)] += np.append(c, 0.0)
-    return mat
-
-
 def reference_flow_step(window):
     """The flow step as a loop over blocks; returns the new (P, Q)."""
     g = window.g
@@ -75,14 +69,14 @@ def reference_flow_step(window):
         tails = np.sqrt(np.cumsum(blk.p[::-1] ** 2)[::-1])
         norm_this = float(tails[0])
         norm_next = float(np.linalg.norm(nxt.p))
-        bmat = reference_block_B(blk.p, blk.q, window.c)
+        bmat = tril_triu_block_B(blk, window.c)
         v = reference_u_block(blk.p).T @ (bmat @ (blk.p / norm_this))
         p_new = np.empty(g + 1)
         p_new[:g] = v[1:]
         p_new[g] = norm_next * blk.p[g] / norm_this
         q_new = np.empty(g + 1)
         q_new[:g] = -norm_this * blk.p[:g] / (tails[:g] * tails[1:])
-        bnext = reference_block_B(nxt.p, nxt.q, window.c)
+        bnext = tril_triu_block_B(nxt, window.c)
         b_in = float(nxt.p @ bnext @ nxt.p) / norm_next**2
         q_new[g] = norm_this / (blk.p[g] * norm_next) * b_in
         rows_p.append(p_new)
@@ -286,6 +280,12 @@ class TestStackedStep:
         window = random_window(rng, g, 120, -60)
         expected_u = np.array([reference_u_block(p) for p in window.P])
         assert np.array_equal(u_block(window.P), expected_u)
+
+    def test_squares_are_python_float_powers(self):
+        # the step's squares: np.float_power gives the bits of x ** 2 on a Python float
+        rng = np.random.default_rng(6)
+        x = rng.uniform(0.5, 2.0, 200_000) * 10.0 ** np.arange(-40, 40).repeat(2_500)
+        assert np.array_equal(np.float_power(x, 2.0), [v**2 for v in x.tolist()])
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(small_windows())

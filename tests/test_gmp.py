@@ -33,6 +33,7 @@ from gmpflow.gmp import (
 )
 
 from conftest import make_p1_block, make_p1_window, stack_window
+from oracles import tril_triu_block_B, whole_plan_lambda_sharp
 
 
 def random_block(rng: np.random.Generator, g: int) -> GmpBlock:
@@ -491,6 +492,95 @@ class TestStackedChain:
         blk = random_block(rng, 3)
         with pytest.raises(PoleEvaluationError, match="at its pole c = 0.5"):
             lambda_k(blk, np.array([-1.0, 0.5, 0.5]))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and entries, NaN where NaN, and equal signs of zero."""
+    return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def first_bad_or_min(vals: np.ndarray) -> np.ndarray:
+    """Per pole: the first value that is not finite, else the first minimum."""
+    out = []
+    for col in vals.T:
+        bad = np.flatnonzero(~np.isfinite(col))
+        out.append(col[bad[0]] if bad.size else col[np.argmin(col)])
+    return np.array(out)
+
+
+class TestFrozenKernels:
+    """``lambda_sharp``, ``validate_gmp`` and ``build_block_B`` give the bits
+    of the frozen forms they replaced (``tests/oracles.py``)."""
+
+    @pytest.mark.parametrize("rows", [1, 18, 50, 481])
+    @pytest.mark.parametrize("g", [1, 2, 3, 5, 8, 12, 16])
+    def test_lambda_sharp_and_its_states(self, g, rows):
+        w = comb_window(g, 3, rows + 1, 0)
+        nxt, this = (w.block(1), w.block(0)) if rows == 1 else (w.rows(1), w.rows(0, -1))
+        got_states, want_states = [], []
+        got = lambda_sharp(nxt, this, w.c, states=got_states)
+        assert got.shape == this.p.shape[:-1] + (g,)
+        assert same_bits(got, whole_plan_lambda_sharp(nxt, this, w.c, states=want_states))
+        # read after the last step: a state updated in place would show here
+        assert len(got_states) == len(want_states) == g
+        for got_state, want_state in zip(got_states, want_states):
+            assert same_bits(got_state, want_state)
+        for i, state in enumerate(got_states):
+            assert not any(np.shares_memory(state, later) for later in got_states[i + 1 :])
+
+    @pytest.mark.parametrize("g", [1, 2, 5, 16])
+    def test_lambda_sharp_on_two_leading_axes(self, g):
+        w = comb_window(g, 4, 19, 0)
+        nxt, this = (
+            GmpBlock(P.reshape(3, 6, g + 1), Q.reshape(3, 6, g + 1))
+            for P, Q in ((w.P[1:], w.Q[1:]), (w.P[:-1], w.Q[:-1]))
+        )
+        got_states, want_states = [], []
+        got = lambda_sharp(nxt, this, w.c, states=got_states)
+        assert got.shape == (3, 6, g)
+        assert same_bits(got, whole_plan_lambda_sharp(nxt, this, w.c, states=want_states))
+        assert all(same_bits(a, b) for a, b in zip(got_states, want_states, strict=True))
+
+    @pytest.mark.parametrize("g", [1, 2, 5, 12])
+    def test_validate_gmp_values_and_minima(self, g):
+        w = comb_window(g, 5, 482, -241)
+        want = whole_plan_lambda_sharp(w.rows(1), w.rows(0, -1), w.c)
+        report = validate_gmp(w)
+        assert same_bits(report["values"], want)
+        assert same_bits(report["min_per_k"], first_bad_or_min(want))
+
+    @pytest.mark.parametrize("case", ["nan", "inf"])
+    def test_validate_gmp_on_non_finite_functionals(self, case):
+        if case == "nan":  # as in TestValidateGmp::test_non_finite_functional_is_invalid
+            huge = GmpBlock([1.3e154, 1.3e154], [1.3e154, 1.3e154])
+            w = stack_window([huge] * 9, (0.0,), j_min=-4)
+        else:  # as in TestValidateGmp::test_infinite_functional_is_invalid
+            w = make_p1_window(21, -10)
+            P = w.P.copy()
+            P[0, 1] = 1e-308
+            w = GmpWindow(P, w.Q, w.c, w.j_min)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            want = whole_plan_lambda_sharp(w.rows(1), w.rows(0, -1), w.c)
+        report = validate_gmp(w)
+        assert not np.isfinite(want).all()
+        assert same_bits(report["values"], want)
+        assert same_bits(report["min_per_k"], first_bad_or_min(want))
+
+    @pytest.mark.parametrize("g", [1, 2, 5])
+    def test_build_block_B_keeps_the_signs_of_zero(self, g):
+        rng = np.random.default_rng([9, g])
+        p = rng.uniform(-1.0, -0.1, (12, g + 1))
+        p[:, g] = rng.uniform(0.3, 1.5, 12)
+        q = rng.uniform(-1.0, 1.0, (12, g + 1))
+        q[::2] = 0.0  # with p < 0, p q^T and q p^T hold -0.0
+        blk = GmpBlock(p, q)
+        signed = np.linspace(0.0, 1.0, g)
+        signed[0] = -0.0  # a pole -0.0 on a -0.0 diagonal entry
+        for c in (np.sort(rng.uniform(-2.0, 2.0, g)), signed):
+            got = build_block_B(blk, c)
+            assert same_bits(got, tril_triu_block_B(blk, c))
+            assert ((got == 0.0) & ~np.signbit(got)).any()
+        assert np.signbit(p[:, :, None] * q[:, None, :])[::2, :g].all()
 
 
 class TestBpFactor:
