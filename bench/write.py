@@ -89,8 +89,12 @@ The record holds:
   map at 41 blocks (``flow --steps 4``, ``ks --steps 8``,
   ``gmp2jacobi``), the g = 1 gap set (``delta``), the first genus-2
   ``iso_comb`` seed (``iso-solve``) and the 222-site ``jacobi2gmp``
-  window (``--width 5``); ``selftest`` runs as well.  Bytecode is
-  cached under ``.bench_run/``, as an installed package would have it;
+  window (``--width 5``); ``selftest`` runs as well.  ``flow --steps
+  478`` at g = 8 and ``flow --steps 200`` at g = 16 run on the 961-block
+  round trips of ``tests/conftest.roundtrip_inputs``, each next to a
+  ``--steps 4`` run of the same window, so that the record shows whether
+  a run's peak memory grows with its step count.  Bytecode is cached
+  under ``.bench_run/``, as an installed package would have it;
 - the counts of the typed-failure grid of ``tests/test_failure_grid.py``
   (every subcommand on perfbench's tiny seed-0 inputs with one JSON leaf
   replaced at a time): cases per exit code, cases that raised a numpy
@@ -104,7 +108,8 @@ The record holds:
 BLAS runs on one thread.  Temporary files go to ``.bench_run/`` in the
 checkout; nothing is written under ``perfbench/``, whose input draws
 are imported.  The sweep takes about 75 s on a 2-core machine, the
-process layer about 40 s, the whole record about 4 minutes.
+process layer about 55 s (its four long flow runs about 15 s), the
+whole record about 4 minutes.
 """
 
 from __future__ import annotations
@@ -172,6 +177,10 @@ DELTA_SETS = 8
 KERNEL_GENERA = (1, 2, 4, 8, 12, 16)
 KERNEL_PAIRS = (1, 50, 481)
 FLOW_PAIRS = 481
+# Long flow runs on the round-trip windows, (g, n_blocks, steps), each next
+# to a 4-step run of the same window: a run keeps a few rows per state, so
+# its peak memory should not grow with the step count.
+FLOW_LONG = ((8, 961, 478), (16, 961, 200))
 # Timed repeats per sweep case: at least MIN_REPEATS, more while the case
 # has used less than CASE_BUDGET_S, at most MAX_REPEATS.
 MIN_REPEATS, MAX_REPEATS, CASE_BUDGET_S = 3, 15, 1.5
@@ -636,6 +645,8 @@ def process_inputs(work: Path) -> dict[str, list[str]]:
         "jacobi": J.to_json(),
         "jacobi-map": d_jac.to_json(),
     }
+    for g, n_blocks, _ in FLOW_LONG:
+        files[f"roundtrip-{g}"] = roundtrip_inputs(g, n_blocks)[1].to_json()
     path = {}
     for name, data in files.items():
         path[name] = str(work / f"process-{name}.json")
@@ -652,6 +663,9 @@ def process_inputs(work: Path) -> dict[str, list[str]]:
         f"jacobi2gmp --width {JACOBI_WIDTH}":
             ["jacobi2gmp", path["jacobi"], path["jacobi-map"], "--width", str(JACOBI_WIDTH), *out],
         "selftest": ["selftest", *out],
+        **{f"flow --steps {n} (g={g}, {n_blocks} blocks)":
+           ["flow", path[f"roundtrip-{g}"], "--steps", str(n), *out]
+           for g, n_blocks, steps in FLOW_LONG for n in (steps, 4)},
     }
 
 

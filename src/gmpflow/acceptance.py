@@ -24,7 +24,7 @@ from .construct import (
     tau_basis,
 )
 from .finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta
-from .flow import flow_identity_residual, flow_run, jacobi_flow_step
+from .flow import flow_identity_residual, flow_run, flow_states, jacobi_flow_step
 from .gmp import (
     GmpBlock,
     GmpWindow,
@@ -207,7 +207,7 @@ def criterion_telescoping() -> tuple[list, str]:
     d = _estar_delta()
     w = _decaying_window(0.05, 27)
     j_top = 4
-    run = delta_of_gmp(flow_run(w, 5).states, d, 3)
+    run = delta_of_gmp([st for st, _ in flow_states(w, 5)], d, 3)
     report = telescoping_check(run)
     ledger = report["report"]
     # the drop of the stepped window mapped on its own, against the
@@ -360,18 +360,18 @@ def criterion_functional() -> tuple[list, str]:
     """Vanishing on the surface, boundedness, and divergence flagging."""
     d = _estar_delta()
     w = _p1_window(27, j_min=-13)
-    traj = flow_run(w, 4)
-    rep = functional_report(map_run(traj.states, d, 3))
+    surface = [st for st, _ in flow_states(w, 4)]
+    rep = functional_report(map_run(surface, d, 3))
     surface_dev = max(
         float(np.max(np.abs(rep.row_terms[0]))),
         float(np.max(np.abs(rep.h_origin))),
         float(np.max(np.abs(rep.step_drops))),
     )
-    diag0 = ks_diagnostics(traj.states, d)
+    diag0 = ks_diagnostics(surface, d)
     surface_diag = max(
         float(np.max(np.abs(arr))) for arr in diag0.values.values()
     )
-    diag1 = ks_diagnostics(flow_run(_decaying_window(0.01, 19), 6).states, d)
+    diag1 = ks_diagnostics([st for st, _ in flow_states(_decaying_window(0.01, 19), 6)], d)
     bounded_ok = 0.0 if not any(diag1.diverging.values()) else 1.0
     states = tuple(
         GmpWindow(np.tile((SQRT2 + 0.2 * m, 0.5), (5, 1)), np.zeros((5, 2)), (0.0,), j_min=-2)

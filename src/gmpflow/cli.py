@@ -5,9 +5,9 @@ and ``gmp2jacobi`` convert between coefficient windows and block
 windows, ``flow`` runs the renormalization step and tabulates the
 readout, ``ks`` tabulates the entropy and summability diagnostics,
 ``iso-solve`` projects a seed block onto the surface, and ``selftest``
-runs the acceptance suite.  Every subcommand takes ``--out``, from one
-shared parent parser; ``flow`` and ``ks`` write CSV tables, each given
-as one list of ``(name, values)`` columns.
+runs the acceptance suite.  Every subcommand takes ``--out`` from one
+shared parent parser; ``flow`` and ``ks`` share another for the window
+and ``--steps``, and write CSV tables of ``(name, values)`` columns.
 
 All commands are deterministic given their inputs and options; numbers
 are written with 17 significant digits, and with BLAS on one thread
@@ -34,7 +34,7 @@ import numpy as np
 from .construct import gmp_to_jacobi_measure, jacobi_to_gmp
 from .errors import NumericalError, ValidationError
 from .finitegap import DeltaData, GapSet, check_squares, delta_from_gaps, eval_delta
-from .flow import flow_run
+from .flow import flow_run, flow_states
 from .gmp import VALIDITY_FLOOR, GmpBlock, GmpWindow
 from .isospectral import solve_is_point
 from .jacobi import JacobiWindow, check_eta, dist_eta
@@ -182,22 +182,23 @@ def cmd_flow(args: argparse.Namespace) -> int:
 def cmd_ks(args: argparse.Namespace) -> int:
     """Tabulate the entropy functional and summability families as CSV.
 
-    ``map_run`` maps the flow run's states 0..N: two eigensolves, at
-    the ends, and the states between carried along the flow.  One row
-    per step n = 0..N-1: the origin entropy of state n, its
-    spatial partial sum over the shared trusted rows, the one-step drop
-    and its running sum, the n-step telescoping residual, and each
-    coefficient family with its running sum of squares.  A footer line
-    names the families whose running sums fail the boundedness check.
+    ``map_run`` maps the states 0..N of ``flow_states``, with no readout
+    (``ks`` prints no a(n), b(n)): two eigensolves, at the ends, and the
+    states between carried along the flow.  One row per step n = 0..N-1:
+    the origin entropy of state n, its spatial partial sum over the
+    shared trusted rows, the one-step drop and its running sum, the
+    n-step telescoping residual, and each coefficient family with its
+    running sum of squares.  A footer line names the families whose
+    running sums fail the boundedness check.
     """
     w = GmpWindow.from_json(_load_json(args.window))
     d = DeltaData.from_json(_load_json(args.delta))
     check_margin(args.margin)
-    traj = flow_run(w, args.steps)
-    run = map_run(traj.states, d, args.margin)
+    states = [st for st, _ in flow_states(w, args.steps)]
+    run = map_run(states, d, args.margin)
     rep = telescoping_check(run)["report"]  # the run's entropy ledger
     slope_tol = DIVERGENCE_SLOPE if args.tol is None else args.tol
-    diag = ks_diagnostics(traj.states, d, slope_tol)
+    diag = ks_diagnostics(states, d, slope_tol)
     j_top = min(db.j_hi for db in run)
     log.info(
         "ks: %d blocks, %d steps, trusted rows 0..%d", w.n_blocks, args.steps, j_top
@@ -293,15 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="output path (default stdout)")
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("window", help="block window JSON file")
+    run.add_argument("--steps", type=int, default=4, help="number of flow steps")
     add_command = functools.partial(sub.add_parser, parents=[out])
 
     q = add_command("delta", help="build a comb map from a gap set")
     q.add_argument("gapset", help="gap set JSON file")
     q.set_defaults(func=cmd_delta)
 
-    q = add_command("flow", help="run the flow and tabulate the readout")
-    q.add_argument("window", help="block window JSON file")
-    q.add_argument("--steps", type=int, default=4, help="number of flow steps")
+    q = add_command("flow", parents=[out, run], help="run the flow and tabulate the readout")
     q.add_argument(
         "--eta", type=float, default=0.9, help="weight base of the tail distance"
     )
@@ -310,10 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     q.set_defaults(func=cmd_flow)
 
-    q = add_command("ks", help="tabulate entropy and summability diagnostics")
-    q.add_argument("window", help="block window JSON file")
+    q = add_command("ks", parents=[out, run], help="tabulate entropy and summability diagnostics")
     q.add_argument("delta", help="comb map JSON file")
-    q.add_argument("--steps", type=int, default=4, help="number of flow steps")
     q.add_argument(
         "--margin", type=int, default=3, help="rows dropped at the window edges"
     )

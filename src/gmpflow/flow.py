@@ -5,13 +5,15 @@ matrix built from the leading vectors and then shifts by one scalar
 slot.  Each step consumes one block at either edge; the surviving
 central blocks reproduce the infinite evolution exactly, because a new
 block depends only on its two old neighbours, so a step acts on the row
-arrays of all blocks at once.  Reading off the block norms along the run
-yields the coefficients of a half-axis three-term recurrence, which is
-how the dynamics is compared against its Jacobi counterpart.
+arrays of all blocks at once.  A run is a stream of checked states,
+``flow_states``; reading off its block norms yields the coefficients of
+a half-axis three-term recurrence, which is how the dynamics is
+compared against its Jacobi counterpart.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,28 +132,23 @@ def flow_identity_residual(window: GmpWindow, stepped: GmpWindow) -> float:
     return float(np.max(np.abs(dense_new - conj[off : off + m, off : off + m])))
 
 
-def extract_jacobi(states) -> tuple[np.ndarray, np.ndarray]:
-    """Scalar readout along a state sequence, read in one pass.
+def extract_jacobi(P: np.ndarray, Q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scalar readout of a run with pole list c from the rows of blocks
+    -1 and 0 of its states, stacked on axes (state, block, slot).
 
     a(n) is the leading-vector norm of block 0 at state n; b(n) is the
     trailing product q_g * p_g of block -1 at state n+1, cross-checked
-    against the quadratic mean of the block matrix at state n.  The
-    states share one pole list, and the first mismatching step raises.
-    Returns (a, b) with len(b) = len(a) - 1.
+    against the quadratic mean of the block matrix at state n, and the
+    first mismatching step raises.  Returns (a, b), len(b) = len(a) - 1.
     """
-    states = list(states)
-    if not states:
+    if len(P) == 0:
         raise ValidationError("need at least one state")
-    c = states[0].c
-    if any(not np.array_equal(st.c, c) for st in states):
-        raise ValidationError("windows of a run must share one pole list")
-    rows = [st.block(0) for st in states]
-    P0, Q0 = np.stack([b.p for b in rows]), np.stack([b.q for b in rows])
+    P0, Q0 = P[:, 1], Q[:, 1]
     a_vals = np.sqrt(np.vecdot(P0, P0))
     bmats = build_block_B(GmpBlock._view(P0[:-1], Q0[:-1]), c)
     quad = np.vecdot((P0[:-1, None, :] @ bmats)[:, 0], P0[:-1])
     b_mean = quad / np.float_power(a_vals[:-1], 2.0)
-    trail = np.array([st.block(-1).q[-1] * st.block(-1).p[-1] for st in states[1:]])
+    trail = Q[1:, 0, -1] * P[1:, 0, -1]
     scale = np.maximum(1.0, np.maximum(abs(b_mean), abs(trail)))
     check(lambda n: f"readout mismatch at step {n}: trailing {trail[n]:.6e} vs quadratic "
           f"mean {b_mean[n]:.6e}, difference", abs(b_mean - trail), READOUT_REL_TOL * scale)
@@ -160,7 +157,7 @@ def extract_jacobi(states) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class FlowTrajectory:
-    """States of a flow run together with readout and diagnostics.
+    """Readout and diagnostics of a flow run.
 
     a_out[n] = a(n) for n = 0..n_steps and b_out[n] = b(n) for
     n = 0..n_steps-1.  Row n of ``lambdas`` holds the pair functionals
@@ -168,22 +165,22 @@ class FlowTrajectory:
     validity minima of state n, both indexed by pole slot 0..g-1.
     """
 
-    states: tuple[GmpWindow, ...]
     a_out: np.ndarray
     b_out: np.ndarray
     lambdas: np.ndarray
     validity_min: np.ndarray
 
 
-def flow_run(
+def flow_states(
     window: GmpWindow, n_steps: int, floor: float = VALIDITY_FLOOR
-) -> FlowTrajectory:
-    """Iterate the flow step, recording states, readout and diagnostics.
+) -> Iterator[tuple[GmpWindow, dict]]:
+    """States 0..n_steps of a flow run, each with its class report.
 
-    The window loses one block per edge per step and every retained
-    state must keep the core blocks -1..1 for the readout, so the input
-    must satisfy j_min <= -1 - n_steps and j_max >= 1 + n_steps.  A
-    state failing the class criterion aborts the run.
+    The window loses one block per edge per step and every state must
+    keep blocks -1..1 for the readout, so the input must satisfy
+    j_min <= -1 - n_steps and j_max >= 1 + n_steps.  A state is yielded
+    with its ``validate_gmp`` report once it passes, else the run aborts;
+    the next is stepped only when asked for, and none is kept.
     """
     if n_steps < 1:
         raise ValidationError("n_steps must be at least 1")
@@ -195,18 +192,26 @@ def flow_run(
             f"window [{window.j_min}, {window.j_max}] is exhausted by {n_steps} "
             f"step(s); the maximal feasible step count is {max_steps}"
         )
-    states = [window]
-    lambdas, minima = [], []
+    st = window
     for n in range(n_steps + 1):
-        st = states[-1]
         report = validate_gmp(st, floor)
         if not report["valid"]:
-            raise ValidationError(
-                f"state {n} left the class: {report['message']}"
-            )
-        lambdas.append(report["values"][-1 - st.j_min])
-        minima.append(report["min_per_k"])
+            raise ValidationError(f"state {n} left the class: {report['message']}")
+        yield st, report
         if n < n_steps:
-            states.append(jacobi_flow_step(st))
-    a_vals, b_vals = extract_jacobi(states)
-    return FlowTrajectory(tuple(states), a_vals, b_vals, np.stack(lambdas), np.stack(minima))
+            st = jacobi_flow_step(st)
+
+
+def flow_run(window: GmpWindow, n_steps: int, floor: float = VALIDITY_FLOOR) -> FlowTrajectory:
+    """Fold ``flow_states`` into readout and diagnostics.  Of each state it
+    keeps the rows of blocks -1 and 0, their pair functionals and the
+    validity minima, as copies: a view would keep the state alive."""
+    P, Q, lambdas, minima = [], [], [], []
+    for st, report in flow_states(window, n_steps, floor):
+        i = -1 - st.j_min  # block -1; values row i pairs blocks 0 and -1
+        P.append(st.P[i : i + 2].copy())
+        Q.append(st.Q[i : i + 2].copy())
+        lambdas.append(report["values"][i].copy())
+        minima.append(report["min_per_k"])  # a fresh array, not a view
+    a_vals, b_vals = extract_jacobi(np.stack(P), np.stack(Q), window.c)
+    return FlowTrajectory(a_vals, b_vals, np.stack(lambdas), np.stack(minima))

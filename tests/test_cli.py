@@ -30,7 +30,7 @@ from oracles import sum_rule_spectral_side
 from gmpflow import cli, ks, numkit
 from gmpflow.errors import NumericalError
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
-from gmpflow.flow import flow_run
+from gmpflow.flow import flow_run, flow_states
 from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense
 from gmpflow.isospectral import solve_is_point
 from gmpflow.jacobi import JacobiWindow, dist_eta
@@ -63,7 +63,8 @@ def p1_window_file(tmp_path, n_blocks: int = 15, j_min: int = -7) -> str:
 
 
 def flow_never_runs(*args, **kwargs):
-    """Stands in for ``flow_run`` where an option must be refused first."""
+    """Stands in for ``flow_run`` or ``flow_states`` where an option must
+    be refused first."""
     raise AssertionError("the flow ran before its options were checked")
 
 
@@ -118,10 +119,10 @@ def reference_flow_table(w: GmpWindow, steps: int, eta: float) -> list[str]:
 def reference_ks_table(w: GmpWindow, d: DeltaData, steps: int, margin: int) -> list[str]:
     """Header and rows of ``ks``'s table spelled as one header list and one
     row loop over the steps, independent of ``cmd_ks``'s columns."""
-    traj = flow_run(w, steps)
-    run = ks.map_run(traj.states, d, margin)
+    states = [st for st, _ in flow_states(w, steps)]
+    run = ks.map_run(states, d, margin)
     rep = ks.telescoping_check(run)["report"]
-    diag = ks.ks_diagnostics(traj.states, d, ks.DIVERGENCE_SLOPE)
+    diag = ks.ks_diagnostics(states, d, ks.DIVERGENCE_SLOPE)
     drop_partials = np.cumsum(rep.step_drops)
     j_top = min(db.j_hi for db in run)
     header = ["n", "h_origin", f"hplus_rows_0_to_{j_top}", "delta_jh", "drop_partial",
@@ -321,7 +322,7 @@ class TestFlow:
 class TestKs:
     @pytest.mark.parametrize("margin", ["2", "0", "-1"])
     def test_bad_margin_refused_before_the_flow(self, tmp_path, capsys, monkeypatch, margin):
-        monkeypatch.setattr(cli, "flow_run", flow_never_runs)
+        monkeypatch.setattr(cli, "flow_states", flow_never_runs)
         win, d = p1_window_file(tmp_path), estar_delta_file(tmp_path)
         capsys.readouterr()
         assert cli.main(["ks", win, d, "--steps", "2", "--margin", margin]) == 1

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gmpflow import flow
 from gmpflow.errors import NumericalError, ValidationError, WindowError, check
 from gmpflow.flow import (
     READOUT_REL_TOL,
@@ -12,6 +15,7 @@ from gmpflow.flow import (
     extract_jacobi,
     flow_identity_residual,
     flow_run,
+    flow_states,
     jacobi_flow_step,
     rotation_o,
     tail_norms,
@@ -20,7 +24,7 @@ from gmpflow.flow import (
 from gmpflow.gmp import GmpBlock, GmpWindow, build_block_B, lambda_k
 from gmpflow.jacobi import DiscreteMeasure, lanczos_from_measure
 
-from conftest import make_p1_block, make_p1_window, stack_window
+from conftest import make_p1_block, make_p1_window, roundtrip_inputs, stack_window
 from oracles import tril_triu_block_B
 
 SQRT2 = np.sqrt(2.0)
@@ -100,6 +104,15 @@ def reference_extract_jacobi(states):
               f"{b_mean:.6e}, difference", abs(b_mean - b_trail), READOUT_REL_TOL * scale)
         b_vals.append(b_trail)
     return np.array(a_vals), np.array(b_vals)
+
+
+def readout_rows(states):
+    """The arguments of ``extract_jacobi`` for a list of states: rows of
+    blocks -1 and 0 of each, stacked (state, block, slot), and the poles."""
+    rows = [slice(-1 - st.j_min, 1 - st.j_min) for st in states]
+    P = np.stack([st.P[i] for st, i in zip(states, rows)])
+    Q = np.stack([st.Q[i] for st, i in zip(states, rows)])
+    return P, Q, states[0].c
 
 
 def random_run(rng, g, n_blocks, n_steps):
@@ -298,7 +311,7 @@ class TestExtractJacobi:
         states = [make_p1_window(23, -11)]
         for _ in range(10):
             states.append(jacobi_flow_step(states[-1]))
-        a_vals, b_vals = extract_jacobi(states)
+        a_vals, b_vals = extract_jacobi(*readout_rows(states))
         npt.assert_allclose(a_vals[0::2], 1.5, atol=1e-10)
         npt.assert_allclose(a_vals[1::2], 0.5, atol=1e-10)
         npt.assert_allclose(b_vals, 0.0, atol=1e-10)
@@ -307,7 +320,7 @@ class TestExtractJacobi:
         states = [make_p1_window(23, -11)]
         for _ in range(10):
             states.append(jacobi_flow_step(states[-1]))
-        a_vals, _ = extract_jacobi(states)
+        a_vals, _ = extract_jacobi(*readout_rows(states))
         ssum = a_vals[0] ** 2 + a_vals[1] ** 2
         prod = a_vals[0] * a_vals[1]
         npt.assert_allclose(ssum, 2.5, atol=1e-10)
@@ -321,14 +334,14 @@ class TestExtractJacobi:
         fake_block = GmpBlock([SQRT2, 0.5], [0.0, 1.0])
         tainted = stack_window(tuple([fake_block] * 7), (0.0,), -3)
         with pytest.raises(NumericalError):
-            extract_jacobi([clean, tainted])
+            extract_jacobi(*readout_rows([clean, tainted]))
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_matches_state_loop_bitwise(self, g):
         rng = np.random.default_rng(500 + g)
         for n_blocks, n_steps in ((3, 0), (9, 3), (41, 12)):
             states = random_run(rng, g, n_blocks, n_steps)
-            a_vals, b_vals = extract_jacobi(states)
+            a_vals, b_vals = extract_jacobi(*readout_rows(states))
             a_ref, b_ref = reference_extract_jacobi(states)
             assert a_vals.shape == a_ref.shape and b_vals.shape == b_ref.shape
             assert np.array_equal(a_vals, a_ref) and np.array_equal(b_vals, b_ref)
@@ -343,38 +356,63 @@ class TestExtractJacobi:
         with pytest.raises(NumericalError) as want:
             reference_extract_jacobi(states)
         with pytest.raises(NumericalError, match="^readout mismatch at step 2: ") as got:
-            extract_jacobi(states)
+            extract_jacobi(*readout_rows(states))
         assert str(got.value) == str(want.value)
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValidationError, match="^need at least one state$"):
-            extract_jacobi([])
-
-    def test_mixed_pole_lists_rejected(self):
-        states = flow_run(make_p1_window(23, -11), 4).states
-        moved = GmpWindow(states[2].P, states[2].Q, (0.5,), states[2].j_min)
-        with pytest.raises(ValidationError, match="^windows of a run must share one pole list$"):
-            extract_jacobi([*states[:2], moved, *states[3:]])
+            extract_jacobi(np.empty((0, 2, 2)), np.empty((0, 2, 2)), np.zeros(1))
 
 
 class TestFlowRun:
     def test_trajectory_shape_and_width(self):
-        traj = flow_run(make_p1_window(23, -11), 10)
+        w = make_p1_window(23, -11)
+        traj = flow_run(w, 10)
         assert isinstance(traj, FlowTrajectory)
-        assert len(traj.states) - 1 == 10
         assert traj.a_out.shape == (11,)
         assert traj.b_out.shape == (10,)
-        for n, state in enumerate(traj.states):
+        states = [st for st, _ in flow_states(w, 10)]
+        assert len(states) - 1 == 10
+        for n, state in enumerate(states):
             assert state.n_blocks == 23 - 2 * n
             assert state.j_min == -11 + n
             assert state.j_max == 11 - n
 
+    def test_run_holds_no_state(self):
+        # a run keeps a few rows per state: its peak must not grow with the
+        # states it has passed (at 241 blocks, g = 2, keeping every state
+        # peaks at about six times the 4-step run)
+        _, w = roundtrip_inputs(2, 241)
+        flow_run(w, 4)  # fills the chain plan cache outside the traced runs
+        peaks = {}
+        for n_steps in (100, 4):
+            tracemalloc.start()
+            try:
+                flow_run(w, n_steps)
+                peaks[n_steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[100] <= 1.25 * peaks[4]
+
+    def test_states_are_stepped_on_demand(self, monkeypatch):
+        steps = []
+        step = flow.jacobi_flow_step
+        monkeypatch.setattr(flow, "jacobi_flow_step", lambda w: steps.append(w) or step(w))
+        half = 11
+        stream = flow_states(make_p1_window(2 * half + 1, -half), 6)
+        for n in range(4):
+            state, report = next(stream)
+            assert len(steps) == n
+            assert state.n_blocks == 2 * (half - n) + 1 and state.j_min == -half + n
+            assert report["valid"] and report["values"].shape == (state.n_blocks - 1, 1)
+        assert len(list(stream)) == 3 and len(steps) == 6
+
     def test_period_two_orbit(self):
-        traj = flow_run(make_p1_window(23, -11), 10)
+        w = make_p1_window(23, -11)
+        traj = flow_run(w, 10)
+        states = [st for st, _ in flow_states(w, 10)]
         for n in range(9):
-            assert_blocks_equal_mod_sign(
-                traj.states[n].block(0), traj.states[n + 2].block(0)
-            )
+            assert_blocks_equal_mod_sign(states[n].block(0), states[n + 2].block(0))
         npt.assert_allclose(traj.a_out[0::2], 1.5, atol=1e-10)
         npt.assert_allclose(traj.a_out[1::2], 0.5, atol=1e-10)
         npt.assert_allclose(traj.b_out, 0.0, atol=1e-10)

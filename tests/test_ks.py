@@ -29,7 +29,7 @@ from gmpflow.errors import (
     WindowError,
 )
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
-from gmpflow.flow import flow_run, jacobi_flow_step, u_block
+from gmpflow.flow import flow_states, jacobi_flow_step, u_block
 from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense, block_diagonal
 from gmpflow.isospectral import solve_is_point
 from gmpflow.ks import (
@@ -348,7 +348,7 @@ class TestDeltaOfGmp:
             assert all(win is w for win, _ in calls[0]), (n_blocks, j_min)
             assert [j for _, j in calls[0]] == expected, (n_blocks, j_min)
         # state m of this run has trusted rows -3+m..3-m
-        states = flow_run(make_p1_window(13, -6), 3).states
+        states = [st for st, _ in flow_states(make_p1_window(13, -6), 3)]
         calls.clear()
         delta_of_gmp(states, d, margin=3)
         (pairs,) = calls
@@ -376,7 +376,7 @@ class TestDeltaOfGmp:
     @pytest.mark.parametrize("genus", [1, 2])
     def test_run_matches_one_state_at_a_time_bitwise(self, genus):
         d, w = perturbed_case(genus)
-        states = flow_run(w, 8).states
+        states = [st for st, _ in flow_states(w, 8)]
         run = delta_of_gmp(states, d, margin=3)
         assert len(run) == len(states) == 9
         for st, db in zip(states, run):
@@ -433,7 +433,7 @@ class TestMapRun:
     )
     def test_matches_each_state_alone(self, genus, n_blocks, steps):
         d, w = run_case(genus, n_blocks)
-        states = flow_run(w, steps).states
+        states = [st for st, _ in flow_states(w, steps)]
         run = ks.map_run(states, d, 3)
         assert len(run) == steps + 1
         for st, db in zip(states, run):
@@ -444,7 +444,7 @@ class TestMapRun:
 
     def test_ends_are_the_eigen_route_bitwise(self):
         d, w = run_case(2)
-        states = flow_run(w, 8).states
+        states = [st for st, _ in flow_states(w, 8)]
         run = ks.map_run(states, d, 3)
         for db, alone in zip((run[0], run[-1]), delta_of_gmp([states[0], states[-1]], d, 3)):
             assert np.array_equal(db.v_blocks, alone.v_blocks)
@@ -480,7 +480,7 @@ class TestMapRun:
         # the band under the shift, and slots (1, 2) become the upper
         # triangle entry (0, 1) of a new coupling
         d, w = run_case(2)
-        states = flow_run(w, 8).states
+        states = [st for st, _ in flow_states(w, 8)]
         honest = ks.carry_blocks
 
         def carry(window, j_lo, raw_v, raw_w, state=""):
@@ -504,7 +504,7 @@ class TestMapRun:
         # a diagonal entry keeps its sign under normalisation, so the drift
         # is the planted one; half the bound passes and twice it raises
         d, w = run_case(2)
-        states = flow_run(w, 8).states
+        states = [st for st, _ in flow_states(w, 8)]
         honest = ks.carry_blocks
         drift = []
 
@@ -529,7 +529,7 @@ class TestMapRun:
 
     def test_vanishing_carried_diagonal_names_its_state(self, monkeypatch):
         d, w = run_case(1)
-        states = flow_run(w, 8).states
+        states = [st for st, _ in flow_states(w, 8)]
         honest = ks.normalized_blocks
 
         def zeroed(j_lo, raw_v, raw_w, scale, state=""):
@@ -545,7 +545,7 @@ class TestMapRun:
 
     def test_states_must_be_one_flow_run(self):
         d, w = run_case(1)
-        states = list(flow_run(w, 3).states)
+        states = [st for st, _ in flow_states(w, 3)]
         states[2] = states[1]
         with pytest.raises(ValidationError, match="^state 2 is not a flow step of state 1$"):
             ks.map_run(states, d, 3)
@@ -963,15 +963,15 @@ class TestFunctionalReport:
 
 class TestKsDiagnostics:
     def test_periodic_surface_stays_silent(self):
-        t = flow_run(make_p1_window(13, j_min=-6), 4)
-        diag = ks_diagnostics(t.states, estar_delta())
+        states = [st for st, _ in flow_states(make_p1_window(13, j_min=-6), 4)]
+        diag = ks_diagnostics(states, estar_delta())
         for arr in diag.values.values():
             assert np.max(np.abs(arr)) < 1e-9
         assert not any(diag.diverging.values())
 
     def test_decaying_perturbation_stays_bounded(self):
-        t = flow_run(decaying_window(0.01, 19), 6)
-        diag = ks_diagnostics(t.states, estar_delta())
+        states = [st for st, _ in flow_states(decaying_window(0.01, 19), 6)]
+        diag = ks_diagnostics(states, estar_delta())
         assert not any(diag.diverging.values())
         for arr in diag.sq_partials.values():
             assert np.all(np.isfinite(arr))
@@ -990,8 +990,8 @@ class TestKsDiagnostics:
         assert not diag.diverging["p_next"]
 
     def test_partial_sums_are_squared_cumsums(self):
-        t = flow_run(decaying_window(0.02, 19), 5)
-        diag = ks_diagnostics(t.states, estar_delta())
+        states = [st for st, _ in flow_states(decaying_window(0.02, 19), 5)]
+        diag = ks_diagnostics(states, estar_delta())
         for name, arr in diag.values.items():
             npt.assert_allclose(
                 diag.sq_partials[name], np.cumsum(arr**2, axis=0)
@@ -1005,9 +1005,9 @@ class TestKsDiagnostics:
             ks_diagnostics((lone,), estar_delta())
 
     def test_genus_mismatch_rejected(self):
-        t = flow_run(make_p1_window(13, j_min=-6), 2)
+        states = [st for st, _ in flow_states(make_p1_window(13, j_min=-6), 2)]
         with pytest.raises(ValidationError, match="genus"):
-            ks_diagnostics(t.states, twogap_delta())
+            ks_diagnostics(states, twogap_delta())
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValidationError, match="^trajectory has no states$"):
@@ -1023,19 +1023,20 @@ class TestKsDiagnostics:
         # Lambda_k of the central block is taken at the window's poles and
         # must be compared with the weight of the same pole of the map
         d = twogap_delta()
-        t = flow_run(make_perturbed_window(twogap_surface_block(d), d.cs()), 3)
+        w = make_perturbed_window(twogap_surface_block(d), d.cs())
+        states = [st for st, _ in flow_states(w, 3)]
         reversed_map = DeltaData(d.lambda0, d.c0, d.poles[::-1])
-        diag = ks_diagnostics(t.states, d)
-        diag_rev = ks_diagnostics(t.states, reversed_map)
+        diag = ks_diagnostics(states, d)
+        diag_rev = ks_diagnostics(states, reversed_map)
         for name, arr in diag.values.items():
             npt.assert_array_equal(diag_rev.values[name], arr)
 
     def test_other_poles_rejected(self):
-        t = flow_run(make_p1_window(13, j_min=-6), 2)
+        states = [st for st, _ in flow_states(make_p1_window(13, j_min=-6), 2)]
         d = estar_delta()
         shifted = DeltaData(d.lambda0, d.c0, ((0.1, d.poles[0][1]),))
         with pytest.raises(ValidationError, match="poles differ"):
-            ks_diagnostics(t.states, shifted)
+            ks_diagnostics(states, shifted)
 
 
 class TestDensityIdentity:
