@@ -45,11 +45,12 @@ The record holds:
   of the call, accepted or refused; next to it, on the same coefficient
   windows, ``jacobi.spectrum_near`` at each of the g poles against the
   whole spectrum, as above;
-- a sweep of ``isospectral.solve_is_point`` over g in {2, 4, 8, 12}, on
-  seeds drawn as the ``iso_comb`` workload draws them (a gap set of
+- a sweep of ``isospectral.solve_is_point`` over g in {2, 4, 8, 12, 16},
+  on seeds drawn as the ``iso_comb`` workload draws them (a gap set of
   genus g in [-3, 3], its reference comb map, and the surface block with
   every entry perturbed until the seed residual is below 1), four seeds
-  per genus in one timed call;
+  per genus in one timed call, each record with ``per_solve``: the
+  ``is_residual`` calls and the residual rows they evaluate, per solve;
 - a kernel sweep of ``finitegap.delta_from_gaps`` over g in {2, 4, 8,
   12, 16}, on gap sets drawn as the ``iso_comb`` workload draws its wide
   ones, eight sets per genus in one timed call, with the worst band-edge
@@ -75,7 +76,8 @@ The record holds:
   are handed (each read by two products in each of its two passes),
   ``kappa`` calls of
   ``construct``, ``lambda_k`` calls of ``isospectral`` with the pole
-  evaluations they make, calls x g x rows, Gauss-Newton iterations, and
+  evaluations they make, calls x g x rows, ``is_residual`` calls with
+  the rows they evaluate, Gauss-Newton iterations (probes less runs), and
   ``numkit.bisect_root`` calls with their evaluations of the bracketed
   function) taken from one extra run;
 - a process layer: every subcommand on fixed inputs, and a bare
@@ -170,7 +172,7 @@ GAP_SETS = {
     2: GapSet(-3.0, 3.0, ((-1.5, -0.7), (0.4, 1.1))),
 }
 KS_STEPS = 8
-ISO_GENERA = (2, 4, 8, 12)
+ISO_GENERA = (2, 4, 8, 12, 16)
 ISO_SEEDS = 4
 DELTA_GENERA = (2, 4, 8, 12, 16)
 DELTA_SETS = 8
@@ -414,10 +416,12 @@ class Counting:
     Lanczos runs of ``gmp_to_jacobi_measure`` with their steps and the
     steps of each that Simon's estimate reorthogonalized, the
     ``numkit.project_out`` calls with the basis entries handed to them, the
-    ``kappa`` calls of ``construct``, the ``lambda_k`` calls with their
-    pole evaluations and the Jacobians (one per Gauss-Newton iteration)
-    of ``isospectral``, and the ``numkit.bisect_root`` calls with their
-    evaluations of the bracketed function while installed."""
+    ``kappa`` calls of ``construct``, the ``lambda_k`` and ``is_residual``
+    calls of ``isospectral`` with their pole evaluations and residual rows,
+    its Gauss-Newton runs and probes (each run probes its start, then one
+    point per iteration unless a trial is rejected), and the
+    ``numkit.bisect_root`` calls with their evaluations of the bracketed
+    function while installed."""
 
     def __init__(self):
         self.eig_rows: list[int] = []
@@ -433,7 +437,10 @@ class Counting:
         self.kappa_calls = 0
         self.lambda_k_calls = 0
         self.lambda_k_poles = 0
-        self.jacobians = 0
+        self.residual_calls = 0
+        self.residual_rows = 0
+        self.gauss_newton_runs = 0
+        self.probes = 0
         self.bisect_calls = 0
         self.bisect_evals = 0
 
@@ -442,7 +449,8 @@ class Counting:
         self._closed = ks.resolvent_column
         self._bisect, self._project = numkit.bisect_root, numkit.project_out
         self._lanczos, self._kappa = construct.lanczos, construct.kappa
-        self._lambda_k, self._jacobian = isospectral.lambda_k, isospectral._fd_jacobian
+        self._lambda_k, self._residual = isospectral.lambda_k, isospectral.is_residual
+        self._gauss_newton, self._probe = isospectral._gauss_newton, isospectral._probe
 
         def eig(mat):
             self.eig_rows.append(int(np.shape(mat)[0]))
@@ -485,9 +493,18 @@ class Counting:
             self.lambda_k_poles += np.size(vals)  # one per pole and row
             return vals
 
-        def jacobian(*args):
-            self.jacobians += 1
-            return self._jacobian(*args)
+        def residual(blk, d):
+            self.residual_calls += 1
+            self.residual_rows += np.size(blk.p) // (blk.g + 1)
+            return self._residual(blk, d)
+
+        def gauss_newton(*args):
+            self.gauss_newton_runs += 1
+            return self._gauss_newton(*args)
+
+        def probe(*args):
+            self.probes += 1
+            return self._probe(*args)
 
         def bisect(f, lo, hi):
             def counted(x):
@@ -501,7 +518,8 @@ class Counting:
         # map_run, delta_of_gmp and functional_report look the names up in ks
         ks.delta_of_gmp, ks.h_term, ks.resolvent_column = delta, h_term, closed
         construct.lanczos, construct.kappa = lanczos, kappa
-        isospectral.lambda_k, isospectral._fd_jacobian = lambda_k, jacobian
+        isospectral.lambda_k, isospectral.is_residual = lambda_k, residual
+        isospectral._gauss_newton, isospectral._probe = gauss_newton, probe
         return self
 
     def __exit__(self, *exc):
@@ -509,7 +527,8 @@ class Counting:
         numkit.project_out = self._project
         ks.delta_of_gmp, ks.h_term, ks.resolvent_column = self._delta, self._h_term, self._closed
         construct.lanczos, construct.kappa = self._lanczos, self._kappa
-        isospectral.lambda_k, isospectral._fd_jacobian = self._lambda_k, self._jacobian
+        isospectral.lambda_k, isospectral.is_residual = self._lambda_k, self._residual
+        isospectral._gauss_newton, isospectral._probe = self._gauss_newton, self._probe
 
     def counters(self) -> dict:
         return {
@@ -532,7 +551,9 @@ class Counting:
             "kappa_calls": self.kappa_calls,
             "lambda_k_calls": self.lambda_k_calls,
             "lambda_k_poles": self.lambda_k_poles,
-            "gauss_newton_iterations": self.jacobians,
+            "is_residual_calls": self.residual_calls,
+            "is_residual_rows": self.residual_rows,
+            "gauss_newton_iterations": self.probes - self.gauss_newton_runs,
             "bisect_calls": self.bisect_calls,
             "bisect_evals": self.bisect_evals,
         }
@@ -594,6 +615,8 @@ def sweep(work: Path) -> list[dict]:
         case = f"solve_is_point, {ISO_SEEDS} seeds"
         rec = {"layer": "operator", "case": case, "n_blocks": 1, "g": g}
         rec.update(timed(lambda: [isospectral.solve_is_point(d, s) for s in seeds]))
+        rec["per_solve"] = {key: rec["counters"][key] / ISO_SEEDS
+                            for key in ("is_residual_calls", "is_residual_rows")}
         records.append(rec)
         print(f"{case} g={g}: best {rec['best_s']:.4f} s", file=sys.stderr)
     for g in DELTA_GENERA:

@@ -203,7 +203,8 @@ class DeltaData:
 
 def gap_zeros(gapset: GapSet) -> np.ndarray:
     """The pole locations: one root of P_b - P_a inside each gap, from one
-    ``numkit.bisect_root`` call over all gaps.
+    ``numkit.bisect_root`` call over all gaps.  P_b and P_a are formed by
+    ``np.multiply.reduce``, the reduction of ``np.prod`` without its wrapper.
 
     Raises DegenerateGapError for the first gap of (numerically) zero
     length, else for the first pole whose residual |(P_b - P_a)(c_k)|
@@ -215,9 +216,8 @@ def gap_zeros(gapset: GapSet) -> np.ndarray:
     if short.any():
         k = int(np.argmax(short))
         raise DegenerateGapError(f"gap {k} = {gapset.gaps[k]} has numerically zero length")
-    # P_b(x) and P_a(x), each the sequential product a 1-d np.prod forms
     ends = np.stack([b_pts, a_pts])
-    products = lambda x: np.prod(x[:, None, None] - ends, axis=2).T
+    products = lambda x: np.multiply.reduce(x[:, None, None] - ends, axis=2).T
     cs = numkit.bisect_root(lambda x: np.subtract(*products(x)), lo, hi)
     pb, pa = products(cs)
     check(lambda k: f"gap {k}: pole residual", np.abs(pb - pa),

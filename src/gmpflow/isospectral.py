@@ -12,7 +12,7 @@ through ``ks.delta_of_gmp`` (acceptance criterion 3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,46 +51,51 @@ def is_residual(blk: GmpBlock, d: DeltaData) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IsPoint:
-    """A block on the surface, together with its comb map context."""
+    """A block on the surface, together with its comb map context and the
+    residual its constructor checks, which ``residual()`` returns read-only."""
 
     block: GmpBlock
     delta: DeltaData
+    _residual: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check("surface residual", np.max(np.abs(self.residual())), SURFACE_TOL, ValidationError)
+        object.__setattr__(self, "_residual", is_residual(self.block, self.delta))
+        self._residual.flags.writeable = False
+        check("surface residual", np.max(np.abs(self._residual)), SURFACE_TOL, ValidationError)
 
     def residual(self) -> np.ndarray:
-        return is_residual(self.block, self.delta)
+        return self._residual
 
 
-def _fd_jacobian(fun, x: np.ndarray) -> np.ndarray:
-    """Central finite-difference Jacobian, one column per coordinate.
-
-    ``fun`` evaluates the 2n points x + h_i e_i, x - h_i e_i as one stack.
+def _probe(fun, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The residual at x and its central finite-difference Jacobian, one
+    column per coordinate: ``fun`` evaluates the 2n+1 points x,
+    x + h_i e_i, x - h_i e_i as one stack.
     """
     n = x.size
     h = FD_STEP_REL * np.maximum(1.0, np.abs(x))
     idx = np.arange(n)
-    pts = np.tile(x, (2 * n, 1))
-    pts[idx, idx] += h
-    pts[n + idx, idx] -= h
+    pts = np.tile(x, (2 * n + 1, 1))
+    pts[1 + idx, idx] += h
+    pts[1 + n + idx, idx] -= h
     vals = fun(pts)
-    return ((vals[:n] - vals[n:]) / (2.0 * h[:, None])).T
+    return vals[0], ((vals[1 : n + 1] - vals[n + 1 :]) / (2.0 * h[:, None])).T
 
 
 def _gauss_newton(fun, x0: np.ndarray) -> np.ndarray:
     """Minimum-norm Gauss-Newton iteration with step halving.
 
     ``fun`` maps coordinates to the residual vector, which is driven
-    below ``SOLVE_TARGET``.
+    below ``SOLVE_TARGET``.  Each point, x0 or a line-search trial, is one
+    ``_probe`` stack, whose Jacobian serves the next step if the trial is
+    accepted; a rejected trial (none in perfbench's seed-5 jobs) costs a stack.
     """
     x = x0.copy()
-    r = fun(x)
+    r, jac = _probe(fun, x)
     best = float(np.max(np.abs(r)))
     for _ in range(MAX_ITERATIONS):
         if best <= SOLVE_TARGET:
             return x
-        jac = _fd_jacobian(fun, x)
         gram = jac @ jac.T
         try:
             step = -jac.T @ np.linalg.solve(gram, r)
@@ -99,10 +104,10 @@ def _gauss_newton(fun, x0: np.ndarray) -> np.ndarray:
         alpha = 1.0
         for _ in range(40):
             trial = x + alpha * step
-            r_trial = fun(trial)
+            r_trial, jac_trial = _probe(fun, trial)
             trial_norm = float(np.max(np.abs(r_trial)))
             if trial_norm < best:
-                x, r, best = trial, r_trial, trial_norm
+                x, r, jac, best = trial, r_trial, jac_trial, trial_norm
                 break
             alpha *= 0.5
         else:
@@ -122,7 +127,7 @@ def solve_is_point(d: DeltaData, seed: GmpBlock) -> IsPoint:
 
     The trailing p entry is pinned to 1/lambda0 exactly; the remaining
     2g+1 coordinates are driven to zero residual by minimum-norm
-    Gauss-Newton steps.
+    Gauss-Newton steps, one stacked residual call per point.
     """
     g = seed.g
     p_fixed = 1.0 / d.lambda0

@@ -23,7 +23,11 @@ tests compare against:
   ``gmp.lambda_sharp``, with the rank-one factors of every step built at
   once and each step applied out of place on strided views, and of
   ``gmp.build_block_B`` as a sum of ``np.tril`` and ``np.triu``; the
-  package's kernels must give their bits, signs of zero and NaN included.
+  package's kernels must give their bits, signs of zero and NaN included;
+- ``reference_gauss_newton``: the Gauss-Newton loop of
+  ``isospectral._gauss_newton`` as it was before each point became one
+  stack with its Jacobian: one residual call at each trial, then a
+  separate stack of 2n points for the Jacobian at the accepted one.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import numpy as np
 from gmpflow import construct, numkit
 from gmpflow.errors import NumericalError, SpectrumProximityError, WindowError
 from gmpflow.gmp import GmpBlock, GmpWindow, _chain_plan
+from gmpflow.isospectral import FD_STEP_REL, MAX_ITERATIONS, SOLVE_TARGET
 from gmpflow.jacobi import DiscreteMeasure, JacobiWindow, resolvent_r, spectrum_near
 
 CORNER_IDENTITY_TOL = 1e-8
@@ -236,3 +241,38 @@ def tril_triu_block_B(blk: GmpBlock, c) -> np.ndarray:
     diag = np.arange(blk.g + 1)
     mat[..., diag, diag] += np.append(np.asarray(c, dtype=float), 0.0)
     return mat
+
+
+def reference_gauss_newton(fun, x0: np.ndarray) -> np.ndarray:
+    """Minimum-norm Gauss-Newton with step halving, evaluating each trial
+    alone and each accepted point a second time at the centre of its
+    central-difference Jacobian, with the package's step and tolerances."""
+    x = x0.copy()
+    r = fun(x)
+    best = float(np.max(np.abs(r)))
+    for _ in range(MAX_ITERATIONS):
+        if best <= SOLVE_TARGET:
+            return x
+        n = x.size
+        h = FD_STEP_REL * np.maximum(1.0, np.abs(x))
+        idx = np.arange(n)
+        pts = np.tile(x, (2 * n, 1))
+        pts[idx, idx] += h
+        pts[n + idx, idx] -= h
+        vals = fun(pts)
+        jac = ((vals[:n] - vals[n:]) / (2.0 * h[:, None])).T
+        step = -jac.T @ np.linalg.solve(jac @ jac.T, r)
+        alpha = 1.0
+        for _ in range(40):
+            trial = x + alpha * step
+            r_trial = fun(trial)
+            trial_norm = float(np.max(np.abs(r_trial)))
+            if trial_norm < best:
+                x, r, best = trial, r_trial, trial_norm
+                break
+            alpha *= 0.5
+        else:
+            raise NumericalError(f"projection stalled at residual {best:.3e}")
+    if best <= SOLVE_TARGET:
+        return x
+    raise NumericalError(f"no convergence after {MAX_ITERATIONS} iterations")

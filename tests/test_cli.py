@@ -27,7 +27,7 @@ from conftest import (
 )
 from oracles import sum_rule_spectral_side
 
-from gmpflow import cli, ks, numkit
+from gmpflow import cli, isospectral, ks, numkit
 from gmpflow.errors import NumericalError
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
 from gmpflow.flow import flow_run, flow_states
@@ -616,6 +616,27 @@ class TestIsoSolve:
         assert data["max_residual"] < 1e-9
         assert data["block"]["p"][1] == pytest.approx(0.5, abs=1e-12)
         assert len(data["residual"]) == 2 + 1
+
+    def test_solved_residual_is_not_recomputed(self, tmp_path, monkeypatch):
+        d = estar_delta_file(tmp_path)
+        seed = write_json(tmp_path / "seed.json", {"p": [1.43, 0.5], "q": [0.02, -0.01]})
+        solved, late_calls = [], []
+        is_residual = isospectral.is_residual
+
+        def solve(*args):
+            pt = solve_is_point(*args)
+            solved.append(pt)
+            return pt
+
+        def residual(*args):
+            late_calls.extend(solved)
+            return is_residual(*args)
+
+        monkeypatch.setattr(cli, "solve_is_point", solve)
+        monkeypatch.setattr(isospectral, "is_residual", residual)
+        assert cli.main(["iso-solve", d, seed, "--out", str(tmp_path / "pt.json")]) == 0
+        assert len(solved) == 1
+        assert late_calls == []
 
     def test_far_seed_rejected(self, tmp_path, capsys):
         d = estar_delta_file(tmp_path)

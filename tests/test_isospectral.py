@@ -16,13 +16,13 @@ from gmpflow.gmp import GmpBlock, GmpWindow, transfer_matrix
 from gmpflow.isospectral import (
     FD_STEP_REL,
     IsPoint,
-    _fd_jacobian,
+    _probe,
     is_residual,
     solve_is_point,
 )
 from gmpflow.ks import delta_of_gmp
 
-from oracles import intrinsic_offset
+from oracles import intrinsic_offset, reference_gauss_newton
 from conftest import make_estar_gapset, make_p1_block, stack_window, wrapped_dense
 
 SQRT2 = np.sqrt(2.0)
@@ -165,9 +165,8 @@ class TestIsPoint:
 
     def test_residual_matches_free_function(self):
         pt = IsPoint(make_p1_block(), estar_delta())
-        npt.assert_allclose(
-            pt.residual(), is_residual(pt.block, pt.delta)
-        )
+        assert np.array_equal(pt.residual(), is_residual(pt.block, pt.delta))
+        assert not pt.residual().flags.writeable
 
 
 class TestSolveIsPoint:
@@ -203,16 +202,47 @@ class TestSolveIsPoint:
         pt = solve_is_point(estar_delta(), GmpBlock([1.3, 0.7], [0.1, 0.0]))
         assert pt.block.p[1] == 0.5
 
+    @pytest.mark.parametrize("g", [2, 4, 8])
+    def test_one_residual_call_per_point(self, monkeypatch, g):
+        # the seed check, one stack per Gauss-Newton point, and IsPoint's check
+        d = genus_delta(g)
+        P, Q = near_surface_rows(d, 1)
+        counts = {"residual": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                counts[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(isospectral, "is_residual", counted("residual", is_residual))
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+        solve_is_point(d, GmpBlock(P[0], Q[0]))
+        assert counts["solve"] > 0  # one normal-equation solve per iteration
+        assert counts["residual"] == counts["solve"] + 3
+
+    @pytest.mark.parametrize("g", [1, 2, 4, 8, 12, 16])
+    def test_block_matches_reference_loop_bitwise(self, monkeypatch, g):
+        d = genus_delta(g)
+        P, Q = near_surface_rows(d, 1)
+        seed = GmpBlock(P[0], Q[0])
+        block = solve_is_point(d, seed).block
+        monkeypatch.setattr(isospectral, "_gauss_newton", reference_gauss_newton)
+        reference = solve_is_point(d, seed).block
+        assert np.array_equal(block.p, reference.p)
+        assert np.array_equal(block.q, reference.q)
+
 
 class TestStackedJacobian:
-    """The Gauss-Newton Jacobian evaluates its 2n points as one stack."""
+    """A Gauss-Newton point and its Jacobian's 2n points are one stack."""
 
     @pytest.mark.parametrize("g", [1, 2, 4, 8])
     def test_matches_column_by_column_bitwise(self, monkeypatch, g):
         fun, x0 = live_fun(monkeypatch, genus_delta(g))
-        jac = _fd_jacobian(fun, x0)
+        r, jac = _probe(fun, x0)
         assert jac.shape == (g + 1, 2 * g + 1)
         assert np.array_equal(jac, column_jacobian(fun, x0))
+        assert np.array_equal(r, fun(x0))
 
     @pytest.mark.parametrize("g", [2, 8])
     def test_one_lambda_k_call_per_evaluation(self, monkeypatch, g):
@@ -226,8 +256,8 @@ class TestStackedJacobian:
             return vals
 
         monkeypatch.setattr(isospectral, "lambda_k", counting)
-        _fd_jacobian(fun, x0)
-        assert calls == [(2 * (2 * g + 1), g)]
+        _probe(fun, x0)
+        assert calls == [(2 * (2 * g + 1) + 1, g)]
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     @pytest.mark.parametrize("col", [0, 2, 4])
@@ -341,13 +371,13 @@ class TestSurfaceInvariants:
 
 
 def arctan_residual(calls):
-    """Residual arctan(x) of one coordinate, recording each unstacked point
-    it is evaluated at.  Newton's full step from x = 2 overshoots to where
-    |arctan| is larger, so that step must be halved."""
+    """Residual arctan(x) of one coordinate, recording the point in row 0 of
+    each stack it is evaluated on, the point a probe centres on.  Newton's
+    full step from x = 2 overshoots to where |arctan| is larger, so that
+    step must be halved."""
 
     def fun(x):
-        if x.ndim == 1:
-            calls.append(float(x[0]))
+        calls.append(float(x[0, 0]))
         return np.arctan(x)
 
     return fun
@@ -387,12 +417,19 @@ class TestGaussNewton:
         )
 
     def test_last_iteration_may_converge(self, monkeypatch):
-        jacobians = []  # one per iteration
-        monkeypatch.setattr(
-            isospectral, "_fd_jacobian", lambda f, x: jacobians.append(x) or _fd_jacobian(f, x)
-        )
+        norms = []  # max |residual| of each probe, x0 first
+
+        def probe(f, x):
+            r, jac = _probe(f, x)
+            norms.append(float(np.max(np.abs(r))))
+            return r, jac
+
+        monkeypatch.setattr(isospectral, "_probe", probe)
         free = isospectral._gauss_newton(arctan_residual([]), np.array([2.0]))
+        # each iteration ends on the one probe that lowers the best residual
+        iterations = sum(n < min(norms[:i]) for i, n in enumerate(norms) if i)
+        assert 0 < iterations < len(norms) - 1  # a trial was rejected
         # a cap that ends the loop on the step reaching the target returns it
-        monkeypatch.setattr(isospectral, "MAX_ITERATIONS", len(jacobians))
+        monkeypatch.setattr(isospectral, "MAX_ITERATIONS", iterations)
         capped = isospectral._gauss_newton(arctan_residual([]), np.array([2.0]))
         assert np.array_equal(capped, free)
