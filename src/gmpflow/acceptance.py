@@ -207,7 +207,7 @@ def criterion_telescoping() -> tuple[list, str]:
     d = _estar_delta()
     w = _decaying_window(0.05, 27)
     j_top = 4
-    run = delta_of_gmp([st for st, _ in flow_states(w, 5)], d, 3)
+    run = map_run([st for st, _ in flow_states(w, 5)], d, 3)
     report = telescoping_check(run)
     ledger = report["report"]
     # the drop of the stepped window mapped on its own, against the

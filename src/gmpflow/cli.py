@@ -33,7 +33,7 @@ import numpy as np
 
 from .construct import gmp_to_jacobi_measure, jacobi_to_gmp
 from .errors import NumericalError, ValidationError
-from .finitegap import DeltaData, GapSet, check_squares, delta_from_gaps, eval_delta
+from .finitegap import DeltaData, GapSet, check_entries, delta_from_gaps, eval_delta
 from .flow import flow_run, flow_states
 from .gmp import VALIDITY_FLOOR, GmpBlock, GmpWindow
 from .isospectral import solve_is_point
@@ -124,10 +124,11 @@ def _load_block(path: str) -> GmpBlock:
         p, q = np.array(data["p"], dtype=float), np.array(data["q"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed block data in {path}: {exc}") from exc
-    blk = GmpBlock(p, q)
-    # iso-solve pins the last p entry to 1 / lambda0 and reads only the others
-    check_squares({"p": blk.p[..., :-1]}, "{key}[{0}]")
-    check_squares({"q": blk.q}, "{key}[{0}]")
+    blk = GmpBlock(p, q)  # finite entries, p_g > 0
+    # iso-solve pins the last p entry to 1 / lambda0 and reads only the
+    # others, so only they must be small enough to square
+    check_entries({"p": blk.p[..., :-1]}, "{key}[{0}]")
+    check_entries({"q": blk.q}, "{key}[{0}]")
     return blk
 
 

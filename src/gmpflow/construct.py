@@ -30,7 +30,7 @@ from .errors import (
     WindowError,
     check,
 )
-from .finitegap import SQUARE_MAX, DeltaData, check_distinct_poles, eval_delta
+from .finitegap import SQUARE_MAX, DeltaData, check_distinct_poles, check_entries, eval_delta
 from .gmp import GmpWindow, build_block_B, pattern_defect
 from .jacobi import DiscreteMeasure, JacobiWindow, kappa, lanczos
 
@@ -47,8 +47,7 @@ def _checked_poles(c_list) -> np.ndarray:
     cs = np.atleast_1d(np.asarray(c_list, dtype=float)).ravel()
     if cs.size < 1:
         raise ValidationError("at least one pole is required")
-    if not np.all(np.isfinite(cs)):
-        raise ValidationError("poles must be finite")
+    check_entries({"poles": cs}, "{key}[{0}]")
     check_distinct_poles(cs)
     return cs
 

@@ -29,21 +29,28 @@ POLE_REL_TOL = 1e-12
 ZERO_RESIDUAL_REL_TOL = 1e-11
 # Largest magnitude whose square is still a finite double.
 SQUARE_MAX = math.sqrt(np.finfo(float).max)
+# The largest double: as a limit it refuses only NaN and +-inf.
+DOUBLE_MAX = float(np.finfo(float).max)
 
 
-def check_squares(arrays: dict, name: str = "{key}", axis: int = 0) -> None:
-    """Refuse the first entry whose square overflows, at one reduction per
-    array when none does (NaN is left to the finiteness rules).  ``arrays``
-    maps keys to arrays of one shape, whose entries are taken in the C
-    order of ``np.stack(arrays.values(), axis)``, the order of the JSON
-    file for its layout; the first is named ``name.format(*index,
-    key=key)`` by its index in its own array."""
-    if not any(np.abs(x).max(initial=0.0) > SQUARE_MAX for x in arrays.values()):
+def check_entries(arrays: dict, name: str = "{key}", axis: int = 0, limit=SQUARE_MAX) -> None:
+    """The entry rule of every number a record reads: refuse the first
+    entry that is NaN, +-inf or of magnitude above ``limit`` (by default
+    the largest whose square is finite), at one reduction per array when
+    none is.  ``arrays`` maps keys to arrays of one shape, whose entries
+    are taken in the C order of ``np.stack(arrays.values(), axis)``, the
+    order of the JSON file for its layout; the first is named
+    ``name.format(*index, key=key)`` by its index in its own array, and
+    the message says which of the three it is."""
+    if all(np.abs(x).max(initial=0.0) <= limit for x in arrays.values()):  # NaN fails too
         return
     stacked = np.stack(list(arrays.values()), axis)
-    at = np.unravel_index(np.argmax(np.abs(stacked) > SQUARE_MAX), stacked.shape)
+    at = np.unravel_index(np.argmin(np.abs(stacked) <= limit), stacked.shape)
     entry = name.format(*at[:axis], *at[axis + 1:], key=list(arrays)[at[axis]])
-    raise ValidationError(f"{entry} = {stacked[at]:.6g} is too large: its square overflows")
+    value = stacked[at]
+    why = ("is not a number" if np.isnan(value) else "is infinite" if np.isinf(value)
+           else "is too large: its square overflows")
+    raise ValidationError(f"{entry} = {value:.6g} {why}")
 
 
 def check_distinct_poles(c) -> None:
@@ -72,16 +79,14 @@ class GapSet:
         object.__setattr__(
             self, "gaps", tuple((float(a), float(b)) for a, b in self.gaps)
         )
-        if not (np.isfinite(self.b0) and np.isfinite(self.a0)):
-            raise ValidationError("outer endpoints must be finite")
+        check_entries({"b0": self.b0, "a0": self.a0})
+        check_entries({"gaps": np.reshape(self.gaps, (-1, 2))}, "{key}[{0}][{1}]")
         if self.b0 >= self.a0:
             raise ValidationError(
                 f"outer interval is empty: [{self.b0}, {self.a0}]"
             )
         left = self.b0
         for k, (a, b) in enumerate(self.gaps):
-            if not (np.isfinite(a) and np.isfinite(b)):
-                raise ValidationError(f"gap {k} = ({a}, {b}) must be finite")
             if a >= b:
                 raise ValidationError(
                     f"gap {k} = ({a}, {b}) is not an increasing pair"
@@ -145,20 +150,13 @@ class DeltaData:
         object.__setattr__(
             self, "poles", tuple((float(c), float(l)) for c, l in self.poles)
         )
+        check_entries({"lambda0": self.lambda0, "c0": self.c0})
+        check_entries({"c": self.cs(), "lambda": self.lams()}, "poles[{0}].{key}", axis=1)
         if self.lambda0 <= 0:
             raise ValidationError(f"slope must be positive, got {self.lambda0}")
         for c, lam in self.poles:
             if lam <= 0:
                 raise ValidationError(f"pole weight at {c} must be positive")
-        if not (math.isfinite(self.lambda0) and math.isfinite(self.c0)):
-            raise ValidationError(
-                f"slope and offset must be finite, got {self.lambda0} and {self.c0}"
-            )
-        for c, lam in self.poles:
-            if not (math.isfinite(c) and math.isfinite(lam)):
-                raise ValidationError(f"pole at {c} with weight {lam} must be finite")
-        check_squares({"lambda0": self.lambda0, "c0": self.c0})
-        check_squares({"c": self.cs(), "lambda": self.lams()}, "poles[{0}].{key}", axis=1)
         check_distinct_poles(self.cs())
 
     @property

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import numkit
 from .errors import PoleEvaluationError, ValidationError, WindowError, check, integral
-from .finitegap import POLE_REL_TOL, check_distinct_poles, check_squares
+from .finitegap import DOUBLE_MAX, POLE_REL_TOL, SQUARE_MAX, check_distinct_poles, check_entries
 
 # The symplectic unit [[0, -1], [1, 0]].
 JMAT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -38,35 +38,39 @@ EYE2.setflags(write=False)
 VALIDITY_FLOOR = 1e-8
 
 
+def _check_rows(p: np.ndarray, q: np.ndarray, name: str, limit: float) -> None:
+    """The block rules: p and q nonempty of one shape, the entry rule (row
+    by row, p before q, each named ``name.format(*index, key=...)``), then
+    a positive last p entry."""
+    if p.ndim < 1 or p.shape != q.shape or p.shape[-1] < 1:
+        raise ValidationError("p and q must be nonempty vectors of equal length")
+    check_entries({"p": p, "q": q}, name, p.ndim - 1, limit)
+    pg = p[..., -1]
+    if not (pg > 0.0).all():
+        raise ValidationError(f"last p entry must be positive, got {pg.flat[np.argmin(pg > 0.0)]}")
+
+
 @dataclass(frozen=True)
 class GmpBlock:
     """One block of forming vectors: p = (p_0..p_g), q = (q_0..q_g).
 
     A block of a window is a view of its rows.  ``GmpWindow.rows`` gives a
     stack of blocks, whose p and q keep the row axis in front; every block
-    routine of this module broadcasts over it.  A stack is checked row by
-    row, and the first bad row raises its own message.
+    routine of this module broadcasts over it.  A block made in process
+    obeys the block rules of ``_check_rows`` with no magnitude limit: its
+    entries are finite, named ``p[i]`` (``p[r][i]`` in a stack), and the
+    first row with p_g <= 0 raises.
     """
 
     p: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.p, dtype=float)
-        q = np.array(self.q, dtype=float)
-        p.setflags(write=False)
-        q.setflags(write=False)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        if p.ndim < 1 or p.shape != q.shape or p.shape[-1] < 1:
-            raise ValidationError("p and q must be nonempty vectors of equal length")
-        if not (np.isfinite(p).all() and np.isfinite(q).all() and (p[..., -1] > 0.0).all()):
-            rows_p, rows_q = p.reshape(-1, p.shape[-1]), q.reshape(-1, p.shape[-1])
-            finite = np.isfinite(rows_p).all(1) & np.isfinite(rows_q).all(1)
-            i = np.argmax(~finite | (rows_p[:, -1] <= 0.0))
-            if not finite[i]:
-                raise ValidationError("block entries must be finite")
-            raise ValidationError(f"last p entry must be positive, got {rows_p[i, -1]}")
+        p, q = np.array(self.p, dtype=float), np.array(self.q, dtype=float)
+        _check_rows(p, q, "{key}" + "[{}]" * p.ndim, DOUBLE_MAX)
+        for x in (p, q):
+            x.setflags(write=False)
+        vars(self).update(p=p, q=q)  # frozen: bypass __setattr__
 
     @classmethod
     def _view(cls, p: np.ndarray, q: np.ndarray) -> "GmpBlock":
@@ -90,9 +94,10 @@ class GmpWindow:
 
     Row i of the read-only ``(n_blocks, g+1)`` arrays ``P`` and ``Q``
     holds the forming vectors of block j_min + i.  The constructor is the
-    one place the window rules are applied: every row obeys the block
-    rules of ``GmpBlock``, every entry is small enough to square, and the
-    g poles are finite, small enough to square, and distinct.
+    one place the window rules are applied, each array passing the entry
+    rule once: the block rules of ``_check_rows``, with every entry small
+    enough to square and named by its JSON path (``blocks[3].q[1]``), and
+    g poles, small enough to square (``C[0]``) and distinct.
     """
 
     P: np.ndarray
@@ -101,22 +106,19 @@ class GmpWindow:
     j_min: int = 0
 
     def __init__(self, P, Q, c, j_min: int = 0):
-        P, Q = np.asarray(P, dtype=float), np.asarray(Q, dtype=float)
-        c = np.array(c, dtype=float)
+        P, Q, c = (np.array(x, dtype=float) for x in (P, Q, c))
         if P.shape[:1] == (0,):
             raise ValidationError("window must contain at least one block")
         if P.ndim != 2 or P.shape != Q.shape:
             raise ValidationError("P and Q must be 2-d arrays of equal shape")
-        rows = GmpBlock(P, Q)
-        check_squares({"p": rows.p, "q": rows.q}, "blocks[{0}].{key}[{1}]", axis=1)
-        if c.ndim != 1 or c.size != rows.g:
-            raise ValidationError(f"pole list has length {c.size}, expected {rows.g}")
-        if not np.isfinite(c).all():
-            raise ValidationError("poles must be finite")
-        check_squares({"C": c}, "{key}[{0}]")
+        _check_rows(P, Q, "blocks[{0}].{key}[{1}]", SQUARE_MAX)
+        if c.ndim != 1 or c.size != P.shape[1] - 1:
+            raise ValidationError(f"pole list has length {c.size}, expected {P.shape[1] - 1}")
+        check_entries({"C": c}, "{key}[{0}]")
         check_distinct_poles(c)
-        c.setflags(write=False)
-        vars(self).update(P=rows.p, Q=rows.q, c=c, j_min=j_min)  # frozen: bypass __setattr__
+        for x in (P, Q, c):
+            x.setflags(write=False)
+        vars(self).update(P=P, Q=Q, c=c, j_min=j_min)  # frozen: bypass __setattr__
 
     @property
     def g(self) -> int:

@@ -39,7 +39,7 @@ from .errors import (
     check,
     integral,
 )
-from .finitegap import check_squares
+from .finitegap import check_entries
 
 SPECTRUM_MIN_DIST = 1e-6
 KAPPA_NORM_TOL = 1e-6
@@ -71,11 +71,9 @@ class JacobiWindow:
         object.__setattr__(self, "b", b)
         if a.ndim != 1 or b.ndim != 1 or a.size != b.size or a.size < 1:
             raise ValidationError("a and b must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValidationError("coefficients must be finite")
+        check_entries({"a": a, "b": b}, "{key}[{0}]")
         if np.any(a <= 0.0):
             raise ValidationError("all a(n) must be positive")
-        check_squares({"a": a, "b": b}, "{key}[{0}]")
 
     @property
     def size(self) -> int:
@@ -140,8 +138,7 @@ class DiscreteMeasure:
             raise ValidationError("points and weights must match in length")
         if points.size < 1:
             raise ValidationError("measure needs at least one point")
-        if not (np.all(np.isfinite(points)) and np.all(np.isfinite(weights))):
-            raise ValidationError("points and weights must be finite")
+        check_entries({"points": points, "weights": weights}, "{key}[{0}]")
         if np.any(np.diff(points) <= 0.0):
             raise ValidationError("points must be strictly increasing")
         if np.any(weights <= 0.0):

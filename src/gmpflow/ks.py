@@ -339,14 +339,14 @@ def h_term(v0: np.ndarray, w0: np.ndarray, v1: np.ndarray) -> float | np.ndarray
     return float(terms) if terms.ndim == 0 else terms
 
 
-def delta_J_H(window: GmpWindow, d: DeltaData, margin: int = 3) -> float:
+def delta_J_H(window: GmpWindow, d: DeltaData) -> float:
     """One-step drop of the entropy functional under the flow.
 
     Equals the entropy share of the column one slot left of the origin
     in the mapped operator of the stepped window, a finite sum of
-    squares and hence nonnegative.  Block -1 must stay trusted.
+    squares and hence nonnegative.  Block -1 must stay trusted at margin 3.
     """
-    db = delta_of_gmp([jacobi_flow_step(window)], d, margin)[0]
+    db = delta_of_gmp([jacobi_flow_step(window)], d, 3)[0]
     return float(db.column_shares(-1, -1)[0, -1])
 
 
@@ -505,7 +505,9 @@ def ks_diagnostics(
     lo = [-1 - st.j_min for st in states]
     P = np.stack([st.P[i : i + 3] for st, i in zip(states, lo)])
     Q = np.stack([st.Q[i : i + 3] for st, i in zip(states, lo)])
-    res = is_residual(GmpBlock(P[:, 1], Q[:, 1]), d)
+    P.setflags(write=False)
+    Q.setflags(write=False)
+    res = is_residual(GmpBlock._view(P[:, 1], Q[:, 1]), d)  # rows of checked states
     values = {
         "p_next": P[:, 2, :g] - P[:, 1, :g],
         "p_prev": P[:, 0, :g] - P[:, 1, :g],

@@ -681,6 +681,16 @@ class TestIsoSolve:
             f"validation error: {entry} is too large: its square overflows\n"
         )
 
+    def test_pinned_entry_needs_only_to_be_finite(self, tmp_path, capsys):
+        d = estar_delta_file(tmp_path)
+        seed = write_json(tmp_path / "seed.json", {"p": [1.43, 1e308], "q": [0.02, -0.01]})
+        capsys.readouterr()
+        assert cli.main(["iso-solve", d, seed]) == 0
+        assert json.loads(capsys.readouterr().out)["block"]["p"][1] == 0.5
+        seed = write_json(tmp_path / "seed.json", {"p": [1.43, math.inf], "q": [0.02, -0.01]})
+        assert cli.main(["iso-solve", d, seed]) == 1
+        assert capsys.readouterr().err == "validation error: p[1] = inf is infinite\n"
+
     def test_malformed_block_rejected(self, tmp_path, capsys):
         d = estar_delta_file(tmp_path)
         seed = write_json(tmp_path / "seed.json", {"p": [1.4, 0.5]})
@@ -734,10 +744,10 @@ class TestConversions:
     @pytest.mark.parametrize(
         "field, literal, message",
         [
-            ("c0", "NaN", "slope and offset must be finite, got 1.0 and nan"),
-            ("lambda0", "NaN", "slope and offset must be finite, got nan and 0.0"),
-            ("lambda", "Infinity", "pole at 0.0 with weight inf must be finite"),
-            ("c", "Infinity", "pole at inf with weight 1.0 must be finite"),
+            ("c0", "NaN", "c0 = nan is not a number"),
+            ("lambda0", "NaN", "lambda0 = nan is not a number"),
+            ("lambda", "Infinity", "poles[0].lambda = inf is infinite"),
+            ("c", "Infinity", "poles[0].c = inf is infinite"),
         ],
         ids=["c0-nan", "lambda0-nan", "lambda-inf", "c-inf"],
     )
@@ -1052,9 +1062,19 @@ class TestMalformedNumbers:
 
 
 class TestOverflowingEntries:
-    """A map entry, window pole, block entry or Jacobi coefficient whose
-    square overflows is a validation error that names the entry, raised
-    when the file is read."""
+    """A gap endpoint, map entry, window pole, block entry or Jacobi
+    coefficient whose square overflows is a validation error that names
+    the entry, raised when the file is read."""
+
+    @pytest.mark.parametrize("entry, value", [("b0", -1e308), ("a0", 1e308)])
+    def test_gap_set_endpoint_is_named(self, tmp_path, capsys, entry, value):
+        # a diameter near 1e308 once made a wide gap "numerically zero length"
+        gapset = {"b0": -2.0, "a0": 2.0, "gaps": [[-1.0, 1.0]], entry: value}
+        capsys.readouterr()
+        assert cli.main(["delta", write_json(tmp_path / "huge.json", gapset)]) == 1
+        assert capsys.readouterr() == (
+            "", f"validation error: {entry} = {value:.6g} is too large: its square overflows\n"
+        )
 
     @pytest.mark.parametrize(
         "command, entry, value",

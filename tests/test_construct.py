@@ -194,12 +194,13 @@ class TestGramD:
 
     @pytest.mark.parametrize("poles, message", [
         ((), "at least one pole is required"),
-        ((0.1, np.nan), "poles must be finite"),
-        ((np.inf,), "poles must be finite"),
+        pytest.param((0.1, np.nan), "poles[1] = nan is not a number", id="poles1-nan"),
+        pytest.param((np.inf,), "poles[0] = inf is infinite", id="poles2-inf"),
     ])
     def test_poles_checked(self, poles, message):
-        with pytest.raises(ValidationError, match=f"^{message}$"):
+        with pytest.raises(ValidationError) as info:
             gram_D(four_point_measure(), poles)
+        assert str(info.value) == message
 
     def test_duplicate_poles_raise(self):
         with pytest.raises(ValidationError):

@@ -1,6 +1,7 @@
 """``errors.check``, the one rule that holds a value against its bound,
 and a scan that keeps every tolerance comparison in ``src/gmpflow``
-going through it."""
+going through it; and a scan that keeps every finiteness test of an
+input going through the entry rule ``finitegap.check_entries``."""
 
 import ast
 from pathlib import Path
@@ -19,6 +20,15 @@ BOUND_SUFFIXES = ("_TOL", "_REL", "_FLOOR")
 KEPT_BOUNDS = {"PIVOT_REL_TOL", "POLE_REL_TOL", "POLE_SUPPORT_REL", "SPECTRUM_GAP_REL",
                "GAP_REL_TOL"}
 KEPT_LITERALS = {("lower_cholesky_like", 1e-14)}
+FINITENESS_TESTS = {"isfinite", "isnan", "isinf"}
+# Finiteness tests outside the entry rule, on computed values: numkit's
+# ValueError contracts, the class check's functionals, the ks reports,
+# and a command line tolerance, which is an option and not a record.
+KEPT_FINITENESS = {
+    "finitegap.py:check_entries", "numkit.py:solve", "numkit.py:solve_tridiagonal",
+    "numkit.py:bisect_root", "gmp.py:validate_gmp", "ks.py:KsFunctionalReport.__post_init__",
+    "ks.py:KsDiagnostics.__post_init__", "cli.py:_tolerance",
+}
 
 
 class TestCheck:
@@ -127,3 +137,49 @@ def test_scan_sees_direct_and_assigned_comparisons(tmp_path):
         "        raise ValueError\n"
     )
     assert [hit.split()[1] for hit in tolerance_raises(path)] == ["direct", "assigned"]
+
+
+def finiteness_tests(path: Path) -> list[str]:
+    """``<file>:<class.function>`` of each call of ``path`` to a function
+    named in ``FINITENESS_TESTS`` (``np.isfinite``, ``math.isnan``, ...)."""
+    found = []
+
+    def visit(node: ast.AST, scope: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in FINITENESS_TESTS:
+                    found.append(f"{path.name}:{'.'.join(scope) or '<module>'}")
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_every_input_finiteness_test_is_the_entry_rule():
+    found = {hit for path in sorted(SRC.glob("*.py")) for hit in finiteness_tests(path)}
+    assert sorted(found - KEPT_FINITENESS) == []
+    assert "finitegap.py:check_entries" in found  # the scan reads the package
+
+
+def test_finiteness_scan_sees_functions_methods_and_module_code(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "import math\n"
+        "OK = math.isfinite(1.0)\n"
+        "def direct(x):\n"
+        "    if not np.isfinite(x).all():\n"
+        "        raise ValueError\n"
+        "class Record:\n"
+        "    def __post_init__(self):\n"
+        "        bad = [isnan(v) for v in self.values]\n"
+        "    def method(self):\n"
+        "        return np.abs(self.x).max()\n"
+    )
+    assert finiteness_tests(path) == [
+        "sample.py:<module>", "sample.py:direct", "sample.py:Record.__post_init__"
+    ]

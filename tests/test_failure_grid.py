@@ -9,8 +9,8 @@ every case ``cli.main`` must return 0, 1 or 2 and raise nothing, a
 failing exit must write exactly one line to stderr, a successful exit
 must write no nan or inf, and no case may raise a warning: ``cli.main``
 turns a floating-point overflow, invalid operation or division by zero
-into exit 2.  A window block entry or Jacobi coefficient whose square
-overflows exits 1, naming its JSON path.
+into exit 2.  A number that is NaN, infinite or too large to square
+exits 1, naming its JSON path, wherever a record reads it.
 
 ``run_grid`` is also what ``bench/write.py`` runs to record the counts,
 and what ``bench/identity.py`` digests case by case.
@@ -38,6 +38,7 @@ VALUES = (
 )
 LONG_LIST = 4
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
+INTEGER_FIELDS = ("g", "j_min", "n_min")
 
 
 def first_jobs(work: Path) -> list[list[str]]:
@@ -174,23 +175,39 @@ def test_grid_covers_every_subcommand_and_input(grid):
     assert all(n % len(VALUES) == 0 for n in Counter(c["command"] for c in grid).values())
 
 
-def test_entries_whose_squares_overflow_are_named(grid):
-    # window block entries and Jacobi coefficients; a positivity rule may
-    # refuse the entry first (every grid window has g = 1)
-    cases = [c for c in grid if c["leaf"][0] in ("blocks", "a", "b")
-             and c["value"] in ("1e+308", "-1e+308")]
-    assert len(cases) == 56
+def leaf_path(leaf) -> str:
+    """A leaf's path as the entry rule names it: ``blocks[3].q[1]``,
+    ``gaps[0][1]``, ``lambda0``."""
+    return leaf[0] + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in leaf[1:])
+
+
+def test_non_finite_entries_are_named(grid):
+    # every leaf but the integer fields, which refuse NaN and inf as not integers
+    cases = [c for c in grid if c["value"] in ("NaN", "Infinity", "-Infinity")
+             and c["leaf"][0] not in INTEGER_FIELDS]
+    assert len(cases) == 171
     for c in cases:
-        leaf = c["leaf"]
-        if leaf[0] == "blocks":
-            path, positive = f"blocks[{leaf[1]}].{leaf[2]}[{leaf[3]}]", leaf[2:] == ["p", 1]
-        else:
-            path, positive = f"{leaf[0]}[{leaf[1]}]", leaf[0] == "a"
-        message = f"{path} = {c['value']} is too large: its square overflows"
-        if positive and c["value"] == "-1e+308":
-            message = ("last p entry must be positive, got -1e+308" if leaf[0] == "blocks"
-                       else "all a(n) must be positive")
+        value = {"NaN": "nan is not a number", "Infinity": "inf is infinite",
+                 "-Infinity": "-inf is infinite"}[c["value"]]
+        message = f"validation error: {leaf_path(c['leaf'])} = {value}\n"
+        assert (c["exit"], c["stderr"]) == (1, message), c
+
+
+def test_entries_whose_squares_overflow_are_named(grid):
+    # every leaf but the integer fields, which refuse them as too large, and
+    # the iso-solve seed's last p entry, which is pinned and never read
+    # (1e308 is solved, -1e308 is refused as not positive)
+    cases = [c for c in grid if c["value"] in ("1e+308", "-1e+308")
+             and c["leaf"][0] not in INTEGER_FIELDS and c["file"] != "seed0.json"]
+    seed = [c for c in grid if c["value"] in ("1e+308", "-1e+308")
+            and c["file"] == "seed0.json"]
+    assert len(cases) == 102 and len(seed) == 12
+    for c in cases + [c for c in seed if c["leaf"] != ["p", 2]]:
+        message = f"{leaf_path(c['leaf'])} = {c['value']} is too large: its square overflows"
         assert (c["exit"], c["stderr"]) == (1, f"validation error: {message}\n"), c
+    solved, refused = (c for c in seed if c["leaf"] == ["p", 2])
+    assert (solved["exit"], solved["stderr"]) == (0, "")
+    assert refused["stderr"] == "validation error: last p entry must be positive, got -1e+308\n"
 
 
 def test_vanishing_crossing_bond_is_refused(grid):

@@ -126,6 +126,18 @@ class TestGapSet:
         with pytest.raises(ValidationError):
             GapSet(-2.0, 2.0, ((-2.0, 1.0),))
 
+    @pytest.mark.parametrize("b0, a0, gaps, message", [
+        (-1e308, 3.0, ((-1.0, 0.5),), "b0 = -1e+308 is too large: its square overflows"),
+        (-3.0, 1e308, ((-1.0, 0.5),), "a0 = 1e+308 is too large: its square overflows"),
+        (-3.0, 3.0, ((-1.0, 0.5), (1.0, np.nan)), "gaps[1][1] = nan is not a number"),
+        (-3.0, 3.0, ((-np.inf, 0.5),), "gaps[0][0] = -inf is infinite"),
+        (np.nan, 3.0, ((-1.0, -1e300),), "b0 = nan is not a number"),
+    ], ids=["b0-huge", "a0-huge", "gap-nan", "gap-minus-inf", "b0-nan"])
+    def test_entries_are_named_before_the_order_rules(self, b0, a0, gaps, message):
+        with pytest.raises(ValidationError) as info:
+            GapSet(b0, a0, gaps)
+        assert str(info.value) == message
+
     def test_json_round_trip(self, estar_gapset):
         data = estar_gapset.to_json()
         assert data == {"b0": -2.0, "a0": 2.0, "gaps": [[-1.0, 1.0]]}
@@ -297,22 +309,30 @@ class TestDeltaDataFinite:
         "text, message",
         [
             ('{"lambda0": NaN, "c0": 0.0, "poles": []}',
-             "slope and offset must be finite, got nan and 0.0"),
+             "lambda0 = nan is not a number"),
             ('{"lambda0": Infinity, "c0": 0.0, "poles": []}',
-             "slope and offset must be finite, got inf and 0.0"),
+             "lambda0 = inf is infinite"),
             ('{"lambda0": 1.0, "c0": NaN, "poles": []}',
-             "slope and offset must be finite, got 1.0 and nan"),
+             "c0 = nan is not a number"),
             ('{"lambda0": 1.0, "c0": -Infinity, "poles": []}',
-             "slope and offset must be finite, got 1.0 and -inf"),
+             "c0 = -inf is infinite"),
             ('{"lambda0": 1.0, "c0": 0.0, "poles": [{"c": Infinity, "lambda": 1.0}]}',
-             "pole at inf with weight 1.0 must be finite"),
+             "poles[0].c = inf is infinite"),
             ('{"lambda0": 1.0, "c0": 0.0, "poles": [{"c": NaN, "lambda": 1.0}]}',
-             "pole at nan with weight 1.0 must be finite"),
+             "poles[0].c = nan is not a number"),
             ('{"lambda0": 1.0, "c0": 0.0, "poles": [{"c": 0.0, "lambda": Infinity}]}',
-             "pole at 0.0 with weight inf must be finite"),
+             "poles[0].lambda = inf is infinite"),
+            # before the sign rules, and the first entry in file order
+            ('{"lambda0": -Infinity, "c0": 0.0, "poles": []}',
+             "lambda0 = -inf is infinite"),
+            ('{"lambda0": 1.0, "c0": 0.0, "poles": [{"c": 0.0, "lambda": -Infinity}]}',
+             "poles[0].lambda = -inf is infinite"),
+            ('{"lambda0": 1.0, "c0": 0.0, "poles": [{"c": 0.0, "lambda": NaN}, '
+             '{"c": Infinity, "lambda": 1.0}]}',
+             "poles[0].lambda = nan is not a number"),
         ],
         ids=["lambda0-nan", "lambda0-inf", "c0-nan", "c0-minus-inf", "c-inf", "c-nan",
-             "lambda-inf"],
+             "lambda-inf", "lambda0-minus-inf", "lambda-minus-inf", "first-in-file"],
     )
     def test_non_finite_json_literal_rejected(self, text, message):
         # json.load parses NaN and Infinity

@@ -193,9 +193,12 @@ class TestGmpWindow:
         assert str(info.value) == f"blocks[3].p[0] = {big:.6g} is too large: its square overflows"
         P[3, 0] = SQUARE_MAX
         assert GmpWindow(P, Q, [0.0, 1.0], -2).Q[2, 1] == -SQUARE_MAX
-        # the block rules come first
+        # the entry rule comes first, then p_g > 0
         P[1, 2] = 0.0
         Q[2, 1] = -big
+        with pytest.raises(ValidationError, match=r"^blocks\[2\]\.q\[1\] = -1\.34078e\+154 is too"):
+            GmpWindow(P, Q, [0.0, 1.0], -2)
+        Q[2, 1] = -SQUARE_MAX
         with pytest.raises(ValidationError, match="^last p entry must be positive, got 0.0$"):
             GmpWindow(P, Q, [0.0, 1.0], -2)
 
@@ -208,7 +211,7 @@ class TestGmpWindow:
         assert np.shares_memory(window.block(1).p, window.P)
         bad = p.copy()
         bad[2, 0] = np.inf
-        with pytest.raises(ValidationError, match="block entries must be finite"):
+        with pytest.raises(ValidationError, match=r"^blocks\[2\]\.p\[0\] = inf is infinite$"):
             GmpWindow(bad, q, (0.0,))
         bad = p.copy()
         bad[3, -1] = -0.5
@@ -216,17 +219,24 @@ class TestGmpWindow:
             GmpWindow(bad, q, (0.0,))
         with pytest.raises(ValidationError, match="at least one block"):
             GmpWindow(np.zeros((0, 2)), np.zeros((0, 2)), (0.0,))
-        # a stack of blocks raises the message of its first bad row
+        # a non-finite entry of any row is refused before a row with p_g <= 0;
+        # of those, the first row's is named
         nan_row, low_row = p.copy(), p.copy()
         nan_row[1, 0] = low_row[3, -1] = np.nan
         low_row[1, -1] = nan_row[3, -1] = -0.5
-        for P, message in ((nan_row, "^block entries must be finite$"),
-                           (low_row, r"^last p entry must be positive, got -0\.5$")):
-            for build in (GmpBlock, lambda P, Q: GmpWindow(P, Q, (0.0,))):
-                with pytest.raises(ValidationError, match=message):
+        low_row[2, -1] = -0.25
+        builds = (lambda P, Q: GmpWindow(P, Q, (0.0,)), GmpBlock,
+                  lambda P, Q: GmpBlock(P.reshape(2, 2, 2), Q.reshape(2, 2, 2)))
+        for P, paths in ((nan_row, ("blocks[1].p[0]", "p[1][0]", "p[0][1][0]")),
+                         (low_row, ("blocks[3].p[1]", "p[3][1]", "p[1][1][1]"))):
+            for build, path in zip(builds, paths):
+                with pytest.raises(ValidationError) as info:
                     build(P, q)
-            with pytest.raises(ValidationError, match=message):
-                GmpBlock(P.reshape(2, 2, 2), q.reshape(2, 2, 2))
+                assert str(info.value) == f"{path} = nan is not a number"
+        low_row[3, -1] = 0.5
+        for build in builds:
+            with pytest.raises(ValidationError, match=r"^last p entry must be positive, got -0\.5$"):
+                build(low_row, q)
         stack = GmpBlock(p, q)
         assert stack.g == 1 and stack.p.shape == (4, 2) and not stack.p.flags.writeable
 

@@ -265,8 +265,11 @@ class TestStackedJacobian:
         fun, x0 = live_fun(monkeypatch, genus_delta(2))
         pts = np.tile(x0, (3, 1))
         pts[1, col] = bad
-        with pytest.raises(ValidationError, match="^block entries must be finite$"):
+        # the point's p holds its first 2 coordinates and the pinned p_g, q the rest
+        path = f"p[1][{col}]" if col < 2 else f"q[1][{col - 2}]"
+        with pytest.raises(ValidationError) as info:
             fun(pts)
+        assert str(info.value) == f"{path} = {bad} {'is infinite' if np.isinf(bad) else 'is not a number'}"
 
 
 class TestAssemblePeriodicDense:

@@ -214,18 +214,20 @@ class TestDiscreteMeasure:
             DiscreteMeasure(np.array([]), np.array([]))
 
     @pytest.mark.parametrize(
-        "points, weights",
+        "points, weights, message",
         [
-            ([0.0, 1.0], [np.nan, np.nan]),
-            ([0.0, np.nan], [0.5, 0.5]),
-            ([np.nan, 1.0], [0.5, 0.5]),
-            ([0.0, np.inf], [0.5, 0.5]),
-            ([0.0, 1.0], [0.5, np.inf]),
+            ([0.0, 1.0], [np.nan, np.nan], "weights[0] = nan is not a number"),
+            ([0.0, np.nan], [0.5, 0.5], "points[1] = nan is not a number"),
+            ([np.nan, 1.0], [0.5, 0.5], "points[0] = nan is not a number"),
+            ([0.0, np.inf], [0.5, 0.5], "points[1] = inf is infinite"),
+            ([0.0, 1.0], [0.5, np.inf], "weights[1] = inf is infinite"),
         ],
+        ids=[f"points{i}-weights{i}" for i in range(5)],
     )
-    def test_non_finite_rejected(self, points, weights):
-        with pytest.raises(ValidationError, match="^points and weights must be finite$"):
+    def test_non_finite_rejected(self, points, weights, message):
+        with pytest.raises(ValidationError) as info:
             DiscreteMeasure(np.array(points), np.array(weights))
+        assert str(info.value) == message
 
     def test_moments(self):
         m = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
