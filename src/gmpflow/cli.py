@@ -33,7 +33,7 @@ import numpy as np
 
 from .construct import gmp_to_jacobi_measure, jacobi_to_gmp
 from .errors import NumericalError, ValidationError
-from .finitegap import DeltaData, GapSet, check_entries, delta_from_gaps, eval_delta
+from .finitegap import DOUBLE_MAX, DeltaData, GapSet, check_entries, delta_from_gaps, eval_delta
 from .flow import flow_run, flow_states
 from .gmp import VALIDITY_FLOOR, GmpBlock, GmpWindow
 from .isospectral import solve_is_point
@@ -119,17 +119,20 @@ def _csv_text(command, options, columns, footer=()) -> str:
 
 
 def _load_block(path: str) -> GmpBlock:
+    """The ``iso-solve`` seed, one block.  Its first bad entry in file order
+    is refused: iso-solve pins p_g to 1 / lambda0 and reads only the other
+    entries, so only they must be small enough to square."""
     data = _load_json(path)
     try:
         p, q = np.array(data["p"], dtype=float), np.array(data["q"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed block data in {path}: {exc}") from exc
-    blk = GmpBlock(p, q)  # finite entries, p_g > 0
-    # iso-solve pins the last p entry to 1 / lambda0 and reads only the
-    # others, so only they must be small enough to square
-    check_entries({"p": blk.p[..., :-1]}, "{key}[{0}]")
-    check_entries({"q": blk.q}, "{key}[{0}]")
-    return blk
+    if p.ndim != 1 or p.shape != q.shape or p.size < 1:
+        raise ValidationError("p and q must be nonempty vectors of equal length")
+    check_entries({"p": p[:-1]}, "p[{0}]")
+    check_entries({"p": p[-1:]}, f"p[{p.size - 1}]", limit=DOUBLE_MAX)
+    check_entries({"q": q}, "q[{0}]")
+    return GmpBlock(p, q)
 
 
 def cmd_delta(args: argparse.Namespace) -> int:

@@ -23,13 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import (
-    NumericalError,
-    PoleEvaluationError,
-    ValidationError,
-    WindowError,
-    check,
-)
+from .errors import PoleEvaluationError, ValidationError, WindowError, check
 from .finitegap import SQUARE_MAX, DeltaData, check_distinct_poles, check_entries, eval_delta
 from .gmp import GmpWindow, build_block_B, pattern_defect
 from .jacobi import DiscreteMeasure, JacobiWindow, kappa, lanczos
@@ -171,11 +165,8 @@ def tau_basis(measure: DiscreteMeasure, d: DeltaData, depth: int = 2) -> Rationa
     rows[:per] = (_raw_columns(pts, cs) @ L).T * root_w
     dvals = np.asarray(eval_delta(d, pts), dtype=float)
     for idx in range(per, depth * per):
-        if not _append_orthonormal(rows, idx, dvals * rows[idx - per]):
-            raise NumericalError(
-                f"measure rank exhausted at basis function {idx}; "
-                "the support is too small for the requested depth"
-            )
+        _append_orthonormal(rows, idx, dvals * rows[idx - per],
+                            f"measure rank exhausted at basis function {idx}")
     dev = float(np.max(np.abs(rows @ rows.T - np.eye(depth * per))))
     check("basis table is not orthonormal: deviation", dev, ORTHO_TOL)
     return RationalBasis(measure, np.ascontiguousarray((rows / root_w).T), L)
@@ -210,16 +201,17 @@ def multiplication_matrix(rb: RationalBasis) -> np.ndarray:
     return M
 
 
-def _append_orthonormal(rows: np.ndarray, k: int, cand: np.ndarray) -> bool:
-    """Orthonormalize cand against rows[:k] into rows[k]; False, with
-    rows[k] untouched, when cand lies numerically in the span of rows[:k]."""
+def _append_orthonormal(rows: np.ndarray, k: int, cand: np.ndarray, what: str) -> None:
+    """Orthonormalize cand against rows[:k] into rows[k].  When cand lies
+    numerically in the span of rows[:k], its remainder below
+    ``FLAG_RANK_REL`` times its norm, ``check`` refuses it with a
+    NumericalError led by ``what``, and rows[k] is untouched."""
 
     vec = numkit.project_out(rows[:k], cand)
     rem = float(np.linalg.norm(vec))
-    if rem <= FLAG_RANK_REL * max(float(np.linalg.norm(cand)), 1e-300):
-        return False
+    check(f"{what}: remainder", rem, FLAG_RANK_REL * max(float(np.linalg.norm(cand)), 1e-300),
+          floor=True)
     rows[k] = vec / rem
-    return True
 
 
 def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpWindow:
@@ -271,11 +263,8 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
     slot: dict = {(-1, g): 0}  # (block, slot) -> row of basis
 
     def append(key: tuple, cand: np.ndarray) -> None:
-        if not _append_orthonormal(basis, len(slot), cand):
-            raise NumericalError(
-                f"flag vectors became linearly dependent at block {key[0]} slot "
-                f"{key[1]}; the Gram matrix of the flag is numerically singular"
-            )
+        _append_orthonormal(basis, len(slot), cand, "flag vectors became linearly "
+                            f"dependent at block {key[0]} slot {key[1]}")
         slot[key] = len(slot)
 
     # the mirror flag nests from the far end: orthogonalize last pole first

@@ -5,9 +5,9 @@ callers can distinguish validation problems (bad input data) from
 numerical breakdowns (a computation that started but could not finish
 within tolerance).  Every numerical contract that holds a value against
 a tolerance refuses through ``check``, in one wording and with NaN
-refused; only the rules whose class carries data (a pivot) or names the
-input (a point too close to a pole, a spectrum or a zero-length gap)
-stay outside it.
+refused (and +inf, by a floor); only the rules whose class carries data
+(a pivot) or names the input (a point too close to a pole, a spectrum or
+a zero-length gap) stay outside it.
 """
 
 from __future__ import annotations
@@ -87,19 +87,21 @@ class SpectrumProximityError(ValidationError):
 
 
 def check(what, value, limit, exc: type = NumericalError, floor: bool = False) -> None:
-    """Refuse unless ``value <= limit`` (``value >= limit`` when ``floor``),
-    so NaN is always refused.  ``value`` and ``limit`` broadcast; the
-    ``exc`` raised names the first failing entry, "{what} {value:.3e}
-    exceeds {limit:.3e}" ("is below" for a floor), where ``what`` is a
+    """Refuse unless ``value <= limit`` (``limit <= value < inf`` when
+    ``floor``: an overflowed value holds no margin), so NaN is always
+    refused.  ``value`` and ``limit`` broadcast; the ``exc`` raised names
+    the first failing entry, "{what} {value:.3e} exceeds {limit:.3e}" ("is
+    below" for a floor, and "inf is not finite" there), where ``what`` is a
     string or a function from that entry's flat index to one.  Nothing is
     formatted when every entry passes."""
-    ok = value >= limit if floor else value <= limit
+    ok = (value >= limit) & (value < np.inf) if floor else value <= limit
     if ok is True or np.all(ok):  # Python floats compare to a bool
         return
     value, limit, ok = (np.ravel(x) for x in np.broadcast_arrays(value, limit, ok))
     i = int(np.argmin(ok))
     name = what(i) if callable(what) else what
-    raise exc(f"{name} {value[i]:.3e} {'is below' if floor else 'exceeds'} {limit[i]:.3e}")
+    bound = f"{'is below' if floor else 'exceeds'} {limit[i]:.3e}"
+    raise exc(f"{name} {value[i]:.3e} {'is not finite' if floor and value[i] == np.inf else bound}")
 
 
 def integral(value, field: str) -> int:

@@ -161,8 +161,8 @@ class FlowTrajectory:
 
     a_out[n] = a(n) for n = 0..n_steps and b_out[n] = b(n) for
     n = 0..n_steps-1.  Row n of ``lambdas`` holds the pair functionals
-    of blocks 0 and -1 of state n, and row n of ``validity_min`` the
-    validity minima of state n, both indexed by pole slot 0..g-1.
+    of blocks 0 and -1 of state n, and row n of ``validity_min`` their
+    minimum over the block pairs of state n, both indexed by pole slot.
     """
 
     a_out: np.ndarray
@@ -173,14 +173,15 @@ class FlowTrajectory:
 
 def flow_states(
     window: GmpWindow, n_steps: int, floor: float = VALIDITY_FLOOR
-) -> Iterator[tuple[GmpWindow, dict]]:
-    """States 0..n_steps of a flow run, each with its class report.
+) -> Iterator[tuple[GmpWindow, np.ndarray]]:
+    """States 0..n_steps of a flow run, each with its pair functionals.
 
     The window loses one block per edge per step and every state must
     keep blocks -1..1 for the readout, so the input must satisfy
     j_min <= -1 - n_steps and j_max >= 1 + n_steps.  A state is yielded
-    with its ``validate_gmp`` report once it passes, else the run aborts;
-    the next is stepped only when asked for, and none is kept.
+    with the pair functionals ``validate_gmp`` returns, else the run aborts
+    with its error, led by "state n left the class: "; the next is
+    stepped only when asked for, and none is kept.
     """
     if n_steps < 1:
         raise ValidationError("n_steps must be at least 1")
@@ -194,24 +195,22 @@ def flow_states(
         )
     st = window
     for n in range(n_steps + 1):
-        report = validate_gmp(st, floor)
-        if not report["valid"]:
-            raise ValidationError(f"state {n} left the class: {report['message']}")
-        yield st, report
+        yield st, validate_gmp(st, floor, f"state {n} left the class: ")
         if n < n_steps:
             st = jacobi_flow_step(st)
 
 
 def flow_run(window: GmpWindow, n_steps: int, floor: float = VALIDITY_FLOOR) -> FlowTrajectory:
     """Fold ``flow_states`` into readout and diagnostics.  Of each state it
-    keeps the rows of blocks -1 and 0, their pair functionals and the
-    validity minima, as copies: a view would keep the state alive."""
+    keeps the rows of blocks -1 and 0 and the row of their pair
+    functionals, as copies (a view would keep the state alive), and the
+    column minimum of its functionals as ``validity_min``."""
     P, Q, lambdas, minima = [], [], [], []
-    for st, report in flow_states(window, n_steps, floor):
-        i = -1 - st.j_min  # block -1; values row i pairs blocks 0 and -1
+    for st, vals in flow_states(window, n_steps, floor):
+        i = -1 - st.j_min  # block -1; vals row i pairs blocks 0 and -1
         P.append(st.P[i : i + 2].copy())
         Q.append(st.Q[i : i + 2].copy())
-        lambdas.append(report["values"][i].copy())
-        minima.append(report["min_per_k"])  # a fresh array, not a view
+        lambdas.append(vals[i].copy())
+        minima.append(vals.min(0))
     a_vals, b_vals = extract_jacobi(np.stack(P), np.stack(Q), window.c)
     return FlowTrajectory(a_vals, b_vals, np.stack(lambdas), np.stack(minima))

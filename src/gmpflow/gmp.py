@@ -376,44 +376,22 @@ def lambda_k(blk: GmpBlock, c: np.ndarray) -> np.ndarray:
     return lambda_sharp(blk, blk, c)
 
 
-def validate_gmp(window: GmpWindow, floor: float = VALIDITY_FLOOR) -> dict:
-    """Check the class criterion: adjacent-pair functionals stay above floor.
-
-    Returns a report with the pair functionals (``values``, row i pairing
-    the window's blocks i+1 and i), their minimum over adjacent block
-    pairs for each pole slot (``min_per_k``), the absolute block index
-    attaining it (``argmin_j``), and the overall verdict.  A functional
-    that is not finite fails the criterion and is reported in place of
-    the minimum.  The message names poles k = 1..g.
+def validate_gmp(window: GmpWindow, floor: float = VALIDITY_FLOOR, state: str = "") -> np.ndarray:
+    """The class criterion: the pair functionals of adjacent blocks, shape
+    (n_blocks - 1, g), row i pairing the window's blocks i+1 and i and
+    column k-1 pole k, are returned once each is finite and strictly above
+    ``floor`` (the bound a refusal prints is the next double).  Otherwise
+    ``check`` raises a ValidationError naming the first in C order that is
+    not, by pole k and block, after ``state``.
     """
     if window.n_blocks < 2:
-        return {
-            "valid": False,
-            "values": np.zeros((0, window.g)),
-            "min_per_k": np.zeros(0),
-            "argmin_j": np.zeros(0, dtype=int),
-            "message": "insufficient window: need at least two blocks",
-        }
-    with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
+        raise WindowError("the class check needs at least two blocks")
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
         vals = lambda_sharp(window.rows(1), window.rows(0, -1), window.c)
-    # per pole: the first value that is not finite, else the minimum
-    i_min = np.where(np.isfinite(vals), vals, -np.inf).argmin(0)
-    mins = vals[i_min, np.arange(window.g)]
-    above = ((mins > floor) & np.isfinite(mins)).tolist()
-    report = {
-        "valid": all(above),
-        "values": vals,
-        "min_per_k": mins,
-        "argmin_j": i_min + window.j_min,
-        "message": "ok",
-    }
-    if not report["valid"]:
-        k = above.index(False)
-        verdict = f"{mins[k]:.3e} <= floor {floor:.1e}" if np.isfinite(mins[k]) else "not finite"
-        report["message"] = (
-            f"pair functional at k={k + 1} is {verdict} (block {report['argmin_j'][k]})"
-        )
-    return report
+    g = window.g
+    check(lambda i: f"{state}pair functional at k={i % g + 1} (block {window.j_min + i // g})",
+          vals, np.nextafter(floor, np.inf), ValidationError, floor=True)
+    return vals
 
 
 def resolvent_column(pairs: Sequence[tuple[GmpWindow, int]]) -> list[np.ndarray | None]:

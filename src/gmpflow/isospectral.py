@@ -89,13 +89,15 @@ def _gauss_newton(fun, x0: np.ndarray) -> np.ndarray:
     below ``SOLVE_TARGET``.  Each point, x0 or a line-search trial, is one
     ``_probe`` stack, whose Jacobian serves the next step if the trial is
     accepted; a rejected trial (none in perfbench's seed-5 jobs) costs a stack.
+    The loop stops on convergence; one ``check`` of the best residual
+    then refuses a run that spent its ``MAX_ITERATIONS`` steps.
     """
     x = x0.copy()
     r, jac = _probe(fun, x)
     best = float(np.max(np.abs(r)))
     for _ in range(MAX_ITERATIONS):
         if best <= SOLVE_TARGET:
-            return x
+            break
         gram = jac @ jac.T
         try:
             step = -jac.T @ np.linalg.solve(gram, r)
@@ -111,15 +113,9 @@ def _gauss_newton(fun, x0: np.ndarray) -> np.ndarray:
                 break
             alpha *= 0.5
         else:
-            raise NumericalError(
-                f"projection stalled at residual {best:.3e}"
-            )
-    if best <= SOLVE_TARGET:
-        return x
-    raise NumericalError(
-        f"no convergence after {MAX_ITERATIONS} iterations "
-        f"(residual {best:.3e})"
-    )
+            raise NumericalError(f"projection stalled at residual {best:.3e}")
+    check(f"no convergence after {MAX_ITERATIONS} iterations: residual", best, SOLVE_TARGET)
+    return x
 
 
 def solve_is_point(d: DeltaData, seed: GmpBlock) -> IsPoint:

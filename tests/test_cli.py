@@ -250,10 +250,10 @@ class TestFlow:
         assert [str(w.message) for w in caught] == []
         err = capsys.readouterr().err
         assert "state 0 left the class" in err
-        assert "k=1 is not finite (block -4)" in err
+        assert "k=1 (block -4) inf" in err
         assert err == (
             "validation error: state 0 left the class: "
-            "pair functional at k=1 is not finite (block -4)\n"
+            "pair functional at k=1 (block -4) inf is not finite\n"
         )
 
     def test_per_pole_columns_print_the_trajectory_arrays(self, tmp_path, capsys):
@@ -267,6 +267,20 @@ class TestFlow:
             assert cols[f"validity_min_{k}"] == [
                 cli._fmt(v) for v in traj.validity_min[:4, k - 1]
             ]
+
+    def test_tol_equal_to_the_smallest_functional_is_refused(self, tmp_path, capsys):
+        # the class floor is strict: a run whose smallest pair functional
+        # equals --tol leaves the class, one double less lets it pass
+        d, w = twogap_window()
+        win = write_json(tmp_path / "twogap.json", w.to_json())
+        minima = flow_run(w, 4).validity_min.min(1)
+        n, tie = int(np.argmin(minima)), float(minima.min())
+        assert cli.main(["flow", win, "--steps", "4", "--tol", cli._fmt(tie)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"validation error: state {n} left the class: pair functional at k=")
+        assert err.endswith(f" {tie:.3e} is below {np.nextafter(tie, np.inf):.3e}\n")
+        below = cli._fmt(np.nextafter(tie, -np.inf))
+        assert cli.main(["flow", win, "--steps", "4", "--tol", below]) == 0
 
     def test_header_records_options(self, tmp_path, capsys):
         args = ["flow", p1_window_file(tmp_path), "--steps", "3", "--eta", "0.5"]
@@ -690,6 +704,22 @@ class TestIsoSolve:
         seed = write_json(tmp_path / "seed.json", {"p": [1.43, math.inf], "q": [0.02, -0.01]})
         assert cli.main(["iso-solve", d, seed]) == 1
         assert capsys.readouterr().err == "validation error: p[1] = inf is infinite\n"
+
+    @pytest.mark.parametrize("p, q, err", [
+        ([1e200, 1.0], [math.nan, 0.0], "p[0] = 1e+200 is too large: its square overflows"),
+        ([1e200, math.inf], [0.1, 0.0], "p[0] = 1e+200 is too large: its square overflows"),
+        ([1.4, math.nan], [1e200, 0.0], "p[1] = nan is not a number"),
+        ([1.4, -1.0], [1e200, 0.0], "q[0] = 1e+200 is too large: its square overflows"),
+        ([[1.43, 0.5]], [[0.02, -0.01]], "p and q must be nonempty vectors of equal length"),
+    ], ids=["nan-after-huge", "inf-pinned-after-huge", "nan-pinned", "sign-after-huge", "stack"])
+    def test_first_bad_seed_entry_in_file_order_is_named(self, tmp_path, capsys, p, q, err):
+        # p[:-1] and q must be small enough to square, the pinned p_g only
+        # finite, and then positive; a seed is one block
+        d = estar_delta_file(tmp_path)
+        seed = write_json(tmp_path / "seed.json", {"p": p, "q": q})
+        capsys.readouterr()
+        assert cli.main(["iso-solve", d, seed]) == 1
+        assert capsys.readouterr().err == f"validation error: {err}\n"
 
     def test_malformed_block_rejected(self, tmp_path, capsys):
         d = estar_delta_file(tmp_path)

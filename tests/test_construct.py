@@ -326,8 +326,20 @@ class TestTauBasis:
     def test_rank_exhaustion_raises(self):
         pts = np.array([2.0, 2.0 + 1e-13, 3.0, 4.0])
         m = DiscreteMeasure(pts, np.full(4, 0.25))
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match=r"^measure rank exhausted at basis function 3: "
+                           r"remainder \S+ is below \S+$"):
             tau_basis(m, make_estar_delta(), depth=2)
+
+    def test_dependent_candidate_is_refused_and_leaves_its_row(self):
+        rows = np.zeros((3, 4))
+        rows[0, 0] = rows[1, 1] = 1.0
+        construct._append_orthonormal(rows, 2, np.array([3.0, 0.0, 4.0, 0.0]), "x")
+        assert rows[2].tolist() == [0.0, 0.0, 1.0, 0.0]
+        before = rows.copy()
+        # its remainder 1e-9 is below FLAG_RANK_REL times its norm 5
+        with pytest.raises(NumericalError, match=r"^dependent: remainder 1\.000e-09 is below 5\.000e-08$"):
+            construct._append_orthonormal(rows, 2, np.array([3.0, 4.0, 0.0, 1e-9]), "dependent")
+        assert np.array_equal(rows, before)
 
     def test_orthonormality_checked(self, monkeypatch):
         # the first continuation function skips its projection, so it keeps

@@ -22,11 +22,11 @@ KEPT_BOUNDS = {"PIVOT_REL_TOL", "POLE_REL_TOL", "POLE_SUPPORT_REL", "SPECTRUM_GA
 KEPT_LITERALS = {("lower_cholesky_like", 1e-14)}
 FINITENESS_TESTS = {"isfinite", "isnan", "isinf"}
 # Finiteness tests outside the entry rule, on computed values: numkit's
-# ValueError contracts, the class check's functionals, the ks reports,
-# and a command line tolerance, which is an option and not a record.
+# ValueError contracts and the ks reports, and a command line tolerance,
+# which is an option and not a record.
 KEPT_FINITENESS = {
     "finitegap.py:check_entries", "numkit.py:solve", "numkit.py:solve_tridiagonal",
-    "numkit.py:bisect_root", "gmp.py:validate_gmp", "ks.py:KsFunctionalReport.__post_init__",
+    "numkit.py:bisect_root", "ks.py:KsFunctionalReport.__post_init__",
     "ks.py:KsDiagnostics.__post_init__", "cli.py:_tolerance",
 }
 
@@ -51,6 +51,16 @@ class TestCheck:
         with pytest.raises(NumericalError, match=r"^x \S+ (exceeds|is below) \S+$") as got:
             check("x", value, limit, floor=floor)
         assert "nan" in str(got.value)
+
+    def test_infinity_is_refused_by_a_floor(self):
+        # a value that overflowed holds no margin; a ceiling refuses +inf as it is
+        with pytest.raises(NumericalError, match=r"^x inf is not finite$"):
+            check("x", np.array([2.0, np.inf]), 1.0, floor=True)
+        with pytest.raises(NumericalError, match=r"^x -inf is below 1\.000e\+00$"):
+            check("x", -np.inf, 1.0, floor=True)
+        with pytest.raises(NumericalError, match=r"^x inf exceeds 1\.000e\+00$"):
+            check("x", np.inf, 1.0)
+        check("x", -np.inf, 1.0)
 
     def test_array_names_its_first_failing_entry(self):
         # the limit broadcasts along rows; flat entries 1, 2 and 3 fail
@@ -91,9 +101,10 @@ def _bounds(node: ast.AST) -> set:
 
 
 def tolerance_raises(path: Path) -> list[str]:
-    """Each ``if`` of ``path`` whose body raises and whose test compares
-    with a bound, directly or through a name assigned from such a
-    comparison in the same function, unless every bound is a kept one."""
+    """Each ``if`` of ``path`` whose body raises or returns (a verdict
+    handed to the caller) and whose test compares with a bound, directly
+    or through a name assigned from such a comparison in the same
+    function, unless every bound is a kept one."""
     found = []
     funcs = [n for n in ast.walk(ast.parse(path.read_text()))
              if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
@@ -104,7 +115,8 @@ def tolerance_raises(path: Path) -> list[str]:
                 for target in (t for t in node.targets if isinstance(t, ast.Name)):
                     tainted[target.id] = _bounds(node.value)
         for node in ast.walk(fn):
-            if not (isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body)):
+            if not (isinstance(node, ast.If)
+                    and any(isinstance(s, (ast.Raise, ast.Return)) for s in node.body)):
                 continue
             bounds = _bounds(node.test).union(*(tainted.get(n.id, set()) for n in ast.walk(
                 node.test) if isinstance(n, ast.Name)))
@@ -135,8 +147,16 @@ def test_scan_sees_direct_and_assigned_comparisons(tmp_path):
         "def kept(x):\n"
         "    if x <= POLE_REL_TOL * max(1.0, abs(x)):\n"
         "        raise ValueError\n"
+        "def returned(rows, x):\n"
+        "    if norm(x) <= FLAG_RANK_REL * norm(rows):\n"
+        "        return False\n"
+        "    return True\n"
+        "def looped(x):\n"
+        "    for _ in range(9):\n"
+        "        if x <= SOLVE_TARGET:\n"
+        "            break\n"
     )
-    assert [hit.split()[1] for hit in tolerance_raises(path)] == ["direct", "assigned"]
+    assert [hit.split()[1] for hit in tolerance_raises(path)] == ["direct", "assigned", "returned"]
 
 
 def finiteness_tests(path: Path) -> list[str]:

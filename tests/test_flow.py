@@ -401,10 +401,10 @@ class TestFlowRun:
         half = 11
         stream = flow_states(make_p1_window(2 * half + 1, -half), 6)
         for n in range(4):
-            state, report = next(stream)
+            state, vals = next(stream)
             assert len(steps) == n
             assert state.n_blocks == 2 * (half - n) + 1 and state.j_min == -half + n
-            assert report["valid"] and report["values"].shape == (state.n_blocks - 1, 1)
+            assert vals.shape == (state.n_blocks - 1, 1) and (vals > 1e-8).all()
         assert len(list(stream)) == 3 and len(steps) == 6
 
     def test_period_two_orbit(self):
@@ -453,7 +453,7 @@ class TestFlowRun:
         w = make_p1_window(21, -10)
         P = w.P.copy()
         P[0, slot] = value
-        message = r"^state 0 left the class: pair functional at k=1 is not finite \(block -10\)$"
+        message = r"^state 0 left the class: pair functional at k=1 \(block -10\) inf is not finite$"
         with pytest.raises(ValidationError, match=message):
             flow_run(GmpWindow(P, w.Q, w.c, w.j_min), 2)
 

@@ -15,8 +15,10 @@ from gmpflow.errors import (
     WindowError,
 )
 from gmpflow.finitegap import SQUARE_MAX, GapSet, delta_from_gaps
+from gmpflow.flow import flow_run
 from gmpflow.gmp import (
     JMAT,
+    VALIDITY_FLOOR,
     GmpBlock,
     GmpWindow,
     assemble_dense,
@@ -509,15 +511,6 @@ def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return np.array_equal(a, b, equal_nan=True) and np.array_equal(np.signbit(a), np.signbit(b))
 
 
-def first_bad_or_min(vals: np.ndarray) -> np.ndarray:
-    """Per pole: the first value that is not finite, else the first minimum."""
-    out = []
-    for col in vals.T:
-        bad = np.flatnonzero(~np.isfinite(col))
-        out.append(col[bad[0]] if bad.size else col[np.argmin(col)])
-    return np.array(out)
-
-
 class TestFrozenKernels:
     """``lambda_sharp``, ``validate_gmp`` and ``build_block_B`` give the bits
     of the frozen forms they replaced (``tests/oracles.py``)."""
@@ -555,9 +548,10 @@ class TestFrozenKernels:
     def test_validate_gmp_values_and_minima(self, g):
         w = comb_window(g, 5, 482, -241)
         want = whole_plan_lambda_sharp(w.rows(1), w.rows(0, -1), w.c)
-        report = validate_gmp(w)
-        assert same_bits(report["values"], want)
-        assert same_bits(report["min_per_k"], first_bad_or_min(want))
+        vals = validate_gmp(w)
+        assert same_bits(vals, want)
+        # flow_run's validity minima are the column minima of these values
+        assert same_bits(flow_run(w, 1).validity_min[0], want.min(0))
 
     @pytest.mark.parametrize("case", ["nan", "inf"])
     def test_validate_gmp_on_non_finite_functionals(self, case):
@@ -571,10 +565,15 @@ class TestFrozenKernels:
             w = GmpWindow(P, w.Q, w.c, w.j_min)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             want = whole_plan_lambda_sharp(w.rows(1), w.rows(0, -1), w.c)
-        report = validate_gmp(w)
-        assert not np.isfinite(want).all()
-        assert same_bits(report["values"], want)
-        assert same_bits(report["min_per_k"], first_bad_or_min(want))
+        # the first value in C order that is not finite is named, with its bits
+        (first, *_) = np.flatnonzero(~np.isfinite(want))
+        verdict = "is not finite" if want.flat[first] == np.inf else "is below 1.000e-08"
+        message = (f"pair functional at k={first % w.g + 1} (block {w.j_min + first // w.g}) "
+                   f"{want.flat[first]:.3e}")
+        with pytest.raises(ValidationError) as got:
+            validate_gmp(w)
+        assert str(got.value) == f"{message} {verdict}"
+        assert str(want.flat[first]) == case
 
     @pytest.mark.parametrize("g", [1, 2, 5])
     def test_build_block_B_keeps_the_signs_of_zero(self, g):
@@ -815,39 +814,35 @@ class TestLambdaSharp:
 
 class TestValidateGmp:
     def test_canonical_window_valid(self, p1_window):
-        report = validate_gmp(p1_window)
-        assert report["valid"]
-        assert report["message"] == "ok"
-        assert_allclose(report["min_per_k"][0], 4.0, atol=1e-14)
+        vals = validate_gmp(p1_window)
+        assert vals.shape == (p1_window.n_blocks - 1, 1)
+        assert_allclose(vals.min(0)[0], 4.0, atol=1e-14)
 
     def test_degenerate_pair_flagged(self, p1_block):
         startled = GmpBlock(
             np.array([0.0, 0.5]), np.array([1.0, 0.0])
         )
         win = stack_window((p1_block, startled), np.array([0.0]), j_min=0)
-        report = validate_gmp(win)
-        assert not report["valid"]
-        assert "k=1" in report["message"]
+        message = r"^pair functional at k=1 \(block 0\) 0\.000e\+00 is below 1\.000e-08$"
+        with pytest.raises(ValidationError, match=message):
+            validate_gmp(win)
 
     def test_non_finite_functional_is_invalid(self):
         huge = GmpBlock([1.3e154, 1.3e154], [1.3e154, 1.3e154])
+        message = r"^pair functional at k=1 \(block -4\) nan is below 1\.000e-08$"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            report = validate_gmp(stack_window([huge] * 9, (0.0,), j_min=-4))
+            with pytest.raises(ValidationError, match=message):
+                validate_gmp(stack_window([huge] * 9, (0.0,), j_min=-4))
         assert [str(w.message) for w in caught] == []
-        assert not report["valid"]
-        assert np.isnan(report["min_per_k"][0])
-        assert report["message"] == "pair functional at k=1 is not finite (block -4)"
 
     @pytest.mark.parametrize("slot, value", [(1, 1e-308)])
     def test_infinite_functional_is_invalid(self, slot, value):
         w = make_p1_window(21, -10)
         P = w.P.copy()
         P[0, slot] = value
-        report = validate_gmp(GmpWindow(P, w.Q, w.c, w.j_min))
-        assert report["min_per_k"].tolist() == [np.inf]
-        assert not report["valid"]
-        assert report["message"] == "pair functional at k=1 is not finite (block -10)"
+        with pytest.raises(ValidationError, match=r"^pair functional at k=1 \(block -10\) inf is not finite$"):
+            validate_gmp(GmpWindow(P, w.Q, w.c, w.j_min))
 
     @pytest.mark.parametrize("g", range(1, 9))
     def test_stacked_minima_match_pair_loop(self, g):
@@ -857,21 +852,28 @@ class TestValidateGmp:
             np.sort(rng.uniform(-2.0, 2.0, g)),
             j_min=-16,
         )
-        report = validate_gmp(window)
+        got = validate_gmp(window, -np.inf)  # a floor every finite value clears
         for k in range(1, g + 1):
             vals = [
                 lambda_sharp(window.block(j + 1), window.block(j), window.c)[..., k - 1]
                 for j in range(window.j_min, window.j_max)
             ]
             i_min = int(np.argmin(vals))
-            assert report["min_per_k"][k - 1] == vals[i_min]
-            assert report["argmin_j"][k - 1] == window.j_min + i_min
+            assert got[:, k - 1].tolist() == vals
+            assert got[:, k - 1].min() == vals[i_min]
+            assert int(np.argmin(got[:, k - 1])) == i_min
+        # at the default floor the first value in C order not above it is named
+        (first, *_) = np.flatnonzero(got <= VALIDITY_FLOOR)
+        message = (f"pair functional at k={first % g + 1} (block {window.j_min + first // g}) "
+                   f"{got.flat[first]:.3e} is below 1.000e-08")
+        with pytest.raises(ValidationError) as info:
+            validate_gmp(window)
+        assert str(info.value) == message
 
     def test_insufficient_window(self, p1_block):
         win = stack_window((p1_block,), np.array([0.0]))
-        report = validate_gmp(win)
-        assert not report["valid"]
-        assert "insufficient" in report["message"]
+        with pytest.raises(WindowError, match="^the class check needs at least two blocks$"):
+            validate_gmp(win)
 
 
 class TestResolventColumn:

@@ -415,7 +415,7 @@ class TestGaussNewton:
         with pytest.raises(NumericalError) as info:
             isospectral._gauss_newton(arctan_residual([]), np.array([2.0]))
         assert re.fullmatch(
-            r"no convergence after 2 iterations \(residual \d\.\d{3}e-\d\d\)",
+            r"no convergence after 2 iterations: residual \d\.\d{3}e-\d\d exceeds 1\.000e-12",
             str(info.value),
         )
 
