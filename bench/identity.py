@@ -5,10 +5,12 @@ checkouts give byte-identical output.
 
 The calls are every job of perfbench's pools of every workload at seeds
 3, 5 and 13, every job of ``narrow_gap_pool(1)``, ``gmp2jacobi`` then
-``jacobi2gmp --width 5`` on the genus-2 and genus-4 round trips of the
-Tier-1 tests (``tests/conftest.roundtrip_inputs`` at 961 blocks, which
-no perfbench pool reaches), ``gmpflow selftest``, and every case of the
-typed-failure grid of ``tests/test_failure_grid.py``.  Each runs in
+``jacobi2gmp`` on round trips of the Tier-1 tests
+(``tests/conftest.roundtrip_inputs``): ``--width 5`` at genus 2 and 4
+on 961 blocks, which no perfbench pool reaches, and ``--width 21`` and
+``--width 41`` at genus 1 on 241 blocks, too short for either;
+``gmpflow selftest``, and every case of the typed-failure grid of
+``tests/test_failure_grid.py``.  Each runs in
 process through ``gmpflow.cli.main`` with BLAS on one thread.  A job's
 digest lines hash, for each of its calls, the exit code (or the uncaught
 exception), stdout and stderr, together with the bytes of the files that
@@ -57,7 +59,9 @@ from gmpflow import cli  # noqa: E402
 
 SEEDS = (3, 5, 13)
 NARROW_SEED = 1
-ROUNDTRIPS = ((2, 961), (4, 961))
+# (g, n_blocks, jacobi2gmp widths): 241 blocks at g = 1 cannot carry widths
+# 21 and 41, which must be refused, not read off wrong
+ROUNDTRIPS = ((2, 961, (5,)), (4, 961, (5,)), (1, 241, (21, 41)))
 ELAPSED = re.compile(r" \(\d+\.\d\d s\) ")
 
 
@@ -97,19 +101,19 @@ def pool_lines(name: str, pool) -> list[str]:
 
 
 def roundtrip_pool(work: Path) -> Pool:
-    """One job per ``ROUNDTRIPS`` (g, n_blocks): the window to coefficients
-    and back to five blocks, inputs written to ``work``."""
+    """One job per ``ROUNDTRIPS`` (g, n_blocks, widths): the window to
+    coefficients and back at each width, inputs written to ``work``."""
     jobs = []
-    for g, n_blocks in ROUNDTRIPS:
+    for g, n_blocks, widths in ROUNDTRIPS:
         d, w = roundtrip_inputs(g, n_blocks)
-        window, cmap, mid, back = (
-            work / f"g{g}-n{n_blocks}{part}.json" for part in ("", ".map", ".jacobi", ".back")
-        )
+        window, cmap, mid = (work / f"g{g}-n{n_blocks}{part}.json" for part in ("", ".map", ".jacobi"))
+        backs = [work / f"g{g}-n{n_blocks}.back{width}.json" for width in widths]
         window.write_text(json.dumps(w.to_json()))
         cmap.write_text(json.dumps(d.to_json()))
-        calls = [["gmp2jacobi", str(window), "--out", str(mid)],
-                 ["jacobi2gmp", str(mid), str(cmap), "--width", "5", "--out", str(back)]]
-        jobs.append(Job(f"g{g}-n{n_blocks}", calls, [mid, back], check=None))
+        calls = [["gmp2jacobi", str(window), "--out", str(mid)]] + [
+            ["jacobi2gmp", str(mid), str(cmap), "--width", str(width), "--out", str(back)]
+            for width, back in zip(widths, backs)]
+        jobs.append(Job(f"g{g}-n{n_blocks}", calls, [mid, *backs], check=None))
     return Pool("roundtrip", jobs, {}, 0.0)
 
 

@@ -31,20 +31,26 @@ The record holds:
   --width 5``) over n_blocks in {222, 426, 854} at g = 1, on coefficient
   windows built as the ``convert`` workload builds them: perfbench's
   ``perturbed_window`` around its one-gap comb map, then
-  ``gmp_to_jacobi_measure``; next to it, on the same windows,
+  ``gmp_to_jacobi_measure``, each with the largest end weight
+  (``jacobi.check_ends``) of the vectors it checks; next to it, on the
+  same windows,
   ``jacobi.spectrum_near`` at the pole with kappa's radius
   ``SPECTRUM_MIN_DIST`` against the whole spectrum by
   ``scipy.linalg.eigvalsh_tridiagonal``;
-- an acceptance sweep of ``construct.jacobi_to_gmp`` at width 5 over g
-  in {1, 2, 4, 8, 16} and n_blocks in {241, 481, 961}, on the round trips
-  of ``tests/conftest.roundtrip_inputs`` (perfbench's random gap set and
-  ``perturbed_window``, then ``gmp_to_jacobi_measure``): each record holds
+- an acceptance sweep of ``construct.jacobi_to_gmp`` at widths 5, 9,
+  15, 21, 41, 61 and 121 over g in {1, 2, 4, 8, 16} and n_blocks in
+  {241, 481, 961}, on the round trips of ``tests/conftest.roundtrip_inputs``
+  (perfbench's random gap set and ``perturbed_window``, then
+  ``gmp_to_jacobi_measure``), and on the exact oracle
+  ``tests/conftest.torus_window`` (361 and 481 sites of a window of
+  surface blocks, which must convert to that block): each record holds
   the verdict (``accepted``, or the refusal's error class and message),
-  the largest ``jacobi.boundary_weight`` of the 2g kappa vectors, refused
-  ones included, the round trip's largest block deviation and the time
-  of the call, accepted or refused; next to it, on the same coefficient
-  windows, ``jacobi.spectrum_near`` at each of the g poles against the
-  whole spectrum, as above;
+  the largest end weight of the vectors ``jacobi.check_ends`` reads and
+  the true deviation of the blocks from their source, both from a run
+  with that rule switched off, and the time of the call, accepted or
+  refused; next to it, on the round trips' coefficient windows,
+  ``jacobi.spectrum_near`` at each of the g poles against the whole
+  spectrum, as above;
 - a sweep of ``isospectral.solve_is_point`` over g in {2, 4, 8, 12, 16},
   on seeds drawn as the ``iso_comb`` workload draws them (a gap set of
   genus g in [-3, 3], its reference comb map, and the surface block with
@@ -109,9 +115,9 @@ The record holds:
 
 BLAS runs on one thread.  Temporary files go to ``.bench_run/`` in the
 checkout; nothing is written under ``perfbench/``, whose input draws
-are imported.  The sweep takes about 75 s on a 2-core machine, the
+are imported.  The sweep takes about 105 s on a 2-core machine, the
 process layer about 55 s (its four long flow runs about 15 s), the
-whole record about 4 minutes.
+whole record about 5 minutes.
 """
 
 from __future__ import annotations
@@ -141,7 +147,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 from scipy.linalg import eigvalsh_tridiagonal  # noqa: E402
-from conftest import make_perturbed_window, roundtrip_inputs  # noqa: E402
+from conftest import make_perturbed_window, roundtrip_inputs, torus_window  # noqa: E402
 from oracles import longdouble_jacobi  # noqa: E402
 from test_failure_grid import grid_counts, run_grid  # noqa: E402
 from workloads import ONE_GAP, comb_map, perturbed_window, random_gapset  # noqa: E402
@@ -167,6 +173,9 @@ JACOBI_SIZES = (222, 426, 854)
 JACOBI_WIDTH = 5
 ACCEPT_GENERA = (1, 2, 4, 8, 16)
 ACCEPT_SIZES = (241, 481, 961)
+ACCEPT_WIDTHS = (5, 9, 15, 21, 41, 61, 121)
+# central sites of tests/conftest.torus_window, an exact jacobi2gmp oracle
+TORUS_SITES = (361, 481)
 GAP_SETS = {
     1: GapSet(-2.0, 2.0, ((-1.0, 1.0),)),
     2: GapSet(-3.0, 3.0, ((-1.5, -0.7), (0.4, 1.1))),
@@ -261,24 +270,42 @@ def jacobi_inputs(n_blocks: int):
     return DeltaData.from_json(cmap), construct.gmp_to_jacobi_measure(window)
 
 
-def worst_boundary_weight(J, d: DeltaData) -> float | None:
-    """Largest ``jacobi.boundary_weight`` of the kappa vectors and their
-    mirrors at every pole of d, the refused ones included."""
-    weights, measure = [], jacobi.boundary_weight
+def unchecked(J, d: DeltaData, width: int, deviation=None) -> dict:
+    """``jacobi_to_gmp(J, d, width)`` with ``jacobi.check_ends`` switched
+    off: the largest end weight of the vectors it would check, kappa
+    vectors and flag candidates, over as many end sites as each check
+    reads (``end_weight``), and ``deviation`` of the window it returns
+    (``true_dev``), None where another rule refuses or no ``deviation``
+    is given.  For a cell the rule refuses, ``true_dev`` is the error it
+    prevented."""
+    weights, rule = [], jacobi.check_ends
 
-    def record(*args):
-        weights.append(measure(*args))
-        return weights[-1]
+    def record(vec, what, sites=1):
+        mag = np.abs(vec)
+        weights.append(float(max(np.max(mag[:sites]), np.max(mag[-sites:])) / np.max(mag)))
 
-    jacobi.boundary_weight = record
+    jacobi.check_ends = construct.check_ends = record
     try:
-        for c in d.cs():
-            for side in (J, J.reflected()):
-                with contextlib.suppress(GmpflowError):
-                    jacobi.kappa(side, c)
+        back = construct.jacobi_to_gmp(J, d, n_blocks=width)
+        dev = deviation(back) if deviation else None
+    except GmpflowError:
+        dev = None
     finally:
-        jacobi.boundary_weight = measure
-    return max(weights, default=None)
+        jacobi.check_ends = construct.check_ends = rule
+    return {"end_weight": max(weights, default=None), "true_dev": dev}
+
+
+def block_deviation(source):
+    """Largest difference of a converted window's blocks from the same
+    blocks of ``source``, a window, or from ``source``, one block."""
+    def deviation(back: GmpWindow) -> float:
+        if isinstance(source, GmpBlock):
+            P, Q = source.p, source.q
+        else:
+            rows = slice(back.j_min - source.j_min, back.j_max - source.j_min + 1)
+            P, Q = source.P[rows], source.Q[rows]
+        return float(max(np.max(np.abs(back.P - P)), np.max(np.abs(back.Q - Q))))
+    return deviation
 
 
 def flow_digits(w: GmpWindow) -> dict:
@@ -321,6 +348,31 @@ def convert_record(g: int, n_blocks: int, w: GmpWindow) -> dict:
     return rec
 
 
+def width_records(J, d: DeltaData, base: dict, label: str, deviation) -> list[dict]:
+    """``jacobi_to_gmp`` on J at every width of ``ACCEPT_WIDTHS``: the
+    verdict (``accepted``, or the refusal's error class and message),
+    ``unchecked``'s end weight and true deviation, and the time of the
+    call, accepted or refused."""
+    records = []
+    for width in ACCEPT_WIDTHS:
+        def convert():
+            with contextlib.suppress(GmpflowError):
+                construct.jacobi_to_gmp(J, d, n_blocks=width)
+
+        try:
+            construct.jacobi_to_gmp(J, d, n_blocks=width)
+            verdict = "accepted"
+        except GmpflowError as exc:
+            verdict = f"{type(exc).__name__}: {exc}"
+        rec = {"layer": "operator", "case": f"jacobi_to_gmp {label} width={width}", **base,
+               "width": width, "verdict": verdict, **unchecked(J, d, width, deviation)}
+        rec.update(timed(convert))
+        records.append(rec)
+        print(f"jacobi_to_gmp {label} g={d.g} n={base['n_blocks']} width={width}: {verdict}, "
+              f"end weight {rec['end_weight']}, true deviation {rec['true_dev']}", file=sys.stderr)
+    return records
+
+
 def acceptance_sweep() -> list[dict]:
     records = []
     for g in ACCEPT_GENERA:
@@ -328,27 +380,12 @@ def acceptance_sweep() -> list[dict]:
             d, w = roundtrip_inputs(g, n_blocks)
             J = construct.gmp_to_jacobi_measure(w)
             base = {"n_blocks": n_blocks, "g": g, "sites": J.size}
-            try:
-                back = construct.jacobi_to_gmp(J, d, n_blocks=JACOBI_WIDTH)
-            except GmpflowError as exc:
-                verdict, dev = f"{type(exc).__name__}: {exc}", None
-            else:
-                rows = slice(back.j_min - w.j_min, back.j_max - w.j_min + 1)
-                verdict = "accepted"
-                dev = float(max(np.max(np.abs(back.P - w.P[rows])),
-                                np.max(np.abs(back.Q - w.Q[rows]))))
-
-            def convert():
-                with contextlib.suppress(GmpflowError):
-                    construct.jacobi_to_gmp(J, d, n_blocks=JACOBI_WIDTH)
-
-            rec = {"layer": "operator", "case": f"jacobi_to_gmp acceptance width={JACOBI_WIDTH}",
-                   **base, "verdict": verdict,
-                   "boundary_weight_max": worst_boundary_weight(J, d), "roundtrip_dev": dev}
-            rec.update(timed(convert))
-            records.append(rec)
-            print(f"jacobi_to_gmp g={g} n={n_blocks}: {verdict}", file=sys.stderr)
+            records += width_records(J, d, base, "acceptance", block_deviation(w))
             records += spectrum_records(J, d, base)
+    for sites in TORUS_SITES:
+        d, J, block = torus_window(sites)
+        base = {"n_blocks": sites, "g": d.g, "sites": J.size}
+        records += width_records(J, d, base, "torus", block_deviation(block))
     return records
 
 
@@ -604,7 +641,8 @@ def sweep(work: Path) -> list[dict]:
         d, J = jacobi_inputs(n_blocks)
         case = f"jacobi_to_gmp width={JACOBI_WIDTH}"
         base = {"n_blocks": n_blocks, "g": 1, "sites": J.size}
-        rec = {"layer": "operator", "case": case, **base}
+        rec = {"layer": "operator", "case": case, **base,
+               "end_weight": unchecked(J, d, JACOBI_WIDTH)["end_weight"]}
         rec.update(timed(lambda: construct.jacobi_to_gmp(J, d, n_blocks=JACOBI_WIDTH)))
         records.append(rec)
         print(f"{case} n={n_blocks}: best {rec['best_s']:.4f} s", file=sys.stderr)

@@ -334,9 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     q = add_command("jacobi2gmp", help="convert a coefficient window to a block window")
     q.add_argument("window", help="coefficient window JSON file")
     q.add_argument("delta", help="comb map JSON file")
-    q.add_argument(
-        "--width", type=int, default=5, help="number of blocks to build"
-    )
+    q.add_argument("--width", type=int, default=5, help="number of blocks to build; refused "
+                   "(exit 1) where the window is too short to carry them")
     q.set_defaults(func=cmd_jacobi2gmp)
 
     q = add_command("gmp2jacobi", help="read a block window off as coefficients")

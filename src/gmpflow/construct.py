@@ -26,7 +26,7 @@ from . import numkit
 from .errors import PoleEvaluationError, ValidationError, WindowError, check
 from .finitegap import SQUARE_MAX, DeltaData, check_distinct_poles, check_entries, eval_delta
 from .gmp import GmpWindow, build_block_B, pattern_defect
-from .jacobi import DiscreteMeasure, JacobiWindow, kappa, lanczos
+from .jacobi import DiscreteMeasure, JacobiWindow, check_ends, kappa, lanczos
 
 FACTOR_TOL = 1e-10
 ORTHO_TOL = 1e-10
@@ -227,9 +227,10 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
     read off as GMP blocks, with signs gauged so every coupling entry
     is nonnegative.  The mirror vectors are the kappa vectors of the
     window reflected once through the split, mapped back.  Each of the 2g
-    kappa vectors counts the eigenvalues within 1e-6 of its pole and
-    measures its boundary weight, which refuses a window too short for
-    it.  A converted window that ``GmpWindow`` refuses is refused as
+    kappa vectors counts the eigenvalues within 1e-6 of its pole; every
+    flag candidate is held by ``check_ends`` over its outermost g + 1
+    sites, so a width the window cannot carry is refused, naming a block
+    and slot.  A converted window that ``GmpWindow`` refuses is refused as
     such, naming the crossing bond a(0) when its blocks, which grow like
     1 / a(0), are too large to square.
     """
@@ -263,8 +264,9 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
     slot: dict = {(-1, g): 0}  # (block, slot) -> row of basis
 
     def append(key: tuple, cand: np.ndarray) -> None:
-        _append_orthonormal(basis, len(slot), cand, "flag vectors became linearly "
-                            f"dependent at block {key[0]} slot {key[1]}")
+        at = f"at block {key[0]} slot {key[1]}"
+        _append_orthonormal(basis, len(slot), cand, f"flag vectors became linearly dependent {at}")
+        check_ends(cand, f"window too short for the flag vector {at}", per)
         slot[key] = len(slot)
 
     # the mirror flag nests from the far end: orthogonalize last pole first

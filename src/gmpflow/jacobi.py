@@ -13,7 +13,8 @@ drive the angle function phi(c) = arctan r_+(c) and its kappa vector
     kappa_c = (J - c)^{-1} (a(0) sin(phi) e_{-1} + cos(phi) e_0),
 
 which is supported on the right half and has squared norm phi'(c); r_-
-and the left half's vectors are those of the ``reflected`` window.
+and the left half's vectors are those of the ``reflected`` window; a
+vector that reaches the window's ends is refused (``check_ends``).
 Resolvents, at real z only, are O(n) tridiagonal solves; the spectrum
 enters only through ``spectrum_near``, the eigenvalues within a radius
 of a point, which one LAPACK call counts and bisects.  Every coefficient
@@ -43,7 +44,7 @@ from .finitegap import check_entries
 
 SPECTRUM_MIN_DIST = 1e-6
 KAPPA_NORM_TOL = 1e-6
-BOUNDARY_WEIGHT_TOL = 1e-9
+END_WEIGHT_TOL = 2e-7
 FD_STEP_REL = 1e-5
 # ``lanczos`` steps that always project (estimates from step 1 cost digits)
 LANCZOS_FULL_STEPS = 32
@@ -300,22 +301,21 @@ def angle_plus(window: JacobiWindow, c: float) -> float:
         return math.pi / 2.0
 
 
-def boundary_weight(window: JacobiWindow, sol: np.ndarray) -> float:
-    """First-order change of x = ``sol[:, 0]`` = (J - c)^{-1} rhs from
-    cutting the window, relative to max|x|: the cut coupling (at most
-    ``norm_bound()``) times x's end entry times the resolvent column there
-    (a Schur complement), ``sol[:, 1]`` = (J - c)^{-1} e_first or
-    ``sol[:, 2]`` = (J - c)^{-1} e_last, at most 1 / dist(c, spectrum)."""
-    vec, first, last = np.abs(sol.T)
-    reach = max(vec[0] * np.max(first), vec[-1] * np.max(last))
-    return window.norm_bound() * reach / np.max(vec)
+def check_ends(vec: np.ndarray, what: str, sites: int = 1) -> None:
+    """Refuse, as a WindowError led by ``what``, a vector of the window
+    whose end weight, its largest entry on the outermost ``sites`` sites
+    at either end over its largest entry, exceeds ``END_WEIGHT_TOL``: the
+    window is too short for it, and what is read from it is off by up to
+    a few times the weight squared."""
+    mag = np.abs(vec)
+    ends = max(np.max(mag[:sites]), np.max(mag[-sites:]))
+    check(f"{what}: end weight", ends / np.max(mag), END_WEIGHT_TOL, WindowError)
 
 
 def kappa(window: JacobiWindow, c: float) -> KappaVector:
     """Kappa vector at c and phi(c), refused, with the distance, when an
-    eigenvalue lies within 1e-6 of c (``spectrum_near``) or its
-    ``boundary_weight`` exceeds 1e-9 (the window is too short for it); one
-    solve gives the vector and the two resolvent columns the weight reads."""
+    eigenvalue lies within 1e-6 of c (``spectrum_near``), or when the
+    window is too short for it (``check_ends`` on its end entries)."""
     if window.n_min > -1 or window.n_max < 0:
         raise WindowError("kappa needs a two-sided window around -1 | 0")
     near = spectrum_near(window, c, SPECTRUM_MIN_DIST)
@@ -324,15 +324,12 @@ def kappa(window: JacobiWindow, c: float) -> KappaVector:
         raise SpectrumProximityError(f"c = {c} is within {dist:.2e} of the window spectrum")
     phi = angle_plus(window, c)
     a0 = window.a_at(0)
-    rhs = np.zeros((window.size, 3))
-    rhs[window.pos(-1), 0] = a0 * math.sin(phi)
-    rhs[window.pos(0), 0] = math.cos(phi)
-    rhs[0, 1] = rhs[-1, 2] = 1.0
-    sol = numkit.solve_tridiagonal(window.b, window.a[1:], rhs, c)
-    check(lambda _: f"window too short for the kappa vector at c = {c}: boundary weight",
-          boundary_weight(window, sol), BOUNDARY_WEIGHT_TOL, WindowError)
+    rhs = np.zeros(window.size)
+    rhs[window.pos(-1)] = a0 * math.sin(phi)
+    rhs[window.pos(0)] = math.cos(phi)
+    vec = numkit.solve_tridiagonal(window.b, window.a[1:], rhs, c)
+    check_ends(vec, f"window too short for the kappa vector at c = {c}")
 
-    vec = sol[:, 0]
     h = FD_STEP_REL * max(1.0, abs(c))
     dphi = angle_plus(window, c + h) - angle_plus(window, c - h)
     if dphi < -math.pi / 2.0:

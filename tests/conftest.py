@@ -1,5 +1,6 @@
 """Shared fixtures: canonical small inputs used across the test modules."""
 
+import functools
 import sys
 from pathlib import Path
 
@@ -7,9 +8,10 @@ import numpy as np
 import pytest
 
 from gmpflow import numkit
+from gmpflow.construct import gmp_to_jacobi_measure
 from gmpflow.finitegap import DeltaData, GapSet
 from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense
-from gmpflow.jacobi import DiscreteMeasure
+from gmpflow.jacobi import DiscreteMeasure, JacobiWindow
 
 
 def make_estar_gapset() -> GapSet:
@@ -110,20 +112,46 @@ def make_perturbed_window(
     return stack_window(blocks, c, j_min=-half)
 
 
-def roundtrip_inputs(g: int, n_blocks: int) -> tuple[DeltaData, GmpWindow]:
-    """Comb map and block window of a ``jacobi2gmp`` round trip at genus g:
-    perfbench's ``random_gapset`` (no narrow gap) with its reference comb
-    map, and its ``perturbed_window`` of ``n_blocks`` blocks, drawn from
-    ``np.random.default_rng([11, g, n_blocks])``."""
+def _workloads():
+    """perfbench's input draws, imported without leaving it on the path."""
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.pop(0)
+    return workloads
+
+
+def roundtrip_inputs(g: int, n_blocks: int) -> tuple[DeltaData, GmpWindow]:
+    """Comb map and block window of a ``jacobi2gmp`` round trip at genus g:
+    perfbench's ``random_gapset`` (no narrow gap) with its reference comb
+    map, and its ``perturbed_window`` of ``n_blocks`` blocks, drawn from
+    ``np.random.default_rng([11, g, n_blocks])``."""
+    workloads = _workloads()
     rng = np.random.default_rng([11, g, n_blocks])
     cmap = workloads.comb_map(workloads.random_gapset(rng, g, None))
     window = workloads.perturbed_window(rng, cmap, n_blocks)
     return DeltaData.from_json(cmap), GmpWindow.from_json(window)
+
+
+@functools.lru_cache(maxsize=1)
+def _torus_coefficients() -> tuple[DeltaData, JacobiWindow, GmpBlock]:
+    workloads = _workloads()
+    cmap = workloads.comb_map(workloads.random_gapset(np.random.default_rng([7, 1]), 1, None))
+    # base 0: every block is the surface block, and the draws are unused
+    w = GmpWindow.from_json(workloads.perturbed_window(np.random.default_rng(0), cmap, 961, 0.0))
+    return DeltaData.from_json(cmap), gmp_to_jacobi_measure(w), w.block(0)
+
+
+def torus_window(sites: int) -> tuple[DeltaData, JacobiWindow, GmpBlock]:
+    """An exact ``jacobi2gmp`` oracle: the comb map of perfbench's
+    ``random_gapset(default_rng([7, 1]), 1, None)``, the central ``sites``
+    sites (from -(sites // 2)) of ``gmp2jacobi`` of its ``perturbed_window``
+    of 961 blocks at ``base=0.0``, which are all its surface block, and
+    that block: every width converts the window to it or is refused."""
+    d, J, block = _torus_coefficients()
+    i = J.pos(-(sites // 2))
+    return d, JacobiWindow(J.a[i : i + sites], J.b[i : i + sites], -(sites // 2)), block
 
 
 def sum_rule_window(rng: np.random.Generator) -> GmpWindow:

@@ -21,6 +21,7 @@ import pytest
 from conftest import (
     make_estar_gapset,
     make_p1_block,
+    make_p1_window,
     make_perturbed_window,
     roundtrip_inputs,
     sum_rule_window,
@@ -741,6 +742,30 @@ class TestConversions:
             blk = w.block(j)
             assert blk.p == pytest.approx([math.sqrt(2.0), 0.5], abs=1e-10)
             assert blk.q == pytest.approx([0.0, 0.0], abs=1e-10)
+
+    def test_width_the_window_cannot_carry_is_refused(self, tmp_path, capsys):
+        # 41 blocks read off the 241-block round trip's coefficients would be
+        # off by 0.64; the first flag vector to reach the window's ends is named
+        d, w = roundtrip_inputs(1, 241)
+        window = write_json(tmp_path / "w.json", w.to_json())
+        cmap = write_json(tmp_path / "map.json", d.to_json())
+        coefficients = str(tmp_path / "J.json")
+        assert cli.main(["gmp2jacobi", window, "--out", coefficients]) == 0
+        assert cli.main(["jacobi2gmp", coefficients, cmap, "--width", "41"]) == 1
+        assert capsys.readouterr() == ("", (
+            "validation error: window too short for the flag vector at block 8 slot 0: "
+            "end weight 3.706e-07 exceeds 2.000e-07\n"))
+
+    def test_starting_vector_check_is_reachable(self, tmp_path, capsys):
+        # block 0's p in the subnormal range keeps too few bits for p0 / a0
+        # to be a unit vector
+        data = make_p1_window(9, -4).to_json()
+        data["blocks"][4]["p"] = [1.3e-318, 0.7e-318]
+        window = write_json(tmp_path / "tiny.json", data)
+        assert cli.main(["gmp2jacobi", window]) == 2
+        assert capsys.readouterr() == ("", (
+            "numerical error: starting vector norm deviates from 1 by 1.311e-06 "
+            "exceeds 1.000e-12\n"))
 
     @pytest.mark.parametrize("site", [0, 1], ids=["stored-bond", "inner-bond"])
     def test_overflowing_coefficients_rejected(self, tmp_path, capsys, site):

@@ -1,3 +1,4 @@
+import functools
 import re
 
 import mpmath
@@ -44,9 +45,17 @@ from conftest import (
     make_perturbed_window,
     roundtrip_inputs,
     stack_window,
+    torus_window,
 )
 
 SQRT2 = np.sqrt(2.0)
+
+
+@functools.lru_cache(maxsize=None)
+def roundtrip_coefficients(g: int, n_blocks: int) -> tuple[DeltaData, GmpWindow, JacobiWindow]:
+    """``roundtrip_inputs`` with the coefficient window ``gmp2jacobi`` reads off it."""
+    d, w = roundtrip_inputs(g, n_blocks)
+    return d, w, gmp_to_jacobi_measure(w)
 
 
 def make_estar_delta():
@@ -466,7 +475,7 @@ class TestKappaMinus:
     def test_window_short_on_the_left_refused(self):
         w = period2_window(-15, 106)
         assert kappa(w, 0.0).vec.size == w.size
-        with pytest.raises(WindowError, match="boundary weight"):
+        with pytest.raises(WindowError, match="kappa vector at c = 0.0: end weight"):
             kappa_minus(w, 0.0)
 
     def test_kappa_gram_positive_definite(self):
@@ -598,13 +607,39 @@ class TestJacobiToGmp:
         npt.assert_allclose(back.P, w.P[rows], rtol=0.0, atol=1e-12)
         npt.assert_allclose(back.Q, w.Q[rows], rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("width", [5, 9, 15, 21, 31, 41])
+    @pytest.mark.parametrize("g, n_blocks", [(1, 241), (1, 481), (2, 241), (2, 481)])
+    def test_every_width_is_right_or_refused(self, g, n_blocks, width):
+        # far blocks read the flag vectors' tails, where the cut window is
+        # not the whole operator: a width the window cannot carry is refused,
+        # never read off wrong
+        d, w, J = roundtrip_coefficients(g, n_blocks)
+        try:
+            back = jacobi_to_gmp(J, d, n_blocks=width)
+        except (WindowError, NumericalError):
+            return
+        rows = slice(back.j_min - w.j_min, back.j_max - w.j_min + 1)
+        npt.assert_allclose(back.P, w.P[rows], rtol=0.0, atol=1e-12)
+        npt.assert_allclose(back.Q, w.Q[rows], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("sites, width", [(361, 41), (481, 21), (481, 27), (481, 41)])
+    def test_torus_window_converts_to_its_block_or_is_refused(self, sites, width):
+        d, J, block = torus_window(sites)
+        try:
+            back = jacobi_to_gmp(J, d, n_blocks=width)
+        except (WindowError, NumericalError):
+            assert width > 21  # the 481 sites carry width 21 at an end weight of 1.8e-9
+            return
+        npt.assert_allclose(back.P, np.broadcast_to(block.p, back.P.shape), rtol=0.0, atol=1e-12)
+        npt.assert_allclose(back.Q, np.broadcast_to(block.q, back.Q.shape), rtol=0.0, atol=1e-12)
+
     def test_window_short_of_a_kappa_vector_refused_by_its_weight(self):
         d, w = roundtrip_inputs(8, 241)
         with pytest.raises(WindowError) as info:
             jacobi_to_gmp(gmp_to_jacobi_measure(w), d, n_blocks=5)
-        weight = re.fullmatch(r"window too short for the kappa vector at c = \S+: boundary "
-                              r"weight (\S+) exceeds 1\.000e-09", str(info.value))
-        assert weight and 1e-9 < float(weight.group(1)) < 1.0
+        weight = re.fullmatch(r"window too short for the kappa vector at c = \S+: end "
+                              r"weight (\S+) exceeds 2\.000e-07", str(info.value))
+        assert weight and 2e-7 < float(weight.group(1)) <= 1.0
 
     def test_spectrum_near_pole_raises(self):
         ns = np.arange(-40, 41)

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import re
 import warnings
@@ -24,7 +23,6 @@ from gmpflow.jacobi import (
     LANCZOS_FULL_STEPS,
     DiscreteMeasure,
     JacobiWindow,
-    boundary_weight,
     dist_eta,
     kappa,
     kappa_pairing,
@@ -577,30 +575,23 @@ class TestKappa:
         kap = kappa(free_window(-10, 9), 1e12)
         assert kap.phi == pytest.approx(-1e-12, rel=1e-9)
 
-    def test_vector_is_its_own_solve_next_to_a_large_column(self, monkeypatch):
+    def test_vector_is_its_own_solve_next_to_a_large_column(self):
         # the last site's bump puts an eigenvalue near 5.2 whose vector lives
         # at the far end; 2e-6 above it the last resolvent column is about
         # 5e5 in size, against 0.2 for the kappa vector, which must come out
-        # bitwise as the one-column solve of its own right-hand side
+        # bitwise as the column of its own right-hand side solved next to it
         b = np.zeros(80)
         b[-1] = 5.0
         win = JacobiWindow(np.ones(80), b, n_min=-40)
         c = float(np.linalg.eigvalsh(dense(win))[-1]) + 2e-6
-        sols = []
-        weight = jacobi.boundary_weight
-
-        def record(window, sol):
-            sols.append(sol)
-            return weight(window, sol)
-
-        monkeypatch.setattr(jacobi, "boundary_weight", record)
         kap = kappa(win, c)
-        (sol,) = sols
-        assert np.max(np.abs(sol[:, 2])) >= 1e6 * np.max(np.abs(kap.vec))
-        rhs = np.zeros(win.size)
-        rhs[win.pos(-1)] = win.a_at(0) * math.sin(kap.phi)
-        rhs[win.pos(0)] = math.cos(kap.phi)
-        assert np.array_equal(kap.vec, numkit.solve_tridiagonal(win.b, win.a[1:], rhs, c))
+        rhs = np.zeros((win.size, 2))
+        rhs[win.pos(-1), 0] = win.a_at(0) * math.sin(kap.phi)
+        rhs[win.pos(0), 0] = math.cos(kap.phi)
+        rhs[-1, 1] = 1.0
+        sol = numkit.solve_tridiagonal(win.b, win.a[1:], rhs, c)
+        assert np.max(np.abs(sol[:, 1])) >= 1e6 * np.max(np.abs(kap.vec))
+        assert np.array_equal(kap.vec, sol[:, 0])
 
     @pytest.mark.parametrize("eps", [1e-11, 1e-12])
     def test_large_r_plus_keeps_its_angle(self, eps):
@@ -617,8 +608,8 @@ class TestKappa:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_weight_is_below_the_inverse_distance_bound(self, seed, monkeypatch):
-        # each resolvent column at an end is at most 1 / dist in size, so the
-        # measured weight is at most norm_bound * max|x_end| / (dist * max|x|)
+        # the end weight kappa holds is that of its own vector x, each entry
+        # of which is at most |rhs| / dist in size; a refusal names it
         rng = np.random.default_rng(seed)
         lo = -int(rng.integers(2, 60))
         win = random_window(rng, lo, int(rng.integers(0, 60)))
@@ -627,18 +618,27 @@ class TestKappa:
         while np.min(np.abs(eigs - c)) < 1e-3:
             c = float(rng.uniform(eigs[0] - 1.0, eigs[-1] + 1.0))
         dist = float(np.min(np.abs(eigs - c)))
-        seen = []
+        seen, check_ends = [], jacobi.check_ends
 
-        def record(window, sol):
-            seen.append((boundary_weight(window, sol), sol[:, 0].copy()))
-            return seen[-1][0]
+        def record(vec, what, sites=1):
+            seen.append(vec.copy())
+            check_ends(vec, what, sites)
 
-        monkeypatch.setattr(jacobi, "boundary_weight", record)
-        with contextlib.suppress(WindowError, NumericalError):
-            kappa(win, c)
-        ((weight, vec),) = seen
-        bound = win.norm_bound() * max(abs(vec[0]), abs(vec[-1])) / (dist * np.max(np.abs(vec)))
-        assert weight <= bound * (1.0 + 1e-12)
+        monkeypatch.setattr(jacobi, "check_ends", record)
+        phi = jacobi.angle_plus(win, c)
+        rhs_norm = math.hypot(win.a_at(0) * math.sin(phi), math.cos(phi))
+        try:
+            kap, refusal = kappa(win, c), None
+        except WindowError as exc:
+            kap, refusal = None, str(exc)
+        (vec,) = seen
+        weight = max(abs(vec[0]), abs(vec[-1])) / np.max(np.abs(vec))
+        if refusal:
+            assert weight > jacobi.END_WEIGHT_TOL
+            assert refusal.endswith(f"end weight {weight:.3e} exceeds 2.000e-07")
+        else:
+            assert np.array_equal(vec, kap.vec) and weight <= jacobi.END_WEIGHT_TOL
+        assert weight <= rhs_norm / (dist * np.max(np.abs(vec))) * (1.0 + 1e-12)
 
 
 class TestKappaPairing:
