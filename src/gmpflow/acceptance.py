@@ -61,26 +61,26 @@ def _p1_window(n_blocks: int, j_min: int) -> GmpWindow:
     return GmpWindow(np.tile((SQRT2, 0.5), (n_blocks, 1)), np.zeros((n_blocks, 2)), (0.0,), j_min)
 
 
-def _decaying_window(eps: float = 0.03, n_blocks: int = 21, rate: float = 0.5):
+def _decaying_window(eps: float, n_blocks: int) -> GmpWindow:
     half = n_blocks // 2
     js = range(-half, n_blocks - half)
-    P = [(SQRT2 + eps * rate ** abs(j), 0.5) for j in js]
+    P = [(SQRT2 + eps * 0.5 ** abs(j), 0.5) for j in js]
     Q = [(eps / 3.0 * 0.7 ** abs(j), 0.0) for j in js]
     return GmpWindow(P, Q, (0.0,), j_min=-half)
 
 
-def _random_perturbed_window(rng, n_blocks: int, j_min: int, base: float = 0.05):
-    eps = np.array([base * 0.6 ** abs(j) for j in range(j_min, j_min + n_blocks)])
+def _random_perturbed_window(rng, n_blocks: int, j_min: int) -> GmpWindow:
+    eps = np.array([0.05 * 0.6 ** abs(j) for j in range(j_min, j_min + n_blocks)])
     u = rng.uniform(-1.0, 1.0, (n_blocks, 4)).T
     P = np.column_stack([SQRT2 + eps * u[0], 0.5 - 0.4 * eps * u[1]])
     Q = np.column_stack([eps * u[2] / 3.0, -eps * u[3] / 5.0])
     return GmpWindow(P, Q, (0.0,), j_min=j_min)
 
 
-def _period2_jacobi(n_min: int = -107, n_max: int = 106) -> JacobiWindow:
-    ns = np.arange(n_min, n_max + 1)
+def _period2_jacobi() -> JacobiWindow:
+    ns = np.arange(-107, 107)
     a = np.where(ns % 2 == 0, 1.5, 0.5).astype(float)
-    return JacobiWindow(a, np.zeros(ns.size), n_min=n_min)
+    return JacobiWindow(a, np.zeros(ns.size), n_min=-107)
 
 
 def criterion_comb_reconstruction() -> tuple[list, str]:

@@ -11,8 +11,9 @@ and ``--steps``, and write CSV tables of ``(name, values)`` columns.
 
 All commands are deterministic given their inputs and options; numbers
 are written with 17 significant digits, and with BLAS on one thread
-identical reruns produce byte-identical output.  ``GMPFLOW_LOG`` sets
-the stderr log level (``debug``, ``info``, ``warning``, ``quiet``).
+identical reruns produce byte-identical output.  ``GMPFLOW_LOG=info``
+(or ``debug``) logs progress to stderr; any other value, or none, logs
+only warnings.
 Exit codes: 0 success, 1 input validation failure (an unreadable input
 or unwritable ``--out`` file too), 2 numerical failure; a floating-point
 overflow, invalid operation or division by zero that no check
@@ -32,7 +33,7 @@ import sys
 import numpy as np
 
 from .construct import gmp_to_jacobi_measure, jacobi_to_gmp
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, read_numbers
 from .finitegap import DOUBLE_MAX, DeltaData, GapSet, check_entries, delta_from_gaps, eval_delta
 from .flow import flow_run, flow_states
 from .gmp import VALIDITY_FLOOR, GmpBlock, GmpWindow
@@ -42,12 +43,6 @@ from .ks import DIVERGENCE_SLOPE, check_margin, ks_diagnostics, map_run, telesco
 
 log = logging.getLogger("gmpflow.cli")
 
-LOG_LEVELS = {
-    "debug": logging.DEBUG,
-    "info": logging.INFO,
-    "warning": logging.WARNING,
-    "quiet": logging.ERROR,
-}
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -85,6 +80,9 @@ def _load_json(path: str) -> dict:
         raise ValidationError(
             f"{path} is not valid JSON (line {exc.lineno}: {exc.msg})"
         ) from exc
+    except ValueError as exc:  # the only other: an integer past int()'s digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValidationError(f"{path} holds an integer of more than {limit} digits") from exc
     except RecursionError as exc:
         raise ValidationError(f"{path} is nested too deeply") from exc
 
@@ -123,12 +121,7 @@ def _load_block(path: str) -> GmpBlock:
     is refused: iso-solve pins p_g to 1 / lambda0 and reads only the other
     entries, so only they must be small enough to square."""
     data = _load_json(path)
-    try:
-        p, q = np.array(data["p"], dtype=float), np.array(data["q"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed block data in {path}: {exc}") from exc
-    if p.ndim != 1 or p.shape != q.shape or p.size < 1:
-        raise ValidationError("p and q must be nonempty vectors of equal length")
+    p, q = read_numbers(data, "p[]"), read_numbers(data, "q[]")
     check_entries({"p": p[:-1]}, "p[{0}]")
     check_entries({"p": p[-1:]}, f"p[{p.size - 1}]", limit=DOUBLE_MAX)
     check_entries({"q": q}, "q[{0}]")
@@ -236,12 +229,13 @@ def cmd_iso_solve(args: argparse.Namespace) -> int:
     seed = _load_block(args.seed_block)
     pt = solve_is_point(d, seed)
     res = pt.residual()
-    log.info("iso-solve: residual %s", _fmt(float(np.max(np.abs(res)))))
+    worst = float(np.max(np.abs(res)))
+    log.info("iso-solve: residual %s", _fmt(worst))
     _dump_json(
         {
             "block": {"p": pt.block.p.tolist(), "q": pt.block.q.tolist()},
             "residual": res.tolist(),
-            "max_residual": float(np.max(np.abs(res))),
+            "max_residual": worst,
         },
         args.out,
     )
@@ -352,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level_name = os.environ.get("GMPFLOW_LOG", "warning").strip().lower()
+    verbose = os.environ.get("GMPFLOW_LOG", "").strip().lower() in ("info", "debug")
     logging.basicConfig(
         stream=sys.stderr,
-        level=LOG_LEVELS.get(level_name, logging.WARNING),
+        level=logging.INFO if verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
         force=True,
     )

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and ``check``.
+"""Exception types shared across the package, ``check``, and
+``read_numbers``, the one reader of the numbers of a JSON record.
 
 Each failure mode the numerical layer can report has its own class so
 callers can distinguish validation problems (bad input data) from
@@ -12,7 +13,10 @@ a zero-length gap) stay outside it.
 
 from __future__ import annotations
 
-import numbers
+import json
+import re
+from contextlib import suppress
+from itertools import chain
 
 import numpy as np
 
@@ -104,13 +108,52 @@ def check(what, value, limit, exc: type = NumericalError, floor: bool = False) -
     raise exc(f"{name} {value[i]:.3e} {'is not finite' if floor and value[i] == np.inf else bound}")
 
 
-def integral(value, field: str) -> int:
-    """A number with no fractional part (3 or 3.0, not 1.5 or true) and of
-    magnitude at most 2**53, past which a JSON number no longer names one
-    integer, as an int; otherwise a ValidationError naming ``field``."""
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
-        if isinstance(value, numbers.Integral) or float(value).is_integer():
-            if abs(value) > 2**53:
-                raise ValidationError(f"{field} must be an integer of magnitude at most 2**53")
-            return int(value)
-    raise ValidationError(f"{field} must be an integer, got {value!r}")
+def read_numbers(record, spec: str, kind: type = float):
+    """The numbers of a JSON record at ``spec``, a path of keys and list
+    axes (``blocks[].p[]``; ``[2]``: of two entries): a float array with an
+    axis per list axis, else a float, or an int for ``kind=int`` (integral,
+    of magnitude at most 2**53).  A number is an int or a float, not a bool
+    (NaN and Infinity count); the lists of one axis share one length.
+    Anything else is a ValidationError that names the outermost fault, the
+    first in file order, by its path and its value as JSON spells it:
+    ``C[0] = null is not a number``.  It is built only on failure."""
+    nodes, shape, path = [record], [], ""  # path: of this level, "{}" per list index
+
+    def refusal(why) -> ValidationError:  # why(node): what is wrong with it, or None
+        i, wrong = next((i, w) for i, x in enumerate(nodes) if (w := why(x)))
+        name, text = path.format(*np.unravel_index(i, shape)), json.dumps(nodes[i], default=repr)
+        text = text if len(text) <= 24 else f"{text[:12]}... ({len(text)} characters)"
+        return ValidationError(wrong.format(name=name, value=f"{name or 'record'} = {text}"))
+
+    for key, n in re.findall(r"(\w+)|\[(\d*)\]", spec):
+        if key:
+            try:
+                nodes, path = [x[key] for x in nodes], f"{path}.{key}" if path else key
+            except (KeyError, TypeError):  # a node that is not an object, or lacks key
+                raise refusal(lambda x: "{value} is not an object" if not isinstance(x, dict) else
+                              None if key in x else f"{path and '{name}.'}{key} is missing") from None
+            continue
+        want = int(n) if n else len(nodes[0]) if nodes and type(nodes[0]) is list else 0
+        if set(map(type, nodes)) - {list} or set(map(len, nodes)) - {want}:
+            raise refusal(lambda x: "{value} is not a list" if type(x) is not list else
+                          None if len(x) == want else f"{{name}} has {len(x)} entries, not {want}")
+        nodes, shape, path = list(chain.from_iterable(nodes)), shape + [want], path + "[{}]"
+    if all(t is not bool and issubclass(t, (int, float)) for t in set(map(type, nodes))):
+        if not shape and not _why(nodes[0], kind):
+            return kind(nodes[0])
+        with suppress(OverflowError):  # an integer past the largest double
+            if shape:
+                return np.array(nodes, dtype=float).reshape(shape)
+    raise refusal(lambda x: (why := _why(x, kind)) and "{value} " + why)
+
+
+def _why(x, kind: type) -> str | None:
+    """What is wrong with the leaf x, or None."""
+    number = type(x) is not bool and isinstance(x, (int, float))
+    integral = number and (isinstance(x, int) or x.is_integer())
+    if kind is float:  # 2**1024 - 2**970 is the least integer that rounds past a double
+        too_large = integral and abs(x) >= 2**1024 - 2**970
+        return "is not a number" if not number else "is too large for a double" if too_large else None
+    if not integral:
+        return "is not an integer"
+    return "is not an integer of magnitude at most 2**53" if abs(x) > 2**53 else None

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import DegenerateGapError, PoleEvaluationError, ValidationError, check
+from .errors import DegenerateGapError, PoleEvaluationError, ValidationError, check, read_numbers
 
 GAP_REL_TOL = 1e-12
 # Relative distance within which two poles, or a point and a pole, coincide.
@@ -76,9 +76,7 @@ class GapSet:
     gaps: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "gaps", tuple((float(a), float(b)) for a, b in self.gaps)
-        )
+        vars(self)["gaps"] = tuple((float(a), float(b)) for a, b in self.gaps)  # frozen
         check_entries({"b0": self.b0, "a0": self.a0})
         check_entries({"gaps": np.reshape(self.gaps, (-1, 2))}, "{key}[{0}][{1}]")
         if self.b0 >= self.a0:
@@ -129,12 +127,8 @@ class GapSet:
 
     @classmethod
     def from_json(cls, data: dict) -> "GapSet":
-        try:
-            gaps = tuple((float(a), float(b)) for a, b in data["gaps"])
-            b0, a0 = float(data["b0"]), float(data["a0"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed gap set data: {exc}") from exc
-        return cls(b0, a0, gaps)
+        return cls(read_numbers(data, "b0"), read_numbers(data, "a0"),
+                   read_numbers(data, "gaps[][2]").tolist())
 
 
 @dataclass(frozen=True)
@@ -147,9 +141,7 @@ class DeltaData:
     poles: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "poles", tuple((float(c), float(l)) for c, l in self.poles)
-        )
+        vars(self)["poles"] = tuple((float(c), float(l)) for c, l in self.poles)  # frozen
         check_entries({"lambda0": self.lambda0, "c0": self.c0})
         check_entries({"c": self.cs(), "lambda": self.lams()}, "poles[{0}].{key}", axis=1)
         if self.lambda0 <= 0:
@@ -189,14 +181,8 @@ class DeltaData:
 
     @classmethod
     def from_json(cls, data: dict) -> "DeltaData":
-        try:
-            poles = tuple(
-                (float(p["c"]), float(p["lambda"])) for p in data["poles"]
-            )
-            lambda0, c0 = float(data["lambda0"]), float(data["c0"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed comb map data: {exc}") from exc
-        return cls(lambda0, c0, poles)
+        cs, lams = (read_numbers(data, f"poles[].{key}").tolist() for key in ("c", "lambda"))
+        return cls(read_numbers(data, "lambda0"), read_numbers(data, "c0"), zip(cs, lams))
 
 
 def gap_zeros(gapset: GapSet) -> np.ndarray:

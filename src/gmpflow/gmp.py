@@ -26,7 +26,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import numkit
-from .errors import PoleEvaluationError, ValidationError, WindowError, check, integral
+from .errors import PoleEvaluationError, ValidationError, WindowError, check, read_numbers
 from .finitegap import DOUBLE_MAX, POLE_REL_TOL, SQUARE_MAX, check_distinct_poles, check_entries
 
 # The symplectic unit [[0, -1], [1, 0]].
@@ -68,8 +68,7 @@ class GmpBlock:
     def __post_init__(self):
         p, q = np.array(self.p, dtype=float), np.array(self.q, dtype=float)
         _check_rows(p, q, "{key}" + "[{}]" * p.ndim, DOUBLE_MAX)
-        for x in (p, q):
-            x.setflags(write=False)
+        p.flags.writeable = q.flags.writeable = False
         vars(self).update(p=p, q=q)  # frozen: bypass __setattr__
 
     @classmethod
@@ -116,8 +115,7 @@ class GmpWindow:
             raise ValidationError(f"pole list has length {c.size}, expected {P.shape[1] - 1}")
         check_entries({"C": c}, "{key}[{0}]")
         check_distinct_poles(c)
-        for x in (P, Q, c):
-            x.setflags(write=False)
+        P.flags.writeable = Q.flags.writeable = c.flags.writeable = False
         vars(self).update(P=P, Q=Q, c=c, j_min=j_min)  # frozen: bypass __setattr__
 
     @property
@@ -162,24 +160,11 @@ class GmpWindow:
 
     @classmethod
     def from_json(cls, data: dict) -> "GmpWindow":
-        """The window of ``to_json``'s form.  ``"g"`` may be left out; if
-        present it must be the genus of the blocks."""
-        try:
-            blocks = data["blocks"]
-            try:  # one array per key
-                P, Q = (np.array([b[key] for b in blocks], dtype=float) for key in "pq")
-                shapes = sorted({P.shape[1:], Q.shape[1:]})
-            except (KeyError, TypeError, ValueError):  # ragged or bad: one block at a time
-                P, Q = ([np.array(b[key], dtype=float) for b in blocks] for key in "pq")
-                shapes = sorted({row.shape for row in P + Q})
-            c = np.array(data["C"], dtype=float)
-            j_min = integral(data["j_min"], "j_min")
-            g = integral(data["g"], "g") if "g" in data else None
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed window data: {exc}") from exc
-        if len(shapes) > 1:
-            raise ValidationError(f"p and q of every block must share one shape, got {shapes}")
-        window = cls(P, Q, c, j_min)
+        """The window of ``to_json``'s form, read by ``read_numbers``; ``"g"``
+        may be left out, and if present must be the genus of the blocks."""
+        P, Q = (read_numbers(data, f"blocks[].{key}[]") for key in "pq")
+        window = cls(P, Q, read_numbers(data, "C[]"), read_numbers(data, "j_min", int))
+        g = read_numbers(data, "g", int) if "g" in data else None
         if g not in (None, window.g):
             raise ValidationError(f"window key g is {g} but its blocks have genus {window.g}")
         return window

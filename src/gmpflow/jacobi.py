@@ -38,7 +38,7 @@ from .errors import (
     ValidationError,
     WindowError,
     check,
-    integral,
+    read_numbers,
 )
 from .finitegap import check_entries
 
@@ -64,12 +64,9 @@ class JacobiWindow:
     n_min: int = 0
 
     def __post_init__(self):
-        a = np.array(self.a, dtype=float)
-        b = np.array(self.b, dtype=float)
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        a, b = np.array(self.a, dtype=float), np.array(self.b, dtype=float)
+        a.flags.writeable = b.flags.writeable = False
+        vars(self).update(a=a, b=b)  # frozen: bypass __setattr__
         if a.ndim != 1 or b.ndim != 1 or a.size != b.size or a.size < 1:
             raise ValidationError("a and b must be 1-d arrays of equal length")
         check_entries({"a": a, "b": b}, "{key}[{0}]")
@@ -113,12 +110,8 @@ class JacobiWindow:
 
     @classmethod
     def from_json(cls, data: dict) -> "JacobiWindow":
-        try:
-            a, b = np.array(data["a"], dtype=float), np.array(data["b"], dtype=float)
-            n_min = integral(data["n_min"], "n_min")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed window data: {exc}") from exc
-        return cls(a, b, n_min)
+        return cls(read_numbers(data, "a[]"), read_numbers(data, "b[]"),
+                   read_numbers(data, "n_min", int))
 
 
 @dataclass(frozen=True)
@@ -129,12 +122,9 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        points = np.array(self.points, dtype=float)
-        weights = np.array(self.weights, dtype=float)
-        points.setflags(write=False)
-        weights.setflags(write=False)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "weights", weights)
+        points, weights = np.array(self.points, dtype=float), np.array(self.weights, dtype=float)
+        points.flags.writeable = weights.flags.writeable = False
+        vars(self).update(points=points, weights=weights)  # frozen: bypass __setattr__
         if points.ndim != 1 or weights.ndim != 1 or points.size != weights.size:
             raise ValidationError("points and weights must match in length")
         if points.size < 1:

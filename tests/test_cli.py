@@ -190,6 +190,14 @@ class TestDelta:
         err = capsys.readouterr().err
         assert "not valid JSON" in err and "line 2" in err
 
+    def test_integer_past_the_digit_limit_is_refused(self, tmp_path, capsys):
+        # json.load refuses it with a bare ValueError, not a JSONDecodeError
+        path = tmp_path / "long.json"
+        path.write_text('{"b0": %s, "a0": 2.0, "gaps": []}' % ("1" * 5000), encoding="utf-8")
+        assert cli.main(["delta", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"validation error: {path} holds an integer of more than 4300 digits\n")
+
     def test_missing_file(self, tmp_path, capsys):
         assert cli.main(["delta", str(tmp_path / "absent.json")]) == 1
         assert "cannot read" in capsys.readouterr().err
@@ -711,7 +719,7 @@ class TestIsoSolve:
         ([1e200, math.inf], [0.1, 0.0], "p[0] = 1e+200 is too large: its square overflows"),
         ([1.4, math.nan], [1e200, 0.0], "p[1] = nan is not a number"),
         ([1.4, -1.0], [1e200, 0.0], "q[0] = 1e+200 is too large: its square overflows"),
-        ([[1.43, 0.5]], [[0.02, -0.01]], "p and q must be nonempty vectors of equal length"),
+        ([[1.43, 0.5]], [[0.02, -0.01]], "p[0] = [1.43, 0.5] is not a number"),
     ], ids=["nan-after-huge", "inf-pinned-after-huge", "nan-pinned", "sign-after-huge", "stack"])
     def test_first_bad_seed_entry_in_file_order_is_named(self, tmp_path, capsys, p, q, err):
         # p[:-1] and q must be small enough to square, the pinned p_g only
@@ -727,7 +735,7 @@ class TestIsoSolve:
         seed = write_json(tmp_path / "seed.json", {"p": [1.4, 0.5]})
         capsys.readouterr()
         assert cli.main(["iso-solve", d, seed]) == 1
-        assert "malformed block data" in capsys.readouterr().err
+        assert capsys.readouterr().err == "validation error: q is missing\n"
 
 
 class TestConversions:
@@ -858,10 +866,9 @@ class TestConversions:
         "blocks, message",
         [
             ([{"p": [1.0, 1.0], "q": [0.0, 0.0]}, {"p": [1.0, 1.0, 1.0], "q": [0.0, 0.0, 0.0]}],
-             "p and q of every block must share one shape, got [(2,), (3,)]"),
-            ([{"p": [1.0, 1.0], "q": [0.0]}],
-             "p and q of every block must share one shape, got [(1,), (2,)]"),
-            ([{"p": [[1.0, 1.0]], "q": [[0.0, 0.0]]}], "P and Q must be 2-d arrays of equal shape"),
+             "blocks[1].p has 3 entries, not 2"),
+            ([{"p": [1.0, 1.0], "q": [0.0]}], "P and Q must be 2-d arrays of equal shape"),
+            ([{"p": [[1.0, 1.0]], "q": [[0.0, 0.0]]}], "blocks[0].p[0] = [1.0, 1.0] is not a number"),
             ([{"p": [], "q": []}], "p and q must be nonempty vectors of equal length"),
         ],
         ids=["ragged-gap-counts", "p-q-length-mismatch", "nested-rows", "empty-rows"],
@@ -975,6 +982,9 @@ class TestWindowIndex:
     """Past 2**53 a JSON number names no one integer: such a window index
     is refused by its name in one short line, whatever its size."""
 
+    SPELLED = {1e308: "1e+308", -1e308: "-1e+308", 2**53 + 2: "9007199254740994",
+               -(10**400): "-10000000000... (402 characters)"}
+
     @pytest.mark.parametrize(
         "value", [1e308, -1e308, 2**53 + 2, pytest.param(-(10**400), id="-10**400")]
     )
@@ -990,8 +1000,8 @@ class TestWindowIndex:
         win = write_json(tmp_path / "far.json", dict(data, **{field: value}))
         assert cli.main([command, win, *argv]) == 1
         assert capsys.readouterr().err == (
-            f"validation error: malformed window data: "
-            f"{field} must be an integer of magnitude at most 2**53\n"
+            f"validation error: {field} = {self.SPELLED[value]} "
+            f"is not an integer of magnitude at most 2**53\n"
         )
 
 
@@ -1086,21 +1096,24 @@ class TestSelftest:
 
 
 class TestMalformedNumbers:
-    """A string where a number belongs is a validation error, not a crash."""
+    """A string where a number belongs is a validation error that names it
+    by its path, not a crash."""
 
     @pytest.mark.parametrize(
-        "command, data",
+        "command, data, message",
         [
             ("flow", {"g": 1, "C": [0.0], "j_min": 0, "blocks": [
-                {"p": [1.0, "x"], "q": [0.0, 0.0]}]}),
-            ("jacobi2gmp", {"n_min": -2, "a": [1.0, "x", 1.0], "b": [0.0] * 3}),
-            ("delta", {"b0": -2.0, "a0": 2.0, "gaps": [[-1.0, "x"]]}),
-            ("ks", {"lambda0": "x", "c0": 0.0, "poles": []}),
-            ("iso-solve", {"p": [1.4, "x"], "q": [0.0, 0.0]}),
+                {"p": [1.0, "x"], "q": [0.0, 0.0]}]}, 'blocks[0].p[1] = "x" is not a number'),
+            ("jacobi2gmp", {"n_min": -2, "a": [1.0, "x", 1.0], "b": [0.0] * 3},
+             'a[1] = "x" is not a number'),
+            ("delta", {"b0": -2.0, "a0": 2.0, "gaps": [[-1.0, "x"]]},
+             'gaps[0][1] = "x" is not a number'),
+            ("ks", {"lambda0": "x", "c0": 0.0, "poles": []}, 'lambda0 = "x" is not a number'),
+            ("iso-solve", {"p": [1.4, "x"], "q": [0.0, 0.0]}, 'p[1] = "x" is not a number'),
         ],
         ids=["window", "jacobi-window", "gap-set", "comb-map", "seed-block"],
     )
-    def test_string_entry_rejected(self, tmp_path, capsys, command, data):
+    def test_string_entry_rejected(self, tmp_path, capsys, command, data, message):
         bad = write_json(tmp_path / "bad.json", data)
         argv = {
             "flow": ["flow", bad],
@@ -1111,9 +1124,7 @@ class TestMalformedNumbers:
         }[command]
         capsys.readouterr()
         assert cli.main(argv) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("validation error: malformed ")
-        assert err.endswith("could not convert string to float: 'x'\n")
+        assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 class TestOverflowingEntries:

@@ -1,15 +1,19 @@
 """``errors.check``, the one rule that holds a value against its bound,
 and a scan that keeps every tolerance comparison in ``src/gmpflow``
-going through it; and a scan that keeps every finiteness test of an
-input going through the entry rule ``finitegap.check_entries``."""
+going through it; a scan that keeps every finiteness test of an input
+going through the entry rule ``finitegap.check_entries``; and a scan
+that keeps every catch of what malformed record data raises inside the
+one reader, ``errors.read_numbers``."""
 
 import ast
+import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gmpflow.errors import NumericalError, ValidationError, WindowError, check
+from gmpflow.errors import NumericalError, ValidationError, WindowError, check, read_numbers
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gmpflow"
 BOUND_SUFFIXES = ("_TOL", "_REL", "_FLOOR")
@@ -29,6 +33,10 @@ KEPT_FINITENESS = {
     "numkit.py:bisect_root", "ks.py:KsFunctionalReport.__post_init__",
     "ks.py:KsDiagnostics.__post_init__", "cli.py:_tolerance",
 }
+RECORD_CATCHES = {"KeyError", "TypeError", "ValueError"}
+# Catches of those outside the reader, on text that is not a record: the
+# command line options, and a file's text before it parses.
+KEPT_CATCHES = {"cli.py:_tolerance", "cli.py:_seed", "cli.py:_load_json"}
 
 
 class TestCheck:
@@ -79,6 +87,74 @@ class TestCheck:
         with pytest.raises(exc, match=r"^weight 1\.000e\+00 exceeds 5\.000e-01$") as got:
             check("weight", 1.0, 0.5, exc)
         assert type(got.value) is exc
+
+
+class TestReadNumbers:
+    WINDOW = {"C": [0.5], "j_min": -1, "blocks": [{"p": [1.0, 2.0], "q": [0.0, 3]}] * 3}
+
+    def test_fitting_record_is_one_array(self):
+        P = read_numbers(self.WINDOW, "blocks[].p[]")
+        assert P.shape == (3, 2) and P.dtype == float and P.tolist() == [[1.0, 2.0]] * 3
+        assert read_numbers(self.WINDOW, "blocks[].q[]")[0].tolist() == [0.0, 3.0]
+        assert read_numbers(self.WINDOW, "blocks[].p[2]").shape == (3, 2)
+        assert read_numbers({"x": np.float64(0.5)}, "x") == 0.5
+        assert type(read_numbers({"x": 2}, "x")) is float
+        # NaN and Infinity are numbers; the entry rule judges them
+        assert np.isnan(read_numbers({"x": [1e400, math.nan]}, "x[]")[1])
+
+    def test_empty_lists_keep_their_axes(self):
+        assert read_numbers({"gaps": []}, "gaps[][2]").shape == (0, 2)
+        assert read_numbers({"blocks": []}, "blocks[].p[]").shape == (0, 0)
+        assert read_numbers({"blocks": [{"p": []}] * 2}, "blocks[].p[]").shape == (2, 0)
+
+    @pytest.mark.parametrize("value, spelled", [
+        (True, "true"), (None, "null"), ("0.5", '"0.5"'), ([], "[]"), ({}, "{}"), ([1.0], "[1.0]"),
+    ])
+    def test_leaf_that_is_not_a_number_is_named(self, value, spelled):
+        blocks = [{"p": [1.0, 2.0], "q": [0.0, 0.0]}, {"p": [1.0, value], "q": [0.0, 0.0]}]
+        with pytest.raises(ValidationError) as info:
+            read_numbers({"blocks": blocks}, "blocks[].p[]")
+        assert str(info.value) == f"blocks[1].p[1] = {spelled} is not a number"
+
+    @pytest.mark.parametrize("record, spec, message", [
+        ({"c0": 0.0}, "lambda0", "lambda0 is missing"),
+        ([1.0], "lambda0", "record = [1.0] is not an object"),
+        ({"blocks": [{"p": [1.0]}, 3]}, "blocks[].p[]", "blocks[1] = 3 is not an object"),
+        ({"blocks": [{"p": [1.0]}, {"q": [1.0]}]}, "blocks[].p[]", "blocks[1].p is missing"),
+        ({"C": 0.5}, "C[]", "C = 0.5 is not a list"),
+        ({"C": "0.5"}, "C[]", 'C = "0.5" is not a list'),
+        ({"blocks": [{"p": [1.0]}, {"p": [1.0, 2.0]}]}, "blocks[].p[]",
+         "blocks[1].p has 2 entries, not 1"),
+        ({"gaps": [[-1.0, 0.0, 1.0]]}, "gaps[][2]", "gaps[0] has 3 entries, not 2"),
+        ({"x": [2.0, 10**400]}, "x[]", "x[1] = 100000000000... (401 characters) is too large "
+         "for a double"),
+        # the outermost fault first, and the first in file order within a level
+        ({"x": [[None], [1.0, 2.0]]}, "x[][]", "x[1] has 2 entries, not 1"),
+        ({"x": [[1.0, "a"], [None, 2.0]]}, "x[][]", 'x[0][1] = "a" is not a number'),
+        ({"x": [[1.0], [1.0, 2.0], [1.0, 2.0, 3.0]]}, "x[][]", "x[1] has 2 entries, not 1"),
+    ], ids=["missing", "record", "not-an-object", "missing-in-a-list", "not-a-list",
+            "string-not-a-list", "ragged", "not-a-pair", "past-a-double", "shape-first",
+            "first-leaf", "first-ragged"])
+    def test_record_that_does_not_fit_is_named(self, record, spec, message):
+        with pytest.raises(ValidationError) as info:
+            read_numbers(record, spec)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [3, -3.0, 2**53, -float(2**53)])
+    def test_integer(self, value):
+        got = read_numbers({"j_min": value}, "j_min", int)
+        assert got == value and type(got) is int
+
+    @pytest.mark.parametrize("value, why", [
+        (1.5, "is not an integer"), (math.nan, "is not an integer"),
+        (math.inf, "is not an integer"), (False, "is not an integer"), ("3", "is not an integer"),
+        (2**53 + 1, "is not an integer of magnitude at most 2**53"),
+        (-1e308, "is not an integer of magnitude at most 2**53"),
+    ])
+    def test_integer_refused(self, value, why):
+        with pytest.raises(ValidationError) as info:
+            read_numbers({"j_min": value}, "j_min", int)
+        assert str(info.value) == f"j_min = {json.dumps(value)} {why}"
 
 
 def _bounds(node: ast.AST) -> set:
@@ -159,9 +235,13 @@ def test_scan_sees_direct_and_assigned_comparisons(tmp_path):
     assert [hit.split()[1] for hit in tolerance_raises(path)] == ["direct", "assigned", "returned"]
 
 
-def finiteness_tests(path: Path) -> list[str]:
-    """``<file>:<class.function>`` of each call of ``path`` to a function
-    named in ``FINITENESS_TESTS`` (``np.isfinite``, ``math.isnan``, ...)."""
+def _name(node: ast.AST):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def scopes_of(path: Path, hit) -> list[str]:
+    """``<file>:<class.function>`` (``<module>`` outside any) of each node
+    of ``path`` for which ``hit`` holds."""
     found = []
 
     def visit(node: ast.AST, scope: tuple) -> None:
@@ -169,15 +249,29 @@ def finiteness_tests(path: Path) -> list[str]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in FINITENESS_TESTS:
-                    found.append(f"{path.name}:{'.'.join(scope) or '<module>'}")
+            if hit(child):
+                found.append(f"{path.name}:{'.'.join(scope) or '<module>'}")
             visit(child, scope)
 
     visit(ast.parse(path.read_text()), ())
     return found
+
+
+def finiteness_tests(path: Path) -> list[str]:
+    """The scope of each call of ``path`` to a function named in
+    ``FINITENESS_TESTS`` (``np.isfinite``, ``math.isnan``, ...)."""
+    return scopes_of(path, lambda n: isinstance(n, ast.Call) and _name(n.func) in FINITENESS_TESTS)
+
+
+def record_catches(path: Path) -> list[str]:
+    """The scope of each ``except`` clause of ``path`` that names one of
+    ``RECORD_CATCHES``, alone or in a tuple."""
+    def hit(node: ast.AST) -> bool:
+        caught = getattr(node, "type", None) if isinstance(node, ast.ExceptHandler) else None
+        names = caught.elts if isinstance(caught, ast.Tuple) else [caught]
+        return any(_name(n) in RECORD_CATCHES for n in names if n is not None)
+
+    return scopes_of(path, hit)
 
 
 def test_every_input_finiteness_test_is_the_entry_rule():
@@ -202,4 +296,43 @@ def test_finiteness_scan_sees_functions_methods_and_module_code(tmp_path):
     )
     assert finiteness_tests(path) == [
         "sample.py:<module>", "sample.py:direct", "sample.py:Record.__post_init__"
+    ]
+
+
+def test_only_the_reader_catches_what_record_data_raises():
+    found = {hit for path in sorted(SRC.glob("*.py")) for hit in record_catches(path)}
+    assert sorted(found - KEPT_CATCHES) == ["errors.py:read_numbers"]
+
+
+def test_catch_scan_sees_functions_methods_and_module_code(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(
+        "try:\n"
+        "    X = int(TEXT)\n"
+        "except ValueError:\n"
+        "    X = 0\n"
+        "def direct(data):\n"
+        "    try:\n"
+        "        return float(data['x'])\n"
+        "    except (KeyError, TypeError, ValueError) as exc:\n"
+        "        raise ValidationError(str(exc)) from exc\n"
+        "class Record:\n"
+        "    @classmethod\n"
+        "    def from_json(cls, data):\n"
+        "        try:\n"
+        "            return cls(data['x'])\n"
+        "        except builtins.KeyError:\n"
+        "            return None\n"
+        "    def other(self):\n"
+        "        try:\n"
+        "            return self.x\n"
+        "        except (AttributeError, OSError):\n"
+        "            return None\n"
+        "        except Exception:\n"
+        "            return None\n"
+        "        except:\n"
+        "            return None\n"
+    )
+    assert record_catches(path) == [
+        "sample.py:<module>", "sample.py:direct", "sample.py:Record.from_json"
     ]

@@ -9,8 +9,10 @@ every case ``cli.main`` must return 0, 1 or 2 and raise nothing, a
 failing exit must write exactly one line to stderr, a successful exit
 must write no nan or inf, and no case may raise a warning: ``cli.main``
 turns a floating-point overflow, invalid operation or division by zero
-into exit 2.  A number that is NaN, infinite or too large to square
-exits 1, naming its JSON path, wherever a record reads it.
+into exit 2.  A leaf that is not a number (a bool, null, a string, a list
+or an object), an integer too large for a double, and a number that is
+NaN, infinite or too large to square each exit 1, naming its JSON path,
+wherever a record reads it.
 
 ``run_grid`` is also what ``bench/write.py`` runs to record the counts,
 and what ``bench/identity.py`` digests case by case.
@@ -35,7 +37,9 @@ from gmpflow import cli
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 VALUES = (
     math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-308, 0, -1, True, None, "x", [], [1.0], {}, 3,
+    10**400, "0.5",
 )
+NOT_NUMBERS = ("true", "null", '"x"', '"0.5"', "[]", "{}", "[1.0]")
 LONG_LIST = 4
 NON_FINITE = re.compile(r"\b(nan|inf|infinity)\b", re.IGNORECASE)
 INTEGER_FIELDS = ("g", "j_min", "n_min")
@@ -191,6 +195,24 @@ def test_non_finite_entries_are_named(grid):
                  "-Infinity": "-inf is infinite"}[c["value"]]
         message = f"validation error: {leaf_path(c['leaf'])} = {value}\n"
         assert (c["exit"], c["stderr"]) == (1, message), c
+
+
+def test_non_numbers_are_named(grid):
+    # the reader refuses them before any value rule, in one wording; the
+    # integer fields say "integer"
+    cases = [c for c in grid if c["value"] in NOT_NUMBERS]
+    assert len(cases) == 448
+    for c in cases:
+        kind = "an integer" if c["leaf"][0] in INTEGER_FIELDS else "a number"
+        message = f"validation error: {leaf_path(c['leaf'])} = {c['value']} is not {kind}\n"
+        assert (c["exit"], c["stderr"]) == (1, message), c
+    huge = [c for c in grid if c["value"] == str(10**400)]
+    assert len(huge) == 64
+    for c in huge:
+        why = ("is not an integer of magnitude at most 2**53" if c["leaf"][0] in INTEGER_FIELDS
+               else "is too large for a double")
+        message = f"{leaf_path(c['leaf'])} = 100000000000... (401 characters) {why}"
+        assert (c["exit"], c["stderr"]) == (1, f"validation error: {message}\n"), c
 
 
 def test_entries_whose_squares_overflow_are_named(grid):

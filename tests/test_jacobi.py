@@ -1,3 +1,4 @@
+import json
 import math
 import re
 import warnings
@@ -171,9 +172,7 @@ class TestJacobiWindow:
         data = {"n_min": n_min, "a": [1.5, 0.5], "b": [0.1, -0.2]}
         with pytest.raises(ValidationError) as info:
             JacobiWindow.from_json(data)
-        assert str(info.value) == (
-            f"malformed window data: n_min must be an integer, got {n_min!r}"
-        )
+        assert str(info.value) == f"n_min = {json.dumps(n_min)} is not an integer"
 
     def test_json_offset_may_be_an_integral_float(self):
         data = {"n_min": -1.0, "a": [1.5, 0.5], "b": [0.1, -0.2]}
@@ -192,9 +191,8 @@ class TestJacobiWindow:
         data = {"n_min": n_min, "a": [1.5, 0.5], "b": [0.1, -0.2]}
         with pytest.raises(ValidationError) as info:
             JacobiWindow.from_json(data)
-        assert str(info.value) == (
-            "malformed window data: n_min must be an integer of magnitude at most 2**53"
-        )
+        spelled = "-10000000000... (402 characters)" if n_min == -(10**400) else json.dumps(n_min)
+        assert str(info.value) == f"n_min = {spelled} is not an integer of magnitude at most 2**53"
 
 
 class TestDiscreteMeasure:
