@@ -18,8 +18,10 @@ call wrote (its ``--out`` paths), read right after it; so a moved line
 names the call whose bytes changed.  The selftest report is hashed
 with its elapsed times stripped.  A grid case's digest hashes its exit
 code and stderr, with its work directory written as ``<work>``.  Output
-lines are ``<pool>/<job index>/<label> <call index> <sha256>``; for a
-grid case the label is ``<command>:<file>:<leaf>=<value>``.
+lines are ``<pool>/<job index>/<label> <call index> <sha256>``, and for a
+grid case ``grid/<command>:<file>:<leaf>=<value> 0 <sha256>``: a case is
+named by its label alone, which is unique, so a change to the grid's
+values moves only the lines of the cases it adds or drops.
 
 Running this at two commits and comparing the outputs with ``diff`` is
 the byte-identity check.  Inputs are written to a fresh work directory
@@ -139,10 +141,13 @@ def main() -> int:
         code, out, err = run_call(["selftest"])
         print(f"selftest 0 {digest(code, ELAPSED.sub(' ', out), err)}")
         Path("grid").mkdir()
-        for i, case in enumerate(run_grid(Path("grid").resolve())):
+        labels = set()
+        for case in run_grid(Path("grid").resolve()):
             leaf = ".".join(map(str, case["leaf"]))
             label = f"{case['command']}:{case['file']}:{leaf}={case['value']}"
-            print(f"grid/{i}/{label} 0 {digest(str(case['exit']), case['stderr'])}", flush=True)
+            assert label not in labels, f"two grid cases share the label {label}"
+            labels.add(label)
+            print(f"grid/{label} 0 {digest(str(case['exit']), case['stderr'])}", flush=True)
     finally:
         os.chdir(home)
         shutil.rmtree(work)

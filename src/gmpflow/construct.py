@@ -12,7 +12,8 @@ resolvent vectors pinned at the map poles, the ``kappa`` vectors of the
 window and of its one reflection, each checked against the spectrum and
 the truncation, and ``gmp_to_jacobi_measure`` tridiagonalizes the two
 block-banded half-line truncations by Lanczos with partial
-reorthogonalization on their band storage, with no eigensolve; each step
+reorthogonalization on their band rows, the rows of ``gmp.band_rows``
+that ``gmp.assemble_dense`` places too, with no eigensolve; each step
 reads only the staircase of rows the earlier Lanczos vectors occupy.
 """
 
@@ -25,7 +26,7 @@ import numpy as np
 from . import numkit
 from .errors import PoleEvaluationError, ValidationError, WindowError, check
 from .finitegap import SQUARE_MAX, DeltaData, check_distinct_poles, check_entries, eval_delta
-from .gmp import GmpWindow, build_block_B, pattern_defect
+from .gmp import GmpWindow, band_rows, build_block_B, pattern_defect
 from .jacobi import DiscreteMeasure, JacobiWindow, check_ends, kappa, lanczos
 
 FACTOR_TOL = 1e-10
@@ -73,9 +74,7 @@ def gram_D(measure: DiscreteMeasure, c_list) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(pts))), float(np.max(np.abs(cs))))
     for c in cs:
         if np.min(np.abs(pts - c)) <= POLE_SUPPORT_REL * scale:
-            raise PoleEvaluationError(
-                f"pole {c} lies on the support of the measure"
-            )
+            raise PoleEvaluationError(f"pole {c} lies on the support of the measure")
     F = _raw_columns(pts, cs)
     D = F.T @ (measure.weights[:, None] * F)
     return 0.5 * (D + D.T)
@@ -188,9 +187,7 @@ def multiplication_matrix(rb: RationalBasis) -> np.ndarray:
     """
 
     if rb.depth < 2:
-        raise ValidationError(
-            "multiplication needs a basis at least two blocks deep"
-        )
+        raise ValidationError("multiplication needs a basis at least two blocks deep")
     T = rb.table
     wx = rb.measure.weights * rb.measure.points
     M = T.T @ (wx[:, None] * T)
@@ -322,26 +319,10 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
     return w
 
 
-def _half_bands(w: GmpWindow, lo: int, hi: int, reverse: bool) -> np.ndarray:
-    """Upper diagonals 0..g+1 of ``assemble_dense(w)`` on the blocks at
-    window positions lo..hi-1, index order reversed if asked: row d holds
-    the entries (i, i + d), padded with zeros."""
-    per = w.g + 1
-    # block row: the diagonal block, then the coupling to the next block
-    rows = np.zeros((hi - lo, per, 2 * per))
-    rows[:, :, :per] = build_block_B(w.rows(lo, hi), w.c)
-    rows[:-1, -1, per:] = w.P[lo + 1 : hi]
-    slots = np.arange(per)
-    bands = np.stack([rows[:, slots, slots + d].ravel() for d in range(per + 1)])
-    for d, band in enumerate(bands if reverse else ()):
-        band[: band.size - d] = band[: band.size - d][::-1].copy()
-    return bands
-
-
 def gmp_to_jacobi_measure(w: GmpWindow) -> JacobiWindow:
     """Jacobi window matching the two half-line resolvents of a GMP window.
 
-    Lanczos runs on the band storage of the two halves of the window's
+    Lanczos runs on the ``band_rows`` of the two halves of the window's
     matrix: the blocks >= 0 from the normalized coupling vector of the
     site left of the split, which lies on block 0, and the blocks <= -1,
     index order reversed, from that site.  Block j couples to block j + 1
@@ -363,20 +344,17 @@ def gmp_to_jacobi_measure(w: GmpWindow) -> JacobiWindow:
     p0 = w.block(0).p
     e = np.frexp(np.max(np.abs(p0)))[1]  # entries near 1e-160 square to subnormals
     a0 = float(np.ldexp(np.linalg.norm(np.ldexp(p0, -e)), e))
-    plus, minus = _half_bands(w, k0, w.n_blocks, False), _half_bands(w, 0, k0, True)
-    v_plus = np.pad(p0 / a0, (0, plus.shape[1] - per))
+    plus, minus = band_rows(w.rows(k0), w.c), band_rows(w.rows(0, k0), w.c)[::-1, ::-1]
+    v_plus = np.pad(p0 / a0, (0, plus.shape[0] - per))
     check("starting vector norm deviates from 1 by", abs(np.linalg.norm(v_plus) - 1.0), 1e-12)
 
-    def half(bands: np.ndarray, start: np.ndarray) -> JacobiWindow:
-        matvec = numkit.band_operator(bands)
-        depth = bands.shape[1] // per - 1
-        return lanczos(matvec, start, depth, float(np.max(np.abs(bands))), per)
+    def half(rows: np.ndarray, start: np.ndarray) -> JacobiWindow:
+        depth = rows.shape[0] // per - 1
+        return lanczos(numkit.band_operator(rows), start, depth, float(np.max(np.abs(rows))), per)
 
-    jp, jm = half(plus, v_plus), half(minus, np.eye(1, minus.shape[1])[0])
+    jp, jm = half(plus, v_plus), half(minus, np.eye(1, minus.shape[0])[0])
     if jp.size < 2 or jm.size < 2:
-        raise WindowError(
-            "window too narrow to recover a bond on each side of the split"
-        )
+        raise WindowError("window too narrow to recover a bond on each side of the split")
     b_arr = np.concatenate([jm.b[::-1], jp.b])
     a_arr = np.concatenate(([1.0], jm.a[:0:-1], [a0], jp.a[1:]))
     return JacobiWindow(a_arr, b_arr, n_min=-jm.size)

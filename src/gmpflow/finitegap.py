@@ -16,6 +16,7 @@ on every band.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +64,19 @@ def check_distinct_poles(c) -> None:
             raise ValidationError(f"poles at {a} and {b} coincide")
 
 
+def _pairs(entries, name: str) -> tuple[tuple[float, float], ...]:
+    """Pairs given as tuples, lists or the rows of a (g, 2) array, as float
+    pairs; the first entry that is not a pair, ``name[k]``, is refused."""
+    entries = entries.tolist() if isinstance(entries, np.ndarray) else entries
+    if isinstance(entries, str) or not isinstance(entries, Iterable):
+        raise ValidationError(f"{name} = {entries!r} is not a list of pairs")
+    entries = tuple(entries)
+    for k, x in enumerate(entries):
+        if not (len(x) == 2 if isinstance(x, (tuple, list)) else np.shape(x) == (2,)):
+            raise ValidationError(f"{name}[{k}] = {x!r} is not a pair")
+    return tuple((float(a), float(b)) for a, b in entries)
+
+
 @dataclass(frozen=True)
 class GapSet:
     """The set ``[b0, a0]`` minus the open gaps ``(a_j, b_j)``.
@@ -76,23 +90,17 @@ class GapSet:
     gaps: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        vars(self)["gaps"] = tuple((float(a), float(b)) for a, b in self.gaps)  # frozen
+        vars(self)["gaps"] = _pairs(self.gaps, "gaps")  # frozen
         check_entries({"b0": self.b0, "a0": self.a0})
         check_entries({"gaps": np.reshape(self.gaps, (-1, 2))}, "{key}[{0}][{1}]")
         if self.b0 >= self.a0:
-            raise ValidationError(
-                f"outer interval is empty: [{self.b0}, {self.a0}]"
-            )
+            raise ValidationError(f"outer interval is empty: [{self.b0}, {self.a0}]")
         left = self.b0
         for k, (a, b) in enumerate(self.gaps):
             if a >= b:
-                raise ValidationError(
-                    f"gap {k} = ({a}, {b}) is not an increasing pair"
-                )
+                raise ValidationError(f"gap {k} = ({a}, {b}) is not an increasing pair")
             if a <= left:
-                raise ValidationError(
-                    f"gap {k} = ({a}, {b}) overlaps its left neighbour"
-                )
+                raise ValidationError(f"gap {k} = ({a}, {b}) overlaps its left neighbour")
             left = b
         if self.gaps and self.gaps[-1][1] >= self.a0:
             raise ValidationError("last gap reaches beyond the outer interval")
@@ -141,7 +149,7 @@ class DeltaData:
     poles: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        vars(self)["poles"] = tuple((float(c), float(l)) for c, l in self.poles)  # frozen
+        vars(self)["poles"] = _pairs(self.poles, "poles")  # frozen
         check_entries({"lambda0": self.lambda0, "c0": self.c0})
         check_entries({"c": self.cs(), "lambda": self.lams()}, "poles[{0}].{key}", axis=1)
         if self.lambda0 <= 0:

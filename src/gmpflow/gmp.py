@@ -137,9 +137,7 @@ class GmpWindow:
     def block(self, j: int) -> GmpBlock:
         """Block at absolute index j."""
         if not self.j_min <= j <= self.j_max:
-            raise WindowError(
-                f"block {j} outside window [{self.j_min}, {self.j_max}]"
-            )
+            raise WindowError(f"block {j} outside window [{self.j_min}, {self.j_max}]")
         return GmpBlock._view(self.P[j - self.j_min], self.Q[j - self.j_min])
 
     def scalar_index(self, j: int, slot: int) -> int:
@@ -196,15 +194,28 @@ def block_diagonal(stack: np.ndarray) -> np.ndarray:
     return mat
 
 
+def band_rows(blocks: GmpBlock, c: np.ndarray) -> np.ndarray:
+    """Row i of the matrix of a run of blocks (``GmpWindow.rows``) on its
+    entries i - h..i + h, h = g + 1, every entry outside the run zero."""
+    n, per = blocks.p.shape
+    # block row r on blocks r - 1, r, r + 1: A(p_r)^T, B_r and A(p_{r+1})
+    stack = np.zeros((n, per, 3 * per))
+    stack[1:, :, per - 1] = stack[:-1, -1, 2 * per :] = blocks.p[1:]
+    stack[:, :, per : 2 * per] = build_block_B(blocks, c)
+    # slot s holds its band on columns s..s + 2h of its block row
+    band = np.arange(per)[:, None] * (3 * per + 1) + np.arange(2 * per + 1)
+    return stack.reshape(n, -1)[:, band].reshape(n * per, -1)
+
+
 def assemble_dense(window: GmpWindow) -> np.ndarray:
-    """Dense symmetric matrix of the window; banded with halfwidth g+1."""
-    mat = block_diagonal(build_block_B(window.rows(), window.c))
-    per = window.g + 1
-    # Coupling block A(p) = delta_g p^T: last row of block i against all
-    # slots of block i+1.
-    last = np.arange(per - 1, mat.shape[0] - per, per)[:, None]
-    nxt = last + 1 + np.arange(per)
-    mat[last, nxt] = mat[nxt, last] = window.P[1:]
+    """Dense symmetric matrix of the window: its ``band_rows`` placed on a
+    zero matrix."""
+    rows = band_rows(window.rows(), window.c)
+    n, h = rows.shape[0], window.g + 1
+    cols = np.arange(n)[:, None] + np.arange(-h, h + 1)
+    inside = (cols >= 0) & (cols < n)
+    mat = np.zeros((n, n))
+    mat.ravel()[(cols + n * np.arange(n)[:, None])[inside]] = rows[inside]
     return mat
 
 

@@ -3,12 +3,13 @@
 Thin wrappers around LAPACK-backed numpy/scipy routines that add the
 pivot, symmetry and residual checks the rest of the package relies on.
 Matrices are plain float ndarrays; a symmetric banded matrix is passed
-as its upper diagonals, and a tridiagonal one is solved in O(n) under
-the dense solve's contract.  Norms appearing in the contracts are Frobenius
-norms; the fixed tolerances are tuned for the moderate scales used
-throughout (operator norms up to a few units).  scipy is imported inside
-the functions that call it, here, in ``jacobi`` and in ``construct``, so
-that a command which calls none of them starts without it.
+as its upper diagonals, or as its band rows for a loop of products, and
+a tridiagonal one is solved in O(n) under the dense solve's contract.
+Norms appearing in the contracts are Frobenius norms; the fixed
+tolerances are tuned for the moderate scales used throughout (operator
+norms up to a few units).  scipy is imported inside the functions that
+call it, here, in ``jacobi`` and in ``construct``, so that a command
+which calls none of them starts without it.
 """
 
 from __future__ import annotations
@@ -91,7 +92,8 @@ def banded_matvec(bands, x: np.ndarray) -> np.ndarray:
     upper diagonal is ``bands[d]``; x is a vector or a stack of columns.
     Four slice products per diagonal: for one-shot products, as in the
     residual of ``solve_tridiagonal``, ``jacobi_to_gmp`` and
-    ``kappa_pairing``; a loop of products uses ``band_operator``."""
+    ``kappa_pairing``; a loop of products on band rows uses
+    ``band_operator``."""
     n = x.shape[0]
     col = (slice(None),) + (None,) * (x.ndim - 1)
     out = bands[0][:n][col] * x
@@ -102,16 +104,14 @@ def banded_matvec(bands, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def band_operator(bands) -> Callable[[np.ndarray], np.ndarray]:
-    """``banded_matvec`` made once for a loop of products: x -> M[:n, :n] @ x
-    as the stored rows of M, entries i - h..i + h (zero outside M), against
-    the row windows of a zero-padded copy of x; three numpy calls a product
-    at any halfwidth h (copy x in, zero the h slots after it, one vecdot)."""
-    bands = np.asarray(bands, dtype=float)
-    h, size = bands.shape[0] - 1, bands.shape[1]
-    rows = np.zeros((size, 2 * h + 1))
-    for d in range(h + 1):
-        rows[: size - d, h + d] = rows[d:, h - d] = bands[d, : size - d]
+def band_operator(rows) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> M[:n, :n] @ x for a loop of products, M symmetric with row i
+    on its entries i - h..i + h (zero outside M) in ``rows[i]``, as
+    ``gmp.band_rows`` gives them, against the row windows of a zero-padded
+    copy of x; three numpy calls a product at any halfwidth h (copy x in,
+    zero the h slots after it, one vecdot)."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    size, h = rows.shape[0], rows.shape[1] // 2
     buf = np.zeros(size + 2 * h)
     windows = np.lib.stride_tricks.sliding_window_view(buf, 2 * h + 1)  # read-only
 

@@ -5,6 +5,11 @@ quantity that ``gmpflow`` computes another way, kept as the oracle its
 tests compare against:
 
 - ``dense(window)``: the n x n tridiagonal matrix of a Jacobi window;
+- ``block_assembly(window)``: the dense matrix of a GMP window put
+  together block by block, the diagonal blocks of ``build_block_B`` and
+  then the couplings, the way ``gmp.assemble_dense`` built it before it
+  placed ``gmp.band_rows``; the rows must give its bits, signs of zero
+  included;
 - ``spectral_measure_plus``: the spectral measure of a one-sided window
   at e_0, from the dense eigensolve;
 - ``moment`` and ``cauchy_transform`` of a ``DiscreteMeasure``;
@@ -37,9 +42,9 @@ from functools import partial
 
 import numpy as np
 
-from gmpflow import construct, numkit
+from gmpflow import numkit
 from gmpflow.errors import NumericalError, SpectrumProximityError, WindowError
-from gmpflow.gmp import GmpBlock, GmpWindow, _chain_plan
+from gmpflow.gmp import GmpBlock, GmpWindow, _chain_plan, band_rows, block_diagonal, build_block_B
 from gmpflow.isospectral import FD_STEP_REL, MAX_ITERATIONS, SOLVE_TARGET
 from gmpflow.jacobi import DiscreteMeasure, JacobiWindow, resolvent_r, spectrum_near
 
@@ -51,6 +56,18 @@ def dense(window: JacobiWindow) -> np.ndarray:
     off = window.a[1:]
     mat[np.arange(window.size - 1), np.arange(1, window.size)] = off
     mat[np.arange(1, window.size), np.arange(window.size - 1)] = off
+    return mat
+
+
+def block_assembly(window: GmpWindow) -> np.ndarray:
+    """Dense symmetric matrix of a GMP window: the ``build_block_B`` blocks
+    on the diagonal, then the coupling A(p) = delta_g p^T of each block
+    but the first, slot g of the block before against its slots."""
+    mat = block_diagonal(build_block_B(window.rows(), window.c))
+    per = window.g + 1
+    last = np.arange(per - 1, mat.shape[0] - per, per)[:, None]
+    nxt = last + 1 + np.arange(per)
+    mat[last, nxt] = mat[nxt, last] = window.P[1:]
     return mat
 
 
@@ -145,26 +162,28 @@ def cgs2_lanczos(matvec, start: np.ndarray, depth: int, grow: int):
     return b, a
 
 
-def longdouble_lanczos(bands, start, depth: int, grow: int):
-    """``cgs2_lanczos`` on the symmetric banded matrix with upper diagonals
-    ``bands``, in ``np.longdouble``, its double input taken as exact."""
-    matvec = partial(numkit.banded_matvec, np.asarray(bands, np.longdouble))
+def longdouble_lanczos(rows, start, depth: int, grow: int):
+    """``cgs2_lanczos`` on the symmetric banded matrix of the band rows
+    ``rows`` (row i: entries i - h..i + h), in ``np.longdouble``, its double
+    input taken as exact, by ``numkit.banded_matvec`` on its diagonals."""
+    rows = np.asarray(rows, np.longdouble)
+    n, h = rows.shape[0], rows.shape[1] // 2
+    matvec = partial(numkit.banded_matvec, [rows[: n - d, h + d] for d in range(h + 1)])
     return cgs2_lanczos(matvec, np.asarray(start, np.longdouble), depth, grow)
 
 
 def longdouble_jacobi(w: GmpWindow) -> tuple[np.ndarray, np.ndarray]:
     """b and a of ``construct.gmp_to_jacobi_measure(w)`` in its site order,
-    from ``longdouble_lanczos`` on the band storage of the same two halves
+    from ``longdouble_lanczos`` on the band rows of the same two halves
     at the same start vectors and depths, and a(0) = |p| of block 0."""
     per, k0 = w.g + 1, -w.j_min
     p0 = np.asarray(w.block(0).p, np.longdouble)
     a0 = np.sqrt(p0 @ p0)
-    plus = construct._half_bands(w, k0, w.n_blocks, False)
-    minus = construct._half_bands(w, 0, k0, True)
-    bp, ap = longdouble_lanczos(plus, np.pad(p0 / a0, (0, plus.shape[1] - per)),
-                                plus.shape[1] // per - 1, per)
-    bm, am = longdouble_lanczos(minus, np.eye(1, minus.shape[1])[0],
-                                minus.shape[1] // per - 1, per)
+    plus, minus = band_rows(w.rows(k0), w.c), band_rows(w.rows(0, k0), w.c)[::-1, ::-1]
+    bp, ap = longdouble_lanczos(plus, np.pad(p0 / a0, (0, plus.shape[0] - per)),
+                                plus.shape[0] // per - 1, per)
+    bm, am = longdouble_lanczos(minus, np.eye(1, minus.shape[0])[0],
+                                minus.shape[0] // per - 1, per)
     return np.concatenate([bm[::-1], bp]), np.concatenate(([1.0], am[:0:-1], [a0], ap[1:]))
 
 

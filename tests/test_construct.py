@@ -27,7 +27,7 @@ from gmpflow.errors import (
 )
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
 from gmpflow.flow import flow_run
-from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense
+from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense, band_rows
 from gmpflow.jacobi import (
     LANCZOS_FULL_STEPS,
     DiscreteMeasure,
@@ -879,9 +879,9 @@ class TestGmpToJacobiMeasure:
         J = gmp_to_jacobi_measure(cut)
         assert (J.n_min, J.n_max) == (-60, 39)
         k0, p0 = -cut.j_min, cut.block(0).p
-        bands = construct._half_bands(cut, k0, k0 + 20, False)
+        rows = band_rows(cut.rows(k0, k0 + 20), cut.c)
         start = np.pad(p0 / np.linalg.norm(p0), (0, 38))
-        b_ref, a_ref = longdouble_lanczos(bands, start, 39, 2)
+        b_ref, a_ref = longdouble_lanczos(rows, start, 39, 2)
         b, a = half_coefficients(J, 1)
         assert np.max(np.abs(b - b_ref)) <= 1e-13
         assert np.max(np.abs(a[:-1] - a_ref[1:-1])) <= 1e-13
@@ -913,10 +913,10 @@ class TestBandOperator:
         k0, A = -w.j_min, assemble_dense(w)
         i0 = w.scalar_index(0, 0)
         if plus:
-            bands, mat = construct._half_bands(w, k0, w.n_blocks, False), A[i0:, i0:]
+            rows, mat = band_rows(w.rows(k0), w.c), A[i0:, i0:]
         else:
-            bands, mat = construct._half_bands(w, 0, k0, True), A[i0 - 1 :: -1, i0 - 1 :: -1]
-        matvec = numkit.band_operator(bands)
+            rows, mat = band_rows(w.rows(0, k0), w.c)[::-1, ::-1], A[i0 - 1 :: -1, i0 - 1 :: -1]
+        matvec = numkit.band_operator(rows)
         size = mat.shape[0]
         rng = np.random.default_rng([g, size])
         for n in [*range(1, size + 1), *range(size, 0, -1)]:

@@ -138,6 +138,28 @@ class TestGapSet:
             GapSet(b0, a0, gaps)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("gaps, message", [
+        (((1.0, 1.5, 1.7),), "gaps[0] = (1.0, 1.5, 1.7) is not a pair"),
+        ((1.0,), "gaps[0] = 1.0 is not a pair"),
+        ([[-1.0, 0.5], [1.0]], "gaps[1] = [1.0] is not a pair"),
+        (np.zeros((1, 3)), "gaps[0] = [0.0, 0.0, 0.0] is not a pair"),
+        (np.ones(2), "gaps[0] = 1.0 is not a pair"),
+        (5, "gaps = 5 is not a list of pairs"),
+        ("ab", "gaps = 'ab' is not a list of pairs"),
+    ], ids=["triple", "scalar", "second-single", "array-row-of-3", "vector", "int", "str"])
+    def test_entry_that_is_not_a_pair_is_named(self, gaps, message):
+        with pytest.raises(ValidationError) as info:
+            GapSet(-2.0, 2.0, gaps)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("gaps", [
+        ((-1.0, 0.5), (1.0, 1.5)), [[-1.0, 0.5], [1.0, 1.5]],
+        np.array([[-1.0, 0.5], [1.0, 1.5]]), [np.array([-1.0, 0.5]), (1.0, 1.5)],
+        iter([(-1.0, 0.5), (1.0, 1.5)]),
+    ], ids=["tuples", "lists", "array", "array-rows", "iterator"])
+    def test_pairs_of_any_form_are_accepted(self, gaps):
+        assert GapSet(-2.0, 2.0, gaps).gaps == ((-1.0, 0.5), (1.0, 1.5))
+
     def test_json_round_trip(self, estar_gapset):
         data = estar_gapset.to_json()
         assert data == {"b0": -2.0, "a0": 2.0, "gaps": [[-1.0, 1.0]]}
@@ -359,6 +381,23 @@ class TestDeltaDataSquares:
 
 
 class TestDeltaDataPoles:
+    @pytest.mark.parametrize("poles, message", [
+        ([(0.5,)], "poles[0] = (0.5,) is not a pair"),
+        (((0.5, 1.0), (0.7, 1.0, 2.0)), "poles[1] = (0.7, 1.0, 2.0) is not a pair"),
+        ([0.5, 1.0], "poles[0] = 0.5 is not a pair"),
+        (5, "poles = 5 is not a list of pairs"),
+        (None, "poles = None is not a list of pairs"),
+    ], ids=["single", "second-triple", "flat", "int", "none"])
+    def test_entry_that_is_not_a_pair_is_named(self, poles, message):
+        with pytest.raises(ValidationError) as info:
+            DeltaData(1.0, 0.0, poles)
+        assert str(info.value) == message
+
+    def test_pairs_of_any_form_are_accepted(self):
+        want = ((-0.5, 1.0), (0.5, 2.0))
+        for poles in (want, [list(p) for p in want], np.array(want), zip((-0.5, 0.5), (1.0, 2.0))):
+            assert DeltaData(1.0, 0.0, poles).poles == want
+
     @pytest.mark.parametrize(
         "cs", [(0.3, -0.8, 0.3), (0.0, 1e-12), (1e3, 1e3 + 5e-10)],
         ids=["equal", "absolute", "relative"],

@@ -22,6 +22,7 @@ from gmpflow.gmp import (
     GmpBlock,
     GmpWindow,
     assemble_dense,
+    band_rows,
     bp_factor,
     bp_factor_inf,
     build_block_B,
@@ -34,8 +35,8 @@ from gmpflow.gmp import (
     validate_gmp,
 )
 
-from conftest import make_p1_block, make_p1_window, stack_window
-from oracles import tril_triu_block_B, whole_plan_lambda_sharp
+from conftest import make_p1_block, make_p1_window, roundtrip_inputs, stack_window
+from oracles import block_assembly, tril_triu_block_B, whole_plan_lambda_sharp
 
 
 def random_block(rng: np.random.Generator, g: int) -> GmpBlock:
@@ -384,6 +385,48 @@ class TestAssembleDense:
                 for j in range(n):
                     if abs(i - j) > g + 1:
                         assert mat[i, j] == 0.0
+
+
+def dense_band(mat: np.ndarray, h: int) -> np.ndarray:
+    """Row i holds the entries i - h..i + h of ``mat``, zero outside it."""
+    n = mat.shape[0]
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(mat, ((0, 0), (h, h))), 2 * h + 1, 1)
+    return windows[np.arange(n), np.arange(n)]
+
+
+def bitwise_equal(x: np.ndarray, y: np.ndarray) -> bool:
+    return np.array_equal(x, y) and np.array_equal(np.signbit(x), np.signbit(y))
+
+
+class TestBandRows:
+    @staticmethod
+    def signed_zero_window(g: int, n_blocks: int = 41) -> GmpWindow:
+        """A round-trip window whose p_0..p_{g-1} of every third block and
+        q of every fourth are -0.0."""
+        _, w = roundtrip_inputs(g, 41)
+        P, Q = w.P[:n_blocks].copy(), w.Q[:n_blocks].copy()
+        P[::3, :g], Q[1::4] = -0.0, -0.0
+        return GmpWindow(P, Q, w.c, w.j_min)
+
+    @pytest.mark.parametrize("g", [0, 1, 2, 4, 8])
+    def test_window_and_both_halves_are_the_block_assembly(self, g):
+        w = self.signed_zero_window(g)
+        ref, h = block_assembly(w), g + 1
+        assert np.signbit(ref[ref == 0.0]).any() == (g > 0)  # couplings p_0..p_{g-1}
+        assert bitwise_equal(assemble_dense(w), ref)
+        assert bitwise_equal(band_rows(w.rows(), w.c), dense_band(ref, h))
+        # the halves of gmp_to_jacobi_measure, the minus one in reversed order
+        k0, i0 = -w.j_min, w.scalar_index(0, 0)
+        assert bitwise_equal(band_rows(w.rows(k0), w.c), dense_band(ref[i0:, i0:], h))
+        minus = band_rows(w.rows(0, k0), w.c)[::-1, ::-1]
+        assert bitwise_equal(minus, dense_band(ref[i0 - 1 :: -1, i0 - 1 :: -1], h))
+
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
+    @pytest.mark.parametrize("g", [0, 1, 4])
+    def test_short_windows(self, g, n_blocks):
+        w = self.signed_zero_window(g, n_blocks)
+        assert bitwise_equal(assemble_dense(w), block_assembly(w))
+        assert bitwise_equal(band_rows(w.rows(), w.c), dense_band(block_assembly(w), g + 1))
 
 
 class TestPatternDefect:

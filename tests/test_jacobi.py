@@ -2,7 +2,6 @@ import json
 import math
 import re
 import warnings
-from functools import partial
 
 import mpmath
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from conftest import half_line_measures, make_p1_block, make_perturbed_window
-from gmpflow import construct, jacobi, numkit
+from gmpflow import jacobi, numkit
 from gmpflow.errors import (
     NumericalError,
     SingularMatrixError,
@@ -19,7 +18,7 @@ from gmpflow.errors import (
     WindowError,
 )
 from gmpflow.finitegap import SQUARE_MAX
-from gmpflow.gmp import GmpWindow
+from gmpflow.gmp import GmpWindow, band_rows
 from gmpflow.jacobi import (
     LANCZOS_FULL_STEPS,
     DiscreteMeasure,
@@ -33,6 +32,7 @@ from gmpflow.jacobi import (
     spectrum_near,
 )
 from oracles import (
+    block_assembly,
     cauchy_transform,
     cgs2_lanczos,
     dense,
@@ -366,18 +366,15 @@ class TestLanczosFromMeasure:
 class TestLanczos:
     @staticmethod
     def plus_half(half: int = 300):
-        """Band storage, start and depth of the plus half of a 2 * half + 1
-        block window at g = 1: halfwidth 2, half + 1 steps."""
+        """Band rows, dense matrix, start and depth of the plus half of a
+        2 * half + 1 block window at g = 1: halfwidth 2, half + 1 steps."""
         w = make_perturbed_window(make_p1_block(), [0.0], half=half)
-        bands = construct._half_bands(w, half, w.n_blocks, False)
-        return bands, np.eye(1, bands.shape[1])[0], bands.shape[1] // 2 - 1
+        rows, i0 = band_rows(w.rows(half), w.c), w.scalar_index(0, 0)
+        return rows, block_assembly(w)[i0:, i0:], np.eye(1, rows.shape[0])[0], half
 
     def test_banded_basis_vanishes_beyond_its_staircase(self):
-        bands, start, depth = self.plus_half()
-        grow, n = 2, bands.shape[1]
-        dense = np.diag(bands[0])
-        for d in range(1, grow + 1):
-            dense += np.diag(bands[d][: n - d], d) + np.diag(bands[d][: n - d], -d)
+        rows, dense, start, depth = self.plus_half()
+        grow = 2
         seen = []
 
         def full(v):
@@ -385,22 +382,22 @@ class TestLanczos:
             return dense @ v
 
         # grow = n: every step reads every row
-        ref = lanczos(full, start, depth, 1.0, n)
+        ref = lanczos(full, start, depth, 1.0, dense.shape[0])
         assert ref.size == depth + 1
         for k, vec in enumerate(seen):
             assert not np.any(vec[(k + 1) * grow :])
-        got = lanczos(partial(numkit.banded_matvec, bands), start, depth, 1.0, grow)
+        got = lanczos(numkit.band_operator(rows), start, depth, 1.0, grow)
         assert np.max(np.abs(got.b - ref.b)) <= 1e-13
         assert np.max(np.abs(got.a - ref.a)) <= 1e-13
 
     def test_full_steps_are_the_cgs2_loop_bitwise(self):
         # b(0..31) and a(1..32) come from the full projections alone, with
         # either product; band_operator is the one gmp_to_jacobi_measure runs
-        bands, start, depth = self.plus_half()
+        rows, dense, start, depth = self.plus_half()
         k = LANCZOS_FULL_STEPS
-        for operator in (lambda bands: partial(numkit.banded_matvec, bands), numkit.band_operator):
-            got = lanczos(operator(bands), start, depth, 1.0, 2)
-            b_ref, a_ref = cgs2_lanczos(operator(bands), start, depth, 2)
+        for matvec in (numkit.band_operator(rows), lambda v: dense[: v.size, : v.size] @ v):
+            got = lanczos(matvec, start, depth, 1.0, 2)
+            b_ref, a_ref = cgs2_lanczos(matvec, start, depth, 2)
             assert np.array_equal(got.b[:k], b_ref[:k])
             assert np.array_equal(got.a[: k + 1], a_ref[: k + 1])
             assert not np.array_equal(got.b, b_ref)
