@@ -9,8 +9,11 @@ The calls are every job of perfbench's pools of every workload at seeds
 (``tests/conftest.roundtrip_inputs``): ``--width 5`` at genus 2 and 4
 on 961 blocks, which no perfbench pool reaches, and ``--width 21`` and
 ``--width 41`` at genus 1 on 241 blocks, too short for either;
-``gmpflow selftest``, and every case of the typed-failure grid of
-``tests/test_failure_grid.py``.  Each runs in
+``flow --steps 8`` and ``ks --steps 8`` on the 121-block round-trip
+windows at genus 4 and 8, past the genus 2 of the ``flow_orbit`` and
+``ks_table`` pools (the closed-form check of ``ks`` fills block j-1's
+partial chain only at g >= 2); ``gmpflow selftest``, and every case of
+the typed-failure grid of ``tests/test_failure_grid.py``.  Each runs in
 process through ``gmpflow.cli.main`` with BLAS on one thread.  A job's
 digest lines hash, for each of its calls, the exit code (or the uncaught
 exception), stdout and stderr, together with the bytes of the files that
@@ -64,6 +67,8 @@ NARROW_SEED = 1
 # (g, n_blocks, jacobi2gmp widths): 241 blocks at g = 1 cannot carry widths
 # 21 and 41, which must be refused, not read off wrong
 ROUNDTRIPS = ((2, 961, (5,)), (4, 961, (5,)), (1, 241, (21, 41)))
+# (g, n_blocks) of the windows that ``flow`` and ``ks`` run on
+FLOW_RUNS = ((4, 121), (8, 121))
 ELAPSED = re.compile(r" \(\d+\.\d\d s\) ")
 
 
@@ -119,6 +124,22 @@ def roundtrip_pool(work: Path) -> Pool:
     return Pool("roundtrip", jobs, {}, 0.0)
 
 
+def flow_pool(work: Path) -> Pool:
+    """One job per ``FLOW_RUNS`` (g, n_blocks): ``flow --steps 8`` and ``ks
+    --steps 8`` on the round-trip window, inputs written to ``work``."""
+    jobs = []
+    for g, n_blocks in FLOW_RUNS:
+        d, w = roundtrip_inputs(g, n_blocks)
+        window, cmap = (work / f"g{g}-n{n_blocks}{part}.json" for part in ("", ".map"))
+        outs = [work / f"g{g}-n{n_blocks}.{cmd}.csv" for cmd in ("flow", "ks")]
+        window.write_text(json.dumps(w.to_json()))
+        cmap.write_text(json.dumps(d.to_json()))
+        calls = [["flow", str(window), "--steps", "8", "--out", str(outs[0])],
+                 ["ks", str(window), str(cmap), "--steps", "8", "--out", str(outs[1])]]
+        jobs.append(Job(f"g{g}-n{n_blocks}", calls, outs, check=None))
+    return Pool("flow", jobs, {}, 0.0)
+
+
 def main() -> int:
     (ROOT / ".bench_run").mkdir(exist_ok=True)
     work = Path(tempfile.mkdtemp(prefix="identity-", dir=ROOT / ".bench_run"))
@@ -135,6 +156,8 @@ def main() -> int:
         pools.append((f"narrow{NARROW_SEED}", narrow_gap_pool(NARROW_SEED, Path("narrow"))))
         Path("roundtrip").mkdir()
         pools.append(("roundtrip", roundtrip_pool(Path("roundtrip"))))
+        Path("flow").mkdir()
+        pools.append(("flow", flow_pool(Path("flow"))))
         for name, pool in pools:
             for line in pool_lines(name, pool):
                 print(line, flush=True)

@@ -498,10 +498,10 @@ class Counting:
             self.delta_states += len(states)
             return self._delta(states, *args, **kwargs)
 
-        def closed(pairs):
+        def closed(P, Q, c):
             self.closed_calls += 1
-            self.closed_pairs += len(pairs)
-            return self._closed(pairs)
+            self.closed_pairs += len(P)  # one block stack per pair
+            return self._closed(P, Q, c)
 
         def h_term(*args):
             self.h_term_calls += 1

@@ -147,6 +147,13 @@ def read_numbers(record, spec: str, kind: type = float):
     raise refusal(lambda x: (why := _why(x, kind)) and "{value} " + why)
 
 
+def check_numbers(values, name) -> None:
+    """``read_numbers``' leaf rule for numbers made in process (numpy's too), by ``name(i)``."""
+    for i, x in enumerate(values):
+        if type(x) is not float and (why := _why(x.item() if isinstance(x, np.generic) else x, float)):
+            raise ValidationError(f"{name(i)} = {x!r} {why}")
+
+
 def _why(x, kind: type) -> str | None:
     """What is wrong with the leaf x, or None."""
     number = type(x) is not bool and isinstance(x, (int, float))

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import DegenerateGapError, PoleEvaluationError, ValidationError, check, read_numbers
+from .errors import (DegenerateGapError, PoleEvaluationError, ValidationError, check,
+                     check_numbers, read_numbers)
 
 GAP_REL_TOL = 1e-12
 # Relative distance within which two poles, or a point and a pole, coincide.
@@ -64,9 +65,10 @@ def check_distinct_poles(c) -> None:
             raise ValidationError(f"poles at {a} and {b} coincide")
 
 
-def _pairs(entries, name: str) -> tuple[tuple[float, float], ...]:
+def _pairs(entries, name: str, leaf) -> tuple[tuple[float, float], ...]:
     """Pairs given as tuples, lists or the rows of a (g, 2) array, as float
-    pairs; the first entry that is not a pair, ``name[k]``, is refused."""
+    pairs; the first entry that is not a pair, ``name[k]``, is refused,
+    then the first that is not a number, entry i of pair k as ``leaf(k, i)``."""
     entries = entries.tolist() if isinstance(entries, np.ndarray) else entries
     if isinstance(entries, str) or not isinstance(entries, Iterable):
         raise ValidationError(f"{name} = {entries!r} is not a list of pairs")
@@ -74,7 +76,8 @@ def _pairs(entries, name: str) -> tuple[tuple[float, float], ...]:
     for k, x in enumerate(entries):
         if not (len(x) == 2 if isinstance(x, (tuple, list)) else np.shape(x) == (2,)):
             raise ValidationError(f"{name}[{k}] = {x!r} is not a pair")
-    return tuple((float(a), float(b)) for a, b in entries)
+    check_numbers(flat := [v for x in entries for v in x], lambda i: leaf(i // 2, i % 2))
+    return tuple(zip(map(float, flat[::2]), map(float, flat[1::2])))
 
 
 @dataclass(frozen=True)
@@ -90,7 +93,8 @@ class GapSet:
     gaps: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        vars(self)["gaps"] = _pairs(self.gaps, "gaps")  # frozen
+        check_numbers((self.b0, self.a0), ("b0", "a0").__getitem__)
+        vars(self)["gaps"] = _pairs(self.gaps, "gaps", "gaps[{}][{}]".format)  # frozen
         check_entries({"b0": self.b0, "a0": self.a0})
         check_entries({"gaps": np.reshape(self.gaps, (-1, 2))}, "{key}[{0}][{1}]")
         if self.b0 >= self.a0:
@@ -149,7 +153,9 @@ class DeltaData:
     poles: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        vars(self)["poles"] = _pairs(self.poles, "poles")  # frozen
+        check_numbers((self.lambda0, self.c0), ("lambda0", "c0").__getitem__)
+        vars(self)["poles"] = _pairs(  # frozen
+            self.poles, "poles", lambda k, i: f"poles[{k}].{('c', 'lambda')[i]}")
         check_entries({"lambda0": self.lambda0, "c0": self.c0})
         check_entries({"c": self.cs(), "lambda": self.lams()}, "poles[{0}].{key}", axis=1)
         if self.lambda0 <= 0:

@@ -19,7 +19,6 @@ whose reciprocals enter the closed-form resolvent columns.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -390,41 +389,29 @@ def validate_gmp(window: GmpWindow, floor: float = VALIDITY_FLOOR, state: str = 
     return vals
 
 
-def resolvent_column(pairs: Sequence[tuple[GmpWindow, int]]) -> list[np.ndarray | None]:
+def resolvent_column(P: np.ndarray, Q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Columns of (c_1 - A)^{-1} at slot 0 of block j, in closed form, for
-    a stack of (window, j) pairs whose windows share one nonempty pole list.
+    a stack of pairs: ``P`` and ``Q``, (pair, 5, g + 1), hold the blocks
+    j-2..j+2 of each, and c is the nonempty pole list.
 
-    Each window must contain the blocks j-1, j, j+1, which support its
-    window-aligned column.  The pair functionals at c_1 of the blocks
-    (j+1, j) and (j, j-1) and their partial chains come from one
-    ``lambda_sharp`` call.  Block j+1 is the reciprocal of the first on
-    slot 0 and zero elsewhere; block j-1 is the partial row chain of the
-    second divided by it, with slot g from orthogonality to its p; the
-    middle block comes from one stacked least-squares pseudo-inverse with
-    the cutoff of ``np.linalg.lstsq`` (the system may be singular at the
-    pole).  Each column is checked on the block rows j-2..j+2 its window
-    holds.  A pair whose functional vanishes has no closed form: None.
+    One ``lambda_sharp`` call gives the pair functionals at c_1 of the
+    blocks (j+1, j) and (j, j-1) and their partial chains.  Block j+1 is
+    the reciprocal of the first on slot 0 and zero elsewhere; block j-1
+    the partial row chain of the second divided by it, slot g from
+    orthogonality to its p; block j one stacked pseudo-inverse with the
+    cutoff of ``np.linalg.lstsq`` (the system may be singular at the
+    pole).  Each column is checked on block rows j-2..j+2.  Returns the
+    indices of the pairs whose functionals do not vanish (the others
+    have no closed form) and their columns on blocks j-1..j+1.
     """
-    if not pairs:
-        return []
-    c, g = pairs[0][0].c, pairs[0][0].g
-    ps, qs = np.zeros((2, len(pairs), 5, g + 1))  # blocks j-2..j+2, zero beyond the window
-    held = np.zeros((len(pairs), 5), dtype=bool)
-    for m, (window, j) in enumerate(pairs):
-        if not np.array_equal(window.c, c):
-            raise ValidationError("stacked resolvent columns need one pole list")
-        if window.j_min > j - 1 or window.j_max < j + 1:
-            raise WindowError(f"window must contain blocks {j - 1}..{j + 1} for a resolvent column")
-        lo, hi = max(window.j_min - j, -2) + 2, min(window.j_max - j, 2) + 3
-        rows = slice(j - window.j_min - 2 + lo, j - window.j_min - 2 + hi)
-        ps[m, lo:hi], qs[m, lo:hi], held[m, lo:hi] = window.P[rows], window.Q[rows], True
+    g = P.shape[-1] - 1
     # the pairs (block j, block j-1) and (block j+1, block j), rows 2m and 2m+1 of the chain
-    this, nxt = GmpBlock._view(ps[:, 1:3], qs[:, 1:3]), GmpBlock._view(ps[:, 2:4], qs[:, 2:4])
+    this, nxt = GmpBlock._view(P[:, 1:3], Q[:, 1:3]), GmpBlock._view(P[:, 2:4], Q[:, 2:4])
     states = []
     lams = lambda_sharp(nxt, this, c, states=states)[..., 0]
     ok = np.flatnonzero(np.min(abs(lams), 1) > 1e-12 * np.max(abs(lams), 1, initial=1.0))
     chains = np.stack(states)[..., 0, :].reshape(len(states), 2, 2, -1, 2)[..., ok, :]
-    P, Q, held, (lam_m1, lam_0), c1 = ps[ok], qs[ok], held[ok], lams[ok].T, c[0]
+    P, Q, (lam_m1, lam_0), c1 = P[ok], Q[ok], lams[ok].T, c[0]
     xs = np.zeros_like(P)  # the columns on blocks j-2..j+2
     xs[:, 1, 0], xs[:, 3, 0] = 1.0 / lam_m1, 1.0 / lam_0
     # Block j-1: slot l in 1..g-1 pairs (p_l, q_l) with the row chain
@@ -450,12 +437,6 @@ def resolvent_column(pairs: Sequence[tuple[GmpWindow, int]]) -> list[np.ndarray 
     res[:, :4, g] -= np.vecdot(P[:, 1:], xs[:, 1:])  # coupling to the block above
     res[:, 1:] -= P[:, 1:] * xs[:, :4, g:]  # coupling to the block below
     res[:, 2, 0] -= 1.0
-    residual = np.max(np.abs(res), axis=(1, 2), where=held[..., None], initial=0.0)
-    check("closed-form column residual", residual,
+    check("closed-form column residual", np.max(np.abs(res), axis=(1, 2), initial=0.0),
           1e-8 * np.max(np.abs(xs), axis=(1, 2), initial=1.0))
-    out: list[np.ndarray | None] = [None] * len(pairs)
-    for x, m in zip(xs, ok):
-        window, j = pairs[m]
-        out[m] = np.zeros((g + 1) * window.n_blocks)
-        out[m][(j - window.j_min - 1) * (g + 1) : (j - window.j_min + 2) * (g + 1)] = x[1:4].ravel()
-    return out
+    return ok, xs[:, 1:4]

@@ -13,8 +13,8 @@ closed-form resolvent columns in one stacked call.  A flow step is an
 orthogonal block conjugation followed by a one-slot shift, and the map
 commutes with both, so ``map_run`` maps a flow run with two eigensolves:
 the eigen route at its ends, and every state between carried from the
-one before (``carry_blocks``).  Both routes share one sign normalisation
-(``normalized_blocks``).
+normalized blocks of the one before (``carry_blocks``).  Both routes
+share one sign normalisation (``normalized_blocks``).
 This module sums the per-block entropy terms,
 evaluates the exact one-step drop of the functional under the flow,
 checks the telescoping identity relating a flow run to a single shift,
@@ -68,7 +68,7 @@ class DeltaBlocks:
     which keeps the log-determinant terms real.  ``signs``, when the
     blocks come from a window (see ``normalized_blocks``), holds in row i
     the signs applied to the slots of block j_lo + i, those of block
-    j_lo - 1 being kept; ``raw`` undoes them.
+    j_lo - 1 being kept; ``carry_blocks`` folds them into its rotations.
     """
 
     j_lo: int
@@ -99,15 +99,6 @@ class DeltaBlocks:
             raise WindowError(f"coupling block {j} outside trusted range")
         return self.v_blocks[j - self.j_lo]
 
-    def raw(self) -> tuple[np.ndarray, np.ndarray]:
-        """Coupling and diagonal blocks in the sign gauge of the window they
-        were mapped from: ``signs`` undone, which is exact."""
-        if self.signs is None:
-            raise ValidationError("blocks without their signs have no raw form")
-        prev = np.vstack([np.ones_like(self.signs[:1]), self.signs[:-1]])
-        return (_flip(self.v_blocks, prev, self.signs),
-                _flip(self.w_blocks, self.signs[:-1], self.signs[:-1]))
-
     def column_shares(self, first: int, last: int) -> np.ndarray:
         """Entropy share of each scalar column of block rows first..last.
 
@@ -130,11 +121,6 @@ class DeltaBlocks:
         return 0.5 * norm_sq - 1.0 - np.log(outer)
 
 
-def _flip(blocks: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Each block times the signs of its rows and of its columns."""
-    return (rows[:, :, None] * cols[:, None, :]) * blocks
-
-
 def normalized_blocks(
     j_lo: int, raw_v: np.ndarray, raw_w: np.ndarray, scale: float, state: str = ""
 ) -> DeltaBlocks:
@@ -148,8 +134,8 @@ def normalized_blocks(
     check(lambda _: f"{state}vanishing coupling block diagonal entry", np.min(np.abs(diag)),
           DIAGONAL_FLOOR_REL * scale, floor=True)
     eps = np.cumprod(np.sign(diag), axis=0)
-    eps_prev = np.vstack([np.ones_like(eps[:1]), eps[:-1]])
-    return DeltaBlocks(j_lo, _flip(raw_v, eps_prev, eps), _flip(raw_w, eps[:-1], eps[:-1]), eps)
+    row = np.vstack([np.ones_like(eps[:1]), eps])[:, :, None]  # block j_lo - 1's kept
+    return DeltaBlocks(j_lo, row[:-1] * eps[:, None] * raw_v, row[1:-1] * eps[:-1, None] * raw_w, eps)
 
 
 def check_margin(margin: int) -> None:
@@ -178,10 +164,9 @@ def delta_of_gmp(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list
     reproduces the doubly infinite operator.  Every column of the trusted
     rows is checked against that band, lower triangular couplings
     included.  From the same eigendecomposition, the resolvent column at
-    the first pole and slot 0 of block 0 is cross-checked against its
-    closed form whenever the trusted rows reach blocks -1..1, and that
-    of block 1 whenever they reach blocks 0..2; the closed forms of every
-    window come from one stacked ``resolvent_column`` call.
+    the first pole and slot 0 of block j, j = 0 and 1, is checked against
+    its closed form wherever the trusted rows reach blocks j-1..j+1, all
+    in one ``resolvent_column`` call on the blocks j-2..j+2.
     """
     if not states:
         raise ValidationError("a run has at least one window")
@@ -199,7 +184,7 @@ def delta_of_gmp(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list
 
     per = d.g + 1
     tri = np.tri(per, dtype=bool)  # the coupling right of each diagonal block
-    out, pairs, checks = [], [], []
+    out, checks = [], []
     for window in states:
         j_lo, j_hi, n = window.j_min + margin, window.j_max - margin, window.n_blocks
         mat = assemble_dense(window)
@@ -229,41 +214,44 @@ def delta_of_gmp(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list
             if d.g and j_lo <= j - 1 and j_hi >= j + 1:
                 # trusted rows of the column of (c_1 - A)^{-1} at slot 0 of block j
                 col = (vecs[trusted] / (c[0] - vals)) @ vecs[window.scalar_index(j, 0)]
-                pairs.append((window, j))
-                checks.append((trusted, col))
+                i = j - 2 - window.j_min  # blocks j-2..j+2: the margin keeps them inside
+                checks.append((col, (j - 1 - j_lo) * per, window.P[i : i + 5], window.Q[i : i + 5]))
 
         out.append(normalized_blocks(j_lo, raw_v, raw_w[:-1], m_scale))
 
-    for (trusted, col), closed in zip(checks, resolvent_column(pairs)):
-        if closed is None:  # the closed form is undefined here
-            continue
-        check("resolvent column deviates from its closed form by",
-              np.max(np.abs(col - closed[trusted])), RESOLVENT_CHECK_TOL)
+    if checks:
+        cols, at, P, Q = zip(*checks)  # at: where block j-1 starts in the trusted rows
+        ok, closed = resolvent_column(np.array(P), np.array(Q), c)
+        for m, x in zip(ok, closed):
+            cols[m][at[m] : at[m] + 3 * per] -= x.ravel()  # zero off blocks j-1..j+1
+            check("resolvent column deviates from its closed form by", np.max(np.abs(cols[m])),
+                  RESOLVENT_CHECK_TOL)
     return out
 
 
-def carry_blocks(
-    window: GmpWindow, j_lo: int, raw_v: np.ndarray, raw_w: np.ndarray, state: str = ""
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Raw mapped blocks of the flow step of ``window`` from its own.
+def carry_blocks(window: GmpWindow, db: DeltaBlocks,
+                 state: str = "") -> tuple[np.ndarray, np.ndarray, float]:
+    """Raw mapped blocks of the flow step of ``window`` from its own, ``db``.
 
     The step conjugates by the ``u_block`` rotations and shifts by one
-    slot, and the comb map commutes with both.  So the raw couplings
-    j_lo..j_hi + 1 and diagonal blocks j_lo..j_hi are conjugated by the
-    rotations of blocks j_lo - 1..j_hi + 1 and re-blocked: new block j is
-    old block j's slots 1..g and old block j + 1's slot 0.  Returns the
-    couplings j_lo + 1..j_hi and diagonal blocks j_lo + 1..j_hi - 1 of the
-    stepped window (its eigen route's trusted range) and the scale of
-    the conjugated blocks.  Entries the shift leaves outside the band
-    (slot 0 of a conjugated coupling against its slots 1..g, the upper
+    slot, and the comb map commutes with both.  So the blocks of ``db``
+    are conjugated by the rotations of blocks j_lo - 1..j_hi + 1, with
+    ``db.signs`` in their rows (the raw blocks' conjugation, bit for bit:
+    a sign flip is exact), and re-blocked: new block j is old block j's
+    slots 1..g and old block j + 1's slot 0.  Returns the couplings
+    j_lo + 1..j_hi and diagonal blocks j_lo + 1..j_hi - 1 of the stepped
+    window (its eigen route's trusted range) and the scale of the
+    conjugated blocks.  Entries the shift leaves outside the band (slot
+    0 of a conjugated coupling against its slots 1..g, the upper
     triangle of a new coupling) above ``BAND_DEFECT_REL`` times that
     scale raise NumericalError, its message led by ``state``.
     """
-    g, lo = window.g, j_lo - 1 - window.j_min
-    u = u_block(window.P[lo : lo + len(raw_v) + 1])
+    g, lo = window.g, db.j_lo - 1 - window.j_min
+    u = u_block(window.P[lo : lo + len(db.v_blocks) + 1])
+    u *= np.vstack([np.ones_like(db.signs[:1]), db.signs])[:, :, None]  # block j_lo - 1's kept
     u_t = np.swapaxes(u, 1, 2)
-    cv = u_t[:-1] @ raw_v @ u[1:]
-    cw = u_t[1:-1] @ raw_w @ u[1:-1]
+    cv = u_t[:-1] @ db.v_blocks @ u[1:]
+    cw = u_t[1:-1] @ db.w_blocks @ u[1:-1]
     cw = 0.5 * (cw + np.swapaxes(cw, 1, 2))
     scale = max(1.0, float(np.max(np.abs(cv))), float(np.max(np.abs(cw))))
     new_v = np.zeros_like(cv[2:])
@@ -285,10 +273,10 @@ def map_run(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list[Delt
     """Blocks of the comb map applied to the states 0..N of a flow run.
 
     One ``delta_of_gmp`` call maps states 0 and N, with every check of
-    the eigen route; every later state is carried from the one before
-    (``carry_blocks``), each check naming its state.  So a run costs two
-    eigensolves, and every trusted range is the eigen route's.  The
-    carried state N must agree with the eigen route's within
+    the eigen route; every later state is carried from the blocks of the
+    one before (``carry_blocks``), each check naming its state.  So a run
+    costs two eigensolves, and every trusted range is the eigen route's.
+    The carried state N must agree with the eigen route's within
     ``CARRY_DRIFT_REL`` times its scale; the eigen route's is returned.
     """
     for n, (st, nxt) in enumerate(zip(states, states[1:]), 1):
@@ -296,11 +284,9 @@ def map_run(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list[Delt
             raise ValidationError(f"state {n} is not a flow step of state {n - 1}")
     ends = delta_of_gmp([*states[:1], *states[1:][-1:]], d, margin)
     run = ends[:1]
-    raw_v, raw_w = run[0].raw()
     for n, st in enumerate(states[:-1], 1):
-        j_lo = run[-1].j_lo
-        raw_v, raw_w, scale = carry_blocks(st, j_lo, raw_v, raw_w, f"state {n}: ")
-        run.append(normalized_blocks(j_lo + 1, raw_v, raw_w, scale, f"state {n}: "))
+        raw_v, raw_w, scale = carry_blocks(st, run[-1], f"state {n}: ")
+        run.append(normalized_blocks(run[-1].j_lo + 1, raw_v, raw_w, scale, f"state {n}: "))
     if len(states) > 1:
         carried, mapped = run[-1], ends[-1]
         drift = max(float(np.max(np.abs(carried.v_blocks - mapped.v_blocks))),

@@ -152,6 +152,27 @@ class TestGapSet:
             GapSet(-2.0, 2.0, gaps)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("b0, a0, gaps, message", [
+        ("x", 2.0, (), "b0 = 'x' is not a number"),
+        (-2.0, True, (), "a0 = True is not a number"),
+        (10**400, 2.0, (), f"b0 = {10**400} is too large for a double"),
+        (-2.0, 2.0, [(1.0, (1.5, 2.0))], "gaps[0][1] = (1.5, 2.0) is not a number"),
+        (-2.0, 2.0, [(1.0, "x")], "gaps[0][1] = 'x' is not a number"),
+        (-2.0, 2.0, [(1.0, "1.5")], "gaps[0][1] = '1.5' is not a number"),
+        (-2.0, 2.0, [(True, 1.5)], "gaps[0][0] = True is not a number"),
+        (-2.0, 2.0, [(-1.0, 0.5), (1.0, None)], "gaps[1][1] = None is not a number"),
+    ], ids=["b0-str", "a0-bool", "b0-huge-int", "gap-tuple", "gap-str", "gap-numeric-str",
+            "gap-bool", "second-gap-none"])
+    def test_entry_that_is_not_a_number_is_named(self, b0, a0, gaps, message):
+        with pytest.raises(ValidationError) as info:
+            GapSet(b0, a0, gaps)
+        assert str(info.value) == message
+
+    def test_numbers_of_any_type_are_accepted(self):
+        gs = GapSet(np.int64(-2), 3, [(np.float32(-1.0), 1), [np.float64(1.25), np.int32(2)]])
+        assert gs.gaps == ((-1.0, 1.0), (1.25, 2.0))
+        assert (gs.b0, gs.a0) == (-2, 3)
+
     @pytest.mark.parametrize("gaps", [
         ((-1.0, 0.5), (1.0, 1.5)), [[-1.0, 0.5], [1.0, 1.5]],
         np.array([[-1.0, 0.5], [1.0, 1.5]]), [np.array([-1.0, 0.5]), (1.0, 1.5)],
@@ -391,6 +412,18 @@ class TestDeltaDataPoles:
     def test_entry_that_is_not_a_pair_is_named(self, poles, message):
         with pytest.raises(ValidationError) as info:
             DeltaData(1.0, 0.0, poles)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("lambda0, c0, poles, message", [
+        (True, 0.0, (), "lambda0 = True is not a number"),
+        (1.0, "x", (), "c0 = 'x' is not a number"),
+        (1.0, 0.0, [(0.5, None)], "poles[0].lambda = None is not a number"),
+        (1.0, 0.0, [(0.5, 1.0), ("0.7", 1.0)], "poles[1].c = '0.7' is not a number"),
+        (1.0, 0.0, [(False, 1.0)], "poles[0].c = False is not a number"),
+    ], ids=["lambda0-bool", "c0-str", "weight-none", "second-pole-str", "pole-bool"])
+    def test_entry_that_is_not_a_number_is_named(self, lambda0, c0, poles, message):
+        with pytest.raises(ValidationError) as info:
+            DeltaData(lambda0, c0, poles)
         assert str(info.value) == message
 
     def test_pairs_of_any_form_are_accepted(self):

@@ -116,6 +116,21 @@ def mp_lambda_sharp(nextblk: GmpBlock, thisblk: GmpBlock, c: np.ndarray, k: int)
         return -(mat[0, 0] + mat[1, 1])
 
 
+def window_columns(pairs) -> list:
+    """``resolvent_column`` on the blocks j-2..j+2 of each (window, j) pair
+    of a stack, each column laid on its window's rows (zero off blocks
+    j-1..j+1), or None where it has no closed form."""
+    P, Q = (np.array([getattr(w, key)[j - w.j_min - 2 : j - w.j_min + 3] for w, j in pairs])
+            for key in "PQ")
+    ok, cols = resolvent_column(P, Q, pairs[0][0].c)
+    out = [None] * len(pairs)
+    for m, col in zip(ok, cols):
+        w, j = pairs[m]
+        out[m] = np.zeros(w.P.size)
+        out[m][w.scalar_index(j - 1, 0) :][: col.size] = col.ravel()
+    return out
+
+
 def near_p1_block(rng: np.random.Generator, eps: float = 0.1) -> GmpBlock:
     base = make_p1_block()
     return GmpBlock(
@@ -919,7 +934,7 @@ class TestValidateGmp:
 
 class TestResolventColumn:
     def test_canonical_column(self, p1_window):
-        col = resolvent_column([(p1_window, 0)])[0]
+        col = window_columns([(p1_window, 0)])[0]
         g1 = 2
         lo = p1_window.scalar_index(-1, 0)
         assert_allclose(col[lo], 0.25, atol=1e-12)
@@ -929,11 +944,10 @@ class TestResolventColumn:
         assert_allclose(col[lo + 2 * g1 + 1], 0.0, atol=1e-12)
 
     def test_support_pattern(self, p1_window):
-        col = resolvent_column([(p1_window, 0)])[0]
-        lo = p1_window.scalar_index(-1, 0)
-        hi = p1_window.scalar_index(1, 1)
-        assert_allclose(col[:lo], 0.0, atol=1e-15)
-        assert_allclose(col[hi + 1 :], 0.0, atol=1e-15)
+        # the column lives on blocks j-1..j+1, and only they come back
+        ok, cols = resolvent_column(p1_window.P[None], p1_window.Q[None], p1_window.c)
+        assert ok.tolist() == [0]
+        assert cols.shape == (1, 3, p1_window.g + 1)
 
     def test_matches_dense_solve(self):
         rng = np.random.default_rng(29)
@@ -941,17 +955,17 @@ class TestResolventColumn:
         win = stack_window(blocks, np.array([0.0]), j_min=-20)
         dense = assemble_dense(win)
         n = dense.shape[0]
-        for j in (0, 1, -19, 18):
+        for j in (0, 1, -18, 17):
             target = np.zeros(n)
             target[win.scalar_index(j, 0)] = 1.0
             direct = numkit.solve(-dense, target)
-            assert np.max(np.abs(resolvent_column([(win, j)])[0] - direct)) < 1e-9, j
+            assert np.max(np.abs(window_columns([(win, j)])[0] - direct)) < 1e-9, j
 
     def test_residual_on_perturbed_window(self):
         rng = np.random.default_rng(19)
         blocks = tuple(near_p1_block(rng, eps=0.05) for _ in range(6))
         win = stack_window(blocks, np.array([0.0]), j_min=-3)
-        col = resolvent_column([(win, 0)])[0]
+        col = window_columns([(win, 0)])[0]
         dense = assemble_dense(win)
         n = dense.shape[0]
         target = np.zeros(n)
@@ -974,13 +988,13 @@ class TestResolventColumn:
         win = stack_window(blocks, c, j_min=-3)
         dense = assemble_dense(win)
         n = dense.shape[0]
-        col = resolvent_column([(win, 0)])[0]
+        col = window_columns([(win, 0)])[0]
         target = np.zeros(n)
         target[win.scalar_index(0, 0)] = 1.0
         residual = (win.c[0] * np.eye(n) - dense) @ col - target
         assert np.max(np.abs(residual)) < 1e-10
 
-    @pytest.mark.parametrize("j_min, n_blocks", [(-1, 3), (-2, 5), (-4, 9)])
+    @pytest.mark.parametrize("j_min, n_blocks", [(-2, 5), (-4, 9)])
     def test_two_gap_column_matches_dense_solve(self, j_min, n_blocks):
         rng = np.random.default_rng(31)
         c = np.array([-0.9, 1.1])
@@ -993,11 +1007,11 @@ class TestResolventColumn:
         ]
         win = stack_window(blocks, c, j_min=j_min)
         dense = assemble_dense(win)
-        for j in range(win.j_min + 1, win.j_max):
+        for j in range(win.j_min + 2, win.j_max - 1):
             target = np.zeros(dense.shape[0])
             target[win.scalar_index(j, 0)] = 1.0
             direct = numkit.solve(c[0] * np.eye(dense.shape[0]) - dense, target)
-            assert np.max(np.abs(resolvent_column([(win, j)])[0] - direct)) < 1e-9, j
+            assert np.max(np.abs(window_columns([(win, j)])[0] - direct)) < 1e-9, j
 
     def test_wrong_middle_block_fails_the_residual_check(self, monkeypatch):
         rng = np.random.default_rng(19)
@@ -1017,19 +1031,20 @@ class TestResolventColumn:
         monkeypatch.setattr(np.linalg, "pinv", Skewed)
         message = r"^closed-form column residual 1\.9\d\de-06 exceeds 1\.000e-08$"
         with pytest.raises(NumericalError, match=message):
-            resolvent_column([(win, 0)])
+            window_columns([(win, 0)])
 
     @pytest.mark.parametrize("g", [1, 2, 4])
     def test_mixed_stack_matches_dense_solves(self, g):
-        # windows of three sizes and offsets, their edge pairs included,
+        # windows of three sizes and offsets, their edge pairs (the first and
+        # last j with blocks j-2..j+2 inside) included,
         # stacked in an order that interleaves the windows
-        windows = [comb_window(g, 11, n, j_min) for n, j_min in ((3, -1), (7, -4), (12, 2))]
+        windows = [comb_window(g, 11, n, j_min) for n, j_min in ((5, -1), (9, -4), (12, 2))]
         pairs = sorted(
-            ((w, j) for w in windows for j in {w.j_min + 1, (w.j_min + w.j_max) // 2, w.j_max - 1}),
+            ((w, j) for w in windows for j in {w.j_min + 2, (w.j_min + w.j_max) // 2, w.j_max - 2}),
             key=lambda pair: pair[1],
         )
         assert len({id(w) for w, _ in pairs[:4]}) > 1
-        cols = resolvent_column(pairs)
+        cols = window_columns(pairs)
         assert len(cols) == len(pairs) == 7
         for (w, j), col in zip(pairs, cols):
             dense = assemble_dense(w)
@@ -1047,9 +1062,9 @@ class TestResolventColumn:
         blocks = tuple(near_p1_block(rng, eps=0.05) for _ in range(6))
         win = stack_window(blocks, np.array([0.0]), j_min=-3)
         other = make_p1_window(n_blocks=9, j_min=-4)
-        pairs = [(other, -3), (other, 0), (other, 3), (other, 1)]
+        pairs = [(other, -2), (other, 0), (other, 2), (other, 1)]
         pairs[skewed_at] = (win, 0)
-        resolvent_column(pairs)  # the honest stack passes
+        window_columns(pairs)  # the honest stack passes
         pinv = np.linalg.pinv
 
         class Skewed:
@@ -1067,7 +1082,7 @@ class TestResolventColumn:
         monkeypatch.setattr(np.linalg, "pinv", Skewed)
         message = r"^closed-form column residual 1\.9\d\de-06 exceeds 1\.000e-08$"
         with pytest.raises(NumericalError, match=message):
-            resolvent_column(pairs)
+            window_columns(pairs)
 
     def test_undefined_pair_skips_only_itself(self):
         # block 1 with p_0 = q_0 = 0 makes the pair functionals of
@@ -1079,22 +1094,10 @@ class TestResolventColumn:
         blocks[6] = GmpBlock([0.0, 0.5], [0.0, 0.0])
         win = stack_window(blocks, np.array([0.0]), j_min=-5)
         other = make_p1_window(n_blocks=9, j_min=-4)
-        pairs = [(win, -3), (win, 0), (other, 0), (win, 1), (win, 2), (win, 4)]
-        cols = resolvent_column(pairs)
+        pairs = [(win, -3), (win, 0), (other, 0), (win, 1), (win, 2), (win, 3)]
+        cols = window_columns(pairs)
         assert [col is None for col in cols] == [False, True, False, True, True, False]
         defined = [pair for pair, col in zip(pairs, cols) if col is not None]
-        for got, want in zip((col for col in cols if col is not None), resolvent_column(defined)):
+        for got, want in zip((col for col in cols if col is not None), window_columns(defined)):
             assert np.array_equal(got, want)
-        assert resolvent_column([(win, 0)]) == [None]
-
-    def test_stack_needs_one_pole_list(self, p1_window):
-        moved = GmpWindow(p1_window.P, p1_window.Q, (0.5,), p1_window.j_min)
-        with pytest.raises(ValidationError, match="^stacked resolvent columns need one pole list$"):
-            resolvent_column([(p1_window, 0), (moved, 0)])
-
-    def test_window_must_cover_center(self):
-        win = make_p1_window(n_blocks=3, j_min=0)
-        for j in (0, 2):
-            with pytest.raises(WindowError, match=f"blocks {j - 1}..{j + 1}"):
-                resolvent_column([(win, j)])
-        assert resolvent_column([(win, 1)])[0].shape == (6,)
+        assert window_columns([(win, 0)]) == [None]

@@ -6,6 +6,9 @@ import warnings
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import (
     make_estar_gapset,
@@ -133,6 +136,28 @@ def eigen_comb_map(mat: np.ndarray, d: DeltaData) -> np.ndarray:
     mapped = d.lambda0 * mat + d.c0 * np.eye(vals.size)
     mapped += (vecs * weights) @ vecs.T
     return 0.5 * (mapped + mapped.T)
+
+
+def stacked_centres(P: np.ndarray, states) -> list[tuple[int, int]]:
+    """(state, j) of each pair of a ``resolvent_column`` stack, found by its
+    rows: the blocks j-2..j+2 of that state."""
+    return [next((m, j) for m, st in enumerate(states) for j in range(st.j_min + 2, st.j_max - 1)
+                 if np.array_equal(st.P[j - st.j_min - 2 : j - st.j_min + 3], rows)) for rows in P]
+
+
+def tagged_p1_window(n_blocks: int, j_min: int) -> GmpWindow:
+    """``make_p1_window`` with p scaled by 1 + 1e-3 per block, so that no two
+    runs of its blocks are equal."""
+    w = make_p1_window(n_blocks, j_min)
+    return GmpWindow(w.P * (1.0 + 1e-3 * np.arange(n_blocks))[:, None], w.Q, w.c, j_min)
+
+
+def raw_blocks(db: DeltaBlocks) -> tuple[np.ndarray, np.ndarray]:
+    """Coupling and diagonal blocks of ``db`` with its signs undone: the
+    blocks in the sign gauge of the window they were mapped from."""
+    prev = np.vstack([np.ones_like(db.signs[:1]), db.signs[:-1]])
+    return (prev[:, :, None] * db.signs[:, None, :] * db.v_blocks,
+            db.signs[:-1, :, None] * db.signs[:-1, None, :] * db.w_blocks)
 
 
 def relabelled(w: GmpWindow) -> GmpWindow:
@@ -314,13 +339,14 @@ class TestDeltaOfGmp:
         honest = ks.resolvent_column
         seen = []
 
-        def perturbed(pairs):
-            cols = honest(pairs)
-            seen.extend(j for _, j in pairs)
-            for (window, j), col in zip(pairs, cols):
-                if j == block:
-                    col[window.scalar_index(j, 0)] += 1e-6
-            return cols
+        def perturbed(P, Q, c):
+            ok, cols = honest(P, Q, c)
+            centres = [j for _, j in stacked_centres(P, [w])]
+            seen.extend(centres)
+            for m, col in zip(ok, cols):
+                if centres[m] == block:
+                    col[1, 0] += 1e-6  # slot 0 of block j
+            return ok, cols
 
         monkeypatch.setattr(ks, "resolvent_column", perturbed)
         with pytest.raises(NumericalError, match=r"closed form by 1\.000e-06"):
@@ -333,27 +359,25 @@ class TestDeltaOfGmp:
         honest = ks.resolvent_column
         calls = []
 
-        def spy(pairs):
-            calls.append(pairs)
-            return honest(pairs)
+        def spy(P, Q, c):
+            calls.append(P)
+            return honest(P, Q, c)
 
         d = estar_delta()
         monkeypatch.setattr(ks, "resolvent_column", spy)
         cases = {(9, -4): [0], (9, -3): [1], (9, -5): [], (10, -4): [0, 1]}
         for (n_blocks, j_min), expected in cases.items():
             calls.clear()
-            w = make_p1_window(n_blocks, j_min)
+            w = tagged_p1_window(n_blocks, j_min)
             delta_of_gmp([w], d, margin=3)
-            assert len(calls) == 1, (n_blocks, j_min)
-            assert all(win is w for win, _ in calls[0]), (n_blocks, j_min)
-            assert [j for _, j in calls[0]] == expected, (n_blocks, j_min)
+            centres = [j for P in calls for _, j in stacked_centres(P, [w])]
+            assert (len(calls), centres) == (min(len(expected), 1), expected), (n_blocks, j_min)
         # state m of this run has trusted rows -3+m..3-m
-        states = [st for st, _ in flow_states(make_p1_window(13, -6), 3)]
+        states = [st for st, _ in flow_states(tagged_p1_window(13, -6), 3)]
         calls.clear()
         delta_of_gmp(states, d, margin=3)
-        (pairs,) = calls
-        held = [(next(m for m, st in enumerate(states) if st is w), j) for w, j in pairs]
-        assert held == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
+        (P,) = calls
+        assert stacked_centres(P, states) == [(0, 0), (0, 1), (1, 0), (1, 1), (2, 0)]
 
     def test_undefined_closed_form_skips_only_its_own_check(self, monkeypatch):
         # a pair without a closed form (None) is skipped, and the pair after
@@ -361,15 +385,16 @@ class TestDeltaOfGmp:
         d, w = perturbed_case(2)
         honest = ks.resolvent_column
 
-        def first_undefined(pairs, skew=0.0):
-            cols = honest(pairs)
-            (window, j), col = pairs[1], cols[1]
-            col[window.scalar_index(j, 0)] += skew
-            return [None, *cols[1:]]
+        def first_undefined(P, Q, c, skew=0.0):
+            ok, cols = honest(P, Q, c)
+            assert ok.tolist() == [0, 1]
+            cols[1, 1, 0] += skew  # slot 0 of block j of the second pair
+            return ok[1:], cols[1:]
 
         monkeypatch.setattr(ks, "resolvent_column", first_undefined)
         delta_of_gmp([w], d, margin=3)
-        monkeypatch.setattr(ks, "resolvent_column", lambda pairs: first_undefined(pairs, 1e-6))
+        monkeypatch.setattr(ks, "resolvent_column",
+                            lambda P, Q, c: first_undefined(P, Q, c, 1e-6))
         with pytest.raises(NumericalError, match=r"closed form by 1\.000e-06"):
             delta_of_gmp([w], d, margin=3)
 
@@ -457,7 +482,7 @@ class TestMapRun:
         # one slot, and slice the blocks over the stepped trusted range
         d, w = run_case(genus)
         db = delta_of_gmp([w], d, 3)[0]
-        new_v, new_w, _ = ks.carry_blocks(w, db.j_lo, *db.raw())
+        new_v, new_w, _ = ks.carry_blocks(w, db)
         o_full = block_diagonal(u_block(w.P))
         conj = o_full.T @ eigen_comb_map(wrapped_dense(w), d) @ o_full
         per = genus + 1
@@ -472,6 +497,26 @@ class TestMapRun:
             if j < db.j_hi:
                 npt.assert_allclose(new_w[i], block(j, j), rtol=0, atol=1e-14)
 
+    @settings(max_examples=30, deadline=None)
+    @given(genus=st.sampled_from([1, 2, 4]), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_signs_fold_into_the_rotations_bitwise(self, genus, seed, data):
+        # blocks of a drawn window under drawn signs: the carry conjugates
+        # them by rotations whose rows carry the signs, which gives, bit
+        # for bit, the carry of the blocks with the signs undone first
+        # (unit signs: the rotations as they are)
+        d, w = run_case(genus, 15)
+        u = np.random.default_rng(seed).uniform(-1.0, 1.0, (2, 15, genus + 1))
+        w = GmpWindow(w.P * (1.0 + 0.01 * u[0]), w.Q + 0.01 * u[1], w.c, w.j_min)
+        db = delta_of_gmp([w], d, 3)[0]
+        raw_v, raw_w = raw_blocks(db)
+        signs = data.draw(arrays(float, db.signs.shape, elements=st.sampled_from([-1.0, 1.0])))
+        prev = np.vstack([np.ones_like(signs[:1]), signs[:-1]])
+        signed = DeltaBlocks(db.j_lo, prev[:, :, None] * signs[:, None, :] * raw_v,
+                             signs[:-1, :, None] * signs[:-1, None, :] * raw_w, signs)
+        unsigned = DeltaBlocks(db.j_lo, raw_v, raw_w, np.ones_like(signs))
+        for got, want in zip(ks.carry_blocks(w, signed), ks.carry_blocks(w, unsigned)):
+            assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("where, entry", [("slot 0 of a coupling", (0, 2)),
                                               ("upper triangle", (1, 2))])
     def test_planted_out_of_pattern_entry_raises(self, monkeypatch, where, entry):
@@ -483,14 +528,18 @@ class TestMapRun:
         states = [st for st, _ in flow_states(w, 8)]
         honest = ks.carry_blocks
 
-        def carry(window, j_lo, raw_v, raw_w, state=""):
+        def carry(window, db, state=""):
             if state == "state 5: ":
-                u = u_block(window.P[j_lo - 1 - window.j_min :][:6])
+                # the rotations the carry conjugates by: the signs of db
+                # in their rows
+                u = u_block(window.P[db.j_lo - 1 - window.j_min :][:6])
+                u *= np.vstack([np.ones_like(db.signs[:1]), db.signs])[:6, :, None]
                 unit = np.zeros((3, 3))
                 unit[entry] = 0.5
-                raw_v = raw_v.copy()
-                raw_v[4] += u[4] @ unit @ u[5].T  # blocks j_lo + 3 and j_lo + 4
-            return honest(window, j_lo, raw_v, raw_w, state)
+                v = db.v_blocks.copy()
+                v[4] += u[4] @ unit @ u[5].T  # blocks j_lo + 3 and j_lo + 4
+                db = DeltaBlocks(db.j_lo, v, db.w_blocks, db.signs)
+            return honest(window, db, state)
 
         ks.map_run(states, d, 3)  # the run itself passes
         monkeypatch.setattr(ks, "carry_blocks", carry)
@@ -508,8 +557,8 @@ class TestMapRun:
         honest = ks.carry_blocks
         drift = []
 
-        def carry(window, j_lo, raw_v, raw_w, state=""):
-            new_v, new_w, scale = honest(window, j_lo, raw_v, raw_w, state)
+        def carry(window, db, state=""):
+            new_v, new_w, scale = honest(window, db, state)
             if state == "state 8: ":
                 drift.append(factor * ks.CARRY_DRIFT_REL * scale)
                 new_w[1, 0, 0] += drift[0]
@@ -562,21 +611,16 @@ class TestMapRun:
 
 
 class TestDeltaBlocksType:
-    def test_raw_blocks_are_the_mapped_matrix_bitwise(self):
+    def test_signs_undone_are_the_mapped_matrix_bitwise(self):
         d, w = perturbed_case(2)
         db = delta_of_gmp([w], d, margin=3)[0]
         mapped = eigen_comb_map(wrapped_dense(w), d)
-        per, (raw_v, raw_w) = 3, db.raw()
+        per, (raw_v, raw_w) = 3, raw_blocks(db)
         for i, j in enumerate(range(db.j_lo, db.j_hi + 2)):
             r = w.scalar_index(j, 0)
             assert np.array_equal(raw_v[i], mapped[r - per : r, r : r + per])
             if j <= db.j_hi:
                 assert np.array_equal(raw_w[i], mapped[r : r + per, r : r + per])
-
-    def test_blocks_without_signs_have_no_raw_form(self):
-        eye = np.eye(2)
-        with pytest.raises(ValidationError, match="signs"):
-            DeltaBlocks(j_lo=0, v_blocks=(eye,) * 2, w_blocks=(eye,)).raw()
 
     def test_accessors_reject_outside_range(self):
         db = delta_of_gmp([make_p1_window(n_blocks=15, j_min=-7)], estar_delta(), 3)[0]
