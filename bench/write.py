@@ -67,9 +67,12 @@ The record holds:
   of surface blocks with every entry perturbed by up to 5%, each record
   with ``tracemalloc_peak_kb``, the traced peak of one call;
 - a kernel sweep of ``flow.u_block`` (the rotation blocks of every row
-  of a window), ``flow.jacobi_flow_step`` and ``gmp.validate_gmp`` (the
-  class check of a flow state) over the same genera, on the 482-block
-  window of those 481 pairs;
+  of a window), ``flow.jacobi_flow_step``, the construction of a
+  ``GmpWindow`` from its float arrays ``(P, Q, c)`` and from its JSON
+  form by ``GmpWindow.from_json`` (the cost of the number rule
+  ``errors.check_entries``, which every flow step pays once), and
+  ``gmp.validate_gmp`` (the class check of a flow state) over the same
+  genera, on the 482-block window of those 481 pairs;
 - each sweep record is ``{layer, case, n_blocks, g, best_s, median_s,
   counters}`` (``sites`` too for the Jacobi windows, ``band_edge_err``
   for the comb maps; ``n_blocks`` counts the pairs for
@@ -680,8 +683,11 @@ def sweep(work: Path) -> list[dict]:
             print(f"lambda_sharp g={g} pairs={n_pairs}: best {rec['best_s'] * 1e6:.0f} us",
                   file=sys.stderr)
         w = kernel_inputs(g, FLOW_PAIRS)
+        data = w.to_json()
         for case, fn in (("u_block", lambda: u_block(w.P)),
                          ("jacobi_flow_step", lambda: jacobi_flow_step(w)),
+                         ("GmpWindow(P, Q, c)", lambda: GmpWindow(w.P, w.Q, w.c)),
+                         ("GmpWindow.from_json", lambda: GmpWindow.from_json(data)),
                          ("validate_gmp", lambda: gmp.validate_gmp(w))):
             rec = {"layer": "kernel", "case": case, "n_blocks": w.n_blocks, "g": g}
             rec.update(timed(fn))

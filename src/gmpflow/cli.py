@@ -33,8 +33,8 @@ import sys
 import numpy as np
 
 from .construct import gmp_to_jacobi_measure, jacobi_to_gmp
-from .errors import NumericalError, ValidationError, read_numbers
-from .finitegap import DOUBLE_MAX, DeltaData, GapSet, check_entries, delta_from_gaps, eval_delta
+from .errors import DOUBLE_MAX, NumericalError, ValidationError, check_entries, read_numbers
+from .finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta
 from .flow import flow_run, flow_states
 from .gmp import VALIDITY_FLOOR, GmpBlock, GmpWindow
 from .isospectral import solve_is_point
@@ -123,7 +123,7 @@ def _load_block(path: str) -> GmpBlock:
     data = _load_json(path)
     p, q = read_numbers(data, "p[]"), read_numbers(data, "q[]")
     check_entries({"p": p[:-1]}, "p[{0}]")
-    check_entries({"p": p[-1:]}, f"p[{p.size - 1}]", limit=DOUBLE_MAX)
+    check_entries({"p": p[-1] if p.size else 0.0}, f"p[{p.size - 1}]", limit=DOUBLE_MAX)
     check_entries({"q": q}, "q[{0}]")
     return GmpBlock(p, q)
 

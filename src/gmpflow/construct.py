@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import PoleEvaluationError, ValidationError, WindowError, check
-from .finitegap import SQUARE_MAX, DeltaData, check_distinct_poles, check_entries, eval_delta
+from .errors import (SQUARE_MAX, PoleEvaluationError, ValidationError, WindowError, check,
+                     check_entries)
+from .finitegap import DeltaData, check_distinct_poles, eval_delta
 from .gmp import GmpWindow, band_rows, build_block_B, pattern_defect
 from .jacobi import DiscreteMeasure, JacobiWindow, check_ends, kappa, lanczos
 
@@ -36,15 +37,6 @@ TWO_SIDED_PATTERN_TOL = 1e-8
 FLAG_RANK_REL = 1e-8
 POLE_SUPPORT_REL = 1e-12
 READOUT_TOL = 1e-8
-
-
-def _checked_poles(c_list) -> np.ndarray:
-    cs = np.atleast_1d(np.asarray(c_list, dtype=float)).ravel()
-    if cs.size < 1:
-        raise ValidationError("at least one pole is required")
-    check_entries({"poles": cs}, "{key}[{0}]")
-    check_distinct_poles(cs)
-    return cs
 
 
 def _raw_columns(points: np.ndarray, cs: np.ndarray) -> np.ndarray:
@@ -69,7 +61,11 @@ def gram_D(measure: DiscreteMeasure, c_list) -> np.ndarray:
     support.
     """
 
-    cs = _checked_poles(c_list)
+    cs, = check_entries({"poles": c_list}, "{key}[{0}]")
+    if cs.ndim != 1 or cs.size < 1:
+        raise ValidationError("at least one pole is required" if cs.ndim == 1 else
+                              f"poles = {c_list!r} is not a list of numbers")
+    check_distinct_poles(cs)
     pts = measure.points
     scale = max(1.0, float(np.max(np.abs(pts))), float(np.max(np.abs(cs))))
     for c in cs:

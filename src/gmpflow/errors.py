@@ -1,5 +1,5 @@
-"""Exception types shared across the package, ``check``, and
-``read_numbers``, the one reader of the numbers of a JSON record.
+"""Exception types shared across the package, ``check``, ``read_numbers``,
+the one reader of a JSON record, and ``check_entries``, its number rule.
 
 Each failure mode the numerical layer can report has its own class so
 callers can distinguish validation problems (bad input data) from
@@ -14,11 +14,17 @@ a zero-length gap) stay outside it.
 from __future__ import annotations
 
 import json
+import math
 import re
 from contextlib import suppress
 from itertools import chain
 
 import numpy as np
+
+# Largest magnitude whose square is still a finite double.
+SQUARE_MAX = math.sqrt(np.finfo(float).max)
+# The largest double: as a limit it refuses only NaN and +-inf.
+DOUBLE_MAX = float(np.finfo(float).max)
 
 
 class GmpflowError(Exception):
@@ -147,11 +153,57 @@ def read_numbers(record, spec: str, kind: type = float):
     raise refusal(lambda x: (why := _why(x, kind)) and "{value} " + why)
 
 
-def check_numbers(values, name) -> None:
-    """``read_numbers``' leaf rule for numbers made in process (numpy's too), by ``name(i)``."""
-    for i, x in enumerate(values):
-        if type(x) is not float and (why := _why(x.item() if isinstance(x, np.generic) else x, float)):
-            raise ValidationError(f"{name(i)} = {x!r} {why}")
+def check_entries(arrays: dict, name: str = "{key}", axis: int = 0, limit=SQUARE_MAX) -> list:
+    """The number rule of every record, in process as from JSON: the values
+    (numbers, or lists, tuples or arrays as deep as ``name`` has indices)
+    as read-only float arrays, floats where it has none, refusing the first
+    entry, in the C order of ``np.stack(values, axis)`` (the JSON file's),
+    that ``read_numbers``' leaf rule refuses (numpy's scalars count) or that
+    is NaN, +-inf or above ``limit``, as ``name.format(*index, key=key)``; a
+    float array costs one reduction.  Values of other shapes are returned
+    unjudged (a 0-d NaN if ragged) for the caller's shape rule."""
+    axes = name.count("{") - name.count("{key}")
+    values, faults, ok = zip(*[_read(x, axes, limit) for x in arrays.values()])
+    for x in values if axes else ():
+        x.setflags(write=False)
+    if all(ok) or len({np.shape(x) for x in values}) > 1 or np.ndim(values[0]) != axes:
+        return list(values)
+    stacked, axis = np.stack(values, axis), axis % (axes + 1)
+    at = np.unravel_index(np.argmin(np.abs(stacked) <= limit), stacked.shape)
+    k, index, value = at[axis], at[:axis] + at[axis + 1:], stacked[at]
+    text, why = faults[k].get(index) or (f"{value:.6g}", "is not a number" if np.isnan(value) else
+                                         "is infinite" if np.isinf(value) else
+                                         "is too large: its square overflows")
+    raise ValidationError(f"{name.format(*index, key=list(arrays)[k])} = {text} {why}")
+
+
+def check_integer(x, name: str) -> int:
+    """``read_numbers``' integer rule for a value made in process (numpy's too)."""
+    if why := _why(x.item() if isinstance(x, np.generic) else x, int):
+        raise ValidationError(f"{name} = {x!r} {why}")
+    return int(x)
+
+
+def _read(x, axes: int, limit) -> tuple:
+    """x as a float array (a float where ``axes`` is 0; a 0-d NaN if ragged), its
+    leaves that are not numbers as ``{index: (repr, why)}``, and whether all pass."""
+    if isinstance(x, np.ndarray) and x.dtype == float and axes:
+        return (x := np.array(x)), {}, np.abs(x).max(initial=0.0) <= limit  # NaN fails too
+    if type(x) is float and not axes:
+        return x, {}, -limit <= x <= limit
+    nodes, shape = [x], []
+    for _ in range(axes):
+        nodes = [v.tolist() if isinstance(v, np.ndarray) else v for v in nodes]
+        if not all(isinstance(v, (list, tuple)) for v in nodes) or len(set(map(len, nodes))) > 1:
+            return np.array(np.nan), {}, False
+        shape, nodes = shape + [len(nodes[0]) if nodes else 0], list(chain.from_iterable(nodes))
+    faults = {}
+    if not set(map(type, nodes)) <= {float}:
+        whys = [_why(v.item() if isinstance(v, np.generic) else v, float) for v in nodes]
+        faults = {np.unravel_index(i, shape): (repr(nodes[i]), w) for i, w in enumerate(whys) if w}
+        nodes = [np.nan if w else float(v) for v, w in zip(nodes, whys)]
+    ok = not faults and all(-limit <= v <= limit for v in nodes)
+    return np.array(nodes).reshape(shape) if axes else nodes[0], faults, ok
 
 
 def _why(x, kind: type) -> str | None:

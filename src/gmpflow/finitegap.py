@@ -15,7 +15,6 @@ on every band.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -23,36 +22,12 @@ import numpy as np
 
 from . import numkit
 from .errors import (DegenerateGapError, PoleEvaluationError, ValidationError, check,
-                     check_numbers, read_numbers)
+                     check_entries, read_numbers)
 
 GAP_REL_TOL = 1e-12
 # Relative distance within which two poles, or a point and a pole, coincide.
 POLE_REL_TOL = 1e-12
 ZERO_RESIDUAL_REL_TOL = 1e-11
-# Largest magnitude whose square is still a finite double.
-SQUARE_MAX = math.sqrt(np.finfo(float).max)
-# The largest double: as a limit it refuses only NaN and +-inf.
-DOUBLE_MAX = float(np.finfo(float).max)
-
-
-def check_entries(arrays: dict, name: str = "{key}", axis: int = 0, limit=SQUARE_MAX) -> None:
-    """The entry rule of every number a record reads: refuse the first
-    entry that is NaN, +-inf or of magnitude above ``limit`` (by default
-    the largest whose square is finite), at one reduction per array when
-    none is.  ``arrays`` maps keys to arrays of one shape, whose entries
-    are taken in the C order of ``np.stack(arrays.values(), axis)``, the
-    order of the JSON file for its layout; the first is named
-    ``name.format(*index, key=key)`` by its index in its own array, and
-    the message says which of the three it is."""
-    if all(np.abs(x).max(initial=0.0) <= limit for x in arrays.values()):  # NaN fails too
-        return
-    stacked = np.stack(list(arrays.values()), axis)
-    at = np.unravel_index(np.argmin(np.abs(stacked) <= limit), stacked.shape)
-    entry = name.format(*at[:axis], *at[axis + 1:], key=list(arrays)[at[axis]])
-    value = stacked[at]
-    why = ("is not a number" if np.isnan(value) else "is infinite" if np.isinf(value)
-           else "is too large: its square overflows")
-    raise ValidationError(f"{entry} = {value:.6g} {why}")
 
 
 def check_distinct_poles(c) -> None:
@@ -65,19 +40,17 @@ def check_distinct_poles(c) -> None:
             raise ValidationError(f"poles at {a} and {b} coincide")
 
 
-def _pairs(entries, name: str, leaf) -> tuple[tuple[float, float], ...]:
-    """Pairs given as tuples, lists or the rows of a (g, 2) array, as float
-    pairs; the first entry that is not a pair, ``name[k]``, is refused,
-    then the first that is not a number, entry i of pair k as ``leaf(k, i)``."""
+def _pairs(entries, name: str) -> tuple:
+    """Pairs given as tuples, lists or the rows of a (g, 2) array, as
+    given; the first entry that is not a pair, ``name[k]``, is refused."""
     entries = entries.tolist() if isinstance(entries, np.ndarray) else entries
     if isinstance(entries, str) or not isinstance(entries, Iterable):
         raise ValidationError(f"{name} = {entries!r} is not a list of pairs")
-    entries = tuple(entries)
+    entries = tuple(x.tolist() if isinstance(x, np.ndarray) else x for x in entries)
     for k, x in enumerate(entries):
-        if not (len(x) == 2 if isinstance(x, (tuple, list)) else np.shape(x) == (2,)):
+        if not (isinstance(x, (tuple, list)) and len(x) == 2):
             raise ValidationError(f"{name}[{k}] = {x!r} is not a pair")
-    check_numbers(flat := [v for x in entries for v in x], lambda i: leaf(i // 2, i % 2))
-    return tuple(zip(map(float, flat[::2]), map(float, flat[1::2])))
+    return entries
 
 
 @dataclass(frozen=True)
@@ -93,10 +66,9 @@ class GapSet:
     gaps: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        check_numbers((self.b0, self.a0), ("b0", "a0").__getitem__)
-        vars(self)["gaps"] = _pairs(self.gaps, "gaps", "gaps[{}][{}]".format)  # frozen
-        check_entries({"b0": self.b0, "a0": self.a0})
-        check_entries({"gaps": np.reshape(self.gaps, (-1, 2))}, "{key}[{0}][{1}]")
+        b0, a0 = check_entries({"b0": self.b0, "a0": self.a0})
+        gaps, = check_entries({"gaps": _pairs(self.gaps, "gaps")}, "{key}[{0}][{1}]")
+        vars(self).update(b0=b0, a0=a0, gaps=tuple(map(tuple, gaps.tolist())))  # frozen
         if self.b0 >= self.a0:
             raise ValidationError(f"outer interval is empty: [{self.b0}, {self.a0}]")
         left = self.b0
@@ -140,7 +112,7 @@ class GapSet:
     @classmethod
     def from_json(cls, data: dict) -> "GapSet":
         return cls(read_numbers(data, "b0"), read_numbers(data, "a0"),
-                   read_numbers(data, "gaps[][2]").tolist())
+                   read_numbers(data, "gaps[][2]"))
 
 
 @dataclass(frozen=True)
@@ -153,17 +125,18 @@ class DeltaData:
     poles: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self):
-        check_numbers((self.lambda0, self.c0), ("lambda0", "c0").__getitem__)
-        vars(self)["poles"] = _pairs(  # frozen
-            self.poles, "poles", lambda k, i: f"poles[{k}].{('c', 'lambda')[i]}")
-        check_entries({"lambda0": self.lambda0, "c0": self.c0})
-        check_entries({"c": self.cs(), "lambda": self.lams()}, "poles[{0}].{key}", axis=1)
+        lambda0, c0 = check_entries({"lambda0": self.lambda0, "c0": self.c0})
+        poles = _pairs(self.poles, "poles")
+        c, lam = check_entries({"c": [x[0] for x in poles], "lambda": [x[1] for x in poles]},
+                               "poles[{0}].{key}", axis=1)
+        vars(self).update(lambda0=lambda0, c0=c0,  # frozen
+                          poles=tuple(zip(c.tolist(), lam.tolist())))
         if self.lambda0 <= 0:
             raise ValidationError(f"slope must be positive, got {self.lambda0}")
-        for c, lam in self.poles:
-            if lam <= 0:
-                raise ValidationError(f"pole weight at {c} must be positive")
-        check_distinct_poles(self.cs())
+        for pole, weight in self.poles:
+            if weight <= 0:
+                raise ValidationError(f"pole weight at {pole} must be positive")
+        check_distinct_poles(c)
 
     @property
     def g(self) -> int:

@@ -25,8 +25,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import numkit
-from .errors import PoleEvaluationError, ValidationError, WindowError, check, read_numbers
-from .finitegap import DOUBLE_MAX, POLE_REL_TOL, SQUARE_MAX, check_distinct_poles, check_entries
+from .errors import (DOUBLE_MAX, PoleEvaluationError, ValidationError, WindowError, check,
+                     check_entries, check_integer, read_numbers)
+from .finitegap import POLE_REL_TOL, check_distinct_poles
 
 # The symplectic unit [[0, -1], [1, 0]].
 JMAT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -37,15 +38,12 @@ EYE2.setflags(write=False)
 VALIDITY_FLOOR = 1e-8
 
 
-def _check_rows(p: np.ndarray, q: np.ndarray, name: str, limit: float) -> None:
-    """The block rules: p and q nonempty of one shape, the entry rule (row
-    by row, p before q, each named ``name.format(*index, key=...)``), then
-    a positive last p entry."""
+def _check_rows(p: np.ndarray, q: np.ndarray) -> None:
+    """The block rules: p and q nonempty of one shape, a positive last p entry."""
     if p.ndim < 1 or p.shape != q.shape or p.shape[-1] < 1:
         raise ValidationError("p and q must be nonempty vectors of equal length")
-    check_entries({"p": p, "q": q}, name, p.ndim - 1, limit)
     pg = p[..., -1]
-    if not (pg > 0.0).all():
+    if not pg.min(initial=np.inf) > 0.0:
         raise ValidationError(f"last p entry must be positive, got {pg.flat[np.argmin(pg > 0.0)]}")
 
 
@@ -56,18 +54,18 @@ class GmpBlock:
     A block of a window is a view of its rows.  ``GmpWindow.rows`` gives a
     stack of blocks, whose p and q keep the row axis in front; every block
     routine of this module broadcasts over it.  A block made in process
-    obeys the block rules of ``_check_rows`` with no magnitude limit: its
-    entries are finite, named ``p[i]`` (``p[r][i]`` in a stack), and the
-    first row with p_g <= 0 raises.
+    (lists: one block; an array: a stack) reads p and q by ``check_entries``
+    with no magnitude limit, named ``p[i]`` (``p[r][i]`` in a stack), then
+    obeys the block rules of ``_check_rows``.
     """
 
     p: np.ndarray
     q: np.ndarray
 
     def __post_init__(self):
-        p, q = np.array(self.p, dtype=float), np.array(self.q, dtype=float)
-        _check_rows(p, q, "{key}" + "[{}]" * p.ndim, DOUBLE_MAX)
-        p.flags.writeable = q.flags.writeable = False
+        name = "{key}" + "[{}]" * max(getattr(self.p, "ndim", 1), 1)
+        p, q = check_entries({"p": self.p, "q": self.q}, name, -2, DOUBLE_MAX)
+        _check_rows(p, q)
         vars(self).update(p=p, q=q)  # frozen: bypass __setattr__
 
     @classmethod
@@ -92,10 +90,10 @@ class GmpWindow:
 
     Row i of the read-only ``(n_blocks, g+1)`` arrays ``P`` and ``Q``
     holds the forming vectors of block j_min + i.  The constructor is the
-    one place the window rules are applied, each array passing the entry
-    rule once: the block rules of ``_check_rows``, with every entry small
-    enough to square and named by its JSON path (``blocks[3].q[1]``), and
-    g poles, small enough to square (``C[0]``) and distinct.
+    one place the window rules are applied, each array passing the number
+    rule ``check_entries`` once, with every entry small enough to square
+    and named by its JSON path (``blocks[3].q[1]``): the block rules of
+    ``_check_rows``, g poles (``C[0]``), distinct, and an integer j_min.
     """
 
     P: np.ndarray
@@ -104,18 +102,17 @@ class GmpWindow:
     j_min: int = 0
 
     def __init__(self, P, Q, c, j_min: int = 0):
-        P, Q, c = (np.array(x, dtype=float) for x in (P, Q, c))
+        P, Q = check_entries({"p": P, "q": Q}, "blocks[{0}].{key}[{1}]", 1)
         if P.shape[:1] == (0,):
             raise ValidationError("window must contain at least one block")
         if P.ndim != 2 or P.shape != Q.shape:
             raise ValidationError("P and Q must be 2-d arrays of equal shape")
-        _check_rows(P, Q, "blocks[{0}].{key}[{1}]", SQUARE_MAX)
+        _check_rows(P, Q)
+        c, = check_entries({"C": c}, "{key}[{0}]")
         if c.ndim != 1 or c.size != P.shape[1] - 1:
             raise ValidationError(f"pole list has length {c.size}, expected {P.shape[1] - 1}")
-        check_entries({"C": c}, "{key}[{0}]")
         check_distinct_poles(c)
-        P.flags.writeable = Q.flags.writeable = c.flags.writeable = False
-        vars(self).update(P=P, Q=Q, c=c, j_min=j_min)  # frozen: bypass __setattr__
+        vars(self).update(P=P, Q=Q, c=c, j_min=check_integer(j_min, "j_min"))  # frozen
 
     @property
     def g(self) -> int:
@@ -277,7 +274,6 @@ def transfer_via_resolvent(blk: GmpBlock, c: np.ndarray, z: float) -> np.ndarray
     and ``r_dd = <(B - z)^{-1} delta_g, delta_g>``, the transfer matrix is
     ``(1/r_pd) [[r_pp r_dd - r_pd^2, -r_pp], [r_dd, -1]]``.
     """
-    c = np.asarray(c, dtype=float)
     bmat = build_block_B(blk, c)
     shifted = bmat - z * np.eye(blk.g + 1)
     delta = np.eye(blk.g + 1)[blk.g]

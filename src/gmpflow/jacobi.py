@@ -38,9 +38,10 @@ from .errors import (
     ValidationError,
     WindowError,
     check,
+    check_entries,
+    check_integer,
     read_numbers,
 )
-from .finitegap import check_entries
 
 SPECTRUM_MIN_DIST = 1e-6
 KAPPA_NORM_TOL = 1e-6
@@ -52,8 +53,8 @@ LANCZOS_FULL_STEPS = 32
 
 @dataclass(frozen=True)
 class JacobiWindow:
-    """Coefficients a(n) > 0 and b(n) for n = n_min..n_max, finite and
-    small enough to square.
+    """Coefficients a(n) > 0 and b(n) for n = n_min..n_max, finite numbers
+    small enough to square (``check_entries``), and an integer n_min.
 
     a(n) couples the sites n-1 and n, so a(n_min) refers to a bond that
     leaves the window; it is stored to keep halves attachable.
@@ -64,12 +65,10 @@ class JacobiWindow:
     n_min: int = 0
 
     def __post_init__(self):
-        a, b = np.array(self.a, dtype=float), np.array(self.b, dtype=float)
-        a.flags.writeable = b.flags.writeable = False
-        vars(self).update(a=a, b=b)  # frozen: bypass __setattr__
+        a, b = check_entries({"a": self.a, "b": self.b}, "{key}[{0}]")
         if a.ndim != 1 or b.ndim != 1 or a.size != b.size or a.size < 1:
             raise ValidationError("a and b must be 1-d arrays of equal length")
-        check_entries({"a": a, "b": b}, "{key}[{0}]")
+        vars(self).update(a=a, b=b, n_min=check_integer(self.n_min, "n_min"))  # frozen
         if np.any(a <= 0.0):
             raise ValidationError("all a(n) must be positive")
 
@@ -122,14 +121,13 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        points, weights = np.array(self.points, dtype=float), np.array(self.weights, dtype=float)
-        points.flags.writeable = weights.flags.writeable = False
-        vars(self).update(points=points, weights=weights)  # frozen: bypass __setattr__
+        points, weights = check_entries({"points": self.points, "weights": self.weights},
+                                        "{key}[{0}]")
         if points.ndim != 1 or weights.ndim != 1 or points.size != weights.size:
             raise ValidationError("points and weights must match in length")
         if points.size < 1:
             raise ValidationError("measure needs at least one point")
-        check_entries({"points": points, "weights": weights}, "{key}[{0}]")
+        vars(self).update(points=points, weights=weights)  # frozen: bypass __setattr__
         if np.any(np.diff(points) <= 0.0):
             raise ValidationError("points must be strictly increasing")
         if np.any(weights <= 0.0):
@@ -151,9 +149,7 @@ class KappaVector:
     vec: np.ndarray
 
     def __post_init__(self):
-        vec = np.array(self.vec, dtype=float)
-        vec.setflags(write=False)
-        object.__setattr__(self, "vec", vec)
+        vars(self)["vec"], = check_entries({"vec": self.vec}, "{key}[{0}]")  # frozen
 
     @property
     def norm_sq(self) -> float:

@@ -1,19 +1,33 @@
 """``errors.check``, the one rule that holds a value against its bound,
 and a scan that keeps every tolerance comparison in ``src/gmpflow``
-going through it; a scan that keeps every finiteness test of an input
-going through the entry rule ``finitegap.check_entries``; and a scan
-that keeps every catch of what malformed record data raises inside the
-one reader, ``errors.read_numbers``."""
+going through it; ``errors.read_numbers``, the one reader of a JSON
+record, and ``errors.check_entries``, the one number rule through which
+every record constructor takes its numbers, in process as from JSON: a
+leaf that is not a number, a ragged row and an offset that is not an
+integer are each a ``ValidationError`` naming it, whatever the caller
+passes, and a record built from numpy scalars dumps as JSON; a scan
+that keeps every finiteness test of an input going through that rule;
+and a scan that keeps every catch of what malformed record data raises
+inside the one reader."""
 
 import ast
+import copy
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gmpflow.errors import NumericalError, ValidationError, WindowError, check, read_numbers
+from gmpflow.construct import gram_D
+from gmpflow.errors import (NumericalError, ValidationError, WindowError, check, check_entries,
+                            read_numbers)
+from gmpflow.finitegap import DeltaData, GapSet
+from gmpflow.gmp import GmpBlock, GmpWindow
+from gmpflow.jacobi import DiscreteMeasure, JacobiWindow
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "gmpflow"
 BOUND_SUFFIXES = ("_TOL", "_REL", "_FLOOR")
@@ -29,7 +43,7 @@ FINITENESS_TESTS = {"isfinite", "isnan", "isinf"}
 # ValueError contracts and the ks reports, and a command line tolerance,
 # which is an option and not a record.
 KEPT_FINITENESS = {
-    "finitegap.py:check_entries", "numkit.py:solve", "numkit.py:solve_tridiagonal",
+    "errors.py:check_entries", "numkit.py:solve", "numkit.py:solve_tridiagonal",
     "numkit.py:bisect_root", "ks.py:KsFunctionalReport.__post_init__",
     "ks.py:KsDiagnostics.__post_init__", "cli.py:_tolerance",
 }
@@ -157,6 +171,153 @@ class TestReadNumbers:
         assert str(info.value) == f"j_min = {json.dumps(value)} {why}"
 
 
+# A valid in-process input of each record constructor, its arguments as
+# nested lists, and a leaf that is not the first: (its path in the
+# arguments, its name in the messages).
+RECORDS = {
+    "GmpBlock": (GmpBlock, ([1.0, 0.5], [0.0, 0.0]), (0, 1), "p[1]"),
+    "GmpWindow": (GmpWindow, ([[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [0.5], -1),
+                  (1, 1, 0), "blocks[1].q[0]"),
+    "JacobiWindow": (JacobiWindow, ([1.0, 1.0, 1.0], [0.0, 0.0, 0.0], -1), (1, 2), "b[2]"),
+    "DiscreteMeasure": (DiscreteMeasure, ([-1.0, 1.0], [0.5, 0.5]), (0, 1), "points[1]"),
+    "GapSet": (GapSet, (-2.0, 2.0, [[-1.5, -1.0], [1.0, 1.5]]), (2, 1, 0), "gaps[1][0]"),
+    "DeltaData": (DeltaData, (1.0, 0.0, [[-0.5, 1.0], [0.5, 2.0]]), (2, 0, 1), "poles[0].lambda"),
+}
+
+
+def replaced(args, path, value):
+    """A deep copy of ``args`` with the entry at ``path`` replaced by ``value``."""
+    args = list(copy.deepcopy(args))
+    node = args
+    for i in path[:-1]:
+        node = node[i]
+    node[path[-1]] = value
+    return args
+
+
+def gram_poles(poles):
+    """``construct.gram_D`` of a two-point measure, which reads ``poles``."""
+    return gram_D(DiscreteMeasure([-1.0, 1.0], [0.5, 0.5]), poles)
+
+
+def leaf_paths(node, path=()):
+    """The paths of the numbers in nested lists."""
+    if isinstance(node, list):
+        for i, x in enumerate(node):
+            yield from leaf_paths(x, path + (i,))
+    else:
+        yield path
+
+
+class TestCheckEntries:
+    @pytest.mark.parametrize("value, why", [
+        ("x", "is not a number"), (True, "is not a number"), (None, "is not a number"),
+        ([1.0], "is not a number"), ("0.5", "is not a number"),
+        (10**400, "is too large for a double"),
+    ], ids=["str", "bool", "none", "list", "numeric-str", "huge-int"])
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_leaf_that_is_not_a_number_is_named(self, record, value, why):
+        make, args, path, name = RECORDS[record]
+        with pytest.raises(ValidationError) as info:
+            make(*replaced(args, path, value))
+        assert str(info.value) == f"{name} = {value!r} {why}"
+
+    def test_first_fault_in_file_order(self):
+        # blocks in order, p before q; a non-number and NaN alike
+        P, Q = [[1.0, 1.0], [1.0, "x"]], [[0.0, math.nan], [0.0, 0.0]]
+        with pytest.raises(ValidationError, match=r"^blocks\[0\]\.q\[1\] = nan is not a number$"):
+            GmpWindow(P, Q, [0.5])
+        Q[0][1] = 0.0
+        with pytest.raises(ValidationError, match=r"^blocks\[1\]\.p\[1\] = 'x' is not a number$"):
+            GmpWindow(P, Q, [0.5])
+
+    @pytest.mark.parametrize("make, args, message", [
+        (GmpWindow, ([[1.0, 2.0], [1.0]], [[0.0, 0.0], [0.0, 0.0]], [0.5]),
+         "P and Q must be 2-d arrays of equal shape"),
+        (GmpWindow, ([[1.0, 2.0], [1.0, [2.0]]], [[0.0, 0.0], [0.0, 0.0]], [0.5]),
+         "blocks[1].p[1] = [2.0] is not a number"),
+        (GmpBlock, ([1.0, [2.0]], [0.0, 0.0]), "p[1] = [2.0] is not a number"),
+        (GmpBlock, (np.ones((2, 2)), [[0.0, 0.0], [0.0]]),
+         "p and q must be nonempty vectors of equal length"),
+        (JacobiWindow, ([1.0, [2.0]], [0.0, 0.0]), "a[1] = [2.0] is not a number"),
+        (JacobiWindow, ([[1.0], [1.0, 2.0]], [0.0, 0.0]), "a[0] = [1.0] is not a number"),
+        (DiscreteMeasure, ([0.0, 1.0], [0.5, (0.5,)]), "weights[1] = (0.5,) is not a number"),
+        (gram_poles, (0.5,), "poles = 0.5 is not a list of numbers"),
+        (gram_poles, ([[0.5], [1.0, 2.0]],), "poles[0] = [0.5] is not a number"),
+    ], ids=["ragged-rows", "list-for-number", "block-list", "stack-ragged", "jacobi-list",
+            "jacobi-rows", "measure-tuple", "poles-number", "poles-rows"])
+    def test_ragged_input_is_refused(self, make, args, message):
+        with pytest.raises(ValidationError) as info:
+            make(*args)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("offset, why", [
+        (-4.5, "is not an integer"), (2.5, "is not an integer"), (True, "is not an integer"),
+        ("3", "is not an integer"), (None, "is not an integer"),
+        (2**53 + 1, "is not an integer of magnitude at most 2**53"),
+    ])
+    def test_offset_that_is_not_an_integer_is_named(self, offset, why):
+        with pytest.raises(ValidationError) as info:
+            GmpWindow([[1.0, 1.0]], [[0.0, 0.0]], [0.5], j_min=offset)
+        assert str(info.value) == f"j_min = {offset!r} {why}"
+        with pytest.raises(ValidationError) as info:
+            JacobiWindow([1.0, 1.0], [0.0, 0.0], n_min=offset)
+        assert str(info.value) == f"n_min = {offset!r} {why}"
+
+    @pytest.mark.parametrize("offset", [np.int64(-3), np.int32(-3), -3.0, np.float64(-3.0)])
+    def test_integral_offset_is_stored_as_int(self, offset):
+        window = GmpWindow([[1.0, 1.0]], [[0.0, 0.0]], [0.5], j_min=offset)
+        jacobi = JacobiWindow([1.0, 1.0], [0.0, 0.0], n_min=offset)
+        assert type(window.j_min) is int and type(jacobi.n_min) is int
+        assert window.j_min == jacobi.n_min == -3
+        json.dumps([window.to_json(), jacobi.to_json()])
+
+    def test_numpy_scalars_are_read_as_python_floats(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no overflow in a float32 cast
+            gaps = GapSet(np.float32(-2.0), np.int64(2), [(np.float32(-1.0), np.float16(1.0))])
+            delta = DeltaData(np.float32(2.0), np.int32(0), [(np.float32(0.5), np.int64(1))])
+        assert (type(gaps.b0), type(gaps.a0), type(delta.lambda0), type(delta.c0)) == (float,) * 4
+        assert gaps.gaps == ((-1.0, 1.0),) and delta.poles == ((0.5, 1.0),)
+        window = GmpWindow(np.ones((2, 2), np.float32), np.zeros((2, 2), int), [np.float32(0.5)])
+        assert window.P.dtype == window.Q.dtype == window.c.dtype == float
+        json.dumps([gaps.to_json(), delta.to_json(), window.to_json()])
+
+    def test_values_come_back_as_read_only_copies(self):
+        given = np.array([1.0, 2.0])
+        x, y = check_entries({"x": given, "y": [3, np.float32(4.0)]}, "{key}[{0}]")
+        assert x.tolist() == [1.0, 2.0] and y.tolist() == [3.0, 4.0]
+        assert not x.flags.writeable and not y.flags.writeable and given.flags.writeable
+        assert check_entries({"a": 1, "b": np.float64(2.0)}) == [1.0, 2.0]
+
+    def test_values_of_other_shapes_are_left_to_the_caller(self):
+        # not judged, whatever their entries: the caller's shape rule refuses them
+        x, y = check_entries({"x": [math.nan], "y": [1.0, 2.0]}, "{key}[{0}]")
+        assert x.shape == (1,) and y.shape == (2,)
+        ragged, = check_entries({"x": [[1.0], [1.0, "x"]]}, "{key}[{0}][{1}]")
+        assert ragged.shape == () and np.isnan(ragged)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(record=st.sampled_from(sorted(RECORDS)), data=st.data())
+    def test_any_input_is_a_record_or_a_validation_error(self, record, data):
+        make, args, _, _ = RECORDS[record]
+        paths = list(leaf_paths(list(args)))
+        rows = sorted({p[:-1] for p in paths if len(p) > 1})
+        path = data.draw(st.sampled_from(paths + rows))
+        number = st.one_of(st.floats(), st.integers(-2**1100, 2**1100), st.booleans(),
+                           st.sampled_from([np.float32(0.5), np.int64(3), np.bool_(True),
+                                            np.float16(-2.0), np.int32(-1), np.float64(1e300)]))
+        value = data.draw(st.one_of(
+            number, st.none(), st.text(max_size=3), st.lists(number, max_size=3),
+            st.lists(st.lists(number, max_size=2), max_size=2), st.just(np.array([1.0, 2.0]))))
+        try:
+            built = make(*replaced(args, path, value))
+        except ValidationError:
+            return
+        if hasattr(built, "to_json"):
+            json.dumps(built.to_json())
+
+
 def _bounds(node: ast.AST) -> set:
     """The bound-like terms of every comparison under ``node``: names
     ending in a tolerance suffix and float literals strictly between -1
@@ -277,7 +438,7 @@ def record_catches(path: Path) -> list[str]:
 def test_every_input_finiteness_test_is_the_entry_rule():
     found = {hit for path in sorted(SRC.glob("*.py")) for hit in finiteness_tests(path)}
     assert sorted(found - KEPT_FINITENESS) == []
-    assert "finitegap.py:check_entries" in found  # the scan reads the package
+    assert "errors.py:check_entries" in found  # the scan reads the package
 
 
 def test_finiteness_scan_sees_functions_methods_and_module_code(tmp_path):

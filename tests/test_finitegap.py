@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from gmpflow.errors import (
+    SQUARE_MAX,
     DegenerateGapError,
     NoSignChangeError,
     PoleEvaluationError,
@@ -16,7 +17,6 @@ from gmpflow.errors import (
 )
 from gmpflow.finitegap import (
     GAP_REL_TOL,
-    SQUARE_MAX,
     ZERO_RESIDUAL_REL_TOL,
     DeltaData,
     GapSet,

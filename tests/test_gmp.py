@@ -9,12 +9,13 @@ from numpy.testing import assert_allclose
 from gmpflow import numkit
 from gmpflow.errors import (
     NumericalError,
+    SQUARE_MAX,
     PoleEvaluationError,
     SingularMatrixError,
     ValidationError,
     WindowError,
 )
-from gmpflow.finitegap import SQUARE_MAX, GapSet, delta_from_gaps
+from gmpflow.finitegap import GapSet, delta_from_gaps
 from gmpflow.flow import flow_run
 from gmpflow.gmp import (
     JMAT,

@@ -11,13 +11,13 @@ from numpy.testing import assert_allclose
 from conftest import half_line_measures, make_p1_block, make_perturbed_window
 from gmpflow import jacobi, numkit
 from gmpflow.errors import (
+    SQUARE_MAX,
     NumericalError,
     SingularMatrixError,
     SpectrumProximityError,
     ValidationError,
     WindowError,
 )
-from gmpflow.finitegap import SQUARE_MAX
 from gmpflow.gmp import GmpWindow, band_rows
 from gmpflow.jacobi import (
     LANCZOS_FULL_STEPS,
