@@ -67,12 +67,16 @@ The record holds:
   of surface blocks with every entry perturbed by up to 5%, each record
   with ``tracemalloc_peak_kb``, the traced peak of one call;
 - a kernel sweep of ``flow.u_block`` (the rotation blocks of every row
-  of a window), ``flow.jacobi_flow_step``, the construction of a
+  of a window), ``flow.jacobi_flow_step``, acceptance criterion 4's
+  check ``flow.flow_identity_residual(w, jacobi_flow_step(w))`` (the
+  step against ``flow.conjugate_shift`` of the window's band blocks,
+  each record with the ``residual`` it returns), the construction of a
   ``GmpWindow`` from its float arrays ``(P, Q, c)`` and from its JSON
   form by ``GmpWindow.from_json`` (the cost of the number rule
   ``errors.check_entries``, which every flow step pays once), and
   ``gmp.validate_gmp`` (the class check of a flow state) over the same
-  genera, on the 482-block window of those 481 pairs;
+  genera, on the 482-block window of those 481 pairs, and criterion 4's
+  check once more on a 961-block window at g = 16;
 - each sweep record is ``{layer, case, n_blocks, g, best_s, median_s,
   counters}`` (``sites`` too for the Jacobi windows, ``band_edge_err``
   for the comb maps; ``n_blocks`` counts the pairs for
@@ -159,7 +163,7 @@ from workloads import surface_seed  # noqa: E402
 from gmpflow import acceptance, cli, construct, gmp, isospectral, jacobi, ks, numkit  # noqa: E402
 from gmpflow.errors import GmpflowError  # noqa: E402
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta  # noqa: E402
-from gmpflow.flow import flow_run, jacobi_flow_step, u_block  # noqa: E402
+from gmpflow.flow import flow_identity_residual, flow_run, jacobi_flow_step, u_block  # noqa: E402
 from gmpflow.gmp import GmpBlock, GmpWindow  # noqa: E402
 
 PERFBENCH_SEED = 5
@@ -191,6 +195,10 @@ DELTA_SETS = 8
 KERNEL_GENERA = (1, 2, 4, 8, 12, 16)
 KERNEL_PAIRS = (1, 50, 481)
 FLOW_PAIRS = 481
+# Criterion 4's check, timed on the kernel windows and on one window at the
+# north star's scale, kernel_inputs(16, 960).
+IDENTITY_CASE = "flow_identity_residual(w, jacobi_flow_step(w))"
+IDENTITY_WIDE = (16, 960)
 # Long flow runs on the round-trip windows, (g, n_blocks, steps), each next
 # to a 4-step run of the same window: a run keeps a few rows per state, so
 # its peak memory should not grow with the step count.
@@ -686,15 +694,26 @@ def sweep(work: Path) -> list[dict]:
         data = w.to_json()
         for case, fn in (("u_block", lambda: u_block(w.P)),
                          ("jacobi_flow_step", lambda: jacobi_flow_step(w)),
+                         (IDENTITY_CASE, lambda: flow_identity_residual(w, jacobi_flow_step(w))),
                          ("GmpWindow(P, Q, c)", lambda: GmpWindow(w.P, w.Q, w.c)),
                          ("GmpWindow.from_json", lambda: GmpWindow.from_json(data)),
                          ("validate_gmp", lambda: gmp.validate_gmp(w))):
-            rec = {"layer": "kernel", "case": case, "n_blocks": w.n_blocks, "g": g}
-            rec.update(timed(fn))
-            records.append(rec)
-            print(f"{case} g={g} n={w.n_blocks}: best {rec['best_s'] * 1e3:.2f} ms",
-                  file=sys.stderr)
+            records.append(kernel_record(case, fn, w))
+    wide = kernel_inputs(*IDENTITY_WIDE)
+    records.append(kernel_record(IDENTITY_CASE,
+                                 lambda: flow_identity_residual(wide, jacobi_flow_step(wide)), wide))
     return records
+
+
+def kernel_record(case: str, fn, w: GmpWindow) -> dict:
+    """A kernel sweep record of ``fn`` on the window ``w``; the flow identity's
+    also holds the ``residual`` it returns."""
+    rec = {"layer": "kernel", "case": case, "n_blocks": w.n_blocks, "g": w.g}
+    rec.update(timed(fn))
+    if case == IDENTITY_CASE:
+        rec["residual"] = fn()
+    print(f"{case} g={w.g} n={w.n_blocks}: best {rec['best_s'] * 1e3:.2f} ms", file=sys.stderr)
+    return rec
 
 
 def process_inputs(work: Path) -> dict[str, list[str]]:

@@ -1,14 +1,15 @@
 """Shift dynamics on block windows and its scalar readout.
 
-One step conjugates the assembled window by a block-diagonal orthogonal
-matrix built from the leading vectors and then shifts by one scalar
-slot.  Each step consumes one block at either edge; the surviving
-central blocks reproduce the infinite evolution exactly, because a new
-block depends only on its two old neighbours, so a step acts on the row
-arrays of all blocks at once.  A run is a stream of checked states,
-``flow_states``; reading off its block norms yields the coefficients of
-a half-axis three-term recurrence, which is how the dynamics is
-compared against its Jacobi counterpart.
+One step conjugates the window's band blocks by the block orthogonals
+built from the leading vectors and shifts by one scalar slot
+(``conjugate_shift``, which steps ``ks``' mapped blocks too).  Each step
+consumes one block at either edge; the surviving central blocks
+reproduce the infinite evolution exactly, because a new block depends
+only on its two old neighbours, so a step acts on the row arrays of all
+blocks at once.  A run is a stream of checked states, ``flow_states``;
+reading off its block norms yields the coefficients of a half-axis
+three-term recurrence, which is how the dynamics is compared against
+its Jacobi counterpart.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from .gmp import (
     VALIDITY_FLOOR,
     GmpBlock,
     GmpWindow,
-    assemble_dense,
-    block_diagonal,
     build_block_B,
     validate_gmp,
 )
@@ -86,8 +85,8 @@ def jacobi_flow_step(window: GmpWindow) -> GmpWindow:
 
     New block j is formed from old blocks j and j+1, and the retained
     range is j_min+1..j_max-1.  The result coincides with conjugating
-    the dense window by the block diagonal of ``u_block`` matrices and
-    shifting by one scalar slot (see ``flow_identity_residual``).
+    the window by the ``u_block`` matrices and shifting by one scalar
+    slot (``conjugate_shift``; see ``flow_identity_residual``).
     """
     g = window.g
     if window.n_blocks < 3:
@@ -114,22 +113,48 @@ def jacobi_flow_step(window: GmpWindow) -> GmpWindow:
     return GmpWindow(p_new, q_new, window.c, window.j_min + 1)
 
 
-def flow_identity_residual(window: GmpWindow, stepped: GmpWindow) -> float:
-    """Deviation of a flow step from the dense conjugation route.
+def conjugate_shift(u: np.ndarray, v_blocks: np.ndarray, w_blocks: np.ndarray) -> tuple:
+    """The flow step on band blocks: diagonal blocks 0..n - 1, the lower
+    triangular couplings j = 0..n of block j - 1 with block j, and the
+    orthogonals ``u`` of blocks -1..n.  Conjugates and re-blocks (new block
+    j is block j's slots 1..g and block j + 1's slot 0), and returns the
+    new couplings 1..n - 1 and diagonal blocks 1..n - 2, the largest entry
+    the shift leaves outside the band (slot 0 of a conjugated coupling
+    against its slots 1..g, a new coupling's upper triangle) and the scale
+    of the conjugated blocks."""
+    g = u.shape[-1] - 1
+    u_t = np.swapaxes(u, 1, 2)
+    cv = u_t[:-1] @ v_blocks @ u[1:]
+    cw = u_t[1:-1] @ w_blocks @ u[1:-1]
+    cw = 0.5 * (cw + np.swapaxes(cw, 1, 2))
+    scale = max(1.0, float(np.max(np.abs(cv))), float(np.max(np.abs(cw))))
+    new_v = np.zeros_like(cv[2:])
+    new_v[:, :g, :g] = cv[1:-1, 1:, 1:]
+    new_v[:, g, :g] = cw[1:, 0, 1:]
+    new_v[:, g, g] = cv[2:, 0, 0]
+    new_w = np.empty_like(cw[2:])
+    new_w[:, :g, :g] = cw[1:-1, 1:, 1:]
+    new_w[:, :g, g] = new_w[:, g, :g] = cv[2:-1, 1:, 0]
+    new_w[:, g, g] = cw[2:, 0, 0]
+    defect = max(float(np.max(np.abs(cv[:, 0, 1:]), initial=0.0)),
+                 float(np.max(np.abs(np.triu(new_v, 1)), initial=0.0)))
+    return new_v, new_w, defect, scale
 
-    Conjugates the assembled old window by the block diagonal of
-    ``u_block`` matrices and compares the one-slot-shifted result
-    against the assembled new window, returning the largest absolute
-    mismatch.
-    """
-    o_full = block_diagonal(u_block(window.P))
-    conj = o_full.T @ assemble_dense(window) @ o_full
-    dense_new = assemble_dense(stepped)
-    off = (stepped.j_min - window.j_min) * (window.g + 1) + 1
-    m = dense_new.shape[0]
-    if off < 0 or off + m > conj.shape[0]:
+
+def flow_identity_residual(window: GmpWindow, stepped: GmpWindow) -> float:
+    """Largest mismatch of the band blocks of the flow step ``stepped`` of
+    ``window`` and ``conjugate_shift`` of the window's (zero couplings and
+    identity orthogonals past its ends), or that call's defect if larger."""
+    g, n = window.g, window.n_blocks
+    if (stepped.j_min, stepped.n_blocks, stepped.g) != (window.j_min + 1, n - 2, g):
         raise WindowError("stepped window does not sit inside the old one")
-    return float(np.max(np.abs(dense_new - conj[off : off + m, off : off + m])))
+    u = np.concatenate([np.eye(g + 1)[None], u_block(window.P), np.eye(g + 1)[None]])
+    v = np.zeros_like(u[1:])
+    v[1:-1, g] = window.P[1:]  # A(p) = e_g p^T couples a block to the one before
+    new_v, new_w, defect, _ = conjugate_shift(u, v, build_block_B(window.rows(), window.c))
+    new_v[1:-1, g] -= stepped.P[1:]
+    new_w -= build_block_B(stepped.rows(), stepped.c)
+    return max(float(np.max(np.abs(new_v[1:-1]), initial=0.0)), float(np.max(np.abs(new_w))), defect)
 
 
 def extract_jacobi(P: np.ndarray, Q: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -182,14 +182,6 @@ def build_block_B(blk: GmpBlock, c: np.ndarray) -> np.ndarray:
     return mat
 
 
-def block_diagonal(stack: np.ndarray) -> np.ndarray:
-    """Dense matrix carrying the (n, m, m) ``stack`` on its block diagonal."""
-    idx = np.arange(stack.shape[0] * stack.shape[1]).reshape(stack.shape[:2])
-    mat = np.zeros((idx.size, idx.size))
-    mat[idx[:, :, None], idx[:, None, :]] = stack
-    return mat
-
-
 def band_rows(blocks: GmpBlock, c: np.ndarray) -> np.ndarray:
     """Row i of the matrix of a run of blocks (``GmpWindow.rows``) on its
     entries i - h..i + h, h = g + 1, every entry outside the run zero."""

@@ -13,14 +13,14 @@ closed-form resolvent columns in one stacked call.  A flow step is an
 orthogonal block conjugation followed by a one-slot shift, and the map
 commutes with both, so ``map_run`` maps a flow run with two eigensolves:
 the eigen route at its ends, and every state between carried from the
-normalized blocks of the one before (``carry_blocks``).  Both routes
-share one sign normalisation (``normalized_blocks``).
-This module sums the per-block entropy terms,
-evaluates the exact one-step drop of the functional under the flow,
-checks the telescoping identity relating a flow run to a single shift,
-accumulates coefficient diagnostics along trajectories, and verifies
-the closed-form determinant identities for the density of the mapped
-spectral measure.
+normalized blocks of the one before (``carry_blocks``, through the
+step's own kernel ``flow.conjugate_shift``).  Both routes share one sign
+normalisation (``normalized_blocks``).  This module sums the per-block
+entropy terms, evaluates the exact one-step drop of the functional under
+the flow, checks the telescoping identity relating a flow run to a
+single shift, accumulates coefficient diagnostics along trajectories,
+and verifies the closed-form determinant identities for the density of
+the mapped spectral measure.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import SpectrumProximityError, ValidationError, WindowError, check
+from .errors import SpectrumProximityError, ValidationError, WindowError, check, check_entries
 from .finitegap import DeltaData, check_distinct_poles
-from .flow import jacobi_flow_step, u_block
+from .flow import conjugate_shift, jacobi_flow_step, u_block
 from .gmp import GmpBlock, GmpWindow, assemble_dense, pattern_defect, resolvent_column
 from .isospectral import is_residual
 
@@ -234,36 +234,19 @@ def carry_blocks(window: GmpWindow, db: DeltaBlocks,
     """Raw mapped blocks of the flow step of ``window`` from its own, ``db``.
 
     The step conjugates by the ``u_block`` rotations and shifts by one
-    slot, and the comb map commutes with both.  So the blocks of ``db``
-    are conjugated by the rotations of blocks j_lo - 1..j_hi + 1, with
-    ``db.signs`` in their rows (the raw blocks' conjugation, bit for bit:
-    a sign flip is exact), and re-blocked: new block j is old block j's
-    slots 1..g and old block j + 1's slot 0.  Returns the couplings
+    slot, and the comb map commutes with both, so ``conjugate_shift``
+    carries the blocks of ``db``, with ``db.signs`` in the rows of the
+    rotations of blocks j_lo - 1..j_hi + 1 (the raw blocks' conjugation,
+    bit for bit: a sign flip is exact).  Returns the couplings
     j_lo + 1..j_hi and diagonal blocks j_lo + 1..j_hi - 1 of the stepped
     window (its eigen route's trusted range) and the scale of the
-    conjugated blocks.  Entries the shift leaves outside the band (slot
-    0 of a conjugated coupling against its slots 1..g, the upper
-    triangle of a new coupling) above ``BAND_DEFECT_REL`` times that
-    scale raise NumericalError, its message led by ``state``.
+    conjugated blocks.  A defect above ``BAND_DEFECT_REL`` times that
+    scale raises NumericalError, its message led by ``state``.
     """
-    g, lo = window.g, db.j_lo - 1 - window.j_min
+    lo = db.j_lo - 1 - window.j_min
     u = u_block(window.P[lo : lo + len(db.v_blocks) + 1])
     u *= np.vstack([np.ones_like(db.signs[:1]), db.signs])[:, :, None]  # block j_lo - 1's kept
-    u_t = np.swapaxes(u, 1, 2)
-    cv = u_t[:-1] @ db.v_blocks @ u[1:]
-    cw = u_t[1:-1] @ db.w_blocks @ u[1:-1]
-    cw = 0.5 * (cw + np.swapaxes(cw, 1, 2))
-    scale = max(1.0, float(np.max(np.abs(cv))), float(np.max(np.abs(cw))))
-    new_v = np.zeros_like(cv[2:])
-    new_v[:, :g, :g] = cv[1:-1, 1:, 1:]
-    new_v[:, g, :g] = cw[1:, 0, 1:]
-    new_v[:, g, g] = cv[2:, 0, 0]
-    new_w = np.empty_like(cw[2:])
-    new_w[:, :g, :g] = cw[1:-1, 1:, 1:]
-    new_w[:, :g, g] = new_w[:, g, :g] = cv[2:-1, 1:, 0]
-    new_w[:, g, g] = cw[2:, 0, 0]
-    defect = max(float(np.max(np.abs(cv[:, 0, 1:]), initial=0.0)),
-                 float(np.max(np.abs(np.triu(new_v, 1)), initial=0.0)))
+    new_v, new_w, defect, scale = conjugate_shift(u, db.v_blocks, db.w_blocks)
     check(lambda _: f"{state}carried operator lost its band structure: defect", defect,
           BAND_DEFECT_REL * scale)
     return new_v, new_w, scale
@@ -528,8 +511,8 @@ def density_identity(c, lam, y: float) -> dict:
     verifies the Cauchy determinant of the pole-preimage matrix and the
     product of map derivatives against their closed forms.
     """
-    c_arr = np.asarray(c, dtype=float)
-    lam_arr = np.asarray(lam, dtype=float)
+    c_arr, lam_arr = check_entries({"c": c, "lam": lam}, "{key}[{}]")
+    y, = check_entries({"y": y})
     if c_arr.ndim != 1 or c_arr.shape != lam_arr.shape or c_arr.size == 0:
         raise ValidationError("poles and weights must be matching 1-d arrays")
     if np.any(lam_arr <= 0):

@@ -5,11 +5,19 @@ quantity that ``gmpflow`` computes another way, kept as the oracle its
 tests compare against:
 
 - ``dense(window)``: the n x n tridiagonal matrix of a Jacobi window;
+- ``block_diagonal(stack)``: the dense matrix of a stack of blocks on
+  its block diagonal;
 - ``block_assembly(window)``: the dense matrix of a GMP window put
   together block by block, the diagonal blocks of ``build_block_B`` and
   then the couplings, the way ``gmp.assemble_dense`` built it before it
   placed ``gmp.band_rows``; the rows must give its bits, signs of zero
   included;
+- ``dense_flow_identity_residual(window, stepped)``: the flow identity
+  on the dense matrices, the assembled window conjugated by the block
+  diagonal of its ``u_block`` matrices, shifted by one slot and compared
+  with the assembled stepped window, the way
+  ``flow.flow_identity_residual`` checked it before it went through the
+  band blocks of ``flow.conjugate_shift``;
 - ``spectral_measure_plus``: the spectral measure of a one-sided window
   at e_0, from the dense eigensolve;
 - ``moment`` and ``cauchy_transform`` of a ``DiscreteMeasure``;
@@ -44,7 +52,8 @@ import numpy as np
 
 from gmpflow import numkit
 from gmpflow.errors import NumericalError, SpectrumProximityError, WindowError
-from gmpflow.gmp import GmpBlock, GmpWindow, _chain_plan, band_rows, block_diagonal, build_block_B
+from gmpflow.flow import u_block
+from gmpflow.gmp import GmpBlock, GmpWindow, _chain_plan, assemble_dense, band_rows, build_block_B
 from gmpflow.isospectral import FD_STEP_REL, MAX_ITERATIONS, SOLVE_TARGET
 from gmpflow.jacobi import DiscreteMeasure, JacobiWindow, resolvent_r, spectrum_near
 
@@ -57,6 +66,28 @@ def dense(window: JacobiWindow) -> np.ndarray:
     mat[np.arange(window.size - 1), np.arange(1, window.size)] = off
     mat[np.arange(1, window.size), np.arange(window.size - 1)] = off
     return mat
+
+
+def block_diagonal(stack: np.ndarray) -> np.ndarray:
+    """Dense matrix carrying the (n, m, m) ``stack`` on its block diagonal."""
+    idx = np.arange(stack.shape[0] * stack.shape[1]).reshape(stack.shape[:2])
+    mat = np.zeros((idx.size, idx.size))
+    mat[idx[:, :, None], idx[:, None, :]] = stack
+    return mat
+
+
+def dense_flow_identity_residual(window: GmpWindow, stepped: GmpWindow) -> float:
+    """Largest entry of the assembled stepped window minus the assembled
+    window conjugated by the block diagonal of ``u_block`` matrices, on
+    the square the one-slot shift puts it on."""
+    o_full = block_diagonal(u_block(window.P))
+    conj = o_full.T @ assemble_dense(window) @ o_full
+    dense_new = assemble_dense(stepped)
+    off = (stepped.j_min - window.j_min) * (window.g + 1) + 1
+    m = dense_new.shape[0]
+    if off < 0 or off + m > conj.shape[0]:
+        raise WindowError("stepped window does not sit inside the old one")
+    return float(np.max(np.abs(dense_new - conj[off : off + m, off : off + m])))
 
 
 def block_assembly(window: GmpWindow) -> np.ndarray:

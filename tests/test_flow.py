@@ -25,7 +25,7 @@ from gmpflow.gmp import GmpBlock, GmpWindow, build_block_B, lambda_k
 from gmpflow.jacobi import DiscreteMeasure, lanczos_from_measure
 
 from conftest import make_p1_block, make_p1_window, roundtrip_inputs, stack_window
-from oracles import tril_triu_block_B
+from oracles import dense_flow_identity_residual, tril_triu_block_B
 
 SQRT2 = np.sqrt(2.0)
 
@@ -268,6 +268,20 @@ class TestJacobiFlowStep:
         with pytest.raises(WindowError, match="^stepped window does not sit inside the old one$"):
             flow_identity_residual(window, moved)
 
+    @pytest.mark.parametrize("case", ["genus", "short at the end", "short at the start"])
+    def test_identity_needs_the_step_of_the_window(self, case):
+        window = perturbed_p1_window()
+        stepped = jacobi_flow_step(window)
+        other = {
+            "genus": lambda: jacobi_flow_step(random_window(np.random.default_rng(2), 2, 23, -11)),
+            "short at the end": lambda: GmpWindow(stepped.P[:-1], stepped.Q[:-1], stepped.c,
+                                                  stepped.j_min),
+            "short at the start": lambda: GmpWindow(stepped.P[1:], stepped.Q[1:], stepped.c,
+                                                    stepped.j_min + 1),
+        }[case]()
+        with pytest.raises(WindowError, match="^stepped window does not sit inside the old one$"):
+            flow_identity_residual(window, other)
+
 
 class TestStackedStep:
     """The stacked step and rotation products against loops over
@@ -304,6 +318,43 @@ class TestStackedStep:
     @given(small_windows())
     def test_flow_identity_on_random_windows(self, window):
         assert flow_identity_residual(window, jacobi_flow_step(window)) <= 1e-12
+
+
+class TestBandedIdentity:
+    """``flow_identity_residual`` on band blocks against the dense
+    conjugation of ``oracles.dense_flow_identity_residual``."""
+
+    @pytest.mark.parametrize("n_blocks", [41, 121])
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_matches_dense_oracle(self, g, n_blocks):
+        window = random_window(np.random.default_rng([g, n_blocks]), g, n_blocks, -(n_blocks // 2))
+        stepped = jacobi_flow_step(window)
+        banded = flow_identity_residual(window, stepped)
+        assert banded <= 1e-13
+        assert abs(banded - dense_flow_identity_residual(window, stepped)) <= 1e-15
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(small_windows())
+    def test_matches_dense_oracle_on_random_windows(self, window):
+        stepped = jacobi_flow_step(window)
+        assert abs(flow_identity_residual(window, stepped)
+                   - dense_flow_identity_residual(window, stepped)) <= 1e-15
+
+    @pytest.mark.parametrize("i", [0, 9, -1])
+    def test_planted_entry_is_the_residual(self, i):
+        # q_g of a block enters its matrix only at (g, g), as p_g * q_g
+        window = random_window(np.random.default_rng(21), 3, 21, -10)
+        stepped = jacobi_flow_step(window)
+        Q = stepped.Q.copy()
+        Q[i, -1] += 1e-6
+        planted = GmpWindow(stepped.P, Q, stepped.c, stepped.j_min)
+        moved = 1e-6 * stepped.P[i, -1]
+        assert abs(flow_identity_residual(window, planted) - moved) <= 1e-15
+        assert abs(dense_flow_identity_residual(window, planted) - moved) <= 1e-15
+
+    def test_reaches_961_blocks_at_genus_16(self):
+        _, window = roundtrip_inputs(16, 961)
+        assert flow_identity_residual(window, jacobi_flow_step(window)) <= 1e-14
 
 
 class TestExtractJacobi:

@@ -21,7 +21,7 @@ from conftest import (
     sum_rule_window,
     wrapped_dense,
 )
-from oracles import sum_rule_spectral_side
+from oracles import block_diagonal, sum_rule_spectral_side
 from oracles_mp import local_delta_column
 
 from gmpflow import ks, numkit
@@ -33,7 +33,7 @@ from gmpflow.errors import (
 )
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
 from gmpflow.flow import flow_states, jacobi_flow_step, u_block
-from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense, block_diagonal
+from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense
 from gmpflow.isospectral import solve_is_point
 from gmpflow.ks import (
     DeltaBlocks,
@@ -477,9 +477,10 @@ class TestMapRun:
 
     @pytest.mark.parametrize("genus", [1, 2])
     def test_carry_matches_dense_conjugation(self, genus):
-        # the flow step's dense route (flow_identity_residual): conjugate the
-        # mapped matrix by the block diagonal of u_block rotations, shift by
-        # one slot, and slice the blocks over the stepped trusted range
+        # the flow step's dense route (oracles.dense_flow_identity_residual):
+        # conjugate the mapped matrix by the block diagonal of u_block
+        # rotations, shift by one slot, and slice the blocks over the
+        # stepped trusted range
         d, w = run_case(genus)
         db = delta_of_gmp([w], d, 3)[0]
         new_v, new_w, _ = ks.carry_blocks(w, db)
@@ -1125,8 +1126,23 @@ class TestDensityIdentity:
         ([0.0, 3.0], [1.0]), ([[0.0, 3.0]], [[1.0, 1.0]]), ([], []),
     ])
     def test_matching_arrays_required(self, c, lam):
-        with pytest.raises(ValidationError, match="^poles and weights must be matching 1-d arrays$"):
+        # a nested list is a list in a number's place, refused by the number rule
+        message = ("c[0] = [0.0, 3.0] is not a number" if c == [[0.0, 3.0]]
+                   else "poles and weights must be matching 1-d arrays")
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             density_identity(c, lam, 1.0)
+
+    @pytest.mark.parametrize("c, lam, y, message", [
+        ([0.0, "x"], [1.0, 1.0], 1.0, "c[1] = 'x' is not a number"),
+        ([0.0, 3.0], [1.0, None], 1.0, "lam[1] = None is not a number"),
+        ([0.0, True], [1.0, 1.0], 1.0, "c[1] = True is not a number"),
+        ([0.0, 3.0], [1.0, np.inf], 1.0, "lam[1] = inf is infinite"),
+        ([0.0, 3.0], [1.0, 1.0], "1.0", "y = '1.0' is not a number"),
+        ([0.0, 3.0], [1.0, 1.0], np.nan, "y = nan is not a number"),
+    ])
+    def test_entries_refused_by_name(self, c, lam, y, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            density_identity(c, lam, y)
 
     def test_failing_identity_raises(self, monkeypatch):
         # preimages moved off the level: the Cauchy determinant still holds
