@@ -518,9 +518,9 @@ class Counting:
             self.h_term_calls += 1
             return self._h_term(*args)
 
-        def lanczos(*args, **kwargs):
+        def lanczos(*args):  # (band, start, depth)
             before = self.project_calls
-            win = self._lanczos(*args, **kwargs)
+            win = self._lanczos(*args)
             self.lanczos_sizes.append(win.size)
             full = min(jacobi.LANCZOS_FULL_STEPS, win.size - 1)
             self.lanczos_reorthogonalized.append(self.project_calls - before - full)

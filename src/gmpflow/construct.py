@@ -11,10 +11,10 @@ windows and GMP windows: ``jacobi_to_gmp`` orthogonalizes a flag of
 resolvent vectors pinned at the map poles, the ``kappa`` vectors of the
 window and of its one reflection, each checked against the spectrum and
 the truncation, and ``gmp_to_jacobi_measure`` tridiagonalizes the two
-block-banded half-line truncations by Lanczos with partial
-reorthogonalization on their band rows, the rows of ``gmp.band_rows``
-that ``gmp.assemble_dense`` places too, with no eigensolve; each step
-reads only the staircase of rows the earlier Lanczos vectors occupy.
+block-banded half-line truncations by ``lanczos`` on their band rows,
+the rows of ``gmp.band_rows`` that ``gmp.assemble_dense`` places too,
+with partial reorthogonalization and no eigensolve; each step is one
+product of the staircase of rows the earlier Lanczos vectors occupy.
 """
 
 from __future__ import annotations
@@ -318,7 +318,7 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
 def gmp_to_jacobi_measure(w: GmpWindow) -> JacobiWindow:
     """Jacobi window matching the two half-line resolvents of a GMP window.
 
-    Lanczos runs on the ``band_rows`` of the two halves of the window's
+    ``lanczos`` takes the ``band_rows`` of the two halves of the window's
     matrix: the blocks >= 0 from the normalized coupling vector of the
     site left of the split, which lies on block 0, and the blocks <= -1,
     index order reversed, from that site.  Block j couples to block j + 1
@@ -343,12 +343,8 @@ def gmp_to_jacobi_measure(w: GmpWindow) -> JacobiWindow:
     plus, minus = band_rows(w.rows(k0), w.c), band_rows(w.rows(0, k0), w.c)[::-1, ::-1]
     v_plus = np.pad(p0 / a0, (0, plus.shape[0] - per))
     check("starting vector norm deviates from 1 by", abs(np.linalg.norm(v_plus) - 1.0), 1e-12)
-
-    def half(rows: np.ndarray, start: np.ndarray) -> JacobiWindow:
-        depth = rows.shape[0] // per - 1
-        return lanczos(numkit.band_operator(rows), start, depth, float(np.max(np.abs(rows))), per)
-
-    jp, jm = half(plus, v_plus), half(minus, np.eye(1, minus.shape[0])[0])
+    jp = lanczos(plus, v_plus, plus.shape[0] // per - 1)
+    jm = lanczos(minus, np.eye(1, minus.shape[0])[0], minus.shape[0] // per - 1)
     if jp.size < 2 or jm.size < 2:
         raise WindowError("window too narrow to recover a bond on each side of the split")
     b_arr = np.concatenate([jm.b[::-1], jp.b])

@@ -164,19 +164,21 @@ def resolvent_r(window: JacobiWindow, z: float) -> float:
     return float(numkit.solve_tridiagonal(window.b[i:], window.a[i + 1 :], e0, z)[0])
 
 
-def lanczos(matvec, start, depth: int, scale: float, grow: int) -> JacobiWindow:
-    """Recurrence coefficients b(0..k) and a(1..k), k <= depth, of a
-    symmetric operator of entries at most ``scale`` at a unit start
-    vector, by Lanczos with partial reorthogonalization (H. D. Simon,
-    Math. Comp. 42, 1984), which keeps the basis semi-orthogonal.
+def lanczos(band, start, depth: int) -> JacobiWindow:
+    """Recurrence coefficients b(0..k) and a(1..k), k <= depth, at a unit
+    start vector, of the symmetric banded matrix with row i's entries
+    i - h..i + h in ``band[i]`` (``gmp.band_rows``), by Lanczos with partial
+    reorthogonalization (H. D. Simon, Math. Comp. 42, 1984), which keeps
+    the basis semi-orthogonal.
 
-    Vector k must lie on the leading (k + 1) * grow rows, as for a banded
-    operator of halfwidth <= grow started on its first grow rows; step k
-    applies ``matvec`` to the leading (k + 2) * grow rows only, and the
-    first ``LANCZOS_FULL_STEPS`` project its image against every earlier
-    vector over them (``project_out``).  Later steps take the three-term
+    Vector k lies on the leading (k + 1) * grow rows, grow = max(h, 1 +
+    the index of the start's last nonzero entry).  Each vector is stored
+    with h zeros on either side, so step k's product is one ``vecdot`` of
+    the leading (k + 2) * grow band rows with its row windows; the first
+    ``LANCZOS_FULL_STEPS`` project the image against every earlier vector
+    over those rows (``project_out``).  Later steps take the three-term
     residual and update Simon's signed estimates of the new vector's dot
-    products with vectors j <= k, om'(k) = 0.6 eps n scale / a(k+1) and
+    products with vectors j <= k, om'(k) = 0.6 eps n max|band| / a(k+1) and
 
         a(k+1) om'(j) = a(j) om(j-1) + (b(j) - b(k)) om(j) + a(j+1) om(j+1)
                         - a(k) om_prev(j) +- (0.3 eps a(j+1) + 0.3 eps a(k)),
@@ -185,13 +187,17 @@ def lanczos(matvec, start, depth: int, scale: float, grow: int) -> JacobiWindow:
     a(j+1)), kept as the a(j) are made, with the windows om(j-1..j+1) of a
     padded om.  Where max |om'| > eps**0.6, that step and the next project
     instead, which resets om' to eps.  The run stops at k < depth if the
-    next norm is <= 1e-13 * max(1, scale), where the Krylov space is
-    exhausted.  a(0) is the placeholder 1.0.
+    next norm is <= 1e-13 * max(1, max|band|): the Krylov space is spent.
+    a(0) is the placeholder 1.0.
     """
-    n = start.size
+    band = np.ascontiguousarray(band, dtype=float)  # vecdot rounds otherwise on a reversed view
+    n, h, scale = start.size, band.shape[1] // 2, float(np.max(np.abs(band)))
+    grow = max(h, int(np.max(np.flatnonzero(start), initial=-1)) + 1)
     tiny, eps = 1e-13 * max(1.0, scale), np.finfo(float).eps
-    basis = np.zeros((depth + 1, n))
+    padded = np.zeros((depth + 1, n + 2 * h))
+    basis = padded[:, h : h + n]
     basis[0] = start
+    around = np.lib.stride_tricks.sliding_window_view(padded, 2 * h + 1, axis=1)
     bs, a_out = np.empty(depth + 1), np.ones(depth + 1)
     # the estimates of steps k - 1, k, k + 1 at k % 3, om(j) in slot j + 1
     om = np.full((3, depth + 3), eps)
@@ -202,7 +208,7 @@ def lanczos(matvec, start, depth: int, scale: float, grow: int) -> JacobiWindow:
     for k in range(depth + 1):
         rows = min(n, (k + 2) * grow)
         vec = basis[k, :rows]
-        image = matvec(vec)
+        image = np.vecdot(band[:rows], around[k, :rows])
         bs[k] = vec @ image
         if k == depth:
             break
@@ -232,8 +238,8 @@ def lanczos(matvec, start, depth: int, scale: float, grow: int) -> JacobiWindow:
 
 def lanczos_from_measure(measure: DiscreteMeasure, depth: int) -> JacobiWindow:
     """Three-term recurrence coefficients of the measure's orthonormal
-    polynomials, b(0..depth) and a(1..depth): ``lanczos`` on multiplication
-    by the points, from the root weights.  a(0) is the placeholder 1.0.
+    polynomials, b(0..depth) and a(1..depth): ``lanczos`` on the points as
+    a band of halfwidth 0, from the root weights.  a(0) is the placeholder 1.0.
     """
     if depth < 0:
         raise ValidationError("depth must be nonnegative")
@@ -243,7 +249,7 @@ def lanczos_from_measure(measure: DiscreteMeasure, depth: int) -> JacobiWindow:
             f"< {measure.n_points}, got {depth}"
         )
     x = measure.points
-    win = lanczos(lambda v: x * v, np.sqrt(measure.weights), depth, float(np.max(np.abs(x))), x.size)
+    win = lanczos(x[:, None], np.sqrt(measure.weights), depth)
     if win.size <= depth:
         raise NumericalError(
             f"recurrence broke down at step {win.size}; "

@@ -3,8 +3,8 @@
 Thin wrappers around LAPACK-backed numpy/scipy routines that add the
 pivot, symmetry and residual checks the rest of the package relies on.
 Matrices are plain float ndarrays; a symmetric banded matrix is passed
-as its upper diagonals, or as its band rows for a loop of products, and
-a tridiagonal one is solved in O(n) under the dense solve's contract.
+as its upper diagonals, and a tridiagonal one is solved in O(n) under
+the dense solve's contract.
 Norms appearing in the contracts are Frobenius norms; the fixed
 tolerances are tuned for the moderate scales used throughout (operator
 norms up to a few units).  scipy is imported inside the functions that
@@ -14,6 +14,7 @@ which calls none of them starts without it.
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import partial
 from typing import Callable
@@ -64,16 +65,18 @@ def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(mat, check_finite=False)
     back = partial(lu_solve, (lu, piv), check_finite=False)
-    return _checked_solve(np.abs(np.diag(lu)), scale, lambda x: mat @ x, back, rhs_arr)
+    return _checked_solve(np.abs(np.diag(lu)), scale, scale, lambda x: mat @ x, back, rhs_arr)
 
 
-def _checked_solve(pivots, scale: float, matvec, back, rhs: np.ndarray) -> np.ndarray:
+def _checked_solve(pivots, pivot_scale, scale: float, matvec, back, rhs: np.ndarray) -> np.ndarray:
     """The contract of ``solve`` around a factorization with U pivots
-    ``pivots``: the pivot check, then ``back(rhs)``.  Each column is held
-    to its own residual bound and refined once, alone, if it misses, so a
-    column comes out as its own one-column solve would."""
-    worst = int(np.argmin(pivots))
-    if pivots[worst] <= PIVOT_REL_TOL * scale:
+    ``pivots``: the pivot check against ``pivot_scale`` (one, or one per
+    pivot), then ``back(rhs)``.  Each column is held to its own residual
+    bound at the normwise ``scale``, and refined once, alone, if it misses,
+    so a column comes out as its own one-column solve would."""
+    short = pivots <= PIVOT_REL_TOL * pivot_scale
+    if short.any():
+        worst = int(np.argmin(np.where(short, pivots, np.inf)))
         raise SingularMatrixError(worst, float(pivots[worst]))
     x = back(rhs)
     for attempt in range(2):
@@ -92,8 +95,7 @@ def banded_matvec(bands, x: np.ndarray) -> np.ndarray:
     upper diagonal is ``bands[d]``; x is a vector or a stack of columns.
     Four slice products per diagonal: for one-shot products, as in the
     residual of ``solve_tridiagonal``, ``jacobi_to_gmp`` and
-    ``kappa_pairing``; a loop of products on band rows uses
-    ``band_operator``."""
+    ``kappa_pairing``; ``jacobi.lanczos`` takes band rows instead."""
     n = x.shape[0]
     col = (slice(None),) + (None,) * (x.ndim - 1)
     out = bands[0][:n][col] * x
@@ -104,33 +106,16 @@ def banded_matvec(bands, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def band_operator(rows) -> Callable[[np.ndarray], np.ndarray]:
-    """x -> M[:n, :n] @ x for a loop of products, M symmetric with row i
-    on its entries i - h..i + h (zero outside M) in ``rows[i]``, as
-    ``gmp.band_rows`` gives them, against the row windows of a zero-padded
-    copy of x; three numpy calls a product at any halfwidth h (copy x in,
-    zero the h slots after it, one vecdot)."""
-    rows = np.ascontiguousarray(rows, dtype=float)
-    size, h = rows.shape[0], rows.shape[1] // 2
-    buf = np.zeros(size + 2 * h)
-    windows = np.lib.stride_tricks.sliding_window_view(buf, 2 * h + 1)  # read-only
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        n = x.size
-        buf[h : h + n] = x
-        buf[h + n : 2 * h + n] = 0.0
-        return np.vecdot(rows[:n], windows[:n])
-
-    return matvec
-
-
 def solve_tridiagonal(diag, off, rhs, z: float) -> np.ndarray:
     """Solve ``(T - z I) x = rhs`` for the symmetric tridiagonal T with
     diagonal ``diag`` and off-diagonal ``off``, in O(n) per right-hand side.
 
-    LAPACK ``gttrf``/``gttrs`` under the contract of ``solve``, with
-    ``||T - z I||`` as the scale of the U pivot check and residual bound;
-    orders below 3 go through ``solve`` itself.
+    LAPACK ``gttrf``/``gttrs`` under the contract of ``solve``, with two
+    scales: each U pivot is held against the 1-norm of its own column,
+    |o(i-1)| + |d(i) - z| + |o(i)|, so that O(1) pivots next to entries
+    near 1e154 pass, and the residual bound takes ``||T - z I||``, summed
+    at a power-of-two scale near the largest entry so that no square
+    overflows.  Orders below 3 go through ``solve`` itself.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -143,14 +128,16 @@ def solve_tridiagonal(diag, off, rhs, z: float) -> np.ndarray:
         raise ValueError("matrix and right-hand side must be finite")
     if n < 3:  # scipy's gttrf wrapper needs n >= 3
         return solve(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), rhs)
-    scale = float(np.sqrt(diag @ diag + 2.0 * (off @ off)))
+    mag, edge = np.abs(diag), np.pad(np.abs(off), 1)
+    m = math.ldexp(1.0, math.frexp(max(np.max(mag), np.max(edge)))[1])
+    scale = float(np.sqrt((diag / m) @ (diag / m) + 2.0 * ((off / m) @ (off / m)))) * m
     lu = dgttrf(off, diag, off)[:5]
 
     def back(r):
         return dgttrs(*lu, r.reshape(n, -1))[0].reshape(r.shape)
 
     matvec = partial(banded_matvec, (diag, off))
-    return _checked_solve(np.abs(lu[1]), scale, matvec, back, rhs)
+    return _checked_solve(np.abs(lu[1]), edge[:-1] + mag + edge[1:], scale, matvec, back, rhs)
 
 
 def project_out(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:

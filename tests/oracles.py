@@ -30,6 +30,10 @@ tests compare against:
   reorthogonalized only where Simon's estimate asks, and its
   ``np.longdouble`` form ``longdouble_lanczos``, with
   ``longdouble_jacobi``, that form on the two halves of a GMP window;
+- ``band_operator(rows)``: the product of band rows that ``jacobi.lanczos``
+  took as a callable before it kept its basis zero-padded, one ``vecdot``
+  against a zero-padded copy of the vector; driving ``cgs2_lanczos``, it
+  gives the bits of ``lanczos``'s fully projected steps;
 - ``sum_rule_spectral_side``: the spectral side of the Killip-Simon sum
   rule, which the entropy ledger of ``ks`` equals at genus 0;
 - ``whole_plan_lambda_sharp`` and ``tril_triu_block_B``: frozen copies of
@@ -191,6 +195,25 @@ def cgs2_lanczos(matvec, start: np.ndarray, depth: int, grow: int):
         a[k + 1] = np.sqrt(w @ w)
         basis[k + 1, :rows] = w / a[k + 1]
     return b, a
+
+
+def band_operator(rows):
+    """x -> M[:n, :n] @ x, n = x.size, M symmetric with row i on its entries
+    i - h..i + h (zero outside M) in ``rows[i]``, as ``gmp.band_rows`` gives
+    them: x copied into a zero-padded buffer, the h slots after it zeroed,
+    and one ``vecdot`` with the buffer's row windows."""
+    rows = np.ascontiguousarray(rows, dtype=float)
+    size, h = rows.shape[0], rows.shape[1] // 2
+    buf = np.zeros(size + 2 * h)
+    windows = np.lib.stride_tricks.sliding_window_view(buf, 2 * h + 1)
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        n = x.size
+        buf[h : h + n] = x
+        buf[h + n : 2 * h + n] = 0.0
+        return np.vecdot(rows[:n], windows[:n])
+
+    return matvec
 
 
 def longdouble_lanczos(rows, start, depth: int, grow: int):

@@ -37,7 +37,8 @@ from gmpflow.jacobi import (
     lanczos_from_measure,
 )
 
-from oracles import dense, longdouble_jacobi, longdouble_lanczos, two_by_two_resolvent
+from oracles import (block_assembly, cgs2_lanczos, dense, longdouble_jacobi, longdouble_lanczos,
+                     two_by_two_resolvent)
 from conftest import (
     half_line_measures,
     make_estar_gapset,
@@ -805,33 +806,26 @@ class TestGmpToJacobiMeasure:
 
     @pytest.mark.parametrize("g, n_blocks", [(1, 600), (2, 400)])
     def test_basis_stays_semi_orthogonal(self, g, n_blocks, monkeypatch):
-        # each half's Lanczos vectors, read off the operator products, and
-        # the steps that project: all of the first 32, then a few that
-        # Simon's estimate asks for
+        # each half's Lanczos vectors, read after the run from the padded
+        # basis under the views that project_out receives, and the steps
+        # that project: all of the first 32, then a few that Simon's
+        # estimate asks for
         w = surface_window(g, n_blocks // 2)
         w = GmpWindow(w.P[:-1], w.Q[:-1], w.c, w.j_min)
         runs, project = [], numkit.project_out
 
-        def recording(matvec, start, *args):
-            runs.append(([], []))
-
-            def spy(v):
-                runs[-1][0].append(np.pad(v, (0, start.size - v.size)))
-                return matvec(v)
-
-            return lanczos(spy, start, *args)
-
         def counting(basis, vec):
+            if not runs or runs[-1][0] is not basis.base:  # a new half
+                runs.append((basis.base, []))
             runs[-1][1].append(basis.shape[0] - 1)
             return project(basis, vec)
 
-        monkeypatch.setattr(construct, "lanczos", recording)
         monkeypatch.setattr(numkit, "project_out", counting)
         gmp_to_jacobi_measure(w)
         assert len(runs) == 2
         later = []
-        for vecs, steps in runs:
-            Q = np.array(vecs)
+        for padded, steps in runs:
+            Q = padded[:, g + 1 : -(g + 1)]  # halfwidth g + 1
             assert Q.shape[0] == n_blocks // 2
             assert np.max(np.abs(Q @ Q.T - np.eye(Q.shape[0]))) <= np.sqrt(np.finfo(float).eps)
             assert steps[:LANCZOS_FULL_STEPS] == list(range(LANCZOS_FULL_STEPS))
@@ -907,21 +901,23 @@ class TestBandOperator:
     @pytest.mark.parametrize("g", [0, 1, 2, 8, 16])
     @pytest.mark.parametrize("plus", [True, False])
     def test_every_leading_size_is_the_dense_product(self, g, plus):
-        # sizes 1..N growing, then shrinking: no row of an earlier, longer
-        # vector may leak into a product
+        # lanczos on one half's band rows, the minus half reversed, applies
+        # them at the leading sizes of its staircase, each vector on its own
+        # padded row, so no row of another vector can leak into a product;
+        # against the fully projected loop on the block-by-block dense matrix
         _, w = roundtrip_inputs(g, 41)
-        k0, A = -w.j_min, assemble_dense(w)
+        per, k0, A = g + 1, -w.j_min, block_assembly(w)
         i0 = w.scalar_index(0, 0)
         if plus:
             rows, mat = band_rows(w.rows(k0), w.c), A[i0:, i0:]
+            p0 = w.block(0).p
+            start = np.pad(p0 / np.linalg.norm(p0), (0, rows.shape[0] - per))
         else:
             rows, mat = band_rows(w.rows(0, k0), w.c)[::-1, ::-1], A[i0 - 1 :: -1, i0 - 1 :: -1]
-        matvec = numkit.band_operator(rows)
-        size = mat.shape[0]
-        rng = np.random.default_rng([g, size])
-        for n in [*range(1, size + 1), *range(size, 0, -1)]:
-            x = rng.uniform(-1.0, 1.0, n)
-            got = matvec(x)
-            assert got.shape == (n,)
-            scale = np.abs(mat[:n, :n]) @ np.abs(x)
-            assert np.all(np.abs(got - mat[:n, :n] @ x) <= 1e-14 * scale)
+            start = np.eye(1, rows.shape[0])[0]
+        depth = rows.shape[0] // per - 1
+        got = lanczos(rows, start, depth)
+        b_ref, a_ref = cgs2_lanczos(lambda v: mat[: v.size, : v.size] @ v, start, depth, per)
+        assert got.size == depth + 1
+        assert np.max(np.abs(got.b - b_ref)) <= 1e-13
+        assert np.max(np.abs(got.a - a_ref)) <= 1e-13

@@ -32,6 +32,7 @@ from gmpflow.jacobi import (
     spectrum_near,
 )
 from oracles import (
+    band_operator,
     block_assembly,
     cauchy_transform,
     cgs2_lanczos,
@@ -372,37 +373,51 @@ class TestLanczos:
         rows, i0 = band_rows(w.rows(half), w.c), w.scalar_index(0, 0)
         return rows, block_assembly(w)[i0:, i0:], np.eye(1, rows.shape[0])[0], half
 
-    def test_banded_basis_vanishes_beyond_its_staircase(self):
+    @staticmethod
+    def recorded_basis(monkeypatch, band, start, depth):
+        """``lanczos`` on the band, with its basis after the run, without
+        the padding: the array under the views ``project_out`` receives."""
+        padded, project = [], numkit.project_out
+
+        def recording(basis, vec):
+            padded.append(basis.base)
+            return project(basis, vec)
+
+        monkeypatch.setattr(numkit, "project_out", recording)
+        win = lanczos(band, start, depth)
+        monkeypatch.undo()
+        h = np.shape(band)[1] // 2
+        return win, padded[-1][:, h : h + start.size]
+
+    def test_banded_basis_vanishes_beyond_its_staircase(self, monkeypatch):
         rows, dense, start, depth = self.plus_half()
-        grow = 2
-        seen = []
-
-        def full(v):
-            seen.append(v.copy())
-            return dense @ v
-
-        # grow = n: every step reads every row
-        ref = lanczos(full, start, depth, 1.0, dense.shape[0])
-        assert ref.size == depth + 1
-        for k, vec in enumerate(seen):
+        n, grow = dense.shape[0], 2
+        # the dense matrix as a band of halfwidth n - 1: every step reads
+        # every row, and its vectors still vanish past the staircase
+        wide = np.pad(dense, ((0, 0), (n - 1, n - 1)))
+        wide = wide[np.arange(n)[:, None], np.arange(n)[:, None] + np.arange(2 * n - 1)]
+        ref, basis = self.recorded_basis(monkeypatch, wide, start, depth)
+        assert ref.size == depth + 1 and basis.shape == (depth + 1, n)
+        for k, vec in enumerate(basis):
             assert not np.any(vec[(k + 1) * grow :])
-        got = lanczos(numkit.band_operator(rows), start, depth, 1.0, grow)
+        got, basis = self.recorded_basis(monkeypatch, rows, start, depth)
+        for k, vec in enumerate(basis):
+            assert not np.any(vec[(k + 1) * grow :])
         assert np.max(np.abs(got.b - ref.b)) <= 1e-13
         assert np.max(np.abs(got.a - ref.a)) <= 1e-13
 
     def test_full_steps_are_the_cgs2_loop_bitwise(self):
         # b(0..31) and a(1..32) come from the full projections alone, with
-        # either product; band_operator is the one gmp_to_jacobi_measure runs
-        rows, dense, start, depth = self.plus_half()
+        # the band product lanczos made as a callable before
+        rows, _, start, depth = self.plus_half()
         k = LANCZOS_FULL_STEPS
-        for matvec in (numkit.band_operator(rows), lambda v: dense[: v.size, : v.size] @ v):
-            got = lanczos(matvec, start, depth, 1.0, 2)
-            b_ref, a_ref = cgs2_lanczos(matvec, start, depth, 2)
-            assert np.array_equal(got.b[:k], b_ref[:k])
-            assert np.array_equal(got.a[: k + 1], a_ref[: k + 1])
-            assert not np.array_equal(got.b, b_ref)
-            assert np.max(np.abs(got.b - b_ref)) <= 1e-13
-            assert np.max(np.abs(got.a - a_ref)) <= 1e-13
+        got = lanczos(rows, start, depth)
+        b_ref, a_ref = cgs2_lanczos(band_operator(rows), start, depth, 2)
+        assert np.array_equal(got.b[:k], b_ref[:k])
+        assert np.array_equal(got.a[: k + 1], a_ref[: k + 1])
+        assert not np.array_equal(got.b, b_ref)
+        assert np.max(np.abs(got.b - b_ref)) <= 1e-13
+        assert np.max(np.abs(got.a - a_ref)) <= 1e-13
 
     def test_krylov_space_exhausted_past_the_full_steps(self, monkeypatch):
         # a 100-row diagonal operator whose start spans 45 eigenvectors: the
@@ -417,12 +432,17 @@ class TestLanczos:
             return project(basis, vec)
 
         monkeypatch.setattr(numkit, "project_out", recording)
-        got = lanczos(lambda v: x[: v.size] * v, start, 99, 1.0, 100)
+        got = lanczos(x[:, None], start, 99)
         assert got.size == 45
         assert projected[-1] == 44 and 43 not in projected
         b_ref, a_ref = cgs2_lanczos(lambda v: x[: v.size] * v, start, 44, 100)
         assert np.max(np.abs(got.b - b_ref)) <= 1e-13
         assert np.max(np.abs(got.a - a_ref)) <= 1e-13
+
+    def test_zero_start_stops_at_once(self):
+        rows, _, start, depth = self.plus_half(20)
+        got = lanczos(rows, np.zeros_like(start), depth)
+        assert got.size == 1 and got.b[0] == 0.0
 
 
 class TestSpectrumNear:
@@ -564,6 +584,19 @@ class TestKappa:
                     kappa(win, c)
             dist = float(re.search(r"within (\S+) of the window", str(err.value)).group(1))
             assert dist == pytest.approx(1e-8, rel=1e-2)
+
+    def test_pole_away_from_the_spectrum_of_a_huge_window(self):
+        # the same window at c = 2.5, 0.5 above the free chain's spectrum:
+        # the solves' norm scale must not square the end entries, and the
+        # O(1) inner pivots must pass against their own columns, so phi and
+        # |kappa|^2 are the free half-line's atan(-1/2) and 4/15
+        b = np.zeros(80)
+        b[0], b[-1] = -1.3e154, 1.3e154
+        win = JacobiWindow(np.ones(80), b, n_min=-40)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            kap = kappa(win, 2.5)
+        assert kap.phi == pytest.approx(math.atan(-0.5), abs=1e-14)
+        assert kap.norm_sq == pytest.approx(4.0 / 15.0, abs=1e-14)
 
     def test_pole_far_out(self):
         # a pole near 1e12, where c -/+ 1e-6 round to c: r_+(c) is about -1/c
