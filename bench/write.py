@@ -8,91 +8,61 @@ The record holds:
   --seconds 15`` at ``--trace 0`` and ``--trace 1`` for every workload
   named in ``BENCHMARK.json``, each started through ``/bin/sh`` so that
   its ``peak_rss_mb`` is its own (see ``LAUNCHER``);
-- a scale sweep of ``ks.delta_of_gmp`` and of ``gmpflow ks --steps 8``
-  over n_blocks in {41, 121, 241}, and 481 at g = 2, and of
-  ``construct.gmp_to_jacobi_measure`` over n_blocks in {221, 425, 853,
-  1281}, each at g in {1, 2}, on windows built as
-  ``tests/conftest.make_perturbed_window`` builds them around the
-  closed-form surface block ``p = (sqrt(lambda_k / lambda0)..., 1 /
-  lambda0)``, ``q = (0..., -c0)``, and of ``gmp_to_jacobi_measure`` at
-  961 blocks for g in {8, 16} on the round trips of
-  ``tests/conftest.roundtrip_inputs``; each ``gmp_to_jacobi_measure``
-  record also holds ``flow_digits``, the correct digits of its a(n) and
-  of its b(n) against the flow readout of ``flow.flow_run(w, depth)`` at
-  the largest depth the window allows, over the n both routes keep:
-  -log10(max |difference| / max |flow value|), capped at -log10 of the
-  double epsilon, with the depth and the number of a(n) and b(n)
-  compared; ``oracle_err``, the largest difference of its a(n) and
-  of its b(n) from ``tests/oracles.longdouble_jacobi``, a long-double
-  Lanczos that projects every vector against all earlier ones (about
-  40 s of the sweep); and ``step_us``, its best time over the Lanczos
-  steps of both halves, in microseconds;
-- a sweep of ``construct.jacobi_to_gmp`` at width 5 (``gmpflow jacobi2gmp
-  --width 5``) over n_blocks in {222, 426, 854} at g = 1, on coefficient
-  windows built as the ``convert`` workload builds them: perfbench's
-  ``perturbed_window`` around its one-gap comb map, then
-  ``gmp_to_jacobi_measure``, each with the largest end weight
-  (``jacobi.check_ends``) of the vectors it checks; next to it, on the
-  same windows,
-  ``jacobi.spectrum_near`` at the pole with kappa's radius
-  ``SPECTRUM_MIN_DIST`` against the whole spectrum by
-  ``scipy.linalg.eigvalsh_tridiagonal``;
-- an acceptance sweep of ``construct.jacobi_to_gmp`` at widths 5, 9,
-  15, 21, 41, 61 and 121 over g in {1, 2, 4, 8, 16} and n_blocks in
-  {241, 481, 961}, on the round trips of ``tests/conftest.roundtrip_inputs``
-  (perfbench's random gap set and ``perturbed_window``, then
-  ``gmp_to_jacobi_measure``), and on the exact oracle
-  ``tests/conftest.torus_window`` (361 and 481 sites of a window of
-  surface blocks, which must convert to that block): each record holds
-  the verdict (``accepted``, or the refusal's error class and message),
-  the largest end weight of the vectors ``jacobi.check_ends`` reads and
-  the true deviation of the blocks from their source, both from a run
-  with that rule switched off, and the time of the call, accepted or
-  refused; next to it, on the round trips' coefficient windows,
-  ``jacobi.spectrum_near`` at each of the g poles against the whole
-  spectrum, as above;
-- a sweep of ``isospectral.solve_is_point`` over g in {2, 4, 8, 12, 16},
-  on seeds drawn as the ``iso_comb`` workload draws them (a gap set of
-  genus g in [-3, 3], its reference comb map, and the surface block with
-  every entry perturbed until the seed residual is below 1), four seeds
-  per genus in one timed call, each record with ``per_solve``: the
-  ``is_residual`` calls and the residual rows they evaluate, per solve;
-- a kernel sweep of ``finitegap.delta_from_gaps`` over g in {2, 4, 8,
-  12, 16}, on gap sets drawn as the ``iso_comb`` workload draws its wide
-  ones, eight sets per genus in one timed call, with the worst band-edge
-  error ``|Delta(edge) -/+ 2|`` over the eight maps;
-- a kernel sweep of ``gmp.lambda_sharp`` (all g pair functionals of one
-  pair of blocks, or of a stack of pairs) over g in {1, 2, 4, 8, 12, 16},
-  at 1, 50 and 481 pairs, on the poles of the same comb maps and a window
-  of surface blocks with every entry perturbed by up to 5%, each record
-  with ``tracemalloc_peak_kb``, the traced peak of one call;
-- a kernel sweep of ``flow.u_block`` (the rotation blocks of every row
-  of a window), ``flow.jacobi_flow_step``, acceptance criterion 4's
-  check ``flow.flow_identity_residual(w, jacobi_flow_step(w))`` (the
-  step against ``flow.conjugate_shift`` of the window's band blocks,
-  each record with the ``residual`` it returns), the construction of a
-  ``GmpWindow`` from its float arrays ``(P, Q, c)`` and from its JSON
-  form by ``GmpWindow.from_json`` (the cost of the number rule
-  ``errors.check_entries``, which every flow step pays once), and
-  ``gmp.validate_gmp`` (the class check of a flow state) over the same
-  genera, on the 482-block window of those 481 pairs, and criterion 4's
-  check once more on a 961-block window at g = 16;
+- the sweep: every case of ``table()``, one list per family, timed
+  against the package of the record's ``base_commit`` ("Timing" below):
+
+  - ``ks.delta_of_gmp`` and ``gmpflow ks --steps 8`` over n_blocks in
+    {41, 121, 241}, and 481 at g = 2, at g in {1, 2}, on windows built as
+    ``tests/conftest.make_perturbed_window`` builds them around the
+    closed-form surface block (``sweep_inputs``);
+  - ``construct.gmp_to_jacobi_measure`` on those windows over n_blocks in
+    {221, 425, 853, 1281}, and at 961 blocks for g in {8, 16} on the round
+    trips of ``tests/conftest.roundtrip_inputs``, each with
+    ``flow_digits``, the correct digits of its a(n) and of its b(n) against
+    the flow readout of ``flow.flow_run`` at the window's full depth, over
+    the n both keep (-log10 of the largest difference over the largest flow
+    value, capped at -log10 eps; with the depth and the counts compared),
+    ``oracle_err``, the largest difference of its a(n) and of its b(n)
+    from ``tests/oracles.longdouble_jacobi``, a long-double Lanczos that
+    projects every vector (about 40 s of the sweep), and ``step_us``, its
+    best time per Lanczos step of both halves, in microseconds;
+  - ``construct.jacobi_to_gmp`` at width 5 over n_blocks in {222, 426,
+    854} at g = 1, on coefficient windows drawn as the ``convert`` workload
+    draws them, each with the largest end weight (``jacobi.check_ends``) of
+    the vectors it checks;
+  - ``jacobi_to_gmp`` at widths 5, 9, 15, 21, 41, 61 and 121 over g in {1,
+    2, 4, 8, 16} and n_blocks in {241, 481, 961} on the round trips, and
+    on the exact oracle ``tests/conftest.torus_window`` (361 and 481 sites
+    of surface blocks, which must convert to that block): the verdict
+    (``accepted``, or the refusal's error class and message), and the
+    largest end weight of the vectors ``jacobi.check_ends`` reads and the
+    true deviation of the blocks from their source, both with that rule
+    switched off; the time is of the call, accepted or refused;
+  - on those coefficient windows but the torus, ``jacobi.spectrum_near``
+    at each pole with kappa's radius ``SPECTRUM_MIN_DIST``, and the whole
+    spectrum by ``scipy.linalg.eigvalsh_tridiagonal``;
+  - ``isospectral.solve_is_point`` over g in {2, 4, 8, 12, 16}, on four
+    ``iso_comb`` seeds in one call, with ``per_solve``, the
+    ``is_residual`` calls and rows per solve;
+  - ``finitegap.delta_from_gaps`` over g in {2, 4, 8, 12, 16}, on eight
+    gap sets drawn as ``iso_comb`` draws its wide ones in one call, with
+    the worst band-edge error ``|Delta(edge) -/+ 2|``;
+  - ``gmp.lambda_sharp`` over g in {1, 2, 4, 8, 12, 16} at 1, 50 and 481
+    pairs, on windows of perturbed surface blocks on the poles of the same
+    comb maps (``kernel_inputs``), with ``tracemalloc_peak_kb``, the traced
+    peak of one call;
+  - on the 482-block window of those 481 pairs: ``flow.u_block``,
+    ``flow.jacobi_flow_step``, acceptance criterion 4's check
+    ``flow_identity_residual(w, jacobi_flow_step(w))`` with the
+    ``residual`` it returns (also on a 961-block window at g = 16),
+    ``GmpWindow(P, Q, c)`` and ``GmpWindow.from_json`` (the cost of the
+    number rule ``errors.check_entries``, which every flow step pays once),
+    and ``gmp.validate_gmp``, the class check of a flow state;
 - each sweep record is ``{layer, case, n_blocks, g, best_s, median_s,
-  counters}`` (``sites`` too for the Jacobi windows, ``band_edge_err``
-  for the comb maps; ``n_blocks`` counts the pairs for
-  ``lambda_sharp``), the counters (eigensolves with the order of each,
-  ``delta_of_gmp`` calls with the states they map, ``resolvent_column``
-  calls with the closed-form (state, block) pairs they hold, ``ks.h_term``
-  calls, Lanczos runs and steps with the steps of each run that Simon's
-  estimate reorthogonalized past the ``jacobi.LANCZOS_FULL_STEPS`` that
-  always are, the ``numkit.project_out`` calls with the basis entries they
-  are handed (each read by two products in each of its two passes),
-  ``kappa`` calls of
-  ``construct``, ``lambda_k`` calls of ``isospectral`` with the pole
-  evaluations they make, calls x g x rows, ``is_residual`` calls with
-  the rows they evaluate, Gauss-Newton iterations (probes less runs), and
-  ``numkit.bisect_root`` calls with their evaluations of the bracketed
-  function) taken from one extra run;
+  repeats, counters, base}`` with its family's fields (and ``sites`` for
+  Jacobi windows, ``width`` for the width cells; ``n_blocks`` counts the
+  pairs for ``lambda_sharp``); ``counters`` are ``Counting``'s, from one
+  run of this tree;
 - a process layer: every subcommand on fixed inputs, and a bare
   ``import gmpflow.cli``, each run as ``PROCESS_RUNS`` fresh Python
   processes after one untimed warm-up.  Each record is ``{layer, case,
@@ -120,11 +90,27 @@ The record holds:
   ``elapsed_s``, ``limit_s`` and ``passed`` from one in-process
   ``acceptance.run_all()``.
 
+Timing.  ``git archive <base_commit> src/gmpflow`` is extracted under
+``.bench_run/`` and imported as ``gmpflow_base`` next to ``gmpflow`` (the
+package imports relatively).  A case builds its inputs once with this tree
+and ports them to each package (``port``), so both calls get the same
+numbers.  Each call runs once untimed, this tree's under ``Counting``; then
+both run in alternating rounds, the order flipped every round: at least
+``MIN_ROUNDS``, more while the case has used less than ``CASE_BUDGET_S``,
+at most ``MAX_ROUNDS``.  ``best_s``, ``median_s`` and ``repeats`` are this
+tree's; ``base`` holds the ``commit``, the ``ratio``, the median of the
+per-round ratios (tree over base), and their ``range``, or, for a case
+whose inputs or call raise at the base, ``not_comparable`` with the
+exception, and the case is timed alone.  The machine's speed drifts over
+more than a round, which the per-round ratio cancels and a ratio of the
+two medians would not.  A record written before its change is committed
+compares the change with its parent; on a clean tree it is an A/A run.
+
 BLAS runs on one thread.  Temporary files go to ``.bench_run/`` in the
 checkout; nothing is written under ``perfbench/``, whose input draws
-are imported.  The sweep takes about 105 s on a 2-core machine, the
+are imported.  The sweep takes about 270 s on a 2-core machine, the
 process layer about 55 s (its four long flow runs about 15 s), the
-whole record about 5 minutes.
+whole record about 6 minutes.
 """
 
 from __future__ import annotations
@@ -137,6 +123,7 @@ os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import importlib.util  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
 import shutil  # noqa: E402
@@ -145,7 +132,10 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import tracemalloc  # noqa: E402
+from functools import cache, partial  # noqa: E402
+from itertools import chain  # noqa: E402
 from pathlib import Path  # noqa: E402
+from typing import Callable, NamedTuple  # noqa: E402
 
 sys.dont_write_bytecode = True
 ROOT = Path(__file__).resolve().parent.parent
@@ -160,10 +150,11 @@ from test_failure_grid import grid_counts, run_grid  # noqa: E402
 from workloads import ONE_GAP, comb_map, perturbed_window, random_gapset  # noqa: E402
 from workloads import surface_seed  # noqa: E402
 
+import gmpflow  # noqa: E402
 from gmpflow import acceptance, cli, construct, gmp, isospectral, jacobi, ks, numkit  # noqa: E402
 from gmpflow.errors import GmpflowError  # noqa: E402
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta  # noqa: E402
-from gmpflow.flow import flow_identity_residual, flow_run, jacobi_flow_step, u_block  # noqa: E402
+from gmpflow.flow import flow_identity_residual, flow_run, jacobi_flow_step  # noqa: E402
 from gmpflow.gmp import GmpBlock, GmpWindow  # noqa: E402
 
 PERFBENCH_SEED = 5
@@ -203,9 +194,11 @@ IDENTITY_WIDE = (16, 960)
 # to a 4-step run of the same window: a run keeps a few rows per state, so
 # its peak memory should not grow with the step count.
 FLOW_LONG = ((8, 961, 478), (16, 961, 200))
-# Timed repeats per sweep case: at least MIN_REPEATS, more while the case
-# has used less than CASE_BUDGET_S, at most MAX_REPEATS.
-MIN_REPEATS, MAX_REPEATS, CASE_BUDGET_S = 3, 15, 1.5
+# Alternating rounds of this tree and the base per sweep case: at least
+# MIN_ROUNDS, more while the case has used less than CASE_BUDGET_S, at most
+# MAX_ROUNDS.
+MIN_ROUNDS, MAX_ROUNDS, CASE_BUDGET_S = 5, 61, 2.5
+BASE_PACKAGE = "gmpflow_base"
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
 PROCESS_RUNS = 5
 # One fresh process: import the CLI, run one command line (none for the
@@ -222,6 +215,8 @@ hwm_kb = re.search(r"VmHWM:\\s*(\\d+)", open("/proc/self/status").read()).group(
 print(json.dumps({"exit": code, "import_s": import_s, "scipy_loaded": "scipy" in sys.modules,
                   "max_rss_mb": int(hwm_kb) / 1024}))
 """
+# Temporary files of one run, removed at its end.
+WORK = ROOT / ".bench_run" / f"write-{os.getpid()}"
 
 
 # A child's ru_maxrss starts from the RSS of the process it was forked
@@ -263,7 +258,8 @@ def perfbench_runs() -> list[dict]:
     return runs
 
 
-def sweep_inputs(g: int, n_blocks: int):
+@cache
+def sweep_inputs(g: int, n_blocks: int) -> tuple[DeltaData, GmpWindow]:
     d = delta_from_gaps(GAP_SETS[g])
     surface = GmpBlock(
         np.append(np.sqrt(d.lams() / d.lambda0), 1.0 / d.lambda0),
@@ -272,13 +268,32 @@ def sweep_inputs(g: int, n_blocks: int):
     return d, make_perturbed_window(surface, d.cs(), half=n_blocks // 2)
 
 
-def jacobi_inputs(n_blocks: int):
+def ks_argv(g: int, n_blocks: int) -> tuple[list[str]]:
+    """``gmpflow ks`` on the sweep window and map, written to ``WORK``."""
+    d, w = sweep_inputs(g, n_blocks)
+    window, cmap = WORK / f"ks-g{g}-n{n_blocks}.json", WORK / f"map-g{g}.json"
+    window.write_text(json.dumps(w.to_json()) + "\n")
+    cmap.write_text(json.dumps(d.to_json()) + "\n")
+    return (["ks", str(window), str(cmap), "--steps", str(KS_STEPS),
+             "--margin", "3", "--out", str(WORK / "ks.csv")],)
+
+
+@cache
+def jacobi_inputs(n_blocks: int) -> tuple[DeltaData, jacobi.JacobiWindow]:
     """One-gap comb map and a coefficient window drawn as the ``convert``
     workload draws its ``jacobi2gmp`` inputs."""
     rng = np.random.default_rng([PERFBENCH_SEED, n_blocks])
     cmap = comb_map(ONE_GAP)
     window = GmpWindow.from_json(perturbed_window(rng, cmap, n_blocks))
     return DeltaData.from_json(cmap), construct.gmp_to_jacobi_measure(window)
+
+
+@cache
+def roundtrip_jacobi(g: int, n_blocks: int) -> tuple[DeltaData, jacobi.JacobiWindow, GmpWindow]:
+    """``roundtrip_inputs(g, n_blocks)``'s comb map, coefficient window and
+    block window."""
+    d, w = roundtrip_inputs(g, n_blocks)
+    return d, construct.gmp_to_jacobi_measure(w), w
 
 
 def unchecked(J, d: DeltaData, width: int, deviation=None) -> dict:
@@ -319,6 +334,25 @@ def block_deviation(source):
     return deviation
 
 
+def width_record(rec: dict, d: DeltaData, J, source, width: int) -> dict:
+    """A ``jacobi_to_gmp`` width cell: the verdict (``accepted``, or the
+    refusal's error class and message) and ``unchecked``'s end weight and
+    true deviation from ``source``."""
+    try:
+        construct.jacobi_to_gmp(J, d, n_blocks=width)
+        verdict = "accepted"
+    except GmpflowError as exc:
+        verdict = f"{type(exc).__name__}: {exc}"
+    return {"sites": J.size, "verdict": verdict,
+            **unchecked(J, d, width, block_deviation(source))}
+
+
+def convert_quietly(pkg, J, d, width: int) -> None:
+    """``pkg``'s ``jacobi_to_gmp``, accepted or refused."""
+    with contextlib.suppress(pkg.errors.GmpflowError):
+        pkg.construct.jacobi_to_gmp(J, d, n_blocks=width)
+
+
 def flow_digits(w: GmpWindow) -> dict:
     """Correct digits of ``gmp_to_jacobi_measure(w)`` against the flow
     readout, a(n) for n = 0..depth and b(n) for n = 0..depth - 1 as far as
@@ -344,80 +378,7 @@ def oracle_err(w: GmpWindow) -> dict:
     return {"a": float(np.max(np.abs(J.a - a))), "b": float(np.max(np.abs(J.b - b)))}
 
 
-def convert_record(g: int, n_blocks: int, w: GmpWindow) -> dict:
-    case = "gmp_to_jacobi_measure"
-    rec = {"layer": "operator", "case": case, "n_blocks": n_blocks, "g": g}
-    rec.update(timed(lambda: construct.gmp_to_jacobi_measure(w)))
-    rec["flow_digits"] = flow_digits(w)
-    rec["oracle_err"] = oracle_err(w)
-    rec["step_us"] = 1e6 * rec["best_s"] / rec["counters"]["lanczos_steps"]
-    print(f"{case} g={g} n={n_blocks}: best {rec['best_s']:.4f} s, "
-          f"{rec['step_us']:.1f} us per Lanczos step, "
-          f"flow digits a {rec['flow_digits']['a']}, b {rec['flow_digits']['b']}, "
-          f"oracle error a {rec['oracle_err']['a']:.1e}, b {rec['oracle_err']['b']:.1e}",
-          file=sys.stderr)
-    return rec
-
-
-def width_records(J, d: DeltaData, base: dict, label: str, deviation) -> list[dict]:
-    """``jacobi_to_gmp`` on J at every width of ``ACCEPT_WIDTHS``: the
-    verdict (``accepted``, or the refusal's error class and message),
-    ``unchecked``'s end weight and true deviation, and the time of the
-    call, accepted or refused."""
-    records = []
-    for width in ACCEPT_WIDTHS:
-        def convert():
-            with contextlib.suppress(GmpflowError):
-                construct.jacobi_to_gmp(J, d, n_blocks=width)
-
-        try:
-            construct.jacobi_to_gmp(J, d, n_blocks=width)
-            verdict = "accepted"
-        except GmpflowError as exc:
-            verdict = f"{type(exc).__name__}: {exc}"
-        rec = {"layer": "operator", "case": f"jacobi_to_gmp {label} width={width}", **base,
-               "width": width, "verdict": verdict, **unchecked(J, d, width, deviation)}
-        rec.update(timed(convert))
-        records.append(rec)
-        print(f"jacobi_to_gmp {label} g={d.g} n={base['n_blocks']} width={width}: {verdict}, "
-              f"end weight {rec['end_weight']}, true deviation {rec['true_dev']}", file=sys.stderr)
-    return records
-
-
-def acceptance_sweep() -> list[dict]:
-    records = []
-    for g in ACCEPT_GENERA:
-        for n_blocks in ACCEPT_SIZES:
-            d, w = roundtrip_inputs(g, n_blocks)
-            J = construct.gmp_to_jacobi_measure(w)
-            base = {"n_blocks": n_blocks, "g": g, "sites": J.size}
-            records += width_records(J, d, base, "acceptance", block_deviation(w))
-            records += spectrum_records(J, d, base)
-    for sites in TORUS_SITES:
-        d, J, block = torus_window(sites)
-        base = {"n_blocks": sites, "g": d.g, "sites": J.size}
-        records += width_records(J, d, base, "torus", block_deviation(block))
-    return records
-
-
-def spectrum_records(J, d: DeltaData, base: dict) -> list[dict]:
-    """``jacobi.spectrum_near`` at each pole of d with kappa's radius,
-    timed next to the whole spectrum of J."""
-    records, off = [], J.a[1:]
-    spectra = {
-        f"spectrum_near, {d.g} points": lambda: [
-            jacobi.spectrum_near(J, c, jacobi.SPECTRUM_MIN_DIST) for c in d.cs()],
-        "eigvalsh_tridiagonal, whole spectrum": lambda: eigvalsh_tridiagonal(J.b, off),
-    }
-    for case, fn in spectra.items():
-        rec = {"layer": "kernel", "case": case, **base}
-        rec.update(timed(fn))
-        records.append(rec)
-        print(f"{case} g={d.g} n={base['n_blocks']}: best {rec['best_s'] * 1e3:.2f} ms",
-              file=sys.stderr)
-    return records
-
-
+@cache
 def iso_inputs(g: int) -> tuple[DeltaData, list[GmpBlock]]:
     """Reference comb map of a genus-g gap set and ``ISO_SEEDS`` seeds
     near its surface, drawn as the ``iso_comb`` workload draws them."""
@@ -432,11 +393,11 @@ def iso_inputs(g: int) -> tuple[DeltaData, list[GmpBlock]]:
     return d, [GmpBlock(s["p"], s["q"]) for s in seeds]
 
 
-def delta_inputs(g: int) -> list[GapSet]:
+def delta_inputs(g: int) -> tuple[list[GapSet]]:
     """``DELTA_SETS`` gap sets of genus g in [-3, 3] without a narrow gap,
     drawn as the ``iso_comb`` workload draws them."""
     rng = np.random.default_rng([PERFBENCH_SEED, g])
-    return [GapSet(*random_gapset(rng, g, None)) for _ in range(DELTA_SETS)]
+    return ([GapSet(*random_gapset(rng, g, None)) for _ in range(DELTA_SETS)],)
 
 
 def band_edge_error(gapset: GapSet) -> float:
@@ -447,6 +408,7 @@ def band_edge_error(gapset: GapSet) -> float:
     return float(np.max(np.abs(eval_delta(delta_from_gaps(gapset), edges) - levels)))
 
 
+@cache
 def kernel_inputs(g: int, n_pairs: int) -> GmpWindow:
     """Window of n_pairs + 1 perturbed surface blocks on the poles of the
     reference comb map of a genus-g gap set drawn as ``iso_comb`` draws it."""
@@ -458,267 +420,305 @@ def kernel_inputs(g: int, n_pairs: int) -> GmpWindow:
     return GmpWindow(p0 * (1.0 + 0.05 * u[0]), q0 + 0.05 * u[1], d.cs())
 
 
-class Counting:
-    """Counts eigensolves, ``delta_of_gmp`` calls with their mapped states,
-    ``resolvent_column`` calls with their closed-form pairs, ``h_term`` calls, the
-    Lanczos runs of ``gmp_to_jacobi_measure`` with their steps and the
-    steps of each that Simon's estimate reorthogonalized, the
-    ``numkit.project_out`` calls with the basis entries handed to them, the
-    ``kappa`` calls of ``construct``, the ``lambda_k`` and ``is_residual``
-    calls of ``isospectral`` with their pole evaluations and residual rows,
-    its Gauss-Newton runs and probes (each run probes its start, then one
-    point per iteration unless a trial is rejected), and the
-    ``numkit.bisect_root`` calls with their evaluations of the bracketed
-    function while installed."""
+def kernel_window(g: int, n_pairs: int) -> tuple[GmpWindow]:
+    return (kernel_inputs(g, n_pairs),)
 
-    def __init__(self):
-        self.eig_rows: list[int] = []
-        self.delta_calls = 0
-        self.delta_states = 0
-        self.closed_calls = 0
-        self.closed_pairs = 0
-        self.h_term_calls = 0
-        self.lanczos_sizes: list[int] = []
-        self.lanczos_reorthogonalized: list[int] = []
-        self.project_calls = 0
-        self.project_entries = 0
-        self.kappa_calls = 0
-        self.lambda_k_calls = 0
-        self.lambda_k_poles = 0
-        self.residual_calls = 0
-        self.residual_rows = 0
-        self.gauss_newton_runs = 0
-        self.probes = 0
-        self.bisect_calls = 0
-        self.bisect_evals = 0
+
+def pairs(w: GmpWindow) -> tuple[GmpBlock, GmpBlock]:
+    """``lambda_sharp``'s blocks of w: the one pair, or the stack of pairs."""
+    return (w.block(1), w.block(0)) if w.n_blocks == 2 else (w.rows(1), w.rows(0, -1))
+
+
+def traced_peak_kb(fn) -> float:
+    fn()  # the peak of a warm call, its arguments' first-use caches filled
+    tracemalloc.start()
+    fn()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return round(peak / 1e3, 1)
+
+
+class Case(NamedTuple):
+    """One sweep record: its layer, case name and size fields.
+    ``inputs()`` builds the case's inputs with this tree's package;
+    ``call(pkg, *inputs)``, given them as the package module ``pkg`` holds
+    them, returns the call that is timed; ``extras(rec, *inputs)`` returns
+    the fields the record takes from this tree alone, given its timing."""
+
+    layer: str
+    case: str
+    size: dict
+    inputs: Callable[[], tuple]
+    call: Callable
+    extras: Callable = lambda rec, *inputs: {}
+
+
+def table() -> list[list[Case]]:
+    """The sweep: one list of cases per family, each over its grid."""
+    def size(g, n_blocks, **more):
+        return {"n_blocks": n_blocks, "g": g, **more}
+
+    ks_grid = [(g, n) for g in GAP_SETS for n in SIZES + KS_WIDE.get(g, ())]
+    convert_grid = ([(sweep_inputs, g, n) for g in GAP_SETS for n in CONVERT_SIZES]
+                    + [(roundtrip_inputs, g, n) for g, n in CONVERT_WIDE])
+    accept_grid = [(g, n) for g in ACCEPT_GENERA for n in ACCEPT_SIZES]
+    width_grid = ([("acceptance", g, n, partial(roundtrip_jacobi, g, n)) for g, n in accept_grid]
+                  + [("torus", 1, sites, partial(torus_window, sites)) for sites in TORUS_SITES])
+    # the coefficient windows but the torus
+    spectra = ([(1, n, partial(jacobi_inputs, n)) for n in JACOBI_SIZES]
+               + [(g, n, inputs) for label, g, n, inputs in width_grid if label != "torus"])
+    kernel_grid = [(g, FLOW_PAIRS) for g in KERNEL_GENERA]
+    kernel_calls = {
+        "u_block": lambda pkg, w: lambda: pkg.flow.u_block(w.P),
+        "jacobi_flow_step": lambda pkg, w: lambda: pkg.flow.jacobi_flow_step(w),
+        "GmpWindow(P, Q, c)": lambda pkg, w: lambda: pkg.gmp.GmpWindow(w.P, w.Q, w.c),
+        "GmpWindow.from_json": lambda pkg, w: partial(pkg.gmp.GmpWindow.from_json, w.to_json()),
+        "validate_gmp": lambda pkg, w: lambda: pkg.gmp.validate_gmp(w),
+    }
+    return [
+        [Case("operator", "delta_of_gmp margin=3", size(g, n), partial(sweep_inputs, g, n),
+              lambda pkg, d, w: lambda: pkg.ks.delta_of_gmp([w], d, 3))
+         for g, n in ks_grid],
+        [Case("end_to_end", f"gmpflow ks --steps {KS_STEPS}", size(g, n), partial(ks_argv, g, n),
+              lambda pkg, argv: lambda: pkg.cli.main(argv))
+         for g, n in ks_grid],
+        [Case("operator", "gmp_to_jacobi_measure", size(g, n), partial(inputs, g, n),
+              lambda pkg, d, w: lambda: pkg.construct.gmp_to_jacobi_measure(w),
+              lambda rec, d, w: {
+                  "flow_digits": flow_digits(w), "oracle_err": oracle_err(w),
+                  "step_us": 1e6 * rec["best_s"] / rec["counters"]["lanczos_steps"]})
+         for inputs, g, n in convert_grid],
+        [Case("operator", f"jacobi_to_gmp width={JACOBI_WIDTH}", size(1, n),
+              partial(jacobi_inputs, n),
+              lambda pkg, d, J: lambda: pkg.construct.jacobi_to_gmp(J, d, n_blocks=JACOBI_WIDTH),
+              lambda rec, d, J: {
+                  "sites": J.size, "end_weight": unchecked(J, d, JACOBI_WIDTH)["end_weight"]})
+         for n in JACOBI_SIZES],
+        [Case("operator", f"jacobi_to_gmp {label} width={width}", size(g, n, width=width),
+              partial(lambda inputs, width: (*inputs(), width), inputs, width),
+              lambda pkg, d, J, source, width: partial(convert_quietly, pkg, J, d, width),
+              width_record)
+         for label, g, n, inputs in width_grid for width in ACCEPT_WIDTHS],
+        [Case("kernel", f"spectrum_near, {g} points", size(g, n), inputs,
+              lambda pkg, d, J, *_: lambda: [
+                  pkg.jacobi.spectrum_near(J, c, pkg.jacobi.SPECTRUM_MIN_DIST) for c in d.cs()],
+              lambda rec, d, J, *_: {"sites": J.size})
+         for g, n, inputs in spectra],
+        [Case("kernel", "eigvalsh_tridiagonal, whole spectrum", size(g, n), inputs,
+              lambda pkg, d, J, *_: partial(eigvalsh_tridiagonal, J.b, J.a[1:]),
+              lambda rec, d, J, *_: {"sites": J.size})
+         for g, n, inputs in spectra],
+        [Case("operator", f"solve_is_point, {ISO_SEEDS} seeds", size(g, 1), partial(iso_inputs, g),
+              lambda pkg, d, seeds: lambda: [pkg.isospectral.solve_is_point(d, s) for s in seeds],
+              lambda rec, d, seeds: {"per_solve": {
+                  key: rec["counters"][key] / ISO_SEEDS
+                  for key in ("is_residual_calls", "is_residual_rows")}})
+         for g in ISO_GENERA],
+        [Case("kernel", f"delta_from_gaps, {DELTA_SETS} sets", size(g, 1), partial(delta_inputs, g),
+              lambda pkg, sets: lambda: [pkg.finitegap.delta_from_gaps(gs) for gs in sets],
+              lambda rec, sets: {"band_edge_err": max(band_edge_error(gs) for gs in sets)})
+         for g in DELTA_GENERA],
+        [Case("kernel", "lambda_sharp", size(g, n), partial(kernel_window, g, n),
+              lambda pkg, w: partial(pkg.gmp.lambda_sharp, *pairs(w), w.c),
+              lambda rec, w: {"tracemalloc_peak_kb": traced_peak_kb(
+                  partial(gmp.lambda_sharp, *pairs(w), w.c))})
+         for g in KERNEL_GENERA for n in KERNEL_PAIRS],
+        [Case("kernel", IDENTITY_CASE, size(g, n + 1), partial(kernel_window, g, n),
+              lambda pkg, w: lambda: pkg.flow.flow_identity_residual(
+                  w, pkg.flow.jacobi_flow_step(w)),
+              lambda rec, w: {"residual": flow_identity_residual(w, jacobi_flow_step(w))})
+         for g, n in kernel_grid + [IDENTITY_WIDE]],
+        *[[Case("kernel", case, size(g, n + 1), partial(kernel_window, g, n), call)
+           for g, n in kernel_grid] for case, call in kernel_calls.items()],
+    ]
+
+
+def port(pkg, x):
+    """``x`` as ``pkg`` holds it: a record of this tree's package through its
+    JSON form, a block through its arrays, a list or tuple item by item, and
+    anything else as it is."""
+    if isinstance(x, (list, tuple)):
+        return type(x)(port(pkg, item) for item in x)
+    root, _, module = type(x).__module__.partition(".")
+    if root != "gmpflow":
+        return x
+    cls = getattr(getattr(pkg, module), type(x).__name__)
+    return cls(x.p, x.q) if isinstance(x, GmpBlock) else cls.from_json(x.to_json())
+
+
+def load_package(path: Path, name: str):
+    """The package in the directory ``path`` imported as ``name``, every
+    module of it loaded."""
+    spec = importlib.util.spec_from_file_location(
+        name, path / "__init__.py", submodule_search_locations=[str(path)])
+    pkg = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pkg)
+    for module in sorted(path.glob("*.py")):
+        if module.stem != "__init__":
+            importlib.import_module(f"{name}.{module.stem}")
+    return pkg
+
+
+def base_package(commit: str):
+    """``src/gmpflow`` at ``commit``, extracted under ``WORK``, as
+    ``BASE_PACKAGE``."""
+    archive = subprocess.run(["git", "archive", commit, "src/gmpflow"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
+    (WORK / "base").mkdir()
+    subprocess.run(["tar", "-x", "-C", str(WORK / "base")], input=archive, check=True)
+    return load_package(WORK / "base" / "src" / "gmpflow", BASE_PACKAGE)
+
+
+class Counting:
+    """While installed, counts the calls of the functions of ``SITES`` with
+    a size of each: the order of each eigensolve, the states
+    ``delta_of_gmp`` maps, the closed-form (state, block) pairs of
+    ``resolvent_column``, the basis entries handed to ``project_out``, the
+    pole evaluations of ``lambda_k`` (calls x g x rows) and the rows of
+    ``is_residual``; the steps of each Lanczos run of
+    ``gmp_to_jacobi_measure`` and those that Simon's estimate
+    reorthogonalized (its ``project_out`` calls past the
+    ``jacobi.LANCZOS_FULL_STEPS`` that always are); the evaluations of the
+    bracketed function by ``bisect_root``; and the Gauss-Newton iterations,
+    probes less runs (a run probes its start, then one point per iteration
+    unless a trial is rejected)."""
+
+    # name: (the module it is looked up in, the size of a call from its
+    # arguments, taken before the call, which may raise)
+    SITES = {
+        "sym_eigen": (numkit, lambda mat: int(np.shape(mat)[0])),
+        "delta_of_gmp": (ks, lambda states, *_: len(states)),
+        "resolvent_column": (ks, lambda P, *_: len(P)),  # one block stack per pair
+        "h_term": (ks, None),
+        "lanczos": (construct, None),
+        "project_out": (numkit, lambda basis, vec: np.size(basis)),
+        "kappa": (construct, None),
+        # one per pole and row
+        "lambda_k": (isospectral, lambda blk, c: np.size(blk.p) // (blk.g + 1) * blk.g),
+        "is_residual": (isospectral, lambda blk, d: np.size(blk.p) // (blk.g + 1)),
+        "_gauss_newton": (isospectral, None),
+        "_probe": (isospectral, None),
+        "bisect_root": (numkit, None),
+    }
 
     def __enter__(self):
-        self._eig, self._delta, self._h_term = numkit.sym_eigen, ks.delta_of_gmp, ks.h_term
-        self._closed = ks.resolvent_column
-        self._bisect, self._project = numkit.bisect_root, numkit.project_out
-        self._lanczos, self._kappa = construct.lanczos, construct.kappa
-        self._lambda_k, self._residual = isospectral.lambda_k, isospectral.is_residual
-        self._gauss_newton, self._probe = isospectral._gauss_newton, isospectral._probe
-
-        def eig(mat):
-            self.eig_rows.append(int(np.shape(mat)[0]))
-            return self._eig(mat)
-
-        def delta(states, *args, **kwargs):
-            self.delta_calls += 1
-            self.delta_states += len(states)
-            return self._delta(states, *args, **kwargs)
-
-        def closed(P, Q, c):
-            self.closed_calls += 1
-            self.closed_pairs += len(P)  # one block stack per pair
-            return self._closed(P, Q, c)
-
-        def h_term(*args):
-            self.h_term_calls += 1
-            return self._h_term(*args)
-
-        def lanczos(*args):  # (band, start, depth)
-            before = self.project_calls
-            win = self._lanczos(*args)
-            self.lanczos_sizes.append(win.size)
-            full = min(jacobi.LANCZOS_FULL_STEPS, win.size - 1)
-            self.lanczos_reorthogonalized.append(self.project_calls - before - full)
-            return win
-
-        def project(basis, vec):
-            self.project_calls += 1
-            self.project_entries += np.size(basis)
-            return self._project(basis, vec)
-
-        def kappa(*args, **kwargs):
-            self.kappa_calls += 1
-            return self._kappa(*args, **kwargs)
-
-        def lambda_k(*args):
-            vals = self._lambda_k(*args)
-            self.lambda_k_calls += 1
-            self.lambda_k_poles += np.size(vals)  # one per pole and row
-            return vals
-
-        def residual(blk, d):
-            self.residual_calls += 1
-            self.residual_rows += np.size(blk.p) // (blk.g + 1)
-            return self._residual(blk, d)
-
-        def gauss_newton(*args):
-            self.gauss_newton_runs += 1
-            return self._gauss_newton(*args)
-
-        def probe(*args):
-            self.probes += 1
-            return self._probe(*args)
-
-        def bisect(f, lo, hi):
-            def counted(x):
-                self.bisect_evals += 1
-                return f(x)
-
-            self.bisect_calls += 1
-            return self._bisect(counted, lo, hi)
-
-        numkit.sym_eigen, numkit.bisect_root, numkit.project_out = eig, bisect, project
-        # map_run, delta_of_gmp and functional_report look the names up in ks
-        ks.delta_of_gmp, ks.h_term, ks.resolvent_column = delta, h_term, closed
-        construct.lanczos, construct.kappa = lanczos, kappa
-        isospectral.lambda_k, isospectral.is_residual = lambda_k, residual
-        isospectral._gauss_newton, isospectral._probe = gauss_newton, probe
+        self.sizes = {name: [] for name in self.SITES}
+        self.reorthogonalized, self.bisect_evals = [], 0
+        self._saved = {name: getattr(module, name) for name, (module, _) in self.SITES.items()}
+        for name, (module, size) in self.SITES.items():
+            setattr(module, name, self._counted(name, size))
         return self
 
     def __exit__(self, *exc):
-        numkit.sym_eigen, numkit.bisect_root = self._eig, self._bisect
-        numkit.project_out = self._project
-        ks.delta_of_gmp, ks.h_term, ks.resolvent_column = self._delta, self._h_term, self._closed
-        construct.lanczos, construct.kappa = self._lanczos, self._kappa
-        isospectral.lambda_k, isospectral.is_residual = self._lambda_k, self._residual
-        isospectral._gauss_newton, isospectral._probe = self._gauss_newton, self._probe
+        for name, (module, _) in self.SITES.items():
+            setattr(module, name, self._saved[name])
+
+    def _counted(self, name: str, size):
+        fn, sizes = self._saved[name], self.sizes[name]
+
+        def counted(*args, **kwargs):
+            if name == "bisect_root":
+                args = (self._evaluated(args[0]), *args[1:])
+            if name != "lanczos":
+                sizes.append(size(*args) if size else 1)
+            projected = len(self.sizes["project_out"])
+            out = fn(*args, **kwargs)
+            if name == "lanczos":  # one product per b(k); per run, the plus half first
+                sizes.append(out.size)
+                full = min(jacobi.LANCZOS_FULL_STEPS, out.size - 1)
+                self.reorthogonalized.append(len(self.sizes["project_out"]) - projected - full)
+            return out
+
+        return counted
+
+    def _evaluated(self, f):
+        def counted(x):
+            self.bisect_evals += 1
+            return f(x)
+
+        return counted
 
     def counters(self) -> dict:
+        n = {name: len(sizes) for name, sizes in self.sizes.items()}
+        total = {name: sum(sizes) for name, sizes in self.sizes.items()}
+        eig_rows = self.sizes["sym_eigen"]
         return {
-            "sym_eigen_calls": len(self.eig_rows),
-            "sym_eigen_rows_max": max(self.eig_rows, default=0),
+            "sym_eigen_calls": n["sym_eigen"],
+            "sym_eigen_rows_max": max(eig_rows, default=0),
             # the order of each eigensolve, in call order
-            "sym_eigen_rows": self.eig_rows,
-            "delta_of_gmp_calls": self.delta_calls,
-            "delta_of_gmp_states": self.delta_states,
-            "resolvent_column_calls": self.closed_calls,
-            "resolvent_column_pairs": self.closed_pairs,
-            "h_term_calls": self.h_term_calls,
-            "lanczos_calls": len(self.lanczos_sizes),
-            # one operator product per coefficient b(k)
-            "lanczos_steps": sum(self.lanczos_sizes),
-            # per run: the plus half, then the minus half of each conversion
-            "lanczos_reorthogonalized_steps": self.lanczos_reorthogonalized,
-            "project_out_calls": self.project_calls,
-            "project_out_entries": self.project_entries,
-            "kappa_calls": self.kappa_calls,
-            "lambda_k_calls": self.lambda_k_calls,
-            "lambda_k_poles": self.lambda_k_poles,
-            "is_residual_calls": self.residual_calls,
-            "is_residual_rows": self.residual_rows,
-            "gauss_newton_iterations": self.probes - self.gauss_newton_runs,
-            "bisect_calls": self.bisect_calls,
+            "sym_eigen_rows": eig_rows,
+            "delta_of_gmp_calls": n["delta_of_gmp"],
+            "delta_of_gmp_states": total["delta_of_gmp"],
+            "resolvent_column_calls": n["resolvent_column"],
+            "resolvent_column_pairs": total["resolvent_column"],
+            "h_term_calls": n["h_term"],
+            "lanczos_calls": n["lanczos"],
+            "lanczos_steps": total["lanczos"],
+            "lanczos_reorthogonalized_steps": self.reorthogonalized,
+            "project_out_calls": n["project_out"],
+            "project_out_entries": total["project_out"],
+            "kappa_calls": n["kappa"],
+            "lambda_k_calls": n["lambda_k"],
+            "lambda_k_poles": total["lambda_k"],
+            "is_residual_calls": n["is_residual"],
+            "is_residual_rows": total["is_residual"],
+            "gauss_newton_iterations": n["_probe"] - n["_gauss_newton"],
+            "bisect_calls": n["bisect_root"],
             "bisect_evals": self.bisect_evals,
         }
 
 
-def timed(fn) -> dict:
+def timed(tree, base) -> dict:
+    """``tree``'s ``best_s``, ``median_s``, ``repeats`` and ``counters``,
+    and with a ``base`` call the ``ratio`` and ``range`` of ``base``, from
+    alternating rounds (see "Timing" in the module docstring)."""
     with Counting() as count:
-        fn()
-    times = []
-    while len(times) < MAX_REPEATS and (
-        len(times) < MIN_REPEATS or sum(times) < CASE_BUDGET_S
+        tree()
+    runs = [(tree, []), (base, [])] if base else [(tree, [])]
+    rounds = 0
+    while rounds < MAX_ROUNDS and (
+        rounds < MIN_ROUNDS or sum(sum(times) for _, times in runs) < CASE_BUDGET_S
     ):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return {
-        "best_s": min(times),
-        "median_s": statistics.median(times),
-        "repeats": len(times),
-        "counters": count.counters(),
-    }
-
-
-def sweep(work: Path) -> list[dict]:
-    records = []
-    for g in GAP_SETS:
-        for n_blocks in SIZES + KS_WIDE.get(g, ()):
-            d, w = sweep_inputs(g, n_blocks)
-            window = work / f"ks-g{g}-n{n_blocks}.json"
-            cmap = work / f"map-g{g}.json"
-            window.write_text(json.dumps(w.to_json()) + "\n")
-            cmap.write_text(json.dumps(d.to_json()) + "\n")
-            argv = ["ks", str(window), str(cmap), "--steps", str(KS_STEPS),
-                    "--margin", "3", "--out", str(work / "ks.csv")]
-            cases = {
-                ("operator", "delta_of_gmp margin=3"): lambda: ks.delta_of_gmp([w], d, 3),
-                ("end_to_end", f"gmpflow ks --steps {KS_STEPS}"): lambda: cli.main(argv),
-            }
-            for (layer, case), fn in cases.items():
-                rec = {"layer": layer, "case": case, "n_blocks": n_blocks, "g": g}
-                rec.update(timed(fn))
-                records.append(rec)
-                print(f"{case} g={g} n={n_blocks}: best {rec['best_s']:.4f} s",
-                      file=sys.stderr)
-        records += [convert_record(g, n, sweep_inputs(g, n)[1]) for n in CONVERT_SIZES]
-    records += [convert_record(g, n, roundtrip_inputs(g, n)[1]) for g, n in CONVERT_WIDE]
-    for n_blocks in JACOBI_SIZES:
-        d, J = jacobi_inputs(n_blocks)
-        case = f"jacobi_to_gmp width={JACOBI_WIDTH}"
-        base = {"n_blocks": n_blocks, "g": 1, "sites": J.size}
-        rec = {"layer": "operator", "case": case, **base,
-               "end_weight": unchecked(J, d, JACOBI_WIDTH)["end_weight"]}
-        rec.update(timed(lambda: construct.jacobi_to_gmp(J, d, n_blocks=JACOBI_WIDTH)))
-        records.append(rec)
-        print(f"{case} n={n_blocks}: best {rec['best_s']:.4f} s", file=sys.stderr)
-        records += spectrum_records(J, d, base)
-    records += acceptance_sweep()
-    for g in ISO_GENERA:
-        d, seeds = iso_inputs(g)
-        case = f"solve_is_point, {ISO_SEEDS} seeds"
-        rec = {"layer": "operator", "case": case, "n_blocks": 1, "g": g}
-        rec.update(timed(lambda: [isospectral.solve_is_point(d, s) for s in seeds]))
-        rec["per_solve"] = {key: rec["counters"][key] / ISO_SEEDS
-                            for key in ("is_residual_calls", "is_residual_rows")}
-        records.append(rec)
-        print(f"{case} g={g}: best {rec['best_s']:.4f} s", file=sys.stderr)
-    for g in DELTA_GENERA:
-        sets = delta_inputs(g)
-        case = f"delta_from_gaps, {DELTA_SETS} sets"
-        rec = {"layer": "kernel", "case": case, "n_blocks": 1, "g": g}
-        rec.update(timed(lambda: [delta_from_gaps(gs) for gs in sets]))
-        rec["band_edge_err"] = max(band_edge_error(gs) for gs in sets)
-        records.append(rec)
-        print(f"{case} g={g}: best {rec['best_s'] * 1e3:.2f} ms, "
-              f"band edge {rec['band_edge_err']:.1e}", file=sys.stderr)
-    for g in KERNEL_GENERA:
-        for n_pairs in KERNEL_PAIRS:
-            w = kernel_inputs(g, n_pairs)
-            nxt, this = (w.block(1), w.block(0)) if n_pairs == 1 else (w.rows(1), w.rows(0, -1))
-            rec = {"layer": "kernel", "case": "lambda_sharp", "n_blocks": n_pairs, "g": g}
-            rec.update(timed(lambda: gmp.lambda_sharp(nxt, this, w.c)))
-            tracemalloc.start()
-            gmp.lambda_sharp(nxt, this, w.c)
-            rec["tracemalloc_peak_kb"] = round(tracemalloc.get_traced_memory()[1] / 1e3, 1)
-            tracemalloc.stop()
-            records.append(rec)
-            print(f"lambda_sharp g={g} pairs={n_pairs}: best {rec['best_s'] * 1e6:.0f} us",
-                  file=sys.stderr)
-        w = kernel_inputs(g, FLOW_PAIRS)
-        data = w.to_json()
-        for case, fn in (("u_block", lambda: u_block(w.P)),
-                         ("jacobi_flow_step", lambda: jacobi_flow_step(w)),
-                         (IDENTITY_CASE, lambda: flow_identity_residual(w, jacobi_flow_step(w))),
-                         ("GmpWindow(P, Q, c)", lambda: GmpWindow(w.P, w.Q, w.c)),
-                         ("GmpWindow.from_json", lambda: GmpWindow.from_json(data)),
-                         ("validate_gmp", lambda: gmp.validate_gmp(w))):
-            records.append(kernel_record(case, fn, w))
-    wide = kernel_inputs(*IDENTITY_WIDE)
-    records.append(kernel_record(IDENTITY_CASE,
-                                 lambda: flow_identity_residual(wide, jacobi_flow_step(wide)), wide))
-    return records
-
-
-def kernel_record(case: str, fn, w: GmpWindow) -> dict:
-    """A kernel sweep record of ``fn`` on the window ``w``; the flow identity's
-    also holds the ``residual`` it returns."""
-    rec = {"layer": "kernel", "case": case, "n_blocks": w.n_blocks, "g": w.g}
-    rec.update(timed(fn))
-    if case == IDENTITY_CASE:
-        rec["residual"] = fn()
-    print(f"{case} g={w.g} n={w.n_blocks}: best {rec['best_s'] * 1e3:.2f} ms", file=sys.stderr)
+        for fn, times in runs[::-1] if rounds % 2 else runs:
+            t0 = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - t0)
+        rounds += 1
+    times = runs[0][1]
+    rec = {"best_s": min(times), "median_s": statistics.median(times), "repeats": rounds,
+           "counters": count.counters()}
+    if base:
+        ratios = [t / b for t, b in zip(times, runs[1][1])]
+        rec["base"] = {"ratio": round(statistics.median(ratios), 4),
+                       "range": [round(min(ratios), 4), round(max(ratios), 4)]}
     return rec
 
 
-def process_inputs(work: Path) -> dict[str, list[str]]:
+def sweep(base, commit: str) -> list[dict]:
+    """Every case of ``table()``, timed against the package ``base`` of
+    ``commit``."""
+    records = []
+    for case in chain.from_iterable(table()):
+        inputs = case.inputs()
+        try:
+            base_call = case.call(base, *port(base, inputs))
+            base_call()
+            reason = None
+        except Exception as exc:  # the base's API differs
+            base_call, reason = None, f"{type(exc).__name__}: {exc}"
+        rec = {"layer": case.layer, "case": case.case, **case.size,
+               **timed(case.call(gmpflow, *port(gmpflow, inputs)), base_call)}
+        rec["base"] = {"commit": commit, **rec.get("base", {"not_comparable": reason})}
+        rec.update(case.extras(rec, *inputs))
+        records.append(rec)
+        print(f"{case.case} {case.size}: best {rec['best_s'] * 1e3:.3f} ms, "
+              f"base {rec['base'].get('ratio', reason)}", file=sys.stderr)
+    return records
+
+
+def process_inputs() -> dict[str, list[str]]:
     """Command lines of every subcommand on the fixed inputs named in the
-    module docstring, keyed by case; outputs go to one file in ``work``."""
+    module docstring, keyed by case; outputs go to one file in ``WORK``."""
     d, w = sweep_inputs(1, SIZES[0])
     d_iso, seeds = iso_inputs(ISO_GENERA[0])
     d_jac, J = jacobi_inputs(JACOBI_SIZES[0])
@@ -735,9 +735,9 @@ def process_inputs(work: Path) -> dict[str, list[str]]:
         files[f"roundtrip-{g}"] = roundtrip_inputs(g, n_blocks)[1].to_json()
     path = {}
     for name, data in files.items():
-        path[name] = str(work / f"process-{name}.json")
+        path[name] = str(WORK / f"process-{name}.json")
         Path(path[name]).write_text(json.dumps(data) + "\n")
-    out = ["--out", str(work / "process-out")]
+    out = ["--out", str(WORK / "process-out")]
     return {
         "import gmpflow.cli": [],
         "delta": ["delta", path["gapset"], *out],
@@ -755,12 +755,12 @@ def process_inputs(work: Path) -> dict[str, list[str]]:
     }
 
 
-def process_layer(work: Path) -> list[dict]:
+def process_layer() -> list[dict]:
     env = _env()
     env.pop("PYTHONDONTWRITEBYTECODE", None)
-    env["PYTHONPYCACHEPREFIX"] = str(work / "pycache")
+    env["PYTHONPYCACHEPREFIX"] = str(WORK / "pycache")
     records = []
-    for case, argv in process_inputs(work).items():
+    for case, argv in process_inputs().items():
         cmd = [sys.executable, "-c", PROCESS_SCRIPT, *argv]
         walls, seen = [], []
         for run in range(PROCESS_RUNS + 1):  # run 0 warms the caches
@@ -798,8 +798,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--out", required=True, help="path of the JSON record")
     args = parser.parse_args()
-    work = ROOT / ".bench_run" / f"write-{os.getpid()}"
-    work.mkdir(parents=True, exist_ok=True)
+    WORK.mkdir(parents=True, exist_ok=True)
 
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
                           text=True).stdout.strip()
@@ -821,13 +820,13 @@ def main() -> int:
     }
     t0 = time.perf_counter()
     try:
-        record["sweep"] = sweep(work)
+        record["sweep"] = sweep(base_package(head), head)
         record["sweep_wall_s"] = round(time.perf_counter() - t0, 2)
-        record["process"] = process_layer(work)
-        (work / "grid").mkdir()
-        record["failure_grid"] = grid_counts(run_grid(work / "grid"))
+        record["process"] = process_layer()
+        (WORK / "grid").mkdir()
+        record["failure_grid"] = grid_counts(run_grid(WORK / "grid"))
     finally:
-        shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(WORK, ignore_errors=True)
     record["selftest"] = timed_command([sys.executable, "-m", "gmpflow.cli", "selftest"])
     record["selftest"]["criteria"] = [
         {key: rep[key] for key in ("index", "name", "elapsed_s", "limit_s", "passed")}

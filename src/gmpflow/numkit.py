@@ -3,8 +3,8 @@
 Thin wrappers around LAPACK-backed numpy/scipy routines that add the
 pivot, symmetry and residual checks the rest of the package relies on.
 Matrices are plain float ndarrays; a symmetric banded matrix is passed
-as its upper diagonals, and a tridiagonal one is solved in O(n) under
-the dense solve's contract.
+as its upper diagonals, and a tridiagonal one is solved in O(n), at
+every order, under the dense solve's contract.
 Norms appearing in the contracts are Frobenius norms; the fixed
 tolerances are tuned for the moderate scales used throughout (operator
 norms up to a few units).  scipy is imported inside the functions that
@@ -59,13 +59,20 @@ def solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(rhs_arr))):
         raise ValueError("matrix and right-hand side must be finite")
 
-    scale = float(np.linalg.norm(mat))
+    scale = _frobenius(mat)
     with warnings.catch_warnings():
         # Exactly singular input is reported through the pivot check below.
         warnings.simplefilter("ignore", LinAlgWarning)
         lu, piv = lu_factor(mat, check_finite=False)
     back = partial(lu_solve, (lu, piv), check_finite=False)
     return _checked_solve(np.abs(np.diag(lu)), scale, scale, lambda x: mat @ x, back, rhs_arr)
+
+
+def _frobenius(*parts: np.ndarray) -> float:
+    """Frobenius norm of the entries of ``parts``, summed at a power of two so none overflows."""
+    flat = np.concatenate(parts, axis=None)
+    flat /= (m := math.ldexp(1.0, math.frexp(np.abs(flat).max(initial=0.0))[1]))
+    return math.sqrt(flat @ flat) * m
 
 
 def _checked_solve(pivots, pivot_scale, scale: float, matvec, back, rhs: np.ndarray) -> np.ndarray:
@@ -113,9 +120,8 @@ def solve_tridiagonal(diag, off, rhs, z: float) -> np.ndarray:
     LAPACK ``gttrf``/``gttrs`` under the contract of ``solve``, with two
     scales: each U pivot is held against the 1-norm of its own column,
     |o(i-1)| + |d(i) - z| + |o(i)|, so that O(1) pivots next to entries
-    near 1e154 pass, and the residual bound takes ``||T - z I||``, summed
-    at a power-of-two scale near the largest entry so that no square
-    overflows.  Orders below 3 go through ``solve`` itself.
+    near 1e154 pass, and the residual bound takes ``||T - z I||`` from
+    ``_frobenius``.  Orders 1 and 2 are padded to 3 with decoupled unit rows.
     """
     from scipy.linalg.lapack import dgttrf, dgttrs
 
@@ -126,18 +132,16 @@ def solve_tridiagonal(diag, off, rhs, z: float) -> np.ndarray:
         raise ValueError(f"shapes {diag.shape}, {off.shape}, {rhs.shape} do not match")
     if not all(np.all(np.isfinite(v)) for v in (diag, off, rhs)):
         raise ValueError("matrix and right-hand side must be finite")
-    if n < 3:  # scipy's gttrf wrapper needs n >= 3
-        return solve(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1), rhs)
-    mag, edge = np.abs(diag), np.pad(np.abs(off), 1)
-    m = math.ldexp(1.0, math.frexp(max(np.max(mag), np.max(edge)))[1])
-    scale = float(np.sqrt((diag / m) @ (diag / m) + 2.0 * ((off / m) @ (off / m)))) * m
-    lu = dgttrf(off, diag, off)[:5]
+    low, mid = (off, diag) if n > 2 else (np.r_[off, 0.0, 0.0][:2], np.r_[diag, 1.0, 1.0][:3])
+    lu = dgttrf(low, mid, low)[:5]  # scipy's gttrf wrapper needs n >= 3
 
     def back(r):
-        return dgttrs(*lu, r.reshape(n, -1))[0].reshape(r.shape)
+        cols = r.reshape(n, -1) if n > 2 else np.pad(r.reshape(n, -1), ((0, 3 - n), (0, 0)))
+        return dgttrs(*lu, cols)[0][:n].reshape(r.shape)
 
+    scale, mag, edge = _frobenius(diag, off, off), np.abs(diag), np.pad(np.abs(off), 1)
     matvec = partial(banded_matvec, (diag, off))
-    return _checked_solve(np.abs(lu[1]), edge[:-1] + mag + edge[1:], scale, matvec, back, rhs)
+    return _checked_solve(np.abs(lu[1][:n]), edge[:-1] + mag + edge[1:], scale, matvec, back, rhs)
 
 
 def project_out(basis: np.ndarray, vec: np.ndarray) -> np.ndarray:

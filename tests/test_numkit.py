@@ -49,6 +49,12 @@ class TestSolve:
         with pytest.raises(SingularMatrixError):
             numkit.solve(np.zeros((3, 3)), np.ones(3))
 
+    def test_scale_of_huge_entries_does_not_overflow(self):
+        mat = dense_tridiagonal([1.3e154, 1.0, -1.3e154], np.ones(2))
+        with np.errstate(over="raise"), pytest.raises(SingularMatrixError) as exc:
+            numkit.solve(mat, np.ones(3))
+        assert exc.value.pivot_index == 1 and exc.value.pivot_value == 1.0
+
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError):
             numkit.solve(np.ones((2, 3)), np.ones(2))
@@ -155,6 +161,11 @@ class TestSolveTridiagonal:
             numkit.solve_tridiagonal(diag, off, np.ones(n), z)
         assert got.value.pivot_index == ref.value.pivot_index == n - 1
         assert got.value.pivot_value == ref.value.pivot_value == 0.0
+
+    def test_order_two_holds_each_pivot_against_its_column(self):
+        # the O(1) pivot next to 1.3e154 passes, as it does at order 3 and above
+        x = numkit.solve_tridiagonal([1.3e154, 1.0], [1.0], np.ones(2), 0.0)
+        np.testing.assert_allclose(x, [0.0, 1.0], rtol=0, atol=1e-15)
 
     def test_residual_bound_random(self):
         rng = np.random.default_rng(321)
