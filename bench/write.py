@@ -573,9 +573,10 @@ class Counting:
     """While installed, counts the calls of the functions of ``SITES`` with
     a size of each: the order of each eigensolve, the states
     ``delta_of_gmp`` maps, the closed-form (state, block) pairs of
-    ``resolvent_column``, the basis entries handed to ``project_out``, the
-    pole evaluations of ``lambda_k`` (calls x g x rows) and the rows of
-    ``is_residual``; the steps of each Lanczos run of
+    ``resolvent_column``, the right-hand-side columns of each
+    ``solve_tridiagonal`` (one O(n) factorization a call), the basis
+    entries handed to ``project_out``, the pole evaluations of
+    ``lambda_k`` (calls x g x rows) and the rows of ``is_residual``; the steps of each Lanczos run of
     ``gmp_to_jacobi_measure`` and those that Simon's estimate
     reorthogonalized (its ``project_out`` calls past the
     ``jacobi.LANCZOS_FULL_STEPS`` that always are); the evaluations of the
@@ -587,6 +588,7 @@ class Counting:
     # arguments, taken before the call, which may raise)
     SITES = {
         "sym_eigen": (numkit, lambda mat: int(np.shape(mat)[0])),
+        "solve_tridiagonal": (numkit, lambda diag, off, rhs, z: np.size(rhs) // len(rhs)),
         "delta_of_gmp": (ks, lambda states, *_: len(states)),
         "resolvent_column": (ks, lambda P, *_: len(P)),  # one block stack per pair
         "h_term": (ks, None),
@@ -647,6 +649,8 @@ class Counting:
             "sym_eigen_rows_max": max(eig_rows, default=0),
             # the order of each eigensolve, in call order
             "sym_eigen_rows": eig_rows,
+            "solve_tridiagonal_calls": n["solve_tridiagonal"],
+            "solve_tridiagonal_columns": total["solve_tridiagonal"],
             "delta_of_gmp_calls": n["delta_of_gmp"],
             "delta_of_gmp_states": total["delta_of_gmp"],
             "resolvent_column_calls": n["resolvent_column"],

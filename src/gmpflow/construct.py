@@ -214,7 +214,8 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
     mirror resolvent vectors pinned at the map poles on the left of the
     split, the plain ones on the right, and the basis vector at site 0,
     then continues block by block both ways by applying the mapped
-    operator to the previous block; the triangular coupling structure
+    operator to the previous block's g + 1 vectors at once, one solve per
+    pole, appended in the flag's order; the triangular coupling structure
     makes each continuation step produce exactly one new direction.
     The matrix of the operator in the resulting orthonormal system is
     read off as GMP blocks, with signs gauged so every coupling entry
@@ -246,7 +247,7 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
     b, off = window.b, window.a[1:]
 
     def mapped(v: np.ndarray) -> np.ndarray:
-        # lambda0 J + c0 + sum_k lambda_k (c_k - J)^{-1}, applied to v
+        # lambda0 J + c0 + sum_k lambda_k (c_k - J)^{-1}, applied to the columns of v
         out = d.lambda0 * numkit.banded_matvec((b, off), v) + d.c0 * v
         for ck, lk in zip(cs, d.lams()):
             out -= lk * numkit.solve_tridiagonal(b, off, v, ck)
@@ -269,12 +270,11 @@ def jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpW
     for m, c in enumerate(cs):
         append((0, m), kappa(window, c).vec)
     append((0, g), np.eye(1, n_sites, window.pos(0))[0])
-    for j in range(1, k_hi + 1):
-        for m in range(per):
-            append((j, m), mapped(basis[slot[(j - 1, m)]]))
-    for j in range(-2, k_lo - 1, -1):
-        for m in range(g, -1, -1):
-            append((j, m), mapped(basis[slot[(j + 1, m)]]))
+    for j in (*range(1, k_hi + 1), *range(-2, k_lo - 1, -1)):
+        near = [slot[j - 1 if j > 0 else j + 1, m] for m in range(per)]
+        cands = np.ascontiguousarray(mapped(basis[near].T).T)
+        for m in range(per) if j > 0 else range(g, -1, -1):
+            append((j, m), cands[m])
 
     V = basis[[slot[j, m] for j in range(k_lo, k_hi + 1) for m in range(per)]].T
     amat = V.T @ numkit.banded_matvec((b, off), V)

@@ -12,9 +12,10 @@ drive the angle function phi(c) = arctan r_+(c) and its kappa vector
 
     kappa_c = (J - c)^{-1} (a(0) sin(phi) e_{-1} + cos(phi) e_0),
 
-which is supported on the right half and has squared norm phi'(c); r_-
-and the left half's vectors are those of the ``reflected`` window; a
-vector that reaches the window's ends is refused (``check_ends``).
+which is supported on the right half and has squared norm phi'(c), read
+exactly with phi off one half-line solve (``angle_plus``); r_- and the
+left half's vectors are those of the ``reflected`` window; a vector that
+reaches the window's ends is refused (``check_ends``).
 Resolvents, at real z only, are O(n) tridiagonal solves; the spectrum
 enters only through ``spectrum_near``, the eigenvalues within a radius
 of a point, which one LAPACK call counts and bisects.  Every coefficient
@@ -46,7 +47,6 @@ from .errors import (
 SPECTRUM_MIN_DIST = 1e-6
 KAPPA_NORM_TOL = 1e-6
 END_WEIGHT_TOL = 2e-7
-FD_STEP_REL = 1e-5
 # ``lanczos`` steps that always project (estimates from step 1 cost digits)
 LANCZOS_FULL_STEPS = 32
 
@@ -156,12 +156,16 @@ class KappaVector:
         return float(self.vec @ self.vec)
 
 
+def _half_line_solve(window: JacobiWindow, z: float, site: int = 0) -> np.ndarray:
+    """(J_{>=site} - z)^{-1} e_site on the sites site..n_max, in place."""
+    i = window.pos(site)
+    return numkit.solve_tridiagonal(window.b[i:], window.a[i + 1 :], np.eye(1, window.size - i)[0], z)
+
+
 def resolvent_r(window: JacobiWindow, z: float) -> float:
     """r_+(z) = <(J_+ - z)^{-1} e_0, e_0> at a real z, J_+ the window's
-    sites 0..n_max, solved in place; a window without site 0 is refused."""
-    i = window.pos(0)
-    e0 = np.eye(1, window.size - i)[0]
-    return float(numkit.solve_tridiagonal(window.b[i:], window.a[i + 1 :], e0, z)[0])
+    sites 0..n_max; a window without site 0 is refused."""
+    return float(_half_line_solve(window, z)[0])
 
 
 def lanczos(band, start, depth: int) -> JacobiWindow:
@@ -188,12 +192,14 @@ def lanczos(band, start, depth: int) -> JacobiWindow:
     padded om.  Where max |om'| > eps**0.6, that step and the next project
     instead, which resets om' to eps.  The run stops at k < depth if the
     next norm is <= 1e-13 * max(1, max|band|): the Krylov space is spent.
-    a(0) is the placeholder 1.0.
+    a(0) is the placeholder 1.0.  b(k) and a(k) are kept as floats, and the
+    estimate's rounding term and each new vector go into buffers made once.
     """
     band = np.ascontiguousarray(band, dtype=float)  # vecdot rounds otherwise on a reversed view
     n, h, scale = start.size, band.shape[1] // 2, float(np.max(np.abs(band)))
     grow = max(h, int(np.max(np.flatnonzero(start), initial=-1)) + 1)
-    tiny, eps = 1e-13 * max(1.0, scale), np.finfo(float).eps
+    tiny, eps = 1e-13 * max(1.0, scale), float(np.finfo(float).eps)
+    r_eps, om_new, trigger = 0.3 * eps, 0.6 * eps * n * scale, eps**0.6  # Simon's terms
     padded = np.zeros((depth + 1, n + 2 * h))
     basis = padded[:, h : h + n]
     basis[0] = start
@@ -203,36 +209,37 @@ def lanczos(band, start, depth: int) -> JacobiWindow:
     om = np.full((3, depth + 3), eps)
     windows = np.lib.stride_tricks.sliding_window_view(om, 3, axis=1)
     # row j: a(j) (0 at j = 0, so slot 0 is never read), b(j) - b(k), a(j+1)
-    coef, rounding = np.zeros((depth + 1, 3)), np.empty(depth + 1)
-    again = False  # the last step projected on its estimate
+    coef, rounding, term = np.zeros((depth + 1, 3)), np.empty(depth + 1), np.empty(depth + 1)
+    again, ak = False, 1.0  # the last step projected on its estimate; a(k)
     for k in range(depth + 1):
         rows = min(n, (k + 2) * grow)
         vec = basis[k, :rows]
         image = np.vecdot(band[:rows], around[k, :rows])
-        bs[k] = vec @ image
+        bs[k] = bk = float(vec @ image)
         if k == depth:
             break
         prev, cur, nxt = om[(k - 1) % 3], om[k % 3], om[(k + 1) % 3]
         cur[k + 1] = 1.0
         project, again = k < LANCZOS_FULL_STEPS or again, False
         if not project:
-            w = image - bs[k] * vec - a_out[k] * basis[k - 1, :rows]
+            w = image - bk * vec - ak * basis[k - 1, :rows]
             norm = math.sqrt(w @ w)
-            np.subtract(bs[:k], bs[k], out=coef[:k, 1])
-            s = np.vecdot(coef[:k], windows[k % 3, :k]) - a_out[k] * prev[1 : k + 1]
-            s += np.copysign(rounding[:k] + 0.3 * eps * a_out[k], s)
+            np.subtract(bs[:k], bk, out=coef[:k, 1])
+            s = np.vecdot(coef[:k], windows[k % 3, :k]) - ak * prev[1 : k + 1]
+            np.add(rounding[:k], r_eps * ak, out=term[:k])
+            s += np.copysign(term[:k], s, out=term[:k])
             np.divide(s, max(norm, tiny), out=nxt[1 : k + 1])
-            nxt[k + 1] = 0.6 * eps * n * scale / max(norm, tiny)
-            project = again = norm <= tiny or abs(nxt[1 : k + 2]).max() > eps**0.6
+            nxt[k + 1] = om_new / max(norm, tiny)
+            project = again = norm <= tiny or abs(nxt[1 : k + 2]).max() > trigger
         if project:
             w = numkit.project_out(basis[: k + 1, :rows], image)
             norm = math.sqrt(w @ w)
             nxt[1 : k + 2] = eps
         if norm <= tiny:
             return JacobiWindow(a_out[: k + 1], bs[: k + 1], 0)
-        a_out[k + 1] = coef[k, 2] = coef[k + 1, 0] = norm
-        rounding[k] = 0.3 * eps * norm
-        basis[k + 1, :rows] = w / norm
+        a_out[k + 1] = coef[k, 2] = coef[k + 1, 0] = ak = norm
+        rounding[k] = r_eps * norm
+        np.divide(w, norm, out=basis[k + 1, :rows])
     return JacobiWindow(a_out, bs, 0)
 
 
@@ -281,16 +288,23 @@ def spectrum_near(window: JacobiWindow, x: float, radius: float) -> np.ndarray:
                                 select_range=span, tol=math.ulp(x)) * scale
 
 
-def angle_plus(window: JacobiWindow, c: float) -> float:
-    """phi(c) = arctan r_+(c) in (-pi/2, pi/2], r_+ from ``resolvent_r`` on
-    the window; pi/2 only when that solve finds c on the right half's
-    spectrum.  A large finite r_+ keeps its arctan: the cos(phi) ~ 1/r_+
-    term is what cancels kappa's left part, and dropping it leaves a part
-    of relative size O(1/|r_+|) on the sites < 0."""
+def angle_plus(window: JacobiWindow, c: float) -> tuple[float, float]:
+    """phi(c) = arctan r_+(c) in (-pi/2, pi/2] and its exact derivative, off
+    x = (J_+ - c)^{-1} e_0, ``resolvent_r``'s solve: r_+ = x_0, r_+' = |x|^2
+    and phi' = |x|^2 / (1 + x_0^2), on x over its largest entry so that no
+    square overflows.  phi = pi/2 only when that solve finds c on J_+'s
+    spectrum; there phi' = 1 + a(1)^2 |y|^2, y = (J_{>=1} - c)^{-1} e_1,
+    regular by strict interlacing.  A large finite r_+ keeps its arctan:
+    the cos(phi) ~ 1/r_+ term is what cancels kappa's left part, and
+    dropping it leaves a part of relative size O(1/|r_+|) on the sites < 0."""
     try:
-        return math.atan(resolvent_r(window, c))
+        x = _half_line_solve(window, c)
     except SingularMatrixError:
-        return math.pi / 2.0
+        y = _half_line_solve(window, c, 1)
+        lead = window.a_at(1) * (t := float(np.max(np.abs(y))))
+        return math.pi / 2.0, 1.0 + lead * lead * float((y / t) @ (y / t))
+    u = x / (t := float(np.max(np.abs(x))))
+    return math.atan(x[0]), float(u @ u) / (1.0 / t / t + float(u[0]) ** 2)
 
 
 def check_ends(vec: np.ndarray, what: str, sites: int = 1) -> None:
@@ -307,26 +321,21 @@ def check_ends(vec: np.ndarray, what: str, sites: int = 1) -> None:
 def kappa(window: JacobiWindow, c: float) -> KappaVector:
     """Kappa vector at c and phi(c), refused, with the distance, when an
     eigenvalue lies within 1e-6 of c (``spectrum_near``), or when the
-    window is too short for it (``check_ends`` on its end entries)."""
+    window is too short for it (``check_ends`` on its end entries); its
+    squared norm must match ``angle_plus``'s phi'(c) within ``KAPPA_NORM_TOL``."""
     if window.n_min > -1 or window.n_max < 0:
         raise WindowError("kappa needs a two-sided window around -1 | 0")
     near = spectrum_near(window, c, SPECTRUM_MIN_DIST)
     if near.size:
         dist = float(np.min(np.abs(near - c)))
         raise SpectrumProximityError(f"c = {c} is within {dist:.2e} of the window spectrum")
-    phi = angle_plus(window, c)
+    phi, phi_prime = angle_plus(window, c)
     a0 = window.a_at(0)
     rhs = np.zeros(window.size)
     rhs[window.pos(-1)] = a0 * math.sin(phi)
     rhs[window.pos(0)] = math.cos(phi)
     vec = numkit.solve_tridiagonal(window.b, window.a[1:], rhs, c)
     check_ends(vec, f"window too short for the kappa vector at c = {c}")
-
-    h = FD_STEP_REL * max(1.0, abs(c))
-    dphi = angle_plus(window, c + h) - angle_plus(window, c - h)
-    if dphi < -math.pi / 2.0:
-        dphi += math.pi
-    phi_prime = dphi / (2.0 * h)
     norm_sq = float(vec @ vec)
     check(lambda _: f"kappa norm {norm_sq:.9f} does not match the angle derivative "
           f"{phi_prime:.9f}: difference", abs(norm_sq - phi_prime),

@@ -41,6 +41,11 @@ tests compare against:
   once and each step applied out of place on strided views, and of
   ``gmp.build_block_B`` as a sum of ``np.tril`` and ``np.triu``; the
   package's kernels must give their bits, signs of zero and NaN included;
+- ``per_vector_jacobi_to_gmp``: ``construct.jacobi_to_gmp`` as it
+  continued the flag before each block became one solve per pole: one
+  ``mapped`` call, a solve per pole, for each vector, appended as it is
+  made; the package must give its P and Q bit for bit, and refuse a
+  window with the same error naming the same block and slot;
 - ``reference_gauss_newton``: the Gauss-Newton loop of
   ``isospectral._gauss_newton`` as it was before each point became one
   stack with its Jacobian: one residual call at each trial, then a
@@ -55,11 +60,16 @@ from functools import partial
 import numpy as np
 
 from gmpflow import numkit
-from gmpflow.errors import NumericalError, SpectrumProximityError, WindowError
+from gmpflow.construct import READOUT_TOL, TWO_SIDED_PATTERN_TOL, _append_orthonormal
+from gmpflow.errors import (SQUARE_MAX, NumericalError, SpectrumProximityError, ValidationError,
+                            WindowError, check)
+from gmpflow.finitegap import DeltaData
 from gmpflow.flow import u_block
-from gmpflow.gmp import GmpBlock, GmpWindow, _chain_plan, assemble_dense, band_rows, build_block_B
+from gmpflow.gmp import (GmpBlock, GmpWindow, _chain_plan, assemble_dense, band_rows,
+                         build_block_B, pattern_defect)
 from gmpflow.isospectral import FD_STEP_REL, MAX_ITERATIONS, SOLVE_TARGET
-from gmpflow.jacobi import DiscreteMeasure, JacobiWindow, resolvent_r, spectrum_near
+from gmpflow.jacobi import (DiscreteMeasure, JacobiWindow, check_ends, kappa, resolvent_r,
+                            spectrum_near)
 
 CORNER_IDENTITY_TOL = 1e-8
 
@@ -314,6 +324,84 @@ def tril_triu_block_B(blk: GmpBlock, c) -> np.ndarray:
     diag = np.arange(blk.g + 1)
     mat[..., diag, diag] += np.append(np.asarray(c, dtype=float), 0.0)
     return mat
+
+
+def per_vector_jacobi_to_gmp(window: JacobiWindow, d: DeltaData, n_blocks: int = 5) -> GmpWindow:
+    """``construct.jacobi_to_gmp`` with the flag continued one vector at a
+    time: each continuation vector maps one vector of the block nearer the
+    split, a solve per pole, and is appended before the next is made."""
+    if int(n_blocks) != n_blocks or n_blocks < 3:
+        raise ValidationError("at least three blocks are required")
+    n_blocks = int(n_blocks)
+    cs, g = d.cs(), d.g
+    per = g + 1
+    k_lo = -(n_blocks // 2) - 1
+    k_hi = k_lo + n_blocks
+    n_sites = window.size
+    if n_sites < (n_blocks + 2) * per:
+        raise WindowError(
+            f"window with {n_sites} sites cannot host {n_blocks} blocks "
+            f"of size {per} plus boundary"
+        )
+    b, off = window.b, window.a[1:]
+
+    def mapped(v: np.ndarray) -> np.ndarray:
+        out = d.lambda0 * numkit.banded_matvec((b, off), v) + d.c0 * v
+        for ck, lk in zip(cs, d.lams()):
+            out -= lk * numkit.solve_tridiagonal(b, off, v, ck)
+        return out
+
+    basis = np.zeros(((n_blocks + 1) * per, n_sites))
+    basis[0, window.pos(-1)] = 1.0
+    slot: dict = {(-1, g): 0}
+
+    def append(key: tuple, cand: np.ndarray) -> None:
+        at = f"at block {key[0]} slot {key[1]}"
+        _append_orthonormal(basis, len(slot), cand, f"flag vectors became linearly dependent {at}")
+        check_ends(cand, f"window too short for the flag vector {at}", per)
+        slot[key] = len(slot)
+
+    mirror = window.reflected()
+    for m in range(g - 1, -1, -1):
+        append((-1, m), kappa(mirror, cs[m]).vec[::-1])
+    for m, c in enumerate(cs):
+        append((0, m), kappa(window, c).vec)
+    append((0, g), np.eye(1, n_sites, window.pos(0))[0])
+    for j in range(1, k_hi + 1):
+        for m in range(per):
+            append((j, m), mapped(basis[slot[(j - 1, m)]]))
+    for j in range(-2, k_lo - 1, -1):
+        for m in range(g, -1, -1):
+            append((j, m), mapped(basis[slot[(j + 1, m)]]))
+
+    V = basis[[slot[j, m] for j in range(k_lo, k_hi + 1) for m in range(per)]].T
+    amat = V.T @ numkit.banded_matvec((b, off), V)
+    amat = 0.5 * (amat + amat.T)
+    scale = max(1.0, float(np.max(np.abs(amat))))
+    coupling = np.broadcast_to((np.arange(per) == g)[:, None], (per, per))
+    check("operator lost the GMP pattern in the flag basis (the Jacobi window is likely "
+          "too narrow): off-pattern entry", pattern_defect(amat, coupling),
+          TWO_SIDED_PATTERN_TOL * scale)
+    last = np.arange(n_blocks)[:, None] * per + g
+    nxt = last + 1 + np.arange(per)
+    C = amat[last, nxt]
+    flips_g = np.cumprod(np.where(C[:, g] < 0.0, -1.0, 1.0))
+    s = np.ones(amat.shape[0])
+    s[per:] = np.where(np.r_[1.0, flips_g[:-1]][:, None] * C < 0.0, -1.0, 1.0).ravel()
+    amat = amat * s[:, None] * s[None, :]
+    P = amat[last, nxt]
+    B = amat[nxt[:, :, None], nxt[:, None, :]]
+    Q = B[:, g, :] / P[:, g:]
+    try:
+        w = GmpWindow(P, Q, cs, j_min=k_lo + 1)
+    except ValidationError as exc:
+        grown = np.abs(np.stack([P, Q])).max() > SQUARE_MAX
+        note = f" (crossing bond a(0) = {window.a_at(0):.6g})" if grown else ""
+        raise ValidationError(f"converted window: {exc}{note}") from exc
+    dev = np.max(np.abs(build_block_B(w.rows(), w.c) - B), axis=(1, 2))
+    check(lambda i: f"block {w.j_min + i} readout deviates from the diagonal part by",
+          dev, READOUT_TOL * scale)
+    return w
 
 
 def reference_gauss_newton(fun, x0: np.ndarray) -> np.ndarray:

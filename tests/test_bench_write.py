@@ -6,6 +6,8 @@ the first case of each family of that table on this tree and on a copy of
 ``src/gmpflow`` loaded by the harness's base loader (an A/A pair, with no
 git call), each call once, in a fresh process: importing the harness pins
 BLAS to one thread and puts ``tests/`` and ``perfbench/`` on the path.
+The tree's call runs once more under the harness's ``Counting``, whose
+tridiagonal solve count each case prints.
 """
 
 import subprocess
@@ -31,7 +33,11 @@ for family in write.table():
     inputs = case.inputs()
     for pkg in (gmpflow, base):
         case.call(pkg, *write.port(pkg, inputs))()
-    print(case.layer, case.case)
+    with write.Counting() as count:
+        case.call(gmpflow, *write.port(gmpflow, inputs))()
+    solves = count.counters()
+    print(case.layer, case.case, solves["solve_tridiagonal_calls"],
+          solves["solve_tridiagonal_columns"])
 """
 
 
@@ -44,3 +50,9 @@ def test_first_case_of_each_family_runs_on_the_tree_and_a_copy(tmp_path):
     ran = proc.stdout.splitlines()
     assert len(ran) == 16
     assert {line.split()[0] for line in ran} == {"kernel", "operator", "end_to_end"}
+    solves = {line.rsplit(" ", 2)[0]: tuple(map(int, line.split()[-2:])) for line in ran}
+    # at g = 1, width 5: kappa and its mirror, a half-line and a whole
+    # solve each, then blocks 1, 2, -2 and -3, each one solve of 2 columns
+    assert solves["operator jacobi_to_gmp width=5"] == (8, 12)
+    assert solves["operator jacobi_to_gmp acceptance width=5"] == (8, 12)
+    assert solves["operator gmp_to_jacobi_measure"] == (0, 0)

@@ -38,7 +38,7 @@ from gmpflow.jacobi import (
 )
 
 from oracles import (block_assembly, cgs2_lanczos, dense, longdouble_jacobi, longdouble_lanczos,
-                     two_by_two_resolvent)
+                     per_vector_jacobi_to_gmp, two_by_two_resolvent)
 from conftest import (
     half_line_measures,
     make_estar_gapset,
@@ -622,6 +622,34 @@ class TestJacobiToGmp:
         rows = slice(back.j_min - w.j_min, back.j_max - w.j_min + 1)
         npt.assert_allclose(back.P, w.P[rows], rtol=0.0, atol=1e-12)
         npt.assert_allclose(back.Q, w.Q[rows], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("width", [5, 9])
+    @pytest.mark.parametrize("g, n_blocks", [(1, 241), (2, 241), (4, 961), (8, 961)])
+    def test_block_continuation_is_the_per_vector_loop_bitwise(self, g, n_blocks, width):
+        # each flag block is one solve per pole over its g + 1 columns, and
+        # gives the blocks of the loop that mapped one vector at a time
+        d, _, J = roundtrip_coefficients(g, n_blocks)
+        if (g, width) == (8, 9):  # block -5 slot 4 reaches the window's ends
+            self.assert_refused_alike(J, d, width, "at block -5 slot 4")
+            return
+        got, ref = jacobi_to_gmp(J, d, n_blocks=width), per_vector_jacobi_to_gmp(J, d, width)
+        assert got.j_min == ref.j_min
+        assert np.array_equal(got.P, ref.P) and np.array_equal(got.Q, ref.Q)
+
+    @staticmethod
+    def assert_refused_alike(J, d, width, at):
+        with pytest.raises(WindowError) as ref:
+            per_vector_jacobi_to_gmp(J, d, width)
+        with pytest.raises(WindowError) as got:
+            jacobi_to_gmp(J, d, n_blocks=width)
+        assert f"window too short for the flag vector {at}: end weight" in str(ref.value)
+        assert (type(got.value), str(got.value)) == (type(ref.value), str(ref.value))
+
+    @pytest.mark.parametrize("width", [5, 9])
+    def test_block_continuation_refuses_at_the_per_vector_loop_slot(self, width):
+        # the 481-block round trip at g = 4 is refused in the continuation
+        d, _, J = roundtrip_coefficients(4, 481)
+        self.assert_refused_alike(J, d, width, "at block -3 slot 1")
 
     @pytest.mark.parametrize("sites, width", [(361, 41), (481, 21), (481, 27), (481, 41)])
     def test_torus_window_converts_to_its_block_or_is_refused(self, sites, width):

@@ -556,13 +556,52 @@ class TestKappa:
             kappa(free_window(n_min, n_max), 3.0)
 
     def test_norm_must_match_the_angle_derivative(self, monkeypatch):
-        # an angle that does not move with c: its difference quotient is 0
-        angle = jacobi.angle_plus
-        monkeypatch.setattr(jacobi, "angle_plus", lambda window, c: angle(window, 3.0))
+        # a half-line solve whose entries past site 0 are doubled keeps
+        # r_+ = x_0, so phi and the vector, but not |x|^2 in phi'
+        solve = jacobi._half_line_solve
+
+        def doubled_tail(window, z, site=0):
+            x = solve(window, z, site)
+            x[1:] *= 2.0
+            return x
+
+        monkeypatch.setattr(jacobi, "_half_line_solve", doubled_tail)
         with pytest.raises(NumericalError, match=r"^kappa norm 0\.\d{9} does not match "
-                           r"the angle derivative 0\.000000000: difference "
-                           r"\d\.\d{3}e-01 exceeds 1\.000e-06$"):
+                           r"the angle derivative 0\.\d{9}: difference "
+                           r"\d\.\d{3}e-02 exceeds 1\.000e-06$"):
             kappa(free_window(-80, 80), 3.0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_angle_derivative_is_exact(self, seed):
+        # phi' from the one half-line solve is the limit of phi's central
+        # difference, and kappa's squared norm to roundoff; c lies 0.3 to
+        # 1.5 outside the spectrum, where the vector fits in the window
+        rng = np.random.default_rng(seed)
+        win = random_window(rng, -60, 60)
+        eigs = np.linalg.eigvalsh(dense(win))
+        gap = float(rng.uniform(0.3, 1.5))
+        c = eigs[-1] + gap if rng.random() < 0.5 else eigs[0] - gap
+        phi, phi_prime = jacobi.angle_plus(win, c)
+        h = 1e-5
+        quotient = (jacobi.angle_plus(win, c + h)[0] - jacobi.angle_plus(win, c - h)[0]) / (2 * h)
+        kap = kappa(win, c)
+        assert kap.phi == phi
+        assert abs(phi_prime - quotient) <= 1e-6 * max(1.0, phi_prime)
+        assert abs(phi_prime - kap.norm_sq) <= 1e-13 * max(1.0, phi_prime)
+
+    def test_angle_derivative_at_a_pole_of_r_plus(self):
+        # criterion 10's period-2 window at c = 0: J_+ has odd order and a
+        # zero diagonal, so its solve is singular and phi = pi/2; phi' =
+        # 1 + a(1)^2 |y|^2 with y = (J_{>=1})^{-1} e_1 = (2/3)(0, 1, 0, -1/3,
+        # ...), |y|^2 = 1/2 and a(1) = 1/2, which kappa's norm matches
+        ns = np.arange(-107, 107)
+        win = JacobiWindow(np.where(ns % 2 == 0, 1.5, 0.5), np.zeros(ns.size), n_min=-107)
+        with pytest.raises(SingularMatrixError):
+            resolvent_r(win, 0.0)
+        phi, phi_prime = jacobi.angle_plus(win, 0.0)
+        assert phi == math.pi / 2.0
+        assert phi_prime == pytest.approx(9.0 / 8.0, abs=1e-14)
+        assert kappa(win, 0.0).norm_sq == pytest.approx(9.0 / 8.0, abs=1e-12)
 
     @pytest.mark.parametrize("outer", [1.0, 1e153])
     def test_pole_next_to_a_small_eigenvalue_of_a_huge_window(self, outer):
@@ -653,7 +692,7 @@ class TestKappa:
             check_ends(vec, what, sites)
 
         monkeypatch.setattr(jacobi, "check_ends", record)
-        phi = jacobi.angle_plus(win, c)
+        phi, _ = jacobi.angle_plus(win, c)
         rhs_norm = math.hypot(win.a_at(0) * math.sin(phi), math.cos(phi))
         try:
             kap, refusal = kappa(win, c), None
