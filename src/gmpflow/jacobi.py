@@ -12,10 +12,11 @@ drive the angle function phi(c) = arctan r_+(c) and its kappa vector
 
     kappa_c = (J - c)^{-1} (a(0) sin(phi) e_{-1} + cos(phi) e_0),
 
-which is supported on the right half and has squared norm phi'(c), read
-exactly with phi off one half-line solve (``angle_plus``); r_- and the
-left half's vectors are those of the ``reflected`` window; a vector that
-reaches the window's ends is refused (``check_ends``).
+which is zero on the left half and cos(phi) (J_+ - c)^{-1} e_0 on the
+right, of squared norm phi'(c): phi and that part come off one half-line
+solve (``angle_plus``).  r_- and the left half's vectors are those of the
+``reflected`` window; a vector that reaches the window's ends is refused
+(``check_ends``).
 Resolvents, at real z only, are O(n) tridiagonal solves; the spectrum
 enters only through ``spectrum_near``, the eigenvalues within a radius
 of a point, which one LAPACK call counts and bisects.  Every coefficient
@@ -45,7 +46,6 @@ from .errors import (
 )
 
 SPECTRUM_MIN_DIST = 1e-6
-KAPPA_NORM_TOL = 1e-6
 END_WEIGHT_TOL = 2e-7
 # ``lanczos`` steps that always project (estimates from step 1 cost digits)
 LANCZOS_FULL_STEPS = 32
@@ -143,7 +143,7 @@ class DiscreteMeasure:
 @dataclass(frozen=True)
 class KappaVector:
     """Defect-direction vector with its angle phi(c), in the coordinates of
-    the window it was taken on; ``vec`` is read-only."""
+    the window it was taken on, zero on the sites < 0; ``vec`` is read-only."""
 
     phi: float
     vec: np.ndarray
@@ -160,12 +160,6 @@ def _half_line_solve(window: JacobiWindow, z: float, site: int = 0) -> np.ndarra
     """(J_{>=site} - z)^{-1} e_site on the sites site..n_max, in place."""
     i = window.pos(site)
     return numkit.solve_tridiagonal(window.b[i:], window.a[i + 1 :], np.eye(1, window.size - i)[0], z)
-
-
-def resolvent_r(window: JacobiWindow, z: float) -> float:
-    """r_+(z) = <(J_+ - z)^{-1} e_0, e_0> at a real z, J_+ the window's
-    sites 0..n_max; a window without site 0 is refused."""
-    return float(_half_line_solve(window, z)[0])
 
 
 def lanczos(band, start, depth: int) -> JacobiWindow:
@@ -288,23 +282,19 @@ def spectrum_near(window: JacobiWindow, x: float, radius: float) -> np.ndarray:
                                 select_range=span, tol=math.ulp(x)) * scale
 
 
-def angle_plus(window: JacobiWindow, c: float) -> tuple[float, float]:
-    """phi(c) = arctan r_+(c) in (-pi/2, pi/2] and its exact derivative, off
-    x = (J_+ - c)^{-1} e_0, ``resolvent_r``'s solve: r_+ = x_0, r_+' = |x|^2
-    and phi' = |x|^2 / (1 + x_0^2), on x over its largest entry so that no
-    square overflows.  phi = pi/2 only when that solve finds c on J_+'s
-    spectrum; there phi' = 1 + a(1)^2 |y|^2, y = (J_{>=1} - c)^{-1} e_1,
-    regular by strict interlacing.  A large finite r_+ keeps its arctan:
-    the cos(phi) ~ 1/r_+ term is what cancels kappa's left part, and
-    dropping it leaves a part of relative size O(1/|r_+|) on the sites < 0."""
+def angle_plus(window: JacobiWindow, c: float) -> tuple[float, np.ndarray]:
+    """phi(c) = arctan r_+(c) in (-pi/2, pi/2] and kappa's part on the sites
+    0..n_max, off x = (J_+ - c)^{-1} e_0, r_+ = x_0: the part is cos(phi) x,
+    taken as x / hypot(1, x_0) so that no square overflows.  phi = pi/2 only
+    when that solve finds c on J_+'s spectrum; there the part is J_+'s
+    eigenvector (1, -a(1) y), y = (J_{>=1} - c)^{-1} e_1, regular by strict
+    interlacing.  The part's squared norm is phi'(c)."""
     try:
         x = _half_line_solve(window, c)
     except SingularMatrixError:
         y = _half_line_solve(window, c, 1)
-        lead = window.a_at(1) * (t := float(np.max(np.abs(y))))
-        return math.pi / 2.0, 1.0 + lead * lead * float((y / t) @ (y / t))
-    u = x / (t := float(np.max(np.abs(x))))
-    return math.atan(x[0]), float(u @ u) / (1.0 / t / t + float(u[0]) ** 2)
+        return math.pi / 2.0, np.r_[1.0, -window.a_at(1) * y]
+    return math.atan(x[0]), x / math.hypot(1.0, x[0])
 
 
 def check_ends(vec: np.ndarray, what: str, sites: int = 1) -> None:
@@ -319,27 +309,20 @@ def check_ends(vec: np.ndarray, what: str, sites: int = 1) -> None:
 
 
 def kappa(window: JacobiWindow, c: float) -> KappaVector:
-    """Kappa vector at c and phi(c), refused, with the distance, when an
-    eigenvalue lies within 1e-6 of c (``spectrum_near``), or when the
-    window is too short for it (``check_ends`` on its end entries); its
-    squared norm must match ``angle_plus``'s phi'(c) within ``KAPPA_NORM_TOL``."""
+    """Kappa vector at c and phi(c), ``angle_plus``'s part placed on the
+    sites >= 0, refused, with the distance, when an eigenvalue lies within
+    1e-6 of c (``spectrum_near``), or when the window is too short for it
+    (``check_ends`` on its end entries)."""
     if window.n_min > -1 or window.n_max < 0:
         raise WindowError("kappa needs a two-sided window around -1 | 0")
     near = spectrum_near(window, c, SPECTRUM_MIN_DIST)
     if near.size:
         dist = float(np.min(np.abs(near - c)))
         raise SpectrumProximityError(f"c = {c} is within {dist:.2e} of the window spectrum")
-    phi, phi_prime = angle_plus(window, c)
-    a0 = window.a_at(0)
-    rhs = np.zeros(window.size)
-    rhs[window.pos(-1)] = a0 * math.sin(phi)
-    rhs[window.pos(0)] = math.cos(phi)
-    vec = numkit.solve_tridiagonal(window.b, window.a[1:], rhs, c)
+    phi, part = angle_plus(window, c)
+    vec = np.zeros(window.size)
+    vec[window.pos(0) :] = part
     check_ends(vec, f"window too short for the kappa vector at c = {c}")
-    norm_sq = float(vec @ vec)
-    check(lambda _: f"kappa norm {norm_sq:.9f} does not match the angle derivative "
-          f"{phi_prime:.9f}: difference", abs(norm_sq - phi_prime),
-          KAPPA_NORM_TOL * max(1.0, abs(phi_prime)))
     return KappaVector(phi=phi, vec=vec)
 
 

@@ -2,9 +2,9 @@
 
 Thin wrappers around LAPACK-backed numpy/scipy routines that add the
 pivot, symmetry and residual checks the rest of the package relies on.
-Matrices are plain float ndarrays; a symmetric banded matrix is passed
-as its upper diagonals, and a tridiagonal one is solved in O(n), at
-every order, under the dense solve's contract.
+Matrices are plain float ndarrays; a symmetric tridiagonal one is passed
+as its diagonal and off-diagonal, and solved in O(n), at every order,
+under the dense solve's contract.
 Norms appearing in the contracts are Frobenius norms; the fixed
 tolerances are tuned for the moderate scales used throughout (operator
 norms up to a few units).  scipy is imported inside the functions that
@@ -98,18 +98,17 @@ def _checked_solve(pivots, pivot_scale, scale: float, matvec, back, rhs: np.ndar
 
 
 def banded_matvec(bands, x: np.ndarray) -> np.ndarray:
-    """``M[:n, :n] @ x``, n = len(x), for the symmetric banded M whose d-th
-    upper diagonal is ``bands[d]``; x is a vector or a stack of columns.
-    Four slice products per diagonal: for one-shot products, as in the
+    """``T[:n, :n] @ x``, n = len(x), for the symmetric tridiagonal T with
+    diagonal and off-diagonal ``bands``; x is a vector or a stack of columns.
+    Two slice products on the off-diagonal: for one-shot products, as in the
     residual of ``solve_tridiagonal``, ``jacobi_to_gmp`` and
     ``kappa_pairing``; ``jacobi.lanczos`` takes band rows instead."""
     n = x.shape[0]
     col = (slice(None),) + (None,) * (x.ndim - 1)
     out = bands[0][:n][col] * x
-    for d in range(1, min(len(bands), n)):
-        band = bands[d][: n - d][col]
-        out[:-d] += band * x[d:]
-        out[d:] += band * x[:-d]
+    off = bands[1][: n - 1][col]
+    out[:-1] += off * x[1:]
+    out[1:] += off * x[:-1]
     return out
 
 

@@ -20,6 +20,8 @@ tests compare against:
   band blocks of ``flow.conjugate_shift``;
 - ``spectral_measure_plus``: the spectral measure of a one-sided window
   at e_0, from the dense eigensolve;
+- ``resolvent_r(window, z)``: the half-line resolvent r_+ alone, read
+  off the solve that ``jacobi.angle_plus`` makes;
 - ``moment`` and ``cauchy_transform`` of a ``DiscreteMeasure``;
 - ``two_by_two_resolvent``: the corner resolvent of a two-sided window,
   checked against the half-line resolvents r_+ and r_-;
@@ -55,7 +57,6 @@ tests compare against:
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -68,7 +69,7 @@ from gmpflow.flow import u_block
 from gmpflow.gmp import (GmpBlock, GmpWindow, _chain_plan, assemble_dense, band_rows,
                          build_block_B, pattern_defect)
 from gmpflow.isospectral import FD_STEP_REL, MAX_ITERATIONS, SOLVE_TARGET
-from gmpflow.jacobi import (DiscreteMeasure, JacobiWindow, check_ends, kappa, resolvent_r,
+from gmpflow.jacobi import (DiscreteMeasure, JacobiWindow, _half_line_solve, check_ends, kappa,
                             spectrum_near)
 
 CORNER_IDENTITY_TOL = 1e-8
@@ -114,6 +115,13 @@ def block_assembly(window: GmpWindow) -> np.ndarray:
     nxt = last + 1 + np.arange(per)
     mat[last, nxt] = mat[nxt, last] = window.P[1:]
     return mat
+
+
+def resolvent_r(window: JacobiWindow, z: float) -> float:
+    """r_+(z) = <(J_+ - z)^{-1} e_0, e_0> at a real z, J_+ the window's
+    sites 0..n_max, from the half-line solve of ``jacobi.angle_plus``; a
+    window without site 0 is refused."""
+    return float(_half_line_solve(window, z)[0])
 
 
 def moment(measure: DiscreteMeasure, order: int) -> float:
@@ -229,10 +237,19 @@ def band_operator(rows):
 def longdouble_lanczos(rows, start, depth: int, grow: int):
     """``cgs2_lanczos`` on the symmetric banded matrix of the band rows
     ``rows`` (row i: entries i - h..i + h), in ``np.longdouble``, its double
-    input taken as exact, by ``numkit.banded_matvec`` on its diagonals."""
+    input taken as exact, by four slice products per upper diagonal."""
     rows = np.asarray(rows, np.longdouble)
     n, h = rows.shape[0], rows.shape[1] // 2
-    matvec = partial(numkit.banded_matvec, [rows[: n - d, h + d] for d in range(h + 1)])
+
+    def matvec(x: np.ndarray) -> np.ndarray:
+        m = x.size
+        out = rows[:m, h] * x
+        for d in range(1, min(h + 1, m)):
+            band = rows[: m - d, h + d]
+            out[:-d] += band * x[d:]
+            out[d:] += band * x[:-d]
+        return out
+
     return cgs2_lanczos(matvec, np.asarray(start, np.longdouble), depth, grow)
 
 

@@ -28,7 +28,6 @@ from gmpflow.jacobi import (
     kappa_pairing,
     lanczos,
     lanczos_from_measure,
-    resolvent_r,
     spectrum_near,
 )
 from oracles import (
@@ -38,6 +37,7 @@ from oracles import (
     cgs2_lanczos,
     dense,
     moment,
+    resolvent_r,
     spectral_measure_plus,
     two_by_two_resolvent,
 )
@@ -512,10 +512,15 @@ class TestKappa:
         assert_allclose(kap.norm_sq, phi_prime, atol=1e-6)
 
     def test_supported_on_right_half(self):
-        win = free_window(-80, 80)
-        kap = kappa(win, 3.0)
-        left = kap.vec[: win.pos(0)]
-        assert np.max(np.abs(left)) < 1e-9
+        # exactly zero on the sites < 0, on the free window and on random
+        # windows 0.7 above or below their spectrum
+        cases = [(free_window(-80, 80), 3.0)]
+        for seed in range(6):
+            win = random_window(np.random.default_rng(seed), -60, 60)
+            eigs = np.linalg.eigvalsh(dense(win))
+            cases.append((win, eigs[-1] + 0.7 if seed % 2 else eigs[0] - 0.7))
+        for win, c in cases:
+            assert np.max(np.abs(kappa(win, c).vec[: win.pos(0)])) == 0.0
 
     def test_zero_angle_branch(self):
         rng = np.random.default_rng(47)
@@ -555,53 +560,33 @@ class TestKappa:
         with pytest.raises(WindowError, match=r"^kappa needs a two-sided window around -1 \| 0$"):
             kappa(free_window(n_min, n_max), 3.0)
 
-    def test_norm_must_match_the_angle_derivative(self, monkeypatch):
-        # a half-line solve whose entries past site 0 are doubled keeps
-        # r_+ = x_0, so phi and the vector, but not |x|^2 in phi'
-        solve = jacobi._half_line_solve
-
-        def doubled_tail(window, z, site=0):
-            x = solve(window, z, site)
-            x[1:] *= 2.0
-            return x
-
-        monkeypatch.setattr(jacobi, "_half_line_solve", doubled_tail)
-        with pytest.raises(NumericalError, match=r"^kappa norm 0\.\d{9} does not match "
-                           r"the angle derivative 0\.\d{9}: difference "
-                           r"\d\.\d{3}e-02 exceeds 1\.000e-06$"):
-            kappa(free_window(-80, 80), 3.0)
-
     @pytest.mark.parametrize("seed", range(6))
     def test_angle_derivative_is_exact(self, seed):
-        # phi' from the one half-line solve is the limit of phi's central
-        # difference, and kappa's squared norm to roundoff; c lies 0.3 to
+        # |kappa|^2 is the limit of phi's central difference; c lies 0.3 to
         # 1.5 outside the spectrum, where the vector fits in the window
         rng = np.random.default_rng(seed)
         win = random_window(rng, -60, 60)
         eigs = np.linalg.eigvalsh(dense(win))
         gap = float(rng.uniform(0.3, 1.5))
         c = eigs[-1] + gap if rng.random() < 0.5 else eigs[0] - gap
-        phi, phi_prime = jacobi.angle_plus(win, c)
         h = 1e-5
         quotient = (jacobi.angle_plus(win, c + h)[0] - jacobi.angle_plus(win, c - h)[0]) / (2 * h)
         kap = kappa(win, c)
-        assert kap.phi == phi
-        assert abs(phi_prime - quotient) <= 1e-6 * max(1.0, phi_prime)
-        assert abs(phi_prime - kap.norm_sq) <= 1e-13 * max(1.0, phi_prime)
+        assert kap.phi == jacobi.angle_plus(win, c)[0]
+        assert abs(kap.norm_sq - quotient) <= 1e-6 * max(1.0, kap.norm_sq)
 
     def test_angle_derivative_at_a_pole_of_r_plus(self):
         # criterion 10's period-2 window at c = 0: J_+ has odd order and a
-        # zero diagonal, so its solve is singular and phi = pi/2; phi' =
-        # 1 + a(1)^2 |y|^2 with y = (J_{>=1})^{-1} e_1 = (2/3)(0, 1, 0, -1/3,
-        # ...), |y|^2 = 1/2 and a(1) = 1/2, which kappa's norm matches
+        # zero diagonal, so its solve is singular and phi = pi/2; kappa is
+        # J_+'s eigenvector (1, -a(1) y), y = (J_{>=1})^{-1} e_1 = (2/3)(0, 1,
+        # 0, -1/3, ...), |y|^2 = 1/2 and a(1) = 1/2, so |kappa|^2 = phi' = 9/8
         ns = np.arange(-107, 107)
         win = JacobiWindow(np.where(ns % 2 == 0, 1.5, 0.5), np.zeros(ns.size), n_min=-107)
         with pytest.raises(SingularMatrixError):
             resolvent_r(win, 0.0)
-        phi, phi_prime = jacobi.angle_plus(win, 0.0)
-        assert phi == math.pi / 2.0
-        assert phi_prime == pytest.approx(9.0 / 8.0, abs=1e-14)
-        assert kappa(win, 0.0).norm_sq == pytest.approx(9.0 / 8.0, abs=1e-12)
+        kap = kappa(win, 0.0)
+        assert kap.phi == math.pi / 2.0
+        assert kap.norm_sq == pytest.approx(9.0 / 8.0, abs=1e-14)
 
     @pytest.mark.parametrize("outer", [1.0, 1e153])
     def test_pole_next_to_a_small_eigenvalue_of_a_huge_window(self, outer):
@@ -642,36 +627,50 @@ class TestKappa:
         kap = kappa(free_window(-10, 9), 1e12)
         assert kap.phi == pytest.approx(-1e-12, rel=1e-9)
 
-    def test_vector_is_its_own_solve_next_to_a_large_column(self):
-        # the last site's bump puts an eigenvalue near 5.2 whose vector lives
-        # at the far end; 2e-6 above it the last resolvent column is about
-        # 5e5 in size, against 0.2 for the kappa vector, which must come out
-        # bitwise as the column of its own right-hand side solved next to it
-        b = np.zeros(80)
-        b[-1] = 5.0
-        win = JacobiWindow(np.ones(80), b, n_min=-40)
-        c = float(np.linalg.eigvalsh(dense(win))[-1]) + 2e-6
+    @pytest.mark.parametrize("seed", [*range(8), "large_column", "pole_of_r_plus"])
+    def test_vector_solves_its_defining_equation(self, seed):
+        # (J - c) kappa = a(0) sin(phi) e_{-1} + cos(phi) e_0 to roundoff in
+        # |J - c| |kappa|, on random windows away from the spectrum; on one
+        # whose last site's bump puts an eigenvalue near 5.2 with its vector
+        # at the far end, where 2e-6 above it the last resolvent column is
+        # about 5e5 in size, against 0.2 for the kappa vector; and at the
+        # pole of r_+ of criterion 10's window, where phi = pi/2
+        if seed == "large_column":
+            b = np.zeros(80)
+            b[-1] = 5.0
+            win = JacobiWindow(np.ones(80), b, n_min=-40)
+            c = float(np.linalg.eigvalsh(dense(win))[-1]) + 2e-6
+        elif seed == "pole_of_r_plus":
+            ns = np.arange(-107, 107)
+            win = JacobiWindow(np.where(ns % 2 == 0, 1.5, 0.5), np.zeros(ns.size), n_min=-107)
+            c = 0.0
+        else:
+            rng = np.random.default_rng(seed)
+            win = random_window(rng, -int(rng.integers(30, 60)), int(rng.integers(30, 60)))
+            eigs = np.linalg.eigvalsh(dense(win))
+            c = float(rng.choice([eigs[0] - 1.0, eigs[-1] + 1.0]) + rng.uniform(-0.5, 0.5))
         kap = kappa(win, c)
-        rhs = np.zeros((win.size, 2))
-        rhs[win.pos(-1), 0] = win.a_at(0) * math.sin(kap.phi)
-        rhs[win.pos(0), 0] = math.cos(kap.phi)
-        rhs[-1, 1] = 1.0
-        sol = numkit.solve_tridiagonal(win.b, win.a[1:], rhs, c)
-        assert np.max(np.abs(sol[:, 1])) >= 1e6 * np.max(np.abs(kap.vec))
-        assert np.array_equal(kap.vec, sol[:, 0])
+        shifted = dense(win) - c * np.eye(win.size)
+        rhs = np.zeros(win.size)
+        rhs[win.pos(-1)] = win.a_at(0) * math.sin(kap.phi)
+        rhs[win.pos(0)] = math.cos(kap.phi)
+        residual = np.linalg.norm(shifted @ kap.vec - rhs)
+        assert residual <= 1e-15 * np.linalg.norm(shifted) * np.linalg.norm(kap.vec)
 
     @pytest.mark.parametrize("eps", [1e-11, 1e-12])
     def test_large_r_plus_keeps_its_angle(self, eps):
         # the period-2 window of criterion 10 with b(0) = eps: r_+(0) is
-        # about 1/eps, and phi must stay arctan r_+, not pi/2, or the
-        # vector keeps a part of relative size about 0.67 eps on sites < 0
+        # about 1/eps, and phi stays arctan r_+, not pi/2; the vector is
+        # zero on the sites < 0 whichever the angle
         ns = np.arange(-107, 107)
         b = np.zeros(ns.size)
         b[107] = eps
         win = JacobiWindow(np.where(ns % 2 == 0, 1.5, 0.5), b, n_min=-107)
-        assert abs(resolvent_r(win, 0.0)) >= 0.5 / eps
-        vec = kappa(win, 0.0).vec
-        assert np.max(np.abs(vec[: win.pos(0)])) <= 1e-15 * np.max(np.abs(vec))
+        r_plus = resolvent_r(win, 0.0)
+        assert abs(r_plus) >= 0.5 / eps
+        kap = kappa(win, 0.0)
+        assert kap.phi == math.atan(r_plus) != math.pi / 2.0
+        assert np.max(np.abs(kap.vec[: win.pos(0)])) == 0.0
 
     @pytest.mark.parametrize("seed", range(8))
     def test_weight_is_below_the_inverse_distance_bound(self, seed, monkeypatch):

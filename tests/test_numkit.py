@@ -215,18 +215,15 @@ class TestSolveTridiagonal:
 
     def test_banded_matvec_reads_leading_rows(self):
         rng = np.random.default_rng(7)
-        dense = np.zeros((12, 12))
-        bands = rng.normal(size=(4, 12))
-        for d in range(4):
-            dense[np.arange(12 - d), np.arange(d, 12)] = bands[d, : 12 - d]
-        dense = np.triu(dense) + np.triu(dense, 1).T
+        diag, off = random_tridiagonal(rng, 12)
+        dense = dense_tridiagonal(diag, off)
         x = rng.normal(size=12)
         np.testing.assert_allclose(
-            numkit.banded_matvec(bands, x), dense @ x, rtol=0, atol=1e-14
+            numkit.banded_matvec((diag, off), x), dense @ x, rtol=0, atol=1e-14
         )
         for m in (1, 2, 5):
             np.testing.assert_allclose(
-                numkit.banded_matvec(bands, x[:m]),
+                numkit.banded_matvec((diag, off), x[:m]),
                 dense[:m, :m] @ x[:m],
                 rtol=0,
                 atol=1e-14,

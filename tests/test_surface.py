@@ -28,10 +28,6 @@ ORACLES = {
         "TestLanczosFromMeasure, the dense measure route to the coefficients "
         "of gmp_to_jacobi_measure; perfbench traces it by name"
     ),
-    "jacobi.resolvent_r": (
-        "test_jacobi.py::TestResolventR and oracles.two_by_two_resolvent, r_+ alone "
-        "from the half-line solve that angle_plus reads phi and phi' from"
-    ),
 }
 
 
