@@ -151,7 +151,8 @@ from workloads import ONE_GAP, comb_map, perturbed_window, random_gapset  # noqa
 from workloads import surface_seed  # noqa: E402
 
 import gmpflow  # noqa: E402
-from gmpflow import acceptance, cli, construct, gmp, isospectral, jacobi, ks, numkit  # noqa: E402
+from gmpflow import acceptance, cli, construct, flow, gmp, isospectral, jacobi, ks  # noqa: E402
+from gmpflow import numkit  # noqa: E402
 from gmpflow.errors import GmpflowError  # noqa: E402
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta  # noqa: E402
 from gmpflow.flow import flow_identity_residual, flow_run, jacobi_flow_step  # noqa: E402
@@ -576,7 +577,8 @@ class Counting:
     ``resolvent_column``, the right-hand-side columns of each
     ``solve_tridiagonal`` (one O(n) factorization a call), the basis
     entries handed to ``project_out``, the pole evaluations of
-    ``lambda_k`` (calls x g x rows) and the rows of ``is_residual``; the steps of each Lanczos run of
+    ``lambda_k`` (calls x g x rows) and the rows of ``is_residual``; the
+    ``u_block`` calls (one per flow step); the steps of each Lanczos run of
     ``gmp_to_jacobi_measure`` and those that Simon's estimate
     reorthogonalized (its ``project_out`` calls past the
     ``jacobi.LANCZOS_FULL_STEPS`` that always are); the evaluations of the
@@ -601,6 +603,7 @@ class Counting:
         "_gauss_newton": (isospectral, None),
         "_probe": (isospectral, None),
         "bisect_root": (numkit, None),
+        "u_block": (flow, None),
     }
 
     def __enter__(self):
@@ -669,6 +672,7 @@ class Counting:
             "gauss_newton_iterations": n["_probe"] - n["_gauss_newton"],
             "bisect_calls": n["bisect_root"],
             "bisect_evals": self.bisect_evals,
+            "u_block_calls": n["u_block"],
         }
 
 

@@ -17,7 +17,7 @@ only warnings.
 Exit codes: 0 success, 1 input validation failure (an unreadable input
 or unwritable ``--out`` file too), 2 numerical failure; a floating-point
 overflow, invalid operation or division by zero that no check
-anticipates is a numerical failure too.
+anticipates is one too, and so is running out of memory.
 """
 
 from __future__ import annotations
@@ -181,18 +181,19 @@ def cmd_ks(args: argparse.Namespace) -> int:
 
     ``map_run`` maps the states 0..N of ``flow_states``, with no readout
     (``ks`` prints no a(n), b(n)): two eigensolves, at the ends, and the
-    states between carried along the flow.  One row per step n = 0..N-1:
-    the origin entropy of state n, its spatial partial sum over the
-    shared trusted rows, the one-step drop and its running sum, the
-    n-step telescoping residual, and each coefficient family with its
-    running sum of squares.  A footer line names the families whose
-    running sums fail the boundedness check.
+    states between carried along the flow by the rotations its steps made.
+    One row per step n = 0..N-1: the origin entropy of state n, its
+    spatial partial sum over the shared trusted rows, the one-step drop
+    and its running sum, the n-step telescoping residual, and each
+    coefficient family with its running sum of squares.  A footer line
+    names the families whose running sums fail the boundedness check.
     """
     w = GmpWindow.from_json(_load_json(args.window))
     d = DeltaData.from_json(_load_json(args.delta))
     check_margin(args.margin)
-    states = [st for st, _ in flow_states(w, args.steps)]
-    run = map_run(states, d, args.margin)
+    rotations = []
+    states = [st for st, _ in flow_states(w, args.steps, rotations=rotations)]
+    run = map_run(states, d, args.margin, rotations)
     rep = telescoping_check(run)["report"]  # the run's entropy ledger
     slope_tol = DIVERGENCE_SLOPE if args.tol is None else args.tol
     diag = ks_diagnostics(states, d, slope_tol)
@@ -213,7 +214,7 @@ def cmd_ks(args: argparse.Namespace) -> int:
         sq = diag.sq_partials[name]
         if arr.ndim == 2:
             columns += [(f"{name}_{k}", col) for k, col in enumerate(arr.T, 1)]
-            columns.append((f"{name}_sqsum", [float(np.sum(sq[n])) for n in steps]))
+            columns.append((f"{name}_sqsum", np.sum(sq, axis=1)))
         else:
             columns += [(name, arr), (f"{name}_sqsum", sq)]
     flagged = sorted(name for name, bad in diag.diverging.items() if bad)
@@ -358,8 +359,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except (NumericalError, FloatingPointError) as exc:
-        sys.stderr.write(f"numerical error: {exc}\n")
+    except (NumericalError, FloatingPointError, MemoryError) as exc:
+        why = f"gmpflow {args.command} ran out of memory" if isinstance(exc, MemoryError) else exc
+        sys.stderr.write(f"numerical error: {why}\n")
         return 2
     except ValidationError as exc:
         sys.stderr.write(f"validation error: {exc}\n")

@@ -80,13 +80,14 @@ def u_block(p, tails=None) -> np.ndarray:
     return u
 
 
-def jacobi_flow_step(window: GmpWindow) -> GmpWindow:
+def jacobi_flow_step(window: GmpWindow, rotations: list | None = None) -> GmpWindow:
     """One full step of the flow; drops one block at each edge.
 
     New block j is formed from old blocks j and j+1, and the retained
     range is j_min+1..j_max-1.  The result coincides with conjugating
     the window by the ``u_block`` matrices and shifting by one scalar
-    slot (``conjugate_shift``; see ``flow_identity_residual``).
+    slot (``conjugate_shift``; see ``flow_identity_residual``), and a list
+    ``rotations`` receives those of rows 1..n_blocks-2.
     """
     g = window.g
     if window.n_blocks < 3:
@@ -100,6 +101,8 @@ def jacobi_flow_step(window: GmpWindow) -> GmpWindow:
     norm_next = np.sqrt(nxt[:, None, :] @ nxt[:, :, None])[:, 0, 0]
     bmats = build_block_B(window.rows(1), window.c)
     u = u_block(this, tails)
+    if rotations is not None:
+        rotations.append(u)
     x = this / norm_this[:, None]
     v = (np.swapaxes(u, 1, 2) @ (bmats[:-1] @ x[:, :, None]))[:, :, 0]
     p_new = np.empty_like(this)
@@ -110,7 +113,7 @@ def jacobi_flow_step(window: GmpWindow) -> GmpWindow:
     b_in = (nxt[:, None, :] @ bmats[1:] @ nxt[:, :, None])[:, 0, 0]
     b_in /= np.float_power(norm_next, 2.0)
     q_new[:, g] = norm_this / (this[:, g] * norm_next) * b_in
-    return GmpWindow(p_new, q_new, window.c, window.j_min + 1)
+    return window._with_rows(p_new, q_new, window.j_min + 1)
 
 
 def conjugate_shift(u: np.ndarray, v_blocks: np.ndarray, w_blocks: np.ndarray) -> tuple:
@@ -197,7 +200,7 @@ class FlowTrajectory:
 
 
 def flow_states(
-    window: GmpWindow, n_steps: int, floor: float = VALIDITY_FLOOR
+    window: GmpWindow, n_steps: int, floor: float = VALIDITY_FLOOR, rotations: list | None = None
 ) -> Iterator[tuple[GmpWindow, np.ndarray]]:
     """States 0..n_steps of a flow run, each with its pair functionals.
 
@@ -205,8 +208,9 @@ def flow_states(
     keep blocks -1..1 for the readout, so the input must satisfy
     j_min <= -1 - n_steps and j_max >= 1 + n_steps.  A state is yielded
     with the pair functionals ``validate_gmp`` returns, else the run aborts
-    with its error, led by "state n left the class: "; the next is
-    stepped only when asked for, and none is kept.
+    with its error, led by "state n left the class: "; the next is stepped
+    only when asked for (into ``rotations``, as by ``jacobi_flow_step``),
+    and none is kept.
     """
     if n_steps < 1:
         raise ValidationError("n_steps must be at least 1")
@@ -222,7 +226,7 @@ def flow_states(
     for n in range(n_steps + 1):
         yield st, validate_gmp(st, floor, f"state {n} left the class: ")
         if n < n_steps:
-            st = jacobi_flow_step(st)
+            st = jacobi_flow_step(st, rotations)
 
 
 def flow_run(window: GmpWindow, n_steps: int, floor: float = VALIDITY_FLOOR) -> FlowTrajectory:

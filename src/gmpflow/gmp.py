@@ -89,11 +89,11 @@ class GmpWindow:
     """A finite run of blocks j = j_min..j_max sharing one pole list c.
 
     Row i of the read-only ``(n_blocks, g+1)`` arrays ``P`` and ``Q``
-    holds the forming vectors of block j_min + i.  The constructor is the
-    one place the window rules are applied, each array passing the number
-    rule ``check_entries`` once, with every entry small enough to square
-    and named by its JSON path (``blocks[3].q[1]``): the block rules of
-    ``_check_rows``, g poles (``C[0]``), distinct, and an integer j_min.
+    holds the forming vectors of block j_min + i.  The constructor applies
+    the window rules, each array passing the number rule ``check_entries``
+    once, with every entry small enough to square and named by its JSON
+    path (``blocks[3].q[1]``): the block rules of ``_check_rows``, g poles
+    (``C[0]``), distinct, and an integer j_min.
     """
 
     P: np.ndarray
@@ -113,6 +113,14 @@ class GmpWindow:
             raise ValidationError(f"pole list has length {c.size}, expected {P.shape[1] - 1}")
         check_distinct_poles(c)
         vars(self).update(P=P, Q=Q, c=c, j_min=check_integer(j_min, "j_min"))  # frozen
+
+    def _with_rows(self, P, Q, j_min: int) -> "GmpWindow":
+        """Window of rows P, Q from j_min on this window's checked pole list."""
+        P, Q = check_entries({"p": P, "q": Q}, "blocks[{0}].{key}[{1}]", 1)
+        _check_rows(P, Q)
+        win = object.__new__(GmpWindow)
+        vars(win).update(P=P, Q=Q, c=self.c, j_min=check_integer(j_min, "j_min"))
+        return win
 
     @property
     def g(self) -> int:

@@ -13,14 +13,14 @@ closed-form resolvent columns in one stacked call.  A flow step is an
 orthogonal block conjugation followed by a one-slot shift, and the map
 commutes with both, so ``map_run`` maps a flow run with two eigensolves:
 the eigen route at its ends, and every state between carried from the
-normalized blocks of the one before (``carry_blocks``, through the
-step's own kernel ``flow.conjugate_shift``).  Both routes share one sign
-normalisation (``normalized_blocks``).  This module sums the per-block
-entropy terms, evaluates the exact one-step drop of the functional under
-the flow, checks the telescoping identity relating a flow run to a
-single shift, accumulates coefficient diagnostics along trajectories,
-and verifies the closed-form determinant identities for the density of
-the mapped spectral measure.
+normalized blocks of the one before (``carry_blocks``, by the step's own
+rotations and kernel ``flow.conjugate_shift``).  Both routes share one
+sign normalisation (``normalized_blocks``).  This module sums the
+per-block entropy terms, evaluates the exact one-step drop of the
+functional under the flow, checks the telescoping identity relating a
+flow run to a single shift, accumulates coefficient diagnostics along
+trajectories, and verifies the closed-form determinant identities for
+the density of the mapped spectral measure.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 from . import numkit
 from .errors import SpectrumProximityError, ValidationError, WindowError, check, check_entries
 from .finitegap import DeltaData, check_distinct_poles
-from .flow import conjugate_shift, jacobi_flow_step, u_block
+from .flow import conjugate_shift, jacobi_flow_step
 from .gmp import GmpBlock, GmpWindow, assemble_dense, pattern_defect, resolvent_column
 from .isospectral import is_residual
 
@@ -113,12 +113,17 @@ class DeltaBlocks:
                 f"block rows [{first}, {last}] exceed trusted [{self.j_lo}, {self.j_hi}]"
             )
         a, b = first - self.j_lo, last + 1 - self.j_lo
-        v_in, v_out = self.v_blocks[a:b], self.v_blocks[a + 1 : b + 1]
-        # columns laid out as contiguous rows sum in the order of a 1-d vector
-        cols = (np.ascontiguousarray(np.swapaxes(m, -1, -2)) for m in (v_in, self.w_blocks[a:b]))
-        norm_sq = sum(np.sum(m**2, axis=-1) for m in (*cols, v_out))
-        outer = np.diagonal(v_in, axis1=-2, axis2=-1) * np.diagonal(v_out, axis1=-2, axis2=-1)
-        return 0.5 * norm_sq - 1.0 - np.log(outer)
+        return column_shares(self.v_blocks[a:b], self.w_blocks[a:b], self.v_blocks[a + 1 : b + 1])
+
+
+def column_shares(v_in: np.ndarray, w: np.ndarray, v_out: np.ndarray) -> np.ndarray:
+    """``DeltaBlocks.column_shares`` of the block rows whose incoming couplings,
+    diagonal blocks and outgoing couplings are (stacks of) v_in, w and v_out."""
+    # columns laid out as contiguous rows sum in the order of a 1-d vector
+    cols = (np.ascontiguousarray(np.swapaxes(m, -1, -2)) for m in (v_in, w))
+    norm_sq = sum(np.sum(m**2, axis=-1) for m in (*cols, v_out))
+    outer = np.diagonal(v_in, axis1=-2, axis2=-1) * np.diagonal(v_out, axis1=-2, axis2=-1)
+    return 0.5 * norm_sq - 1.0 - np.log(outer)
 
 
 def normalized_blocks(
@@ -229,46 +234,50 @@ def delta_of_gmp(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list
     return out
 
 
-def carry_blocks(window: GmpWindow, db: DeltaBlocks,
+def carry_blocks(window: GmpWindow, rotations: np.ndarray, db: DeltaBlocks,
                  state: str = "") -> tuple[np.ndarray, np.ndarray, float]:
     """Raw mapped blocks of the flow step of ``window`` from its own, ``db``.
 
-    The step conjugates by the ``u_block`` rotations and shifts by one
-    slot, and the comb map commutes with both, so ``conjugate_shift``
-    carries the blocks of ``db``, with ``db.signs`` in the rows of the
-    rotations of blocks j_lo - 1..j_hi + 1 (the raw blocks' conjugation,
-    bit for bit: a sign flip is exact).  Returns the couplings
+    The step conjugates by its ``rotations`` of rows 1..n_blocks - 2 and
+    shifts by one slot, and the comb map commutes with both, so
+    ``conjugate_shift`` carries the blocks of ``db``, with ``db.signs`` in
+    a copy of the rotations of blocks j_lo - 1..j_hi + 1 (the raw blocks'
+    conjugation, bit for bit: a sign flip is exact).  Returns the couplings
     j_lo + 1..j_hi and diagonal blocks j_lo + 1..j_hi - 1 of the stepped
     window (its eigen route's trusted range) and the scale of the
     conjugated blocks.  A defect above ``BAND_DEFECT_REL`` times that
     scale raises NumericalError, its message led by ``state``.
     """
-    lo = db.j_lo - 1 - window.j_min
-    u = u_block(window.P[lo : lo + len(db.v_blocks) + 1])
-    u *= np.vstack([np.ones_like(db.signs[:1]), db.signs])[:, :, None]  # block j_lo - 1's kept
+    lo = db.j_lo - 2 - window.j_min  # the rotations start at row 1
+    signs = np.vstack([np.ones_like(db.signs[:1]), db.signs])  # block j_lo - 1's kept
+    u = rotations[lo : lo + len(db.v_blocks) + 1] * signs[:, :, None]
     new_v, new_w, defect, scale = conjugate_shift(u, db.v_blocks, db.w_blocks)
     check(lambda _: f"{state}carried operator lost its band structure: defect", defect,
           BAND_DEFECT_REL * scale)
     return new_v, new_w, scale
 
 
-def map_run(states: Sequence[GmpWindow], d: DeltaData, margin: int) -> list[DeltaBlocks]:
+def map_run(states: Sequence[GmpWindow], d: DeltaData, margin: int,
+            rotations: Sequence[np.ndarray]) -> list[DeltaBlocks]:
     """Blocks of the comb map applied to the states 0..N of a flow run.
 
     One ``delta_of_gmp`` call maps states 0 and N, with every check of
     the eigen route; every later state is carried from the blocks of the
-    one before (``carry_blocks``), each check naming its state.  So a run
-    costs two eigensolves, and every trusted range is the eigen route's.
-    The carried state N must agree with the eigen route's within
-    ``CARRY_DRIFT_REL`` times its scale; the eigen route's is returned.
+    one before by the step's own ``rotations`` (``carry_blocks``), each
+    check naming its state.  So a run costs two eigensolves, and every
+    trusted range is the eigen route's.  The carried state N must agree
+    with the eigen route's within ``CARRY_DRIFT_REL`` times its scale; the
+    eigen route's is returned.
     """
     for n, (st, nxt) in enumerate(zip(states, states[1:]), 1):
         if (nxt.j_min, nxt.n_blocks) != (st.j_min + 1, st.n_blocks - 2):
             raise ValidationError(f"state {n} is not a flow step of state {n - 1}")
+    if [len(u) for u in rotations] != [st.n_blocks - 2 for st in states[:-1]]:
+        raise ValidationError("rotations must be one stack per step, of rows 1..n_blocks - 2")
     ends = delta_of_gmp([*states[:1], *states[1:][-1:]], d, margin)
     run = ends[:1]
-    for n, st in enumerate(states[:-1], 1):
-        raw_v, raw_w, scale = carry_blocks(st, run[-1], f"state {n}: ")
+    for n, (st, u) in enumerate(zip(states, rotations), 1):
+        raw_v, raw_w, scale = carry_blocks(st, u, run[-1], f"state {n}: ")
         run.append(normalized_blocks(run[-1].j_lo + 1, raw_v, raw_w, scale, f"state {n}: "))
     if len(states) > 1:
         carried, mapped = run[-1], ends[-1]
@@ -366,19 +375,20 @@ def functional_report(run: Sequence[DeltaBlocks]) -> KsFunctionalReport:
 
     The trusted rows of every state must reach blocks -1..0.  The row
     terms of every state come from one stacked ``h_term`` call, and both
-    drops of each step from the column shares of block rows -1..0 of the
-    state it reaches.
+    drops of every step from one stacked ``column_shares`` call on block
+    rows -1..0 of the states they reach.
     """
     if not run:
         raise ValidationError("a flow run has at least one state")
     for m, db in enumerate(run):
         if not (db.j_lo <= -1 and db.j_hi >= 0):
             raise WindowError(f"state {m} trusted range [{db.j_lo}, {db.j_hi}] misses blocks -1..0")
-    triples = zip(*((db.v_blocks[:-1], db.w_blocks, db.v_blocks[1:]) for db in run))
+    triples = list(zip(*((db.v_blocks[:-1], db.w_blocks, db.v_blocks[1:]) for db in run)))
     flat = h_term(*(np.concatenate(t) for t in triples))
     row_terms = np.split(flat, np.cumsum([len(db.w_blocks) for db in run])[:-1])
     h_origin = np.array([terms[-db.j_lo] for terms, db in zip(row_terms, run)])
-    drops = np.array([db.column_shares(-1, 0)[:, -1] for db in run[1:]]).reshape(-1, 2)
+    rows = (np.stack([x[-1 - db.j_lo : 1 - db.j_lo] for x, db in zip(t, run)]) for t in triples)
+    drops = column_shares(*rows)[1:, :, -1]  # block rows -1..0 of states 1..N
     # cumsum adds in order, as the sum of each n's terms alone would
     lhs = np.cumsum(np.append(0.0, drops[:, 0])) + h_origin
     rhs = h_origin[0] + np.cumsum(np.append(0.0, drops[:, 1]))

@@ -48,6 +48,11 @@ tests compare against:
   ``mapped`` call, a solve per pole, for each vector, appended as it is
   made; the package must give its P and Q bit for bit, and refuse a
   window with the same error naming the same block and slot;
+- ``u_block_map_run`` and ``per_state_drops``: ``ks.map_run`` as it
+  carried each state by the ``u_block`` rotations it built itself, one
+  call per carried state, and ``ks.functional_report``'s drops as it took
+  them one state at a time from ``DeltaBlocks.column_shares``; the
+  package must give their bits;
 - ``reference_gauss_newton``: the Gauss-Newton loop of
   ``isospectral._gauss_newton`` as it was before each point became one
   stack with its Jacobian: one residual call at each trial, then a
@@ -65,12 +70,13 @@ from gmpflow.construct import READOUT_TOL, TWO_SIDED_PATTERN_TOL, _append_orthon
 from gmpflow.errors import (SQUARE_MAX, NumericalError, SpectrumProximityError, ValidationError,
                             WindowError, check)
 from gmpflow.finitegap import DeltaData
-from gmpflow.flow import u_block
+from gmpflow.flow import conjugate_shift, u_block
 from gmpflow.gmp import (GmpBlock, GmpWindow, _chain_plan, assemble_dense, band_rows,
                          build_block_B, pattern_defect)
 from gmpflow.isospectral import FD_STEP_REL, MAX_ITERATIONS, SOLVE_TARGET
 from gmpflow.jacobi import (DiscreteMeasure, JacobiWindow, _half_line_solve, check_ends, kappa,
                             spectrum_near)
+from gmpflow.ks import DeltaBlocks, delta_of_gmp, normalized_blocks
 
 CORNER_IDENTITY_TOL = 1e-8
 
@@ -454,3 +460,27 @@ def reference_gauss_newton(fun, x0: np.ndarray) -> np.ndarray:
     if best <= SOLVE_TARGET:
         return x
     raise NumericalError(f"no convergence after {MAX_ITERATIONS} iterations")
+
+
+def u_block_map_run(states, d: DeltaData, margin: int) -> list[DeltaBlocks]:
+    """``ks.map_run``'s blocks of the states 0..N of a flow run, each carried
+    state conjugated by ``u_block`` rotations of its own rows j_lo - 1..j_hi
+    + 1 (those of ``db``'s trusted range), the signs folded into them; the
+    eigen route's state N replaces the carried one, as there."""
+    ends = delta_of_gmp([*states[:1], *states[1:][-1:]], d, margin)
+    run = ends[:1]
+    for window in states[:-1]:
+        db = run[-1]
+        lo = db.j_lo - 1 - window.j_min
+        u = u_block(window.P[lo : lo + len(db.v_blocks) + 1])
+        u *= np.vstack([np.ones_like(db.signs[:1]), db.signs])[:, :, None]
+        new_v, new_w, _, scale = conjugate_shift(u, db.v_blocks, db.w_blocks)
+        run.append(normalized_blocks(db.j_lo + 1, new_v, new_w, scale))
+    return run[:-1] + ends[-1:]
+
+
+def per_state_drops(run) -> np.ndarray:
+    """``ks.functional_report``'s drops of the steps into states 1..N of a
+    mapped run, rows (step drop, relabelled drop): column g of block rows
+    -1 and 0, one ``column_shares`` call per state."""
+    return np.array([db.column_shares(-1, 0)[:, -1] for db in run[1:]]).reshape(-1, 2)

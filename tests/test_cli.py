@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -28,7 +29,7 @@ from conftest import (
 )
 from oracles import sum_rule_spectral_side
 
-from gmpflow import cli, isospectral, ks, numkit
+from gmpflow import cli, flow, isospectral, ks, numkit
 from gmpflow.errors import NumericalError
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
 from gmpflow.flow import flow_run, flow_states
@@ -120,8 +121,9 @@ def reference_flow_table(w: GmpWindow, steps: int, eta: float) -> list[str]:
 def reference_ks_table(w: GmpWindow, d: DeltaData, steps: int, margin: int) -> list[str]:
     """Header and rows of ``ks``'s table spelled as one header list and one
     row loop over the steps, independent of ``cmd_ks``'s columns."""
-    states = [st for st, _ in flow_states(w, steps)]
-    run = ks.map_run(states, d, margin)
+    rotations = []
+    states = [st for st, _ in flow_states(w, steps, rotations=rotations)]
+    run = ks.map_run(states, d, margin, rotations)
     rep = ks.telescoping_check(run)["report"]
     diag = ks.ks_diagnostics(states, d, ks.DIVERGENCE_SLOPE)
     drop_partials = np.cumsum(rep.step_drops)
@@ -479,6 +481,24 @@ class TestKs:
         assert cli.main(args + ["--out", str(tmp_path / "ks.csv")]) == 0
         assert mapped == [[-20, -12]]
         assert carried == list(range(-20, -12))
+
+    def test_each_step_builds_its_rotations_once(self, tmp_path, monkeypatch):
+        # the flow step's u_block call, and no other: the carry conjugates
+        # by the rotations of the step that made its state
+        calls = []
+        honest = flow.u_block
+
+        def counting(p, tails=None):
+            calls.append(np.shape(p))
+            return honest(p, tails)
+
+        monkeypatch.setattr(flow, "u_block", counting)
+        d, w = twogap_window()
+        args = ["ks", write_json(tmp_path / "w.json", w.to_json())]
+        args += [write_json(tmp_path / "d.json", d.to_json()), "--steps", "8"]
+        assert cli.main(args + ["--out", str(tmp_path / "ks.csv")]) == 0
+        assert calls == [(39 - 2 * n, 3) for n in range(8)]
+        assert not hasattr(ks, "u_block")
 
     def test_eight_steps_make_two_eigensolves(self, tmp_path, monkeypatch):
         # the ends of the run, states 0 and 8, and no other
@@ -1295,6 +1315,38 @@ class TestHarness:
         monkeypatch.setattr(cli, "gmp_to_jacobi_measure", boom)
         assert cli.main(["gmp2jacobi", p1_window_file(tmp_path)]) == 2
         assert "numerical error: synthetic breakdown" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, callee", [("ks", "map_run"), ("flow", "flow_run"),
+                                                 ("gmp2jacobi", "gmp_to_jacobi_measure")])
+    def test_running_out_of_memory_exits_two(self, tmp_path, capsys, monkeypatch, command,
+                                             callee):
+        # numpy's _ArrayMemoryError is a MemoryError
+        def boom(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.99 GiB for an array with shape (16337, 16337)")
+
+        argv = TestFileFaults.argv(command, tmp_path, monkeypatch)
+        monkeypatch.setattr(cli, callee, boom)
+        capsys.readouterr()
+        assert cli.main(argv) == 2
+        assert capsys.readouterr() == ("", f"numerical error: gmpflow {command} ran out of memory\n")
+
+    def test_ks_without_room_for_its_eigensolve_exits_two(self, tmp_path):
+        # the dense matrix of 4,001 blocks at g = 1 (order 8,002) needs 512 MB,
+        # past the 384 MB address space of the child, whose imports take
+        # about 150 MB of it; the limit is set in the child alone
+        def limited():
+            resource.setrlimit(resource.RLIMIT_AS, (384 * 2**20, 384 * 2**20))
+
+        win = p1_window_file(tmp_path, n_blocks=4001, j_min=-2000)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        cmd = [sys.executable, "-m", "gmpflow.cli", "ks", win, estar_delta_file(tmp_path),
+               "--steps", "1"]
+        proc = subprocess.run(cmd, env=env, preexec_fn=limited, capture_output=True, text=True,
+                              timeout=60)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "numerical error: gmpflow ks ran out of memory\n"
 
     def test_usage_errors_exit_one(self, capsys):
         assert cli.main(["flow"]) == 1

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gmpflow import flow
-from gmpflow.errors import NumericalError, ValidationError, WindowError, check
+from gmpflow.errors import SQUARE_MAX, NumericalError, ValidationError, WindowError, check
 from gmpflow.flow import (
     READOUT_REL_TOL,
     FlowTrajectory,
@@ -283,6 +283,75 @@ class TestJacobiFlowStep:
             flow_identity_residual(window, other)
 
 
+class TestSteppedState:
+    """A stepped state is built on its window's checked pole list, by the
+    constructor's other rules: its rows are refused as the constructor
+    refuses them, and its rotations are those of the step."""
+
+    @pytest.mark.parametrize("key", ["P", "Q"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.01 * SQUARE_MAX])
+    @pytest.mark.parametrize("at", [(0, 0), (3, 1), (20, 2)])
+    def test_planted_entry_is_refused_as_the_constructor_refuses_it(self, key, value, at):
+        d, w = roundtrip_inputs(2, 25)
+        stepped = jacobi_flow_step(w)
+        rows = {"P": stepped.P.copy(), "Q": stepped.Q.copy()}
+        rows[key][at] = value
+        with pytest.raises(ValidationError) as public:
+            GmpWindow(rows["P"], rows["Q"], w.c, stepped.j_min)
+        with pytest.raises(ValidationError) as private:
+            w._with_rows(rows["P"], rows["Q"], stepped.j_min)
+        assert type(private.value) is type(public.value)
+        assert str(private.value) == str(public.value)
+        assert str(public.value).startswith(f"blocks[{at[0]}].{key.lower()}[{at[1]}] = ")
+
+    def test_nonpositive_last_p_entry_is_refused(self):
+        _, w = roundtrip_inputs(1, 9)
+        P = w.P.copy()
+        P[4, -1] = 0.0
+        with pytest.raises(ValidationError, match="^last p entry must be positive, got 0.0$"):
+            w._with_rows(P, w.Q, w.j_min)
+
+    @pytest.mark.parametrize("j_min", [2**53, 2**53 - 1])
+    def test_stepped_j_min_past_2_53_is_refused(self, j_min):
+        w = make_p1_window(5, j_min)
+        if j_min < 2**53:
+            assert jacobi_flow_step(w).j_min == 2**53
+            return
+        with pytest.raises(ValidationError) as public:
+            GmpWindow(w.P[1:-1], w.Q[1:-1], w.c, j_min + 1)
+        with pytest.raises(ValidationError) as stepped:
+            jacobi_flow_step(w)
+        assert type(stepped.value) is type(public.value)
+        assert str(stepped.value) == str(public.value)
+        assert str(public.value) == ("j_min = 9007199254740993 is not an integer of "
+                                     "magnitude at most 2**53")
+
+    def test_state_shares_the_checked_pole_list(self):
+        _, w = roundtrip_inputs(2, 11)
+        stepped = jacobi_flow_step(w)
+        assert stepped.c is w.c and not stepped.c.flags.writeable
+        assert not (stepped.P.flags.writeable or stepped.Q.flags.writeable)
+
+    @pytest.mark.parametrize("g", [0, 1, 2, 8])
+    def test_rotations_are_u_block_of_the_inner_rows(self, g):
+        w = random_window(np.random.default_rng(g), g, 15, -7)
+        rotations = []
+        stepped = jacobi_flow_step(w, rotations)
+        (u,) = rotations
+        assert np.array_equal(u, u_block(w.P[1:-1]))
+        alone = jacobi_flow_step(w)
+        assert np.array_equal(stepped.P, alone.P) and np.array_equal(stepped.Q, alone.Q)
+
+    def test_flow_states_fill_the_rotations_as_they_step(self):
+        w = make_p1_window(15, -7)
+        rotations = []
+        stream = flow_states(w, 4, rotations=rotations)
+        for n, (st, _) in enumerate(stream):
+            assert len(rotations) == n
+            if rotations:
+                assert rotations[-1].shape == (st.n_blocks, 2, 2)
+
+
 class TestStackedStep:
     """The stacked step and rotation products against loops over
     blocks with the same arithmetic: results must agree bit for bit."""
@@ -448,7 +517,8 @@ class TestFlowRun:
     def test_states_are_stepped_on_demand(self, monkeypatch):
         steps = []
         step = flow.jacobi_flow_step
-        monkeypatch.setattr(flow, "jacobi_flow_step", lambda w: steps.append(w) or step(w))
+        monkeypatch.setattr(flow, "jacobi_flow_step",
+                            lambda w, rotations=None: steps.append(w) or step(w, rotations))
         half = 11
         stream = flow_states(make_p1_window(2 * half + 1, -half), 6)
         for n in range(4):

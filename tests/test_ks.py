@@ -21,7 +21,7 @@ from conftest import (
     sum_rule_window,
     wrapped_dense,
 )
-from oracles import block_diagonal, sum_rule_spectral_side
+from oracles import block_diagonal, per_state_drops, sum_rule_spectral_side, u_block_map_run
 from oracles_mp import local_delta_column
 
 from gmpflow import ks, numkit
@@ -81,6 +81,19 @@ def mapped_run(w: GmpWindow, d: DeltaData, n: int, margin: int = 3):
     for _ in range(n):
         states.append(jacobi_flow_step(states[-1]))
     return delta_of_gmp(states, d, margin)
+
+
+def run_states(w: GmpWindow, n: int) -> tuple[list[GmpWindow], list[np.ndarray]]:
+    """States 0..n of the flow run of ``w`` and the rotations of its steps."""
+    rotations = []
+    return [st for st, _ in flow_states(w, n, rotations=rotations)], rotations
+
+
+def step_rotations(w: GmpWindow) -> np.ndarray:
+    """The rotations of the flow step of ``w``."""
+    rotations = []
+    jacobi_flow_step(w, rotations)
+    return rotations[0]
 
 
 def telescope(w: GmpWindow, d: DeltaData, n: int, margin: int = 3) -> dict:
@@ -458,8 +471,8 @@ class TestMapRun:
     )
     def test_matches_each_state_alone(self, genus, n_blocks, steps):
         d, w = run_case(genus, n_blocks)
-        states = [st for st, _ in flow_states(w, steps)]
-        run = ks.map_run(states, d, 3)
+        states, rotations = run_states(w, steps)
+        run = ks.map_run(states, d, 3, rotations)
         assert len(run) == steps + 1
         for st, db in zip(states, run):
             alone = delta_of_gmp([st], d, 3)[0]
@@ -469,8 +482,8 @@ class TestMapRun:
 
     def test_ends_are_the_eigen_route_bitwise(self):
         d, w = run_case(2)
-        states = [st for st, _ in flow_states(w, 8)]
-        run = ks.map_run(states, d, 3)
+        states, rotations = run_states(w, 8)
+        run = ks.map_run(states, d, 3, rotations)
         for db, alone in zip((run[0], run[-1]), delta_of_gmp([states[0], states[-1]], d, 3)):
             assert np.array_equal(db.v_blocks, alone.v_blocks)
             assert np.array_equal(db.w_blocks, alone.w_blocks)
@@ -483,7 +496,7 @@ class TestMapRun:
         # stepped trusted range
         d, w = run_case(genus)
         db = delta_of_gmp([w], d, 3)[0]
-        new_v, new_w, _ = ks.carry_blocks(w, db)
+        new_v, new_w, _ = ks.carry_blocks(w, step_rotations(w), db)
         o_full = block_diagonal(u_block(w.P))
         conj = o_full.T @ eigen_comb_map(wrapped_dense(w), d) @ o_full
         per = genus + 1
@@ -515,7 +528,8 @@ class TestMapRun:
         signed = DeltaBlocks(db.j_lo, prev[:, :, None] * signs[:, None, :] * raw_v,
                              signs[:-1, :, None] * signs[:-1, None, :] * raw_w, signs)
         unsigned = DeltaBlocks(db.j_lo, raw_v, raw_w, np.ones_like(signs))
-        for got, want in zip(ks.carry_blocks(w, signed), ks.carry_blocks(w, unsigned)):
+        u = step_rotations(w)
+        for got, want in zip(ks.carry_blocks(w, u, signed), ks.carry_blocks(w, u, unsigned)):
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("where, entry", [("slot 0 of a coupling", (0, 2)),
@@ -526,40 +540,40 @@ class TestMapRun:
         # the band under the shift, and slots (1, 2) become the upper
         # triangle entry (0, 1) of a new coupling
         d, w = run_case(2)
-        states = [st for st, _ in flow_states(w, 8)]
+        states, rotations = run_states(w, 8)
         honest = ks.carry_blocks
 
-        def carry(window, db, state=""):
+        def carry(window, rot, db, state=""):
             if state == "state 5: ":
-                # the rotations the carry conjugates by: the signs of db
-                # in their rows
-                u = u_block(window.P[db.j_lo - 1 - window.j_min :][:6])
-                u *= np.vstack([np.ones_like(db.signs[:1]), db.signs])[:6, :, None]
+                # the rotations the carry conjugates by (the step's, from
+                # row 1 on): the signs of db in their rows
+                signs = np.vstack([np.ones_like(db.signs[:1]), db.signs])
+                u = rot[db.j_lo - 2 - window.j_min :][:6] * signs[:6, :, None]
                 unit = np.zeros((3, 3))
                 unit[entry] = 0.5
                 v = db.v_blocks.copy()
                 v[4] += u[4] @ unit @ u[5].T  # blocks j_lo + 3 and j_lo + 4
                 db = DeltaBlocks(db.j_lo, v, db.w_blocks, db.signs)
-            return honest(window, db, state)
+            return honest(window, rot, db, state)
 
-        ks.map_run(states, d, 3)  # the run itself passes
+        ks.map_run(states, d, 3, rotations)  # the run itself passes
         monkeypatch.setattr(ks, "carry_blocks", carry)
         with pytest.raises(NumericalError, match=r"^state 5: carried operator lost its band "
                                                  r"structure: defect 5\.000e-01 exceeds "
                                                  r"\d\.\d{3}e-0\d$"):
-            ks.map_run(states, d, 3)
+            ks.map_run(states, d, 3, rotations)
 
     @pytest.mark.parametrize("factor", [0.5, 2.0])
     def test_planted_drift_raises(self, monkeypatch, factor):
         # a diagonal entry keeps its sign under normalisation, so the drift
         # is the planted one; half the bound passes and twice it raises
         d, w = run_case(2)
-        states = [st for st, _ in flow_states(w, 8)]
+        states, rotations = run_states(w, 8)
         honest = ks.carry_blocks
         drift = []
 
-        def carry(window, db, state=""):
-            new_v, new_w, scale = honest(window, db, state)
+        def carry(window, u, db, state=""):
+            new_v, new_w, scale = honest(window, u, db, state)
             if state == "state 8: ":
                 drift.append(factor * ks.CARRY_DRIFT_REL * scale)
                 new_w[1, 0, 0] += drift[0]
@@ -567,19 +581,19 @@ class TestMapRun:
 
         monkeypatch.setattr(ks, "carry_blocks", carry)
         if factor < 1:
-            ks.map_run(states, d, 3)
+            ks.map_run(states, d, 3, rotations)
             return
         with pytest.raises(NumericalError, match=r"^state 8: carried blocks deviate from the "
                                                  r"eigen route by \d\.\d{3}e-\d\d exceeds "
                                                  r"\d\.\d{3}e-\d\d$") as err:
-            ks.map_run(states, d, 3)
+            ks.map_run(states, d, 3, rotations)
         value, bound = str(err.value).split()[-3::2]
         assert float(value) == pytest.approx(drift[0], rel=1e-2)
         assert float(bound) == pytest.approx(drift[0] / factor, rel=1e-3)
 
     def test_vanishing_carried_diagonal_names_its_state(self, monkeypatch):
         d, w = run_case(1)
-        states = [st for st, _ in flow_states(w, 8)]
+        states, rotations = run_states(w, 8)
         honest = ks.normalized_blocks
 
         def zeroed(j_lo, raw_v, raw_w, scale, state=""):
@@ -591,22 +605,53 @@ class TestMapRun:
         monkeypatch.setattr(ks, "normalized_blocks", zeroed)
         with pytest.raises(NumericalError, match=r"^state 3: vanishing coupling block "
                            r"diagonal entry 0\.000e\+00 is below \d\.\d{3}e-12$"):
-            ks.map_run(states, d, 3)
+            ks.map_run(states, d, 3, rotations)
 
     def test_states_must_be_one_flow_run(self):
         d, w = run_case(1)
-        states = [st for st, _ in flow_states(w, 3)]
+        states, rotations = run_states(w, 3)
         states[2] = states[1]
         with pytest.raises(ValidationError, match="^state 2 is not a flow step of state 1$"):
-            ks.map_run(states, d, 3)
+            ks.map_run(states, d, 3, rotations)
+
+    @pytest.mark.parametrize("change", ["one fewer", "one more", "a state's own", "swapped"])
+    def test_rotations_must_be_those_of_the_steps(self, change):
+        # the count, and the rows of each stack: rows 1..n_blocks - 2 of
+        # the state it steps
+        d, w = run_case(1)
+        states, rotations = run_states(w, 3)
+        ks.map_run(states, d, 3, rotations)
+        rotations = {"one fewer": rotations[:-1], "one more": rotations + rotations[-1:],
+                     "a state's own": [u_block(st.P) for st in states[:-1]],
+                     "swapped": rotations[::-1]}[change]
+        with pytest.raises(ValidationError, match="^rotations must be one stack per step, of "
+                                                  "rows 1..n_blocks - 2$"):
+            ks.map_run(states, d, 3, rotations)
+
+    @pytest.mark.parametrize("genus", [1, 2, 4, 8])
+    def test_run_and_drops_are_the_u_block_route_bitwise(self, genus):
+        # the oracle builds the rotations of every carried state itself and
+        # takes the drops one state at a time
+        d, w = run_case(genus)
+        states, rotations = run_states(w, 8)
+        run = ks.map_run(states, d, 3, rotations)
+        want = u_block_map_run(states, d, 3)
+        assert len(run) == len(want) == 9
+        for got, ref in zip(run, want):
+            assert got.j_lo == ref.j_lo
+            for name in ("v_blocks", "w_blocks", "signs"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+        rep, drops = functional_report(run), per_state_drops(want)
+        assert np.array_equal(rep.step_drops, drops[:, 0])
+        assert np.array_equal(rep.shifted_drops, drops[:, 1])
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValidationError, match="^a run has at least one window$"):
-            ks.map_run([], estar_delta(), 3)
+            ks.map_run([], estar_delta(), 3, [])
 
     def test_one_state_is_its_eigen_route(self):
         d, w = run_case(1)
-        (db,) = ks.map_run([w], d, 3)
+        (db,) = ks.map_run([w], d, 3, [])
         (alone,) = delta_of_gmp([w], d, 3)
         assert np.array_equal(db.v_blocks, alone.v_blocks)
 
