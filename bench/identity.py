@@ -12,7 +12,9 @@ on 961 blocks, which no perfbench pool reaches, and ``--width 21`` and
 ``flow --steps 8`` and ``ks --steps 8`` on the 121-block round-trip
 windows at genus 4 and 8, past the genus 2 of the ``flow_orbit`` and
 ``ks_table`` pools (the closed-form check of ``ks`` fills block j-1's
-partial chain only at g >= 2); ``gmpflow selftest``, and every case of
+partial chain only at g >= 2), and at genus 4 ``ks --steps 1`` and ``ks
+--steps 8 --margin 5``, a one-step run and a margin past 3, which no
+other call reaches; ``gmpflow selftest``, and every case of
 the typed-failure grid of ``tests/test_failure_grid.py``.  Each runs in
 process through ``gmpflow.cli.main`` with BLAS on one thread.  A job's
 digest lines hash, for each of its calls, the exit code (or the uncaught
@@ -67,8 +69,9 @@ NARROW_SEED = 1
 # (g, n_blocks, jacobi2gmp widths): 241 blocks at g = 1 cannot carry widths
 # 21 and 41, which must be refused, not read off wrong
 ROUNDTRIPS = ((2, 961, (5,)), (4, 961, (5,)), (1, 241, (21, 41)))
-# (g, n_blocks) of the windows that ``flow`` and ``ks`` run on
-FLOW_RUNS = ((4, 121), (8, 121))
+# (g, n_blocks, options of the ``ks`` calls past ``--steps 8``) of the
+# windows that ``flow`` and ``ks`` run on
+FLOW_RUNS = ((4, 121, (["--steps", "1"], ["--steps", "8", "--margin", "5"])), (8, 121, ()))
 ELAPSED = re.compile(r" \(\d+\.\d\d s\) ")
 
 
@@ -125,17 +128,21 @@ def roundtrip_pool(work: Path) -> Pool:
 
 
 def flow_pool(work: Path) -> Pool:
-    """One job per ``FLOW_RUNS`` (g, n_blocks): ``flow --steps 8`` and ``ks
-    --steps 8`` on the round-trip window, inputs written to ``work``."""
+    """One job per ``FLOW_RUNS`` (g, n_blocks, ks options): ``flow --steps
+    8``, ``ks --steps 8`` and ``ks`` with each further option list on the
+    round-trip window, inputs written to ``work``."""
     jobs = []
-    for g, n_blocks in FLOW_RUNS:
+    for g, n_blocks, more in FLOW_RUNS:
         d, w = roundtrip_inputs(g, n_blocks)
         window, cmap = (work / f"g{g}-n{n_blocks}{part}.json" for part in ("", ".map"))
-        outs = [work / f"g{g}-n{n_blocks}.{cmd}.csv" for cmd in ("flow", "ks")]
+        ks_options = [["--steps", "8"], *more]
+        outs = [work / f"g{g}-n{n_blocks}.flow.csv"] + [
+            work / f"g{g}-n{n_blocks}.ks{k or ''}.csv" for k in range(len(ks_options))]
         window.write_text(json.dumps(w.to_json()))
         cmap.write_text(json.dumps(d.to_json()))
-        calls = [["flow", str(window), "--steps", "8", "--out", str(outs[0])],
-                 ["ks", str(window), str(cmap), "--steps", "8", "--out", str(outs[1])]]
+        calls = [["flow", str(window), "--steps", "8", "--out", str(outs[0])]] + [
+            ["ks", str(window), str(cmap), *options, "--out", str(out)]
+            for options, out in zip(ks_options, outs[1:])]
         jobs.append(Job(f"g{g}-n{n_blocks}", calls, outs, check=None))
     return Pool("flow", jobs, {}, 0.0)
 

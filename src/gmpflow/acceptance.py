@@ -207,8 +207,7 @@ def criterion_telescoping() -> tuple[list, str]:
     d = _estar_delta()
     w = _decaying_window(0.05, 27)
     j_top = 4
-    rotations = []  # filled as the states are drawn
-    run = map_run([st for st, _ in flow_states(w, 5, rotations=rotations)], d, 3, rotations)
+    run = map_run(w, d, 5, 3)[1]
     report = telescoping_check(run)
     ledger = report["report"]
     # the drop of the stepped window mapped on its own, against the
@@ -361,9 +360,8 @@ def criterion_functional() -> tuple[list, str]:
     """Vanishing on the surface, boundedness, and divergence flagging."""
     d = _estar_delta()
     w = _p1_window(27, j_min=-13)
-    rotations = []
-    surface = [st for st, _ in flow_states(w, 4, rotations=rotations)]
-    rep = functional_report(map_run(surface, d, 3, rotations))
+    surface, run = map_run(w, d, 4, 3)
+    rep = functional_report(run)
     surface_dev = max(
         float(np.max(np.abs(rep.row_terms[0]))),
         float(np.max(np.abs(rep.h_origin))),

@@ -3,11 +3,12 @@
 Subcommands: ``delta`` builds a comb map from a gap set, ``jacobi2gmp``
 and ``gmp2jacobi`` convert between coefficient windows and block
 windows, ``flow`` runs the renormalization step and tabulates the
-readout, ``ks`` tabulates the entropy and summability diagnostics,
-``iso-solve`` projects a seed block onto the surface, and ``selftest``
-runs the acceptance suite.  Every subcommand takes ``--out`` from one
-shared parent parser; ``flow`` and ``ks`` share another for the window
-and ``--steps``, and write CSV tables of ``(name, values)`` columns.
+readout, ``ks`` tabulates the entropy and summability diagnostics of one
+mapped flow run (``ks.map_run``), ``iso-solve`` projects a seed block
+onto the surface, and ``selftest`` runs the acceptance suite.  Every
+subcommand takes ``--out`` from one shared parent parser; ``flow`` and
+``ks`` share another for the window and ``--steps``, and write CSV
+tables of ``(name, values)`` columns.
 
 All commands are deterministic given their inputs and options; numbers
 are written with 17 significant digits, and with BLAS on one thread
@@ -35,11 +36,11 @@ import numpy as np
 from .construct import gmp_to_jacobi_measure, jacobi_to_gmp
 from .errors import DOUBLE_MAX, NumericalError, ValidationError, check_entries, read_numbers
 from .finitegap import DeltaData, GapSet, delta_from_gaps, eval_delta
-from .flow import flow_run, flow_states
+from .flow import flow_run
 from .gmp import VALIDITY_FLOOR, GmpBlock, GmpWindow
 from .isospectral import solve_is_point
 from .jacobi import JacobiWindow, check_eta, dist_eta
-from .ks import DIVERGENCE_SLOPE, check_margin, ks_diagnostics, map_run, telescoping_check
+from .ks import DIVERGENCE_SLOPE, ks_diagnostics, map_run, telescoping_check
 
 log = logging.getLogger("gmpflow.cli")
 
@@ -167,7 +168,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
     for name, arr in (("lambda", traj.lambdas), ("validity_min", traj.validity_min)):
         columns += [(f"{name}_{k}", col) for k, col in enumerate(arr.T, 1)]
     tail = [  # the distance of the readout tails after step n from their shifts
-        math.hypot(*(dist_eta(x[n : x.size - per], x[n + per :], args.eta) for x in (a, b)))
+        math.hypot(*(dist_eta(x[n : max(n, x.size - per)], x[n + per :], args.eta)
+                     for x in (a, b)))
         for n in steps
     ]
     columns.append(("shift_dist_eta", tail))
@@ -179,9 +181,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
 def cmd_ks(args: argparse.Namespace) -> int:
     """Tabulate the entropy functional and summability families as CSV.
 
-    ``map_run`` maps the states 0..N of ``flow_states``, with no readout
-    (``ks`` prints no a(n), b(n)): two eigensolves, at the ends, and the
-    states between carried along the flow by the rotations its steps made.
+    One ``map_run`` call steps the window and maps its states 0..N, with
+    no readout (``ks`` prints no a(n), b(n)): two eigensolves, at the
+    ends, and the states between carried along the flow.
     One row per step n = 0..N-1: the origin entropy of state n, its
     spatial partial sum over the shared trusted rows, the one-step drop
     and its running sum, the n-step telescoping residual, and each
@@ -190,10 +192,7 @@ def cmd_ks(args: argparse.Namespace) -> int:
     """
     w = GmpWindow.from_json(_load_json(args.window))
     d = DeltaData.from_json(_load_json(args.delta))
-    check_margin(args.margin)
-    rotations = []
-    states = [st for st, _ in flow_states(w, args.steps, rotations=rotations)]
-    run = map_run(states, d, args.margin, rotations)
+    states, run = map_run(w, d, args.steps, args.margin)
     rep = telescoping_check(run)["report"]  # the run's entropy ledger
     slope_tol = DIVERGENCE_SLOPE if args.tol is None else args.tol
     diag = ks_diagnostics(states, d, slope_tol)

@@ -209,8 +209,8 @@ def flow_states(
     j_min <= -1 - n_steps and j_max >= 1 + n_steps.  A state is yielded
     with the pair functionals ``validate_gmp`` returns, else the run aborts
     with its error, led by "state n left the class: "; the next is stepped
-    only when asked for (into ``rotations``, as by ``jacobi_flow_step``),
-    and none is kept.
+    only when asked for, its rotations appended to ``rotations`` (the list
+    ``ks.map_run`` makes and reads) when given, and none is kept.
     """
     if n_steps < 1:
         raise ValidationError("n_steps must be at least 1")

@@ -348,12 +348,13 @@ def check_eta(eta: float) -> None:
 
 
 def dist_eta(b: np.ndarray, b_tilde: np.ndarray, eta: float) -> float:
-    """Geometrically weighted distance sqrt(sum |b-b~|^2 eta^{2n})."""
+    """Geometrically weighted distance sqrt(sum |b-b~|^2 eta^{2n}) of two
+    sequences of one length."""
     check_eta(eta)
     b = np.asarray(b, dtype=float)
     b_tilde = np.asarray(b_tilde, dtype=float)
-    n = max(b.size, b_tilde.size)
-    diff = np.zeros(n)
-    diff[: b.size] = b
-    diff[: b_tilde.size] -= b_tilde
-    return float(np.sqrt(np.sum(diff**2 * eta ** (2.0 * np.arange(n)))))
+    if b.size != b_tilde.size:
+        raise ValidationError(f"dist_eta needs sequences of one length, got {b.size} "
+                              f"and {b_tilde.size}")
+    diff = b - b_tilde
+    return float(np.sqrt(np.sum(diff**2 * eta ** (2.0 * np.arange(b.size)))))

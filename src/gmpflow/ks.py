@@ -11,10 +11,11 @@ sequence of windows: it checks every column of the trusted block rows
 against the band, extracts the blocks, and checks them against the
 closed-form resolvent columns in one stacked call.  A flow step is an
 orthogonal block conjugation followed by a one-slot shift, and the map
-commutes with both, so ``map_run`` maps a flow run with two eigensolves:
-the eigen route at its ends, and every state between carried from the
-normalized blocks of the one before (``carry_blocks``, by the step's own
-rotations and kernel ``flow.conjugate_shift``).  Both routes share one
+commutes with both, so ``map_run``, the one entry to a mapped flow run,
+steps a window and maps its states with two eigensolves: the eigen route
+at the run's ends, and every state between carried from the normalized
+blocks of the one before (``carry_blocks``, by the rotations of the step
+that made it and kernel ``flow.conjugate_shift``).  Both routes share one
 sign normalisation (``normalized_blocks``).  This module sums the
 per-block entropy terms, evaluates the exact one-step drop of the
 functional under the flow, checks the telescoping identity relating a
@@ -33,7 +34,7 @@ import numpy as np
 from . import numkit
 from .errors import SpectrumProximityError, ValidationError, WindowError, check, check_entries
 from .finitegap import DeltaData, check_distinct_poles
-from .flow import conjugate_shift, jacobi_flow_step
+from .flow import conjugate_shift, flow_states, jacobi_flow_step
 from .gmp import GmpBlock, GmpWindow, assemble_dense, pattern_defect, resolvent_column
 from .isospectral import is_residual
 
@@ -65,24 +66,23 @@ class DeltaBlocks:
     are read-only stacks, ``(span + 1, g + 1, g + 1)`` and
     ``(span, g + 1, g + 1)`` for the ``span`` block rows j_lo..j_hi.
     Signs are normalised so every coupling block has positive diagonal,
-    which keeps the log-determinant terms real.  ``signs``, when the
-    blocks come from a window (see ``normalized_blocks``), holds in row i
-    the signs applied to the slots of block j_lo + i, those of block
-    j_lo - 1 being kept; ``carry_blocks`` folds them into its rotations.
+    which keeps the log-determinant terms real.  ``signs`` holds in row i
+    the signs ``normalized_blocks`` applied to the slots of block
+    j_lo + i, those of block j_lo - 1 being kept; ``carry_blocks`` folds
+    them into its rotations.
     """
 
     j_lo: int
     v_blocks: np.ndarray
     w_blocks: np.ndarray
-    signs: np.ndarray | None = None
+    signs: np.ndarray
 
     def __post_init__(self) -> None:
         V, W = (np.asarray(arr, dtype=float) for arr in (self.v_blocks, self.w_blocks))
         if len(V) != len(W) + 1:
             raise ValidationError("coupling block count must be the diagonal block count plus one")
         for arr in (V, W, self.signs):
-            if arr is not None:
-                arr.flags.writeable = False
+            arr.flags.writeable = False
         vars(self).update(v_blocks=V, w_blocks=W)  # frozen: bypass __setattr__
 
     @property
@@ -257,36 +257,34 @@ def carry_blocks(window: GmpWindow, rotations: np.ndarray, db: DeltaBlocks,
     return new_v, new_w, scale
 
 
-def map_run(states: Sequence[GmpWindow], d: DeltaData, margin: int,
-            rotations: Sequence[np.ndarray]) -> list[DeltaBlocks]:
-    """Blocks of the comb map applied to the states 0..N of a flow run.
+def map_run(window: GmpWindow, d: DeltaData, n_steps: int,
+            margin: int) -> tuple[list[GmpWindow], list[DeltaBlocks]]:
+    """The states 0..N of the flow run of ``window`` (``flow_states``) and
+    the blocks of the comb map applied to each.
 
-    One ``delta_of_gmp`` call maps states 0 and N, with every check of
-    the eigen route; every later state is carried from the blocks of the
-    one before by the step's own ``rotations`` (``carry_blocks``), each
-    check naming its state.  So a run costs two eigensolves, and every
-    trusted range is the eigen route's.  The carried state N must agree
-    with the eigen route's within ``CARRY_DRIFT_REL`` times its scale; the
-    eigen route's is returned.
+    A margin below 3 is refused before the first step.  One
+    ``delta_of_gmp`` call maps states 0 and N, with every check of the
+    eigen route; every later state is carried from the blocks of the one
+    before by the rotations of the step that made it (``carry_blocks``),
+    each check naming its state.  So a run costs two eigensolves, and
+    every trusted range is the eigen route's.  The carried state N must
+    agree with the eigen route's within ``CARRY_DRIFT_REL`` times its
+    scale; the eigen route's is returned.
     """
-    for n, (st, nxt) in enumerate(zip(states, states[1:]), 1):
-        if (nxt.j_min, nxt.n_blocks) != (st.j_min + 1, st.n_blocks - 2):
-            raise ValidationError(f"state {n} is not a flow step of state {n - 1}")
-    if [len(u) for u in rotations] != [st.n_blocks - 2 for st in states[:-1]]:
-        raise ValidationError("rotations must be one stack per step, of rows 1..n_blocks - 2")
-    ends = delta_of_gmp([*states[:1], *states[1:][-1:]], d, margin)
+    check_margin(margin)
+    rotations = []  # one stack per step, filled as the states are drawn
+    states = [st for st, _ in flow_states(window, n_steps, rotations=rotations)]
+    ends = delta_of_gmp([states[0], states[-1]], d, margin)
     run = ends[:1]
     for n, (st, u) in enumerate(zip(states, rotations), 1):
         raw_v, raw_w, scale = carry_blocks(st, u, run[-1], f"state {n}: ")
         run.append(normalized_blocks(run[-1].j_lo + 1, raw_v, raw_w, scale, f"state {n}: "))
-    if len(states) > 1:
-        carried, mapped = run[-1], ends[-1]
-        drift = max(float(np.max(np.abs(carried.v_blocks - mapped.v_blocks))),
-                    float(np.max(np.abs(carried.w_blocks - mapped.w_blocks))))
-        check(lambda _: f"state {len(states) - 1}: carried blocks deviate from the eigen "
-              "route by", drift, CARRY_DRIFT_REL * scale)
-        run[-1] = mapped
-    return run
+    drift = max(float(np.max(np.abs(run[-1].v_blocks - ends[1].v_blocks))),
+                float(np.max(np.abs(run[-1].w_blocks - ends[1].w_blocks))))
+    check(lambda _: f"state {n_steps}: carried blocks deviate from the eigen route by",
+          drift, CARRY_DRIFT_REL * scale)
+    run[-1] = ends[1]
+    return states, run
 
 
 def h_term(v0: np.ndarray, w0: np.ndarray, v1: np.ndarray) -> float | np.ndarray:

@@ -32,7 +32,7 @@ from oracles import sum_rule_spectral_side
 from gmpflow import cli, flow, isospectral, ks, numkit
 from gmpflow.errors import NumericalError
 from gmpflow.finitegap import DeltaData, GapSet, delta_from_gaps
-from gmpflow.flow import flow_run, flow_states
+from gmpflow.flow import flow_run
 from gmpflow.gmp import GmpBlock, GmpWindow, assemble_dense
 from gmpflow.isospectral import solve_is_point
 from gmpflow.jacobi import JacobiWindow, dist_eta
@@ -111,8 +111,8 @@ def reference_flow_table(w: GmpWindow, steps: int, eta: float) -> list[str]:
         row = [str(n), cli._fmt(traj.a_out[n]), cli._fmt(traj.b_out[n])]
         row.extend(cli._fmt(v) for v in traj.lambdas[n])
         row.extend(cli._fmt(v) for v in traj.validity_min[n])
-        da = dist_eta(traj.a_out[n : n_a - per], traj.a_out[n + per :], eta)
-        db = dist_eta(traj.b_out[n : n_b - per], traj.b_out[n + per :], eta)
+        da = dist_eta(traj.a_out[n : max(n, n_a - per)], traj.a_out[n + per :], eta)
+        db = dist_eta(traj.b_out[n : max(n, n_b - per)], traj.b_out[n + per :], eta)
         row.append(cli._fmt(math.hypot(da, db)))
         rows.append(row)
     return [",".join(line) for line in [header, *rows]]
@@ -121,9 +121,7 @@ def reference_flow_table(w: GmpWindow, steps: int, eta: float) -> list[str]:
 def reference_ks_table(w: GmpWindow, d: DeltaData, steps: int, margin: int) -> list[str]:
     """Header and rows of ``ks``'s table spelled as one header list and one
     row loop over the steps, independent of ``cmd_ks``'s columns."""
-    rotations = []
-    states = [st for st, _ in flow_states(w, steps, rotations=rotations)]
-    run = ks.map_run(states, d, margin, rotations)
+    states, run = ks.map_run(w, d, steps, margin)
     rep = ks.telescoping_check(run)["report"]
     diag = ks.ks_diagnostics(states, d, ks.DIVERGENCE_SLOPE)
     drop_partials = np.cumsum(rep.step_drops)
@@ -220,6 +218,13 @@ class TestFlow:
         assert all(float(v) > 1.0 for v in cols["validity_min_1"])
         assert max(abs(float(v)) for v in cols["shift_dist_eta"]) < 1e-12
         assert cols["n"] == [str(n) for n in range(6)]
+
+    def test_tails_shorter_than_a_block_have_no_shift_to_compare(self, tmp_path, capsys):
+        # at g = 2 the shift moves the readout by 3 entries, past the 3 a's
+        # and 2 b's of two steps: every row compares two empty tails
+        d, w = twogap_window()
+        assert cli.main(["flow", write_json(tmp_path / "w.json", w.to_json()), "--steps", "2"]) == 0
+        assert csv_columns(capsys.readouterr().out)["shift_dist_eta"] == ["0", "0"]
 
     def test_seventeen_digit_numbers(self, tmp_path, capsys):
         assert cli.main(["flow", p1_window_file(tmp_path), "--steps", "2"]) == 0
@@ -347,7 +352,7 @@ class TestFlow:
 class TestKs:
     @pytest.mark.parametrize("margin", ["2", "0", "-1"])
     def test_bad_margin_refused_before_the_flow(self, tmp_path, capsys, monkeypatch, margin):
-        monkeypatch.setattr(cli, "flow_states", flow_never_runs)
+        monkeypatch.setattr(ks, "flow_states", flow_never_runs)
         win, d = p1_window_file(tmp_path), estar_delta_file(tmp_path)
         capsys.readouterr()
         assert cli.main(["ks", win, d, "--steps", "2", "--margin", margin]) == 1

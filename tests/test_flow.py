@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from gmpflow import flow
+from gmpflow.construct import gmp_to_jacobi_measure, jacobi_to_gmp
 from gmpflow.errors import SQUARE_MAX, NumericalError, ValidationError, WindowError, check
 from gmpflow.flow import (
     READOUT_REL_TOL,
@@ -22,7 +23,7 @@ from gmpflow.flow import (
     u_block,
 )
 from gmpflow.gmp import GmpBlock, GmpWindow, build_block_B, lambda_k
-from gmpflow.jacobi import DiscreteMeasure, lanczos_from_measure
+from gmpflow.jacobi import DiscreteMeasure, JacobiWindow, lanczos_from_measure
 
 from conftest import make_p1_block, make_p1_window, roundtrip_inputs, stack_window
 from oracles import dense_flow_identity_residual, tril_triu_block_B
@@ -643,3 +644,28 @@ class TestFlowJacobiDiagram:
             npt.assert_allclose(
                 recovered.b[n + 1], traj.b_out[n], atol=1e-6
             )
+
+
+class TestBlockShiftIdentity:
+    @pytest.mark.parametrize("g, n_blocks", [(1, 241), (2, 241), (4, 961)])
+    def test_steps_are_the_shifted_conversion_up_to_slot_signs(self, g, n_blocks):
+        # the paper's flow maps A(J) to A(SJS*): step A(J) n times and
+        # convert J shifted by n sites.  The two agree block for block up
+        # to the sign of whole slots, which varies with the step (at g = 4,
+        # slots {0, 1, 2}, {2}, {0, 2} and {0, 1, 3} after steps 1..4): the
+        # conversion gauges p >= 0, the step keeps its rotations' signs
+        d, w = roundtrip_inputs(g, n_blocks)
+        J = gmp_to_jacobi_measure(w)
+        stepped = jacobi_to_gmp(J, d, 13)
+        for n in range(1, 5):
+            stepped = jacobi_flow_step(stepped)
+            shifted = jacobi_to_gmp(JacobiWindow(J.a, J.b, J.n_min - n), d, 13 - 2 * n)
+            lo, hi = max(stepped.j_min, shifted.j_min), min(stepped.j_max, shifted.j_max)
+            mine, theirs = (A.rows(lo - A.j_min, hi + 1 - A.j_min) for A in (stepped, shifted))
+            (P, Q), (Ps, Qs) = (mine.p, mine.q), (theirs.p, theirs.q)
+            for got, want in ((np.abs(P), np.abs(Ps)), (np.abs(Q), np.abs(Qs)), (P * Q, Ps * Qs)):
+                npt.assert_allclose(got, want, rtol=0, atol=1e-13)
+            p_flip, q_flip = np.sign(P) != np.sign(Ps), np.sign(Q) != np.sign(Qs)
+            both = (np.abs(P) > 1e-12) & (np.abs(Q) > 1e-12)
+            assert np.array_equal(p_flip[both], q_flip[both]), n
+            assert not p_flip[:, g].any() and not q_flip[np.abs(Q[:, g]) > 1e-12, g].any(), n

@@ -821,10 +821,10 @@ class TestDistEta:
         expected = 1.0 / np.sqrt(1.0 - eta**4)
         assert_allclose(dist_eta(b, np.zeros(n), eta), expected, rtol=1e-12)
 
-    def test_unequal_lengths_zero_padded(self):
-        assert_allclose(
-            dist_eta(np.array([1.0, 1.0]), np.array([1.0]), 0.5), 0.5
-        )
+    def test_unequal_lengths_refused(self):
+        with pytest.raises(ValidationError, match="^dist_eta needs sequences of one length, "
+                                                  "got 2 and 1$"):
+            dist_eta(np.array([1.0, 1.0]), np.array([1.0]), 0.5)
 
     def test_eta_range_enforced(self):
         with pytest.raises(ValidationError):

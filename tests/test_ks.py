@@ -83,12 +83,6 @@ def mapped_run(w: GmpWindow, d: DeltaData, n: int, margin: int = 3):
     return delta_of_gmp(states, d, margin)
 
 
-def run_states(w: GmpWindow, n: int) -> tuple[list[GmpWindow], list[np.ndarray]]:
-    """States 0..n of the flow run of ``w`` and the rotations of its steps."""
-    rotations = []
-    return [st for st, _ in flow_states(w, n, rotations=rotations)], rotations
-
-
 def step_rotations(w: GmpWindow) -> np.ndarray:
     """The rotations of the flow step of ``w``."""
     rotations = []
@@ -471,8 +465,7 @@ class TestMapRun:
     )
     def test_matches_each_state_alone(self, genus, n_blocks, steps):
         d, w = run_case(genus, n_blocks)
-        states, rotations = run_states(w, steps)
-        run = ks.map_run(states, d, 3, rotations)
+        states, run = ks.map_run(w, d, steps, 3)
         assert len(run) == steps + 1
         for st, db in zip(states, run):
             alone = delta_of_gmp([st], d, 3)[0]
@@ -482,8 +475,7 @@ class TestMapRun:
 
     def test_ends_are_the_eigen_route_bitwise(self):
         d, w = run_case(2)
-        states, rotations = run_states(w, 8)
-        run = ks.map_run(states, d, 3, rotations)
+        states, run = ks.map_run(w, d, 8, 3)
         for db, alone in zip((run[0], run[-1]), delta_of_gmp([states[0], states[-1]], d, 3)):
             assert np.array_equal(db.v_blocks, alone.v_blocks)
             assert np.array_equal(db.w_blocks, alone.w_blocks)
@@ -540,7 +532,6 @@ class TestMapRun:
         # the band under the shift, and slots (1, 2) become the upper
         # triangle entry (0, 1) of a new coupling
         d, w = run_case(2)
-        states, rotations = run_states(w, 8)
         honest = ks.carry_blocks
 
         def carry(window, rot, db, state=""):
@@ -556,19 +547,18 @@ class TestMapRun:
                 db = DeltaBlocks(db.j_lo, v, db.w_blocks, db.signs)
             return honest(window, rot, db, state)
 
-        ks.map_run(states, d, 3, rotations)  # the run itself passes
+        ks.map_run(w, d, 8, 3)  # the run itself passes
         monkeypatch.setattr(ks, "carry_blocks", carry)
         with pytest.raises(NumericalError, match=r"^state 5: carried operator lost its band "
                                                  r"structure: defect 5\.000e-01 exceeds "
                                                  r"\d\.\d{3}e-0\d$"):
-            ks.map_run(states, d, 3, rotations)
+            ks.map_run(w, d, 8, 3)
 
     @pytest.mark.parametrize("factor", [0.5, 2.0])
     def test_planted_drift_raises(self, monkeypatch, factor):
         # a diagonal entry keeps its sign under normalisation, so the drift
         # is the planted one; half the bound passes and twice it raises
         d, w = run_case(2)
-        states, rotations = run_states(w, 8)
         honest = ks.carry_blocks
         drift = []
 
@@ -581,19 +571,18 @@ class TestMapRun:
 
         monkeypatch.setattr(ks, "carry_blocks", carry)
         if factor < 1:
-            ks.map_run(states, d, 3, rotations)
+            ks.map_run(w, d, 8, 3)
             return
         with pytest.raises(NumericalError, match=r"^state 8: carried blocks deviate from the "
                                                  r"eigen route by \d\.\d{3}e-\d\d exceeds "
                                                  r"\d\.\d{3}e-\d\d$") as err:
-            ks.map_run(states, d, 3, rotations)
+            ks.map_run(w, d, 8, 3)
         value, bound = str(err.value).split()[-3::2]
         assert float(value) == pytest.approx(drift[0], rel=1e-2)
         assert float(bound) == pytest.approx(drift[0] / factor, rel=1e-3)
 
     def test_vanishing_carried_diagonal_names_its_state(self, monkeypatch):
         d, w = run_case(1)
-        states, rotations = run_states(w, 8)
         honest = ks.normalized_blocks
 
         def zeroed(j_lo, raw_v, raw_w, scale, state=""):
@@ -605,36 +594,14 @@ class TestMapRun:
         monkeypatch.setattr(ks, "normalized_blocks", zeroed)
         with pytest.raises(NumericalError, match=r"^state 3: vanishing coupling block "
                            r"diagonal entry 0\.000e\+00 is below \d\.\d{3}e-12$"):
-            ks.map_run(states, d, 3, rotations)
-
-    def test_states_must_be_one_flow_run(self):
-        d, w = run_case(1)
-        states, rotations = run_states(w, 3)
-        states[2] = states[1]
-        with pytest.raises(ValidationError, match="^state 2 is not a flow step of state 1$"):
-            ks.map_run(states, d, 3, rotations)
-
-    @pytest.mark.parametrize("change", ["one fewer", "one more", "a state's own", "swapped"])
-    def test_rotations_must_be_those_of_the_steps(self, change):
-        # the count, and the rows of each stack: rows 1..n_blocks - 2 of
-        # the state it steps
-        d, w = run_case(1)
-        states, rotations = run_states(w, 3)
-        ks.map_run(states, d, 3, rotations)
-        rotations = {"one fewer": rotations[:-1], "one more": rotations + rotations[-1:],
-                     "a state's own": [u_block(st.P) for st in states[:-1]],
-                     "swapped": rotations[::-1]}[change]
-        with pytest.raises(ValidationError, match="^rotations must be one stack per step, of "
-                                                  "rows 1..n_blocks - 2$"):
-            ks.map_run(states, d, 3, rotations)
+            ks.map_run(w, d, 8, 3)
 
     @pytest.mark.parametrize("genus", [1, 2, 4, 8])
     def test_run_and_drops_are_the_u_block_route_bitwise(self, genus):
         # the oracle builds the rotations of every carried state itself and
         # takes the drops one state at a time
         d, w = run_case(genus)
-        states, rotations = run_states(w, 8)
-        run = ks.map_run(states, d, 3, rotations)
+        states, run = ks.map_run(w, d, 8, 3)
         want = u_block_map_run(states, d, 3)
         assert len(run) == len(want) == 9
         for got, ref in zip(run, want):
@@ -646,14 +613,9 @@ class TestMapRun:
         assert np.array_equal(rep.shifted_drops, drops[:, 1])
 
     def test_empty_run_rejected(self):
-        with pytest.raises(ValidationError, match="^a run has at least one window$"):
-            ks.map_run([], estar_delta(), 3, [])
-
-    def test_one_state_is_its_eigen_route(self):
         d, w = run_case(1)
-        (db,) = ks.map_run([w], d, 3, [])
-        (alone,) = delta_of_gmp([w], d, 3)
-        assert np.array_equal(db.v_blocks, alone.v_blocks)
+        with pytest.raises(ValidationError, match="^n_steps must be at least 1$"):
+            ks.map_run(w, d, 0, 3)
 
 
 class TestDeltaBlocksType:
@@ -680,8 +642,9 @@ class TestDeltaBlocksType:
         eye, zero = np.eye(2), np.zeros((2, 2))
         for n_couplings in (2, 4):
             with pytest.raises(ValidationError, match="count"):
-                DeltaBlocks(j_lo=0, v_blocks=(eye,) * n_couplings, w_blocks=(zero, zero))
-        db = DeltaBlocks(j_lo=-1, v_blocks=(eye,) * 3, w_blocks=(zero, zero))
+                DeltaBlocks(j_lo=0, v_blocks=(eye,) * n_couplings, w_blocks=(zero, zero),
+                            signs=np.ones((n_couplings, 2)))
+        db = DeltaBlocks(j_lo=-1, v_blocks=(eye,) * 3, w_blocks=(zero, zero), signs=np.ones((3, 2)))
         assert (db.g, db.j_lo, db.j_hi) == (1, -1, 0)
 
     def test_blocks_are_frozen(self):
@@ -835,7 +798,8 @@ class TestColumnTerm:
             v = np.tril(rng.standard_normal((12, dim, dim)), -1) + np.exp(
                 rng.standard_normal((12, 1, dim))
             ) * np.eye(dim)
-            db = DeltaBlocks(j_lo=-5, v_blocks=v, w_blocks=rng.standard_normal((11, dim, dim)))
+            db = DeltaBlocks(j_lo=-5, v_blocks=v, w_blocks=rng.standard_normal((11, dim, dim)),
+                             signs=np.ones((12, dim)))
             shares = db.column_shares(-5, 5)
             for j in range(-5, 6):
                 scalar = [reference_column_share(db, j, m) for m in range(dim)]
