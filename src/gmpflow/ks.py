@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import SpectrumProximityError, ValidationError, WindowError, check, check_entries
+from .errors import DOUBLE_MAX, SpectrumProximityError, ValidationError, WindowError
+from .errors import check, check_entries
 from .finitegap import DeltaData, check_distinct_poles
 from .flow import conjugate_shift, flow_states, jacobi_flow_step
 from .gmp import GmpBlock, GmpWindow, assemble_dense, pattern_defect, resolvent_column
@@ -517,7 +518,9 @@ def density_identity(c, lam, y: float) -> dict:
     of ``y`` (one inside each interval between consecutive poles, plus
     one outside on the side determined by the sign of ``y``), then
     verifies the Cauchy determinant of the pole-preimage matrix and the
-    product of map derivatives against their closed forms.
+    product of map derivatives against their closed forms, each residual
+    relative to the larger value it compares.  Every failure is typed, an
+    empty or infinite preimage bracket a ValidationError.
     """
     c_arr, lam_arr = check_entries({"c": c, "lam": lam}, "{key}[{}]")
     y, = check_entries({"y": y})
@@ -539,6 +542,7 @@ def density_identity(c, lam, y: float) -> dict:
     weight_sum = float(np.sum(lam_arr))
     offset = 1e-9 * max(1.0, float(np.max(np.abs(sorted_c))))
     reach = 2.0 * weight_sum / abs(y) + 1.0
+    check(f"level {y:.3e}: outer preimage bracket reach", reach, DOUBLE_MAX, ValidationError)
     lo, hi = sorted_c[:-1] + offset, sorted_c[1:] - offset
     if y > 0:
         lo, hi = np.append(sorted_c[0] - reach, lo), np.append(sorted_c[0] - offset, hi)
@@ -547,32 +551,30 @@ def density_identity(c, lam, y: float) -> dict:
     roots = numkit.bisect_root(f, lo, hi)
 
     w_mat = 1.0 / (c_arr[np.newaxis, :] - roots[:, np.newaxis])
-    det_w = float(np.linalg.det(w_mat))
+    det_w = np.linalg.det(w_mat)
 
     sign = (-1.0) ** (g * (g - 1) // 2)
     k, j = np.triu_indices(g, 1)  # every pair k < j, row by row
-    root_diffs = float(np.prod(roots[k] - roots[j]))
-    pole_diffs = float(np.prod(c_arr[k] - c_arr[j]))
-    cross = float(np.prod(c_arr[np.newaxis, :] - roots[:, np.newaxis]))
+    root_diffs = np.prod(roots[k] - roots[j])
+    pole_diffs = np.prod(c_arr[k] - c_arr[j])
+    cross = np.prod(c_arr[np.newaxis, :] - roots[:, np.newaxis])
     det_w_closed = sign * root_diffs * pole_diffs / cross
 
     deriv = np.sum(lam_arr / (c_arr - roots[:, None]) ** 2, axis=1)
-    deriv_product = float(np.prod(deriv))
-    deriv_closed = (
-        (root_diffs * pole_diffs) ** 2 / cross**2 * float(np.prod(lam_arr))
-    )
+    deriv_product = np.prod(deriv)
+    deriv_closed = det_w_closed**2 * np.prod(lam_arr)
 
-    det_rel = abs(det_w - det_w_closed) / max(1.0, abs(det_w))
-    deriv_rel = abs(deriv_product - deriv_closed) / max(1.0, abs(deriv_product))
+    got, want = np.array([det_w, deriv_product]), np.array([det_w_closed, deriv_closed])
+    rel = np.abs(got - want) / np.maximum(np.abs(got), np.abs(want))
     check(lambda i: f"determinant identity of {('det W', 'the derivative product')[i]}: "
-          "relative residual", np.array([det_rel, deriv_rel]), 1e-9)
+          "relative residual", rel, 1e-9)
     return {
         "y": float(y),
         "roots": roots,
-        "det_w": det_w,
-        "det_w_closed": det_w_closed,
-        "det_w_residual": det_rel,
-        "deriv_product": deriv_product,
-        "deriv_product_closed": deriv_closed,
-        "deriv_residual": deriv_rel,
+        "det_w": float(det_w),
+        "det_w_closed": float(det_w_closed),
+        "det_w_residual": float(rel[0]),
+        "deriv_product": float(deriv_product),
+        "deriv_product_closed": float(deriv_closed),
+        "deriv_residual": float(rel[1]),
     }

@@ -26,6 +26,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NotSymmetricError,
     SingularMatrixError,
+    ValidationError,
     check,
 )
 
@@ -208,8 +209,9 @@ def bisect_root(f: Callable[[np.ndarray], np.ndarray], lo, hi):
     """Roots of a continuous function on brackets (arrays or scalars), all at once.
 
     ``f`` maps one point per bracket, flattened, to its values.  Each bracket
-    needs ``f(lo) * f(hi) <= 0`` (NoSignChangeError names the first without)
-    and stops on its own, at width ``1e-13 * max(1, |midpoint|)``, where ``f``
+    needs finite ends lo < hi (ValidationError names the first without) and
+    ``f(lo) * f(hi) <= 0`` (NoSignChangeError names the first without), and
+    stops on its own, at width ``1e-13 * max(1, |midpoint|)``, where ``f``
     vanishes or after 200 halvings; it then holds its midpoint.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
@@ -217,7 +219,7 @@ def bisect_root(f: Callable[[np.ndarray], np.ndarray], lo, hi):
     bad = ~(np.isfinite(lo) & np.isfinite(hi)) | (lo >= hi)
     if bad.any():
         k = int(np.argmax(bad))
-        raise ValueError(f"invalid bracket [{lo[k]}, {hi[k]}]")
+        raise ValidationError(f"invalid bracket [{lo[k]}, {hi[k]}]")
     flo, fhi = f(lo), f(hi)
     hit = (flo == 0.0) | (fhi == 0.0)
     same = ~hit & (np.sign(flo) == np.sign(fhi))

@@ -163,6 +163,21 @@ def sum_rule_window(rng: np.random.Generator) -> GmpWindow:
     return GmpWindow(p[:, None], (b / p)[:, None], (), j_min=-29)
 
 
+def periodic_jacobi(N: int, seed) -> tuple[np.ndarray, np.ndarray, GapSet]:
+    """a(0..N-1) in [0.6, 1.4] and b(0..N-1) in [-0.8, 0.8] of a period-N
+    Jacobi matrix, drawn in that order from ``np.random.default_rng(seed)``
+    (a Generator is drawn from as it stands), and the gap set of its band
+    edges: the eigenvalues of the N x N matrices with +-a(0) added at the
+    corners, the periodic and the antiperiodic Floquet matrix."""
+    rng = np.random.default_rng(seed)
+    a, b = rng.uniform(0.6, 1.4, N), rng.uniform(-0.8, 0.8, N)
+    floquet = np.diag(b) + np.diag(a[1:], 1) + np.diag(a[1:], -1)
+    corner = np.zeros((N, N))
+    corner[0, -1] = corner[-1, 0] = a[0]
+    edges = np.sort(np.concatenate([np.linalg.eigvalsh(floquet + s * corner) for s in (1.0, -1.0)]))
+    return a, b, GapSet(edges[0], edges[-1], tuple(zip(edges[1:-1:2], edges[2:-1:2])))
+
+
 def half_line_measures(w: GmpWindow) -> list[tuple[DiscreteMeasure, int]]:
     """Spectral measures of the two halves of the window's dense matrix at
     the start vectors of ``gmp_to_jacobi_measure``, each with the depth

@@ -7,6 +7,7 @@ report, so a verbose run shows one pass/fail line per criterion.
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 
 from gmpflow import acceptance
@@ -109,6 +110,22 @@ def test_telescoping_criterion_checks_the_ledger_drop(monkeypatch):
     assert not rep["passed"]
     assert "independent drop vs ledger 1.00e-06 (<= 1e-08)" in rep["details"]
     assert "one-step drop residual" in rep["details"]
+
+
+def test_flow_orbit_criterion_reads_band_edges_from_the_readout(monkeypatch):
+    # a(0) scaled by 1 + 1e-9 moves the periodic Floquet edges +-(a(1) + a(0))
+    # by 1.5e-9, so the readout's spectrum is no longer E*
+    run = acceptance.flow_run
+
+    def bond_off(window, n_steps):
+        traj = run(window, n_steps)
+        return dataclasses.replace(traj, a_out=traj.a_out * np.r_[1.0 + 1e-9, np.ones(n_steps)])
+
+    monkeypatch.setattr(acceptance, "flow_run", bond_off)
+    rep = acceptance.run_criterion(4)
+    assert not rep["passed"]
+    dev = re.search(r"band edge deviation (\S+) \(<= 1e-10\)", rep["details"])
+    assert dev and float(dev.group(1)) >= 1e-9
 
 
 def test_run_criterion_captures_errors(monkeypatch):

@@ -28,6 +28,7 @@ from gmpflow.gmp import GmpBlock
 from gmpflow.ks import delta_of_gmp
 
 from conftest import (
+    periodic_jacobi,
     random_gapset,
     reference_blocks,
     solved_comb_map,
@@ -312,6 +313,16 @@ class TestDeltaFromGaps:
             gs = GapSet(edges[0], edges[-1], tuple(zip(edges[1:-1:2], edges[2:-1:2])))
             delta = delta_from_gaps(gs)
             assert_allclose(eval_delta(delta, edges), levels, rtol=0, atol=3e-11)
+
+    def test_floquet_band_edges_of_periodic_jacobi_matrices(self):
+        # -2 at each band's left end and +2 at its right end; each bound is
+        # 10 x the worst measured (1.49e-13, 4.91e-13 and 6.89e-13)
+        rng = np.random.default_rng(11)
+        for g, bound in ((1, 1.5e-12), (2, 4.9e-12), (4, 6.9e-12)):
+            gs = periodic_jacobi(g + 1, rng)[2]
+            edges = np.ravel(gs.bands())
+            levels = np.resize((-2.0, 2.0), edges.size)
+            assert_allclose(eval_delta(delta_from_gaps(gs), edges), levels, rtol=0, atol=bound)
 
     def test_json_round_trip(self, estar_gapset):
         delta = delta_from_gaps(estar_gapset)

@@ -1,5 +1,6 @@
 """Mapped-operator entropy: blocks, identities, diagnostics, densities."""
 
+import contextlib
 import re
 import warnings
 
@@ -26,6 +27,7 @@ from oracles_mp import local_delta_column
 
 from gmpflow import ks, numkit
 from gmpflow.errors import (
+    GmpflowError,
     NumericalError,
     SpectrumProximityError,
     ValidationError,
@@ -1155,12 +1157,36 @@ class TestDensityIdentity:
 
     def test_failing_identity_raises(self, monkeypatch):
         # preimages moved off the level: the Cauchy determinant still holds
-        # for any points, the derivative product only at true preimages
+        # for any points, the derivative product only at true preimages; at
+        # small levels both values are small, and the residual relative to
+        # them still reads 4.4e-7
         bisect = numkit.bisect_root
         monkeypatch.setattr(numkit, "bisect_root", lambda f, lo, hi: bisect(f, lo, hi) + 1e-3)
-        with pytest.raises(NumericalError, match=r"^determinant identity of the derivative "
-                           r"product: relative residual \S+ exceeds 1\.000e-09$"):
-            density_identity([0.0, 3.0], [1.0, 1.0], 1.0)
+        for y in (1.0, 1e-3, 1e-6, 1e-12):
+            with pytest.raises(NumericalError, match=r"^determinant identity of the derivative "
+                               r"product: relative residual \S+ exceeds 1\.000e-09$"):
+                density_identity([0.0, 3.0], [1.0, 1.0], y)
+
+    @pytest.mark.parametrize("c, lam", [
+        ([0.0, 3.0], [1.0, 1.0]), ([-2.0, 0.5, 2.5], [0.3, 1.7, 0.9]),
+    ])
+    def test_every_level_returns_or_raises_typed(self, c, lam):
+        # closed forms that overflow or underflow fail the residual check, a
+        # bracket past the largest double is refused, and a level whose
+        # preimage lies within the bracket offset of a pole has no sign change
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the closed forms' overflow
+            for y in [s * 10.0**k for k in range(-310, 301, 10) for s in (1.0, -1.0)]:
+                with contextlib.suppress(GmpflowError):
+                    density_identity(c, lam, y)
+
+    @pytest.mark.parametrize("c, y, message", [
+        ([0.0, 3.0], 1e-310, "level 1.000e-310: outer preimage bracket reach inf exceeds 1.798e+308"),
+        ([0.0, 1e-10], 1.0, "invalid bracket [1e-09, -9.000000000000001e-10]"),
+    ], ids=["reach-past-the-largest-double", "poles-within-the-offset"])
+    def test_bracket_refused(self, c, y, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            density_identity(c, [1.0, 1.0], y)
 
     def test_positive_weights_required(self):
         with pytest.raises(ValidationError, match="positive"):

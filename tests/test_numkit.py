@@ -10,6 +10,7 @@ from gmpflow.errors import (
     NotSymmetricError,
     NumericalError,
     SingularMatrixError,
+    ValidationError,
 )
 
 
@@ -407,7 +408,7 @@ class TestBisectRoot:
         (np.nan, 1.0, "[nan, 1.0]"), (0.0, np.inf, "[0.0, inf]"),
     ])
     def test_invalid_bracket_is_named(self, lo, hi, shown):
-        with pytest.raises(ValueError, match=f"^invalid bracket {re.escape(shown)}$"):
+        with pytest.raises(ValidationError, match=f"^invalid bracket {re.escape(shown)}$"):
             numkit.bisect_root(lambda t: t, [-1.0, lo], [1.0, hi])
 
     def test_root_at_endpoint(self):
