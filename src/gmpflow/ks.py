@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import DOUBLE_MAX, SpectrumProximityError, ValidationError, WindowError
+from .errors import (DOUBLE_MAX, NumericalError, SpectrumProximityError, ValidationError,
+                     WindowError)
 from .errors import check, check_entries
 from .finitegap import DeltaData, check_distinct_poles
 from .flow import conjugate_shift, flow_states, jacobi_flow_step
@@ -519,8 +520,11 @@ def density_identity(c, lam, y: float) -> dict:
     one outside on the side determined by the sign of ``y``), then
     verifies the Cauchy determinant of the pole-preimage matrix and the
     product of map derivatives against their closed forms, each residual
-    relative to the larger value it compares.  Every failure is typed, an
-    empty or infinite preimage bracket a ValidationError.
+    relative to the larger value it compares, and each preimage against
+    the level, relative to the larger of the level and the absolute sum of
+    the terms it sums.  Every failure is typed: an empty or infinite
+    preimage bracket a ValidationError, closed forms that leave the doubles
+    or a preimage off its level a NumericalError.
     """
     c_arr, lam_arr = check_entries({"c": c, "lam": lam}, "{key}[{}]")
     y, = check_entries({"y": y})
@@ -550,24 +554,32 @@ def density_identity(c, lam, y: float) -> dict:
         lo, hi = np.append(lo, sorted_c[-1] + offset), np.append(hi, sorted_c[-1] + reach)
     roots = numkit.bisect_root(f, lo, hi)
 
-    w_mat = 1.0 / (c_arr[np.newaxis, :] - roots[:, np.newaxis])
-    det_w = np.linalg.det(w_mat)
-
-    sign = (-1.0) ** (g * (g - 1) // 2)
-    k, j = np.triu_indices(g, 1)  # every pair k < j, row by row
-    root_diffs = np.prod(roots[k] - roots[j])
-    pole_diffs = np.prod(c_arr[k] - c_arr[j])
-    cross = np.prod(c_arr[np.newaxis, :] - roots[:, np.newaxis])
-    det_w_closed = sign * root_diffs * pole_diffs / cross
-
-    deriv = np.sum(lam_arr / (c_arr - roots[:, None]) ** 2, axis=1)
-    deriv_product = np.prod(deriv)
-    deriv_closed = det_w_closed**2 * np.prod(lam_arr)
+    try:
+        with np.errstate(all="raise"):  # the closed forms leave the doubles
+            w_mat = 1.0 / (c_arr - roots[:, None])
+            det_w = np.linalg.det(w_mat)
+            # Cauchy's determinant, each factor of its numerator over one of
+            # its denominator: (x_j - x_k)/(c_j - x_k) (c_k - c_j)/(c_k - x_j), k < j
+            k, j = np.triu_indices(g, 1)
+            pairs = (roots[j] - roots[k]) / (c_arr[j] - roots[k])
+            pairs *= (c_arr[k] - c_arr[j]) / (c_arr[k] - roots[j])
+            det_w_closed = np.prod(pairs) / np.prod(c_arr - roots)
+            deriv_product = np.prod(np.sum(lam_arr / (c_arr - roots[:, None]) ** 2, axis=1))
+            deriv_closed = det_w_closed**2 * np.prod(lam_arr)
+    except FloatingPointError as exc:
+        raise NumericalError(f"level {y:.3e}: closed forms: {exc}") from None
 
     got, want = np.array([det_w, deriv_product]), np.array([det_w_closed, deriv_closed])
     rel = np.abs(got - want) / np.maximum(np.abs(got), np.abs(want))
     check(lambda i: f"determinant identity of {('det W', 'the derivative product')[i]}: "
           "relative residual", rel, 1e-9)
+    # both identities hold for any points that near the poles; a preimage held
+    # to the bisection's width 1e-13 * max(1, |x|) at distance ~lam / |y| from
+    # its pole misses the level by ~1e-13 * max(1, |x|) * |y| / lam, relative
+    terms = lam_arr * w_mat
+    scale = np.maximum(np.sum(np.abs(terms), axis=1), abs(y))
+    check(lambda i: f"level {y:.3e}: preimage at {float(roots[i])!r}: relative residual",
+          np.abs(np.sum(terms, axis=1) - y) / scale, 1e-9)
     return {
         "y": float(y),
         "roots": roots,

@@ -210,9 +210,12 @@ def bisect_root(f: Callable[[np.ndarray], np.ndarray], lo, hi):
 
     ``f`` maps one point per bracket, flattened, to its values.  Each bracket
     needs finite ends lo < hi (ValidationError names the first without) and
-    ``f(lo) * f(hi) <= 0`` (NoSignChangeError names the first without), and
-    stops on its own, at width ``1e-13 * max(1, |midpoint|)``, where ``f``
-    vanishes or after 200 halvings; it then holds its midpoint.
+    ``f(lo) * f(hi) <= 0`` (NoSignChangeError names the first without, nan
+    included), and stops on its own, at width ``1e-13 * max(1, |midpoint|)``,
+    where ``f`` vanishes or after 200 halvings; it then holds its midpoint.
+    The halvings before the narrowest bracket can meet the width rule skip
+    its test (not a call of ``f``), so the roots and calls are bit for bit
+    those of a loop that tests it at every halving.
     """
     lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
     shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
@@ -222,7 +225,7 @@ def bisect_root(f: Callable[[np.ndarray], np.ndarray], lo, hi):
         raise ValidationError(f"invalid bracket [{lo[k]}, {hi[k]}]")
     flo, fhi = f(lo), f(hi)
     hit = (flo == 0.0) | (fhi == 0.0)
-    same = ~hit & (np.sign(flo) == np.sign(fhi))
+    same = ~hit & (np.sign(flo) != -np.sign(fhi))
     if same.any():
         k = int(np.argmax(same))
         raise NoSignChangeError(
@@ -230,14 +233,23 @@ def bisect_root(f: Callable[[np.ndarray], np.ndarray], lo, hi):
         )
     end = np.where(flo == 0.0, lo, hi)
     lo, hi, side = np.where(hit, end, lo), np.where(hit, end, hi), np.sign(flo)
-    for _ in range(200):
+    # no bracket can meet the width rule before halving `skip` (the narrowest spans
+    # 8 rules at the largest end); a midpoint past half the largest double may overflow
+    m, w = np.max(np.abs([lo, hi]), initial=1.0), np.min(hi - lo, initial=np.inf)
+    skip = min(max(math.frexp(w / (BISECT_REL_WIDTH * m))[1] - 3, 0), 200) if m < 2.0**1023 else 0
+    for n in range(200):
         mid = 0.5 * (lo + hi)
-        stop = hi - lo <= BISECT_REL_WIDTH * np.maximum(1.0, np.abs(mid))
-        if stop.all():
-            break
-        fmid = f(mid)
-        stop |= fmid == 0.0
-        left = np.sign(fmid) == side
-        lo, hi = np.where(left | stop, mid, lo), np.where(left & ~stop, hi, mid)
+        if n < skip:
+            t = f(mid) * side
+        else:  # a bracket that meets the width rule holds its midpoint (t = 0)
+            stop = hi - lo <= BISECT_REL_WIDTH * np.maximum(1.0, np.abs(mid))
+            if stop.all():
+                break
+            t = np.where(stop, 0.0, f(mid) * side)
+        if not t.all():  # an exact zero (or a held bracket) takes the width test from here
+            skip = min(skip, n + 1)
+        np.copyto(lo, mid, where=t >= 0)  # lo and hi are this call's own arrays
+        np.copyto(mid, hi, where=t > 0)
+        hi = mid
     root = (0.5 * (lo + hi)).reshape(shape)
     return float(root) if root.ndim == 0 else root

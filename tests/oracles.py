@@ -53,6 +53,10 @@ tests compare against:
   call per carried state, and ``ks.functional_report``'s drops as it took
   them one state at a time from ``DeltaBlocks.column_shares``; the
   package must give their bits;
+- ``plain_bisect_root``: ``numkit.bisect_root`` as it tested the width
+  rule at every halving, before it skipped the test on the halvings where
+  no bracket can meet it; the package must give its roots bit for bit
+  from the same calls of ``f``;
 - ``reference_gauss_newton``: the Gauss-Newton loop of
   ``isospectral._gauss_newton`` as it was before each point became one
   stack with its Jacobian: one residual call at each trial, then a
@@ -67,8 +71,8 @@ import numpy as np
 
 from gmpflow import numkit
 from gmpflow.construct import READOUT_TOL, TWO_SIDED_PATTERN_TOL, _append_orthonormal
-from gmpflow.errors import (SQUARE_MAX, NumericalError, SpectrumProximityError, ValidationError,
-                            WindowError, check)
+from gmpflow.errors import (SQUARE_MAX, NoSignChangeError, NumericalError, SpectrumProximityError,
+                            ValidationError, WindowError, check)
 from gmpflow.finitegap import DeltaData
 from gmpflow.flow import conjugate_shift, u_block
 from gmpflow.gmp import (GmpBlock, GmpWindow, _chain_plan, assemble_dense, band_rows,
@@ -484,3 +488,34 @@ def per_state_drops(run) -> np.ndarray:
     mapped run, rows (step drop, relabelled drop): column g of block rows
     -1 and 0, one ``column_shares`` call per state."""
     return np.array([db.column_shares(-1, 0)[:, -1] for db in run[1:]]).reshape(-1, 2)
+
+
+def plain_bisect_root(f, lo, hi):
+    """``numkit.bisect_root`` with the width test at every halving."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape, lo, hi = lo.shape, lo.ravel(), hi.ravel()
+    bad = ~(np.isfinite(lo) & np.isfinite(hi)) | (lo >= hi)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ValidationError(f"invalid bracket [{lo[k]}, {hi[k]}]")
+    flo, fhi = f(lo), f(hi)
+    hit = (flo == 0.0) | (fhi == 0.0)
+    same = ~hit & (np.sign(flo) == np.sign(fhi))
+    if same.any():
+        k = int(np.argmax(same))
+        raise NoSignChangeError(
+            f"f({lo[k]}) = {flo[k]:.3e} and f({hi[k]}) = {fhi[k]:.3e} have the same sign"
+        )
+    end = np.where(flo == 0.0, lo, hi)
+    lo, hi, side = np.where(hit, end, lo), np.where(hit, end, hi), np.sign(flo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        stop = hi - lo <= numkit.BISECT_REL_WIDTH * np.maximum(1.0, np.abs(mid))
+        if stop.all():
+            break
+        fmid = f(mid)
+        stop |= fmid == 0.0
+        left = np.sign(fmid) == side
+        lo, hi = np.where(left | stop, mid, lo), np.where(left & ~stop, hi, mid)
+    root = (0.5 * (lo + hi)).reshape(shape)
+    return float(root) if root.ndim == 0 else root

@@ -28,6 +28,7 @@ from oracles_mp import local_delta_column
 from gmpflow import ks, numkit
 from gmpflow.errors import (
     GmpflowError,
+    NoSignChangeError,
     NumericalError,
     SpectrumProximityError,
     ValidationError,
@@ -1171,14 +1172,46 @@ class TestDensityIdentity:
         ([0.0, 3.0], [1.0, 1.0]), ([-2.0, 0.5, 2.5], [0.3, 1.7, 0.9]),
     ])
     def test_every_level_returns_or_raises_typed(self, c, lam):
-        # closed forms that overflow or underflow fail the residual check, a
-        # bracket past the largest double is refused, and a level whose
-        # preimage lies within the bracket offset of a pole has no sign change
+        # closed forms that leave the doubles and a bracket past the largest
+        # double are refused, and no level warns on the way
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the closed forms' overflow
+            warnings.simplefilter("error")
             for y in [s * 10.0**k for k in range(-310, 301, 10) for s in (1.0, -1.0)]:
                 with contextlib.suppress(GmpflowError):
                     density_identity(c, lam, y)
+
+    @pytest.mark.parametrize("c, lam", [
+        ([0.0, 3.0], [1.0, 1.0]), ([-2.0, 0.5, 2.5], [0.3, 1.7, 0.9]),
+    ])
+    def test_preimages_off_their_level_refused(self, c, lam):
+        # both identities hold for any points near enough to the poles; a
+        # preimage held to the bisection's width 1e-13 * max(1, |x|) at
+        # distance ~lam / |y| from its pole misses its level by ~1e-13 * |y|
+        for y in (1.0, -1.0, 1e2, -1e2, 1e3, -1e3):
+            report = density_identity(c, lam, y)
+            for x in report["roots"]:
+                npt.assert_allclose(np.sum(np.array(lam) / (np.array(c) - x)), y, rtol=1e-9)
+        for y in (1e6, -1e6, 1e8, -1e8):
+            with pytest.raises(NumericalError, match=rf"^{re.escape(f'level {y:.3e}')}: preimage "
+                               r"at \S+: relative residual \S+ exceeds 1\.000e-09$"):
+                density_identity(c, lam, y)
+        # from 1e9 on the preimage lies inside the bracket offset of its pole
+        for y in (1e9, -1e9, 1e12, -1e12, 1e15, -1e15):
+            with pytest.raises(NoSignChangeError):
+                density_identity(c, lam, y)
+
+    @pytest.mark.parametrize("c, lam", [
+        ([0.0, 3.0], [1.0, 1.0]), ([-2.0, 0.5, 2.5], [0.3, 1.7, 0.9]),
+    ])
+    def test_small_levels_return(self, c, lam):
+        # the outer preimage near 1e150: each factor of Cauchy's determinant
+        # over one of its denominator, so no product leaves the doubles
+        for y in (1e-150, -1e-150):
+            report = density_identity(c, lam, y)
+            assert max(report["det_w_residual"], report["deriv_residual"]) <= 1e-9
+        # 1 / (c - x)^2 leaves the doubles
+        with pytest.raises(NumericalError, match=r"^level 1\.000e-170: closed forms: overflow"):
+            density_identity(c, lam, 1e-170)
 
     @pytest.mark.parametrize("c, y, message", [
         ([0.0, 3.0], 1e-310, "level 1.000e-310: outer preimage bracket reach inf exceeds 1.798e+308"),

@@ -1,10 +1,15 @@
+import contextlib
 import re
 
 import numpy as np
 import pytest
 
-from gmpflow import numkit
+from conftest import _workloads
+from oracles import plain_bisect_root
+
+from gmpflow import finitegap, ks, numkit
 from gmpflow.errors import (
+    GmpflowError,
     NoSignChangeError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -403,6 +408,13 @@ class TestBisectRoot:
         with pytest.raises(NoSignChangeError):
             numkit.bisect_root(lambda t: t * t + 1.0, -1.0, 1.0)
 
+    def test_nan_end_value_is_no_sign_change(self):
+        # f(lo) * f(hi) <= 0 fails for nan, at either end
+        f = lambda t: np.where(np.abs(t) > 0.9, np.nan, t)
+        for lo, hi in ((-1.0, 0.5), (-0.5, 1.0)):
+            with pytest.raises(NoSignChangeError, match="nan"):
+                numkit.bisect_root(f, lo, hi)
+
     @pytest.mark.parametrize("lo, hi, shown", [
         (1.0, 0.5, "[1.0, 0.5]"), (1.0, 1.0, "[1.0, 1.0]"),
         (np.nan, 1.0, "[nan, 1.0]"), (0.0, np.inf, "[0.0, inf]"),
@@ -452,3 +464,104 @@ class TestBisectRoot:
         ]
         assert np.array_equal(x, alone)
         assert np.all(np.abs(x - roots) <= 1e-13 * np.maximum(1.0, np.abs(roots)))
+
+
+def traced(bisect, f, lo, hi):
+    """The root's bytes, or the refusal, and the bytes of every point ``f``
+    was called at."""
+    points = []
+    try:
+        root = np.asarray(bisect(lambda x: points.append(x.copy()) or f(x), lo, hi)).tobytes()
+    except GmpflowError as exc:
+        root = (type(exc), str(exc))
+    return root, [x.tobytes() for x in points]
+
+
+def assert_as_plain(f, lo, hi):
+    got, want = traced(numkit.bisect_root, f, lo, hi), traced(plain_bisect_root, f, lo, hi)
+    assert len(got[1]) == len(want[1])
+    assert got == want
+
+
+@pytest.fixture
+def caller_brackets(monkeypatch):
+    """Every (f, lo, hi) the package hands ``numkit.bisect_root``, collected
+    while the test runs its callers; ``done()`` restores the function."""
+    seen, bisect = [], numkit.bisect_root
+    monkeypatch.setattr(numkit, "bisect_root",
+                        lambda f, lo, hi: seen.append((f, lo, hi)) or bisect(f, lo, hi))
+
+    def done():
+        monkeypatch.undo()
+        return seen
+    return done
+
+
+class TestBisectRootSkipsWidthTests:
+    """``bisect_root`` skips its width test on the halvings where no bracket
+    can meet it; ``oracles.plain_bisect_root`` tests it at every halving.
+    Both give the same roots, bit for bit, from the same points of ``f``."""
+
+    @pytest.mark.parametrize("g", range(1, 17))
+    def test_gap_sets(self, g, caller_brackets):
+        # the comb map's poles: wide gaps and one 1e-4 gap, scaled by
+        # 2^-20, 1 and 2^20, each also shifted by 10
+        rng = np.random.default_rng([56, g])
+        for narrow in (None, int(rng.integers(g))):
+            b0, a0, gaps = _workloads().random_gapset(rng, g, narrow)
+            for scale in (2.0**-20, 1.0, 2.0**20):
+                for shift in (0.0, 10.0):
+                    move = lambda x: scale * x + shift
+                    moved = [tuple(map(move, ab)) for ab in gaps]
+                    with contextlib.suppress(GmpflowError):
+                        finitegap.gap_zeros(finitegap.GapSet(move(b0), move(a0), moved))
+        seen = caller_brackets()
+        assert len(seen) == 12
+        for f, lo, hi in seen:
+            assert_as_plain(f, lo, hi)
+
+    @pytest.mark.parametrize("c, lam", [
+        ([0.0, 3.0], [1.0, 1.0]), ([-2.0, 0.5, 2.5], [0.3, 1.7, 0.9]),
+    ])
+    def test_density_identity_brackets(self, c, lam, caller_brackets):
+        for y in [s * 10.0**k for k in range(-310, 301, 10) for s in (1.0, -1.0)]:
+            with contextlib.suppress(GmpflowError):
+                ks.density_identity(c, lam, y)
+        seen = caller_brackets()
+        assert len(seen) == 92  # 1e-300 ... 1e150, either sign
+        for f, lo, hi in seen:
+            assert_as_plain(f, lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [
+        pytest.param(-1.0, 3.0, id="second-midpoint-is-a-root"),
+        pytest.param([0.0, -1.0, -2.0, -0.75], [1.0, 0.0, 3.0, 0.5], id="hit-at-lo-and-at-hi"),
+        pytest.param([0.0, -1.0], [1.0, 0.0], id="every-bracket-hit"),
+        pytest.param(np.zeros(0), np.zeros(0), id="no-brackets"),
+    ])
+    def test_exact_zeros(self, lo, hi):
+        # f(x) = x: an exact zero inside the skipped halvings hands its
+        # bracket to the tested ones, frozen, as they would have frozen it
+        assert_as_plain(lambda x: x, lo, hi)
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_width_rule_met_exactly(self, k):
+        # a bracket 2^k rule widths wide below |x| = 1: halving k meets the
+        # rule exactly, and only the test before halving k + 1 may stop it
+        w = 2.0**k * numkit.BISECT_REL_WIDTH
+        assert_as_plain(lambda x: x - 0.3 * w, 0.0, w)
+        assert_as_plain(lambda x: x - 0.3 * w, [0.0, -2.0], [w, 5.0])
+
+    def test_nan_inside_a_bracket(self):
+        # nan values move hi to the midpoint, as in the tested loop
+        f = lambda x: np.where((x > 0.45) & (x < 0.8), np.nan, x - 0.7)
+        assert_as_plain(f, [0.0, 0.3, -1.0], [1.0, 0.9, 0.85])
+
+    @pytest.mark.parametrize("lo, hi, root, calls", [
+        pytest.param(-5e299, 5e299, 1.0, 202, id="1e300-wide-to-the-200-halving-cap"),
+        pytest.param(-1e308, 1e308, 1e300, 73, id="width-overflows"),
+        pytest.param(9e307, 1.7e308, 1e308, 2, id="midpoint-overflows"),
+    ])
+    def test_huge_brackets(self, lo, hi, root, calls):
+        with np.errstate(over="ignore"):
+            assert_as_plain(lambda x: x - root, lo, hi)
+            assert len(traced(numkit.bisect_root, lambda x: x - root, lo, hi)[1]) == calls
