@@ -51,6 +51,9 @@ The record holds:
     pairs, on windows of perturbed surface blocks on the poles of the same
     comb maps (``kernel_inputs``), with ``tracemalloc_peak_kb``, the traced
     peak of one call;
+  - ``gmp.resolvent_column`` over the same g on the four five-block stacks
+    one ``map_run`` passes it, blocks j-2..j+2 at the two central j of the
+    482-block window below and of its flow step (``resolvent_inputs``);
   - on the 482-block window of those 481 pairs: ``flow.u_block``,
     ``flow.jacobi_flow_step``, acceptance criterion 4's check
     ``flow_identity_residual(w, jacobi_flow_step(w))`` with the
@@ -61,7 +64,8 @@ The record holds:
 - each sweep record is ``{layer, case, n_blocks, g, best_s, median_s,
   repeats, counters, base}`` with its family's fields (and ``sites`` for
   Jacobi windows, ``width`` for the width cells; ``n_blocks`` counts the
-  pairs for ``lambda_sharp``); ``counters`` are ``Counting``'s, from one
+  pairs for ``lambda_sharp`` and the blocks of each stack for
+  ``resolvent_column``); ``counters`` are ``Counting``'s, from one
   run of this tree;
 - a process layer: every subcommand on fixed inputs, and a bare
   ``import gmpflow.cli``, each run as ``PROCESS_RUNS`` fresh Python
@@ -425,6 +429,18 @@ def kernel_window(g: int, n_pairs: int) -> tuple[GmpWindow]:
     return (kernel_inputs(g, n_pairs),)
 
 
+@cache
+def resolvent_inputs(g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``resolvent_column``'s arguments in one ``map_run``: the blocks
+    j-2..j+2 at the two central j of the 482-block kernel window and of its
+    flow step (states 0 and N, j = 0 and 1), as (4, 5, g + 1) stacks."""
+    w = kernel_inputs(g, FLOW_PAIRS)
+    ends = (w, jacobi_flow_step(w))
+    P, Q = (np.stack([getattr(st, key)[i : i + 5] for st in ends for i in (238, 239)])
+            for key in "PQ")
+    return P, Q, w.c
+
+
 def pairs(w: GmpWindow) -> tuple[GmpBlock, GmpBlock]:
     """``lambda_sharp``'s blocks of w: the one pair, or the stack of pairs."""
     return (w.block(1), w.block(0)) if w.n_blocks == 2 else (w.rows(1), w.rows(0, -1))
@@ -524,6 +540,9 @@ def table() -> list[list[Case]]:
               lambda rec, w: {"tracemalloc_peak_kb": traced_peak_kb(
                   partial(gmp.lambda_sharp, *pairs(w), w.c))})
          for g in KERNEL_GENERA for n in KERNEL_PAIRS],
+        [Case("kernel", "resolvent_column, 4 pairs", size(g, 5), partial(resolvent_inputs, g),
+              lambda pkg, P, Q, c: partial(pkg.gmp.resolvent_column, P, Q, c))
+         for g in KERNEL_GENERA],
         [Case("kernel", IDENTITY_CASE, size(g, n + 1), partial(kernel_window, g, n),
               lambda pkg, w: lambda: pkg.flow.flow_identity_residual(
                   w, pkg.flow.jacobi_flow_step(w)),

@@ -159,9 +159,8 @@ def cmd_flow(args: argparse.Namespace) -> int:
     own (g+1)-shift (zero along a periodic orbit).
     """
     w = GmpWindow.from_json(_load_json(args.window))
-    floor = VALIDITY_FLOOR if args.tol is None else args.tol
     check_eta(args.eta)
-    traj = flow_run(w, args.steps, floor=floor)
+    traj = flow_run(w, args.steps, floor=args.tol)
     log.info("flow: %d blocks, %d steps", w.n_blocks, args.steps)
     steps, per, a, b = range(args.steps), w.g + 1, traj.a_out, traj.b_out
     columns = [("n", steps), ("a", a), ("b", b)]
@@ -173,7 +172,7 @@ def cmd_flow(args: argparse.Namespace) -> int:
         for n in steps
     ]
     columns.append(("shift_dist_eta", tail))
-    options = f"steps={args.steps} eta={_fmt(args.eta)} tol={_fmt(floor)} seed=none"
+    options = f"steps={args.steps} eta={_fmt(args.eta)} tol={_fmt(args.tol)} seed=none"
     _write_text(_csv_text("flow", options, columns), args.out)
     return 0
 
@@ -194,8 +193,7 @@ def cmd_ks(args: argparse.Namespace) -> int:
     d = DeltaData.from_json(_load_json(args.delta))
     states, run = map_run(w, d, args.steps, args.margin)
     rep = telescoping_check(run)["report"]  # the run's entropy ledger
-    slope_tol = DIVERGENCE_SLOPE if args.tol is None else args.tol
-    diag = ks_diagnostics(states, d, slope_tol)
+    diag = ks_diagnostics(states, d, args.tol)
     j_top = min(db.j_hi for db in run)
     log.info(
         "ks: %d blocks, %d steps, trusted rows 0..%d", w.n_blocks, args.steps, j_top
@@ -218,7 +216,7 @@ def cmd_ks(args: argparse.Namespace) -> int:
             columns += [(name, arr), (f"{name}_sqsum", sq)]
     flagged = sorted(name for name, bad in diag.diverging.items() if bad)
     footer = ["# diverging: " + (",".join(flagged) if flagged else "none")]
-    options = f"steps={args.steps} margin={args.margin} tol={_fmt(slope_tol)} seed=none"
+    options = f"steps={args.steps} margin={args.margin} tol={_fmt(args.tol)} seed=none"
     _write_text(_csv_text("ks", options, columns, footer), args.out)
     return 0
 
@@ -306,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--eta", type=float, default=0.9, help="weight base of the tail distance"
     )
     q.add_argument(
-        "--tol", type=_tolerance, default=None, help="validity floor override"
+        "--tol", type=_tolerance, default=VALIDITY_FLOOR, help="validity floor override"
     )
     q.set_defaults(func=cmd_flow)
 
@@ -316,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--margin", type=int, default=3, help="rows dropped at the window edges"
     )
     q.add_argument(
-        "--tol", type=_tolerance, default=None, help="divergence slope override"
+        "--tol", type=_tolerance, default=DIVERGENCE_SLOPE, help="divergence slope override"
     )
     q.set_defaults(func=cmd_ks)
 

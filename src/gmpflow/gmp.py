@@ -309,9 +309,7 @@ def _chain_plan(c_bytes: bytes) -> tuple[np.ndarray, np.ndarray]:
     return slot + side * (g + 1), denom
 
 
-def lambda_sharp(
-    nextblk: GmpBlock, thisblk: GmpBlock, c: np.ndarray, *, states=None
-) -> np.ndarray:
+def lambda_sharp(nextblk: GmpBlock, thisblk: GmpBlock, c: np.ndarray) -> np.ndarray:
     """Two-block functionals of all poles c_k, shape (..., g); the residue
     functionals Lambda_k for equal blocks.
 
@@ -323,9 +321,7 @@ def lambda_sharp(
     factor of ``thisblk``.  The chain runs on C-order buffers with the
     rows last: one state, updated in place, and the two factor vectors
     of each step, gathered once; each step forms its rank-one factors
-    as it is applied.  A list ``states`` receives copies of the states
-    i < g: a_k through slots >= g-1-i, b_k through slots <= i, on axes
-    (component, side, k-1, row), the rows the leading axes in C order.
+    as it is applied.
     """
     g, c = thisblk.g, np.asarray(c, dtype=float)
     if nextblk.p.shape != thisblk.p.shape:
@@ -344,14 +340,10 @@ def lambda_sharp(
         state = state.copy()
         del slots  # frees the concatenation it views
         for w, den in zip(factors, denom):
-            if states is not None:
-                states.append(state.copy())
             inc = w * w[1] * state[0]  # [j]: w_j (w^T J)_l state_l, summed over l
             inc += w * -w[0] * state[1]
             inc /= den
             state += inc
-    if states is not None:
-        states.append(state)
     # terms of minus the trace of a_k b_k^T times the infinity factor at
     # c_k, whose transpose is [[0, 1/p], [-p, (c_k - pq)/p]]
     p, q = thisblk.p[..., g].ravel(), thisblk.q[..., g].ravel()
@@ -391,30 +383,32 @@ def resolvent_column(P: np.ndarray, Q: np.ndarray, c: np.ndarray) -> tuple[np.nd
     j-2..j+2 of each, and c is the nonempty pole list.
 
     One ``lambda_sharp`` call gives the pair functionals at c_1 of the
-    blocks (j+1, j) and (j, j-1) and their partial chains.  Block j+1 is
-    the reciprocal of the first on slot 0 and zero elsewhere; block j-1
-    the partial row chain of the second divided by it, slot g from
-    orthogonality to its p; block j one stacked pseudo-inverse with the
-    cutoff of ``np.linalg.lstsq`` (the system may be singular at the
+    blocks (j+1, j) and (j, j-1).  Block j+1 is the reciprocal of the
+    first on slot 0 and zero elsewhere; block j-1 the partial row chain
+    of its ``bp_factor`` factors at c_1 divided by the second, slot g
+    from orthogonality to its p; block j one stacked pseudo-inverse with
+    the cutoff of ``np.linalg.lstsq`` (the system may be singular at the
     pole).  Each column is checked on block rows j-2..j+2.  Returns the
     indices of the pairs whose functionals do not vanish (the others
     have no closed form) and their columns on blocks j-1..j+1.
     """
     g = P.shape[-1] - 1
-    # the pairs (block j, block j-1) and (block j+1, block j), rows 2m and 2m+1 of the chain
+    # the pairs (block j, block j-1) and (block j+1, block j)
     this, nxt = GmpBlock._view(P[:, 1:3], Q[:, 1:3]), GmpBlock._view(P[:, 2:4], Q[:, 2:4])
-    states = []
-    lams = lambda_sharp(nxt, this, c, states=states)[..., 0]
+    lams = lambda_sharp(nxt, this, c)[..., 0]
     ok = np.flatnonzero(np.min(abs(lams), 1) > 1e-12 * np.max(abs(lams), 1, initial=1.0))
-    chains = np.stack(states)[..., 0, :].reshape(len(states), 2, 2, -1, 2)[..., ok, :]
     P, Q, (lam_m1, lam_0), c1 = P[ok], Q[ok], lams[ok].T, c[0]
     xs = np.zeros_like(P)  # the columns on blocks j-2..j+2
     xs[:, 1, 0], xs[:, 3, 0] = 1.0 / lam_m1, 1.0 / lam_0
-    # Block j-1: slot l in 1..g-1 pairs (p_l, q_l) with the row chain
-    # through slots 1..l-1; slot g from orthogonality to its p.
-    row = chains[: g - 1, :, 1, :, 0].T  # (pair, component, slot)
-    xs[:, 1, 1:g] = (row[:, 0] * P[:, 1, 1:g] + row[:, 1] * Q[:, 1, 1:g]) / (c1 - c[1:g])
-    xs[:, 1, 1:g] /= lam_m1[:, None]
+    # Block j-1: slot m in 1..g-1 pairs (p_m, q_m) with the row chain
+    # (p_0, q_0) J T_1..T_{m-1} of its factors T at c_1; slot g from
+    # orthogonality to its p.
+    blk = GmpBlock._view(P[:, 1], Q[:, 1])
+    row = blk.pm(0) @ JMAT
+    for m in range(1, g):
+        pm = blk.pm(m)
+        xs[:, 1, m] = np.vecdot(row, pm) / (c1 - c[m]) / lam_m1
+        row = (row[:, None] @ bp_factor(c1, c[m], pm))[:, 0]
     xs[:, 1, g] = -np.vecdot(P[:, 1, :g], xs[:, 1, :g]) / P[:, 1, g]
     # Block j: least squares on the three block-row equations involving it.
     eye = np.eye(g + 1)

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numkit
-from .errors import (DOUBLE_MAX, NumericalError, SpectrumProximityError, ValidationError,
-                     WindowError)
+from .errors import (DOUBLE_MAX, NoSignChangeError, NumericalError, SpectrumProximityError,
+                     ValidationError, WindowError)
 from .errors import check, check_entries
 from .finitegap import DeltaData, check_distinct_poles
 from .flow import conjugate_shift, flow_states, jacobi_flow_step
@@ -523,8 +523,10 @@ def density_identity(c, lam, y: float) -> dict:
     relative to the larger value it compares, and each preimage against
     the level, relative to the larger of the level and the absolute sum of
     the terms it sums.  Every failure is typed: an empty or infinite
-    preimage bracket a ValidationError, closed forms that leave the doubles
-    or a preimage off its level a NumericalError.
+    preimage bracket a ValidationError, a preimage within the bracket
+    offset 1e-9 * max(1, |c|) of its pole a NoSignChangeError naming the
+    level and the offset, closed forms that leave the doubles or a
+    preimage off its level a NumericalError.
     """
     c_arr, lam_arr = check_entries({"c": c, "lam": lam}, "{key}[{}]")
     y, = check_entries({"y": y})
@@ -552,7 +554,11 @@ def density_identity(c, lam, y: float) -> dict:
         lo, hi = np.append(sorted_c[0] - reach, lo), np.append(sorted_c[0] - offset, hi)
     if y < 0:
         lo, hi = np.append(lo, sorted_c[-1] + offset), np.append(hi, sorted_c[-1] + reach)
-    roots = numkit.bisect_root(f, lo, hi)
+    try:  # f changes sign on every bracket unless a preimage lies inside the offset
+        roots = numkit.bisect_root(f, lo, hi)
+    except NoSignChangeError as exc:
+        raise NoSignChangeError(f"level {y:.3e}: a preimage lies within the bracket offset "
+                                f"{offset:.3e} of its pole: {exc}") from None
 
     try:
         with np.errstate(all="raise"):  # the closed forms leave the doubles

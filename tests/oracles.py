@@ -317,24 +317,19 @@ def sum_rule_spectral_side(a, b, pad: int = 300) -> float:
     return q + float(np.sum(beta**2 - beta**-2 - np.log(beta**4)) / 4.0)
 
 
-def whole_plan_lambda_sharp(nextblk: GmpBlock, thisblk: GmpBlock, c, *, states=None):
+def whole_plan_lambda_sharp(nextblk: GmpBlock, thisblk: GmpBlock, c):
     """``gmp.lambda_sharp`` with the chain's whole rank-one plan built up
-    front and every step a new array; the same arguments, values and
-    states."""
+    front and every step a new array; the same arguments and values."""
     g, c = thisblk.g, np.asarray(c, dtype=float)
     slots = np.concatenate([nextblk.p, thisblk.q, nextblk.q, -thisblk.p], axis=-1)
     slots = slots.reshape(-1, 4 * g + 4).T.reshape(2, 2, g + 1, -1)
     state = slots[:, :, :g]
-    if states is not None:
-        states.append(state)
     if g > 1:
         idx, denom = _chain_plan(c.tobytes())
         w = slots.reshape(2, 2 * g + 2, -1)[:, idx]
         rank_one = w[None, :] * np.stack([w[1], -w[0]])[:, None]
         for (col0, col1), den in zip(rank_one.transpose(2, 0, 1, 3, 4, 5), denom):
             state = state + (col0 * state[0] + col1 * state[1]) / den
-            if states is not None:
-                states.append(state)
     p, q = thisblk.p[..., g].ravel(), thisblk.q[..., g].ravel()
     closing = np.zeros((2, 2, g, state.shape[-1]))
     closing[0, 1], closing[1, 0], closing[1, 1] = -1.0 / p, p, (p * q - c[:, None]) / p

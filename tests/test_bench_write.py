@@ -48,7 +48,7 @@ def test_first_case_of_each_family_runs_on_the_tree_and_a_copy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     ran = proc.stdout.splitlines()
-    assert len(ran) == 16
+    assert len(ran) == 17
     assert {line.split()[0] for line in ran} == {"kernel", "operator", "end_to_end"}
     solves = {line.rsplit(" ", 2)[0]: tuple(map(int, line.split()[-2:])) for line in ran}
     # at g = 1, width 5: kappa and its mirror, one half-line solve each,

@@ -365,6 +365,15 @@ class TestTauBasis:
         with pytest.raises(NumericalError, match="not orthonormal"):
             tau_basis(four_point_measure(), make_estar_delta(), depth=2)
 
+    def test_deviation_a_few_times_its_limit_refused(self, monkeypatch):
+        # the first block scaled by 1 + 2e-10: its squared norms, and so the
+        # Gram deviation, 4e-10, four times ORTHO_TOL
+        honest = construct.factor_L
+        monkeypatch.setattr(construct, "factor_L", lambda D: honest(D) * (1.0 + 2e-10))
+        with pytest.raises(NumericalError, match=r"^basis table is not orthonormal: deviation "
+                                                 r"4\.0\d\de-10 exceeds 1\.000e-10$"):
+            tau_basis(four_point_measure(), make_estar_delta(), depth=2)
+
 
 class TestMultiplicationMatrix:
     def test_four_point_pattern_and_entries(self):

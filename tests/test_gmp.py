@@ -534,25 +534,20 @@ class TestPatternDefect:
 class TestStackedChain:
     @pytest.mark.parametrize("g", [1, 2, 3, 5])
     def test_states_are_the_partial_factor_products(self, g):
+        # the functionals are the traces of the whole factor chains: the
+        # column with slots 0..k-2 of nxt, the row with slots k..g-1 of blk
         rng = np.random.default_rng(8 + g)
         blk, nxt = random_block(rng, g), random_block(rng, g)
         c = np.sort(rng.uniform(-2, 2, size=g))
-        states = []
-        vals = lambda_sharp(nxt, blk, c, states=states)
-        assert len(states) == g
+        vals = lambda_sharp(nxt, blk, c)
         for k in range(1, g + 1):
             ck = c[k - 1]
-            for i, state in enumerate(states):
-                # the column with slots g-1-i..k-2 of nxt, the row with
-                # slots k..i of blk
-                col = nxt.pm(k - 1)
-                for m in range(k - 2, g - 2 - i, -1):
-                    col = bp_factor(ck, c[m], nxt.pm(m)) @ col
-                row = blk.pm(k - 1) @ JMAT
-                for m in range(k, i + 1):
-                    row = row @ bp_factor(ck, c[m], blk.pm(m))
-                assert_allclose(state[:, 0, k - 1, 0], col, rtol=1e-14, atol=1e-14)
-                assert_allclose(state[:, 1, k - 1, 0], row, rtol=1e-14, atol=1e-14)
+            col = nxt.pm(k - 1)
+            for m in range(k - 2, -1, -1):
+                col = bp_factor(ck, c[m], nxt.pm(m)) @ col
+            row = blk.pm(k - 1) @ JMAT
+            for m in range(k, g):
+                row = row @ bp_factor(ck, c[m], blk.pm(m))
             chain = np.outer(col, row) @ bp_factor_inf(ck, blk.pm(g))
             assert_allclose(-np.trace(chain), vals[k - 1], rtol=1e-14, atol=1e-14)
 
@@ -577,16 +572,9 @@ class TestFrozenKernels:
     def test_lambda_sharp_and_its_states(self, g, rows):
         w = comb_window(g, 3, rows + 1, 0)
         nxt, this = (w.block(1), w.block(0)) if rows == 1 else (w.rows(1), w.rows(0, -1))
-        got_states, want_states = [], []
-        got = lambda_sharp(nxt, this, w.c, states=got_states)
+        got = lambda_sharp(nxt, this, w.c)
         assert got.shape == this.p.shape[:-1] + (g,)
-        assert same_bits(got, whole_plan_lambda_sharp(nxt, this, w.c, states=want_states))
-        # read after the last step: a state updated in place would show here
-        assert len(got_states) == len(want_states) == g
-        for got_state, want_state in zip(got_states, want_states):
-            assert same_bits(got_state, want_state)
-        for i, state in enumerate(got_states):
-            assert not any(np.shares_memory(state, later) for later in got_states[i + 1 :])
+        assert same_bits(got, whole_plan_lambda_sharp(nxt, this, w.c))
 
     @pytest.mark.parametrize("g", [1, 2, 5, 16])
     def test_lambda_sharp_on_two_leading_axes(self, g):
@@ -595,11 +583,9 @@ class TestFrozenKernels:
             GmpBlock(P.reshape(3, 6, g + 1), Q.reshape(3, 6, g + 1))
             for P, Q in ((w.P[1:], w.Q[1:]), (w.P[:-1], w.Q[:-1]))
         )
-        got_states, want_states = [], []
-        got = lambda_sharp(nxt, this, w.c, states=got_states)
+        got = lambda_sharp(nxt, this, w.c)
         assert got.shape == (3, 6, g)
-        assert same_bits(got, whole_plan_lambda_sharp(nxt, this, w.c, states=want_states))
-        assert all(same_bits(a, b) for a, b in zip(got_states, want_states, strict=True))
+        assert same_bits(got, whole_plan_lambda_sharp(nxt, this, w.c))
 
     @pytest.mark.parametrize("g", [1, 2, 5, 12])
     def test_validate_gmp_values_and_minima(self, g):
@@ -1034,7 +1020,7 @@ class TestResolventColumn:
         with pytest.raises(NumericalError, match=message):
             window_columns([(win, 0)])
 
-    @pytest.mark.parametrize("g", [1, 2, 4])
+    @pytest.mark.parametrize("g", [1, 2, 4, 8, 16])
     def test_mixed_stack_matches_dense_solves(self, g):
         # windows of three sizes and offsets, their edge pairs (the first and
         # last j with blocks j-2..j+2 inside) included,

@@ -226,6 +226,13 @@ class TestDiscreteMeasure:
             DiscreteMeasure(np.array(points), np.array(weights))
         assert str(info.value) == message
 
+    def test_total_mass_a_few_times_its_limit_off_refused(self):
+        weights = np.array([0.5, 0.5 + 5e-12])
+        total = np.sum(weights)
+        with pytest.raises(ValidationError) as info:
+            DiscreteMeasure(np.array([0.0, 1.0]), weights)
+        assert str(info.value) == f"total mass {total} differs from 1 by 5.000e-12 exceeds 1.000e-12"
+
     def test_moments(self):
         m = DiscreteMeasure(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
         assert moment(m, 0) == 1.0

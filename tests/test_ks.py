@@ -269,6 +269,24 @@ class TestDeltaOfGmp:
         with pytest.raises(NumericalError, match=r"band structure: defect 1\.000e\+00"):
             delta_of_gmp([w], d, margin=3)
 
+    def test_planted_entry_a_few_times_the_bound_raises(self, monkeypatch):
+        # test_planted_off_band_entry_raises' planting, at five times the
+        # bound: BAND_DEFECT_REL times the largest mapped entry
+        w, d = decaying_window(), estar_delta()
+        scale = max(1.0, float(np.max(np.abs(eigen_comb_map(wrapped_dense(w), d)))))
+        plant = np.zeros((w.n_blocks * 2,) * 2)
+        i, k = w.scalar_index(0, 1), w.scalar_index(3, 0)
+        plant[i, k] = plant[k, i] = 5.0 * ks.BAND_DEFECT_REL * scale / d.lambda0
+        honest_dense, honest_eigen = ks.assemble_dense, numkit.sym_eigen
+        monkeypatch.setattr(ks, "assemble_dense", lambda win: honest_dense(win) + plant)
+        monkeypatch.setattr(numkit, "sym_eigen", lambda mat: honest_eigen(mat - plant))
+        with pytest.raises(NumericalError, match=r"^mapped operator lost its band structure: "
+                                                 r"defect \S+ exceeds \S+$") as err:
+            delta_of_gmp([w], d, margin=3)
+        defect, bound = map(float, str(err.value).split()[-3::2])
+        assert bound == pytest.approx(ks.BAND_DEFECT_REL * scale, rel=1e-3)
+        assert defect == pytest.approx(5.0 * bound, rel=1e-3)
+
     def test_coupling_blocks_lower_triangular(self):
         db = delta_of_gmp([decaying_window()], estar_delta(), margin=3)[0]
         for j in range(db.j_lo, db.j_hi + 2):
@@ -557,6 +575,33 @@ class TestMapRun:
                                                  r"\d\.\d{3}e-0\d$"):
             ks.map_run(w, d, 8, 3)
 
+    def test_planted_entry_a_few_times_the_bound_raises(self, monkeypatch):
+        # test_planted_out_of_pattern_entry_raises' slot 0 planting, at five
+        # times the bound: BAND_DEFECT_REL times the carried blocks' scale
+        d, w = run_case(2)
+        honest = ks.carry_blocks
+        planted = []
+
+        def carry(window, rot, db, state=""):
+            if state == "state 5: ":
+                planted.append(5.0 * ks.BAND_DEFECT_REL * honest(window, rot, db, state)[2])
+                signs = np.vstack([np.ones_like(db.signs[:1]), db.signs])
+                u = rot[db.j_lo - 2 - window.j_min :][:6] * signs[:6, :, None]
+                unit = np.zeros((3, 3))
+                unit[0, 2] = planted[0]
+                v = db.v_blocks.copy()
+                v[4] += u[4] @ unit @ u[5].T  # blocks j_lo + 3 and j_lo + 4
+                db = DeltaBlocks(db.j_lo, v, db.w_blocks, db.signs)
+            return honest(window, rot, db, state)
+
+        monkeypatch.setattr(ks, "carry_blocks", carry)
+        with pytest.raises(NumericalError, match=r"^state 5: carried operator lost its band "
+                                                 r"structure: defect \S+ exceeds \S+$") as err:
+            ks.map_run(w, d, 8, 3)
+        defect, bound = map(float, str(err.value).split()[-3::2])
+        assert defect == pytest.approx(planted[0], rel=1e-3)
+        assert bound == pytest.approx(planted[0] / 5.0, rel=1e-3)
+
     @pytest.mark.parametrize("factor", [0.5, 2.0])
     def test_planted_drift_raises(self, monkeypatch, factor):
         # a diagonal entry keeps its sign under normalisation, so the drift
@@ -687,6 +732,13 @@ class TestHTerm:
         skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
         with pytest.raises(ValidationError, match="symmetric"):
             h_term(np.eye(2), skew, np.eye(2))
+
+    def test_asymmetry_a_few_times_its_limit_refused(self):
+        # W - W^T = 5e-8 times the block's scale 3: five times the limit
+        w0 = np.array([[3.0, 1.0 + 1.5e-7], [1.0, 2.0]])
+        with pytest.raises(ValidationError, match=r"^diagonal block must be symmetric: max "
+                                                  r"\|W - W\^T\| 1\.500e-07 exceeds 3\.000e-08$"):
+            h_term(np.eye(2), w0, np.eye(2))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError, match="shape"):
@@ -1196,8 +1248,11 @@ class TestDensityIdentity:
                                r"at \S+: relative residual \S+ exceeds 1\.000e-09$"):
                 density_identity(c, lam, y)
         # from 1e9 on the preimage lies inside the bracket offset of its pole
+        offset = f"{1e-9 * max(1.0, *np.abs(c)):.3e}"
         for y in (1e9, -1e9, 1e12, -1e12, 1e15, -1e15):
-            with pytest.raises(NoSignChangeError):
+            with pytest.raises(NoSignChangeError, match=rf"^{re.escape(f'level {y:.3e}')}: a "
+                               rf"preimage lies within the bracket offset {offset} of its pole: "
+                               r"f\(\S+\) = \S+ and f\(\S+\) = \S+ have the same sign$"):
                 density_identity(c, lam, y)
 
     @pytest.mark.parametrize("c, lam", [
